@@ -28,6 +28,7 @@ import (
 	"sort"
 
 	"homonyms/internal/hom"
+	"homonyms/internal/inject"
 	"homonyms/internal/msg"
 	"homonyms/internal/sim"
 )
@@ -394,21 +395,17 @@ type RandomDrops struct {
 	Prob float64
 }
 
-// Drop implements DropPolicy.
+// Drop implements DropPolicy: the same inject.LinkCoin the injector's
+// probabilistic omissions and delays flip.
 func (r RandomDrops) Drop(round, from, to int) bool {
-	h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
-	rng := rand.New(rand.NewSource(r.Seed ^ h))
-	return rng.Float64() < r.Prob
+	return inject.LinkCoin(r.Seed, round, from, to) < r.Prob
 }
 
 // DropBatch implements BatchDropPolicy. Each pair's verdict is the same
-// hash-pure function as Drop; the batch form hoists the per-recipient
-// part of the hash out of the loop.
+// hash-pure function as Drop.
 func (r RandomDrops) DropBatch(round, toSlot int, fromSlots []int32, drop []bool) {
-	partial := int64(round)*1_000_003 + int64(toSlot)
 	for i, from := range fromSlots {
-		rng := rand.New(rand.NewSource(r.Seed ^ (partial + int64(from)*10_007)))
-		if rng.Float64() < r.Prob {
+		if r.Drop(round, int(from), toSlot) {
 			drop[i] = true
 		}
 	}

@@ -124,13 +124,16 @@ type Router struct {
 	// executions; every query it answers is a pure function of
 	// (round, from, to), which is what keeps the two delivery modes, the
 	// two reception modes and the two engines identical under faults.
-	inj        *inject.Injector
-	replays    []inject.Replay // inj's replay specs, indexed like retained
-	retained   [][]msg.Payload // per replay spec: bodies captured at SourceRound
-	hasReplays bool
-	injRound   bool   // some fault can touch this round
-	anyDown    bool   // some slot is crashed this round
-	downNow    []bool // per slot: crashed this round
+	inj      *inject.Injector
+	replays  []inject.Replay // inj's replay specs, indexed like retained
+	retained [][]msg.Payload // per replay spec: bodies captured at SourceRound
+	// The injector's per-kind activity windows, asked once per round in
+	// BeginRound: each link-condition stage below is off for rounds its
+	// window does not cover, independently of the others.
+	lossRound   bool // a crash, omission or duplication can fire this round
+	holdRound   bool // a delay or reorder can hold a message sent this round
+	stallRound  bool // some slot's round clock can be stalled from this round on
+	replayRound bool // a replay can capture or deliver this round
 
 	// Eventually-synchronous timing machinery (TimingPolicy granted by
 	// the time model): held deliveries cross rounds in the pending
@@ -145,6 +148,13 @@ type Router struct {
 	pq          msg.PendingQueue
 	timingFault bool // the schedule contains delay/reorder/stall faults
 	draining    bool // routing drained (due) entries: skip hold checks
+	// Hold memo for the batched path: the due round of a (round, from,
+	// to) link is the same for every message on it, so holdDue resolves
+	// it once per recipient for the current sender row. dueKey[to] names
+	// the (round, from) row dueAt[to] was resolved for; a new row or a
+	// new round invalidates by key mismatch, never by clearing.
+	dueKey []uint64
+	dueAt  []int32 // 0 = not held
 
 	// Paranoid-mode invariant accounting (Config.Invariants): inboxes
 	// issued per slot and shared views issued per class representative,
@@ -162,9 +172,17 @@ type Router struct {
 	pend       [][]int32      // per recipient: routed arena indices, pre-mask
 	rawIdx     [][]int32      // per recipient: delivered arena indices
 	batch      []int32        // visibility-filtered batch scratch
-	froms      []int32        // batch sender-slot scratch for DropBatch
-	dropMask   []bool         // batch drop-mask scratch
-	perRecip   []int          // restricted-Byzantine budget counters
+	// Link-verdict scratch for maskBatch: a recipient batch's distinct
+	// senders (froms, first-occurrence order), the drop mask DropBatch
+	// fills over them, and the resolved verdict per sender slot.
+	// verdictGen stamps which maskBatch call verdictOf[from] belongs to,
+	// so the O(n) tables are never cleared between batches.
+	froms      []int32
+	dropMask   []bool
+	verdictOf  []linkVerdict
+	verdictGen []uint32
+	gen        uint32
+	perRecip   []int // restricted-Byzantine budget counters
 	deliveries []msg.Delivered
 
 	// Group-shared reception state. groups holds, per identifier, the
@@ -230,11 +248,9 @@ func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 	}
 	r.inj = inj
 	if inj != nil {
-		r.downNow = make([]bool, n)
 		sched := inj.Schedule()
 		r.replays = sched.Replays
 		r.retained = make([][]msg.Payload, len(r.replays))
-		r.hasReplays = len(r.replays) > 0
 	}
 	if cfg.Invariants {
 		r.verify = true
@@ -262,6 +278,10 @@ func (r *Router) EnableTiming(p TimingPolicy) {
 	r.esTimeout = p.Timeout
 	r.esMaxRetry = p.MaxAttempts
 	r.timingFault = r.inj.HasTiming()
+	if r.timingFault {
+		r.dueKey = make([]uint64, r.n)
+		r.dueAt = make([]int32, r.n)
+	}
 	r.pq.Reset()
 }
 
@@ -281,13 +301,10 @@ func (r *Router) BeginRound(round int) {
 		r.params.Synchrony == hom.PartiallySynchronous && round < r.gst
 	r.perMsg = r.mode == DeliverPerMessage
 	r.share = !r.perMsg && r.reception == ReceiveGroupShared
-	r.injRound = r.inj.Active(round)
-	r.anyDown = r.injRound && r.inj.AnyDown(round)
-	if r.inj != nil {
-		for to := 0; to < r.n; to++ {
-			r.downNow[to] = r.anyDown && r.inj.Down(to, round)
-		}
-	}
+	r.lossRound = r.inj.Live(inject.KindLoss, round)
+	r.holdRound = r.timingFault && r.inj.Live(inject.KindHold, round)
+	r.stallRound = r.timingFault && round < r.gst && r.inj.Live(inject.KindStall, round)
+	r.replayRound = r.inj.Live(inject.KindReplay, round)
 	if r.verify {
 		clear(r.issued)
 		clear(r.viewsIssued)
@@ -343,7 +360,7 @@ func (r *Router) TotalStamped() int { return r.totalStamped }
 // per-message/batched split, so both modes hold identically — and park
 // it in the pending queue until its due round.
 func (r *Router) route(from, to int, si int32) {
-	if r.hasReplays && r.injRound && r.inj.NeedRetain(from, r.round) {
+	if r.replayRound && r.inj.NeedRetain(from, r.round) {
 		for i := range r.replays {
 			rp := &r.replays[i]
 			if rp.FromSlot == from && rp.SourceRound == r.round && rp.ToSlot == to {
@@ -351,7 +368,7 @@ func (r *Router) route(from, to int, si int32) {
 			}
 		}
 	}
-	if r.timingFault && !r.draining {
+	if (r.holdRound || r.stallRound) && !r.draining {
 		if due, held := r.holdDue(from, to); held {
 			r.hold(from, to, si, due)
 			return
@@ -365,8 +382,29 @@ func (r *Router) route(from, to int, si int32) {
 }
 
 // holdDue decides whether a timing fault holds a (from, to) delivery
-// routed this round, and until which round. The due round composes the
-// link's delay faults with the recipient's stall windows:
+// routed this round, and until which round. The verdict is a pure
+// function of (round, from, to), so the batched path resolves it once
+// per link per round — the memo is keyed by the sender row, and the ~n
+// messages a protocol puts on one link in one round share one linkDue —
+// while per-message delivery, the reference the parity suites compare
+// against, asks linkDue for every message.
+func (r *Router) holdDue(from, to int) (int, bool) {
+	if r.perMsg {
+		due := r.linkDue(from, to)
+		return due, due > 0
+	}
+	key := uint64(r.round)<<32 | uint64(uint32(from))
+	if r.dueKey[to] != key {
+		r.dueKey[to] = key
+		r.dueAt[to] = int32(r.linkDue(from, to))
+	}
+	due := int(r.dueAt[to])
+	return due, due > 0
+}
+
+// linkDue resolves the round a delivery on the (from, to) link sent
+// this round is due, or 0 when no timing fault holds it. The due round
+// composes the link's delay faults with the recipient's stall windows:
 //
 //   - a delay of By rounds surfaces at round+By, clamped so every held
 //     message lands by max(GST, round) + Bound (By == 0 — "held until
@@ -381,29 +419,30 @@ func (r *Router) route(from, to int, si int32) {
 // exempt (the injector's link queries already exclude them, and a
 // stalled slot sends nothing, so from == to never reaches the stall
 // push for correct slots).
-func (r *Router) holdDue(from, to int) (int, bool) {
+func (r *Router) linkDue(from, to int) int {
 	round := r.round
-	by, held := r.inj.DelayBy(round, from, to)
 	due := round
-	if held {
-		stab := r.gst
-		if round > stab {
-			stab = round
-		}
-		latest := stab + r.esBound
-		if by == 0 || round+by > latest {
-			due = latest
-		} else {
-			due = round + by
+	if r.holdRound {
+		if by, held := r.inj.DelayBy(round, from, to); held {
+			stab := r.gst
+			if round > stab {
+				stab = round
+			}
+			latest := stab + r.esBound
+			if by == 0 || round+by > latest {
+				due = latest
+			} else {
+				due = round + by
+			}
 		}
 	}
 	for r.SlotStalled(to, due) {
 		due++
 	}
 	if due <= round {
-		return 0, false
+		return 0
 	}
-	return due, true
+	return due
 }
 
 // hold parks one (send, recipient) pair in the pending queue until its
@@ -484,7 +523,10 @@ func (r *Router) pumpPending() {
 }
 
 // deliverNow is the per-message reference hook, semantically identical to
-// the pre-batching engines' deliver closure.
+// the pre-batching engines' deliver closure. It deliberately asks Drop
+// and the injector for every message and shares none of maskBatch's
+// per-link verdict resolution: it is what the parity suites hold the
+// memoised batched path against.
 func (r *Router) deliverNow(from, to int, si int32) {
 	r.stats.MessagesSent++
 	if r.visibility != nil && !r.visibility(from, to) {
@@ -494,7 +536,7 @@ func (r *Router) deliverNow(from, to int, si int32) {
 		r.stats.MessagesDropped++
 		return
 	}
-	if r.injRound {
+	if r.lossRound {
 		if r.inj.Suppress(r.round, from, to) {
 			r.stats.FaultOmissions++
 			return
@@ -608,11 +650,25 @@ func (r *Router) applyStats(bs *batchStats) {
 	r.stats.PayloadBytes += bs.payload
 }
 
-// maskBatch applies the visibility and drop masks over one recipient's
-// candidate batch, appending survivors to dst and accumulating the
-// recipient's stat deltas into bs. It touches only shared mask scratch,
-// never router state, so the classifier can probe a class member's
-// outcome without committing it.
+// linkVerdict is what the link conditions do to every message on one
+// (round, from, to) link.
+type linkVerdict uint8
+
+const (
+	linkDeliver linkVerdict = iota
+	linkDrop                // pre-GST adversarial drop
+	linkOmit                // lost to a crash or omission fault
+	linkDup                 // delivered twice by a duplication fault
+)
+
+// maskBatch applies the visibility mask and the link conditions over one
+// recipient's candidate batch, appending survivors to dst and
+// accumulating the recipient's stat deltas into bs. It touches only
+// shared mask scratch, never router state, so the classifier can probe a
+// class member's outcome without committing it — and since every link
+// condition is a pure function of (round, from, to), probing a recipient
+// twice (the group classifier and the invariant checker both do) yields
+// the same batch.
 func (r *Router) maskBatch(to int, cand, dst []int32, bs *batchStats) []int32 {
 	bs.sent += len(cand)
 
@@ -632,60 +688,84 @@ func (r *Router) maskBatch(to int, cand, dst []int32, bs *batchStats) []int32 {
 		return dst
 	}
 
-	// Drop mask, applied over the whole batch. Self-deliveries are
-	// exempt regardless of what the mask says (model rule).
-	if r.dropsOK {
-		if cap(r.froms) < len(vis) {
-			r.froms = make([]int32, 0, 2*len(vis))
-			r.dropMask = make([]bool, 0, 2*len(vis))
+	if !r.dropsOK && !r.lossRound {
+		// No link condition can apply this round.
+		for _, si := range vis {
+			dst = append(dst, si)
+			bs.payload += int(r.sendKeyLen[si])
 		}
-		r.froms = r.froms[:len(vis)]
-		r.dropMask = r.dropMask[:len(vis)]
-		for i, si := range vis {
-			r.froms[i] = r.sendFrom[si]
-			r.dropMask[i] = false
-		}
-		r.dropper.DropBatch(r.round, to, r.froms, r.dropMask)
-		for i, si := range vis {
-			if r.dropMask[i] && int(r.froms[i]) != to {
-				bs.dropped++
-				continue
-			}
-			dst = r.deliverMasked(to, si, dst, bs)
-		}
+		bs.delivered += len(vis)
 		return dst
 	}
 
+	r.resolveLinks(to, vis)
 	for _, si := range vis {
-		dst = r.deliverMasked(to, si, dst, bs)
+		switch r.verdictOf[r.sendFrom[si]] {
+		case linkDrop:
+			bs.dropped++
+		case linkOmit:
+			bs.omitted++
+		case linkDup:
+			dst = append(dst, si, si)
+			bs.delivered += 2
+			bs.payload += 2 * int(r.sendKeyLen[si])
+		default:
+			dst = append(dst, si)
+			bs.delivered++
+			bs.payload += int(r.sendKeyLen[si])
+		}
 	}
 	return dst
 }
 
-// deliverMasked commits one mask-surviving (send, recipient) pair into
-// the delivery index, applying the fault injector (crash/omission
-// suppression, duplication) on fault rounds. Every injector query is a
-// pure function of (round, from, to), so probing a recipient twice —
-// which the group classifier and the invariant checker both do — yields
-// the same batch.
-func (r *Router) deliverMasked(to int, si int32, dst []int32, bs *batchStats) []int32 {
-	if r.injRound {
-		from := int(r.sendFrom[si])
-		if r.inj.Suppress(r.round, from, to) {
-			bs.omitted++
-			return dst
-		}
-		if r.inj.Dup(r.round, from, to) {
-			dst = append(dst, si, si)
-			bs.delivered += 2
-			bs.payload += 2 * int(r.sendKeyLen[si])
-			return dst
+// resolveLinks resolves this round's link conditions for every distinct
+// sender of one recipient's batch into verdictOf, once per link however
+// many messages the link carries: one DropBatch call over the
+// deduplicated sender list (the BatchDropper purity contract — a verdict
+// never depends on batch composition — is what licenses handing it each
+// sender once; self-deliveries are exempt regardless of the mask), then
+// one Suppress/Dup query per sender the adversary did not drop, in the
+// reference path's order: drop, then omission, then duplication.
+func (r *Router) resolveLinks(to int, vis []int32) {
+	if r.verdictOf == nil {
+		r.verdictOf = make([]linkVerdict, r.n)
+		r.verdictGen = make([]uint32, r.n)
+	}
+	r.gen++
+	if r.gen == 0 { // wrapped: no stale stamp may match a live generation
+		clear(r.verdictGen)
+		r.gen = 1
+	}
+	r.froms = r.froms[:0]
+	for _, si := range vis {
+		if from := r.sendFrom[si]; r.verdictGen[from] != r.gen {
+			r.verdictGen[from] = r.gen
+			r.verdictOf[from] = linkDeliver
+			r.froms = append(r.froms, from)
 		}
 	}
-	dst = append(dst, si)
-	bs.delivered++
-	bs.payload += int(r.sendKeyLen[si])
-	return dst
+	if r.dropsOK {
+		r.dropMask = slices.Grow(r.dropMask[:0], len(r.froms))[:len(r.froms)]
+		clear(r.dropMask)
+		r.dropper.DropBatch(r.round, to, r.froms, r.dropMask)
+		for i, from := range r.froms {
+			if r.dropMask[i] && int(from) != to {
+				r.verdictOf[from] = linkDrop
+			}
+		}
+	}
+	if r.lossRound {
+		for _, from := range r.froms {
+			if r.verdictOf[from] == linkDrop {
+				continue
+			}
+			if r.inj.Suppress(r.round, int(from), to) {
+				r.verdictOf[from] = linkOmit
+			} else if r.inj.Dup(r.round, int(from), to) {
+				r.verdictOf[from] = linkDup
+			}
+		}
+	}
 }
 
 // flushOwn delivers one recipient's batch through the per-recipient
@@ -721,7 +801,7 @@ func (r *Router) flushOwn(to int) {
 // the masks diverge. Per-message mode already delivered inline, so Flush
 // only has work in batched mode.
 func (r *Router) Flush() {
-	if r.hasReplays && r.injRound {
+	if r.replayRound {
 		r.injectReplays()
 	}
 	if r.timing && r.pq.Len() > 0 {
@@ -741,9 +821,10 @@ func (r *Router) Flush() {
 
 	// trivialMask: no mask can change a batch this round, so members
 	// with equal candidate batches are guaranteed equal deliveries. A
-	// fault round never qualifies: the injector's omission/duplication
-	// verdicts are per-recipient, so members must be probed individually.
-	trivialMask := r.visibility == nil && !r.dropsOK && !r.injRound
+	// round inside the loss window never qualifies: the injector's
+	// omission/duplication verdicts are per-recipient, so members must
+	// be probed individually.
+	trivialMask := r.visibility == nil && !r.dropsOK && !r.lossRound
 
 	for gi := range r.groups {
 		members := r.groups[gi]
@@ -896,7 +977,7 @@ func (r *Router) buildRecord() {
 				// Duplicated deliveries set one bitmap bit but appear
 				// twice in the reference record; Dup is pure, so asking
 				// again here reproduces the per-message path's doubling.
-				if r.injRound && r.inj.Dup(r.round, m.FromSlot, to) {
+				if r.lossRound && r.inj.Dup(r.round, m.FromSlot, to) {
 					r.deliveries = append(r.deliveries, m)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"homonyms/internal/hom"
+	"homonyms/internal/inject"
 	"homonyms/internal/msg"
 )
 
@@ -276,5 +277,70 @@ func TestClassifierVisibilityDivergence(t *testing.T) {
 	if h.r.SharedWith(0) != 0 || h.r.SharedWith(4) != 0 {
 		t.Fatalf("unrestricted homonyms stopped sharing: %d, %d",
 			h.r.SharedWith(0), h.r.SharedWith(4))
+	}
+}
+
+// scratchPayload is a ScratchKeyer test payload: stamping it interns
+// from router scratch, so re-sending a known key allocates nothing.
+type scratchPayload int
+
+func (p scratchPayload) BuildKey(kb *msg.KeyBuilder) { kb.Reset("s").Int(int(p)) }
+func (p scratchPayload) Key() string                 { return msg.ScratchKey(p) }
+
+// TestClosedWindowsCostNothing: once every fault kind's window has
+// closed, a round's routing runs with all link-condition stages off and
+// allocates nothing — including under a held-until-stabilisation
+// (By 0) delay, which used to keep the injector on the path of every
+// message of every later round.
+func TestClosedWindowsCostNothing(t *testing.T) {
+	const n, l = 8, 4
+	cfg := symmetricConfig(n, l)
+	cfg.Params.Synchrony = hom.PartiallySynchronous
+	cfg.GST = 3
+	inj, err := inject.Compile(&inject.Schedule{
+		Crashes:   []inject.Crash{{Slot: 1, Round: 1, Recover: 1}},
+		Omissions: []inject.Omission{{Slot: 2, Send: true, From: 1, Until: 2, Prob: 0.5, Seed: 3}},
+		Delays:    []inject.Delay{{FromSlot: 0, ToSlot: 5, From: 1, Until: 2}}, // By 0
+		Stalls:    []inject.Stall{{Slot: 6, Round: 2, Rounds: 1}},
+	}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	r := NewRouter(&cfg, make([]bool, n), &stats, msg.NewInterner(), false, inj)
+	r.EnableTiming(TimingPolicy{Enabled: true, Bound: 1})
+
+	sends := make([][]msg.Send, n)
+	for s := range sends {
+		for k := 0; k < 3; k++ {
+			sends[s] = append(sends[s], msg.Broadcast(scratchPayload(3*s+k)))
+		}
+	}
+	routeRound := func(round int) {
+		r.BeginRound(round)
+		for s := 0; s < n; s++ {
+			r.RouteCorrect(s, sends[s])
+		}
+		r.Flush()
+	}
+	// Rounds 1-2 run the faults; by round 4 the held copies have drained
+	// (GST 3 + Bound 1) and every scratch buffer has reached its size.
+	for round := 1; round <= 5; round++ {
+		routeRound(round)
+	}
+	if stats.TimingHolds == 0 || stats.FaultOmissions == 0 {
+		t.Fatalf("the schedule must have fired before its windows closed: %+v", stats)
+	}
+	round := 6
+	allocs := testing.AllocsPerRun(20, func() {
+		routeRound(round)
+		round++
+	})
+	if r.lossRound || r.holdRound || r.stallRound || r.replayRound {
+		t.Errorf("a link-condition stage is still on after every window closed: loss=%v hold=%v stall=%v replay=%v",
+			r.lossRound, r.holdRound, r.stallRound, r.replayRound)
+	}
+	if allocs != 0 {
+		t.Errorf("routing a round after every window closed allocates %v times, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -73,6 +74,7 @@ func TestMapNActuallyParallel(t *testing.T) {
 	}
 	var inFlight, peak atomic.Int64
 	gate := make(chan struct{})
+	var openGate sync.Once
 	_, err := MapN(8, 4, func(i int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
@@ -82,7 +84,10 @@ func TestMapNActuallyParallel(t *testing.T) {
 			}
 		}
 		if cur == 4 {
-			close(gate) // all four workers active at once
+			// All four workers active at once. The second wave of items
+			// drives inFlight back to 4 after the gate has opened, so the
+			// close must happen exactly once.
+			openGate.Do(func() { close(gate) })
 		}
 		<-gate
 		inFlight.Add(-1)

@@ -1,6 +1,7 @@
 package hom
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +187,34 @@ func TestValueSetQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestValueSetAppendTo(t *testing.T) {
+	// Property: AppendTo (and so String, and every canonical key that
+	// embeds a set) renders the members ascending inside braces, on both
+	// the stack-sorted small path and the Values() path past 8 members,
+	// and leaves what dst already held alone.
+	check := func(raw []int8) bool {
+		var s ValueSet
+		for _, r := range raw {
+			s.Add(Value(r % 12)) // up to 23 distinct members, negatives included
+		}
+		want := "{"
+		for i, v := range s.Values() {
+			if i > 0 {
+				want += ","
+			}
+			want += strconv.Itoa(int(v))
+		}
+		want += "}"
+		return s.String() == want && string(s.AppendTo([]byte("propose|"))) == "propose|"+want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	var empty ValueSet
+	if got := empty.String(); got != "{}" {
+		t.Fatalf("empty set renders %q, want {}", got)
 	}
 }

@@ -1,9 +1,8 @@
 package hom
 
 import (
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // ValueSet is a set of values with deterministic (sorted) iteration order.
@@ -49,7 +48,7 @@ func (s ValueSet) Values() []Value {
 	for v := range s.members {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -76,15 +75,34 @@ func (s ValueSet) Equal(o ValueSet) bool {
 }
 
 // String renders the set in sorted order, e.g. "{0,1}".
-func (s ValueSet) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, v := range s.Values() {
-		if i > 0 {
-			b.WriteByte(',')
+func (s ValueSet) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the String rendering to dst and returns the extended
+// slice, without allocating when dst has room: canonical message keys
+// render a value set per lookup, and the sets the protocols exchange
+// (proper and proposable values) hold a handful of members, which are
+// insertion-sorted in a stack array. Larger sets go through Values.
+func (s ValueSet) AppendTo(dst []byte) []byte {
+	var small [8]Value
+	sorted := small[:0]
+	if len(s.members) > len(small) {
+		sorted = s.Values()
+	} else {
+		for v := range s.members {
+			i := len(sorted)
+			sorted = append(sorted, v)
+			for ; i > 0 && sorted[i-1] > v; i-- {
+				sorted[i] = sorted[i-1]
+			}
+			sorted[i] = v
 		}
-		b.WriteString(strconv.Itoa(int(v)))
 	}
-	b.WriteByte('}')
-	return b.String()
+	dst = append(dst, '{')
+	for i, v := range sorted {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	return append(dst, '}')
 }

@@ -30,7 +30,6 @@ package inject
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -82,7 +81,7 @@ func (o Omission) active(round int) bool {
 }
 
 // loses reports whether this omission loses the (round, from, to)
-// delivery. Pure in its arguments — the same discipline as
+// delivery. Pure in its arguments — the same LinkCoin as
 // adversary.RandomDrops — so batched and per-message routing agree.
 func (o Omission) loses(round, from, to int) bool {
 	if !o.active(round) || from == to {
@@ -94,9 +93,7 @@ func (o Omission) loses(round, from, to int) bool {
 	if o.Prob <= 0 || o.Prob >= 1 {
 		return true
 	}
-	h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
-	rng := rand.New(rand.NewSource(o.Seed ^ h))
-	return rng.Float64() < o.Prob
+	return LinkCoin(o.Seed, round, from, to) < o.Prob
 }
 
 // Duplicate delivers the message from FromSlot to ToSlot twice in the
@@ -155,7 +152,7 @@ func (d Delay) active(round int) bool {
 }
 
 // holds reports whether this delay holds the (round, from, to)
-// delivery. Pure in its arguments, same hash discipline as Omission.
+// delivery. Pure in its arguments, same LinkCoin as Omission.
 func (d Delay) holds(round, from, to int) bool {
 	if !d.active(round) || from == to {
 		return false
@@ -166,9 +163,7 @@ func (d Delay) holds(round, from, to int) bool {
 	if d.Prob <= 0 || d.Prob >= 1 {
 		return true
 	}
-	h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
-	rng := rand.New(rand.NewSource(d.Seed ^ h))
-	return rng.Float64() < d.Prob
+	return LinkCoin(d.Seed, round, from, to) < d.Prob
 }
 
 // Reorder is a one-round overtake on the FromSlot -> ToSlot link: the
@@ -278,17 +273,80 @@ var (
 	ErrReplayOrder = errors.New("inject: replay round must be after its source round")
 )
 
+// Kind names a family of faults that share one activity window: the
+// rounds in which the family's queries can answer anything but "no".
+type Kind uint8
+
+const (
+	// KindLoss covers crashes, omissions and duplications — the Down,
+	// Suppress and Dup queries. Its window ends with the last round one
+	// of them can fire.
+	KindLoss Kind = iota
+	// KindHold covers delays and reorders — the DelayBy query. Its window
+	// ends with the last send round a hold can start in (when the held
+	// message surfaces is the time model's business, not the window's).
+	KindHold
+	// KindStall covers round-clock stalls — the Stalled query. Its window
+	// ends with the last stalled round.
+	KindStall
+	// KindReplay covers replays — NeedRetain and ReplaysInto. Its window
+	// ends with the last round a replay delivers into.
+	KindReplay
+	numKinds
+)
+
+// endpoint holds the faults that name one slot, in schedule order: the
+// process faults on the slot itself and the link faults on the links
+// leaving it. A link query consults at most the two endpoints of its
+// link, never the whole schedule.
+type endpoint struct {
+	crashes   []Crash     // Slot == this slot
+	omissions []Omission  // Slot == this slot
+	stalls    []Stall     // Slot == this slot
+	dups      []Duplicate // FromSlot == this slot
+	delays    []Delay     // FromSlot == this slot
+	reorders  []Reorder   // FromSlot == this slot
+	replays   []Replay    // FromSlot == this slot
+}
+
 // Injector is a compiled schedule: every query is a pure function of its
 // arguments, so the two delivery modes, the two reception modes and the
 // two engines observe identical faults. A nil *Injector injects nothing
 // and every method is safe to call on it.
+//
+// Compile indexes the schedule by the slots it names (O(faults) memory,
+// independent of n) and derives one activity window per Kind, so a
+// query outside its kind's window costs one comparison and a query
+// inside it scans only the faults naming that endpoint.
 type Injector struct {
 	sched    Schedule
-	n        int
 	culprits []int
-	// maxRound is the last round any bounded fault touches; 0 when some
-	// fault is unbounded (a crash-stop or an open omission window).
-	maxRound int
+	by       map[int]*endpoint
+	// last is, per Kind, the last round of the kind's window: 0 when the
+	// schedule has no fault of the kind, -1 when the window never closes
+	// (a crash-stop, an open omission or delay window).
+	last [numKinds]int
+}
+
+// at returns the slot's endpoint record, creating it on first use.
+func (in *Injector) at(slot int) *endpoint {
+	ep := in.by[slot]
+	if ep == nil {
+		ep = &endpoint{}
+		in.by[slot] = ep
+	}
+	return ep
+}
+
+// extend widens the kind's window to cover round; open marks it as
+// never closing.
+func (in *Injector) extend(k Kind, round int, open bool) {
+	switch {
+	case open:
+		in.last[k] = -1
+	case in.last[k] >= 0 && round > in.last[k]:
+		in.last[k] = round
+	}
 }
 
 // Compile validates the schedule against the execution's slot count and
@@ -298,12 +356,7 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 	if s.Empty() {
 		return nil, nil
 	}
-	in := &Injector{sched: *s, n: n, culprits: s.Culprits()}
-	bound := func(round int) {
-		if in.maxRound >= 0 && round > in.maxRound {
-			in.maxRound = round
-		}
-	}
+	in := &Injector{sched: *s, culprits: s.Culprits(), by: make(map[int]*endpoint)}
 	for _, c := range s.Crashes {
 		if c.Slot < 0 || c.Slot >= n {
 			return nil, fmt.Errorf("%w (crash slot %d, n=%d)", ErrSlotRange, c.Slot, n)
@@ -311,11 +364,9 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 		if c.Round < 1 || c.Recover < 0 {
 			return nil, fmt.Errorf("%w (crash at round %d, recover %d)", ErrRoundRange, c.Round, c.Recover)
 		}
-		if c.Recover == 0 {
-			in.maxRound = -1
-		} else {
-			bound(c.Round + c.Recover)
-		}
+		ep := in.at(c.Slot)
+		ep.crashes = append(ep.crashes, c)
+		in.extend(KindLoss, c.Round+c.Recover-1, c.Recover == 0)
 	}
 	for _, o := range s.Omissions {
 		if o.Slot < 0 || o.Slot >= n {
@@ -324,11 +375,9 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 		if o.Prob < 0 || o.Prob >= 1 {
 			return nil, fmt.Errorf("%w (prob %v)", ErrProbRange, o.Prob)
 		}
-		if o.Until == 0 {
-			in.maxRound = -1
-		} else {
-			bound(o.Until)
-		}
+		ep := in.at(o.Slot)
+		ep.omissions = append(ep.omissions, o)
+		in.extend(KindLoss, o.Until, o.Until == 0)
 	}
 	for _, d := range s.Duplicates {
 		if d.FromSlot < 0 || d.FromSlot >= n || d.ToSlot < 0 || d.ToSlot >= n {
@@ -337,7 +386,9 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 		if d.Round < 1 {
 			return nil, fmt.Errorf("%w (duplicate at round %d)", ErrRoundRange, d.Round)
 		}
-		bound(d.Round)
+		ep := in.at(d.FromSlot)
+		ep.dups = append(ep.dups, d)
+		in.extend(KindLoss, d.Round, false)
 	}
 	for _, r := range s.Replays {
 		if r.FromSlot < 0 || r.FromSlot >= n || r.ToSlot < 0 || r.ToSlot >= n {
@@ -349,7 +400,9 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 		if r.Round <= r.SourceRound {
 			return nil, fmt.Errorf("%w (source %d, replay %d)", ErrReplayOrder, r.SourceRound, r.Round)
 		}
-		bound(r.Round)
+		ep := in.at(r.FromSlot)
+		ep.replays = append(ep.replays, r)
+		in.extend(KindReplay, r.Round, false)
 	}
 	for _, d := range s.Delays {
 		if d.FromSlot < 0 || d.FromSlot >= n || d.ToSlot < 0 || d.ToSlot >= n {
@@ -361,13 +414,9 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 		if d.Prob < 0 || d.Prob >= 1 {
 			return nil, fmt.Errorf("%w (delay prob %v)", ErrProbRange, d.Prob)
 		}
-		if d.Until == 0 || d.By == 0 {
-			// Open window, or held-until-stabilization: the due round
-			// depends on the execution's GST, unknown here.
-			in.maxRound = -1
-		} else {
-			bound(d.Until + d.By)
-		}
+		ep := in.at(d.FromSlot)
+		ep.delays = append(ep.delays, d)
+		in.extend(KindHold, d.Until, d.Until == 0)
 	}
 	for _, r := range s.Reorders {
 		if r.FromSlot < 0 || r.FromSlot >= n || r.ToSlot < 0 || r.ToSlot >= n {
@@ -376,7 +425,9 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 		if r.Round < 1 {
 			return nil, fmt.Errorf("%w (reorder at round %d)", ErrRoundRange, r.Round)
 		}
-		bound(r.Round + 1)
+		ep := in.at(r.FromSlot)
+		ep.reorders = append(ep.reorders, r)
+		in.extend(KindHold, r.Round, false)
 	}
 	for _, st := range s.Stalls {
 		if st.Slot < 0 || st.Slot >= n {
@@ -385,9 +436,9 @@ func Compile(s *Schedule, n int) (*Injector, error) {
 		if st.Round < 1 || st.Rounds < 1 {
 			return nil, fmt.Errorf("%w (stall at round %d for %d rounds)", ErrRoundRange, st.Round, st.Rounds)
 		}
-		// Held inbound mail wakes no later than the stall's end; the
-		// GST clamp can only move the wake earlier.
-		bound(st.Round + st.Rounds)
+		ep := in.at(st.Slot)
+		ep.stalls = append(ep.stalls, st)
+		in.extend(KindStall, st.Round+st.Rounds-1, false)
 	}
 	return in, nil
 }
@@ -409,37 +460,30 @@ func (in *Injector) Culprits() []int {
 	return in.culprits
 }
 
-// Active reports whether any fault can touch the given round. Engines
-// use it to keep fault-free rounds on the unchanged fast path (in
-// particular the group-shared reception's trivial-mask sharing).
-func (in *Injector) Active(round int) bool {
+// Live reports whether the round lies inside the kind's activity
+// window, i.e. whether any query of that kind can still answer other
+// than "no". Engines ask once per round and keep rounds no window
+// covers on the unchanged fast path (in particular the group-shared
+// reception's trivial-mask sharing): a held-until-stabilisation delay
+// keeps only the KindHold window open, and only through its last send
+// round.
+func (in *Injector) Live(k Kind, round int) bool {
 	if in == nil {
 		return false
 	}
-	return in.maxRound < 0 || round <= in.maxRound
+	return in.last[k] < 0 || round <= in.last[k]
 }
 
 // Down reports whether the slot is crashed in the given round.
 func (in *Injector) Down(slot, round int) bool {
-	if in == nil {
+	if !in.Live(KindLoss, round) {
 		return false
 	}
-	for _, c := range in.sched.Crashes {
-		if c.Slot == slot && c.down(round) {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyDown reports whether any slot is crashed in the given round.
-func (in *Injector) AnyDown(round int) bool {
-	if in == nil {
-		return false
-	}
-	for _, c := range in.sched.Crashes {
-		if c.down(round) {
-			return true
+	if ep := in.by[slot]; ep != nil {
+		for _, c := range ep.crashes {
+			if c.down(round) {
+				return true
+			}
 		}
 	}
 	return false
@@ -449,15 +493,22 @@ func (in *Injector) AnyDown(round int) bool {
 // fault: the recipient is down, or a send/receive omission on either
 // endpoint loses it. Pure in its arguments.
 func (in *Injector) Suppress(round, from, to int) bool {
-	if in == nil {
+	if !in.Live(KindLoss, round) {
 		return false
 	}
 	if in.Down(to, round) {
 		return true
 	}
-	for _, o := range in.sched.Omissions {
-		if o.loses(round, from, to) {
-			return true
+	// An omission names one slot and loses only links that slot ends, so
+	// the two endpoints' lists are every candidate; loses re-checks the
+	// side (Send on from, Receive on to) ahead of its coin.
+	for _, slot := range [2]int{from, to} {
+		if ep := in.by[slot]; ep != nil {
+			for _, o := range ep.omissions {
+				if o.loses(round, from, to) {
+					return true
+				}
+			}
 		}
 	}
 	return false
@@ -466,12 +517,14 @@ func (in *Injector) Suppress(round, from, to int) bool {
 // Dup reports whether the (round, from, to) delivery is duplicated.
 // Pure in its arguments.
 func (in *Injector) Dup(round, from, to int) bool {
-	if in == nil {
+	if !in.Live(KindLoss, round) {
 		return false
 	}
-	for _, d := range in.sched.Duplicates {
-		if d.Round == round && d.FromSlot == from && d.ToSlot == to {
-			return true
+	if ep := in.by[from]; ep != nil {
+		for _, d := range ep.dups {
+			if d.Round == round && d.ToSlot == to {
+				return true
+			}
 		}
 	}
 	return false
@@ -480,12 +533,14 @@ func (in *Injector) Dup(round, from, to int) bool {
 // NeedRetain reports whether some replay needs the sends of the given
 // slot in the given round retained for later re-delivery.
 func (in *Injector) NeedRetain(slot, round int) bool {
-	if in == nil {
+	if !in.Live(KindReplay, round) {
 		return false
 	}
-	for _, r := range in.sched.Replays {
-		if r.FromSlot == slot && r.SourceRound == round {
-			return true
+	if ep := in.by[slot]; ep != nil {
+		for _, r := range ep.replays {
+			if r.SourceRound == round {
+				return true
+			}
 		}
 	}
 	return false
@@ -496,7 +551,7 @@ func (in *Injector) NeedRetain(slot, round int) bool {
 // deterministic, so both delivery modes stamp replayed messages
 // identically.
 func (in *Injector) ReplaysInto(round int) []int {
-	if in == nil {
+	if !in.Live(KindReplay, round) {
 		return nil
 	}
 	var out []int
@@ -524,10 +579,14 @@ func (in *Injector) HasTiming() bool {
 // until-stabilization dominates, otherwise the largest By wins. Pure in
 // its arguments.
 func (in *Injector) DelayBy(round, from, to int) (by int, held bool) {
-	if in == nil {
+	if !in.Live(KindHold, round) {
 		return 0, false
 	}
-	for _, d := range in.sched.Delays {
+	ep := in.by[from]
+	if ep == nil {
+		return 0, false
+	}
+	for _, d := range ep.delays {
 		if d.holds(round, from, to) {
 			held = true
 			if d.By <= 0 {
@@ -538,8 +597,8 @@ func (in *Injector) DelayBy(round, from, to int) (by int, held bool) {
 			}
 		}
 	}
-	for _, r := range in.sched.Reorders {
-		if r.Round == round && r.FromSlot == from && r.ToSlot == to && from != to {
+	for _, r := range ep.reorders {
+		if r.Round == round && r.ToSlot == to && from != to {
 			held = true
 			if by < 1 {
 				by = 1
@@ -553,12 +612,14 @@ func (in *Injector) DelayBy(round, from, to int) (by int, held bool) {
 // given round, before the model's GST clamp (the engine enforces that
 // stalls end by GST). Pure in its arguments.
 func (in *Injector) Stalled(slot, round int) bool {
-	if in == nil {
+	if !in.Live(KindStall, round) {
 		return false
 	}
-	for _, s := range in.sched.Stalls {
-		if s.Slot == slot && s.covers(round) {
-			return true
+	if ep := in.by[slot]; ep != nil {
+		for _, s := range ep.stalls {
+			if s.covers(round) {
+				return true
+			}
 		}
 	}
 	return false

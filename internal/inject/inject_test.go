@@ -10,7 +10,7 @@ import (
 // fault-free fast path.
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.Active(1) || in.Down(0, 1) || in.AnyDown(1) || in.Suppress(1, 0, 1) || in.Dup(1, 0, 1) || in.NeedRetain(0, 1) {
+	if in.Live(KindLoss, 1) || in.Live(KindHold, 1) || in.Live(KindStall, 1) || in.Live(KindReplay, 1) || in.Down(0, 1) || in.Suppress(1, 0, 1) || in.Dup(1, 0, 1) || in.NeedRetain(0, 1) {
 		t.Fatal("nil injector reported a fault")
 	}
 	if got := in.ReplaysInto(1); got != nil {
@@ -77,11 +77,8 @@ func TestCrashWindows(t *testing.T) {
 		if got := in.Down(1, round); got != wantRec {
 			t.Errorf("round %d: crash-recovery Down = %v, want %v", round, got, wantRec)
 		}
-		if got := in.AnyDown(round); got != (wantStop || wantRec) {
-			t.Errorf("round %d: AnyDown = %v", round, got)
-		}
-		if !in.Active(round) {
-			t.Errorf("round %d: crash-stop schedule must stay Active forever", round)
+		if !in.Live(KindLoss, round) {
+			t.Errorf("round %d: crash-stop schedule must keep the loss window open forever", round)
 		}
 	}
 	// A down recipient loses every delivery, including self-delivery.
@@ -93,8 +90,9 @@ func TestCrashWindows(t *testing.T) {
 	}
 }
 
-// TestActiveBound: a schedule of only bounded faults deactivates after
-// the last touched round, re-enabling the engines' fast path.
+// TestActiveBound: a schedule of only bounded faults closes each kind's
+// window after the last round that kind touches, re-enabling the
+// engines' fast path kind by kind.
 func TestActiveBound(t *testing.T) {
 	in, err := Compile(&Schedule{
 		Crashes:    []Crash{{Slot: 0, Round: 2, Recover: 3}}, // last down round 4
@@ -104,13 +102,16 @@ func TestActiveBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 1; round <= 6; round++ {
-		if !in.Active(round) {
-			t.Errorf("round %d: want active", round)
+	for round := 1; round <= 7; round++ {
+		if got, want := in.Live(KindLoss, round), round <= 6; got != want {
+			t.Errorf("round %d: loss window live = %v, want %v", round, got, want)
 		}
-	}
-	if in.Active(7) {
-		t.Error("round 7: bounded schedule still active")
+		if got, want := in.Live(KindReplay, round), round <= 5; got != want {
+			t.Errorf("round %d: replay window live = %v, want %v", round, got, want)
+		}
+		if in.Live(KindHold, round) || in.Live(KindStall, round) {
+			t.Errorf("round %d: a kind the schedule does not contain is live", round)
+		}
 	}
 }
 

@@ -46,8 +46,6 @@ func (q query) answer(in *Injector) string {
 	switch q.name {
 	case "Down":
 		return fmt.Sprint(in.Down(q.from, q.round))
-	case "AnyDown":
-		return fmt.Sprint(in.AnyDown(q.round))
 	case "Suppress":
 		return fmt.Sprint(in.Suppress(q.round, q.from, q.to))
 	case "Dup":
@@ -61,8 +59,9 @@ func (q query) answer(in *Injector) string {
 		return fmt.Sprint(by, held)
 	case "Stalled":
 		return fmt.Sprint(in.Stalled(q.from, q.round))
-	case "Active":
-		return fmt.Sprint(in.Active(q.round))
+	case "Live":
+		return fmt.Sprint(in.Live(KindLoss, q.round), in.Live(KindHold, q.round),
+			in.Live(KindStall, q.round), in.Live(KindReplay, q.round))
 	}
 	return "?"
 }
@@ -70,8 +69,8 @@ func (q query) answer(in *Injector) string {
 // queryGrid enumerates every query over every (round, from, to) in the
 // sweep range, in deterministic order.
 func queryGrid(n, maxRound int) []query {
-	names := []string{"Down", "AnyDown", "Suppress", "Dup", "NeedRetain",
-		"ReplaysInto", "DelayBy", "Stalled", "Active"}
+	names := []string{"Down", "Suppress", "Dup", "NeedRetain",
+		"ReplaysInto", "DelayBy", "Stalled", "Live"}
 	var out []query
 	for _, name := range names {
 		for round := 1; round <= maxRound; round++ {
@@ -248,8 +247,8 @@ func TestStalledWindows(t *testing.T) {
 	if !in.HasTiming() || !s.HasTiming() {
 		t.Fatal("stall schedule must report timing faults")
 	}
-	if in.Active(5) != true || in.Active(6) {
-		t.Fatal("stall bound wrong: want active through round 5 only")
+	if !in.Live(KindStall, 4) || in.Live(KindStall, 5) {
+		t.Fatal("stall window wrong: want live through the last stalled round 4 only")
 	}
 	if ok, _ := s.Simulable(true); ok {
 		t.Fatal("timing faults simulable under restricted Byzantine")

@@ -58,8 +58,7 @@ func (kb *KeyBuilder) Value(v hom.Value) *KeyBuilder {
 
 // Values appends a sorted value-set field, e.g. "{0,1}".
 func (kb *KeyBuilder) Values(vs hom.ValueSet) *KeyBuilder {
-	kb.buf = append(kb.buf, '|')
-	kb.buf = append(kb.buf, vs.String()...)
+	kb.buf = vs.AppendTo(append(kb.buf, '|'))
 	return kb
 }
 

@@ -172,6 +172,12 @@ func TestKeyBuilder(t *testing.T) {
 	if k2 != "propose|{0,1}|0" {
 		t.Fatalf("KeyBuilder values = %q", k2)
 	}
+	// A protocol renders a set into its scratch builder for every tuple
+	// it looks up: once the buffer has grown, that must not allocate.
+	kb := NewKey("propose")
+	if allocs := testing.AllocsPerRun(100, func() { kb.Reset("propose").Values(vs).Int(0) }); allocs != 0 {
+		t.Fatalf("KeyBuilder.Values allocates %v times per key, want 0", allocs)
+	}
 }
 
 func TestMessageKeyIncludesIdentifier(t *testing.T) {
