@@ -81,7 +81,7 @@ func CloneCollapse(p hom.Params, factory func(slot int) sim.Process,
 		// The restricted Byzantine slot sends one identical message to
 		// every process per round (clone-symmetric by construction).
 		byzBody := msg.Raw(fmt.Sprintf("byz-round-%d", r))
-		w.stepWithInjection(byzSlot, byzBody)
+		w.step(byzSlot, byzBody)
 		report.Rounds = r
 		if detail := clonesDiverged(w, clones); detail != "" {
 			report.DivergedAtRound = r
@@ -90,40 +90,6 @@ func CloneCollapse(p hom.Params, factory func(slot int) sim.Process,
 		}
 	}
 	return report, nil
-}
-
-// stepWithInjection is a World step where the (nil-process) slot byzSlot
-// broadcasts the given payload.
-func (w *World) stepWithInjection(byzSlot int, body msg.Payload) {
-	w.round++
-	n := len(w.Procs)
-	sends := make([][]msg.Send, n)
-	for s, p := range w.Procs {
-		if p != nil {
-			sends[s] = p.Prepare(w.round)
-		}
-	}
-	sends[byzSlot] = []msg.Send{msg.Broadcast(body)}
-	w.lastSends = sends
-	raw := make([][]msg.Message, n)
-	for from := 0; from < n; from++ {
-		for _, snd := range sends[from] {
-			for to := 0; to < n; to++ {
-				if w.Route != nil && !w.Route(from, to) {
-					continue
-				}
-				if snd.Kind == msg.ToIdentifier && w.IDs[to] != snd.To {
-					continue
-				}
-				raw[to] = append(raw[to], msg.Message{ID: w.IDs[from], Body: snd.Body})
-			}
-		}
-	}
-	for to, p := range w.Procs {
-		if p != nil {
-			p.Receive(w.round, msg.NewInbox(w.Numerate, raw[to]))
-		}
-	}
 }
 
 // clonesDiverged compares the last-round sends and the decisions of the

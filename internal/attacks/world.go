@@ -49,6 +49,14 @@ type World struct {
 
 	round     int
 	lastSends [][]msg.Send
+	// keys interns every message the world delivers. A world's processes
+	// never receive from anywhere else, so their inboxes carry KeyIDs of
+	// one interner for life (the contract msg.Inbox.KeyIDAt states) and
+	// run on the same string-free reception paths as under the engine.
+	keys *msg.Interner
+	// raw is step's per-recipient delivery scratch, reused every round
+	// (inboxes copy what they keep).
+	raw [][]msg.Message
 }
 
 // NewWorld initialises the processes with their identifiers, inputs and
@@ -70,7 +78,14 @@ func (w *World) Round() int { return w.round }
 
 // Step executes one round and records each slot's sends (retrievable via
 // SendsOf for replay attacks).
-func (w *World) Step() {
+func (w *World) Step() { w.step(-1, nil) }
+
+// step is one round; when inject is non-nil the (nil-process) slot
+// byzSlot additionally broadcasts it. Each send is stamped once and the
+// stamped message fanned out to its recipients; the fan-out lists and the
+// inbox shells are reused from round to round, as under the engine, so a
+// process must not keep its inbox past Receive.
+func (w *World) step(byzSlot int, inject msg.Payload) {
 	w.round++
 	n := len(w.Procs)
 	sends := make([][]msg.Send, n)
@@ -79,24 +94,41 @@ func (w *World) Step() {
 			sends[s] = p.Prepare(w.round)
 		}
 	}
+	if inject != nil {
+		sends[byzSlot] = []msg.Send{msg.Broadcast(inject)}
+	}
 	w.lastSends = sends
-	raw := make([][]msg.Message, n)
+	if w.keys == nil {
+		w.keys = msg.NewInterner()
+	}
+	if w.raw == nil {
+		w.raw = make([][]msg.Message, n)
+	}
+	for to := range w.raw {
+		w.raw[to] = w.raw[to][:0]
+	}
 	for from := 0; from < n; from++ {
 		for _, snd := range sends[from] {
+			m := msg.NewMessageInterned(w.keys, w.IDs[from], snd.Body)
 			for to := 0; to < n; to++ {
+				if w.Procs[to] == nil {
+					continue // silent slots receive nothing
+				}
 				if w.Route != nil && !w.Route(from, to) {
 					continue
 				}
 				if snd.Kind == msg.ToIdentifier && w.IDs[to] != snd.To {
 					continue
 				}
-				raw[to] = append(raw[to], msg.Message{ID: w.IDs[from], Body: snd.Body})
+				w.raw[to] = append(w.raw[to], m)
 			}
 		}
 	}
 	for to, p := range w.Procs {
 		if p != nil {
-			p.Receive(w.round, msg.NewInbox(w.Numerate, raw[to]))
+			in := msg.NewPooledInbox(w.Numerate, w.raw[to])
+			p.Receive(w.round, in)
+			in.Recycle()
 		}
 	}
 }

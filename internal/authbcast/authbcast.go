@@ -27,13 +27,17 @@
 // Its per-round bookkeeping is string-free: every (m, r, i) tuple key is
 // symbolized once in a broadcaster-local intern table whose dense KeyIDs
 // index a flat tuple arena, and distinct-identifier support lives in a
-// shared bitmap arena — no map[string] is touched after the first sight
-// of a tuple, and Release returns the whole table to a pool for the next
-// execution.
+// shared bitmap arena. Reception does not even rebuild that key: the
+// engine interned every delivered message at stamp time, and the
+// broadcaster memoises, per engine KeyID, which support bit a validated
+// echo sets — so the ~ℓ re-deliveries of every standing echo in every
+// round cost one table load and one bit test each. Release returns the
+// whole table to a pool for the next execution.
 package authbcast
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"homonyms/internal/hom"
@@ -85,9 +89,12 @@ type Accept struct {
 // distinct-identifier support bitmap lives in the shared echoers arena at
 // echoOff (ℓ+1 slots, indexed by identifier).
 type tupleState struct {
-	body     msg.Payload
-	sr       int
-	id       hom.Identifier
+	body msg.Payload
+	sr   int
+	id   hom.Identifier
+	// echo is the tuple's ⟨echo m, r, i⟩, boxed once at creation because
+	// Outgoing re-sends it in every later round.
+	echo     msg.Payload
 	echoOff  int32
 	echoes   int // distinct identifiers seen echoing
 	echoing  bool
@@ -102,6 +109,47 @@ type table struct {
 	tuples  []tupleState
 	echoers []bool
 	kb      msg.KeyBuilder
+	// memo maps an inbox KeyID (msg.Inbox.KeyIDAt — the engine's, not
+	// keys') to one plus the echoers slot a validated echo with that
+	// KeyID sets; 0 means not seen valid yet. A message KeyID names one
+	// (sender identifier, echo payload) pair for the whole execution and
+	// an echo's validity only ever turns on (its superround stops being
+	// in the future), so an entry, once written, stays right. The slot
+	// also names the tuple: tuple i owns slots i·(ℓ+1) .. i·(ℓ+1)+ℓ.
+	// Entries beyond len are zero (reset clears what was used), so
+	// growing within capacity is free.
+	memo []int32
+	out  []msg.Payload // Outgoing's result buffer
+}
+
+// reset empties the table for a new broadcaster, keeping capacity.
+func (t *table) reset() {
+	t.keys.Reset()
+	clear(t.tuples) // drop payload references from the previous run
+	t.tuples = t.tuples[:0]
+	t.echoers = t.echoers[:0]
+	clear(t.memo)
+	t.memo = t.memo[:0]
+	clear(t.out[:cap(t.out)]) // a later round may have sent fewer than an earlier one
+	t.out = t.out[:0]
+}
+
+// echoSlot returns the echoers slot memoised for the inbox KeyID kid, or
+// -1 when there is none (always so for NoKey, which is never memoised).
+func (t *table) echoSlot(kid msg.KeyID) int {
+	if int(kid) < len(t.memo) {
+		return int(t.memo[kid]) - 1
+	}
+	return -1
+}
+
+// memoise records that the inbox KeyID kid is a validated echo setting
+// echoers[slot].
+func (t *table) memoise(kid msg.KeyID, slot int) {
+	if n := int(kid) + 1; n > len(t.memo) {
+		t.memo = slices.Grow(t.memo, n-len(t.memo))[:n]
+	}
+	t.memo[kid] = int32(slot) + 1
 }
 
 var tablePool = sync.Pool{New: func() any { return &table{keys: msg.NewInterner()} }}
@@ -127,10 +175,7 @@ func New(l, t int) (*Broadcaster, error) {
 // fuzz host probes below the bound on purpose).
 func newBroadcaster(l, t int) *Broadcaster {
 	tab := tablePool.Get().(*table)
-	tab.keys.Reset()
-	clear(tab.tuples) // drop payload references from the previous run
-	tab.tuples = tab.tuples[:0]
-	tab.echoers = tab.echoers[:0]
+	tab.reset()
 	return &Broadcaster{l: l, t: t, tab: tab}
 }
 
@@ -164,9 +209,10 @@ func (b *Broadcaster) Broadcast(m msg.Payload) {
 // round: pending ⟨init⟩ messages if this is an init round, plus every echo
 // obligation accumulated so far ("in all subsequent rounds"). Tuples are
 // scanned in arena order, which is first-sight order and therefore
-// deterministic.
+// deterministic. The result is the broadcaster's own buffer, valid until
+// the next Outgoing call: hosts copy the payloads into their sends.
 func (b *Broadcaster) Outgoing(round int) []msg.Payload {
-	var out []msg.Payload
+	out := b.tab.out[:0]
 	if IsInitRound(round) {
 		for _, m := range b.pending {
 			out = append(out, InitPayload{Body: m})
@@ -176,9 +222,10 @@ func (b *Broadcaster) Outgoing(round int) []msg.Payload {
 	for i := range b.tab.tuples {
 		ts := &b.tab.tuples[i]
 		if ts.echoing && round > 2*ts.sr-1 {
-			out = append(out, EchoPayload{Body: ts.body, SR: ts.sr, ID: ts.id})
+			out = append(out, ts.echo)
 		}
 	}
+	b.tab.out = out
 	return out
 }
 
@@ -186,41 +233,60 @@ func (b *Broadcaster) Outgoing(round int) []msg.Payload {
 // performed this round, in deterministic (first-sight) order. It iterates
 // the inbox through the indexed accessors, so the engine's SoA inbox
 // never materialises a []Message view for the broadcast layer.
+//
+// Almost every message of a round is an echo this broadcaster has
+// already validated in an earlier round; those are recognised by their
+// inbox KeyID alone (table.memo). Only a first sight, a message of an
+// uninterned inbox (KeyIDAt is NoKey) or an echo whose superround is
+// still in the future reaches the payload and the tuple key — that path
+// is the definition, the memo only remembers its answer.
 func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 	sr := Superround(round)
 	k := in.Len()
+	tab := b.tab
 	// ⟨init⟩ messages are only meaningful in the first round of a
 	// superround; an init from identifier i starts the (m, sr, i) tuple.
+	// They go first: a tuple's arena position is its first sight.
 	if IsInitRound(round) {
 		for i := 0; i < k; i++ {
+			if tab.echoSlot(in.KeyIDAt(i)) >= 0 {
+				continue // a known echo
+			}
 			ip, ok := in.BodyAt(i).(InitPayload)
 			if !ok || ip.Body == nil {
 				continue
 			}
-			b.tab.tuples[b.tuple(ip.Body, sr, in.SenderAt(i))].echoing = true
+			tab.tuples[b.tuple(ip.Body, sr, in.SenderAt(i))].echoing = true
 		}
 	}
 	// ⟨echo⟩ messages accumulate per-tuple distinct-identifier support in
 	// the bitmap arena.
 	for i := 0; i < k; i++ {
-		ep, ok := in.BodyAt(i).(EchoPayload)
-		if !ok || ep.Body == nil || ep.SR < 1 || ep.SR > sr || !ep.ID.IsValid(b.l) {
-			continue
+		kid := in.KeyIDAt(i)
+		slot := tab.echoSlot(kid)
+		if slot < 0 {
+			ep, ok := in.BodyAt(i).(EchoPayload)
+			if !ok || ep.Body == nil || ep.SR < 1 || ep.SR > sr || !ep.ID.IsValid(b.l) {
+				continue
+			}
+			sender := in.SenderAt(i)
+			if !sender.IsValid(b.l) {
+				continue
+			}
+			slot = int(tab.tuples[b.tuple(ep.Body, ep.SR, ep.ID)].echoOff) + int(sender)
+			if kid != msg.NoKey {
+				tab.memoise(kid, slot)
+			}
 		}
-		sender := in.SenderAt(i)
-		if !sender.IsValid(b.l) {
-			continue
-		}
-		ts := &b.tab.tuples[b.tuple(ep.Body, ep.SR, ep.ID)]
-		if seen := &b.tab.echoers[int(ts.echoOff)+int(sender)]; !*seen {
+		if seen := &tab.echoers[slot]; !*seen {
 			*seen = true
-			ts.echoes++
+			tab.tuples[slot/(b.l+1)].echoes++
 		}
 	}
 	// Threshold checks (cumulative over all rounds), in arena order.
 	var accepts []Accept
-	for i := range b.tab.tuples {
-		ts := &b.tab.tuples[i]
+	for i := range tab.tuples {
+		ts := &tab.tuples[i]
 		if ts.echoes >= b.l-2*b.t {
 			ts.echoing = true
 		}
@@ -247,7 +313,10 @@ func (b *Broadcaster) tuple(body msg.Payload, sr int, id hom.Identifier) int {
 	for i := 0; i <= b.l; i++ {
 		b.tab.echoers = append(b.tab.echoers, false)
 	}
-	b.tab.tuples = append(b.tab.tuples, tupleState{body: body, sr: sr, id: id, echoOff: off})
+	b.tab.tuples = append(b.tab.tuples, tupleState{
+		body: body, sr: sr, id: id, echoOff: off,
+		echo: EchoPayload{Body: body, SR: sr, ID: id},
+	})
 	return idx
 }
 
@@ -259,7 +328,8 @@ func (b *Broadcaster) TupleCount() int { return len(b.tab.tuples) }
 // fresh pooled table. The original's tuples are replayed in arena
 // (first-sight) order, which reproduces the KeyID assignment and echo
 // bitmap layout exactly, so clone and original behave identically from
-// here on.
+// here on. The KeyID memo is not copied: the clone refills it through the
+// key path as its own inboxes arrive, exactly as a fresh broadcaster does.
 func (b *Broadcaster) Clone() *Broadcaster {
 	nb := newBroadcaster(b.l, b.t)
 	nb.pending = append(nb.pending, b.pending...)

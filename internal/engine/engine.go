@@ -98,6 +98,15 @@ type Process interface {
 	// scratch, recycled as soon as Receive returns: implementations must
 	// copy out anything they keep and must not retain the inbox or any
 	// slice it exposes (Messages, FromIdentifier) past the call.
+	//
+	// Every inbox one process receives over its life carries KeyIDs
+	// (msg.Inbox.KeyIDAt) issued by one msg.Interner, or NoKey
+	// throughout — every state representation and every driver outside
+	// the engine (attacks.World, the scripted shadows) keeps to that. A
+	// protocol may therefore index its own tables by KeyID across
+	// rounds, as authbcast's echo memo does; it must never hash,
+	// fingerprint or otherwise expose one, because KeyIDs differ between
+	// executions that behave identically.
 	Receive(round int, in *msg.Inbox)
 	// Decision returns the decided value, if any.
 	Decision() (hom.Value, bool)

@@ -44,12 +44,18 @@ func (s ValueSet) Len() int { return len(s.members) }
 
 // Values returns the members sorted ascending.
 func (s ValueSet) Values() []Value {
-	out := make([]Value, 0, len(s.members))
+	return s.AppendValues(make([]Value, 0, len(s.members)))
+}
+
+// AppendValues appends the members, sorted ascending, to dst and returns
+// the extended slice: Values for callers that bring their own buffer.
+func (s ValueSet) AppendValues(dst []Value) []Value {
+	n := len(dst)
 	for v := range s.members {
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Clone returns an independent copy.

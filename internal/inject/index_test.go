@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -290,4 +291,70 @@ func TestLinkCoinGolden(t *testing.T) {
 			t.Errorf("LinkCoin(%d, %d, %d, %d) = %v, want %v", tc.seed, tc.round, tc.from, tc.to, got, tc.want)
 		}
 	}
+}
+
+// TestLinkCoinMatchesMathRand holds the closed-form coin to its
+// definition — the first Float64 of a math/rand source seeded with the
+// same value — over the seed shapes the normalisation treats specially
+// (negative, zero, multiples of 2³¹−1 and their neighbours, the int64
+// extremes) and 10⁵ generated seeds, and checks the jump constants
+// against the Lehmer recurrence they abbreviate.
+func TestLinkCoinMatchesMathRand(t *testing.T) {
+	pow := func(e int) int64 {
+		r := int64(1)
+		for i := 0; i < e; i++ {
+			r = r * lehmerA % lehmerM
+		}
+		return r
+	}
+	if got := pow(21 + 3*333); got != lehmerJump333 {
+		t.Errorf("lehmerJump333 = %d, recurrence gives %d", lehmerJump333, got)
+	}
+	if got := pow(21 + 3*606); got != lehmerJump606 {
+		t.Errorf("lehmerJump606 = %d, recurrence gives %d", lehmerJump606, got)
+	}
+	check := func(seed int64) {
+		t.Helper()
+		if got, want := firstFloat64(seed), rand.New(rand.NewSource(seed)).Float64(); got != want {
+			t.Fatalf("firstFloat64(%d) = %v, math/rand gives %v", seed, got, want)
+		}
+	}
+	const m = lehmerM
+	for _, seed := range []int64{
+		0, 1, -1, 2, -2, m - 1, m, m + 1, -m, -m - 1, -m + 1, 2 * m, -2 * m, 3*m + 7,
+		1<<31 - 2, 1 << 31, 1 << 32, -(1 << 32), 1 << 40, 89482311,
+		math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1,
+		math.MaxInt64 / m * m, -(math.MaxInt64 / m * m),
+	} {
+		check(seed)
+	}
+	for k := int64(-1000); k <= 1000; k++ {
+		check(k * m)
+	}
+	rng := rand.New(rand.NewSource(20260929))
+	for i := 0; i < 100_000; i++ {
+		seed := int64(rng.Uint64())
+		if i%4 == 0 {
+			seed %= 1 << 20 // the small seeds experiments actually use
+		}
+		check(seed)
+	}
+	// And through the public function, on the link shapes callers pass.
+	for i := 0; i < 2000; i++ {
+		seed, round, from, to := rng.Int63n(1<<20)-1<<19, 1+rng.Intn(200), rng.Intn(1<<20), rng.Intn(1<<20)
+		h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
+		if got, want := LinkCoin(seed, round, from, to), rand.New(rand.NewSource(seed^h)).Float64(); got != want {
+			t.Fatalf("LinkCoin(%d, %d, %d, %d) = %v, math/rand gives %v", seed, round, from, to, got, want)
+		}
+	}
+}
+
+// BenchmarkLinkCoin measures one coin; the closed form allocates nothing.
+func BenchmarkLinkCoin(b *testing.B) {
+	b.ReportAllocs()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += LinkCoin(42, i&63, i&15, (i>>4)&15)
+	}
+	_ = sink
 }

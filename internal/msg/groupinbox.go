@@ -1,7 +1,6 @@
 package msg
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -126,7 +125,7 @@ func NewPooledInboxView(g *GroupInbox) *Inbox {
 
 // sortIndex builds (on first access, under the core's lock) and returns
 // the sorted position index over the distinct set — the same
-// (identifier, KeyID) insertion sort as the per-recipient inbox, paid
+// (identifier, KeyID) order as the per-recipient inbox (orderRefs), paid
 // once per equivalence class.
 func (g *GroupInbox) sortIndex() []int32 {
 	if g.idxOK.Load() {
@@ -137,26 +136,7 @@ func (g *GroupInbox) sortIndex() []int32 {
 	if g.idxOK.Load() {
 		return g.orderIdx
 	}
-	k := len(g.ref)
-	if cap(g.orderIdx) < k {
-		g.orderIdx = make([]int32, 0, k)
-	}
-	g.orderIdx = g.orderIdx[:0]
-	ids, kids := g.soa.ids, g.soa.kids
-	for j := 0; j < k; j++ {
-		id := ids[g.ref[j]]
-		kid := kids[g.ref[j]]
-		pos := sort.Search(len(g.orderIdx), func(i int) bool {
-			oj := g.ref[g.orderIdx[i]]
-			if oid := ids[oj]; oid != id {
-				return oid > id
-			}
-			return kids[oj] > kid
-		})
-		g.orderIdx = append(g.orderIdx, 0)
-		copy(g.orderIdx[pos+1:], g.orderIdx[pos:])
-		g.orderIdx[pos] = int32(j)
-	}
+	g.orderIdx = orderRefs(g.orderIdx, g.ref, g.soa.ids, g.soa.kids)
 	g.idxOK.Store(true)
 	return g.orderIdx
 }

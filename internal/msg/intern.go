@@ -40,6 +40,13 @@ const NoKey KeyID = 0
 //     and die with the next Reset.
 //   - An Interner is not safe for concurrent use; each execution (or
 //     each process, for process-local tables) owns its own.
+//   - One process, one interner: whoever builds inboxes for a process
+//     stamps all of them through the same Interner for the process's
+//     whole life (or leaves all of them uninterned). That is what lets a
+//     receive path keep a table indexed by Inbox.KeyIDAt across rounds
+//     and look a re-delivered message up instead of rebuilding its key.
+//     The tables stay private: a KeyID is an index, never a name — it
+//     must not be hashed, fingerprinted or compared across executions.
 type Interner struct {
 	ids     map[string]KeyID
 	keys    []string // KeyID -> canonical key; keys[0] is the NoKey slot

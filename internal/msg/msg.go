@@ -26,6 +26,8 @@
 package msg
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -643,6 +645,11 @@ func (in *Inbox) addLegacy(m Message, numerate bool) {
 // never look at the messages (or only count) skip the sort entirely, and
 // receivers that iterate through the indexed accessors stop here — only
 // Messages and FromIdentifier pay for the []Message view on top.
+//
+// The engines' SoA inboxes sort packed integer keys read off the arena
+// columns (orderRefs); the owned-copy and []Message-arena storages, whose
+// distinct sets are short or string-keyed, take a comparison sort on the
+// positions. Both are O(k log k) and allocate nothing.
 func (in *Inbox) sortIndex() []int32 {
 	if in.shared != nil {
 		// Views share the core's index: built once per equivalence
@@ -652,41 +659,26 @@ func (in *Inbox) sortIndex() []int32 {
 	if in.idxOK {
 		return in.orderIdx
 	}
-	k := in.distinctLen()
-	if cap(in.orderIdx) < k {
-		in.orderIdx = make([]int32, 0, k)
+	if in.soa != nil {
+		in.orderIdx = orderRefs(in.orderIdx, in.ref, in.soa.ids, in.soa.kids)
+		in.idxOK = true
+		return in.orderIdx
 	}
 	in.orderIdx = in.orderIdx[:0]
-	// Insertion sort over int32 indices (binary search + shift): the
-	// distinct set is small and index shifts carry no write barriers.
-	for j := 0; j < k; j++ {
-		id := in.refID(j)
-		var pos int
-		if in.interned {
-			kid := in.refKid(j)
-			pos = sort.Search(len(in.orderIdx), func(i int) bool {
-				oj := int(in.orderIdx[i])
-				if oid := in.refID(oj); oid != id {
-					return oid > id
-				}
-				return in.refKid(oj) > kid
-			})
-		} else {
-			key := in.refKey(j)
-			pos = sort.Search(len(in.orderIdx), func(i int) bool {
-				oj := int(in.orderIdx[i])
-				if oid := in.refID(oj); oid != id {
-					return oid > id
-				}
-				// Equal identifiers render identical "id=<id>|" prefixes,
-				// so comparing full cached keys orders by payload key.
-				return in.refKey(oj) > key
-			})
-		}
-		in.orderIdx = append(in.orderIdx, 0)
-		copy(in.orderIdx[pos+1:], in.orderIdx[pos:])
-		in.orderIdx[pos] = int32(j)
+	for j, k := 0, in.distinctLen(); j < k; j++ {
+		in.orderIdx = append(in.orderIdx, int32(j))
 	}
+	slices.SortFunc(in.orderIdx, func(a, b int32) int {
+		if c := cmp.Compare(in.refID(int(a)), in.refID(int(b))); c != 0 {
+			return c
+		}
+		if in.interned {
+			return cmp.Compare(in.refKid(int(a)), in.refKid(int(b)))
+		}
+		// Equal identifiers render identical "id=<id>|" prefixes, so
+		// comparing full cached keys orders by payload key.
+		return cmp.Compare(in.refKey(int(a)), in.refKey(int(b)))
+	})
 	in.idxOK = true
 	return in.orderIdx
 }
@@ -801,6 +793,27 @@ func (in *Inbox) CountAt(i int) int {
 		return in.countAtRef(j)
 	}
 	return in.counts[in.refKey(j)]
+}
+
+// KeyIDAt returns the dense KeyID of the i-th distinct message in sorted
+// order, or NoKey when the inbox holds any uninterned message (then no
+// position has a usable one). It is the protocols' table-lookup handle:
+// a receive path that memoised what it derived from a message the first
+// time it saw it can index that memo by KeyID instead of rebuilding the
+// message's key on every later delivery.
+//
+// The contract that makes this sound is the engines': every inbox one
+// process receives over its life carries KeyIDs issued by one Interner
+// (or NoKey), so within a process a KeyID names the same canonical
+// (identifier, payload) key for the whole execution. A KeyID is still
+// only an index — assignment order differs between executions that
+// behave identically, so it must never reach a hash, a fingerprint, a
+// sort that outlives the inbox, or anything else observable.
+func (in *Inbox) KeyIDAt(i int) KeyID {
+	if !in.interned {
+		return NoKey
+	}
+	return in.refKid(int(in.sortIndex()[i]))
 }
 
 // MessageAt materialises the i-th distinct message in sorted order.

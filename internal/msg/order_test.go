@@ -1,0 +1,258 @@
+package msg
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"homonyms/internal/hom"
+)
+
+// orderCase is one generated delivery batch: the raw messages in arrival
+// order, interned or not. Interned batches also sit in a SendArena, whose
+// entry i is raw[i].
+type orderCase struct {
+	name     string
+	interned bool
+	raw      []Message
+	arena    *SendArena
+}
+
+// genOrderCase draws k deliveries over the given identifiers with
+// payloads from a pool of `bodies` distinct ones per identifier, so the
+// batch carries duplicates to collapse. Interning happens in a shuffled
+// order, which decouples KeyID order from both arrival order and
+// key-string order.
+func genOrderCase(rng *rand.Rand, name string, interned bool, k, bodies int, ids []hom.Identifier) orderCase {
+	var pool []Message
+	for _, id := range ids {
+		for b := 0; b < bodies; b++ {
+			pool = append(pool, Message{ID: id, Body: Raw("m" + itoa(rng.Intn(1000)) + "." + itoa(b))})
+		}
+	}
+	c := orderCase{name: name, interned: interned}
+	if !interned {
+		for j := 0; j < k; j++ {
+			m := pool[rng.Intn(len(pool))]
+			if j%2 == 0 {
+				m = NewMessage(m.ID, m.Body) // key cached; the literal computes it on demand
+			}
+			c.raw = append(c.raw, m)
+		}
+		return c
+	}
+	it := NewInterner()
+	for _, i := range rng.Perm(len(pool)) {
+		it.InternMessageKey(int64(pool[i].ID), pool[i].Body.Key())
+	}
+	c.arena = &SendArena{}
+	for j := 0; j < k; j++ {
+		m := pool[rng.Intn(len(pool))]
+		c.raw = append(c.raw, c.arena.Message(c.arena.Append(it, m.ID, m.Body, m.Body.Key())))
+	}
+	return c
+}
+
+// referenceOrder is the definition the inbox order is held to: the
+// distinct messages of raw under sort.Slice on (identifier, KeyID) when
+// every message is interned, on (identifier, canonical key) otherwise.
+func referenceOrder(c orderCase) []Message {
+	seen := map[string]bool{}
+	var distinct []Message
+	for _, m := range c.raw {
+		if !seen[m.Key()] {
+			seen[m.Key()] = true
+			distinct = append(distinct, m)
+		}
+	}
+	sort.Slice(distinct, func(a, b int) bool {
+		x, y := distinct[a], distinct[b]
+		if x.ID != y.ID {
+			return x.ID < y.ID
+		}
+		if c.interned {
+			return x.KeyID() < y.KeyID()
+		}
+		return x.Key() < y.Key()
+	})
+	return distinct
+}
+
+// checkOrder holds one inbox to the reference through every accessor
+// that exposes the order, including the KeyID column.
+func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Message) {
+	t.Helper()
+	if in.Len() != len(want) {
+		t.Fatalf("%s/%s: %d distinct messages, want %d", c.name, label, in.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := in.MessageAt(i); got.Key() != w.Key() || got.ID != w.ID {
+			t.Fatalf("%s/%s: position %d holds %q, reference order has %q", c.name, label, i, got.Key(), w.Key())
+		}
+		if in.SenderAt(i) != w.ID || in.BodyAt(i).Key() != w.Body.Key() {
+			t.Fatalf("%s/%s: SenderAt/BodyAt(%d) disagree with MessageAt", c.name, label, i)
+		}
+		wantKid := NoKey
+		if c.interned {
+			wantKid = w.KeyID()
+		}
+		if got := in.KeyIDAt(i); got != wantKid {
+			t.Fatalf("%s/%s: KeyIDAt(%d) = %d, want %d", c.name, label, i, got, wantKid)
+		}
+		if in.CountAt(i) != in.Count(w) {
+			t.Fatalf("%s/%s: CountAt(%d) = %d, Count = %d", c.name, label, i, in.CountAt(i), in.Count(w))
+		}
+	}
+	view := in.Messages()
+	for i, w := range want {
+		if view[i].Key() != w.Key() {
+			t.Fatalf("%s/%s: Messages()[%d] out of reference order", c.name, label, i)
+		}
+	}
+}
+
+// TestSortIndexMatchesReferenceOrder pins the inbox order — the order
+// protocols first see messages in, and so the order of everything
+// downstream of it — to its definition, over generated batches and every
+// storage an inbox can sit on: owned copies (plain, pooled and weighted),
+// the []Message arena, the SoA arena and the shared GroupInbox view.
+// Batches straddle the packed sort's stack/pool boundary, and the wide
+// cases spread identifiers too far to pack, forcing the comparison sort.
+func TestSortIndexMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	small := []hom.Identifier{1, 2, 3, 4, 5}
+	signed := []hom.Identifier{-7, -1, 0, 3, 1 << 20}
+	wide := []hom.Identifier{math.MinInt64, -1, 0, 7, math.MaxInt64}
+	var cases []orderCase
+	for round := 0; round < 40; round++ {
+		k := []int{0, 1, 2, 7, orderStack, orderStack + 1, 100, 700}[round%8]
+		cases = append(cases,
+			genOrderCase(rng, "small", true, k, 1+rng.Intn(40), small),
+			genOrderCase(rng, "signed", true, k, 1+rng.Intn(12), signed),
+			genOrderCase(rng, "wide", true, k, 1+rng.Intn(12), wide),
+			genOrderCase(rng, "uninterned", false, k, 1+rng.Intn(12), signed),
+		)
+	}
+	for _, c := range cases {
+		want := referenceOrder(c)
+		for _, numerate := range []bool{false, true} {
+			checkOrder(t, "owned", NewInbox(numerate, c.raw), c, want)
+
+			pooled := NewPooledInbox(numerate, c.raw)
+			checkOrder(t, "owned-pooled", pooled, c, want)
+			pooled.Recycle()
+
+			idx := make([]int32, len(c.raw))
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			indexed := NewPooledInboxIndexed(numerate, c.raw, idx)
+			checkOrder(t, "message-arena", indexed, c, want)
+			indexed.Recycle()
+
+			if !c.interned || len(c.raw) == 0 {
+				continue
+			}
+			soa := NewPooledInboxSoA(numerate, c.arena, idx)
+			checkOrder(t, "soa", soa, c, want)
+			soa.Recycle()
+
+			weighted := NewPooledInboxWeighted(numerate, c.arena, idx, nil)
+			checkOrder(t, "weighted", weighted, c, want)
+			weighted.Recycle()
+
+			core := NewPooledGroupInbox(numerate, c.arena, idx, 2)
+			if core.Len() != len(want) || core.TotalCount() <= 0 {
+				t.Fatalf("%s: shared core holds %d distinct / %d copies", c.name, core.Len(), core.TotalCount())
+			}
+			v1, v2 := NewPooledInboxView(core), NewPooledInboxView(core)
+			checkOrder(t, "group-view", v1, c, want)
+			checkOrder(t, "group-view-2", v2, c, want)
+			v1.Recycle()
+			v2.Recycle()
+		}
+	}
+}
+
+// TestWeightedInboxFoldsMultiplicities covers the counting
+// representation's inbox: weights add for a numerate receiver, collapse
+// for an innumerate one, and non-positive weights deliver nothing.
+func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
+	for _, tc := range []struct {
+		numerate bool
+		total    int
+		counts   []int // by sorted position: (1,a), (2,b)
+	}{
+		{true, 10, []int{8, 2}},
+		{false, 2, []int{1, 1}},
+	} {
+		it := NewPooledInterner()
+		arena := &SendArena{}
+		a := arena.AppendInterned(it, 1, Raw("a"), it.Intern(Raw("a").Key()))
+		b := arena.Append(it, 2, Raw("b"), Raw("b").Key())
+		a2 := arena.Append(it, 1, Raw("a"), Raw("a").Key())
+		c := arena.Append(it, 3, Raw("c"), Raw("c").Key())
+		if arena.Key(a) != arena.Key(a2) || arena.KID(a) != arena.KID(a2) {
+			t.Fatal("AppendInterned and Append stamped the same send differently")
+		}
+		in := NewPooledInboxWeighted(tc.numerate, arena, []int32{a, b, a2, c}, []int32{5, 2, 3, 0})
+		if in.Len() != 2 || in.TotalCount() != tc.total {
+			t.Fatalf("numerate=%v: len/total %d/%d, want 2/%d", tc.numerate, in.Len(), in.TotalCount(), tc.total)
+		}
+		for i, want := range tc.counts {
+			if got := in.CountAt(i); got != want {
+				t.Fatalf("numerate=%v: CountAt(%d) = %d, want %d", tc.numerate, i, got, want)
+			}
+		}
+		// The entries are copies: the counting engine caches weighted
+		// inboxes across rounds, past the arena's reset.
+		arena.Reset()
+		if in.MessageAt(0).Body != Raw("a") || in.MessageAt(1).Body != Raw("b") {
+			t.Fatalf("numerate=%v: weighted inbox did not outlive the arena reset", tc.numerate)
+		}
+		in.Recycle()
+		it.Recycle()
+	}
+}
+
+// TestLegacyInboxQueries covers the uninterned storage through the
+// queries protocols outside the engines' path still use.
+func TestLegacyInboxQueries(t *testing.T) {
+	raw := []Message{
+		NewMessageKeyed(2, Raw("x"), Raw("x").Key()),
+		{ID: 1, Body: Raw("y")},
+		NewMessage(2, Raw("x")),
+		{ID: 3, Body: Raw("x")},
+	}
+	idx := []int32{0, 1, 2, 3}
+	for _, in := range []*Inbox{NewInbox(true, raw), NewPooledInboxIndexed(true, raw, idx)} {
+		if in.KeyIDAt(0) != NoKey {
+			t.Fatal("uninterned inbox exposed a KeyID")
+		}
+		if in.Len() != 3 || in.TotalCount() != 4 {
+			t.Fatalf("len/total %d/%d, want 3/4", in.Len(), in.TotalCount())
+		}
+		if got := []int{in.CountAt(0), in.CountAt(1), in.CountAt(2)}; got[0] != 1 || got[1] != 2 || got[2] != 1 {
+			t.Fatalf("CountAt by position = %v, want [1 2 1]", got)
+		}
+		isX := func(m Message) bool { return m.Body.Key() == Raw("x").Key() }
+		if got := in.DistinctIdentifiers(isX); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+			t.Fatalf("DistinctIdentifiers(x) = %v, want [2 3]", got)
+		}
+		if got := in.CountDistinctIdentifiers(isX); got != 2 {
+			t.Fatalf("CountDistinctIdentifiers(x) = %d, want 2", got)
+		}
+		if got := in.CountCopies(isX); got != 3 {
+			t.Fatalf("CountCopies(x) = %d, want 3", got)
+		}
+		if got := in.Count(Message{ID: 9, Body: Raw("x")}); got != 0 {
+			t.Fatalf("Count of a message never received = %d", got)
+		}
+		in.Recycle()
+	}
+	var kb KeyBuilder
+	if string(kb.Reset("t").Int(3).Bytes()) != kb.String() {
+		t.Fatal("KeyBuilder.Bytes and String disagree")
+	}
+}

@@ -48,7 +48,8 @@ func TestProperSetThresholdRule(t *testing.T) {
 		{ID: 3, Body: ProperPayload{V: hom.NewValueSet(1)}},
 		{ID: 4, Body: ProperPayload{V: hom.NewValueSet(7)}},
 	})
-	pr.updateProper(in)
+	pr.scan(in, 0, 1, false, false)
+	pr.updateProper()
 	if !pr.proper.Contains(1) {
 		t.Fatal("2-identifier value not added to proper")
 	}
@@ -69,7 +70,8 @@ func TestProperSetCatchAllRule(t *testing.T) {
 		{ID: 4, Body: ProperPayload{V: hom.NewValueSet(3)}},
 		{ID: 5, Body: ProperPayload{V: hom.NewValueSet(4)}},
 	})
-	pr.updateProper(in)
+	pr.scan(in, 0, 1, false, false)
+	pr.updateProper()
 	for _, v := range pr.params.EffectiveDomain() {
 		if !pr.proper.Contains(v) {
 			t.Fatalf("catch-all rule missed domain value %d", v)
@@ -86,7 +88,8 @@ func TestProperSetCatchAllNeedsQuorum(t *testing.T) {
 		{ID: 3, Body: ProperPayload{V: hom.NewValueSet(7)}},
 		{ID: 4, Body: ProperPayload{V: hom.NewValueSet(8)}},
 	})
-	pr.updateProper(in)
+	pr.scan(in, 0, 1, false, false)
+	pr.updateProper()
 	if pr.proper.Contains(1) {
 		t.Fatal("catch-all triggered below 2t+1 identifiers")
 	}

@@ -223,6 +223,13 @@ type Process struct {
 	// Per-phase transient state.
 	lockSeen      map[hom.Value]bool // lock values received from the leader identifier this phase
 	leaderLockVal hom.Value          // the value this process sent in its own lock message (if leader)
+
+	// Round scratch of Receive's one pass over the inbox (scan), owned by
+	// the process and reused every round; no state survives a round in it.
+	reporters idTally     // one row: identifiers that sent any proper set
+	supported idTally     // value -> identifiers whose proper set holds it
+	direct    idTally     // the round's ⟨ack⟩ (pos 7) or ⟨decide⟩ (pos 8) support
+	valBuf    []hom.Value // a proper set's members
 }
 
 var _ sim.Process = (*Process)(nil)
@@ -267,7 +274,7 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	if pos == 1 {
 		pr.resetPhase()
 	}
-	var sends []msg.Send
+	var direct msg.Payload // the round's one directly sent message, if any
 	switch pos {
 	case 1: // SR1 round 1: propose.
 		pr.bc.Broadcast(ProposePayload{Phase: phase, V: pr.proposableValues()})
@@ -275,7 +282,7 @@ func (pr *Process) Prepare(round int) []msg.Send {
 		if pr.isLeader(phase) {
 			if v, ok := pr.pickLockValue(phase); ok {
 				pr.leaderLockVal = v
-				sends = append(sends, msg.Broadcast(LockPayload{Phase: phase, Val: v}))
+				direct = LockPayload{Phase: phase, Val: v}
 			}
 		}
 	case 5: // SR3 round 1: vote for a supported lock request.
@@ -287,16 +294,23 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	case 7: // SR4 round 1: lock and acknowledge.
 		if v, ok := pr.pickAckValue(phase); ok {
 			pr.locks[v] = phase
-			sends = append(sends, msg.Broadcast(AckPayload{Phase: phase, Val: v}))
+			direct = AckPayload{Phase: phase, Val: v}
 		}
 	case 8: // SR4 round 2: relay decisions.
 		if !pr.opts.DisableDecideRelay && pr.decision != hom.NoValue {
-			sends = append(sends, msg.Broadcast(DecidePayload{Val: pr.decision}))
+			direct = DecidePayload{Val: pr.decision}
 		}
 	}
 	// Broadcast-layer traffic (init/echo) and the proper set ride along
-	// every round.
-	for _, body := range pr.bc.Outgoing(round) {
+	// every round. The standing echoes make this list long in late rounds
+	// (~1600 sends), so it is allocated once at its final size: grown by
+	// append it cost five times the bytes and set the collector's pace.
+	out := pr.bc.Outgoing(round)
+	sends := make([]msg.Send, 0, len(out)+2)
+	if direct != nil {
+		sends = append(sends, msg.Broadcast(direct))
+	}
+	for _, body := range out {
 		sends = append(sends, msg.Broadcast(body))
 	}
 	sends = append(sends, msg.Broadcast(ProperPayload{V: pr.proper.Clone()}))
@@ -337,38 +351,28 @@ func (pr *Process) proposeSupport(phase int, v hom.Value) int {
 // pickLockValue returns the smallest value with ℓ−t propose support
 // (Figure 5, lines 10–12).
 func (pr *Process) pickLockValue(phase int) (hom.Value, bool) {
-	var candidates []hom.Value
-	seen := hom.NewValueSet()
+	best, ok := hom.NoValue, false
 	for _, set := range pr.proposeAcc[phase] {
 		for _, v := range set.Values() {
-			if !seen.Contains(v) && pr.proposeSupport(phase, v) >= pr.params.L-pr.params.T {
-				seen.Add(v)
-				candidates = append(candidates, v)
+			if (!ok || v < best) && pr.proposeSupport(phase, v) >= pr.params.L-pr.params.T {
+				best, ok = v, true
 			}
 		}
 	}
-	if len(candidates) == 0 {
-		return hom.NoValue, false
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	return candidates[0], true
+	return best, ok
 }
 
 // pickVoteValue returns the smallest value v with both a ⟨lock v, phase⟩
 // received from the leader identifier and ℓ−t propose support (Figure 5,
 // lines 14–16).
 func (pr *Process) pickVoteValue(phase int) (hom.Value, bool) {
-	var candidates []hom.Value
+	best, ok := hom.NoValue, false
 	for v := range pr.lockSeen {
-		if pr.proposeSupport(phase, v) >= pr.params.L-pr.params.T {
-			candidates = append(candidates, v)
+		if (!ok || v < best) && pr.proposeSupport(phase, v) >= pr.params.L-pr.params.T {
+			best, ok = v, true
 		}
 	}
-	if len(candidates) == 0 {
-		return hom.NoValue, false
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	return candidates[0], true
+	return best, ok
 }
 
 // pickAckValue returns the value to lock and acknowledge in SR4. With the
@@ -379,17 +383,13 @@ func (pr *Process) pickAckValue(phase int) (hom.Value, bool) {
 	if pr.opts.DisableVote {
 		return pr.pickVoteValue(phase)
 	}
-	var candidates []hom.Value
+	best, ok := hom.NoValue, false
 	for v, ids := range pr.voteAcc[phase] {
-		if len(ids) >= pr.params.L-pr.params.T {
-			candidates = append(candidates, v)
+		if (!ok || v < best) && len(ids) >= pr.params.L-pr.params.T {
+			best, ok = v, true
 		}
 	}
-	if len(candidates) == 0 {
-		return hom.NoValue, false
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	return candidates[0], true
+	return best, ok
 }
 
 // Receive implements sim.Process.
@@ -430,52 +430,63 @@ func (pr *Process) Receive(round int, in *msg.Inbox) {
 		}
 	}
 
-	// Proper-set maintenance happens on every round's traffic.
-	pr.updateProper(in)
+	// Everything else arrives directly: one pass sorts it into the
+	// round's tallies.
+	tallyAcks := pos == 7 && pr.isLeader(phase) && pr.decision == hom.NoValue && pr.leaderLockVal != hom.NoValue
+	tallyDecides := pos == 8 && !pr.opts.DisableDecideRelay && pr.decision == hom.NoValue
+	pr.scan(in, phase, pos, tallyAcks, tallyDecides)
 
-	switch pos {
-	case 3: // SR2 round 1: record the leader's lock requests.
-		lo, hi := in.IdentifierRange(LeaderID(phase, pr.params.L))
-		for i := lo; i < hi; i++ {
-			if lp, ok := in.BodyAt(i).(LockPayload); ok && lp.Phase == phase && lp.Val != hom.NoValue {
-				pr.lockSeen[lp.Val] = true
-			}
+	// Proper-set maintenance happens on every round's traffic.
+	pr.updateProper()
+
+	switch {
+	case tallyAcks: // SR4 round 1: a leader with ℓ−t acks for its lock value decides it.
+		if v, ok := pr.direct.minSupported(pr.params.L - pr.params.T); ok {
+			pr.decision = v
 		}
-	case 7: // SR4 round 1: leaders tally acks for their lock value.
-		if pr.isLeader(phase) && pr.decision == hom.NoValue && pr.leaderLockVal != hom.NoValue {
-			supporters := make(map[hom.Identifier]bool)
-			for i, k := 0, in.Len(); i < k; i++ {
-				if ap, ok := in.BodyAt(i).(AckPayload); ok && ap.Phase == phase && ap.Val == pr.leaderLockVal {
-					supporters[in.SenderAt(i)] = true
-				}
-			}
-			if len(supporters) >= pr.params.L-pr.params.T {
-				pr.decision = pr.leaderLockVal
-			}
+	case tallyDecides: // SR4 round 2: t+1 ⟨decide v⟩ let anyone decide v.
+		if v, ok := pr.direct.minSupported(pr.params.T + 1); ok {
+			pr.decision = v
 		}
-	case 8: // SR4 round 2: decide relay, then lock release.
-		if !pr.opts.DisableDecideRelay && pr.decision == hom.NoValue {
-			support := make(map[hom.Value]map[hom.Identifier]bool)
-			for i, k := 0, in.Len(); i < k; i++ {
-				if dp, ok := in.BodyAt(i).(DecidePayload); ok && dp.Val != hom.NoValue {
-					if support[dp.Val] == nil {
-						support[dp.Val] = make(map[hom.Identifier]bool)
-					}
-					support[dp.Val][in.SenderAt(i)] = true
-				}
-			}
-			var candidates []hom.Value
-			for v, ids := range support {
-				if len(ids) >= pr.params.T+1 {
-					candidates = append(candidates, v)
-				}
-			}
-			if len(candidates) > 0 {
-				sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-				pr.decision = candidates[0]
-			}
-		}
+	}
+	if pos == 8 {
 		pr.releaseLocks()
+	}
+}
+
+// scan is Receive's single pass over the directly sent (non-broadcast)
+// messages of the round's inbox. Every round it tallies the proper sets
+// (reporters, supported); in SR2 round 1 it records the leader
+// identifier's lock requests; when asked it tallies, into direct, the
+// ⟨ack⟩s for this process's own lock value or the ⟨decide⟩s.
+func (pr *Process) scan(in *msg.Inbox, phase, pos int, tallyAcks, tallyDecides bool) {
+	l := pr.params.L
+	pr.reporters.reset(l)
+	pr.supported.reset(l)
+	pr.direct.reset(l)
+	leader := LeaderID(phase, l)
+	for i, k := 0, in.Len(); i < k; i++ {
+		switch body := in.BodyAt(i).(type) {
+		case ProperPayload:
+			id := in.SenderAt(i)
+			pr.reporters.add(0, id)
+			pr.valBuf = body.V.AppendValues(pr.valBuf[:0])
+			for _, v := range pr.valBuf {
+				pr.supported.add(v, id)
+			}
+		case LockPayload:
+			if pos == 3 && body.Phase == phase && body.Val != hom.NoValue && in.SenderAt(i) == leader {
+				pr.lockSeen[body.Val] = true
+			}
+		case AckPayload:
+			if tallyAcks && body.Phase == phase && body.Val == pr.leaderLockVal {
+				pr.direct.add(body.Val, in.SenderAt(i))
+			}
+		case DecidePayload:
+			if tallyDecides && body.Val != hom.NoValue {
+				pr.direct.add(body.Val, in.SenderAt(i))
+			}
+		}
 	}
 }
 
@@ -505,32 +516,19 @@ func (pr *Process) releaseLocks() {
 	}
 }
 
-// updateProper applies the proper-set rules to this round's traffic.
-func (pr *Process) updateProper(in *msg.Inbox) {
-	reporters := make(map[hom.Identifier]bool)
-	supporters := make(map[hom.Value]map[hom.Identifier]bool)
-	for i, k := 0, in.Len(); i < k; i++ {
-		pp, ok := in.BodyAt(i).(ProperPayload)
-		if !ok {
-			continue
-		}
-		id := in.SenderAt(i)
-		reporters[id] = true
-		for _, v := range pp.V.Values() {
-			if supporters[v] == nil {
-				supporters[v] = make(map[hom.Identifier]bool)
-			}
-			supporters[v][id] = true
-		}
-	}
+// updateProper applies the proper-set rules to the round's tallies (scan):
+// a value in the proper sets of t+1 identifiers becomes proper, and 2t+1
+// reporting identifiers without any such value make the whole domain
+// proper.
+func (pr *Process) updateProper() {
 	anySupported := false
-	for v, ids := range supporters {
-		if len(ids) >= pr.params.T+1 {
+	for row, v := range pr.supported.vals {
+		if pr.supported.support(row) >= pr.params.T+1 {
 			pr.proper.Add(v)
 			anySupported = true
 		}
 	}
-	if !anySupported && len(reporters) >= 2*pr.params.T+1 {
+	if !anySupported && len(pr.reporters.vals) > 0 && pr.reporters.support(0) >= 2*pr.params.T+1 {
 		pr.proper.AddAll(pr.params.EffectiveDomain())
 	}
 }
