@@ -13,9 +13,9 @@
 //     scenarios, which keeps concurrent fuzz workers deterministic under
 //     the race detector. This is the mode the fuzzer uses.
 //   - Per-call derivation from Seed: the piece hashes (Seed, round, slot)
-//     into a throwaway source on every call. Stateless and call-order
-//     independent; kept for hand-written experiments and as the fallback
-//     when Rand is nil.
+//     into a seed and re-seeds a pooled generator with it on every call
+//     (seeded). Stateless and call-order independent; kept for
+//     hand-written experiments and as the fallback when Rand is nil.
 //
 // DropPolicies deliberately never use a sequential stream: a drop decision
 // must be a pure function of (round, from, to) so that shrinking a
@@ -26,6 +26,7 @@ package adversary
 import (
 	"math/rand"
 	"sort"
+	"sync"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
@@ -125,6 +126,22 @@ func (c *Composite) DropBatch(round, toSlot int, fromSlots []int32, drop []bool)
 // across scenarios (or across goroutines).
 func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// rngPool recycles the generators behind the per-call derivation mode: a
+// math/rand source is 5 kB, and the behaviours below need one per
+// (round, slot).
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seeded returns a pooled generator positioned at the start of the
+// stream rand.New(rand.NewSource(seed)) would produce — (*rand.Rand).Seed
+// re-initialises the source and drops any buffered state, so the draws
+// are the same, value for value. Hand it back with rngPool.Put once the
+// call is done drawing.
+func seeded(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
 // ---------------------------------------------------------------------------
 // Selectors
 // ---------------------------------------------------------------------------
@@ -221,7 +238,8 @@ type Noise struct {
 func (nz Noise) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
 	rng := nz.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(nz.Seed ^ int64(round)<<20 ^ int64(slot)))
+		rng = seeded(nz.Seed ^ int64(round)<<20 ^ int64(slot))
+		defer rngPool.Put(rng)
 	}
 	out := make([]msg.TargetedSend, 0, view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
@@ -251,7 +269,8 @@ func (e Equivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
 	}
 	rng := e.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(e.Seed ^ int64(round)<<18 ^ int64(slot)))
+		rng = seeded(e.Seed ^ int64(round)<<18 ^ int64(slot))
+		defer rngPool.Put(rng)
 	}
 	var out []msg.TargetedSend
 	for to := 0; to < view.Params.N; to++ {
@@ -307,7 +326,8 @@ func (e KeyEquivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend
 	}
 	rng := e.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(e.Seed ^ int64(round)<<18 ^ int64(slot)))
+		rng = seeded(e.Seed ^ int64(round)<<18 ^ int64(slot))
+		defer rngPool.Put(rng)
 	}
 	// One source per identifier, drawn in identifier order so the stream
 	// consumption is deterministic.

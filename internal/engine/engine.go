@@ -449,12 +449,38 @@ func (r *Result) IsFaulted(slot int) bool {
 // faulted — the processes the agreement properties quantify over.
 func (r *Result) CorrectSlots() []int {
 	out := make([]int, 0, len(r.Decisions)-len(r.Corrupted))
-	for s := range r.Decisions {
-		if !r.IsCorrupted(s) && !r.IsFaulted(s) {
+	for lo, hi := r.CorrectRun(0); lo < hi; lo, hi = r.CorrectRun(hi) {
+		for s := lo; s < hi; s++ {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+// CorrectRun returns the first maximal run [lo, hi) of consecutive slots
+// at or after from that are neither corrupted nor faulted; lo == hi when
+// none is left. Walking the runs
+//
+//	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi)
+//
+// visits exactly CorrectSlots, ascending, without materialising them —
+// the exempt lists are consulted once per run, not once per slot.
+func (r *Result) CorrectRun(from int) (lo, hi int) {
+	n := len(r.Decisions)
+	lo = max(from, 0)
+	for lo < n && (r.IsCorrupted(lo) || r.IsFaulted(lo)) {
+		lo++
+	}
+	if lo >= n {
+		return n, n
+	}
+	hi = n
+	for _, exempt := range [2][]int{r.Corrupted, r.Faulted} {
+		if i := sort.SearchInts(exempt, lo); i < len(exempt) && exempt[i] < hi {
+			hi = exempt[i]
+		}
+	}
+	return lo, hi
 }
 
 // Engine holds one assembled execution: configuration, time model, state
@@ -465,9 +491,11 @@ type Engine struct {
 	tm        TimeModel
 	rep       StateRep
 	n         int
-	procs     []Process // nil at corrupted slots
+	procs     []Process    // nil at corrupted slots; nil altogether when owner holds the processes
+	owner     processOwner // the representation, when it builds and holds its own processes
 	corrupted []int
 	isBad     []bool
+	undecided int // correct slots without a recorded decision
 	res       *Result
 	observer  Observer
 	deadline  time.Time
@@ -477,8 +505,8 @@ type Engine struct {
 	// adversaries themselves allocate). Routing scratch (send arena,
 	// per-recipient batches, delivery indices) lives in the Router,
 	// shared by every state representation.
-	correctSends [][]msg.Send         // per sender slot; nil when silent
-	byzSends     [][]msg.TargetedSend // per sender slot; only corrupted used
+	correctSends [][]msg.Send         // per sender slot, nil when silent; built by the first SetSends
+	byzSends     [][]msg.TargetedSend // parallel to corrupted
 	senders      []int32              // the View's sender index, rebuilt per round
 	groups       [][]int32            // the View's per-identifier correct members, execution-fixed
 	view         View                 // handed to the adversary each round
@@ -497,7 +525,6 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		tm:    tm,
 		rep:   rep,
 		n:     n,
-		procs: make([]Process, n),
 		isBad: make([]bool, n),
 	}
 	decisions := make([]hom.Value, n)
@@ -522,14 +549,17 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 			e.observer = obs
 		}
 	}
-	if _, owns := rep.(processOwner); owns {
+	e.undecided = n - len(e.corrupted)
+	if owner, owns := rep.(processOwner); owns {
 		// The representation builds and initialises its own processes in
 		// Start (one per equivalence class, not per slot); the factory is
 		// still required — it is what the representation instantiates.
 		if cfg.NewProcess == nil {
 			return nil, ErrNilProcessFactory
 		}
+		e.owner = owner
 	} else {
+		e.procs = make([]Process, n)
 		for s := 0; s < n; s++ {
 			if e.isBad[s] {
 				continue
@@ -567,9 +597,8 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 			e.res.Faulted = append(e.res.Faulted, s)
 		}
 	}
-	e.correctSends = make([][]msg.Send, n)
-	e.byzSends = make([][]msg.TargetedSend, n)
 	if cfg.Adversary != nil && len(e.corrupted) > 0 {
+		e.byzSends = make([][]msg.TargetedSend, len(e.corrupted))
 		e.senders = make([]int32, 0, n)
 		e.groups = groupMembers(cfg.Params, e.res.Assignment, e.isBad)
 	}
@@ -639,15 +668,9 @@ func (e *Engine) MaxRounds() int { return e.cfg.MaxRounds }
 // ExtraRounds exposes the post-decision round allowance to time models.
 func (e *Engine) ExtraRounds() int { return e.cfg.ExtraRounds }
 
-// AllCorrectDecided reports whether every non-corrupted slot has decided.
-func (e *Engine) AllCorrectDecided() bool {
-	for s := 0; s < e.n; s++ {
-		if !e.isBad[s] && e.res.DecidedAt[s] == 0 {
-			return false
-		}
-	}
-	return true
-}
+// AllCorrectDecided reports whether every non-corrupted slot has decided
+// (a counter RecordDecision maintains — time models ask every round).
+func (e *Engine) AllCorrectDecided() bool { return e.undecided == 0 }
 
 // Exhausted checks the execution budgets after a round; when one is
 // spent it records the stop reason on the Result and reports true.
@@ -681,8 +704,8 @@ func (e *Engine) Step(round int) error {
 	// Phase 2: Byzantine sends (rushing: the adversary sees phase 1).
 	if e.cfg.Adversary != nil && len(e.corrupted) > 0 {
 		e.senders = e.senders[:0]
-		for s := 0; s < e.n; s++ {
-			if len(e.correctSends[s]) > 0 {
+		for s, sends := range e.correctSends {
+			if len(sends) > 0 {
 				e.senders = append(e.senders, int32(s))
 			}
 		}
@@ -695,8 +718,8 @@ func (e *Engine) Step(round int) error {
 			senders:    e.senders,
 			groups:     e.groups,
 		}
-		for _, s := range e.corrupted {
-			e.byzSends[s] = e.cfg.Adversary.Sends(round, s, &e.view)
+		for i, s := range e.corrupted {
+			e.byzSends[i] = e.cfg.Adversary.Sends(round, s, &e.view)
 		}
 	}
 
@@ -712,15 +735,14 @@ func (e *Engine) Step(round int) error {
 		routed = rr.RouteRound(round)
 	}
 	if !routed {
-		for from := 0; from < e.n; from++ {
-			if e.isBad[from] {
-				continue
+		for from, sends := range e.correctSends {
+			if !e.isBad[from] {
+				e.router.RouteCorrect(from, sends)
 			}
-			e.router.RouteCorrect(from, e.correctSends[from])
 		}
-		for _, from := range e.corrupted {
-			e.router.RouteByzantine(from, e.byzSends[from])
-			e.byzSends[from] = nil
+		for i, sends := range e.byzSends {
+			e.router.RouteByzantine(e.corrupted[i], sends)
+			e.byzSends[i] = nil
 		}
 	}
 	e.router.Flush()
@@ -788,12 +810,29 @@ func (e *Engine) Halted(slot, round int) bool {
 	return e.Crashed(slot, round) || e.Stalled(slot, round)
 }
 
-// Process returns the correct process at the slot (nil when corrupted).
-func (e *Engine) Process(slot int) Process { return e.procs[slot] }
+// Process returns the correct process at the slot (nil when corrupted);
+// under a representation that holds its own processes, the one standing
+// for the slot.
+func (e *Engine) Process(slot int) Process {
+	if e.owner != nil {
+		return e.owner.processAt(slot)
+	}
+	return e.procs[slot]
+}
 
 // SetSends records a correct slot's sends for the current round during
-// PrepareRound; pass nil for a silent round.
-func (e *Engine) SetSends(slot int, sends []msg.Send) { e.correctSends[slot] = sends }
+// PrepareRound; pass nil for a silent round. The per-slot table exists
+// from the first non-silent slot on: a representation that routes its
+// own rounds never builds it.
+func (e *Engine) SetSends(slot int, sends []msg.Send) {
+	if e.correctSends == nil {
+		if sends == nil {
+			return
+		}
+		e.correctSends = make([][]msg.Send, e.n)
+	}
+	e.correctSends[slot] = sends
+}
 
 // Router returns the execution's delivery machinery; representations
 // draw per-recipient inboxes from it during DeliverRound.
@@ -805,6 +844,9 @@ func (e *Engine) RecordDecision(slot int, v hom.Value, decided bool, round int) 
 	if decided && e.res.DecidedAt[slot] == 0 {
 		e.res.Decisions[slot] = v
 		e.res.DecidedAt[slot] = round
+		if !e.isBad[slot] {
+			e.undecided--
+		}
 	}
 }
 

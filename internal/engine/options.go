@@ -28,13 +28,47 @@ var (
 
 // settings accumulates the options before validation. Each knob that
 // must be single-valued registers under a name in seen; a second
-// registration with a different rendered value is a conflict.
+// registration with a different rendered value is a conflict. The two
+// n-sized knobs are remembered as given instead (sliceKnob): rendering a
+// million-element slice to detect a repeat that almost never comes cost
+// more than assembling the engine.
 type settings struct {
-	cfg  Config
-	tm   TimeModel
-	rep  StateRep
-	seen map[string]string
-	errs []error
+	cfg        Config
+	tm         TimeModel
+	rep        StateRep
+	seen       map[string]string
+	assignment sliceKnob[hom.Identifier]
+	inputs     sliceKnob[hom.Value]
+	errs       []error
+}
+
+// sliceKnob is once for a per-slot knob: the first value is kept by
+// reference, a repeat is compared element-wise, and only a conflict
+// renders anything — the lengths and the first differing slot.
+type sliceKnob[T comparable] struct {
+	set bool
+	v   []T
+}
+
+func (k *sliceKnob[T]) once(s *settings, knob string, v []T) bool {
+	if !k.set {
+		k.set, k.v = true, v
+		return true
+	}
+	slot := 0
+	for slot < len(k.v) && slot < len(v) && k.v[slot] == v[slot] {
+		slot++
+	}
+	if slot == len(k.v) && slot == len(v) {
+		return true
+	}
+	detail := fmt.Sprintf("one value ends at slot %d", slot)
+	if slot < len(k.v) && slot < len(v) {
+		detail = fmt.Sprintf("slot %d set to both %v and %v", slot, k.v[slot], v[slot])
+	}
+	s.fail(fmt.Errorf("%w: %s set twice (lengths %d and %d): %s",
+		ErrConflictingOptions, knob, len(k.v), len(v), detail))
+	return false
 }
 
 // Option configures one knob of an execution under assembly by New.
@@ -134,7 +168,7 @@ func WithParams(p hom.Params) Option {
 // WithAssignment maps slots to identifiers.
 func WithAssignment(a hom.Assignment) Option {
 	return func(s *settings) {
-		if s.once("Assignment", fmt.Sprintf("%v", a)) {
+		if s.assignment.once(s, "Assignment", a) {
 			s.cfg.Assignment = a
 		}
 	}
@@ -143,7 +177,7 @@ func WithAssignment(a hom.Assignment) Option {
 // WithInputs supplies one proposal per slot.
 func WithInputs(inputs ...hom.Value) Option {
 	return func(s *settings) {
-		if s.once("Inputs", fmt.Sprintf("%v", inputs)) {
+		if s.inputs.once(s, "Inputs", inputs) {
 			s.cfg.Inputs = inputs
 		}
 	}

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,6 +101,73 @@ func TestNewRepeatedOptionSameValueIsIdempotent(t *testing.T) {
 	)
 	if _, err := engine.New(opts...); err != nil {
 		t.Fatalf("repeating an option with the same value must not conflict: %v", err)
+	}
+}
+
+// TestNewPerSlotOptionsCompareByValue pins the two n-sized knobs:
+// repeating WithAssignment or WithInputs with an equal slice (the same
+// one or a copy) is idempotent, a different one is a conflict that
+// names the lengths and the first differing slot — and nothing else of
+// the slice.
+func TestNewPerSlotOptionsCompareByValue(t *testing.T) {
+	a := hom.Assignment{1, 2, 3, 4} // what baseOptions already set
+	in := []hom.Value{0, 1, 0, 1}
+	same := append(baseOptions(),
+		engine.WithAssignment(a), engine.WithAssignment(a.Clone()),
+		engine.WithInputs(in...), engine.WithInputs(append([]hom.Value(nil), in...)...),
+	)
+	if _, err := engine.New(same...); err != nil {
+		t.Fatalf("repeating a per-slot option with an equal slice must not conflict: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		opt  engine.Option
+		want []string
+	}{
+		{"assignment", engine.WithAssignment(hom.Assignment{1, 2, 4, 3}),
+			[]string{"Assignment", "lengths 4 and 4", "slot 2 set to both 3 and 4"}},
+		{"inputs", engine.WithInputs(0, 1, 0, 0),
+			[]string{"Inputs", "lengths 4 and 4", "slot 3 set to both 1 and 0"}},
+		{"shorter", engine.WithInputs(0, 1, 0),
+			[]string{"Inputs", "lengths 4 and 3", "ends at slot 3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := engine.New(append(baseOptions(), tc.opt)...)
+			if !errors.Is(err, engine.ErrConflictingOptions) {
+				t.Fatalf("want ErrConflictingOptions, got %v", err)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("conflict message %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestNewOptionsLayerDoesNotScaleWithN: folding and validating the
+// options of an n=1e5 execution takes a handful of allocations — the
+// options closures, the settings and the identifier-coverage bitset —
+// not one per slot. The round cap is left out so New stops after the
+// options layer and configuration validation, before the engine is
+// assembled.
+func TestNewOptionsLayerDoesNotScaleWithN(t *testing.T) {
+	const n, l = 100_000, 8
+	a := hom.RoundRobinAssignment(n, l)
+	in := make([]hom.Value, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		_, err := engine.New(
+			engine.WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
+			engine.WithAssignment(a), engine.WithAssignment(a),
+			engine.WithInputs(in...), engine.WithInputs(in...),
+			engine.WithProcess(func(int) engine.Process { return &echoProc{} }),
+		)
+		if !errors.Is(err, engine.ErrNoRoundCap) {
+			t.Fatalf("want ErrNoRoundCap from the validated options, got %v", err)
+		}
+	})
+	if allocs >= 64 {
+		t.Errorf("the options layer allocated %v times at n=%d, want fewer than 64", allocs, n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -105,6 +104,14 @@ func (s dropShim) DropBatch(round, toSlot int, fromSlots []int32, drop []bool) {
 // allocated once per execution and reused across rounds; an inbox
 // returned by Inbox references the arena and is valid only until the
 // next BeginRound.
+//
+// Its state is in two parts. What every round needs — the arena, the
+// stamp columns, the statistics, the interner, the link-condition
+// windows — lives on the Router itself and is sized by the round's
+// sends. Everything indexed by slot lives in the slotStage, which exists
+// from the first (send, recipient) pair routed through it: a
+// representation that routes its own rounds (roundRouter) never builds
+// it, and BeginRound and Flush then do no per-slot work at all.
 type Router struct {
 	n          int
 	params     hom.Params
@@ -148,29 +155,17 @@ type Router struct {
 	pq          msg.PendingQueue
 	timingFault bool // the schedule contains delay/reorder/stall faults
 	draining    bool // routing drained (due) entries: skip hold checks
-	// Hold memo for the batched path: the due round of a (round, from,
-	// to) link is the same for every message on it, so holdDue resolves
-	// it once per recipient for the current sender row. dueKey[to] names
-	// the (round, from) row dueAt[to] was resolved for; a new row or a
-	// new round invalidates by key mismatch, never by clearing.
-	dueKey []uint64
-	dueAt  []int32 // 0 = not held
 
-	// Paranoid-mode invariant accounting (Config.Invariants): inboxes
-	// issued per slot and shared views issued per class representative,
-	// reset each round and checked by VerifyRound.
-	verify        bool
-	issued        []int8
-	viewsIssued   []int32
+	verify        bool // paranoid mode (Config.Invariants): VerifyRound is live
 	verifyScratch []int32
 	totalStamped  int
+
+	slots *slotStage // per-slot routing stage; nil until something routes per slot
 
 	arena      msg.SendArena
 	kb         msg.KeyBuilder // scratch for ScratchKeyer body keys
 	sendFrom   []int32        // arena column: sender slot per entry
 	sendKeyLen []int32        // arena column: body-key length (bandwidth proxy)
-	pend       [][]int32      // per recipient: routed arena indices, pre-mask
-	rawIdx     [][]int32      // per recipient: delivered arena indices
 	batch      []int32        // visibility-filtered batch scratch
 	// Link-verdict scratch for maskBatch: a recipient batch's distinct
 	// senders (froms, first-occurrence order), the drop mask DropBatch
@@ -182,18 +177,8 @@ type Router struct {
 	verdictOf  []linkVerdict
 	verdictGen []uint32
 	gen        uint32
-	perRecip   []int // restricted-Byzantine budget counters
 	deliveries []msg.Delivered
-
-	// Group-shared reception state. groups holds, per identifier, the
-	// correct slots carrying it (fixed for the execution); the rest is
-	// round scratch driven by Flush's classifier.
-	groups    [][]int32
-	shareRep  []int32           // per slot: class representative slot, -1 = own fill
-	classSize []int32           // per representative slot: class member count
-	classGI   []*msg.GroupInbox // per representative slot: shared core, built lazily
-	dirty     []bool            // per slot: saw targeted (Byzantine) routing this round
-	scratch   []int32           // masked-batch scratch for comparisons and bad slots
+	scratch    []int32 // masked-batch scratch for comparisons and bad slots
 
 	// Traffic-record bitmap for batched rounds: bit (si, to) is set when
 	// send si was delivered to slot to. recStride is the per-send word
@@ -206,6 +191,81 @@ type Router struct {
 	dropsOK bool
 	perMsg  bool // effective routing this round
 	share   bool // group-shared reception this round
+}
+
+// slotStage is the Router's per-slot half: the recipient batches, the
+// reception partition and the n-sized memo tables. Every slice is
+// indexed by slot unless noted.
+type slotStage struct {
+	pend     [][]int32 // routed arena indices, pre-mask
+	rawIdx   [][]int32 // delivered arena indices
+	perRecip []int     // restricted-Byzantine budget counters
+	dirty    []bool    // saw targeted routing (Byzantine, replayed, held, drained) this round
+
+	// The reception partition: per identifier, the correct slots carrying
+	// it (fixed for the execution), split each round into classes of
+	// equal delivered batches. reps and repStats are scratch for the one
+	// group being partitioned.
+	groups     [][]int32
+	shareRep   []int32           // class representative slot, -1 = alone (own fill)
+	classSize  []int32           // per representative slot: class member count
+	classGI    []*msg.GroupInbox // per representative slot: shared core, built lazily
+	reps       []int32           // the current group's representatives, ascending
+	repStats   []batchStats      // parallel to reps: the representative batch's stat deltas
+	classified bool              // a reference mode derived the partition this round
+
+	// Hold memo for the batched path (timing faults only): the due round
+	// of a (round, from, to) link is the same for every message on it, so
+	// holdDue resolves it once per recipient for the current sender row.
+	// dueKey[to] names the (round, from) row dueAt[to] was resolved for;
+	// a new row or a new round invalidates by key mismatch, never by
+	// clearing.
+	dueKey []uint64
+	dueAt  []int32 // 0 = not held
+
+	// Paranoid-mode accounting (Config.Invariants): inboxes issued per
+	// slot and shared views issued per class representative, reset each
+	// round and checked by VerifyRound.
+	issued      []int8
+	viewsIssued []int32
+}
+
+// stage returns the per-slot routing stage, building it on first use.
+// A stage built mid-round is clean for that round; BeginRound sweeps it
+// from then on.
+func (r *Router) stage() *slotStage {
+	if r.slots != nil {
+		return r.slots
+	}
+	n := r.n
+	st := &slotStage{
+		pend:      make([][]int32, n),
+		rawIdx:    make([][]int32, n),
+		dirty:     make([]bool, n),
+		groups:    make([][]int32, r.params.L),
+		shareRep:  make([]int32, n),
+		classSize: make([]int32, n),
+		classGI:   make([]*msg.GroupInbox, n),
+	}
+	for slot, id := range r.assignment {
+		st.shareRep[slot] = -1
+		if !r.isBad[slot] && id.IsValid(r.params.L) {
+			st.groups[id-1] = append(st.groups[id-1], int32(slot))
+		}
+	}
+	if r.params.RestrictedByzantine {
+		st.perRecip = make([]int, n)
+	}
+	if r.timingFault {
+		st.dueKey = make([]uint64, n)
+		st.dueAt = make([]int32, n)
+	}
+	if r.verify {
+		st.issued = make([]int8, n)
+		st.viewsIssued = make([]int32, n)
+	}
+	r.slots = st
+	return st
 }
 
 // NewRouter builds the round router for one execution. isBad, stats and
@@ -231,31 +291,14 @@ func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 		stats:      stats,
 		isBad:      isBad,
 		intern:     intern,
-		pend:       make([][]int32, n),
-		rawIdx:     make([][]int32, n),
-		perRecip:   make([]int, n),
-		groups:     make([][]int32, cfg.Params.L),
-		shareRep:   make([]int32, n),
-		classSize:  make([]int32, n),
-		classGI:    make([]*msg.GroupInbox, n),
-		dirty:      make([]bool, n),
+		verify:     cfg.Invariants,
 		recStride:  (n + 63) / 64,
-	}
-	for slot, id := range cfg.Assignment {
-		if !isBad[slot] && id.IsValid(cfg.Params.L) {
-			r.groups[id-1] = append(r.groups[id-1], int32(slot))
-		}
 	}
 	r.inj = inj
 	if inj != nil {
 		sched := inj.Schedule()
 		r.replays = sched.Replays
 		r.retained = make([][]msg.Payload, len(r.replays))
-	}
-	if cfg.Invariants {
-		r.verify = true
-		r.issued = make([]int8, n)
-		r.viewsIssued = make([]int32, n)
 	}
 	if r.adv != nil {
 		if bd, ok := r.adv.(BatchDropper); ok {
@@ -278,10 +321,6 @@ func (r *Router) EnableTiming(p TimingPolicy) {
 	r.esTimeout = p.Timeout
 	r.esMaxRetry = p.MaxAttempts
 	r.timingFault = r.inj.HasTiming()
-	if r.timingFault {
-		r.dueKey = make([]uint64, r.n)
-		r.dueAt = make([]int32, r.n)
-	}
 	r.pq.Reset()
 }
 
@@ -305,21 +344,22 @@ func (r *Router) BeginRound(round int) {
 	r.holdRound = r.timingFault && r.inj.Live(inject.KindHold, round)
 	r.stallRound = r.timingFault && round < r.gst && r.inj.Live(inject.KindStall, round)
 	r.replayRound = r.inj.Live(inject.KindReplay, round)
-	if r.verify {
-		clear(r.issued)
-		clear(r.viewsIssued)
-	}
 	r.arena.Reset()
 	r.sendFrom = r.sendFrom[:0]
 	r.sendKeyLen = r.sendKeyLen[:0]
 	r.deliveries = r.deliveries[:0]
-	for to := 0; to < r.n; to++ {
-		r.pend[to] = r.pend[to][:0]
-		r.rawIdx[to] = r.rawIdx[to][:0]
-		r.shareRep[to] = -1
-		r.classSize[to] = 0
-		r.classGI[to] = nil
-		r.dirty[to] = false
+	if st := r.slots; st != nil {
+		clear(st.issued)
+		clear(st.viewsIssued)
+		st.classified = false
+		for to := 0; to < r.n; to++ {
+			st.pend[to] = st.pend[to][:0]
+			st.rawIdx[to] = st.rawIdx[to][:0]
+			st.shareRep[to] = -1
+			st.classSize[to] = 0
+			st.classGI[to] = nil
+			st.dirty[to] = false
+		}
 	}
 }
 
@@ -358,7 +398,8 @@ func (r *Router) TotalStamped() int { return r.totalStamped }
 // flight — identically in both modes. Under the eventually-synchronous
 // model a timing fault may intercept the pair here — before the
 // per-message/batched split, so both modes hold identically — and park
-// it in the pending queue until its due round.
+// it in the pending queue until its due round. Callers hold the slot
+// stage (stage()) before routing the first pair.
 func (r *Router) route(from, to int, si int32) {
 	if r.replayRound && r.inj.NeedRetain(from, r.round) {
 		for i := range r.replays {
@@ -378,7 +419,7 @@ func (r *Router) route(from, to int, si int32) {
 		r.deliverNow(from, to, si)
 		return
 	}
-	r.pend[to] = append(r.pend[to], si)
+	r.slots.pend[to] = append(r.slots.pend[to], si)
 }
 
 // holdDue decides whether a timing fault holds a (from, to) delivery
@@ -393,12 +434,13 @@ func (r *Router) holdDue(from, to int) (int, bool) {
 		due := r.linkDue(from, to)
 		return due, due > 0
 	}
+	st := r.slots
 	key := uint64(r.round)<<32 | uint64(uint32(from))
-	if r.dueKey[to] != key {
-		r.dueKey[to] = key
-		r.dueAt[to] = int32(r.linkDue(from, to))
+	if st.dueKey[to] != key {
+		st.dueKey[to] = key
+		st.dueAt[to] = int32(r.linkDue(from, to))
 	}
-	due := int(r.dueAt[to])
+	due := int(st.dueAt[to])
 	return due, due > 0
 }
 
@@ -462,7 +504,7 @@ func (r *Router) hold(from, to int, si int32, due int) {
 		Due:       int32(due),
 		NextRetry: retry,
 	})
-	r.dirty[to] = true
+	r.slots.dirty[to] = true
 	r.stats.TimingHolds++
 }
 
@@ -474,6 +516,7 @@ func (r *Router) hold(from, to int, si int32, due int) {
 // current traffic — in both delivery modes, since stamping order is
 // delivery-record order.
 func (r *Router) pumpPending() {
+	st := r.stage()
 	round := int32(r.round)
 	if r.esTimeout > 0 {
 		for i := 0; i < r.pq.Len(); i++ {
@@ -515,7 +558,7 @@ func (r *Router) pumpPending() {
 			continue
 		}
 		si := r.stamp(int(e.From), e.Body)
-		r.dirty[e.To] = true
+		st.dirty[e.To] = true
 		r.route(int(e.From), int(e.To), si)
 	}
 	r.draining = false
@@ -528,6 +571,7 @@ func (r *Router) pumpPending() {
 // per-link verdict resolution: it is what the parity suites hold the
 // memoised batched path against.
 func (r *Router) deliverNow(from, to int, si int32) {
+	st := r.slots
 	r.stats.MessagesSent++
 	if r.visibility != nil && !r.visibility(from, to) {
 		return
@@ -536,40 +580,36 @@ func (r *Router) deliverNow(from, to int, si int32) {
 		r.stats.MessagesDropped++
 		return
 	}
+	copies := 1
 	if r.lossRound {
 		if r.inj.Suppress(r.round, from, to) {
 			r.stats.FaultOmissions++
 			return
 		}
 		if r.inj.Dup(r.round, from, to) {
-			if !r.isBad[to] {
-				r.rawIdx[to] = append(r.rawIdx[to], si, si)
-			}
-			r.stats.MessagesDelivered += 2
-			r.stats.PayloadBytes += 2 * int(r.sendKeyLen[si])
-			if r.record {
-				d := msg.Delivered{
-					Round: r.round, FromSlot: from, ToSlot: to, Msg: r.arena.Message(si),
-				}
-				r.deliveries = append(r.deliveries, d, d)
-			}
-			return
+			copies = 2
 		}
 	}
-	if !r.isBad[to] {
-		r.rawIdx[to] = append(r.rawIdx[to], si)
-	}
-	r.stats.MessagesDelivered++
-	r.stats.PayloadBytes += int(r.sendKeyLen[si])
-	if r.record {
-		r.deliveries = append(r.deliveries, msg.Delivered{
-			Round: r.round, FromSlot: from, ToSlot: to, Msg: r.arena.Message(si),
-		})
+	r.stats.MessagesDelivered += copies
+	r.stats.PayloadBytes += copies * int(r.sendKeyLen[si])
+	for ; copies > 0; copies-- {
+		if !r.isBad[to] {
+			st.rawIdx[to] = append(st.rawIdx[to], si)
+		}
+		if r.record {
+			r.deliveries = append(r.deliveries, msg.Delivered{
+				Round: r.round, FromSlot: from, ToSlot: to, Msg: r.arena.Message(si),
+			})
+		}
 	}
 }
 
 // RouteCorrect stamps and routes one correct slot's sends for the round.
 func (r *Router) RouteCorrect(from int, sends []msg.Send) {
+	if len(sends) == 0 {
+		return
+	}
+	r.stage()
 	for _, s := range sends {
 		si := r.stamp(from, s.Body)
 		switch s.Kind {
@@ -596,38 +636,39 @@ func (r *Router) RouteByzantine(from int, sends []msg.TargetedSend) {
 	if len(sends) == 0 {
 		return
 	}
-	if r.params.RestrictedByzantine {
-		for i := range r.perRecip {
-			r.perRecip[i] = 0
-		}
-	}
+	st := r.stage()
+	clear(st.perRecip)
 	for _, ts := range sends {
 		if ts.ToSlot < 0 || ts.ToSlot >= r.n || ts.Body == nil {
 			continue
 		}
 		if r.params.RestrictedByzantine {
-			if r.perRecip[ts.ToSlot] >= 1 {
+			if st.perRecip[ts.ToSlot] >= 1 {
 				r.stats.RestrictedViolations++
 				continue
 			}
-			r.perRecip[ts.ToSlot]++
+			st.perRecip[ts.ToSlot]++
 		}
 		si := r.stamp(from, ts.Body)
-		r.dirty[ts.ToSlot] = true
+		st.dirty[ts.ToSlot] = true
 		r.route(from, ts.ToSlot, si)
 	}
 }
 
-// kidsEqual reports whether two delivery-index slices reference the same
-// message sequence: entry for entry, either the same arena index or two
-// entries carrying the same KeyID (equal canonical (identifier, payload)
-// keys, hence equal payload values and equal key lengths).
-func (r *Router) kidsEqual(a, b []int32) bool {
+// sameBatch reports whether two delivered batches fill the same inbox:
+// entry for entry, either the same arena index or — when nothing
+// records per-send traffic, which is keyed by the true sender slot —
+// two entries carrying the same KeyID (equal canonical (identifier,
+// payload) keys, hence equal payload values and equal key lengths: a
+// Byzantine slot sending one message separately to each member). It
+// compares tail-first: what diverges two members of a group (targeted,
+// replayed and drained entries) is stamped after the round's broadcasts.
+func (r *Router) sameBatch(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] && r.arena.KID(a[i]) != r.arena.KID(b[i]) {
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i] != b[i] && (r.record || r.arena.KID(a[i]) != r.arena.KID(b[i])) {
 			return false
 		}
 	}
@@ -772,7 +813,8 @@ func (r *Router) resolveLinks(to int, vis []int32) {
 // path: mask, copy into the delivery index (bad recipients only count),
 // commit statistics and record bits.
 func (r *Router) flushOwn(to int) {
-	cand := r.pend[to]
+	st := r.slots
+	cand := st.pend[to]
 	if len(cand) == 0 {
 		return
 	}
@@ -781,8 +823,8 @@ func (r *Router) flushOwn(to int) {
 		r.scratch = r.maskBatch(to, cand, r.scratch[:0], &bs)
 		r.markRecord(r.scratch, to)
 	} else {
-		r.rawIdx[to] = r.maskBatch(to, cand, r.rawIdx[to], &bs)
-		r.markRecord(r.rawIdx[to], to)
+		st.rawIdx[to] = r.maskBatch(to, cand, st.rawIdx[to], &bs)
+		r.markRecord(st.rawIdx[to], to)
 	}
 	r.applyStats(&bs)
 }
@@ -790,16 +832,17 @@ func (r *Router) flushOwn(to int) {
 // Flush completes the round's routing. In batched mode it delivers one
 // batch per recipient (visibility mask, one drop-mask application per
 // batch, survivors copied in a single append, statistics per batch) and,
-// under group-shared reception, classifies recipients while doing so:
-// the correct members of each identifier group receive identical
-// candidate batches whenever no targeted send touched them, so the
-// representative's masked batch can stand for every member whose masks
-// agree — those members skip the mask application and the index copy
-// entirely when no mask can apply (post-GST, no visibility restriction:
-// zero BatchDropper probes for the whole group), and otherwise are
-// probed once each and compared, falling back to their own batch when
-// the masks diverge. Per-message mode already delivered inline, so Flush
-// only has work in batched mode.
+// under group-shared reception, partitions the correct members of each
+// identifier group while doing so: every distinct delivered batch in the
+// group becomes a class representative, and every member joins the
+// class whose batch equals its own. Members no targeted routing touched
+// receive identical candidate batches by construction, so when no mask
+// can apply either (post-GST, no visibility restriction, no loss
+// window) they join their class with no mask probe, no index copy and
+// no comparison — zero BatchDropper probes for the whole group;
+// otherwise each member's own masked batch is matched against the
+// group's representatives. Per-message mode already delivered inline,
+// and a round nothing was routed per slot in has nothing to flush.
 func (r *Router) Flush() {
 	if r.replayRound {
 		r.injectReplays()
@@ -807,7 +850,8 @@ func (r *Router) Flush() {
 	if r.timing && r.pq.Len() > 0 {
 		r.pumpPending()
 	}
-	if r.perMsg {
+	st := r.slots
+	if r.perMsg || st == nil {
 		return
 	}
 	r.resetRecord()
@@ -819,80 +863,59 @@ func (r *Router) Flush() {
 		return
 	}
 
-	// trivialMask: no mask can change a batch this round, so members
-	// with equal candidate batches are guaranteed equal deliveries. A
-	// round inside the loss window never qualifies: the injector's
-	// omission/duplication verdicts are per-recipient, so members must
-	// be probed individually.
+	// trivialMask: no mask can change a batch this round, so a member's
+	// candidate batch is its delivered batch. A round inside the loss
+	// window never qualifies: the injector's omission/duplication
+	// verdicts are per-recipient, so members must be probed individually.
 	trivialMask := r.visibility == nil && !r.dropsOK && !r.lossRound
 
-	for gi := range r.groups {
-		members := r.groups[gi]
-		if len(members) == 0 {
+	for _, members := range st.groups {
+		if len(members) < 2 {
+			for _, m := range members {
+				r.flushOwn(int(m))
+			}
 			continue
 		}
-		rep := int(members[0])
-		if len(members) == 1 {
-			r.flushOwn(rep)
-			continue
-		}
-		repPend := r.pend[rep]
-		var repStats batchStats
-		r.rawIdx[rep] = r.maskBatch(rep, repPend, r.rawIdx[rep], &repStats)
-		r.applyStats(&repStats)
-		r.markRecord(r.rawIdx[rep], rep)
-		r.shareRep[rep] = int32(rep)
-		shares := int32(1)
-		for _, m32 := range members[1:] {
+		st.reps, st.repStats = st.reps[:0], st.repStats[:0]
+		clean := -1 // the untouched members' class (index into reps)
+		for _, m32 := range members {
 			m := int(m32)
-			// Members of one group receive the round's broadcast and
-			// group-targeted sends in identical stamp order; only
-			// targeted (Byzantine) routing can diverge the candidate
-			// batches, so the comparison is skipped when neither slot
-			// was touched by one. Batches whose arena indices differ but
-			// whose key sequences agree — a Byzantine slot sending the
-			// same message separately to each member — still classify
-			// together: equal KeyIDs mean equal (identifier, payload)
-			// pairs and equal key lengths, so the observable inboxes and
-			// the statistics are identical. Only maskless non-recording
-			// rounds qualify: masks and traffic records are keyed by the
-			// true sender slot, which key equality does not preserve.
-			if (r.dirty[rep] || r.dirty[m]) && !slices.Equal(r.pend[m], repPend) {
-				if !(trivialMask && !r.record && r.kidsEqual(r.pend[m], repPend)) {
-					r.flushOwn(m)
-					continue
-				}
-			}
-			if trivialMask {
-				// Identical candidates, no masks: the representative's
-				// delivered batch is the member's, with no per-member
-				// mask probe or index copy at all.
-				r.shareRep[m] = int32(rep)
-				shares++
-				r.applyStats(&repStats)
-				r.markRecord(r.rawIdx[rep], m)
-				continue
-			}
-			// Masks are per-recipient: probe this member's own masked
-			// outcome and share only when it matches the
-			// representative's byte for byte.
+			untouched := trivialMask && !st.dirty[m]
 			var ms batchStats
-			r.scratch = r.maskBatch(m, r.pend[m], r.scratch[:0], &ms)
-			r.applyStats(&ms)
-			if slices.Equal(r.scratch, r.rawIdx[rep]) {
-				r.shareRep[m] = int32(rep)
-				shares++
-				r.markRecord(r.rawIdx[rep], m)
-			} else {
-				r.rawIdx[m] = append(r.rawIdx[m], r.scratch...)
-				r.markRecord(r.rawIdx[m], m)
+			got := st.pend[m]
+			if !trivialMask {
+				// Masks are per-recipient: the member's own masked
+				// outcome is what is matched.
+				r.scratch = r.maskBatch(m, got, r.scratch[:0], &ms)
+				got = r.scratch
 			}
+			ci := clean
+			if !untouched || ci < 0 {
+				ci = r.findClass(got)
+			}
+			if ci < 0 {
+				ci = len(st.reps)
+				if trivialMask {
+					st.rawIdx[m] = r.maskBatch(m, got, st.rawIdx[m], &ms)
+				} else {
+					st.rawIdx[m] = append(st.rawIdx[m], got...)
+				}
+				st.reps, st.repStats = append(st.reps, m32), append(st.repStats, ms)
+			} else if trivialMask {
+				// Equal candidates, no masks: the representative's
+				// delivered batch and statistics are the member's.
+				ms = st.repStats[ci]
+			}
+			if untouched {
+				clean = ci
+			}
+			rep := st.reps[ci]
+			st.shareRep[m] = rep
+			st.classSize[rep]++
+			r.applyStats(&ms)
+			r.markRecord(st.rawIdx[rep], m)
 		}
-		if shares == 1 {
-			r.shareRep[rep] = -1
-		} else {
-			r.classSize[rep] = shares
-		}
+		st.closeGroup()
 	}
 	// Bad recipients belong to no reception class (they get no inbox)
 	// but their batches still count toward the statistics.
@@ -902,6 +925,61 @@ func (r *Router) Flush() {
 		}
 	}
 	r.buildRecord()
+}
+
+// findClass returns the index in the current group's representatives of
+// the class whose delivered batch equals got, or -1.
+func (r *Router) findClass(got []int32) int {
+	st := r.slots
+	for i, rep := range st.reps {
+		if r.sameBatch(st.rawIdx[rep], got) {
+			return i
+		}
+	}
+	return -1
+}
+
+// closeGroup ends one group's partition: a class of one shares nothing,
+// so its representative reports -1 and fills its own inbox.
+func (st *slotStage) closeGroup() {
+	for _, rep := range st.reps {
+		if st.classSize[rep] == 1 {
+			st.shareRep[rep], st.classSize[rep] = -1, 0
+		}
+	}
+}
+
+// ReceptionClass reports the representative slot of the reception class
+// the slot belongs to this round — the lowest correct slot of its
+// identifier group whose delivered batch equals its own — or -1 when no
+// other member received the same batch (and for corrupted slots). Two
+// correct slots of one group therefore received the same inbox exactly
+// when they report the same class >= 0. Under group-shared reception it
+// is the partition Flush filled inboxes by; the reference modes, which
+// deliver per recipient, derive it from the delivered batches the first
+// time a round asks.
+func (r *Router) ReceptionClass(to int) int {
+	st := r.stage()
+	if !r.share && !st.classified {
+		st.classified = true
+		for _, members := range st.groups {
+			if len(members) < 2 {
+				continue
+			}
+			st.reps = st.reps[:0]
+			for _, m := range members {
+				ci := r.findClass(st.rawIdx[m])
+				if ci < 0 {
+					ci = len(st.reps)
+					st.reps = append(st.reps, m)
+				}
+				st.shareRep[m] = st.reps[ci]
+				st.classSize[st.reps[ci]]++
+			}
+			st.closeGroup()
+		}
+	}
+	return int(st.shareRep[to])
 }
 
 // injectReplays stamps the retained bodies of every replay fault firing
@@ -916,7 +994,7 @@ func (r *Router) injectReplays() {
 		rp := &r.replays[i]
 		for _, body := range r.retained[i] {
 			si := r.stamp(rp.FromSlot, body)
-			r.dirty[rp.ToSlot] = true
+			r.stage().dirty[rp.ToSlot] = true
 			r.route(rp.FromSlot, rp.ToSlot, si)
 		}
 	}
@@ -996,146 +1074,37 @@ func (r *Router) Arena() *msg.SendArena { return &r.arena }
 // shared core's reference count is the class size) and Recycle each one
 // before the next BeginRound.
 func (r *Router) Inbox(to int) *msg.Inbox {
+	st := r.stage()
 	if r.verify {
-		r.issued[to]++
+		st.issued[to]++
 	}
 	if r.share {
-		if rep := r.shareRep[to]; rep >= 0 {
-			gi := r.classGI[rep]
+		if rep := st.shareRep[to]; rep >= 0 {
+			gi := st.classGI[rep]
 			if gi == nil {
-				gi = msg.NewPooledGroupInbox(r.params.Numerate, &r.arena, r.rawIdx[rep], int(r.classSize[rep]))
-				r.classGI[rep] = gi
+				gi = msg.NewPooledGroupInbox(r.params.Numerate, &r.arena, st.rawIdx[rep], int(st.classSize[rep]))
+				st.classGI[rep] = gi
 			}
 			if r.verify {
-				r.viewsIssued[rep]++
+				st.viewsIssued[rep]++
 			}
 			return msg.NewPooledInboxView(gi)
 		}
 	}
-	return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, r.rawIdx[to])
+	return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, st.rawIdx[to])
 }
 
 // SharedWith reports the representative slot whose shared inbox core
-// slot to consumes this round, or -1 when the slot fills its own inbox.
-// It is a classifier observability hook for tests and diagnostics;
-// engines never need it.
+// slot to consumes this round — its ReceptionClass — or -1 when the slot
+// fills its own inbox, as every slot does in the reference modes.
 func (r *Router) SharedWith(to int) int {
 	if !r.share {
 		return -1
 	}
-	return int(r.shareRep[to])
+	return r.ReceptionClass(to)
 }
 
 // Deliveries returns the round's recorded deliveries (empty unless the
 // router was built with record set). Engine-owned scratch: observers must
 // copy what they keep.
 func (r *Router) Deliveries() []msg.Delivered { return r.deliveries }
-
-// InvariantError reports a failed paranoid-mode router invariant
-// (Config.Invariants). It surfaces from Run like any engine error,
-// carrying the round and the name of the check that failed.
-type InvariantError struct {
-	Round  int
-	Check  string
-	Detail string
-}
-
-// Error implements error.
-func (e *InvariantError) Error() string {
-	return fmt.Sprintf("router invariant %q violated at round %d: %s", e.Check, e.Round, e.Detail)
-}
-
-// VerifyRound validates the router's per-round invariants after the
-// engine has consumed the round (paranoid mode, Config.Invariants):
-//
-//   - arena-bounds: every delivered index points into the round's arena;
-//   - inbox-issued: every correct slot took exactly one inbox this round
-//     and no bad slot took any (the GroupInbox refcount contract depends
-//     on this);
-//   - class-refcount: every shared class issued exactly classSize views,
-//     so the shared core's reference count drains to zero on recycle;
-//   - class-equality: for one shared class, a non-representative member's
-//     batch is re-masked from scratch and compared byte for byte against
-//     the representative's — the spot check that catches a classifier
-//     that shared batches which were never actually equal.
-//
-// Returns nil when r.verify is off or everything holds; otherwise the
-// first *InvariantError found.
-func (r *Router) VerifyRound() error {
-	if !r.verify {
-		return nil
-	}
-	arenaLen := int32(r.arena.Len())
-	for to := 0; to < r.n; to++ {
-		for _, si := range r.rawIdx[to] {
-			if si < 0 || si >= arenaLen {
-				return &InvariantError{
-					Round: r.round, Check: "arena-bounds",
-					Detail: fmt.Sprintf("slot %d holds arena index %d outside [0,%d)", to, si, arenaLen),
-				}
-			}
-		}
-	}
-	for to := 0; to < r.n; to++ {
-		want := int8(1)
-		if r.isBad[to] {
-			want = 0
-		}
-		if r.issued[to] != want {
-			return &InvariantError{
-				Round: r.round, Check: "inbox-issued",
-				Detail: fmt.Sprintf("slot %d (bad=%v) took %d inboxes, want %d",
-					to, r.isBad[to], r.issued[to], want),
-			}
-		}
-	}
-	if r.timing {
-		// Every live pending entry must still be in the future: an entry
-		// at or before the current round was missed by the drain.
-		for i := 0; i < r.pq.Len(); i++ {
-			if e := r.pq.At(i); e.Due <= int32(r.round) {
-				return &InvariantError{
-					Round: r.round, Check: "pending-overdue",
-					Detail: fmt.Sprintf("held delivery %d->%d (sent round %d) still queued with due %d",
-						e.From, e.To, e.SentRound, e.Due),
-				}
-			}
-		}
-	}
-	if !r.share {
-		return nil
-	}
-	for rep := 0; rep < r.n; rep++ {
-		if cs := r.classSize[rep]; cs > 1 && r.viewsIssued[rep] != cs {
-			return &InvariantError{
-				Round: r.round, Check: "class-refcount",
-				Detail: fmt.Sprintf("class rep %d issued %d shared views, want %d",
-					rep, r.viewsIssued[rep], cs),
-			}
-		}
-	}
-	for rep := 0; rep < r.n; rep++ {
-		if r.classSize[rep] <= 1 {
-			continue
-		}
-		for to := 0; to < r.n; to++ {
-			if to == rep || r.shareRep[to] != int32(rep) {
-				continue
-			}
-			var bs batchStats
-			r.verifyScratch = r.maskBatch(to, r.pend[to], r.verifyScratch[:0], &bs)
-			// Key-level classification can share batches whose arena
-			// indices differ, so the spot check compares KeyID sequences
-			// (the unit of inbox identity), not raw indices.
-			if !r.kidsEqual(r.verifyScratch, r.rawIdx[rep]) {
-				return &InvariantError{
-					Round: r.round, Check: "class-equality",
-					Detail: fmt.Sprintf("slot %d shares rep %d's inbox but re-masking its batch gives %d entries vs %d",
-						to, rep, len(r.verifyScratch), len(r.rawIdx[rep])),
-				}
-			}
-			return nil // one spot check per round is the cost budget
-		}
-	}
-	return nil
-}

@@ -344,3 +344,144 @@ func TestClosedWindowsCostNothing(t *testing.T) {
 		t.Errorf("routing a round after every window closed allocates %v times, want 0", allocs)
 	}
 }
+
+// seededMask is a drop policy and a visibility restriction drawn from
+// one hash of (round, from, to): pure, so both routers see the same
+// masks.
+type seededMask struct{ seed, modulus uint64 }
+
+func (m seededMask) hit(round, from, to int) bool {
+	x := m.seed ^ uint64(round)<<40 ^ uint64(from)<<20 ^ uint64(to)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return x%m.modulus == 0
+}
+
+func (m seededMask) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { return nil }
+func (m seededMask) Sends(int, int, *View) []msg.TargetedSend              { return nil }
+func (m seededMask) Drop(round, from, to int) bool                         { return m.hit(round, from, to) }
+
+// TestRouterPartitionIsComplete pins the reception classifier as a
+// complete partition. Over generated rounds — every correct slot
+// broadcasts, one Byzantine slot hands each identifier group k distinct
+// targeted variants (each variant stamped separately per member, so
+// equal batches differ in arena indices) — with and without pre-GST
+// drops, a visibility restriction and a loss window, two correct slots
+// of one group report the same SharedWith class exactly when their
+// delivered batches are equal, the per-recipient reference router
+// derives the same partition from its own batches (ReceptionClass), and
+// every inbox matches the reference router's entry for entry.
+func TestRouterPartitionIsComplete(t *testing.T) {
+	const n, l, bad = 26, 4, 3
+	masks := []struct {
+		name string
+		set  func(cfg *Config) *inject.Schedule
+	}{
+		{"clean", func(*Config) *inject.Schedule { return nil }},
+		{"drops", func(cfg *Config) *inject.Schedule {
+			cfg.Params.Synchrony, cfg.GST = hom.PartiallySynchronous, 100
+			cfg.Adversary = seededMask{seed: 7, modulus: 9}
+			return nil
+		}},
+		{"visibility", func(cfg *Config) *inject.Schedule {
+			vis := seededMask{seed: 11, modulus: 13}
+			cfg.Visibility = func(from, to int) bool { return !vis.hit(0, from, to) }
+			return nil
+		}},
+		{"loss", func(*Config) *inject.Schedule {
+			return &inject.Schedule{
+				Omissions:  []inject.Omission{{Slot: 5, Receive: true, From: 1, Until: 9, Prob: 0.5, Seed: 3}},
+				Duplicates: []inject.Duplicate{{FromSlot: 2, ToSlot: 9, Round: 2}, {FromSlot: 2, ToSlot: 13, Round: 2}},
+				Replays:    []inject.Replay{{FromSlot: 6, SourceRound: 1, ToSlot: 10, Round: 3}},
+			}
+		}},
+	}
+	for _, mask := range masks {
+		for _, k := range []int{1, 2, 5} {
+			t.Run(mask.name+"/k="+itoaTest(k), func(t *testing.T) {
+				build := func(reception ReceptionMode) *routerHarness {
+					cfg := symmetricConfig(n, l)
+					cfg.Reception = reception
+					sched := mask.set(&cfg)
+					h := &routerHarness{cfg: cfg, isBad: make([]bool, n), intern: msg.NewInterner()}
+					h.isBad[bad] = true
+					inj, err := inject.Compile(sched, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, false, inj)
+					return h
+				}
+				shared, ref := build(ReceiveGroupShared), build(ReceivePerRecipient)
+				for round := 1; round <= 4; round++ {
+					var byz []msg.TargetedSend
+					for to := 0; to < n; to++ {
+						variant := (to/l + round) % k // to/l: the slot's rank in its round-robin group
+						byz = append(byz, msg.TargetedSend{ToSlot: to, Body: msg.Raw("v|" + itoaTest(variant))})
+					}
+					for _, h := range []*routerHarness{shared, ref} {
+						h.broadcastRound(round, map[int][]msg.TargetedSend{bad: byz})
+					}
+					// The reference router's delivered batches, as KeyID
+					// sequences: the ground truth the partition is held to.
+					batch := make([]string, n)
+					for s := range batch {
+						for _, si := range ref.r.slots.rawIdx[s] {
+							batch[s] += itoaTest(int(ref.r.arena.KID(si))) + ","
+						}
+					}
+					classes := 0
+					for a := 0; a < n; a++ {
+						if a == bad {
+							continue
+						}
+						ca := shared.r.SharedWith(a)
+						if got := ref.r.ReceptionClass(a); got != ca {
+							t.Errorf("round %d slot %d: reference ReceptionClass %d, shared class %d", round, a, got, ca)
+						}
+						if ref.r.SharedWith(a) != -1 {
+							t.Errorf("round %d slot %d: the reference mode shares an inbox", round, a)
+						}
+						if ca == a {
+							classes++
+						}
+						for b := a + l; b < n; b += l { // a's homonyms
+							if b == bad {
+								continue
+							}
+							same := ca >= 0 && ca == shared.r.SharedWith(b)
+							if equal := batch[a] == batch[b]; same != equal {
+								t.Errorf("round %d slots %d,%d: same class %v, equal batches %v", round, a, b, same, equal)
+							}
+						}
+					}
+					holders := make(map[string]int) // (group, batch) -> correct slots holding it
+					for s := range batch {
+						if s != bad {
+							holders[itoaTest(s%l)+"|"+batch[s]]++
+						}
+					}
+					want := 0
+					for _, c := range holders {
+						if c > 1 {
+							want++
+						}
+					}
+					if classes != want {
+						t.Errorf("round %d: %d shared classes, want one per batch held twice in a group: %d", round, classes, want)
+					}
+					got, refIn := shared.drainInboxes(), ref.drainInboxes()
+					for s := range got {
+						if got[s] != refIn[s] {
+							t.Errorf("round %d slot %d: shared-reception inbox %q, per-recipient %q", round, s, got[s], refIn[s])
+						}
+					}
+				}
+				if shared.stats != ref.stats {
+					t.Errorf("statistics diverge: shared %+v, per-recipient %+v", shared.stats, ref.stats)
+				}
+			})
+		}
+	}
+}

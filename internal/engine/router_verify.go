@@ -1,0 +1,113 @@
+package engine
+
+import "fmt"
+
+// InvariantError reports a failed paranoid-mode router invariant
+// (Config.Invariants). It surfaces from Run like any engine error,
+// carrying the round and the name of the check that failed.
+type InvariantError struct {
+	Round  int
+	Check  string
+	Detail string
+}
+
+// Error implements error.
+func (e *InvariantError) Error() string {
+	return fmt.Sprintf("router invariant %q violated at round %d: %s", e.Check, e.Round, e.Detail)
+}
+
+// VerifyRound validates the router's per-round invariants after the
+// engine has consumed the round (paranoid mode, Config.Invariants):
+//
+//   - arena-bounds: every delivered index points into the round's arena;
+//   - inbox-issued: every correct slot took exactly one inbox this round
+//     and no bad slot took any (the GroupInbox refcount contract depends
+//     on this);
+//   - class-refcount: every shared class issued exactly classSize views,
+//     so the shared core's reference count drains to zero on recycle;
+//   - class-equality: for one shared class, a non-representative member's
+//     batch is re-masked from scratch and compared byte for byte against
+//     the representative's — the spot check that catches a classifier
+//     that shared batches which were never actually equal.
+//
+// Returns nil when r.verify is off or everything holds; otherwise the
+// first *InvariantError found.
+func (r *Router) VerifyRound() error {
+	if !r.verify {
+		return nil
+	}
+	st := r.stage()
+	arenaLen := int32(r.arena.Len())
+	for to := 0; to < r.n; to++ {
+		for _, si := range st.rawIdx[to] {
+			if si < 0 || si >= arenaLen {
+				return &InvariantError{
+					Round: r.round, Check: "arena-bounds",
+					Detail: fmt.Sprintf("slot %d holds arena index %d outside [0,%d)", to, si, arenaLen),
+				}
+			}
+		}
+	}
+	for to := 0; to < r.n; to++ {
+		want := int8(1)
+		if r.isBad[to] {
+			want = 0
+		}
+		if st.issued[to] != want {
+			return &InvariantError{
+				Round: r.round, Check: "inbox-issued",
+				Detail: fmt.Sprintf("slot %d (bad=%v) took %d inboxes, want %d",
+					to, r.isBad[to], st.issued[to], want),
+			}
+		}
+	}
+	if r.timing {
+		// Every live pending entry must still be in the future: an entry
+		// at or before the current round was missed by the drain.
+		for i := 0; i < r.pq.Len(); i++ {
+			if e := r.pq.At(i); e.Due <= int32(r.round) {
+				return &InvariantError{
+					Round: r.round, Check: "pending-overdue",
+					Detail: fmt.Sprintf("held delivery %d->%d (sent round %d) still queued with due %d",
+						e.From, e.To, e.SentRound, e.Due),
+				}
+			}
+		}
+	}
+	if !r.share {
+		return nil
+	}
+	for rep := 0; rep < r.n; rep++ {
+		if cs := st.classSize[rep]; cs > 1 && st.viewsIssued[rep] != cs {
+			return &InvariantError{
+				Round: r.round, Check: "class-refcount",
+				Detail: fmt.Sprintf("class rep %d issued %d shared views, want %d",
+					rep, st.viewsIssued[rep], cs),
+			}
+		}
+	}
+	for rep := 0; rep < r.n; rep++ {
+		if st.classSize[rep] <= 1 {
+			continue
+		}
+		for to := 0; to < r.n; to++ {
+			if to == rep || st.shareRep[to] != int32(rep) {
+				continue
+			}
+			var bs batchStats
+			r.verifyScratch = r.maskBatch(to, st.pend[to], r.verifyScratch[:0], &bs)
+			// Key-level classification can share batches whose arena
+			// indices differ, so the spot check uses the classifier's own
+			// notion of equality (sameBatch), not raw indices.
+			if !r.sameBatch(r.verifyScratch, st.rawIdx[rep]) {
+				return &InvariantError{
+					Round: r.round, Check: "class-equality",
+					Detail: fmt.Sprintf("slot %d shares rep %d's inbox but re-masking its batch gives %d entries vs %d",
+						to, rep, len(r.verifyScratch), len(st.rawIdx[rep])),
+				}
+			}
+			return nil // one spot check per round is the cost budget
+		}
+	}
+	return nil
+}

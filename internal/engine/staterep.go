@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"homonyms/internal/hom"
@@ -36,6 +38,82 @@ type StateRep interface {
 	DeliverRound(round int)
 	// Stop tears the representation down after the execution.
 	Stop()
+}
+
+// ErrUnknownStateRep is returned by StateRepByName for a name outside
+// the CLI/scenario vocabulary.
+var ErrUnknownStateRep = errors.New("engine: unknown state representation")
+
+// StateRepByName resolves a state representation from its CLI/scenario
+// name: "" and "concrete" select Concrete, "concurrent" selects
+// ConcurrentConcrete, and "counting" selects Counting — with a class
+// budget when maxClasses > 0 (runs that split past the budget fail with
+// a *DegeneracyError). maxClasses is rejected for the concrete
+// representations, which have no class notion.
+func StateRepByName(name string, maxClasses int) (StateRep, error) {
+	switch name {
+	case "", "concrete":
+		if maxClasses > 0 {
+			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
+		}
+		return Concrete(), nil
+	case "concurrent":
+		if maxClasses > 0 {
+			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
+		}
+		return ConcurrentConcrete(), nil
+	case "counting":
+		if maxClasses > 0 {
+			return CountingLimited(maxClasses), nil
+		}
+		return Counting(), nil
+	}
+	return nil, fmt.Errorf("%w: %q (want concrete, concurrent or counting)", ErrUnknownStateRep, name)
+}
+
+// Cloner is the optional Process extension that makes a protocol
+// eligible for class collapse under the counting state representation:
+// CloneProcess must return an independent deep copy of the process —
+// same observable behaviour from the current state, no shared mutable
+// storage — so a split equivalence class can fork its state machine at
+// the divergence point. Protocols without it still run under Counting,
+// one class per slot (no collapse, no splits).
+type Cloner interface {
+	CloneProcess() Process
+}
+
+// StateHasher is the optional Process extension that enables class
+// re-unification under the counting state representation: the
+// fingerprint must fold the process's entire observable state —
+// everything its future Prepare/Receive/Decision behaviour depends on,
+// including the decision itself — using canonical keys, never
+// process-local intern IDs (see msg.StateHash). Two processes of one
+// identifier group with equal fingerprints are folded back into one
+// class.
+type StateHasher interface {
+	StateFingerprint() msg.StateHash
+}
+
+// processOwner is a StateRep that builds, initialises and holds its own
+// processes in Start: newEngine skips the per-slot factory loop and the
+// per-slot process table for it, and Engine.Process asks it instead.
+type processOwner interface {
+	// processAt returns the process standing for the slot (nil when
+	// corrupted, or before Start).
+	processAt(slot int) Process
+}
+
+// roundRouter marks a StateRep that can route a round itself (phase 3).
+// RouteRound runs between BeginRound and Flush; returning true tells the
+// engine to skip the per-slot RouteCorrect/RouteByzantine loops.
+type roundRouter interface {
+	RouteRound(round int) bool
+}
+
+// repFailer lets a StateRep abort the execution: the engine checks Err
+// after every DeliverRound and surfaces the error from Run.
+type repFailer interface {
+	Err() error
 }
 
 // concreteRep is the sequential concrete representation: one Process per

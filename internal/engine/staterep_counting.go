@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,79 +8,6 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 )
-
-// ErrUnknownStateRep is returned by StateRepByName for a name outside
-// the CLI/scenario vocabulary.
-var ErrUnknownStateRep = errors.New("engine: unknown state representation")
-
-// StateRepByName resolves a state representation from its CLI/scenario
-// name: "" and "concrete" select Concrete, "concurrent" selects
-// ConcurrentConcrete, and "counting" selects Counting — with a class
-// budget when maxClasses > 0 (runs that split past the budget fail with
-// a *DegeneracyError). maxClasses is rejected for the concrete
-// representations, which have no class notion.
-func StateRepByName(name string, maxClasses int) (StateRep, error) {
-	switch name {
-	case "", "concrete":
-		if maxClasses > 0 {
-			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
-		}
-		return Concrete(), nil
-	case "concurrent":
-		if maxClasses > 0 {
-			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
-		}
-		return ConcurrentConcrete(), nil
-	case "counting":
-		if maxClasses > 0 {
-			return CountingLimited(maxClasses), nil
-		}
-		return Counting(), nil
-	}
-	return nil, fmt.Errorf("%w: %q (want concrete, concurrent or counting)", ErrUnknownStateRep, name)
-}
-
-// Cloner is the optional Process extension that makes a protocol
-// eligible for class collapse under the counting state representation:
-// CloneProcess must return an independent deep copy of the process —
-// same observable behaviour from the current state, no shared mutable
-// storage — so a split equivalence class can fork its state machine at
-// the divergence point. Protocols without it still run under Counting,
-// one class per slot (no collapse, no splits).
-type Cloner interface {
-	CloneProcess() Process
-}
-
-// StateHasher is the optional Process extension that enables class
-// re-unification under the counting state representation: the
-// fingerprint must fold the process's entire observable state —
-// everything its future Prepare/Receive/Decision behaviour depends on,
-// including the decision itself — using canonical keys, never
-// process-local intern IDs (see msg.StateHash). Two processes of one
-// identifier group with equal fingerprints are folded back into one
-// class.
-type StateHasher interface {
-	StateFingerprint() msg.StateHash
-}
-
-// processOwner marks a StateRep that builds and initialises its own
-// processes in Start; newEngine skips the per-slot factory loop for it.
-type processOwner interface {
-	ownsProcesses()
-}
-
-// roundRouter marks a StateRep that can route a round itself (phase 3).
-// RouteRound runs between BeginRound and Flush; returning true tells the
-// engine to skip the per-slot RouteCorrect/RouteByzantine loops.
-type roundRouter interface {
-	RouteRound(round int) bool
-}
-
-// repFailer lets a StateRep abort the execution: the engine checks Err
-// after every DeliverRound and surfaces the error from Run.
-type repFailer interface {
-	Err() error
-}
 
 // DegeneracyError reports that the counting representation split into
 // more equivalence classes than its configured limit — the adversary or
@@ -112,8 +38,16 @@ type countClass struct {
 	id      hom.Identifier
 	proc    Process
 	members []int32
+	idx     int32      // the class's entry in countingRep.table: what classOf holds for its members
 	sends   []msg.Send // fast path: the current round's sends
 	halted  bool       // slow path: the class takes no step this round
+
+	// The class's decision and the round it was polled in (0: undecided).
+	// Once set, every member's decision is in the Result — recorded by the
+	// fast path's one pass over the slots that round — and the class is
+	// not polled again.
+	decision  hom.Value
+	decidedAt int
 }
 
 // fillCache is the cross-round fill cache of one identifier group on
@@ -158,17 +92,27 @@ type fillCache struct {
 // slot's identifier and input (it is invoked once per class, for the
 // leader slot). Protocols implementing Cloner collapse into one class
 // per (identifier, input); others fall back to one class per slot.
+//
+// Per slot the representation keeps one int32 — the slot's class — and
+// the slot's entry in its class's member list; everything else is per
+// class.
 type countingRep struct {
 	e          *Engine
 	maxClasses int
 	collapse   bool // processes implement Cloner: classes can span slots
 	fast       bool // static fast path for the whole execution
 	err        error
-	classes    []*countClass // ascending by leader slot
+	classes    []*countClass // live classes, ascending by leader slot
+	table      []*countClass // by countClass.idx; nil where a merged-away class freed its entry
+	free       []int32       // freed table entries, reused by the next split
+	classOf    []int32       // per slot: table entry of its class, -1 when corrupted
 
 	// Slow-path scratch: the round's inboxes, drawn for every correct
-	// slot in ascending order (pass A) and consumed per class (pass B).
+	// slot in ascending order (pass A) and consumed per class (pass B),
+	// and the split's part lookup, indexed by the router's reception
+	// class (a slot; 0 = no part yet, else part index + 1).
 	inboxes []*msg.Inbox
+	partAt  []int32
 
 	// Fast-path scratch, indexed by identifier-1.
 	groupCount []int        // per identifier (1-based): total slots holding it
@@ -196,24 +140,65 @@ func (r *countingRep) Describe() string {
 	return "counting"
 }
 
-func (r *countingRep) ownsProcesses() {}
+// processAt implements processOwner.
+func (r *countingRep) processAt(slot int) Process {
+	if r.classOf == nil || r.classOf[slot] < 0 {
+		return nil
+	}
+	return r.table[r.classOf[slot]].proc
+}
 
 // Err implements repFailer.
 func (r *countingRep) Err() error { return r.err }
 
+// newClass registers a class in the table (reusing a freed entry) and
+// appends it to the live list; callers restore the leader order. Its
+// members' classOf entries are the caller's to set (adopt).
+func (r *countingRep) newClass(c *countClass) *countClass {
+	if k := len(r.free); k > 0 {
+		c.idx, r.free = r.free[k-1], r.free[:k-1]
+		r.table[c.idx] = c
+	} else {
+		c.idx = int32(len(r.table))
+		r.table = append(r.table, c)
+	}
+	r.classes = append(r.classes, c)
+	return c
+}
+
+// adopt points the members' class entries at c.
+func (r *countingRep) adopt(c *countClass, members []int32) {
+	for _, m := range members {
+		r.classOf[m] = c.idx
+	}
+}
+
+// initProc builds and initialises the process of the class led by
+// leader; the factory probe instance stands for its own slot's class.
+func (r *countingRep) initProc(leader int, probe Process, probeSlot int) (Process, error) {
+	cfg := &r.e.cfg
+	p := probe
+	if leader != probeSlot {
+		if p = cfg.NewProcess(leader); p == nil {
+			return nil, ErrNilProcessFactory
+		}
+	}
+	p.Init(Context{ID: cfg.Assignment[leader], Input: cfg.Inputs[leader], Params: cfg.Params})
+	return p, nil
+}
+
 func (r *countingRep) Start(e *Engine) error {
-	r.e = e
+	// One value may serve several executions, one after the other (the
+	// legacy bench does): nothing of the previous one carries over.
+	*r = countingRep{e: e, maxClasses: r.maxClasses}
 	cfg := &e.cfg
 	n := e.n
 
-	first := -1
-	for s := 0; s < n; s++ {
-		if !e.isBad[s] {
-			first = s
-			break
-		}
+	first := 0
+	for first < n && e.isBad[first] {
+		first++
 	}
-	if first < 0 {
+	if first == n {
 		return nil // nothing correct to represent
 	}
 
@@ -232,73 +217,66 @@ func (r *countingRep) Start(e *Engine) error {
 	r.fast = cfg.Adversary == nil && cfg.Visibility == nil && cfg.Faults == nil &&
 		!cfg.RecordTraffic && !cfg.FrontierHash && !cfg.Invariants && !e.router.timing
 
-	if r.collapse {
-		type classKey struct {
-			id hom.Identifier
-			in hom.Value
+	// One classification pass: every correct slot gets the table entry
+	// of its class — (identifier, input) under collapse, itself
+	// otherwise — in ascending slot order, so classes are created in
+	// leader order. Member lists are then carved, exactly sized, out of
+	// one backing array (capacity clamped, so a later merge reallocates
+	// instead of growing into a neighbour).
+	r.classOf = make([]int32, n)
+	find := r.classFinder()
+	var sizes []int32
+	for s := 0; s < n; s++ {
+		if e.isBad[s] {
+			r.classOf[s] = -1
+			continue
 		}
-		byKey := make(map[classKey]*countClass)
-		for s := 0; s < n; s++ {
-			if e.isBad[s] {
-				continue
-			}
-			k := classKey{cfg.Assignment[s], cfg.Inputs[s]}
-			c := byKey[k]
-			if c == nil {
-				c = &countClass{id: k.id}
-				byKey[k] = c
-				r.classes = append(r.classes, c) // ascending leaders: slots scanned ascending
-			}
+		ci := int32(len(sizes))
+		if r.collapse {
+			ci = find(cfg.Assignment[s], cfg.Inputs[s], ci)
+		}
+		if int(ci) == len(sizes) {
+			sizes = append(sizes, 0)
+			r.newClass(&countClass{id: cfg.Assignment[s]})
+		}
+		sizes[ci]++
+		r.classOf[s] = ci
+	}
+	backing := make([]int32, n-len(e.corrupted))
+	off := int32(0)
+	for ci, c := range r.table {
+		c.members = backing[off : off : off+sizes[ci]]
+		off += sizes[ci]
+	}
+	for s, ci := range r.classOf {
+		if ci >= 0 {
+			c := r.table[ci]
 			c.members = append(c.members, int32(s))
 		}
-		for _, c := range r.classes {
-			leader := int(c.members[0])
-			p := p0
-			if leader != first {
-				if p = cfg.NewProcess(leader); p == nil {
-					return ErrNilProcessFactory
-				}
-			}
-			p.Init(Context{ID: cfg.Assignment[leader], Input: cfg.Inputs[leader], Params: cfg.Params})
-			c.proc = p
-			for _, m := range c.members {
-				e.procs[m] = p
-			}
-		}
-		// A mixed factory (some slots' processes cannot clone) breaks
-		// the collapse assumption: degrade the affected classes to
-		// per-slot singletons so splitting never needs a missing clone.
-		if err := r.splitUncloneable(); err != nil {
+	}
+	for _, c := range r.classes {
+		p, err := r.initProc(int(c.members[0]), p0, first)
+		if err != nil {
 			return err
 		}
-	} else {
-		for s := 0; s < n; s++ {
-			if e.isBad[s] {
-				continue
-			}
-			p := p0
-			if s != first {
-				if p = cfg.NewProcess(s); p == nil {
-					return ErrNilProcessFactory
-				}
-			}
-			p.Init(Context{ID: cfg.Assignment[s], Input: cfg.Inputs[s], Params: cfg.Params})
-			r.classes = append(r.classes, &countClass{
-				id: cfg.Assignment[s], proc: p, members: []int32{int32(s)},
-			})
-			e.procs[s] = p
-		}
+		c.proc = p
+	}
+	// A mixed factory (some slots' processes cannot clone) breaks the
+	// collapse assumption: degrade the affected classes to per-slot
+	// singletons so splitting never needs a missing clone.
+	if err := r.splitUncloneable(p0, first); err != nil {
+		return err
 	}
 	if r.maxClasses > 0 && len(r.classes) > r.maxClasses {
 		return &DegeneracyError{Round: 0, Classes: len(r.classes), Limit: r.maxClasses}
 	}
 	if r.fast {
+		// No slot is corrupted on the fast path, so the classes cover
+		// every holder of an identifier.
 		L := cfg.Params.L
 		r.groupCount = make([]int, L+1)
-		for _, id := range cfg.Assignment {
-			if id.IsValid(L) {
-				r.groupCount[id]++
-			}
+		for _, c := range r.classes {
+			r.groupCount[c.id] += len(c.members)
 		}
 		r.groupIdx = make([][]int32, L)
 		r.groupW = make([][]int32, L)
@@ -306,39 +284,65 @@ func (r *countingRep) Start(e *Engine) error {
 		r.caches = make([]*fillCache, L)
 	} else {
 		r.inboxes = make([]*msg.Inbox, n)
+		r.partAt = make([]int32, n)
 	}
 	return nil
+}
+
+// classFinder returns Start's (identifier, input) → class lookup: the
+// table entry of the pair's class, or fresh (registering the pair under
+// it) when the pair is new. Small inputs — the binary domain, in
+// practice — index a dense per-identifier row, so the path a million
+// slots take neither hashes nor branches on the input; the rest go
+// through a map.
+func (r *countingRep) classFinder() func(id hom.Identifier, in hom.Value, fresh int32) int32 {
+	const denseInputs = 4
+	type classKey struct {
+		id hom.Identifier
+		in hom.Value
+	}
+	dense := make([]int32, (r.e.cfg.Params.L+1)*denseInputs) // 0 = unseen, else entry + 1
+	var sparse map[classKey]int32
+	return func(id hom.Identifier, in hom.Value, fresh int32) int32 {
+		if uint(in) < denseInputs {
+			at := &dense[int(id)*denseInputs+int(in)]
+			if *at == 0 {
+				*at = fresh + 1
+			}
+			return *at - 1
+		}
+		if ci, ok := sparse[classKey{id, in}]; ok {
+			return ci
+		}
+		if sparse == nil {
+			sparse = make(map[classKey]int32)
+		}
+		sparse[classKey{id, in}] = fresh
+		return fresh
+	}
 }
 
 // splitUncloneable degrades every class whose process lacks Cloner into
 // per-slot singleton classes (only reachable with a factory that mixes
 // cloneable and uncloneable implementations across slots).
-func (r *countingRep) splitUncloneable() error {
-	e := r.e
-	cfg := &e.cfg
-	orig := r.classes
-	var rebuilt []*countClass
+func (r *countingRep) splitUncloneable(probe Process, probeSlot int) error {
 	changed := false
-	for _, c := range orig {
+	for _, c := range r.classes { // singletons appended below are not revisited
 		if _, ok := c.proc.(Cloner); ok || len(c.members) == 1 {
-			rebuilt = append(rebuilt, c)
 			continue
 		}
 		changed = true
-		for i, m := range c.members {
-			p := c.proc
-			if i > 0 {
-				if p = cfg.NewProcess(int(m)); p == nil {
-					return ErrNilProcessFactory
-				}
-				p.Init(Context{ID: cfg.Assignment[m], Input: cfg.Inputs[m], Params: cfg.Params})
+		rest := c.members[1:]
+		c.members = c.members[:1:1]
+		for _, m := range rest {
+			p, err := r.initProc(int(m), probe, probeSlot)
+			if err != nil {
+				return err
 			}
-			rebuilt = append(rebuilt, &countClass{id: c.id, proc: p, members: []int32{m}})
-			e.procs[m] = p
+			r.fork(c, p, []int32{m})
 		}
 	}
 	if changed {
-		r.classes = rebuilt
 		r.sortClasses()
 	}
 	return nil
@@ -382,26 +386,28 @@ func (r *countingRep) PrepareRound(round int) {
 	}
 }
 
+// fork splits part (a strict, ascending subset of c's members, already
+// removed from c.members by the caller) into a new class stepping proc.
+func (r *countingRep) fork(c *countClass, proc Process, part []int32) *countClass {
+	nc := r.newClass(&countClass{id: c.id, proc: proc, members: part, decision: c.decision, decidedAt: c.decidedAt})
+	r.adopt(nc, part)
+	return nc
+}
+
 // splitHalted partitions every class by this round's Halted verdict
 // (pure per slot and round) and splits the mixed ones.
 func (r *countingRep) splitHalted(round int) {
 	e := r.e
 	split := false
-	orig := len(r.classes)
-	for ci := 0; ci < orig; ci++ {
-		c := r.classes[ci]
+	for _, c := range r.classes { // forks appended below are not revisited
 		nHalted := 0
 		for _, m := range c.members {
 			if e.Halted(int(m), round) {
 				nHalted++
 			}
 		}
-		switch nHalted {
-		case 0:
-			c.halted = false
-			continue
-		case len(c.members):
-			c.halted = true
+		c.halted = nHalted == len(c.members)
+		if nHalted == 0 || c.halted {
 			continue
 		}
 		live := make([]int32, 0, len(c.members)-nHalted)
@@ -413,13 +419,8 @@ func (r *countingRep) splitHalted(round int) {
 				live = append(live, m)
 			}
 		}
-		nc := &countClass{id: c.id, proc: r.cloneProc(c.proc), members: halted, halted: true}
-		for _, m := range nc.members {
-			e.procs[m] = nc.proc
-		}
 		c.members = live
-		c.halted = false
-		r.classes = append(r.classes, nc)
+		r.fork(c, r.cloneProc(c.proc), halted).halted = true
 		split = true
 	}
 	if split {
@@ -509,6 +510,7 @@ func (r *countingRep) DeliverRound(round int) {
 
 func (r *countingRep) deliverFast(round int) {
 	e := r.e
+	anyDecided := false
 	for _, c := range r.classes {
 		gi := int(c.id) - 1
 		in := r.roundIn[gi]
@@ -517,16 +519,26 @@ func (r *countingRep) deliverFast(round int) {
 			r.roundIn[gi] = in
 		}
 		c.proc.Receive(round, in)
-		if v, ok := c.proc.Decision(); ok {
-			for _, m := range c.members {
-				e.RecordDecision(int(m), v, true, round)
+		if c.decidedAt == 0 {
+			if v, ok := c.proc.Decision(); ok {
+				c.decision, c.decidedAt = v, round
+				anyDecided = true
+			}
+		}
+	}
+	if anyDecided {
+		// One ascending pass over the slots instead of one strided pass
+		// per class: the Result arrays are written in memory order.
+		for s, ci := range r.classOf {
+			if c := r.table[ci]; c.decidedAt == round {
+				e.RecordDecision(s, c.decision, true, round)
 			}
 		}
 	}
 	for gi := range r.roundIn {
 		r.roundIn[gi] = nil // inboxes stay owned by the fill caches
 	}
-	r.mergeClasses(round)
+	r.mergeClasses()
 }
 
 // fillGroup returns the identifier group's weighted inbox for the
@@ -591,13 +603,11 @@ func (r *countingRep) deliverSlow(round int) {
 		r.recycleAll()
 		return
 	}
-	// Pass B: per class, partition the members by their actual reception
-	// this round and split where they diverge. Forks are cloned from the
-	// pre-Receive state, before any part steps.
+	// Pass B: per class, split the members along the router's reception
+	// partition. Forks are cloned from the pre-Receive state, before any
+	// part steps.
 	split := false
-	orig := len(r.classes)
-	for ci := 0; ci < orig; ci++ {
-		c := r.classes[ci]
+	for _, c := range r.classes { // forks appended below are not revisited
 		if c.halted {
 			// No step this round: the inboxes are drawn and discarded
 			// (crashed recipients lost the round's messages at the
@@ -607,25 +617,14 @@ func (r *countingRep) deliverSlow(round int) {
 			}
 			continue
 		}
-		if len(c.members) == 1 || r.uniformInbox(c) {
-			r.receivePart(c.proc, c.members, round)
-			continue
-		}
-		parts := r.partition(c)
+		parts := r.splitByReception(c)
 		procs := make([]Process, len(parts))
-		procs[0] = c.proc
-		for i := 1; i < len(parts); i++ {
+		for i := range parts {
 			procs[i] = r.cloneProc(c.proc)
 		}
-		c.members = parts[0]
-		r.receivePart(procs[0], parts[0], round)
-		for i := 1; i < len(parts); i++ {
-			nc := &countClass{id: c.id, proc: procs[i], members: parts[i]}
-			for _, m := range nc.members {
-				e.procs[m] = nc.proc
-			}
-			r.classes = append(r.classes, nc)
-			r.receivePart(procs[i], parts[i], round)
+		r.receivePart(c, round)
+		for i, part := range parts {
+			r.receivePart(r.fork(c, procs[i], part), round)
 			split = true
 		}
 	}
@@ -633,72 +632,71 @@ func (r *countingRep) deliverSlow(round int) {
 		r.sortClasses()
 	}
 	r.noteClassCount(round)
-	r.mergeClasses(round)
+	r.mergeClasses()
 }
 
-// receivePart steps one class part: one Receive against the part
-// leader's inbox (every member's inbox is identical by construction),
-// every member's inbox recycled, one decision poll recorded for every
-// member.
-func (r *countingRep) receivePart(proc Process, members []int32, round int) {
+// receivePart steps one class: one Receive against the leader's inbox
+// (every member's inbox is identical by construction), every member's
+// inbox recycled, one decision poll recorded for every member.
+func (r *countingRep) receivePart(c *countClass, round int) {
 	e := r.e
-	proc.Receive(round, r.inboxes[members[0]])
-	for _, m := range members {
+	c.proc.Receive(round, r.inboxes[c.members[0]])
+	for _, m := range c.members {
 		r.recycleSlot(int(m))
 	}
-	v, ok := proc.Decision()
-	for _, m := range members {
-		if !e.Decided(int(m)) {
-			e.RecordDecision(int(m), v, ok, round)
-		}
+	if c.decidedAt != 0 {
+		return
 	}
+	v, ok := c.proc.Decision()
+	if !ok {
+		return
+	}
+	for _, m := range c.members {
+		e.RecordDecision(int(m), v, true, round)
+	}
+	c.decision, c.decidedAt = v, round
 }
 
-// uniformInbox reports whether every member of the class received the
-// same inbox this round.
-func (r *countingRep) uniformInbox(c *countClass) bool {
-	lead := int(c.members[0])
-	for _, m := range c.members[1:] {
-		if !r.sameInbox(lead, int(m)) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameInbox reports whether two correct slots' inboxes are identical
-// this round: members of one shared-reception class trivially are;
-// otherwise the delivered index batches are compared directly. The
-// comparison may over-split (two own-fill batches with different arena
-// indices but equal messages), which re-unification repairs.
-func (r *countingRep) sameInbox(a, b int) bool {
+// splitByReception cuts a class along the router's reception partition
+// of the round (Router.ReceptionClass: two members received the same
+// inbox exactly when they report the same class >= 0). The leader's part
+// stays in c.members; the others are returned in first-seen — ascending
+// leader — order, nil when every member received the leader's inbox.
+func (r *countingRep) splitByReception(c *countClass) [][]int32 {
 	rt := r.e.router
-	sa, sb := rt.SharedWith(a), rt.SharedWith(b)
-	if sa >= 0 || sb >= 0 {
-		return sa == sb
+	lead := rt.ReceptionClass(int(c.members[0]))
+	cut := 1
+	if lead >= 0 {
+		for cut < len(c.members) && rt.ReceptionClass(int(c.members[cut])) == lead {
+			cut++
+		}
 	}
-	return slices.Equal(rt.rawIdx[a], rt.rawIdx[b])
-}
-
-// partition groups a class's members by this round's reception, leaders
-// first-seen order (ascending, since members are ascending).
-func (r *countingRep) partition(c *countClass) [][]int32 {
-	parts := [][]int32{{c.members[0]}}
-	leaders := []int{int(c.members[0])}
-	for _, m := range c.members[1:] {
-		placed := false
-		for i, ld := range leaders {
-			if r.sameInbox(ld, int(m)) {
-				parts[i] = append(parts[i], m)
-				placed = true
-				break
+	if cut == len(c.members) {
+		return nil
+	}
+	var parts [][]int32
+	keep := c.members[:cut:cut]
+	for _, m := range c.members[cut:] {
+		cls := rt.ReceptionClass(int(m))
+		switch {
+		case cls >= 0 && cls == lead:
+			keep = append(keep, m)
+		case cls >= 0 && r.partAt[cls] > 0:
+			p := r.partAt[cls] - 1
+			parts[p] = append(parts[p], m)
+		default:
+			parts = append(parts, []int32{m})
+			if cls >= 0 {
+				r.partAt[cls] = int32(len(parts))
 			}
 		}
-		if !placed {
-			parts = append(parts, []int32{m})
-			leaders = append(leaders, int(m))
+	}
+	for _, part := range parts {
+		if cls := rt.ReceptionClass(int(part[0])); cls >= 0 {
+			r.partAt[cls] = 0
 		}
 	}
+	c.members = keep
 	return parts
 }
 
@@ -706,7 +704,7 @@ func (r *countingRep) partition(c *countClass) [][]int32 {
 // re-converged, detected by the protocol's StateFingerprint (classes of
 // protocols without StateHasher never merge). The surviving class is
 // the one with the smallest leader; the merged-in process is released.
-func (r *countingRep) mergeClasses(round int) {
+func (r *countingRep) mergeClasses() {
 	if !r.collapse || len(r.classes) < 2 {
 		return
 	}
@@ -715,7 +713,6 @@ func (r *countingRep) mergeClasses(round int) {
 		fp msg.StateHash
 	}
 	var seen map[mergeKey]*countClass
-	var extended []*countClass
 	out := r.classes[:0]
 	for _, c := range r.classes {
 		h, ok := c.proc.(StateHasher)
@@ -727,25 +724,38 @@ func (r *countingRep) mergeClasses(round int) {
 			seen = make(map[mergeKey]*countClass)
 		}
 		k := mergeKey{c.id, h.StateFingerprint()}
-		if prev, dup := seen[k]; dup {
-			prev.members = append(prev.members, c.members...)
-			for _, m := range c.members {
-				r.e.procs[m] = prev.proc
-			}
-			if rel, relOK := c.proc.(Releaser); relOK {
-				rel.Release()
-			}
-			extended = append(extended, prev)
+		prev, dup := seen[k]
+		if !dup {
+			seen[k] = c
+			out = append(out, c)
 			continue
 		}
-		seen[k] = c
-		out = append(out, c)
+		prev.members = mergeAscending(prev.members, c.members)
+		if c.decidedAt == 0 {
+			prev.decidedAt = 0 // poll again: not every member is recorded
+		}
+		r.adopt(prev, c.members)
+		if rel, relOK := c.proc.(Releaser); relOK {
+			rel.Release()
+		}
+		r.table[c.idx] = nil
+		r.free = append(r.free, c.idx)
 	}
+	clear(r.classes[len(out):])
 	r.classes = out
-	for _, c := range extended {
-		slices.Sort(c.members)
+}
+
+// mergeAscending merges two ascending slot lists into a new one.
+func mergeAscending(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
 	}
-	_ = round
+	return append(append(out, a...), b...)
 }
 
 func (r *countingRep) recycleSlot(s int) {

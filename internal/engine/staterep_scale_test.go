@@ -3,6 +3,8 @@ package engine_test
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"homonyms/internal/engine"
@@ -40,51 +42,105 @@ func (f *scaleFlooder) StateFingerprint() msg.StateHash {
 	return msg.NewStateHash().Int(int(f.id)).Bool(f.ready)
 }
 
-// TestCountingMillionScaleSmoke is the PR-10 headline smoke: one million
-// homonymous processes under eight identifiers run eight broadcast
-// rounds through engine.Counting in the memory and time of eight
-// equivalence classes (plus the engine's O(n) slot bookkeeping — a few
-// hundred MB, seconds of wall clock). Gated behind HOMONYMS_SCALE
-// because the concrete-cost engines could never run this cell, and
-// under -race even the counting run's O(n) bookkeeping becomes too
-// expensive for the ordinary test tier; the CI scale job sets the
-// variable explicitly.
-func TestCountingMillionScaleSmoke(t *testing.T) {
-	if os.Getenv("HOMONYMS_SCALE") == "" {
-		t.Skip("set HOMONYMS_SCALE=1 to run the n=1e6 counting smoke")
-	}
-	const n, l, rounds = 1_000_000, 8, 8
+// runScaleFlood assembles and runs the scale flooder at n slots under l
+// identifiers for eight rounds on the counting fast path, checks the
+// outcome against the closed forms, and returns what New and Run
+// allocated between them (the assignment and input vectors are the
+// caller's, built before the measurement starts).
+func runScaleFlood(t *testing.T, n int) (mallocs, bytes uint64) {
+	t.Helper()
+	const l, rounds = 8, 8
 	inputs := make([]hom.Value, n)
+	assignment := hom.RoundRobinAssignment(n, l)
 	rep := engine.Counting()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	res, err := engine.Run(
 		engine.WithParams(hom.Params{N: n, L: l, T: 0, Synchrony: hom.Synchronous}),
-		engine.WithAssignment(hom.RoundRobinAssignment(n, l)),
+		engine.WithAssignment(assignment),
 		engine.WithInputs(inputs...),
 		engine.WithProcess(func(int) engine.Process { return &scaleFlooder{} }),
 		engine.WithRounds(rounds),
 		engine.WithExtraRounds(rounds-3),
 		engine.WithStateRep(rep),
 	)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds != rounds {
-		t.Fatalf("ran %d rounds, want the full budget of %d", res.Rounds, rounds)
+		t.Fatalf("n=%d: ran %d rounds, want the full budget of %d", n, res.Rounds, rounds)
 	}
 	if got := rep.(interface{ ClassCount() int }).ClassCount(); got != l {
-		t.Fatalf("million-slot run ended with %d classes, want %d", got, l)
+		t.Fatalf("n=%d: run ended with %d classes, want %d", n, got, l)
 	}
 	if !res.AllDecided {
-		t.Fatal("million-slot run did not decide everywhere")
+		t.Fatalf("n=%d: run did not decide everywhere", n)
 	}
 	for s := 0; s < n; s += n / 16 {
 		want := hom.Value(s%l + 1)
-		if res.Decisions[s] != want {
-			t.Fatalf("slot %d decided %d, want its identifier %d", s, res.Decisions[s], want)
+		if res.Decisions[s] != want || res.DecidedAt[s] != 3 {
+			t.Fatalf("n=%d: slot %d decided %d in round %d, want its identifier %d in round 3",
+				n, s, res.Decisions[s], res.DecidedAt[s], want)
 		}
 	}
-	wantSent := n * n * rounds
-	if res.Stats.MessagesSent != wantSent {
-		t.Fatalf("MessagesSent = %d, want the analytic n*n*rounds = %d", res.Stats.MessagesSent, wantSent)
+	if wantSent := n * n * rounds; res.Stats.MessagesSent != wantSent {
+		t.Fatalf("n=%d: MessagesSent = %d, want the analytic n*n*rounds = %d", n, res.Stats.MessagesSent, wantSent)
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCountingFastPathCostIsPerClass pins what a fast-path execution
+// costs: the number of allocations is a function of the classes and the
+// rounds, not of n (ten times the slots, the same count to within slice
+// growth), and the bytes stay under 128 per slot — the four per-slot
+// Result arrays (32 B), the class index and the member lists (4 B each)
+// and the corrupted-slot mask (1 B), with room for nothing n-sized
+// beside them. A per-slot table creeping back into the engine or the
+// Router, or an option rendering its slice, fails here in the ordinary
+// tier. (The count comparison is skipped under the race detector, which
+// makes sync.Pool drop items at random; the byte budget is not.)
+func TestCountingFastPathCostIsPerClass(t *testing.T) {
+	// A collection empties the interner, arena and inbox pools, and a
+	// larger n collects more often: hold the collector off so the two
+	// counts compare the code, not the pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runScaleFlood(t, 1_000) // warm the pools
+	small, smallBytes := runScaleFlood(t, 10_000)
+	large, largeBytes := runScaleFlood(t, 100_000)
+	if diff := int64(large) - int64(small); !raceEnabled && (diff < -16 || diff > 16) {
+		t.Errorf("allocations grew with n: %d at n=1e4, %d at n=1e5 (want equal within 16)", small, large)
+	}
+	for _, c := range []struct {
+		n     int
+		bytes uint64
+	}{{10_000, smallBytes}, {100_000, largeBytes}} {
+		if c.bytes > 128*uint64(c.n) {
+			t.Errorf("n=%d: New+Run allocated %d bytes, %d per slot (budget 128)", c.n, c.bytes, c.bytes/uint64(c.n))
+		}
+	}
+}
+
+// TestCountingMillionScaleSmoke is the PR-10 headline smoke: one million
+// homonymous processes under eight identifiers run eight broadcast
+// rounds through engine.Counting at the cost of eight equivalence
+// classes plus the per-slot Result arrays and class index — some 45 MB
+// allocated and a few tens of milliseconds. It asserts that budget
+// (TotalAlloc <= 128 MB, Mallocs <= 20 k), so the CI scale job fails on
+// a regression instead of merely finishing. Gated behind HOMONYMS_SCALE
+// only because the concrete-cost engines could never run this cell and
+// the race detector multiplies even this footprint;
+// TestCountingFastPathCostIsPerClass runs the same workload at n=1e5 in
+// the ordinary tier.
+func TestCountingMillionScaleSmoke(t *testing.T) {
+	if os.Getenv("HOMONYMS_SCALE") == "" {
+		t.Skip("set HOMONYMS_SCALE=1 to run the n=1e6 counting smoke")
+	}
+	mallocs, bytes := runScaleFlood(t, 1_000_000)
+	if bytes > 128<<20 {
+		t.Errorf("n=1e6 run allocated %d MB, budget 128 MB", bytes>>20)
+	}
+	if mallocs > 20_000 {
+		t.Errorf("n=1e6 run made %d allocations, budget 20 000", mallocs)
 	}
 }

@@ -18,15 +18,19 @@ func (a Assignment) Validate(p Params) error {
 	if len(a) != p.N {
 		return fmt.Errorf("%w (len=%d, N=%d)", ErrAssignmentLength, len(a), p.N)
 	}
-	seen := make(map[Identifier]bool, p.L)
+	seen := make([]bool, max(p.L, 0)+1) // an L below 1 fails IsValid at slot 0
+	distinct := 0
 	for slot, id := range a {
 		if !id.IsValid(p.L) {
 			return fmt.Errorf("%w (slot %d has identifier %d, L=%d)", ErrBadAssignment, slot, id, p.L)
 		}
-		seen[id] = true
+		if !seen[id] {
+			seen[id] = true
+			distinct++
+		}
 	}
-	if len(seen) != p.L {
-		return fmt.Errorf("%w (only %d of %d identifiers assigned)", ErrBadAssignment, len(seen), p.L)
+	if distinct != p.L {
+		return fmt.Errorf("%w (only %d of %d identifiers assigned)", ErrBadAssignment, distinct, p.L)
 	}
 	return nil
 }

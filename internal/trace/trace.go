@@ -139,67 +139,63 @@ func (v Verdict) String() string {
 }
 
 // Check evaluates validity, agreement and termination over a finished
-// execution.
+// execution, in one walk over the correct slots. Violations are reported
+// in property order — every undecided slot, then the first disagreeing
+// pair, then the first decision that breaks unanimity.
 func Check(res *sim.Result) Verdict {
 	var verdict Verdict
 
-	correct := res.CorrectSlots()
-
-	// Termination.
-	for _, s := range correct {
-		if res.DecidedAt[s] == 0 {
-			verdict.Violations = append(verdict.Violations, Violation{
-				Property: Termination,
-				Detail: fmt.Sprintf("slot %d (identifier %d) undecided after %d rounds",
-					s, res.Assignment[s], res.Rounds),
-			})
-		}
-	}
-
-	// Agreement.
+	// Agreement: the first decided slot fixes the value; the first slot
+	// deciding otherwise is the witness.
 	firstVal, firstSlot := hom.NoValue, -1
-	for _, s := range correct {
-		if res.DecidedAt[s] == 0 {
-			continue
-		}
-		if firstSlot < 0 {
-			firstVal, firstSlot = res.Decisions[s], s
-			continue
-		}
-		if res.Decisions[s] != firstVal {
-			verdict.Violations = append(verdict.Violations, Violation{
-				Property: Agreement,
-				Detail: fmt.Sprintf("slot %d decided %d but slot %d decided %d",
-					firstSlot, firstVal, s, res.Decisions[s]),
-			})
-			break
-		}
-	}
-
-	// Validity.
+	agreeSlot := -1
+	// Validity: the first correct slot fixes the proposal; it binds only
+	// if every other correct slot proposed the same.
+	proposed, haveProposal := hom.NoValue, false
 	unanimous := true
-	var proposed hom.Value = hom.NoValue
-	for i, s := range correct {
-		if i == 0 {
-			proposed = res.Inputs[s]
-		} else if res.Inputs[s] != proposed {
-			unanimous = false
-			break
+	validSlot := -1
+
+	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi) {
+		if !haveProposal {
+			proposed, haveProposal = res.Inputs[lo], true
 		}
-	}
-	if unanimous && len(correct) > 0 {
-		for _, s := range correct {
-			if res.DecidedAt[s] != 0 && res.Decisions[s] != proposed {
+		for s := lo; s < hi; s++ {
+			if unanimous && res.Inputs[s] != proposed {
+				unanimous = false
+			}
+			if res.DecidedAt[s] == 0 {
 				verdict.Violations = append(verdict.Violations, Violation{
-					Property: Validity,
-					Detail: fmt.Sprintf("all correct processes proposed %d but slot %d decided %d",
-						proposed, s, res.Decisions[s]),
+					Property: Termination,
+					Detail: fmt.Sprintf("slot %d (identifier %d) undecided after %d rounds",
+						s, res.Assignment[s], res.Rounds),
 				})
-				break
+				continue
+			}
+			if firstSlot < 0 {
+				firstVal, firstSlot = res.Decisions[s], s
+			} else if agreeSlot < 0 && res.Decisions[s] != firstVal {
+				agreeSlot = s
+			}
+			if validSlot < 0 && res.Decisions[s] != proposed {
+				validSlot = s
 			}
 		}
 	}
 
+	if agreeSlot >= 0 {
+		verdict.Violations = append(verdict.Violations, Violation{
+			Property: Agreement,
+			Detail: fmt.Sprintf("slot %d decided %d but slot %d decided %d",
+				firstSlot, firstVal, agreeSlot, res.Decisions[agreeSlot]),
+		})
+	}
+	if unanimous && validSlot >= 0 {
+		verdict.Violations = append(verdict.Violations, Violation{
+			Property: Validity,
+			Detail: fmt.Sprintf("all correct processes proposed %d but slot %d decided %d",
+				proposed, validSlot, res.Decisions[validSlot]),
+		})
+	}
 	return verdict
 }
 
@@ -207,9 +203,9 @@ func Check(res *sim.Result) Verdict {
 // slots (0 if none decided) — the execution's decision latency.
 func LatestDecisionRound(res *sim.Result) int {
 	latest := 0
-	for _, s := range res.CorrectSlots() {
-		if res.DecidedAt[s] > latest {
-			latest = res.DecidedAt[s]
+	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi) {
+		for _, at := range res.DecidedAt[lo:hi] {
+			latest = max(latest, at)
 		}
 	}
 	return latest
@@ -219,14 +215,16 @@ func LatestDecisionRound(res *sim.Result) int {
 // at least one decided and agreement holds; otherwise ok is false.
 func DecidedValue(res *sim.Result) (v hom.Value, ok bool) {
 	v = hom.NoValue
-	for _, s := range res.CorrectSlots() {
-		if res.DecidedAt[s] == 0 {
-			continue
-		}
-		if v == hom.NoValue {
-			v = res.Decisions[s]
-		} else if v != res.Decisions[s] {
-			return hom.NoValue, false
+	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi) {
+		for s := lo; s < hi; s++ {
+			if res.DecidedAt[s] == 0 {
+				continue
+			}
+			if v == hom.NoValue {
+				v = res.Decisions[s]
+			} else if v != res.Decisions[s] {
+				return hom.NoValue, false
+			}
 		}
 	}
 	return v, v != hom.NoValue
