@@ -272,7 +272,7 @@ func (e Equivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
 		rng = seeded(e.Seed ^ int64(round)<<18 ^ int64(slot))
 		defer rngPool.Put(rng)
 	}
-	var out []msg.TargetedSend
+	out := make([]msg.TargetedSend, 0, view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		src := senders[rng.Intn(len(senders))]
 		for _, s := range view.SendsOf(int(src)) {
@@ -335,7 +335,7 @@ func (e KeyEquivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend
 	for id := 1; id <= view.Params.L; id++ {
 		srcOf[id] = senders[rng.Intn(len(senders))]
 	}
-	var out []msg.TargetedSend
+	out := make([]msg.TargetedSend, 0, view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		src := srcOf[view.Assignment[to]]
 		for _, s := range view.SendsOf(int(src)) {

@@ -723,12 +723,15 @@ func (e *Engine) Step(round int) error {
 		}
 	}
 
-	// Phase 3: stamp, batch, deliver — the Router shared by every state
+	// Phase 3: stamp, route, deliver — the Router shared by every state
 	// representation. Each send is stamped (and its key interned) exactly
 	// once into the round's SoA send arena; routing then moves only int32
-	// arena indices, so the n^2 delivery fan-out never copies
-	// pointer-laden Message structs, and under batched delivery each
-	// recipient's round is one masked index-slice copy.
+	// arena indices. A correct send is one row entry per identifier group
+	// it addresses and only targeted pairs reach a recipient's own tail,
+	// so a clean round routes in O(sends·l + targeted) — the n^2 fan-out
+	// is counted, never walked — and a recipient's batch (row ++ tail) is
+	// materialised once per reception class. Correct sends go first: the
+	// first pair routed individually closes the round's rows.
 	e.router.BeginRound(round)
 	routed := false
 	if rr, ok := e.rep.(roundRouter); ok {

@@ -17,9 +17,10 @@ type DeliveryMode int
 
 const (
 	// DeliverBatched is the default: the round's sends are stamped once
-	// into the structure-of-arrays send arena, bucketed per recipient,
-	// and each recipient's whole batch is then delivered at once — one
-	// bounds-checked copy of the index slice with the adversary's
+	// into the structure-of-arrays send arena and routed as one row entry
+	// per addressed identifier group plus per-recipient tails (see
+	// slotStage); each recipient's whole batch is then delivered at once
+	// — one bounds-checked copy of the index slice with the adversary's
 	// visibility and drop masks applied over the batch, and statistics
 	// accumulated per batch instead of per message. Rounds that record
 	// traffic stay batched too: a per-(send, recipient) bitmap
@@ -167,6 +168,7 @@ type Router struct {
 	sendFrom   []int32        // arena column: sender slot per entry
 	sendKeyLen []int32        // arena column: body-key length (bandwidth proxy)
 	batch      []int32        // visibility-filtered batch scratch
+	cand       []int32        // candidate scratch: a group's row ++ a recipient's tail
 	// Link-verdict scratch for maskBatch: a recipient batch's distinct
 	// senders (froms, first-occurrence order), the drop mask DropBatch
 	// fills over them, and the resolved verdict per sender slot.
@@ -191,13 +193,28 @@ type Router struct {
 	dropsOK bool
 	perMsg  bool // effective routing this round
 	share   bool // group-shared reception this round
+	// rowsOpen: this round's broadcasts still go to the identifier-group
+	// rows. False from BeginRound where a link is genuinely per-pair
+	// (per-message delivery; an open hold, stall or replay window), and
+	// from the first pair routed individually, so whatever lands in a
+	// recipient's tail was stamped after everything in its group's row.
+	rowsOpen bool
 }
 
 // slotStage is the Router's per-slot half: the recipient batches, the
 // reception partition and the n-sized memo tables. Every slice is
 // indexed by slot unless noted.
+//
+// A recipient's candidate batch — what was routed to it, before any mask
+// — is its identifier group's row followed by its own tail (candidate).
+// In the model a correct process can only send to all or to one
+// identifier, so a broadcast is one row entry per addressed group, never
+// n appends; a tail holds only what can differ between the members of a
+// group: Byzantine-targeted, replayed and drained entries, plus every
+// pair of a round whose links are per-pair (see Router.rowsOpen).
 type slotStage struct {
-	pend     [][]int32 // routed arena indices, pre-mask
+	rows     [][]int32 // per identifier (id-1): broadcast arena indices, pre-mask
+	pend     [][]int32 // the recipient's tail: individually routed arena indices, pre-mask
 	rawIdx   [][]int32 // delivered arena indices
 	perRecip []int     // restricted-Byzantine budget counters
 	dirty    []bool    // saw targeted routing (Byzantine, replayed, held, drained) this round
@@ -239,6 +256,7 @@ func (r *Router) stage() *slotStage {
 	}
 	n := r.n
 	st := &slotStage{
+		rows:      make([][]int32, r.params.L),
 		pend:      make([][]int32, n),
 		rawIdx:    make([][]int32, n),
 		dirty:     make([]bool, n),
@@ -344,6 +362,7 @@ func (r *Router) BeginRound(round int) {
 	r.holdRound = r.timingFault && r.inj.Live(inject.KindHold, round)
 	r.stallRound = r.timingFault && round < r.gst && r.inj.Live(inject.KindStall, round)
 	r.replayRound = r.inj.Live(inject.KindReplay, round)
+	r.rowsOpen = !r.perMsg && !r.holdRound && !r.stallRound && !r.replayRound
 	r.arena.Reset()
 	r.sendFrom = r.sendFrom[:0]
 	r.sendKeyLen = r.sendKeyLen[:0]
@@ -352,6 +371,9 @@ func (r *Router) BeginRound(round int) {
 		clear(st.issued)
 		clear(st.viewsIssued)
 		st.classified = false
+		for g := range st.rows {
+			st.rows[g] = st.rows[g][:0]
+		}
 		for to := 0; to < r.n; to++ {
 			st.pend[to] = st.pend[to][:0]
 			st.rawIdx[to] = st.rawIdx[to][:0]
@@ -399,8 +421,10 @@ func (r *Router) TotalStamped() int { return r.totalStamped }
 // model a timing fault may intercept the pair here — before the
 // per-message/batched split, so both modes hold identically — and park
 // it in the pending queue until its due round. Callers hold the slot
-// stage (stage()) before routing the first pair.
+// stage (stage()) before routing the first pair. A pair routed here
+// closes the round's rows: later broadcasts follow it into the tails.
 func (r *Router) route(from, to int, si int32) {
+	r.rowsOpen = false
 	if r.replayRound && r.inj.NeedRetain(from, r.round) {
 		for i := range r.replays {
 			rp := &r.replays[i]
@@ -605,19 +629,35 @@ func (r *Router) deliverNow(from, to int, si int32) {
 }
 
 // RouteCorrect stamps and routes one correct slot's sends for the round.
+// While the round's rows are open a send costs one append per addressed
+// identifier group — l for a broadcast, one for ToIdentifier (none for an
+// identifier nobody holds) — whatever n is; otherwise every (send,
+// recipient) pair is routed on its own.
 func (r *Router) RouteCorrect(from int, sends []msg.Send) {
 	if len(sends) == 0 {
 		return
 	}
-	r.stage()
+	st := r.stage()
 	for _, s := range sends {
 		si := r.stamp(from, s.Body)
 		switch s.Kind {
 		case msg.ToAll:
+			if r.rowsOpen {
+				for g := range st.rows {
+					st.rows[g] = append(st.rows[g], si)
+				}
+				continue
+			}
 			for to := 0; to < r.n; to++ {
 				r.route(from, to, si)
 			}
 		case msg.ToIdentifier:
+			if r.rowsOpen {
+				if s.To.IsValid(r.params.L) {
+					st.rows[s.To-1] = append(st.rows[s.To-1], si)
+				}
+				continue
+			}
 			for to := 0; to < r.n; to++ {
 				if r.assignment[to] == s.To {
 					r.route(from, to, si)
@@ -625,6 +665,24 @@ func (r *Router) RouteCorrect(from int, sends []msg.Send) {
 			}
 		}
 	}
+}
+
+// candidate returns everything routed to the slot this round, before any
+// mask, in ascending arena index — exactly the order per-pair routing
+// appends in: its identifier group's row, then its own tail (route closes
+// the rows, so a tail entry is stamped after every row entry). With
+// either part empty it is the other, uncopied; otherwise it is assembled
+// in scratch that the next call overwrites.
+func (r *Router) candidate(to int) []int32 {
+	row, tail := r.slots.rows[r.assignment[to]-1], r.slots.pend[to]
+	switch {
+	case len(tail) == 0:
+		return row
+	case len(row) == 0:
+		return tail
+	}
+	r.cand = append(append(r.cand[:0], row...), tail...)
+	return r.cand
 }
 
 // RouteByzantine stamps and routes one corrupted slot's targeted sends,
@@ -732,11 +790,10 @@ func (r *Router) maskBatch(to int, cand, dst []int32, bs *batchStats) []int32 {
 	if !r.dropsOK && !r.lossRound {
 		// No link condition can apply this round.
 		for _, si := range vis {
-			dst = append(dst, si)
 			bs.payload += int(r.sendKeyLen[si])
 		}
 		bs.delivered += len(vis)
-		return dst
+		return append(dst, vis...)
 	}
 
 	r.resolveLinks(to, vis)
@@ -814,7 +871,7 @@ func (r *Router) resolveLinks(to int, vis []int32) {
 // commit statistics and record bits.
 func (r *Router) flushOwn(to int) {
 	st := r.slots
-	cand := st.pend[to]
+	cand := r.candidate(to)
 	if len(cand) == 0 {
 		return
 	}
@@ -835,14 +892,15 @@ func (r *Router) flushOwn(to int) {
 // under group-shared reception, partitions the correct members of each
 // identifier group while doing so: every distinct delivered batch in the
 // group becomes a class representative, and every member joins the
-// class whose batch equals its own. Members no targeted routing touched
-// receive identical candidate batches by construction, so when no mask
-// can apply either (post-GST, no visibility restriction, no loss
-// window) they join their class with no mask probe, no index copy and
-// no comparison — zero BatchDropper probes for the whole group;
-// otherwise each member's own masked batch is matched against the
-// group's representatives. Per-message mode already delivered inline,
-// and a round nothing was routed per slot in has nothing to flush.
+// class whose batch equals its own. A group's members share its row, so
+// when no mask can apply (post-GST, no visibility restriction, no loss
+// window) they are matched by their tails alone, only a representative
+// ever materialises row ++ tail, and members no targeted routing touched
+// join their class with no mask probe, no index copy and no comparison —
+// zero BatchDropper probes for the whole group; otherwise each member's
+// own masked candidate is matched against the group's representatives.
+// Per-message mode already delivered inline, and a round nothing was
+// routed per slot in has nothing to flush.
 func (r *Router) Flush() {
 	if r.replayRound {
 		r.injectReplays()
@@ -882,21 +940,22 @@ func (r *Router) Flush() {
 			m := int(m32)
 			untouched := trivialMask && !st.dirty[m]
 			var ms batchStats
-			got := st.pend[m]
+			// With no mask a member is its tail: the row is the group's.
+			got, of := st.pend[m], st.pend
 			if !trivialMask {
 				// Masks are per-recipient: the member's own masked
 				// outcome is what is matched.
-				r.scratch = r.maskBatch(m, got, r.scratch[:0], &ms)
-				got = r.scratch
+				r.scratch = r.maskBatch(m, r.candidate(m), r.scratch[:0], &ms)
+				got, of = r.scratch, st.rawIdx
 			}
 			ci := clean
 			if !untouched || ci < 0 {
-				ci = r.findClass(got)
+				ci = r.findClass(got, of)
 			}
 			if ci < 0 {
 				ci = len(st.reps)
 				if trivialMask {
-					st.rawIdx[m] = r.maskBatch(m, got, st.rawIdx[m], &ms)
+					st.rawIdx[m] = r.maskBatch(m, r.candidate(m), st.rawIdx[m], &ms)
 				} else {
 					st.rawIdx[m] = append(st.rawIdx[m], got...)
 				}
@@ -928,11 +987,11 @@ func (r *Router) Flush() {
 }
 
 // findClass returns the index in the current group's representatives of
-// the class whose delivered batch equals got, or -1.
-func (r *Router) findClass(got []int32) int {
-	st := r.slots
-	for i, rep := range st.reps {
-		if r.sameBatch(st.rawIdx[rep], got) {
+// the class whose batch in of — the delivered batches, or the tails when
+// the group is matched by tail — equals got, or -1.
+func (r *Router) findClass(got []int32, of [][]int32) int {
+	for i, rep := range r.slots.reps {
+		if r.sameBatch(of[rep], got) {
 			return i
 		}
 	}
@@ -968,7 +1027,7 @@ func (r *Router) ReceptionClass(to int) int {
 			}
 			st.reps = st.reps[:0]
 			for _, m := range members {
-				ci := r.findClass(st.rawIdx[m])
+				ci := r.findClass(st.rawIdx[m], st.rawIdx)
 				if ci < 0 {
 					ci = len(st.reps)
 					st.reps = append(st.reps, m)

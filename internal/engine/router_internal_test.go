@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -484,4 +485,266 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 			})
 		}
 	}
+}
+
+// rowTraffic is the differential suite's correct traffic: every slot
+// broadcasts each round, a third of them also address one identifier
+// group, and two address identifiers nobody holds (0 and l+2), which
+// must reach no one on either routing path.
+func rowTraffic(round, s, l int) []msg.Send {
+	tag := itoaTest(s) + "|" + itoaTest(round)
+	sends := []msg.Send{msg.Broadcast(msg.Raw("b|" + tag))}
+	if (s+round)%3 == 0 {
+		sends = append(sends, msg.SendTo(hom.Identifier((s+round)%l+1), msg.Raw("i|"+tag)))
+	}
+	switch s {
+	case 5:
+		sends = append(sends, msg.SendTo(hom.Identifier(l+2), msg.Raw("nobody|"+tag)))
+	case 6:
+		sends = append(sends, msg.SendTo(0, msg.Raw("zero|"+tag)))
+	}
+	return sends
+}
+
+// renderDeliveries renders a round's traffic record, order included.
+func renderDeliveries(ds []msg.Delivered) string {
+	s := ""
+	for _, d := range ds {
+		s += itoaTest(d.Round) + ":" + itoaTest(d.FromSlot) + ">" + itoaTest(d.ToSlot) + ":" + d.Msg.Key() + ";"
+	}
+	return s
+}
+
+// TestRowRoutingMatchesPerPair holds the row stage — a broadcast is one
+// row entry per identifier group, a recipient's candidate batch its
+// group's row followed by its own tail — to per-pair routing, under
+// everything that can make two members of a group differ or close the
+// rows for a round. Over seeded rounds at n=24, l=5 (groups of four and
+// five) mixing ToAll, ToIdentifier (held and unheld identifiers),
+// Byzantine-targeted sends with equal and unequal keys, a replay, a
+// delay held and drained two rounds after the hold window closed, a
+// duplication, pre-GST drops and a visibility restriction, the batched
+// router under both reception modes agrees with the per-message
+// reference on every slot's delivered KeyID sequence and inbox, on the
+// ReceptionClass partition, on the traffic record (order included) and
+// on the statistics. In the rounds whose rows stay open it also pins
+// what they are for: the tails hold exactly the targeted and drained
+// pairs, and no broadcast cost a per-recipient append.
+func TestRowRoutingMatchesPerPair(t *testing.T) {
+	const n, l, gst, rounds = 24, 5, 3, 8
+	bad := []int{3, 12}
+	dup := []inject.Duplicate{{FromSlot: 2, ToSlot: 9, Round: 6}}
+	variants := []struct {
+		name       string
+		sched      *inject.Schedule
+		visibility bool
+		firstRow   int // the first round no hold, stall or replay window covers
+		drainRound int // the round the held pairs surface in
+	}{
+		// Rounds 1-3 sit inside the hold window and route per pair; 4-6
+		// are row rounds under the loss window (masked), 5 drains the
+		// pairs held in round 3; 7-8 are clean.
+		{name: "timing", firstRow: 4, drainRound: 5, sched: &inject.Schedule{
+			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 7, From: 3, Until: 3, By: 2}}, Duplicates: dup}},
+		// Round 1 is captured from, round 2 replayed into: both per pair.
+		{name: "replay", firstRow: 3, sched: &inject.Schedule{
+			Replays: []inject.Replay{{FromSlot: 6, SourceRound: 1, ToSlot: 10, Round: 2}}, Duplicates: dup}},
+		// No window to wait out: every round is a row round, the first
+		// two under the pre-GST drop mask.
+		{name: "drops", firstRow: 1, sched: &inject.Schedule{Duplicates: dup}},
+		{name: "visibility", firstRow: 1, sched: &inject.Schedule{Duplicates: dup}, visibility: true},
+	}
+	for _, v := range variants {
+		for _, record := range []bool{false, true} {
+			t.Run(v.name+"/record="+map[bool]string{false: "off", true: "on"}[record], func(t *testing.T) {
+				build := func(delivery DeliveryMode, reception ReceptionMode) *routerHarness {
+					cfg := symmetricConfig(n, l)
+					cfg.Params.Synchrony, cfg.Params.Numerate, cfg.GST = hom.PartiallySynchronous, true, gst
+					cfg.Delivery, cfg.Reception = delivery, reception
+					cfg.Adversary = seededMask{seed: 7, modulus: 6}
+					if v.visibility {
+						vis := seededMask{seed: 11, modulus: 13}
+						cfg.Visibility = func(from, to int) bool { return !vis.hit(0, from, to) }
+					}
+					h := &routerHarness{cfg: cfg, isBad: make([]bool, n), intern: msg.NewInterner()}
+					for _, s := range bad {
+						h.isBad[s] = true
+					}
+					inj, err := inject.Compile(v.sched, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, record, inj)
+					h.r.EnableTiming(TimingPolicy{Enabled: true, Bound: 2})
+					return h
+				}
+				ref := build(DeliverPerMessage, ReceivePerRecipient)
+				shared := build(DeliverBatched, ReceiveGroupShared)
+				own := build(DeliverBatched, ReceivePerRecipient)
+				for round := 1; round <= rounds; round++ {
+					// Slot 3 hands every slot one of two variants (equal
+					// keys within a group re-unify its members); slot 12
+					// singles out three slots with bodies of their own.
+					// Round 8 is all-correct: every member is untouched.
+					byz := map[int][]msg.TargetedSend{}
+					targeted := 0
+					if round < rounds {
+						for to := 0; to < n; to++ {
+							byz[3] = append(byz[3], msg.TargetedSend{ToSlot: to, Body: msg.Raw("v|" + itoaTest((to/l+round)%2))})
+						}
+						for _, to := range []int{1, 6, 16} {
+							byz[12] = append(byz[12], msg.TargetedSend{ToSlot: to, Body: msg.Raw("solo|" + itoaTest(to))})
+						}
+						targeted = n + 3
+					}
+					// The engine routes correct sends first; round 7 does not,
+					// and the first targeted pair must close the rows so that
+					// arena order survives.
+					byzFirst := round == 7
+					for _, h := range []*routerHarness{ref, shared, own} {
+						h.r.BeginRound(round)
+						for _, s := range bad {
+							if byzFirst {
+								h.r.RouteByzantine(s, byz[s])
+							}
+						}
+						for s := 0; s < n; s++ {
+							if !h.isBad[s] {
+								h.r.RouteCorrect(s, rowTraffic(round, s, l))
+							}
+						}
+						for _, s := range bad {
+							if !byzFirst {
+								h.r.RouteByzantine(s, byz[s])
+							}
+						}
+						h.r.Flush()
+					}
+
+					for _, h := range []*routerHarness{shared, own} {
+						st := h.r.slots
+						tails, rowed := 0, 0
+						for to := 0; to < n; to++ {
+							tails += len(st.pend[to])
+						}
+						for _, row := range st.rows {
+							rowed += len(row)
+						}
+						if round < v.firstRow || byzFirst {
+							if rowed != 0 {
+								t.Errorf("round %d: %d row entries in a round routed per pair", round, rowed)
+							}
+							continue
+						}
+						want := targeted
+						if round == v.drainRound {
+							want += ref.stats.TimingHolds
+						}
+						if tails != want {
+							t.Errorf("round %d: tails hold %d pairs, want the %d targeted and drained ones", round, tails, want)
+						}
+						if rowed < (n-len(bad))*l {
+							t.Errorf("round %d: rows hold %d entries, want at least one per broadcast and group (%d)", round, rowed, (n-len(bad))*l)
+						}
+					}
+
+					delivered := func(h *routerHarness, s int) string {
+						from := s
+						if rep := h.r.SharedWith(s); rep >= 0 {
+							from = rep
+						}
+						out := ""
+						for _, si := range h.r.slots.rawIdx[from] {
+							out += itoaTest(int(h.r.arena.KID(si))) + ","
+						}
+						return out
+					}
+					for s := 0; s < n; s++ {
+						if ref.isBad[s] {
+							continue
+						}
+						want := delivered(ref, s)
+						for name, h := range map[string]*routerHarness{"group-shared": shared, "per-recipient": own} {
+							if got := delivered(h, s); got != want {
+								t.Errorf("round %d slot %d: %s delivered KeyIDs %s, per-message %s", round, s, name, got, want)
+							}
+							if got, want := h.r.ReceptionClass(s), ref.r.ReceptionClass(s); got != want {
+								t.Errorf("round %d slot %d: %s ReceptionClass %d, per-message %d", round, s, name, got, want)
+							}
+						}
+					}
+					wantRec := renderDeliveries(ref.r.Deliveries())
+					if record == (wantRec == "") {
+						t.Fatalf("round %d: record=%v but the reference recorded %d deliveries", round, record, len(ref.r.Deliveries()))
+					}
+					wantIn := ref.drainInboxes()
+					if v.name == "replay" && round == 2 && !strings.Contains(wantIn[10], "b|6|1") {
+						t.Errorf("round 2: slot 10 was not replayed slot 6's round-1 broadcast: %q", wantIn[10])
+					}
+					for name, h := range map[string]*routerHarness{"group-shared": shared, "per-recipient": own} {
+						if got := renderDeliveries(h.r.Deliveries()); got != wantRec {
+							t.Errorf("round %d: %s traffic record differs from the per-message one", round, name)
+						}
+						for s, got := range h.drainInboxes() {
+							if got != wantIn[s] {
+								t.Errorf("round %d slot %d: %s inbox %q, per-message %q", round, s, name, got, wantIn[s])
+							}
+						}
+					}
+				}
+				if ref.stats.TimingHolds == 0 && v.drainRound > 0 {
+					t.Error("the delay never held anything")
+				}
+				if ref.stats.MessagesDropped == 0 {
+					t.Error("the pre-GST drop mask never fired")
+				}
+				if shared.stats != ref.stats || own.stats != ref.stats {
+					t.Errorf("statistics diverge: group-shared %+v, per-recipient %+v, per-message %+v", shared.stats, own.stats, ref.stats)
+				}
+			})
+		}
+	}
+}
+
+// TestVerifyRoundChecksRowsAndTails pins the paranoid checks that guard
+// the row stage. row-order: a tail entry stamped at or before its
+// group's last row entry would make row ++ tail a different sequence
+// from per-pair routing's. class-equality: the probed member's candidate
+// is rebuilt from its row and tail and re-masked, so a member whose tail
+// no longer equals its representative's is caught even though Flush
+// matched the two by tail.
+func TestVerifyRoundChecksRowsAndTails(t *testing.T) {
+	const n, l = 12, 4
+	cfg := symmetricConfig(n, l)
+	cfg.Invariants = true
+	h := newRouterHarness(t, cfg, []int{3})
+	round := func() *slotStage {
+		h.broadcastRound(1, map[int][]msg.TargetedSend{3: {{ToSlot: 4, Body: msg.Raw("poison")}}})
+		h.drainInboxes()
+		return h.r.slots
+	}
+	check := func(want string) {
+		t.Helper()
+		err, _ := h.r.VerifyRound().(*InvariantError)
+		if err == nil || err.Check != want {
+			t.Fatalf("VerifyRound = %v, want a %q violation", err, want)
+		}
+	}
+
+	st := round()
+	if err := h.r.VerifyRound(); err != nil {
+		t.Fatalf("a sound round fails verification: %v", err)
+	}
+	if len(st.pend[4]) != 1 || len(st.rows[0]) != n-1 {
+		t.Fatalf("slot 4's tail holds %d entries and its row %d, want 1 and %d", len(st.pend[4]), len(st.rows[0]), n-1)
+	}
+	st.pend[4][0] = st.rows[0][len(st.rows[0])-1]
+	check("row-order")
+
+	// Slots 0 and 8 share slot 0's class (slot 4 diverged). Give slot 8 a
+	// tail entry after the fact: its rebuilt candidate has one more
+	// delivery than the batch it was handed.
+	st = round()
+	st.pend[8] = append(st.pend[8], st.pend[4][0])
+	check("class-equality")
 }

@@ -25,10 +25,15 @@ func (e *InvariantError) Error() string {
 //     on this);
 //   - class-refcount: every shared class issued exactly classSize views,
 //     so the shared core's reference count drains to zero on recycle;
+//   - row-order: every tail entry was stamped after the last entry of the
+//     recipient's group row — what licenses reading a candidate batch as
+//     row ++ tail instead of merging the two;
 //   - class-equality: for one shared class, a non-representative member's
-//     batch is re-masked from scratch and compared byte for byte against
-//     the representative's — the spot check that catches a classifier
-//     that shared batches which were never actually equal.
+//     candidate is rebuilt from its row and tail, re-masked from scratch
+//     and compared byte for byte against the representative's delivered
+//     batch — the spot check that catches a classifier that shared
+//     batches which were never actually equal (it never looks at tails
+//     alone, which is how Flush matched them).
 //
 // Returns nil when r.verify is off or everything holds; otherwise the
 // first *InvariantError found.
@@ -58,6 +63,21 @@ func (r *Router) VerifyRound() error {
 				Round: r.round, Check: "inbox-issued",
 				Detail: fmt.Sprintf("slot %d (bad=%v) took %d inboxes, want %d",
 					to, r.isBad[to], st.issued[to], want),
+			}
+		}
+	}
+	for to := 0; to < r.n; to++ {
+		row := st.rows[r.assignment[to]-1]
+		if len(row) == 0 {
+			continue
+		}
+		last := row[len(row)-1]
+		for _, si := range st.pend[to] {
+			if si <= last {
+				return &InvariantError{
+					Round: r.round, Check: "row-order",
+					Detail: fmt.Sprintf("slot %d holds tail entry %d at or before its row's last entry %d", to, si, last),
+				}
 			}
 		}
 	}
@@ -95,7 +115,7 @@ func (r *Router) VerifyRound() error {
 				continue
 			}
 			var bs batchStats
-			r.verifyScratch = r.maskBatch(to, st.pend[to], r.verifyScratch[:0], &bs)
+			r.verifyScratch = r.maskBatch(to, r.candidate(to), r.verifyScratch[:0], &bs)
 			// Key-level classification can share batches whose arena
 			// indices differ, so the spot check uses the classifier's own
 			// notion of equality (sameBatch), not raw indices.

@@ -604,8 +604,10 @@ func (r *countingRep) deliverSlow(round int) {
 		return
 	}
 	// Pass B: per class, split the members along the router's reception
-	// partition. Forks are cloned from the pre-Receive state, before any
-	// part steps.
+	// partition. Forks are made from the pre-Receive class — process
+	// state and decision record both — before any part steps: a fork made
+	// after the leader's part decided would inherit a decision its own
+	// members were never recorded with.
 	split := false
 	for _, c := range r.classes { // forks appended below are not revisited
 		if c.halted {
@@ -618,13 +620,13 @@ func (r *countingRep) deliverSlow(round int) {
 			continue
 		}
 		parts := r.splitByReception(c)
-		procs := make([]Process, len(parts))
-		for i := range parts {
-			procs[i] = r.cloneProc(c.proc)
+		forks := make([]*countClass, len(parts))
+		for i, part := range parts {
+			forks[i] = r.fork(c, r.cloneProc(c.proc), part)
 		}
 		r.receivePart(c, round)
-		for i, part := range parts {
-			r.receivePart(r.fork(c, procs[i], part), round)
+		for _, f := range forks {
+			r.receivePart(f, round)
 			split = true
 		}
 	}

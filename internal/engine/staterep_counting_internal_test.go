@@ -106,3 +106,70 @@ func TestCountingClassIndexThroughSplitMergeSplit(t *testing.T) {
 		}
 	}
 }
+
+// decideAtTwo is lastFoldProc deciding in round 2.
+type decideAtTwo struct {
+	lastFoldProc
+	done bool
+}
+
+func (p *decideAtTwo) Receive(round int, in *msg.Inbox) {
+	p.lastFoldProc.Receive(round, in)
+	p.done = p.done || round >= 2
+}
+func (p *decideAtTwo) Decision() (hom.Value, bool) { return 7, p.done }
+func (p *decideAtTwo) CloneProcess() Process       { cp := *p; return &cp }
+
+// TestCountingSplitInDecidingRoundRecordsEveryPart splits a class in the
+// very round its process decides: one targeted message peels slot 4 off
+// identifier 1's class {0, 2, 4, 6} in round 2. Every part must poll and
+// record its own members — a fork carrying the leader part's same-round
+// decision record would skip the poll and leave slot 4 undecided for
+// good.
+func TestCountingSplitInDecidingRoundRecordsEveryPart(t *testing.T) {
+	const n, l, bad = 8, 2, 1
+	e, err := New(
+		WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
+		WithAssignment(hom.RoundRobinAssignment(n, l)),
+		WithInputs(make([]hom.Value, n)...),
+		WithProcess(func(int) Process { return &decideAtTwo{} }),
+		WithAdversary(poisonPlan{bad: bad, plan: map[int][]msg.TargetedSend{
+			2: {{ToSlot: 4, Body: msg.Raw("poison")}},
+		}}),
+		WithRounds(4),
+		WithStateRep(Counting()),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := e.rep.(*countingRep)
+	defer func() {
+		rep.Stop()
+		e.intern.Recycle()
+	}()
+	if err := rep.Start(e); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		if err := e.Step(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rep.ClassCount(); got != l+1 {
+		t.Fatalf("round 2 left %d classes, want %d (slot 4 split off)", got, l+1)
+	}
+	for _, c := range rep.classes {
+		if c.decidedAt != 2 {
+			t.Errorf("class led by %d: decidedAt = %d, want 2", c.members[0], c.decidedAt)
+		}
+		for _, m := range c.members {
+			if e.res.Decisions[m] != 7 || e.res.DecidedAt[m] != 2 {
+				t.Errorf("slot %d (class led by %d): recorded decision %d in round %d, want 7 in round 2",
+					m, c.members[0], e.res.Decisions[m], e.res.DecidedAt[m])
+			}
+		}
+	}
+	if e.undecided != 0 {
+		t.Errorf("%d correct slots still undecided after round 2", e.undecided)
+	}
+}

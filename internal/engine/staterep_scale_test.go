@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"homonyms/internal/adversary"
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
@@ -118,6 +119,68 @@ func TestCountingFastPathCostIsPerClass(t *testing.T) {
 		if c.bytes > 128*uint64(c.n) {
 			t.Errorf("n=%d: New+Run allocated %d bytes, %d per slot (budget 128)", c.n, c.bytes, c.bytes/uint64(c.n))
 		}
+	}
+}
+
+// runByzantineFlood runs the scale flooder for eight rounds with one
+// equivocating slot (the first holder of identifier 1), which takes every
+// round off the counting fast path and through the Router's slot stage,
+// and returns the bytes New and Run allocated between them.
+func runByzantineFlood(t *testing.T, n int, rep engine.StateRep) uint64 {
+	t.Helper()
+	const l, rounds = 8, 8
+	inputs := make([]hom.Value, n)
+	assignment := hom.RoundRobinAssignment(n, l)
+	adv := &adversary.Composite{Selector: adversary.OnePerIdentifier{1}, Behavior: adversary.Equivocate{Seed: 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := engine.Run(
+		engine.WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
+		engine.WithAssignment(assignment),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(func(int) engine.Process { return &scaleFlooder{} }),
+		engine.WithAdversary(adv),
+		engine.WithRounds(rounds),
+		engine.WithExtraRounds(rounds-3),
+		engine.WithStateRep(rep),
+	)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != rounds || !res.AllDecided {
+		t.Fatalf("n=%d: ran %d rounds (all decided: %v), want the full budget of %d", n, res.Rounds, res.AllDecided, rounds)
+	}
+	// n-1 broadcasts to n recipients and one targeted message per slot.
+	if wantSent := n * n * rounds; res.Stats.MessagesSent != wantSent {
+		t.Fatalf("n=%d: MessagesSent = %d, want the analytic n*n*rounds = %d", n, res.Stats.MessagesSent, wantSent)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestByzantineRoundCostIsPerGroup pins what one Byzantine slot costs
+// once every round goes through the Router: the n² messages of a round
+// are accounted for — MessagesSent is the analytic count — but a
+// broadcast is routed as one row entry per identifier group and only
+// the equivocator's targeted pairs per recipient, so four times the
+// slots allocate about four times the bytes (at most six), under the
+// counting slow path and under its Concrete twin alike. Per-recipient
+// broadcast lists (8·n² bytes of them per execution) grow sixteenfold.
+func TestByzantineRoundCostIsPerGroup(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as above: compare the code, not the pools
+	for _, rep := range []struct {
+		name string
+		make func() engine.StateRep
+	}{{"counting", engine.Counting}, {"concrete", engine.Concrete}} {
+		t.Run(rep.name, func(t *testing.T) {
+			runByzantineFlood(t, 256, rep.make()) // warm the pools
+			small := runByzantineFlood(t, 1024, rep.make())
+			large := runByzantineFlood(t, 4096, rep.make())
+			if large > 6*small {
+				t.Errorf("bytes grew faster than the slots: %d at n=1024, %d at n=4096 (%.1fx, want at most 6x)",
+					small, large, float64(large)/float64(small))
+			}
+		})
 	}
 }
 

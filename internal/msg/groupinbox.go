@@ -69,10 +69,6 @@ func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, views int
 	g.total = 0
 	g.idxOK.Store(false)
 	g.refs.Store(int32(views))
-	if cap(g.ref) < len(idx) {
-		g.ref = make([]int32, 0, len(idx))
-	}
-	g.ref = g.ref[:0]
 	kids := arena.kids
 	maxKid := KeyID(0)
 	for _, i := range idx {
@@ -80,6 +76,11 @@ func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, views int
 			maxKid = kids[i]
 		}
 	}
+	// First sights only, as in fillSoA: at most one per KeyID in play.
+	if distinct := min(len(idx), int(maxKid)+1); cap(g.ref) < distinct {
+		g.ref = make([]int32, 0, distinct)
+	}
+	g.ref = g.ref[:0]
 	if n := int(maxKid) + 1; n > len(g.kidCount) {
 		if n <= cap(g.kidCount) {
 			// The region beyond the old length was never written (counts

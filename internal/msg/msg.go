@@ -558,9 +558,6 @@ func (in *Inbox) fillSoA(numerate bool, arena *SendArena, idx []int32) {
 	in.idxOK, in.viewOK = false, false
 	in.interned = true
 	in.soa = arena
-	if cap(in.ref) < len(idx) {
-		in.ref = make([]int32, 0, len(idx))
-	}
 	kids := arena.kids
 	maxKid := KeyID(0)
 	for _, i := range idx {
@@ -569,6 +566,11 @@ func (in *Inbox) fillSoA(numerate bool, arena *SendArena, idx []int32) {
 		}
 	}
 	in.growCounts(maxKid)
+	// ref holds first sights only: at most one per KeyID in play, however
+	// many homonyms' copies the batch carries.
+	if distinct := min(len(idx), int(maxKid)+1); cap(in.ref) < distinct {
+		in.ref = make([]int32, 0, distinct)
+	}
 	for _, i := range idx {
 		kid := kids[i]
 		in.total++
