@@ -31,8 +31,10 @@
 // engine interned every delivered message at stamp time, and the
 // broadcaster memoises, per engine KeyID, which support bit a validated
 // echo sets — so the ~ℓ re-deliveries of every standing echo in every
-// round cost one table load and one bit test each. Release returns the
-// whole table to a pool for the next execution.
+// round cost one table load and one bit test each, and only a KeyID not
+// yet classified reaches a payload. Sending is symmetric: a standing echo
+// goes out with its tuple's stamp memo, so the engine builds its key once
+// per execution. Release returns the whole table to a pool for the next.
 package authbcast
 
 import (
@@ -93,8 +95,9 @@ type tupleState struct {
 	sr   int
 	id   hom.Identifier
 	// echo is the tuple's ⟨echo m, r, i⟩, boxed once at creation because
-	// Outgoing re-sends it in every later round.
+	// Outgoing re-sends it in every later round, with stamp, its memo.
 	echo     msg.Payload
+	stamp    msg.StampMemo
 	echoOff  int32
 	echoes   int // distinct identifiers seen echoing
 	echoing  bool
@@ -119,7 +122,8 @@ type table struct {
 	// Entries beyond len are zero (reset clears what was used), so
 	// growing within capacity is free.
 	memo []int32
-	out  []msg.Payload // Outgoing's result buffer
+	out  []msg.Send // Outgoing's result buffer
+	rest []int32    // Ingest's inbox positions not classified by KeyID; then Unclaimed
 }
 
 // reset empties the table for a new broadcaster, keeping capacity.
@@ -132,6 +136,7 @@ func (t *table) reset() {
 	t.memo = t.memo[:0]
 	clear(t.out[:cap(t.out)]) // a later round may have sent fewer than an earlier one
 	t.out = t.out[:0]
+	t.rest = t.rest[:0]
 }
 
 // echoSlot returns the echoers slot memoised for the inbox KeyID kid, or
@@ -205,24 +210,24 @@ func (b *Broadcaster) Broadcast(m msg.Payload) {
 	b.pending = append(b.pending, m)
 }
 
-// Outgoing returns the broadcast-layer payloads to send in the given
-// round: pending ⟨init⟩ messages if this is an init round, plus every echo
-// obligation accumulated so far ("in all subsequent rounds"). Tuples are
-// scanned in arena order, which is first-sight order and therefore
-// deterministic. The result is the broadcaster's own buffer, valid until
-// the next Outgoing call: hosts copy the payloads into their sends.
-func (b *Broadcaster) Outgoing(round int) []msg.Payload {
+// Outgoing returns the broadcast-layer sends of the given round: pending
+// ⟨init⟩ messages if this is an init round, plus every echo obligation
+// accumulated so far ("in all subsequent rounds"), each with its tuple's
+// stamp memo. Tuples are scanned in arena order, which is first-sight
+// order and therefore deterministic. The result (and the memos it points
+// to) is the broadcaster's own, valid for the round: hosts copy the sends.
+func (b *Broadcaster) Outgoing(round int) []msg.Send {
 	out := b.tab.out[:0]
 	if IsInitRound(round) {
 		for _, m := range b.pending {
-			out = append(out, InitPayload{Body: m})
+			out = append(out, msg.Broadcast(InitPayload{Body: m}))
 		}
 		b.pending = nil
 	}
 	for i := range b.tab.tuples {
 		ts := &b.tab.tuples[i]
 		if ts.echoing && round > 2*ts.sr-1 {
-			out = append(out, ts.echo)
+			out = append(out, msg.Send{Kind: msg.ToAll, Body: ts.echo, Memo: &ts.stamp})
 		}
 	}
 	b.tab.out = out
@@ -234,55 +239,53 @@ func (b *Broadcaster) Outgoing(round int) []msg.Payload {
 // the inbox through the indexed accessors, so the engine's SoA inbox
 // never materialises a []Message view for the broadcast layer.
 //
-// Almost every message of a round is an echo this broadcaster has
-// already validated in an earlier round; those are recognised by their
-// inbox KeyID alone (table.memo). Only a first sight, a message of an
-// uninterned inbox (KeyIDAt is NoKey) or an echo whose superround is
-// still in the future reaches the payload and the tuple key — that path
-// is the definition, the memo only remembers its answer.
+// Almost every message of a round is an echo this broadcaster validated
+// in an earlier round; the one pass over the inbox recognises those by
+// their inbox KeyID alone (table.memo). Only the rest — a first sight, a
+// message of an uninterned inbox, an early echo, anything that is no echo
+// — reaches the payload and the tuple key, in walks over just those
+// positions: that path is the definition, the memo only remembers its
+// answer, and tuples are created on it alone, ⟨init⟩s first.
 func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 	sr := Superround(round)
-	k := in.Len()
 	tab := b.tab
+	fresh := tab.rest[:0]
+	for i, k := 0, in.Len(); i < k; i++ {
+		if slot := tab.echoSlot(in.KeyIDAt(i)); slot >= 0 {
+			b.support(slot)
+		} else {
+			fresh = append(fresh, int32(i))
+		}
+	}
 	// ⟨init⟩ messages are only meaningful in the first round of a
 	// superround; an init from identifier i starts the (m, sr, i) tuple.
 	// They go first: a tuple's arena position is its first sight.
 	if IsInitRound(round) {
-		for i := 0; i < k; i++ {
-			if tab.echoSlot(in.KeyIDAt(i)) >= 0 {
-				continue // a known echo
-			}
-			ip, ok := in.BodyAt(i).(InitPayload)
+		for _, i := range fresh {
+			ip, ok := in.BodyAt(int(i)).(InitPayload)
 			if !ok || ip.Body == nil {
 				continue
 			}
-			tab.tuples[b.tuple(ip.Body, sr, in.SenderAt(i))].echoing = true
+			tab.tuples[b.tuple(ip.Body, sr, in.SenderAt(int(i)))].echoing = true
 		}
 	}
 	// ⟨echo⟩ messages accumulate per-tuple distinct-identifier support in
-	// the bitmap arena.
-	for i := 0; i < k; i++ {
-		kid := in.KeyIDAt(i)
-		slot := tab.echoSlot(kid)
-		if slot < 0 {
-			ep, ok := in.BodyAt(i).(EchoPayload)
-			if !ok || ep.Body == nil || ep.SR < 1 || ep.SR > sr || !ep.ID.IsValid(b.l) {
-				continue
-			}
-			sender := in.SenderAt(i)
-			if !sender.IsValid(b.l) {
-				continue
-			}
-			slot = int(tab.tuples[b.tuple(ep.Body, ep.SR, ep.ID)].echoOff) + int(sender)
-			if kid != msg.NoKey {
-				tab.memoise(kid, slot)
-			}
+	// the bitmap arena; what is none stays, compacted in place.
+	rest := fresh[:0]
+	for _, i := range fresh {
+		ep, ok := in.BodyAt(int(i)).(EchoPayload)
+		sender := in.SenderAt(int(i))
+		if !ok || ep.Body == nil || ep.SR < 1 || ep.SR > sr || !ep.ID.IsValid(b.l) || !sender.IsValid(b.l) {
+			rest = append(rest, i)
+			continue
 		}
-		if seen := &tab.echoers[slot]; !*seen {
-			*seen = true
-			tab.tuples[slot/(b.l+1)].echoes++
+		slot := int(tab.tuples[b.tuple(ep.Body, ep.SR, ep.ID)].echoOff) + int(sender)
+		if kid := in.KeyIDAt(int(i)); kid != msg.NoKey {
+			tab.memoise(kid, slot)
 		}
+		b.support(slot)
 	}
+	tab.rest = rest
 	// Threshold checks (cumulative over all rounds), in arena order.
 	var accepts []Accept
 	for i := range tab.tuples {
@@ -297,6 +300,19 @@ func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 	}
 	return accepts
 }
+
+// support records the echo of one (tuple, sender identifier) echoers slot.
+func (b *Broadcaster) support(slot int) {
+	if seen := &b.tab.echoers[slot]; !*seen {
+		*seen = true
+		b.tab.tuples[slot/(b.l+1)].echoes++
+	}
+}
+
+// Unclaimed returns the ascending positions of the last Ingest's inbox
+// whose message is no echo the broadcaster counted (the host's traffic,
+// ⟨init⟩s, the malformed, the early). Valid until the next Ingest.
+func (b *Broadcaster) Unclaimed() []int32 { return b.tab.rest }
 
 // tuple returns the arena index of the (m, sr, i) tuple, creating it on
 // first sight. The tuple key is built in the broadcaster's scratch buffer

@@ -92,7 +92,7 @@ func TestEchoAmplification(t *testing.T) {
 	out := b.Outgoing(3)
 	found := false
 	for _, p := range out {
-		if ep, ok := p.(EchoPayload); ok && ep.ID == 3 && ep.SR == 1 && ep.Body.Key() == body.Key() {
+		if ep, ok := p.Body.(EchoPayload); ok && ep.ID == 3 && ep.SR == 1 && ep.Body.Key() == body.Key() {
 			found = true
 		}
 	}
@@ -113,7 +113,7 @@ func TestInitTriggersEcho(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("Outgoing(2) returned %d payloads, want 1 echo", len(out))
 	}
-	ep, ok := out[0].(EchoPayload)
+	ep, ok := out[0].Body.(EchoPayload)
 	if !ok || ep.ID != 2 || ep.SR != 1 {
 		t.Fatalf("unexpected outgoing payload %+v", out[0])
 	}
@@ -143,13 +143,13 @@ func TestBroadcastEmitsInitOnInitRound(t *testing.T) {
 	b.Broadcast(msg.Raw("m"))
 	// Round 2 is not an init round: the init must wait.
 	for _, p := range b.Outgoing(2) {
-		if _, ok := p.(InitPayload); ok {
+		if _, ok := p.Body.(InitPayload); ok {
 			t.Fatal("init emitted in a non-init round")
 		}
 	}
 	found := false
 	for _, p := range b.Outgoing(3) {
-		if _, ok := p.(InitPayload); ok {
+		if _, ok := p.Body.(InitPayload); ok {
 			found = true
 		}
 	}

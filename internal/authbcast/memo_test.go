@@ -97,9 +97,9 @@ func observed(b *Broadcaster, round int, accepts []Accept) string {
 	}
 	s += " outgoing:"
 	for _, p := range b.Outgoing(round + 1) {
-		s += " " + newMemoSend(0, p).key
+		s += " " + newMemoSend(0, p.Body).key
 	}
-	return s + fmt.Sprintf(" tuples:%d fp:%x", b.TupleCount(), b.Fingerprint(msg.NewStateHash()))
+	return s + fmt.Sprintf(" unclaimed:%v tuples:%d fp:%x", b.Unclaimed(), b.TupleCount(), b.Fingerprint(msg.NewStateHash()))
 }
 
 // TestIngestKeyIDMemoMatchesKeyPath holds the KeyID memo to the path it
@@ -109,8 +109,9 @@ func observed(b *Broadcaster, round int, accepts []Accept) string {
 // engine's interned SoA inboxes, one through shared GroupInbox views, and
 // one that starts as a mid-run Clone of the second (its memo empty, its
 // tuples not). After every round all four must have performed the same
-// Accepts in the same order, owe the same Outgoing list and fingerprint
-// the same.
+// Accepts in the same order, owe the same Outgoing list, leave the same
+// positions Unclaimed — on the key path, by definition, exactly the
+// messages that are no countable echo — and fingerprint the same.
 //
 // An interned inbox iterates in KeyID order and an uninterned one in key
 // order, so the test interns every message key up front, in key order:
@@ -152,8 +153,19 @@ func TestIngestKeyIDMemoMatchesKeyPath(t *testing.T) {
 				}
 			}
 
-			want := keyPath.Ingest(r, msg.NewInbox(false, plain))
+			in := msg.NewInbox(false, plain)
+			want := keyPath.Ingest(r, in)
 			accepted += len(want)
+			rest := keyPath.Unclaimed()
+			for i := 0; i < in.Len(); i++ {
+				ep, ok := in.BodyAt(i).(EchoPayload)
+				countable := ok && ep.Body != nil && ep.SR >= 1 && ep.SR <= Superround(r) && ep.ID.IsValid(l) && in.SenderAt(i).IsValid(l)
+				if unclaimed := len(rest) > 0 && int(rest[0]) == i; unclaimed == countable {
+					t.Fatalf("seed %d round %d: position %d (countable echo: %v) is on the wrong side of Unclaimed %v", seed, r, i, countable, keyPath.Unclaimed())
+				} else if unclaimed {
+					rest = rest[1:]
+				}
+			}
 			wantSeen := observed(keyPath, r, want)
 
 			soa := msg.NewPooledInboxSoA(false, arena, idx)
@@ -203,5 +215,51 @@ func TestOutgoingBoxesEachEchoOnce(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { b.Outgoing(2) }); allocs != 0 {
 		t.Fatalf("re-sending 50 standing echoes allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestStampMemosAreNeitherInheritedNorShared pins who owns a tuple's
+// stamp memo: it lives with the tuple in the pooled table, so the next
+// execution's broadcaster — handed the same table — must find it unowned
+// (a KeyID of the previous execution's interner would otherwise answer
+// for this one's), and a Clone re-sends from a table, and memos, of its
+// own.
+func TestStampMemosAreNeitherInheritedNorShared(t *testing.T) {
+	it := msg.NewInterner()
+	start := func(b *Broadcaster) *msg.StampMemo {
+		deliver(t, b, 1, []msg.Message{{ID: 2, Body: InitPayload{Body: msg.Raw("m")}}})
+		out := b.Outgoing(2)
+		if len(out) != 1 || out[0].Memo == nil {
+			t.Fatalf("Outgoing(2) = %v, want one standing echo with its memo", out)
+		}
+		return out[0].Memo
+	}
+	b := newBroadcaster(4, 1)
+	memo := start(b)
+	memo.Fill(it, 1, it.Intern("what the engine's first stamp interned"), 3)
+	if _, _, ok := memo.Lookup(it, 1); !ok {
+		t.Fatal("a filled memo does not answer for its interner and identifier")
+	}
+	if again := b.Outgoing(3)[0].Memo; again != memo {
+		t.Fatal("a standing echo went out with a different memo in the next round")
+	}
+
+	cl := b.Clone()
+	defer cl.Release()
+	if cm := cl.Outgoing(2)[0].Memo; cm == memo {
+		t.Fatal("a clone offers its original's memo")
+	} else if _, _, ok := cm.Lookup(it, 1); ok {
+		t.Fatal("a clone's memo was filled by its original's stamp")
+	}
+
+	tab := b.tab
+	b.Release()
+	nb := newBroadcaster(4, 1)
+	defer nb.Release()
+	if nb.tab != tab {
+		t.Skip("the pool handed out another table (it drops items under the race detector)")
+	}
+	if _, _, ok := start(nb).Lookup(it, 1); ok {
+		t.Fatal("a stamp memo survived its table's trip through the pool")
 	}
 }

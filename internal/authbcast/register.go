@@ -59,11 +59,9 @@ func (h *fuzzHost) Prepare(round int) []msg.Send {
 	if IsInitRound(round) {
 		h.bc.Broadcast(fuzzValue{V: h.ctx.Input})
 	}
-	var out []msg.Send
-	for _, pl := range h.bc.Outgoing(round) {
-		out = append(out, msg.Broadcast(pl))
-	}
-	return out
+	// Outgoing's buffer is the broadcaster's; the engine keeps the sends
+	// for the round.
+	return append([]msg.Send(nil), h.bc.Outgoing(round)...)
 }
 
 // Receive implements sim.Process.

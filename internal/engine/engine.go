@@ -92,7 +92,8 @@ type Context struct {
 type Process interface {
 	// Init is called once before round 1.
 	Init(ctx Context)
-	// Prepare returns the sends for the given round (1-based).
+	// Prepare returns the sends for the given round (1-based). The slice
+	// is read during that round only; the next Prepare may reuse it.
 	Prepare(round int) []msg.Send
 	// Receive delivers the round's inbox. The inbox is engine-owned
 	// scratch, recycled as soon as Receive returns: implementations must

@@ -159,6 +159,7 @@ type Router struct {
 
 	verify        bool // paranoid mode (Config.Invariants): VerifyRound is live
 	verifyScratch []int32
+	memoStamped   []int32 // paranoid mode: this round's entries stamped from a memo
 	totalStamped  int
 
 	slots *slotStage // per-slot routing stage; nil until something routes per slot
@@ -367,6 +368,7 @@ func (r *Router) BeginRound(round int) {
 	r.sendFrom = r.sendFrom[:0]
 	r.sendKeyLen = r.sendKeyLen[:0]
 	r.deliveries = r.deliveries[:0]
+	r.memoStamped = r.memoStamped[:0]
 	if st := r.slots; st != nil {
 		clear(st.issued)
 		clear(st.viewsIssued)
@@ -385,24 +387,31 @@ func (r *Router) BeginRound(round int) {
 	}
 }
 
-// stamp appends one send to the arena (interning its key — this is the
-// only place a round's keys are interned, so intern order is send order
-// in both delivery modes) and records its routing metadata columns.
-// Payloads that implement msg.ScratchKeyer have their body key built in
-// the router's scratch KeyBuilder and interned directly, so repeat sends
-// allocate no key strings at all; other payloads fall back to Key().
-func (r *Router) stamp(from int, body msg.Payload) int32 {
-	var si int32
-	var keyLen int
-	if sk, ok := body.(msg.ScratchKeyer); ok {
-		sk.BuildKey(&r.kb)
-		keyLen = len(r.kb.Bytes())
-		si = r.arena.AppendInterned(r.intern, r.assignment[from], body, r.kb.Intern(r.intern))
-	} else {
-		bodyKey := body.Key()
-		keyLen = len(bodyKey)
-		si = r.arena.Append(r.intern, r.assignment[from], body, bodyKey)
+// stamp appends one send to the arena and records its routing metadata
+// columns. This is the only place a round's keys are interned — message
+// keys "id=<id>|<body key>" only, so every KeyID names a message — so
+// intern order is send order in both delivery modes. Stamp once per
+// execution: a send offered with its sender's memo builds and hashes its
+// key the first time and costs the column appends afterwards. Otherwise a
+// msg.ScratchKeyer builds its key in scratch; the rest fall back to Key().
+func (r *Router) stamp(from int, body msg.Payload, memo *msg.StampMemo) int32 {
+	id := r.assignment[from]
+	kid, keyLen, known := memo.Lookup(r.intern, id)
+	if !known {
+		if sk, ok := body.(msg.ScratchKeyer); ok {
+			sk.BuildKey(&r.kb)
+			keyLen = len(r.kb.Bytes())
+			kid = r.kb.InternMessage(r.intern, id)
+		} else {
+			bodyKey := body.Key()
+			keyLen = len(bodyKey)
+			kid, _ = r.intern.InternMessageKey(int64(id), bodyKey)
+		}
+		memo.Fill(r.intern, id, kid, keyLen)
+	} else if r.verify {
+		r.memoStamped = append(r.memoStamped, int32(r.arena.Len()))
 	}
+	si := r.arena.AppendStamped(r.intern, id, body, kid)
 	r.sendFrom = append(r.sendFrom, int32(from))
 	r.sendKeyLen = append(r.sendKeyLen, int32(keyLen))
 	r.totalStamped++
@@ -581,7 +590,7 @@ func (r *Router) pumpPending() {
 		if e.Due != round {
 			continue
 		}
-		si := r.stamp(int(e.From), e.Body)
+		si := r.stamp(int(e.From), e.Body, nil)
 		st.dirty[e.To] = true
 		r.route(int(e.From), int(e.To), si)
 	}
@@ -639,7 +648,7 @@ func (r *Router) RouteCorrect(from int, sends []msg.Send) {
 	}
 	st := r.stage()
 	for _, s := range sends {
-		si := r.stamp(from, s.Body)
+		si := r.stamp(from, s.Body, s.Memo)
 		switch s.Kind {
 		case msg.ToAll:
 			if r.rowsOpen {
@@ -707,7 +716,7 @@ func (r *Router) RouteByzantine(from int, sends []msg.TargetedSend) {
 			}
 			st.perRecip[ts.ToSlot]++
 		}
-		si := r.stamp(from, ts.Body)
+		si := r.stamp(from, ts.Body, nil)
 		st.dirty[ts.ToSlot] = true
 		r.route(from, ts.ToSlot, si)
 	}
@@ -1052,7 +1061,7 @@ func (r *Router) injectReplays() {
 	for _, i := range r.inj.ReplaysInto(r.round) {
 		rp := &r.replays[i]
 		for _, body := range r.retained[i] {
-			si := r.stamp(rp.FromSlot, body)
+			si := r.stamp(rp.FromSlot, body, nil)
 			r.stage().dirty[rp.ToSlot] = true
 			r.route(rp.FromSlot, rp.ToSlot, si)
 		}

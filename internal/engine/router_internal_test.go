@@ -748,3 +748,154 @@ func TestVerifyRoundChecksRowsAndTails(t *testing.T) {
 	st.pend[8] = append(st.pend[8], st.pend[4][0])
 	check("class-equality")
 }
+
+// countedBody is a standing payload that counts its key builds.
+type countedBody struct {
+	v      int
+	builds *int
+}
+
+func (b countedBody) BuildKey(kb *msg.KeyBuilder) {
+	*b.builds++
+	kb.Reset("standing").Int(b.v)
+}
+
+func (b countedBody) Key() string { return msg.ScratchKey(b) }
+
+// standingSends builds k broadcasts of distinct countedBody payloads,
+// each offered with its own stamp memo.
+func standingSends(k int, builds *int) []msg.Send {
+	memos := make([]msg.StampMemo, k)
+	sends := make([]msg.Send, k)
+	for i := range sends {
+		sends[i] = msg.Send{Kind: msg.ToAll, Body: countedBody{v: i, builds: builds}, Memo: &memos[i]}
+	}
+	return sends
+}
+
+// TestStandingSendsStampOncePerExecution pins the stamp memo: a send
+// offered with its sender's memo builds and interns its key the first
+// time and never again — a round re-sending k standing payloads performs
+// 0 key builds and 0 allocations — while everything the memo was not
+// filled for (another identifier, the interner after a Reset) takes the
+// key path, gets the right KeyID, and leaves the memo to its owner.
+func TestStandingSendsStampOncePerExecution(t *testing.T) {
+	const n, l, k = 12, 4, 50
+	h := newRouterHarness(t, symmetricConfig(n, l), nil)
+	builds := 0
+	sends := standingSends(k, &builds)
+	// stamped re-routes the sends from one slot in a fresh round and
+	// returns what the arena holds for them.
+	type entry struct {
+		kid    msg.KeyID
+		key    string
+		keyLen int32
+	}
+	stamped := func(round, from int) []entry {
+		h.r.BeginRound(round)
+		h.r.RouteCorrect(from, sends)
+		out := make([]entry, k)
+		for si := range out {
+			out[si] = entry{h.r.arena.KID(int32(si)), h.r.arena.Key(int32(si)), h.r.sendKeyLen[si]}
+		}
+		return out
+	}
+	equal := func(a, b []entry) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	first := stamped(1, 0)
+	if builds != k {
+		t.Fatalf("first stamp of %d standing sends built %d keys", k, builds)
+	}
+	for i, e := range first {
+		want := msg.NewMessage(1, sends[i].Body)
+		if e.key != want.Key() || e.kid != h.intern.Lookup(want.Key()) || int(e.keyLen) != len(sends[i].Body.Key()) {
+			t.Fatalf("send %d stamped as %+v, want key %q", i, e, want.Key())
+		}
+	}
+	builds = 0
+	// Slots 0 and 4 are homonyms (identifier 1): the same payload under
+	// the same identifier is the same message, so the memo answers.
+	if again, twin := stamped(2, 0), stamped(3, 4); !equal(again, first) || !equal(twin, first) || builds != 0 {
+		t.Fatalf("re-sending standing payloads built %d keys (want 0) or changed what was stamped", builds)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		h.r.BeginRound(4)
+		h.r.RouteCorrect(0, sends)
+	})
+	if allocs != 0 {
+		t.Fatalf("a round re-sending %d standing payloads allocated %.0f times, want 0", k, allocs)
+	}
+	if builds != 0 {
+		t.Fatalf("re-sending standing payloads built %d keys, want 0", builds)
+	}
+
+	// Another identifier is another message: key path, and the owner's
+	// memo survives it.
+	other := stamped(5, 1)
+	if builds != k {
+		t.Fatalf("stamping under another identifier built %d keys, want %d (a memo answers for one identifier)", builds, k)
+	}
+	for i, e := range other {
+		if want := msg.NewMessage(2, sends[i].Body).Key(); e.key != want || e.kid == first[i].kid {
+			t.Fatalf("send %d under identifier 2 stamped as %q (KeyID %d), want %q under a KeyID of its own", i, e.key, e.kid, want)
+		}
+	}
+	builds = 0
+	if back := stamped(6, 0); !equal(back, first) || builds != 0 {
+		t.Fatalf("a foreign stamp overwrote the owner's memo: %d key builds on the owner's next round", builds)
+	}
+
+	// A Reset interner issues KeyIDs afresh: memos of its previous epoch
+	// must not answer.
+	h.intern.Reset()
+	h.intern.Intern("occupies KeyID 1")
+	fresh := stamped(7, 0)
+	if builds != k {
+		t.Fatalf("stamping after an interner Reset built %d keys, want %d", builds, k)
+	}
+	for i, e := range fresh {
+		if want := msg.NewMessage(1, sends[i].Body).Key(); e.key != want || e.kid != h.intern.Lookup(want) {
+			t.Fatalf("send %d after Reset stamped as %q (KeyID %d), the interner holds %q as %d", i, e.key, e.kid, want, h.intern.Lookup(want))
+		}
+	}
+}
+
+// TestVerifyRoundChecksStampMemos pins the paranoid check behind the
+// handle path: every entry stamped from a memo has its key re-derived,
+// so a memo that answers for a payload it was not filled for is caught.
+func TestVerifyRoundChecksStampMemos(t *testing.T) {
+	const n, l = 12, 4
+	cfg := symmetricConfig(n, l)
+	cfg.Invariants = true
+	h := newRouterHarness(t, cfg, nil)
+	builds := 0
+	sends := standingSends(3, &builds)
+	round := func(r int) error {
+		h.r.BeginRound(r)
+		h.r.RouteCorrect(0, sends)
+		h.r.Flush()
+		h.drainInboxes()
+		return h.r.VerifyRound()
+	}
+	for r := 1; r <= 2; r++ {
+		if err := round(r); err != nil {
+			t.Fatalf("round %d of sound standing sends fails verification: %v", r, err)
+		}
+	}
+	if len(h.r.memoStamped) != len(sends) {
+		t.Fatalf("round 2 stamped %d entries from memos, want %d", len(h.r.memoStamped), len(sends))
+	}
+	// The second payload goes out with the first one's (filled) memo.
+	sends[1].Memo = sends[0].Memo
+	err, _ := round(3).(*InvariantError)
+	if err == nil || err.Check != "stamp-memo" {
+		t.Fatalf("VerifyRound = %v, want a %q violation", err, "stamp-memo")
+	}
+}

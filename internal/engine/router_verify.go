@@ -1,6 +1,10 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+
+	"homonyms/internal/msg"
+)
 
 // InvariantError reports a failed paranoid-mode router invariant
 // (Config.Invariants). It surfaces from Run like any engine error,
@@ -25,6 +29,8 @@ func (e *InvariantError) Error() string {
 //     on this);
 //   - class-refcount: every shared class issued exactly classSize views,
 //     so the shared core's reference count drains to zero on recycle;
+//   - stamp-memo: every entry stamped from a sender's memo carries the
+//     KeyID and key length its key, re-derived through BuildKey, has;
 //   - row-order: every tail entry was stamped after the last entry of the
 //     recipient's group row — what licenses reading a candidate batch as
 //     row ++ tail instead of merging the two;
@@ -63,6 +69,18 @@ func (r *Router) VerifyRound() error {
 				Round: r.round, Check: "inbox-issued",
 				Detail: fmt.Sprintf("slot %d (bad=%v) took %d inboxes, want %d",
 					to, r.isBad[to], st.issued[to], want),
+			}
+		}
+	}
+	for _, si := range r.memoStamped {
+		body := r.arena.Body(si)
+		bodyKey := body.Key() // a ScratchKeyer's Key is its BuildKey
+		want := r.intern.Lookup(msg.NewMessageKeyed(r.arena.ID(si), body, bodyKey).Key())
+		if r.arena.KID(si) != want || int(r.sendKeyLen[si]) != len(bodyKey) {
+			return &InvariantError{
+				Round: r.round, Check: "stamp-memo",
+				Detail: fmt.Sprintf("send %d from slot %d was stamped from a memo as KeyID %d, key length %d; its key %q is KeyID %d, length %d",
+					si, r.sendFrom[si], r.arena.KID(si), r.sendKeyLen[si], bodyKey, want, len(bodyKey)),
 			}
 		}
 	}

@@ -471,7 +471,7 @@ func (r *countingRep) RouteRound(round int) bool {
 		leader := int(c.members[0])
 		mult := len(c.members)
 		for _, s := range c.sends {
-			si := rt.stamp(leader, s.Body)
+			si := rt.stamp(leader, s.Body, s.Memo)
 			rt.totalStamped += mult - 1 // each member's copy counts against MaxSends
 			keyLen := int(rt.sendKeyLen[si])
 			switch s.Kind {

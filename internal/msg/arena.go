@@ -1,6 +1,12 @@
 package msg
 
-import "homonyms/internal/hom"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"homonyms/internal/hom"
+)
 
 // SendArena is the engines' per-round send buffer in structure-of-arrays
 // layout: one entry per stamped send, split into parallel columns so that
@@ -25,11 +31,23 @@ import "homonyms/internal/hom"
 // Inboxes built over the arena (NewPooledInboxSoA) reference entries by
 // int32 index and are only valid while the round's entries are live, i.e.
 // until the next Reset.
+//
+// One order per round: the (identifier, KeyID) order of the entries is
+// built once, by the first inbox that asks (sorted), and arena-sized
+// inboxes derive their permutation from it instead of each sorting the
+// same entries. A SendArena must not be copied after first use.
 type SendArena struct {
 	ids    []hom.Identifier
 	kids   []KeyID
 	bodies []Payload
 	keys   []string
+
+	// The lazy round order; orderOK is its double-checked publication
+	// flag, as in GroupInbox (concurrent receivers race to build it).
+	orderMu sync.Mutex
+	orderOK atomic.Bool
+	order   []int32
+	every   []int32 // 0, 1, 2, ...: the whole arena as an orderRefs distinct set
 }
 
 // Reset truncates the arena for a new round, keeping column capacity.
@@ -42,6 +60,7 @@ func (a *SendArena) Reset() {
 	a.kids = a.kids[:0]
 	a.bodies = a.bodies[:0]
 	a.keys = a.keys[:0]
+	a.orderOK.Store(false)
 }
 
 // Len returns the number of stamped sends.
@@ -52,22 +71,39 @@ func (a *SendArena) Len() int { return len(a.ids) }
 // key seen before costs one hash lookup and zero allocations. It returns
 // the new entry's arena index.
 func (a *SendArena) Append(it *Interner, id hom.Identifier, body Payload, bodyKey string) int32 {
-	kid, key := it.InternMessageKey(int64(id), bodyKey)
+	kid, _ := it.InternMessageKey(int64(id), bodyKey)
+	return a.AppendStamped(it, id, body, kid)
+}
+
+// AppendStamped is Append for a send whose message key the caller holds
+// as a KeyID of it (KeyBuilder.InternMessage, or a StampMemo's): four
+// column appends, no key built and nothing hashed.
+func (a *SendArena) AppendStamped(it *Interner, id hom.Identifier, body Payload, kid KeyID) int32 {
 	i := int32(len(a.ids))
 	a.ids = append(a.ids, id)
 	a.kids = append(a.kids, kid)
 	a.bodies = append(a.bodies, body)
-	a.keys = append(a.keys, key)
+	a.keys = append(a.keys, it.Key(kid))
 	return i
 }
 
-// AppendInterned is Append for a body whose key was already interned
-// into it (the engines' ScratchKeyer send path: the body key is built
-// in a scratch KeyBuilder and symbolized without ever materialising a
-// fresh string). The canonical body string is read back from the intern
-// table, so the whole stamp allocates nothing for known keys.
-func (a *SendArena) AppendInterned(it *Interner, id hom.Identifier, body Payload, bodyKid KeyID) int32 {
-	return a.Append(it, id, body, it.Key(bodyKid))
+// sorted returns the entries by ascending (identifier, KeyID) — equal
+// pairs, homonyms' copies of one message, by index — built on first demand
+// (and again if entries were appended since).
+func (a *SendArena) sorted() []int32 {
+	if a.orderOK.Load() && len(a.order) == len(a.ids) {
+		return a.order
+	}
+	a.orderMu.Lock()
+	defer a.orderMu.Unlock()
+	if !a.orderOK.Load() || len(a.order) != len(a.ids) {
+		for len(a.every) < len(a.ids) {
+			a.every = append(a.every, int32(len(a.every)))
+		}
+		a.order = orderRefs(slices.Grow(a.order[:0], len(a.ids)), a.every[:len(a.ids)], a.ids, a.kids)
+		a.orderOK.Store(true)
+	}
+	return a.order
 }
 
 // ID returns the sender identifier of entry i.
@@ -87,4 +123,38 @@ func (a *SendArena) Key(i int32) string { return a.keys[i] }
 // and the inbox's sorted view).
 func (a *SendArena) Message(i int32) Message {
 	return Message{ID: a.ids[i], Body: a.bodies[i], key: a.keys[i], kid: a.kids[i]}
+}
+
+// StampMemo is a sender's memory of one stamped send. A payload re-sent
+// round after round (a standing echo, an unchanged proper set) has the
+// same message key every time, so its sender offers a memo with it
+// (Send.Memo): the first stamp fills it with the key's KeyID and the
+// payload's key length, and later stamps read them back instead of
+// rebuilding and re-hashing the key — stamp once per execution. A KeyID
+// belongs to one interner epoch and a message key to one identifier, so a
+// memo answers only for what it was filled under; anything else takes the
+// key path and leaves the memo to its owner. The zero value is unowned;
+// owners that pool memos zero them between executions.
+type StampMemo struct {
+	it     *Interner
+	epoch  uint32
+	kid    KeyID
+	id     hom.Identifier
+	keyLen int32
+}
+
+// Lookup returns the memoised KeyID and payload key length if the memo was
+// filled under it (since its last Reset) for id. A nil memo never hits.
+func (m *StampMemo) Lookup(it *Interner, id hom.Identifier) (kid KeyID, keyLen int, ok bool) {
+	if m == nil || m.it != it || m.epoch != it.epoch || m.id != id {
+		return NoKey, 0, false
+	}
+	return m.kid, int(m.keyLen), true
+}
+
+// Fill records what the key path derived, if the memo is unowned.
+func (m *StampMemo) Fill(it *Interner, id hom.Identifier, kid KeyID, keyLen int) {
+	if m != nil && m.it == nil {
+		*m = StampMemo{it: it, epoch: it.epoch, kid: kid, id: id, keyLen: int32(keyLen)}
+	}
 }

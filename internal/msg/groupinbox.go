@@ -66,46 +66,9 @@ func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, views int
 	g := groupInboxPool.Get().(*GroupInbox)
 	g.numerate = numerate
 	g.soa = arena
-	g.total = 0
 	g.idxOK.Store(false)
 	g.refs.Store(int32(views))
-	kids := arena.kids
-	maxKid := KeyID(0)
-	for _, i := range idx {
-		if kids[i] > maxKid {
-			maxKid = kids[i]
-		}
-	}
-	// First sights only, as in fillSoA: at most one per KeyID in play.
-	if distinct := min(len(idx), int(maxKid)+1); cap(g.ref) < distinct {
-		g.ref = make([]int32, 0, distinct)
-	}
-	g.ref = g.ref[:0]
-	if n := int(maxKid) + 1; n > len(g.kidCount) {
-		if n <= cap(g.kidCount) {
-			// The region beyond the old length was never written (counts
-			// are zeroed on release), so extending is free.
-			g.kidCount = g.kidCount[:n]
-		} else {
-			grown := make([]int32, n, 2*n)
-			copy(grown, g.kidCount)
-			g.kidCount = grown
-		}
-	}
-	for _, i := range idx {
-		kid := kids[i]
-		g.total++
-		if c := g.kidCount[kid]; c > 0 {
-			if numerate {
-				g.kidCount[kid] = c + 1
-			} else {
-				g.total--
-			}
-			continue
-		}
-		g.kidCount[kid] = 1
-		g.ref = append(g.ref, i)
-	}
+	g.ref, g.kidCount, g.total = fillDistinct(numerate, arena.kids, idx, g.ref, g.kidCount)
 	return g
 }
 
@@ -126,7 +89,7 @@ func NewPooledInboxView(g *GroupInbox) *Inbox {
 
 // sortIndex builds (on first access, under the core's lock) and returns
 // the sorted position index over the distinct set — the same
-// (identifier, KeyID) order as the per-recipient inbox (orderRefs), paid
+// (identifier, KeyID) order as the per-recipient inbox (orderInbox), paid
 // once per equivalence class.
 func (g *GroupInbox) sortIndex() []int32 {
 	if g.idxOK.Load() {
@@ -137,7 +100,7 @@ func (g *GroupInbox) sortIndex() []int32 {
 	if g.idxOK.Load() {
 		return g.orderIdx
 	}
-	g.orderIdx = orderRefs(g.orderIdx, g.ref, g.soa.ids, g.soa.kids)
+	g.orderIdx = orderInbox(g.orderIdx, g.ref, g.soa)
 	g.idxOK.Store(true)
 	return g.orderIdx
 }

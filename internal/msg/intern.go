@@ -51,6 +51,7 @@ type Interner struct {
 	ids     map[string]KeyID
 	keys    []string // KeyID -> canonical key; keys[0] is the NoKey slot
 	scratch []byte   // reused by InternMessageKey
+	epoch   uint32   // Resets so far: what a StampMemo's KeyID is valid against
 }
 
 // NewInterner returns an empty intern table.
@@ -84,6 +85,7 @@ func (it *Interner) Reset() {
 	clear(it.ids)
 	clear(it.keys) // drop string references so recycled interners retain no garbage
 	it.keys = it.keys[:1]
+	it.epoch++
 }
 
 // Len returns the number of interned keys. Valid KeyIDs are 1..Len().
@@ -141,11 +143,17 @@ func (it *Interner) Snapshot() []string {
 // both the KeyID and the canonical string (shared with the intern table,
 // so repeated sends of the same message allocate nothing).
 func (it *Interner) InternMessageKey(id int64, bodyKey string) (KeyID, string) {
+	kid := internMessageKey(it, id, bodyKey)
+	return kid, it.keys[kid]
+}
+
+// internMessageKey is InternMessageKey over a body key held as a string
+// or as scratch bytes; the body key itself is never interned.
+func internMessageKey[K string | []byte](it *Interner, id int64, bodyKey K) KeyID {
 	b := append(it.scratch[:0], "id="...)
 	b = strconv.AppendInt(b, id, 10)
 	b = append(b, '|')
 	b = append(b, bodyKey...)
 	it.scratch = b[:0]
-	kid := it.InternBytes(b)
-	return kid, it.keys[kid]
+	return it.InternBytes(b)
 }

@@ -129,6 +129,12 @@ func (kb *KeyBuilder) Bytes() []byte { return kb.buf }
 // string-free path protocol tables use every round.
 func (kb *KeyBuilder) Intern(it *Interner) KeyID { return it.InternBytes(kb.buf) }
 
+// InternMessage is Interner.InternMessageKey for the built payload key,
+// straight from the scratch bytes.
+func (kb *KeyBuilder) InternMessage(it *Interner, id hom.Identifier) KeyID {
+	return internMessageKey(it, int64(id), kb.buf)
+}
+
 // ScratchKeyer is an optional Payload extension for the engines' send
 // path: a payload that can rebuild its canonical key into a
 // caller-provided KeyBuilder implements it, and the router then builds

@@ -142,6 +142,9 @@ type Send struct {
 	// To is the destination identifier when Kind == ToIdentifier.
 	To   hom.Identifier
 	Body Payload
+	// Memo is the sender's stamp memo for Body, or nil: it changes what
+	// stamping a re-sent payload costs, never what is sent.
+	Memo *StampMemo
 }
 
 // Broadcast builds a ToAll send.
@@ -381,7 +384,7 @@ func (in *Inbox) fillWeighted(numerate bool, arena *SendArena, idx []int32, weig
 			maxKid = kids[i]
 		}
 	}
-	in.growCounts(maxKid)
+	in.kidCount = growCounts(in.kidCount, maxKid)
 	for j, i := range idx {
 		kid := kids[i]
 		w := int32(1)
@@ -482,7 +485,7 @@ func (in *Inbox) fill(numerate bool, raw []Message) {
 		}
 	}
 	if in.interned {
-		in.growCounts(maxKid)
+		in.kidCount = growCounts(in.kidCount, maxKid)
 		for _, m := range raw {
 			in.addInterned(m, numerate)
 		}
@@ -521,7 +524,7 @@ func (in *Inbox) fillIndexed(numerate bool, arena []Message, idx []int32) {
 		if cap(in.ref) < len(idx) {
 			in.ref = make([]int32, 0, len(idx))
 		}
-		in.growCounts(maxKid)
+		in.kidCount = growCounts(in.kidCount, maxKid)
 		for _, i := range idx {
 			m := &arena[i]
 			in.total++
@@ -549,57 +552,63 @@ func (in *Inbox) fillIndexed(numerate bool, arena []Message, idx []int32) {
 	}
 }
 
-// fillSoA is the structure-of-arrays fill: dedup and counting read only
-// the arena's KeyID column. Entries are interned by construction, so
-// there is no legacy fallback and no per-entry branch on NoKey.
+// fillSoA is the structure-of-arrays fill (fillDistinct). Entries are
+// interned by construction, so there is no legacy fallback and no
+// per-entry branch on NoKey.
 func (in *Inbox) fillSoA(numerate bool, arena *SendArena, idx []int32) {
 	in.numerate = numerate
-	in.total = 0
 	in.idxOK, in.viewOK = false, false
 	in.interned = true
 	in.soa = arena
-	kids := arena.kids
+	in.ref, in.kidCount, in.total = fillDistinct(numerate, arena.kids, idx, in.ref, in.kidCount)
+}
+
+// fillDistinct folds one delivery batch into a KeyID-dense count array,
+// reading only the arena's KeyID column: first sights go to ref (reused
+// from its start; at most one per KeyID in play, however many homonyms'
+// copies the batch carries), repeats add a copy for a numerate receiver.
+// It returns ref, the counts and their sum, for Inbox and GroupInbox.
+func fillDistinct(numerate bool, kids []KeyID, idx, ref, counts []int32) ([]int32, []int32, int) {
 	maxKid := KeyID(0)
 	for _, i := range idx {
-		if kids[i] > maxKid {
-			maxKid = kids[i]
-		}
+		maxKid = max(maxKid, kids[i])
 	}
-	in.growCounts(maxKid)
-	// ref holds first sights only: at most one per KeyID in play, however
-	// many homonyms' copies the batch carries.
-	if distinct := min(len(idx), int(maxKid)+1); cap(in.ref) < distinct {
-		in.ref = make([]int32, 0, distinct)
+	counts = growCounts(counts, maxKid)
+	if distinct := min(len(idx), int(maxKid)+1); cap(ref) < distinct {
+		ref = make([]int32, 0, distinct)
 	}
+	ref = ref[:0]
+	total := 0
 	for _, i := range idx {
 		kid := kids[i]
-		in.total++
-		if c := in.kidCount[kid]; c > 0 {
+		total++
+		if c := counts[kid]; c > 0 {
 			if numerate {
-				in.kidCount[kid] = c + 1
+				counts[kid] = c + 1
 			} else {
-				in.total--
+				total--
 			}
 			continue
 		}
-		in.kidCount[kid] = 1
-		in.ref = append(in.ref, i)
+		counts[kid] = 1
+		ref = append(ref, i)
 	}
+	return ref, counts, total
 }
 
-// growCounts sizes the dense count array to cover maxKid.
-func (in *Inbox) growCounts(maxKid KeyID) {
-	if n := int(maxKid) + 1; n > len(in.kidCount) {
-		if n <= cap(in.kidCount) {
-			// The region beyond the old length was never written (counts
-			// are zeroed on Recycle), so extending is free.
-			in.kidCount = in.kidCount[:n]
-		} else {
-			grown := make([]int32, n, 2*n)
-			copy(grown, in.kidCount)
-			in.kidCount = grown
-		}
+// growCounts sizes a dense count array to cover maxKid.
+func growCounts(counts []int32, maxKid KeyID) []int32 {
+	n := int(maxKid) + 1
+	switch {
+	case n <= len(counts):
+	case n <= cap(counts):
+		// The region beyond the old length was never written (counts are
+		// zeroed when their inbox is recycled), so extending is free.
+		counts = counts[:n]
+	default:
+		counts = append(make([]int32, 0, 2*n), counts...)[:n]
 	}
+	return counts
 }
 
 // addInterned folds one interned delivery into the dense counts, keeping
@@ -648,10 +657,11 @@ func (in *Inbox) addLegacy(m Message, numerate bool) {
 // receivers that iterate through the indexed accessors stop here — only
 // Messages and FromIdentifier pay for the []Message view on top.
 //
-// The engines' SoA inboxes sort packed integer keys read off the arena
-// columns (orderRefs); the owned-copy and []Message-arena storages, whose
-// distinct sets are short or string-keyed, take a comparison sort on the
-// positions. Both are O(k log k) and allocate nothing.
+// The engines' SoA inboxes derive the index from the arena's one round
+// order (orderInbox: a linear walk, or a packed integer sort when the
+// inbox is small against the arena); the owned-copy and []Message-arena
+// storages, whose distinct sets are short or string-keyed, take a
+// comparison sort on the positions. Nothing allocates.
 func (in *Inbox) sortIndex() []int32 {
 	if in.shared != nil {
 		// Views share the core's index: built once per equivalence
@@ -662,7 +672,7 @@ func (in *Inbox) sortIndex() []int32 {
 		return in.orderIdx
 	}
 	if in.soa != nil {
-		in.orderIdx = orderRefs(in.orderIdx, in.ref, in.soa.ids, in.soa.kids)
+		in.orderIdx = orderInbox(in.orderIdx, in.ref, in.soa)
 		in.idxOK = true
 		return in.orderIdx
 	}

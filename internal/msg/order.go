@@ -19,6 +19,47 @@ const orderStack = 32
 // themselves keep no sort scratch between rounds.
 var orderScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
+// markScratch lends orderByWalk its arena-sized mark column. Every
+// holder returns it all zero, so a borrower only ever grows it.
+var markScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// orderInbox is orderRefs for an inbox over a SendArena. The walk costs
+// the arena's length whatever the inbox holds, so an inbox whose own sort
+// is cheaper (k·log k under that length: a masked, partitioned or
+// targeted-only batch) keeps it. Both produce the one permutation.
+func orderInbox(order, ref []int32, a *SendArena) []int32 {
+	if k := len(ref); k*bits.Len(uint(k)) < len(a.ids) {
+		return orderRefs(order, ref, a.ids, a.kids)
+	}
+	return orderByWalk(order, ref, a)
+}
+
+// orderByWalk derives orderRefs' permutation without sorting: it marks
+// the first sights in an arena-sized column and walks the round order
+// once, emitting each marked entry's position. Entries sharing a pair are
+// copies of one message, of which a distinct set holds at most one.
+func orderByWalk(order, ref []int32, a *SendArena) []int32 {
+	round := a.sorted()
+	lent := markScratch.Get().(*[]int32)
+	if len(*lent) < len(round) {
+		// Zero, like the one it replaces; doubled, as arenas grow by the round.
+		*lent = make([]int32, 2*len(round))
+	}
+	mark := *lent
+	for j, r := range ref {
+		mark[r] = int32(j) + 1
+	}
+	order = slices.Grow(order[:0], len(ref))
+	for _, si := range round {
+		if p := mark[si]; p != 0 {
+			order = append(order, p-1)
+			mark[si] = 0
+		}
+	}
+	markScratch.Put(lent)
+	return order
+}
+
 // orderRefs arranges the positions 0..len(ref)-1 of an interned distinct
 // set by ascending (identifier, KeyID) of the arena entries they name and
 // returns them in order's backing array (grown when too small). It is the

@@ -175,6 +175,99 @@ func TestSortIndexMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
+// TestRoundOrderWalkMatchesOrderRefs is the one-order-per-round property:
+// the permutation an inbox derives by walking the arena's round order
+// (orderByWalk) is the one its own sort (orderRefs) produces, for Inbox
+// and GroupInbox alike, whichever of the two orderInbox picks. The
+// generated rounds have what makes the two differ if the walk is wrong:
+// homonyms sending one payload (several arena entries under one KeyID, of
+// which different recipients first-sight different copies), per-recipient
+// masked senders, link-duplicated entries (the same index twice), tails
+// stamped after the rows, identifiers too wide to pack — and an arena
+// that grows after its order was first built.
+func TestRoundOrderWalkMatchesOrderRefs(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	same := func(a, b []int32) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for trial := 0; trial < 300; trial++ {
+		l := 1 + rng.Intn(5)
+		n := l + rng.Intn(8)
+		bodies := 1 + rng.Intn(6)
+		idOf := func(slot int) hom.Identifier {
+			if trial%10 == 9 { // too wide for the packed sort
+				return []hom.Identifier{math.MinInt64, 0, math.MaxInt64}[slot%l%3]
+			}
+			return hom.Identifier(slot%l + 1)
+		}
+		it := NewInterner()
+		arena := &SendArena{}
+		var sender []int // arena entry -> sender slot
+		stamp := func(slot int) {
+			body := Raw("m" + itoa(rng.Intn(bodies)))
+			arena.Append(it, idOf(slot), body, body.Key())
+			sender = append(sender, slot)
+		}
+		for slot := 0; slot < n; slot++ {
+			for k := rng.Intn(4); k > 0; k-- {
+				stamp(slot)
+			}
+		}
+		rows := arena.Len()
+		check := func(label string) {
+			var idx []int32
+			masked := rng.Intn(n + 1) // one sender masked out, or none
+			for si := 0; si < arena.Len(); si++ {
+				switch {
+				case sender[si] == masked, si >= rows && rng.Intn(2) == 0:
+				case rng.Intn(5) == 0:
+					idx = append(idx, int32(si), int32(si)) // duplicated on the link
+				default:
+					idx = append(idx, int32(si))
+				}
+			}
+			for _, numerate := range []bool{false, true} {
+				in := NewPooledInboxSoA(numerate, arena, idx)
+				want := orderRefs(nil, in.ref, arena.ids, arena.kids)
+				if got := orderByWalk(nil, in.ref, arena); !same(got, want) {
+					t.Fatalf("trial %d %s: walk over %d first sights of %d entries gives %v, own sort %v", trial, label, len(in.ref), arena.Len(), got, want)
+				}
+				if got := in.sortIndex(); !same(got, want) {
+					t.Fatalf("trial %d %s: Inbox.sortIndex = %v, want %v", trial, label, got, want)
+				}
+				g := NewPooledGroupInbox(numerate, arena, idx, 1)
+				if !same(g.ref, in.ref) {
+					t.Fatalf("trial %d %s: shared core and inbox disagree on first sights", trial, label)
+				}
+				if got := orderByWalk(nil, g.ref, arena); !same(got, want) {
+					t.Fatalf("trial %d %s: walk for the shared core gives %v, want %v", trial, label, got, want)
+				}
+				view := NewPooledInboxView(g)
+				if got := view.sortIndex(); !same(got, want) {
+					t.Fatalf("trial %d %s: GroupInbox.sortIndex = %v, want %v", trial, label, got, want)
+				}
+				view.Recycle()
+				in.Recycle()
+			}
+		}
+		for recipient := 0; recipient < 3; recipient++ {
+			check("rows")
+		}
+		for k := rng.Intn(6); k > 0; k-- {
+			stamp(rng.Intn(n)) // a tail, stamped after the order above was built
+		}
+		check("rows+tail")
+	}
+}
+
 // TestWeightedInboxFoldsMultiplicities covers the counting
 // representation's inbox: weights add for a numerate receiver, collapse
 // for an innumerate one, and non-positive weights deliver nothing.
@@ -189,12 +282,17 @@ func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
 	} {
 		it := NewPooledInterner()
 		arena := &SendArena{}
-		a := arena.AppendInterned(it, 1, Raw("a"), it.Intern(Raw("a").Key()))
+		var kb KeyBuilder
+		kb.Reset("raw").Str("a") // Raw("a").Key(), as the scratch path builds it
+		a := arena.AppendStamped(it, 1, Raw("a"), kb.InternMessage(it, 1))
 		b := arena.Append(it, 2, Raw("b"), Raw("b").Key())
 		a2 := arena.Append(it, 1, Raw("a"), Raw("a").Key())
 		c := arena.Append(it, 3, Raw("c"), Raw("c").Key())
 		if arena.Key(a) != arena.Key(a2) || arena.KID(a) != arena.KID(a2) {
-			t.Fatal("AppendInterned and Append stamped the same send differently")
+			t.Fatal("AppendStamped and Append stamped the same send differently")
+		}
+		if it.Len() != 3 {
+			t.Fatalf("stamping interned %d keys for 3 distinct messages: only message keys are symbolized", it.Len())
 		}
 		in := NewPooledInboxWeighted(tc.numerate, arena, []int32{a, b, a2, c}, []int32{5, 2, 3, 0})
 		if in.Len() != 2 || in.TotalCount() != tc.total {

@@ -16,6 +16,16 @@ func newProc(p hom.Params, id hom.Identifier, input hom.Value) *Process {
 	return pr
 }
 
+// everyPosition lists an inbox's positions: scan over a whole inbox, as
+// when the broadcast layer claimed nothing.
+func everyPosition(in *msg.Inbox) []int32 {
+	at := make([]int32, in.Len())
+	for i := range at {
+		at[i] = int32(i)
+	}
+	return at
+}
+
 func psyncParams(n, l, t int) hom.Params {
 	return hom.Params{N: n, L: l, T: t, Synchrony: hom.PartiallySynchronous}
 }
@@ -48,7 +58,7 @@ func TestProperSetThresholdRule(t *testing.T) {
 		{ID: 3, Body: ProperPayload{V: hom.NewValueSet(1)}},
 		{ID: 4, Body: ProperPayload{V: hom.NewValueSet(7)}},
 	})
-	pr.scan(in, 0, 1, false, false)
+	pr.scan(in, everyPosition(in), 0, 1, false, false)
 	pr.updateProper()
 	if !pr.proper.Contains(1) {
 		t.Fatal("2-identifier value not added to proper")
@@ -70,7 +80,7 @@ func TestProperSetCatchAllRule(t *testing.T) {
 		{ID: 4, Body: ProperPayload{V: hom.NewValueSet(3)}},
 		{ID: 5, Body: ProperPayload{V: hom.NewValueSet(4)}},
 	})
-	pr.scan(in, 0, 1, false, false)
+	pr.scan(in, everyPosition(in), 0, 1, false, false)
 	pr.updateProper()
 	for _, v := range pr.params.EffectiveDomain() {
 		if !pr.proper.Contains(v) {
@@ -88,7 +98,7 @@ func TestProperSetCatchAllNeedsQuorum(t *testing.T) {
 		{ID: 3, Body: ProperPayload{V: hom.NewValueSet(7)}},
 		{ID: 4, Body: ProperPayload{V: hom.NewValueSet(8)}},
 	})
-	pr.scan(in, 0, 1, false, false)
+	pr.scan(in, everyPosition(in), 0, 1, false, false)
 	pr.updateProper()
 	if pr.proper.Contains(1) {
 		t.Fatal("catch-all triggered below 2t+1 identifiers")

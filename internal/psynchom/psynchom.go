@@ -215,6 +215,12 @@ type Process struct {
 	proper   hom.ValueSet
 	locks    map[hom.Value]int // value -> phase of the latest lock on it
 	decision hom.Value
+	// properSend is the standing ⟨proper V⟩ send, a boxed snapshot of
+	// proper re-sent until proper grows past its properSent values.
+	properSend msg.Send
+	properMemo msg.StampMemo
+	properSent int
+	sends      []msg.Send // Prepare's result buffer, valid for its round
 
 	// Cumulative accept bookkeeping.
 	proposeAcc map[int]map[hom.Identifier]hom.ValueSet       // phase -> id -> union of accepted V
@@ -303,18 +309,19 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	}
 	// Broadcast-layer traffic (init/echo) and the proper set ride along
 	// every round. The standing echoes make this list long in late rounds
-	// (~1600 sends), so it is allocated once at its final size: grown by
-	// append it cost five times the bytes and set the collector's pace.
-	out := pr.bc.Outgoing(round)
-	sends := make([]msg.Send, 0, len(out)+2)
+	// (~1600 sends) and it lives for the round, so it is built in place: a
+	// list per round was a third of the execution's bytes.
+	sends := pr.sends[:0]
 	if direct != nil {
 		sends = append(sends, msg.Broadcast(direct))
 	}
-	for _, body := range out {
-		sends = append(sends, msg.Broadcast(body))
+	sends = append(sends, pr.bc.Outgoing(round)...)
+	if n := pr.proper.Len(); pr.properSend.Body == nil || n != pr.properSent {
+		pr.properMemo, pr.properSent = msg.StampMemo{}, n
+		pr.properSend = msg.Send{Kind: msg.ToAll, Body: ProperPayload{V: pr.proper.Clone()}, Memo: &pr.properMemo}
 	}
-	sends = append(sends, msg.Broadcast(ProperPayload{V: pr.proper.Clone()}))
-	return sends
+	pr.sends = append(sends, pr.properSend)
+	return pr.sends
 }
 
 // proposableValues returns the paper's V: proper values v such that no
@@ -434,7 +441,7 @@ func (pr *Process) Receive(round int, in *msg.Inbox) {
 	// round's tallies.
 	tallyAcks := pos == 7 && pr.isLeader(phase) && pr.decision == hom.NoValue && pr.leaderLockVal != hom.NoValue
 	tallyDecides := pos == 8 && !pr.opts.DisableDecideRelay && pr.decision == hom.NoValue
-	pr.scan(in, phase, pos, tallyAcks, tallyDecides)
+	pr.scan(in, pr.bc.Unclaimed(), phase, pos, tallyAcks, tallyDecides)
 
 	// Proper-set maintenance happens on every round's traffic.
 	pr.updateProper()
@@ -455,17 +462,20 @@ func (pr *Process) Receive(round int, in *msg.Inbox) {
 }
 
 // scan is Receive's single pass over the directly sent (non-broadcast)
-// messages of the round's inbox. Every round it tallies the proper sets
-// (reporters, supported); in SR2 round 1 it records the leader
+// messages of the round's inbox: the positions at, those the broadcast
+// layer left unclaimed — the standing echoes it classified by KeyID never
+// reach a payload or this type switch. Every round it tallies the proper
+// sets (reporters, supported); in SR2 round 1 it records the leader
 // identifier's lock requests; when asked it tallies, into direct, the
 // ⟨ack⟩s for this process's own lock value or the ⟨decide⟩s.
-func (pr *Process) scan(in *msg.Inbox, phase, pos int, tallyAcks, tallyDecides bool) {
+func (pr *Process) scan(in *msg.Inbox, at []int32, phase, pos int, tallyAcks, tallyDecides bool) {
 	l := pr.params.L
 	pr.reporters.reset(l)
 	pr.supported.reset(l)
 	pr.direct.reset(l)
 	leader := LeaderID(phase, l)
-	for i, k := 0, in.Len(); i < k; i++ {
+	for _, i32 := range at {
+		i := int(i32)
 		switch body := in.BodyAt(i).(type) {
 		case ProperPayload:
 			id := in.SenderAt(i)
