@@ -15,13 +15,12 @@ import (
 	"homonyms/internal/attacks"
 	"homonyms/internal/classical"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/numbcast"
 	"homonyms/internal/psynchom"
 	"homonyms/internal/psyncnum"
-	"homonyms/internal/sim"
-	"homonyms/internal/solvability"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
@@ -49,23 +48,6 @@ func runSolvable(b *testing.B, p hom.Params, gst int, seed int64) *core.Result {
 		b.Fatalf("%v: %s", p, res.Verdict)
 	}
 	return res
-}
-
-// --- E1: Table 1 ----------------------------------------------------------
-
-func BenchmarkTable1Matrix(b *testing.B) {
-	suite := solvability.SuiteSize{Assignments: 1, Behaviors: 1}
-	for i := 0; i < b.N; i++ {
-		for _, v := range solvability.Variants() {
-			cells, err := solvability.Matrix([]int{4, 5}, []int{1}, v, suite, int64(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ok, bad := solvability.Consistent(cells); !ok {
-				b.Fatalf("%s: %v mismatched: %s", v.Name, bad.Params, bad.Detail)
-			}
-		}
-	}
 }
 
 // --- E2: Figure 1 (synchronous lower bound l > 3t) ------------------------
@@ -125,17 +107,17 @@ func BenchmarkFig3ClassicalBaselineEIG(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
+		res, err := engine.Run(engine.FromConfig(engine.Config{
 			Params:     p,
 			Assignment: hom.RoundRobinAssignment(7, 7),
 			Inputs:     inputs,
-			NewProcess: func(int) sim.Process { return classical.NewProcess(alg) },
+			NewProcess: func(int) engine.Process { return classical.NewProcess(alg) },
 			Adversary: &adversary.Composite{
 				Selector: adversary.RandomT{Seed: int64(i)},
 				Behavior: adversary.Equivocate{Seed: int64(i)},
 			},
 			MaxRounds: alg.DecisionRound() + 2,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +143,7 @@ func BenchmarkFig3TransformPhaseKing(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
+		res, err := engine.Run(engine.FromConfig(engine.Config{
 			Params:     p,
 			Assignment: hom.StackedAssignment(p.N, p.L),
 			Inputs:     inputs,
@@ -171,7 +153,7 @@ func BenchmarkFig3TransformPhaseKing(b *testing.B) {
 				Behavior: adversary.Equivocate{Seed: int64(i)},
 			},
 			MaxRounds: synchom.Rounds(alg) + 3,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -406,14 +388,14 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
+		res, err := engine.Run(engine.FromConfig(engine.Config{
 			Params:     p,
 			Assignment: hom.RoundRobinAssignment(p.N, p.L),
 			Inputs:     inputs,
 			NewProcess: factory,
 			GST:        1,
 			MaxRounds:  psyncnum.SuggestedMaxRounds(p, 1),
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,70 +403,4 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 			b.Fatal("innumerate ablation unexpectedly terminated")
 		}
 	}
-}
-
-// --- P1: engine hot path (PR 1) --------------------------------------------
-
-// flooder is a maximal-traffic process: it broadcasts a fresh payload
-// every round and never decides, so the bench measures pure engine
-// throughput — send expansion, delivery, inbox construction — across a
-// fixed number of rounds.
-type flooder struct{ id hom.Identifier }
-
-func (f *flooder) Init(ctx sim.Context) { f.id = ctx.ID }
-func (f *flooder) Prepare(round int) []msg.Send {
-	return []msg.Send{msg.Broadcast(msg.Raw(fmt.Sprintf("flood|%d|%d", f.id, round)))}
-}
-func (f *flooder) Receive(int, *msg.Inbox)     {}
-func (f *flooder) Decision() (hom.Value, bool) { return hom.NoValue, false }
-
-// BenchmarkEngineStep measures the all-to-all broadcast round loop of the
-// sequential kernel: n processes, n^2 deliveries per round, 50 rounds per
-// op. The per-round scratch reuse and pooled inboxes make the reported
-// allocs/op essentially the payload construction alone.
-func BenchmarkEngineStep(b *testing.B) {
-	for _, n := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			p := hom.Params{N: n, L: n, T: 0, Synchrony: hom.Synchronous}
-			inputs := make([]hom.Value, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := sim.Run(sim.Config{
-					Params:     p,
-					Assignment: hom.RoundRobinAssignment(n, n),
-					Inputs:     inputs,
-					NewProcess: func(int) sim.Process { return &flooder{} },
-					MaxRounds:  50,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMatrixGrid compares the sequential cell loop against the
-// exec-scheduled Matrix on the same seeded grid: same cells, same order,
-// multi-core wall clock.
-func BenchmarkMatrixGrid(b *testing.B) {
-	ns, ts := []int{4, 5, 6}, []int{1}
-	suite := solvability.SuiteSize{Assignments: 2, Behaviors: 2}
-	v := solvability.Variants()[0]
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, p := range solvability.GridParams(ns, ts, v) {
-				if _, err := solvability.EvaluateCell(p, suite, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := solvability.Matrix(ns, ts, v, suite, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

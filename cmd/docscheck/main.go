@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind CI's docs job. It
-// enforces two invariants the repository documents itself with:
+// enforces three invariants the repository documents itself with:
 //
 //  1. Every non-main package has a package comment (the same contract
 //     staticcheck's ST1000 checks, enforced here without a network
@@ -7,6 +7,9 @@
 //  2. Every relative link in the given markdown files resolves to a file
 //     or directory that actually exists, so README.md and ARCHITECTURE.md
 //     cannot silently rot as the tree moves underneath them.
+//  3. So does every repository path those files name in back-ticks —
+//     `internal/…`, `cmd/…` and `*.json` at the root — so a deleted
+//     package or record cannot linger in prose.
 //
 // Usage:
 //
@@ -40,7 +43,7 @@ func main() {
 	var findings []string
 	findings = append(findings, checkPackageDocs(*root)...)
 	for _, f := range files {
-		findings = append(findings, checkMarkdownLinks(*root, f)...)
+		findings = append(findings, checkMarkdown(*root, f)...)
 	}
 
 	if len(findings) > 0 {
@@ -49,7 +52,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package docs and markdown links OK")
+	fmt.Println("docscheck: package docs, markdown links and named paths OK")
 }
 
 // checkPackageDocs walks every Go package directory under root and
@@ -118,17 +121,22 @@ func checkOnePackage(dir string) []string {
 // linkPattern matches inline markdown links [text](target).
 var linkPattern = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
-// checkMarkdownLinks verifies that every relative link in the file
-// resolves under root. Absolute URLs and pure in-page anchors are
-// skipped; a trailing #fragment on a relative link is ignored.
-func checkMarkdownLinks(root, file string) []string {
-	path := filepath.Join(root, file)
-	raw, err := os.ReadFile(path)
+// checkMarkdown reads one markdown file under root and checks its
+// relative links and the repository paths it names.
+func checkMarkdown(root, file string) []string {
+	raw, err := os.ReadFile(filepath.Join(root, file))
 	if err != nil {
 		return []string{fmt.Sprintf("%s: %v", file, err)}
 	}
+	return append(brokenLinks(root, file, string(raw)), danglingPaths(root, file, string(raw))...)
+}
+
+// brokenLinks verifies that every relative link in the file's text
+// resolves under root. Absolute URLs and pure in-page anchors are
+// skipped; a trailing #fragment on a relative link is ignored.
+func brokenLinks(root, file, text string) []string {
 	var findings []string
-	for _, m := range linkPattern.FindAllStringSubmatch(string(raw), -1) {
+	for _, m := range linkPattern.FindAllStringSubmatch(text, -1) {
 		target := m[1]
 		if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") ||
 			strings.HasPrefix(target, "mailto:") || strings.HasPrefix(target, "#") {
@@ -140,9 +148,35 @@ func checkMarkdownLinks(root, file string) []string {
 		if target == "" {
 			continue
 		}
-		resolved := filepath.Join(filepath.Dir(path), target)
+		resolved := filepath.Join(root, filepath.Dir(file), target)
 		if _, err := os.Stat(resolved); err != nil {
 			findings = append(findings, fmt.Sprintf("%s: broken link %q (%v)", file, m[1], err))
+		}
+	}
+	return findings
+}
+
+// codeSpan matches an inline back-ticked span; repoPath matches a word
+// of one that names a repository path: anything under internal/ or cmd/,
+// or a JSON file at the root.
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	repoPath = regexp.MustCompile(`^(\./)?(internal|cmd)/|^[^/]+\.json$`)
+)
+
+// danglingPaths verifies that every repository path the file's text
+// names inside back-ticks exists under root. A word with a <placeholder>
+// is skipped; one with a * must match at least one file.
+func danglingPaths(root, file, text string) []string {
+	var findings []string
+	for _, span := range codeSpan.FindAllString(text, -1) {
+		for _, word := range strings.Fields(strings.Trim(span, "`")) {
+			if !repoPath.MatchString(word) || strings.Contains(word, "<") {
+				continue
+			}
+			if hits, _ := filepath.Glob(filepath.Join(root, word)); len(hits) == 0 {
+				findings = append(findings, fmt.Sprintf("%s: named path %q does not exist", file, word))
+			}
 		}
 	}
 	return findings

@@ -1,0 +1,41 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestDanglingPaths holds the named-path check to one resolving and one
+// dangling fixture: every way the docs name a path that exists passes,
+// and a package or record that left the tree is reported by name.
+func TestDanglingPaths(t *testing.T) {
+	root := t.TempDir()
+	for _, dir := range []string{"internal/engine", "cmd/fuzz"} {
+		if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(root, "BENCHMARK.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resolving := "The kernel is **`internal/engine`**; replay with `go run ./cmd/fuzz -replay dir`\n" +
+		"against `BENCHMARK.json` (or any `BENCH*.json`), writing `OUT_<n>.json`.\n" +
+		"Not paths: `engine.Run`, `a/b.json`, `-tolerance 0.25`.\n"
+	dangling := "See `internal/gone`, `go run ./cmd/gone -compare .` and `GONE_PR*.json`.\n"
+
+	if got := danglingPaths(root, "resolving.md", resolving); len(got) != 0 {
+		t.Errorf("resolving fixture reported %q", got)
+	}
+	got := danglingPaths(root, "dangling.md", dangling)
+	want := []string{`"internal/gone"`, `"./cmd/gone"`, `"GONE_PR*.json"`}
+	if len(got) != len(want) {
+		t.Fatalf("dangling fixture reported %q, want one finding each for %v", got, want)
+	}
+	for i, w := range want {
+		if !strings.Contains(got[i], w) {
+			t.Errorf("finding %d = %q, want it to name %s", i, got[i], w)
+		}
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"homonyms/internal/core"
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -104,7 +103,7 @@ func run() error {
 		}
 	}
 
-	var adv sim.Adversary
+	var adv engine.Adversary
 	if *byz != "none" && p.T > 0 {
 		var beh adversary.Behavior
 		switch *byz {

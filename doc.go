@@ -9,5 +9,5 @@
 // The public entry point is internal/core (algorithm selection per the
 // paper's Table 1 and execution assembly); internal/hom holds the model
 // types. See README.md for the architecture overview and the performance
-// model, and BENCH_PR*.json for the recorded perf trajectory.
+// model, and ./benchmark for what a decision costs.
 package homonyms

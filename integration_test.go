@@ -1,5 +1,5 @@
 // Cross-module integration tests: full paper scenarios driven through the
-// public façade and both engines, asserting the end-to-end behaviour the
+// public façade and the engine, asserting the end-to-end behaviour the
 // examples and tools rely on.
 package homonyms_test
 
@@ -8,9 +8,8 @@ import (
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -62,7 +61,8 @@ func TestAllSolvableVariantsEndToEnd(t *testing.T) {
 }
 
 // TestConcurrentEngineEndToEnd drives the façade's selections through the
-// goroutine-based runtime and checks the same verdicts hold.
+// goroutine-per-process state representation and checks the same
+// verdicts hold.
 func TestConcurrentEngineEndToEnd(t *testing.T) {
 	p := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
 	sel, err := core.Select(p)
@@ -70,21 +70,22 @@ func TestConcurrentEngineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []hom.Value{1, 0, 1, 0, 1, 0}
-	res, err := runtime.Run(sim.Config{
-		Params:     p,
-		Assignment: hom.StackedAssignment(p.N, p.L),
-		Inputs:     inputs,
-		NewProcess: sel.NewProcess,
-		Adversary: &adversary.Composite{
+	res, err := engine.Run(
+		engine.WithParams(p),
+		engine.WithAssignment(hom.StackedAssignment(p.N, p.L)),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(sel.NewProcess),
+		engine.WithAdversary(&adversary.Composite{
 			Selector: adversary.Slots{0},
 			Behavior: adversary.MimicFlood{},
 			Drops:    adversary.RandomDrops{Seed: 5, Prob: 0.5},
-		},
-		GST:       17,
-		MaxRounds: sel.SuggestedRounds(17),
-	})
+		}),
+		engine.WithGST(17),
+		engine.WithRounds(sel.SuggestedRounds(17)),
+		engine.WithStateRep(engine.ConcurrentConcrete()),
+	)
 	if err != nil {
-		t.Fatalf("runtime.Run: %v", err)
+		t.Fatalf("engine.Run: %v", err)
 	}
 	if v := trace.Check(res); !v.OK() {
 		t.Fatalf("%s", v)

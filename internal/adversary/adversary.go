@@ -28,10 +28,10 @@ import (
 	"sort"
 	"sync"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // Selector chooses the corrupted slots.
@@ -41,7 +41,7 @@ type Selector interface {
 
 // Behavior produces the per-round sends of one corrupted slot.
 type Behavior interface {
-	Sends(round, slot int, view *sim.View) []msg.TargetedSend
+	Sends(round, slot int, view *engine.View) []msg.TargetedSend
 }
 
 // DropPolicy decides pre-GST message suppression.
@@ -67,7 +67,7 @@ type BatchDropPolicy interface {
 	DropBatch(round, toSlot int, fromSlots []int32, drop []bool)
 }
 
-// Composite assembles a full sim.Adversary from the three pieces. Nil
+// Composite assembles a full engine.Adversary from the three pieces. Nil
 // pieces default to: corrupt nobody, send nothing, drop nothing.
 type Composite struct {
 	Selector Selector
@@ -75,9 +75,9 @@ type Composite struct {
 	Drops    DropPolicy
 }
 
-var _ sim.Adversary = (*Composite)(nil)
+var _ engine.Adversary = (*Composite)(nil)
 
-// Corrupt implements sim.Adversary.
+// Corrupt implements engine.Adversary.
 func (c *Composite) Corrupt(p hom.Params, a hom.Assignment, inputs []hom.Value) []int {
 	if c.Selector == nil {
 		return nil
@@ -85,15 +85,15 @@ func (c *Composite) Corrupt(p hom.Params, a hom.Assignment, inputs []hom.Value) 
 	return c.Selector.Select(p, a, inputs)
 }
 
-// Sends implements sim.Adversary.
-func (c *Composite) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+// Sends implements engine.Adversary.
+func (c *Composite) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	if c.Behavior == nil {
 		return nil
 	}
 	return c.Behavior.Sends(round, slot, view)
 }
 
-// Drop implements sim.Adversary.
+// Drop implements engine.Adversary.
 func (c *Composite) Drop(round, fromSlot, toSlot int) bool {
 	if c.Drops == nil {
 		return false
@@ -101,9 +101,9 @@ func (c *Composite) Drop(round, fromSlot, toSlot int) bool {
 	return c.Drops.Drop(round, fromSlot, toSlot)
 }
 
-var _ sim.BatchDropper = (*Composite)(nil)
+var _ engine.BatchDropper = (*Composite)(nil)
 
-// DropBatch implements sim.BatchDropper: the batched engines mask one
+// DropBatch implements engine.BatchDropper: the batched engines mask one
 // recipient's whole delivery batch in a single call. A policy that
 // implements BatchDropPolicy is invoked vectorised; any other policy is
 // replayed through its per-message Drop, so existing pieces keep working
@@ -217,14 +217,14 @@ func (r RandomT) Select(p hom.Params, _ hom.Assignment, _ []hom.Value) []int {
 type Silent struct{}
 
 // Sends implements Behavior.
-func (Silent) Sends(int, int, *sim.View) []msg.TargetedSend { return nil }
+func (Silent) Sends(int, int, *engine.View) []msg.TargetedSend { return nil }
 
 // Crash behaves correctly-silently: it sends nothing from the beginning
 // (a crash at time zero). For a crash after k rounds compose with Until.
 type Crash struct{}
 
 // Sends implements Behavior.
-func (Crash) Sends(int, int, *sim.View) []msg.TargetedSend { return nil }
+func (Crash) Sends(int, int, *engine.View) []msg.TargetedSend { return nil }
 
 // Noise sends one random Raw payload to every recipient each round.
 // Draws from the per-scenario Rand stream when set; otherwise
@@ -235,7 +235,7 @@ type Noise struct {
 }
 
 // Sends implements Behavior.
-func (nz Noise) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (nz Noise) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	rng := nz.Rand
 	if rng == nil {
 		rng = seeded(nz.Seed ^ int64(round)<<20 ^ int64(slot))
@@ -262,7 +262,7 @@ type Equivocate struct {
 }
 
 // Sends implements Behavior.
-func (e Equivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (e Equivocate) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	senders := view.Senders()
 	if len(senders) == 0 {
 		return nil
@@ -292,7 +292,7 @@ func (e Equivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
 type MimicFlood struct{}
 
 // Sends implements Behavior.
-func (MimicFlood) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (MimicFlood) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	senders := view.Senders()
 	var out []msg.TargetedSend
 	for to := 0; to < view.Params.N; to++ {
@@ -319,7 +319,7 @@ type KeyEquivocate struct {
 }
 
 // Sends implements Behavior.
-func (e KeyEquivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (e KeyEquivocate) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	senders := view.Senders()
 	if len(senders) == 0 {
 		return nil
@@ -360,7 +360,7 @@ type ValueFlood struct {
 }
 
 // Sends implements Behavior.
-func (vf ValueFlood) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (vf ValueFlood) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	if vf.Make == nil {
 		return nil
 	}
@@ -387,7 +387,7 @@ type Until struct {
 }
 
 // Sends implements Behavior.
-func (u Until) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (u Until) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	if round > u.Round || u.Inner == nil {
 		return nil
 	}

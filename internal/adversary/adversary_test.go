@@ -7,14 +7,13 @@ import (
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 func params(n, l, t int) hom.Params {
 	return hom.Params{N: n, L: l, T: t, Synchrony: hom.Synchronous}
 }
 
-func view(n int, sends map[int][]msg.Send) *sim.View {
+func view(n int, sends map[int][]msg.Send) *engine.View {
 	bySlot := make([][]msg.Send, n)
 	for s, snds := range sends {
 		bySlot[s] = snds

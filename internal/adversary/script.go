@@ -3,9 +3,9 @@ package adversary
 import (
 	"fmt"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // Scripted pieces: a Behavior and a DropPolicy that replay an explicit,
@@ -68,7 +68,7 @@ type ScriptBehavior struct {
 	Repeat  bool
 	Span    int
 	Make    func(round int, v hom.Value) []msg.Payload
-	Factory func(slot int) sim.Process
+	Factory func(slot int) engine.Process
 
 	shadows map[string]*mimicShadow
 }
@@ -79,7 +79,7 @@ type ScriptBehavior struct {
 // round's Prepare (the same replay the attacks-package mirror twin
 // uses).
 type mimicShadow struct {
-	proc      sim.Process
+	proc      engine.Process
 	lastRound int
 	pending   []msg.Message
 }
@@ -102,7 +102,7 @@ func (sb *ScriptBehavior) window() int {
 // execution's real round (not the scripted one a Repeat maps back to),
 // so repeated actions stay well-formed for protocols whose messages are
 // round-tagged; Copy steps likewise copy the real round's broadcasts.
-func (sb *ScriptBehavior) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (sb *ScriptBehavior) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	if len(sb.Steps) == 0 {
 		return nil
 	}
@@ -162,7 +162,7 @@ func (sb *ScriptBehavior) Sends(round, slot int, view *sim.View) []msg.TargetedS
 // (self-delivery) plus the Feed slots' ones, uncensored by the drop
 // policy — Byzantine coordination is free. The step's real round is
 // used throughout (under Repeat the shadow keeps advancing).
-func (sb *ScriptBehavior) mimic(st ScriptSend, round, slot int, view *sim.View) []msg.TargetedSend {
+func (sb *ScriptBehavior) mimic(st ScriptSend, round, slot int, view *engine.View) []msg.TargetedSend {
 	if sb.Factory == nil {
 		return nil
 	}
@@ -171,7 +171,7 @@ func (sb *ScriptBehavior) mimic(st ScriptSend, round, slot int, view *sim.View) 
 	sh := sb.shadows[key]
 	if sh == nil {
 		proc := sb.Factory(slot)
-		proc.Init(sim.Context{ID: myID, Input: hom.Value(st.Value), Params: view.Params})
+		proc.Init(engine.Context{ID: myID, Input: hom.Value(st.Value), Params: view.Params})
 		sh = &mimicShadow{proc: proc}
 		if sb.shadows == nil {
 			sb.shadows = make(map[string]*mimicShadow)

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"homonyms/internal/adversary"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 func countingMake(calls *[]int) func(round int, v hom.Value) []msg.Payload {
@@ -113,7 +113,7 @@ type scriptEcho struct {
 	heard int
 }
 
-func (e *scriptEcho) Init(ctx sim.Context) { e.input = ctx.Input }
+func (e *scriptEcho) Init(ctx engine.Context) { e.input = ctx.Input }
 func (e *scriptEcho) Prepare(r int) []msg.Send {
 	return []msg.Send{msg.Broadcast(msg.Raw(fmt.Sprintf("echo-r%d-i%d-h%d", r, e.input, e.heard)))}
 }
@@ -129,7 +129,7 @@ func TestScriptBehaviorMimic(t *testing.T) {
 	sb := &adversary.ScriptBehavior{
 		Steps: []adversary.ScriptSend{{Round: 1, Slot: 2, Mimic: true, Value: 1},
 			{Round: 2, Slot: 2, Mimic: true, Value: 1}},
-		Factory: func(slot int) sim.Process { return &scriptEcho{} },
+		Factory: func(slot int) engine.Process { return &scriptEcho{} },
 	}
 	v1 := view(3, map[int][]msg.Send{
 		0: {msg.Broadcast(msg.Raw("a"))},
@@ -167,7 +167,7 @@ func TestScriptBehaviorMimicFeed(t *testing.T) {
 			{Round: 2, Slot: 2, Mimic: true, Value: 0, Feed: []int{0}, To: []int{0}},
 			{Round: 2, Slot: 2, Mimic: true, Value: 1, Feed: []int{1}, To: []int{1}},
 		},
-		Factory: func(slot int) sim.Process { return &scriptEcho{} },
+		Factory: func(slot int) engine.Process { return &scriptEcho{} },
 	}
 	v1 := view(3, map[int][]msg.Send{
 		0: {msg.Broadcast(msg.Raw("a"))},

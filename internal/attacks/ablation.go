@@ -9,7 +9,6 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/psynchom"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -35,7 +34,7 @@ type SplitLockReport struct {
 	// more different values.
 	ConflictPhases []int
 	// Result is the underlying execution result.
-	Result *sim.Result
+	Result *engine.Result
 	// Verdict is the standard property check (the run may still converge:
 	// under this library's canonical smallest-value choice the split
 	// self-heals, which EXPERIMENTS.md discusses).
@@ -66,7 +65,7 @@ func SplitLock(opts psynchom.Options, targetPhase, maxRounds int) (*SplitLockRep
 	}
 	adv := &splitLockAdversary{byzSlot: 0, targetPhase: targetPhase, n: p.N}
 	factory := psynchom.NewUnchecked(p, opts)
-	res, err := engine.Run(engine.FromConfig(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:        p,
 		Assignment:    assignment,
 		Inputs:        inputs,
@@ -122,13 +121,13 @@ type splitLockAdversary struct {
 	n           int
 }
 
-var _ sim.Adversary = (*splitLockAdversary)(nil)
+var _ engine.Adversary = (*splitLockAdversary)(nil)
 
 func (a *splitLockAdversary) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int {
 	return []int{a.byzSlot}
 }
 
-func (a *splitLockAdversary) Sends(round, slot int, _ *sim.View) []msg.TargetedSend {
+func (a *splitLockAdversary) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
 	lockRound := a.targetPhase*psynchom.RoundsPerPhase + 3
 	if round != lockRound {
 		return nil
@@ -168,7 +167,7 @@ type RelayLatencyReport struct {
 	// SpreadPhases is the phase distance between first and last decision.
 	SpreadPhases int
 	// Result is the underlying execution.
-	Result *sim.Result
+	Result *engine.Result
 	// Verdict is the standard property check.
 	Verdict trace.Verdict
 }
@@ -193,7 +192,7 @@ func RelayLatency(l int, opts psynchom.Options, maxRounds int) (*RelayLatencyRep
 		inputs[s] = hom.Value(s % 2)
 	}
 	factory := psynchom.NewUnchecked(p, opts)
-	res, err := engine.Run(engine.FromConfig(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p,
 		Assignment: assignment,
 		Inputs:     inputs,
@@ -233,13 +232,13 @@ type adversaryEquivLocks struct {
 	byzSlot, n, l int
 }
 
-var _ sim.Adversary = (*adversaryEquivLocks)(nil)
+var _ engine.Adversary = (*adversaryEquivLocks)(nil)
 
 func (a *adversaryEquivLocks) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int {
 	return []int{a.byzSlot}
 }
 
-func (a *adversaryEquivLocks) Sends(round, slot int, _ *sim.View) []msg.TargetedSend {
+func (a *adversaryEquivLocks) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
 	phase := (round - 1) / psynchom.RoundsPerPhase
 	pos := (round-1)%psynchom.RoundsPerPhase + 1
 	if pos != 3 || psynchom.LeaderID(phase, a.l) != 1 {

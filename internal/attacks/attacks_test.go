@@ -5,10 +5,10 @@ import (
 
 	"homonyms/internal/attacks"
 	"homonyms/internal/classical"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/psynchom"
 	"homonyms/internal/psyncnum"
-	"homonyms/internal/sim"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
@@ -286,16 +286,16 @@ func TestCrossoverAnomaly(t *testing.T) {
 		t.Fatalf("psynchom.New(n=4): %v", err)
 	}
 	inputs := []hom.Value{0, 1, 0, 1}
-	res, err := sim.Run(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p4,
 		Assignment: hom.RoundRobinAssignment(4, 4),
 		Inputs:     inputs,
 		NewProcess: factory4,
 		GST:        1,
 		MaxRounds:  psynchom.SuggestedMaxRounds(p4, 1),
-	})
+	}))
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("engine.Run: %v", err)
 	}
 	if v := trace.Check(res); !v.OK() {
 		t.Fatalf("n=4 must be solvable: %s", v)

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // Clone-collapse errors.
@@ -47,7 +47,7 @@ func (r *CloneReport) Lockstep() bool { return r.DivergedAtRound == 0 }
 // do otherwise profitably, since any asymmetry is a single message per
 // recipient and the theorem quantifies over clone-symmetric adversaries)
 // and verifies the lockstep property round by round.
-func CloneCollapse(p hom.Params, factory func(slot int) sim.Process,
+func CloneCollapse(p hom.Params, factory func(slot int) engine.Process,
 	assignment hom.Assignment, inputs []hom.Value, byzSlot, maxRounds int) (*CloneReport, error) {
 	if p.Numerate || !p.RestrictedByzantine {
 		return nil, fmt.Errorf("%w (needs innumerate processes and restricted byzantine senders)", ErrCloneSetup)
@@ -68,7 +68,7 @@ func CloneCollapse(p hom.Params, factory func(slot int) sim.Process,
 	}
 
 	n := len(assignment)
-	procs := make([]sim.Process, n)
+	procs := make([]engine.Process, n)
 	for s := 0; s < n; s++ {
 		if s != byzSlot {
 			procs[s] = factory(s)

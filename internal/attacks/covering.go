@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -61,7 +61,7 @@ func (r *CoveringReport) Succeeded() bool { return len(r.Violations) > 0 }
 // arc0 ∩ arcMix must decide 0 while arc1 ∩ arcMix must decide 1, so the
 // three obligations are contradictory; the report records which ones the
 // algorithm actually violates.
-func Covering(p hom.Params, factory func(slot int) sim.Process, maxRounds int) (*CoveringReport, error) {
+func Covering(p hom.Params, factory func(slot int) engine.Process, maxRounds int) (*CoveringReport, error) {
 	n, l, t := p.N, p.L, p.T
 	if t < 1 || l != 3*t || n <= 3*t {
 		return nil, fmt.Errorf("%w (n=%d l=%d t=%d)", ErrCoveringRegion, n, l, t)
@@ -126,7 +126,7 @@ func Covering(p hom.Params, factory func(slot int) sim.Process, maxRounds int) (
 		return hears(half[to], int(ids[to]), half[from], int(ids[from]))
 	}
 
-	procs := make([]sim.Process, len(ids))
+	procs := make([]engine.Process, len(ids))
 	for s := range procs {
 		procs[s] = factory(s)
 	}

@@ -7,7 +7,6 @@ import (
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // Mirror-attack errors.
@@ -53,7 +52,7 @@ type MirrorReport struct {
 // two runs are indistinguishable and those processes decide identically —
 // which is the exchange step that the valency argument of Proposition 16
 // iterates to contradict validity.
-func Mirror(p hom.Params, factory func(slot int) sim.Process, assignment hom.Assignment,
+func Mirror(p hom.Params, factory func(slot int) engine.Process, assignment hom.Assignment,
 	baseInputs []hom.Value, flippedSlot int, inputC, inputCPrime hom.Value,
 	maxRounds int) (*MirrorReport, error) {
 	if p.L > p.T {
@@ -82,7 +81,7 @@ func Mirror(p hom.Params, factory func(slot int) sim.Process, assignment hom.Ass
 		return nil, fmt.Errorf("%w (no twin shares the flipped slot's identifier)", ErrMirrorRegion)
 	}
 
-	runOnce := func(flippedInput, twinInput hom.Value) (*sim.Result, error) {
+	runOnce := func(flippedInput, twinInput hom.Value) (*engine.Result, error) {
 		inputs := append([]hom.Value(nil), baseInputs...)
 		inputs[flippedSlot] = flippedInput
 		adv := &mirrorAdversary{
@@ -92,7 +91,7 @@ func Mirror(p hom.Params, factory func(slot int) sim.Process, assignment hom.Ass
 			twinID:    assignment[flippedSlot],
 			byID:      twinByID,
 		}
-		return engine.Run(engine.FromConfig(sim.Config{
+		return engine.Run(engine.FromConfig(engine.Config{
 			Params:     p,
 			Assignment: assignment,
 			Inputs:     inputs,
@@ -140,7 +139,7 @@ func Mirror(p hom.Params, factory func(slot int) sim.Process, assignment hom.Ass
 // correct algorithm on the mirrored input (reconstructing its inbox from
 // the omniscient view), all other corrupted slots stay silent.
 type mirrorAdversary struct {
-	factory   func(slot int) sim.Process
+	factory   func(slot int) engine.Process
 	twinSlot  int
 	twinInput hom.Value
 	twinID    hom.Identifier
@@ -148,20 +147,20 @@ type mirrorAdversary struct {
 
 	params     hom.Params
 	assignment hom.Assignment
-	inner      sim.Process
+	inner      engine.Process
 	lastRound  int
 	pendingIn  []msg.Message // inbox being assembled for the current round
 	lastSends  []msg.TargetedSend
 }
 
-var _ sim.Adversary = (*mirrorAdversary)(nil)
+var _ engine.Adversary = (*mirrorAdversary)(nil)
 
-// Corrupt implements sim.Adversary.
+// Corrupt implements engine.Adversary.
 func (a *mirrorAdversary) Corrupt(p hom.Params, assignment hom.Assignment, _ []hom.Value) []int {
 	a.params = p
 	a.assignment = assignment
 	a.inner = a.factory(a.twinSlot)
-	a.inner.Init(sim.Context{ID: a.twinID, Input: a.twinInput, Params: p})
+	a.inner.Init(engine.Context{ID: a.twinID, Input: a.twinInput, Params: p})
 	var out []int
 	for _, s := range a.byID {
 		out = append(out, s)
@@ -169,12 +168,12 @@ func (a *mirrorAdversary) Corrupt(p hom.Params, assignment hom.Assignment, _ []h
 	return out
 }
 
-// Sends implements sim.Adversary. Only the twin slot speaks; it forwards
+// Sends implements engine.Adversary. Only the twin slot speaks; it forwards
 // what the mirrored correct process would send this round. Before
 // preparing round r it replays the round r−1 reception (all traffic is
 // synchronous and loss-free, so the inbox is fully reconstructable from
 // the view).
-func (a *mirrorAdversary) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (a *mirrorAdversary) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	if slot != a.twinSlot {
 		return nil
 	}
@@ -215,5 +214,5 @@ func (a *mirrorAdversary) Sends(round, slot int, view *sim.View) []msg.TargetedS
 	return out
 }
 
-// Drop implements sim.Adversary: the lemma's executions are loss-free.
+// Drop implements engine.Adversary: the lemma's executions are loss-free.
 func (a *mirrorAdversary) Drop(int, int, int) bool { return false }

@@ -8,7 +8,6 @@ import (
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -27,7 +26,7 @@ type PartitionReport struct {
 	// internal executions α and β fully decided.
 	AlphaDecidedRound, BetaDecidedRound int
 	// Result is the γ execution's outcome.
-	Result *sim.Result
+	Result *engine.Result
 	// Verdict is the property check over γ: a successful attack shows an
 	// agreement violation (X decided 0, Y decided 1).
 	Verdict trace.Verdict
@@ -63,7 +62,7 @@ func (r *PartitionReport) Succeeded() bool { return r.Verdict.Has(trace.Agreemen
 //
 // maxRounds bounds the run; horizon rounds are simulated internally for α
 // and β (it must exceed their decision time).
-func Partition(p hom.Params, factory func(slot int) sim.Process, maxRounds int) (*PartitionReport, error) {
+func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds int) (*PartitionReport, error) {
 	n, l, t := p.N, p.L, p.T
 	if t < 1 || l <= 3*t || 2*l > n+3*t || l > n {
 		return nil, fmt.Errorf("%w (n=%d l=%d t=%d)", ErrPartitionRegion, n, l, t)
@@ -153,7 +152,7 @@ func Partition(p hom.Params, factory func(slot int) sim.Process, maxRounds int) 
 		alphaTrace: alphaTrace,
 		betaTrace:  betaTrace,
 	}
-	res, err := engine.Run(engine.FromConfig(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p,
 		Assignment: gammaIDs,
 		Inputs:     inputs,
@@ -179,10 +178,10 @@ func Partition(p hom.Params, factory func(slot int) sim.Process, maxRounds int) 
 // buildReplayWorld assembles one internal execution: factory-built
 // processes on the given identifier multiset with a constant input;
 // identifiers matching silent() are Byzantine-silent (nil process).
-func buildReplayWorld(p hom.Params, factory func(slot int) sim.Process,
+func buildReplayWorld(p hom.Params, factory func(slot int) engine.Process,
 	ids []hom.Identifier, input hom.Value, silent func(hom.Identifier) bool) *World {
 	n := len(ids)
-	procs := make([]sim.Process, n)
+	procs := make([]engine.Process, n)
 	inputs := make([]hom.Value, n)
 	for s := 0; s < n; s++ {
 		inputs[s] = input
@@ -235,23 +234,23 @@ type partitionAdversary struct {
 	betaTrace  map[int]map[hom.Identifier][]msg.Send
 }
 
-var _ sim.Adversary = (*partitionAdversary)(nil)
+var _ engine.Adversary = (*partitionAdversary)(nil)
 
-// Corrupt implements sim.Adversary.
+// Corrupt implements engine.Adversary.
 func (a *partitionAdversary) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int {
 	out := append([]int(nil), a.byzSlots...)
 	sort.Ints(out)
 	return out
 }
 
-// Sends implements sim.Adversary: the byz slot holding identifier k sends
+// Sends implements engine.Adversary: the byz slot holding identifier k sends
 // to every X slot what α's identifier-k processes sent (respecting
 // identifier-targeted sends), and to every Y slot what β's identifier-k
 // processes sent. Note the multi-send: a recorded stack of α processes
 // yields several messages to the same recipient in one round, which only
 // an unrestricted Byzantine process can do (paper's Proposition 4; by
 // Theorem 20 innumerate receivers collapse the copies anyway).
-func (a *partitionAdversary) Sends(round, slot int, _ *sim.View) []msg.TargetedSend {
+func (a *partitionAdversary) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
 	id := a.gammaIDs[slot]
 	var out []msg.TargetedSend
 	emit := func(sends []msg.Send, campWant int) {
@@ -276,7 +275,7 @@ func (a *partitionAdversary) Sends(round, slot int, _ *sim.View) []msg.TargetedS
 	return out
 }
 
-// Drop implements sim.Adversary: all X↔Y traffic is suppressed.
+// Drop implements engine.Adversary: all X↔Y traffic is suppressed.
 func (a *partitionAdversary) Drop(_, from, to int) bool {
 	return (a.camp[from] == 1 && a.camp[to] == 2) || (a.camp[from] == 2 && a.camp[to] == 1)
 }

@@ -23,14 +23,14 @@
 package attacks
 
 import (
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // World is a manually-driven lockstep system used to build covering
 // systems and the internal replay executions of the partition attack. It
-// differs from the sim engine in two ways: the routing of messages is an
+// differs from the engine in two ways: the routing of messages is an
 // arbitrary slot-level function (covering systems are not complete
 // graphs), and the model parameters handed to processes are chosen by the
 // attack, independent of the world's actual size (a covering system of 2n
@@ -38,7 +38,7 @@ import (
 type World struct {
 	// Procs holds one process per slot; nil entries are silent (used for
 	// the silent Byzantine processes of the α and β executions).
-	Procs []sim.Process
+	Procs []engine.Process
 	// IDs holds each slot's identifier.
 	IDs []hom.Identifier
 	// Numerate selects reception semantics.
@@ -62,13 +62,13 @@ type World struct {
 // NewWorld initialises the processes with their identifiers, inputs and
 // the (algorithm-view) parameters, and returns the assembled world.
 // procs[i] == nil marks slot i as silent.
-func NewWorld(procs []sim.Process, ids []hom.Identifier, inputs []hom.Value,
+func NewWorld(procs []engine.Process, ids []hom.Identifier, inputs []hom.Value,
 	algParams hom.Params, numerate bool, route func(from, to int) bool) *World {
 	for i, p := range procs {
 		if p == nil {
 			continue
 		}
-		p.Init(sim.Context{ID: ids[i], Input: inputs[i], Params: algParams})
+		p.Init(engine.Context{ID: ids[i], Input: inputs[i], Params: algParams})
 	}
 	return &World{Procs: procs, IDs: ids, Numerate: numerate, Route: route}
 }

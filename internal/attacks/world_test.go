@@ -3,9 +3,9 @@ package attacks
 import (
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // pingProc broadcasts a constant and decides once it has heard k distinct
@@ -17,7 +17,7 @@ type pingProc struct {
 	decided bool
 }
 
-func (p *pingProc) Init(ctx sim.Context) {
+func (p *pingProc) Init(ctx engine.Context) {
 	p.id = ctx.ID
 	p.heard = map[hom.Identifier]bool{}
 }
@@ -39,7 +39,7 @@ func (p *pingProc) Decision() (hom.Value, bool) { return hom.Value(len(p.heard))
 
 func TestWorldCompleteRouting(t *testing.T) {
 	ids := []hom.Identifier{1, 2, 3}
-	procs := []sim.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 3}}
+	procs := []engine.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 3}}
 	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
 		hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous}, false, nil)
 	w.Step()
@@ -53,7 +53,7 @@ func TestWorldCompleteRouting(t *testing.T) {
 
 func TestWorldRouteMask(t *testing.T) {
 	ids := []hom.Identifier{1, 2, 3}
-	procs := []sim.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 2}}
+	procs := []engine.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 2}}
 	// Slot 2 never hears slot 0.
 	route := func(from, to int) bool { return !(from == 0 && to == 2) }
 	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
@@ -72,7 +72,7 @@ func TestWorldRouteMask(t *testing.T) {
 
 func TestWorldSilentSlots(t *testing.T) {
 	ids := []hom.Identifier{1, 2, 3}
-	procs := []sim.Process{&pingProc{k: 2}, nil, &pingProc{k: 2}}
+	procs := []engine.Process{&pingProc{k: 2}, nil, &pingProc{k: 2}}
 	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
 		hom.Params{N: 3, L: 3, T: 1, Synchrony: hom.Synchronous}, false, nil)
 	w.Step()
@@ -90,7 +90,7 @@ func TestWorldIdentifierTargetedSends(t *testing.T) {
 	sender := &targetedProc{}
 	rcv1 := &pingProc{k: 99}
 	rcv2 := &pingProc{k: 99}
-	w := NewWorld([]sim.Process{sender, rcv1, rcv2}, ids, []hom.Value{0, 0, 0},
+	w := NewWorld([]engine.Process{sender, rcv1, rcv2}, ids, []hom.Value{0, 0, 0},
 		hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous}, false, nil)
 	w.Step()
 	// The ToIdentifier(2) send must reach both identifier-2 slots (which
@@ -115,7 +115,7 @@ type targetedProc struct {
 	heard map[hom.Identifier]bool
 }
 
-func (p *targetedProc) Init(sim.Context) { p.heard = map[hom.Identifier]bool{} }
+func (p *targetedProc) Init(engine.Context) { p.heard = map[hom.Identifier]bool{} }
 func (p *targetedProc) Prepare(int) []msg.Send {
 	return []msg.Send{msg.SendTo(2, msg.Raw("direct"))}
 }
@@ -131,7 +131,7 @@ func TestWorldNumerateReception(t *testing.T) {
 	// receiver must count 2 copies.
 	ids := []hom.Identifier{1, 1, 2}
 	counter := &copyCounter{}
-	procs := []sim.Process{&pingProc{k: 9}, &pingProc{k: 9}, counter}
+	procs := []engine.Process{&pingProc{k: 9}, &pingProc{k: 9}, counter}
 	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
 		hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous, Numerate: true}, true, nil)
 	w.Step()
@@ -142,7 +142,7 @@ func TestWorldNumerateReception(t *testing.T) {
 
 type copyCounter struct{ copies int }
 
-func (c *copyCounter) Init(sim.Context)       {}
+func (c *copyCounter) Init(engine.Context)    {}
 func (c *copyCounter) Prepare(int) []msg.Send { return nil }
 func (c *copyCounter) Receive(_ int, in *msg.Inbox) {
 	c.copies = in.Count(msg.Message{ID: 1, Body: msg.Raw("ping")})

@@ -185,7 +185,7 @@ func newBroadcaster(l, t int) *Broadcaster {
 }
 
 // Release returns the broadcaster's arena-backed table to the shared pool.
-// The broadcaster is unusable afterwards. Hosts forward sim.Releaser to
+// The broadcaster is unusable afterwards. Hosts forward engine.Releaser to
 // this method so steady-state experiment grids reuse the tables.
 func (b *Broadcaster) Release() {
 	if b.tab == nil {

@@ -3,10 +3,10 @@ package authbcast
 import (
 	"fmt"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -36,25 +36,25 @@ type hostAccept struct {
 
 // fuzzHost drives one Broadcaster inside the simulation engine.
 type fuzzHost struct {
-	ctx sim.Context
+	ctx engine.Context
 	bc  *Broadcaster
 	log []hostAccept
 }
 
-var _ sim.Process = (*fuzzHost)(nil)
+var _ engine.Process = (*fuzzHost)(nil)
 
-// Init implements sim.Process. The broadcaster is built without New's
+// Init implements engine.Process. The broadcaster is built without New's
 // l > 3t check: probing below the bound is the point.
-func (h *fuzzHost) Init(ctx sim.Context) {
+func (h *fuzzHost) Init(ctx engine.Context) {
 	h.ctx = ctx
 	h.bc = newBroadcaster(ctx.Params.L, ctx.Params.T)
 }
 
-// Release implements sim.Releaser: the engines call it when the execution
+// Release implements engine.Releaser: the engines call it when the execution
 // ends, returning the broadcaster's arena to the shared pool.
 func (h *fuzzHost) Release() { h.bc.Release() }
 
-// Prepare implements sim.Process.
+// Prepare implements engine.Process.
 func (h *fuzzHost) Prepare(round int) []msg.Send {
 	if IsInitRound(round) {
 		h.bc.Broadcast(fuzzValue{V: h.ctx.Input})
@@ -64,14 +64,14 @@ func (h *fuzzHost) Prepare(round int) []msg.Send {
 	return append([]msg.Send(nil), h.bc.Outgoing(round)...)
 }
 
-// Receive implements sim.Process.
+// Receive implements engine.Process.
 func (h *fuzzHost) Receive(round int, in *msg.Inbox) {
 	for _, a := range h.bc.Ingest(round, in) {
 		h.log = append(h.log, hostAccept{Accept: a, Round: round})
 	}
 }
 
-// Decision implements sim.Process. Hosts never decide: the primitive has
+// Decision implements engine.Process. Hosts never decide: the primitive has
 // no decision semantics, and the checker ignores termination.
 func (h *fuzzHost) Decision() (hom.Value, bool) { return hom.NoValue, false }
 
@@ -93,7 +93,7 @@ func stabSuperround(gst int) int { return (gst + 2) / 2 }
 // check verifies Correctness, Unforgeability and Relay over a finished
 // host execution. Like trace.Check it reports at most one violation per
 // property, so verdicts stay small under heavy breakage.
-func check(res *sim.Result, procs []sim.Process) trace.Verdict {
+func check(res *engine.Result, procs []engine.Process) trace.Verdict {
 	var verdict trace.Verdict
 	correct := res.CorrectSlots()
 	hosts := make(map[int]*fuzzHost, len(correct))
@@ -223,8 +223,8 @@ func init() {
 			}
 			return true, "ok"
 		},
-		New: func(p hom.Params) (func(slot int) sim.Process, error) {
-			return func(int) sim.Process { return &fuzzHost{} }, nil
+		New: func(p hom.Params) (func(slot int) engine.Process, error) {
+			return func(int) engine.Process { return &fuzzHost{} }, nil
 		},
 		Rounds: func(p hom.Params, gst int) int {
 			// GST prefix, then six full superrounds: enough for a

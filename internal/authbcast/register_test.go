@@ -8,13 +8,12 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
 // runHosts executes the registered fuzz target under the engine and
 // returns the result with the processes the factory built.
-func runHosts(t *testing.T, p hom.Params, gst int, adv engine.Adversary) (*sim.Result, []sim.Process) {
+func runHosts(t *testing.T, p hom.Params, gst int, adv engine.Adversary) (*engine.Result, []engine.Process) {
 	t.Helper()
 	proto, ok := protoreg.Get("authbcast")
 	if !ok {
@@ -31,7 +30,7 @@ func runHosts(t *testing.T, p hom.Params, gst int, adv engine.Adversary) (*sim.R
 	for i := range inputs {
 		inputs[i] = hom.Value(i % 2)
 	}
-	procs := make([]sim.Process, p.N)
+	procs := make([]engine.Process, p.N)
 	opts := []engine.Option{
 		engine.WithParams(p),
 		engine.WithAssignment(hom.RoundRobinAssignment(p.N, p.L)),
@@ -107,8 +106,8 @@ func TestFuzzTargetHoldsProposition6(t *testing.T) {
 // four slots with identifiers 1, 2, 3, 3, inputs 0, 1, 0, 1, slot 3
 // Byzantine (so identifier 3 is untrusted), GST 1, six rounds.
 func TestCheckReportsEachProperty(t *testing.T) {
-	base := func() (*sim.Result, []*fuzzHost) {
-		res := &sim.Result{
+	base := func() (*engine.Result, []*fuzzHost) {
+		res := &engine.Result{
 			Params:     hom.Params{N: 4, L: 3, T: 1, Synchrony: hom.PartiallySynchronous},
 			Assignment: hom.Assignment{1, 2, 3, 3},
 			Inputs:     []hom.Value{0, 1, 0, 1},
@@ -132,8 +131,8 @@ func TestCheckReportsEachProperty(t *testing.T) {
 		}
 		return res, hosts
 	}
-	verdictOf := func(res *sim.Result, hosts []*fuzzHost) trace.Verdict {
-		return check(res, []sim.Process{hosts[0], hosts[1], hosts[2], nil})
+	verdictOf := func(res *engine.Result, hosts []*fuzzHost) trace.Verdict {
+		return check(res, []engine.Process{hosts[0], hosts[1], hosts[2], nil})
 	}
 
 	res, hosts := base()
@@ -184,7 +183,7 @@ func TestCheckReportsEachProperty(t *testing.T) {
 	for _, h := range hosts {
 		h.log = append(h.log, hostAccept{Accept: Accept{ID: 1, Body: fuzzValue{V: 9}, SR: 1}, Round: 2})
 	}
-	if v := check(res, []sim.Process{nil, hosts[1], hosts[2], nil}); !v.OK() {
+	if v := check(res, []engine.Process{nil, hosts[1], hosts[2], nil}); !v.OK() {
 		t.Fatalf("accept under a faulted holder's identifier: %s", v)
 	}
 }

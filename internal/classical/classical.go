@@ -22,9 +22,9 @@ import (
 	"errors"
 	"fmt"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // State is an algorithm-local state. States travel on the wire during the
@@ -124,19 +124,19 @@ type Process struct {
 	decision hom.Value
 }
 
-var _ sim.Process = (*Process)(nil)
+var _ engine.Process = (*Process)(nil)
 
 // NewProcess returns a kernel process driving one fresh instance of alg.
 func NewProcess(alg Algorithm) *Process {
 	return &Process{alg: alg, decision: hom.NoValue}
 }
 
-// Init implements sim.Process.
-func (p *Process) Init(ctx sim.Context) {
+// Init implements engine.Process.
+func (p *Process) Init(ctx engine.Context) {
 	p.state = p.alg.Init(ctx.ID, ctx.Input)
 }
 
-// Prepare implements sim.Process.
+// Prepare implements engine.Process.
 func (p *Process) Prepare(round int) []msg.Send {
 	if round > p.alg.DecisionRound() {
 		return nil
@@ -148,7 +148,7 @@ func (p *Process) Prepare(round int) []msg.Send {
 	return []msg.Send{msg.Broadcast(body)}
 }
 
-// Receive implements sim.Process.
+// Receive implements engine.Process.
 func (p *Process) Receive(round int, in *msg.Inbox) {
 	if round > p.alg.DecisionRound() {
 		return
@@ -159,20 +159,20 @@ func (p *Process) Receive(round int, in *msg.Inbox) {
 	}
 }
 
-// Decision implements sim.Process.
+// Decision implements engine.Process.
 func (p *Process) Decision() (hom.Value, bool) {
 	return p.decision, p.decision != hom.NoValue
 }
 
-// CloneProcess implements sim.Cloner. The algorithm is shared and
+// CloneProcess implements engine.Cloner. The algorithm is shared and
 // stateless and states are immutable values, so a struct copy is an
 // independent fork.
-func (p *Process) CloneProcess() sim.Process {
+func (p *Process) CloneProcess() engine.Process {
 	cp := *p
 	return &cp
 }
 
-// StateFingerprint implements sim.StateHasher: the canonical state key
+// StateFingerprint implements engine.StateHasher: the canonical state key
 // plus the decision determine all future behaviour.
 func (p *Process) StateFingerprint() msg.StateHash {
 	h := msg.NewStateHash()

@@ -7,27 +7,27 @@ import (
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/classical"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
 // runClassical executes one classical (l = n, unique identifiers)
 // instance of alg and returns the result.
-func runClassical(t *testing.T, alg classical.Algorithm, inputs []hom.Value, adv sim.Adversary) *sim.Result {
+func runClassical(t *testing.T, alg classical.Algorithm, inputs []hom.Value, adv engine.Adversary) *engine.Result {
 	t.Helper()
 	n := alg.Processes()
 	p := hom.Params{N: n, L: n, T: alg.Faults(), Synchrony: hom.Synchronous}
-	res, err := sim.Run(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p,
 		Assignment: hom.RoundRobinAssignment(n, n),
 		Inputs:     inputs,
-		NewProcess: func(int) sim.Process { return classical.NewProcess(alg) },
+		NewProcess: func(int) engine.Process { return classical.NewProcess(alg) },
 		Adversary:  adv,
 		MaxRounds:  alg.DecisionRound() + 2,
-	})
+	}))
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("engine.Run: %v", err)
 	}
 	return res
 }

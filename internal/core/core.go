@@ -25,7 +25,6 @@ import (
 	"homonyms/internal/inject"
 	"homonyms/internal/psynchom"
 	"homonyms/internal/psyncnum"
-	"homonyms/internal/sim"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
@@ -52,7 +51,7 @@ var (
 type Selection struct {
 	Algorithm AlgorithmID
 	// NewProcess builds one process per slot.
-	NewProcess func(slot int) sim.Process
+	NewProcess func(slot int) engine.Process
 	// SuggestedRounds returns a round budget sufficient for decision
 	// when message drops stop at the given GST round.
 	SuggestedRounds func(gst int) int
@@ -123,7 +122,7 @@ type Config struct {
 	Inputs []hom.Value
 	// Adversary plays the Byzantine processes and the pre-GST message
 	// drops; nil means a fault-free, loss-free run.
-	Adversary sim.Adversary
+	Adversary engine.Adversary
 	// GST is the first round with guaranteed delivery (partially
 	// synchronous model); values below 1 are treated as 1.
 	GST int
@@ -136,7 +135,7 @@ type Config struct {
 	// verdict's properties, like corrupted ones.
 	Faults *inject.Schedule
 	// Invariants enables the engine's paranoid per-round self-checks
-	// (sim.Config.Invariants).
+	// (engine.Config.Invariants).
 	Invariants bool
 	// MaxSends caps the execution's cumulative stamped sends; when the
 	// budget is hit the run ends after the current round with
@@ -160,7 +159,7 @@ type Result struct {
 	// Algorithm that ran.
 	Algorithm AlgorithmID
 	// Sim is the raw execution result.
-	Sim *sim.Result
+	Sim *engine.Result
 	// Verdict holds the validity/agreement/termination checks.
 	Verdict trace.Verdict
 	// Decision is the common decided value when one exists.
@@ -240,7 +239,7 @@ var ErrNoInputs = errors.New("core: need at least one input value")
 
 // RunUnanimous is a convenience wrapper running all processes with the
 // same input.
-func RunUnanimous(p hom.Params, input hom.Value, adv sim.Adversary, gst int) (*Result, error) {
+func RunUnanimous(p hom.Params, input hom.Value, adv engine.Adversary, gst int) (*Result, error) {
 	inputs := make([]hom.Value, p.N)
 	for i := range inputs {
 		inputs[i] = input

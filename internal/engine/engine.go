@@ -1,7 +1,6 @@
-// Package engine is the unified round-core for the homonym model of
-// Delporte-Gallet et al. (PODC 2011): one execution kernel behind the
-// sequential façade (package sim) and the concurrent one (package
-// runtime), which are now thin adapters over this package.
+// Package engine is the round kernel for the homonym model of
+// Delporte-Gallet et al. (PODC 2011): the one way an execution is
+// assembled and run.
 //
 // The kernel realises exactly the paper's two timing models:
 //
@@ -44,9 +43,8 @@
 //     messages in a deterministic pending queue.
 //   - StateRep owns how correct-process state is held and stepped.
 //     Concrete (one state machine per slot, stepped in place) and
-//     ConcurrentConcrete (one goroutine per slot, the former package
-//     runtime machinery) exist today; a counting/abstract representation
-//     plugs in here.
+//     ConcurrentConcrete (one goroutine per slot) hold a process per
+//     slot; Counting holds one per equivalence class of slots.
 //
 // Round delivery runs through the Router, shared by every state
 // representation: sends are stamped once into a structure-of-arrays
@@ -216,11 +214,9 @@ type Observer interface {
 	Observe(round int, deliveries []msg.Delivered)
 }
 
-// Config assembles one execution. It remains the aggregate carrier
-// behind the options API: New(opts...) folds every option into a Config
-// before validating it, and FromConfig seeds the options from a
-// hand-built one (which is how the deprecated sim.Run and runtime.Run
-// adapters keep their exact legacy surface).
+// Config assembles one execution. It is the aggregate carrier behind the
+// options API: New(opts...) folds every option into a Config before
+// validating it, and FromConfig seeds the options from a hand-built one.
 type Config struct {
 	Params     hom.Params
 	Assignment hom.Assignment
@@ -309,13 +305,6 @@ type Config struct {
 	// Forces delivery recording (like an Observer); hashes surface in
 	// Result.SlotHashes. Hashes of corrupted slots stay at the basis.
 	FrontierHash bool
-	// TimeModel optionally selects the execution's time model from a
-	// hand-built Config; nil means Lockstep. WithTimeModel overrides it.
-	// Carried on Config so the deprecated sim.Run / runtime.Run adapters
-	// (and fuzz scenarios replayed through them) can drive
-	// eventually-synchronous executions without touching the options
-	// layer.
-	TimeModel TimeModel
 }
 
 // Releaser is an optional Process extension: after an execution finishes,
@@ -334,7 +323,7 @@ type Releaser interface {
 	Release()
 }
 
-// Validation errors for New (and the deprecated Config adapters).
+// Validation errors for New.
 var (
 	ErrNilProcessFactory = errors.New("engine: NewProcess must not be nil")
 	ErrNoRoundCap        = errors.New("engine: MaxRounds must be positive")
@@ -347,6 +336,9 @@ var (
 	// ErrTimingPolicy: a timing-capable time model was built with a
 	// negative Bound, Timeout or MaxAttempts.
 	ErrTimingPolicy = errors.New("engine: timing policy knobs must be non-negative")
+	// ErrEngineReused: Run was called again on an Engine whose execution
+	// state (pooled interner, processes) the first Run already released.
+	ErrEngineReused = errors.New("engine: an Engine runs exactly once")
 )
 
 // Stats aggregates execution costs.
@@ -500,6 +492,7 @@ type Engine struct {
 	res       *Result
 	observer  Observer
 	deadline  time.Time
+	ran       bool // Run was entered
 
 	// Per-round scratch, allocated once and reused across rounds so the
 	// steady-state hot path is allocation-free (modulo what processes and
@@ -637,8 +630,12 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 
 // Run executes the assembled instance once, driven by its TimeModel, to
 // completion (all correct slots decided, plus ExtraRounds), to MaxRounds,
-// or to a budget stop. An Engine must not be reused after Run returns.
+// or to a budget stop. A second Run returns ErrEngineReused.
 func (e *Engine) Run() (*Result, error) {
+	if e.ran {
+		return nil, ErrEngineReused
+	}
+	e.ran = true
 	// Tear down the state representation (joining any goroutines it owns
 	// and releasing processes) and recycle the pooled interner on every
 	// exit path, including an invariant abort mid-execution.

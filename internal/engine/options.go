@@ -92,9 +92,8 @@ func (s *settings) once(knob, value string) bool {
 // sequential Concrete state representation; no adversary, no faults, no
 // budgets. Option-level errors (conflicts, nil values, out-of-domain
 // modes) are joined and reported together; configuration-level
-// validation (parameters, assignment, inputs, process factory, round
-// cap) then runs in the same order the legacy sim.Run used, so the
-// deprecated adapters surface identical errors.
+// validation then runs in a fixed order: parameters, assignment, inputs,
+// process factory, round cap.
 func New(opts ...Option) (*Engine, error) {
 	s := &settings{seen: make(map[string]string)}
 	for _, opt := range opts {
@@ -108,13 +107,7 @@ func New(opts ...Option) (*Engine, error) {
 		return nil, errors.Join(s.errs...)
 	}
 	if s.tm == nil {
-		// The Config carrier may name a time model (the adapters' path
-		// to eventually-synchronous executions); WithTimeModel wins.
-		if s.cfg.TimeModel != nil {
-			s.tm = s.cfg.TimeModel
-		} else {
-			s.tm = Lockstep{}
-		}
+		s.tm = Lockstep{}
 	}
 	if s.rep == nil {
 		s.rep = Concrete()
@@ -148,10 +141,9 @@ func Run(opts ...Option) (*Result, error) {
 }
 
 // FromConfig seeds every configuration knob from a hand-built Config —
-// the bridge the deprecated sim.Run and runtime.Run adapters use.
-// It is a base layer, not a single-valued knob: options after it
-// override its fields without conflicting, so adapters can compose it
-// (e.g. with WithStateRep).
+// the struct bridge fuzz scenarios and the attack constructions assemble
+// through. It is a base layer, not a single-valued knob: options after
+// it override its fields without conflicting.
 func FromConfig(cfg Config) Option {
 	return func(s *settings) { s.cfg = cfg }
 }
@@ -187,7 +179,7 @@ func WithInputs(inputs ...hom.Value) Option {
 func WithProcess(factory func(slot int) Process) Option {
 	return func(s *settings) {
 		// Nil is caught by New's configuration validation
-		// (ErrNilProcessFactory), matching the legacy Config path.
+		// (ErrNilProcessFactory), as on the FromConfig path.
 		s.cfg.NewProcess = factory
 	}
 }

@@ -231,8 +231,8 @@ func TestNewReportsAllOptionErrors(t *testing.T) {
 }
 
 // TestNewConfigValidationOrder pins that configuration-level validation
-// runs after option-level checks, in the legacy order, with the legacy
-// sentinels — the deprecated adapters depend on this.
+// runs after option-level checks, in New's documented order, with the
+// exported sentinels.
 func TestNewConfigValidationOrder(t *testing.T) {
 	t.Run("params-first", func(t *testing.T) {
 		_, err := engine.New(engine.WithParams(hom.Params{N: 0, L: 0, T: 0}))
@@ -284,7 +284,32 @@ func TestBudgetInvariantInterplay(t *testing.T) {
 	}
 }
 
-// TestFromConfigComposes pins the adapter bridge: FromConfig is a base
+// TestSecondRunIsTypedError pins hostile reuse: the first Run releases
+// the execution's state, so a second one on the same Engine must refuse
+// with ErrEngineReused under every state representation, not
+// dereference what was recycled.
+func TestSecondRunIsTypedError(t *testing.T) {
+	for name, rep := range map[string]func() engine.StateRep{
+		"concrete":   engine.Concrete,
+		"concurrent": engine.ConcurrentConcrete,
+		"counting":   engine.Counting,
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, err := engine.New(append(baseOptions(), engine.WithStateRep(rep()))...)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatalf("first Run: %v", err)
+			}
+			if res, err := e.Run(); !errors.Is(err, engine.ErrEngineReused) || res != nil {
+				t.Fatalf("second Run = (%v, %v), want (nil, ErrEngineReused)", res, err)
+			}
+		})
+	}
+}
+
+// TestFromConfigComposes pins the struct bridge: FromConfig is a base
 // layer, so a later option overrides its fields without conflicting.
 func TestFromConfigComposes(t *testing.T) {
 	cfg := engine.Config{

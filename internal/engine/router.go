@@ -130,8 +130,9 @@ type Router struct {
 
 	// Fault injection (package inject). inj is nil in fault-free
 	// executions; every query it answers is a pure function of
-	// (round, from, to), which is what keeps the two delivery modes, the
-	// two reception modes and the two engines identical under faults.
+	// (round, from, to), which is what keeps the delivery modes, the
+	// reception modes and the state representations identical under
+	// faults.
 	inj      *inject.Injector
 	replays  []inject.Replay // inj's replay specs, indexed like retained
 	retained [][]msg.Payload // per replay spec: bodies captured at SourceRound

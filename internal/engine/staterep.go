@@ -117,8 +117,7 @@ type repFailer interface {
 }
 
 // concreteRep is the sequential concrete representation: one Process per
-// slot, stepped in place on the driving goroutine — the former package
-// sim kernel.
+// slot, stepped in place on the driving goroutine.
 type concreteRep struct {
 	e *Engine
 }
@@ -215,12 +214,12 @@ type repWorker struct {
 
 // concurrentRep is the concurrent concrete representation: one goroutine
 // per correct process, exchanging messages with the coordinator over
-// unbuffered channels, one lockstep round at a time — the former package
-// runtime engine. It produces results equal, delivery for delivery, to
-// the sequential representation's (the equivalence is pinned by the
-// parity suites over the committed fuzz corpus): the intern table lives
-// on the coordinator and messages are symbolized in stamp order, never
-// from worker goroutines, so KeyID assignment matches exactly.
+// unbuffered channels, one lockstep round at a time. It produces results
+// equal, delivery for delivery, to the sequential representation's (the
+// equivalence is pinned by the parity suites over the committed fuzz
+// corpus): the intern table lives on the coordinator and messages are
+// symbolized in stamp order, never from worker goroutines, so KeyID
+// assignment matches exactly.
 //
 // The goroutine lifecycle follows the project's coding guide: Start owns
 // all goroutines it spawns, Stop signals them through a close-once

@@ -188,8 +188,8 @@ func (r *countingRep) initProc(leader int, probe Process, probeSlot int) (Proces
 }
 
 func (r *countingRep) Start(e *Engine) error {
-	// One value may serve several executions, one after the other (the
-	// legacy bench does): nothing of the previous one carries over.
+	// One value may serve several executions, one after the other:
+	// nothing of the previous one carries over.
 	*r = countingRep{e: e, maxClasses: r.maxClasses}
 	cfg := &e.cfg
 	n := e.n

@@ -106,9 +106,21 @@ func TestCountingFastPathCostIsPerClass(t *testing.T) {
 	// larger n collects more often: hold the collector off so the two
 	// counts compare the code, not the pools.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Mallocs is process-wide and the pools are per-P: on a loaded host a
+	// migrated goroutine misses a warm pool, or a runtime goroutine
+	// allocates, inside the window. Such noise only adds, so each n is
+	// measured as the minimum of three runs.
+	measure := func(n int) (mallocs, bytes uint64) {
+		mallocs, bytes = runScaleFlood(t, n)
+		for i := 0; i < 2; i++ {
+			m, b := runScaleFlood(t, n)
+			mallocs, bytes = min(mallocs, m), min(bytes, b)
+		}
+		return mallocs, bytes
+	}
 	runScaleFlood(t, 1_000) // warm the pools
-	small, smallBytes := runScaleFlood(t, 10_000)
-	large, largeBytes := runScaleFlood(t, 100_000)
+	small, smallBytes := measure(10_000)
+	large, largeBytes := measure(100_000)
 	if diff := int64(large) - int64(small); !raceEnabled && (diff < -16 || diff > 16) {
 		t.Errorf("allocations grew with n: %d at n=1e4, %d at n=1e5 (want equal within 16)", small, large)
 	}

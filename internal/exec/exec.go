@@ -1,7 +1,7 @@
 // Package exec is a deterministic worker-pool scheduler for the
 // experiment drivers. The simulation kernel is strictly sequential and
 // seed-deterministic; what parallelises is the layer above it — thousands
-// of independent sim.Run/core.Run executions behind a solvability matrix,
+// of independent engine.Run/core.Run executions behind a solvability matrix,
 // an attack suite or a parameter sweep. exec fans those across
 // GOMAXPROCS-bounded workers while keeping results in input order, so a
 // parallel run is byte-identical to a sequential one.

@@ -6,13 +6,12 @@ import (
 
 	"homonyms/internal/engine"
 	"homonyms/internal/exec"
-	"homonyms/internal/sim"
 )
 
 // TestSeedCorpusCountingParity pins the counting state representation
 // against the concrete reference over the whole committed seed corpus:
 // every seed, in every delivery x reception combination, must replay to
-// a byte-identical sim.Result under engine.Counting() — same decisions,
+// a byte-identical Result under engine.Counting() — same decisions,
 // decision rounds, effective GST and full statistics. Corpus scenarios
 // carry adversaries, drop masks and fault schedules, so this drives the
 // representation's slow path (per-member routing, reception
@@ -22,20 +21,14 @@ func TestSeedCorpusCountingParity(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
 		sc := sc
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
-			for _, delivery := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
+			for _, delivery := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
 				for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
 					run := func(rep engine.StateRep) string {
-						cfg, err := sc.Config()
-						if err != nil {
-							t.Fatalf("config: %v", err)
-						}
-						cfg.Delivery = delivery
-						cfg.Reception = reception
-						opts := []engine.Option{engine.FromConfig(cfg)}
+						opts := []engine.Option{engine.WithDelivery(delivery), engine.WithReception(reception)}
 						if rep != nil {
 							opts = append(opts, engine.WithStateRep(rep))
 						}
-						res, err := engine.Run(opts...)
+						res, err := corpusRun(sc, opts...)
 						if err != nil {
 							t.Fatalf("%v/%v: %v", delivery, reception, err)
 						}
@@ -68,15 +61,11 @@ func TestSeedCorpusCountingParityAcrossWorkers(t *testing.T) {
 			if forceTM != "" && (sc.TimeModel == "" || sc.TimeModel == "lockstep") {
 				sc.TimeModel = forceTM
 			}
-			cfg, err := sc.Config()
-			if err != nil {
-				return "", err
-			}
-			opts := []engine.Option{engine.FromConfig(cfg)}
+			var opts []engine.Option
 			if counting {
 				opts = append(opts, engine.WithStateRep(engine.Counting()))
 			}
-			res, err := engine.Run(opts...)
+			res, err := corpusRun(sc, opts...)
 			if err != nil {
 				return "", err
 			}

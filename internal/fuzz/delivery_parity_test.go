@@ -8,9 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/exec"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 )
 
 // corpusScenarios loads every committed regression seed's scenario,
@@ -50,51 +49,61 @@ func corpusScenarios(t *testing.T) []Scenario {
 	return out
 }
 
+// corpusRun replays sc once: its own time model (and state
+// representation, if it names one), then the overrides.
+func corpusRun(sc Scenario, overrides ...engine.Option) (*engine.Result, error) {
+	opts, err := sc.Options()
+	if err != nil {
+		return nil, err
+	}
+	return engine.Run(append(opts, overrides...)...)
+}
+
+// repMaker names a state-representation constructor: a StateRep holds
+// one execution's processes, so every run builds a fresh one.
+type repMaker struct {
+	name string
+	mk   func() engine.StateRep
+}
+
+// concreteReps are the two slot-per-process state representations, the
+// sequential reference first.
+var concreteReps = []repMaker{
+	{"concrete", engine.Concrete},
+	{"concurrent", engine.ConcurrentConcrete},
+}
+
 // resultFingerprint renders everything observable about a Result into a
 // stable string, so "byte-identical" is checked literally.
-func resultFingerprint(r *sim.Result) string {
+func resultFingerprint(r *engine.Result) string {
 	return fmt.Sprintf("%+v|%+v|%v|%v|%v|%d|%d|%v|%+v|%d",
 		r.Params, r.Assignment, r.Inputs, r.Corrupted, r.Decisions,
 		r.Rounds, r.GST, r.DecidedAt, r.Stats, len(r.Traffic))
 }
 
-// TestSeedCorpusDeliveryParity is the tentpole's golden test: every
-// committed fuzz seed replays to a byte-identical sim.Result (decisions,
-// decision rounds, effective GST, full statistics) under all four engine
-// combinations — {sequential, concurrent} x {batched, per-message}.
+// TestSeedCorpusDeliveryParity is the delivery modes' golden test: every
+// committed fuzz seed replays to a byte-identical Result (decisions,
+// decision rounds, effective GST, full statistics) under all four
+// combinations — {Concrete, ConcurrentConcrete} x {batched, per-message}
+// — with sequential per-message delivery as the reference.
 func TestSeedCorpusDeliveryParity(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
 		sc := sc
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
-			run := func(engine string, mode sim.DeliveryMode) string {
-				cfg, err := sc.Config()
+			run := func(rep repMaker, mode engine.DeliveryMode) string {
+				res, err := corpusRun(sc, engine.WithStateRep(rep.mk()), engine.WithDelivery(mode))
 				if err != nil {
-					t.Fatalf("config: %v", err)
-				}
-				cfg.Delivery = mode
-				var res *sim.Result
-				if engine == "runtime" {
-					res, err = runtime.Run(cfg)
-				} else {
-					res, err = sim.Run(cfg)
-				}
-				if err != nil {
-					t.Fatalf("%s/%v: %v", engine, mode, err)
+					t.Fatalf("%s/%v: %v", rep.name, mode, err)
 				}
 				return resultFingerprint(res)
 			}
-			want := run("sim", sim.DeliverPerMessage)
-			for _, leg := range []struct {
-				engine string
-				mode   sim.DeliveryMode
-			}{
-				{"sim", sim.DeliverBatched},
-				{"runtime", sim.DeliverPerMessage},
-				{"runtime", sim.DeliverBatched},
-			} {
-				if got := run(leg.engine, leg.mode); got != want {
-					t.Errorf("%s/%v diverges from sim/per-message:\ngot:  %s\nwant: %s",
-						leg.engine, leg.mode, got, want)
+			want := run(concreteReps[0], engine.DeliverPerMessage)
+			for _, rep := range concreteReps {
+				for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
+					if got := run(rep, mode); got != want {
+						t.Errorf("%s/%v diverges from concrete/per-message:\ngot:  %s\nwant: %s",
+							rep.name, mode, got, want)
+					}
 				}
 			}
 		})
@@ -109,14 +118,9 @@ func TestSeedCorpusDeliveryParity(t *testing.T) {
 // executions, and none of it may leak into a Result.
 func TestSeedCorpusParityAcrossWorkers(t *testing.T) {
 	scenarios := corpusScenarios(t)
-	campaign := func(mode sim.DeliveryMode, workers int) string {
+	campaign := func(mode engine.DeliveryMode, workers int) string {
 		outs, err := exec.MapN(len(scenarios), workers, func(i int) (string, error) {
-			cfg, err := scenarios[i].Config()
-			if err != nil {
-				return "", err
-			}
-			cfg.Delivery = mode
-			res, err := sim.Run(cfg)
+			res, err := corpusRun(scenarios[i], engine.WithDelivery(mode))
 			if err != nil {
 				return "", err
 			}
@@ -128,9 +132,9 @@ func TestSeedCorpusParityAcrossWorkers(t *testing.T) {
 		return strings.Join(outs, "\n")
 	}
 
-	want := campaign(sim.DeliverPerMessage, 1)
+	want := campaign(engine.DeliverPerMessage, 1)
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
+		for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
 			if got := campaign(mode, workers); got != want {
 				t.Errorf("corpus fingerprints diverge (mode %v, workers %d)", mode, workers)
 			}

@@ -4,55 +4,30 @@ import (
 	"testing"
 
 	"homonyms/internal/engine"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 )
 
-// TestSeedCorpusEngineAdapterParity pins the deprecation adapters: for
-// every committed regression seed, in every delivery mode, the thin
-// sim.Run and runtime.Run wrappers must produce results byte-identical
-// to calling the unified round-core directly through engine.Run with
-// the corresponding state representation. This is the API-redesign
-// safety net — the adapters may add nothing beyond option plumbing.
+// TestSeedCorpusEngineAdapterParity pins Concrete against
+// ConcurrentConcrete: every committed regression seed, in each delivery
+// mode, replays to a byte-identical Result on one state machine per slot
+// stepped in place and on one goroutine per slot. It runs under the race
+// detector in CI, so the concurrent representation's channel
+// choreography is exercised for real.
 func TestSeedCorpusEngineAdapterParity(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
 		sc := sc
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
-			for _, mode := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
-				freshCfg := func() sim.Config {
-					cfg, err := sc.Config()
+			for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
+				var want string
+				for i, rep := range concreteReps {
+					res, err := corpusRun(sc, engine.WithStateRep(rep.mk()), engine.WithDelivery(mode))
 					if err != nil {
-						t.Fatalf("config: %v", err)
+						t.Fatalf("%s/%v: %v", rep.name, mode, err)
 					}
-					cfg.Delivery = mode
-					return cfg
-				}
-				run := func(name string, fn func(sim.Config) (*sim.Result, error)) string {
-					res, err := fn(freshCfg())
-					if err != nil {
-						t.Fatalf("%s/%v: %v", name, mode, err)
-					}
-					return resultFingerprint(res)
-				}
-
-				want := run("engine", func(cfg sim.Config) (*sim.Result, error) {
-					return engine.Run(engine.FromConfig(cfg))
-				})
-				legs := []struct {
-					name string
-					fn   func(sim.Config) (*sim.Result, error)
-				}{
-					{"sim.Run", sim.Run},
-					{"runtime.Run", runtime.Run},
-					{"engine-concurrent", func(cfg sim.Config) (*sim.Result, error) {
-						return engine.Run(engine.FromConfig(cfg),
-							engine.WithStateRep(engine.ConcurrentConcrete()))
-					}},
-				}
-				for _, leg := range legs {
-					if got := run(leg.name, leg.fn); got != want {
-						t.Errorf("%s/%v diverges from engine.Run:\ngot:  %s\nwant: %s",
-							leg.name, mode, got, want)
+					if got := resultFingerprint(res); i == 0 {
+						want = got
+					} else if got != want {
+						t.Errorf("%s/%v diverges from %s:\ngot:  %s\nwant: %s",
+							rep.name, mode, concreteReps[0].name, got, want)
 					}
 				}
 			}

@@ -5,10 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/exec"
 	"homonyms/internal/inject"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 )
 
 // faultSchedules derives deterministic fault schedules for an n-slot
@@ -43,14 +42,15 @@ func faultSchedules(n int) []*inject.Schedule {
 // faultFingerprint extends the parity fingerprint with the fault-visible
 // Result fields: the culprit list and the structured stop reason.
 // (Stats, already inside resultFingerprint, covers FaultOmissions.)
-func faultFingerprint(r *sim.Result) string {
+func faultFingerprint(r *engine.Result) string {
 	return fmt.Sprintf("%s|%v|%s", resultFingerprint(r), r.Faulted, r.Stopped)
 }
 
 // TestSeedCorpusFaultParity extends the delivery- and reception-parity
 // corpus over injected faults: every committed seed, under every derived
 // fault schedule, replays to a byte-identical Result across
-// {sim, runtime} x {batched, per-message} x {group-shared, per-recipient}
+// {Concrete, ConcurrentConcrete} x {batched, per-message} x
+// {group-shared, per-recipient}
 // and through the worker pool at workers 1 and 4. This is the tentpole's
 // determinism criterion — the injector must be a pure function of
 // (round, from, to) on every code path.
@@ -69,40 +69,29 @@ func TestSeedCorpusFaultParity(t *testing.T) {
 		}
 	}
 
-	campaign := func(engine string, mode sim.DeliveryMode, reception sim.ReceptionMode, workers int) string {
+	campaign := func(rep repMaker, mode engine.DeliveryMode, reception engine.ReceptionMode, workers int) string {
 		outs, err := exec.MapN(len(jobs), workers, func(i int) (string, error) {
-			cfg, err := jobs[i].sc.Config()
-			if err != nil {
-				return "", err
-			}
-			cfg.Faults = jobs[i].faults
-			cfg.Delivery = mode
-			cfg.Reception = reception
-			var res *sim.Result
-			if engine == "runtime" {
-				res, err = runtime.Run(cfg)
-			} else {
-				res, err = sim.Run(cfg)
-			}
+			res, err := corpusRun(jobs[i].sc, engine.WithFaults(jobs[i].faults), engine.WithStateRep(rep.mk()),
+				engine.WithDelivery(mode), engine.WithReception(reception))
 			if err != nil {
 				return "", err
 			}
 			return faultFingerprint(res), nil
 		})
 		if err != nil {
-			t.Fatalf("campaign (%s, %v, %v, workers %d): %v", engine, mode, reception, workers, err)
+			t.Fatalf("campaign (%s, %v, %v, workers %d): %v", rep.name, mode, reception, workers, err)
 		}
 		return strings.Join(outs, "\n")
 	}
 
-	want := campaign("sim", sim.DeliverPerMessage, sim.ReceivePerRecipient, 1)
-	for _, engine := range []string{"sim", "runtime"} {
-		for _, mode := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
-			for _, reception := range []sim.ReceptionMode{sim.ReceiveGroupShared, sim.ReceivePerRecipient} {
+	want := campaign(concreteReps[0], engine.DeliverPerMessage, engine.ReceivePerRecipient, 1)
+	for _, rep := range concreteReps {
+		for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
+			for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
 				for _, workers := range []int{1, 4} {
-					if got := campaign(engine, mode, reception, workers); got != want {
+					if got := campaign(rep, mode, reception, workers); got != want {
 						t.Errorf("fault fingerprints diverge (%s, %v, %v, workers %d)",
-							engine, mode, reception, workers)
+							rep.name, mode, reception, workers)
 					}
 				}
 			}
@@ -116,21 +105,12 @@ func TestSeedCorpusFaultParity(t *testing.T) {
 func TestFaultSchedulesChangeOutcomes(t *testing.T) {
 	changed, faulted := false, false
 	for _, sc := range corpusScenarios(t) {
-		cfg, err := sc.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := sim.Run(cfg)
+		base, err := corpusRun(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range faultSchedules(sc.N) {
-			cfg, err := sc.Config()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Faults = f
-			res, err := sim.Run(cfg)
+			res, err := corpusRun(sc, engine.WithFaults(f))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,51 +4,40 @@ import (
 	"strings"
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/exec"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 )
 
-// TestSeedCorpusGroupReceptionParity is the reception tentpole's golden
-// test: every committed fuzz seed replays to a byte-identical sim.Result
+// TestSeedCorpusGroupReceptionParity is the reception modes' golden
+// test: every committed fuzz seed replays to a byte-identical Result
 // under group-shared reception (the default) and the per-recipient
-// reference path, on both engines, and through the worker pool at
-// workers 1 and 4 — so pooled shared cores and views recycled across
-// concurrent executions can never leak into a Result.
+// reference path, on both concrete state representations, and through
+// the worker pool at workers 1 and 4 — so pooled shared cores and views
+// recycled across concurrent executions can never leak into a Result.
 func TestSeedCorpusGroupReceptionParity(t *testing.T) {
 	scenarios := corpusScenarios(t)
 
-	campaign := func(engine string, reception sim.ReceptionMode, workers int) string {
+	campaign := func(rep repMaker, reception engine.ReceptionMode, workers int) string {
 		outs, err := exec.MapN(len(scenarios), workers, func(i int) (string, error) {
-			cfg, err := scenarios[i].Config()
-			if err != nil {
-				return "", err
-			}
-			cfg.Reception = reception
-			var res *sim.Result
-			if engine == "runtime" {
-				res, err = runtime.Run(cfg)
-			} else {
-				res, err = sim.Run(cfg)
-			}
+			res, err := corpusRun(scenarios[i], engine.WithStateRep(rep.mk()), engine.WithReception(reception))
 			if err != nil {
 				return "", err
 			}
 			return resultFingerprint(res), nil
 		})
 		if err != nil {
-			t.Fatalf("campaign (%s, reception %v, workers %d): %v", engine, reception, workers, err)
+			t.Fatalf("campaign (%s, reception %v, workers %d): %v", rep.name, reception, workers, err)
 		}
 		return strings.Join(outs, "\n")
 	}
 
-	want := campaign("sim", sim.ReceivePerRecipient, 1)
-	for _, engine := range []string{"sim", "runtime"} {
+	want := campaign(concreteReps[0], engine.ReceivePerRecipient, 1)
+	for _, rep := range concreteReps {
 		for _, workers := range []int{1, 4} {
-			for _, reception := range []sim.ReceptionMode{sim.ReceiveGroupShared, sim.ReceivePerRecipient} {
-				if got := campaign(engine, reception, workers); got != want {
+			for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
+				if got := campaign(rep, reception, workers); got != want {
 					t.Errorf("corpus fingerprints diverge (%s, reception %v, workers %d)",
-						engine, reception, workers)
+						rep.name, reception, workers)
 				}
 			}
 		}

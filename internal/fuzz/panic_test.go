@@ -4,17 +4,17 @@ import (
 	"strings"
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 )
 
 // panicProcess panics in Prepare of round 2 — a stand-in for a protocol
 // bug that only a mid-campaign execution would hit.
 type panicProcess struct{}
 
-func (panicProcess) Init(sim.Context)            {}
+func (panicProcess) Init(engine.Context)         {}
 func (panicProcess) Receive(int, *msg.Inbox)     {}
 func (panicProcess) Decision() (hom.Value, bool) { return hom.NoValue, false }
 func (panicProcess) Prepare(round int) []msg.Send {
@@ -35,8 +35,8 @@ func init() {
 			return false, "test-only panicking protocol claims nothing"
 		},
 		Constructible: func(p hom.Params) (bool, string) { return true, "ok" },
-		New: func(p hom.Params) (func(slot int) sim.Process, error) {
-			return func(int) sim.Process { return panicProcess{} }, nil
+		New: func(p hom.Params) (func(slot int) engine.Process, error) {
+			return func(int) engine.Process { return panicProcess{} }, nil
 		},
 		Rounds: func(p hom.Params, gst int) int { return gst + 4 },
 	})

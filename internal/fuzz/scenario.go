@@ -31,7 +31,6 @@ import (
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 )
 
 // Scenario is one fully specified fuzz execution: parameters, identifier
@@ -170,7 +169,7 @@ func (sc Scenario) assignment() (hom.Assignment, error) {
 // adversaryFor composes the scenario's adversary. The same per-scenario
 // RNG is threaded through the selector and behavior; drop policies stay
 // hash-pure (see the adversary package comment).
-func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (sim.Adversary, error) {
+func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.Adversary, error) {
 	rng := adversary.NewRand(sc.AdvSeed)
 
 	var sel adversary.Selector
@@ -268,37 +267,38 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (sim.Adve
 	return &adversary.Composite{Selector: sel, Behavior: beh, Drops: drops}, nil
 }
 
-// Config assembles the scenario into a runnable sim.Config: validated
+// Config assembles the scenario into a runnable engine.Config: validated
 // parameters, assignment, inputs, a fresh process factory and a freshly
 // composed adversary (with its own RNG state). Every call returns an
 // independent config, so the same scenario can be executed repeatedly —
-// under both engines, both delivery modes, or inside a worker pool — and
-// each execution sees the adversary exactly as a first run would. The
-// returned config uses the scenario's GST (clamped to 1) and round
-// budget (the protocol's suggested budget when unset) and leaves
-// Delivery at its default; callers override fields as needed.
+// under every state representation, both delivery modes, or inside a
+// worker pool — and each execution sees the adversary exactly as a first
+// run would. The returned config uses the scenario's GST (clamped to 1)
+// and round budget (the protocol's suggested budget when unset) and
+// leaves Delivery at its default. The scenario's time model and state
+// representation are not Config fields: Options layers them on top.
 //
 // Run performs the same assembly internally (plus claim classification);
-// Config exists for harnesses that need the raw execution, like the
-// delivery-mode parity tests replaying the committed seed corpus.
-func (sc Scenario) Config() (sim.Config, error) {
+// Options exists for harnesses that need the raw execution, like the
+// parity tests replaying the committed seed corpus.
+func (sc Scenario) Config() (engine.Config, error) {
 	proto, ok := protoreg.Get(sc.Protocol)
 	if !ok {
-		return sim.Config{}, fmt.Errorf("fuzz: unknown protocol %q (registered: %v)", sc.Protocol, protoreg.Names())
+		return engine.Config{}, fmt.Errorf("fuzz: unknown protocol %q (registered: %v)", sc.Protocol, protoreg.Names())
 	}
 	p := sc.Params()
 	if err := p.Validate(); err != nil {
-		return sim.Config{}, fmt.Errorf("fuzz: invalid params: %w", err)
+		return engine.Config{}, fmt.Errorf("fuzz: invalid params: %w", err)
 	}
 	if ok, why := proto.Constructible(p); !ok {
-		return sim.Config{}, fmt.Errorf("fuzz: not constructible: %s", why)
+		return engine.Config{}, fmt.Errorf("fuzz: not constructible: %s", why)
 	}
 	a, err := sc.assignment()
 	if err != nil {
-		return sim.Config{}, err
+		return engine.Config{}, err
 	}
 	if len(sc.Inputs) != sc.N {
-		return sim.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d", sc.N, len(sc.Inputs))
+		return engine.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d", sc.N, len(sc.Inputs))
 	}
 	inputs := make([]hom.Value, sc.N)
 	for i, v := range sc.Inputs {
@@ -306,11 +306,11 @@ func (sc Scenario) Config() (sim.Config, error) {
 	}
 	adv, err := sc.adversaryFor(proto, p)
 	if err != nil {
-		return sim.Config{}, err
+		return engine.Config{}, err
 	}
 	factory, err := proto.New(p)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("fuzz: factory: %w", err)
+		return engine.Config{}, fmt.Errorf("fuzz: factory: %w", err)
 	}
 	gst := sc.GST
 	if gst < 1 {
@@ -320,7 +320,10 @@ func (sc Scenario) Config() (sim.Config, error) {
 	if maxRounds <= 0 {
 		maxRounds = proto.Rounds(p, gst)
 	}
-	cfg := sim.Config{
+	if _, err := sc.timeModel(); err != nil {
+		return engine.Config{}, err
+	}
+	return engine.Config{
 		Params:     p,
 		Assignment: a,
 		Inputs:     inputs,
@@ -330,31 +333,49 @@ func (sc Scenario) Config() (sim.Config, error) {
 		MaxRounds:  maxRounds,
 		Faults:     sc.Faults,
 		MaxSends:   sc.MaxSends,
-	}
+	}, nil
+}
+
+// timeModel resolves the scenario's time model; nil means the engine's
+// default (Lockstep).
+func (sc Scenario) timeModel() (engine.TimeModel, error) {
 	switch sc.TimeModel {
 	case "", "lockstep":
+		return nil, nil
 	case "esync":
-		cfg.TimeModel = engine.EventuallySynchronous{
+		return engine.EventuallySynchronous{
 			Bound:       sc.Bound,
 			Timeout:     sc.Timeout,
 			MaxAttempts: sc.MaxAttempts,
-		}
+		}, nil
 	default:
-		return sim.Config{}, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
+		return nil, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
 	}
-	return cfg, nil
 }
 
-// Options assembles the scenario into options for the unified
-// round-core: the Config() assembly expressed as an engine.FromConfig
-// base layer, ready to compose with overrides (delivery mode, state
-// representation, invariants) — the preferred entry for new harnesses.
+// Options assembles the scenario into engine options: the Config()
+// assembly as an engine.FromConfig base layer, then the scenario's time
+// model and state representation — ready to compose with overrides
+// (delivery mode, reception mode, invariants).
 func (sc Scenario) Options() ([]engine.Option, error) {
 	cfg, err := sc.Config()
 	if err != nil {
 		return nil, err
 	}
+	return sc.options(cfg)
+}
+
+// options layers the scenario's time model and state representation
+// over an assembled (and possibly adjusted) cfg.
+func (sc Scenario) options(cfg engine.Config) ([]engine.Option, error) {
 	opts := []engine.Option{engine.FromConfig(cfg)}
+	tm, err := sc.timeModel()
+	if err != nil {
+		return nil, err
+	}
+	if tm != nil {
+		opts = append(opts, engine.WithTimeModel(tm))
+	}
 	if sc.StateRep != "" || sc.MaxClasses > 0 {
 		rep, err := engine.StateRepByName(sc.StateRep, sc.MaxClasses)
 		if err != nil {
@@ -417,8 +438,8 @@ type Outcome struct {
 // Options tunes how a scenario is executed without being part of the
 // scenario itself (and therefore outside its digest's scenario half).
 type Options struct {
-	// Invariants enables the engines' per-round internal checks
-	// (sim.Config.Invariants): arena bounds, inbox issuance, group
+	// Invariants enables the engine's per-round internal checks
+	// (engine.Config.Invariants): arena bounds, inbox issuance, group
 	// refcounts, equivalence-class byte-equality.
 	Invariants bool
 	// ForceTimeModel, when non-empty, overrides the time model of
@@ -493,21 +514,17 @@ func run(sc Scenario, opts Options) (out *Outcome) {
 
 	// Wrap the factory so the verdict checker can interrogate the final
 	// process states; everything else in the config is Config()'s.
-	procs := make([]sim.Process, sc.N)
+	procs := make([]engine.Process, sc.N)
 	factory := cfg.NewProcess
-	cfg.NewProcess = func(slot int) sim.Process {
+	cfg.NewProcess = func(slot int) engine.Process {
 		pr := factory(slot)
 		procs[slot] = pr
 		return pr
 	}
-	eopts := []engine.Option{engine.FromConfig(cfg)}
-	if sc.StateRep != "" || sc.MaxClasses > 0 {
-		rep, rerr := engine.StateRepByName(sc.StateRep, sc.MaxClasses)
-		if rerr != nil {
-			out.Detail = rerr.Error()
-			return out
-		}
-		eopts = append(eopts, engine.WithStateRep(rep))
+	eopts, err := sc.options(cfg)
+	if err != nil {
+		out.Detail = strings.TrimPrefix(err.Error(), "fuzz: ")
+		return out
 	}
 	if opts.Invariants {
 		eopts = append(eopts, engine.WithInvariants())

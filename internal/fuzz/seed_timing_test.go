@@ -22,11 +22,7 @@ func loadTestdataSeed(t *testing.T, name string) SeedFile {
 // the test can see execution stats the fuzz outcome does not carry.
 func runSeedEngine(t *testing.T, sf SeedFile) *engine.Result {
 	t.Helper()
-	cfg, err := sf.Scenario.Config()
-	if err != nil {
-		t.Fatalf("seed %s: config: %v", sf.Name, err)
-	}
-	res, err := engine.Run(engine.FromConfig(cfg))
+	res, err := corpusRun(sf.Scenario)
 	if err != nil {
 		t.Fatalf("seed %s: engine: %v", sf.Name, err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"homonyms/internal/engine"
 	"homonyms/internal/inject"
-	"homonyms/internal/sim"
 )
 
 // stripTiming returns the scenario with its timing dimension removed:
@@ -33,28 +32,16 @@ func stripTiming(sc Scenario) Scenario {
 // knobs are off; any fingerprint drift here means a hold/retransmit
 // code path leaked into the synchronous schedule.
 func TestSeedCorpusTimeModelParity(t *testing.T) {
-	reps := []struct {
-		name string
-		mk   func() engine.StateRep
-	}{
-		{"concrete", engine.Concrete},
-		{"concurrent", engine.ConcurrentConcrete},
-	}
 	for _, sc := range corpusScenarios(t) {
 		sc := stripTiming(sc)
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
-			for _, mode := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
-				for _, rec := range []sim.ReceptionMode{sim.ReceiveGroupShared, sim.ReceivePerRecipient} {
-					for _, rep := range reps {
+			for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
+				for _, rec := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
+					for _, rep := range concreteReps {
 						run := func(tm engine.TimeModel) string {
-							cfg, err := sc.Config()
-							if err != nil {
-								t.Fatalf("config: %v", err)
-							}
-							cfg.Delivery = mode
-							cfg.Reception = rec
-							res, err := engine.Run(
-								engine.FromConfig(cfg),
+							res, err := corpusRun(sc,
+								engine.WithDelivery(mode),
+								engine.WithReception(rec),
 								engine.WithTimeModel(tm),
 								engine.WithStateRep(rep.mk()),
 							)
@@ -114,18 +101,13 @@ func TestRetransmitDeterminism(t *testing.T) {
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
 			var want string
 			for rep := 0; rep < 2; rep++ {
-				for _, mode := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
+				for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
 					for _, conc := range []bool{false, true} {
-						cfg, err := sc.Config()
-						if err != nil {
-							t.Fatalf("config: %v", err)
-						}
-						cfg.Delivery = mode
-						opts := []engine.Option{engine.FromConfig(cfg), engine.WithInvariants()}
+						opts := []engine.Option{engine.WithDelivery(mode), engine.WithInvariants()}
 						if conc {
 							opts = append(opts, engine.WithStateRep(engine.ConcurrentConcrete()))
 						}
-						res, err := engine.Run(opts...)
+						res, err := corpusRun(sc, opts...)
 						if err != nil {
 							t.Fatalf("run %d/%v/conc=%v: %v", rep, mode, conc, err)
 						}

@@ -8,11 +8,11 @@
 // per-process round-clock stalls (skew).
 //
 // A Schedule is a declarative, JSON-serialisable list of faults. The
-// engines compile it once per execution (Compile) into an Injector whose
+// engine compiles it once per execution (Compile) into an Injector whose
 // queries are pure functions of (round, from, to): the same schedule
 // produces the same suppressed, duplicated and replayed deliveries under
-// both delivery modes, both reception modes and both engines, which is
-// what lets the delivery-parity corpus extend over injected faults.
+// both delivery modes, both reception modes and every state
+// representation, which is what lets the delivery-parity corpus extend over injected faults.
 //
 // The faults compose freely with an adversary.Composite: Byzantine slots
 // are chosen by the adversary as before, and injected faults apply to
@@ -310,8 +310,8 @@ type endpoint struct {
 }
 
 // Injector is a compiled schedule: every query is a pure function of its
-// arguments, so the two delivery modes, the two reception modes and the
-// two engines observe identical faults. A nil *Injector injects nothing
+// arguments, so the delivery modes, the reception modes and the state
+// representations observe identical faults. A nil *Injector injects nothing
 // and every method is safe to call on it.
 //
 // Compile indexes the schedule by the slots it names (O(faults) memory,

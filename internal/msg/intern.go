@@ -60,7 +60,7 @@ func NewInterner() *Interner {
 }
 
 // internPool recycles interners across executions (the "engine scratch"
-// pattern: sim and runtime acquire one per run and recycle it afterwards,
+// pattern: the engine acquires one per run and recycles it afterwards,
 // so steady-state grids reuse the map buckets and the key backing array).
 var internPool = sync.Pool{New: func() any { return NewInterner() }}
 

@@ -99,7 +99,7 @@ func TestKeyBuilderStrCollisionSafety(t *testing.T) {
 func TestMessageInterningSharesKeys(t *testing.T) {
 	it := NewInterner()
 	m1 := NewMessageInterned(it, 3, Raw("payload"))
-	m2 := NewMessageKeyedInterned(it, 3, Raw("payload"), Raw("payload").Key())
+	m2 := NewMessageInterned(it, 3, Raw("payload"))
 	if m1.KeyID() == NoKey || m1.KeyID() != m2.KeyID() {
 		t.Fatalf("same message interned to %d and %d", m1.KeyID(), m2.KeyID())
 	}
@@ -146,24 +146,22 @@ func TestInboxInternedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestInternedInboxZeroAlloc pins the tentpole's steady-state property:
-// filling a pooled inbox from interned deliveries (the engine path)
-// allocates nothing once the count array has grown.
+// TestInternedInboxZeroAlloc pins the owned-copy storage's steady-state
+// property: filling a pooled inbox from interned messages allocates
+// nothing once the count array has grown.
 func TestInternedInboxZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; zero-alloc only holds in normal builds")
 	}
 	it := NewInterner()
-	arena := make([]Message, 0, 16)
-	var idx []int32
+	raw := make([]Message, 0, 16)
 	for s := 0; s < 16; s++ {
-		arena = append(arena, NewMessageInterned(it, hom.Identifier(s%8+1), Raw("propose|"+itoa(s%8+1))))
-		idx = append(idx, int32(s))
+		raw = append(raw, NewMessageInterned(it, hom.Identifier(s%8+1), Raw("propose|"+itoa(s%8+1))))
 	}
 	// Warm the pool and the dense count array.
-	NewPooledInboxIndexed(true, arena, idx).Recycle()
+	NewPooledInbox(true, raw).Recycle()
 	allocs := testing.AllocsPerRun(200, func() {
-		in := NewPooledInboxIndexed(true, arena, idx)
+		in := NewPooledInbox(true, raw)
 		if in.Len() == 0 {
 			t.Fatal("empty inbox")
 		}
@@ -179,22 +177,21 @@ func TestInternedInboxZeroAlloc(t *testing.T) {
 
 func TestIndexedInboxHonoursIndices(t *testing.T) {
 	it := NewInterner()
-	arena := []Message{
-		NewMessageInterned(it, 1, Raw("x")),
-		NewMessageInterned(it, 2, Raw("y")),
-		NewMessageInterned(it, 3, Raw("z")),
+	arena := &SendArena{}
+	for i, body := range []Raw{"x", "y", "z"} {
+		arena.Append(it, hom.Identifier(i+1), body, body.Key())
 	}
-	// Receiver got two copies of arena[1] and one of arena[0]; arena[2]
-	// was dropped.
-	in := NewPooledInboxIndexed(true, arena, []int32{1, 0, 1})
+	// Receiver got two copies of entry 1 and one of entry 0; entry 2 was
+	// dropped.
+	in := NewPooledInboxSoA(true, arena, []int32{1, 0, 1})
 	defer in.Recycle()
 	if in.Len() != 2 || in.TotalCount() != 3 {
 		t.Fatalf("len=%d total=%d, want 2, 3", in.Len(), in.TotalCount())
 	}
-	if got := in.Count(arena[1]); got != 2 {
+	if got := in.Count(arena.Message(1)); got != 2 {
 		t.Fatalf("Count(y) = %d, want 2", got)
 	}
-	if got := in.Count(arena[2]); got != 0 {
+	if got := in.Count(arena.Message(2)); got != 0 {
 		t.Fatalf("Count(z) = %d, want 0 (dropped)", got)
 	}
 }

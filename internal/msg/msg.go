@@ -10,7 +10,7 @@
 // Canonical keys are the unit of message identity and dominate the
 // simulator's hot path, so they are computed once per message and then
 // symbolized: a per-execution Interner maps each canonical key to a dense
-// KeyID at message construction (NewMessageInterned/NewMessageKeyedInterned),
+// KeyID at message construction (NewMessageInterned, the Router's stamp),
 // and every Inbox operation afterwards — dedup, copy counting, sorted
 // ordering — compares and indexes integers instead of hashing strings.
 //
@@ -81,18 +81,11 @@ func NewMessageKeyed(id hom.Identifier, body Payload, bodyKey string) Message {
 }
 
 // NewMessageInterned is NewMessage with the canonical key symbolized in
-// it. Repeated sends of an already-known message allocate nothing beyond
-// body.Key itself.
+// it: the key is built in the interner's scratch buffer, so a message
+// that was seen before costs one hash lookup and allocates nothing
+// beyond body.Key itself.
 func NewMessageInterned(it *Interner, id hom.Identifier, body Payload) Message {
-	return NewMessageKeyedInterned(it, id, body, body.Key())
-}
-
-// NewMessageKeyedInterned is the engines' message constructor: the
-// canonical key is built in the interner's scratch buffer and interned,
-// so a key that was seen before costs one hash lookup and zero
-// allocations.
-func NewMessageKeyedInterned(it *Interner, id hom.Identifier, body Payload, bodyKey string) Message {
-	kid, key := it.InternMessageKey(int64(id), bodyKey)
+	kid, key := it.InternMessageKey(int64(id), body.Key())
 	return Message{ID: id, Body: body, key: key, kid: kid}
 }
 
@@ -205,13 +198,11 @@ type Inbox struct {
 	// recipients), and only the materialised []Message view remains
 	// view-local. All other storage fields are unused in this mode.
 	shared *GroupInbox
-	// Distinct messages in arrival order, in exactly one of three
+	// Distinct messages in arrival order, in exactly one of two
 	// storages: int32 references into a caller-owned SoA send arena (soa;
-	// the engines' path — the n^2 delivery fan-out never copies Message
-	// structs), int32 references into a caller-owned []Message arena
-	// (arena; the legacy indexed path), or owned copies (msgs).
+	// the engine's path — the n^2 delivery fan-out never copies Message
+	// structs) or owned copies (msgs).
 	soa      *SendArena
-	arena    []Message
 	ref      []int32
 	msgs     []Message
 	orderIdx []int32        // sorted positions over the distinct set
@@ -229,7 +220,7 @@ func (in *Inbox) distinctLen() int {
 	if in.shared != nil {
 		return len(in.shared.ref)
 	}
-	if in.soa != nil || in.arena != nil {
+	if in.soa != nil {
 		return len(in.ref)
 	}
 	return len(in.msgs)
@@ -243,8 +234,6 @@ func (in *Inbox) refID(j int) hom.Identifier {
 		return in.shared.soa.ids[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.ids[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].ID
 	default:
 		return in.msgs[j].ID
 	}
@@ -258,8 +247,6 @@ func (in *Inbox) refKid(j int) KeyID {
 		return in.shared.soa.kids[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.kids[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].kid
 	default:
 		return in.msgs[j].kid
 	}
@@ -273,8 +260,6 @@ func (in *Inbox) refKey(j int) string {
 		return in.shared.soa.keys[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.keys[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].key
 	default:
 		return in.msgs[j].key
 	}
@@ -287,8 +272,6 @@ func (in *Inbox) refMessage(j int) Message {
 		return in.shared.soa.Message(in.shared.ref[j])
 	case in.soa != nil:
 		return in.soa.Message(in.ref[j])
-	case in.arena != nil:
-		return in.arena[in.ref[j]]
 	default:
 		return in.msgs[j]
 	}
@@ -310,17 +293,6 @@ func (in *Inbox) countAtRef(j int) int {
 func NewInbox(numerate bool, raw []Message) *Inbox {
 	in := &Inbox{}
 	in.fill(numerate, raw)
-	return in
-}
-
-// NewPooledInboxIndexed builds a pooled inbox over an index view into a
-// shared []Message send arena (the pre-SoA engine layout, kept for
-// callers that already hold stamped Message values). The arena must
-// outlive the inbox; the caller owns the inbox until Recycle.
-func NewPooledInboxIndexed(numerate bool, arena []Message, idx []int32) *Inbox {
-	in := inboxPool.Get().(*Inbox)
-	in.pooled = true
-	in.fillIndexed(numerate, arena, idx)
 	return in
 }
 
@@ -450,7 +422,6 @@ func (in *Inbox) Recycle() {
 	}
 	// Drop payload references so the pool retains no garbage.
 	in.soa = nil
-	in.arena = nil
 	in.ref = in.ref[:0]
 	clear(in.msgs)
 	in.msgs = in.msgs[:0]
@@ -496,59 +467,6 @@ func (in *Inbox) fill(numerate bool, raw []Message) {
 	}
 	for _, m := range raw {
 		in.addLegacy(m, numerate)
-	}
-}
-
-// fillIndexed is fill over an index view into a shared send arena. The
-// interned fast path keeps arena references instead of copying messages:
-// the arena outlives the inbox (both are engine-owned round scratch), so
-// dedup appends one int32 per distinct message and no Message struct
-// moves until someone materialises the sorted view.
-func (in *Inbox) fillIndexed(numerate bool, arena []Message, idx []int32) {
-	in.numerate = numerate
-	in.total = 0
-	in.idxOK, in.viewOK = false, false
-	maxKid := KeyID(0)
-	in.interned = len(idx) > 0
-	for _, i := range idx {
-		if arena[i].kid == NoKey {
-			in.interned = false
-			break
-		}
-		if arena[i].kid > maxKid {
-			maxKid = arena[i].kid
-		}
-	}
-	if in.interned {
-		in.arena = arena
-		if cap(in.ref) < len(idx) {
-			in.ref = make([]int32, 0, len(idx))
-		}
-		in.kidCount = growCounts(in.kidCount, maxKid)
-		for _, i := range idx {
-			m := &arena[i]
-			in.total++
-			if c := in.kidCount[m.kid]; c > 0 {
-				if numerate {
-					in.kidCount[m.kid] = c + 1
-				} else {
-					in.total--
-				}
-				continue
-			}
-			in.kidCount[m.kid] = 1
-			in.ref = append(in.ref, i)
-		}
-		return
-	}
-	if cap(in.msgs) < len(idx) {
-		in.msgs = make([]Message, 0, len(idx))
-	}
-	if in.counts == nil {
-		in.counts = make(map[string]int, len(idx))
-	}
-	for _, i := range idx {
-		in.addLegacy(arena[i], numerate)
 	}
 }
 
@@ -659,9 +577,9 @@ func (in *Inbox) addLegacy(m Message, numerate bool) {
 //
 // The engines' SoA inboxes derive the index from the arena's one round
 // order (orderInbox: a linear walk, or a packed integer sort when the
-// inbox is small against the arena); the owned-copy and []Message-arena
-// storages, whose distinct sets are short or string-keyed, take a
-// comparison sort on the positions. Nothing allocates.
+// inbox is small against the arena); the owned-copy storage, whose
+// distinct sets are short or string-keyed, takes a comparison sort on
+// the positions. Nothing allocates.
 func (in *Inbox) sortIndex() []int32 {
 	if in.shared != nil {
 		// Views share the core's index: built once per equivalence
@@ -790,8 +708,6 @@ func (in *Inbox) BodyAt(i int) Payload {
 		return in.shared.soa.bodies[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.bodies[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].Body
 	default:
 		return in.msgs[j].Body
 	}

@@ -116,7 +116,7 @@ func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Messa
 // protocols first see messages in, and so the order of everything
 // downstream of it — to its definition, over generated batches and every
 // storage an inbox can sit on: owned copies (plain, pooled and weighted),
-// the []Message arena, the SoA arena and the shared GroupInbox view.
+// the SoA arena and the shared GroupInbox view.
 // Batches straddle the packed sort's stack/pool boundary, and the wide
 // cases spread identifiers too far to pack, forcing the comparison sort.
 func TestSortIndexMatchesReferenceOrder(t *testing.T) {
@@ -143,16 +143,12 @@ func TestSortIndexMatchesReferenceOrder(t *testing.T) {
 			checkOrder(t, "owned-pooled", pooled, c, want)
 			pooled.Recycle()
 
+			if !c.interned || len(c.raw) == 0 {
+				continue
+			}
 			idx := make([]int32, len(c.raw))
 			for i := range idx {
 				idx[i] = int32(i)
-			}
-			indexed := NewPooledInboxIndexed(numerate, c.raw, idx)
-			checkOrder(t, "message-arena", indexed, c, want)
-			indexed.Recycle()
-
-			if !c.interned || len(c.raw) == 0 {
-				continue
 			}
 			soa := NewPooledInboxSoA(numerate, c.arena, idx)
 			checkOrder(t, "soa", soa, c, want)
@@ -323,8 +319,7 @@ func TestLegacyInboxQueries(t *testing.T) {
 		NewMessage(2, Raw("x")),
 		{ID: 3, Body: Raw("x")},
 	}
-	idx := []int32{0, 1, 2, 3}
-	for _, in := range []*Inbox{NewInbox(true, raw), NewPooledInboxIndexed(true, raw, idx)} {
+	for _, in := range []*Inbox{NewInbox(true, raw), NewPooledInbox(true, raw)} {
 		if in.KeyIDAt(0) != NoKey {
 			t.Fatal("uninterned inbox exposed a KeyID")
 		}

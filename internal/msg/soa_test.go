@@ -20,9 +20,9 @@ func buildSoAArena(it *Interner, n, l int) (*SendArena, []int32) {
 	return arena, idx
 }
 
-// TestSoAInboxMatchesIndexed pins the SoA fill against the established
-// []Message-arena fill: same distinct set, same sorted order, same
-// counts, same totals, in both reception semantics.
+// TestSoAInboxMatchesIndexed pins the SoA fill against the owned-copy
+// fill (NewInbox over the same messages): same distinct set, same sorted
+// order, same counts, same totals, in both reception semantics.
 func TestSoAInboxMatchesIndexed(t *testing.T) {
 	for _, numerate := range []bool{false, true} {
 		it := NewInterner()
@@ -33,7 +33,7 @@ func TestSoAInboxMatchesIndexed(t *testing.T) {
 		}
 
 		soaIn := NewPooledInboxSoA(numerate, soa, idx)
-		aosIn := NewPooledInboxIndexed(numerate, aos, idx)
+		aosIn := NewInbox(numerate, aos)
 
 		if soaIn.Len() != aosIn.Len() || soaIn.TotalCount() != aosIn.TotalCount() {
 			t.Fatalf("numerate=%v: len/total %d/%d, want %d/%d",
@@ -60,7 +60,6 @@ func TestSoAInboxMatchesIndexed(t *testing.T) {
 			}
 		}
 		soaIn.Recycle()
-		aosIn.Recycle()
 	}
 }
 

@@ -3,10 +3,10 @@ package numbcast
 import (
 	"fmt"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -36,26 +36,26 @@ type hostAccept struct {
 
 // fuzzHost drives one Broadcaster inside the simulation engine.
 type fuzzHost struct {
-	ctx sim.Context
+	ctx engine.Context
 	bc  *Broadcaster
 	log []hostAccept
 }
 
-var _ sim.Process = (*fuzzHost)(nil)
+var _ engine.Process = (*fuzzHost)(nil)
 
-// Init implements sim.Process. The broadcaster is built without New's
+// Init implements engine.Process. The broadcaster is built without New's
 // n > 3t check: probing degenerate thresholds is allowed as long as they
 // stay positive (see Constructible).
-func (h *fuzzHost) Init(ctx sim.Context) {
+func (h *fuzzHost) Init(ctx engine.Context) {
 	h.ctx = ctx
 	h.bc = newBroadcaster(ctx.Params.N, ctx.Params.L, ctx.Params.T)
 }
 
-// Release implements sim.Releaser: the engines call it when the execution
+// Release implements engine.Releaser: the engines call it when the execution
 // ends, returning the broadcaster's arena to the shared pool.
 func (h *fuzzHost) Release() { h.bc.Release() }
 
-// Prepare implements sim.Process.
+// Prepare implements engine.Process.
 func (h *fuzzHost) Prepare(round int) []msg.Send {
 	if IsInitRound(round) {
 		h.bc.Broadcast(fuzzValue{V: h.ctx.Input})
@@ -66,14 +66,14 @@ func (h *fuzzHost) Prepare(round int) []msg.Send {
 	return nil
 }
 
-// Receive implements sim.Process.
+// Receive implements engine.Process.
 func (h *fuzzHost) Receive(round int, in *msg.Inbox) {
 	for _, a := range h.bc.Ingest(round, in) {
 		h.log = append(h.log, hostAccept{Accept: a, Round: round})
 	}
 }
 
-// Decision implements sim.Process; hosts never decide.
+// Decision implements engine.Process; hosts never decide.
 func (h *fuzzHost) Decision() (hom.Value, bool) { return hom.NoValue, false }
 
 // acceptedBy reports whether the host logged an Accept of (body, id, sr)
@@ -89,7 +89,7 @@ func (h *fuzzHost) acceptedBy(bodyKey string, id hom.Identifier, sr, alpha, byRo
 
 // check verifies the multiplicity broadcast's Correctness, Unforgeability
 // and Relay over a finished host execution.
-func check(res *sim.Result, procs []sim.Process) trace.Verdict {
+func check(res *engine.Result, procs []engine.Process) trace.Verdict {
 	var verdict trace.Verdict
 	correct := res.CorrectSlots()
 	hosts := make(map[int]*fuzzHost, len(correct))
@@ -221,8 +221,8 @@ func init() {
 			}
 			return true, "ok"
 		},
-		New: func(p hom.Params) (func(slot int) sim.Process, error) {
-			return func(int) sim.Process { return &fuzzHost{} }, nil
+		New: func(p hom.Params) (func(slot int) engine.Process, error) {
+			return func(int) engine.Process { return &fuzzHost{} }, nil
 		},
 		Rounds: func(p hom.Params, gst int) int {
 			return gst + 12

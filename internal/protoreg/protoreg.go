@@ -22,9 +22,9 @@ import (
 	"fmt"
 	"sort"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -41,7 +41,7 @@ type Protocol struct {
 	// New builds the per-slot process factory. It must succeed whenever
 	// Constructible reports true, including outside the claimed region
 	// (probing the unsolvable side is the point of the fuzzer).
-	New func(p hom.Params) (func(slot int) sim.Process, error)
+	New func(p hom.Params) (func(slot int) engine.Process, error)
 	// Rounds suggests a round budget sufficient for the protocol to
 	// finish when drops stop at the given GST round.
 	Rounds func(p hom.Params, gst int) int
@@ -50,7 +50,7 @@ type Protocol struct {
 	// slot (nil at corrupted slots), so primitive hosts can expose their
 	// accept logs. A nil Check means plain agreement checking:
 	// trace.Check(res).
-	Check func(res *sim.Result, procs []sim.Process) trace.Verdict
+	Check func(res *engine.Result, procs []engine.Process) trace.Verdict
 	// Forge builds well-formed protocol payloads carrying the given value
 	// at the given round, for value-flooding adversaries. Nil when the
 	// target has no forgeable wire format.
@@ -95,7 +95,7 @@ func DefaultClaimsFaults(p hom.Params, byz, faulted int) (bool, string) {
 }
 
 // Verdict applies the target's checker (Check, or trace.Check when nil).
-func (pr Protocol) Verdict(res *sim.Result, procs []sim.Process) trace.Verdict {
+func (pr Protocol) Verdict(res *engine.Result, procs []engine.Process) trace.Verdict {
 	if pr.Check != nil {
 		return pr.Check(res, procs)
 	}

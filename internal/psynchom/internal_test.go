@@ -4,15 +4,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // newProc builds an initialised process for white-box tests.
 func newProc(p hom.Params, id hom.Identifier, input hom.Value) *Process {
 	pr := &Process{}
-	pr.Init(sim.Context{ID: id, Input: input, Params: p})
+	pr.Init(engine.Context{ID: id, Input: input, Params: p})
 	return pr
 }
 

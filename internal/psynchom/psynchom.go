@@ -49,9 +49,9 @@ import (
 	"sort"
 
 	"homonyms/internal/authbcast"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // Validation errors.
@@ -92,7 +92,7 @@ func SuggestedMaxRounds(p hom.Params, gst int) int {
 
 // New returns a factory of Figure-5 processes after validating the
 // solvability condition 2ℓ > n + 3t.
-func New(p hom.Params, opts Options) (func(slot int) sim.Process, error) {
+func New(p hom.Params, opts Options) (func(slot int) engine.Process, error) {
 	if p.Synchrony != hom.PartiallySynchronous {
 		return nil, ErrSynchrony
 	}
@@ -107,8 +107,8 @@ func New(p hom.Params, opts Options) (func(slot int) sim.Process, error) {
 // ℓ > 3t). It exists solely for the impossibility experiments, which run
 // the algorithm in the region where the paper's Figure-4 partition attack
 // (package attacks) defeats it. Never use it in real systems.
-func NewUnchecked(p hom.Params, opts Options) func(slot int) sim.Process {
-	return func(int) sim.Process {
+func NewUnchecked(p hom.Params, opts Options) func(slot int) engine.Process {
+	return func(int) engine.Process {
 		return &Process{opts: opts}
 	}
 }
@@ -205,7 +205,7 @@ func (p ProperPayload) Key() string { return msg.ScratchKey(p) }
 // ---------------------------------------------------------------------------
 
 // Process is the Figure-5 state machine for one process. It implements
-// sim.Process.
+// engine.Process.
 type Process struct {
 	opts   Options
 	params hom.Params
@@ -238,10 +238,10 @@ type Process struct {
 	valBuf    []hom.Value // a proper set's members
 }
 
-var _ sim.Process = (*Process)(nil)
+var _ engine.Process = (*Process)(nil)
 
-// Init implements sim.Process.
-func (pr *Process) Init(ctx sim.Context) {
+// Init implements engine.Process.
+func (pr *Process) Init(ctx engine.Context) {
 	pr.params = ctx.Params
 	pr.id = ctx.ID
 	// New's validation guarantees l > 3t here (2l > n+3t and n >= l).
@@ -274,7 +274,7 @@ func (pr *Process) isLeader(phase int) bool {
 	return pr.id == LeaderID(phase, pr.params.L)
 }
 
-// Prepare implements sim.Process.
+// Prepare implements engine.Process.
 func (pr *Process) Prepare(round int) []msg.Send {
 	phase, pos := phasePos(round)
 	if pos == 1 {
@@ -399,7 +399,7 @@ func (pr *Process) pickAckValue(phase int) (hom.Value, bool) {
 	return best, ok
 }
 
-// Receive implements sim.Process.
+// Receive implements engine.Process.
 func (pr *Process) Receive(round int, in *msg.Inbox) {
 	phase, pos := phasePos(round)
 
@@ -543,12 +543,12 @@ func (pr *Process) updateProper() {
 	}
 }
 
-// Decision implements sim.Process.
+// Decision implements engine.Process.
 func (pr *Process) Decision() (hom.Value, bool) {
 	return pr.decision, pr.decision != hom.NoValue
 }
 
-// Release implements sim.Releaser: the engines call it after the
+// Release implements engine.Releaser: the engines call it after the
 // execution, returning the broadcast layer's arena-backed table to its
 // pool.
 func (pr *Process) Release() {
@@ -557,10 +557,10 @@ func (pr *Process) Release() {
 	}
 }
 
-// CloneProcess implements sim.Cloner: a deep copy sharing no mutable
+// CloneProcess implements engine.Cloner: a deep copy sharing no mutable
 // state — the accept tables, locks, proper set and the broadcast layer
 // are all forked.
-func (pr *Process) CloneProcess() sim.Process {
+func (pr *Process) CloneProcess() engine.Process {
 	cp := &Process{
 		opts:          pr.opts,
 		params:        pr.params,
@@ -601,7 +601,7 @@ func (pr *Process) CloneProcess() sim.Process {
 	return cp
 }
 
-// StateFingerprint implements sim.StateHasher: a deterministic fold of
+// StateFingerprint implements engine.StateHasher: a deterministic fold of
 // the full observable state — maps iterated in sorted key order, value
 // sets through their sorted Values view, the broadcast layer through
 // its arena-order Fingerprint — using canonical keys only.

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"homonyms/internal/adversary"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/psynchom"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -16,13 +16,13 @@ func params(n, l, t int) hom.Params {
 }
 
 func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
-	adv sim.Adversary, gst int, opts psynchom.Options) *sim.Result {
+	adv engine.Adversary, gst int, opts psynchom.Options) *engine.Result {
 	t.Helper()
 	factory, err := psynchom.New(p, opts)
 	if err != nil {
 		t.Fatalf("psynchom.New: %v", err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p,
 		Assignment: a,
 		Inputs:     inputs,
@@ -30,9 +30,9 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 		Adversary:  adv,
 		GST:        gst,
 		MaxRounds:  psynchom.SuggestedMaxRounds(p, gst),
-	})
+	}))
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("engine.Run: %v", err)
 	}
 	return res
 }

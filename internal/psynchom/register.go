@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"homonyms/internal/authbcast"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 )
 
 // init registers the Figure-5 algorithm with the fuzzer's protocol
@@ -35,7 +35,7 @@ func init() {
 			}
 			return true, "ok"
 		},
-		New: func(p hom.Params) (func(slot int) sim.Process, error) {
+		New: func(p hom.Params) (func(slot int) engine.Process, error) {
 			return NewUnchecked(p, Options{}), nil
 		},
 		Rounds: SuggestedMaxRounds,

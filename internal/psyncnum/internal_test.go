@@ -3,9 +3,9 @@ package psyncnum
 import (
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 func numParams(n, l, t int) hom.Params {
@@ -19,7 +19,7 @@ func numParams(n, l, t int) hom.Params {
 
 func newProc(p hom.Params, id hom.Identifier, input hom.Value) *Process {
 	pr := &Process{}
-	pr.Init(sim.Context{ID: id, Input: input, Params: p})
+	pr.Init(engine.Context{ID: id, Input: input, Params: p})
 	return pr
 }
 

@@ -28,10 +28,10 @@ import (
 	"fmt"
 	"sort"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/numbcast"
-	"homonyms/internal/sim"
 )
 
 // Validation errors.
@@ -59,7 +59,7 @@ func SuggestedMaxRounds(p hom.Params, gst int) int {
 
 // New returns a factory of Figure-7 processes after validating n > 3t,
 // ℓ > t and the model switches the algorithm is designed for.
-func New(p hom.Params) (func(slot int) sim.Process, error) {
+func New(p hom.Params) (func(slot int) engine.Process, error) {
 	if p.N <= 3*p.T {
 		return nil, fmt.Errorf("%w (n=%d, t=%d)", ErrResilience, p.N, p.T)
 	}
@@ -77,8 +77,8 @@ func New(p hom.Params) (func(slot int) sim.Process, error) {
 // exists solely for the impossibility experiments, which run the
 // algorithm at ℓ ≤ t where Proposition 16's mirror adversary (package
 // attacks) defeats it. Never use it in real systems.
-func NewUnchecked(p hom.Params) func(slot int) sim.Process {
-	return func(int) sim.Process {
+func NewUnchecked(p hom.Params) func(slot int) engine.Process {
+	return func(int) engine.Process {
 		return &Process{}
 	}
 }
@@ -194,7 +194,7 @@ type witnessRow struct {
 }
 
 // Process is the Figure-7 state machine for one process. It implements
-// sim.Process.
+// engine.Process.
 type Process struct {
 	params hom.Params
 	id     hom.Identifier
@@ -222,10 +222,10 @@ type Process struct {
 	unpackBuf []msg.Message
 }
 
-var _ sim.Process = (*Process)(nil)
+var _ engine.Process = (*Process)(nil)
 
-// Init implements sim.Process.
-func (pr *Process) Init(ctx sim.Context) {
+// Init implements engine.Process.
+func (pr *Process) Init(ctx engine.Context) {
 	pr.params = ctx.Params
 	pr.id = ctx.ID
 	bc, err := numbcast.New(ctx.Params.N, ctx.Params.L, ctx.Params.T)
@@ -242,7 +242,7 @@ func (pr *Process) Init(ctx sim.Context) {
 	pr.lockSeen = make(map[hom.Value]bool)
 }
 
-// Release implements sim.Releaser: the engines call it after the
+// Release implements engine.Releaser: the engines call it after the
 // execution, recycling the broadcast table and the intern scratch.
 func (pr *Process) Release() {
 	if pr.bc != nil {
@@ -322,7 +322,7 @@ func (pr *Process) witnessCount(kid msg.KeyID) int {
 	return total
 }
 
-// Prepare implements sim.Process. The whole round's traffic travels in a
+// Prepare implements engine.Process. The whole round's traffic travels in a
 // single Envelope so that a correct process uses exactly the one-message-
 // per-recipient budget of the model (see Envelope).
 func (pr *Process) Prepare(round int) []msg.Send {
@@ -462,7 +462,7 @@ func (pr *Process) unpack(in *msg.Inbox) *msg.Inbox {
 	return msg.NewPooledInbox(in.Numerate(), raw)
 }
 
-// Receive implements sim.Process.
+// Receive implements engine.Process.
 func (pr *Process) Receive(round int, rawIn *msg.Inbox) {
 	in := pr.unpack(rawIn)
 	defer in.Recycle()
@@ -581,7 +581,7 @@ func (pr *Process) releaseLocks(need int) {
 	}
 }
 
-// Decision implements sim.Process.
+// Decision implements engine.Process.
 func (pr *Process) Decision() (hom.Value, bool) {
 	return pr.decision, pr.decision != hom.NoValue
 }

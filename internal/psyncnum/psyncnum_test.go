@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"homonyms/internal/adversary"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/psyncnum"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -21,13 +21,13 @@ func params(n, l, t int, sync hom.Synchrony) hom.Params {
 }
 
 func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
-	adv sim.Adversary, gst int) *sim.Result {
+	adv engine.Adversary, gst int) *engine.Result {
 	t.Helper()
 	factory, err := psyncnum.New(p)
 	if err != nil {
 		t.Fatalf("psyncnum.New: %v", err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p,
 		Assignment: a,
 		Inputs:     inputs,
@@ -35,9 +35,9 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 		Adversary:  adv,
 		GST:        gst,
 		MaxRounds:  psyncnum.SuggestedMaxRounds(p, gst),
-	})
+	}))
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("engine.Run: %v", err)
 	}
 	return res
 }

@@ -3,11 +3,11 @@ package psyncnum
 import (
 	"fmt"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/numbcast"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 )
 
 // init registers the Figure-7 algorithm with the fuzzer's protocol
@@ -42,7 +42,7 @@ func init() {
 			}
 			return true, "ok"
 		},
-		New: func(p hom.Params) (func(slot int) sim.Process, error) {
+		New: func(p hom.Params) (func(slot int) engine.Process, error) {
 			return NewUnchecked(p), nil
 		},
 		Rounds: SuggestedMaxRounds,

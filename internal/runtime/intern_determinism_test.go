@@ -1,4 +1,4 @@
-package runtime_test
+package engine_test
 
 import (
 	"reflect"
@@ -6,33 +6,31 @@ import (
 
 	"homonyms/internal/exec"
 	"homonyms/internal/msg"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 )
 
 // TestInternTableEngineEquivalence pins the symbolization contract: both
-// engines intern the canonical keys of one execution in the same order,
+// concrete representations intern the canonical keys of one execution in the same order,
 // so the dense KeyID assignment — and with it the interned inbox order —
-// is identical between the sequential and the concurrent kernel.
+// is identical between Concrete and ConcurrentConcrete.
 func TestInternTableEngineEquivalence(t *testing.T) {
 	for name, cfg := range equivalentConfigs(t) {
 		seqIntern := msg.NewInterner()
 		seqCfg := cfg
 		seqCfg.Interner = seqIntern
-		if _, err := sim.Run(seqCfg); err != nil {
-			t.Fatalf("%s: sim.Run: %v", name, err)
+		if _, err := run(seqCfg); err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
 		}
 		conIntern := msg.NewInterner()
 		conCfg := cfg
 		conCfg.Interner = conIntern
-		if _, err := runtime.Run(conCfg); err != nil {
-			t.Fatalf("%s: runtime.Run: %v", name, err)
+		if _, err := runConcurrent(conCfg); err != nil {
+			t.Fatalf("%s: concurrent: %v", name, err)
 		}
 		if seqIntern.Len() == 0 {
 			t.Fatalf("%s: execution interned no keys", name)
 		}
 		if !reflect.DeepEqual(seqIntern.Snapshot(), conIntern.Snapshot()) {
-			t.Fatalf("%s: KeyID assignment diverged between engines", name)
+			t.Fatalf("%s: KeyID assignment diverged between representations", name)
 		}
 	}
 }
@@ -53,7 +51,7 @@ func TestInternTableWorkerCountDeterminism(t *testing.T) {
 			cfg := cfgs[names[i%len(names)]]
 			it := msg.NewInterner()
 			cfg.Interner = it
-			if _, err := sim.Run(cfg); err != nil {
+			if _, err := run(cfg); err != nil {
 				return nil, err
 			}
 			return it.Snapshot(), nil
@@ -81,20 +79,20 @@ func TestInternTableWorkerCountDeterminism(t *testing.T) {
 func TestPooledInternerRecyclingInvisible(t *testing.T) {
 	cfgs := equivalentConfigs(t)
 	for name, cfg := range cfgs {
-		first, err := sim.Run(cfg)
+		first, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Pollute the pools with a different execution.
 		for other, ocfg := range cfgs {
 			if other != name {
-				if _, err := sim.Run(ocfg); err != nil {
+				if _, err := run(ocfg); err != nil {
 					t.Fatal(err)
 				}
 				break
 			}
 		}
-		second, err := sim.Run(cfg)
+		second, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,8 @@
-package runtime_test
+// The concurrent state representation held to the sequential one —
+// results, traffic and KeyID assignment — plus the core façade's
+// end-to-end checks. This directory holds tests only, like its sibling
+// "sim".
+package engine_test
 
 import (
 	"testing"
@@ -6,19 +10,28 @@ import (
 	"homonyms/internal/adversary"
 	"homonyms/internal/classical"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/psynchom"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
 
+// run executes a hand-built Config on the sequential representation.
+func run(cfg engine.Config) (*engine.Result, error) {
+	return engine.Run(engine.FromConfig(cfg))
+}
+
+// runConcurrent is run on the goroutine-per-process representation.
+func runConcurrent(cfg engine.Config) (*engine.Result, error) {
+	return engine.Run(engine.FromConfig(cfg), engine.WithStateRep(engine.ConcurrentConcrete()))
+}
+
 // equivalentConfigs builds a set of representative configurations used to
-// assert sim/runtime equivalence.
-func equivalentConfigs(t *testing.T) map[string]sim.Config {
+// assert Concrete/ConcurrentConcrete equivalence.
+func equivalentConfigs(t *testing.T) map[string]engine.Config {
 	t.Helper()
-	cfgs := make(map[string]sim.Config)
+	cfgs := make(map[string]engine.Config)
 
 	// Synchronous homonym agreement via T(EIG).
 	alg, err := classical.NewEIG(4, 1, nil)
@@ -30,7 +43,7 @@ func equivalentConfigs(t *testing.T) map[string]sim.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs["sync-transform"] = sim.Config{
+	cfgs["sync-transform"] = engine.Config{
 		Params:     pSync,
 		Assignment: hom.StackedAssignment(7, 4),
 		Inputs:     []hom.Value{0, 1, 0, 1, 0, 1, 0},
@@ -49,7 +62,7 @@ func equivalentConfigs(t *testing.T) map[string]sim.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs["psync-drops"] = sim.Config{
+	cfgs["psync-drops"] = engine.Config{
 		Params:     pPsync,
 		Assignment: hom.RandomAssignment(6, 5, 9),
 		Inputs:     []hom.Value{1, 0, 1, 0, 1, 0},
@@ -69,37 +82,37 @@ func equivalentConfigs(t *testing.T) map[string]sim.Config {
 func TestRuntimeMatchesSimExactly(t *testing.T) {
 	for name, cfg := range equivalentConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			seqRes, err := sim.Run(cfg)
+			seqRes, err := run(cfg)
 			if err != nil {
-				t.Fatalf("sim.Run: %v", err)
+				t.Fatalf("sequential: %v", err)
 			}
-			conRes, err := runtime.Run(cfg)
+			conRes, err := runConcurrent(cfg)
 			if err != nil {
-				t.Fatalf("runtime.Run: %v", err)
+				t.Fatalf("concurrent: %v", err)
 			}
 			if seqRes.Rounds != conRes.Rounds {
-				t.Fatalf("rounds: sim=%d runtime=%d", seqRes.Rounds, conRes.Rounds)
+				t.Fatalf("rounds: sequential=%d concurrent=%d", seqRes.Rounds, conRes.Rounds)
 			}
 			if seqRes.GST != conRes.GST {
-				t.Fatalf("recorded GST: sim=%d runtime=%d", seqRes.GST, conRes.GST)
+				t.Fatalf("recorded GST: sequential=%d concurrent=%d", seqRes.GST, conRes.GST)
 			}
 			if seqRes.Stats != conRes.Stats {
-				t.Fatalf("stats diverged:\nsim:     %+v\nruntime: %+v", seqRes.Stats, conRes.Stats)
+				t.Fatalf("stats diverged:\nsequential: %+v\nconcurrent: %+v", seqRes.Stats, conRes.Stats)
 			}
 			for s := range seqRes.Decisions {
 				if seqRes.Decisions[s] != conRes.Decisions[s] || seqRes.DecidedAt[s] != conRes.DecidedAt[s] {
-					t.Fatalf("slot %d: sim decided %d@%d, runtime %d@%d", s,
+					t.Fatalf("slot %d: sequential decided %d@%d, concurrent %d@%d", s,
 						seqRes.Decisions[s], seqRes.DecidedAt[s], conRes.Decisions[s], conRes.DecidedAt[s])
 				}
 			}
 			if len(seqRes.Traffic) != len(conRes.Traffic) {
-				t.Fatalf("traffic length: sim=%d runtime=%d", len(seqRes.Traffic), len(conRes.Traffic))
+				t.Fatalf("traffic length: sequential=%d concurrent=%d", len(seqRes.Traffic), len(conRes.Traffic))
 			}
 			for i := range seqRes.Traffic {
 				a, b := seqRes.Traffic[i], conRes.Traffic[i]
 				if a.Round != b.Round || a.FromSlot != b.FromSlot || a.ToSlot != b.ToSlot ||
 					a.Msg.Key() != b.Msg.Key() {
-					t.Fatalf("delivery %d diverged: sim=%+v runtime=%+v", i, a, b)
+					t.Fatalf("delivery %d diverged: sequential=%+v concurrent=%+v", i, a, b)
 				}
 			}
 		})
@@ -108,9 +121,9 @@ func TestRuntimeMatchesSimExactly(t *testing.T) {
 
 func TestRuntimeVerdicts(t *testing.T) {
 	cfg := equivalentConfigs(t)["psync-drops"]
-	res, err := runtime.Run(cfg)
+	res, err := runConcurrent(cfg)
 	if err != nil {
-		t.Fatalf("runtime.Run: %v", err)
+		t.Fatalf("concurrent run: %v", err)
 	}
 	if v := trace.Check(res); !v.OK() {
 		t.Fatalf("%s", v)
@@ -120,13 +133,13 @@ func TestRuntimeVerdicts(t *testing.T) {
 func TestRuntimeValidation(t *testing.T) {
 	cfg := equivalentConfigs(t)["sync-transform"]
 	cfg.MaxRounds = 0
-	if _, err := runtime.Run(cfg); err == nil {
-		t.Fatal("runtime.Run accepted MaxRounds = 0")
+	if _, err := runConcurrent(cfg); err == nil {
+		t.Fatal("concurrent run accepted MaxRounds = 0")
 	}
 	cfg = equivalentConfigs(t)["sync-transform"]
 	cfg.NewProcess = nil
-	if _, err := runtime.Run(cfg); err == nil {
-		t.Fatal("runtime.Run accepted nil factory")
+	if _, err := runConcurrent(cfg); err == nil {
+		t.Fatal("concurrent run accepted nil factory")
 	}
 }
 

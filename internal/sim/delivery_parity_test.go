@@ -1,4 +1,4 @@
-package sim_test
+package engine_test
 
 import (
 	"fmt"
@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"homonyms/internal/adversary"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // parityFlooder broadcasts a fresh payload each round, occasionally
@@ -21,7 +21,7 @@ type parityFlooder struct {
 	decide int
 }
 
-func (f *parityFlooder) Init(ctx sim.Context) { f.id = ctx.ID }
+func (f *parityFlooder) Init(ctx engine.Context) { f.id = ctx.ID }
 func (f *parityFlooder) Prepare(round int) []msg.Send {
 	sends := []msg.Send{msg.Broadcast(msg.Raw(fmt.Sprintf("p|%d|%d", f.id, round)))}
 	if round%3 == 0 {
@@ -44,12 +44,12 @@ func (f *parityFlooder) Decision() (hom.Value, bool) {
 
 // perMessageOnly wraps an adversary, hiding any BatchDropper
 // implementation so the engine is forced through the per-message shim.
-type perMessageOnly struct{ inner sim.Adversary }
+type perMessageOnly struct{ inner engine.Adversary }
 
 func (p perMessageOnly) Corrupt(pa hom.Params, a hom.Assignment, in []hom.Value) []int {
 	return p.inner.Corrupt(pa, a, in)
 }
-func (p perMessageOnly) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (p perMessageOnly) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	return p.inner.Sends(round, slot, view)
 }
 func (p perMessageOnly) Drop(round, from, to int) bool { return p.inner.Drop(round, from, to) }
@@ -57,19 +57,19 @@ func (p perMessageOnly) Drop(round, from, to int) bool { return p.inner.Drop(rou
 // parityConfigs covers the routing feature matrix: fault-free broadcast,
 // pre-GST random drops, targeted partition drops, a visibility mask,
 // numerate+restricted reception, and traffic recording.
-func parityConfigs() map[string]sim.Config {
-	configs := map[string]sim.Config{}
+func parityConfigs() map[string]engine.Config {
+	configs := map[string]engine.Config{}
 
-	base := func(n, l int) sim.Config {
+	base := func(n, l int) engine.Config {
 		inputs := make([]hom.Value, n)
 		for i := range inputs {
 			inputs[i] = hom.Value(i % 2)
 		}
-		return sim.Config{
+		return engine.Config{
 			Params:     hom.Params{N: n, L: l, T: 0, Synchrony: hom.Synchronous},
 			Assignment: hom.RoundRobinAssignment(n, l),
 			Inputs:     inputs,
-			NewProcess: func(int) sim.Process { return &parityFlooder{} },
+			NewProcess: func(int) engine.Process { return &parityFlooder{} },
 			MaxRounds:  12,
 		}
 	}
@@ -156,15 +156,15 @@ func TestBatchedPerMessageParity(t *testing.T) {
 	for name, cfg := range parityConfigs() {
 		t.Run(name, func(t *testing.T) {
 			batched := cfg
-			batched.Delivery = sim.DeliverBatched
+			batched.Delivery = engine.DeliverBatched
 			perMsg := cfg
-			perMsg.Delivery = sim.DeliverPerMessage
+			perMsg.Delivery = engine.DeliverPerMessage
 
-			got, err := sim.Run(batched)
+			got, err := run(batched)
 			if err != nil {
 				t.Fatalf("batched: %v", err)
 			}
-			want, err := sim.Run(perMsg)
+			want, err := run(perMsg)
 			if err != nil {
 				t.Fatalf("per-message: %v", err)
 			}
@@ -179,7 +179,7 @@ func TestBatchedPerMessageParity(t *testing.T) {
 // contract: the vectorised DropBatch implementations on the concrete
 // drop policies produce exactly the verdicts of their per-message Drop.
 // The same configuration runs once with the Composite (which implements
-// sim.BatchDropper) and once wrapped so only per-message Drop is visible,
+// engine.BatchDropper) and once wrapped so only per-message Drop is visible,
 // forcing the engine's fallback shim; the Results must match.
 func TestBatchDropperMatchesShim(t *testing.T) {
 	for name, cfg := range parityConfigs() {
@@ -191,11 +191,11 @@ func TestBatchDropperMatchesShim(t *testing.T) {
 			shimmed := cfg
 			shimmed.Adversary = perMessageOnly{inner: cfg.Adversary}
 
-			got, err := sim.Run(direct)
+			got, err := run(direct)
 			if err != nil {
 				t.Fatalf("vectorised: %v", err)
 			}
-			want, err := sim.Run(shimmed)
+			want, err := run(shimmed)
 			if err != nil {
 				t.Fatalf("shimmed: %v", err)
 			}

@@ -1,10 +1,11 @@
-package sim
+package engine_test
 
 import (
 	"errors"
 	"testing"
 	"time"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/inject"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestCrashStop(t *testing.T) {
 	cfg := baseConfig(4, 4, 0)
 	cfg.Faults = &inject.Schedule{Crashes: []inject.Crash{{Slot: 2, Round: 1}}}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCrashStop(t *testing.T) {
 func TestCrashRecovery(t *testing.T) {
 	cfg := baseConfig(4, 4, 0)
 	cfg.Faults = &inject.Schedule{Crashes: []inject.Crash{{Slot: 0, Round: 2, Recover: 2}}}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +75,13 @@ func TestCrashRecovery(t *testing.T) {
 // suppresses the slot's link messages (self-delivery exempt) and the
 // loss is accounted as FaultOmissions, not MessagesDropped.
 func TestSendOmissionReducesDeliveries(t *testing.T) {
-	base, err := Run(baseConfig(4, 4, 0))
+	base, err := run(baseConfig(4, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := baseConfig(4, 4, 0)
 	cfg.Faults = &inject.Schedule{Omissions: []inject.Omission{{Slot: 1, Send: true}}}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +102,14 @@ func TestSendOmissionReducesDeliveries(t *testing.T) {
 // reports a structured stop reason instead of running to MaxRounds.
 func TestMessageBudgetStops(t *testing.T) {
 	cfg := baseConfig(4, 4, 0)
-	cfg.NewProcess = func(int) Process { return &echoProc{decideAt: 9} }
+	cfg.NewProcess = func(int) engine.Process { return &echoProc{decideAt: 9} }
 	cfg.MaxSends = 5 // one round stamps 4 broadcasts
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stopped != StopMessageBudget {
-		t.Fatalf("Stopped = %q, want %q", res.Stopped, StopMessageBudget)
+	if res.Stopped != engine.StopMessageBudget {
+		t.Fatalf("Stopped = %q, want %q", res.Stopped, engine.StopMessageBudget)
 	}
 	if res.Rounds >= cfg.MaxRounds {
 		t.Fatalf("budgeted run still took %d rounds", res.Rounds)
@@ -123,14 +124,14 @@ func TestMessageBudgetStops(t *testing.T) {
 // inherently non-deterministic; only the structured outcome is pinned.)
 func TestDeadlineStops(t *testing.T) {
 	cfg := baseConfig(4, 4, 0)
-	cfg.NewProcess = func(int) Process { return &echoProc{decideAt: 9} }
+	cfg.NewProcess = func(int) engine.Process { return &echoProc{decideAt: 9} }
 	cfg.Deadline = time.Nanosecond
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stopped != StopDeadline {
-		t.Fatalf("Stopped = %q, want %q", res.Stopped, StopDeadline)
+	if res.Stopped != engine.StopDeadline {
+		t.Fatalf("Stopped = %q, want %q", res.Stopped, engine.StopDeadline)
 	}
 	if res.Rounds != 1 {
 		t.Fatalf("expired deadline still ran %d rounds", res.Rounds)
@@ -151,13 +152,13 @@ func TestInvariantsCleanRuns(t *testing.T) {
 		},
 	}
 	for _, f := range faults {
-		for _, mode := range []DeliveryMode{DeliverBatched, DeliverPerMessage} {
-			for _, rec := range []ReceptionMode{ReceiveGroupShared, ReceivePerRecipient} {
+		for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
+			for _, rec := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
 				plain := baseConfig(4, 2, 0)
 				plain.Faults = f
 				plain.Delivery = mode
 				plain.Reception = rec
-				want, err := Run(plain)
+				want, err := run(plain)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +167,7 @@ func TestInvariantsCleanRuns(t *testing.T) {
 				paranoid.Delivery = mode
 				paranoid.Reception = rec
 				paranoid.Invariants = true
-				got, err := Run(paranoid)
+				got, err := run(paranoid)
 				if err != nil {
 					t.Fatalf("invariants tripped (faults=%v, %v, %v): %v", f, mode, rec, err)
 				}
@@ -178,18 +179,18 @@ func TestInvariantsCleanRuns(t *testing.T) {
 	}
 }
 
-// TestInvariantErrorType: InvariantError formats round, check and detail
+// TestInvariantErrorType: engine.InvariantError formats round, check and detail
 // and is recoverable with errors.As through Run's error path.
 func TestInvariantErrorType(t *testing.T) {
-	ie := &InvariantError{Round: 3, Check: "arena-bounds", Detail: "raw index out of range"}
-	var as *InvariantError
+	ie := &engine.InvariantError{Round: 3, Check: "arena-bounds", Detail: "raw index out of range"}
+	var as *engine.InvariantError
 	if !errors.As(error(ie), &as) {
-		t.Fatal("errors.As failed on InvariantError")
+		t.Fatal("errors.As failed on engine.InvariantError")
 	}
 	msg := ie.Error()
 	for _, want := range []string{"3", "arena-bounds", "raw index out of range"} {
 		if !containsStr(msg, want) {
-			t.Fatalf("InvariantError text %q missing %q", msg, want)
+			t.Fatalf("engine.InvariantError text %q missing %q", msg, want)
 		}
 	}
 }

@@ -1,30 +1,31 @@
-package sim_test
+package engine_test
 
 import (
 	"reflect"
 	"testing"
 
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
+	"homonyms/internal/engine"
 )
 
 // TestGroupReceptionParity pins the reception tentpole's invariant:
 // group-shared reception (the default) produces a Result byte-identical
 // to the per-recipient reference path — decisions, rounds, statistics
 // and recorded traffic included — on every configuration of the routing
-// feature matrix, under both engines.
+// feature matrix, under both concrete state representations (the legs
+// keep the names tier-1 knows them by: "sim" steps Concrete, "runtime"
+// ConcurrentConcrete).
 func TestGroupReceptionParity(t *testing.T) {
-	engines := map[string]func(sim.Config) (*sim.Result, error){
-		"sim":     sim.Run,
-		"runtime": runtime.Run,
+	reps := map[string]func(engine.Config) (*engine.Result, error){
+		"sim":     run,
+		"runtime": runConcurrent,
 	}
 	for name, cfg := range parityConfigs() {
-		for engName, run := range engines {
-			t.Run(name+"/"+engName, func(t *testing.T) {
+		for repName, run := range reps {
+			t.Run(name+"/"+repName, func(t *testing.T) {
 				shared := cfg
-				shared.Reception = sim.ReceiveGroupShared
+				shared.Reception = engine.ReceiveGroupShared
 				perRecip := cfg
-				perRecip.Reception = sim.ReceivePerRecipient
+				perRecip.Reception = engine.ReceivePerRecipient
 
 				got, err := run(shared)
 				if err != nil {
@@ -53,15 +54,15 @@ func TestBatchedRecordMatchesPerMessage(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			batched := cfg
-			batched.Delivery = sim.DeliverBatched
+			batched.Delivery = engine.DeliverBatched
 			perMsg := cfg
-			perMsg.Delivery = sim.DeliverPerMessage
+			perMsg.Delivery = engine.DeliverPerMessage
 
-			got, err := sim.Run(batched)
+			got, err := run(batched)
 			if err != nil {
 				t.Fatalf("batched: %v", err)
 			}
-			want, err := sim.Run(perMsg)
+			want, err := run(perMsg)
 			if err != nil {
 				t.Fatalf("per-message: %v", err)
 			}

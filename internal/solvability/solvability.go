@@ -16,12 +16,12 @@ import (
 	"homonyms/internal/attacks"
 	"homonyms/internal/classical"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/exec"
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/psynchom"
 	"homonyms/internal/psyncnum"
-	"homonyms/internal/sim"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
@@ -158,7 +158,7 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 			for j := range inputs {
 				inputs[j] = hom.Value((j + ai + bi) % 2)
 			}
-			var adv sim.Adversary
+			var adv engine.Adversary
 			if beh != nil {
 				comp := &adversary.Composite{
 					Selector: adversary.RandomT{Seed: seed + int64(ai*7+bi)},
@@ -204,7 +204,7 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 		for j := range inputs {
 			inputs[j] = hom.Value(j % 2)
 		}
-		var adv sim.Adversary
+		var adv engine.Adversary
 		if byz > 0 {
 			slots := make(adversary.Slots, byz)
 			for i := range slots {

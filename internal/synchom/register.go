@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"homonyms/internal/classical"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 )
 
 // init registers T(EIG) with the fuzzer's protocol registry. The factory
@@ -44,7 +44,7 @@ func init() {
 			}
 			return true, "ok"
 		},
-		New: func(p hom.Params) (func(slot int) sim.Process, error) {
+		New: func(p hom.Params) (func(slot int) engine.Process, error) {
 			alg, err := classical.NewEIGUnchecked(p.L, p.T, p.EffectiveDomain())
 			if err != nil {
 				return nil, err

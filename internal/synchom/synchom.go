@@ -31,9 +31,9 @@ import (
 	"sort"
 
 	"homonyms/internal/classical"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 )
 
 // Errors returned by the constructor.
@@ -95,7 +95,7 @@ func (p runPayload) BuildKey(kb *msg.KeyBuilder) {
 func (p runPayload) Key() string { return msg.ScratchKey(p) }
 
 // Process is the T(A) state machine for one process. It implements
-// sim.Process.
+// engine.Process.
 type Process struct {
 	alg      classical.Algorithm
 	t        int
@@ -104,25 +104,25 @@ type Process struct {
 	decision hom.Value
 }
 
-var _ sim.Process = (*Process)(nil)
+var _ engine.Process = (*Process)(nil)
 
 // New returns a factory producing T(A) processes for the given parameters.
 // The algorithm must be configured for exactly p.L processes and must
 // tolerate p.T faults.
-func New(alg classical.Algorithm, p hom.Params) (func(slot int) sim.Process, error) {
+func New(alg classical.Algorithm, p hom.Params) (func(slot int) engine.Process, error) {
 	if alg == nil {
 		return nil, ErrNilAlgorithm
 	}
 	if alg.Processes() != p.L {
 		return nil, fmt.Errorf("%w (algorithm has %d, L=%d)", ErrIdentifiers, alg.Processes(), p.L)
 	}
-	return func(int) sim.Process {
+	return func(int) engine.Process {
 		return &Process{alg: alg, t: p.T, decision: hom.NoValue}
 	}, nil
 }
 
-// Init implements sim.Process.
-func (pr *Process) Init(ctx sim.Context) {
+// Init implements engine.Process.
+func (pr *Process) Init(ctx engine.Context) {
 	pr.id = ctx.ID
 	pr.state = pr.alg.Init(ctx.ID, ctx.Input)
 }
@@ -133,7 +133,7 @@ func phasePos(round int) (phase, pos int) {
 	return (round-1)/RoundsPerPhase + 1, (round - 1) % RoundsPerPhase
 }
 
-// Prepare implements sim.Process.
+// Prepare implements engine.Process.
 func (pr *Process) Prepare(round int) []msg.Send {
 	phase, pos := phasePos(round)
 	switch pos {
@@ -155,7 +155,7 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	}
 }
 
-// Receive implements sim.Process.
+// Receive implements engine.Process.
 func (pr *Process) Receive(round int, in *msg.Inbox) {
 	phase, pos := phasePos(round)
 	switch pos {
@@ -252,20 +252,20 @@ func (pr *Process) receiveRunning(phase int, in *msg.Inbox) {
 	pr.state = pr.alg.Transition(pr.state, phase, filtered)
 }
 
-// Decision implements sim.Process.
+// Decision implements engine.Process.
 func (pr *Process) Decision() (hom.Value, bool) {
 	return pr.decision, pr.decision != hom.NoValue
 }
 
-// CloneProcess implements sim.Cloner. The algorithm is shared and
+// CloneProcess implements engine.Cloner. The algorithm is shared and
 // stateless and states are immutable values, so a struct copy is an
 // independent fork.
-func (pr *Process) CloneProcess() sim.Process {
+func (pr *Process) CloneProcess() engine.Process {
 	cp := *pr
 	return &cp
 }
 
-// StateFingerprint implements sim.StateHasher: the canonical state key
+// StateFingerprint implements engine.StateHasher: the canonical state key
 // plus the decision determine all future behaviour (alg, t and id are
 // constant across a class).
 func (pr *Process) StateFingerprint() msg.StateHash {

@@ -6,9 +6,9 @@ import (
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/classical"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/sim"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
@@ -23,22 +23,22 @@ func newEIG(t *testing.T, l, faults int) classical.Algorithm {
 }
 
 func runTransform(t *testing.T, alg classical.Algorithm, p hom.Params, a hom.Assignment,
-	inputs []hom.Value, adv sim.Adversary) *sim.Result {
+	inputs []hom.Value, adv engine.Adversary) *engine.Result {
 	t.Helper()
 	factory, err := synchom.New(alg, p)
 	if err != nil {
 		t.Fatalf("synchom.New: %v", err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p,
 		Assignment: a,
 		Inputs:     inputs,
 		NewProcess: factory,
 		Adversary:  adv,
 		MaxRounds:  synchom.Rounds(alg) + synchom.RoundsPerPhase,
-	})
+	}))
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("engine.Run: %v", err)
 	}
 	return res
 }
@@ -259,7 +259,7 @@ func TestForeignPayloadsIgnored(t *testing.T) {
 
 type rawSpam struct{}
 
-func (rawSpam) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
+func (rawSpam) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	out := make([]msg.TargetedSend, 0, view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		out = append(out, msg.TargetedSend{ToSlot: to, Body: msg.Raw("garbage")})

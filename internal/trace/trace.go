@@ -15,8 +15,8 @@ import (
 	"sort"
 	"strings"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/sim"
 )
 
 // Property identifies one of the three agreement properties.
@@ -142,7 +142,7 @@ func (v Verdict) String() string {
 // execution, in one walk over the correct slots. Violations are reported
 // in property order — every undecided slot, then the first disagreeing
 // pair, then the first decision that breaks unanimity.
-func Check(res *sim.Result) Verdict {
+func Check(res *engine.Result) Verdict {
 	var verdict Verdict
 
 	// Agreement: the first decided slot fixes the value; the first slot
@@ -201,7 +201,7 @@ func Check(res *sim.Result) Verdict {
 
 // LatestDecisionRound returns the largest decision round among correct
 // slots (0 if none decided) — the execution's decision latency.
-func LatestDecisionRound(res *sim.Result) int {
+func LatestDecisionRound(res *engine.Result) int {
 	latest := 0
 	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi) {
 		for _, at := range res.DecidedAt[lo:hi] {
@@ -213,7 +213,7 @@ func LatestDecisionRound(res *sim.Result) int {
 
 // DecidedValue returns the common decided value of the correct slots, when
 // at least one decided and agreement holds; otherwise ok is false.
-func DecidedValue(res *sim.Result) (v hom.Value, ok bool) {
+func DecidedValue(res *engine.Result) (v hom.Value, ok bool) {
 	v = hom.NoValue
 	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi) {
 		for s := lo; s < hi; s++ {

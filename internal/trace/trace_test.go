@@ -4,15 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
 // result builds a synthetic execution result for verdict tests.
-func result(inputs, decisions []hom.Value, decidedAt []int, corrupted []int) *sim.Result {
+func result(inputs, decisions []hom.Value, decidedAt []int, corrupted []int) *engine.Result {
 	n := len(inputs)
-	return &sim.Result{
+	return &engine.Result{
 		Params:     hom.Params{N: n, L: n, T: len(corrupted), Synchrony: hom.Synchronous},
 		Assignment: hom.RoundRobinAssignment(n, n),
 		Inputs:     inputs,
