@@ -117,7 +117,9 @@ type Process interface {
 // every slice its accessors return are engine-owned scratch reused
 // across rounds: adversaries must not retain them past the Sends call.
 type View struct {
-	Params     hom.Params
+	Params hom.Params
+	// Assignment and Inputs are the execution's configured slices (see
+	// Config.Assignment): read-only.
 	Assignment hom.Assignment
 	Inputs     []hom.Value
 	Round      int
@@ -218,7 +220,13 @@ type Observer interface {
 // options API: New(opts...) folds every option into a Config before
 // validating it, and FromConfig seeds the options from a hand-built one.
 type Config struct {
-	Params     hom.Params
+	Params hom.Params
+	// Assignment maps each slot to its identifier.
+	//
+	// Assignment and Inputs are held by reference, never copied: the
+	// engine reads them for the whole execution, and the Result reports
+	// the same slices. The caller must not write to them until it is done
+	// with the Result. Only Adversary.Corrupt is handed copies.
 	Assignment hom.Assignment
 	// Inputs holds one proposal per slot. Inputs of corrupted slots are
 	// ignored.
@@ -385,7 +393,10 @@ const (
 
 // Result reports one execution.
 type Result struct {
-	Params     hom.Params
+	Params hom.Params
+	// Assignment and Inputs are the slices the execution was configured
+	// with (Config.Assignment, Config.Inputs), not copies: a caller that
+	// rewrites its buffer while the Result is in use rewrites the Result.
 	Assignment hom.Assignment
 	Inputs     []hom.Value
 	// Corrupted lists the Byzantine slots, sorted.
@@ -578,8 +589,8 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 	e.res = &Result{
 		Params:     cfg.Params,
 		GST:        gst,
-		Assignment: cfg.Assignment.Clone(),
-		Inputs:     append([]hom.Value(nil), cfg.Inputs...),
+		Assignment: cfg.Assignment,
+		Inputs:     cfg.Inputs,
 		Corrupted:  e.corrupted,
 		Decisions:  decisions,
 		DecidedAt:  make([]int, n),

@@ -157,7 +157,9 @@ func WithParams(p hom.Params) Option {
 	}
 }
 
-// WithAssignment maps slots to identifiers.
+// WithAssignment maps slots to identifiers. The slice is kept, not
+// copied, and the Result reports it: do not write to it until done with
+// the Result (see Config.Assignment).
 func WithAssignment(a hom.Assignment) Option {
 	return func(s *settings) {
 		if s.assignment.once(s, "Assignment", a) {
@@ -166,7 +168,9 @@ func WithAssignment(a hom.Assignment) Option {
 	}
 }
 
-// WithInputs supplies one proposal per slot.
+// WithInputs supplies one proposal per slot. A slice passed as
+// inputs... is kept, not copied, under the same contract as
+// WithAssignment.
 func WithInputs(inputs ...hom.Value) Option {
 	return func(s *settings) {
 		if s.inputs.once(s, "Inputs", inputs) {

@@ -145,6 +145,43 @@ func TestNewPerSlotOptionsCompareByValue(t *testing.T) {
 	}
 }
 
+// scribbler corrupts no slot but overwrites the vectors Corrupt is
+// handed.
+type scribbler struct{}
+
+func (scribbler) Corrupt(_ hom.Params, a hom.Assignment, in []hom.Value) []int {
+	a[0], in[0] = 9, 9
+	return nil
+}
+func (scribbler) Sends(int, int, *engine.View) []msg.TargetedSend { return nil }
+func (scribbler) Drop(int, int, int) bool                         { return false }
+
+// TestResultSharesConfiguredVectors pins the sharing contract of
+// Config.Assignment and Config.Inputs: the Result reports the slices the
+// execution was configured with, not copies, while Adversary.Corrupt is
+// still handed copies of its own.
+func TestResultSharesConfiguredVectors(t *testing.T) {
+	a := hom.RoundRobinAssignment(4, 4)
+	inputs := []hom.Value{0, 1, 0, 1}
+	res, err := engine.Run(
+		engine.WithParams(hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.Synchronous}),
+		engine.WithAssignment(a),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(func(int) engine.Process { return &echoProc{} }),
+		engine.WithAdversary(scribbler{}),
+		engine.WithRounds(3),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &res.Inputs[0] != &inputs[0] || &res.Assignment[0] != &a[0] {
+		t.Error("Result.Inputs and Result.Assignment are copies, want the configured slices")
+	}
+	if a[0] != 1 || inputs[0] != 0 {
+		t.Errorf("Adversary.Corrupt wrote through to the configured vectors: assignment %v, inputs %v", a, inputs)
+	}
+}
+
 // TestNewOptionsLayerDoesNotScaleWithN: folding and validating the
 // options of an n=1e5 execution takes a handful of allocations — the
 // options closures, the settings and the identifier-coverage bitset —

@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
@@ -31,23 +31,31 @@ func (e *DegeneracyError) Error() string {
 }
 
 // countClass is one (identifier, protocol-state) equivalence class: a
-// single protocol instance standing for every member slot. Members are
-// kept ascending; the first member is the class leader, whose slot
-// stamps the class's sends on the fast path.
+// single protocol instance standing for size member slots. Membership
+// itself lives only in countingRep.classOf; the class keeps its leader —
+// its smallest member, whose slot stamps the class's sends on the fast
+// path and whose inbox it receives on the slow path — and its size.
 type countClass struct {
-	id      hom.Identifier
-	proc    Process
-	members []int32
-	idx     int32      // the class's entry in countingRep.table: what classOf holds for its members
-	sends   []msg.Send // fast path: the current round's sends
-	halted  bool       // slow path: the class takes no step this round
+	id     hom.Identifier
+	proc   Process
+	leader int32
+	size   int32
+	idx    int32      // the class's entry in countingRep.table: what classOf holds for its members
+	sends  []msg.Send // the current round's sends
+	halted bool       // slow path: the class takes no step this round
 
 	// The class's decision and the round it was polled in (0: undecided).
 	// Once set, every member's decision is in the Result — recorded by the
-	// fast path's one pass over the slots that round — and the class is
-	// not polled again.
+	// one pass over the slots that round — and the class is not polled
+	// again.
 	decision  hom.Value
 	decidedAt int
+
+	// Slow-path scratch of one refine pass and the delivery after it.
+	key    int32       // refine: the leader's key
+	part   *countClass // refine: the part the class's last diverging member joined
+	origin *countClass // refine: the class a part was cut from
+	in     *msg.Inbox  // the leader's inbox, held until the class steps
 }
 
 // fillCache is the cross-round fill cache of one identifier group on
@@ -62,6 +70,10 @@ type fillCache struct {
 	fp   msg.StateHash
 	in   *msg.Inbox
 }
+
+// partKey names one part of a refine pass: the class it is cut from and
+// the key its members share.
+type partKey struct{ origin, key int32 }
 
 // countingRep is the counting state representation: correct processes
 // are held as (identifier-group, protocol-state) equivalence classes
@@ -93,26 +105,24 @@ type fillCache struct {
 // leader slot). Protocols implementing Cloner collapse into one class
 // per (identifier, input); others fall back to one class per slot.
 //
-// Per slot the representation keeps one int32 — the slot's class — and
-// the slot's entry in its class's member list; everything else is per
-// class.
+// Per slot the representation keeps one int32 — the table entry its
+// class resolves through — and nothing else: a merge adds sizes and
+// forwards the merged-away entry, so it writes no slot, and the slow
+// path's per-slot work is one ascending pass over classOf per phase.
 type countingRep struct {
 	e          *Engine
 	maxClasses int
 	collapse   bool // processes implement Cloner: classes can span slots
 	fast       bool // static fast path for the whole execution
 	err        error
-	classes    []*countClass // live classes, ascending by leader slot
-	table      []*countClass // by countClass.idx; nil where a merged-away class freed its entry
-	free       []int32       // freed table entries, reused by the next split
-	classOf    []int32       // per slot: table entry of its class, -1 when corrupted
-
-	// Slow-path scratch: the round's inboxes, drawn for every correct
-	// slot in ascending order (pass A) and consumed per class (pass B),
-	// and the split's part lookup, indexed by the router's reception
-	// class (a slot; 0 = no part yet, else part index + 1).
-	inboxes []*msg.Inbox
-	partAt  []int32
+	classes    []*countClass // live classes, ascending by leader
+	// table maps an entry to its live class: a live class sits at its own
+	// idx, and an entry merged away forwards to the survivor until a
+	// refine pass has re-pointed its slots and freed it. Nil when free.
+	table   []*countClass
+	free    []int32                 // freed table entries, reused by the next split
+	classOf []int32                 // per slot: table entry of its class, -1 when corrupted
+	parts   map[partKey]*countClass // refine scratch, cleared after every pass
 
 	// Fast-path scratch, indexed by identifier-1.
 	groupCount []int        // per identifier (1-based): total slots holding it
@@ -152,8 +162,8 @@ func (r *countingRep) processAt(slot int) Process {
 func (r *countingRep) Err() error { return r.err }
 
 // newClass registers a class in the table (reusing a freed entry) and
-// appends it to the live list; callers restore the leader order. Its
-// members' classOf entries are the caller's to set (adopt).
+// appends it to the live list; callers restore the leader order and
+// point the members' classOf entries at it.
 func (r *countingRep) newClass(c *countClass) *countClass {
 	if k := len(r.free); k > 0 {
 		c.idx, r.free = r.free[k-1], r.free[:k-1]
@@ -164,27 +174,6 @@ func (r *countingRep) newClass(c *countClass) *countClass {
 	}
 	r.classes = append(r.classes, c)
 	return c
-}
-
-// adopt points the members' class entries at c.
-func (r *countingRep) adopt(c *countClass, members []int32) {
-	for _, m := range members {
-		r.classOf[m] = c.idx
-	}
-}
-
-// initProc builds and initialises the process of the class led by
-// leader; the factory probe instance stands for its own slot's class.
-func (r *countingRep) initProc(leader int, probe Process, probeSlot int) (Process, error) {
-	cfg := &r.e.cfg
-	p := probe
-	if leader != probeSlot {
-		if p = cfg.NewProcess(leader); p == nil {
-			return nil, ErrNilProcessFactory
-		}
-	}
-	p.Init(Context{ID: cfg.Assignment[leader], Input: cfg.Inputs[leader], Params: cfg.Params})
-	return p, nil
 }
 
 func (r *countingRep) Start(e *Engine) error {
@@ -219,53 +208,39 @@ func (r *countingRep) Start(e *Engine) error {
 
 	// One classification pass: every correct slot gets the table entry
 	// of its class — (identifier, input) under collapse, itself
-	// otherwise — in ascending slot order, so classes are created in
-	// leader order. Member lists are then carved, exactly sized, out of
-	// one backing array (capacity clamped, so a later merge reallocates
-	// instead of growing into a neighbour).
+	// otherwise — in ascending slot order, so classes are created, and
+	// their processes built and initialised, in leader order.
 	r.classOf = make([]int32, n)
 	find := r.classFinder()
-	var sizes []int32
 	for s := 0; s < n; s++ {
 		if e.isBad[s] {
 			r.classOf[s] = -1
 			continue
 		}
-		ci := int32(len(sizes))
+		ci := int32(-1)
+		var at *int32
 		if r.collapse {
-			ci = find(cfg.Assignment[s], cfg.Inputs[s], ci)
+			at = find(cfg.Assignment[s], cfg.Inputs[s])
+			ci = *at - 1
 		}
-		if int(ci) == len(sizes) {
-			sizes = append(sizes, 0)
-			r.newClass(&countClass{id: cfg.Assignment[s]})
+		if ci < 0 {
+			p := p0
+			if s != first {
+				if p = cfg.NewProcess(s); p == nil {
+					return ErrNilProcessFactory
+				}
+			}
+			p.Init(Context{ID: cfg.Assignment[s], Input: cfg.Inputs[s], Params: cfg.Params})
+			ci = r.newClass(&countClass{id: cfg.Assignment[s], proc: p, leader: int32(s)}).idx
+			// A process that cannot clone (a factory mixing implementations
+			// across slots) keeps its class a singleton, so no split ever
+			// needs a missing clone.
+			if _, ok := p.(Cloner); ok && at != nil {
+				*at = ci + 1
+			}
 		}
-		sizes[ci]++
+		r.table[ci].size++
 		r.classOf[s] = ci
-	}
-	backing := make([]int32, n-len(e.corrupted))
-	off := int32(0)
-	for ci, c := range r.table {
-		c.members = backing[off : off : off+sizes[ci]]
-		off += sizes[ci]
-	}
-	for s, ci := range r.classOf {
-		if ci >= 0 {
-			c := r.table[ci]
-			c.members = append(c.members, int32(s))
-		}
-	}
-	for _, c := range r.classes {
-		p, err := r.initProc(int(c.members[0]), p0, first)
-		if err != nil {
-			return err
-		}
-		c.proc = p
-	}
-	// A mixed factory (some slots' processes cannot clone) breaks the
-	// collapse assumption: degrade the affected classes to per-slot
-	// singletons so splitting never needs a missing clone.
-	if err := r.splitUncloneable(p0, first); err != nil {
-		return err
 	}
 	if r.maxClasses > 0 && len(r.classes) > r.maxClasses {
 		return &DegeneracyError{Round: 0, Classes: len(r.classes), Limit: r.maxClasses}
@@ -276,170 +251,159 @@ func (r *countingRep) Start(e *Engine) error {
 		L := cfg.Params.L
 		r.groupCount = make([]int, L+1)
 		for _, c := range r.classes {
-			r.groupCount[c.id] += len(c.members)
+			r.groupCount[c.id] += int(c.size)
 		}
 		r.groupIdx = make([][]int32, L)
 		r.groupW = make([][]int32, L)
 		r.roundIn = make([]*msg.Inbox, L)
 		r.caches = make([]*fillCache, L)
-	} else {
-		r.inboxes = make([]*msg.Inbox, n)
-		r.partAt = make([]int32, n)
 	}
 	return nil
 }
 
 // classFinder returns Start's (identifier, input) → class lookup: the
-// table entry of the pair's class, or fresh (registering the pair under
-// it) when the pair is new. Small inputs — the binary domain, in
-// practice — index a dense per-identifier row, so the path a million
-// slots take neither hashes nor branches on the input; the rest go
-// through a map.
-func (r *countingRep) classFinder() func(id hom.Identifier, in hom.Value, fresh int32) int32 {
+// pair's cell, holding its class's table entry + 1 (0 while the pair has
+// no class). Small inputs — the binary domain, in practice — index a
+// dense per-identifier row, so the path a million slots take neither
+// hashes nor branches on the input; the rest go through a map.
+func (r *countingRep) classFinder() func(id hom.Identifier, in hom.Value) *int32 {
 	const denseInputs = 4
 	type classKey struct {
 		id hom.Identifier
 		in hom.Value
 	}
-	dense := make([]int32, (r.e.cfg.Params.L+1)*denseInputs) // 0 = unseen, else entry + 1
-	var sparse map[classKey]int32
-	return func(id hom.Identifier, in hom.Value, fresh int32) int32 {
+	dense := make([]int32, (r.e.cfg.Params.L+1)*denseInputs)
+	var sparse map[classKey]*int32
+	return func(id hom.Identifier, in hom.Value) *int32 {
 		if uint(in) < denseInputs {
-			at := &dense[int(id)*denseInputs+int(in)]
-			if *at == 0 {
-				*at = fresh + 1
+			return &dense[int(id)*denseInputs+int(in)]
+		}
+		at := sparse[classKey{id, in}]
+		if at == nil {
+			if sparse == nil {
+				sparse = make(map[classKey]*int32)
 			}
-			return *at - 1
+			at = new(int32)
+			sparse[classKey{id, in}] = at
 		}
-		if ci, ok := sparse[classKey{id, in}]; ok {
-			return ci
-		}
-		if sparse == nil {
-			sparse = make(map[classKey]int32)
-		}
-		sparse[classKey{id, in}] = fresh
-		return fresh
+		return at
 	}
-}
-
-// splitUncloneable degrades every class whose process lacks Cloner into
-// per-slot singleton classes (only reachable with a factory that mixes
-// cloneable and uncloneable implementations across slots).
-func (r *countingRep) splitUncloneable(probe Process, probeSlot int) error {
-	changed := false
-	for _, c := range r.classes { // singletons appended below are not revisited
-		if _, ok := c.proc.(Cloner); ok || len(c.members) == 1 {
-			continue
-		}
-		changed = true
-		rest := c.members[1:]
-		c.members = c.members[:1:1]
-		for _, m := range rest {
-			p, err := r.initProc(int(m), probe, probeSlot)
-			if err != nil {
-				return err
-			}
-			r.fork(c, p, []int32{m})
-		}
-	}
-	if changed {
-		r.sortClasses()
-	}
-	return nil
 }
 
 func (r *countingRep) PrepareRound(round int) {
-	if r.fast {
-		for _, c := range r.classes {
-			c.sends = c.proc.Prepare(round)
-		}
-		return
-	}
 	e := r.e
-	for s := 0; s < e.n; s++ {
-		e.SetSends(s, nil)
-	}
-	if r.err != nil {
-		return
-	}
-	// Split classes whose members diverge on halting before any Prepare:
-	// the halted part freezes at the pre-Prepare state, exactly as a
-	// concrete halted slot keeps its state while classmates advance.
-	r.splitHalted(round)
-	if r.err != nil {
-		return
+	if !r.fast && r.err == nil {
+		// Split classes whose members diverge on halting before any
+		// Prepare: the halted part freezes at the pre-Prepare state,
+		// exactly as a concrete halted slot keeps its state while
+		// classmates advance.
+		parts := r.refine(func(s int, _ *countClass) int32 {
+			if e.Halted(s, round) {
+				return 1
+			}
+			return 0
+		})
+		if len(parts) > 0 {
+			r.sortClasses()
+		}
+		for _, c := range r.classes {
+			c.halted = e.Halted(int(c.leader), round)
+		}
+		r.noteClassCount(round)
 	}
 	for _, c := range r.classes {
-		if c.halted {
-			continue
+		c.sends = nil
+		if !c.halted && r.err == nil {
+			c.sends = c.proc.Prepare(round)
 		}
-		sends := c.proc.Prepare(round)
-		if len(sends) == 0 {
-			continue
+	}
+	if r.fast {
+		return
+	}
+	// Every member registers its class's send slice; the Router stamps
+	// each member's copy separately, so stamp order, intern order and the
+	// send budget match the concrete representation's.
+	for s, ci := range r.classOf {
+		var sends []msg.Send
+		if ci >= 0 && len(r.table[ci].sends) > 0 {
+			sends = r.table[ci].sends
 		}
-		// Every member registers the same send slice; the Router stamps
-		// each member's copy separately, so stamp order, intern order
-		// and the send budget match the concrete representation's.
-		for _, m := range c.members {
-			e.SetSends(int(m), sends)
-		}
+		e.SetSends(s, sends)
 	}
 }
 
-// fork splits part (a strict, ascending subset of c's members, already
-// removed from c.members by the caller) into a new class stepping proc.
-func (r *countingRep) fork(c *countClass, proc Process, part []int32) *countClass {
-	nc := r.newClass(&countClass{id: c.id, proc: proc, members: part, decision: c.decision, decidedAt: c.decidedAt})
-	r.adopt(nc, part)
-	return nc
-}
-
-// splitHalted partitions every class by this round's Halted verdict
-// (pure per slot and round) and splits the mixed ones.
-func (r *countingRep) splitHalted(round int) {
-	e := r.e
-	split := false
-	for _, c := range r.classes { // forks appended below are not revisited
-		nHalted := 0
-		for _, m := range c.members {
-			if e.Halted(int(m), round) {
-				nHalted++
-			}
-		}
-		c.halted = nHalted == len(c.members)
-		if nHalted == 0 || c.halted {
+// refine is the slow path's one split: partition refinement of classOf
+// by (class, key), in one ascending pass over the slots. A class's
+// leader, its smallest member, is met first and fixes the class's key;
+// a member with another key moves to the part of its class holding
+// that key (partFor), created at its first member — so parts are
+// created in ascending leader order. Key -1 is unique: such a member
+// always starts a part of its own. The pass also re-points every slot
+// at its live class, after which the entries merges forwarded are free
+// for reuse. It returns the parts, appended to r.classes in creation
+// order; the caller restores the leader order.
+func (r *countingRep) refine(key func(slot int, c *countClass) int32) []*countClass {
+	start := len(r.classes)
+	for s, ci := range r.classOf {
+		if ci < 0 {
 			continue
 		}
-		live := make([]int32, 0, len(c.members)-nHalted)
-		halted := make([]int32, 0, nHalted)
-		for _, m := range c.members {
-			if e.Halted(int(m), round) {
-				halted = append(halted, m)
-			} else {
-				live = append(live, m)
+		c := r.table[ci]
+		k := key(s, c)
+		switch {
+		case int(c.leader) == s:
+			c.key, c.part = k, nil
+		case k >= 0 && k == c.key:
+		default:
+			if p := c.part; k < 0 || p == nil || p.key != k {
+				c.part = r.partFor(c, s, k)
 			}
+			c.size--
+			c.part.size++
+			r.classOf[s] = c.part.idx
+			continue
 		}
-		c.members = live
-		r.fork(c, r.cloneProc(c.proc), halted).halted = true
-		split = true
+		r.classOf[s] = c.idx
 	}
-	if split {
-		r.sortClasses()
+	clear(r.parts)
+	for i, t := range r.table {
+		if t != nil && t.idx != int32(i) {
+			r.table[i] = nil
+			r.free = append(r.free, int32(i))
+		}
 	}
-	r.noteClassCount(round)
+	return r.classes[start:]
+}
+
+// partFor returns the part of c holding key k in the current refine
+// pass, creating it — led by slot s, with a clone of c's process and c's
+// decision record — when the pass has not met one. Key -1 is never
+// registered, so it always creates.
+func (r *countingRep) partFor(c *countClass, s int, k int32) *countClass {
+	pk := partKey{c.idx, k}
+	if p := r.parts[pk]; p != nil {
+		return p
+	}
+	p := r.newClass(&countClass{id: c.id, proc: r.cloneProc(c.proc), leader: int32(s), key: k,
+		origin: c, decision: c.decision, decidedAt: c.decidedAt})
+	if k >= 0 {
+		if r.parts == nil {
+			r.parts = make(map[partKey]*countClass)
+		}
+		r.parts[pk] = p
+	}
+	return p
 }
 
 // cloneProc forks one class process. Classes with more than one member
 // only exist in collapse mode, where every process passed the Cloner
-// probe (splitUncloneable degraded the rest), so the assertion holds.
+// check at Start, so the assertion holds.
 func (r *countingRep) cloneProc(p Process) Process {
 	return p.(Cloner).CloneProcess()
 }
 
 func (r *countingRep) sortClasses() {
-	sort.Slice(r.classes, func(i, j int) bool {
-		return r.classes[i].members[0] < r.classes[j].members[0]
-	})
+	slices.SortFunc(r.classes, func(a, b *countClass) int { return cmp.Compare(a.leader, b.leader) })
 }
 
 func (r *countingRep) noteClassCount(round int) {
@@ -468,10 +432,9 @@ func (r *countingRep) RouteRound(round int) bool {
 		if len(c.sends) == 0 {
 			continue
 		}
-		leader := int(c.members[0])
-		mult := len(c.members)
+		mult := int(c.size)
 		for _, s := range c.sends {
-			si := rt.stamp(leader, s.Body, s.Memo)
+			si := rt.stamp(int(c.leader), s.Body, s.Memo)
 			rt.totalStamped += mult - 1 // each member's copy counts against MaxSends
 			keyLen := int(rt.sendKeyLen[si])
 			switch s.Kind {
@@ -509,8 +472,7 @@ func (r *countingRep) DeliverRound(round int) {
 }
 
 func (r *countingRep) deliverFast(round int) {
-	e := r.e
-	anyDecided := false
+	decided := false
 	for _, c := range r.classes {
 		gi := int(c.id) - 1
 		in := r.roundIn[gi]
@@ -519,21 +481,10 @@ func (r *countingRep) deliverFast(round int) {
 			r.roundIn[gi] = in
 		}
 		c.proc.Receive(round, in)
-		if c.decidedAt == 0 {
-			if v, ok := c.proc.Decision(); ok {
-				c.decision, c.decidedAt = v, round
-				anyDecided = true
-			}
-		}
+		decided = r.poll(c, round) || decided
 	}
-	if anyDecided {
-		// One ascending pass over the slots instead of one strided pass
-		// per class: the Result arrays are written in memory order.
-		for s, ci := range r.classOf {
-			if c := r.table[ci]; c.decidedAt == round {
-				e.RecordDecision(s, c.decision, true, round)
-			}
-		}
+	if decided {
+		r.recordDecisions(round)
 	}
 	for gi := range r.roundIn {
 		r.roundIn[gi] = nil // inboxes stay owned by the fill caches
@@ -589,123 +540,110 @@ func (c *fillCache) matches(rt *Router, idx, w []int32) bool {
 }
 
 func (r *countingRep) deliverSlow(round int) {
-	e := r.e
-	rt := e.router
-	// Pass A: draw every correct slot's inbox in ascending slot order
-	// (the StateRep contract — shared-reception classes drain their
-	// reference counts through these draws).
-	for to := 0; to < e.n; to++ {
-		if !e.isBad[to] {
-			r.inboxes[to] = rt.Inbox(to)
+	rt := r.e.router
+	// Split every stepping class along the router's reception partition
+	// (Router.ReceptionClass: two members received the same inbox exactly
+	// when they report the same class >= 0). Halted classes take no step
+	// this round and stay whole. Parts are forked from the pre-Receive
+	// class — process state and decision record both — before any class
+	// steps: a fork made after its origin decided would inherit a decision
+	// its own members were never recorded with.
+	var parts []*countClass
+	if r.err == nil {
+		parts = r.refine(func(s int, c *countClass) int32 {
+			if c.halted {
+				return 0
+			}
+			return int32(rt.ReceptionClass(s))
+		})
+		r.noteClassCount(round)
+	}
+	// Draw every correct slot's inbox in ascending slot order (the
+	// StateRep contract — shared-reception classes drain their reference
+	// counts through these draws). A stepping class keeps its leader's,
+	// every member's being identical by construction; the rest are
+	// discarded (crashed recipients lost the round's messages at the
+	// router; stalled ones have them held until they wake).
+	for s, ci := range r.classOf {
+		if ci < 0 {
+			continue
+		}
+		in := rt.Inbox(s)
+		if c := r.table[ci]; r.err == nil && !c.halted && int(c.leader) == s {
+			c.in = in
+		} else {
+			in.Recycle()
 		}
 	}
 	if r.err != nil {
-		r.recycleAll()
 		return
 	}
-	// Pass B: per class, split the members along the router's reception
-	// partition. Forks are made from the pre-Receive class — process
-	// state and decision record both — before any part steps: a fork made
-	// after the leader's part decided would inherit a decision its own
-	// members were never recorded with.
-	split := false
-	for _, c := range r.classes { // forks appended below are not revisited
-		if c.halted {
-			// No step this round: the inboxes are drawn and discarded
-			// (crashed recipients lost the round's messages at the
-			// router; stalled ones have them held until they wake).
-			for _, m := range c.members {
-				r.recycleSlot(int(m))
-			}
-			continue
-		}
-		parts := r.splitByReception(c)
-		forks := make([]*countClass, len(parts))
-		for i, part := range parts {
-			forks[i] = r.fork(c, r.cloneProc(c.proc), part)
-		}
-		r.receivePart(c, round)
-		for _, f := range forks {
-			r.receivePart(f, round)
-			split = true
+	// Step in the order the classes stood before the split, each
+	// followed by the parts cut from it.
+	split := len(parts) > 0
+	slices.SortStableFunc(parts, func(a, b *countClass) int { return cmp.Compare(a.origin.leader, b.origin.leader) })
+	decided := false
+	for _, c := range r.classes[:len(r.classes)-len(parts)] {
+		decided = r.step(c, round) || decided
+		for len(parts) > 0 && parts[0].origin == c {
+			decided = r.step(parts[0], round) || decided
+			parts = parts[1:]
 		}
 	}
 	if split {
 		r.sortClasses()
 	}
-	r.noteClassCount(round)
+	if decided {
+		r.recordDecisions(round)
+	}
 	r.mergeClasses()
 }
 
-// receivePart steps one class: one Receive against the leader's inbox
-// (every member's inbox is identical by construction), every member's
-// inbox recycled, one decision poll recorded for every member.
-func (r *countingRep) receivePart(c *countClass, round int) {
-	e := r.e
-	c.proc.Receive(round, r.inboxes[c.members[0]])
-	for _, m := range c.members {
-		r.recycleSlot(int(m))
+// step runs one slow-path class's Receive against its leader's inbox
+// and polls its decision; it reports whether the class decided.
+func (r *countingRep) step(c *countClass, round int) bool {
+	c.origin = nil // the split is over: keep no dead origin reachable
+	if c.halted {
+		return false
 	}
-	if c.decidedAt != 0 {
-		return
-	}
-	v, ok := c.proc.Decision()
-	if !ok {
-		return
-	}
-	for _, m := range c.members {
-		e.RecordDecision(int(m), v, true, round)
-	}
-	c.decision, c.decidedAt = v, round
+	c.proc.Receive(round, c.in)
+	c.in.Recycle()
+	c.in = nil
+	return r.poll(c, round)
 }
 
-// splitByReception cuts a class along the router's reception partition
-// of the round (Router.ReceptionClass: two members received the same
-// inbox exactly when they report the same class >= 0). The leader's part
-// stays in c.members; the others are returned in first-seen — ascending
-// leader — order, nil when every member received the leader's inbox.
-func (r *countingRep) splitByReception(c *countClass) [][]int32 {
-	rt := r.e.router
-	lead := rt.ReceptionClass(int(c.members[0]))
-	cut := 1
-	if lead >= 0 {
-		for cut < len(c.members) && rt.ReceptionClass(int(c.members[cut])) == lead {
-			cut++
-		}
+// poll records an undecided class's decision, once: it reports whether
+// the class decided this round.
+func (r *countingRep) poll(c *countClass, round int) bool {
+	if c.decidedAt != 0 {
+		return false
 	}
-	if cut == len(c.members) {
-		return nil
+	v, ok := c.proc.Decision()
+	if ok {
+		c.decision, c.decidedAt = v, round
 	}
-	var parts [][]int32
-	keep := c.members[:cut:cut]
-	for _, m := range c.members[cut:] {
-		cls := rt.ReceptionClass(int(m))
-		switch {
-		case cls >= 0 && cls == lead:
-			keep = append(keep, m)
-		case cls >= 0 && r.partAt[cls] > 0:
-			p := r.partAt[cls] - 1
-			parts[p] = append(parts[p], m)
-		default:
-			parts = append(parts, []int32{m})
-			if cls >= 0 {
-				r.partAt[cls] = int32(len(parts))
+	return ok
+}
+
+// recordDecisions records the decision of every slot whose class
+// decided this round, in one ascending pass over the slots — the Result
+// arrays are written in memory order.
+func (r *countingRep) recordDecisions(round int) {
+	for s, ci := range r.classOf {
+		if ci >= 0 {
+			if c := r.table[ci]; c.decidedAt == round {
+				r.e.RecordDecision(s, c.decision, true, round)
 			}
 		}
 	}
-	for _, part := range parts {
-		if cls := rt.ReceptionClass(int(part[0])); cls >= 0 {
-			r.partAt[cls] = 0
-		}
-	}
-	c.members = keep
-	return parts
 }
 
 // mergeClasses re-unifies classes of one identifier group whose states
 // re-converged, detected by the protocol's StateFingerprint (classes of
-// protocols without StateHasher never merge). The surviving class is
-// the one with the smallest leader; the merged-in process is released.
+// protocols without StateHasher never merge). The survivor is the class
+// with the smaller leader: it takes the merged class's size, and the
+// merged class's table entry forwards to it, so no slot is written. The
+// merged-in process is released.
 func (r *countingRep) mergeClasses() {
 	if !r.collapse || len(r.classes) < 2 {
 		return
@@ -732,44 +670,27 @@ func (r *countingRep) mergeClasses() {
 			out = append(out, c)
 			continue
 		}
-		prev.members = mergeAscending(prev.members, c.members)
+		prev.size += c.size
 		if c.decidedAt == 0 {
 			prev.decidedAt = 0 // poll again: not every member is recorded
 		}
-		r.adopt(prev, c.members)
 		if rel, relOK := c.proc.(Releaser); relOK {
 			rel.Release()
 		}
-		r.table[c.idx] = nil
-		r.free = append(r.free, c.idx)
+		r.table[c.idx] = prev
+	}
+	if len(out) == len(r.classes) {
+		return
 	}
 	clear(r.classes[len(out):])
 	r.classes = out
-}
-
-// mergeAscending merges two ascending slot lists into a new one.
-func mergeAscending(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
+	// Entries forwarded to a class merged away this round now forward to
+	// its survivor — one hop, as survivors are never merged away in the
+	// round they survive — so every entry resolves to a live class again.
+	for i, t := range r.table {
+		if t != nil {
+			r.table[i] = r.table[t.idx]
 		}
-	}
-	return append(append(out, a...), b...)
-}
-
-func (r *countingRep) recycleSlot(s int) {
-	if in := r.inboxes[s]; in != nil {
-		in.Recycle()
-		r.inboxes[s] = nil
-	}
-}
-
-func (r *countingRep) recycleAll() {
-	for s := range r.inboxes {
-		r.recycleSlot(s)
 	}
 }
 
@@ -778,6 +699,9 @@ func (r *countingRep) Stop() {
 		return
 	}
 	for _, c := range r.classes {
+		if c.in != nil {
+			c.in.Recycle()
+		}
 		if rel, ok := c.proc.(Releaser); ok {
 			rel.Release()
 		}
@@ -788,7 +712,6 @@ func (r *countingRep) Stop() {
 			fc.in = nil
 		}
 	}
-	r.recycleAll()
 }
 
 // ClassCount reports the live equivalence-class count (tests and

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"homonyms/internal/hom"
+	"homonyms/internal/inject"
 	"homonyms/internal/msg"
 )
 
@@ -32,79 +33,143 @@ func (a poisonPlan) Drop(int, int, int) bool                               { ret
 func (a poisonPlan) Sends(round, _ int, _ *View) []msg.TargetedSend        { return a.plan[round] }
 
 // TestCountingClassIndexThroughSplitMergeSplit drives the slow path
-// round by round through a split, the re-merge and a second split, and
-// checks the per-slot class index and the member lists after every
-// round: lists strictly ascending, classes ordered by leader, every
-// correct slot in exactly the class its index names, and
-// Engine.Process(slot) answering with that class's process (nil for the
-// corrupted slot).
+// round by round through splits, re-merges and later splits, and checks
+// the class index after every round: classes live at their table
+// entries and ordered by leader; every correct slot resolving, in one
+// hop, to a live class; each class's size the number of slots resolving
+// to it and its leader the smallest of them; and Engine.Process(slot)
+// answering with the slot's class's process — the survivor's once a
+// merge forwarded the slot's entry — and nil for the corrupted slot.
+// Identifier 1 is held by {0, 4, 8}. A merge writes no slot, so a split
+// after it must leave the merged-away entry alone until a pass has
+// re-pointed its slots, and then reuse it instead of growing the table.
 func TestCountingClassIndexThroughSplitMergeSplit(t *testing.T) {
 	const n, l, bad = 12, 4, 3
 	poison := func(to int) []msg.TargetedSend {
 		return []msg.TargetedSend{{ToSlot: to, Body: msg.Raw("poison")}}
 	}
-	e, err := New(
-		WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
-		WithAssignment(hom.RoundRobinAssignment(n, l)),
-		WithInputs(make([]hom.Value, n)...),
-		WithProcess(func(int) Process { return &lastFoldProc{} }),
-		WithAdversary(poisonPlan{bad: bad, plan: map[int][]msg.TargetedSend{2: poison(4), 4: poison(8), 5: poison(8)}}),
-		WithRounds(8),
-		WithStateRep(Counting()),
-	)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		plan        map[int][]msg.TargetedSend
+		crashes     []inject.Crash
+		wantClasses []int // after rounds 1, 2, ...
+		wantTable   int   // table entries ever in use
+	}{{
+		// Round 2 splits off {4}, round 3 re-merges, rounds 4 and 5 split
+		// off {8} into the reclaimed entry, round 6 re-merges.
+		name:        "poison",
+		plan:        map[int][]msg.TargetedSend{2: poison(4), 4: poison(8), 5: poison(8)},
+		wantClasses: []int{4, 5, 4, 5, 5, 4},
+		wantTable:   5,
+	}, {
+		// Round 2 splits off {8} and round 3 re-merges it, forwarding its
+		// entry. Slot 4 crashes in round 4 and misses the poison {0, 8}
+		// receive: the pass that splits it off meets slot 4 before it
+		// re-points slot 8, so the part must not take the forwarded entry.
+		// It re-merges in round 5, and round 6's split of {8} reuses a
+		// reclaimed entry.
+		name: "crash-after-merge",
+		plan: map[int][]msg.TargetedSend{
+			2: poison(8),
+			4: append(poison(0), poison(8)...),
+			6: poison(8),
+		},
+		crashes:     []inject.Crash{{Slot: 4, Round: 4, Recover: 1}},
+		wantClasses: []int{4, 5, 4, 5, 4, 5, 4},
+		wantTable:   6,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{
+				WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
+				WithAssignment(hom.RoundRobinAssignment(n, l)),
+				WithInputs(make([]hom.Value, n)...),
+				WithProcess(func(int) Process { return &lastFoldProc{} }),
+				WithAdversary(poisonPlan{bad: bad, plan: tc.plan}),
+				WithRounds(len(tc.wantClasses) + 2),
+				WithStateRep(Counting()),
+			}
+			if tc.crashes != nil {
+				opts = append(opts, WithFaults(&inject.Schedule{Crashes: tc.crashes}))
+			}
+			e, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := e.rep.(*countingRep)
+			defer func() {
+				rep.Stop()
+				e.intern.Recycle()
+			}()
+			if err := rep.Start(e); err != nil {
+				t.Fatal(err)
+			}
+			forwarded := 0
+			for round, want := range tc.wantClasses {
+				round++
+				if err := e.Step(round); err != nil {
+					t.Fatal(err)
+				}
+				if got := rep.ClassCount(); got != want {
+					t.Fatalf("round %d: %d classes, want %d", round, got, want)
+				}
+				forwarded += checkClassIndex(t, round, e, rep, bad)
+			}
+			if forwarded == 0 {
+				t.Error("no slot ever resolved through a forwarded entry: nothing merged")
+			}
+			if got := len(rep.table); got != tc.wantTable {
+				t.Errorf("table grew to %d entries, want %d (a reclaimed entry reused)", got, tc.wantTable)
+			}
+		})
 	}
-	rep := e.rep.(*countingRep)
-	defer func() {
-		rep.Stop()
-		e.intern.Recycle()
-	}()
-	if err := rep.Start(e); err != nil {
-		t.Fatal(err)
+}
+
+// checkClassIndex checks the counting representation's class index
+// invariants after a round (see TestCountingClassIndexThroughSplitMergeSplit)
+// and returns how many slots resolve through a forwarded entry.
+func checkClassIndex(t *testing.T, round int, e *Engine, rep *countingRep, bad int) (forwarded int) {
+	t.Helper()
+	size := make(map[*countClass]int32)
+	leader := make(map[*countClass]int32)
+	for i, c := range rep.classes {
+		if rep.table[c.idx] != c {
+			t.Errorf("round %d: class led by %d is not at its table entry %d", round, c.leader, c.idx)
+		}
+		if i > 0 && rep.classes[i-1].leader >= c.leader {
+			t.Errorf("round %d: classes out of leader order at %d", round, i)
+		}
+		size[c] = 0
 	}
-	// Identifier 1 is held by {0, 4, 8}: round 2 splits off {4}, round 3
-	// re-merges, rounds 4 and 5 split off {8}, round 6 re-merges.
-	wantClasses := []int{4, 5, 4, 5, 5, 4}
-	for round, want := range wantClasses {
-		round++
-		if err := e.Step(round); err != nil {
-			t.Fatal(err)
+	for s, ci := range rep.classOf {
+		if s == bad {
+			if ci != -1 || e.Process(s) != nil {
+				t.Errorf("round %d: corrupted slot %d indexed to %d, process %v", round, s, ci, e.Process(s))
+			}
+			continue
 		}
-		if got := rep.ClassCount(); got != want {
-			t.Fatalf("round %d: %d classes, want %d", round, got, want)
+		c := rep.table[ci]
+		if c != nil && c.idx != ci {
+			forwarded++
 		}
-		seen := make([]int, n)
-		for i, c := range rep.classes {
-			if rep.table[c.idx] != c {
-				t.Errorf("round %d: class led by %d is not at its table entry %d", round, c.members[0], c.idx)
-			}
-			if i > 0 && rep.classes[i-1].members[0] >= c.members[0] {
-				t.Errorf("round %d: classes out of leader order at %d", round, i)
-			}
-			for j, m := range c.members {
-				if j > 0 && c.members[j-1] >= m {
-					t.Errorf("round %d: members of class %d not strictly ascending: %v", round, c.idx, c.members)
-				}
-				seen[m]++
-				if rep.classOf[m] != c.idx {
-					t.Errorf("round %d: slot %d indexed to class %d, listed in %d", round, m, rep.classOf[m], c.idx)
-				}
-				if e.Process(int(m)) != c.proc {
-					t.Errorf("round %d: Engine.Process(%d) is not its class's process", round, m)
-				}
-			}
+		if _, live := size[c]; !live {
+			t.Errorf("round %d: slot %d resolves through entry %d to no live class", round, s, ci)
+			continue
 		}
-		for s, k := range seen {
-			if s == bad {
-				if k != 0 || e.Process(s) != nil {
-					t.Errorf("round %d: corrupted slot %d is in %d classes, process %v", round, s, k, e.Process(s))
-				}
-			} else if k != 1 {
-				t.Errorf("round %d: slot %d is in %d classes", round, s, k)
-			}
+		if size[c] == 0 {
+			leader[c] = int32(s)
+		}
+		size[c]++
+		if e.Process(s) != c.proc {
+			t.Errorf("round %d: Engine.Process(%d) is not its class's process", round, s)
 		}
 	}
+	for c, k := range size {
+		if k != c.size || leader[c] != c.leader {
+			t.Errorf("round %d: class at entry %d says size %d leader %d, its slots say %d and %d",
+				round, c.idx, c.size, c.leader, k, leader[c])
+		}
+	}
+	return forwarded
 }
 
 // decideAtTwo is lastFoldProc deciding in round 2.
@@ -160,13 +225,13 @@ func TestCountingSplitInDecidingRoundRecordsEveryPart(t *testing.T) {
 	}
 	for _, c := range rep.classes {
 		if c.decidedAt != 2 {
-			t.Errorf("class led by %d: decidedAt = %d, want 2", c.members[0], c.decidedAt)
+			t.Errorf("class led by %d: decidedAt = %d, want 2", c.leader, c.decidedAt)
 		}
-		for _, m := range c.members {
-			if e.res.Decisions[m] != 7 || e.res.DecidedAt[m] != 2 {
-				t.Errorf("slot %d (class led by %d): recorded decision %d in round %d, want 7 in round 2",
-					m, c.members[0], e.res.Decisions[m], e.res.DecidedAt[m])
-			}
+	}
+	for s, ci := range rep.classOf {
+		if ci >= 0 && (e.res.Decisions[s] != 7 || e.res.DecidedAt[s] != 2) {
+			t.Errorf("slot %d (class led by %d): recorded decision %d in round %d, want 7 in round 2",
+				s, rep.table[ci].leader, e.res.Decisions[s], e.res.DecidedAt[s])
 		}
 	}
 	if e.undecided != 0 {
