@@ -44,7 +44,7 @@ func run() error {
 		dropProb   = flag.Float64("drop", 0.5, "pre-GST drop probability (psync)")
 		seed       = flag.Int64("seed", 1, "determinism seed")
 		maxSends   = flag.Int("maxsends", 0, "message budget: stop the run once this many sends were stamped (0 = unlimited)")
-		stateRep   = flag.String("staterep", "", "engine state representation: concrete | concurrent | counting (empty = concrete)")
+		stateRep   = flag.String("staterep", "", "engine state representation: concrete | counting (empty = concrete)")
 		maxClasses = flag.Int("maxclasses", 0, "counting only: fail with a degeneracy error past this many equivalence classes (0 = unlimited)")
 	)
 	flag.Parse()

@@ -35,7 +35,7 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "determinism seed")
 		quick      = flag.Bool("quick", false, "smaller adversary suite per cell")
 		crashes    = flag.Int("crashes", 0, "crash-vs-Byzantine band: trade up to this many of each solvable cell's t Byzantine slots for injected crash-recovery faults")
-		stateRep   = flag.String("staterep", "", "engine state representation for the positive suites: concrete | concurrent | counting (empty = concrete)")
+		stateRep   = flag.String("staterep", "", "engine state representation for the positive suites: concrete | counting (empty = concrete)")
 		maxClasses = flag.Int("maxclasses", 0, "counting only: fail a cell with a degeneracy error past this many equivalence classes (0 = unlimited)")
 	)
 	flag.Parse()

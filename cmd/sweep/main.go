@@ -44,7 +44,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "determinism seed")
 	workers := flag.Int("workers", exec.Workers(), "parallel executions per series")
 	flag.StringVar(&stateRep, "staterep", "",
-		"engine state representation: concrete | concurrent | counting (empty = concrete); every representation measures identical rounds and messages")
+		"engine state representation: concrete | counting (empty = concrete); both measure identical rounds and messages")
 	flag.Parse()
 
 	// Resolve the representation eagerly so a typo fails before any

@@ -8,7 +8,6 @@ import (
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/core"
-	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/trace"
 )
@@ -57,38 +56,6 @@ func TestAllSolvableVariantsEndToEnd(t *testing.T) {
 				t.Fatalf("%s", res.Verdict)
 			}
 		})
-	}
-}
-
-// TestConcurrentEngineEndToEnd drives the façade's selections through the
-// goroutine-per-process state representation and checks the same
-// verdicts hold.
-func TestConcurrentEngineEndToEnd(t *testing.T) {
-	p := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
-	sel, err := core.Select(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := []hom.Value{1, 0, 1, 0, 1, 0}
-	res, err := engine.Run(
-		engine.WithParams(p),
-		engine.WithAssignment(hom.StackedAssignment(p.N, p.L)),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(sel.NewProcess),
-		engine.WithAdversary(&adversary.Composite{
-			Selector: adversary.Slots{0},
-			Behavior: adversary.MimicFlood{},
-			Drops:    adversary.RandomDrops{Seed: 5, Prob: 0.5},
-		}),
-		engine.WithGST(17),
-		engine.WithRounds(sel.SuggestedRounds(17)),
-		engine.WithStateRep(engine.ConcurrentConcrete()),
-	)
-	if err != nil {
-		t.Fatalf("engine.Run: %v", err)
-	}
-	if v := trace.Check(res); !v.OK() {
-		t.Fatalf("%s", v)
 	}
 }
 

@@ -46,7 +46,7 @@ func (r *CloneReport) Lockstep() bool { return r.DivergedAtRound == 0 }
 // process that sends the same crafted message to every clone — it cannot
 // do otherwise profitably, since any asymmetry is a single message per
 // recipient and the theorem quantifies over clone-symmetric adversaries)
-// and verifies the lockstep property round by round.
+// for maxRounds rounds and verifies the lockstep property round by round.
 func CloneCollapse(p hom.Params, factory func(slot int) engine.Process,
 	assignment hom.Assignment, inputs []hom.Value, byzSlot, maxRounds int) (*CloneReport, error) {
 	if p.Numerate || !p.RestrictedByzantine {
@@ -67,49 +67,86 @@ func CloneCollapse(p hom.Params, factory func(slot int) engine.Process,
 		}
 	}
 
-	n := len(assignment)
-	procs := make([]engine.Process, n)
-	for s := 0; s < n; s++ {
-		if s != byzSlot {
-			procs[s] = factory(s)
+	watch := &cloneWatch{byzSlot: byzSlot, clones: clones}
+	res, err := construct(p, assignment, inputs, factory, engine.WithAdversary(watch),
+		engine.WithRounds(maxRounds), engine.WithExtraRounds(maxRounds))
+	if err != nil {
+		return nil, err
+	}
+	report := &CloneReport{Rounds: res.Rounds, CloneSlots: clones}
+	// Decisions are irrevocable, so the first round after which two clones
+	// differ in whether or what they decided follows from DecidedAt. A
+	// split in their sends, seen before the round's delivery, wins a tie.
+	for _, s := range clones[1:] {
+		if r := decisionSplit(res, clones[0], s); r != 0 && (report.DivergedAtRound == 0 || r < report.DivergedAtRound) {
+			report.DivergedAtRound = r
+			report.Detail = fmt.Sprintf("round %d: decision mismatch between slots %d and %d", r, clones[0], s)
 		}
 	}
-	w := NewWorld(procs, assignment, inputs, p, p.Numerate, nil)
-
-	report := &CloneReport{CloneSlots: clones}
-	for r := 1; r <= maxRounds; r++ {
-		// The restricted Byzantine slot sends one identical message to
-		// every process per round (clone-symmetric by construction).
-		byzBody := msg.Raw(fmt.Sprintf("byz-round-%d", r))
-		w.step(byzSlot, byzBody)
-		report.Rounds = r
-		if detail := clonesDiverged(w, clones); detail != "" {
-			report.DivergedAtRound = r
-			report.Detail = detail
-			return report, nil
-		}
+	if watch.round != 0 && (report.DivergedAtRound == 0 || watch.round <= report.DivergedAtRound) {
+		report.DivergedAtRound, report.Detail = watch.round, watch.detail
+	}
+	if report.DivergedAtRound != 0 {
+		report.Rounds = report.DivergedAtRound
 	}
 	return report, nil
 }
 
-// clonesDiverged compares the last-round sends and the decisions of the
-// clone slots; it returns a description of the first divergence found.
-func clonesDiverged(w *World, clones []int) string {
-	refSends := sendKeys(w.SendsOf(clones[0]))
-	refDec, refOK := w.Procs[clones[0]].Decision()
-	for _, s := range clones[1:] {
-		if got := sendKeys(w.SendsOf(s)); got != refSends {
-			return fmt.Sprintf("round %d: slot %d sent %q but slot %d sent %q",
-				w.Round(), clones[0], refSends, s, got)
-		}
-		dec, ok := w.Procs[s].Decision()
-		if ok != refOK || (ok && dec != refDec) {
-			return fmt.Sprintf("round %d: decision mismatch between slots %d and %d",
-				w.Round(), clones[0], s)
+// decisionSplit returns the first round after which slots a and b differ
+// in whether or what they decided, or 0 if they never do.
+func decisionSplit(res *engine.Result, a, b int) int {
+	ra, rb := res.DecidedAt[a], res.DecidedAt[b]
+	if ra == rb && (ra == 0 || res.Decisions[a] == res.Decisions[b]) {
+		return 0
+	}
+	if ra == 0 || (rb != 0 && rb < ra) {
+		return rb
+	}
+	return ra
+}
+
+// cloneWatch is the restricted Byzantine slot: every round it sends one
+// identical message to every other slot (clone-symmetric by
+// construction), and it records, off the rushing View, the first round in
+// which two clones are about to send differently.
+type cloneWatch struct {
+	byzSlot int
+	clones  []int
+	round   int // first round whose clone sends differ; 0 = none
+	detail  string
+}
+
+var _ engine.Adversary = (*cloneWatch)(nil)
+
+// Corrupt implements engine.Adversary.
+func (a *cloneWatch) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int {
+	return []int{a.byzSlot}
+}
+
+// Sends implements engine.Adversary.
+func (a *cloneWatch) Sends(round, _ int, view *engine.View) []msg.TargetedSend {
+	if a.round == 0 {
+		ref := sendKeys(view.SendsOf(a.clones[0]))
+		for _, s := range a.clones[1:] {
+			if got := sendKeys(view.SendsOf(s)); got != ref {
+				a.round = round
+				a.detail = fmt.Sprintf("round %d: slot %d sent %q but slot %d sent %q", round, a.clones[0], ref, s, got)
+				break
+			}
 		}
 	}
-	return ""
+	body := msg.Raw(fmt.Sprintf("byz-round-%d", round))
+	out := make([]msg.TargetedSend, 0, len(view.Assignment)-1)
+	for to := range view.Assignment {
+		if to != a.byzSlot {
+			out = append(out, msg.TargetedSend{ToSlot: to, Body: body})
+		}
+	}
+	return out
 }
+
+// Drop implements engine.Adversary: the model is synchronous.
+func (a *cloneWatch) Drop(int, int, int) bool { return false }
 
 func sendKeys(sends []msg.Send) string {
 	out := ""

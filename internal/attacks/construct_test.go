@@ -37,31 +37,36 @@ func (p *pingProc) Receive(_ int, in *msg.Inbox) {
 
 func (p *pingProc) Decision() (hom.Value, bool) { return hom.Value(len(p.heard)), p.decided }
 
+// runProcs runs the given processes, one per slot, through construct for
+// the given rounds; a nil process marks a slot silenced by its adversary.
+func runProcs(t *testing.T, p hom.Params, ids hom.Assignment, procs []engine.Process, rounds int, opts ...engine.Option) *engine.Result {
+	t.Helper()
+	res, err := construct(p, ids, make([]hom.Value, len(ids)),
+		func(slot int) engine.Process { return procs[slot] }, append(opts, engine.WithRounds(rounds))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestWorldCompleteRouting(t *testing.T) {
-	ids := []hom.Identifier{1, 2, 3}
 	procs := []engine.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 3}}
-	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
-		hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous}, false, nil)
-	w.Step()
-	if !w.AllDecided([]int{0, 1, 2}) {
+	res := runProcs(t, hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 3}, procs, 1)
+	if !res.AllDecided {
 		t.Fatal("complete routing failed to deliver everything")
 	}
-	if dec := w.Decisions(); dec[0] != 3 {
+	if dec := res.Decisions; dec[0] != 3 {
 		t.Fatalf("slot 0 heard %d identifiers, want 3", dec[0])
 	}
 }
 
 func TestWorldRouteMask(t *testing.T) {
-	ids := []hom.Identifier{1, 2, 3}
 	procs := []engine.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 2}}
 	// Slot 2 never hears slot 0.
 	route := func(from, to int) bool { return !(from == 0 && to == 2) }
-	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
-		hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous}, false, route)
-	for i := 0; i < 3; i++ {
-		w.Step()
-	}
-	dec := w.Decisions()
+	res := runProcs(t, hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 3}, procs, 3,
+		engine.WithVisibility(route))
+	dec := res.Decisions
 	if dec[2] != 2 {
 		t.Fatalf("masked slot heard %d identifiers, want 2", dec[2])
 	}
@@ -71,12 +76,10 @@ func TestWorldRouteMask(t *testing.T) {
 }
 
 func TestWorldSilentSlots(t *testing.T) {
-	ids := []hom.Identifier{1, 2, 3}
 	procs := []engine.Process{&pingProc{k: 2}, nil, &pingProc{k: 2}}
-	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
-		hom.Params{N: 3, L: 3, T: 1, Synchrony: hom.Synchronous}, false, nil)
-	w.Step()
-	dec := w.Decisions()
+	res := runProcs(t, hom.Params{N: 3, L: 3, T: 1, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 3}, procs, 1,
+		engine.WithAdversary(&silence{lo: 2, hi: 2}))
+	dec := res.Decisions
 	if dec[1] != hom.NoValue {
 		t.Fatal("silent slot reported a decision")
 	}
@@ -86,13 +89,11 @@ func TestWorldSilentSlots(t *testing.T) {
 }
 
 func TestWorldIdentifierTargetedSends(t *testing.T) {
-	ids := []hom.Identifier{1, 2, 2}
 	sender := &targetedProc{}
 	rcv1 := &pingProc{k: 99}
 	rcv2 := &pingProc{k: 99}
-	w := NewWorld([]engine.Process{sender, rcv1, rcv2}, ids, []hom.Value{0, 0, 0},
-		hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous}, false, nil)
-	w.Step()
+	res := runProcs(t, hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 2},
+		[]engine.Process{sender, rcv1, rcv2}, 1)
 	// The ToIdentifier(2) send must reach both identifier-2 slots (which
 	// also hear each other's broadcasts, so they see identifiers 1 and 2)
 	// but must NOT loop back to the identifier-1 sender, which therefore
@@ -106,8 +107,9 @@ func TestWorldIdentifierTargetedSends(t *testing.T) {
 	if !sender.heard[2] {
 		t.Fatalf("sender missed the identifier-2 broadcasts: %v", sender.heard)
 	}
-	if got := len(w.SendsOf(0)); got != 1 {
-		t.Fatalf("SendsOf(0) = %d sends, want 1", got)
+	// Two deliveries of the targeted send plus three of each broadcast.
+	if got := res.Stats.MessagesSent; got != 8 {
+		t.Fatalf("%d messages sent, want 8", got)
 	}
 }
 
@@ -129,14 +131,11 @@ func (p *targetedProc) Decision() (hom.Value, bool) { return hom.NoValue, false 
 func TestWorldNumerateReception(t *testing.T) {
 	// Two clones of identifier 1 broadcast the same payload: a numerate
 	// receiver must count 2 copies.
-	ids := []hom.Identifier{1, 1, 2}
 	counter := &copyCounter{}
 	procs := []engine.Process{&pingProc{k: 9}, &pingProc{k: 9}, counter}
-	w := NewWorld(procs, ids, []hom.Value{0, 0, 0},
-		hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous, Numerate: true}, true, nil)
-	w.Step()
+	runProcs(t, hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous, Numerate: true}, hom.Assignment{1, 1, 2}, procs, 1)
 	if counter.copies != 2 {
-		t.Fatalf("numerate world counted %d copies, want 2", counter.copies)
+		t.Fatalf("numerate receiver counted %d copies, want 2", counter.copies)
 	}
 }
 

@@ -69,7 +69,7 @@ func Covering(p hom.Params, factory func(slot int) engine.Process, maxRounds int
 	stack := n - 3*t + 1
 
 	// Build the 2n slots: the 0-half then the 1-half.
-	var ids []hom.Identifier
+	var ids hom.Assignment
 	var inputs []hom.Value
 	var half []int // 0 or 1
 	addSlots := func(h int, id hom.Identifier, count int, input hom.Value) []int {
@@ -126,38 +126,29 @@ func Covering(p hom.Params, factory func(slot int) engine.Process, maxRounds int
 		return hears(half[to], int(ids[to]), half[from], int(ids[from]))
 	}
 
-	procs := make([]engine.Process, len(ids))
-	for s := range procs {
-		procs[s] = factory(s)
+	res, err := construct(p, ids, inputs, factory, engine.WithVisibility(route), engine.WithRounds(maxRounds))
+	if err != nil {
+		return nil, err
 	}
-	w := NewWorld(procs, ids, inputs, p, p.Numerate, route)
 
 	arc0 := collect(slotSets, "c0", 1, 2*t)
 	arc1 := collect(slotSets, "c1", t+1, 3*t)
 	arcMix := append(append([]int(nil), collect(slotSets, "c1", 2*t+1, 3*t)...),
 		collect(slotSets, "c0", 1, t)...)
 
-	all := append(append([]int(nil), arc0...), append(arc1, arcMix...)...)
-	for r := 0; r < maxRounds; r++ {
-		w.Step()
-		if w.AllDecided(all) {
-			break
-		}
-	}
-
 	report := &CoveringReport{
-		Rounds:    w.Round(),
+		Rounds:    res.Rounds,
 		Arc0:      arc0,
 		Arc1:      arc1,
 		ArcMix:    arcMix,
-		Decisions: w.Decisions(),
+		Decisions: res.Decisions,
 	}
 	report.Violations = append(report.Violations,
-		checkArcObligation(w, arc0, 0, "arc0 (all inputs 0)")...)
+		checkArcObligation(res, arc0, 0, "arc0 (all inputs 0)")...)
 	report.Violations = append(report.Violations,
-		checkArcObligation(w, arc1, 1, "arc1 (all inputs 1)")...)
+		checkArcObligation(res, arc1, 1, "arc1 (all inputs 1)")...)
 	report.Violations = append(report.Violations,
-		checkArcAgreement(w, arcMix, "arcMix")...)
+		checkArcAgreement(res, arcMix, "arcMix")...)
 	return report, nil
 }
 
@@ -171,15 +162,15 @@ func collect(sets map[string][]int, half string, lo, hi int) []int {
 
 // checkArcObligation verifies termination and validity (decide `want`)
 // for the processes of one arc.
-func checkArcObligation(w *World, arc []int, want hom.Value, label string) []trace.Violation {
+func checkArcObligation(res *engine.Result, arc []int, want hom.Value, label string) []trace.Violation {
 	var out []trace.Violation
-	dec := w.Decisions()
+	dec := res.Decisions
 	for _, s := range arc {
 		switch {
 		case dec[s] == hom.NoValue:
 			out = append(out, trace.Violation{
 				Property: trace.Termination,
-				Detail:   fmt.Sprintf("%s: slot %d undecided after %d rounds", label, s, w.Round()),
+				Detail:   fmt.Sprintf("%s: slot %d undecided after %d rounds", label, s, res.Rounds),
 			})
 			return out
 		case dec[s] != want:
@@ -195,14 +186,14 @@ func checkArcObligation(w *World, arc []int, want hom.Value, label string) []tra
 
 // checkArcAgreement verifies termination and mutual agreement for the
 // processes of one arc.
-func checkArcAgreement(w *World, arc []int, label string) []trace.Violation {
-	dec := w.Decisions()
+func checkArcAgreement(res *engine.Result, arc []int, label string) []trace.Violation {
+	dec := res.Decisions
 	first := hom.NoValue
 	for _, s := range arc {
 		if dec[s] == hom.NoValue {
 			return []trace.Violation{{
 				Property: trace.Termination,
-				Detail:   fmt.Sprintf("%s: slot %d undecided after %d rounds", label, s, w.Round()),
+				Detail:   fmt.Sprintf("%s: slot %d undecided after %d rounds", label, s, res.Rounds),
 			}}
 		}
 		if first == hom.NoValue {

@@ -3,6 +3,7 @@ package attacks
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"homonyms/internal/engine"
@@ -72,22 +73,43 @@ func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds in
 	}
 	pad := n - (2*l - 3*t)
 
+	// replay runs one internal execution over the whole horizon, with the
+	// holders of identifiers lo..hi Byzantine and silent and every correct
+	// input equal to input, and records the per-round sends of identifiers
+	// 1..t. It returns the record and the round by which every correct
+	// process had decided (0 if one never did).
+	replay := func(ids hom.Assignment, input hom.Value, lo, hi int) ([][][]msg.Send, int, error) {
+		inputs := make([]hom.Value, len(ids))
+		for s := range inputs {
+			inputs[s] = input
+		}
+		rec := &silence{lo: hom.Identifier(lo), hi: hom.Identifier(hi), record: t}
+		res, err := construct(p, ids, inputs, factory, engine.WithAdversary(rec),
+			engine.WithRounds(maxRounds), engine.WithExtraRounds(maxRounds))
+		if err != nil || !res.AllDecided {
+			return rec.trace, 0, err
+		}
+		return rec.trace, slices.Max(res.DecidedAt), nil
+	}
+
 	// --- Internal execution α -------------------------------------------
 	// Identifiers: 1 ×(n−l+1), 2..l ×1. Byzantine-silent: ids t+1..2t.
-	alphaIDs := make([]hom.Identifier, 0, n)
+	alphaIDs := make(hom.Assignment, 0, n)
 	for i := 0; i < n-l+1; i++ {
 		alphaIDs = append(alphaIDs, 1)
 	}
 	for id := 2; id <= l; id++ {
 		alphaIDs = append(alphaIDs, hom.Identifier(id))
 	}
-	alphaSilent := func(id hom.Identifier) bool { return int(id) >= t+1 && int(id) <= 2*t }
-	alpha := buildReplayWorld(p, factory, alphaIDs, 0, alphaSilent)
+	alphaTrace, alphaDecided, err := replay(alphaIDs, 0, t+1, 2*t)
+	if err != nil {
+		return nil, err
+	}
 
 	// --- Internal execution β -------------------------------------------
 	// Identifiers: 1 ×(n−l+1−pad), 2..l−1 ×1, l ×(1+pad). Byzantine-
 	// silent: ids 2t+1..3t.
-	betaIDs := make([]hom.Identifier, 0, n)
+	betaIDs := make(hom.Assignment, 0, n)
 	for i := 0; i < n-l+1-pad; i++ {
 		betaIDs = append(betaIDs, 1)
 	}
@@ -97,13 +119,10 @@ func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds in
 	for i := 0; i <= pad; i++ {
 		betaIDs = append(betaIDs, hom.Identifier(l))
 	}
-	betaSilent := func(id hom.Identifier) bool { return int(id) >= 2*t+1 && int(id) <= 3*t }
-	beta := buildReplayWorld(p, factory, betaIDs, 1, betaSilent)
-
-	// Record the per-round broadcasts of identifiers 1..t in both worlds
-	// over the whole horizon.
-	alphaTrace, alphaDecided := recordReplay(alpha, t, maxRounds)
-	betaTrace, betaDecided := recordReplay(beta, t, maxRounds)
+	betaTrace, betaDecided, err := replay(betaIDs, 1, 2*t+1, 3*t)
+	if err != nil {
+		return nil, err
+	}
 
 	// --- Real execution γ -----------------------------------------------
 	// Slots: byz (ids 1..t), X (ids 2t+1..l, input 0), then Y (ids
@@ -152,15 +171,9 @@ func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds in
 		alphaTrace: alphaTrace,
 		betaTrace:  betaTrace,
 	}
-	res, err := engine.Run(engine.FromConfig(engine.Config{
-		Params:     p,
-		Assignment: gammaIDs,
-		Inputs:     inputs,
-		NewProcess: factory,
-		Adversary:  adv,
-		GST:        maxRounds + 1, // drops allowed for the whole run
-		MaxRounds:  maxRounds,
-	}))
+	res, err := construct(p, gammaIDs, inputs, factory, engine.WithAdversary(adv),
+		engine.WithGST(maxRounds+1), // drops allowed for the whole run
+		engine.WithRounds(maxRounds))
 	if err != nil {
 		return nil, err
 	}
@@ -175,54 +188,6 @@ func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds in
 	}, nil
 }
 
-// buildReplayWorld assembles one internal execution: factory-built
-// processes on the given identifier multiset with a constant input;
-// identifiers matching silent() are Byzantine-silent (nil process).
-func buildReplayWorld(p hom.Params, factory func(slot int) engine.Process,
-	ids []hom.Identifier, input hom.Value, silent func(hom.Identifier) bool) *World {
-	n := len(ids)
-	procs := make([]engine.Process, n)
-	inputs := make([]hom.Value, n)
-	for s := 0; s < n; s++ {
-		inputs[s] = input
-		if !silent(ids[s]) {
-			procs[s] = factory(s)
-		}
-	}
-	return NewWorld(procs, ids, inputs, p, p.Numerate, nil)
-}
-
-// recordReplay steps the world for `rounds` rounds and records, for each
-// round and each identifier 1..t, the sends of every process holding that
-// identifier. It returns the table and the round by which all non-silent
-// processes had decided (0 if they never all decided).
-func recordReplay(w *World, t, rounds int) (map[int]map[hom.Identifier][]msg.Send, int) {
-	table := make(map[int]map[hom.Identifier][]msg.Send, rounds)
-	decidedAt := 0
-	var live []int
-	for s, p := range w.Procs {
-		if p != nil {
-			live = append(live, s)
-		}
-	}
-	for r := 1; r <= rounds; r++ {
-		w.Step()
-		perID := make(map[hom.Identifier][]msg.Send, t)
-		for s := range w.Procs {
-			id := w.IDs[s]
-			if int(id) > t || w.Procs[s] == nil {
-				continue
-			}
-			perID[id] = append(perID[id], w.SendsOf(s)...)
-		}
-		table[r] = perID
-		if decidedAt == 0 && w.AllDecided(live) {
-			decidedAt = r
-		}
-	}
-	return table, decidedAt
-}
-
 // partitionAdversary replays the recorded α and β traffic of identifiers
 // 1..t toward camps X and Y respectively, and suppresses every X↔Y
 // delivery.
@@ -230,8 +195,8 @@ type partitionAdversary struct {
 	byzSlots   []int
 	camp       []int // 0 byz, 1 X, 2 Y
 	gammaIDs   hom.Assignment
-	alphaTrace map[int]map[hom.Identifier][]msg.Send
-	betaTrace  map[int]map[hom.Identifier][]msg.Send
+	alphaTrace [][][]msg.Send // silence.trace of α
+	betaTrace  [][][]msg.Send // silence.trace of β
 }
 
 var _ engine.Adversary = (*partitionAdversary)(nil)
@@ -253,8 +218,8 @@ func (a *partitionAdversary) Corrupt(hom.Params, hom.Assignment, []hom.Value) []
 func (a *partitionAdversary) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
 	id := a.gammaIDs[slot]
 	var out []msg.TargetedSend
-	emit := func(sends []msg.Send, campWant int) {
-		for _, snd := range sends {
+	emit := func(trace [][][]msg.Send, campWant int) {
+		for _, snd := range trace[round-1][id-1] {
 			for to := range a.camp {
 				if a.camp[to] != campWant {
 					continue
@@ -266,12 +231,8 @@ func (a *partitionAdversary) Sends(round, slot int, _ *engine.View) []msg.Target
 			}
 		}
 	}
-	if perID := a.alphaTrace[round]; perID != nil {
-		emit(perID[id], 1)
-	}
-	if perID := a.betaTrace[round]; perID != nil {
-		emit(perID[id], 2)
-	}
+	emit(a.alphaTrace, 1)
+	emit(a.betaTrace, 2)
 	return out
 }
 

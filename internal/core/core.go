@@ -143,9 +143,8 @@ type Config struct {
 	// to MaxRounds. 0 = unlimited.
 	MaxSends int
 	// StateRep selects the engine's state representation by name: "" or
-	// "concrete" (one process per slot, sequential), "concurrent" (one
-	// goroutine per process) or "counting" (equivalence classes with
-	// multiplicities — memory and time scale with classes, not n).
+	// "concrete" (one process per slot) or "counting" (equivalence classes
+	// with multiplicities — memory and time scale with classes, not n).
 	StateRep string
 	// MaxClasses bounds the counting representation's class count; with
 	// StateRep "counting" an execution whose adversary forces more

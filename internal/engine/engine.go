@@ -32,19 +32,19 @@
 //     honest.
 //
 // An execution is assembled with New(opts ...Option) — functional options
-// over a validated configuration — and executed once with (*Engine).Run.
-// Two seams parameterize the kernel beyond the routing strategy:
+// over a validated configuration — and executed once with (*Engine).Run,
+// which owns the one round loop. Two seams parameterize the kernel beyond
+// the routing strategy:
 //
-//   - TimeModel owns the outer execution loop. Lockstep (the paper's
-//     round-by-round model) is the default; EventuallySynchronous layers
+//   - TimeModel grants the timing policy. Lockstep (the paper's
+//     round-by-round model) is the default; EventuallySynchronous adds
 //     per-link delay/reorder faults, per-process round-clock stalls
 //     (skew, bounded after GST) and timeout-driven retransmission with
-//     exponential backoff on top of the same loop, holding in-flight
-//     messages in a deterministic pending queue.
+//     exponential backoff, holding in-flight messages in a deterministic
+//     pending queue.
 //   - StateRep owns how correct-process state is held and stepped.
-//     Concrete (one state machine per slot, stepped in place) and
-//     ConcurrentConcrete (one goroutine per slot) hold a process per
-//     slot; Counting holds one per equivalence class of slots.
+//     Concrete holds one state machine per slot; Counting holds one per
+//     equivalence class of slots.
 //
 // Round delivery runs through the Router, shared by every state
 // representation: sends are stamped once into a structure-of-arrays
@@ -101,11 +101,11 @@ type Process interface {
 	// Every inbox one process receives over its life carries KeyIDs
 	// (msg.Inbox.KeyIDAt) issued by one msg.Interner, or NoKey
 	// throughout — every state representation and every driver outside
-	// the engine (attacks.World, the scripted shadows) keeps to that. A
-	// protocol may therefore index its own tables by KeyID across
-	// rounds, as authbcast's echo memo does; it must never hash,
-	// fingerprint or otherwise expose one, because KeyIDs differ between
-	// executions that behave identically.
+	// the engine (the scripted shadows) keeps to that. A protocol may
+	// therefore index its own tables by KeyID across rounds, as
+	// authbcast's echo memo does; it must never hash, fingerprint or
+	// otherwise expose one, because KeyIDs differ between executions that
+	// behave identically.
 	Receive(round int, in *msg.Inbox)
 	// Decision returns the decided value, if any.
 	Decision() (hom.Value, bool)
@@ -321,11 +321,10 @@ type Config struct {
 // scratch to their pools for the next execution.
 //
 // Invariants: Release is called at most once per process, strictly after
-// its last Receive/Decision call (the concurrent state representation
-// calls it on the goroutine that owned the process, before Run returns);
-// the process is unusable afterwards, and anything it returned to a pool
-// — tables, interners, KeyIDs they issued — must not be referenced
-// again. Implementations must tolerate being absent: the hook is
+// its last Receive/Decision call and before Run returns; the process is
+// unusable afterwards, and anything it returned to a pool — tables,
+// interners, KeyIDs they issued — must not be referenced again.
+// Implementations must tolerate being absent: the hook is
 // optional and the engine never requires it.
 type Releaser interface {
 	Release()
@@ -339,7 +338,7 @@ var (
 	ErrCorruptRange      = errors.New("engine: adversary corrupted an out-of-range or duplicate slot")
 	// ErrTimingFaults: the fault schedule contains delay/reorder/stall
 	// faults but the selected time model grants no timing capability
-	// (see TimingModel); run them under EventuallySynchronous.
+	// (see TimingPolicy); run them under EventuallySynchronous.
 	ErrTimingFaults = errors.New("engine: delay/reorder/stall faults require a timing-capable time model")
 	// ErrTimingPolicy: a timing-capable time model was built with a
 	// negative Bound, Timeout or MaxAttempts.
@@ -487,12 +486,11 @@ func (r *Result) CorrectRun(from int) (lo, hi int) {
 	return lo, hi
 }
 
-// Engine holds one assembled execution: configuration, time model, state
+// Engine holds one assembled execution: configuration, state
 // representation, and the per-round scratch the kernel reuses across
 // rounds. Build one with New; it executes exactly once via Run.
 type Engine struct {
 	cfg       Config
-	tm        TimeModel
 	rep       StateRep
 	n         int
 	procs     []Process    // nil at corrupted slots; nil altogether when owner holds the processes
@@ -527,7 +525,6 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 	n := cfg.Params.N
 	e := &Engine{
 		cfg:   cfg,
-		tm:    tm,
 		rep:   rep,
 		n:     n,
 		isBad: make([]bool, n),
@@ -614,10 +611,7 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		e.intern = msg.NewPooledInterner()
 		e.ownIntern = true
 	}
-	var policy TimingPolicy
-	if tmodel, ok := tm.(TimingModel); ok {
-		policy = tmodel.Timing()
-	}
+	policy := tm.Timing()
 	if policy.Enabled && (policy.Bound < 0 || policy.Timeout < 0 || policy.MaxAttempts < 0) {
 		return nil, fmt.Errorf("%w (bound=%d, timeout=%d, maxattempts=%d)",
 			ErrTimingPolicy, policy.Bound, policy.Timeout, policy.MaxAttempts)
@@ -639,17 +633,17 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 	return e, nil
 }
 
-// Run executes the assembled instance once, driven by its TimeModel, to
-// completion (all correct slots decided, plus ExtraRounds), to MaxRounds,
-// or to a budget stop. A second Run returns ErrEngineReused.
+// Run executes the assembled instance once, round by round in lockstep,
+// to completion (all correct slots decided, plus ExtraRounds), to
+// MaxRounds, or to a budget stop. A second Run returns ErrEngineReused.
 func (e *Engine) Run() (*Result, error) {
 	if e.ran {
 		return nil, ErrEngineReused
 	}
 	e.ran = true
-	// Tear down the state representation (joining any goroutines it owns
-	// and releasing processes) and recycle the pooled interner on every
-	// exit path, including an invariant abort mid-execution.
+	// Tear down the state representation (releasing processes) and
+	// recycle the pooled interner on every exit path, including an
+	// invariant abort mid-execution.
 	defer func() {
 		e.rep.Stop()
 		if e.ownIntern {
@@ -663,27 +657,29 @@ func (e *Engine) Run() (*Result, error) {
 	if e.cfg.Deadline > 0 {
 		e.deadline = time.Now().Add(e.cfg.Deadline)
 	}
-	if err := e.tm.Drive(e); err != nil {
-		return nil, err
+	extra := e.cfg.ExtraRounds
+	for round := 1; round <= e.cfg.MaxRounds; round++ {
+		if err := e.step(round); err != nil {
+			return nil, err
+		}
+		if e.exhausted() {
+			break
+		}
+		if e.undecided == 0 {
+			if extra == 0 {
+				break
+			}
+			extra--
+		}
 	}
-	e.res.AllDecided = e.AllCorrectDecided()
+	e.res.AllDecided = e.undecided == 0
 	e.res.SlotHashes = e.slotHash
 	return e.res, nil
 }
 
-// MaxRounds exposes the execution's round cap to time models.
-func (e *Engine) MaxRounds() int { return e.cfg.MaxRounds }
-
-// ExtraRounds exposes the post-decision round allowance to time models.
-func (e *Engine) ExtraRounds() int { return e.cfg.ExtraRounds }
-
-// AllCorrectDecided reports whether every non-corrupted slot has decided
-// (a counter RecordDecision maintains — time models ask every round).
-func (e *Engine) AllCorrectDecided() bool { return e.undecided == 0 }
-
-// Exhausted checks the execution budgets after a round; when one is
+// exhausted checks the execution budgets after a round; when one is
 // spent it records the stop reason on the Result and reports true.
-func (e *Engine) Exhausted() bool {
+func (e *Engine) exhausted() bool {
 	if e.cfg.MaxSends > 0 && e.router.TotalStamped() >= e.cfg.MaxSends {
 		e.res.Stopped = StopMessageBudget
 		return true
@@ -695,7 +691,7 @@ func (e *Engine) Exhausted() bool {
 	return false
 }
 
-// Step executes one round: collect correct sends, ask the adversary for
+// step executes one round: collect correct sends, ask the adversary for
 // Byzantine sends, deliver, and advance every correct process. All round
 // state lives in engine-owned scratch reused across rounds. A correct
 // slot inside a crash window takes no step this round — no Prepare, no
@@ -704,7 +700,7 @@ func (e *Engine) Exhausted() bool {
 // A stalled slot (eventually-synchronous skew) is treated the same on
 // the stepping side, but its inbound messages are held rather than
 // lost and surface when it wakes.
-func (e *Engine) Step(round int) error {
+func (e *Engine) step(round int) error {
 	e.res.Rounds = round
 
 	// Phase 1: correct sends, collected by the state representation.

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestNewConflictingOptions(t *testing.T) {
 		}},
 		{"staterep", []engine.Option{
 			engine.WithStateRep(engine.Concrete()),
-			engine.WithStateRep(engine.ConcurrentConcrete()),
+			engine.WithStateRep(engine.Counting()),
 		}},
 	}
 	for _, tc := range cases {
@@ -324,24 +325,39 @@ func TestBudgetInvariantInterplay(t *testing.T) {
 // TestSecondRunIsTypedError pins hostile reuse: the first Run releases
 // the execution's state, so a second one on the same Engine must refuse
 // with ErrEngineReused under every state representation, not
-// dereference what was recycled.
+// dereference what was recycled — also while other executions draw the
+// recycled state from the same pools.
 func TestSecondRunIsTypedError(t *testing.T) {
-	for name, rep := range map[string]func() engine.StateRep{
-		"concrete":   engine.Concrete,
-		"concurrent": engine.ConcurrentConcrete,
-		"counting":   engine.Counting,
+	for _, tc := range []struct {
+		name string
+		rep  func() engine.StateRep
+		runs int // executions at once, one goroutine each
+	}{
+		{"concrete", engine.Concrete, 1},
+		{"concurrent", engine.Counting, 4},
+		{"counting", engine.Counting, 1},
 	} {
-		t.Run(name, func(t *testing.T) {
-			e, err := engine.New(append(baseOptions(), engine.WithStateRep(rep()))...)
-			if err != nil {
-				t.Fatalf("New: %v", err)
+		t.Run(tc.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for range tc.runs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					e, err := engine.New(append(baseOptions(), engine.WithStateRep(tc.rep()))...)
+					if err != nil {
+						t.Errorf("New: %v", err)
+						return
+					}
+					if _, err := e.Run(); err != nil {
+						t.Errorf("first Run: %v", err)
+						return
+					}
+					if res, err := e.Run(); !errors.Is(err, engine.ErrEngineReused) || res != nil {
+						t.Errorf("second Run = (%v, %v), want (nil, ErrEngineReused)", res, err)
+					}
+				}()
 			}
-			if _, err := e.Run(); err != nil {
-				t.Fatalf("first Run: %v", err)
-			}
-			if res, err := e.Run(); !errors.Is(err, engine.ErrEngineReused) || res != nil {
-				t.Fatalf("second Run = (%v, %v), want (nil, ErrEngineReused)", res, err)
-			}
+			wg.Wait()
 		})
 	}
 }

@@ -147,9 +147,8 @@ type Router struct {
 	// Eventually-synchronous timing machinery (TimingPolicy granted by
 	// the time model): held deliveries cross rounds in the pending
 	// queue, and sender timeout retransmissions fire from it with
-	// exponential backoff. All of it runs on the engine's coordinating
-	// goroutine, identically under both delivery modes and both state
-	// representations.
+	// exponential backoff, identically under both delivery modes and
+	// every state representation.
 	timing      bool // timing machinery live (EnableTiming)
 	esBound     int  // max post-stabilisation delivery delay in rounds
 	esTimeout   int  // first retransmit after this many rounds; 0 = off

@@ -3,7 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -23,7 +23,7 @@ import (
 type memoTap struct {
 	inner           engine.Process
 	strip           bool
-	offered, clones *atomic.Int64 // the concurrent representation prepares in parallel
+	offered, clones *int64
 }
 
 func (p *memoTap) Init(ctx engine.Context)          { p.inner.Init(ctx) }
@@ -35,7 +35,7 @@ func (p *memoTap) StateFingerprint() msg.StateHash {
 }
 func (p *memoTap) wrap(inner engine.Process) *memoTap { cp := *p; cp.inner = inner; return &cp }
 func (p *memoTap) CloneProcess() engine.Process {
-	p.clones.Add(1)
+	*p.clones++
 	return p.wrap(p.inner.(engine.Cloner).CloneProcess())
 }
 
@@ -43,7 +43,7 @@ func (p *memoTap) Prepare(round int) []msg.Send {
 	sends := p.inner.Prepare(round)
 	for _, s := range sends {
 		if s.Memo != nil {
-			p.offered.Add(1)
+			*p.offered++
 		}
 	}
 	if !p.strip {
@@ -62,17 +62,18 @@ type memoRun struct {
 	keys            []string // Interner.Snapshot: KeyID assignment order
 	traffic         []string // every delivery, with its KeyID
 	res             *engine.Result
-	offered, clones atomic.Int64
+	offered, clones int64
 }
 
 // runFigure5 runs the Figure-5 algorithm with one equivocating holder of
 // identifier 1 (round-robin assignment, so a homonym group whenever
-// n > l) and records the execution.
+// n > l) and records the execution; nil after reporting a failure.
 func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, strip bool) *memoRun {
 	t.Helper()
 	factory, err := psynchom.New(p, psynchom.Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	run := new(memoRun)
 	tap := &memoTap{strip: strip, offered: &run.offered, clones: &run.clones}
@@ -102,7 +103,8 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 		engine.WithStateRep(rep),
 	)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	run.keys = it.Snapshot()
 	for _, d := range run.res.Traffic {
@@ -121,28 +123,42 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 // drops, back-to-back executions that hand the broadcast layer's pooled
 // tables (and the memos in them) from one run to the next, and a counting
 // run whose classes fork mid-execution (a clone re-sends its original's
-// payloads from a table of its own).
+// payloads from a table of its own), and the two runs executing at once,
+// drawing on the same pools as the exec pool's workers do.
 func TestStampMemoMatchesKeyPath(t *testing.T) {
 	homonyms := hom.Params{N: 8, L: 6, T: 1, Synchrony: hom.PartiallySynchronous}
 	for _, tc := range []struct {
-		name string
-		rep  func() engine.StateRep
-		fork bool
+		name       string
+		rep        func() engine.StateRep
+		fork       bool
+		concurrent bool
 	}{
-		{"concrete", engine.Concrete, false},
-		{"concurrent", engine.ConcurrentConcrete, false},
-		{"counting", engine.Counting, true},
+		{"concrete", engine.Concrete, false, false},
+		{"concurrent", engine.Counting, true, true},
+		{"counting", engine.Counting, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Seeds alternate, so each run's tables come out of the pool
 			// the previous, different run returned them to.
 			for _, seed := range []int64{1, 2, 1} {
-				memo := runFigure5(t, homonyms, seed, tc.rep(), false)
-				plain := runFigure5(t, homonyms, seed, tc.rep(), true)
-				if n := memo.offered.Load(); n == 0 || n != plain.offered.Load() {
-					t.Fatalf("seed %d: processes offered %d memos (%d in the stripped run): the differential compares nothing", seed, n, plain.offered.Load())
+				var memo, plain *memoRun
+				if tc.concurrent {
+					var wg sync.WaitGroup
+					wg.Add(2)
+					go func() { defer wg.Done(); memo = runFigure5(t, homonyms, seed, tc.rep(), false) }()
+					go func() { defer wg.Done(); plain = runFigure5(t, homonyms, seed, tc.rep(), true) }()
+					wg.Wait()
+				} else {
+					memo = runFigure5(t, homonyms, seed, tc.rep(), false)
+					plain = runFigure5(t, homonyms, seed, tc.rep(), true)
 				}
-				if tc.fork && memo.clones.Load() == 0 {
+				if memo == nil || plain == nil {
+					t.FailNow()
+				}
+				if n := memo.offered; n == 0 || n != plain.offered {
+					t.Fatalf("seed %d: processes offered %d memos (%d in the stripped run): the differential compares nothing", seed, n, plain.offered)
+				}
+				if tc.fork && memo.clones == 0 {
 					t.Fatalf("seed %d: no class forked: the run does not cover clones", seed)
 				}
 				if !memo.res.AllDecided {

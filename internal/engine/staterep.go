@@ -3,9 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 )
 
@@ -13,19 +11,18 @@ import (
 // engine's second seam. The kernel keeps the round lifecycle (adversary,
 // routing, budgets, invariants); the representation supplies the two
 // process-facing phases: collecting a round's sends (PrepareRound) and
-// delivering its inboxes (DeliverRound). Both concrete representations
-// below hold one Process state machine per slot; a counting
-// representation — many indistinguishable homonyms folded into one
-// counted state — plugs in here without touching the kernel.
+// delivering its inboxes (DeliverRound). Concrete holds one Process state
+// machine per slot; Counting folds many indistinguishable homonyms into
+// one counted state.
 //
 // Contract: PrepareRound must call e.SetSends for every slot (nil for
 // corrupted, crashed or silent slots); DeliverRound must draw every
 // correct slot's inbox from e.Router() in ascending slot order — the
 // shared-reception classes drain their reference counts in that order —
 // and recycle each inbox once its Receive returned. Stop tears the
-// representation down (joining any goroutines it owns and releasing
-// processes); it is called exactly once, on every Run exit path, and
-// must tolerate Start never having been called.
+// representation down (releasing processes); it is called exactly once,
+// on every Run exit path, and must tolerate Start never having been
+// called.
 type StateRep interface {
 	// Describe names the representation for diagnostics.
 	Describe() string
@@ -45,11 +42,10 @@ type StateRep interface {
 var ErrUnknownStateRep = errors.New("engine: unknown state representation")
 
 // StateRepByName resolves a state representation from its CLI/scenario
-// name: "" and "concrete" select Concrete, "concurrent" selects
-// ConcurrentConcrete, and "counting" selects Counting — with a class
-// budget when maxClasses > 0 (runs that split past the budget fail with
-// a *DegeneracyError). maxClasses is rejected for the concrete
-// representations, which have no class notion.
+// name: "" and "concrete" select Concrete, and "counting" selects
+// Counting — with a class budget when maxClasses > 0 (runs that split
+// past the budget fail with a *DegeneracyError). maxClasses is rejected
+// for Concrete, which has no class notion.
 func StateRepByName(name string, maxClasses int) (StateRep, error) {
 	switch name {
 	case "", "concrete":
@@ -57,18 +53,13 @@ func StateRepByName(name string, maxClasses int) (StateRep, error) {
 			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
 		}
 		return Concrete(), nil
-	case "concurrent":
-		if maxClasses > 0 {
-			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
-		}
-		return ConcurrentConcrete(), nil
 	case "counting":
 		if maxClasses > 0 {
 			return CountingLimited(maxClasses), nil
 		}
 		return Counting(), nil
 	}
-	return nil, fmt.Errorf("%w: %q (want concrete, concurrent or counting)", ErrUnknownStateRep, name)
+	return nil, fmt.Errorf("%w: %q (want concrete or counting)", ErrUnknownStateRep, name)
 }
 
 // Cloner is the optional Process extension that makes a protocol
@@ -116,8 +107,8 @@ type repFailer interface {
 	Err() error
 }
 
-// concreteRep is the sequential concrete representation: one Process per
-// slot, stepped in place on the driving goroutine.
+// concreteRep is the concrete representation: one Process per slot,
+// stepped in place.
 type concreteRep struct {
 	e *Engine
 }
@@ -180,167 +171,4 @@ func (r *concreteRep) Stop() {
 			}
 		}
 	}
-}
-
-// Concurrent-representation worker messages: the coordinator drives each
-// process goroutine with a strict prepare → sends → inbox → decision
-// cycle per round.
-type prepareReq struct {
-	round int
-}
-
-type prepareResp struct {
-	slot  int
-	sends []msg.Send
-}
-
-type receiveReq struct {
-	round int
-	inbox *msg.Inbox
-}
-
-type decisionResp struct {
-	slot    int
-	value   hom.Value
-	decided bool
-}
-
-type repWorker struct {
-	slot    int
-	proc    Process
-	prepare chan prepareReq
-	receive chan receiveReq
-}
-
-// concurrentRep is the concurrent concrete representation: one goroutine
-// per correct process, exchanging messages with the coordinator over
-// unbuffered channels, one lockstep round at a time. It produces results
-// equal, delivery for delivery, to the sequential representation's (the
-// equivalence is pinned by the parity suites over the committed fuzz
-// corpus): the intern table lives on the coordinator and messages are
-// symbolized in stamp order, never from worker goroutines, so KeyID
-// assignment matches exactly.
-//
-// The goroutine lifecycle follows the project's coding guide: Start owns
-// all goroutines it spawns, Stop signals them through a close-once
-// channel and joins them before returning — no leaks on any path.
-type concurrentRep struct {
-	e           *Engine
-	wg          sync.WaitGroup
-	workers     []*repWorker
-	prepareOut  chan prepareResp
-	decisionOut chan decisionResp
-	inboxes     []*msg.Inbox
-	up          int // workers stepped in the current round
-}
-
-// ConcurrentConcrete returns the goroutine-per-process state
-// representation.
-func ConcurrentConcrete() StateRep { return &concurrentRep{} }
-
-func (r *concurrentRep) Describe() string { return "concurrent-concrete" }
-
-func (r *concurrentRep) Start(e *Engine) error {
-	r.e = e
-	n := e.N()
-	r.workers = make([]*repWorker, n)
-	r.prepareOut = make(chan prepareResp)
-	r.decisionOut = make(chan decisionResp)
-	r.inboxes = make([]*msg.Inbox, n)
-	for s := 0; s < n; s++ {
-		p := e.Process(s)
-		if p == nil {
-			continue
-		}
-		w := &repWorker{
-			slot:    s,
-			proc:    p,
-			prepare: make(chan prepareReq),
-			receive: make(chan receiveReq),
-		}
-		r.workers[s] = w
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			for req := range w.prepare {
-				r.prepareOut <- prepareResp{slot: w.slot, sends: w.proc.Prepare(req.round)}
-				recv := <-w.receive
-				w.proc.Receive(recv.round, recv.inbox)
-				v, ok := w.proc.Decision()
-				r.decisionOut <- decisionResp{slot: w.slot, value: v, decided: ok}
-			}
-			// The coordinator closed the prepare channel: the execution is
-			// over, so the process can return its arenas to their pools.
-			// Doing it here keeps Release on the goroutine that owned the
-			// process state, joined before Run returns.
-			if rel, ok := w.proc.(Releaser); ok {
-				rel.Release()
-			}
-		}()
-	}
-	return nil
-}
-
-func (r *concurrentRep) PrepareRound(round int) {
-	e := r.e
-	// Fan out prepare requests, gather sends. A worker whose slot is
-	// inside a crash or stall window gets no request this round — it
-	// stays parked on its prepare channel, holding its protocol state,
-	// and resumes when the window ends.
-	r.up = 0
-	for _, w := range r.workers {
-		if w != nil && !e.Halted(w.slot, round) {
-			w.prepare <- prepareReq{round: round}
-			r.up++
-		}
-	}
-	for s := 0; s < e.N(); s++ {
-		e.SetSends(s, nil)
-	}
-	for i := 0; i < r.up; i++ {
-		resp := <-r.prepareOut
-		if len(resp.sends) > 0 {
-			e.SetSends(resp.slot, resp.sends)
-		}
-	}
-}
-
-func (r *concurrentRep) DeliverRound(round int) {
-	e := r.e
-	// Fan out inboxes, gather decisions. Every Receive has returned
-	// before its worker reports a decision, so the inboxes can be
-	// recycled once all decisions are in.
-	for _, w := range r.workers {
-		if w != nil {
-			in := e.Router().Inbox(w.slot)
-			if e.Halted(w.slot, round) {
-				// Crashed or stalled this round: the inbox is still
-				// drawn (and discarded) so shared-class reference counts
-				// drain, but the parked worker takes no step.
-				in.Recycle()
-				continue
-			}
-			r.inboxes[w.slot] = in
-			w.receive <- receiveReq{round: round, inbox: in}
-		}
-	}
-	for i := 0; i < r.up; i++ {
-		d := <-r.decisionOut
-		e.RecordDecision(d.slot, d.value, d.decided, round)
-	}
-	for s, in := range r.inboxes {
-		if in != nil {
-			in.Recycle()
-			r.inboxes[s] = nil
-		}
-	}
-}
-
-func (r *concurrentRep) Stop() {
-	for _, w := range r.workers {
-		if w != nil {
-			close(w.prepare)
-		}
-	}
-	r.wg.Wait()
 }

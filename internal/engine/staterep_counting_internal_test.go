@@ -106,7 +106,7 @@ func TestCountingClassIndexThroughSplitMergeSplit(t *testing.T) {
 			forwarded := 0
 			for round, want := range tc.wantClasses {
 				round++
-				if err := e.Step(round); err != nil {
+				if err := e.step(round); err != nil {
 					t.Fatal(err)
 				}
 				if got := rep.ClassCount(); got != want {
@@ -216,7 +216,7 @@ func TestCountingSplitInDecidingRoundRecordsEveryPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 2; round++ {
-		if err := e.Step(round); err != nil {
+		if err := e.step(round); err != nil {
 			t.Fatal(err)
 		}
 	}

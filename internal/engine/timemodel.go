@@ -2,59 +2,34 @@ package engine
 
 import "fmt"
 
-// TimeModel owns the outer execution loop: when rounds begin, how many
-// run, and when the execution ends. The kernel hands it an Engine whose
-// Step method executes one full round (prepare → adversary → route →
-// deliver → check); everything between Step calls — pacing, budgets,
-// termination — is the model's to decide.
+// TimeModel selects the timing policy an execution runs under. The round
+// loop itself is always Run's lockstep loop — rounds are the time base —
+// and a model only decides what the Router's timing machinery may do
+// between them.
 //
 // Two implementations exist: Lockstep realises the paper's synchronous
 // and partially synchronous models (the latter differs only in the
-// Router's pre-GST drop window, not in the loop shape), and
+// Router's pre-GST drop window) and grants the zero policy, and
 // EventuallySynchronous adds the timing dimension — per-link message
-// delay/reorder and per-process round-clock stalls, held in the
-// engine's pending queue and bounded after GST — via the TimingModel
-// capability. Implementations must be deterministic: any randomness or
-// wall-clock dependence belongs in explicitly non-deterministic knobs
-// (Config.Deadline), never in Drive.
+// delay/reorder and per-process round-clock stalls, held in the engine's
+// pending queue and bounded after GST.
 type TimeModel interface {
 	// Describe names the model for diagnostics.
 	Describe() string
-	// Drive executes the assembled engine to termination. It must call
-	// e.Step for every round it runs and stop on the first error.
-	Drive(e *Engine) error
+	// Timing returns the policy the engine's timing machinery runs under.
+	Timing() TimingPolicy
 }
 
 // Lockstep is the paper's round-by-round timing model: all processes
-// advance through the same round together, and the execution ends at
-// decision (plus ExtraRounds), at MaxRounds, or at a budget stop.
+// advance through the same round together, and no timing fault can hold a
+// delivery.
 type Lockstep struct{}
 
 // Describe implements TimeModel.
 func (Lockstep) Describe() string { return "lockstep" }
 
-// Drive implements TimeModel.
-func (Lockstep) Drive(e *Engine) error {
-	decidedRemaining := -1 // countdown once everyone decided
-	for round := 1; round <= e.MaxRounds(); round++ {
-		if err := e.Step(round); err != nil {
-			return err
-		}
-		if e.Exhausted() {
-			break
-		}
-		if e.AllCorrectDecided() {
-			if decidedRemaining < 0 {
-				decidedRemaining = e.ExtraRounds()
-			}
-			if decidedRemaining == 0 {
-				break
-			}
-			decidedRemaining--
-		}
-	}
-	return nil
-}
+// Timing implements TimeModel: the zero policy.
+func (Lockstep) Timing() TimingPolicy { return TimingPolicy{} }
 
 // TimingPolicy is what a timing-capable time model grants the engine:
 // whether the timing machinery (pending queue, stalls, retransmission)
@@ -84,15 +59,6 @@ type TimingPolicy struct {
 	MaxAttempts int
 }
 
-// TimingModel is the capability interface a TimeModel implements to
-// enable the engine's timing machinery. Schedules with delay, reorder
-// or stall faults require a model with Timing().Enabled; New rejects
-// them otherwise.
-type TimingModel interface {
-	TimeModel
-	Timing() TimingPolicy
-}
-
 // EventuallySynchronous is the eventually-synchronous timing model (the
 // "basic" partial-synchrony model of Dwork, Lynch and Stockmeyer, now
 // with real timing): before GST the adversary's fault schedule may
@@ -100,7 +66,7 @@ type TimingModel interface {
 // round clocks (skew); from GST on every stall has ended and every
 // delivery — held or fresh — surfaces within Bound rounds. The round
 // loop itself stays lockstep (rounds are the time base the skew and
-// delay faults are expressed in), so with a zero policy and no timing
+// delay faults are expressed in), so with zero knobs and no timing
 // faults an execution is byte-identical to Lockstep — pinned over the
 // whole committed fuzz corpus by the time-model parity suite.
 type EventuallySynchronous struct {
@@ -119,7 +85,7 @@ func (m EventuallySynchronous) Describe() string {
 		m.Bound, m.Timeout, m.MaxAttempts)
 }
 
-// Timing implements TimingModel.
+// Timing implements TimeModel.
 func (m EventuallySynchronous) Timing() TimingPolicy {
 	return TimingPolicy{
 		Enabled:     true,
@@ -127,12 +93,4 @@ func (m EventuallySynchronous) Timing() TimingPolicy {
 		Timeout:     m.Timeout,
 		MaxAttempts: m.MaxAttempts,
 	}
-}
-
-// Drive implements TimeModel. The loop is exactly Lockstep's — rounds
-// are the shared time base; skew, delay and retransmission live in the
-// router's pending machinery — which is what makes the zero-knob
-// parity anchor hold by construction.
-func (m EventuallySynchronous) Drive(e *Engine) error {
-	return Lockstep{}.Drive(e)
 }

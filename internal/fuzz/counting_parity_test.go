@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -90,8 +91,9 @@ func TestSeedCorpusCountingParityAcrossWorkers(t *testing.T) {
 // seed that names "counting" replays through Run with the digest it
 // would have produced under the default representation (the knob is
 // part of the scenario JSON, so the digest's scenario half shifts, but
-// class/properties/rounds must not), and an unknown name degrades to a
-// typed error outcome instead of a panic.
+// class/properties/rounds must not), and an unknown name — the retired
+// "concurrent" included — degrades to a typed error outcome instead of a
+// panic.
 func TestScenarioStateRepKnob(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
 		base := Run(sc)
@@ -103,10 +105,16 @@ func TestScenarioStateRepKnob(t *testing.T) {
 				sc.Protocol, got.Class, base.Class, got.Rounds, base.Rounds, got.Detail, base.Detail)
 		}
 	}
-	bogus := corpusScenarios(t)[0]
-	bogus.StateRep = "holographic"
-	out := Run(bogus)
-	if out.Class != ClassError || !strings.Contains(out.Detail, "unknown state representation") {
-		t.Fatalf("unknown state rep: class %s, detail %q", out.Class, out.Detail)
+	for _, name := range []string{"holographic", "concurrent"} {
+		bogus := corpusScenarios(t)[0]
+		bogus.StateRep = name
+		out := Run(bogus)
+		if out.Class != ClassError || !strings.Contains(out.Detail, "unknown state representation") ||
+			!strings.Contains(out.Detail, "want concrete or counting") {
+			t.Fatalf("unknown state rep %q: class %s, detail %q", name, out.Class, out.Detail)
+		}
+	}
+	if _, err := engine.StateRepByName("concurrent", 0); !errors.Is(err, engine.ErrUnknownStateRep) {
+		t.Fatalf(`StateRepByName("concurrent", 0) = %v, want ErrUnknownStateRep`, err)
 	}
 }

@@ -66,11 +66,10 @@ type repMaker struct {
 	mk   func() engine.StateRep
 }
 
-// concreteReps are the two slot-per-process state representations, the
-// sequential reference first.
-var concreteReps = []repMaker{
+// stateReps are the state representations, the Concrete reference first.
+var stateReps = []repMaker{
 	{"concrete", engine.Concrete},
-	{"concurrent", engine.ConcurrentConcrete},
+	{"counting", engine.Counting},
 }
 
 // resultFingerprint renders everything observable about a Result into a
@@ -84,7 +83,7 @@ func resultFingerprint(r *engine.Result) string {
 // TestSeedCorpusDeliveryParity is the delivery modes' golden test: every
 // committed fuzz seed replays to a byte-identical Result (decisions,
 // decision rounds, effective GST, full statistics) under all four
-// combinations — {Concrete, ConcurrentConcrete} x {batched, per-message}
+// combinations — {Concrete, Counting} x {batched, per-message}
 // — with sequential per-message delivery as the reference.
 func TestSeedCorpusDeliveryParity(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
@@ -97,8 +96,8 @@ func TestSeedCorpusDeliveryParity(t *testing.T) {
 				}
 				return resultFingerprint(res)
 			}
-			want := run(concreteReps[0], engine.DeliverPerMessage)
-			for _, rep := range concreteReps {
+			want := run(stateReps[0], engine.DeliverPerMessage)
+			for _, rep := range stateReps {
 				for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
 					if got := run(rep, mode); got != want {
 						t.Errorf("%s/%v diverges from concrete/per-message:\ngot:  %s\nwant: %s",

@@ -6,19 +6,17 @@ import (
 	"homonyms/internal/engine"
 )
 
-// TestSeedCorpusEngineAdapterParity pins Concrete against
-// ConcurrentConcrete: every committed regression seed, in each delivery
-// mode, replays to a byte-identical Result on one state machine per slot
-// stepped in place and on one goroutine per slot. It runs under the race
-// detector in CI, so the concurrent representation's channel
-// choreography is exercised for real.
+// TestSeedCorpusEngineAdapterParity pins Concrete against Counting: every
+// committed regression seed, in each delivery mode, replays to a
+// byte-identical Result on one state machine per slot and on one per
+// equivalence class of slots.
 func TestSeedCorpusEngineAdapterParity(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
 		sc := sc
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
 			for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
 				var want string
-				for i, rep := range concreteReps {
+				for i, rep := range stateReps {
 					res, err := corpusRun(sc, engine.WithStateRep(rep.mk()), engine.WithDelivery(mode))
 					if err != nil {
 						t.Fatalf("%s/%v: %v", rep.name, mode, err)
@@ -27,7 +25,7 @@ func TestSeedCorpusEngineAdapterParity(t *testing.T) {
 						want = got
 					} else if got != want {
 						t.Errorf("%s/%v diverges from %s:\ngot:  %s\nwant: %s",
-							rep.name, mode, concreteReps[0].name, got, want)
+							rep.name, mode, stateReps[0].name, got, want)
 					}
 				}
 			}

@@ -49,7 +49,7 @@ func faultFingerprint(r *engine.Result) string {
 // TestSeedCorpusFaultParity extends the delivery- and reception-parity
 // corpus over injected faults: every committed seed, under every derived
 // fault schedule, replays to a byte-identical Result across
-// {Concrete, ConcurrentConcrete} x {batched, per-message} x
+// {Concrete, Counting} x {batched, per-message} x
 // {group-shared, per-recipient}
 // and through the worker pool at workers 1 and 4. This is the tentpole's
 // determinism criterion — the injector must be a pure function of
@@ -84,8 +84,8 @@ func TestSeedCorpusFaultParity(t *testing.T) {
 		return strings.Join(outs, "\n")
 	}
 
-	want := campaign(concreteReps[0], engine.DeliverPerMessage, engine.ReceivePerRecipient, 1)
-	for _, rep := range concreteReps {
+	want := campaign(stateReps[0], engine.DeliverPerMessage, engine.ReceivePerRecipient, 1)
+	for _, rep := range stateReps {
 		for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
 			for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
 				for _, workers := range []int{1, 4} {

@@ -11,7 +11,7 @@ import (
 // TestSeedCorpusGroupReceptionParity is the reception modes' golden
 // test: every committed fuzz seed replays to a byte-identical Result
 // under group-shared reception (the default) and the per-recipient
-// reference path, on both concrete state representations, and through
+// reference path, on both state representations, and through
 // the worker pool at workers 1 and 4 — so pooled shared cores and views
 // recycled across concurrent executions can never leak into a Result.
 func TestSeedCorpusGroupReceptionParity(t *testing.T) {
@@ -31,8 +31,8 @@ func TestSeedCorpusGroupReceptionParity(t *testing.T) {
 		return strings.Join(outs, "\n")
 	}
 
-	want := campaign(concreteReps[0], engine.ReceivePerRecipient, 1)
-	for _, rep := range concreteReps {
+	want := campaign(stateReps[0], engine.ReceivePerRecipient, 1)
+	for _, rep := range stateReps {
 		for _, workers := range []int{1, 4} {
 			for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
 				if got := campaign(rep, reception, workers); got != want {

@@ -87,10 +87,10 @@ type Scenario struct {
 	// unlimited.
 	MaxSends int `json:"max_sends,omitempty"`
 	// StateRep selects the engine's state representation by name: "" or
-	// "concrete", "concurrent", or "counting" (equivalence classes with
-	// multiplicities). All representations replay a seed byte-identically;
-	// the knob exists so a seed can pin the representation that first
-	// exposed a bug. Unknown names fail the scenario with a typed
+	// "concrete", or "counting" (equivalence classes with multiplicities).
+	// Both representations replay a seed byte-identically; the knob exists
+	// so a seed can pin the representation that first exposed a bug.
+	// Unknown names fail the scenario with a typed
 	// engine.ErrUnknownStateRep.
 	StateRep string `json:"state_rep,omitempty"`
 	// MaxClasses bounds the counting representation's class count

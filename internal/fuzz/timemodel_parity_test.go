@@ -37,7 +37,7 @@ func TestSeedCorpusTimeModelParity(t *testing.T) {
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
 			for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
 				for _, rec := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
-					for _, rep := range concreteReps {
+					for _, rep := range stateReps {
 						run := func(tm engine.TimeModel) string {
 							res, err := corpusRun(sc,
 								engine.WithDelivery(mode),
@@ -93,30 +93,26 @@ func timingVariant(sc Scenario) Scenario {
 // retransmission produces one fingerprint across both state
 // representations, both delivery modes and repeated runs. Holds are
 // drained in deterministic pending-queue order and drained bodies stamp
-// behind the round's fresh traffic, so neither goroutine interleaving
+// behind the round's fresh traffic, so neither the state representation
 // nor delivery granularity may show through.
 func TestRetransmitDeterminism(t *testing.T) {
 	for _, base := range corpusScenarios(t) {
 		sc := timingVariant(base)
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
 			var want string
-			for rep := 0; rep < 2; rep++ {
+			for run := 0; run < 2; run++ {
 				for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
-					for _, conc := range []bool{false, true} {
-						opts := []engine.Option{engine.WithDelivery(mode), engine.WithInvariants()}
-						if conc {
-							opts = append(opts, engine.WithStateRep(engine.ConcurrentConcrete()))
-						}
-						res, err := corpusRun(sc, opts...)
+					for _, rep := range stateReps {
+						res, err := corpusRun(sc, engine.WithDelivery(mode), engine.WithInvariants(), engine.WithStateRep(rep.mk()))
 						if err != nil {
-							t.Fatalf("run %d/%v/conc=%v: %v", rep, mode, conc, err)
+							t.Fatalf("run %d/%v/%s: %v", run, mode, rep.name, err)
 						}
 						got := resultFingerprint(res) + fmt.Sprintf("|%s", res.Stopped)
 						if want == "" {
 							want = got
 						} else if got != want {
-							t.Errorf("run %d/%v/conc=%v diverges:\ngot:  %s\nwant: %s",
-								rep, mode, conc, got, want)
+							t.Errorf("run %d/%v/%s diverges:\ngot:  %s\nwant: %s",
+								run, mode, rep.name, got, want)
 						}
 					}
 				}

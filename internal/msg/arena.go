@@ -2,8 +2,6 @@ package msg
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"homonyms/internal/hom"
 )
@@ -42,12 +40,8 @@ type SendArena struct {
 	bodies []Payload
 	keys   []string
 
-	// The lazy round order; orderOK is its double-checked publication
-	// flag, as in GroupInbox (concurrent receivers race to build it).
-	orderMu sync.Mutex
-	orderOK atomic.Bool
-	order   []int32
-	every   []int32 // 0, 1, 2, ...: the whole arena as an orderRefs distinct set
+	order []int32 // the lazy round order: valid while it covers every entry
+	every []int32 // 0, 1, 2, ...: the whole arena as an orderRefs distinct set
 }
 
 // Reset truncates the arena for a new round, keeping column capacity.
@@ -60,7 +54,7 @@ func (a *SendArena) Reset() {
 	a.kids = a.kids[:0]
 	a.bodies = a.bodies[:0]
 	a.keys = a.keys[:0]
-	a.orderOK.Store(false)
+	a.order = a.order[:0]
 }
 
 // Len returns the number of stamped sends.
@@ -91,17 +85,11 @@ func (a *SendArena) AppendStamped(it *Interner, id hom.Identifier, body Payload,
 // pairs, homonyms' copies of one message, by index — built on first demand
 // (and again if entries were appended since).
 func (a *SendArena) sorted() []int32 {
-	if a.orderOK.Load() && len(a.order) == len(a.ids) {
-		return a.order
-	}
-	a.orderMu.Lock()
-	defer a.orderMu.Unlock()
-	if !a.orderOK.Load() || len(a.order) != len(a.ids) {
+	if len(a.order) != len(a.ids) {
 		for len(a.every) < len(a.ids) {
 			a.every = append(a.every, int32(len(a.every)))
 		}
 		a.order = orderRefs(slices.Grow(a.order[:0], len(a.ids)), a.every[:len(a.ids)], a.ids, a.kids)
-		a.orderOK.Store(true)
 	}
 	return a.order
 }

@@ -40,8 +40,8 @@ func BenchmarkNewInbox(b *testing.B) {
 }
 
 // BenchmarkPooledInbox measures the steady-state owned-copy path: acquire
-// from the pool, fill, recycle — what psyncnum's unpacked inboxes and
-// attacks.World do every round.
+// from the pool, fill, recycle — what psyncnum's unpacked inboxes do every
+// round.
 func BenchmarkPooledInbox(b *testing.B) {
 	for _, size := range []struct{ n, l int }{{16, 8}, {64, 16}} {
 		raw := broadcastRound(size.n, size.l)

@@ -14,14 +14,11 @@ import (
 // (NewPooledInboxView), so the per-round fill cost scales with the
 // number of identifier groups instead of the number of processes.
 //
-// Concurrency and lifecycle invariants:
+// Lifecycle invariants:
 //
-//   - The core is filled by the router on the engine goroutine, before
-//     any view is handed out. After the fill, the only mutation is the
-//     lazy sort-index materialisation, which is guarded (mutex + atomic
-//     flag) because the concurrent engine's process goroutines may race
-//     to be the first reader. Everything else is immutable until
-//     release, so views are safe to read concurrently.
+//   - The core is filled by the router before any view is handed out, and
+//     every view is read on the goroutine that drives the execution. After
+//     the fill, the only mutation is the lazy sort-index materialisation.
 //   - Views are pooled Inbox shells. Each view's Recycle releases one
 //     reference; when the last reference goes, the core zeroes the
 //     counts it touched and returns itself to the pool. The expected
@@ -37,18 +34,10 @@ type GroupInbox struct {
 	kidCount []int32 // KeyID -> multiplicity
 	total    int     // sum of multiplicities
 
-	// Lazy sort index over the distinct set. idxOK is the
-	// double-checked publication flag: readers that observe true see a
-	// fully built orderIdx (the store happens-after the build under
-	// sortMu).
-	sortMu   sync.Mutex
-	idxOK    atomic.Bool
-	orderIdx []int32
+	orderIdx []int32 // lazy sort index over the distinct set, built once it is asked for
 
-	// refs counts the outstanding views. Views are recycled by the
-	// engine coordinator (never by process goroutines), but the counter
-	// is atomic so misuse shows up under the race detector instead of
-	// corrupting the pool.
+	// refs counts the outstanding views. The counter is atomic so misuse
+	// shows up under the race detector instead of corrupting the pool.
 	refs atomic.Int32
 }
 
@@ -66,7 +55,6 @@ func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, views int
 	g := groupInboxPool.Get().(*GroupInbox)
 	g.numerate = numerate
 	g.soa = arena
-	g.idxOK.Store(false)
 	g.refs.Store(int32(views))
 	g.ref, g.kidCount, g.total = fillDistinct(numerate, arena.kids, idx, g.ref, g.kidCount)
 	return g
@@ -87,27 +75,18 @@ func NewPooledInboxView(g *GroupInbox) *Inbox {
 	return in
 }
 
-// sortIndex builds (on first access, under the core's lock) and returns
-// the sorted position index over the distinct set — the same
-// (identifier, KeyID) order as the per-recipient inbox (orderInbox), paid
-// once per equivalence class.
+// sortIndex builds (on first access) and returns the sorted position
+// index over the distinct set — the same (identifier, KeyID) order as the
+// per-recipient inbox (orderInbox), paid once per equivalence class.
 func (g *GroupInbox) sortIndex() []int32 {
-	if g.idxOK.Load() {
-		return g.orderIdx
+	if len(g.orderIdx) != len(g.ref) {
+		g.orderIdx = orderInbox(g.orderIdx, g.ref, g.soa)
 	}
-	g.sortMu.Lock()
-	defer g.sortMu.Unlock()
-	if g.idxOK.Load() {
-		return g.orderIdx
-	}
-	g.orderIdx = orderInbox(g.orderIdx, g.ref, g.soa)
-	g.idxOK.Store(true)
 	return g.orderIdx
 }
 
 // release drops one view reference; the last one resets the core and
-// returns it to the pool. Called from Inbox.Recycle on the engine
-// goroutine.
+// returns it to the pool. Called from Inbox.Recycle.
 func (g *GroupInbox) release() {
 	if g.refs.Add(-1) > 0 {
 		return
@@ -120,7 +99,6 @@ func (g *GroupInbox) release() {
 	g.soa = nil
 	g.ref = g.ref[:0]
 	g.orderIdx = g.orderIdx[:0]
-	g.idxOK.Store(false)
 	g.total = 0
 	groupInboxPool.Put(g)
 }

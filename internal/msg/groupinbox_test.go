@@ -2,7 +2,6 @@ package msg
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -117,43 +116,6 @@ func TestGroupInboxReleaseZeroesCounts(t *testing.T) {
 		}
 	}
 	v.Recycle()
-}
-
-// TestGroupInboxConcurrentViews exercises the lazy sort-index
-// materialisation from many goroutines at once (the concurrent engine's
-// access pattern); the race detector turns any unsynchronised
-// publication into a failure.
-func TestGroupInboxConcurrentViews(t *testing.T) {
-	it := NewInterner()
-	soa, idx := buildSoAArena(it, 32, 4)
-
-	const readers = 8
-	gi := NewPooledGroupInbox(true, soa, idx, readers)
-	views := make([]*Inbox, readers)
-	for i := range views {
-		views[i] = NewPooledInboxView(gi)
-	}
-
-	var wg sync.WaitGroup
-	for _, view := range views {
-		wg.Add(1)
-		go func(in *Inbox) {
-			defer wg.Done()
-			total := 0
-			for i, k := 0, in.Len(); i < k; i++ {
-				if in.SenderAt(i) > 0 {
-					total += in.CountAt(i)
-				}
-			}
-			if total != in.TotalCount() {
-				t.Errorf("concurrent view total %d, want %d", total, in.TotalCount())
-			}
-		}(view)
-	}
-	wg.Wait()
-	for _, view := range views {
-		view.Recycle()
-	}
 }
 
 // TestGroupInboxSteadyStateZeroAlloc pins the pooling contract: after

@@ -583,7 +583,7 @@ func (in *Inbox) addLegacy(m Message, numerate bool) {
 func (in *Inbox) sortIndex() []int32 {
 	if in.shared != nil {
 		// Views share the core's index: built once per equivalence
-		// class, safely published for concurrent readers.
+		// class.
 		return in.shared.sortIndex()
 	}
 	if in.idxOK {

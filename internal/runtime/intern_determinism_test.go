@@ -9,27 +9,27 @@ import (
 )
 
 // TestInternTableEngineEquivalence pins the symbolization contract: both
-// concrete representations intern the canonical keys of one execution in the same order,
-// so the dense KeyID assignment — and with it the interned inbox order —
-// is identical between Concrete and ConcurrentConcrete.
+// state representations intern the canonical keys of one execution in the
+// same order, so the dense KeyID assignment — and with it the interned
+// inbox order — is identical between Concrete and Counting.
 func TestInternTableEngineEquivalence(t *testing.T) {
 	for name, cfg := range equivalentConfigs(t) {
 		seqIntern := msg.NewInterner()
 		seqCfg := cfg
 		seqCfg.Interner = seqIntern
 		if _, err := run(seqCfg); err != nil {
-			t.Fatalf("%s: sequential: %v", name, err)
+			t.Fatalf("%s: concrete: %v", name, err)
 		}
-		conIntern := msg.NewInterner()
-		conCfg := cfg
-		conCfg.Interner = conIntern
-		if _, err := runConcurrent(conCfg); err != nil {
-			t.Fatalf("%s: concurrent: %v", name, err)
+		countIntern := msg.NewInterner()
+		countCfg := cfg
+		countCfg.Interner = countIntern
+		if _, err := runCounting(countCfg); err != nil {
+			t.Fatalf("%s: counting: %v", name, err)
 		}
 		if seqIntern.Len() == 0 {
 			t.Fatalf("%s: execution interned no keys", name)
 		}
-		if !reflect.DeepEqual(seqIntern.Snapshot(), conIntern.Snapshot()) {
+		if !reflect.DeepEqual(seqIntern.Snapshot(), countIntern.Snapshot()) {
 			t.Fatalf("%s: KeyID assignment diverged between representations", name)
 		}
 	}

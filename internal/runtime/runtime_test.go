@@ -1,4 +1,4 @@
-// The concurrent state representation held to the sequential one —
+// The counting state representation held to the concrete one —
 // results, traffic and KeyID assignment — plus the core façade's
 // end-to-end checks. This directory holds tests only, like its sibling
 // "sim".
@@ -17,18 +17,18 @@ import (
 	"homonyms/internal/trace"
 )
 
-// run executes a hand-built Config on the sequential representation.
+// run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
 	return engine.Run(engine.FromConfig(cfg))
 }
 
-// runConcurrent is run on the goroutine-per-process representation.
-func runConcurrent(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(engine.FromConfig(cfg), engine.WithStateRep(engine.ConcurrentConcrete()))
+// runCounting is run on the counting representation.
+func runCounting(cfg engine.Config) (*engine.Result, error) {
+	return engine.Run(engine.FromConfig(cfg), engine.WithStateRep(engine.Counting()))
 }
 
 // equivalentConfigs builds a set of representative configurations used to
-// assert Concrete/ConcurrentConcrete equivalence.
+// assert Concrete/Counting equivalence.
 func equivalentConfigs(t *testing.T) map[string]engine.Config {
 	t.Helper()
 	cfgs := make(map[string]engine.Config)
@@ -84,35 +84,35 @@ func TestRuntimeMatchesSimExactly(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			seqRes, err := run(cfg)
 			if err != nil {
-				t.Fatalf("sequential: %v", err)
+				t.Fatalf("concrete: %v", err)
 			}
-			conRes, err := runConcurrent(cfg)
+			countRes, err := runCounting(cfg)
 			if err != nil {
-				t.Fatalf("concurrent: %v", err)
+				t.Fatalf("counting: %v", err)
 			}
-			if seqRes.Rounds != conRes.Rounds {
-				t.Fatalf("rounds: sequential=%d concurrent=%d", seqRes.Rounds, conRes.Rounds)
+			if seqRes.Rounds != countRes.Rounds {
+				t.Fatalf("rounds: concrete=%d counting=%d", seqRes.Rounds, countRes.Rounds)
 			}
-			if seqRes.GST != conRes.GST {
-				t.Fatalf("recorded GST: sequential=%d concurrent=%d", seqRes.GST, conRes.GST)
+			if seqRes.GST != countRes.GST {
+				t.Fatalf("recorded GST: concrete=%d counting=%d", seqRes.GST, countRes.GST)
 			}
-			if seqRes.Stats != conRes.Stats {
-				t.Fatalf("stats diverged:\nsequential: %+v\nconcurrent: %+v", seqRes.Stats, conRes.Stats)
+			if seqRes.Stats != countRes.Stats {
+				t.Fatalf("stats diverged:\nconcrete: %+v\ncounting: %+v", seqRes.Stats, countRes.Stats)
 			}
 			for s := range seqRes.Decisions {
-				if seqRes.Decisions[s] != conRes.Decisions[s] || seqRes.DecidedAt[s] != conRes.DecidedAt[s] {
-					t.Fatalf("slot %d: sequential decided %d@%d, concurrent %d@%d", s,
-						seqRes.Decisions[s], seqRes.DecidedAt[s], conRes.Decisions[s], conRes.DecidedAt[s])
+				if seqRes.Decisions[s] != countRes.Decisions[s] || seqRes.DecidedAt[s] != countRes.DecidedAt[s] {
+					t.Fatalf("slot %d: concrete decided %d@%d, counting %d@%d", s,
+						seqRes.Decisions[s], seqRes.DecidedAt[s], countRes.Decisions[s], countRes.DecidedAt[s])
 				}
 			}
-			if len(seqRes.Traffic) != len(conRes.Traffic) {
-				t.Fatalf("traffic length: sequential=%d concurrent=%d", len(seqRes.Traffic), len(conRes.Traffic))
+			if len(seqRes.Traffic) != len(countRes.Traffic) {
+				t.Fatalf("traffic length: concrete=%d counting=%d", len(seqRes.Traffic), len(countRes.Traffic))
 			}
 			for i := range seqRes.Traffic {
-				a, b := seqRes.Traffic[i], conRes.Traffic[i]
+				a, b := seqRes.Traffic[i], countRes.Traffic[i]
 				if a.Round != b.Round || a.FromSlot != b.FromSlot || a.ToSlot != b.ToSlot ||
 					a.Msg.Key() != b.Msg.Key() {
-					t.Fatalf("delivery %d diverged: sequential=%+v concurrent=%+v", i, a, b)
+					t.Fatalf("delivery %d diverged: concrete=%+v counting=%+v", i, a, b)
 				}
 			}
 		})
@@ -121,9 +121,9 @@ func TestRuntimeMatchesSimExactly(t *testing.T) {
 
 func TestRuntimeVerdicts(t *testing.T) {
 	cfg := equivalentConfigs(t)["psync-drops"]
-	res, err := runConcurrent(cfg)
+	res, err := runCounting(cfg)
 	if err != nil {
-		t.Fatalf("concurrent run: %v", err)
+		t.Fatalf("counting run: %v", err)
 	}
 	if v := trace.Check(res); !v.OK() {
 		t.Fatalf("%s", v)
@@ -133,13 +133,13 @@ func TestRuntimeVerdicts(t *testing.T) {
 func TestRuntimeValidation(t *testing.T) {
 	cfg := equivalentConfigs(t)["sync-transform"]
 	cfg.MaxRounds = 0
-	if _, err := runConcurrent(cfg); err == nil {
-		t.Fatal("concurrent run accepted MaxRounds = 0")
+	if _, err := runCounting(cfg); err == nil {
+		t.Fatal("counting run accepted MaxRounds = 0")
 	}
 	cfg = equivalentConfigs(t)["sync-transform"]
 	cfg.NewProcess = nil
-	if _, err := runConcurrent(cfg); err == nil {
-		t.Fatal("concurrent run accepted nil factory")
+	if _, err := runCounting(cfg); err == nil {
+		t.Fatal("counting run accepted nil factory")
 	}
 }
 

@@ -11,13 +11,12 @@ import (
 // group-shared reception (the default) produces a Result byte-identical
 // to the per-recipient reference path — decisions, rounds, statistics
 // and recorded traffic included — on every configuration of the routing
-// feature matrix, under both concrete state representations (the legs
-// keep the names tier-1 knows them by: "sim" steps Concrete, "runtime"
-// ConcurrentConcrete).
+// feature matrix, under both state representations ("sim" steps
+// Concrete, "runtime" Counting).
 func TestGroupReceptionParity(t *testing.T) {
 	reps := map[string]func(engine.Config) (*engine.Result, error){
 		"sim":     run,
-		"runtime": runConcurrent,
+		"runtime": runCounting,
 	}
 	for name, cfg := range parityConfigs() {
 		for repName, run := range reps {

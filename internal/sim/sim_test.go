@@ -63,14 +63,14 @@ func (e *echoProc) Receive(round int, in *msg.Inbox) {
 
 func (e *echoProc) Decision() (hom.Value, bool) { return e.decision, e.decided }
 
-// run executes a hand-built Config on the sequential representation.
+// run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
 	return engine.Run(engine.FromConfig(cfg))
 }
 
-// runConcurrent is run on the goroutine-per-process representation.
-func runConcurrent(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(engine.FromConfig(cfg), engine.WithStateRep(engine.ConcurrentConcrete()))
+// runCounting is run on the counting representation.
+func runCounting(cfg engine.Config) (*engine.Result, error) {
+	return engine.Run(engine.FromConfig(cfg), engine.WithStateRep(engine.Counting()))
 }
 
 func baseConfig(n, l, t int) engine.Config {

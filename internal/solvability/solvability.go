@@ -96,11 +96,10 @@ type SuiteSize struct {
 	Crashes int
 	// StateRep selects the engine state representation for the positive
 	// suite's runs by name (see engine.StateRepByName): "" or "concrete",
-	// "concurrent", or "counting". Every representation is byte-identical
-	// on the same execution, so outcomes cannot depend on the choice —
-	// the knob trades memory for class bookkeeping on big-n grids. The
-	// lower-bound attacks of the negative cells drive processes directly
-	// and ignore it. Unknown names fail the cell with a typed
+	// or "counting". Both representations are byte-identical on the same
+	// execution, so outcomes cannot depend on the choice — the knob trades
+	// memory for class bookkeeping on big-n grids. The lower-bound attacks
+	// of the negative cells always run on Concrete. Unknown names fail the cell with a typed
 	// engine.ErrUnknownStateRep (Matrix degrades it to a Failed cell).
 	StateRep string
 	// MaxClasses bounds the counting representation's class count; a
