@@ -107,17 +107,17 @@ func BenchmarkFig3ClassicalBaselineEIG(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.Run(engine.FromConfig(engine.Config{
-			Params:     p,
-			Assignment: hom.RoundRobinAssignment(7, 7),
-			Inputs:     inputs,
-			NewProcess: func(int) engine.Process { return classical.NewProcess(alg) },
-			Adversary: &adversary.Composite{
+		res, err := engine.Run(
+			engine.WithParams(p),
+			engine.WithAssignment(hom.RoundRobinAssignment(7, 7)),
+			engine.WithInputs(inputs...),
+			engine.WithProcess(func(int) engine.Process { return classical.NewProcess(alg) }),
+			engine.WithAdversary(&adversary.Composite{
 				Selector: adversary.RandomT{Seed: int64(i)},
 				Behavior: adversary.Equivocate{Seed: int64(i)},
-			},
-			MaxRounds: alg.DecisionRound() + 2,
-		}))
+			}),
+			engine.WithRounds(alg.DecisionRound()+2),
+		)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,17 +143,17 @@ func BenchmarkFig3TransformPhaseKing(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.Run(engine.FromConfig(engine.Config{
-			Params:     p,
-			Assignment: hom.StackedAssignment(p.N, p.L),
-			Inputs:     inputs,
-			NewProcess: factory,
-			Adversary: &adversary.Composite{
+		res, err := engine.Run(
+			engine.WithParams(p),
+			engine.WithAssignment(hom.StackedAssignment(p.N, p.L)),
+			engine.WithInputs(inputs...),
+			engine.WithProcess(factory),
+			engine.WithAdversary(&adversary.Composite{
 				Selector: adversary.Slots{2},
 				Behavior: adversary.Equivocate{Seed: int64(i)},
-			},
-			MaxRounds: synchom.Rounds(alg) + 3,
-		}))
+			}),
+			engine.WithRounds(synchom.Rounds(alg)+3),
+		)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,14 +388,14 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.Run(engine.FromConfig(engine.Config{
-			Params:     p,
-			Assignment: hom.RoundRobinAssignment(p.N, p.L),
-			Inputs:     inputs,
-			NewProcess: factory,
-			GST:        1,
-			MaxRounds:  psyncnum.SuggestedMaxRounds(p, 1),
-		}))
+		res, err := engine.Run(
+			engine.WithParams(p),
+			engine.WithAssignment(hom.RoundRobinAssignment(p.N, p.L)),
+			engine.WithInputs(inputs...),
+			engine.WithProcess(factory),
+			engine.WithGST(1),
+			engine.WithRounds(psyncnum.SuggestedMaxRounds(p, 1)),
+		)
 		if err != nil {
 			b.Fatal(err)
 		}

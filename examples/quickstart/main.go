@@ -4,11 +4,8 @@
 //
 //	go run ./examples/quickstart
 //
-// Where to go next: examples/batching runs this same boundary instance
-// directly against the simulation kernel and walks through the engine's
-// batched delivery path (and its per-message parity contract);
-// examples/crossover, examples/sharedomains and examples/keycompromise
-// explore the model's stranger corners.
+// Where to go next: examples/crossover, examples/sharedomains and
+// examples/keycompromise explore the model's stranger corners.
 package main
 
 import (

@@ -58,7 +58,8 @@ type DropPolicy interface {
 // The verdict for each pair must equal what Drop(round, fromSlots[i],
 // toSlot) returns — the batch form is an optimisation, never a semantic
 // change — and therefore must stay a pure function of (round, from, to).
-// This is what keeps batched and per-message routing byte-identical.
+// This is what keeps the engine's batched routing byte-identical to the
+// per-message reference interpreter (package refmodel).
 // Policies that can hoist recipient-level work out of the per-message
 // loop (a target-set membership test, a partition group lookup)
 // implement it; everything else is adapted by Composite's per-message

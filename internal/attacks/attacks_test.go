@@ -286,14 +286,14 @@ func TestCrossoverAnomaly(t *testing.T) {
 		t.Fatalf("psynchom.New(n=4): %v", err)
 	}
 	inputs := []hom.Value{0, 1, 0, 1}
-	res, err := engine.Run(engine.FromConfig(engine.Config{
-		Params:     p4,
-		Assignment: hom.RoundRobinAssignment(4, 4),
-		Inputs:     inputs,
-		NewProcess: factory4,
-		GST:        1,
-		MaxRounds:  psynchom.SuggestedMaxRounds(p4, 1),
-	}))
+	res, err := engine.Run(
+		engine.WithParams(p4),
+		engine.WithAssignment(hom.RoundRobinAssignment(4, 4)),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(factory4),
+		engine.WithGST(1),
+		engine.WithRounds(psynchom.SuggestedMaxRounds(p4, 1)),
+	)
 	if err != nil {
 		t.Fatalf("engine.Run: %v", err)
 	}

@@ -18,14 +18,17 @@ func runClassical(t *testing.T, alg classical.Algorithm, inputs []hom.Value, adv
 	t.Helper()
 	n := alg.Processes()
 	p := hom.Params{N: n, L: n, T: alg.Faults(), Synchrony: hom.Synchronous}
-	res, err := engine.Run(engine.FromConfig(engine.Config{
-		Params:     p,
-		Assignment: hom.RoundRobinAssignment(n, n),
-		Inputs:     inputs,
-		NewProcess: func(int) engine.Process { return classical.NewProcess(alg) },
-		Adversary:  adv,
-		MaxRounds:  alg.DecisionRound() + 2,
-	}))
+	opts := []engine.Option{
+		engine.WithParams(p),
+		engine.WithAssignment(hom.RoundRobinAssignment(n, n)),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(func(int) engine.Process { return classical.NewProcess(alg) }),
+		engine.WithRounds(alg.DecisionRound() + 2),
+	}
+	if adv != nil {
+		opts = append(opts, engine.WithAdversary(adv))
+	}
+	res, err := engine.Run(opts...)
 	if err != nil {
 		t.Fatalf("engine.Run: %v", err)
 	}

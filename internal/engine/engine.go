@@ -33,8 +33,7 @@
 //
 // An execution is assembled with New(opts ...Option) — functional options
 // over a validated configuration — and executed once with (*Engine).Run,
-// which owns the one round loop. Two seams parameterize the kernel beyond
-// the routing strategy:
+// which owns the one round loop. Two seams parameterize the kernel:
 //
 //   - TimeModel grants the timing policy. Lockstep (the paper's
 //     round-by-round model) is the default; EventuallySynchronous adds
@@ -48,15 +47,13 @@
 //
 // Round delivery runs through the Router, shared by every state
 // representation: sends are stamped once into a structure-of-arrays
-// arena and, by default, delivered as per-recipient batches with the
-// adversary's masks applied over each whole batch (DeliverBatched);
-// Config.Delivery selects the per-message reference path, which is
-// byte-identical by test. On the reception side the Router classifies,
-// by default, each identifier group's correct members into equivalence
+// arena and delivered as per-recipient batches with the adversary's
+// masks applied over each whole batch. On the reception side the Router
+// classifies each identifier group's correct members into equivalence
 // classes of byte-identical batches and fills one shared inbox core per
-// class (ReceiveGroupShared — the fill cost of identifier-symmetric
-// rounds scales with l instead of n); Config.Reception selects the
-// per-recipient reference path, which is byte-identical by test.
+// class, so the fill cost of identifier-symmetric rounds scales with l
+// instead of n. The naive per-message, per-recipient executor the
+// Router is held to lives in package refmodel, outside the engine.
 package engine
 
 import (
@@ -218,7 +215,7 @@ type Observer interface {
 
 // Config assembles one execution. It is the aggregate carrier behind the
 // options API: New(opts...) folds every option into a Config before
-// validating it, and FromConfig seeds the options from a hand-built one.
+// validating it.
 type Config struct {
 	Params hom.Params
 	// Assignment maps each slot to its identifier.
@@ -262,17 +259,6 @@ type Config struct {
 	// acquires one from the shared pool and recycles it when the run
 	// ends; pass one explicitly only to inspect the table afterwards.
 	Interner *msg.Interner
-	// Delivery selects the round routing strategy. The zero value is
-	// DeliverBatched (per-recipient batches over the SoA send arena);
-	// DeliverPerMessage selects the reference path. Both produce
-	// byte-identical Results — see DeliveryMode.
-	Delivery DeliveryMode
-	// Reception selects how inboxes are filled under batched delivery.
-	// The zero value is ReceiveGroupShared (one fill per identifier
-	// group when the group's delivered batches are byte-identical);
-	// ReceivePerRecipient selects the per-recipient reference path. Both
-	// produce byte-identical Results — see ReceptionMode.
-	Reception ReceptionMode
 	// Faults optionally injects benign (non-Byzantine) faults into the
 	// execution: crash-stop and crash-recovery windows for correct
 	// processes, send/receive omission, message duplication and stale

@@ -2,13 +2,13 @@ package engine_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
+	"homonyms/internal/refmodel"
 )
 
 // chatterProc puts several messages on every link in each of its first
@@ -52,7 +52,7 @@ type spyDropper struct {
 	batches map[[2]int]int // (round, recipient) -> DropBatch calls
 	repeats []string       // a sender handed twice within one call
 	lastAsk int            // latest round either form was asked about
-	perMsg  int            // per-message Drop calls
+	single  int            // per-message Drop calls
 }
 
 func (a *spyDropper) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { return nil }
@@ -65,7 +65,7 @@ func (a *spyDropper) verdict(round, from, to int) bool {
 }
 
 func (a *spyDropper) Drop(round, from, to int) bool {
-	a.perMsg++
+	a.single++
 	return a.verdict(round, from, to)
 }
 
@@ -88,7 +88,7 @@ const (
 	lcN, lcL, lcGST, lcTalk = 6, 3, 4, 5
 )
 
-// linkCondOptions is an execution in which every link-condition stage
+// linkCondConfig is an execution in which every link-condition stage
 // has work, differs between two links of one sender, and flips when a
 // window closes mid-run:
 //
@@ -101,17 +101,16 @@ const (
 //     link coins), slot 2's link to 5 duplicates in round 2, slot 4 is
 //     down in round 2 and its clock is stalled in round 3;
 //   - the adversary drops three links in ten before GST.
-func linkCondOptions(adv engine.Adversary) []engine.Option {
-	return []engine.Option{
-		engine.WithParams(hom.Params{N: lcN, L: lcL, T: 1, Synchrony: hom.PartiallySynchronous}),
-		engine.WithAssignment(hom.RoundRobinAssignment(lcN, lcL)),
-		engine.WithInputs(0, 1, 0, 1, 0, 1),
-		engine.WithProcess(func(int) engine.Process { return &chatterProc{talk: lcTalk} }),
-		engine.WithGST(lcGST),
-		engine.WithRounds(lcTalk + 6),
-		engine.WithAdversary(adv),
-		engine.WithTimeModel(engine.EventuallySynchronous{Bound: 1, Timeout: 1, MaxAttempts: 3}),
-		engine.WithFaults(&inject.Schedule{
+func linkCondConfig(adv engine.Adversary) engine.Config {
+	return engine.Config{
+		Params:     hom.Params{N: lcN, L: lcL, T: 1, Synchrony: hom.PartiallySynchronous},
+		Assignment: hom.RoundRobinAssignment(lcN, lcL),
+		Inputs:     []hom.Value{0, 1, 0, 1, 0, 1},
+		NewProcess: func(int) engine.Process { return &chatterProc{talk: lcTalk} },
+		GST:        lcGST,
+		MaxRounds:  lcTalk + 6,
+		Adversary:  adv,
+		Faults: &inject.Schedule{
 			Crashes:    []inject.Crash{{Slot: 4, Round: 2, Recover: 1}},
 			Omissions:  []inject.Omission{{Slot: 1, Send: true, From: 1, Until: 3, Prob: 0.5, Seed: 11}},
 			Duplicates: []inject.Duplicate{{FromSlot: 2, ToSlot: 5, Round: 2}},
@@ -120,44 +119,29 @@ func linkCondOptions(adv engine.Adversary) []engine.Option {
 				{FromSlot: 0, ToSlot: 5, From: 1, Until: 1},
 			},
 			Stalls: []inject.Stall{{Slot: 4, Round: 3, Rounds: 1}},
-		}),
-		engine.WithTrafficRecording(),
+		},
+		RecordTraffic: true,
 	}
 }
 
+// lcTime is linkCondConfig's time model.
+var lcTime = engine.EventuallySynchronous{Bound: 1, Timeout: 1, MaxAttempts: 3}
+
 // TestLinkConditionsPerLinkMatchPerMessage holds the batched path —
 // which resolves every link condition once per (round, from, to) — to
-// the per-message reference, which asks Drop and the injector for every
-// message: same Result (decisions, traffic record, stop reason) and
-// same Stats, under both reception modes and with the paranoid
-// re-masking on.
+// the reference interpreter, which asks Drop and the injector for every
+// message: same Result (decisions, traffic record, stop reason,
+// statistics) on both state representations, with and without the
+// paranoid re-masking.
 func TestLinkConditionsPerLinkMatchPerMessage(t *testing.T) {
-	ref, err := engine.Run(append(linkCondOptions(&spyDropper{seed: 5, prob: 0.3}),
-		engine.WithDelivery(engine.DeliverPerMessage))...)
-	if err != nil {
-		t.Fatalf("per-message Run: %v", err)
-	}
-	st := ref.Stats
-	if st.MessagesDropped == 0 || st.FaultOmissions == 0 || st.TimingHolds == 0 || st.Retransmits == 0 {
-		t.Fatalf("the schedule must exercise drops, omissions, holds and retransmission: %+v", st)
-	}
-	if !ref.AllDecided {
-		t.Fatalf("every slot must decide once the faults have drained: %+v", ref.DecidedAt)
-	}
-	for name, extra := range map[string][]engine.Option{
-		"group-shared":  nil,
-		"per-recipient": {engine.WithReception(engine.ReceivePerRecipient)},
-		"invariants":    {engine.WithInvariants()},
-	} {
-		got, err := engine.Run(append(linkCondOptions(&spyDropper{seed: 5, prob: 0.3}), extra...)...)
-		if err != nil {
-			t.Fatalf("%s: batched Run: %v", name, err)
+	for _, extra := range [][]engine.Option{nil, {engine.WithInvariants()}} {
+		ref := holdToRefmodel(t, linkCondConfig(&spyDropper{seed: 5, prob: 0.3}), lcTime, extra...)
+		st := ref.Stats
+		if st.MessagesDropped == 0 || st.FaultOmissions == 0 || st.TimingHolds == 0 || st.Retransmits == 0 {
+			t.Fatalf("the schedule must exercise drops, omissions, holds and retransmission: %+v", st)
 		}
-		if got.Stats != ref.Stats {
-			t.Errorf("%s: batched stats %+v, per-message %+v", name, got.Stats, ref.Stats)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: batched Result differs from the per-message reference", name)
+		if !ref.AllDecided {
+			t.Fatalf("every slot must decide once the faults have drained: %+v", ref.DecidedAt)
 		}
 	}
 }
@@ -168,15 +152,14 @@ func TestLinkConditionsPerLinkMatchPerMessage(t *testing.T) {
 // per-message Drop, and nothing at or after GST.
 func TestBatchDropperSeesEachLinkOnce(t *testing.T) {
 	spy := &spyDropper{seed: 5, prob: 0.3}
-	if _, err := engine.Run(append(linkCondOptions(spy),
-		engine.WithReception(engine.ReceivePerRecipient))...); err != nil {
+	if _, err := engine.Run(refmodel.Options(linkCondConfig(spy), lcTime)...); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, r := range spy.repeats {
 		t.Error(r)
 	}
-	if spy.perMsg != 0 {
-		t.Errorf("batched routing made %d per-message Drop calls", spy.perMsg)
+	if spy.single != 0 {
+		t.Errorf("batched routing made %d per-message Drop calls", spy.single)
 	}
 	if spy.lastAsk >= lcGST {
 		t.Errorf("adversary consulted about round %d, at or after GST=%d", spy.lastAsk, lcGST)

@@ -21,8 +21,8 @@ var (
 	// WithStateRep, or a nil Option itself). Absence is expressed by not
 	// passing the option, never by passing nil through it.
 	ErrNilOption = errors.New("engine: nil value passed to option")
-	// ErrBadOption: an option value is outside its domain (unknown
-	// delivery/reception mode, negative budget).
+	// ErrBadOption: an option value is outside its domain (a negative
+	// budget).
 	ErrBadOption = errors.New("engine: invalid option value")
 )
 
@@ -87,11 +87,10 @@ func (s *settings) once(knob, value string) bool {
 	return true
 }
 
-// New assembles and validates one execution. Defaults: batched
-// delivery, group-shared reception, the Lockstep time model and the
-// sequential Concrete state representation; no adversary, no faults, no
-// budgets. Option-level errors (conflicts, nil values, out-of-domain
-// modes) are joined and reported together; configuration-level
+// New assembles and validates one execution. Defaults: the Lockstep
+// time model and the sequential Concrete state representation; no
+// adversary, no faults, no budgets. Option-level errors (conflicts, nil
+// values, out-of-domain values) are joined and reported together; configuration-level
 // validation then runs in a fixed order: parameters, assignment, inputs,
 // process factory, round cap.
 func New(opts ...Option) (*Engine, error) {
@@ -140,14 +139,6 @@ func Run(opts ...Option) (*Result, error) {
 	return e.Run()
 }
 
-// FromConfig seeds every configuration knob from a hand-built Config —
-// the struct bridge fuzz scenarios and the attack constructions assemble
-// through. It is a base layer, not a single-valued knob: options after
-// it override its fields without conflicting.
-func FromConfig(cfg Config) Option {
-	return func(s *settings) { s.cfg = cfg }
-}
-
 // WithParams fixes the model instance (n, l, t, synchrony, switches).
 func WithParams(p hom.Params) Option {
 	return func(s *settings) {
@@ -183,7 +174,7 @@ func WithInputs(inputs ...hom.Value) Option {
 func WithProcess(factory func(slot int) Process) Option {
 	return func(s *settings) {
 		// Nil is caught by New's configuration validation
-		// (ErrNilProcessFactory), as on the FromConfig path.
+		// (ErrNilProcessFactory).
 		s.cfg.NewProcess = factory
 	}
 }
@@ -250,32 +241,6 @@ func WithTrafficRecording() Option {
 // Config.FrontierHash); they surface in Result.SlotHashes.
 func WithFrontierHash() Option {
 	return func(s *settings) { s.cfg.FrontierHash = true }
-}
-
-// WithDelivery selects the round routing strategy.
-func WithDelivery(m DeliveryMode) Option {
-	return func(s *settings) {
-		if m != DeliverBatched && m != DeliverPerMessage {
-			s.fail(fmt.Errorf("%w: unknown DeliveryMode %d", ErrBadOption, m))
-			return
-		}
-		if s.once("Delivery", fmt.Sprintf("%d", m)) {
-			s.cfg.Delivery = m
-		}
-	}
-}
-
-// WithReception selects how inboxes are filled under batched delivery.
-func WithReception(m ReceptionMode) Option {
-	return func(s *settings) {
-		if m != ReceiveGroupShared && m != ReceivePerRecipient {
-			s.fail(fmt.Errorf("%w: unknown ReceptionMode %d", ErrBadOption, m))
-			return
-		}
-		if s.once("Reception", fmt.Sprintf("%d", m)) {
-			s.cfg.Reception = m
-		}
-	}
 }
 
 // WithFaults injects the benign-fault schedule (package inject); the

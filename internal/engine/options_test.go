@@ -64,14 +64,6 @@ func TestNewConflictingOptions(t *testing.T) {
 		name  string
 		extra []engine.Option
 	}{
-		{"delivery", []engine.Option{
-			engine.WithDelivery(engine.DeliverBatched),
-			engine.WithDelivery(engine.DeliverPerMessage),
-		}},
-		{"reception", []engine.Option{
-			engine.WithReception(engine.ReceiveGroupShared),
-			engine.WithReception(engine.ReceivePerRecipient),
-		}},
 		{"rounds", []engine.Option{engine.WithRounds(7)}}, // base already sets 3
 		{"gst", []engine.Option{engine.WithGST(1), engine.WithGST(5)}},
 		{"budget", []engine.Option{
@@ -95,8 +87,8 @@ func TestNewConflictingOptions(t *testing.T) {
 
 func TestNewRepeatedOptionSameValueIsIdempotent(t *testing.T) {
 	opts := append(baseOptions(),
-		engine.WithDelivery(engine.DeliverBatched),
-		engine.WithDelivery(engine.DeliverBatched),
+		engine.WithTimeModel(engine.Lockstep{}),
+		engine.WithTimeModel(engine.Lockstep{}),
 		engine.WithGST(1),
 		engine.WithGST(1),
 	)
@@ -237,8 +229,6 @@ func TestNewBadOptionValues(t *testing.T) {
 		name string
 		opt  engine.Option
 	}{
-		{"delivery", engine.WithDelivery(engine.DeliveryMode(99))},
-		{"reception", engine.WithReception(engine.ReceptionMode(99))},
 		{"negative-sends", engine.WithBudget(-1, 0)},
 		{"negative-deadline", engine.WithBudget(0, -time.Second)},
 	}
@@ -256,7 +246,7 @@ func TestNewBadOptionValues(t *testing.T) {
 // option-level problem surfaces in one error instead of first-wins.
 func TestNewReportsAllOptionErrors(t *testing.T) {
 	_, err := engine.New(append(baseOptions(),
-		engine.WithDelivery(engine.DeliveryMode(99)),
+		engine.WithBudget(-1, 0),
 		engine.WithFaults(nil),
 		engine.WithGST(1),
 		engine.WithGST(9),
@@ -359,25 +349,5 @@ func TestSecondRunIsTypedError(t *testing.T) {
 			}
 			wg.Wait()
 		})
-	}
-}
-
-// TestFromConfigComposes pins the struct bridge: FromConfig is a base
-// layer, so a later option overrides its fields without conflicting.
-func TestFromConfigComposes(t *testing.T) {
-	cfg := engine.Config{
-		Params:     hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.Synchronous},
-		Assignment: hom.RoundRobinAssignment(4, 4),
-		Inputs:     []hom.Value{0, 1, 0, 1},
-		NewProcess: func(int) engine.Process { return &echoProc{} },
-		MaxRounds:  3,
-		Delivery:   engine.DeliverBatched,
-	}
-	res, err := engine.Run(engine.FromConfig(cfg), engine.WithDelivery(engine.DeliverPerMessage))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.AllDecided {
-		t.Fatalf("expected decisions, got %+v", res.Decisions)
 	}
 }

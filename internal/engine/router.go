@@ -9,55 +9,6 @@ import (
 	"homonyms/internal/msg"
 )
 
-// DeliveryMode selects how the engines route a round's sends to their
-// recipients. Both modes produce byte-identical Results (pinned by the
-// parity tests over every committed fuzz seed); they differ only in how
-// the work is organised.
-type DeliveryMode int
-
-const (
-	// DeliverBatched is the default: the round's sends are stamped once
-	// into the structure-of-arrays send arena and routed as one row entry
-	// per addressed identifier group plus per-recipient tails (see
-	// slotStage); each recipient's whole batch is then delivered at once
-	// — one bounds-checked copy of the index slice with the adversary's
-	// visibility and drop masks applied over the batch, and statistics
-	// accumulated per batch instead of per message. Rounds that record
-	// traffic stay batched too: a per-(send, recipient) bitmap
-	// reconstructs the reference path's send-major Delivered order after
-	// the batches are flushed.
-	DeliverBatched DeliveryMode = iota
-	// DeliverPerMessage is the reference path: every (send, recipient)
-	// pair goes through the deliver hook individually, and deliveries
-	// are recorded inline in send-major order. It is kept as the oracle
-	// the batched path is tested against.
-	DeliverPerMessage
-)
-
-// ReceptionMode selects how per-recipient inboxes are built under
-// batched delivery. Both modes produce byte-identical Results (pinned
-// by the group-reception parity tests over every committed fuzz seed);
-// they differ only in how much fill work is shared.
-type ReceptionMode int
-
-const (
-	// ReceiveGroupShared is the default: after the round's batches are
-	// flushed, recipients are classified into equivalence classes — the
-	// correct members of one identifier group whose delivered index
-	// batches are byte-identical — and each class's inbox fill (dedup,
-	// KeyID-dense counts, sort index) is computed once in a shared
-	// msg.GroupInbox, with each member receiving a read-only view. In
-	// identifier-symmetric rounds (all-to-all broadcast, no divergent
-	// masks — every post-GST round of a fault-free execution) this cuts
-	// the n inbox fills to l, one per identifier group. Members whose
-	// batch diverges (targeted Byzantine sends, per-recipient visibility
-	// or drop masks) fall back to their own per-recipient fill.
-	ReceiveGroupShared ReceptionMode = iota
-	// ReceivePerRecipient is the reference path: every correct
-	// recipient fills its own inbox, as before group sharing existed.
-	ReceivePerRecipient
-)
-
 // BatchDropper is an optional Adversary extension consumed by the batched
 // delivery path: instead of one Drop call per (from, to) pair, the engine
 // asks once per recipient batch. Implementations must fill drop[i] with
@@ -67,10 +18,11 @@ const (
 //
 // The same purity contract as Adversary.Drop applies: the mask must be a
 // pure function of (round, fromSlots[i], toSlot), never of call order or
-// batch composition, so that batched and per-message routing agree
-// message for message. The engine enforces the model rules itself — the
-// mask is only consulted before GST in the partially synchronous model,
-// and verdicts on self-deliveries (fromSlots[i] == toSlot) are ignored.
+// batch composition, so that the batch verdicts equal what per-message
+// Drop calls would answer. The engine enforces the model rules itself —
+// the mask is only consulted before GST in the partially synchronous
+// model, and verdicts on self-deliveries (fromSlots[i] == toSlot) are
+// ignored.
 //
 // Adversaries that do not implement BatchDropper are adapted by a shim
 // that replays the batch through their per-message Drop, so every
@@ -121,8 +73,6 @@ type Router struct {
 	adv        Adversary
 	dropper    BatchDropper // nil iff adv is nil
 	gst        int
-	mode       DeliveryMode
-	reception  ReceptionMode
 	record     bool
 	stats      *Stats
 	isBad      []bool
@@ -130,9 +80,8 @@ type Router struct {
 
 	// Fault injection (package inject). inj is nil in fault-free
 	// executions; every query it answers is a pure function of
-	// (round, from, to), which is what keeps the delivery modes, the
-	// reception modes and the state representations identical under
-	// faults.
+	// (round, from, to), which is what keeps the state representations
+	// identical under faults.
 	inj      *inject.Injector
 	replays  []inject.Replay // inj's replay specs, indexed like retained
 	retained [][]msg.Payload // per replay spec: bodies captured at SourceRound
@@ -147,8 +96,7 @@ type Router struct {
 	// Eventually-synchronous timing machinery (TimingPolicy granted by
 	// the time model): held deliveries cross rounds in the pending
 	// queue, and sender timeout retransmissions fire from it with
-	// exponential backoff, identically under both delivery modes and
-	// every state representation.
+	// exponential backoff, identically under every state representation.
 	timing      bool // timing machinery live (EnableTiming)
 	esBound     int  // max post-stabilisation delivery delay in rounds
 	esTimeout   int  // first retransmit after this many rounds; 0 = off
@@ -185,20 +133,18 @@ type Router struct {
 
 	// Traffic-record bitmap for batched rounds: bit (si, to) is set when
 	// send si was delivered to slot to. recStride is the per-send word
-	// count ((n+63)/64); Flush reconstructs the reference path's
-	// send-major Delivered order from it.
+	// count ((n+63)/64); Flush reconstructs the send-major Delivered
+	// order from it.
 	recBits   []uint64
 	recStride int
 
 	round   int
 	dropsOK bool
-	perMsg  bool // effective routing this round
-	share   bool // group-shared reception this round
 	// rowsOpen: this round's broadcasts still go to the identifier-group
-	// rows. False from BeginRound where a link is genuinely per-pair
-	// (per-message delivery; an open hold, stall or replay window), and
-	// from the first pair routed individually, so whatever lands in a
-	// recipient's tail was stamped after everything in its group's row.
+	// rows. False from BeginRound where a link is genuinely per-pair (an
+	// open hold, stall or replay window), and from the first pair routed
+	// individually, so whatever lands in a recipient's tail was stamped
+	// after everything in its group's row.
 	rowsOpen bool
 }
 
@@ -224,13 +170,12 @@ type slotStage struct {
 	// it (fixed for the execution), split each round into classes of
 	// equal delivered batches. reps and repStats are scratch for the one
 	// group being partitioned.
-	groups     [][]int32
-	shareRep   []int32           // class representative slot, -1 = alone (own fill)
-	classSize  []int32           // per representative slot: class member count
-	classGI    []*msg.GroupInbox // per representative slot: shared core, built lazily
-	reps       []int32           // the current group's representatives, ascending
-	repStats   []batchStats      // parallel to reps: the representative batch's stat deltas
-	classified bool              // a reference mode derived the partition this round
+	groups    [][]int32
+	shareRep  []int32           // class representative slot, -1 = alone (own fill)
+	classSize []int32           // per representative slot: class member count
+	classGI   []*msg.GroupInbox // per representative slot: shared core, built lazily
+	reps      []int32           // the current group's representatives, ascending
+	repStats  []batchStats      // parallel to reps: the representative batch's stat deltas
 
 	// Hold memo for the batched path (timing faults only): the due round
 	// of a (round, from, to) link is the same for every message on it, so
@@ -304,8 +249,6 @@ func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 		visibility: cfg.Visibility,
 		adv:        cfg.Adversary,
 		gst:        cfg.GST,
-		mode:       cfg.Delivery,
-		reception:  cfg.Reception,
 		record:     record,
 		stats:      stats,
 		isBad:      isBad,
@@ -357,13 +300,11 @@ func (r *Router) BeginRound(round int) {
 	r.round = round
 	r.dropsOK = r.adv != nil &&
 		r.params.Synchrony == hom.PartiallySynchronous && round < r.gst
-	r.perMsg = r.mode == DeliverPerMessage
-	r.share = !r.perMsg && r.reception == ReceiveGroupShared
 	r.lossRound = r.inj.Live(inject.KindLoss, round)
 	r.holdRound = r.timingFault && r.inj.Live(inject.KindHold, round)
 	r.stallRound = r.timingFault && round < r.gst && r.inj.Live(inject.KindStall, round)
 	r.replayRound = r.inj.Live(inject.KindReplay, round)
-	r.rowsOpen = !r.perMsg && !r.holdRound && !r.stallRound && !r.replayRound
+	r.rowsOpen = !r.holdRound && !r.stallRound && !r.replayRound
 	r.arena.Reset()
 	r.sendFrom = r.sendFrom[:0]
 	r.sendKeyLen = r.sendKeyLen[:0]
@@ -372,7 +313,6 @@ func (r *Router) BeginRound(round int) {
 	if st := r.slots; st != nil {
 		clear(st.issued)
 		clear(st.viewsIssued)
-		st.classified = false
 		for g := range st.rows {
 			st.rows[g] = st.rows[g][:0]
 		}
@@ -390,10 +330,10 @@ func (r *Router) BeginRound(round int) {
 // stamp appends one send to the arena and records its routing metadata
 // columns. This is the only place a round's keys are interned — message
 // keys "id=<id>|<body key>" only, so every KeyID names a message — so
-// intern order is send order in both delivery modes. Stamp once per
-// execution: a send offered with its sender's memo builds and hashes its
-// key the first time and costs the column appends afterwards. Otherwise a
-// msg.ScratchKeyer builds its key in scratch; the rest fall back to Key().
+// intern order is send order. Stamp once per execution: a send offered
+// with its sender's memo builds and hashes its key the first time and
+// costs the column appends afterwards. Otherwise a msg.ScratchKeyer
+// builds its key in scratch; the rest fall back to Key().
 func (r *Router) stamp(from int, body msg.Payload, memo *msg.StampMemo) int32 {
 	id := r.assignment[from]
 	kid, keyLen, known := memo.Lookup(r.intern, id)
@@ -422,16 +362,14 @@ func (r *Router) stamp(from int, body msg.Payload, memo *msg.StampMemo) int32 {
 // execution — the engines' message-budget gauge (Config.MaxSends).
 func (r *Router) TotalStamped() int { return r.totalStamped }
 
-// route records one (send, recipient) pair: immediately delivered in
-// per-message mode, bucketed for Flush in batched mode. When a replay
-// fault needs this round's (from, to) traffic, the body is retained at
-// routing time — before any mask, like a network capturing a message in
-// flight — identically in both modes. Under the eventually-synchronous
-// model a timing fault may intercept the pair here — before the
-// per-message/batched split, so both modes hold identically — and park
-// it in the pending queue until its due round. Callers hold the slot
-// stage (stage()) before routing the first pair. A pair routed here
-// closes the round's rows: later broadcasts follow it into the tails.
+// route records one (send, recipient) pair in the recipient's tail for
+// Flush. When a replay fault needs this round's (from, to) traffic, the
+// body is retained at routing time — before any mask, like a network
+// capturing a message in flight. Under the eventually-synchronous model
+// a timing fault may intercept the pair here and park it in the pending
+// queue until its due round. Callers hold the slot stage (stage())
+// before routing the first pair. A pair routed here closes the round's
+// rows: later broadcasts follow it into the tails.
 func (r *Router) route(from, to int, si int32) {
 	r.rowsOpen = false
 	if r.replayRound && r.inj.NeedRetain(from, r.round) {
@@ -448,25 +386,15 @@ func (r *Router) route(from, to int, si int32) {
 			return
 		}
 	}
-	if r.perMsg {
-		r.deliverNow(from, to, si)
-		return
-	}
 	r.slots.pend[to] = append(r.slots.pend[to], si)
 }
 
 // holdDue decides whether a timing fault holds a (from, to) delivery
 // routed this round, and until which round. The verdict is a pure
-// function of (round, from, to), so the batched path resolves it once
-// per link per round — the memo is keyed by the sender row, and the ~n
-// messages a protocol puts on one link in one round share one linkDue —
-// while per-message delivery, the reference the parity suites compare
-// against, asks linkDue for every message.
+// function of (round, from, to), so it is resolved once per link per
+// round — the memo is keyed by the sender row, and the ~n messages a
+// protocol puts on one link in one round share one linkDue.
 func (r *Router) holdDue(from, to int) (int, bool) {
-	if r.perMsg {
-		due := r.linkDue(from, to)
-		return due, due > 0
-	}
 	st := r.slots
 	key := uint64(r.round)<<32 | uint64(uint32(from))
 	if st.dueKey[to] != key {
@@ -489,11 +417,10 @@ func (r *Router) holdDue(from, to int) (int, bool) {
 //   - a stalled recipient cannot receive: the due round is pushed past
 //     its stall windows (bounded — stalls end by GST).
 //
-// Pure in (round, from, to) given the compiled schedule, so both
-// delivery modes and the retransmit path agree. Self-deliveries are
-// exempt (the injector's link queries already exclude them, and a
-// stalled slot sends nothing, so from == to never reaches the stall
-// push for correct slots).
+// Pure in (round, from, to) given the compiled schedule, so routing and
+// the retransmit path agree. Self-deliveries are exempt (the injector's
+// link queries already exclude them, and a stalled slot sends nothing,
+// so from == to never reaches the stall push for correct slots).
 func (r *Router) linkDue(from, to int) int {
 	round := r.round
 	due := round
@@ -546,8 +473,7 @@ func (r *Router) hold(from, to int, si int32, due int) {
 // the retransmit timers due this round, then drain and deliver every
 // entry whose due round arrived. Drained bodies are stamped after the
 // round's fresh sends and replays, so held copies always sort behind
-// current traffic — in both delivery modes, since stamping order is
-// delivery-record order.
+// current traffic, since stamping order is delivery-record order.
 func (r *Router) pumpPending() {
 	st := r.stage()
 	round := int32(r.round)
@@ -598,45 +524,6 @@ func (r *Router) pumpPending() {
 	r.pq.Drop(round)
 }
 
-// deliverNow is the per-message reference hook, semantically identical to
-// the pre-batching engines' deliver closure. It deliberately asks Drop
-// and the injector for every message and shares none of maskBatch's
-// per-link verdict resolution: it is what the parity suites hold the
-// memoised batched path against.
-func (r *Router) deliverNow(from, to int, si int32) {
-	st := r.slots
-	r.stats.MessagesSent++
-	if r.visibility != nil && !r.visibility(from, to) {
-		return
-	}
-	if from != to && r.dropsOK && r.adv.Drop(r.round, from, to) {
-		r.stats.MessagesDropped++
-		return
-	}
-	copies := 1
-	if r.lossRound {
-		if r.inj.Suppress(r.round, from, to) {
-			r.stats.FaultOmissions++
-			return
-		}
-		if r.inj.Dup(r.round, from, to) {
-			copies = 2
-		}
-	}
-	r.stats.MessagesDelivered += copies
-	r.stats.PayloadBytes += copies * int(r.sendKeyLen[si])
-	for ; copies > 0; copies-- {
-		if !r.isBad[to] {
-			st.rawIdx[to] = append(st.rawIdx[to], si)
-		}
-		if r.record {
-			r.deliveries = append(r.deliveries, msg.Delivered{
-				Round: r.round, FromSlot: from, ToSlot: to, Msg: r.arena.Message(si),
-			})
-		}
-	}
-}
-
 // RouteCorrect stamps and routes one correct slot's sends for the round.
 // While the round's rows are open a send costs one append per addressed
 // identifier group — l for a broadcast, one for ToIdentifier (none for an
@@ -677,11 +564,11 @@ func (r *Router) RouteCorrect(from int, sends []msg.Send) {
 }
 
 // candidate returns everything routed to the slot this round, before any
-// mask, in ascending arena index — exactly the order per-pair routing
-// appends in: its identifier group's row, then its own tail (route closes
-// the rows, so a tail entry is stamped after every row entry). With
-// either part empty it is the other, uncopied; otherwise it is assembled
-// in scratch that the next call overwrites.
+// mask, in ascending arena index — the order the model delivers in: its
+// identifier group's row, then its own tail (route closes the rows, so a
+// tail entry is stamped after every row entry). With either part empty
+// it is the other, uncopied; otherwise it is assembled in scratch that
+// the next call overwrites.
 func (r *Router) candidate(to int) []int32 {
 	row, tail := r.slots.rows[r.assignment[to]-1], r.slots.pend[to]
 	switch {
@@ -832,7 +719,7 @@ func (r *Router) maskBatch(to int, cand, dst []int32, bs *batchStats) []int32 {
 // never depends on batch composition — is what licenses handing it each
 // sender once; self-deliveries are exempt regardless of the mask), then
 // one Suppress/Dup query per sender the adversary did not drop, in the
-// reference path's order: drop, then omission, then duplication.
+// model's order: drop, then omission, then duplication.
 func (r *Router) resolveLinks(to int, vis []int32) {
 	if r.verdictOf == nil {
 		r.verdictOf = make([]linkVerdict, r.n)
@@ -895,21 +782,20 @@ func (r *Router) flushOwn(to int) {
 	r.applyStats(&bs)
 }
 
-// Flush completes the round's routing. In batched mode it delivers one
-// batch per recipient (visibility mask, one drop-mask application per
-// batch, survivors copied in a single append, statistics per batch) and,
-// under group-shared reception, partitions the correct members of each
-// identifier group while doing so: every distinct delivered batch in the
-// group becomes a class representative, and every member joins the
-// class whose batch equals its own. A group's members share its row, so
+// Flush completes the round's routing. It delivers one batch per
+// recipient (visibility mask, one drop-mask application per batch,
+// survivors copied in a single append, statistics per batch) and
+// partitions the correct members of each identifier group while doing
+// so: every distinct delivered batch in the group becomes a class
+// representative, and every member joins the class whose batch equals
+// its own. A group's members share its row, so
 // when no mask can apply (post-GST, no visibility restriction, no loss
 // window) they are matched by their tails alone, only a representative
 // ever materialises row ++ tail, and members no targeted routing touched
 // join their class with no mask probe, no index copy and no comparison —
 // zero BatchDropper probes for the whole group; otherwise each member's
 // own masked candidate is matched against the group's representatives.
-// Per-message mode already delivered inline, and a round nothing was
-// routed per slot in has nothing to flush.
+// A round nothing was routed per slot in has nothing to flush.
 func (r *Router) Flush() {
 	if r.replayRound {
 		r.injectReplays()
@@ -918,17 +804,10 @@ func (r *Router) Flush() {
 		r.pumpPending()
 	}
 	st := r.slots
-	if r.perMsg || st == nil {
+	if st == nil {
 		return
 	}
 	r.resetRecord()
-	if !r.share {
-		for to := 0; to < r.n; to++ {
-			r.flushOwn(to)
-		}
-		r.buildRecord()
-		return
-	}
 
 	// trivialMask: no mask can change a batch this round, so a member's
 	// candidate batch is its delivered batch. A round inside the loss
@@ -1022,39 +901,16 @@ func (st *slotStage) closeGroup() {
 // identifier group whose delivered batch equals its own — or -1 when no
 // other member received the same batch (and for corrupted slots). Two
 // correct slots of one group therefore received the same inbox exactly
-// when they report the same class >= 0. Under group-shared reception it
-// is the partition Flush filled inboxes by; the reference modes, which
-// deliver per recipient, derive it from the delivered batches the first
-// time a round asks.
+// when they report the same class >= 0: it is the partition Flush filled
+// inboxes by.
 func (r *Router) ReceptionClass(to int) int {
-	st := r.stage()
-	if !r.share && !st.classified {
-		st.classified = true
-		for _, members := range st.groups {
-			if len(members) < 2 {
-				continue
-			}
-			st.reps = st.reps[:0]
-			for _, m := range members {
-				ci := r.findClass(st.rawIdx[m], st.rawIdx)
-				if ci < 0 {
-					ci = len(st.reps)
-					st.reps = append(st.reps, m)
-				}
-				st.shareRep[m] = st.reps[ci]
-				st.classSize[st.reps[ci]]++
-			}
-			st.closeGroup()
-		}
-	}
-	return int(st.shareRep[to])
+	return int(r.stage().shareRep[to])
 }
 
 // injectReplays stamps the retained bodies of every replay fault firing
 // this round and routes them to their target — after the round's real
-// sends, so replayed copies always sort behind fresh traffic in both
-// delivery modes (per-message delivers them inline here; batched mode
-// stamps them last, and buildRecord emits in stamp order). The target is
+// sends, so replayed copies always sort behind fresh traffic (they are
+// stamped last, and buildRecord emits in stamp order). The target is
 // marked dirty like a Byzantine-targeted recipient so the reception
 // classifier never assumes its batch matches its group's.
 func (r *Router) injectReplays() {
@@ -1096,9 +952,8 @@ func (r *Router) markRecord(delivered []int32, to int) {
 }
 
 // buildRecord reconstructs the recorded deliveries from the bitmap in
-// the reference path's order: ascending send (stamp) index, then
-// ascending recipient slot — exactly the order deliverNow appends in,
-// so observers and traffic consumers cannot tell the modes apart.
+// the model's send-major order: ascending send (stamp) index, then
+// ascending recipient slot.
 func (r *Router) buildRecord() {
 	if !r.record {
 		return
@@ -1121,8 +976,8 @@ func (r *Router) buildRecord() {
 				m.ToSlot = to
 				r.deliveries = append(r.deliveries, m)
 				// Duplicated deliveries set one bitmap bit but appear
-				// twice in the reference record; Dup is pure, so asking
-				// again here reproduces the per-message path's doubling.
+				// twice in the record; Dup is pure, so asking again here
+				// reproduces the doubling.
 				if r.lossRound && r.inj.Dup(r.round, m.FromSlot, to) {
 					r.deliveries = append(r.deliveries, m)
 				}
@@ -1146,31 +1001,24 @@ func (r *Router) Inbox(to int) *msg.Inbox {
 	if r.verify {
 		st.issued[to]++
 	}
-	if r.share {
-		if rep := st.shareRep[to]; rep >= 0 {
-			gi := st.classGI[rep]
-			if gi == nil {
-				gi = msg.NewPooledGroupInbox(r.params.Numerate, &r.arena, st.rawIdx[rep], int(st.classSize[rep]))
-				st.classGI[rep] = gi
-			}
-			if r.verify {
-				st.viewsIssued[rep]++
-			}
-			return msg.NewPooledInboxView(gi)
+	if rep := st.shareRep[to]; rep >= 0 {
+		gi := st.classGI[rep]
+		if gi == nil {
+			gi = msg.NewPooledGroupInbox(r.params.Numerate, &r.arena, st.rawIdx[rep], int(st.classSize[rep]))
+			st.classGI[rep] = gi
 		}
+		if r.verify {
+			st.viewsIssued[rep]++
+		}
+		return msg.NewPooledInboxView(gi)
 	}
 	return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, st.rawIdx[to])
 }
 
 // SharedWith reports the representative slot whose shared inbox core
 // slot to consumes this round — its ReceptionClass — or -1 when the slot
-// fills its own inbox, as every slot does in the reference modes.
-func (r *Router) SharedWith(to int) int {
-	if !r.share {
-		return -1
-	}
-	return r.ReceptionClass(to)
-}
+// fills its own inbox. The benchmark's trace samples it.
+func (r *Router) SharedWith(to int) int { return r.ReceptionClass(to) }
 
 // Deliveries returns the round's recorded deliveries (empty unless the
 // router was built with record set). Engine-owned scratch: observers must

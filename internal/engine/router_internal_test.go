@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -34,6 +33,12 @@ func newRouterHarness(t *testing.T, cfg Config, corrupted []int) *routerHarness 
 // broadcastRound runs one round in which every correct slot broadcasts
 // one distinct payload, plus the given Byzantine targeted sends.
 func (h *routerHarness) broadcastRound(round int, byz map[int][]msg.TargetedSend) {
+	h.route(round, byz)
+	h.r.Flush()
+}
+
+// route opens and routes broadcastRound's round, leaving it unflushed.
+func (h *routerHarness) route(round int, byz map[int][]msg.TargetedSend) {
 	h.r.BeginRound(round)
 	for s := 0; s < h.cfg.Params.N; s++ {
 		if h.isBad[s] {
@@ -44,7 +49,27 @@ func (h *routerHarness) broadcastRound(round int, byz map[int][]msg.TargetedSend
 	for s, sends := range byz {
 		h.r.RouteByzantine(s, sends)
 	}
-	h.r.Flush()
+}
+
+// flushPerRecipient completes a routed round as Flush does, except that
+// every slot fills its own batch (flushOwn): no reception classes, no
+// shared inboxes — the twin the classifier is held to.
+func (h *routerHarness) flushPerRecipient() {
+	r := h.r
+	if r.replayRound {
+		r.injectReplays()
+	}
+	if r.timing && r.pq.Len() > 0 {
+		r.pumpPending()
+	}
+	if r.slots == nil {
+		return
+	}
+	r.resetRecord()
+	for to := 0; to < r.n; to++ {
+		r.flushOwn(to)
+	}
+	r.buildRecord()
 }
 
 func itoaTest(v int) string {
@@ -122,20 +147,6 @@ func TestClassifierSymmetricRoundSharesPerGroup(t *testing.T) {
 			if fp[m] != fp[members[0]] {
 				t.Errorf("slot %d inbox diverges from its representative", m)
 			}
-		}
-	}
-}
-
-// TestClassifierPerRecipientModeDisablesSharing pins the reference
-// path: with Config.Reception = ReceivePerRecipient nothing is shared.
-func TestClassifierPerRecipientModeDisablesSharing(t *testing.T) {
-	cfg := symmetricConfig(12, 4)
-	cfg.Reception = ReceivePerRecipient
-	h := newRouterHarness(t, cfg, nil)
-	h.broadcastRound(1, nil)
-	for s := 0; s < 12; s++ {
-		if h.r.SharedWith(s) != -1 {
-			t.Fatalf("slot %d shares under ReceivePerRecipient", s)
 		}
 	}
 }
@@ -346,33 +357,15 @@ func TestClosedWindowsCostNothing(t *testing.T) {
 	}
 }
 
-// seededMask is a drop policy and a visibility restriction drawn from
-// one hash of (round, from, to): pure, so both routers see the same
-// masks.
-type seededMask struct{ seed, modulus uint64 }
-
-func (m seededMask) hit(round, from, to int) bool {
-	x := m.seed ^ uint64(round)<<40 ^ uint64(from)<<20 ^ uint64(to)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x%m.modulus == 0
-}
-
-func (m seededMask) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { return nil }
-func (m seededMask) Sends(int, int, *View) []msg.TargetedSend              { return nil }
-func (m seededMask) Drop(round, from, to int) bool                         { return m.hit(round, from, to) }
-
 // TestRouterPartitionIsComplete pins the reception classifier as a
 // complete partition. Over generated rounds — every correct slot
 // broadcasts, one Byzantine slot hands each identifier group k distinct
 // targeted variants (each variant stamped separately per member, so
 // equal batches differ in arena indices) — with and without pre-GST
 // drops, a visibility restriction and a loss window, two correct slots
-// of one group report the same SharedWith class exactly when their
-// delivered batches are equal, the per-recipient reference router
-// derives the same partition from its own batches (ReceptionClass), and
-// every inbox matches the reference router's entry for entry.
+// of one group report the same SharedWith class exactly when the batches
+// a second router delivers them, flushing every slot on its own, are
+// equal; and every inbox and the statistics match that router's.
 func TestRouterPartitionIsComplete(t *testing.T) {
 	const n, l, bad = 26, 4, 3
 	masks := []struct {
@@ -382,12 +375,12 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 		{"clean", func(*Config) *inject.Schedule { return nil }},
 		{"drops", func(cfg *Config) *inject.Schedule {
 			cfg.Params.Synchrony, cfg.GST = hom.PartiallySynchronous, 100
-			cfg.Adversary = seededMask{seed: 7, modulus: 9}
+			cfg.Adversary = SeededMask{Seed: 7, Modulus: 9}
 			return nil
 		}},
 		{"visibility", func(cfg *Config) *inject.Schedule {
-			vis := seededMask{seed: 11, modulus: 13}
-			cfg.Visibility = func(from, to int) bool { return !vis.hit(0, from, to) }
+			vis := SeededMask{Seed: 11, Modulus: 13}
+			cfg.Visibility = func(from, to int) bool { return !vis.Hit(0, from, to) }
 			return nil
 		}},
 		{"loss", func(*Config) *inject.Schedule {
@@ -401,9 +394,8 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 	for _, mask := range masks {
 		for _, k := range []int{1, 2, 5} {
 			t.Run(mask.name+"/k="+itoaTest(k), func(t *testing.T) {
-				build := func(reception ReceptionMode) *routerHarness {
+				build := func() *routerHarness {
 					cfg := symmetricConfig(n, l)
-					cfg.Reception = reception
 					sched := mask.set(&cfg)
 					h := &routerHarness{cfg: cfg, isBad: make([]bool, n), intern: msg.NewInterner()}
 					h.isBad[bad] = true
@@ -414,22 +406,22 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 					h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, false, inj)
 					return h
 				}
-				shared, ref := build(ReceiveGroupShared), build(ReceivePerRecipient)
+				shared, own := build(), build()
 				for round := 1; round <= 4; round++ {
 					var byz []msg.TargetedSend
 					for to := 0; to < n; to++ {
 						variant := (to/l + round) % k // to/l: the slot's rank in its round-robin group
 						byz = append(byz, msg.TargetedSend{ToSlot: to, Body: msg.Raw("v|" + itoaTest(variant))})
 					}
-					for _, h := range []*routerHarness{shared, ref} {
-						h.broadcastRound(round, map[int][]msg.TargetedSend{bad: byz})
-					}
-					// The reference router's delivered batches, as KeyID
+					shared.broadcastRound(round, map[int][]msg.TargetedSend{bad: byz})
+					own.route(round, map[int][]msg.TargetedSend{bad: byz})
+					own.flushPerRecipient()
+					// The per-recipient router's delivered batches, as KeyID
 					// sequences: the ground truth the partition is held to.
 					batch := make([]string, n)
 					for s := range batch {
-						for _, si := range ref.r.slots.rawIdx[s] {
-							batch[s] += itoaTest(int(ref.r.arena.KID(si))) + ","
+						for _, si := range own.r.slots.rawIdx[s] {
+							batch[s] += itoaTest(int(own.r.arena.KID(si))) + ","
 						}
 					}
 					classes := 0
@@ -438,12 +430,6 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 							continue
 						}
 						ca := shared.r.SharedWith(a)
-						if got := ref.r.ReceptionClass(a); got != ca {
-							t.Errorf("round %d slot %d: reference ReceptionClass %d, shared class %d", round, a, got, ca)
-						}
-						if ref.r.SharedWith(a) != -1 {
-							t.Errorf("round %d slot %d: the reference mode shares an inbox", round, a)
-						}
 						if ca == a {
 							classes++
 						}
@@ -472,244 +458,126 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 					if classes != want {
 						t.Errorf("round %d: %d shared classes, want one per batch held twice in a group: %d", round, classes, want)
 					}
-					got, refIn := shared.drainInboxes(), ref.drainInboxes()
+					got, ownIn := shared.drainInboxes(), own.drainInboxes()
 					for s := range got {
-						if got[s] != refIn[s] {
-							t.Errorf("round %d slot %d: shared-reception inbox %q, per-recipient %q", round, s, got[s], refIn[s])
+						if got[s] != ownIn[s] {
+							t.Errorf("round %d slot %d: shared-reception inbox %q, per-recipient %q", round, s, got[s], ownIn[s])
 						}
 					}
 				}
-				if shared.stats != ref.stats {
-					t.Errorf("statistics diverge: shared %+v, per-recipient %+v", shared.stats, ref.stats)
-				}
-			})
-		}
-	}
-}
-
-// rowTraffic is the differential suite's correct traffic: every slot
-// broadcasts each round, a third of them also address one identifier
-// group, and two address identifiers nobody holds (0 and l+2), which
-// must reach no one on either routing path.
-func rowTraffic(round, s, l int) []msg.Send {
-	tag := itoaTest(s) + "|" + itoaTest(round)
-	sends := []msg.Send{msg.Broadcast(msg.Raw("b|" + tag))}
-	if (s+round)%3 == 0 {
-		sends = append(sends, msg.SendTo(hom.Identifier((s+round)%l+1), msg.Raw("i|"+tag)))
-	}
-	switch s {
-	case 5:
-		sends = append(sends, msg.SendTo(hom.Identifier(l+2), msg.Raw("nobody|"+tag)))
-	case 6:
-		sends = append(sends, msg.SendTo(0, msg.Raw("zero|"+tag)))
-	}
-	return sends
-}
-
-// renderDeliveries renders a round's traffic record, order included.
-func renderDeliveries(ds []msg.Delivered) string {
-	s := ""
-	for _, d := range ds {
-		s += itoaTest(d.Round) + ":" + itoaTest(d.FromSlot) + ">" + itoaTest(d.ToSlot) + ":" + d.Msg.Key() + ";"
-	}
-	return s
-}
-
-// TestRowRoutingMatchesPerPair holds the row stage — a broadcast is one
-// row entry per identifier group, a recipient's candidate batch its
-// group's row followed by its own tail — to per-pair routing, under
-// everything that can make two members of a group differ or close the
-// rows for a round. Over seeded rounds at n=24, l=5 (groups of four and
-// five) mixing ToAll, ToIdentifier (held and unheld identifiers),
-// Byzantine-targeted sends with equal and unequal keys, a replay, a
-// delay held and drained two rounds after the hold window closed, a
-// duplication, pre-GST drops and a visibility restriction, the batched
-// router under both reception modes agrees with the per-message
-// reference on every slot's delivered KeyID sequence and inbox, on the
-// ReceptionClass partition, on the traffic record (order included) and
-// on the statistics. In the rounds whose rows stay open it also pins
-// what they are for: the tails hold exactly the targeted and drained
-// pairs, and no broadcast cost a per-recipient append.
-func TestRowRoutingMatchesPerPair(t *testing.T) {
-	const n, l, gst, rounds = 24, 5, 3, 8
-	bad := []int{3, 12}
-	dup := []inject.Duplicate{{FromSlot: 2, ToSlot: 9, Round: 6}}
-	variants := []struct {
-		name       string
-		sched      *inject.Schedule
-		visibility bool
-		firstRow   int // the first round no hold, stall or replay window covers
-		drainRound int // the round the held pairs surface in
-	}{
-		// Rounds 1-3 sit inside the hold window and route per pair; 4-6
-		// are row rounds under the loss window (masked), 5 drains the
-		// pairs held in round 3; 7-8 are clean.
-		{name: "timing", firstRow: 4, drainRound: 5, sched: &inject.Schedule{
-			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 7, From: 3, Until: 3, By: 2}}, Duplicates: dup}},
-		// Round 1 is captured from, round 2 replayed into: both per pair.
-		{name: "replay", firstRow: 3, sched: &inject.Schedule{
-			Replays: []inject.Replay{{FromSlot: 6, SourceRound: 1, ToSlot: 10, Round: 2}}, Duplicates: dup}},
-		// No window to wait out: every round is a row round, the first
-		// two under the pre-GST drop mask.
-		{name: "drops", firstRow: 1, sched: &inject.Schedule{Duplicates: dup}},
-		{name: "visibility", firstRow: 1, sched: &inject.Schedule{Duplicates: dup}, visibility: true},
-	}
-	for _, v := range variants {
-		for _, record := range []bool{false, true} {
-			t.Run(v.name+"/record="+map[bool]string{false: "off", true: "on"}[record], func(t *testing.T) {
-				build := func(delivery DeliveryMode, reception ReceptionMode) *routerHarness {
-					cfg := symmetricConfig(n, l)
-					cfg.Params.Synchrony, cfg.Params.Numerate, cfg.GST = hom.PartiallySynchronous, true, gst
-					cfg.Delivery, cfg.Reception = delivery, reception
-					cfg.Adversary = seededMask{seed: 7, modulus: 6}
-					if v.visibility {
-						vis := seededMask{seed: 11, modulus: 13}
-						cfg.Visibility = func(from, to int) bool { return !vis.hit(0, from, to) }
-					}
-					h := &routerHarness{cfg: cfg, isBad: make([]bool, n), intern: msg.NewInterner()}
-					for _, s := range bad {
-						h.isBad[s] = true
-					}
-					inj, err := inject.Compile(v.sched, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, record, inj)
-					h.r.EnableTiming(TimingPolicy{Enabled: true, Bound: 2})
-					return h
-				}
-				ref := build(DeliverPerMessage, ReceivePerRecipient)
-				shared := build(DeliverBatched, ReceiveGroupShared)
-				own := build(DeliverBatched, ReceivePerRecipient)
-				for round := 1; round <= rounds; round++ {
-					// Slot 3 hands every slot one of two variants (equal
-					// keys within a group re-unify its members); slot 12
-					// singles out three slots with bodies of their own.
-					// Round 8 is all-correct: every member is untouched.
-					byz := map[int][]msg.TargetedSend{}
-					targeted := 0
-					if round < rounds {
-						for to := 0; to < n; to++ {
-							byz[3] = append(byz[3], msg.TargetedSend{ToSlot: to, Body: msg.Raw("v|" + itoaTest((to/l+round)%2))})
-						}
-						for _, to := range []int{1, 6, 16} {
-							byz[12] = append(byz[12], msg.TargetedSend{ToSlot: to, Body: msg.Raw("solo|" + itoaTest(to))})
-						}
-						targeted = n + 3
-					}
-					// The engine routes correct sends first; round 7 does not,
-					// and the first targeted pair must close the rows so that
-					// arena order survives.
-					byzFirst := round == 7
-					for _, h := range []*routerHarness{ref, shared, own} {
-						h.r.BeginRound(round)
-						for _, s := range bad {
-							if byzFirst {
-								h.r.RouteByzantine(s, byz[s])
-							}
-						}
-						for s := 0; s < n; s++ {
-							if !h.isBad[s] {
-								h.r.RouteCorrect(s, rowTraffic(round, s, l))
-							}
-						}
-						for _, s := range bad {
-							if !byzFirst {
-								h.r.RouteByzantine(s, byz[s])
-							}
-						}
-						h.r.Flush()
-					}
-
-					for _, h := range []*routerHarness{shared, own} {
-						st := h.r.slots
-						tails, rowed := 0, 0
-						for to := 0; to < n; to++ {
-							tails += len(st.pend[to])
-						}
-						for _, row := range st.rows {
-							rowed += len(row)
-						}
-						if round < v.firstRow || byzFirst {
-							if rowed != 0 {
-								t.Errorf("round %d: %d row entries in a round routed per pair", round, rowed)
-							}
-							continue
-						}
-						want := targeted
-						if round == v.drainRound {
-							want += ref.stats.TimingHolds
-						}
-						if tails != want {
-							t.Errorf("round %d: tails hold %d pairs, want the %d targeted and drained ones", round, tails, want)
-						}
-						if rowed < (n-len(bad))*l {
-							t.Errorf("round %d: rows hold %d entries, want at least one per broadcast and group (%d)", round, rowed, (n-len(bad))*l)
-						}
-					}
-
-					delivered := func(h *routerHarness, s int) string {
-						from := s
-						if rep := h.r.SharedWith(s); rep >= 0 {
-							from = rep
-						}
-						out := ""
-						for _, si := range h.r.slots.rawIdx[from] {
-							out += itoaTest(int(h.r.arena.KID(si))) + ","
-						}
-						return out
-					}
-					for s := 0; s < n; s++ {
-						if ref.isBad[s] {
-							continue
-						}
-						want := delivered(ref, s)
-						for name, h := range map[string]*routerHarness{"group-shared": shared, "per-recipient": own} {
-							if got := delivered(h, s); got != want {
-								t.Errorf("round %d slot %d: %s delivered KeyIDs %s, per-message %s", round, s, name, got, want)
-							}
-							if got, want := h.r.ReceptionClass(s), ref.r.ReceptionClass(s); got != want {
-								t.Errorf("round %d slot %d: %s ReceptionClass %d, per-message %d", round, s, name, got, want)
-							}
-						}
-					}
-					wantRec := renderDeliveries(ref.r.Deliveries())
-					if record == (wantRec == "") {
-						t.Fatalf("round %d: record=%v but the reference recorded %d deliveries", round, record, len(ref.r.Deliveries()))
-					}
-					wantIn := ref.drainInboxes()
-					if v.name == "replay" && round == 2 && !strings.Contains(wantIn[10], "b|6|1") {
-						t.Errorf("round 2: slot 10 was not replayed slot 6's round-1 broadcast: %q", wantIn[10])
-					}
-					for name, h := range map[string]*routerHarness{"group-shared": shared, "per-recipient": own} {
-						if got := renderDeliveries(h.r.Deliveries()); got != wantRec {
-							t.Errorf("round %d: %s traffic record differs from the per-message one", round, name)
-						}
-						for s, got := range h.drainInboxes() {
-							if got != wantIn[s] {
-								t.Errorf("round %d slot %d: %s inbox %q, per-message %q", round, s, name, got, wantIn[s])
-							}
-						}
-					}
-				}
-				if ref.stats.TimingHolds == 0 && v.drainRound > 0 {
-					t.Error("the delay never held anything")
-				}
-				if ref.stats.MessagesDropped == 0 {
-					t.Error("the pre-GST drop mask never fired")
-				}
-				if shared.stats != ref.stats || own.stats != ref.stats {
-					t.Errorf("statistics diverge: group-shared %+v, per-recipient %+v, per-message %+v", shared.stats, own.stats, ref.stats)
+				if shared.stats != own.stats {
+					t.Errorf("statistics diverge: shared %+v, per-recipient %+v", shared.stats, own.stats)
 				}
 			})
 		}
+	}
+}
+
+// TestRowRoutingKeepsRowsOpen pins how the router routes the row-routing
+// execution (export_test.go), whose Results TestRowRoutingMatchesPerPair
+// holds to the reference interpreter — Results a router quietly routing
+// every pair through its tail would match too. In a round no hold, stall
+// or replay window covers, a broadcast is one row entry per identifier
+// group (the rows hold at least (n-bad)·l entries) and the tails hold
+// exactly the targeted and drained pairs; a round inside a window, or
+// one whose first routed pair is Byzantine (the engine never routes so;
+// the pair must close the rows so that arena order survives), leaves the
+// rows empty. Group-shared Flush also hands every slot the inbox, and
+// the execution the statistics, of a per-recipient flush.
+func TestRowRoutingKeepsRowsOpen(t *testing.T) {
+	for _, v := range RowVariants() {
+		t.Run(v.Name, func(t *testing.T) {
+			build := func() *routerHarness {
+				h := &routerHarness{cfg: RowConfig(v), intern: msg.NewInterner()}
+				h.isBad = make([]bool, h.cfg.Params.N)
+				for _, s := range h.cfg.Adversary.Corrupt(h.cfg.Params, h.cfg.Assignment, h.cfg.Inputs) {
+					h.isBad[s] = true
+				}
+				inj, err := inject.Compile(v.Sched, h.cfg.Params.N)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, false, inj)
+				h.r.EnableTiming(RowTime.Timing())
+				return h
+			}
+			shared, own := build(), build()
+			p := shared.cfg.Params
+			bad := shared.cfg.Adversary.Corrupt(p, shared.cfg.Assignment, shared.cfg.Inputs)
+			for round := 1; round <= RowRounds; round++ {
+				byzFirst, targeted := round == 7, 0
+				for _, h := range []*routerHarness{shared, own} {
+					routeByz := func() {
+						for _, s := range bad {
+							sends := h.cfg.Adversary.Sends(round, s, nil)
+							h.r.RouteByzantine(s, sends)
+							targeted += len(sends)
+						}
+					}
+					h.r.BeginRound(round)
+					if byzFirst {
+						routeByz()
+					}
+					for s := 0; s < p.N; s++ {
+						if !h.isBad[s] {
+							h.r.RouteCorrect(s, RowTraffic(round, s, p.L))
+						}
+					}
+					if !byzFirst {
+						routeByz()
+					}
+				}
+				targeted /= 2 // counted once per router
+				shared.r.Flush()
+				own.flushPerRecipient()
+
+				tails, rowed := 0, 0
+				for _, tail := range shared.r.slots.pend {
+					tails += len(tail)
+				}
+				for _, row := range shared.r.slots.rows {
+					rowed += len(row)
+				}
+				if round < v.FirstRow || byzFirst {
+					if rowed != 0 {
+						t.Errorf("round %d: %d row entries in a round routed per pair", round, rowed)
+					}
+				} else {
+					want := targeted
+					if round == v.DrainRound {
+						want += shared.stats.TimingHolds
+					}
+					if tails != want {
+						t.Errorf("round %d: tails hold %d pairs, want the %d targeted and drained ones", round, tails, want)
+					}
+					if rowed < (p.N-len(bad))*p.L {
+						t.Errorf("round %d: rows hold %d entries, want at least one per broadcast and group (%d)", round, rowed, (p.N-len(bad))*p.L)
+					}
+				}
+				got, want := shared.drainInboxes(), own.drainInboxes()
+				for s := range got {
+					if got[s] != want[s] {
+						t.Errorf("round %d slot %d: group-shared inbox %q, per-recipient %q", round, s, got[s], want[s])
+					}
+				}
+			}
+			if v.DrainRound > 0 && shared.stats.TimingHolds == 0 {
+				t.Error("the delay never held anything")
+			}
+			if shared.stats.MessagesDropped == 0 {
+				t.Error("the pre-GST drop mask never fired")
+			}
+			if shared.stats != own.stats {
+				t.Errorf("statistics diverge: group-shared %+v, per-recipient %+v", shared.stats, own.stats)
+			}
+		})
 	}
 }
 
 // TestVerifyRoundChecksRowsAndTails pins the paranoid checks that guard
 // the row stage. row-order: a tail entry stamped at or before its
 // group's last row entry would make row ++ tail a different sequence
-// from per-pair routing's. class-equality: the probed member's candidate
+// from the model's send-major one. class-equality: the probed member's candidate
 // is rebuilt from its row and tail and re-masked, so a member whose tail
 // no longer equals its representative's is caught even though Flush
 // matched the two by tail.

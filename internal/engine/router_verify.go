@@ -31,9 +31,10 @@ func (e *InvariantError) Error() string {
 //     so the shared core's reference count drains to zero on recycle;
 //   - stamp-memo: every entry stamped from a sender's memo carries the
 //     KeyID and key length its key, re-derived through BuildKey, has;
-//   - row-order: every tail entry was stamped after the last entry of the
-//     recipient's group row — what licenses reading a candidate batch as
-//     row ++ tail instead of merging the two;
+//   - row-order: every recipient's candidate batch is in strictly
+//     ascending stamp order — the send-major order the model delivers in,
+//     which holds only if each tail entry was stamped after the last
+//     entry of its group row and the batch reads row ++ tail;
 //   - class-equality: for one shared class, a non-representative member's
 //     candidate is rebuilt from its row and tail, re-masked from scratch
 //     and compared byte for byte against the representative's delivered
@@ -85,16 +86,12 @@ func (r *Router) VerifyRound() error {
 		}
 	}
 	for to := 0; to < r.n; to++ {
-		row := st.rows[r.assignment[to]-1]
-		if len(row) == 0 {
-			continue
-		}
-		last := row[len(row)-1]
-		for _, si := range st.pend[to] {
-			if si <= last {
+		cand := r.candidate(to)
+		for i := 1; i < len(cand); i++ {
+			if cand[i] <= cand[i-1] {
 				return &InvariantError{
 					Round: r.round, Check: "row-order",
-					Detail: fmt.Sprintf("slot %d holds tail entry %d at or before its row's last entry %d", to, si, last),
+					Detail: fmt.Sprintf("slot %d's candidate batch holds entry %d after entry %d", to, cand[i], cand[i-1]),
 				}
 			}
 		}
@@ -111,9 +108,6 @@ func (r *Router) VerifyRound() error {
 				}
 			}
 		}
-	}
-	if !r.share {
-		return nil
 	}
 	for rep := 0; rep < r.n; rep++ {
 		if cs := st.classSize[rep]; cs > 1 && st.viewsIssued[rep] != cs {

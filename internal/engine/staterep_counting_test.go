@@ -9,6 +9,7 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
+	"homonyms/internal/refmodel"
 )
 
 // classCounter is the diagnostic surface of the counting representation.
@@ -83,24 +84,29 @@ func (a targetRounds) Drop(round, from, to int) bool {
 	return a.drops[[3]int{round, from, to}]
 }
 
-// countingOptions is the shared scenario: 12 slots, 4 identifiers
+// countingConfig is the shared scenario: 12 slots, 4 identifiers
 // round-robin, inputs varying within each group so initial classes are
 // (identifier, input) pairs — identifier g holds slots {g-1, g+3, g+7}
 // with inputs {0, 1, 0}, giving 8 initial classes ({g-1, g+7} and
 // {g+3} per group).
-func countingOptions(persist bool, rounds int) []engine.Option {
+func countingConfig(persist bool, rounds int) engine.Config {
 	const n, l = 12, 4
 	inputs := make([]hom.Value, n)
 	for s := range inputs {
 		inputs[s] = hom.Value((s / 4) % 2)
 	}
-	return []engine.Option{
-		engine.WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
-		engine.WithAssignment(hom.RoundRobinAssignment(n, l)),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(func(int) engine.Process { return &foldProc{persist: persist} }),
-		engine.WithRounds(rounds),
+	return engine.Config{
+		Params:     hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous},
+		Assignment: hom.RoundRobinAssignment(n, l),
+		Inputs:     inputs,
+		NewProcess: func(int) engine.Process { return &foldProc{persist: persist} },
+		MaxRounds:  rounds,
 	}
+}
+
+// countingOptions is countingConfig as engine options.
+func countingOptions(persist bool, rounds int) []engine.Option {
+	return refmodel.Options(countingConfig(persist, rounds), engine.Lockstep{})
 }
 
 // resultKey reduces a Result to its comparable essence.
@@ -259,24 +265,25 @@ func TestCountingSingletonFallback(t *testing.T) {
 	}
 }
 
-// TestCountingReceptionModes pins counting-vs-concrete parity across
-// both reception modes and both delivery modes on a faulty execution
-// (the slow path) and a clean one (the fast path).
+// TestCountingReceptionModes holds both state representations to the
+// reference interpreter on a faulty execution (the counting slow path)
+// and a clean one (the fast path, unless deliveries are recorded). The
+// subtest d<i>-r<j> records deliveries (traffic and per-slot history
+// hashes) when i is 1, and receives numerately when j is 1.
 func TestCountingReceptionModes(t *testing.T) {
 	adv := targetRounds{bad: 3, plan: map[int][]msg.TargetedSend{
 		2: {{ToSlot: 8, Body: msg.Raw("poison")}},
 	}}
-	for _, delivery := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
-		for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
+	for d := 0; d < 2; d++ {
+		for r := 0; r < 2; r++ {
 			for _, faulty := range []bool{false, true} {
-				name := fmt.Sprintf("d%d-r%d-faulty%t", delivery, reception, faulty)
-				t.Run(name, func(t *testing.T) {
-					opts := append(countingOptions(false, 6),
-						engine.WithDelivery(delivery), engine.WithReception(reception))
+				t.Run(fmt.Sprintf("d%d-r%d-faulty%t", d, r, faulty), func(t *testing.T) {
+					cfg := countingConfig(false, 6)
+					cfg.RecordTraffic, cfg.FrontierHash, cfg.Params.Numerate = d == 1, d == 1, r == 1
 					if faulty {
-						opts = append(opts, engine.WithAdversary(adv))
+						cfg.Adversary = adv
 					}
-					runBoth(t, opts)
+					holdToRefmodel(t, cfg, engine.Lockstep{})
 				})
 			}
 		}

@@ -1,12 +1,8 @@
 package fuzz
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
-	"homonyms/internal/engine"
-	"homonyms/internal/exec"
 	"homonyms/internal/inject"
 )
 
@@ -39,64 +35,20 @@ func faultSchedules(n int) []*inject.Schedule {
 	}
 }
 
-// faultFingerprint extends the parity fingerprint with the fault-visible
-// Result fields: the culprit list and the structured stop reason.
-// (Stats, already inside resultFingerprint, covers FaultOmissions.)
-func faultFingerprint(r *engine.Result) string {
-	return fmt.Sprintf("%s|%v|%s", resultFingerprint(r), r.Faulted, r.Stopped)
-}
-
-// TestSeedCorpusFaultParity extends the delivery- and reception-parity
-// corpus over injected faults: every committed seed, under every derived
-// fault schedule, replays to a byte-identical Result across
-// {Concrete, Counting} x {batched, per-message} x
-// {group-shared, per-recipient}
-// and through the worker pool at workers 1 and 4. This is the tentpole's
-// determinism criterion — the injector must be a pure function of
+// TestSeedCorpusFaultParity holds the corpus to the reference
+// interpreter under injected faults: every committed seed, under every
+// derived fault schedule, traffic recorded, through the worker pool at
+// workers 1 and 4. The injector must be a pure function of
 // (round, from, to) on every code path.
 func TestSeedCorpusFaultParity(t *testing.T) {
-	scenarios := corpusScenarios(t)
-
-	// The flattened work list: every (scenario, schedule) pair.
-	type job struct {
-		sc     Scenario
-		faults *inject.Schedule
-	}
-	var jobs []job
-	for _, sc := range scenarios {
+	var jobs []Scenario
+	for _, sc := range corpusScenarios(t) {
 		for _, f := range faultSchedules(sc.N) {
-			jobs = append(jobs, job{sc, f})
+			sc.Faults = f
+			jobs = append(jobs, sc)
 		}
 	}
-
-	campaign := func(rep repMaker, mode engine.DeliveryMode, reception engine.ReceptionMode, workers int) string {
-		outs, err := exec.MapN(len(jobs), workers, func(i int) (string, error) {
-			res, err := corpusRun(jobs[i].sc, engine.WithFaults(jobs[i].faults), engine.WithStateRep(rep.mk()),
-				engine.WithDelivery(mode), engine.WithReception(reception))
-			if err != nil {
-				return "", err
-			}
-			return faultFingerprint(res), nil
-		})
-		if err != nil {
-			t.Fatalf("campaign (%s, %v, %v, workers %d): %v", rep.name, mode, reception, workers, err)
-		}
-		return strings.Join(outs, "\n")
-	}
-
-	want := campaign(stateReps[0], engine.DeliverPerMessage, engine.ReceivePerRecipient, 1)
-	for _, rep := range stateReps {
-		for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
-			for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
-				for _, workers := range []int{1, 4} {
-					if got := campaign(rep, mode, reception, workers); got != want {
-						t.Errorf("fault fingerprints diverge (%s, %v, %v, workers %d)",
-							rep.name, mode, reception, workers)
-					}
-				}
-			}
-		}
-	}
+	holdCorpus(t, jobs, true, 1, 4)
 }
 
 // TestFaultSchedulesChangeOutcomes guards against the injector silently
@@ -110,7 +62,8 @@ func TestFaultSchedulesChangeOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range faultSchedules(sc.N) {
-			res, err := corpusRun(sc, engine.WithFaults(f))
+			sc.Faults = f
+			res, err := corpusRun(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +73,7 @@ func TestFaultSchedulesChangeOutcomes(t *testing.T) {
 			if len(res.Faulted) > 0 {
 				faulted = true
 			}
-			if faultFingerprint(res) != faultFingerprint(base) {
+			if resultDiff(res, base) != "" {
 				changed = true
 			}
 		}

@@ -271,16 +271,20 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.A
 // parameters, assignment, inputs, a fresh process factory and a freshly
 // composed adversary (with its own RNG state). Every call returns an
 // independent config, so the same scenario can be executed repeatedly —
-// under every state representation, both delivery modes, or inside a
-// worker pool — and each execution sees the adversary exactly as a first
-// run would. The returned config uses the scenario's GST (clamped to 1)
-// and round budget (the protocol's suggested budget when unset) and
-// leaves Delivery at its default. The scenario's time model and state
-// representation are not Config fields: Options layers them on top.
+// under every state representation, in the reference interpreter, or
+// inside a worker pool — and each execution sees the adversary exactly
+// as a first run would. The returned config uses the scenario's GST
+// (clamped to 1) and round budget (the protocol's suggested budget when
+// unset). The scenario's time model and state representation are not
+// Config fields: Options layers them on top.
+//
+// Every O(1) check runs before anything n-sized is built, so a hostile
+// scenario (a huge n with a short input list) ends in a typed error
+// rather than an out-of-memory crash.
 //
 // Run performs the same assembly internally (plus claim classification);
 // Options exists for harnesses that need the raw execution, like the
-// parity tests replaying the committed seed corpus.
+// differential tests replaying generated scenarios.
 func (sc Scenario) Config() (engine.Config, error) {
 	proto, ok := protoreg.Get(sc.Protocol)
 	if !ok {
@@ -293,12 +297,15 @@ func (sc Scenario) Config() (engine.Config, error) {
 	if ok, why := proto.Constructible(p); !ok {
 		return engine.Config{}, fmt.Errorf("fuzz: not constructible: %s", why)
 	}
+	if len(sc.Inputs) != sc.N {
+		return engine.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d: %w", sc.N, len(sc.Inputs), hom.ErrInputLength)
+	}
+	if _, err := sc.timeModel(); err != nil {
+		return engine.Config{}, err
+	}
 	a, err := sc.assignment()
 	if err != nil {
 		return engine.Config{}, err
-	}
-	if len(sc.Inputs) != sc.N {
-		return engine.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d", sc.N, len(sc.Inputs))
 	}
 	inputs := make([]hom.Value, sc.N)
 	for i, v := range sc.Inputs {
@@ -319,9 +326,6 @@ func (sc Scenario) Config() (engine.Config, error) {
 	maxRounds := sc.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = proto.Rounds(p, gst)
-	}
-	if _, err := sc.timeModel(); err != nil {
-		return engine.Config{}, err
 	}
 	return engine.Config{
 		Params:     p,
@@ -354,9 +358,8 @@ func (sc Scenario) timeModel() (engine.TimeModel, error) {
 }
 
 // Options assembles the scenario into engine options: the Config()
-// assembly as an engine.FromConfig base layer, then the scenario's time
-// model and state representation — ready to compose with overrides
-// (delivery mode, reception mode, invariants).
+// assembly, then the scenario's time model and state representation —
+// ready to compose with overrides (state representation, invariants).
 func (sc Scenario) Options() ([]engine.Option, error) {
 	cfg, err := sc.Config()
 	if err != nil {
@@ -365,10 +368,27 @@ func (sc Scenario) Options() ([]engine.Option, error) {
 	return sc.options(cfg)
 }
 
-// options layers the scenario's time model and state representation
-// over an assembled (and possibly adjusted) cfg.
+// options turns an assembled (and possibly adjusted) cfg into engine
+// options and layers the scenario's time model and state representation
+// over them.
 func (sc Scenario) options(cfg engine.Config) ([]engine.Option, error) {
-	opts := []engine.Option{engine.FromConfig(cfg)}
+	opts := []engine.Option{
+		engine.WithParams(cfg.Params),
+		engine.WithAssignment(cfg.Assignment),
+		engine.WithInputs(cfg.Inputs...),
+		engine.WithProcess(cfg.NewProcess),
+		engine.WithGST(cfg.GST),
+		engine.WithRounds(cfg.MaxRounds),
+	}
+	if cfg.MaxSends > 0 {
+		opts = append(opts, engine.WithBudget(cfg.MaxSends, 0))
+	}
+	if cfg.Adversary != nil {
+		opts = append(opts, engine.WithAdversary(cfg.Adversary))
+	}
+	if cfg.Faults != nil {
+		opts = append(opts, engine.WithFaults(cfg.Faults))
+	}
 	tm, err := sc.timeModel()
 	if err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ import (
 
 // loadTestdataSeed loads one committed seed by name and fails the test
 // on any problem.
-func loadTestdataSeed(t *testing.T, name string) SeedFile {
+func loadTestdataSeed(t testing.TB, name string) SeedFile {
 	t.Helper()
 	sf, err := LoadSeed(filepath.Join("testdata", name+".json"))
 	if err != nil {

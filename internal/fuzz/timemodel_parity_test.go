@@ -1,11 +1,9 @@
 package fuzz
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"homonyms/internal/engine"
 	"homonyms/internal/inject"
 )
 
@@ -24,40 +22,30 @@ func stripTiming(sc Scenario) Scenario {
 	return sc
 }
 
-// TestSeedCorpusTimeModelParity is the tentpole's anchor: with zero
+// TestSeedCorpusTimeModelParity is the time model's anchor: with zero
 // delay, zero skew and timeouts disabled, EventuallySynchronous must be
-// byte-identical to Lockstep — over every committed regression seed,
-// both state representations, both delivery modes and both reception
-// modes. The eventually-synchronous machinery may cost nothing when its
-// knobs are off; any fingerprint drift here means a hold/retransmit
-// code path leaked into the synchronous schedule.
+// byte-identical to Lockstep over every committed regression seed, and
+// both must match the reference interpreter. The eventually-synchronous
+// machinery may cost nothing when its knobs are off; any drift here
+// means a hold/retransmit code path leaked into the synchronous
+// schedule.
 func TestSeedCorpusTimeModelParity(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
-		sc := stripTiming(sc)
+		lock := stripTiming(sc)
+		es := lock
+		es.TimeModel = "esync"
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
-			for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
-				for _, rec := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
-					for _, rep := range stateReps {
-						run := func(tm engine.TimeModel) string {
-							res, err := corpusRun(sc,
-								engine.WithDelivery(mode),
-								engine.WithReception(rec),
-								engine.WithTimeModel(tm),
-								engine.WithStateRep(rep.mk()),
-							)
-							if err != nil {
-								t.Fatalf("%s/%v/%v/%s: %v", tm.Describe(), mode, rec, rep.name, err)
-							}
-							return resultFingerprint(res)
-						}
-						want := run(engine.Lockstep{})
-						got := run(engine.EventuallySynchronous{})
-						if got != want {
-							t.Errorf("esync(zero-knob)/%v/%v/%s diverges from lockstep:\ngot:  %s\nwant: %s",
-								mode, rec, rep.name, got, want)
-						}
-					}
-				}
+			holdCorpus(t, []Scenario{lock, es}, true, 1)
+			want, err := corpusRun(lock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := corpusRun(es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := resultDiff(got, want); d != "" {
+				t.Errorf("esync(zero-knob) diverges from lockstep: %s", d)
 			}
 		})
 	}
@@ -88,35 +76,17 @@ func timingVariant(sc Scenario) Scenario {
 	return sc
 }
 
-// TestRetransmitDeterminism pins the timing machinery's determinism: a
-// derived esync scenario with delays, reorders, stalls and
-// retransmission produces one fingerprint across both state
-// representations, both delivery modes and repeated runs. Holds are
-// drained in deterministic pending-queue order and drained bodies stamp
-// behind the round's fresh traffic, so neither the state representation
-// nor delivery granularity may show through.
+// TestRetransmitDeterminism pins the timing machinery: a derived esync
+// scenario with delays, reorders, stalls and retransmission matches the
+// reference interpreter on both state representations, run after run.
+// Holds are drained in deterministic pending-queue order and drained
+// bodies stamp behind the round's fresh traffic, so neither the state
+// representation nor the batching may show through.
 func TestRetransmitDeterminism(t *testing.T) {
 	for _, base := range corpusScenarios(t) {
 		sc := timingVariant(base)
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
-			var want string
-			for run := 0; run < 2; run++ {
-				for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
-					for _, rep := range stateReps {
-						res, err := corpusRun(sc, engine.WithDelivery(mode), engine.WithInvariants(), engine.WithStateRep(rep.mk()))
-						if err != nil {
-							t.Fatalf("run %d/%v/%s: %v", run, mode, rep.name, err)
-						}
-						got := resultFingerprint(res) + fmt.Sprintf("|%s", res.Stopped)
-						if want == "" {
-							want = got
-						} else if got != want {
-							t.Errorf("run %d/%v/%s diverges:\ngot:  %s\nwant: %s",
-								run, mode, rep.name, got, want)
-						}
-					}
-				}
-			}
+			holdCorpus(t, []Scenario{sc, sc}, true, 1)
 		})
 	}
 }

@@ -11,8 +11,9 @@
 // engine compiles it once per execution (Compile) into an Injector whose
 // queries are pure functions of (round, from, to): the same schedule
 // produces the same suppressed, duplicated and replayed deliveries under
-// both delivery modes, both reception modes and every state
-// representation, which is what lets the delivery-parity corpus extend over injected faults.
+// every state representation and in the reference interpreter (package
+// refmodel), which is what lets the differential tests extend over
+// injected faults.
 //
 // The faults compose freely with an adversary.Composite: Byzantine slots
 // are chosen by the adversary as before, and injected faults apply to
@@ -310,8 +311,8 @@ type endpoint struct {
 }
 
 // Injector is a compiled schedule: every query is a pure function of its
-// arguments, so the delivery modes, the reception modes and the state
-// representations observe identical faults. A nil *Injector injects nothing
+// arguments, so the state representations and the reference interpreter
+// observe identical faults. A nil *Injector injects nothing
 // and every method is safe to call on it.
 //
 // Compile indexes the schedule by the slots it names (O(faults) memory,
@@ -548,7 +549,7 @@ func (in *Injector) NeedRetain(slot, round int) bool {
 
 // ReplaysInto returns the indices (into Schedule().Replays) of the
 // replays that deliver into the given round, in their schedule order —
-// deterministic, so both delivery modes stamp replayed messages
+// deterministic, so every executor stamps replayed messages
 // identically.
 func (in *Injector) ReplaysInto(round int) []int {
 	if !in.Live(KindReplay, round) {

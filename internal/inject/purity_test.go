@@ -89,8 +89,9 @@ func queryGrid(n, maxRound int) []query {
 // order on one injector, in shuffled order on a second injector
 // compiled from the same schedule, and concurrently from several
 // goroutines on a third — and all answers must agree. This is the
-// contract that keeps both delivery modes, both reception modes and
-// any worker count byte-identical under injected faults.
+// contract that keeps the state representations, the reference
+// interpreter and any worker count byte-identical under injected
+// faults.
 func TestInjectorQueryPurity(t *testing.T) {
 	const n, maxRound = 4, 8
 	s := propertySchedule()

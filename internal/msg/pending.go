@@ -19,8 +19,8 @@ type PendingEntry struct {
 
 // PendingQueue is the engine's cross-round queue of held deliveries.
 // Entries are appended in routing order and drained in that same order,
-// which is what keeps the delivery modes and the state representations
-// byte-identical under timing faults. The zero value is ready to use.
+// which is what keeps the state representations byte-identical under
+// timing faults. The zero value is ready to use.
 type PendingQueue struct {
 	entries []PendingEntry
 }

@@ -7,8 +7,8 @@ func pe(from, to, sent, due int32, body string) PendingEntry {
 }
 
 // TestPendingQueueFIFOAmongEqualDue: entries sharing a due round drain
-// in their hold (routing) order — the property that keeps the two
-// delivery modes byte-identical under timing faults.
+// in their hold (routing) order — the property that keeps the engine
+// byte-identical to per-message delivery under timing faults.
 func TestPendingQueueFIFOAmongEqualDue(t *testing.T) {
 	var q PendingQueue
 	q.Hold(pe(2, 0, 1, 3, "a"))

@@ -22,15 +22,18 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 	if err != nil {
 		t.Fatalf("psynchom.New: %v", err)
 	}
-	res, err := engine.Run(engine.FromConfig(engine.Config{
-		Params:     p,
-		Assignment: a,
-		Inputs:     inputs,
-		NewProcess: factory,
-		Adversary:  adv,
-		GST:        gst,
-		MaxRounds:  psynchom.SuggestedMaxRounds(p, gst),
-	}))
+	eopts := []engine.Option{
+		engine.WithParams(p),
+		engine.WithAssignment(a),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(factory),
+		engine.WithGST(gst),
+		engine.WithRounds(psynchom.SuggestedMaxRounds(p, gst)),
+	}
+	if adv != nil {
+		eopts = append(eopts, engine.WithAdversary(adv))
+	}
+	res, err := engine.Run(eopts...)
 	if err != nil {
 		t.Fatalf("engine.Run: %v", err)
 	}

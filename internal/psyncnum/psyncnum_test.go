@@ -27,15 +27,18 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 	if err != nil {
 		t.Fatalf("psyncnum.New: %v", err)
 	}
-	res, err := engine.Run(engine.FromConfig(engine.Config{
-		Params:     p,
-		Assignment: a,
-		Inputs:     inputs,
-		NewProcess: factory,
-		Adversary:  adv,
-		GST:        gst,
-		MaxRounds:  psyncnum.SuggestedMaxRounds(p, gst),
-	}))
+	opts := []engine.Option{
+		engine.WithParams(p),
+		engine.WithAssignment(a),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(factory),
+		engine.WithGST(gst),
+		engine.WithRounds(psyncnum.SuggestedMaxRounds(p, gst)),
+	}
+	if adv != nil {
+		opts = append(opts, engine.WithAdversary(adv))
+	}
+	res, err := engine.Run(opts...)
 	if err != nil {
 		t.Fatalf("engine.Run: %v", err)
 	}

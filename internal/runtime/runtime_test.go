@@ -5,6 +5,8 @@
 package engine_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -13,18 +15,19 @@ import (
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/psynchom"
+	"homonyms/internal/refmodel"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
 
 // run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(engine.FromConfig(cfg))
+	return engine.Run(refmodel.Options(cfg, nil)...)
 }
 
 // runCounting is run on the counting representation.
 func runCounting(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(engine.FromConfig(cfg), engine.WithStateRep(engine.Counting()))
+	return engine.Run(append(refmodel.Options(cfg, nil), engine.WithStateRep(engine.Counting()))...)
 }
 
 // equivalentConfigs builds a set of representative configurations used to
@@ -79,40 +82,31 @@ func equivalentConfigs(t *testing.T) map[string]engine.Config {
 	return cfgs
 }
 
+// TestRuntimeMatchesSimExactly holds both representations to the
+// reference interpreter: rounds, recorded GST, statistics, every slot's
+// decision and round, and the traffic record entry for entry.
 func TestRuntimeMatchesSimExactly(t *testing.T) {
+	observe := func(r *engine.Result) string {
+		var b strings.Builder
+		fmt.Fprint(&b, r.Rounds, r.GST, r.Stats, r.Decisions, r.DecidedAt)
+		for _, d := range r.Traffic {
+			fmt.Fprint(&b, "|", d.Round, d.FromSlot, d.ToSlot, d.Msg.Key())
+		}
+		return b.String()
+	}
 	for name, cfg := range equivalentConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			seqRes, err := run(cfg)
+			want, err := refmodel.Run(cfg, engine.Lockstep{})
 			if err != nil {
-				t.Fatalf("concrete: %v", err)
+				t.Fatalf("refmodel: %v", err)
 			}
-			countRes, err := runCounting(cfg)
-			if err != nil {
-				t.Fatalf("counting: %v", err)
-			}
-			if seqRes.Rounds != countRes.Rounds {
-				t.Fatalf("rounds: concrete=%d counting=%d", seqRes.Rounds, countRes.Rounds)
-			}
-			if seqRes.GST != countRes.GST {
-				t.Fatalf("recorded GST: concrete=%d counting=%d", seqRes.GST, countRes.GST)
-			}
-			if seqRes.Stats != countRes.Stats {
-				t.Fatalf("stats diverged:\nconcrete: %+v\ncounting: %+v", seqRes.Stats, countRes.Stats)
-			}
-			for s := range seqRes.Decisions {
-				if seqRes.Decisions[s] != countRes.Decisions[s] || seqRes.DecidedAt[s] != countRes.DecidedAt[s] {
-					t.Fatalf("slot %d: concrete decided %d@%d, counting %d@%d", s,
-						seqRes.Decisions[s], seqRes.DecidedAt[s], countRes.Decisions[s], countRes.DecidedAt[s])
+			for rep, run := range map[string]func(engine.Config) (*engine.Result, error){"concrete": run, "counting": runCounting} {
+				got, err := run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", rep, err)
 				}
-			}
-			if len(seqRes.Traffic) != len(countRes.Traffic) {
-				t.Fatalf("traffic length: concrete=%d counting=%d", len(seqRes.Traffic), len(countRes.Traffic))
-			}
-			for i := range seqRes.Traffic {
-				a, b := seqRes.Traffic[i], countRes.Traffic[i]
-				if a.Round != b.Round || a.FromSlot != b.FromSlot || a.ToSlot != b.ToSlot ||
-					a.Msg.Key() != b.Msg.Key() {
-					t.Fatalf("delivery %d diverged: concrete=%+v counting=%+v", i, a, b)
+				if observe(got) != observe(want) {
+					t.Fatalf("%s diverges from refmodel:\n got:  %.1500s\n want: %.1500s", rep, observe(got), observe(want))
 				}
 			}
 		})

@@ -3,12 +3,14 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
+	"homonyms/internal/refmodel"
 )
 
 // parityFlooder broadcasts a fresh payload each round, occasionally
@@ -131,7 +133,7 @@ func parityConfigs() map[string]engine.Config {
 	configs["record_traffic"] = traffic
 
 	// Recording plus pre-GST drops plus Byzantine multi-sends: the
-	// batched path must reconstruct the reference path's send-major
+	// batched path must reconstruct per-message delivery's send-major
 	// Delivered order from its delivery bitmap under every mask.
 	trafficDrops := base(8, 3)
 	trafficDrops.RecordTraffic = true
@@ -148,30 +150,41 @@ func parityConfigs() map[string]engine.Config {
 	return configs
 }
 
+// holdToRefmodel runs cfg through run and through the reference
+// interpreter, which delivers per message and fills every inbox on its
+// own, and fails unless the two Results agree field for field, recorded
+// traffic by content and in order.
+func holdToRefmodel(t *testing.T, cfg engine.Config, run func(engine.Config) (*engine.Result, error)) {
+	t.Helper()
+	got, err := run(cfg)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	want, err := refmodel.Run(cfg, engine.Lockstep{})
+	if err != nil {
+		t.Fatalf("refmodel: %v", err)
+	}
+	render := func(r *engine.Result) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v|%v|%v|%v|%v|%v|%v|%d|%d|%v|%q|%+v|%v", r.Params, r.Assignment, r.Inputs, r.Corrupted, r.Faulted,
+			r.Decisions, r.DecidedAt, r.Rounds, r.GST, r.AllDecided, r.Stopped, r.Stats, r.SlotHashes)
+		for _, d := range r.Traffic {
+			fmt.Fprintf(&b, "|%d:%d>%d:%s", d.Round, d.FromSlot, d.ToSlot, d.Msg.Key())
+		}
+		return b.String()
+	}
+	if g, w := render(got), render(want); g != w {
+		t.Errorf("engine result diverges from refmodel:\nengine:   %.2000s\nrefmodel: %.2000s", g, w)
+	}
+}
+
 // TestBatchedPerMessageParity pins the tentpole invariant: batched
-// delivery (the default) produces a Result byte-identical to the
-// per-message reference path — decisions, rounds, statistics and traffic
-// included — on every configuration of the routing feature matrix.
+// delivery produces the Result of per-message delivery — decisions,
+// rounds, statistics and traffic included — on every configuration of
+// the routing feature matrix.
 func TestBatchedPerMessageParity(t *testing.T) {
 	for name, cfg := range parityConfigs() {
-		t.Run(name, func(t *testing.T) {
-			batched := cfg
-			batched.Delivery = engine.DeliverBatched
-			perMsg := cfg
-			perMsg.Delivery = engine.DeliverPerMessage
-
-			got, err := run(batched)
-			if err != nil {
-				t.Fatalf("batched: %v", err)
-			}
-			want, err := run(perMsg)
-			if err != nil {
-				t.Fatalf("per-message: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("batched result diverges from per-message result:\nbatched:     %+v\nper-message: %+v", got, want)
-			}
-		})
+		t.Run(name, func(t *testing.T) { holdToRefmodel(t, cfg, run) })
 	}
 }
 

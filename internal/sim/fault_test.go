@@ -139,7 +139,7 @@ func TestDeadlineStops(t *testing.T) {
 }
 
 // TestInvariantsCleanRuns: paranoid mode passes over fault-free and
-// faulted executions in both delivery and reception modes — the checks
+// faulted executions on both state representations — the checks
 // themselves must not perturb results.
 func TestInvariantsCleanRuns(t *testing.T) {
 	faults := []*inject.Schedule{
@@ -152,28 +152,21 @@ func TestInvariantsCleanRuns(t *testing.T) {
 		},
 	}
 	for _, f := range faults {
-		for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
-			for _, rec := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
-				plain := baseConfig(4, 2, 0)
-				plain.Faults = f
-				plain.Delivery = mode
-				plain.Reception = rec
-				want, err := run(plain)
-				if err != nil {
-					t.Fatal(err)
-				}
-				paranoid := baseConfig(4, 2, 0)
-				paranoid.Faults = f
-				paranoid.Delivery = mode
-				paranoid.Reception = rec
-				paranoid.Invariants = true
-				got, err := run(paranoid)
-				if err != nil {
-					t.Fatalf("invariants tripped (faults=%v, %v, %v): %v", f, mode, rec, err)
-				}
-				if got.Stats != want.Stats || got.Rounds != want.Rounds {
-					t.Fatalf("paranoid mode perturbed the run (faults=%v, %v, %v)", f, mode, rec)
-				}
+		for _, run := range []func(engine.Config) (*engine.Result, error){run, runCounting} {
+			plain := baseConfig(4, 2, 0)
+			plain.Faults = f
+			want, err := run(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paranoid := plain
+			paranoid.Invariants = true
+			got, err := run(paranoid)
+			if err != nil {
+				t.Fatalf("invariants tripped (faults=%v): %v", f, err)
+			}
+			if got.Stats != want.Stats || got.Rounds != want.Rounds {
+				t.Fatalf("paranoid mode perturbed the run (faults=%v)", f)
 			}
 		}
 	}

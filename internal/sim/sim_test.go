@@ -1,6 +1,7 @@
 // The round kernel's black-box suite, driven through hand-built Configs:
-// model semantics, injected faults and budgets, and delivery/reception
-// parity. This directory holds tests only, like its sibling "runtime".
+// model semantics, injected faults and budgets, and parity with the
+// reference interpreter. This directory holds tests only, like its
+// sibling "runtime".
 package engine_test
 
 import (
@@ -10,6 +11,7 @@ import (
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
+	"homonyms/internal/refmodel"
 )
 
 // echoProc broadcasts its input every round and decides, after a fixed
@@ -65,12 +67,12 @@ func (e *echoProc) Decision() (hom.Value, bool) { return e.decision, e.decided }
 
 // run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(engine.FromConfig(cfg))
+	return engine.Run(refmodel.Options(cfg, nil)...)
 }
 
 // runCounting is run on the counting representation.
 func runCounting(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(engine.FromConfig(cfg), engine.WithStateRep(engine.Counting()))
+	return engine.Run(append(refmodel.Options(cfg, nil), engine.WithStateRep(engine.Counting()))...)
 }
 
 func baseConfig(n, l, t int) engine.Config {

@@ -29,14 +29,17 @@ func runTransform(t *testing.T, alg classical.Algorithm, p hom.Params, a hom.Ass
 	if err != nil {
 		t.Fatalf("synchom.New: %v", err)
 	}
-	res, err := engine.Run(engine.FromConfig(engine.Config{
-		Params:     p,
-		Assignment: a,
-		Inputs:     inputs,
-		NewProcess: factory,
-		Adversary:  adv,
-		MaxRounds:  synchom.Rounds(alg) + synchom.RoundsPerPhase,
-	}))
+	opts := []engine.Option{
+		engine.WithParams(p),
+		engine.WithAssignment(a),
+		engine.WithInputs(inputs...),
+		engine.WithProcess(factory),
+		engine.WithRounds(synchom.Rounds(alg) + synchom.RoundsPerPhase),
+	}
+	if adv != nil {
+		opts = append(opts, engine.WithAdversary(adv))
+	}
+	res, err := engine.Run(opts...)
 	if err != nil {
 		t.Fatalf("engine.Run: %v", err)
 	}
