@@ -179,11 +179,13 @@ func TestIngestKeyIDMemoMatchesKeyPath(t *testing.T) {
 			}
 			soa.Recycle()
 
-			view := msg.NewPooledInboxView(msg.NewPooledGroupInbox(false, arena, idx, 1))
+			core := msg.NewPooledGroupInbox(false, arena, idx)
+			view := msg.NewPooledInboxView(core)
 			if got := observed(shared, r, shared.Ingest(r, view)); got != wantSeen {
 				t.Fatalf("seed %d: shared view diverged from the key path\n got %s\nwant %s", seed, got, wantSeen)
 			}
 			view.Recycle()
+			core.Recycle()
 		}
 		if accepted == 0 || futureFirst == 0 || keyPath.TupleCount() < 10 {
 			t.Fatalf("seed %d: traffic too thin to mean anything (%d accepts, %d future echoes, %d tuples)",

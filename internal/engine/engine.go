@@ -47,8 +47,10 @@
 //
 // Round delivery runs through the Router, shared by every state
 // representation: sends are stamped once into a structure-of-arrays
-// arena and delivered as per-recipient batches with the adversary's
-// masks applied over each whole batch. On the reception side the Router
+// arena — once per counting class, with its size as the multiplicity,
+// in rounds where nothing can tell its members apart — and delivered as
+// per-recipient batches with the adversary's masks applied over each
+// whole batch. On the reception side the Router
 // classifies each identifier group's correct members into equivalence
 // classes of byte-identical batches and fills one shared inbox core per
 // class, so the fill cost of identifier-symmetric rounds scales with l
@@ -283,7 +285,7 @@ type Config struct {
 	Deadline time.Duration
 	// Invariants enables paranoid mode: after every round the engine
 	// validates the router's internal invariants (arena index bounds,
-	// inbox issuance, shared-class refcounts and an equivalence-class
+	// inbox issuance, row order, stamp memos and an equivalence-class
 	// byte-equality spot check) and aborts the execution with an
 	// *InvariantError on the first violation. Cheap enough for fuzz
 	// campaigns; off by default.
@@ -494,7 +496,8 @@ type Engine struct {
 	// adversaries themselves allocate). Routing scratch (send arena,
 	// per-recipient batches, delivery indices) lives in the Router,
 	// shared by every state representation.
-	correctSends [][]msg.Send         // per sender slot, nil when silent; built by the first SetSends
+	outgoing     []outgoing           // the round's correct senders, ascending
+	correctSends [][]msg.Send         // the View's per-slot sends; nil unless an adversary plays
 	byzSends     [][]msg.TargetedSend // parallel to corrupted
 	senders      []int32              // the View's sender index, rebuilt per round
 	groups       [][]int32            // the View's per-identifier correct members, execution-fixed
@@ -586,6 +589,7 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		}
 	}
 	if cfg.Adversary != nil && len(e.corrupted) > 0 {
+		e.correctSends = make([][]msg.Send, n)
 		e.byzSends = make([][]msg.TargetedSend, len(e.corrupted))
 		e.senders = make([]int32, 0, n)
 		e.groups = groupMembers(cfg.Params, e.res.Assignment, e.isBad)
@@ -612,9 +616,9 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		}
 	}
 	record := cfg.RecordTraffic || e.observer != nil || cfg.FrontierHash
-	e.router = NewRouter(&e.cfg, e.isBad, &e.res.Stats, e.intern, record, e.inj)
+	e.router = newRouter(&e.cfg, e.isBad, &e.res.Stats, e.intern, record, e.inj)
 	if policy.Enabled {
-		e.router.EnableTiming(policy)
+		e.router.enableTiming(policy)
 	}
 	return e, nil
 }
@@ -627,11 +631,12 @@ func (e *Engine) Run() (*Result, error) {
 		return nil, ErrEngineReused
 	}
 	e.ran = true
-	// Tear down the state representation (releasing processes) and
-	// recycle the pooled interner on every exit path, including an
-	// invariant abort mid-execution.
+	// Tear down the state representation (releasing processes), return
+	// the last round's shared inbox cores and recycle the pooled interner
+	// on every exit path, including an invariant abort mid-execution.
 	defer func() {
 		e.rep.Stop()
+		e.router.releaseCores()
 		if e.ownIntern {
 			e.intern.Recycle()
 			e.intern = nil
@@ -666,7 +671,7 @@ func (e *Engine) Run() (*Result, error) {
 // exhausted checks the execution budgets after a round; when one is
 // spent it records the stop reason on the Result and reports true.
 func (e *Engine) exhausted() bool {
-	if e.cfg.MaxSends > 0 && e.router.TotalStamped() >= e.cfg.MaxSends {
+	if e.cfg.MaxSends > 0 && e.router.totalStamped >= e.cfg.MaxSends {
 		e.res.Stopped = StopMessageBudget
 		return true
 	}
@@ -689,11 +694,18 @@ func (e *Engine) exhausted() bool {
 func (e *Engine) step(round int) error {
 	e.res.Rounds = round
 
+	// The Router opens the round first: whether the round is weighted —
+	// whether a counting class may send once for all its members — is
+	// decided by the link-condition windows it resolves here.
+	e.router.beginRound(round)
+
 	// Phase 1: correct sends, collected by the state representation.
+	e.outgoing = e.outgoing[:0]
+	clear(e.correctSends)
 	e.rep.PrepareRound(round)
 
 	// Phase 2: Byzantine sends (rushing: the adversary sees phase 1).
-	if e.cfg.Adversary != nil && len(e.corrupted) > 0 {
+	if e.byzSends != nil {
 		e.senders = e.senders[:0]
 		for s, sends := range e.correctSends {
 			if len(sends) > 0 {
@@ -723,23 +735,14 @@ func (e *Engine) step(round int) error {
 	// is counted, never walked — and a recipient's batch (row ++ tail) is
 	// materialised once per reception class. Correct sends go first: the
 	// first pair routed individually closes the round's rows.
-	e.router.BeginRound(round)
-	routed := false
-	if rr, ok := e.rep.(roundRouter); ok {
-		routed = rr.RouteRound(round)
+	for _, o := range e.outgoing {
+		e.router.routeCorrect(int(o.slot), o.copies, o.sends)
 	}
-	if !routed {
-		for from, sends := range e.correctSends {
-			if !e.isBad[from] {
-				e.router.RouteCorrect(from, sends)
-			}
-		}
-		for i, sends := range e.byzSends {
-			e.router.RouteByzantine(e.corrupted[i], sends)
-			e.byzSends[i] = nil
-		}
+	for i, sends := range e.byzSends {
+		e.router.routeByzantine(e.corrupted[i], sends)
+		e.byzSends[i] = nil
 	}
-	e.router.Flush()
+	e.router.flush()
 
 	// Phase 4: reception and state transitions, owned by the state
 	// representation. Inboxes come from the shared pool and go straight
@@ -753,30 +756,34 @@ func (e *Engine) step(round int) error {
 	}
 
 	if e.cfg.RecordTraffic {
-		e.res.Traffic = append(e.res.Traffic, e.router.Deliveries()...)
+		e.res.Traffic = append(e.res.Traffic, e.router.deliveries...)
 	}
 	if e.slotHash != nil {
 		// Fold the round's deliveries in the router's deterministic
 		// (send-major) order. Only correct recipients accumulate: a
 		// corrupted slot has no process state to fingerprint.
-		for _, d := range e.router.Deliveries() {
+		for _, d := range e.router.deliveries {
 			if !e.isBad[d.ToSlot] {
 				e.slotHash[d.ToSlot] = e.slotHash[d.ToSlot].Delivery(d.Round, d.Msg)
 			}
 		}
 	}
 	if e.observer != nil {
-		e.observer.Observe(round, e.router.Deliveries())
+		e.observer.Observe(round, e.router.deliveries)
 	}
 	if e.cfg.Invariants {
-		return e.router.VerifyRound()
+		return e.router.verifyRound()
 	}
 	return nil
 }
 
-// The accessors below are the state-representation seam: everything a
-// StateRep needs to collect a round's sends and deliver its inboxes,
-// exported so representations can live outside this package.
+// outgoing is one correct sender's round as a state representation
+// registers it (Engine.send): the slot the sends are stamped from, and
+// how many indistinguishable slots each stands for.
+type outgoing struct {
+	slot, copies int32
+	sends        []msg.Send
+}
 
 // N returns the number of slots.
 func (e *Engine) N() int { return e.n }
@@ -784,24 +791,13 @@ func (e *Engine) N() int { return e.n }
 // IsBad reports whether the slot is corrupted.
 func (e *Engine) IsBad(slot int) bool { return e.isBad[slot] }
 
-// Crashed reports whether the slot is inside an injected crash window
-// for the given round (it must take no step).
-func (e *Engine) Crashed(slot, round int) bool { return e.inj.Down(slot, round) }
-
-// Stalled reports whether a timing fault freezes the slot's round clock
-// in the given round (eventually-synchronous model only; stalls are
-// clamped to end by GST — bounded skew after stabilisation).
-func (e *Engine) Stalled(slot, round int) bool { return e.router.SlotStalled(slot, round) }
-
-// Halted reports whether the slot takes no step this round: crashed or
-// stalled. The two differ on the delivery side — a crashed recipient
-// loses the round's inbound messages, a stalled one has them held by
-// the router and delivered when it wakes — but both skip
-// Prepare/Receive/Decision, and state representations must still draw
-// (and discard) the slot's inbox so shared-class reference counts
-// drain as in a normal round.
-func (e *Engine) Halted(slot, round int) bool {
-	return e.Crashed(slot, round) || e.Stalled(slot, round)
+// halted reports whether the slot takes no step this round — no
+// Prepare, no inbox, no Receive, no Decision — because it is inside an
+// injected crash window (its inbound messages are lost) or its round
+// clock is stalled (they are held until it wakes). Only a round inside
+// the loss or the stall window (Router.lossRound, stallRound) halts any.
+func (e *Engine) halted(slot, round int) bool {
+	return e.inj.Down(slot, round) || e.router.slotStalled(slot, round)
 }
 
 // Process returns the correct process at the slot (nil when corrupted);
@@ -814,27 +810,28 @@ func (e *Engine) Process(slot int) Process {
 	return e.procs[slot]
 }
 
-// SetSends records a correct slot's sends for the current round during
-// PrepareRound; pass nil for a silent round. The per-slot table exists
-// from the first non-silent slot on: a representation that routes its
-// own rounds never builds it.
-func (e *Engine) SetSends(slot int, sends []msg.Send) {
-	if e.correctSends == nil {
-		if sends == nil {
-			return
-		}
-		e.correctSends = make([][]msg.Send, e.n)
+// send registers a correct sender's sends for the current round during
+// PrepareRound, in ascending slot order: stamped from the slot, each
+// standing for copies indistinguishable slots — more than one only in a
+// weighted round (Router.weighted) — and shown to an adversary's View as
+// the slot's (a sender standing for several shows the others itself).
+func (e *Engine) send(slot int, copies int32, sends []msg.Send) {
+	if len(sends) == 0 {
+		return
 	}
-	e.correctSends[slot] = sends
+	e.outgoing = append(e.outgoing, outgoing{slot: int32(slot), copies: copies, sends: sends})
+	if e.correctSends != nil {
+		e.correctSends[slot] = sends
+	}
 }
 
 // Router returns the execution's delivery machinery; representations
-// draw per-recipient inboxes from it during DeliverRound.
+// draw inboxes from it during DeliverRound.
 func (e *Engine) Router() *Router { return e.router }
 
-// RecordDecision notes a slot's decision poll after its Receive for the
+// recordDecision notes a slot's decision poll after its Receive for the
 // round; only the first decided poll is recorded (irrevocability).
-func (e *Engine) RecordDecision(slot int, v hom.Value, decided bool, round int) {
+func (e *Engine) recordDecision(slot int, v hom.Value, decided bool, round int) {
 	if decided && e.res.DecidedAt[slot] == 0 {
 		e.res.Decisions[slot] = v
 		e.res.DecidedAt[slot] = round
@@ -844,5 +841,5 @@ func (e *Engine) RecordDecision(slot int, v hom.Value, decided bool, round int) 
 	}
 }
 
-// Decided reports whether the slot has already decided.
-func (e *Engine) Decided(slot int) bool { return e.res.DecidedAt[slot] != 0 }
+// decided reports whether the slot has already decided.
+func (e *Engine) decided(slot int) bool { return e.res.DecidedAt[slot] != 0 }

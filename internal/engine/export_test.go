@@ -113,6 +113,20 @@ func (RowAdversary) Drop(round, from, to int) bool {
 	return SeededMask{Seed: 7, Modulus: 6}.Hit(round, from, to)
 }
 
+// ArenaProbe is Counting() keeping, for every round, how many entries
+// the round's arena held and how many classes were left once the round
+// was delivered (after its merges).
+type ArenaProbe struct {
+	countingRep
+	Arena, Classes []int
+}
+
+func (p *ArenaProbe) DeliverRound(round int) {
+	p.countingRep.DeliverRound(round)
+	p.Arena = append(p.Arena, p.e.router.arena.Len())
+	p.Classes = append(p.Classes, p.ClassCount())
+}
+
 // SeededMask is a drop policy and a visibility restriction drawn from
 // one pure hash of (round, from, to), hitting about one link in Modulus,
 // so every router and the reference interpreter see the same masks.

@@ -52,19 +52,24 @@ func (s dropShim) DropBatch(round, toSlot int, fromSlots []int32, drop []bool) {
 // batches are filled into one shared inbox core instead of one per
 // process.
 //
+// Every stamped send carries a multiplicity, the arena's copies column,
+// which the statistics, the send budget and the fills count. In a
+// weighted round — no link condition, visibility mask or traffic record
+// can tell two senders of one group apart — a counting class sends once
+// for all its members; in every other round each slot sends for itself.
+//
 // It exists so state representations cannot diverge: they share routing
 // code instead of mirroring it. All its buffers are engine round scratch,
-// allocated once per execution and reused across rounds; an inbox
-// returned by Inbox references the arena and is valid only until the
-// next BeginRound.
+// reused across rounds; an inbox and the shared core behind it are valid
+// until the next beginRound, which returns the cores to their pool.
 //
-// Its state is in two parts. What every round needs — the arena, the
-// stamp columns, the statistics, the interner, the link-condition
-// windows — lives on the Router itself and is sized by the round's
-// sends. Everything indexed by slot lives in the slotStage, which exists
-// from the first (send, recipient) pair routed through it: a
-// representation that routes its own rounds (roundRouter) never builds
-// it, and BeginRound and Flush then do no per-slot work at all.
+// What every round needs — the arena, the stamp columns, the
+// identifier-group rows, the statistics, the link-condition windows —
+// lives on the Router itself, sized by the round's sends and by l.
+// Everything indexed by slot lives in the slotStage, which a round uses
+// from the first pair routed on its own, or when a mask or a record
+// needs every recipient. A flat round uses neither: flush counts each
+// row once per holder of its identifier, and each group fills one core.
 type Router struct {
 	n          int
 	params     hom.Params
@@ -86,18 +91,20 @@ type Router struct {
 	replays  []inject.Replay // inj's replay specs, indexed like retained
 	retained [][]msg.Payload // per replay spec: bodies captured at SourceRound
 	// The injector's per-kind activity windows, asked once per round in
-	// BeginRound: each link-condition stage below is off for rounds its
+	// beginRound: each link-condition stage below is off for rounds its
 	// window does not cover, independently of the others.
 	lossRound   bool // a crash, omission or duplication can fire this round
 	holdRound   bool // a delay or reorder can hold a message sent this round
 	stallRound  bool // some slot's round clock can be stalled from this round on
 	replayRound bool // a replay can capture or deliver this round
+	trivialMask bool // no visibility mask, drop or loss can change a batch this round
+	weighted    bool // a send may stand for several indistinguishable senders this round
 
 	// Eventually-synchronous timing machinery (TimingPolicy granted by
 	// the time model): held deliveries cross rounds in the pending
 	// queue, and sender timeout retransmissions fire from it with
 	// exponential backoff, identically under every state representation.
-	timing      bool // timing machinery live (EnableTiming)
+	timing      bool // timing machinery live (enableTiming)
 	esBound     int  // max post-stabilisation delivery delay in rounds
 	esTimeout   int  // first retransmit after this many rounds; 0 = off
 	esMaxRetry  int  // retransmit attempts cap; 0 = unlimited
@@ -105,12 +112,23 @@ type Router struct {
 	timingFault bool // the schedule contains delay/reorder/stall faults
 	draining    bool // routing drained (due) entries: skip hold checks
 
-	verify        bool // paranoid mode (Config.Invariants): VerifyRound is live
+	verify        bool // paranoid mode (Config.Invariants): verifyRound is live
 	verifyScratch []int32
 	memoStamped   []int32 // paranoid mode: this round's entries stamped from a memo
-	totalStamped  int
+	issued        []int8  // paranoid mode: inboxes drawn per slot this round
+	totalStamped  int     // stamped copies across the execution: the Config.MaxSends gauge
 
-	slots *slotStage // per-slot routing stage; nil until something routes per slot
+	slots *slotStage // per-slot routing stage; nil until a round first needs one
+
+	// The identifier groups, indexed by identifier-1: this round's
+	// broadcast rows (arena indices, pre-mask, in stamp order), who holds
+	// each identifier, and — in a flat round — each group's shared core.
+	rows      [][]int32
+	holders   []groupHolders // see groups
+	groupCore []*msg.GroupInbox
+	cores     []*msg.GroupInbox // every shared core filled this round, recycled at the next
+	flat      bool              // this round's batches are the rows, unmasked: flush touched no slot
+	uniform   bool              // every correct member of a group received its group's batch this round
 
 	arena      msg.SendArena
 	kb         msg.KeyBuilder // scratch for ScratchKeyer body keys
@@ -133,7 +151,7 @@ type Router struct {
 
 	// Traffic-record bitmap for batched rounds: bit (si, to) is set when
 	// send si was delivered to slot to. recStride is the per-send word
-	// count ((n+63)/64); Flush reconstructs the send-major Delivered
+	// count ((n+63)/64); flush reconstructs the send-major Delivered
 	// order from it.
 	recBits   []uint64
 	recStride int
@@ -141,11 +159,42 @@ type Router struct {
 	round   int
 	dropsOK bool
 	// rowsOpen: this round's broadcasts still go to the identifier-group
-	// rows. False from BeginRound where a link is genuinely per-pair (an
+	// rows. False from beginRound where a link is genuinely per-pair (an
 	// open hold, stall or replay window), and from the first pair routed
 	// individually, so whatever lands in a recipient's tail was stamped
 	// after everything in its group's row.
 	rowsOpen bool
+}
+
+// groupHolders is what a flat round needs of one identifier group: how
+// many slots hold the identifier (each receives the group's row), and
+// how many of them are correct and the lowest such — the reception
+// class they all share.
+type groupHolders struct{ slots, correct, first int32 }
+
+// groups returns who holds each identifier, counted from the assignment
+// on first use unless the representation has set them (the counting
+// representation's classes already count them, which spares an n-sized
+// pass).
+func (r *Router) groups() []groupHolders {
+	if r.holders != nil {
+		return r.holders
+	}
+	r.holders = make([]groupHolders, r.params.L)
+	for slot, id := range r.assignment {
+		if !id.IsValid(r.params.L) {
+			continue
+		}
+		g := &r.holders[id-1]
+		g.slots++
+		if !r.isBad[slot] {
+			if g.correct == 0 {
+				g.first = int32(slot)
+			}
+			g.correct++
+		}
+	}
+	return r.holders
 }
 
 // slotStage is the Router's per-slot half: the recipient batches, the
@@ -160,7 +209,7 @@ type Router struct {
 // group: Byzantine-targeted, replayed and drained entries, plus every
 // pair of a round whose links are per-pair (see Router.rowsOpen).
 type slotStage struct {
-	rows     [][]int32 // per identifier (id-1): broadcast arena indices, pre-mask
+	used     bool      // this round routes or flushes through the stage: beginRound sweeps it
 	pend     [][]int32 // the recipient's tail: individually routed arena indices, pre-mask
 	rawIdx   [][]int32 // delivered arena indices
 	perRecip []int     // restricted-Byzantine budget counters
@@ -185,24 +234,19 @@ type slotStage struct {
 	// clearing.
 	dueKey []uint64
 	dueAt  []int32 // 0 = not held
-
-	// Paranoid-mode accounting (Config.Invariants): inboxes issued per
-	// slot and shared views issued per class representative, reset each
-	// round and checked by VerifyRound.
-	issued      []int8
-	viewsIssued []int32
 }
 
-// stage returns the per-slot routing stage, building it on first use.
-// A stage built mid-round is clean for that round; BeginRound sweeps it
-// from then on.
+// stage returns the per-slot routing stage, building it on first use,
+// and marks it used this round. A stage built mid-round is clean for
+// that round; beginRound sweeps it after every round that used it.
 func (r *Router) stage() *slotStage {
 	if r.slots != nil {
+		r.slots.used = true
 		return r.slots
 	}
 	n := r.n
 	st := &slotStage{
-		rows:      make([][]int32, r.params.L),
+		used:      true,
 		pend:      make([][]int32, n),
 		rawIdx:    make([][]int32, n),
 		dirty:     make([]bool, n),
@@ -224,15 +268,11 @@ func (r *Router) stage() *slotStage {
 		st.dueKey = make([]uint64, n)
 		st.dueAt = make([]int32, n)
 	}
-	if r.verify {
-		st.issued = make([]int8, n)
-		st.viewsIssued = make([]int32, n)
-	}
 	r.slots = st
 	return st
 }
 
-// NewRouter builds the round router for one execution. isBad, stats and
+// newRouter builds the round router for one execution. isBad, stats and
 // intern are the engine's (the router writes stats and interns into the
 // engine's table); record reports whether deliveries must be recorded
 // for traffic or an observer; inj is the compiled fault schedule (nil
@@ -240,8 +280,8 @@ func (r *Router) stage() *slotStage {
 // errors surface from Run, and shares it with the router so process
 // faults (crash windows) and link faults (omission, duplication,
 // replay) come from one source.
-func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, record bool, inj *inject.Injector) *Router {
-	n := cfg.Params.N
+func newRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, record bool, inj *inject.Injector) *Router {
+	n, l := cfg.Params.N, cfg.Params.L
 	r := &Router{
 		n:          n,
 		params:     cfg.Params,
@@ -255,6 +295,11 @@ func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 		intern:     intern,
 		verify:     cfg.Invariants,
 		recStride:  (n + 63) / 64,
+		rows:       make([][]int32, l),
+		groupCore:  make([]*msg.GroupInbox, l),
+	}
+	if r.verify {
+		r.issued = make([]int8, n)
 	}
 	r.inj = inj
 	if inj != nil {
@@ -272,12 +317,12 @@ func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 	return r
 }
 
-// EnableTiming arms the eventually-synchronous timing machinery with
+// enableTiming arms the eventually-synchronous timing machinery with
 // the time model's policy. Called once, before round 1. With no timing
 // faults in the schedule the hold checks stay off the routing path
 // entirely, which is what makes a zero-knob eventually-synchronous
 // execution byte-identical to a lockstep one.
-func (r *Router) EnableTiming(p TimingPolicy) {
+func (r *Router) enableTiming(p TimingPolicy) {
 	r.timing = true
 	r.esBound = p.Bound
 	r.esTimeout = p.Timeout
@@ -286,17 +331,19 @@ func (r *Router) EnableTiming(p TimingPolicy) {
 	r.pq.Reset()
 }
 
-// SlotStalled reports whether a stall fault freezes the slot's round
+// slotStalled reports whether a stall fault freezes the slot's round
 // clock in the given round. Stalls are clamped to rounds before GST —
 // the model's bounded-skew-after-stabilisation guarantee — and never
 // apply to corrupted slots (the adversary is not a clock).
-func (r *Router) SlotStalled(slot, round int) bool {
+func (r *Router) slotStalled(slot, round int) bool {
 	return r.timing && round < r.gst && !r.isBad[slot] && r.inj.Stalled(slot, round)
 }
 
-// BeginRound resets the round scratch. Arena indices, inboxes and shared
-// inbox views from the previous round become invalid.
-func (r *Router) BeginRound(round int) {
+// beginRound opens a round: it resolves the round's link-condition
+// windows — and with them whether the round is weighted — and resets the
+// round scratch. Arena indices, inboxes and shared cores from the
+// previous round become invalid.
+func (r *Router) beginRound(round int) {
 	r.round = round
 	r.dropsOK = r.adv != nil &&
 		r.params.Synchrony == hom.PartiallySynchronous && round < r.gst
@@ -305,17 +352,20 @@ func (r *Router) BeginRound(round int) {
 	r.stallRound = r.timingFault && round < r.gst && r.inj.Live(inject.KindStall, round)
 	r.replayRound = r.inj.Live(inject.KindReplay, round)
 	r.rowsOpen = !r.holdRound && !r.stallRound && !r.replayRound
+	r.trivialMask = r.visibility == nil && !r.dropsOK && !r.lossRound
+	r.weighted = r.rowsOpen && r.trivialMask && !r.record
+	r.releaseCores()
 	r.arena.Reset()
 	r.sendFrom = r.sendFrom[:0]
 	r.sendKeyLen = r.sendKeyLen[:0]
 	r.deliveries = r.deliveries[:0]
 	r.memoStamped = r.memoStamped[:0]
-	if st := r.slots; st != nil {
-		clear(st.issued)
-		clear(st.viewsIssued)
-		for g := range st.rows {
-			st.rows[g] = st.rows[g][:0]
-		}
+	clear(r.issued)
+	for g := range r.rows {
+		r.rows[g] = r.rows[g][:0]
+	}
+	if st := r.slots; st != nil && st.used {
+		st.used = false
 		for to := 0; to < r.n; to++ {
 			st.pend[to] = st.pend[to][:0]
 			st.rawIdx[to] = st.rawIdx[to][:0]
@@ -327,14 +377,27 @@ func (r *Router) BeginRound(round int) {
 	}
 }
 
+// releaseCores returns the shared cores the round filled to their pool
+// (their views were recycled with the round): at the next beginRound,
+// and once the execution ends.
+func (r *Router) releaseCores() {
+	for _, c := range r.cores {
+		c.Recycle()
+	}
+	clear(r.cores)
+	r.cores = r.cores[:0]
+	clear(r.groupCore)
+}
+
 // stamp appends one send to the arena and records its routing metadata
 // columns. This is the only place a round's keys are interned — message
 // keys "id=<id>|<body key>" only, so every KeyID names a message — so
 // intern order is send order. Stamp once per execution: a send offered
 // with its sender's memo builds and hashes its key the first time and
 // costs the column appends afterwards. Otherwise a msg.ScratchKeyer
-// builds its key in scratch; the rest fall back to Key().
-func (r *Router) stamp(from int, body msg.Payload, memo *msg.StampMemo) int32 {
+// builds its key in scratch; the rest fall back to Key(). The entry
+// stands for copies sends, each of which counts against MaxSends.
+func (r *Router) stamp(from int, copies int32, body msg.Payload, memo *msg.StampMemo) int32 {
 	id := r.assignment[from]
 	kid, keyLen, known := memo.Lookup(r.intern, id)
 	if !known {
@@ -351,19 +414,15 @@ func (r *Router) stamp(from int, body msg.Payload, memo *msg.StampMemo) int32 {
 	} else if r.verify {
 		r.memoStamped = append(r.memoStamped, int32(r.arena.Len()))
 	}
-	si := r.arena.AppendStamped(r.intern, id, body, kid)
+	si := r.arena.AppendStamped(r.intern, id, body, kid, copies)
 	r.sendFrom = append(r.sendFrom, int32(from))
 	r.sendKeyLen = append(r.sendKeyLen, int32(keyLen))
-	r.totalStamped++
+	r.totalStamped += int(copies)
 	return si
 }
 
-// TotalStamped returns the cumulative number of sends stamped across the
-// execution — the engines' message-budget gauge (Config.MaxSends).
-func (r *Router) TotalStamped() int { return r.totalStamped }
-
 // route records one (send, recipient) pair in the recipient's tail for
-// Flush. When a replay fault needs this round's (from, to) traffic, the
+// flush. When a replay fault needs this round's (from, to) traffic, the
 // body is retained at routing time — before any mask, like a network
 // capturing a message in flight. Under the eventually-synchronous model
 // a timing fault may intercept the pair here and park it in the pending
@@ -438,7 +497,7 @@ func (r *Router) linkDue(from, to int) int {
 			}
 		}
 	}
-	for r.SlotStalled(to, due) {
+	for r.slotStalled(to, due) {
 		due++
 	}
 	if due <= round {
@@ -469,7 +528,7 @@ func (r *Router) hold(from, to int, si int32, due int) {
 }
 
 // pumpPending advances the timing machinery at the end of a round's
-// routing (from Flush, after replays, before the batched flush): fire
+// routing (from flush, after replays, before the batched flush): fire
 // the retransmit timers due this round, then drain and deliver every
 // entry whose due round arrived. Drained bodies are stamped after the
 // round's fresh sends and replays, so held copies always sort behind
@@ -516,7 +575,7 @@ func (r *Router) pumpPending() {
 		if e.Due != round {
 			continue
 		}
-		si := r.stamp(int(e.From), e.Body, nil)
+		si := r.stamp(int(e.From), 1, e.Body, nil)
 		st.dirty[e.To] = true
 		r.route(int(e.From), int(e.To), si)
 	}
@@ -524,36 +583,35 @@ func (r *Router) pumpPending() {
 	r.pq.Drop(round)
 }
 
-// RouteCorrect stamps and routes one correct slot's sends for the round.
-// While the round's rows are open a send costs one append per addressed
-// identifier group — l for a broadcast, one for ToIdentifier (none for an
-// identifier nobody holds) — whatever n is; otherwise every (send,
-// recipient) pair is routed on its own.
-func (r *Router) RouteCorrect(from int, sends []msg.Send) {
-	if len(sends) == 0 {
-		return
-	}
-	st := r.stage()
+// routeCorrect stamps and routes one correct sender's sends for the
+// round, each standing for copies indistinguishable senders (more than
+// one only in a weighted round). While the round's rows are open a send
+// costs one append per addressed identifier group — l for a broadcast,
+// one for ToIdentifier (none for an identifier nobody holds) — whatever
+// n is; otherwise every (send, recipient) pair is routed on its own.
+func (r *Router) routeCorrect(from int, copies int32, sends []msg.Send) {
 	for _, s := range sends {
-		si := r.stamp(from, s.Body, s.Memo)
+		si := r.stamp(from, copies, s.Body, s.Memo)
 		switch s.Kind {
 		case msg.ToAll:
 			if r.rowsOpen {
-				for g := range st.rows {
-					st.rows[g] = append(st.rows[g], si)
+				for g := range r.rows {
+					r.rows[g] = append(r.rows[g], si)
 				}
 				continue
 			}
+			r.stage()
 			for to := 0; to < r.n; to++ {
 				r.route(from, to, si)
 			}
 		case msg.ToIdentifier:
 			if r.rowsOpen {
 				if s.To.IsValid(r.params.L) {
-					st.rows[s.To-1] = append(st.rows[s.To-1], si)
+					r.rows[s.To-1] = append(r.rows[s.To-1], si)
 				}
 				continue
 			}
+			r.stage()
 			for to := 0; to < r.n; to++ {
 				if r.assignment[to] == s.To {
 					r.route(from, to, si)
@@ -570,7 +628,7 @@ func (r *Router) RouteCorrect(from int, sends []msg.Send) {
 // it is the other, uncopied; otherwise it is assembled in scratch that
 // the next call overwrites.
 func (r *Router) candidate(to int) []int32 {
-	row, tail := r.slots.rows[r.assignment[to]-1], r.slots.pend[to]
+	row, tail := r.rows[r.assignment[to]-1], r.slots.pend[to]
 	switch {
 	case len(tail) == 0:
 		return row
@@ -581,12 +639,12 @@ func (r *Router) candidate(to int) []int32 {
 	return r.cand
 }
 
-// RouteByzantine stamps and routes one corrupted slot's targeted sends,
+// routeByzantine stamps and routes one corrupted slot's targeted sends,
 // enforcing the restricted-Byzantine one-message-per-recipient budget.
 // Targeted routing is the one way members of an identifier group can be
 // handed diverging batches, so each touched recipient is marked dirty
 // for the reception classifier.
-func (r *Router) RouteByzantine(from int, sends []msg.TargetedSend) {
+func (r *Router) routeByzantine(from int, sends []msg.TargetedSend) {
 	if len(sends) == 0 {
 		return
 	}
@@ -603,7 +661,7 @@ func (r *Router) RouteByzantine(from int, sends []msg.TargetedSend) {
 			}
 			st.perRecip[ts.ToSlot]++
 		}
-		si := r.stamp(from, ts.Body, nil)
+		si := r.stamp(from, 1, ts.Body, nil)
 		st.dirty[ts.ToSlot] = true
 		r.route(from, ts.ToSlot, si)
 	}
@@ -658,23 +716,26 @@ const (
 
 // maskBatch applies the visibility mask and the link conditions over one
 // recipient's candidate batch, appending survivors to dst and
-// accumulating the recipient's stat deltas into bs. It touches only
+// accumulating the recipient's stat deltas into bs, each entry counted
+// copies times (a link condition never meets an entry of more than one:
+// rounds with one are weighted, and no mask applies in them). It touches only
 // shared mask scratch, never router state, so the classifier can probe a
 // class member's outcome without committing it — and since every link
 // condition is a pure function of (round, from, to), probing a recipient
 // twice (the group classifier and the invariant checker both do) yields
 // the same batch.
 func (r *Router) maskBatch(to int, cand, dst []int32, bs *batchStats) []int32 {
-	bs.sent += len(cand)
-
 	// Visibility mask (topology restrictions are rare; the common case
-	// keeps the original batch untouched).
+	// keeps the original batch untouched). What it hides is sent, never
+	// delivered; the survivors count as sent below.
 	vis := cand
 	if r.visibility != nil {
 		r.batch = r.batch[:0]
 		for _, si := range cand {
 			if r.visibility(int(r.sendFrom[si]), to) {
 				r.batch = append(r.batch, si)
+			} else {
+				bs.sent += int(r.arena.Copies(si))
 			}
 		}
 		vis = r.batch
@@ -686,27 +747,31 @@ func (r *Router) maskBatch(to int, cand, dst []int32, bs *batchStats) []int32 {
 	if !r.dropsOK && !r.lossRound {
 		// No link condition can apply this round.
 		for _, si := range vis {
-			bs.payload += int(r.sendKeyLen[si])
+			c := int(r.arena.Copies(si))
+			bs.sent += c
+			bs.delivered += c
+			bs.payload += c * int(r.sendKeyLen[si])
 		}
-		bs.delivered += len(vis)
 		return append(dst, vis...)
 	}
 
 	r.resolveLinks(to, vis)
 	for _, si := range vis {
+		c := int(r.arena.Copies(si))
+		bs.sent += c
 		switch r.verdictOf[r.sendFrom[si]] {
 		case linkDrop:
-			bs.dropped++
+			bs.dropped += c
 		case linkOmit:
-			bs.omitted++
+			bs.omitted += c
 		case linkDup:
 			dst = append(dst, si, si)
-			bs.delivered += 2
-			bs.payload += 2 * int(r.sendKeyLen[si])
+			bs.delivered += 2 * c
+			bs.payload += 2 * c * int(r.sendKeyLen[si])
 		default:
 			dst = append(dst, si)
-			bs.delivered++
-			bs.payload += int(r.sendKeyLen[si])
+			bs.delivered += c
+			bs.payload += c * int(r.sendKeyLen[si])
 		}
 	}
 	return dst
@@ -782,42 +847,43 @@ func (r *Router) flushOwn(to int) {
 	r.applyStats(&bs)
 }
 
-// Flush completes the round's routing. It delivers one batch per
-// recipient (visibility mask, one drop-mask application per batch,
-// survivors copied in a single append, statistics per batch) and
+// flush completes the round's routing. A round that routed nothing per
+// slot, with no mask to apply and nothing to record, is flat: every
+// slot's batch is its group's row (flushRows). Otherwise it delivers one
+// batch per recipient (visibility mask, one drop-mask application per
+// batch, survivors copied in a single append, statistics per batch) and
 // partitions the correct members of each identifier group while doing
 // so: every distinct delivered batch in the group becomes a class
 // representative, and every member joins the class whose batch equals
-// its own. A group's members share its row, so
-// when no mask can apply (post-GST, no visibility restriction, no loss
-// window) they are matched by their tails alone, only a representative
-// ever materialises row ++ tail, and members no targeted routing touched
-// join their class with no mask probe, no index copy and no comparison —
-// zero BatchDropper probes for the whole group; otherwise each member's
-// own masked candidate is matched against the group's representatives.
-// A round nothing was routed per slot in has nothing to flush.
-func (r *Router) Flush() {
+// its own. A group's members share its row, so when no mask can apply
+// (post-GST, no visibility restriction, no loss window — a round inside
+// the loss window never qualifies: the injector's omission and
+// duplication verdicts are per recipient) they are matched by their
+// tails alone, only a representative ever materialises row ++ tail, and
+// members no targeted routing touched join their class with no mask
+// probe, no index copy and no comparison — zero BatchDropper probes for
+// the whole group; otherwise each member's own masked candidate is
+// matched against the group's representatives.
+func (r *Router) flush() {
 	if r.replayRound {
 		r.injectReplays()
 	}
 	if r.timing && r.pq.Len() > 0 {
 		r.pumpPending()
 	}
-	st := r.slots
-	if st == nil {
+	r.flat = (r.slots == nil || !r.slots.used) && r.trivialMask && !r.record
+	r.uniform = r.trivialMask
+	if r.flat {
+		r.flushRows()
 		return
 	}
+	st := r.stage()
 	r.resetRecord()
-
-	// trivialMask: no mask can change a batch this round, so a member's
-	// candidate batch is its delivered batch. A round inside the loss
-	// window never qualifies: the injector's omission/duplication
-	// verdicts are per-recipient, so members must be probed individually.
-	trivialMask := r.visibility == nil && !r.dropsOK && !r.lossRound
 
 	for _, members := range st.groups {
 		if len(members) < 2 {
 			for _, m := range members {
+				r.uniform = r.uniform && !st.dirty[m]
 				r.flushOwn(int(m))
 			}
 			continue
@@ -826,11 +892,12 @@ func (r *Router) Flush() {
 		clean := -1 // the untouched members' class (index into reps)
 		for _, m32 := range members {
 			m := int(m32)
-			untouched := trivialMask && !st.dirty[m]
+			untouched := r.trivialMask && !st.dirty[m]
+			r.uniform = r.uniform && untouched
 			var ms batchStats
 			// With no mask a member is its tail: the row is the group's.
 			got, of := st.pend[m], st.pend
-			if !trivialMask {
+			if !r.trivialMask {
 				// Masks are per-recipient: the member's own masked
 				// outcome is what is matched.
 				r.scratch = r.maskBatch(m, r.candidate(m), r.scratch[:0], &ms)
@@ -842,13 +909,13 @@ func (r *Router) Flush() {
 			}
 			if ci < 0 {
 				ci = len(st.reps)
-				if trivialMask {
+				if r.trivialMask {
 					st.rawIdx[m] = r.maskBatch(m, r.candidate(m), st.rawIdx[m], &ms)
 				} else {
 					st.rawIdx[m] = append(st.rawIdx[m], got...)
 				}
 				st.reps, st.repStats = append(st.reps, m32), append(st.repStats, ms)
-			} else if trivialMask {
+			} else if r.trivialMask {
 				// Equal candidates, no masks: the representative's
 				// delivered batch and statistics are the member's.
 				ms = st.repStats[ci]
@@ -874,6 +941,25 @@ func (r *Router) Flush() {
 	r.buildRecord()
 }
 
+// flushRows accounts a flat round: every slot holding an identifier —
+// bad slots too, whose batches count though they get no inbox — receives
+// its group's row unmasked, so each row entry counts its copies once per
+// holder.
+func (r *Router) flushRows() {
+	groups := r.groups()
+	for g, row := range r.rows {
+		holders := int(groups[g].slots)
+		var bs batchStats
+		for _, si := range row {
+			c := holders * int(r.arena.Copies(si))
+			bs.sent += c
+			bs.delivered += c
+			bs.payload += c * int(r.sendKeyLen[si])
+		}
+		r.applyStats(&bs)
+	}
+}
+
 // findClass returns the index in the current group's representatives of
 // the class whose batch in of — the delivered batches, or the tails when
 // the group is matched by tail — equals got, or -1.
@@ -896,15 +982,22 @@ func (st *slotStage) closeGroup() {
 	}
 }
 
-// ReceptionClass reports the representative slot of the reception class
-// the slot belongs to this round — the lowest correct slot of its
-// identifier group whose delivered batch equals its own — or -1 when no
-// other member received the same batch (and for corrupted slots). Two
-// correct slots of one group therefore received the same inbox exactly
-// when they report the same class >= 0: it is the partition Flush filled
-// inboxes by.
-func (r *Router) ReceptionClass(to int) int {
-	return int(r.stage().shareRep[to])
+// SharedWith reports the representative slot of the reception class the
+// slot belongs to this round — the lowest correct slot of its identifier
+// group whose delivered batch equals its own, whose shared core the slot
+// reads — or -1 when no other member received the same batch (and for
+// corrupted slots). Two correct slots of one group therefore received
+// the same inbox exactly when they report the same class >= 0: it is the
+// partition flush filled inboxes by. In a flat round each group is one
+// class. The benchmark's trace samples it.
+func (r *Router) SharedWith(to int) int {
+	if !r.flat {
+		return int(r.slots.shareRep[to])
+	}
+	if g := r.groups()[r.assignment[to]-1]; !r.isBad[to] && g.correct > 1 {
+		return int(g.first)
+	}
+	return -1
 }
 
 // injectReplays stamps the retained bodies of every replay fault firing
@@ -917,7 +1010,7 @@ func (r *Router) injectReplays() {
 	for _, i := range r.inj.ReplaysInto(r.round) {
 		rp := &r.replays[i]
 		for _, body := range r.retained[i] {
-			si := r.stamp(rp.FromSlot, body, nil)
+			si := r.stamp(rp.FromSlot, 1, body, nil)
 			r.stage().dirty[rp.ToSlot] = true
 			r.route(rp.FromSlot, rp.ToSlot, si)
 		}
@@ -986,41 +1079,40 @@ func (r *Router) buildRecord() {
 	}
 }
 
-// Arena exposes the round's send arena (for inbox construction and
-// traffic records). Valid until the next BeginRound.
-func (r *Router) Arena() *msg.SendArena { return &r.arena }
-
-// Inbox builds the inbox for one recipient slot: a read-only view over
-// the slot's equivalence class's shared core when Flush classified it as
-// shareable, or its own pooled SoA inbox otherwise. The engine must
-// request the inbox of every correct slot exactly once per round (the
-// shared core's reference count is the class size) and Recycle each one
-// before the next BeginRound.
-func (r *Router) Inbox(to int) *msg.Inbox {
-	st := r.stage()
+// inbox builds the inbox for one correct recipient slot: a read-only
+// view over its reception class's shared core — in a flat round, its
+// group's — or, when the slot shares with no one, its own pooled SoA
+// inbox. A representation draws at most one per slot and round — one
+// per stepping class stands for the class — and recycles each before
+// the next beginRound; the cores stay the Router's.
+func (r *Router) inbox(to int) *msg.Inbox {
 	if r.verify {
-		st.issued[to]++
+		r.issued[to]++
 	}
-	if rep := st.shareRep[to]; rep >= 0 {
-		gi := st.classGI[rep]
-		if gi == nil {
-			gi = msg.NewPooledGroupInbox(r.params.Numerate, &r.arena, st.rawIdx[rep], int(st.classSize[rep]))
-			st.classGI[rep] = gi
+	rep := r.SharedWith(to)
+	if r.flat {
+		g := r.assignment[to] - 1
+		if rep < 0 {
+			return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, r.rows[g])
 		}
-		if r.verify {
-			st.viewsIssued[rep]++
+		if r.groupCore[g] == nil {
+			r.groupCore[g] = r.fillCore(r.rows[g])
 		}
-		return msg.NewPooledInboxView(gi)
+		return msg.NewPooledInboxView(r.groupCore[g])
 	}
-	return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, st.rawIdx[to])
+	st := r.slots
+	if rep < 0 {
+		return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, st.rawIdx[to])
+	}
+	if st.classGI[rep] == nil {
+		st.classGI[rep] = r.fillCore(st.rawIdx[rep])
+	}
+	return msg.NewPooledInboxView(st.classGI[rep])
 }
 
-// SharedWith reports the representative slot whose shared inbox core
-// slot to consumes this round — its ReceptionClass — or -1 when the slot
-// fills its own inbox. The benchmark's trace samples it.
-func (r *Router) SharedWith(to int) int { return r.ReceptionClass(to) }
-
-// Deliveries returns the round's recorded deliveries (empty unless the
-// router was built with record set). Engine-owned scratch: observers must
-// copy what they keep.
-func (r *Router) Deliveries() []msg.Delivered { return r.deliveries }
+// fillCore fills one shared core for the round and keeps it for stop.
+func (r *Router) fillCore(idx []int32) *msg.GroupInbox {
+	core := msg.NewPooledGroupInbox(r.params.Numerate, &r.arena, idx)
+	r.cores = append(r.cores, core)
+	return core
+}

@@ -26,7 +26,7 @@ func newRouterHarness(t *testing.T, cfg Config, corrupted []int) *routerHarness 
 		h.isBad[s] = true
 	}
 	h.intern = msg.NewInterner()
-	h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, cfg.RecordTraffic, nil)
+	h.r = newRouter(&h.cfg, h.isBad, &h.stats, h.intern, cfg.RecordTraffic, nil)
 	return h
 }
 
@@ -34,24 +34,24 @@ func newRouterHarness(t *testing.T, cfg Config, corrupted []int) *routerHarness 
 // one distinct payload, plus the given Byzantine targeted sends.
 func (h *routerHarness) broadcastRound(round int, byz map[int][]msg.TargetedSend) {
 	h.route(round, byz)
-	h.r.Flush()
+	h.r.flush()
 }
 
 // route opens and routes broadcastRound's round, leaving it unflushed.
 func (h *routerHarness) route(round int, byz map[int][]msg.TargetedSend) {
-	h.r.BeginRound(round)
+	h.r.beginRound(round)
 	for s := 0; s < h.cfg.Params.N; s++ {
 		if h.isBad[s] {
 			continue
 		}
-		h.r.RouteCorrect(s, []msg.Send{msg.Broadcast(msg.Raw("b|" + itoaTest(s)))})
+		h.r.routeCorrect(s, 1, []msg.Send{msg.Broadcast(msg.Raw("b|" + itoaTest(s)))})
 	}
 	for s, sends := range byz {
-		h.r.RouteByzantine(s, sends)
+		h.r.routeByzantine(s, sends)
 	}
 }
 
-// flushPerRecipient completes a routed round as Flush does, except that
+// flushPerRecipient completes a routed round as flush does, except that
 // every slot fills its own batch (flushOwn): no reception classes, no
 // shared inboxes — the twin the classifier is held to.
 func (h *routerHarness) flushPerRecipient() {
@@ -62,9 +62,8 @@ func (h *routerHarness) flushPerRecipient() {
 	if r.timing && r.pq.Len() > 0 {
 		r.pumpPending()
 	}
-	if r.slots == nil {
-		return
-	}
+	r.flat = false
+	r.stage()
 	r.resetRecord()
 	for to := 0; to < r.n; to++ {
 		r.flushOwn(to)
@@ -105,7 +104,7 @@ func (h *routerHarness) drainInboxes() []string {
 		if h.isBad[s] {
 			continue
 		}
-		boxes[s] = h.r.Inbox(s)
+		boxes[s] = h.r.inbox(s)
 		out[s] = inboxFingerprint(boxes[s])
 	}
 	for _, in := range boxes {
@@ -319,8 +318,8 @@ func TestClosedWindowsCostNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats Stats
-	r := NewRouter(&cfg, make([]bool, n), &stats, msg.NewInterner(), false, inj)
-	r.EnableTiming(TimingPolicy{Enabled: true, Bound: 1})
+	r := newRouter(&cfg, make([]bool, n), &stats, msg.NewInterner(), false, inj)
+	r.enableTiming(TimingPolicy{Enabled: true, Bound: 1})
 
 	sends := make([][]msg.Send, n)
 	for s := range sends {
@@ -329,11 +328,11 @@ func TestClosedWindowsCostNothing(t *testing.T) {
 		}
 	}
 	routeRound := func(round int) {
-		r.BeginRound(round)
+		r.beginRound(round)
 		for s := 0; s < n; s++ {
-			r.RouteCorrect(s, sends[s])
+			r.routeCorrect(s, 1, sends[s])
 		}
-		r.Flush()
+		r.flush()
 	}
 	// Rounds 1-2 run the faults; by round 4 the held copies have drained
 	// (GST 3 + Bound 1) and every scratch buffer has reached its size.
@@ -403,7 +402,7 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, false, inj)
+					h.r = newRouter(&h.cfg, h.isBad, &h.stats, h.intern, false, inj)
 					return h
 				}
 				shared, own := build(), build()
@@ -482,7 +481,7 @@ func TestRouterPartitionIsComplete(t *testing.T) {
 // exactly the targeted and drained pairs; a round inside a window, or
 // one whose first routed pair is Byzantine (the engine never routes so;
 // the pair must close the rows so that arena order survives), leaves the
-// rows empty. Group-shared Flush also hands every slot the inbox, and
+// rows empty. Group-shared flush also hands every slot the inbox, and
 // the execution the statistics, of a per-recipient flush.
 func TestRowRoutingKeepsRowsOpen(t *testing.T) {
 	for _, v := range RowVariants() {
@@ -497,8 +496,8 @@ func TestRowRoutingKeepsRowsOpen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, false, inj)
-				h.r.EnableTiming(RowTime.Timing())
+				h.r = newRouter(&h.cfg, h.isBad, &h.stats, h.intern, false, inj)
+				h.r.enableTiming(RowTime.Timing())
 				return h
 			}
 			shared, own := build(), build()
@@ -510,17 +509,17 @@ func TestRowRoutingKeepsRowsOpen(t *testing.T) {
 					routeByz := func() {
 						for _, s := range bad {
 							sends := h.cfg.Adversary.Sends(round, s, nil)
-							h.r.RouteByzantine(s, sends)
+							h.r.routeByzantine(s, sends)
 							targeted += len(sends)
 						}
 					}
-					h.r.BeginRound(round)
+					h.r.beginRound(round)
 					if byzFirst {
 						routeByz()
 					}
 					for s := 0; s < p.N; s++ {
 						if !h.isBad[s] {
-							h.r.RouteCorrect(s, RowTraffic(round, s, p.L))
+							h.r.routeCorrect(s, 1, RowTraffic(round, s, p.L))
 						}
 					}
 					if !byzFirst {
@@ -528,14 +527,14 @@ func TestRowRoutingKeepsRowsOpen(t *testing.T) {
 					}
 				}
 				targeted /= 2 // counted once per router
-				shared.r.Flush()
+				shared.r.flush()
 				own.flushPerRecipient()
 
 				tails, rowed := 0, 0
 				for _, tail := range shared.r.slots.pend {
 					tails += len(tail)
 				}
-				for _, row := range shared.r.slots.rows {
+				for _, row := range shared.r.rows {
 					rowed += len(row)
 				}
 				if round < v.FirstRow || byzFirst {
@@ -579,7 +578,7 @@ func TestRowRoutingKeepsRowsOpen(t *testing.T) {
 // group's last row entry would make row ++ tail a different sequence
 // from the model's send-major one. class-equality: the probed member's candidate
 // is rebuilt from its row and tail and re-masked, so a member whose tail
-// no longer equals its representative's is caught even though Flush
+// no longer equals its representative's is caught even though flush
 // matched the two by tail.
 func TestVerifyRoundChecksRowsAndTails(t *testing.T) {
 	const n, l = 12, 4
@@ -593,20 +592,21 @@ func TestVerifyRoundChecksRowsAndTails(t *testing.T) {
 	}
 	check := func(want string) {
 		t.Helper()
-		err, _ := h.r.VerifyRound().(*InvariantError)
+		err, _ := h.r.verifyRound().(*InvariantError)
 		if err == nil || err.Check != want {
 			t.Fatalf("VerifyRound = %v, want a %q violation", err, want)
 		}
 	}
 
 	st := round()
-	if err := h.r.VerifyRound(); err != nil {
+	if err := h.r.verifyRound(); err != nil {
 		t.Fatalf("a sound round fails verification: %v", err)
 	}
-	if len(st.pend[4]) != 1 || len(st.rows[0]) != n-1 {
-		t.Fatalf("slot 4's tail holds %d entries and its row %d, want 1 and %d", len(st.pend[4]), len(st.rows[0]), n-1)
+	row := h.r.rows[0]
+	if len(st.pend[4]) != 1 || len(row) != n-1 {
+		t.Fatalf("slot 4's tail holds %d entries and its row %d, want 1 and %d", len(st.pend[4]), len(row), n-1)
 	}
-	st.pend[4][0] = st.rows[0][len(st.rows[0])-1]
+	st.pend[4][0] = row[len(row)-1]
 	check("row-order")
 
 	// Slots 0 and 8 share slot 0's class (slot 4 diverged). Give slot 8 a
@@ -660,8 +660,8 @@ func TestStandingSendsStampOncePerExecution(t *testing.T) {
 		keyLen int32
 	}
 	stamped := func(round, from int) []entry {
-		h.r.BeginRound(round)
-		h.r.RouteCorrect(from, sends)
+		h.r.beginRound(round)
+		h.r.routeCorrect(from, 1, sends)
 		out := make([]entry, k)
 		for si := range out {
 			out[si] = entry{h.r.arena.KID(int32(si)), h.r.arena.Key(int32(si)), h.r.sendKeyLen[si]}
@@ -694,8 +694,8 @@ func TestStandingSendsStampOncePerExecution(t *testing.T) {
 		t.Fatalf("re-sending standing payloads built %d keys (want 0) or changed what was stamped", builds)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		h.r.BeginRound(4)
-		h.r.RouteCorrect(0, sends)
+		h.r.beginRound(4)
+		h.r.routeCorrect(0, 1, sends)
 	})
 	if allocs != 0 {
 		t.Fatalf("a round re-sending %d standing payloads allocated %.0f times, want 0", k, allocs)
@@ -746,11 +746,11 @@ func TestVerifyRoundChecksStampMemos(t *testing.T) {
 	builds := 0
 	sends := standingSends(3, &builds)
 	round := func(r int) error {
-		h.r.BeginRound(r)
-		h.r.RouteCorrect(0, sends)
-		h.r.Flush()
+		h.r.beginRound(r)
+		h.r.routeCorrect(0, 1, sends)
+		h.r.flush()
 		h.drainInboxes()
-		return h.r.VerifyRound()
+		return h.r.verifyRound()
 	}
 	for r := 1; r <= 2; r++ {
 		if err := round(r); err != nil {

@@ -20,56 +20,39 @@ func (e *InvariantError) Error() string {
 	return fmt.Sprintf("router invariant %q violated at round %d: %s", e.Check, e.Round, e.Detail)
 }
 
-// VerifyRound validates the router's per-round invariants after the
+// verifyRound validates the router's per-round invariants after the
 // engine has consumed the round (paranoid mode, Config.Invariants):
 //
-//   - arena-bounds: every delivered index points into the round's arena;
-//   - inbox-issued: every correct slot took exactly one inbox this round
-//     and no bad slot took any (the GroupInbox refcount contract depends
-//     on this);
-//   - class-refcount: every shared class issued exactly classSize views,
-//     so the shared core's reference count drains to zero on recycle;
+//   - inbox-issued: no slot drew two inboxes this round, no bad slot one;
 //   - stamp-memo: every entry stamped from a sender's memo carries the
 //     KeyID and key length its key, re-derived through BuildKey, has;
 //   - row-order: every recipient's candidate batch is in strictly
 //     ascending stamp order — the send-major order the model delivers in,
 //     which holds only if each tail entry was stamped after the last
 //     entry of its group row and the batch reads row ++ tail;
+//   - pending-overdue: no held delivery is queued past its due round;
+//
+// and, in a round that went through the slot stage:
+//
+//   - arena-bounds: every delivered index points into the round's arena;
 //   - class-equality: for one shared class, a non-representative member's
 //     candidate is rebuilt from its row and tail, re-masked from scratch
 //     and compared byte for byte against the representative's delivered
 //     batch — the spot check that catches a classifier that shared
 //     batches which were never actually equal (it never looks at tails
-//     alone, which is how Flush matched them).
+//     alone, which is how flush matched them).
 //
 // Returns nil when r.verify is off or everything holds; otherwise the
 // first *InvariantError found.
-func (r *Router) VerifyRound() error {
+func (r *Router) verifyRound() error {
 	if !r.verify {
 		return nil
 	}
-	st := r.stage()
-	arenaLen := int32(r.arena.Len())
-	for to := 0; to < r.n; to++ {
-		for _, si := range st.rawIdx[to] {
-			if si < 0 || si >= arenaLen {
-				return &InvariantError{
-					Round: r.round, Check: "arena-bounds",
-					Detail: fmt.Sprintf("slot %d holds arena index %d outside [0,%d)", to, si, arenaLen),
-				}
-			}
-		}
-	}
-	for to := 0; to < r.n; to++ {
-		want := int8(1)
-		if r.isBad[to] {
-			want = 0
-		}
-		if st.issued[to] != want {
+	for to, took := range r.issued {
+		if took > 1 || (took > 0 && r.isBad[to]) {
 			return &InvariantError{
 				Round: r.round, Check: "inbox-issued",
-				Detail: fmt.Sprintf("slot %d (bad=%v) took %d inboxes, want %d",
-					to, r.isBad[to], st.issued[to], want),
+				Detail: fmt.Sprintf("slot %d (bad=%v) took %d inboxes", to, r.isBad[to], took),
 			}
 		}
 	}
@@ -86,7 +69,10 @@ func (r *Router) VerifyRound() error {
 		}
 	}
 	for to := 0; to < r.n; to++ {
-		cand := r.candidate(to)
+		cand := r.rows[r.assignment[to]-1]
+		if !r.flat {
+			cand = r.candidate(to)
+		}
 		for i := 1; i < len(cand); i++ {
 			if cand[i] <= cand[i-1] {
 				return &InvariantError{
@@ -109,12 +95,18 @@ func (r *Router) VerifyRound() error {
 			}
 		}
 	}
-	for rep := 0; rep < r.n; rep++ {
-		if cs := st.classSize[rep]; cs > 1 && st.viewsIssued[rep] != cs {
-			return &InvariantError{
-				Round: r.round, Check: "class-refcount",
-				Detail: fmt.Sprintf("class rep %d issued %d shared views, want %d",
-					rep, st.viewsIssued[rep], cs),
+	if r.flat {
+		return nil
+	}
+	st := r.slots
+	arenaLen := int32(r.arena.Len())
+	for to := 0; to < r.n; to++ {
+		for _, si := range st.rawIdx[to] {
+			if si < 0 || si >= arenaLen {
+				return &InvariantError{
+					Round: r.round, Check: "arena-bounds",
+					Detail: fmt.Sprintf("slot %d holds arena index %d outside [0,%d)", to, si, arenaLen),
+				}
 			}
 		}
 	}

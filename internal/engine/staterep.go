@@ -15,14 +15,14 @@ import (
 // machine per slot; Counting folds many indistinguishable homonyms into
 // one counted state.
 //
-// Contract: PrepareRound must call e.SetSends for every slot (nil for
-// corrupted, crashed or silent slots); DeliverRound must draw every
-// correct slot's inbox from e.Router() in ascending slot order — the
-// shared-reception classes drain their reference counts in that order —
-// and recycle each inbox once its Receive returned. Stop tears the
-// representation down (releasing processes); it is called exactly once,
-// on every Run exit path, and must tolerate Start never having been
-// called.
+// Contract: PrepareRound registers the sends of every live correct slot
+// with the engine in ascending slot order — once per slot, or, in a
+// weighted round, once for a group of indistinguishable slots with their
+// number as the multiplicity; DeliverRound draws at most one inbox per
+// correct slot from e.Router() — one per stepping class — and recycles
+// each once its Receive returned. Stop tears the representation down
+// (releasing processes); it is called exactly once, on every Run exit
+// path, and must tolerate Start never having been called.
 type StateRep interface {
 	// Describe names the representation for diagnostics.
 	Describe() string
@@ -31,7 +31,7 @@ type StateRep interface {
 	// PrepareRound collects each live correct slot's sends (phase 1).
 	PrepareRound(round int)
 	// DeliverRound hands each live correct slot its inbox and records
-	// decisions via e.RecordDecision (phase 4).
+	// decisions via e.recordDecision (phase 4).
 	DeliverRound(round int)
 	// Stop tears the representation down after the execution.
 	Stop()
@@ -94,13 +94,6 @@ type processOwner interface {
 	processAt(slot int) Process
 }
 
-// roundRouter marks a StateRep that can route a round itself (phase 3).
-// RouteRound runs between BeginRound and Flush; returning true tells the
-// engine to skip the per-slot RouteCorrect/RouteByzantine loops.
-type roundRouter interface {
-	RouteRound(round int) bool
-}
-
 // repFailer lets a StateRep abort the execution: the engine checks Err
 // after every DeliverRound and surfaces the error from Run.
 type repFailer interface {
@@ -126,36 +119,28 @@ func (r *concreteRep) Start(e *Engine) error {
 
 func (r *concreteRep) PrepareRound(round int) {
 	e := r.e
-	for s := 0; s < e.N(); s++ {
-		e.SetSends(s, nil)
-		if e.IsBad(s) || e.Halted(s, round) {
-			continue
+	for s := 0; s < e.n; s++ {
+		if !e.isBad[s] && !e.halted(s, round) {
+			e.send(s, 1, e.procs[s].Prepare(round))
 		}
-		e.SetSends(s, e.Process(s).Prepare(round))
 	}
 }
 
 func (r *concreteRep) DeliverRound(round int) {
 	e := r.e
-	for to := 0; to < e.N(); to++ {
-		if e.IsBad(to) {
+	for to := 0; to < e.n; to++ {
+		// A crashed or stalled process takes no step: the router
+		// suppressed or held everything sent to it.
+		if e.isBad[to] || e.halted(to, round) {
 			continue
 		}
-		in := e.Router().Inbox(to)
-		if e.Halted(to, round) {
-			// A crashed or stalled process takes no step, but its inbox
-			// is still drawn (and discarded — the router suppressed or
-			// held everything sent to it anyway) so shared-class
-			// reference counts drain exactly as in a fault-free round.
-			in.Recycle()
-			continue
-		}
-		p := e.Process(to)
+		p := e.procs[to]
+		in := e.router.inbox(to)
 		p.Receive(round, in)
 		in.Recycle()
-		if !e.Decided(to) {
+		if !e.decided(to) {
 			v, ok := p.Decision()
-			e.RecordDecision(to, v, ok, round)
+			e.recordDecision(to, v, ok, round)
 		}
 	}
 }
@@ -164,8 +149,8 @@ func (r *concreteRep) Stop() {
 	if r.e == nil {
 		return
 	}
-	for s := 0; s < r.e.N(); s++ {
-		if p := r.e.Process(s); p != nil {
+	for _, p := range r.e.procs {
+		if p != nil {
 			if rel, ok := p.(Releaser); ok {
 				rel.Release()
 			}

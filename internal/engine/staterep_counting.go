@@ -33,8 +33,8 @@ func (e *DegeneracyError) Error() string {
 // countClass is one (identifier, protocol-state) equivalence class: a
 // single protocol instance standing for size member slots. Membership
 // itself lives only in countingRep.classOf; the class keeps its leader —
-// its smallest member, whose slot stamps the class's sends on the fast
-// path and whose inbox it receives on the slow path — and its size.
+// its smallest member, whose slot sends for the class in a weighted
+// round and whose inbox it receives — and its size.
 type countClass struct {
 	id     hom.Identifier
 	proc   Process
@@ -42,7 +42,7 @@ type countClass struct {
 	size   int32
 	idx    int32      // the class's entry in countingRep.table: what classOf holds for its members
 	sends  []msg.Send // the current round's sends
-	halted bool       // slow path: the class takes no step this round
+	halted bool       // the class takes no step this round (crashed or stalled)
 
 	// The class's decision and the round it was polled in (0: undecided).
 	// Once set, every member's decision is in the Result — recorded by the
@@ -51,24 +51,10 @@ type countClass struct {
 	decision  hom.Value
 	decidedAt int
 
-	// Slow-path scratch of one refine pass and the delivery after it.
-	key    int32       // refine: the leader's key
-	part   *countClass // refine: the part the class's last diverging member joined
-	origin *countClass // refine: the class a part was cut from
-	in     *msg.Inbox  // the leader's inbox, held until the class steps
-}
-
-// fillCache is the cross-round fill cache of one identifier group on
-// the counting fast path: when a round's weighted delivery sequence —
-// (KeyID, multiplicity) pairs in stamp order — matches the cached
-// round's exactly, the filled inbox (dedup, dense counts, sort index)
-// is reused instead of rebuilt. Steady-state phases where every class
-// repeats its sends hit every round.
-type fillCache struct {
-	kids []msg.KeyID
-	w    []int32
-	fp   msg.StateHash
-	in   *msg.Inbox
+	// Scratch of one refine pass and the delivery after it.
+	key    int32       // the leader's key
+	part   *countClass // the part the class's last diverging member joined
+	origin *countClass // the class a part was cut from
 }
 
 // partKey names one part of a refine pass: the class it is cut from and
@@ -85,20 +71,18 @@ type partKey struct{ origin, key int32 }
 // and re-unify when their states re-converge (msg.StateHash over the
 // protocol state).
 //
-// Two execution paths are selected statically at Start:
-//
-//   - Fast path (no adversary, no faults, no visibility restriction, no
-//     recording, no invariants, no timing): classes can never diverge,
-//     so the representation routes the round itself — one stamp per
-//     class per send, multiplied through the class multiplicity into
-//     the statistics — and delivers one weighted inbox per identifier
-//     group (msg.NewPooledInboxWeighted), cached across rounds.
-//   - Slow path (anything that can diverge class members): sends are
-//     registered per member slot and routed by the engine's normal
-//     Router path, so every mask, fault and timing rule applies
-//     unchanged; reception partitions each class by the members' actual
-//     delivered batches and splits where they differ. This is the path
-//     the byte-parity suites pin against Concrete.
+// Every round goes through the Router, and what it costs is decided
+// round by round. In a weighted round (Router.weighted: no link
+// condition, visibility mask or traffic record can tell two senders of a
+// group apart) each class sends once, from its leader, with its size as
+// the multiplicity; in any other round every member sends its class's
+// sends as its own, so each mask, fault and timing rule applies to it
+// unchanged. Each stepping class receives its leader's inbox. Where a
+// crash or stall window is live, classes first split on who takes a
+// step; where the round could hand members different batches (a member
+// was targeted, held or replayed into, or a mask applied), they split
+// along the Router's reception partition. A round outside every such
+// window costs O(classes), however many rounds before it did not.
 //
 // Requirements: the process factory must be a pure function of the
 // slot's identifier and input (it is invoked once per class, for the
@@ -107,13 +91,13 @@ type partKey struct{ origin, key int32 }
 //
 // Per slot the representation keeps one int32 — the table entry its
 // class resolves through — and nothing else: a merge adds sizes and
-// forwards the merged-away entry, so it writes no slot, and the slow
-// path's per-slot work is one ascending pass over classOf per phase.
+// forwards the merged-away entry, so it writes no slot, and a round's
+// per-slot work, where it has any, is one ascending pass over classOf
+// per phase.
 type countingRep struct {
 	e          *Engine
 	maxClasses int
 	collapse   bool // processes implement Cloner: classes can span slots
-	fast       bool // static fast path for the whole execution
 	err        error
 	classes    []*countClass // live classes, ascending by leader
 	// table maps an entry to its live class: a live class sits at its own
@@ -123,13 +107,6 @@ type countingRep struct {
 	free    []int32                 // freed table entries, reused by the next split
 	classOf []int32                 // per slot: table entry of its class, -1 when corrupted
 	parts   map[partKey]*countClass // refine scratch, cleared after every pass
-
-	// Fast-path scratch, indexed by identifier-1.
-	groupCount []int        // per identifier (1-based): total slots holding it
-	groupIdx   [][]int32    // per group: the round's delivered arena indices
-	groupW     [][]int32    // per group: multiplicities, parallel to groupIdx
-	roundIn    []*msg.Inbox // per group: the round's inbox (cache-owned)
-	caches     []*fillCache // per group: cross-round fill cache
 }
 
 // Counting returns the counting state representation with no class
@@ -199,13 +176,6 @@ func (r *countingRep) Start(e *Engine) error {
 	}
 	_, r.collapse = p0.(Cloner)
 
-	// Static path selection: the fast path is sound exactly when no
-	// event in this execution can diverge two members of a class or
-	// observe per-slot routing (traffic records and frontier hashes are
-	// per (send, recipient) pair).
-	r.fast = cfg.Adversary == nil && cfg.Visibility == nil && cfg.Faults == nil &&
-		!cfg.RecordTraffic && !cfg.FrontierHash && !cfg.Invariants && !e.router.timing
-
 	// One classification pass: every correct slot gets the table entry
 	// of its class — (identifier, input) under collapse, itself
 	// otherwise — in ascending slot order, so classes are created, and
@@ -245,19 +215,21 @@ func (r *countingRep) Start(e *Engine) error {
 	if r.maxClasses > 0 && len(r.classes) > r.maxClasses {
 		return &DegeneracyError{Round: 0, Classes: len(r.classes), Limit: r.maxClasses}
 	}
-	if r.fast {
-		// No slot is corrupted on the fast path, so the classes cover
-		// every holder of an identifier.
-		L := cfg.Params.L
-		r.groupCount = make([]int, L+1)
-		for _, c := range r.classes {
-			r.groupCount[c.id] += int(c.size)
+	// The classes, in leader order, count each group's correct holders:
+	// hand the Router its group table instead of a pass over n slots.
+	groups := make([]groupHolders, cfg.Params.L)
+	for _, c := range r.classes {
+		g := &groups[c.id-1]
+		if g.correct == 0 {
+			g.first = c.leader
 		}
-		r.groupIdx = make([][]int32, L)
-		r.groupW = make([][]int32, L)
-		r.roundIn = make([]*msg.Inbox, L)
-		r.caches = make([]*fillCache, L)
+		g.correct += c.size
+		g.slots += c.size
 	}
+	for _, s := range e.corrupted {
+		groups[cfg.Assignment[s]-1].slots++
+	}
+	e.router.holders = groups
 	return nil
 }
 
@@ -292,13 +264,15 @@ func (r *countingRep) classFinder() func(id hom.Identifier, in hom.Value) *int32
 
 func (r *countingRep) PrepareRound(round int) {
 	e := r.e
-	if !r.fast && r.err == nil {
-		// Split classes whose members diverge on halting before any
-		// Prepare: the halted part freezes at the pre-Prepare state,
-		// exactly as a concrete halted slot keeps its state while
-		// classmates advance.
+	rt := e.router
+	// Only a crash or stall window halts anyone. Inside one, split the
+	// classes whose members diverge on halting before any Prepare: the
+	// halted part freezes at the pre-Prepare state, exactly as a concrete
+	// halted slot keeps its state while classmates advance.
+	halting := r.err == nil && (rt.lossRound || rt.stallRound)
+	if halting {
 		parts := r.refine(func(s int, _ *countClass) int32 {
-			if e.Halted(s, round) {
+			if e.halted(s, round) {
 				return 1
 			}
 			return 0
@@ -306,33 +280,41 @@ func (r *countingRep) PrepareRound(round int) {
 		if len(parts) > 0 {
 			r.sortClasses()
 		}
-		for _, c := range r.classes {
-			c.halted = e.Halted(int(c.leader), round)
-		}
 		r.noteClassCount(round)
 	}
 	for _, c := range r.classes {
+		c.halted = halting && e.halted(int(c.leader), round)
 		c.sends = nil
 		if !c.halted && r.err == nil {
 			c.sends = c.proc.Prepare(round)
 		}
 	}
-	if r.fast {
+	if rt.weighted {
+		// One send per class, standing for every member; an adversary
+		// still sees each member's sends as its own.
+		for _, c := range r.classes {
+			e.send(int(c.leader), c.size, c.sends)
+		}
+		if e.correctSends != nil {
+			for s, ci := range r.classOf {
+				if ci >= 0 {
+					e.correctSends[s] = r.table[ci].sends
+				}
+			}
+		}
 		return
 	}
-	// Every member registers its class's send slice; the Router stamps
-	// each member's copy separately, so stamp order, intern order and the
-	// send budget match the concrete representation's.
+	// Every member sends its class's sends as its own, so stamp order,
+	// intern order and the send budget match the concrete
+	// representation's, and every link rule sees the member's slot.
 	for s, ci := range r.classOf {
-		var sends []msg.Send
-		if ci >= 0 && len(r.table[ci].sends) > 0 {
-			sends = r.table[ci].sends
+		if ci >= 0 {
+			e.send(s, 1, r.table[ci].sends)
 		}
-		e.SetSends(s, sends)
 	}
 }
 
-// refine is the slow path's one split: partition refinement of classOf
+// refine is the one way classes split: partition refinement of classOf
 // by (class, key), in one ascending pass over the slots. A class's
 // leader, its smallest member, is met first and fixes the class's key;
 // a member with another key moves to the part of its class holding
@@ -412,168 +394,26 @@ func (r *countingRep) noteClassCount(round int) {
 	}
 }
 
-// RouteRound implements roundRouter: on the fast path the round's sends
-// are stamped once per class and multiplied through the class
-// multiplicities into the statistics and the send budget, and the
-// per-group delivery sequences are collected for weighted reception.
-// On the slow path it returns false and the engine routes normally.
-func (r *countingRep) RouteRound(round int) bool {
-	if !r.fast {
-		return false
-	}
-	rt := r.e.router
-	n := r.e.n
-	L := r.e.cfg.Params.L
-	for gi := range r.groupIdx {
-		r.groupIdx[gi] = r.groupIdx[gi][:0]
-		r.groupW[gi] = r.groupW[gi][:0]
-	}
-	for _, c := range r.classes {
-		if len(c.sends) == 0 {
-			continue
-		}
-		mult := int(c.size)
-		for _, s := range c.sends {
-			si := rt.stamp(int(c.leader), s.Body, s.Memo)
-			rt.totalStamped += mult - 1 // each member's copy counts against MaxSends
-			keyLen := int(rt.sendKeyLen[si])
-			switch s.Kind {
-			case msg.ToAll:
-				rt.stats.MessagesSent += mult * n
-				rt.stats.MessagesDelivered += mult * n
-				rt.stats.PayloadBytes += keyLen * mult * n
-				for gi := range r.groupIdx {
-					r.groupIdx[gi] = append(r.groupIdx[gi], si)
-					r.groupW[gi] = append(r.groupW[gi], int32(mult))
-				}
-			case msg.ToIdentifier:
-				if !s.To.IsValid(L) {
-					continue // matches no slot, exactly like concrete routing
-				}
-				cnt := r.groupCount[s.To]
-				rt.stats.MessagesSent += mult * cnt
-				rt.stats.MessagesDelivered += mult * cnt
-				rt.stats.PayloadBytes += keyLen * mult * cnt
-				gi := int(s.To) - 1
-				r.groupIdx[gi] = append(r.groupIdx[gi], si)
-				r.groupW[gi] = append(r.groupW[gi], int32(mult))
-			}
-		}
-	}
-	return true
-}
-
 func (r *countingRep) DeliverRound(round int) {
-	if r.fast {
-		r.deliverFast(round)
-		return
-	}
-	r.deliverSlow(round)
-}
-
-func (r *countingRep) deliverFast(round int) {
-	decided := false
-	for _, c := range r.classes {
-		gi := int(c.id) - 1
-		in := r.roundIn[gi]
-		if in == nil {
-			in = r.fillGroup(gi)
-			r.roundIn[gi] = in
-		}
-		c.proc.Receive(round, in)
-		decided = r.poll(c, round) || decided
-	}
-	if decided {
-		r.recordDecisions(round)
-	}
-	for gi := range r.roundIn {
-		r.roundIn[gi] = nil // inboxes stay owned by the fill caches
-	}
-	r.mergeClasses()
-}
-
-// fillGroup returns the identifier group's weighted inbox for the
-// current round, reusing the cached fill when the round's (KeyID,
-// multiplicity) sequence matches the cached one exactly.
-func (r *countingRep) fillGroup(gi int) *msg.Inbox {
-	rt := r.e.router
-	idx, w := r.groupIdx[gi], r.groupW[gi]
-	fp := msg.NewStateHash().Bool(r.e.cfg.Params.Numerate)
-	for i, si := range idx {
-		fp = fp.Uint64(uint64(rt.arena.KID(si))).Uint64(uint64(w[i]))
-	}
-	c := r.caches[gi]
-	if c == nil {
-		c = &fillCache{}
-		r.caches[gi] = c
-	}
-	if c.in != nil && c.fp == fp && c.matches(rt, idx, w) {
-		return c.in
-	}
-	if c.in != nil {
-		c.in.Recycle()
-	}
-	c.fp = fp
-	c.kids = c.kids[:0]
-	for _, si := range idx {
-		c.kids = append(c.kids, rt.arena.KID(si))
-	}
-	c.w = append(c.w[:0], w...)
-	c.in = msg.NewPooledInboxWeighted(r.e.cfg.Params.Numerate, rt.Arena(), idx, w)
-	return c.in
-}
-
-// matches confirms a fingerprint hit exactly: same KeyID sequence, same
-// multiplicities. KeyIDs are stable for the whole execution (the intern
-// table persists across rounds), so equal sequences mean equal inbox
-// contents.
-func (c *fillCache) matches(rt *Router, idx, w []int32) bool {
-	if len(idx) != len(c.kids) || !slices.Equal(w, c.w) {
-		return false
-	}
-	for i, si := range idx {
-		if rt.arena.KID(si) != c.kids[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *countingRep) deliverSlow(round int) {
 	rt := r.e.router
 	// Split every stepping class along the router's reception partition
-	// (Router.ReceptionClass: two members received the same inbox exactly
-	// when they report the same class >= 0). Halted classes take no step
-	// this round and stay whole. Parts are forked from the pre-Receive
-	// class — process state and decision record both — before any class
-	// steps: a fork made after its origin decided would inherit a decision
-	// its own members were never recorded with.
+	// (Router.SharedWith: two members received the same inbox exactly
+	// when they report the same class >= 0) — unless no member was
+	// touched and no mask applied, when every member of a group received
+	// its group's batch. Halted classes take no step this round and stay
+	// whole. Parts are forked from the pre-Receive class — process state
+	// and decision record both — before any class steps: a fork made
+	// after its origin decided would inherit a decision its own members
+	// were never recorded with.
 	var parts []*countClass
-	if r.err == nil {
+	if r.err == nil && !rt.uniform {
 		parts = r.refine(func(s int, c *countClass) int32 {
 			if c.halted {
 				return 0
 			}
-			return int32(rt.ReceptionClass(s))
+			return int32(rt.SharedWith(s))
 		})
 		r.noteClassCount(round)
-	}
-	// Draw every correct slot's inbox in ascending slot order (the
-	// StateRep contract — shared-reception classes drain their reference
-	// counts through these draws). A stepping class keeps its leader's,
-	// every member's being identical by construction; the rest are
-	// discarded (crashed recipients lost the round's messages at the
-	// router; stalled ones have them held until they wake).
-	for s, ci := range r.classOf {
-		if ci < 0 {
-			continue
-		}
-		in := rt.Inbox(s)
-		if c := r.table[ci]; r.err == nil && !c.halted && int(c.leader) == s {
-			c.in = in
-		} else {
-			in.Recycle()
-		}
 	}
 	if r.err != nil {
 		return
@@ -599,16 +439,17 @@ func (r *countingRep) deliverSlow(round int) {
 	r.mergeClasses()
 }
 
-// step runs one slow-path class's Receive against its leader's inbox
-// and polls its decision; it reports whether the class decided.
+// step runs one class's Receive against its leader's inbox — every
+// member's being identical by construction — and polls its decision; it
+// reports whether the class decided. A halted class draws no inbox.
 func (r *countingRep) step(c *countClass, round int) bool {
 	c.origin = nil // the split is over: keep no dead origin reachable
 	if c.halted {
 		return false
 	}
-	c.proc.Receive(round, c.in)
-	c.in.Recycle()
-	c.in = nil
+	in := r.e.router.inbox(int(c.leader))
+	c.proc.Receive(round, in)
+	in.Recycle()
 	return r.poll(c, round)
 }
 
@@ -632,7 +473,7 @@ func (r *countingRep) recordDecisions(round int) {
 	for s, ci := range r.classOf {
 		if ci >= 0 {
 			if c := r.table[ci]; c.decidedAt == round {
-				r.e.RecordDecision(s, c.decision, true, round)
+				r.e.recordDecision(s, c.decision, true, round)
 			}
 		}
 	}
@@ -699,17 +540,8 @@ func (r *countingRep) Stop() {
 		return
 	}
 	for _, c := range r.classes {
-		if c.in != nil {
-			c.in.Recycle()
-		}
 		if rel, ok := c.proc.(Releaser); ok {
 			rel.Release()
-		}
-	}
-	for _, fc := range r.caches {
-		if fc != nil && fc.in != nil {
-			fc.in.Recycle()
-			fc.in = nil
 		}
 	}
 }

@@ -32,7 +32,7 @@ func (a poisonPlan) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { ret
 func (a poisonPlan) Drop(int, int, int) bool                               { return false }
 func (a poisonPlan) Sends(round, _ int, _ *View) []msg.TargetedSend        { return a.plan[round] }
 
-// TestCountingClassIndexThroughSplitMergeSplit drives the slow path
+// TestCountingClassIndexThroughSplitMergeSplit drives the representation
 // round by round through splits, re-merges and later splits, and checks
 // the class index after every round: classes live at their table
 // entries and ordered by leader; every correct slot resolving, in one
@@ -56,11 +56,14 @@ func TestCountingClassIndexThroughSplitMergeSplit(t *testing.T) {
 		wantTable   int   // table entries ever in use
 	}{{
 		// Round 2 splits off {4}, round 3 re-merges, rounds 4 and 5 split
-		// off {8} into the reclaimed entry, round 6 re-merges.
+		// off {8}, round 6 re-merges. Rounds 1 and 3 are clean and run no
+		// pass, so round 4's is the first since the merge: it frees the
+		// forwarded entry only once it has re-pointed every slot, after
+		// {8} took a new one.
 		name:        "poison",
 		plan:        map[int][]msg.TargetedSend{2: poison(4), 4: poison(8), 5: poison(8)},
 		wantClasses: []int{4, 5, 4, 5, 5, 4},
-		wantTable:   5,
+		wantTable:   6,
 	}, {
 		// Round 2 splits off {8} and round 3 re-merges it, forwarding its
 		// entry. Slot 4 crashes in round 4 and misses the poison {0, 8}

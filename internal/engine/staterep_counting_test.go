@@ -266,10 +266,11 @@ func TestCountingSingletonFallback(t *testing.T) {
 }
 
 // TestCountingReceptionModes holds both state representations to the
-// reference interpreter on a faulty execution (the counting slow path)
-// and a clean one (the fast path, unless deliveries are recorded). The
-// subtest d<i>-r<j> records deliveries (traffic and per-slot history
-// hashes) when i is 1, and receives numerately when j is 1.
+// reference interpreter on a faulty execution (its poisoned round sends
+// and receives member by member) and a clean one (weighted rounds, unless
+// deliveries are recorded). The subtest d<i>-r<j> records deliveries
+// (traffic and per-slot history hashes) when i is 1, and receives
+// numerately when j is 1.
 func TestCountingReceptionModes(t *testing.T) {
 	adv := targetRounds{bad: 3, plan: map[int][]msg.TargetedSend{
 		2: {{ToSlot: 8, Body: msg.Raw("poison")}},
@@ -287,5 +288,108 @@ func TestCountingReceptionModes(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// tallyProc broadcasts one round-tagged payload and keeps a hash of the
+// last inbox it read, multiplicities included, so a member that misses
+// one homonym's copy leaves its class until a clean round re-merges it.
+// It decides its identifier once it has received round 3.
+type tallyProc struct {
+	id    hom.Identifier
+	last  msg.StateHash
+	ready bool
+}
+
+func (p *tallyProc) Init(ctx engine.Context) { p.id = ctx.ID }
+
+func (p *tallyProc) Prepare(round int) []msg.Send {
+	return []msg.Send{msg.Broadcast(msg.Raw(fmt.Sprintf("tally|%d", round)))}
+}
+
+func (p *tallyProc) Receive(round int, in *msg.Inbox) {
+	h := msg.NewStateHash()
+	for i := 0; i < in.Len(); i++ {
+		h = h.Int(int(in.SenderAt(i))).Int(in.CountAt(i)).String(in.BodyAt(i).Key())
+	}
+	p.last, p.ready = h, p.ready || round >= 3
+}
+
+func (p *tallyProc) Decision() (hom.Value, bool)     { return hom.Value(p.id), p.ready }
+func (p *tallyProc) CloneProcess() engine.Process    { cp := *p; return &cp }
+func (p *tallyProc) StateFingerprint() msg.StateHash { return p.last.Int(int(p.id)).Bool(p.ready) }
+
+// TestFaultWindowCostsOnlyItsRounds pins that the counting representation
+// picks its routing round by round. A crash-recovery window (slot 8,
+// rounds 2-3) or an esync delay window before GST (slot 8 to slot 9,
+// rounds 2-3) has every member send on its own while it is live; once it
+// has closed and the classes it split have re-merged, every later round's
+// arena holds one entry per class send, not one per slot. The Result at
+// n=4096 (512 under the race detector) is Concrete's. The reference
+// interpreter, which materialises all n² deliveries of a round, holds
+// both representations to the same scenario at n=256.
+func TestFaultWindowCostsOnlyItsRounds(t *testing.T) {
+	const l, rounds = 8, 8
+	for _, tc := range []struct {
+		name  string
+		tm    engine.TimeModel
+		sched *inject.Schedule
+	}{
+		{"crash", engine.Lockstep{}, &inject.Schedule{Crashes: []inject.Crash{{Slot: 8, Round: 2, Recover: 2}}}},
+		{"delay", engine.EventuallySynchronous{Bound: 2},
+			&inject.Schedule{Delays: []inject.Delay{{FromSlot: 8, ToSlot: 9, From: 2, Until: 3, By: 1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flood := func(n int) engine.Config {
+				return engine.Config{
+					Params:      hom.Params{N: n, L: l, T: 0, Synchrony: hom.PartiallySynchronous, Numerate: true},
+					Assignment:  hom.RoundRobinAssignment(n, l),
+					Inputs:      make([]hom.Value, n),
+					NewProcess:  func(int) engine.Process { return &tallyProc{} },
+					GST:         5,
+					MaxRounds:   rounds,
+					ExtraRounds: rounds,
+					Faults:      tc.sched,
+				}
+			}
+			holdToRefmodel(t, flood(256), tc.tm)
+
+			n := 4096
+			if raceEnabled {
+				n = 512 // a window round routes n² pairs, which the race detector slows tenfold
+			}
+			opts := refmodel.Options(flood(n), tc.tm)
+			want, err := engine.Run(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := &engine.ArenaProbe{}
+			got, err := engine.Run(append(opts, engine.WithStateRep(probe))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := observable(got), observable(want); g != w {
+				t.Fatalf("counting diverges from concrete:\n got:  %.2000s\n want: %.2000s", g, w)
+			}
+			if got.Rounds != rounds || probe.Arena[1] < n-1 {
+				t.Fatalf("ran %d rounds, round 2 stamped %d entries: want %d rounds, and a window round sent by every live member",
+					got.Rounds, probe.Arena[1], rounds)
+			}
+			settled := 0 // the round after which the split classes were whole again
+			for r := 2; r <= rounds && settled == 0; r++ {
+				if probe.Classes[r-2] > l && probe.Classes[r-1] == l {
+					settled = r
+				}
+			}
+			if settled == 0 || settled > rounds-2 {
+				t.Fatalf("classes per round %v: the window never split a class, or its classes never re-merged in time", probe.Classes)
+			}
+			for r := settled + 1; r <= rounds; r++ {
+				if probe.Arena[r-1] != l {
+					t.Errorf("round %d: the arena holds %d entries for %d class sends (classes per round %v)",
+						r, probe.Arena[r-1], l, probe.Classes)
+				}
+			}
+		})
 	}
 }

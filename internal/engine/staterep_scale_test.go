@@ -69,8 +69,8 @@ func (f *scaleMerger) StateFingerprint() msg.StateHash {
 }
 
 // runScaleFlood assembles and runs the scale flooder (or, merging, its
-// merging twin) at n slots under l identifiers for eight rounds on the
-// counting fast path, checks the outcome against the closed forms, and
+// merging twin) at n slots under l identifiers for eight weighted
+// rounds, checks the outcome against the closed forms, and
 // returns what New and Run allocated between them (the assignment and
 // input vectors are the caller's, built before the measurement starts).
 func runScaleFlood(t *testing.T, n int, merging bool) (mallocs, bytes uint64) {
@@ -123,8 +123,9 @@ func runScaleFlood(t *testing.T, n int, merging bool) (mallocs, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestCountingFastPathCostIsPerClass pins what a fast-path execution
-// costs, with classes fixed and with 2l classes merging into l: the
+// TestCountingFastPathCostIsPerClass pins what a clean execution costs,
+// every round weighted, with classes fixed and with 2l classes merging
+// into l: the
 // number of allocations is a function of the classes and the rounds, not
 // of n (ten times the slots, the same count to within slice growth), and
 // the bytes stay under 24 per slot — the Result's decisions and decision
@@ -174,8 +175,8 @@ func TestCountingFastPathCostIsPerClass(t *testing.T) {
 
 // runByzantineFlood runs the scale flooder for eight rounds with one
 // equivocating slot (the first holder of identifier 1), which takes every
-// round off the counting fast path and through the Router's slot stage,
-// and returns the bytes New and Run allocated between them.
+// round through the Router's slot stage, and returns the bytes New and
+// Run allocated between them.
 func runByzantineFlood(t *testing.T, n int, rep engine.StateRep) uint64 {
 	t.Helper()
 	const l, rounds = 8, 8
@@ -213,8 +214,8 @@ func runByzantineFlood(t *testing.T, n int, rep engine.StateRep) uint64 {
 // are accounted for — MessagesSent is the analytic count — but a
 // broadcast is routed as one row entry per identifier group and only
 // the equivocator's targeted pairs per recipient, so four times the
-// slots allocate about four times the bytes (at most six), under the
-// counting slow path and under its Concrete twin alike. Per-recipient
+// slots allocate about four times the bytes (at most six), under
+// Counting and under its Concrete twin alike. Per-recipient
 // broadcast lists (8·n² bytes of them per execution) grow sixteenfold.
 func TestByzantineRoundCostIsPerGroup(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as above: compare the code, not the pools

@@ -26,9 +26,10 @@ const diffSeed = 20261015
 // injected fault kind, both time models — the engine under Concrete and
 // under Counting must report exactly what the reference interpreter
 // reports. Every second scenario also records traffic, hashes per-slot
-// histories and runs the engine's paranoid self-checks; the others keep
-// the counting fast path reachable. Raise -refmodel.count for a longer
-// campaign.
+// histories and runs the engine's paranoid self-checks; in the others a
+// round no mask or fault window covers is weighted, so the counting
+// representation sends once per class in it. Raise -refmodel.count for
+// a longer campaign.
 func TestEngineMatchesRefmodel(t *testing.T) {
 	scenario := func(i int) Scenario {
 		return Generate(rand.New(rand.NewSource(subSeed(diffSeed, i))), GenOptions{MaxN: 8})

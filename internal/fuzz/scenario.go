@@ -459,8 +459,8 @@ type Outcome struct {
 // scenario itself (and therefore outside its digest's scenario half).
 type Options struct {
 	// Invariants enables the engine's per-round internal checks
-	// (engine.Config.Invariants): arena bounds, inbox issuance, group
-	// refcounts, equivalence-class byte-equality.
+	// (engine.Config.Invariants): arena bounds, inbox issuance, row
+	// order, stamp memos, equivalence-class byte-equality.
 	Invariants bool
 	// ForceTimeModel, when non-empty, overrides the time model of
 	// lockstep scenarios before execution (scenarios that already name a

@@ -464,10 +464,10 @@ func (in *Injector) Culprits() []int {
 // Live reports whether the round lies inside the kind's activity
 // window, i.e. whether any query of that kind can still answer other
 // than "no". Engines ask once per round and keep rounds no window
-// covers on the unchanged fast path (in particular the group-shared
-// reception's trivial-mask sharing): a held-until-stabilisation delay
-// keeps only the KindHold window open, and only through its last send
-// round.
+// covers on their cheapest path (the group-shared reception's
+// trivial-mask sharing, a counting class sending once for all its
+// members): a held-until-stabilisation delay keeps only the KindHold
+// window open, and only through its last send round.
 func (in *Injector) Live(k Kind, round int) bool {
 	if in == nil {
 		return false

@@ -20,6 +20,10 @@ import (
 //     materialises messages
 //   - keys[i]   — the canonical key string, aliasing the intern table's
 //     copy (no per-send allocation)
+//   - copies[i] — the send's multiplicity: how many indistinguishable
+//     senders it stands for (1 but for a counting class sending once for
+//     all its members); inbox fills and the engines' statistics count
+//     each delivery of the entry that many times
 //
 // Invariants: entries are appended exactly once per send, in the engine's
 // deterministic send order, which is also the intern order — so KeyID
@@ -39,6 +43,7 @@ type SendArena struct {
 	kids   []KeyID
 	bodies []Payload
 	keys   []string
+	copies []int32
 
 	order []int32 // the lazy round order: valid while it covers every entry
 	every []int32 // 0, 1, 2, ...: the whole arena as an orderRefs distinct set
@@ -54,6 +59,7 @@ func (a *SendArena) Reset() {
 	a.kids = a.kids[:0]
 	a.bodies = a.bodies[:0]
 	a.keys = a.keys[:0]
+	a.copies = a.copies[:0]
 	a.order = a.order[:0]
 }
 
@@ -63,21 +69,23 @@ func (a *SendArena) Len() int { return len(a.ids) }
 // Append stamps one send into the arena: the canonical (id, body) key is
 // built in the interner's scratch buffer and interned exactly once, so a
 // key seen before costs one hash lookup and zero allocations. It returns
-// the new entry's arena index.
+// the new entry's arena index. The entry stands for one copy.
 func (a *SendArena) Append(it *Interner, id hom.Identifier, body Payload, bodyKey string) int32 {
 	kid, _ := it.InternMessageKey(int64(id), bodyKey)
-	return a.AppendStamped(it, id, body, kid)
+	return a.AppendStamped(it, id, body, kid, 1)
 }
 
 // AppendStamped is Append for a send whose message key the caller holds
-// as a KeyID of it (KeyBuilder.InternMessage, or a StampMemo's): four
-// column appends, no key built and nothing hashed.
-func (a *SendArena) AppendStamped(it *Interner, id hom.Identifier, body Payload, kid KeyID) int32 {
+// as a KeyID of it (KeyBuilder.InternMessage, or a StampMemo's), standing
+// for copies >= 1 indistinguishable sends: five column appends, no key
+// built and nothing hashed.
+func (a *SendArena) AppendStamped(it *Interner, id hom.Identifier, body Payload, kid KeyID, copies int32) int32 {
 	i := int32(len(a.ids))
 	a.ids = append(a.ids, id)
 	a.kids = append(a.kids, kid)
 	a.bodies = append(a.bodies, body)
 	a.keys = append(a.keys, it.Key(kid))
+	a.copies = append(a.copies, copies)
 	return i
 }
 
@@ -99,6 +107,9 @@ func (a *SendArena) ID(i int32) hom.Identifier { return a.ids[i] }
 
 // KID returns the dense KeyID of entry i.
 func (a *SendArena) KID(i int32) KeyID { return a.kids[i] }
+
+// Copies returns the multiplicity of entry i.
+func (a *SendArena) Copies(i int32) int32 { return a.copies[i] }
 
 // Body returns the payload of entry i.
 func (a *SendArena) Body(i int32) Payload { return a.bodies[i] }

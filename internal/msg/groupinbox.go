@@ -1,9 +1,6 @@
 package msg
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // GroupInbox is the shared reception core for one equivalence class of
 // recipients: processes that received a byte-identical delivery batch
@@ -16,15 +13,13 @@ import (
 //
 // Lifecycle invariants:
 //
-//   - The core is filled by the router before any view is handed out, and
-//     every view is read on the goroutine that drives the execution. After
-//     the fill, the only mutation is the lazy sort-index materialisation.
-//   - Views are pooled Inbox shells. Each view's Recycle releases one
-//     reference; when the last reference goes, the core zeroes the
-//     counts it touched and returns itself to the pool. The expected
-//     reference count is fixed at construction (the class size), so a
-//     core can never outlive its round: the engines recycle every
-//     inbox before the next BeginRound invalidates the arena.
+//   - The core is filled before any view is handed out, and every view is
+//     read on the goroutine that drives the execution. After the fill,
+//     the only mutation is the lazy sort-index materialisation.
+//   - Views are pooled Inbox shells that own nothing of the core: a
+//     view's Recycle returns only the shell. The core belongs to whoever
+//     filled it, who calls Recycle once every view is done — the engines'
+//     router at the start of the next round, before it resets the arena.
 //   - Like every SoA inbox, the core references the engine's SendArena
 //     and is valid only until the round's arena reset.
 type GroupInbox struct {
@@ -35,10 +30,6 @@ type GroupInbox struct {
 	total    int     // sum of multiplicities
 
 	orderIdx []int32 // lazy sort index over the distinct set, built once it is asked for
-
-	// refs counts the outstanding views. The counter is atomic so misuse
-	// shows up under the race detector instead of corrupting the pool.
-	refs atomic.Int32
 }
 
 // groupInboxPool recycles shared cores (the shell, its ref buffer, its
@@ -46,17 +37,16 @@ type GroupInbox struct {
 var groupInboxPool = sync.Pool{New: func() any { return new(GroupInbox) }}
 
 // NewPooledGroupInbox fills a shared reception core from the arena and
-// the equivalence class's common delivery index. views is the number of
-// read-only views that will be attached (the class size); the core
-// returns to the pool when the last of them is recycled. The fill is
-// the SoA fill of NewPooledInboxSoA, performed once for the whole
-// class; steady state allocates nothing.
-func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, views int) *GroupInbox {
+// the equivalence class's common delivery index. The fill is the SoA fill
+// of NewPooledInboxSoA, performed once for the whole class; steady state
+// allocates nothing. The caller owns the core until Recycle. A trailing
+// argument is ignored: it was the number of views a core once counted
+// down to its own release, and the repository benchmark still passes it.
+func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, _ ...int) *GroupInbox {
 	g := groupInboxPool.Get().(*GroupInbox)
 	g.numerate = numerate
 	g.soa = arena
-	g.refs.Store(int32(views))
-	g.ref, g.kidCount, g.total = fillDistinct(numerate, arena.kids, idx, g.ref, g.kidCount)
+	g.ref, g.kidCount, g.total = fillDistinct(numerate, arena, idx, g.ref, g.kidCount)
 	return g
 }
 
@@ -64,8 +54,7 @@ func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, views int
 // shared core. The view consumes the core through the standard Inbox
 // accessors (SenderAt/BodyAt/CountAt/IdentifierRange/Count/...), so
 // protocol receive paths are oblivious to the sharing. The caller owns
-// the view until Recycle, which releases the view's reference on the
-// core.
+// the view until Recycle, which must come before the core's.
 func NewPooledInboxView(g *GroupInbox) *Inbox {
 	in := inboxPool.Get().(*Inbox)
 	in.pooled = true
@@ -85,12 +74,9 @@ func (g *GroupInbox) sortIndex() []int32 {
 	return g.orderIdx
 }
 
-// release drops one view reference; the last one resets the core and
-// returns it to the pool. Called from Inbox.Recycle.
-func (g *GroupInbox) release() {
-	if g.refs.Add(-1) > 0 {
-		return
-	}
+// Recycle resets the core and returns it to the pool. Every view of it
+// must have been recycled first; afterwards the core is invalid.
+func (g *GroupInbox) Recycle() {
 	// Zero exactly the counts this round touched; the dense array
 	// itself persists, keeping the steady-state fill allocation-free.
 	for _, i := range g.ref {

@@ -17,7 +17,7 @@ func TestGroupInboxViewMatchesOwnFill(t *testing.T) {
 		soa, idx := buildSoAArena(it, 24, 5)
 
 		own := NewPooledInboxSoA(numerate, soa, idx)
-		gi := NewPooledGroupInbox(numerate, soa, idx, 2)
+		gi := NewPooledGroupInbox(numerate, soa, idx)
 		v1 := NewPooledInboxView(gi)
 		v2 := NewPooledInboxView(gi)
 
@@ -79,36 +79,38 @@ func TestGroupInboxViewMatchesOwnFill(t *testing.T) {
 
 		v1.Recycle()
 		v2.Recycle()
+		gi.Recycle()
 		own.Recycle()
 	}
 }
 
-// TestGroupInboxReleaseZeroesCounts pins the refcount/pool invariant:
-// the shared core's dense count array is zeroed when the last view is
-// released, so a recycled core never leaks multiplicities into the next
-// round's fill.
+// TestGroupInboxReleaseZeroesCounts pins the ownership/pool invariant:
+// recycling views leaves the shared core readable, and the core's own
+// Recycle zeroes its dense count array, so a recycled core never leaks
+// multiplicities into the next round's fill.
 func TestGroupInboxReleaseZeroesCounts(t *testing.T) {
 	it := NewInterner()
 	soa, idx := buildSoAArena(it, 12, 3)
 
-	gi := NewPooledGroupInbox(true, soa, idx, 3)
+	gi := NewPooledGroupInbox(true, soa, idx)
 	views := []*Inbox{NewPooledInboxView(gi), NewPooledInboxView(gi), NewPooledInboxView(gi)}
 	wantTotal := views[0].TotalCount()
 
-	// Recycling all but the last view must keep the core readable.
+	// Views own nothing of the core: recycling them keeps it readable.
 	views[0].Recycle()
 	views[1].Recycle()
-	if got := views[2].TotalCount(); got != wantTotal {
-		t.Fatalf("core died before last view: total %d, want %d", got, wantTotal)
-	}
 	views[2].Recycle()
+	if got := gi.TotalCount(); got != wantTotal {
+		t.Fatalf("core died with its views: total %d, want %d", got, wantTotal)
+	}
+	gi.Recycle()
 
 	// A fresh core over the same arena must compute the same counts from
-	// scratch: any stale count left by release would inflate them.
-	gi2 := NewPooledGroupInbox(true, soa, idx, 1)
+	// scratch: any stale count left by Recycle would inflate them.
+	gi2 := NewPooledGroupInbox(true, soa, idx)
 	v := NewPooledInboxView(gi2)
 	if v.TotalCount() != wantTotal {
-		t.Fatalf("stale counts after release: total %d, want %d", v.TotalCount(), wantTotal)
+		t.Fatalf("stale counts after Recycle: total %d, want %d", v.TotalCount(), wantTotal)
 	}
 	for i := 0; i < v.Len(); i++ {
 		if c := v.CountAt(i); c < 1 || c > len(idx) {
@@ -116,6 +118,7 @@ func TestGroupInboxReleaseZeroesCounts(t *testing.T) {
 		}
 	}
 	v.Recycle()
+	gi2.Recycle()
 }
 
 // TestGroupInboxSteadyStateZeroAlloc pins the pooling contract: after
@@ -130,7 +133,7 @@ func TestGroupInboxSteadyStateZeroAlloc(t *testing.T) {
 	soa, idx := buildSoAArena(it, 32, 4)
 
 	roundTrip := func() {
-		gi := NewPooledGroupInbox(true, soa, idx, 2)
+		gi := NewPooledGroupInbox(true, soa, idx)
 		v1, v2 := NewPooledInboxView(gi), NewPooledInboxView(gi)
 		sink := 0
 		for i, k := 0, v1.Len(); i < k; i++ {
@@ -139,6 +142,7 @@ func TestGroupInboxSteadyStateZeroAlloc(t *testing.T) {
 		_ = sink
 		v1.Recycle()
 		v2.Recycle()
+		gi.Recycle()
 	}
 	roundTrip() // warm the pools
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {

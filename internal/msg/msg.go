@@ -319,71 +319,6 @@ func NewPooledInboxSoA(numerate bool, arena *SendArena, idx []int32) *Inbox {
 // count map and its KeyID count array) across rounds.
 var inboxPool = sync.Pool{New: func() any { return new(Inbox) }}
 
-// NewPooledInboxWeighted builds a pooled inbox for the counting state
-// representation: idx selects the round's distinct send entries and
-// weights[j] says how many copies of entry idx[j] the receiver got (the
-// class-multiplicity fan-in that a concrete execution would deliver as
-// weights[j] separate messages). A nil weights slice means one copy each.
-//
-// Unlike the SoA constructor, the entries are copied out of the arena, so
-// the inbox stays valid across SendArena.Reset — which is what lets the
-// counting engine cache a filled inbox across rounds. The copies alias
-// the per-execution intern table (keys and KeyIDs stay stable), so the
-// inbox runs on the string-free interned path and recycles normally.
-func NewPooledInboxWeighted(numerate bool, arena *SendArena, idx []int32, weights []int32) *Inbox {
-	in := inboxPool.Get().(*Inbox)
-	in.pooled = true
-	in.fillWeighted(numerate, arena, idx, weights)
-	return in
-}
-
-// fillWeighted folds weighted arena entries into the dense counts,
-// keeping first sights as owned Message copies. Duplicate KeyIDs fold
-// exactly as repeated concrete deliveries would: multiplicities add for
-// a numerate receiver and collapse for an innumerate one.
-func (in *Inbox) fillWeighted(numerate bool, arena *SendArena, idx []int32, weights []int32) {
-	in.numerate = numerate
-	in.total = 0
-	in.idxOK, in.viewOK = false, false
-	in.interned = true
-	if cap(in.msgs) < len(idx) {
-		in.msgs = make([]Message, 0, len(idx))
-	}
-	kids := arena.kids
-	maxKid := KeyID(0)
-	for _, i := range idx {
-		if kids[i] > maxKid {
-			maxKid = kids[i]
-		}
-	}
-	in.kidCount = growCounts(in.kidCount, maxKid)
-	for j, i := range idx {
-		kid := kids[i]
-		w := int32(1)
-		if weights != nil {
-			w = weights[j]
-		}
-		if w <= 0 {
-			continue
-		}
-		if c := in.kidCount[kid]; c > 0 {
-			if numerate {
-				in.kidCount[kid] = c + w
-				in.total += int(w)
-			}
-			continue
-		}
-		if numerate {
-			in.kidCount[kid] = w
-			in.total += int(w)
-		} else {
-			in.kidCount[kid] = 1
-			in.total++
-		}
-		in.msgs = append(in.msgs, arena.Message(i))
-	}
-}
-
 // NewPooledInbox is NewInbox backed by a recycled shell. The caller owns
 // the inbox until it calls Recycle; afterwards the inbox and every slice
 // returned by its accessors are invalid. The simulation engines use this
@@ -406,9 +341,8 @@ func (in *Inbox) Recycle() {
 	}
 	switch {
 	case in.shared != nil:
-		// A view owns no counts: release the reference on the shared
-		// core (the last view returns the core to its own pool).
-		in.shared.release()
+		// A view owns no counts: the shared core belongs to whoever
+		// filled it, who recycles it once the round is over.
 		in.shared = nil
 	case in.interned:
 		// Zero exactly the counts this round touched; the dense array
@@ -478,15 +412,18 @@ func (in *Inbox) fillSoA(numerate bool, arena *SendArena, idx []int32) {
 	in.idxOK, in.viewOK = false, false
 	in.interned = true
 	in.soa = arena
-	in.ref, in.kidCount, in.total = fillDistinct(numerate, arena.kids, idx, in.ref, in.kidCount)
+	in.ref, in.kidCount, in.total = fillDistinct(numerate, arena, idx, in.ref, in.kidCount)
 }
 
 // fillDistinct folds one delivery batch into a KeyID-dense count array,
-// reading only the arena's KeyID column: first sights go to ref (reused
-// from its start; at most one per KeyID in play, however many homonyms'
-// copies the batch carries), repeats add a copy for a numerate receiver.
-// It returns ref, the counts and their sum, for Inbox and GroupInbox.
-func fillDistinct(numerate bool, kids []KeyID, idx, ref, counts []int32) ([]int32, []int32, int) {
+// reading only the arena's KeyID and copies columns: first sights go to
+// ref (reused from its start; at most one per KeyID in play, however many
+// homonyms' copies the batch carries), and every entry adds its copies
+// for a numerate receiver — one fill of an entry standing for k copies is
+// the fill of k entries. It returns ref, the counts and their sum, for
+// Inbox and GroupInbox.
+func fillDistinct(numerate bool, a *SendArena, idx, ref, counts []int32) ([]int32, []int32, int) {
+	kids, copies := a.kids, a.copies
 	maxKid := KeyID(0)
 	for _, i := range idx {
 		maxKid = max(maxKid, kids[i])
@@ -498,18 +435,18 @@ func fillDistinct(numerate bool, kids []KeyID, idx, ref, counts []int32) ([]int3
 	ref = ref[:0]
 	total := 0
 	for _, i := range idx {
-		kid := kids[i]
-		total++
-		if c := counts[kid]; c > 0 {
-			if numerate {
-				counts[kid] = c + 1
-			} else {
-				total--
-			}
+		kid, w := kids[i], int32(1)
+		switch c := counts[kid]; {
+		case c == 0:
+			ref = append(ref, i)
+		case !numerate:
 			continue
 		}
-		counts[kid] = 1
-		ref = append(ref, i)
+		if numerate {
+			w = copies[i]
+		}
+		counts[kid] += w
+		total += int(w)
 	}
 	return ref, counts, total
 }

@@ -115,8 +115,9 @@ func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Messa
 // TestSortIndexMatchesReferenceOrder pins the inbox order — the order
 // protocols first see messages in, and so the order of everything
 // downstream of it — to its definition, over generated batches and every
-// storage an inbox can sit on: owned copies (plain, pooled and weighted),
-// the SoA arena and the shared GroupInbox view.
+// storage an inbox can sit on: owned copies (plain and pooled), the SoA
+// arena (entries of one copy and of several) and the shared GroupInbox
+// view.
 // Batches straddle the packed sort's stack/pool boundary, and the wide
 // cases spread identifiers too far to pack, forcing the comparison sort.
 func TestSortIndexMatchesReferenceOrder(t *testing.T) {
@@ -154,11 +155,19 @@ func TestSortIndexMatchesReferenceOrder(t *testing.T) {
 			checkOrder(t, "soa", soa, c, want)
 			soa.Recycle()
 
-			weighted := NewPooledInboxWeighted(numerate, c.arena, idx, nil)
+			// The same batch with multiplicities: counts change, the
+			// distinct set and its order do not.
+			for i := range c.arena.copies {
+				c.arena.copies[i] = int32(1 + i%3)
+			}
+			weighted := NewPooledInboxSoA(numerate, c.arena, idx)
 			checkOrder(t, "weighted", weighted, c, want)
 			weighted.Recycle()
+			for i := range c.arena.copies {
+				c.arena.copies[i] = 1
+			}
 
-			core := NewPooledGroupInbox(numerate, c.arena, idx, 2)
+			core := NewPooledGroupInbox(numerate, c.arena, idx)
 			if core.Len() != len(want) || core.TotalCount() <= 0 {
 				t.Fatalf("%s: shared core holds %d distinct / %d copies", c.name, core.Len(), core.TotalCount())
 			}
@@ -167,6 +176,7 @@ func TestSortIndexMatchesReferenceOrder(t *testing.T) {
 			checkOrder(t, "group-view-2", v2, c, want)
 			v1.Recycle()
 			v2.Recycle()
+			core.Recycle()
 		}
 	}
 }
@@ -239,7 +249,7 @@ func TestRoundOrderWalkMatchesOrderRefs(t *testing.T) {
 				if got := in.sortIndex(); !same(got, want) {
 					t.Fatalf("trial %d %s: Inbox.sortIndex = %v, want %v", trial, label, got, want)
 				}
-				g := NewPooledGroupInbox(numerate, arena, idx, 1)
+				g := NewPooledGroupInbox(numerate, arena, idx)
 				if !same(g.ref, in.ref) {
 					t.Fatalf("trial %d %s: shared core and inbox disagree on first sights", trial, label)
 				}
@@ -251,6 +261,7 @@ func TestRoundOrderWalkMatchesOrderRefs(t *testing.T) {
 					t.Fatalf("trial %d %s: GroupInbox.sortIndex = %v, want %v", trial, label, got, want)
 				}
 				view.Recycle()
+				g.Recycle()
 				in.Recycle()
 			}
 		}
@@ -264,9 +275,10 @@ func TestRoundOrderWalkMatchesOrderRefs(t *testing.T) {
 	}
 }
 
-// TestWeightedInboxFoldsMultiplicities covers the counting
-// representation's inbox: weights add for a numerate receiver, collapse
-// for an innumerate one, and non-positive weights deliver nothing.
+// TestWeightedInboxFoldsMultiplicities covers an arena entry standing
+// for several copies: copies add for a numerate receiver and collapse for
+// an innumerate one, and an entry appended with its KeyID in hand is the
+// entry appended through its key.
 func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
 	for _, tc := range []struct {
 		numerate bool
@@ -280,17 +292,17 @@ func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
 		arena := &SendArena{}
 		var kb KeyBuilder
 		kb.Reset("raw").Str("a") // Raw("a").Key(), as the scratch path builds it
-		a := arena.AppendStamped(it, 1, Raw("a"), kb.InternMessage(it, 1))
-		b := arena.Append(it, 2, Raw("b"), Raw("b").Key())
+		a := arena.AppendStamped(it, 1, Raw("a"), kb.InternMessage(it, 1), 5)
+		b := arena.AppendStamped(it, 2, Raw("b"), kb.Reset("raw").Str("b").InternMessage(it, 2), 2)
 		a2 := arena.Append(it, 1, Raw("a"), Raw("a").Key())
-		c := arena.Append(it, 3, Raw("c"), Raw("c").Key())
+		arena.copies[a2] = 3
 		if arena.Key(a) != arena.Key(a2) || arena.KID(a) != arena.KID(a2) {
 			t.Fatal("AppendStamped and Append stamped the same send differently")
 		}
-		if it.Len() != 3 {
-			t.Fatalf("stamping interned %d keys for 3 distinct messages: only message keys are symbolized", it.Len())
+		if it.Len() != 2 {
+			t.Fatalf("stamping interned %d keys for 2 distinct messages: only message keys are symbolized", it.Len())
 		}
-		in := NewPooledInboxWeighted(tc.numerate, arena, []int32{a, b, a2, c}, []int32{5, 2, 3, 0})
+		in := NewPooledInboxSoA(tc.numerate, arena, []int32{a, b, a2})
 		if in.Len() != 2 || in.TotalCount() != tc.total {
 			t.Fatalf("numerate=%v: len/total %d/%d, want 2/%d", tc.numerate, in.Len(), in.TotalCount(), tc.total)
 		}
@@ -299,14 +311,69 @@ func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
 				t.Fatalf("numerate=%v: CountAt(%d) = %d, want %d", tc.numerate, i, got, want)
 			}
 		}
-		// The entries are copies: the counting engine caches weighted
-		// inboxes across rounds, past the arena's reset.
-		arena.Reset()
-		if in.MessageAt(0).Body != Raw("a") || in.MessageAt(1).Body != Raw("b") {
-			t.Fatalf("numerate=%v: weighted inbox did not outlive the arena reset", tc.numerate)
-		}
 		in.Recycle()
 		it.Recycle()
+	}
+}
+
+// TestWeightedFillMatchesExpandedFill pins what a multiplicity means: a
+// batch whose entries carry copies >= 1, filled once, is observationally
+// the batch with every entry repeated copies times — on Len, TotalCount,
+// the sorted order, CountAt, KeyIDAt and CountCopies, numerate and
+// innumerate, through the per-recipient fill and the shared core alike.
+// Batches repeat and skip entries, as link duplication and masks do.
+func TestWeightedFillMatchesExpandedFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		it := NewInterner()
+		weighted, expanded := &SendArena{}, &SendArena{}
+		var span [][]int32 // weighted entry -> its expanded entries
+		for k := rng.Intn(40); k > 0; k-- {
+			id := hom.Identifier(1 + rng.Intn(4))
+			body := Raw("m" + itoa(rng.Intn(6)))
+			copies := int32(1 + rng.Intn(5))
+			kid, _ := it.InternMessageKey(int64(id), body.Key())
+			weighted.AppendStamped(it, id, body, kid, copies)
+			var xs []int32
+			for c := int32(0); c < copies; c++ {
+				xs = append(xs, expanded.Append(it, id, body, body.Key()))
+			}
+			span = append(span, xs)
+		}
+		var widx, xidx []int32
+		for si, xs := range span {
+			for rep := []int{0, 1, 1, 1, 2}[rng.Intn(5)]; rep > 0; rep-- {
+				widx = append(widx, int32(si))
+				xidx = append(xidx, xs...)
+			}
+		}
+		odd := func(m Message) bool { return m.ID%2 == 1 }
+		for _, numerate := range []bool{false, true} {
+			want := NewPooledInboxSoA(numerate, expanded, xidx)
+			core := NewPooledGroupInbox(numerate, weighted, widx)
+			for label, got := range map[string]*Inbox{
+				"own":  NewPooledInboxSoA(numerate, weighted, widx),
+				"core": NewPooledInboxView(core),
+			} {
+				if got.Len() != want.Len() || got.TotalCount() != want.TotalCount() {
+					t.Fatalf("trial %d numerate=%v %s: len/total %d/%d, expanded %d/%d",
+						trial, numerate, label, got.Len(), got.TotalCount(), want.Len(), want.TotalCount())
+				}
+				for i := 0; i < want.Len(); i++ {
+					if got.MessageAt(i).Key() != want.MessageAt(i).Key() || got.KeyIDAt(i) != want.KeyIDAt(i) || got.CountAt(i) != want.CountAt(i) {
+						t.Fatalf("trial %d numerate=%v %s: position %d holds %q (KeyID %d) x%d, expanded %q (KeyID %d) x%d",
+							trial, numerate, label, i, got.MessageAt(i).Key(), got.KeyIDAt(i), got.CountAt(i),
+							want.MessageAt(i).Key(), want.KeyIDAt(i), want.CountAt(i))
+					}
+				}
+				if got.CountCopies(nil) != want.CountCopies(nil) || got.CountCopies(odd) != want.CountCopies(odd) {
+					t.Fatalf("trial %d numerate=%v %s: CountCopies diverges", trial, numerate, label)
+				}
+				got.Recycle()
+			}
+			core.Recycle()
+			want.Recycle()
+		}
 	}
 }
 
