@@ -210,16 +210,8 @@ func BenchmarkFig6NumBroadcast(b *testing.B) {
 	body := msg.Raw("payload")
 	initBundle := numbcast.NewBundle([]numbcast.InitTuple{{Body: body}}, nil)
 	echoBundle := numbcast.NewBundle(nil, []numbcast.EchoTuple{{H: 1, A: 3, Body: body, K: 1}})
-	round1 := make([]msg.Message, 0, 7)
-	round2 := make([]msg.Message, 0, 7)
-	for i := 0; i < 3; i++ {
-		round1 = append(round1, msg.Message{ID: 1, Body: initBundle})
-	}
-	for id := hom.Identifier(1); id <= 2; id++ {
-		for i := 0; i < 3; i++ {
-			round2 = append(round2, msg.Message{ID: id, Body: echoBundle})
-		}
-	}
+	round1 := []numbcast.Delivery{{ID: 1, Bundle: initBundle, Copies: 3}}
+	round2 := []numbcast.Delivery{{ID: 1, Bundle: echoBundle, Copies: 3}, {ID: 2, Bundle: echoBundle, Copies: 3}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bc, err := numbcast.New(7, 2, 2)
@@ -230,8 +222,8 @@ func BenchmarkFig6NumBroadcast(b *testing.B) {
 		if bc.Outgoing(1) == nil {
 			b.Fatal("no outgoing bundle")
 		}
-		bc.Ingest(1, msg.NewInbox(true, round1))
-		accepts := bc.Ingest(2, msg.NewInbox(true, round2))
+		bc.Ingest(1, round1)
+		accepts := bc.Ingest(2, round2)
 		if len(accepts) == 0 {
 			b.Fatal("no accepts")
 		}

@@ -127,10 +127,10 @@ func (c *Composite) DropBatch(round, toSlot int, fromSlots []int32, drop []bool)
 // across scenarios (or across goroutines).
 func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// rngPool recycles the generators behind the per-call derivation mode: a
-// math/rand source is 5 kB, and the behaviours below need one per
-// (round, slot).
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the generators behind the per-call derivation mode, one
+// per (round, slot): each draws from an inject.Source, math/rand's stream
+// computed lazily, so a reseed costs only the draws then made.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(inject.Source)) }}
 
 // seeded returns a pooled generator positioned at the start of the
 // stream rand.New(rand.NewSource(seed)) would produce — (*rand.Rand).Seed

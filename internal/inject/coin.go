@@ -18,12 +18,12 @@ func LinkCoin(seed int64, round, from, to int) float64 {
 }
 
 // The pieces of math/rand's additive lagged-Fibonacci source that decide
-// its first output. Seeding fills a 607-word vector: word i is three
+// its early outputs. Seeding fills a 607-word vector: word i is three
 // consecutive states of the Lehmer generator x ← 48271·x mod (2³¹−1),
 // taken 21+3i steps after the (normalised) seed, spliced at bit offsets
-// 40, 20 and 0 and XORed with a fixed "cooked" word. The first Int63 is
-// (vec[333] + vec[606]) masked to 63 bits — tap and feed start at 0 and
-// 607−273 and step down once before the first read.
+// 40, 20 and 0 and XORed with a fixed "cooked" word. Draw j < 273 is
+// word(333−j) + word(606−j) — tap and feed start at 0 and 607−273 and
+// step down once before each read; draw 273 reads a word draw 0 wrote.
 const (
 	lehmerA = 48271
 	lehmerM = 1<<31 - 1
@@ -31,31 +31,91 @@ const (
 	// the seed to the first Lehmer state of words 333 and 606.
 	lehmerJump333 = 2082024995
 	lehmerJump606 = 933195560
-	// rngCooked[333] and rngCooked[606] of GOROOT/src/math/rand/rng.go.
-	cooked333 = -4633371852008891965
-	cooked606 = 4152330101494654406
+	lazyDraws     = 273
 )
 
-// firstFloat64 returns rand.New(rand.NewSource(seed)).Float64() in closed
-// form: two modular jump-aheads instead of seeding 607 words (18 µs and a
-// 5 kB source per coin, which made the coin the whole cost of a drop
-// decision). TestLinkCoinMatchesMathRand holds it to the real source.
-func firstFloat64(seed int64) float64 {
-	x := seed % lehmerM
-	if x < 0 {
-		x += lehmerM
+// wordJump[i] is 48271^(21+3i) mod 2³¹−1. wordCooked is recovered at init
+// from seed 1's first 607 outputs u: draw j ≥ 273 adds word(333−j mod 607)
+// to u[j−273], which draw j−273 wrote.
+var wordJump, wordCooked [607]int64
+
+func init() {
+	x := int64(1)
+	for step := 1; step <= 21+3*606; step++ {
+		if x = x * lehmerA % lehmerM; step >= 21 && step%3 == 0 {
+			wordJump[(step-21)/3] = x
+		}
 	}
+	if wordJump[333] != lehmerJump333 || wordJump[606] != lehmerJump606 {
+		panic("inject: Lehmer jump table disagrees with its recurrence")
+	}
+	src := rand.NewSource(1).(rand.Source64)
+	var u, w [607]int64
+	for j := range u {
+		u[j] = int64(src.Uint64())
+	}
+	for j := len(u) - 1; j >= 0; j-- {
+		if j >= lazyDraws {
+			w[(940-j)%607] = u[j] - u[j-lazyDraws]
+		} else {
+			w[333-j] = u[j] - w[606-j]
+		}
+	}
+	for i := range wordCooked {
+		wordCooked[i] = w[i] ^ seedWord(1, wordJump[i], 0)
+	}
+}
+
+// Source is rand.NewSource(seed) computed lazily: draws 0–272 cost two
+// word jump-aheads each, not a 607-word seeding, and later ones come from
+// a real source advanced past them (TestSourceMatchesMathRand). Seed first.
+type Source struct {
+	seed, x int64 // as given, and normalised as math/rand does
+	drawn   int
+	tail    rand.Source64 // draws 273 on; reseeded, not reallocated
+}
+
+// Seed implements rand.Source.
+func (s *Source) Seed(seed int64) {
+	x := (seed%lehmerM + lehmerM) % lehmerM
 	if x == 0 {
 		x = 89482311 // math/rand's replacement for a zero Lehmer state
 	}
-	sum := seedWord(x, lehmerJump333, cooked333) + seedWord(x, lehmerJump606, cooked606)
-	f := float64(sum&(1<<63-1)) / (1 << 63)
-	if f == 1 {
-		// Float64 resamples when rounding reaches 1; that needs the
-		// source's later words, so ask the real one.
-		return rand.New(rand.NewSource(seed)).Float64()
+	s.seed, s.x, s.drawn = seed, x, 0
+}
+
+// Uint64 implements rand.Source64.
+func (s *Source) Uint64() uint64 {
+	j := s.drawn
+	s.drawn++
+	if j < lazyDraws {
+		return uint64(seedWord(s.x, wordJump[333-j], wordCooked[333-j]) + seedWord(s.x, wordJump[606-j], wordCooked[606-j]))
 	}
-	return f
+	if j == lazyDraws {
+		if s.tail == nil {
+			s.tail = rand.NewSource(0).(rand.Source64)
+		}
+		s.tail.Seed(s.seed)
+		for range lazyDraws {
+			s.tail.Uint64()
+		}
+	}
+	return s.tail.Uint64()
+}
+
+// Int63 implements rand.Source.
+func (s *Source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+// firstFloat64 returns rand.New(rand.NewSource(seed)).Float64(): a
+// Source's first draw, redrawn, as Float64 does, should rounding reach 1.
+func firstFloat64(seed int64) float64 {
+	var s Source
+	s.Seed(seed)
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
 }
 
 // seedWord is one word of the seeded vector: the three Lehmer states

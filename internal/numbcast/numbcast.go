@@ -25,17 +25,21 @@
 // n−2t (adopt an estimate) and n−t (accept) count received bundle copies
 // — this is where numeracy is essential.
 //
-// The per-round bookkeeping is string-free: every a[h, m, k] cell key is
-// symbolized once in a broadcaster-local intern table, the table itself is
-// a flat arena indexed through the dense KeyIDs, and the per-round init
-// counts, echo support groups and bundle-validity dedup all run on
-// KeyID-indexed scratch arrays (generation stamps instead of transient
-// maps). Release returns the whole table to a pool for the next execution.
+// A round costs what changed. A tuple body's key is built once, into a
+// segment shared by every tuple and cell made from it: bundle keys are
+// written from segments, and an unchanged table re-sends the same *Bundle.
+// A receiver hashes a segment's key on first sight and finds it by pointer
+// after; cells are found by (body ID, h, k), and per-round counts, support
+// groups and validity dedup index arrays by those IDs. Release returns the
+// whole table to a pool for the next execution.
 package numbcast
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"homonyms/internal/hom"
@@ -59,6 +63,7 @@ func IsInitRound(round int) bool { return round%2 == 1 }
 // superround are implicit (stamped identifier, current round).
 type InitTuple struct {
 	Body msg.Payload
+	seg  *segment
 }
 
 // EchoTuple is an (echo, h, α, m, k) element of a bundle.
@@ -67,9 +72,30 @@ type EchoTuple struct {
 	A    int
 	Body msg.Payload
 	K    int
+	seg  *segment
 }
 
-// Bundle is the single per-round message of the Figure-6 protocol.
+// segment is a tuple body's share of a bundle key, built once from the
+// body by numbcast: its canonical key, which orders tuples, and the bytes
+// KeyBuilder.Nested writes for it ("|" and the escaped key). Tuples built
+// outside numbcast carry none; NewBundle gives them one.
+type segment struct {
+	key, nested string
+}
+
+// newSegment builds the segment of body in kb's scratch.
+func newSegment(kb *msg.KeyBuilder, body msg.Payload) *segment {
+	key := body.Key()
+	return &segment{key: key, nested: kb.Reset("").Str(key).String()}
+}
+
+// tupleCmp is the canonical tuple order: identifier, superround, body key.
+func tupleCmp(ah hom.Identifier, ak int, as *segment, bh hom.Identifier, bk int, bs *segment) int {
+	return cmp.Or(cmp.Compare(ah, bh), cmp.Compare(ak, bk), strings.Compare(as.key, bs.key))
+}
+
+// Bundle is the single per-round message of the Figure-6 protocol. A
+// bundle is immutable once built: receivers trust its key and segments.
 type Bundle struct {
 	Inits  []InitTuple
 	Echoes []EchoTuple
@@ -80,35 +106,51 @@ type Bundle struct {
 // embeds tuple bodies through the escaping KeyBuilder path, so bodies
 // containing separator bytes cannot make two distinct bundles collide.
 func NewBundle(inits []InitTuple, echoes []EchoTuple) *Bundle {
-	is := append([]InitTuple(nil), inits...)
-	es := append([]EchoTuple(nil), echoes...)
-	sort.Slice(is, func(a, b int) bool { return is[a].Body.Key() < is[b].Body.Key() })
-	sort.Slice(es, func(a, b int) bool { return echoLess(es[a], es[b]) })
-	kb := msg.NewKey("numbundle").Int(len(is))
-	for _, it := range is {
-		kb.Nested(it.Body)
+	var kb msg.KeyBuilder
+	is := make([]InitTuple, len(inits))
+	for i, it := range inits {
+		is[i] = InitTuple{Body: it.Body, seg: newSegment(&kb, it.Body)}
 	}
-	for _, et := range es {
-		kb.Identifier(et.H).Int(et.A).Int(et.K).Nested(et.Body)
+	es := make([]EchoTuple, len(echoes))
+	for i, et := range echoes {
+		et.seg = newSegment(&kb, et.Body)
+		es[i] = et
 	}
-	return &Bundle{Inits: is, Echoes: es, key: kb.String()}
+	slices.SortFunc(is, func(a, b InitTuple) int { return strings.Compare(a.seg.key, b.seg.key) })
+	slices.SortFunc(es, func(a, b EchoTuple) int {
+		return cmp.Or(tupleCmp(a.H, a.K, a.seg, b.H, b.K, b.seg), cmp.Compare(a.A, b.A))
+	})
+	return &Bundle{Inits: is, Echoes: es, key: string(appendKey(nil, is, es))}
 }
 
-func echoLess(a, b EchoTuple) bool {
-	if a.H != b.H {
-		return a.H < b.H
+// appendKey writes the canonical key of a bundle whose tuples are in
+// canonical order — the bytes of KeyBuilder's Reset("numbundle").Int(#inits),
+// then Nested(m) per init and Identifier(h).Int(α).Int(k).Nested(m) per
+// echo — from the tuples' segments.
+func appendKey(buf []byte, inits []InitTuple, echoes []EchoTuple) []byte {
+	buf = strconv.AppendInt(append(buf, "numbundle|"...), int64(len(inits)), 10)
+	for _, it := range inits {
+		buf = append(buf, it.seg.nested...)
 	}
-	if a.K != b.K {
-		return a.K < b.K
+	for _, et := range echoes {
+		buf = strconv.AppendInt(append(buf, '|'), int64(et.H), 10)
+		buf = strconv.AppendInt(append(buf, '|'), int64(et.A), 10)
+		buf = strconv.AppendInt(append(buf, '|'), int64(et.K), 10)
+		buf = append(buf, et.seg.nested...)
 	}
-	if a.Body.Key() != b.Body.Key() {
-		return a.Body.Key() < b.Body.Key()
-	}
-	return a.A < b.A
+	return buf
 }
 
 // Key implements msg.Payload.
 func (b *Bundle) Key() string { return b.key }
+
+// Delivery is one bundle of a round's inbox: its authenticated sender
+// identifier and the number of copies received.
+type Delivery struct {
+	ID     hom.Identifier
+	Bundle *Bundle
+	Copies int
+}
 
 // Accept records one Accept(i, α, m, r) action.
 type Accept struct {
@@ -119,11 +161,11 @@ type Accept struct {
 }
 
 // entry is one a[h, m, k] table cell. Cells live by value in the arena in
-// first-sight order; the cell key's dense KeyID locates them through the
-// cellAt index.
+// first-sight order; order lists them canonically.
 type entry struct {
 	h     hom.Identifier
 	body  msg.Payload
+	seg   *segment
 	k     int
 	alpha int
 }
@@ -133,79 +175,87 @@ type alphaCopy struct {
 	alpha, copies int
 }
 
-// initAcc accumulates one init-round count for a cell key.
-type initAcc struct {
-	kid   msg.KeyID
-	h     hom.Identifier
-	body  msg.Payload
-	count int
-}
-
-// echoAcc accumulates the round's echo support for a cell key.
+// echoAcc accumulates the round's echo support for a tuple.
 type echoAcc struct {
-	kid     msg.KeyID
+	ti      int32
 	h       hom.Identifier
 	body    msg.Payload
+	seg     *segment
 	k       int
 	support []alphaCopy
 }
 
-// recvBundle is one valid received bundle with its copy count.
-type recvBundle struct {
-	id     hom.Identifier
-	bundle *Bundle
-	copies int
+// tupleID names an (h, m, k) tuple by its body's ID; (m, 0, 0) stands for
+// a bundle's init of m in validity dedup.
+type tupleID struct {
+	body msg.KeyID
+	h    hom.Identifier
+	k    int
 }
 
-// ntable is the recyclable storage of a Broadcaster: the intern table,
-// the cell arena, and every KeyID-indexed per-round scratch array.
+// slot is the state of one tuple index.
+type slot struct {
+	cell, echo int32  // arena index + 1, echoAcc index + 1; 0 = none
+	seen       uint64 // bundle-validity generation stamp
+}
+
+// ntable is the recyclable storage of a Broadcaster: the body intern
+// table, the tuple index, the cell arena, and the per-round scratch.
 type ntable struct {
-	keys   *msg.Interner
-	kb     msg.KeyBuilder
-	cells  []entry
-	cellAt []int32 // KeyID -> arena index + 1; 0 = no cell
+	kb      msg.KeyBuilder
+	keyBuf  []byte                 // the bundle key writer's buffer
+	bodies  *msg.Interner          // body segment bytes -> body ID
+	bodyOf  map[*segment]msg.KeyID // a segment's body ID, after its first sight
+	tupleAt map[tupleID]int32      // tuple -> index into slots, first sights numbered
+	slots   []slot
+	cells   []entry
+	order   []int32 // cell indices in canonical order
 
-	// Per-round scratch, reused across rounds.
-	seen    []uint64 // KeyID -> bundle-validity generation stamp
+	last      *Bundle // the standing bundle Outgoing re-sends
+	lastInits bool    // last carried inits, which the next round drops
+	dirty     bool    // an α changed since last was built
+
 	seenGen uint64
-	initAcc []initAcc
-	initAt  []int32 // KeyID -> initAcc index + 1
+	valid   []Delivery // the round's valid deliveries
+	ids     []int32    // their tuples: inits' body IDs, then echoes' indices
 	echoAcc []echoAcc
-	echoAt  []int32 // KeyID -> echoAcc index + 1
 	sortBuf []alphaCopy
-	recv    []recvBundle
+	accepts []Accept
 }
 
-// ensure grows every KeyID-indexed array to cover kid.
-func (t *ntable) ensure(kid msg.KeyID) {
-	n := int(kid) + 1
-	if n <= len(t.cellAt) {
-		return
+// bodyID returns the dense ID of a tuple body: by pointer once its
+// segment has been seen, from the segment's bytes on first sight, and
+// from the body's key, built, for a tuple without a segment.
+func (t *ntable) bodyID(body msg.Payload, seg *segment) msg.KeyID {
+	if seg == nil {
+		return t.kb.Reset("").Nested(body).Intern(t.bodies)
 	}
-	grow := n
-	if grow < 2*len(t.cellAt) {
-		grow = 2 * len(t.cellAt)
+	id, ok := t.bodyOf[seg]
+	if !ok {
+		id = t.bodies.Intern(seg.nested)
+		t.bodyOf[seg] = id
 	}
-	cellAt := make([]int32, grow)
-	copy(cellAt, t.cellAt)
-	t.cellAt = cellAt
-	seen := make([]uint64, grow)
-	copy(seen, t.seen)
-	t.seen = seen
-	initAt := make([]int32, grow)
-	copy(initAt, t.initAt)
-	t.initAt = initAt
-	echoAt := make([]int32, grow)
-	copy(echoAt, t.echoAt)
-	t.echoAt = echoAt
+	return id
 }
 
-var tablePool = sync.Pool{New: func() any { return &ntable{keys: msg.NewInterner()} }}
+// tuple returns the index of the (body, h, k) tuple.
+func (t *ntable) tuple(body msg.KeyID, h hom.Identifier, k int) int32 {
+	ti, ok := t.tupleAt[tupleID{body, h, k}]
+	if !ok {
+		ti = int32(len(t.slots))
+		t.tupleAt[tupleID{body, h, k}] = ti
+		t.slots = append(t.slots, slot{})
+	}
+	return ti
+}
+
+var tablePool = sync.Pool{New: func() any {
+	return &ntable{bodies: msg.NewInterner(), bodyOf: map[*segment]msg.KeyID{}, tupleAt: map[tupleID]int32{}}
+}}
 
 // Broadcaster is the per-process Figure-6 component. Construct with New.
 type Broadcaster struct {
 	n, t    int
-	l       int
 	pending []msg.Payload
 	tab     *ntable
 }
@@ -216,45 +266,33 @@ func New(n, l, t int) (*Broadcaster, error) {
 	if n <= 3*t {
 		return nil, ErrResilience
 	}
-	return newBroadcaster(n, l, t), nil
+	return newBroadcaster(n, t), nil
 }
 
 // newBroadcaster builds a broadcaster without the resilience check (the
-// fuzz host probes below the bound on purpose).
-func newBroadcaster(n, l, t int) *Broadcaster {
-	tab := tablePool.Get().(*ntable)
-	tab.keys.Reset()
-	clear(tab.cells)
-	tab.cells = tab.cells[:0]
-	for i := range tab.cellAt {
-		tab.cellAt[i] = 0
-	}
-	clear(tab.seen)
-	tab.seenGen = 0
-	clear(tab.recv)
-	tab.recv = tab.recv[:0]
-	return &Broadcaster{n: n, t: t, l: l, tab: tab}
+// fuzz host probes below the bound on purpose). Pooled tables were reset
+// on Release.
+func newBroadcaster(n, t int) *Broadcaster {
+	return &Broadcaster{n: n, t: t, tab: tablePool.Get().(*ntable)}
 }
 
-// Release returns the broadcaster's arena-backed table to the shared
-// pool. The broadcaster is unusable afterwards.
+// Release empties the broadcaster's arena-backed table, dropping every
+// payload reference (Ingest leaves none in echoAcc), and returns it to the
+// shared pool. The broadcaster is unusable afterwards.
 func (b *Broadcaster) Release() {
-	if b.tab == nil {
+	t := b.tab
+	if t == nil {
 		return
 	}
-	// Drop payload references before pooling so recycled tables retain no
-	// garbage from this execution.
-	clear(b.tab.cells)
-	b.tab.cells = b.tab.cells[:0]
-	clear(b.tab.initAcc)
-	b.tab.initAcc = b.tab.initAcc[:0]
-	for i := range b.tab.echoAcc {
-		b.tab.echoAcc[i].body = nil
-	}
-	b.tab.echoAcc = b.tab.echoAcc[:0]
-	clear(b.tab.recv)
-	b.tab.recv = b.tab.recv[:0]
-	tablePool.Put(b.tab)
+	t.bodies.Reset()
+	clear(t.bodyOf)
+	clear(t.tupleAt)
+	clear(t.cells)
+	t.slots, t.cells, t.order = t.slots[:0], t.cells[:0], t.order[:0]
+	t.last, t.lastInits, t.dirty = nil, false, false
+	clear(t.valid[:cap(t.valid)])
+	clear(t.accepts[:cap(t.accepts)])
+	tablePool.Put(t)
 	b.tab = nil
 }
 
@@ -265,68 +303,82 @@ func (b *Broadcaster) Broadcast(m msg.Payload) {
 }
 
 // Outgoing returns the single bundle to broadcast this round, or nil when
-// there is nothing to send (empty table and no pending init). Cells are
-// scanned in arena (first-sight) order; NewBundle canonicalises.
+// there is nothing to send (empty table and no pending init). While no
+// init is pending and no α has changed, that is the previous round's
+// *Bundle itself; otherwise the echoes are the cells with α > 0 in
+// canonical order, and the key is written from their segments.
 func (b *Broadcaster) Outgoing(round int) msg.Payload {
+	t := b.tab
 	var inits []InitTuple
 	if IsInitRound(round) {
 		for _, m := range b.pending {
-			inits = append(inits, InitTuple{Body: m})
+			inits = append(inits, InitTuple{Body: m, seg: newSegment(&t.kb, m)})
 		}
 		b.pending = nil
 	}
-	var echoes []EchoTuple
-	for i := range b.tab.cells {
-		cell := &b.tab.cells[i]
-		if cell.alpha > 0 {
-			echoes = append(echoes, EchoTuple{H: cell.h, A: cell.alpha, Body: cell.body, K: cell.k})
+	if len(inits) > 0 || t.dirty || t.lastInits {
+		t.dirty, t.lastInits, t.last = false, len(inits) > 0, nil
+		var echoes []EchoTuple
+		for _, ci := range t.order {
+			if c := &t.cells[ci]; c.alpha > 0 {
+				echoes = append(echoes, EchoTuple{H: c.h, A: c.alpha, Body: c.body, K: c.k, seg: c.seg})
+			}
+		}
+		if len(inits) > 0 || len(echoes) > 0 {
+			slices.SortFunc(inits, func(a, b InitTuple) int { return strings.Compare(a.seg.key, b.seg.key) })
+			t.keyBuf = appendKey(t.keyBuf[:0], inits, echoes)
+			t.last = &Bundle{Inits: inits, Echoes: echoes, key: string(t.keyBuf)}
 		}
 	}
-	if len(inits) == 0 && len(echoes) == 0 {
+	if t.last == nil {
 		return nil
 	}
-	return NewBundle(inits, echoes)
+	return t.last
 }
 
-// validBundle applies the paper's validity rules for a message received at
-// the given round: at most one init tuple per (m) (with the init bound to
-// the current superround), and at most one echo tuple per (h, m, k) with
-// k at most the current superround. Dedup runs on generation stamps over
-// the interned tuple keys — no per-round maps. Keys from rejected bundles
-// stay interned: memory grows with the number of distinct forged keys,
-// which is bounded by bundle size × MaxRounds per execution, and the
-// whole table returns to the pool on Release — a deliberate trade against
-// allocating fresh validation maps every round.
-func (b *Broadcaster) validBundle(bundle *Bundle, round int) bool {
+// resolve applies the paper's validity rules to a bundle received at the
+// given round — at most one init tuple per (m), inits only in an init
+// round, at most one echo tuple per (h, m, k), k at most the current
+// superround — and appends its tuples' IDs to ids. Every rule runs on
+// every delivery; only the IDs are found by lookup. On a false return the
+// caller drops what was appended.
+func (b *Broadcaster) resolve(bundle *Bundle, round int) bool {
+	if len(bundle.Inits) > 0 && !IsInitRound(round) {
+		return false
+	}
 	sr := Superround(round)
 	t := b.tab
 	t.seenGen++
-	gen := t.seenGen
 	for _, it := range bundle.Inits {
 		if it.Body == nil {
 			return false
 		}
-		kid := t.kb.Reset("i").Nested(it.Body).Intern(t.keys)
-		t.ensure(kid)
-		if t.seen[kid] == gen {
+		id := t.bodyID(it.Body, it.seg)
+		if !t.fresh(t.tuple(id, 0, 0)) {
 			return false
 		}
-		t.seen[kid] = gen
-	}
-	if len(bundle.Inits) > 0 && !IsInitRound(round) {
-		return false
+		t.ids = append(t.ids, int32(id))
 	}
 	for _, et := range bundle.Echoes {
 		if et.Body == nil || et.A < 0 || et.K < 1 || et.K > sr || !et.H.IsValid(maxIdentifiers) {
 			return false
 		}
-		kid := b.cellKID(et.H, et.Body, et.K)
-		if t.seen[kid] == gen {
+		ti := t.tuple(t.bodyID(et.Body, et.seg), et.H, et.K)
+		if !t.fresh(ti) {
 			return false
 		}
-		t.seen[kid] = gen
+		t.ids = append(t.ids, ti)
 	}
 	return true
+}
+
+// fresh stamps tuple ti with the current validity generation, reporting
+// whether this bundle had not stamped it yet.
+func (t *ntable) fresh(ti int32) bool {
+	s := &t.slots[ti]
+	ok := s.seen != t.seenGen
+	s.seen = t.seenGen
+	return ok
 }
 
 // maxIdentifiers bounds identifier validation inside bundles; actual
@@ -334,114 +386,96 @@ func (b *Broadcaster) validBundle(bundle *Bundle, round int) bool {
 // only rejects nonsense.
 const maxIdentifiers = 1 << 20
 
-// cellKID interns the canonical a[h, m, k] cell key ("c|h|k|body", built
-// in scratch) and returns its dense ID; known cells allocate nothing.
-func (b *Broadcaster) cellKID(h hom.Identifier, body msg.Payload, k int) msg.KeyID {
-	kid := b.tab.kb.Reset("c").Identifier(h).Int(k).Nested(body).Intern(b.tab.keys)
-	b.tab.ensure(kid)
-	return kid
-}
-
-// cell returns the arena index of the a[h, m, k] cell, creating it on
-// first sight.
-func (b *Broadcaster) cell(h hom.Identifier, body msg.Payload, k int) int {
-	kid := b.cellKID(h, body, k)
-	if pos := b.tab.cellAt[kid]; pos != 0 {
+// cell returns the arena index of the tuple's a[h, m, k] cell, creating
+// it on first sight with the segment of the tuple that created it.
+func (t *ntable) cell(ti int32, h hom.Identifier, body msg.Payload, seg *segment, k int) int {
+	if pos := t.slots[ti].cell; pos != 0 {
 		return int(pos) - 1
 	}
-	b.tab.cells = append(b.tab.cells, entry{h: h, body: body, k: k})
-	b.tab.cellAt[kid] = int32(len(b.tab.cells))
-	return len(b.tab.cells) - 1
-}
-
-// initGroup returns the round's init accumulator for a cell key, creating
-// it on first sight (in first-sight order).
-func (t *ntable) initGroup(kid msg.KeyID, h hom.Identifier, body msg.Payload) *initAcc {
-	if pos := t.initAt[kid]; pos != 0 {
-		return &t.initAcc[pos-1]
+	if seg == nil {
+		seg = newSegment(&t.kb, body)
 	}
-	t.initAcc = append(t.initAcc, initAcc{kid: kid, h: h, body: body})
-	t.initAt[kid] = int32(len(t.initAcc))
-	return &t.initAcc[len(t.initAcc)-1]
+	ci := int32(len(t.cells))
+	t.cells = append(t.cells, entry{h: h, body: body, seg: seg, k: k})
+	t.slots[ti].cell = ci + 1
+	at, _ := slices.BinarySearchFunc(t.order, ci, func(o, _ int32) int {
+		c := &t.cells[o]
+		return tupleCmp(c.h, c.k, c.seg, h, k, seg)
+	})
+	t.order = slices.Insert(t.order, at, ci)
+	return int(ci)
 }
 
-// echoGroup returns the round's echo accumulator for a cell key, creating
-// it on first sight. Reused slots keep their support capacity.
-func (t *ntable) echoGroup(kid msg.KeyID, h hom.Identifier, body msg.Payload, k int) *echoAcc {
-	if pos := t.echoAt[kid]; pos != 0 {
+// echoGroup returns the round's echo accumulator for a tuple, creating it
+// on first sight. Reused slots keep their support capacity.
+func (t *ntable) echoGroup(ti int32, et EchoTuple) *echoAcc {
+	if pos := t.slots[ti].echo; pos != 0 {
 		return &t.echoAcc[pos-1]
 	}
 	if len(t.echoAcc) < cap(t.echoAcc) {
 		t.echoAcc = t.echoAcc[:len(t.echoAcc)+1]
-		g := &t.echoAcc[len(t.echoAcc)-1]
-		g.support = g.support[:0]
 	} else {
 		t.echoAcc = append(t.echoAcc, echoAcc{})
 	}
 	g := &t.echoAcc[len(t.echoAcc)-1]
-	g.kid, g.h, g.body, g.k = kid, h, body, k
-	t.echoAt[kid] = int32(len(t.echoAcc))
+	g.ti, g.h, g.body, g.seg, g.k, g.support = ti, et.H, et.Body, et.seg, et.K, g.support[:0]
+	t.slots[ti].echo = int32(len(t.echoAcc))
 	return g
 }
 
-// Ingest processes the round's inbox. Accepts are only performed in the
-// second round of each superround (unicity); the returned slice is in
-// deterministic (first-sight over the sorted inbox) order.
-func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
+// Ingest processes the round's bundle deliveries (Copies ≥ 1 each), at
+// most once per round. Accepts are only performed in the second round of
+// each superround (unicity); the returned slice is in deterministic
+// (first-sight over the deliveries) order, and valid until the next
+// Ingest.
+func (b *Broadcaster) Ingest(round int, in []Delivery) []Accept {
 	sr := Superround(round)
 	t := b.tab
-
-	// Gather valid bundles with their copy counts, through the indexed
-	// accessors (no []Message view; counts come straight from the
-	// KeyID-dense array).
-	t.recv = t.recv[:0]
-	for i, k := 0, in.Len(); i < k; i++ {
-		bundle, ok := in.BodyAt(i).(*Bundle)
-		if !ok || !b.validBundle(bundle, round) {
-			continue
+	t.valid, t.ids = t.valid[:0], t.ids[:0]
+	for _, d := range in {
+		if mark := len(t.ids); b.resolve(d.Bundle, round) {
+			t.valid = append(t.valid, d)
+		} else {
+			t.ids = t.ids[:mark]
 		}
-		t.recv = append(t.recv, recvBundle{id: in.SenderAt(i), bundle: bundle, copies: in.CountAt(i)})
 	}
 
 	// Lines 13–14: init counting (first round of a superround). α is the
 	// total number of valid message copies from identifier h containing
-	// (init, h, m, sr).
+	// (init, h, m, sr). No echo of superround sr was valid before this
+	// round, and inits count first, so each cell counted is new.
 	if IsInitRound(round) {
-		for _, r := range t.recv {
-			for _, it := range r.bundle.Inits {
-				kid := b.cellKID(r.id, it.Body, sr)
-				t.initGroup(kid, r.id, it.Body).count += r.copies
+		at := 0
+		for _, d := range t.valid {
+			for _, it := range d.Bundle.Inits {
+				ci := t.cell(t.tuple(msg.KeyID(t.ids[at]), d.ID, sr), d.ID, it.Body, it.seg, sr)
+				t.cells[ci].alpha += d.Copies
+				t.dirty = true
+				at++
 			}
+			at += len(d.Bundle.Echoes)
 		}
-		for i := range t.initAcc {
-			acc := &t.initAcc[i]
-			if acc.count > 0 {
-				b.tab.cells[b.cell(acc.h, acc.body, sr)].alpha = acc.count
-			}
-			t.initAt[acc.kid] = 0
-		}
-		clear(t.initAcc)
-		t.initAcc = t.initAcc[:0]
 	}
 
 	// Lines 15–18: adopt echo estimates supported by n−2t message copies.
 	// For each (h, m, k), α1 = max{α : at least n−2t copies carried
 	// (echo, h, α′, m, k) with α′ ≥ α}.
-	for _, r := range t.recv {
-		for _, et := range r.bundle.Echoes {
-			kid := b.cellKID(et.H, et.Body, et.K)
-			g := t.echoGroup(kid, et.H, et.Body, et.K)
-			g.support = append(g.support, alphaCopy{alpha: et.A, copies: r.copies})
+	at := 0
+	for _, d := range t.valid {
+		at += len(d.Bundle.Inits)
+		for _, et := range d.Bundle.Echoes {
+			g := t.echoGroup(t.ids[at], et)
+			g.support = append(g.support, alphaCopy{alpha: et.A, copies: d.Copies})
+			at++
 		}
 	}
 
-	var accepts []Accept
+	accepts := t.accepts[:0]
 	for i := range t.echoAcc {
 		g := &t.echoAcc[i]
 		if alpha1, ok := t.thresholdAlpha(g.support, b.n-2*b.t); ok {
-			idx := b.cell(g.h, g.body, g.k)
-			if alpha1 > t.cells[idx].alpha {
-				t.cells[idx].alpha = alpha1
+			if ci := t.cell(g.ti, g.h, g.body, g.seg, g.k); alpha1 > t.cells[ci].alpha {
+				t.cells[ci].alpha, t.dirty = alpha1, true
 			}
 		}
 		// Lines 19–21: accept on n−t copies, in the second round of the
@@ -451,10 +485,11 @@ func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 				accepts = append(accepts, Accept{ID: g.h, Alpha: alpha2, Body: g.body, SR: g.k})
 			}
 		}
-		t.echoAt[g.kid] = 0
-		g.body = nil
+		t.slots[g.ti].echo = 0
+		g.body, g.seg = nil, nil
 	}
 	t.echoAcc = t.echoAcc[:0]
+	t.accepts = accepts
 	return accepts
 }
 

@@ -23,7 +23,12 @@ func bundleMsg(id hom.Identifier, b *Bundle) msg.Message {
 
 func ingest(t *testing.T, b *Broadcaster, round int, raw []msg.Message) []Accept {
 	t.Helper()
-	return b.Ingest(round, msg.NewInbox(true, raw))
+	in := msg.NewInbox(true, raw)
+	var recv []Delivery
+	for i := 0; i < in.Len(); i++ {
+		recv = append(recv, Delivery{ID: in.SenderAt(i), Bundle: in.BodyAt(i).(*Bundle), Copies: in.CountAt(i)})
+	}
+	return b.Ingest(round, recv)
 }
 
 func TestInitCountingUsesCopies(t *testing.T) {

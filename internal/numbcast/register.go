@@ -36,9 +36,10 @@ type hostAccept struct {
 
 // fuzzHost drives one Broadcaster inside the simulation engine.
 type fuzzHost struct {
-	ctx engine.Context
-	bc  *Broadcaster
-	log []hostAccept
+	ctx  engine.Context
+	bc   *Broadcaster
+	log  []hostAccept
+	recv []Delivery // Receive's scratch
 }
 
 var _ engine.Process = (*fuzzHost)(nil)
@@ -48,7 +49,7 @@ var _ engine.Process = (*fuzzHost)(nil)
 // stay positive (see Constructible).
 func (h *fuzzHost) Init(ctx engine.Context) {
 	h.ctx = ctx
-	h.bc = newBroadcaster(ctx.Params.N, ctx.Params.L, ctx.Params.T)
+	h.bc = newBroadcaster(ctx.Params.N, ctx.Params.T)
 }
 
 // Release implements engine.Releaser: the engines call it when the execution
@@ -66,9 +67,16 @@ func (h *fuzzHost) Prepare(round int) []msg.Send {
 	return nil
 }
 
-// Receive implements engine.Process.
+// Receive implements engine.Process: the host sends bare bundles, so each
+// bundle of the inbox is one delivery.
 func (h *fuzzHost) Receive(round int, in *msg.Inbox) {
-	for _, a := range h.bc.Ingest(round, in) {
+	h.recv = h.recv[:0]
+	for i, k := 0, in.Len(); i < k; i++ {
+		if b, ok := in.BodyAt(i).(*Bundle); ok {
+			h.recv = append(h.recv, Delivery{ID: in.SenderAt(i), Bundle: b, Copies: in.CountAt(i)})
+		}
+	}
+	for _, a := range h.bc.Ingest(round, h.recv) {
 		h.log = append(h.log, hostAccept{Accept: a, Round: round})
 	}
 }

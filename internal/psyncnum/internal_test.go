@@ -57,7 +57,7 @@ func TestProperCopyCountingRule(t *testing.T) {
 		{ID: 2, Body: pp},
 		{ID: 2, Body: pp}, // second clone copy
 	})
-	pr.updateProper(in)
+	pr.Receive(2, in)
 	if !pr.proper.Contains(1) {
 		t.Fatal("copy-counted proper rule failed")
 	}
@@ -72,7 +72,7 @@ func TestProperCopyCountingInnumerateWouldFail(t *testing.T) {
 		{ID: 2, Body: pp},
 		{ID: 2, Body: pp},
 	})
-	pr.updateProper(in)
+	pr.Receive(2, in)
 	if pr.proper.Contains(1) {
 		t.Fatal("set-semantics inbox still passed the copy threshold")
 	}
@@ -88,7 +88,7 @@ func TestProperCatchAllCopies(t *testing.T) {
 		{ID: 2, Body: ProperPayload{V: hom.NewValueSet(8)}},
 		{ID: 1, Body: ProperPayload{V: hom.NewValueSet(9)}},
 	})
-	pr.updateProper(in)
+	pr.Receive(2, in)
 	if !pr.proper.Contains(0) || !pr.proper.Contains(1) {
 		t.Fatal("catch-all rule did not add the domain")
 	}

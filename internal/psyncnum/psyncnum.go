@@ -26,6 +26,7 @@ package psyncnum
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"homonyms/internal/engine"
@@ -204,11 +205,11 @@ type Process struct {
 	locks    map[hom.Value]int
 	decision hom.Value
 
-	// keys symbolizes broadcast body keys (and the unpacked envelope
-	// message keys) for this process; witnesses is indexed by the body
-	// key's KeyID, and witnesses[kid] holds, per identifier, the largest
-	// multiplicity accepted for the broadcast of that body under that
-	// identifier. The witness total is the sum over identifiers.
+	// keys symbolizes broadcast body keys for this process; witnesses is
+	// indexed by the body key's KeyID, and witnesses[kid] holds, per
+	// identifier, the largest multiplicity accepted for the broadcast of
+	// that body under that identifier. The witness total is the sum over
+	// identifiers.
 	keys      *msg.Interner
 	kb        msg.KeyBuilder
 	witnesses []witnessRow
@@ -218,8 +219,24 @@ type Process struct {
 
 	// Per-phase transient state.
 	lockSeen map[hom.Value]bool
-	// unpackBuf is the scratch delivery slice behind the unpacked inbox.
-	unpackBuf []msg.Message
+
+	// The standing envelope, re-sent with its stamp memo until a direct part,
+	// a new bundle or a grown proper set changes it; never mutated once sent.
+	env        msg.Send
+	envMemo    msg.StampMemo
+	envBundle  msg.Payload // the bundle env carries, or nil
+	envDirect  bool        // env carries a lock or ack
+	properPart msg.Payload // ProperPayload of the proper set's properSent values
+	properSent int
+	sends      []msg.Send // Prepare's result buffer, valid for its round
+
+	// Receive's round scratch (scan), owned by the process for its life.
+	bundles     []numbcast.Delivery
+	supported   map[hom.Value]int // value -> copies of proper sets holding it
+	acks        map[hom.Value]int // value -> copies of this phase's acks
+	properTotal int               // copies of proper sets
+	runKeys     []string          // keys of the parts the current identifier delivered
+	valBuf      []hom.Value
 }
 
 var _ engine.Process = (*Process)(nil)
@@ -240,6 +257,8 @@ func (pr *Process) Init(ctx engine.Context) {
 	pr.keys = msg.NewPooledInterner()
 	pr.witnesses = nil
 	pr.lockSeen = make(map[hom.Value]bool)
+	pr.supported = make(map[hom.Value]int)
+	pr.acks = make(map[hom.Value]int)
 }
 
 // Release implements engine.Releaser: the engines call it after the
@@ -328,9 +347,9 @@ func (pr *Process) witnessCount(kid msg.KeyID) int {
 func (pr *Process) Prepare(round int) []msg.Send {
 	phase, pos := phasePos(round)
 	if pos == 1 {
-		pr.lockSeen = make(map[hom.Value]bool)
+		clear(pr.lockSeen)
 	}
-	var parts []msg.Payload
+	var direct msg.Payload // the round's lock or ack, if any
 	need := pr.params.N - pr.params.T
 	switch pos {
 	case 1: // SR1: one broadcast per proposable value.
@@ -340,7 +359,7 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	case 3: // SR2: leaders request a lock on a witnessed value.
 		if pr.isLeader(phase) {
 			if v, ok := pr.pickWitnessed(phase, need); ok {
-				parts = append(parts, LockPayload{Phase: phase, Val: v})
+				direct = LockPayload{Phase: phase, Val: v}
 			}
 		}
 	case 5: // SR3: vote for a witnessed value the leader requested.
@@ -350,14 +369,28 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	case 7: // SR4: lock and acknowledge a value with witnessed votes.
 		if v, ok := pr.pickAckValue(phase, need); ok {
 			pr.locks[v] = phase
-			parts = append(parts, AckPayload{Phase: phase, Val: v})
+			direct = AckPayload{Phase: phase, Val: v}
 		}
 	}
-	if bundle := pr.bc.Outgoing(round); bundle != nil {
-		parts = append(parts, bundle)
+	bundle := pr.bc.Outgoing(round)
+	if n := pr.proper.Len(); pr.properPart == nil || n != pr.properSent {
+		pr.properPart, pr.properSent = ProperPayload{V: pr.proper.Clone()}, n
+		pr.env.Body = nil
 	}
-	parts = append(parts, ProperPayload{V: pr.proper.Clone()})
-	return []msg.Send{msg.Broadcast(Envelope{Parts: parts})}
+	if pr.env.Body == nil || direct != nil || pr.envDirect || bundle != pr.envBundle {
+		parts := make([]msg.Payload, 0, 3)
+		if direct != nil {
+			parts = append(parts, direct)
+		}
+		if bundle != nil {
+			parts = append(parts, bundle)
+		}
+		pr.envMemo = msg.StampMemo{}
+		pr.env = msg.Send{Kind: msg.ToAll, Body: Envelope{Parts: append(parts, pr.properPart)}, Memo: &pr.envMemo}
+		pr.envBundle, pr.envDirect = bundle, direct != nil
+	}
+	pr.sends = append(pr.sends[:0], pr.env)
+	return pr.sends
 }
 
 // proposableValues returns the proper values not excluded by a lock on a
@@ -432,47 +465,21 @@ func smallest(candidates []hom.Value) (hom.Value, bool) {
 	return candidates[0], true
 }
 
-// unpack flattens received envelopes into their parts, preserving copy
-// counts (a sender's k envelope copies become k copies of each part).
-// Non-envelope payloads pass through, so hand-crafted Byzantine parts are
-// still processed. Part messages are interned against the process-local
-// table and the result is a pooled inbox, so the steady-state unpack path
-// reuses its buffers; callers must Recycle the returned inbox.
-func (pr *Process) unpack(in *msg.Inbox) *msg.Inbox {
-	raw := pr.unpackBuf[:0]
-	for i, k := 0, in.Len(); i < k; i++ {
-		body := in.BodyAt(i)
-		id := in.SenderAt(i)
-		copies := in.CountAt(i)
-		parts := []msg.Payload{body}
-		if env, ok := body.(Envelope); ok {
-			parts = env.Parts
-		}
-		for _, part := range parts {
-			if part == nil {
-				continue
-			}
-			im := msg.NewMessageInterned(pr.keys, id, part)
-			for c := 0; c < copies; c++ {
-				raw = append(raw, im)
-			}
-		}
-	}
-	pr.unpackBuf = raw
-	return msg.NewPooledInbox(in.Numerate(), raw)
-}
-
 // Receive implements engine.Process.
-func (pr *Process) Receive(round int, rawIn *msg.Inbox) {
-	in := pr.unpack(rawIn)
-	defer in.Recycle()
+func (pr *Process) Receive(round int, in *msg.Inbox) { pr.receive(round, in) }
+
+// receive is Receive, returning the round's broadcast-layer accepts
+// (valid until the next round).
+func (pr *Process) receive(round int, in *msg.Inbox) []numbcast.Accept {
 	phase, pos := phasePos(round)
 	need := pr.params.N - pr.params.T
+	pr.scan(in, phase, pos)
 
 	// Multiplicity-broadcast layer: fold accepts into witness tables,
 	// checking that the superround tag matches the payload's phase slot
 	// (a Byzantine init at the wrong superround is discarded here).
-	for _, acc := range pr.bc.Ingest(round, in) {
+	accepts := pr.bc.Ingest(round, pr.bundles)
+	for _, acc := range accepts {
 		var kid msg.KeyID
 		switch body := acc.Body.(type) {
 		case ProposePayload:
@@ -497,66 +504,96 @@ func (pr *Process) Receive(round int, rawIn *msg.Inbox) {
 		pr.addWitness(kid, acc.ID, acc.Alpha)
 	}
 
-	pr.updateProper(in)
+	pr.updateProper()
 
 	switch pos {
-	case 3: // Record leader lock requests.
-		lo, hi := in.IdentifierRange(LeaderID(phase, pr.params.L))
-		for i := lo; i < hi; i++ {
-			if lp, ok := in.BodyAt(i).(LockPayload); ok && lp.Phase == phase && lp.Val != hom.NoValue {
-				pr.lockSeen[lp.Val] = true
-			}
-		}
 	case 7: // Decide on n−t ack copies plus n−t propose witnesses
 		// (Figure 7, lines 20–23) — any process, not only leaders.
 		if pr.decision == hom.NoValue {
-			ackCopies := make(map[hom.Value]int)
-			for i, k := 0, in.Len(); i < k; i++ {
-				if ap, ok := in.BodyAt(i).(AckPayload); ok && ap.Phase == phase && ap.Val != hom.NoValue {
-					ackCopies[ap.Val] += in.CountAt(i)
+			best, ok := hom.NoValue, false
+			for v, copies := range pr.acks {
+				if (!ok || v < best) && copies >= need && pr.witnessCount(pr.proposeKID(phase, v)) >= need {
+					best, ok = v, true
 				}
 			}
-			var candidates []hom.Value
-			for v, copies := range ackCopies {
-				if copies >= need && pr.witnessCount(pr.proposeKID(phase, v)) >= need {
-					candidates = append(candidates, v)
-				}
-			}
-			if v, ok := smallest(candidates); ok {
-				pr.decision = v
-			}
+			pr.decision = best
 		}
 	case 8: // End of phase: release superseded locks (lines 24–26).
 		pr.releaseLocks(need)
 	}
+	return accepts
 }
 
-// updateProper applies the numerate proper-set rules (Appendix A.3.2):
-// a value contained in proper sets carried by t+1 message copies in one
-// round becomes proper; receiving 2t+1 proper-set copies with no value in
-// t+1 of them makes every domain value proper.
-func (pr *Process) updateProper(in *msg.Inbox) {
-	totalCopies := 0
-	valueCopies := make(map[hom.Value]int)
+// scan is Receive's one pass over the round's inbox, reading envelopes in
+// place: a part counts its envelope's copies, and a payload outside an
+// envelope is a part of its own. It gathers the bundles, proper sets, this
+// phase's acks and the leader's lock requests. An innumerate receiver
+// counts one copy per distinct (identifier, part); the inbox is sorted by
+// identifier, so a part is compared only with its identifier's others.
+func (pr *Process) scan(in *msg.Inbox, phase, pos int) {
+	numerate := in.Numerate()
+	leader := LeaderID(phase, pr.params.L)
+	tallyAcks := pos == 7 && pr.decision == hom.NoValue
+	pr.bundles = pr.bundles[:0]
+	clear(pr.supported)
+	clear(pr.acks)
+	pr.properTotal = 0
 	for i, k := 0, in.Len(); i < k; i++ {
-		pp, ok := in.BodyAt(i).(ProperPayload)
-		if !ok {
-			continue
+		id, copies, body := in.SenderAt(i), in.CountAt(i), in.BodyAt(i)
+		if i == 0 || id != in.SenderAt(i-1) {
+			pr.runKeys = pr.runKeys[:0]
 		}
-		copies := in.CountAt(i)
-		totalCopies += copies
-		for _, v := range pp.V.Values() {
-			valueCopies[v] += copies
+		parts := []msg.Payload{body}
+		if env, ok := body.(Envelope); ok {
+			parts = env.Parts
+		}
+		for _, part := range parts {
+			if part == nil {
+				continue
+			}
+			if !numerate {
+				key := part.Key()
+				if slices.Contains(pr.runKeys, key) {
+					continue
+				}
+				pr.runKeys = append(pr.runKeys, key)
+			}
+			switch p := part.(type) {
+			case *numbcast.Bundle:
+				pr.bundles = append(pr.bundles, numbcast.Delivery{ID: id, Bundle: p, Copies: copies})
+			case ProperPayload:
+				pr.properTotal += copies
+				pr.valBuf = p.V.AppendValues(pr.valBuf[:0])
+				for _, v := range pr.valBuf {
+					pr.supported[v] += copies
+				}
+			case LockPayload:
+				if pos == 3 && id == leader && p.Phase == phase && p.Val != hom.NoValue {
+					pr.lockSeen[p.Val] = true
+				}
+			case AckPayload:
+				if tallyAcks && p.Phase == phase && p.Val != hom.NoValue {
+					pr.acks[p.Val] += copies
+				}
+			}
 		}
 	}
+}
+
+// updateProper applies the numerate proper-set rules (Appendix A.3.2) to
+// the round's tallies (scan): a value contained in proper sets carried by
+// t+1 message copies in one round becomes proper; receiving 2t+1
+// proper-set copies with no value in t+1 of them makes every domain value
+// proper.
+func (pr *Process) updateProper() {
 	anySupported := false
-	for v, copies := range valueCopies {
+	for v, copies := range pr.supported {
 		if copies >= pr.params.T+1 {
 			pr.proper.Add(v)
 			anySupported = true
 		}
 	}
-	if !anySupported && totalCopies >= 2*pr.params.T+1 {
+	if !anySupported && pr.properTotal >= 2*pr.params.T+1 {
 		pr.proper.AddAll(pr.params.EffectiveDomain())
 	}
 }
