@@ -76,8 +76,7 @@ type ScriptBehavior struct {
 // mimicShadow is one live shadow process: a correct-protocol instance
 // the Byzantine slot impersonates. pending is the inbox assembled from
 // the current round's omniscient view, delivered just before the next
-// round's Prepare (the same replay the attacks-package mirror twin
-// uses).
+// round's Prepare. attacks.Mirror's Lemma-17 twin is one of these.
 type mimicShadow struct {
 	proc      engine.Process
 	lastRound int

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"homonyms/internal/adversary"
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/msg"
 )
 
 // Mirror-attack errors.
@@ -43,9 +43,11 @@ type MirrorReport struct {
 // flippedSlot the input inputC; configuration C′ gives it inputCPrime. In
 // the run from C, the Byzantine twin (same identifier as flippedSlot)
 // executes the correct algorithm as if it had started with inputCPrime —
-// and vice versa in the run from C′. All other Byzantine processes stay
-// silent. Each twin sends exactly one message per recipient per round, so
-// the adversary is restricted.
+// and vice versa in the run from C′: it is a Mimic step of an
+// adversary.ScriptBehavior, whose shadow process hears every correct
+// broadcast. All other Byzantine processes stay silent. Each twin sends
+// exactly one message per recipient per round, so the adversary is
+// restricted.
 //
 // To every correct process other than flippedSlot, the multiset
 // {flipped process, twin} sends the same messages in both runs, so the
@@ -64,32 +66,39 @@ func Mirror(p hom.Params, factory func(slot int) engine.Process, assignment hom.
 
 	// One Byzantine process per identifier: the first slot holding each
 	// identifier that is not the flipped slot.
-	twinByID := make(map[hom.Identifier]int, p.L)
+	var twins []int
+	twin := -1
+	seen := make(map[hom.Identifier]bool, p.L)
 	for s, id := range assignment {
-		if s == flippedSlot {
+		if s == flippedSlot || seen[id] {
 			continue
 		}
-		if _, ok := twinByID[id]; !ok {
-			twinByID[id] = s
+		seen[id] = true
+		twins = append(twins, s)
+		if id == assignment[flippedSlot] {
+			twin = s
 		}
 	}
-	if len(twinByID) != p.L {
+	if len(twins) != p.L {
 		return nil, fmt.Errorf("%w (need a Byzantine candidate for every identifier)", ErrMirrorRegion)
 	}
-	twin, ok := twinByID[assignment[flippedSlot]]
-	if !ok {
+	if twin < 0 {
 		return nil, fmt.Errorf("%w (no twin shares the flipped slot's identifier)", ErrMirrorRegion)
 	}
 
 	runOnce := func(flippedInput, twinInput hom.Value) (*engine.Result, error) {
 		inputs := append([]hom.Value(nil), baseInputs...)
 		inputs[flippedSlot] = flippedInput
-		adv := &mirrorAdversary{
-			factory:   factory,
-			twinSlot:  twin,
-			twinInput: twinInput,
-			twinID:    assignment[flippedSlot],
-			byID:      twinByID,
+		// Every round replays round 1's Mimic step, so one shadow process
+		// started on twinInput advances beside the system.
+		adv := &adversary.Composite{
+			Selector: adversary.Slots(twins),
+			Behavior: &adversary.ScriptBehavior{
+				Steps:   []adversary.ScriptSend{{Round: 1, Slot: twin, Mimic: true, Value: int(twinInput)}},
+				Repeat:  true,
+				Span:    1,
+				Factory: factory,
+			},
 		}
 		return engine.Run(
 			engine.WithParams(p),
@@ -134,85 +143,3 @@ func Mirror(p hom.Params, factory func(slot int) engine.Process, assignment hom.
 	}
 	return report, nil
 }
-
-// mirrorAdversary corrupts one slot per identifier; the twin slot runs the
-// correct algorithm on the mirrored input (reconstructing its inbox from
-// the omniscient view), all other corrupted slots stay silent.
-type mirrorAdversary struct {
-	factory   func(slot int) engine.Process
-	twinSlot  int
-	twinInput hom.Value
-	twinID    hom.Identifier
-	byID      map[hom.Identifier]int
-
-	params     hom.Params
-	assignment hom.Assignment
-	inner      engine.Process
-	lastRound  int
-	pendingIn  []msg.Message // inbox being assembled for the current round
-	lastSends  []msg.TargetedSend
-}
-
-var _ engine.Adversary = (*mirrorAdversary)(nil)
-
-// Corrupt implements engine.Adversary.
-func (a *mirrorAdversary) Corrupt(p hom.Params, assignment hom.Assignment, _ []hom.Value) []int {
-	a.params = p
-	a.assignment = assignment
-	a.inner = a.factory(a.twinSlot)
-	a.inner.Init(engine.Context{ID: a.twinID, Input: a.twinInput, Params: p})
-	var out []int
-	for _, s := range a.byID {
-		out = append(out, s)
-	}
-	return out
-}
-
-// Sends implements engine.Adversary. Only the twin slot speaks; it forwards
-// what the mirrored correct process would send this round. Before
-// preparing round r it replays the round r−1 reception (all traffic is
-// synchronous and loss-free, so the inbox is fully reconstructable from
-// the view).
-func (a *mirrorAdversary) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
-	if slot != a.twinSlot {
-		return nil
-	}
-	if round > 1 && a.lastRound == round-1 {
-		a.inner.Receive(round-1, msg.NewInbox(a.params.Numerate, a.pendingIn))
-	}
-	a.lastRound = round
-
-	// Prepare this round's sends from the inner process.
-	sends := a.inner.Prepare(round)
-	var out []msg.TargetedSend
-	for _, snd := range sends {
-		for to := 0; to < a.params.N; to++ {
-			if snd.Kind == msg.ToIdentifier && a.assignment[to] != snd.To {
-				continue
-			}
-			out = append(out, msg.TargetedSend{ToSlot: to, Body: snd.Body})
-		}
-	}
-
-	// Assemble the inbox the inner process will consume before the next
-	// round: every correct broadcast that reaches the twin, plus its own
-	// sends (self-delivery).
-	a.pendingIn = a.pendingIn[:0]
-	for _, from := range view.Senders() {
-		for _, snd := range view.SendsOf(int(from)) {
-			if snd.Kind == msg.ToIdentifier && snd.To != a.twinID {
-				continue
-			}
-			a.pendingIn = append(a.pendingIn, msg.Message{ID: a.assignment[from], Body: snd.Body})
-		}
-	}
-	for _, ts := range out {
-		if ts.ToSlot == a.twinSlot {
-			a.pendingIn = append(a.pendingIn, msg.Message{ID: a.twinID, Body: ts.Body})
-		}
-	}
-	return out
-}
-
-// Drop implements engine.Adversary: the lemma's executions are loss-free.
-func (a *mirrorAdversary) Drop(int, int, int) bool { return false }

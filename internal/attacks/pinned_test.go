@@ -8,16 +8,17 @@ import (
 	"homonyms/internal/classical"
 	"homonyms/internal/hom"
 	"homonyms/internal/psynchom"
+	"homonyms/internal/psyncnum"
 	"homonyms/internal/synchom"
 )
 
-// TestConstructionReportsPinned pins every field of the three reports
+// TestConstructionReportsPinned pins every field of the four reports
 // built from hand-assembled executions — Figure 1's covering system,
-// Figure 4's partition (α, β and γ) and Theorem 19's clone collapse — on
-// the cells cmd/attacks and the solvability matrix run, so a change to how
-// those executions are assembled must reproduce them exactly: the same
-// decisions in the same rounds, the same statistics and the same
-// violation texts.
+// Figure 4's partition (α, β and γ), Theorem 19's clone collapse and
+// Lemma 17's mirror twin — on the cells cmd/attacks and the solvability
+// matrix run, so a change to how those executions are assembled must
+// reproduce them exactly: the same decisions in the same rounds, the same
+// statistics and the same violation texts.
 func TestConstructionReportsPinned(t *testing.T) {
 	covering := func(n int) func() (string, error) {
 		return func() (string, error) {
@@ -65,6 +66,15 @@ func TestConstructionReportsPinned(t *testing.T) {
 		}
 		return fmt.Sprintf("%+v", *rep), nil
 	}
+	mirror := func() (string, error) {
+		p := hom.Params{N: 8, L: 2, T: 2, Synchrony: hom.Synchronous, Numerate: true, RestrictedByzantine: true}
+		rep, err := attacks.Mirror(p, psyncnum.NewUnchecked(p), hom.RoundRobinAssignment(8, 2),
+			[]hom.Value{0, 0, 0, 0, 1, 1, 1, 1}, 2, 0, 1, 12*psyncnum.RoundsPerPhase)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%+v", *rep), nil
+	}
 	for _, tc := range []struct {
 		name string
 		run  func() (string, error)
@@ -78,6 +88,8 @@ func TestConstructionReportsPinned(t *testing.T) {
 			"X=[1 2] Y=[3 4] Byz=[0] alpha=24 beta=16 | rounds=24 corrupted=[0] decisions=[-1 0 0 1 1] decidedAt=[0 23 24 15 16] allDecided=true stats={MessagesSent:6894 MessagesDelivered:4930 MessagesDropped:1964 PayloadBytes:110530 RestrictedViolations:0 FaultOmissions:0 TimingHolds:0 Retransmits:0} | violated: agreement: slot 1 decided 0 but slot 3 decided 1"},
 		{"clones/n7", clones,
 			"{Rounds:24 CloneSlots:[0 1 2] DivergedAtRound:0 Detail:}"},
+		{"mirror/n8", mirror,
+			"{FlippedSlot:2 TwinSlot:0 DecisionsC:map[3:1 4:1 5:1 6:1 7:1] DecisionsCPrime:map[3:1 4:1 5:1 6:1 7:1] Indistinguishable:true Detail:}"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := tc.run()

@@ -47,6 +47,12 @@ type SendArena struct {
 
 	order []int32 // the lazy round order: valid while it covers every entry
 	every []int32 // 0, 1, 2, ...: the whole arena as an orderRefs distinct set
+
+	// ranked marks an arena stamped by NewInbox from messages of which
+	// some lack a KeyID: kids[i] is then the rank of keys[i] among the
+	// arena's distinct keys, which orders and dedups like a KeyID but is
+	// none, so entries read back NoKey.
+	ranked bool
 }
 
 // Reset truncates the arena for a new round, keeping column capacity.
@@ -121,7 +127,42 @@ func (a *SendArena) Key(i int32) string { return a.keys[i] }
 // Message materialises entry i as a Message value (for traffic records
 // and the inbox's sorted view).
 func (a *SendArena) Message(i int32) Message {
-	return Message{ID: a.ids[i], Body: a.bodies[i], key: a.keys[i], kid: a.kids[i]}
+	return Message{ID: a.ids[i], Body: a.bodies[i], key: a.keys[i], kid: a.keyID(i)}
+}
+
+// keyID returns the KeyID of entry i, or NoKey on a ranked arena.
+func (a *SendArena) keyID(i int32) KeyID {
+	if a.ranked {
+		return NoKey
+	}
+	return a.kids[i]
+}
+
+// stampBatch stamps raw into an empty arena, one entry of one copy per
+// message, and returns the whole arena as a delivery batch. Entries keep
+// their messages' KeyIDs when every message carries one (from one
+// interner). Otherwise the arena is ranked: each entry's KeyID column
+// holds its canonical key's 1-based rank among the batch's distinct keys,
+// so ordering by (identifier, rank) is ordering by (identifier, key), and
+// no interner is involved.
+func (a *SendArena) stampBatch(raw []Message) []int32 {
+	n := len(raw)
+	a.ids, a.kids = make([]hom.Identifier, n), make([]KeyID, n)
+	a.bodies, a.keys = make([]Payload, n), make([]string, n)
+	a.copies, a.every = make([]int32, n), make([]int32, n)
+	for i, m := range raw {
+		a.ids[i], a.kids[i], a.bodies[i], a.keys[i] = m.ID, m.kid, m.Body, m.Key()
+		a.copies[i], a.every[i] = 1, int32(i)
+		a.ranked = a.ranked || m.kid == NoKey
+	}
+	if a.ranked {
+		distinct := slices.Compact(slices.Sorted(slices.Values(a.keys)))
+		for i, key := range a.keys {
+			rank, _ := slices.BinarySearch(distinct, key)
+			a.kids[i] = KeyID(rank + 1)
+		}
+	}
+	return a.every
 }
 
 // StampMemo is a sender's memory of one stamped send. A payload re-sent

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strconv"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -16,7 +17,7 @@ func broadcastRound(n, l int) []Message {
 		id := hom.Identifier(s%l + 1)
 		// Homonym group members send the same payload; distinct groups
 		// differ, which exercises both the dedup and the insert path.
-		raw = append(raw, Message{ID: id, Body: Raw("propose|" + itoa(int(id)))})
+		raw = append(raw, Message{ID: id, Body: Raw("propose|" + strconv.Itoa(int(id)))})
 	}
 	return raw
 }
@@ -34,26 +35,6 @@ func BenchmarkNewInbox(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				NewInbox(true, raw)
-			}
-		})
-	}
-}
-
-// BenchmarkPooledInbox measures the steady-state owned-copy path: acquire
-// from the pool, fill, recycle — what psyncnum's unpacked inboxes do every
-// round.
-func BenchmarkPooledInbox(b *testing.B) {
-	for _, size := range []struct{ n, l int }{{16, 8}, {64, 16}} {
-		raw := broadcastRound(size.n, size.l)
-		keyed := make([]Message, len(raw))
-		for i, m := range raw {
-			keyed[i] = NewMessage(m.ID, m.Body)
-		}
-		b.Run(benchName(size.n, size.l, "pooled-keyed"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				in := NewPooledInbox(true, keyed)
-				in.Recycle()
 			}
 		})
 	}
@@ -85,7 +66,7 @@ func BenchmarkInboxCountCopies(b *testing.B) {
 }
 
 func benchName(n, l int, kind string) string {
-	return "n" + itoa(n) + "_l" + itoa(l) + "/" + kind
+	return "n" + strconv.Itoa(n) + "_l" + strconv.Itoa(l) + "/" + kind
 }
 
 // TestCountAllocationFree pins the Inbox.Count fix: counting a message

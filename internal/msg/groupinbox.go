@@ -1,8 +1,13 @@
 package msg
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// GroupInbox is the shared reception core for one equivalence class of
+// GroupInbox is the reception core every Inbox reads: the filled
+// storage of one delivery batch over a SendArena. An Inbox embeds one
+// for its own batch; shared, it serves one equivalence class of
 // recipients: processes that received a byte-identical delivery batch
 // this round (in practice, the correct members of one identifier group
 // in an identifier-symmetric round). The engines' router fills it once —
@@ -20,8 +25,8 @@ import "sync"
 //     view's Recycle returns only the shell. The core belongs to whoever
 //     filled it, who calls Recycle once every view is done — the engines'
 //     router at the start of the next round, before it resets the arena.
-//   - Like every SoA inbox, the core references the engine's SendArena
-//     and is valid only until the round's arena reset.
+//   - The core references the engine's SendArena and is valid only until
+//     the round's arena reset.
 type GroupInbox struct {
 	numerate bool
 	soa      *SendArena
@@ -44,9 +49,7 @@ var groupInboxPool = sync.Pool{New: func() any { return new(GroupInbox) }}
 // down to its own release, and the repository benchmark still passes it.
 func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, _ ...int) *GroupInbox {
 	g := groupInboxPool.Get().(*GroupInbox)
-	g.numerate = numerate
-	g.soa = arena
-	g.ref, g.kidCount, g.total = fillDistinct(numerate, arena, idx, g.ref, g.kidCount)
+	g.fillDistinct(numerate, arena, idx)
 	return g
 }
 
@@ -58,15 +61,62 @@ func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, _ ...int)
 func NewPooledInboxView(g *GroupInbox) *Inbox {
 	in := inboxPool.Get().(*Inbox)
 	in.pooled = true
-	in.shared = g
-	in.numerate = g.numerate
-	in.interned = true
+	in.core = g
 	return in
 }
 
+// fillDistinct folds one delivery batch into the core's KeyID-dense
+// count array, reading only the arena's KeyID and copies columns: first
+// sights go to ref (at most one per KeyID in play, however many
+// homonyms' copies the batch carries), and every entry adds its copies
+// for a numerate receiver — one fill of an entry standing for k copies is
+// the fill of k entries. The core must be empty (new, or reset).
+func (g *GroupInbox) fillDistinct(numerate bool, a *SendArena, idx []int32) {
+	kids, copies := a.kids, a.copies
+	maxKid := KeyID(0)
+	for _, i := range idx {
+		maxKid = max(maxKid, kids[i])
+	}
+	counts := growCounts(g.kidCount, maxKid)
+	ref := slices.Grow(g.ref[:0], min(len(idx), int(maxKid)+1))
+	total := 0
+	for _, i := range idx {
+		kid, w := kids[i], int32(1)
+		switch c := counts[kid]; {
+		case c == 0:
+			ref = append(ref, i)
+		case !numerate:
+			continue
+		}
+		if numerate {
+			w = copies[i]
+		}
+		counts[kid] += w
+		total += int(w)
+	}
+	g.numerate, g.soa, g.ref, g.kidCount, g.total = numerate, a, ref, counts, total
+}
+
+// growCounts sizes a dense count array to cover maxKid.
+func growCounts(counts []int32, maxKid KeyID) []int32 {
+	n := int(maxKid) + 1
+	switch {
+	case n <= len(counts):
+	case n <= cap(counts):
+		// The region beyond the old length was never written (counts are
+		// zeroed when their core is reset), so extending is free.
+		counts = counts[:n]
+	default:
+		counts = append(make([]int32, 0, 2*n), counts...)[:n]
+	}
+	return counts
+}
+
 // sortIndex builds (on first access) and returns the sorted position
-// index over the distinct set — the same (identifier, KeyID) order as the
-// per-recipient inbox (orderInbox), paid once per equivalence class.
+// index over the distinct set: sortIndex()[i] is the arrival-order
+// position of the i-th message in (identifier, KeyID) order (orderInbox),
+// paid once per core however many views read it. Rounds whose receivers
+// never look at the messages (or only count) skip the sort entirely.
 func (g *GroupInbox) sortIndex() []int32 {
 	if len(g.orderIdx) != len(g.ref) {
 		g.orderIdx = orderInbox(g.orderIdx, g.ref, g.soa)
@@ -74,11 +124,25 @@ func (g *GroupInbox) sortIndex() []int32 {
 	return g.orderIdx
 }
 
+// at returns the arena index of the i-th distinct message in sorted
+// order.
+func (g *GroupInbox) at(i int) int32 { return g.ref[g.sortIndex()[i]] }
+
+// countOf returns the multiplicity of the distinct message at arena
+// index r.
+func (g *GroupInbox) countOf(r int32) int { return int(g.kidCount[g.soa.kids[r]]) }
+
 // Recycle resets the core and returns it to the pool. Every view of it
 // must have been recycled first; afterwards the core is invalid.
 func (g *GroupInbox) Recycle() {
-	// Zero exactly the counts this round touched; the dense array
-	// itself persists, keeping the steady-state fill allocation-free.
+	g.reset()
+	groupInboxPool.Put(g)
+}
+
+// reset empties the core, keeping its buffers. It zeroes exactly the
+// counts the fill touched: the dense array itself persists, keeping the
+// steady-state fill allocation-free.
+func (g *GroupInbox) reset() {
 	for _, i := range g.ref {
 		g.kidCount[g.soa.kids[i]] = 0
 	}
@@ -86,7 +150,6 @@ func (g *GroupInbox) Recycle() {
 	g.ref = g.ref[:0]
 	g.orderIdx = g.orderIdx[:0]
 	g.total = 0
-	groupInboxPool.Put(g)
 }
 
 // Len returns the number of distinct messages in the shared core.

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strconv"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -111,8 +112,9 @@ func TestMessageInterningSharesKeys(t *testing.T) {
 	}
 }
 
-// TestInboxInternedMatchesLegacy checks the two inbox modes agree on
-// counts, totals and membership for the same deliveries.
+// TestInboxInternedMatchesLegacy checks an inbox that keeps its
+// messages' KeyIDs and a ranked one agree on counts, totals and
+// membership for the same deliveries.
 func TestInboxInternedMatchesLegacy(t *testing.T) {
 	for _, numerate := range []bool{false, true} {
 		it := NewInterner()
@@ -146,9 +148,10 @@ func TestInboxInternedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestInternedInboxZeroAlloc pins the owned-copy storage's steady-state
-// property: filling a pooled inbox from interned messages allocates
-// nothing once the count array has grown.
+// TestInternedInboxZeroAlloc pins the steady state of a round built from
+// interned messages: restamping them into a reused arena by their KeyIDs
+// (AppendStamped, as the engines stamp memoised sends) and filling a
+// pooled inbox over it allocates nothing once the buffers have grown.
 func TestInternedInboxZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; zero-alloc only holds in normal builds")
@@ -156,21 +159,26 @@ func TestInternedInboxZeroAlloc(t *testing.T) {
 	it := NewInterner()
 	raw := make([]Message, 0, 16)
 	for s := 0; s < 16; s++ {
-		raw = append(raw, NewMessageInterned(it, hom.Identifier(s%8+1), Raw("propose|"+itoa(s%8+1))))
+		raw = append(raw, NewMessageInterned(it, hom.Identifier(s%8+1), Raw("propose|"+strconv.Itoa(s%8+1))))
 	}
-	// Warm the pool and the dense count array.
-	NewPooledInbox(true, raw).Recycle()
-	allocs := testing.AllocsPerRun(200, func() {
-		in := NewPooledInbox(true, raw)
-		if in.Len() == 0 {
-			t.Fatal("empty inbox")
+	arena := &SendArena{}
+	idx := make([]int32, len(raw))
+	round := func() {
+		arena.Reset()
+		for i, m := range raw {
+			idx[i] = arena.AppendStamped(it, m.ID, m.Body, m.KeyID(), 1)
 		}
-		if in.Messages()[0].ID == 0 {
+		in := NewPooledInboxSoA(true, arena, idx)
+		if in.Len() != 8 || in.TotalCount() != 16 {
+			t.Fatalf("len/total %d/%d, want 8/16", in.Len(), in.TotalCount())
+		}
+		if in.Messages()[0] != raw[0] {
 			t.Fatal("bad order")
 		}
 		in.Recycle()
-	})
-	if allocs != 0 {
+	}
+	round() // warm the pool, the arena and the dense count array
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
 		t.Fatalf("interned pooled inbox path allocated %.1f times per round, want 0", allocs)
 	}
 }

@@ -16,17 +16,19 @@
 //
 // The engines' round storage is the SendArena: a structure-of-arrays
 // buffer holding each stamped send once, split into parallel identifier /
-// KeyID / payload / key columns. Inboxes over it (NewPooledInboxSoA)
-// reference entries by int32 index, dedup and count through the KeyID
-// column alone, and expose indexed accessors (SenderAt, BodyAt, CountAt,
-// IdentifierRange) so receive loops never materialise a []Message view.
-// Inboxes and interners are pooled (NewPooledInboxSoA/NewPooledInterner +
-// Recycle), so steady-state rounds allocate nothing at all on the engine
-// path.
+// KeyID / payload / key columns. Every Inbox has one storage, a
+// GroupInbox core filled over such an arena: it references entries by
+// int32 index, dedups and counts through the KeyID column alone, and
+// exposes indexed accessors (SenderAt, BodyAt, CountAt, IdentifierRange)
+// so receive loops never materialise a []Message view. NewInbox stamps
+// loose messages into an arena of the inbox's own; when any of them lacks
+// a KeyID the inbox is ranked — key ranks stand in for KeyIDs, and it
+// reports NoKey. Inboxes and interners are pooled
+// (NewPooledInboxSoA/NewPooledInterner + Recycle), so steady-state rounds
+// allocate nothing at all on the engine path.
 package msg
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"strconv"
@@ -175,124 +177,43 @@ type Delivered struct {
 // For a numerate receiver it behaves as a multiset and Count returns the
 // number of copies received.
 //
-// The distinct messages are kept in a deterministic sorted order,
-// materialised lazily. An inbox built entirely from interned messages
-// (the engine path) runs string-free: dedup and counting index a dense
-// KeyID->count array and sorted ordering compares (identifier, KeyID)
-// pairs, where the KeyID order is the execution's deterministic
-// first-intern order. Inboxes with uninterned messages fall back to the
-// canonical-key map and (identifier, key) ordering.
+// An Inbox has one storage: a filled GroupInbox core over a SendArena,
+// which holds the distinct messages as int32 references into the arena,
+// their KeyID-dense counts and a lazy sort index. The core is the
+// Router's shared one for a view (NewPooledInboxView), or the shell's own
+// for NewPooledInboxSoA and NewInbox; the shell adds only the lazily
+// materialised []Message view.
+//
+// The distinct messages are kept in the deterministic (identifier, KeyID)
+// order, where the KeyID order is the execution's first-intern order. An
+// inbox built by NewInbox from messages of which any lacks a KeyID is
+// ranked instead: each canonical key's rank among the batch's distinct
+// keys stands in for its KeyID, so the order is (identifier, key). A
+// ranked inbox reports NoKey from KeyIDAt and on every Message read back
+// from it.
 //
 // Receivers that iterate through the indexed accessors (SenderAt, BodyAt,
 // CountAt over 0..Len()) never force the []Message view into existence:
-// on the engines' structure-of-arrays path (NewPooledInboxSoA) only the
-// int32 sort index and the two integer columns of the shared SendArena
-// are touched, and the payload column is read just for the entries the
+// only the int32 sort index and the two integer columns of the arena are
+// touched, and the payload column is read just for the entries the
 // receiver actually inspects.
 type Inbox struct {
-	numerate bool
-	interned bool // every message carries a KeyID
-	// shared, when non-nil, makes this inbox a read-only view over a
-	// GroupInbox: the distinct set, the counts and the sort index all
-	// live in the shared core (filled once per equivalence class of
-	// recipients), and only the materialised []Message view remains
-	// view-local. All other storage fields are unused in this mode.
-	shared *GroupInbox
-	// Distinct messages in arrival order, in exactly one of two
-	// storages: int32 references into a caller-owned SoA send arena (soa;
-	// the engine's path — the n^2 delivery fan-out never copies Message
-	// structs) or owned copies (msgs).
-	soa      *SendArena
-	ref      []int32
-	msgs     []Message
-	orderIdx []int32        // sorted positions over the distinct set
-	order    []Message      // sorted []Message view, built on demand
-	idxOK    bool           // orderIdx is valid
-	viewOK   bool           // order mirrors orderIdx
-	counts   map[string]int // message key -> multiplicity (uninterned mode)
-	kidCount []int32        // KeyID -> multiplicity (interned mode)
-	total    int            // sum of multiplicities
-	pooled   bool
-}
-
-// distinctLen returns the number of distinct messages.
-func (in *Inbox) distinctLen() int {
-	if in.shared != nil {
-		return len(in.shared.ref)
-	}
-	if in.soa != nil {
-		return len(in.ref)
-	}
-	return len(in.msgs)
-}
-
-// refID returns the sender identifier of the j-th distinct message
-// (arrival order), touching only the identifier column.
-func (in *Inbox) refID(j int) hom.Identifier {
-	switch {
-	case in.shared != nil:
-		return in.shared.soa.ids[in.shared.ref[j]]
-	case in.soa != nil:
-		return in.soa.ids[in.ref[j]]
-	default:
-		return in.msgs[j].ID
-	}
-}
-
-// refKid returns the KeyID of the j-th distinct message (arrival order),
-// touching only the KeyID column.
-func (in *Inbox) refKid(j int) KeyID {
-	switch {
-	case in.shared != nil:
-		return in.shared.soa.kids[in.shared.ref[j]]
-	case in.soa != nil:
-		return in.soa.kids[in.ref[j]]
-	default:
-		return in.msgs[j].kid
-	}
-}
-
-// refKey returns the canonical key of the j-th distinct message (arrival
-// order). Only the uninterned fallbacks and foreign Count queries need it.
-func (in *Inbox) refKey(j int) string {
-	switch {
-	case in.shared != nil:
-		return in.shared.soa.keys[in.shared.ref[j]]
-	case in.soa != nil:
-		return in.soa.keys[in.ref[j]]
-	default:
-		return in.msgs[j].key
-	}
-}
-
-// refMessage materialises the j-th distinct message (arrival order).
-func (in *Inbox) refMessage(j int) Message {
-	switch {
-	case in.shared != nil:
-		return in.shared.soa.Message(in.shared.ref[j])
-	case in.soa != nil:
-		return in.soa.Message(in.ref[j])
-	default:
-		return in.msgs[j]
-	}
-}
-
-// countAtRef returns the multiplicity of the j-th distinct message
-// (arrival order) on the interned paths, reading the shared core's
-// counts for views.
-func (in *Inbox) countAtRef(j int) int {
-	if in.shared != nil {
-		return int(in.shared.kidCount[in.refKid(j)])
-	}
-	return int(in.kidCount[in.refKid(j)])
+	core   *GroupInbox // the storage: own, or a shared one for a view
+	own    GroupInbox  // the core of NewPooledInboxSoA and NewInbox
+	order  []Message   // sorted []Message view, built on demand
+	pooled bool
 }
 
 // NewInbox builds an inbox with the requested reception semantics from the
 // raw delivered messages. The raw order does not matter: distinct messages
-// are kept in a deterministic sorted order.
+// are kept in a deterministic sorted order. The messages are stamped into
+// a SendArena of the inbox's own, keeping their KeyIDs when every one
+// carries one and ranked by key otherwise.
 func NewInbox(numerate bool, raw []Message) *Inbox {
+	a := new(SendArena)
 	in := &Inbox{}
-	in.fill(numerate, raw)
+	in.own.fillDistinct(numerate, a, a.stampBatch(raw))
+	in.core = &in.own
 	return in
 }
 
@@ -305,271 +226,54 @@ func NewInbox(numerate bool, raw []Message) *Inbox {
 // and the sort index are all recycled with the inbox shell).
 //
 // The arena is engine round scratch and must outlive the inbox: both are
-// valid until the engine resets them for the next round. Arena entries
-// are interned by construction, so the inbox always runs on the
-// string-free KeyID path. The caller owns the inbox until Recycle.
+// valid until the engine resets them for the next round. The caller owns
+// the inbox until Recycle.
 func NewPooledInboxSoA(numerate bool, arena *SendArena, idx []int32) *Inbox {
 	in := inboxPool.Get().(*Inbox)
 	in.pooled = true
-	in.fillSoA(numerate, arena, idx)
+	in.own.fillDistinct(numerate, arena, idx)
+	in.core = &in.own
 	return in
 }
 
-// inboxPool recycles inbox shells (the struct, its sorted buffer, its
-// count map and its KeyID count array) across rounds.
+// inboxPool recycles inbox shells (the struct, its own core's buffers and
+// its sorted view) across rounds.
 var inboxPool = sync.Pool{New: func() any { return new(Inbox) }}
-
-// NewPooledInbox is NewInbox backed by a recycled shell. The caller owns
-// the inbox until it calls Recycle; afterwards the inbox and every slice
-// returned by its accessors are invalid. The simulation engines use this
-// for the per-round inboxes they hand to Process.Receive, which must not
-// retain them past the call.
-func NewPooledInbox(numerate bool, raw []Message) *Inbox {
-	in := inboxPool.Get().(*Inbox)
-	in.pooled = true
-	in.fill(numerate, raw)
-	return in
-}
 
 // Recycle resets the inbox and returns it to the pool. Only inboxes from
 // the pooled constructors are returned; calling Recycle on a plain inbox
 // is a no-op so engine code can recycle unconditionally. After Recycle
-// the inbox and every slice its accessors returned are invalid.
+// the inbox and every slice its accessors returned are invalid. A view
+// returns only its shell: the shared core belongs to whoever filled it.
 func (in *Inbox) Recycle() {
 	if !in.pooled {
 		return
 	}
-	switch {
-	case in.shared != nil:
-		// A view owns no counts: the shared core belongs to whoever
-		// filled it, who recycles it once the round is over.
-		in.shared = nil
-	case in.interned:
-		// Zero exactly the counts this round touched; the dense array
-		// itself persists across rounds, which is what makes the
-		// steady-state fill allocation-free.
-		for i, n := 0, in.distinctLen(); i < n; i++ {
-			in.kidCount[in.refKid(i)] = 0
-		}
-	default:
-		clear(in.counts)
-	}
+	in.own.reset() // empty already for a view
+	in.core = nil
 	// Drop payload references so the pool retains no garbage.
-	in.soa = nil
-	in.ref = in.ref[:0]
-	clear(in.msgs)
-	in.msgs = in.msgs[:0]
 	clear(in.order)
 	in.order = in.order[:0]
-	in.orderIdx = in.orderIdx[:0]
-	in.idxOK = false
-	in.viewOK = false
-	in.total = 0
-	in.interned = false
 	in.pooled = false
 	inboxPool.Put(in)
 }
 
-// fill (re)builds the inbox contents from raw deliveries.
-func (in *Inbox) fill(numerate bool, raw []Message) {
-	in.numerate = numerate
-	in.total = 0
-	in.idxOK, in.viewOK = false, false
-	if cap(in.msgs) < len(raw) {
-		in.msgs = make([]Message, 0, len(raw))
-	}
-	maxKid := KeyID(0)
-	in.interned = len(raw) > 0
-	for i := range raw {
-		if raw[i].kid == NoKey {
-			in.interned = false
-			break
-		}
-		if raw[i].kid > maxKid {
-			maxKid = raw[i].kid
-		}
-	}
-	if in.interned {
-		in.kidCount = growCounts(in.kidCount, maxKid)
-		for _, m := range raw {
-			in.addInterned(m, numerate)
-		}
-		return
-	}
-	if in.counts == nil {
-		in.counts = make(map[string]int, len(raw))
-	}
-	for _, m := range raw {
-		in.addLegacy(m, numerate)
-	}
-}
-
-// fillSoA is the structure-of-arrays fill (fillDistinct). Entries are
-// interned by construction, so there is no legacy fallback and no
-// per-entry branch on NoKey.
-func (in *Inbox) fillSoA(numerate bool, arena *SendArena, idx []int32) {
-	in.numerate = numerate
-	in.idxOK, in.viewOK = false, false
-	in.interned = true
-	in.soa = arena
-	in.ref, in.kidCount, in.total = fillDistinct(numerate, arena, idx, in.ref, in.kidCount)
-}
-
-// fillDistinct folds one delivery batch into a KeyID-dense count array,
-// reading only the arena's KeyID and copies columns: first sights go to
-// ref (reused from its start; at most one per KeyID in play, however many
-// homonyms' copies the batch carries), and every entry adds its copies
-// for a numerate receiver — one fill of an entry standing for k copies is
-// the fill of k entries. It returns ref, the counts and their sum, for
-// Inbox and GroupInbox.
-func fillDistinct(numerate bool, a *SendArena, idx, ref, counts []int32) ([]int32, []int32, int) {
-	kids, copies := a.kids, a.copies
-	maxKid := KeyID(0)
-	for _, i := range idx {
-		maxKid = max(maxKid, kids[i])
-	}
-	counts = growCounts(counts, maxKid)
-	if distinct := min(len(idx), int(maxKid)+1); cap(ref) < distinct {
-		ref = make([]int32, 0, distinct)
-	}
-	ref = ref[:0]
-	total := 0
-	for _, i := range idx {
-		kid, w := kids[i], int32(1)
-		switch c := counts[kid]; {
-		case c == 0:
-			ref = append(ref, i)
-		case !numerate:
-			continue
-		}
-		if numerate {
-			w = copies[i]
-		}
-		counts[kid] += w
-		total += int(w)
-	}
-	return ref, counts, total
-}
-
-// growCounts sizes a dense count array to cover maxKid.
-func growCounts(counts []int32, maxKid KeyID) []int32 {
-	n := int(maxKid) + 1
-	switch {
-	case n <= len(counts):
-	case n <= cap(counts):
-		// The region beyond the old length was never written (counts are
-		// zeroed when their inbox is recycled), so extending is free.
-		counts = counts[:n]
-	default:
-		counts = append(make([]int32, 0, 2*n), counts...)[:n]
-	}
-	return counts
-}
-
-// addInterned folds one interned delivery into the dense counts, keeping
-// first sights in the message arena. Sorting is deferred to materialize.
-func (in *Inbox) addInterned(m Message, numerate bool) {
-	in.total++
-	if c := in.kidCount[m.kid]; c > 0 {
-		if numerate {
-			in.kidCount[m.kid] = c + 1
-		} else {
-			in.total--
-		}
-		return
-	}
-	in.kidCount[m.kid] = 1
-	in.msgs = append(in.msgs, m)
-}
-
-// addLegacy folds one uninterned delivery into the canonical-key map.
-func (in *Inbox) addLegacy(m Message, numerate bool) {
-	if in.counts == nil {
-		in.counts = make(map[string]int, 8)
-	}
-	if m.key == "" {
-		m.key = messageKey(m.ID, m.Body.Key())
-	}
-	in.total++
-	if c := in.counts[m.key]; c > 0 {
-		if numerate {
-			in.counts[m.key] = c + 1
-		} else {
-			in.total--
-		}
-		return
-	}
-	in.counts[m.key] = 1
-	in.msgs = append(in.msgs, m)
-}
-
-// sortIndex builds (on first access) and returns the sorted position
-// index over the distinct set: sortIndex()[i] is the arrival-order
-// position of the i-th message in sorted order. Interned inboxes order by
-// (ID, KeyID), uninterned ones by (ID, canonical key); both orders are
-// deterministic for a deterministic execution. Rounds whose receivers
-// never look at the messages (or only count) skip the sort entirely, and
-// receivers that iterate through the indexed accessors stop here — only
-// Messages and FromIdentifier pay for the []Message view on top.
-//
-// The engines' SoA inboxes derive the index from the arena's one round
-// order (orderInbox: a linear walk, or a packed integer sort when the
-// inbox is small against the arena); the owned-copy storage, whose
-// distinct sets are short or string-keyed, takes a comparison sort on
-// the positions. Nothing allocates.
-func (in *Inbox) sortIndex() []int32 {
-	if in.shared != nil {
-		// Views share the core's index: built once per equivalence
-		// class.
-		return in.shared.sortIndex()
-	}
-	if in.idxOK {
-		return in.orderIdx
-	}
-	if in.soa != nil {
-		in.orderIdx = orderInbox(in.orderIdx, in.ref, in.soa)
-		in.idxOK = true
-		return in.orderIdx
-	}
-	in.orderIdx = in.orderIdx[:0]
-	for j, k := 0, in.distinctLen(); j < k; j++ {
-		in.orderIdx = append(in.orderIdx, int32(j))
-	}
-	slices.SortFunc(in.orderIdx, func(a, b int32) int {
-		if c := cmp.Compare(in.refID(int(a)), in.refID(int(b))); c != 0 {
-			return c
-		}
-		if in.interned {
-			return cmp.Compare(in.refKid(int(a)), in.refKid(int(b)))
-		}
-		// Equal identifiers render identical "id=<id>|" prefixes, so
-		// comparing full cached keys orders by payload key.
-		return cmp.Compare(in.refKey(int(a)), in.refKey(int(b)))
-	})
-	in.idxOK = true
-	return in.orderIdx
-}
-
 // materialize builds the sorted []Message view on first access.
 func (in *Inbox) materialize() []Message {
-	if in.viewOK {
+	g := in.core
+	if len(in.order) == len(g.ref) {
 		return in.order
 	}
-	idx := in.sortIndex()
-	k := len(idx)
-	if cap(in.order) < k {
-		in.order = make([]Message, 0, k)
+	idx := g.sortIndex()
+	in.order = slices.Grow(in.order[:0], len(idx))
+	for _, j := range idx {
+		in.order = append(in.order, g.soa.Message(g.ref[j]))
 	}
-	in.order = in.order[:k]
-	for i, j := range idx {
-		in.order[i] = in.refMessage(int(j))
-	}
-	in.viewOK = true
 	return in.order
 }
 
 // Numerate reports the reception semantics of the inbox.
-func (in *Inbox) Numerate() bool { return in.numerate }
+func (in *Inbox) Numerate() bool { return in.core.numerate }
 
 // Messages returns the distinct messages received this round, in the
 // inbox's sorted order. Callers must not mutate the slice and must not
@@ -577,34 +281,18 @@ func (in *Inbox) Numerate() bool { return in.numerate }
 func (in *Inbox) Messages() []Message { return in.materialize() }
 
 // Count returns the multiplicity of the given message. Innumerate inboxes
-// report at most 1. A message never received reports 0. For messages
-// obtained from the inbox itself (Messages, FromIdentifier) this is a
-// single integer index (interned) or map lookup, with no key rebuilding.
+// report at most 1. A message never received reports 0. It matches m by
+// identifier and canonical key, never by m's KeyID, so a message built by
+// hand or interned elsewhere gets its true count; for one read back from
+// the inbox (Messages, FromIdentifier) it is a binary search with no key
+// rebuilding.
 func (in *Inbox) Count(m Message) int {
-	if !in.interned {
-		return in.counts[m.Key()]
-	}
-	if m.kid != NoKey {
-		counts := in.kidCount
-		if in.shared != nil {
-			counts = in.shared.kidCount
-		}
-		if int(m.kid) < len(counts) {
-			return int(counts[m.kid])
-		}
-		return 0
-	}
-	return in.countForeign(m)
-}
-
-// countForeign resolves an uninterned query against an interned inbox by
-// comparing canonical keys against the small distinct set (rare: only
-// hand-built Messages take this path).
-func (in *Inbox) countForeign(m Message) int {
+	g := in.core
+	lo, hi := in.IdentifierRange(m.ID)
 	key := m.Key()
-	for i, n := 0, in.distinctLen(); i < n; i++ {
-		if in.refKey(i) == key {
-			return in.countAtRef(i)
+	for i := lo; i < hi; i++ {
+		if r := g.at(i); g.soa.keys[r] == key {
+			return g.countOf(r)
 		}
 	}
 	return 0
@@ -612,60 +300,36 @@ func (in *Inbox) countForeign(m Message) int {
 
 // TotalCount returns the total number of message copies received
 // (distinct messages for an innumerate inbox).
-func (in *Inbox) TotalCount() int {
-	if in.shared != nil {
-		return in.shared.total
-	}
-	return in.total
-}
+func (in *Inbox) TotalCount() int { return in.core.total }
 
 // Len returns the number of distinct messages.
-func (in *Inbox) Len() int { return in.distinctLen() }
+func (in *Inbox) Len() int { return len(in.core.ref) }
 
 // The indexed accessors below address the distinct messages by their
 // position 0..Len()-1 in the inbox's deterministic sorted order — the
 // same order Messages returns. They are the protocols' string-free
 // iteration path: a receive loop over SenderAt/BodyAt/CountAt touches the
 // int32 sort index and the arena columns it actually needs, and never
-// forces the []Message view (or, on the SoA path, any Message struct)
-// into existence.
+// forces the []Message view (or any Message struct) into existence.
 
 // SenderAt returns the authenticated sender identifier of the i-th
 // distinct message in sorted order.
-func (in *Inbox) SenderAt(i int) hom.Identifier {
-	return in.refID(int(in.sortIndex()[i]))
-}
+func (in *Inbox) SenderAt(i int) hom.Identifier { return in.core.soa.ids[in.core.at(i)] }
 
 // BodyAt returns the payload of the i-th distinct message in sorted
 // order.
-func (in *Inbox) BodyAt(i int) Payload {
-	j := int(in.sortIndex()[i])
-	switch {
-	case in.shared != nil:
-		return in.shared.soa.bodies[in.shared.ref[j]]
-	case in.soa != nil:
-		return in.soa.bodies[in.ref[j]]
-	default:
-		return in.msgs[j].Body
-	}
-}
+func (in *Inbox) BodyAt(i int) Payload { return in.core.soa.bodies[in.core.at(i)] }
 
 // CountAt returns the multiplicity of the i-th distinct message in sorted
 // order (always 1 on an innumerate inbox).
-func (in *Inbox) CountAt(i int) int {
-	j := int(in.sortIndex()[i])
-	if in.interned {
-		return in.countAtRef(j)
-	}
-	return in.counts[in.refKey(j)]
-}
+func (in *Inbox) CountAt(i int) int { return in.core.countOf(in.core.at(i)) }
 
 // KeyIDAt returns the dense KeyID of the i-th distinct message in sorted
-// order, or NoKey when the inbox holds any uninterned message (then no
-// position has a usable one). It is the protocols' table-lookup handle:
-// a receive path that memoised what it derived from a message the first
-// time it saw it can index that memo by KeyID instead of rebuilding the
-// message's key on every later delivery.
+// order, or NoKey on a ranked inbox (then no position has a usable one).
+// It is the protocols' table-lookup handle: a receive path that memoised
+// what it derived from a message the first time it saw it can index that
+// memo by KeyID instead of rebuilding the message's key on every later
+// delivery.
 //
 // The contract that makes this sound is the engines': every inbox one
 // process receives over its life carries KeyIDs issued by one Interner
@@ -674,26 +338,20 @@ func (in *Inbox) CountAt(i int) int {
 // only an index — assignment order differs between executions that
 // behave identically, so it must never reach a hash, a fingerprint, a
 // sort that outlives the inbox, or anything else observable.
-func (in *Inbox) KeyIDAt(i int) KeyID {
-	if !in.interned {
-		return NoKey
-	}
-	return in.refKid(int(in.sortIndex()[i]))
-}
+func (in *Inbox) KeyIDAt(i int) KeyID { return in.core.soa.keyID(in.core.at(i)) }
 
 // MessageAt materialises the i-th distinct message in sorted order.
-func (in *Inbox) MessageAt(i int) Message {
-	return in.refMessage(int(in.sortIndex()[i]))
-}
+func (in *Inbox) MessageAt(i int) Message { return in.core.soa.Message(in.core.at(i)) }
 
 // IdentifierRange returns the half-open position range [lo, hi) of the
 // sorted distinct messages whose sender identifier equals id, for use
 // with the indexed accessors. lo == hi when the identifier sent nothing.
 func (in *Inbox) IdentifierRange(id hom.Identifier) (lo, hi int) {
-	idx := in.sortIndex()
-	lo = sort.Search(len(idx), func(i int) bool { return in.refID(int(idx[i])) >= id })
+	g := in.core
+	idx, ids := g.sortIndex(), g.soa.ids
+	lo = sort.Search(len(idx), func(i int) bool { return ids[g.ref[idx[i]]] >= id })
 	hi = lo
-	for hi < len(idx) && in.refID(int(idx[hi])) == id {
+	for hi < len(idx) && ids[g.ref[idx[hi]]] == id {
 		hi++
 	}
 	return lo, hi
@@ -705,16 +363,11 @@ func (in *Inbox) IdentifierRange(id hom.Identifier) (lo, hi int) {
 // on the hot path prefer IdentifierRange plus the indexed accessors,
 // which skip the []Message view.
 func (in *Inbox) FromIdentifier(id hom.Identifier) []Message {
-	order := in.materialize()
-	lo := sort.Search(len(order), func(i int) bool { return order[i].ID >= id })
-	hi := lo
-	for hi < len(order) && order[hi].ID == id {
-		hi++
-	}
+	lo, hi := in.IdentifierRange(id)
 	if lo == hi {
 		return nil
 	}
-	return order[lo:hi]
+	return in.materialize()[lo:hi]
 }
 
 // DistinctIdentifiers returns the sorted identifiers from which the
@@ -722,23 +375,7 @@ func (in *Inbox) FromIdentifier(id hom.Identifier) []Message {
 // every message (and walks only the identifier column).
 func (in *Inbox) DistinctIdentifiers(pred func(Message) bool) []hom.Identifier {
 	var out []hom.Identifier
-	if pred == nil {
-		for _, j := range in.sortIndex() {
-			id := in.refID(int(j))
-			if len(out) == 0 || out[len(out)-1] != id {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	for _, m := range in.materialize() {
-		if !pred(m) {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] != m.ID {
-			out = append(out, m.ID)
-		}
-	}
+	in.eachIdentifier(pred, func(id hom.Identifier) { out = append(out, id) })
 	return out
 }
 
@@ -746,73 +383,37 @@ func (in *Inbox) DistinctIdentifiers(pred func(Message) bool) []hom.Identifier {
 // at least one message satisfying pred.
 func (in *Inbox) CountDistinctIdentifiers(pred func(Message) bool) int {
 	count := 0
-	last := hom.Identifier(0)
-	if pred == nil {
-		for _, j := range in.sortIndex() {
-			if id := in.refID(int(j)); count == 0 || id != last {
-				count++
-				last = id
-			}
-		}
-		return count
-	}
-	for _, m := range in.materialize() {
-		if !pred(m) {
-			continue
-		}
-		if count == 0 || m.ID != last {
-			count++
-			last = m.ID
-		}
-	}
+	in.eachIdentifier(pred, func(hom.Identifier) { count++ })
 	return count
+}
+
+// eachIdentifier calls yield once per identifier, ascending, with at least
+// one message satisfying pred (every message when pred is nil).
+func (in *Inbox) eachIdentifier(pred func(Message) bool, yield func(hom.Identifier)) {
+	g := in.core
+	seen, last := false, hom.Identifier(0)
+	for _, j := range g.sortIndex() {
+		r := g.ref[j]
+		if id := g.soa.ids[r]; (!seen || id != last) && (pred == nil || pred(g.soa.Message(r))) {
+			yield(id)
+			seen, last = true, id
+		}
+	}
 }
 
 // CountCopies returns the total number of copies, over all sender
 // identifiers, of messages satisfying pred. On an innumerate inbox this
 // degenerates to the number of distinct matching messages.
 func (in *Inbox) CountCopies(pred func(Message) bool) int {
+	g := in.core
 	if pred == nil {
-		return in.TotalCount()
+		return g.total
 	}
 	total := 0
-	if in.interned {
-		for _, j := range in.sortIndex() {
-			if pred(in.refMessage(int(j))) {
-				total += in.countAtRef(int(j))
-			}
-		}
-		return total
-	}
-	for _, m := range in.materialize() {
-		if pred(m) {
-			total += in.counts[m.key]
+	for _, j := range g.sortIndex() {
+		if r := g.ref[j]; pred(g.soa.Message(r)) {
+			total += g.countOf(r)
 		}
 	}
 	return total
-}
-
-// itoa is a minimal allocation-conscious int-to-string helper used in hot
-// key-building paths (strconv would also do; kept local to avoid importing
-// strconv into every payload key builder that uses msg helpers).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -21,18 +22,20 @@ type orderCase struct {
 
 // genOrderCase draws k deliveries over the given identifiers with
 // payloads from a pool of `bodies` distinct ones per identifier, so the
-// batch carries duplicates to collapse. Interning happens in a shuffled
-// order, which decouples KeyID order from both arrival order and
-// key-string order.
-func genOrderCase(rng *rand.Rand, name string, interned bool, k, bodies int, ids []hom.Identifier) orderCase {
+// batch carries duplicates to collapse. An "uninterned" batch is all
+// literal messages, a "mixed" one alternates interned and literal ones,
+// and any other is interned. Interning happens in a shuffled order,
+// which decouples KeyID order from both arrival order and key-string
+// order.
+func genOrderCase(rng *rand.Rand, name string, k, bodies int, ids []hom.Identifier) orderCase {
 	var pool []Message
 	for _, id := range ids {
 		for b := 0; b < bodies; b++ {
-			pool = append(pool, Message{ID: id, Body: Raw("m" + itoa(rng.Intn(1000)) + "." + itoa(b))})
+			pool = append(pool, Message{ID: id, Body: Raw("m" + strconv.Itoa(rng.Intn(1000)) + "." + strconv.Itoa(b))})
 		}
 	}
-	c := orderCase{name: name, interned: interned}
-	if !interned {
+	c := orderCase{name: name, interned: name != "uninterned" && name != "mixed"}
+	if name == "uninterned" {
 		for j := 0; j < k; j++ {
 			m := pool[rng.Intn(len(pool))]
 			if j%2 == 0 {
@@ -49,6 +52,10 @@ func genOrderCase(rng *rand.Rand, name string, interned bool, k, bodies int, ids
 	c.arena = &SendArena{}
 	for j := 0; j < k; j++ {
 		m := pool[rng.Intn(len(pool))]
+		if name == "mixed" && j%2 == 0 {
+			c.raw = append(c.raw, m)
+			continue
+		}
 		c.raw = append(c.raw, c.arena.Message(c.arena.Append(it, m.ID, m.Body, m.Body.Key())))
 	}
 	return c
@@ -80,11 +87,17 @@ func referenceOrder(c orderCase) []Message {
 }
 
 // checkOrder holds one inbox to the reference through every accessor
-// that exposes the order, including the KeyID column.
+// that exposes the order, including the KeyID column, and answers Count
+// for foreign copies of each message: a literal, and one interned in
+// another interner under a KeyID past every rank the batch can hold.
 func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Message) {
 	t.Helper()
 	if in.Len() != len(want) {
 		t.Fatalf("%s/%s: %d distinct messages, want %d", c.name, label, in.Len(), len(want))
+	}
+	other := NewInterner()
+	for j := 0; j <= len(c.raw); j++ {
+		other.Intern(strconv.Itoa(j))
 	}
 	for i, w := range want {
 		if got := in.MessageAt(i); got.Key() != w.Key() || got.ID != w.ID {
@@ -103,6 +116,14 @@ func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Messa
 		if in.CountAt(i) != in.Count(w) {
 			t.Fatalf("%s/%s: CountAt(%d) = %d, Count = %d", c.name, label, i, in.CountAt(i), in.Count(w))
 		}
+		for _, q := range []Message{{ID: w.ID, Body: w.Body}, NewMessageInterned(other, w.ID, w.Body)} {
+			if got := in.Count(q); got != in.CountAt(i) {
+				t.Fatalf("%s/%s: Count of a foreign %q (KeyID %d) = %d, want %d", c.name, label, q.Key(), q.KeyID(), got, in.CountAt(i))
+			}
+		}
+	}
+	if got := in.Count(Message{ID: 1, Body: Raw("never sent")}); got != 0 {
+		t.Fatalf("%s/%s: Count of a message never received = %d", c.name, label, got)
 	}
 	view := in.Messages()
 	for i, w := range want {
@@ -115,9 +136,9 @@ func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Messa
 // TestSortIndexMatchesReferenceOrder pins the inbox order — the order
 // protocols first see messages in, and so the order of everything
 // downstream of it — to its definition, over generated batches and every
-// storage an inbox can sit on: owned copies (plain and pooled), the SoA
-// arena (entries of one copy and of several) and the shared GroupInbox
-// view.
+// way an inbox's core is filled: NewInbox (keeping KeyIDs, or ranked for
+// literal and mixed batches), the SoA arena (entries of one copy and of
+// several) and the shared GroupInbox view.
 // Batches straddle the packed sort's stack/pool boundary, and the wide
 // cases spread identifiers too far to pack, forcing the comparison sort.
 func TestSortIndexMatchesReferenceOrder(t *testing.T) {
@@ -129,20 +150,17 @@ func TestSortIndexMatchesReferenceOrder(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		k := []int{0, 1, 2, 7, orderStack, orderStack + 1, 100, 700}[round%8]
 		cases = append(cases,
-			genOrderCase(rng, "small", true, k, 1+rng.Intn(40), small),
-			genOrderCase(rng, "signed", true, k, 1+rng.Intn(12), signed),
-			genOrderCase(rng, "wide", true, k, 1+rng.Intn(12), wide),
-			genOrderCase(rng, "uninterned", false, k, 1+rng.Intn(12), signed),
+			genOrderCase(rng, "small", k, 1+rng.Intn(40), small),
+			genOrderCase(rng, "signed", k, 1+rng.Intn(12), signed),
+			genOrderCase(rng, "wide", k, 1+rng.Intn(12), wide),
+			genOrderCase(rng, "uninterned", k, 1+rng.Intn(12), signed),
+			genOrderCase(rng, "mixed", k, 1+rng.Intn(12), signed),
 		)
 	}
 	for _, c := range cases {
 		want := referenceOrder(c)
 		for _, numerate := range []bool{false, true} {
-			checkOrder(t, "owned", NewInbox(numerate, c.raw), c, want)
-
-			pooled := NewPooledInbox(numerate, c.raw)
-			checkOrder(t, "owned-pooled", pooled, c, want)
-			pooled.Recycle()
+			checkOrder(t, "new", NewInbox(numerate, c.raw), c, want)
 
 			if !c.interned || len(c.raw) == 0 {
 				continue
@@ -218,7 +236,7 @@ func TestRoundOrderWalkMatchesOrderRefs(t *testing.T) {
 		arena := &SendArena{}
 		var sender []int // arena entry -> sender slot
 		stamp := func(slot int) {
-			body := Raw("m" + itoa(rng.Intn(bodies)))
+			body := Raw("m" + strconv.Itoa(rng.Intn(bodies)))
 			arena.Append(it, idOf(slot), body, body.Key())
 			sender = append(sender, slot)
 		}
@@ -242,22 +260,23 @@ func TestRoundOrderWalkMatchesOrderRefs(t *testing.T) {
 			}
 			for _, numerate := range []bool{false, true} {
 				in := NewPooledInboxSoA(numerate, arena, idx)
-				want := orderRefs(nil, in.ref, arena.ids, arena.kids)
-				if got := orderByWalk(nil, in.ref, arena); !same(got, want) {
-					t.Fatalf("trial %d %s: walk over %d first sights of %d entries gives %v, own sort %v", trial, label, len(in.ref), arena.Len(), got, want)
+				ref := in.core.ref
+				want := orderRefs(nil, ref, arena.ids, arena.kids)
+				if got := orderByWalk(nil, ref, arena); !same(got, want) {
+					t.Fatalf("trial %d %s: walk over %d first sights of %d entries gives %v, own sort %v", trial, label, len(ref), arena.Len(), got, want)
 				}
-				if got := in.sortIndex(); !same(got, want) {
+				if got := in.core.sortIndex(); !same(got, want) {
 					t.Fatalf("trial %d %s: Inbox.sortIndex = %v, want %v", trial, label, got, want)
 				}
 				g := NewPooledGroupInbox(numerate, arena, idx)
-				if !same(g.ref, in.ref) {
+				if !same(g.ref, ref) {
 					t.Fatalf("trial %d %s: shared core and inbox disagree on first sights", trial, label)
 				}
 				if got := orderByWalk(nil, g.ref, arena); !same(got, want) {
 					t.Fatalf("trial %d %s: walk for the shared core gives %v, want %v", trial, label, got, want)
 				}
 				view := NewPooledInboxView(g)
-				if got := view.sortIndex(); !same(got, want) {
+				if got := view.core.sortIndex(); !same(got, want) {
 					t.Fatalf("trial %d %s: GroupInbox.sortIndex = %v, want %v", trial, label, got, want)
 				}
 				view.Recycle()
@@ -330,7 +349,7 @@ func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 		var span [][]int32 // weighted entry -> its expanded entries
 		for k := rng.Intn(40); k > 0; k-- {
 			id := hom.Identifier(1 + rng.Intn(4))
-			body := Raw("m" + itoa(rng.Intn(6)))
+			body := Raw("m" + strconv.Itoa(rng.Intn(6)))
 			copies := int32(1 + rng.Intn(5))
 			kid, _ := it.InternMessageKey(int64(id), body.Key())
 			weighted.AppendStamped(it, id, body, kid, copies)
@@ -377,8 +396,9 @@ func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 	}
 }
 
-// TestLegacyInboxQueries covers the uninterned storage through the
-// queries protocols outside the engines' path still use.
+// TestLegacyInboxQueries covers a ranked inbox (NewInbox over messages
+// without KeyIDs) through the queries protocols outside the engines'
+// path still use.
 func TestLegacyInboxQueries(t *testing.T) {
 	raw := []Message{
 		NewMessageKeyed(2, Raw("x"), Raw("x").Key()),
@@ -386,30 +406,28 @@ func TestLegacyInboxQueries(t *testing.T) {
 		NewMessage(2, Raw("x")),
 		{ID: 3, Body: Raw("x")},
 	}
-	for _, in := range []*Inbox{NewInbox(true, raw), NewPooledInbox(true, raw)} {
-		if in.KeyIDAt(0) != NoKey {
-			t.Fatal("uninterned inbox exposed a KeyID")
-		}
-		if in.Len() != 3 || in.TotalCount() != 4 {
-			t.Fatalf("len/total %d/%d, want 3/4", in.Len(), in.TotalCount())
-		}
-		if got := []int{in.CountAt(0), in.CountAt(1), in.CountAt(2)}; got[0] != 1 || got[1] != 2 || got[2] != 1 {
-			t.Fatalf("CountAt by position = %v, want [1 2 1]", got)
-		}
-		isX := func(m Message) bool { return m.Body.Key() == Raw("x").Key() }
-		if got := in.DistinctIdentifiers(isX); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-			t.Fatalf("DistinctIdentifiers(x) = %v, want [2 3]", got)
-		}
-		if got := in.CountDistinctIdentifiers(isX); got != 2 {
-			t.Fatalf("CountDistinctIdentifiers(x) = %d, want 2", got)
-		}
-		if got := in.CountCopies(isX); got != 3 {
-			t.Fatalf("CountCopies(x) = %d, want 3", got)
-		}
-		if got := in.Count(Message{ID: 9, Body: Raw("x")}); got != 0 {
-			t.Fatalf("Count of a message never received = %d", got)
-		}
-		in.Recycle()
+	in := NewInbox(true, raw)
+	if in.KeyIDAt(0) != NoKey || in.MessageAt(0).KeyID() != NoKey {
+		t.Fatal("ranked inbox exposed a KeyID")
+	}
+	if in.Len() != 3 || in.TotalCount() != 4 {
+		t.Fatalf("len/total %d/%d, want 3/4", in.Len(), in.TotalCount())
+	}
+	if got := []int{in.CountAt(0), in.CountAt(1), in.CountAt(2)}; got[0] != 1 || got[1] != 2 || got[2] != 1 {
+		t.Fatalf("CountAt by position = %v, want [1 2 1]", got)
+	}
+	isX := func(m Message) bool { return m.Body.Key() == Raw("x").Key() }
+	if got := in.DistinctIdentifiers(isX); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("DistinctIdentifiers(x) = %v, want [2 3]", got)
+	}
+	if got := in.CountDistinctIdentifiers(isX); got != 2 {
+		t.Fatalf("CountDistinctIdentifiers(x) = %d, want 2", got)
+	}
+	if got := in.CountCopies(isX); got != 3 {
+		t.Fatalf("CountCopies(x) = %d, want 3", got)
+	}
+	if got := in.Count(Message{ID: 9, Body: Raw("x")}); got != 0 {
+		t.Fatalf("Count of a message never received = %d", got)
 	}
 	var kb KeyBuilder
 	if string(kb.Reset("t").Int(3).Bytes()) != kb.String() {

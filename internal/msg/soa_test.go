@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strconv"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -14,15 +15,16 @@ func buildSoAArena(it *Interner, n, l int) (*SendArena, []int32) {
 	idx := make([]int32, 0, n)
 	for s := 0; s < n; s++ {
 		id := hom.Identifier(s%l + 1)
-		body := Raw("propose|" + itoa(int(id)))
+		body := Raw("propose|" + strconv.Itoa(int(id)))
 		idx = append(idx, arena.Append(it, id, body, body.Key()))
 	}
 	return arena, idx
 }
 
-// TestSoAInboxMatchesIndexed pins the SoA fill against the owned-copy
-// fill (NewInbox over the same messages): same distinct set, same sorted
-// order, same counts, same totals, in both reception semantics.
+// TestSoAInboxMatchesIndexed pins the SoA fill against NewInbox over the
+// same messages, which restamps them into an arena of its own: same
+// distinct set, same sorted order, same counts, same totals, in both
+// reception semantics.
 func TestSoAInboxMatchesIndexed(t *testing.T) {
 	for _, numerate := range []bool{false, true} {
 		it := NewInterner()

@@ -128,7 +128,7 @@ func (b *keyedBroadcaster) ingest(round int, in *msg.Inbox) []numbcast.Accept {
 	return accepts
 }
 
-// unpack flattens envelopes into a pooled inbox of part messages interned
+// unpack flattens envelopes into an inbox of part messages interned
 // in the process's table, a sender's k envelope copies becoming k copies
 // of each part — the old receive path's first step.
 func unpack(keys *msg.Interner, in *msg.Inbox) *msg.Inbox {
@@ -146,7 +146,7 @@ func unpack(keys *msg.Interner, in *msg.Inbox) *msg.Inbox {
 			}
 		}
 	}
-	return msg.NewPooledInbox(in.Numerate(), raw)
+	return msg.NewInbox(in.Numerate(), raw)
 }
 
 // receiveUnpacked is Receive as it was before envelopes were read in
