@@ -27,19 +27,23 @@
 // Its per-round bookkeeping is string-free: every (m, r, i) tuple key is
 // symbolized once in a broadcaster-local intern table whose dense KeyIDs
 // index a flat tuple arena, and distinct-identifier support lives in a
-// shared bitmap arena. Reception does not even rebuild that key: the
-// engine interned every delivered message at stamp time, and the
-// broadcaster memoises, per engine KeyID, which support bit a validated
-// echo sets — so the ~ℓ re-deliveries of every standing echo in every
-// round cost one table load and one bit test each, and only a KeyID not
-// yet classified reaches a payload. Sending is symmetric: a standing echo
-// goes out with its tuple's stamp memo, so the engine builds its key once
-// per execution. Release returns the whole table to a pool for the next.
+// shared bitmap arena. Sending pays for an echo once: a standing echo
+// goes out Standing with its tuple's stamp memo, so the engine builds its
+// key once per execution and, in a round right after a weighted round
+// that carried it, accounts the repeat without delivering it again —
+// repeats change nothing here, since support counts distinct sender
+// identifiers. Hosts hand Ingest the inbox's Delta: what the round
+// stamped. There reception does not rebuild keys either: the broadcaster
+// memoises, per engine KeyID, which support bit a validated echo sets, so
+// a re-delivered echo costs one table load and one bit test, and a first
+// sight interns its tuple under the payload part of the delivered
+// message key. Release returns the whole table to a pool for the next.
 package authbcast
 
 import (
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 
 	"homonyms/internal/hom"
@@ -227,7 +231,7 @@ func (b *Broadcaster) Outgoing(round int) []msg.Send {
 	for i := range b.tab.tuples {
 		ts := &b.tab.tuples[i]
 		if ts.echoing && round > 2*ts.sr-1 {
-			out = append(out, msg.Send{Kind: msg.ToAll, Body: ts.echo, Memo: &ts.stamp})
+			out = append(out, msg.Send{Kind: msg.ToAll, Body: ts.echo, Memo: &ts.stamp, Standing: true})
 		}
 	}
 	b.tab.out = out
@@ -235,9 +239,10 @@ func (b *Broadcaster) Outgoing(round int) []msg.Send {
 }
 
 // Ingest processes the round's inbox and returns the Accept actions newly
-// performed this round, in deterministic (first-sight) order. It iterates
-// the inbox through the indexed accessors, so the engine's SoA inbox
-// never materialises a []Message view for the broadcast layer.
+// performed this round, in deterministic (first-sight) order. Hosts pass
+// the inbox's Delta: a standing echo the engine spared was counted when
+// first delivered. It iterates through the indexed accessors, so the
+// engine's SoA inbox never materialises a []Message view for it.
 //
 // Almost every message of a round is an echo this broadcaster validated
 // in an earlier round; the one pass over the inbox recognises those by
@@ -279,7 +284,7 @@ func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 			rest = append(rest, i)
 			continue
 		}
-		slot := int(tab.tuples[b.tuple(ep.Body, ep.SR, ep.ID)].echoOff) + int(sender)
+		slot := int(tab.tuples[b.echoTuple(in, int(i), ep)].echoOff) + int(sender)
 		if kid := in.KeyIDAt(int(i)); kid != msg.NoKey {
 			tab.memoise(kid, slot)
 		}
@@ -315,12 +320,25 @@ func (b *Broadcaster) support(slot int) {
 func (b *Broadcaster) Unclaimed() []int32 { return b.tab.rest }
 
 // tuple returns the arena index of the (m, sr, i) tuple, creating it on
-// first sight. The tuple key is built in the broadcaster's scratch buffer
-// and interned, so a known tuple costs one hash lookup and no allocation;
-// because this interner sees only tuple keys, the dense KeyID minus one
-// is exactly the arena index.
+// first sight. The tuple key — the ⟨echo m, sr, i⟩ payload key — is built
+// in the broadcaster's scratch buffer and interned, so a known tuple costs
+// one hash lookup and no allocation; because this interner sees only
+// tuple keys, the dense KeyID minus one is exactly the arena index.
 func (b *Broadcaster) tuple(body msg.Payload, sr int, id hom.Identifier) int {
-	kid := b.tab.kb.Reset("abecho").Int(sr).Identifier(id).Nested(body).Intern(b.tab.keys)
+	return b.tupleAt(b.tab.kb.Reset("abecho").Int(sr).Identifier(id).Nested(body).Intern(b.tab.keys), body, sr, id)
+}
+
+// echoTuple is tuple for the echo ep at position i of the inbox, whose
+// delivered message key already holds the tuple key: it is the key's
+// payload part, everything after the identifier field's '|'.
+func (b *Broadcaster) echoTuple(in *msg.Inbox, i int, ep EchoPayload) int {
+	key := in.MessageAt(i).Key()
+	return b.tupleAt(b.tab.keys.Intern(key[strings.IndexByte(key, '|')+1:]), ep.Body, ep.SR, ep.ID)
+}
+
+// tupleAt returns the arena index of the tuple interned as kid, creating
+// it when kid is new.
+func (b *Broadcaster) tupleAt(kid msg.KeyID, body msg.Payload, sr int, id hom.Identifier) int {
 	idx := int(kid) - 1
 	if idx < len(b.tab.tuples) {
 		return idx

@@ -116,6 +116,10 @@ func observed(b *Broadcaster, round int, accepts []Accept) string {
 // An interned inbox iterates in KeyID order and an uninterned one in key
 // order, so the test interns every message key up front, in key order:
 // the two orders then coincide and first-sight tuple order with them.
+//
+// An echo's first sight interns its tuple under the payload part of the
+// delivered message key; every tuple must be interned under the key the
+// KeyBuilder builds for it, which is what an ⟨init⟩ and Clone intern.
 func TestIngestKeyIDMemoMatchesKeyPath(t *testing.T) {
 	const l, tByz, rounds, cloneAt = 7, 2, 18, 9
 	for seed := int64(1); seed <= 6; seed++ {
@@ -196,6 +200,12 @@ func TestIngestKeyIDMemoMatchesKeyPath(t *testing.T) {
 				seed, len(memo.tab.memo), len(keyPath.tab.memo))
 		}
 		for _, b := range []*Broadcaster{keyPath, memo, shared, cloned} {
+			for i, ts := range b.tab.tuples {
+				var kb msg.KeyBuilder
+				if got, want := b.tab.keys.Key(msg.KeyID(i+1)), kb.Reset("abecho").Int(ts.sr).Identifier(ts.id).Nested(ts.body).String(); got != want {
+					t.Fatalf("seed %d: tuple %d is interned as %q, its KeyBuilder key is %q", seed, i, got, want)
+				}
+			}
 			b.Release()
 			b.Release() // releasing twice is harmless
 		}

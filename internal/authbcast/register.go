@@ -66,7 +66,7 @@ func (h *fuzzHost) Prepare(round int) []msg.Send {
 
 // Receive implements engine.Process.
 func (h *fuzzHost) Receive(round int, in *msg.Inbox) {
-	for _, a := range h.bc.Ingest(round, in) {
+	for _, a := range h.bc.Ingest(round, in.Delta()) {
 		h.log = append(h.log, hostAccept{Accept: a, Round: round})
 	}
 }

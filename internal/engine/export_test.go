@@ -143,3 +143,21 @@ func (m SeededMask) Hit(round, from, to int) bool {
 func (m SeededMask) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { return nil }
 func (m SeededMask) Sends(int, int, *View) []msg.TargetedSend              { return nil }
 func (m SeededMask) Drop(round, from, to int) bool                         { return m.Hit(round, from, to) }
+
+// SpareProbe is Concrete() keeping, for every round, how many correct
+// sends the representation registered and how many of them the router
+// spared (accounted without stamping).
+type SpareProbe struct {
+	concreteRep
+	Sent, Spared []int
+}
+
+func (p *SpareProbe) DeliverRound(round int) {
+	sent := 0
+	for _, o := range p.e.outgoing {
+		sent += len(o.sends)
+	}
+	p.Sent = append(p.Sent, sent)
+	p.Spared = append(p.Spared, p.e.router.spared.Len())
+	p.concreteRep.DeliverRound(round)
+}

@@ -120,6 +120,20 @@ type Router struct {
 
 	slots *slotStage // per-slot routing stage; nil until a round first needs one
 
+	// Standing broadcasts (msg.Send.Standing). marks lists the round's in
+	// routing order, prevMarks the previous round's, which cursor walks
+	// as senders come in ascending slot order. One re-offered in a
+	// weighted round right after another weighted round that routed it —
+	// same memo, slot and copies — is accounted instead of stamped (spare)
+	// and kept in spared: the round's standing entries, which only a
+	// delta inbox's union reads.
+	prevWeighted     bool
+	marks, prevMarks []standingMark
+	cursor           int
+	spared           msg.SendArena
+	sparedKeyLen     []int32 // parallel to spared: body-key length
+	holding          int     // slots holding a valid identifier; 0 until counted
+
 	// The identifier groups, indexed by identifier-1: this round's
 	// broadcast rows (arena indices, pre-mask, in stamp order), who holds
 	// each identifier, and — in a flat round — each group's shared core.
@@ -164,6 +178,13 @@ type Router struct {
 	// individually, so whatever lands in a recipient's tail was stamped
 	// after everything in its group's row.
 	rowsOpen bool
+}
+
+// standingMark is one standing broadcast as routed: its sender's memo,
+// the slot it was routed from and the copies it stood for.
+type standingMark struct {
+	memo         *msg.StampMemo
+	from, copies int32
 }
 
 // groupHolders is what a flat round needs of one identifier group: how
@@ -353,7 +374,11 @@ func (r *Router) beginRound(round int) {
 	r.replayRound = r.inj.Live(inject.KindReplay, round)
 	r.rowsOpen = !r.holdRound && !r.stallRound && !r.replayRound
 	r.trivialMask = r.visibility == nil && !r.dropsOK && !r.lossRound
+	r.prevWeighted = r.weighted
 	r.weighted = r.rowsOpen && r.trivialMask && !r.record
+	r.marks, r.prevMarks, r.cursor = r.prevMarks[:0], r.marks, 0
+	r.spared.Reset()
+	r.sparedKeyLen = r.sparedKeyLen[:0]
 	r.releaseCores()
 	r.arena.Reset()
 	r.sendFrom = r.sendFrom[:0]
@@ -591,6 +616,9 @@ func (r *Router) pumpPending() {
 // n is; otherwise every (send, recipient) pair is routed on its own.
 func (r *Router) routeCorrect(from int, copies int32, sends []msg.Send) {
 	for _, s := range sends {
+		if s.Standing && s.Kind == msg.ToAll && s.Memo != nil && r.spare(from, copies, s) {
+			continue
+		}
 		si := r.stamp(from, copies, s.Body, s.Memo)
 		switch s.Kind {
 		case msg.ToAll:
@@ -619,6 +647,48 @@ func (r *Router) routeCorrect(from int, copies int32, sends []msg.Send) {
 			}
 		}
 	}
+}
+
+// spare marks a standing broadcast as routed this round and, when the
+// previous round was weighted too and routed it — same memo, slot and
+// copies — accounts it instead of stamping it: every slot received it
+// then and nothing can mask it now, so it is counted exactly as flushRows
+// would count its row entries, once per holder of each identifier, and
+// kept in spared for the delta inboxes' unions. A spared send is a memo
+// hit, so the intern table never misses it. It reports whether it spared
+// the send.
+func (r *Router) spare(from int, copies int32, s msg.Send) bool {
+	m := standingMark{memo: s.Memo, from: int32(from), copies: copies}
+	r.marks = append(r.marks, m)
+	if !r.weighted || !r.prevWeighted {
+		return false
+	}
+	prev := r.prevMarks
+	for r.cursor < len(prev) && prev[r.cursor].from < m.from {
+		r.cursor++
+	}
+	if r.cursor == len(prev) || prev[r.cursor] != m {
+		return false
+	}
+	r.cursor++
+	id := r.assignment[from]
+	kid, keyLen, ok := s.Memo.Lookup(r.intern, id)
+	if !ok {
+		return false
+	}
+	if r.holding == 0 {
+		for _, g := range r.groups() {
+			r.holding += int(g.slots)
+		}
+	}
+	c := int(copies) * r.holding
+	r.stats.MessagesSent += c
+	r.stats.MessagesDelivered += c
+	r.stats.PayloadBytes += c * keyLen
+	r.totalStamped += int(copies)
+	r.spared.AppendStamped(r.intern, id, s.Body, kid, copies)
+	r.sparedKeyLen = append(r.sparedKeyLen, int32(keyLen))
+	return true
 }
 
 // candidate returns everything routed to the slot this round, before any
@@ -1085,29 +1155,34 @@ func (r *Router) buildRecord() {
 // inbox. A representation draws at most one per slot and round — one
 // per stepping class stands for the class — and recycles each before
 // the next beginRound; the cores stay the Router's.
+//
+// In a round that spared standing sends every inbox is a delta inbox over
+// a core of the round's stamped batch — its own, for a slot sharing with
+// no one — whose union with the spared entries is filled on demand.
 func (r *Router) inbox(to int) *msg.Inbox {
 	if r.verify {
 		r.issued[to]++
 	}
 	rep := r.SharedWith(to)
-	if r.flat {
+	var batch []int32
+	var own *msg.GroupInbox // a lone slot's core, kept in r.cores
+	core := &own
+	switch {
+	case r.flat:
 		g := r.assignment[to] - 1
-		if rep < 0 {
-			return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, r.rows[g])
-		}
-		if r.groupCore[g] == nil {
-			r.groupCore[g] = r.fillCore(r.rows[g])
-		}
-		return msg.NewPooledInboxView(r.groupCore[g])
+		batch, core = r.rows[g], &r.groupCore[g]
+	case rep >= 0:
+		batch, core = r.slots.rawIdx[rep], &r.slots.classGI[rep]
+	default:
+		batch = r.slots.rawIdx[to]
 	}
-	st := r.slots
-	if rep < 0 {
-		return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, st.rawIdx[to])
+	if rep < 0 && r.spared.Len() == 0 {
+		return msg.NewPooledInboxSoA(r.params.Numerate, &r.arena, batch)
 	}
-	if st.classGI[rep] == nil {
-		st.classGI[rep] = r.fillCore(st.rawIdx[rep])
+	if *core == nil {
+		*core = r.fillCore(batch)
 	}
-	return msg.NewPooledInboxView(st.classGI[rep])
+	return msg.NewPooledInboxView(*core, &r.spared)
 }
 
 // fillCore fills one shared core for the round and keeps it for stop.

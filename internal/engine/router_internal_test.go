@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -641,13 +642,159 @@ func standingSends(k int, builds *int) []msg.Send {
 	return sends
 }
 
+// standingStep is one round of a standing-send scenario: every correct
+// slot re-offers the standing payloads offer keeps, each standing for
+// copies senders, with the round's link conditions.
+type standingStep struct {
+	copies int32
+	keep   func(i int) bool // which of its payloads a slot offers; nil: all
+	record bool             // the round records its traffic
+}
+
+// standingRound is what one scenario round shows: how many correct
+// sends were stamped and spared, and every correct slot's full inbox and
+// Delta.
+type standingRound struct {
+	stamped, spared int
+	full, delta     []string
+}
+
+// runStanding routes steps, one round each, over n=12 slots with l=4
+// identifiers (numerate, slot 7 Byzantine and silent), each correct slot
+// offering three broadcasts with memos of its own — marked Standing
+// unless plain — and returns every round and the statistics and
+// MaxSends gauge the run ended with. The rounds before gst drop a
+// seeded quarter of the links; sched adds injected faults.
+func runStanding(t *testing.T, plain bool, gst int, sched *inject.Schedule, steps []standingStep) ([]standingRound, Stats, int) {
+	t.Helper()
+	const n, l, k = 12, 4, 3
+	cfg := Config{
+		Params:     hom.Params{N: n, L: l, T: 1, Synchrony: hom.PartiallySynchronous, Numerate: true},
+		Assignment: hom.RoundRobinAssignment(n, l),
+		Adversary:  SeededMask{Seed: 5, Modulus: 4},
+		GST:        gst,
+		Invariants: true,
+	}
+	inj, err := inject.Compile(sched, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isBad := make([]bool, n)
+	isBad[7] = true
+	var stats Stats
+	r := newRouter(&cfg, isBad, &stats, msg.NewInterner(), false, inj)
+	builds := 0
+	sends := make([][]msg.Send, n)
+	for s := range sends {
+		memos := make([]msg.StampMemo, k)
+		for i := 0; i < k; i++ {
+			sends[s] = append(sends[s], msg.Send{Kind: msg.ToAll, Body: countedBody{v: 10*s + i, builds: &builds}, Memo: &memos[i], Standing: !plain})
+		}
+	}
+	var out []standingRound
+	for round, step := range steps {
+		r.record = step.record
+		r.beginRound(round + 1)
+		var got standingRound
+		for s := 0; s < n; s++ {
+			if isBad[s] {
+				continue
+			}
+			var offered []msg.Send
+			for i, sd := range sends[s] {
+				if step.keep == nil || step.keep(i) {
+					offered = append(offered, sd)
+				}
+			}
+			r.routeCorrect(s, step.copies, offered)
+		}
+		got.stamped, got.spared = r.arena.Len(), r.spared.Len()
+		r.flush()
+		for s := 0; s < n; s++ {
+			if isBad[s] || inj.Down(s, round+1) {
+				got.full, got.delta = append(got.full, ""), append(got.delta, "")
+				continue
+			}
+			in := r.inbox(s)
+			got.delta = append(got.delta, inboxFingerprint(in.Delta()))
+			got.full = append(got.full, inboxFingerprint(in))
+			in.Recycle()
+		}
+		if err := r.verifyRound(); err != nil {
+			t.Fatalf("round %d: %v", round+1, err)
+		}
+		out = append(out, got)
+	}
+	r.releaseCores()
+	return out, stats, r.totalStamped
+}
+
 // TestStandingSendsStampOncePerExecution pins the stamp memo: a send
 // offered with its sender's memo builds and interns its key the first
 // time and never again — a round re-sending k standing payloads performs
 // 0 key builds and 0 allocations — while everything the memo was not
 // filled for (another identifier, the interner after a Reset) takes the
 // key path, gets the right KeyID, and leaves the memo to its owner.
+//
+// Its standing cases pin when a standing broadcast is accounted instead
+// of stamped: only in a weighted round right after a weighted round that
+// routed the same send from the same slot with the same copies. Each
+// scenario runs twice, with the sends marked Standing and without, and
+// the two must agree on every full inbox, on Stats and on the MaxSends
+// gauge, while the Delta of a spared round holds only what was stamped.
 func TestStandingSendsStampOncePerExecution(t *testing.T) {
+	const correct, k = 11, 3
+	all := standingStep{copies: 1}
+	for _, tc := range []struct {
+		name  string
+		gst   int
+		sched *inject.Schedule
+		steps []standingStep
+		spare []int // correct sends spared per round
+	}{
+		{"weighted rounds in a row spare", 1, nil,
+			[]standingStep{all, all, all}, []int{0, correct * k, correct * k}},
+		{"a drop round forces a stamp", 3, nil,
+			[]standingStep{all, all, all, all}, []int{0, 0, 0, correct * k}},
+		{"a loss window forces a stamp", 1, &inject.Schedule{Omissions: []inject.Omission{{Slot: 5, Send: true, From: 2, Until: 2, Prob: 0.5, Seed: 3}}},
+			[]standingStep{all, all, all, all}, []int{0, 0, 0, correct * k}},
+		{"recording forces a stamp", 1, nil,
+			[]standingStep{all, {copies: 1, record: true}, all, all}, []int{0, 0, 0, correct * k}},
+		{"changed copies force a stamp", 1, nil,
+			[]standingStep{all, all, {copies: 2}, {copies: 2}}, []int{0, correct * k, 0, correct * k}},
+		// A slot's sends are matched in routing order: once its middle
+		// send is withdrawn, the last one is stamped again too.
+		{"a withdrawn send leaves the union", 1, nil,
+			[]standingStep{all, all, {copies: 1, keep: func(i int) bool { return i != 1 }}, {copies: 1, keep: func(i int) bool { return i != 1 }}},
+			[]int{0, correct * k, correct, 2 * correct}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, stats, gauge := runStanding(t, false, tc.gst, tc.sched, tc.steps)
+			want, wantStats, wantGauge := runStanding(t, true, tc.gst, tc.sched, tc.steps)
+			for i, g := range got {
+				w := want[i]
+				if g.spared != tc.spare[i] || g.stamped+g.spared != w.stamped {
+					t.Errorf("round %d: %d sends stamped and %d spared, want %d spared of %d", i+1, g.stamped, g.spared, tc.spare[i], w.stamped)
+				}
+				if !slices.Equal(g.full, w.full) {
+					t.Errorf("round %d: full inboxes differ from the stamped run's:\n got %q\nwant %q", i+1, g.full, w.full)
+				}
+				if g.spared == 0 && !slices.Equal(g.delta, g.full) {
+					t.Errorf("round %d spared nothing, yet a Delta differs from its inbox", i+1)
+				}
+				if g.spared > 0 && g.stamped == 0 && g.delta[0] != "0/0" {
+					t.Errorf("round %d stamped nothing, yet slot 0's Delta holds %s", i+1, g.delta[0])
+				}
+			}
+			if stats != wantStats || gauge != wantGauge {
+				t.Errorf("accounting differs from the stamped run: %+v (MaxSends gauge %d), want %+v (%d)", stats, gauge, wantStats, wantGauge)
+			}
+		})
+	}
+	t.Run("memo", testStampMemo)
+}
+
+func testStampMemo(t *testing.T) {
 	const n, l, k = 12, 4, 50
 	h := newRouterHarness(t, symmetricConfig(n, l), nil)
 	builds := 0
@@ -765,5 +912,27 @@ func TestVerifyRoundChecksStampMemos(t *testing.T) {
 	err, _ := round(3).(*InvariantError)
 	if err == nil || err.Check != "stamp-memo" {
 		t.Fatalf("VerifyRound = %v, want a %q violation", err, "stamp-memo")
+	}
+
+	// Standing sends are spared from round 2 on and re-derived as the
+	// entries they were accounted as. A sender that breaks the Standing
+	// promise — another payload behind the same memo — is caught.
+	h = newRouterHarness(t, cfg, nil)
+	sends = standingSends(3, &builds)
+	for i := range sends {
+		sends[i].Standing = true
+	}
+	for r := 1; r <= 2; r++ {
+		if err := round(r); err != nil {
+			t.Fatalf("round %d of sound standing sends fails verification: %v", r, err)
+		}
+	}
+	if h.r.spared.Len() != len(sends) {
+		t.Fatalf("round 2 spared %d standing sends, want %d", h.r.spared.Len(), len(sends))
+	}
+	sends[1].Body = countedBody{v: 99, builds: &builds}
+	err, _ = round(3).(*InvariantError)
+	if err == nil || err.Check != "standing-memo" {
+		t.Fatalf("VerifyRound = %v, want a %q violation", err, "standing-memo")
 	}
 }

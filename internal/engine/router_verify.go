@@ -26,6 +26,8 @@ func (e *InvariantError) Error() string {
 //   - inbox-issued: no slot drew two inboxes this round, no bad slot one;
 //   - stamp-memo: every entry stamped from a sender's memo carries the
 //     KeyID and key length its key, re-derived through BuildKey, has;
+//   - standing-memo: so does every standing send the round spared, as
+//     the entry it was accounted as;
 //   - row-order: every recipient's candidate batch is in strictly
 //     ascending stamp order — the send-major order the model delivers in,
 //     which holds only if each tail entry was stamped after the last
@@ -57,15 +59,13 @@ func (r *Router) verifyRound() error {
 		}
 	}
 	for _, si := range r.memoStamped {
-		body := r.arena.Body(si)
-		bodyKey := body.Key() // a ScratchKeyer's Key is its BuildKey
-		want := r.intern.Lookup(msg.NewMessageKeyed(r.arena.ID(si), body, bodyKey).Key())
-		if r.arena.KID(si) != want || int(r.sendKeyLen[si]) != len(bodyKey) {
-			return &InvariantError{
-				Round: r.round, Check: "stamp-memo",
-				Detail: fmt.Sprintf("send %d from slot %d was stamped from a memo as KeyID %d, key length %d; its key %q is KeyID %d, length %d",
-					si, r.sendFrom[si], r.arena.KID(si), r.sendKeyLen[si], bodyKey, want, len(bodyKey)),
-			}
+		if err := r.verifyMemo("stamp-memo", &r.arena, si, r.sendKeyLen[si]); err != nil {
+			return err
+		}
+	}
+	for i, keyLen := range r.sparedKeyLen {
+		if err := r.verifyMemo("standing-memo", &r.spared, int32(i), keyLen); err != nil {
+			return err
 		}
 	}
 	for to := 0; to < r.n; to++ {
@@ -134,4 +134,21 @@ func (r *Router) verifyRound() error {
 		}
 	}
 	return nil
+}
+
+// verifyMemo re-derives the message key of entry si of a, which was
+// stamped or accounted from its sender's memo as a's KeyID and keyLen,
+// through the key path.
+func (r *Router) verifyMemo(check string, a *msg.SendArena, si, keyLen int32) error {
+	body := a.Body(si)
+	bodyKey := body.Key() // a ScratchKeyer's Key is its BuildKey
+	want := r.intern.Lookup(msg.NewMessageKeyed(a.ID(si), body, bodyKey).Key())
+	if a.KID(si) == want && int(keyLen) == len(bodyKey) {
+		return nil
+	}
+	return &InvariantError{
+		Round: r.round, Check: check,
+		Detail: fmt.Sprintf("entry %d from identifier %d went out from a memo as KeyID %d, key length %d; its key %q is KeyID %d, length %d",
+			si, a.ID(si), a.KID(si), keyLen, bodyKey, want, len(bodyKey)),
+	}
 }

@@ -177,3 +177,67 @@ func TestStampMemoMatchesKeyPath(t *testing.T) {
 		})
 	}
 }
+
+// TestFigure5SparesStandingEchoes runs the Figure-5 algorithm one
+// identifier above its bound (n=16, l=13, t=3, GST 9, three equivocating
+// holders of identifiers 1-3): from round 10 on, the rounds after the
+// first weighted one, at least 80% of the correct sends are standing
+// echoes the router accounts without stamping, each of which paranoid
+// mode re-derives through the key path. The run, and the same run under
+// the counting representation, must end exactly as the same run
+// recording its traffic, which never spares: recording forces every send
+// through the stamped path.
+func TestFigure5SparesStandingEchoes(t *testing.T) {
+	const n, l, gst = 16, 13, 9
+	p := hom.Params{N: n, L: l, T: 3, Synchrony: hom.PartiallySynchronous}
+	factory, err := psynchom.New(p, psynchom.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]hom.Value, n)
+	for s := range inputs {
+		inputs[s] = hom.Value(s % 2)
+	}
+	run := func(rep engine.StateRep, opts ...engine.Option) *engine.Result {
+		res, err := engine.Run(append([]engine.Option{
+			engine.WithParams(p),
+			engine.WithAssignment(hom.RoundRobinAssignment(n, l)),
+			engine.WithInputs(inputs...),
+			engine.WithProcess(factory),
+			engine.WithAdversary(&adversary.Composite{Selector: adversary.Slots{0, 1, 2}, Behavior: adversary.Equivocate{Seed: 1}}),
+			engine.WithGST(gst),
+			engine.WithRounds(psynchom.SuggestedMaxRounds(p, gst)),
+			engine.WithStateRep(rep),
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	probe := &engine.SpareProbe{}
+	spared := run(probe, engine.WithInvariants())
+	recorded := run(engine.Concrete(), engine.WithTrafficRecording())
+	if !spared.AllDecided {
+		t.Fatal("the run did not decide")
+	}
+	sent, sparedSends := 0, 0
+	for r := gst + 1; r <= len(probe.Sent); r++ {
+		sent += probe.Sent[r-1]
+		sparedSends += probe.Spared[r-1]
+	}
+	if sent == 0 || 5*sparedSends < 4*sent {
+		t.Errorf("rounds %d-%d spared %d of %d correct sends, want at least 80%%", gst+1, len(probe.Sent), sparedSends, sent)
+	}
+	for r := 1; r <= gst; r++ {
+		if probe.Spared[r-1] != 0 {
+			t.Errorf("round %d, before the second weighted round, spared %d sends", r, probe.Spared[r-1])
+		}
+	}
+	recorded.Traffic = nil
+	if !reflect.DeepEqual(spared, recorded) {
+		t.Errorf("results differ:\n sparing   %+v\n recording %+v", spared, recorded)
+	}
+	if counted := run(engine.Counting(), engine.WithInvariants()); !reflect.DeepEqual(counted, recorded) {
+		t.Errorf("results differ:\n counting  %+v\n recording %+v", counted, recorded)
+	}
+}

@@ -48,6 +48,11 @@ type SendArena struct {
 	order []int32 // the lazy round order: valid while it covers every entry
 	every []int32 // 0, 1, 2, ...: the whole arena as an orderRefs distinct set
 
+	// spared is the standing arena whose entries restamp copied in, at
+	// sparedAt, since the last Reset.
+	spared   *SendArena
+	sparedAt int32
+
 	// ranked marks an arena stamped by NewInbox from messages of which
 	// some lack a KeyID: kids[i] is then the rank of keys[i] among the
 	// arena's distinct keys, which orders and dedups like a KeyID but is
@@ -67,6 +72,7 @@ func (a *SendArena) Reset() {
 	a.keys = a.keys[:0]
 	a.copies = a.copies[:0]
 	a.order = a.order[:0]
+	a.spared = nil
 }
 
 // Len returns the number of stamped sends.
@@ -100,12 +106,32 @@ func (a *SendArena) AppendStamped(it *Interner, id hom.Identifier, body Payload,
 // (and again if entries were appended since).
 func (a *SendArena) sorted() []int32 {
 	if len(a.order) != len(a.ids) {
-		for len(a.every) < len(a.ids) {
-			a.every = append(a.every, int32(len(a.every)))
-		}
-		a.order = orderRefs(slices.Grow(a.order[:0], len(a.ids)), a.every[:len(a.ids)], a.ids, a.kids)
+		a.order = orderRefs(slices.Grow(a.order[:0], len(a.ids)), a.all(), a.ids, a.kids)
 	}
 	return a.order
+}
+
+// all returns the indices of every entry, 0..Len()-1.
+func (a *SendArena) all() []int32 {
+	for len(a.every) < len(a.ids) {
+		a.every = append(a.every, int32(len(a.every)))
+	}
+	return a.every[:len(a.ids)]
+}
+
+// restamp appends the entries of the standing arena s — the sends the
+// round accounted without stamping — once per round, and returns their
+// indices here: the part a delta inbox's union adds to its batch.
+func (a *SendArena) restamp(s *SendArena) []int32 {
+	if a.spared != s {
+		a.spared, a.sparedAt = s, int32(len(a.ids))
+		a.ids = append(a.ids, s.ids...)
+		a.kids = append(a.kids, s.kids...)
+		a.bodies = append(a.bodies, s.bodies...)
+		a.keys = append(a.keys, s.keys...)
+		a.copies = append(a.copies, s.copies...)
+	}
+	return a.all()[a.sparedAt : int(a.sparedAt)+s.Len()]
 }
 
 // ID returns the sender identifier of entry i.

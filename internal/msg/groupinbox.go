@@ -35,6 +35,13 @@ type GroupInbox struct {
 	total    int     // sum of multiplicities
 
 	orderIdx []int32 // lazy sort index over the distinct set, built once it is asked for
+
+	// A delta core — one given standing entries — keeps the batch it was
+	// filled from (the caller's, valid as long as the core) so that its
+	// union with them can be filled on first demand, once for every view.
+	batch    []int32
+	standing *SendArena
+	union    *GroupInbox
 }
 
 // groupInboxPool recycles shared cores (the shell, its ref buffer, its
@@ -58,43 +65,70 @@ func NewPooledGroupInbox(numerate bool, arena *SendArena, idx []int32, _ ...int)
 // accessors (SenderAt/BodyAt/CountAt/IdentifierRange/Count/...), so
 // protocol receive paths are oblivious to the sharing. The caller owns
 // the view until Recycle, which must come before the core's.
-func NewPooledInboxView(g *GroupInbox) *Inbox {
+//
+// A non-empty standing arena makes the view a delta inbox: it holds the
+// sends the round accounted for every recipient without stamping them,
+// and every accessor but Delta answers over the core's batch plus them.
+// Every view of one core must be given the same arena, which must stay
+// unchanged until the core is recycled.
+func NewPooledInboxView(g *GroupInbox, standing ...*SendArena) *Inbox {
 	in := inboxPool.Get().(*Inbox)
 	in.pooled = true
 	in.core = g
+	if len(standing) > 0 && standing[0].Len() > 0 {
+		g.standing = standing[0]
+		in.core, in.delta = nil, g
+	}
 	return in
 }
 
-// fillDistinct folds one delivery batch into the core's KeyID-dense
-// count array, reading only the arena's KeyID and copies columns: first
-// sights go to ref (at most one per KeyID in play, however many
-// homonyms' copies the batch carries), and every entry adds its copies
-// for a numerate receiver — one fill of an entry standing for k copies is
-// the fill of k entries. The core must be empty (new, or reset).
-func (g *GroupInbox) fillDistinct(numerate bool, a *SendArena, idx []int32) {
+// unionCore returns the delta core's batch plus its standing entries,
+// re-stamped into the core's arena and filled on first demand.
+func (g *GroupInbox) unionCore() *GroupInbox {
+	if g.union == nil {
+		g.union = groupInboxPool.Get().(*GroupInbox)
+		g.union.fillDistinct(g.numerate, g.soa, g.batch, g.soa.restamp(g.standing))
+	}
+	return g.union
+}
+
+// fillDistinct folds one delivery batch, given in one or more parts,
+// into the core's KeyID-dense count array, reading only the arena's KeyID
+// and copies columns: first sights go to ref (at most one per KeyID in
+// play, however many homonyms' copies the batch carries), and every entry
+// adds its copies for a numerate receiver — one fill of an entry standing
+// for k copies is the fill of k entries. The core must be empty (new, or
+// reset); it keeps the first part as its batch.
+func (g *GroupInbox) fillDistinct(numerate bool, a *SendArena, parts ...[]int32) {
 	kids, copies := a.kids, a.copies
-	maxKid := KeyID(0)
-	for _, i := range idx {
-		maxKid = max(maxKid, kids[i])
+	maxKid, size := KeyID(0), 0
+	for _, idx := range parts {
+		for _, i := range idx {
+			maxKid = max(maxKid, kids[i])
+		}
+		size += len(idx)
 	}
 	counts := growCounts(g.kidCount, maxKid)
-	ref := slices.Grow(g.ref[:0], min(len(idx), int(maxKid)+1))
+	ref := slices.Grow(g.ref[:0], min(size, int(maxKid)+1))
 	total := 0
-	for _, i := range idx {
-		kid, w := kids[i], int32(1)
-		switch c := counts[kid]; {
-		case c == 0:
-			ref = append(ref, i)
-		case !numerate:
-			continue
+	for _, idx := range parts {
+		for _, i := range idx {
+			kid, w := kids[i], int32(1)
+			switch c := counts[kid]; {
+			case c == 0:
+				ref = append(ref, i)
+			case !numerate:
+				continue
+			}
+			if numerate {
+				w = copies[i]
+			}
+			counts[kid] += w
+			total += int(w)
 		}
-		if numerate {
-			w = copies[i]
-		}
-		counts[kid] += w
-		total += int(w)
 	}
 	g.numerate, g.soa, g.ref, g.kidCount, g.total = numerate, a, ref, counts, total
+	g.batch = parts[0]
 }
 
 // growCounts sizes a dense count array to cover maxKid.
@@ -146,6 +180,10 @@ func (g *GroupInbox) reset() {
 	for _, i := range g.ref {
 		g.kidCount[g.soa.kids[i]] = 0
 	}
+	if g.union != nil {
+		g.union.Recycle()
+	}
+	g.batch, g.standing, g.union = nil, nil, nil
 	g.soa = nil
 	g.ref = g.ref[:0]
 	g.orderIdx = g.orderIdx[:0]

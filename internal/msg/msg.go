@@ -140,6 +140,11 @@ type Send struct {
 	// Memo is the sender's stamp memo for Body, or nil: it changes what
 	// stamping a re-sent payload costs, never what is sent.
 	Memo *StampMemo
+	// Standing promises that the sender re-offers Body, with the same
+	// Memo, in every later round, and that a receiver processing a
+	// repeat changes nothing. The engines may then account a repeat
+	// without stamping it: it reaches the full inbox but not its Delta.
+	Standing bool
 }
 
 // Broadcast builds a ToAll send.
@@ -197,11 +202,18 @@ type Delivered struct {
 // only the int32 sort index and the two integer columns of the arena are
 // touched, and the payload column is read just for the entries the
 // receiver actually inspects.
+//
+// A delta inbox (a view given standing entries) holds what the round
+// stamped for its recipient in one core and answers every accessor over
+// that batch plus the standing sends it was spared: that union core is
+// filled on first demand. Delta reads the stamped core alone.
 type Inbox struct {
-	core   *GroupInbox // the storage: own, or a shared one for a view
+	core   *GroupInbox // the storage: own, shared, or a delta inbox's union once asked for
 	own    GroupInbox  // the core of NewPooledInboxSoA and NewInbox
 	order  []Message   // sorted []Message view, built on demand
 	pooled bool
+	delta  *GroupInbox // a delta inbox's stamped core; nil otherwise
+	dview  *Inbox      // Delta's view over delta, drawn on first call
 }
 
 // NewInbox builds an inbox with the requested reception semantics from the
@@ -250,7 +262,10 @@ func (in *Inbox) Recycle() {
 		return
 	}
 	in.own.reset() // empty already for a view
-	in.core = nil
+	if in.dview != nil {
+		in.dview.Recycle()
+	}
+	in.core, in.delta, in.dview = nil, nil, nil
 	// Drop payload references so the pool retains no garbage.
 	clear(in.order)
 	in.order = in.order[:0]
@@ -258,9 +273,35 @@ func (in *Inbox) Recycle() {
 	inboxPool.Put(in)
 }
 
+// full returns the core every accessor but Delta reads, filling a delta
+// inbox's union on first demand.
+func (in *Inbox) full() *GroupInbox {
+	if in.core == nil {
+		in.core = in.delta.unionCore()
+	}
+	return in.core
+}
+
+// Delta returns the part of the inbox the round stamped: the inbox
+// without the standing sends (Send.Standing) the engine accounted but
+// did not re-deliver, every one of which reached the recipient in an
+// earlier round. A receiver for which such a repeat changes nothing may
+// walk Delta instead of the inbox. On an inbox with no such sends —
+// NewInbox's, and every inbox of a round that spared nothing — it is the
+// inbox itself. The view is valid as long as the inbox.
+func (in *Inbox) Delta() *Inbox {
+	if in.delta == nil {
+		return in
+	}
+	if in.dview == nil {
+		in.dview = NewPooledInboxView(in.delta)
+	}
+	return in.dview
+}
+
 // materialize builds the sorted []Message view on first access.
 func (in *Inbox) materialize() []Message {
-	g := in.core
+	g := in.full()
 	if len(in.order) == len(g.ref) {
 		return in.order
 	}
@@ -273,7 +314,7 @@ func (in *Inbox) materialize() []Message {
 }
 
 // Numerate reports the reception semantics of the inbox.
-func (in *Inbox) Numerate() bool { return in.core.numerate }
+func (in *Inbox) Numerate() bool { return in.full().numerate }
 
 // Messages returns the distinct messages received this round, in the
 // inbox's sorted order. Callers must not mutate the slice and must not
@@ -287,7 +328,7 @@ func (in *Inbox) Messages() []Message { return in.materialize() }
 // the inbox (Messages, FromIdentifier) it is a binary search with no key
 // rebuilding.
 func (in *Inbox) Count(m Message) int {
-	g := in.core
+	g := in.full()
 	lo, hi := in.IdentifierRange(m.ID)
 	key := m.Key()
 	for i := lo; i < hi; i++ {
@@ -300,10 +341,10 @@ func (in *Inbox) Count(m Message) int {
 
 // TotalCount returns the total number of message copies received
 // (distinct messages for an innumerate inbox).
-func (in *Inbox) TotalCount() int { return in.core.total }
+func (in *Inbox) TotalCount() int { return in.full().total }
 
 // Len returns the number of distinct messages.
-func (in *Inbox) Len() int { return len(in.core.ref) }
+func (in *Inbox) Len() int { return len(in.full().ref) }
 
 // The indexed accessors below address the distinct messages by their
 // position 0..Len()-1 in the inbox's deterministic sorted order — the
@@ -314,15 +355,15 @@ func (in *Inbox) Len() int { return len(in.core.ref) }
 
 // SenderAt returns the authenticated sender identifier of the i-th
 // distinct message in sorted order.
-func (in *Inbox) SenderAt(i int) hom.Identifier { return in.core.soa.ids[in.core.at(i)] }
+func (in *Inbox) SenderAt(i int) hom.Identifier { g := in.full(); return g.soa.ids[g.at(i)] }
 
 // BodyAt returns the payload of the i-th distinct message in sorted
 // order.
-func (in *Inbox) BodyAt(i int) Payload { return in.core.soa.bodies[in.core.at(i)] }
+func (in *Inbox) BodyAt(i int) Payload { g := in.full(); return g.soa.bodies[g.at(i)] }
 
 // CountAt returns the multiplicity of the i-th distinct message in sorted
 // order (always 1 on an innumerate inbox).
-func (in *Inbox) CountAt(i int) int { return in.core.countOf(in.core.at(i)) }
+func (in *Inbox) CountAt(i int) int { g := in.full(); return g.countOf(g.at(i)) }
 
 // KeyIDAt returns the dense KeyID of the i-th distinct message in sorted
 // order, or NoKey on a ranked inbox (then no position has a usable one).
@@ -338,16 +379,16 @@ func (in *Inbox) CountAt(i int) int { return in.core.countOf(in.core.at(i)) }
 // only an index — assignment order differs between executions that
 // behave identically, so it must never reach a hash, a fingerprint, a
 // sort that outlives the inbox, or anything else observable.
-func (in *Inbox) KeyIDAt(i int) KeyID { return in.core.soa.keyID(in.core.at(i)) }
+func (in *Inbox) KeyIDAt(i int) KeyID { g := in.full(); return g.soa.keyID(g.at(i)) }
 
 // MessageAt materialises the i-th distinct message in sorted order.
-func (in *Inbox) MessageAt(i int) Message { return in.core.soa.Message(in.core.at(i)) }
+func (in *Inbox) MessageAt(i int) Message { g := in.full(); return g.soa.Message(g.at(i)) }
 
 // IdentifierRange returns the half-open position range [lo, hi) of the
 // sorted distinct messages whose sender identifier equals id, for use
 // with the indexed accessors. lo == hi when the identifier sent nothing.
 func (in *Inbox) IdentifierRange(id hom.Identifier) (lo, hi int) {
-	g := in.core
+	g := in.full()
 	idx, ids := g.sortIndex(), g.soa.ids
 	lo = sort.Search(len(idx), func(i int) bool { return ids[g.ref[idx[i]]] >= id })
 	hi = lo
@@ -390,7 +431,7 @@ func (in *Inbox) CountDistinctIdentifiers(pred func(Message) bool) int {
 // eachIdentifier calls yield once per identifier, ascending, with at least
 // one message satisfying pred (every message when pred is nil).
 func (in *Inbox) eachIdentifier(pred func(Message) bool, yield func(hom.Identifier)) {
-	g := in.core
+	g := in.full()
 	seen, last := false, hom.Identifier(0)
 	for _, j := range g.sortIndex() {
 		r := g.ref[j]
@@ -405,7 +446,7 @@ func (in *Inbox) eachIdentifier(pred func(Message) bool, yield func(hom.Identifi
 // identifiers, of messages satisfying pred. On an innumerate inbox this
 // degenerates to the number of distinct matching messages.
 func (in *Inbox) CountCopies(pred func(Message) bool) int {
-	g := in.core
+	g := in.full()
 	if pred == nil {
 		return g.total
 	}

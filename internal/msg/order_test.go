@@ -341,6 +341,11 @@ func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
 // the sorted order, CountAt, KeyIDAt and CountCopies, numerate and
 // innumerate, through the per-recipient fill and the shared core alike.
 // Batches repeat and skip entries, as link duplication and masks do.
+//
+// A delta inbox is one more input: the batch less some entries it holds
+// once, which go to a standing arena instead. Its union must be the whole
+// batch's fill, and its Delta the fill of what is left; on every other
+// inbox Delta is the inbox itself.
 func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 200; trial++ {
@@ -366,14 +371,39 @@ func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 				xidx = append(xidx, xs...)
 			}
 		}
+		once := make(map[int32]int)
+		for _, si := range widx {
+			once[si]++
+		}
+		standing := &SendArena{}
+		var didx []int32
+		for _, si := range widx {
+			if once[si] == 1 && rng.Intn(2) == 0 {
+				standing.AppendStamped(it, weighted.ID(si), weighted.Body(si), weighted.KID(si), weighted.Copies(si))
+				continue
+			}
+			didx = append(didx, si)
+		}
 		odd := func(m Message) bool { return m.ID%2 == 1 }
 		for _, numerate := range []bool{false, true} {
 			want := NewPooledInboxSoA(numerate, expanded, xidx)
 			core := NewPooledGroupInbox(numerate, weighted, widx)
+			dcore := NewPooledGroupInbox(numerate, weighted, didx)
 			for label, got := range map[string]*Inbox{
-				"own":  NewPooledInboxSoA(numerate, weighted, widx),
-				"core": NewPooledInboxView(core),
+				"own":   NewPooledInboxSoA(numerate, weighted, widx),
+				"core":  NewPooledInboxView(core),
+				"delta": NewPooledInboxView(dcore, standing),
 			} {
+				if label != "delta" && got.Delta() != got {
+					t.Fatalf("trial %d numerate=%v %s: Delta of an inbox with no standing entries is another inbox", trial, numerate, label)
+				}
+				if label == "delta" {
+					delta := NewPooledInboxSoA(numerate, weighted, didx)
+					if a, b := fillFingerprint(got.Delta()), fillFingerprint(delta); a != b {
+						t.Fatalf("trial %d numerate=%v: Delta %s, the fill of the batch less its standing entries %s", trial, numerate, a, b)
+					}
+					delta.Recycle()
+				}
 				if got.Len() != want.Len() || got.TotalCount() != want.TotalCount() {
 					t.Fatalf("trial %d numerate=%v %s: len/total %d/%d, expanded %d/%d",
 						trial, numerate, label, got.Len(), got.TotalCount(), want.Len(), want.TotalCount())
@@ -391,9 +421,22 @@ func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 				got.Recycle()
 			}
 			core.Recycle()
+			dcore.Recycle()
 			want.Recycle()
 		}
 	}
+	if in := NewInbox(true, []Message{NewMessage(1, Raw("x"))}); in.Delta() != in {
+		t.Fatal("Delta of a NewInbox inbox is another inbox")
+	}
+}
+
+// fillFingerprint renders an inbox's sorted contents with their counts.
+func fillFingerprint(in *Inbox) string {
+	s := strconv.Itoa(in.Len()) + "/" + strconv.Itoa(in.TotalCount())
+	for i := 0; i < in.Len(); i++ {
+		s += " " + in.MessageAt(i).Key() + "x" + strconv.Itoa(in.CountAt(i))
+	}
+	return s
 }
 
 // TestLegacyInboxQueries covers a ranked inbox (NewInbox over messages

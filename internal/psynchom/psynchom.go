@@ -309,8 +309,10 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	}
 	// Broadcast-layer traffic (init/echo) and the proper set ride along
 	// every round. The standing echoes make this list long in late rounds
-	// (~1600 sends) and it lives for the round, so it is built in place: a
-	// list per round was a third of the execution's bytes.
+	// (~1600 sends), though the engine stamps and delivers only the ones
+	// it did not carry in the round before — Receive walks that delta —
+	// and it lives for the round, so it is built in place: a list per
+	// round was a third of the execution's bytes.
 	sends := pr.sends[:0]
 	if direct != nil {
 		sends = append(sends, msg.Broadcast(direct))
@@ -403,7 +405,10 @@ func (pr *Process) pickAckValue(phase int) (hom.Value, bool) {
 func (pr *Process) Receive(round int, in *msg.Inbox) {
 	phase, pos := phasePos(round)
 
-	// Broadcast layer: fold new accepts into the cumulative tables.
+	// Broadcast layer: fold new accepts into the cumulative tables. Both
+	// passes read only the round's delta: the standing echoes the engine
+	// spared were counted when first delivered, and scan never reads one.
+	in = in.Delta()
 	for _, acc := range pr.bc.Ingest(round, in) {
 		switch body := acc.Body.(type) {
 		case ProposePayload:
