@@ -9,7 +9,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,16 +43,8 @@ func run() error {
 		dropProb   = flag.Float64("drop", 0.5, "pre-GST drop probability (psync)")
 		seed       = flag.Int64("seed", 1, "determinism seed")
 		maxSends   = flag.Int("maxsends", 0, "message budget: stop the run once this many sends were stamped (0 = unlimited)")
-		stateRep   = flag.String("staterep", "", "engine state representation: concrete | counting (empty = concrete)")
-		maxClasses = flag.Int("maxclasses", 0, "counting only: fail with a degeneracy error past this many equivalence classes (0 = unlimited)")
 	)
 	flag.Parse()
-
-	// Resolve the representation eagerly so a typo fails before any
-	// output, with the resolver's typed error text.
-	if _, err := engine.StateRepByName(*stateRep, *maxClasses); err != nil {
-		return err
-	}
 
 	p := hom.Params{
 		N: *n, L: *l, T: *t,
@@ -132,14 +123,8 @@ func run() error {
 		Adversary:  adv,
 		GST:        *gst,
 		MaxSends:   *maxSends,
-		StateRep:   *stateRep,
-		MaxClasses: *maxClasses,
 	})
 	if err != nil {
-		var deg *engine.DegeneracyError
-		if errors.As(err, &deg) {
-			return fmt.Errorf("%w (rerun with -staterep concrete, or raise -maxclasses)", deg)
-		}
 		return err
 	}
 

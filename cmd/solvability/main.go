@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"homonyms/internal/engine"
 	"homonyms/internal/solvability"
 )
 
@@ -29,22 +28,14 @@ func main() {
 
 func run() error {
 	var (
-		nMin       = flag.Int("nmin", 4, "smallest n")
-		nMax       = flag.Int("nmax", 7, "largest n")
-		tMax       = flag.Int("tmax", 1, "largest t")
-		seed       = flag.Int64("seed", 1, "determinism seed")
-		quick      = flag.Bool("quick", false, "smaller adversary suite per cell")
-		crashes    = flag.Int("crashes", 0, "crash-vs-Byzantine band: trade up to this many of each solvable cell's t Byzantine slots for injected crash-recovery faults")
-		stateRep   = flag.String("staterep", "", "engine state representation for the positive suites: concrete | counting (empty = concrete)")
-		maxClasses = flag.Int("maxclasses", 0, "counting only: fail a cell with a degeneracy error past this many equivalence classes (0 = unlimited)")
+		nMin    = flag.Int("nmin", 4, "smallest n")
+		nMax    = flag.Int("nmax", 7, "largest n")
+		tMax    = flag.Int("tmax", 1, "largest t")
+		seed    = flag.Int64("seed", 1, "determinism seed")
+		quick   = flag.Bool("quick", false, "smaller adversary suite per cell")
+		crashes = flag.Int("crashes", 0, "crash-vs-Byzantine band: trade up to this many of each solvable cell's t Byzantine slots for injected crash-recovery faults")
 	)
 	flag.Parse()
-
-	// Resolve the representation eagerly so a typo fails the whole sweep
-	// up front instead of marking every cell Failed one by one.
-	if _, err := engine.StateRepByName(*stateRep, *maxClasses); err != nil {
-		return err
-	}
 
 	var ns, ts []int
 	for n := *nMin; n <= *nMax; n++ {
@@ -58,8 +49,6 @@ func run() error {
 		suite = solvability.SuiteSize{Assignments: 1, Behaviors: 1}
 	}
 	suite.Crashes = *crashes
-	suite.StateRep = *stateRep
-	suite.MaxClasses = *maxClasses
 
 	mismatch := false
 	for _, v := range solvability.Variants() {

@@ -19,17 +19,10 @@ import (
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/core"
-	"homonyms/internal/engine"
 	"homonyms/internal/exec"
 	"homonyms/internal/hom"
 	"homonyms/internal/trace"
 )
-
-// stateRep is the -staterep flag: the engine state representation every
-// series point runs under (measurements are representation-independent
-// by the parity guarantees; the knob exists to exercise and profile the
-// counting path on the sweep workloads).
-var stateRep string
 
 func main() {
 	if err := run(); err != nil {
@@ -43,15 +36,7 @@ func run() error {
 		"series to print: latency-vs-n | messages-vs-l | latency-vs-gst | numerate-vs-l | all")
 	seed := flag.Int64("seed", 1, "determinism seed")
 	workers := flag.Int("workers", exec.Workers(), "parallel executions per series")
-	flag.StringVar(&stateRep, "staterep", "",
-		"engine state representation: concrete | counting (empty = concrete); both measure identical rounds and messages")
 	flag.Parse()
-
-	// Resolve the representation eagerly so a typo fails before any
-	// series output, with the resolver's typed error text.
-	if _, err := engine.StateRepByName(stateRep, 0); err != nil {
-		return err
-	}
 
 	runs := map[string]func(int64, int) error{
 		"latency-vs-n":   latencyVsN,
@@ -84,7 +69,7 @@ func measure(p hom.Params, gst int, seed int64) (latency, messages int, err erro
 		Selector: adversary.RandomT{Seed: seed},
 		Behavior: adversary.Equivocate{Seed: seed},
 	}
-	res, err := core.Run(core.Config{Params: p, Inputs: inputs, Adversary: adv, GST: gst, StateRep: stateRep})
+	res, err := core.Run(core.Config{Params: p, Inputs: inputs, Adversary: adv, GST: gst})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -193,7 +178,7 @@ func latencyVsGST(seed int64, workers int) error {
 				Behavior: adversary.Silent{},
 				Drops:    adversary.RandomDrops{Seed: seed, Prob: 0.8},
 			}
-			res, err := core.Run(core.Config{Params: p, Inputs: inputs, Adversary: adv, GST: gst, StateRep: stateRep})
+			res, err := core.Run(core.Config{Params: p, Inputs: inputs, Adversary: adv, GST: gst})
 			if err != nil {
 				return point{err: err}, nil
 			}

@@ -142,15 +142,9 @@ type Config struct {
 	// Result.Sim.Stopped = engine.StopMessageBudget instead of running
 	// to MaxRounds. 0 = unlimited.
 	MaxSends int
-	// StateRep selects the engine's state representation by name: "" or
-	// "concrete" (one process per slot) or "counting" (equivalence classes
-	// with multiplicities — memory and time scale with classes, not n).
+	// Deprecated: StateRep is ignored. Every execution runs under the
+	// engine's one state representation, engine.Counting.
 	StateRep string
-	// MaxClasses bounds the counting representation's class count; with
-	// StateRep "counting" an execution whose adversary forces more
-	// classes fails with a typed *engine.DegeneracyError instead of
-	// silently degrading to concrete cost. 0 = unlimited.
-	MaxClasses int
 }
 
 // Result reports one façade execution.
@@ -206,13 +200,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.MaxSends > 0 {
 		opts = append(opts, engine.WithBudget(cfg.MaxSends, 0))
-	}
-	if cfg.StateRep != "" || cfg.MaxClasses > 0 {
-		rep, err := engine.StateRepByName(cfg.StateRep, cfg.MaxClasses)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, engine.WithStateRep(rep))
 	}
 	res, err := engine.Run(opts...)
 	if err != nil {

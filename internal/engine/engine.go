@@ -42,8 +42,9 @@
 //     exponential backoff, holding in-flight messages in a deterministic
 //     pending queue.
 //   - StateRep owns how correct-process state is held and stepped.
-//     Concrete holds one state machine per slot; Counting holds one per
-//     equivalence class of slots.
+//     Counting, the one representation, holds one state machine per
+//     equivalence class of slots; Concrete is Counting with every class
+//     one slot.
 //
 // Round delivery runs through the Router, shared by every state
 // representation: sends are stamped once into a structure-of-arrays
@@ -230,9 +231,13 @@ type Config struct {
 	// Inputs holds one proposal per slot. Inputs of corrupted slots are
 	// ignored.
 	Inputs []hom.Value
-	// NewProcess builds the correct process for a slot. The slot argument
-	// lets the harness pick per-group implementations; the process itself
-	// only ever learns its identifier and input via Context.
+	// NewProcess builds the correct process for a slot; the process itself
+	// only ever learns its identifier and input, via Context. Contract: a
+	// process implementing Cloner must be a function of (identifier,
+	// input) — the engine calls the factory once per equivalence class,
+	// for its smallest slot, and that process stands for every slot of
+	// the class. A factory that needs the slot (per-slot implementations
+	// or records) builds processes without Cloner, which run one per slot.
 	NewProcess func(slot int) Process
 	// Adversary plays the Byzantine slots; nil means a fault-free run.
 	Adversary Adversary
@@ -335,6 +340,11 @@ var (
 	// state (pooled interner, processes) the first Run already released.
 	ErrEngineReused = errors.New("engine: an Engine runs exactly once")
 )
+
+// errUnbound: a StateRep's Start returned without binding a counting
+// representation to the engine — one of its own that wraps neither
+// Counting nor Concrete.
+var errUnbound = errors.New("engine: the state representation bound no processes in Start")
 
 // Stats aggregates execution costs.
 type Stats struct {
@@ -481,8 +491,7 @@ type Engine struct {
 	cfg       Config
 	rep       StateRep
 	n         int
-	procs     []Process    // nil at corrupted slots; nil altogether when owner holds the processes
-	owner     processOwner // the representation, when it builds and holds its own processes
+	held      *countingRep // the representation holding the processes, bound in its Start
 	corrupted []int
 	isBad     []bool
 	undecided int // correct slots without a recorded decision
@@ -541,28 +550,6 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		}
 	}
 	e.undecided = n - len(e.corrupted)
-	if owner, owns := rep.(processOwner); owns {
-		// The representation builds and initialises its own processes in
-		// Start (one per equivalence class, not per slot); the factory is
-		// still required — it is what the representation instantiates.
-		if cfg.NewProcess == nil {
-			return nil, ErrNilProcessFactory
-		}
-		e.owner = owner
-	} else {
-		e.procs = make([]Process, n)
-		for s := 0; s < n; s++ {
-			if e.isBad[s] {
-				continue
-			}
-			p := cfg.NewProcess(s)
-			if p == nil {
-				return nil, ErrNilProcessFactory
-			}
-			p.Init(Context{ID: cfg.Assignment[s], Input: cfg.Inputs[s], Params: cfg.Params})
-			e.procs[s] = p
-		}
-	}
 	gst := cfg.GST
 	if gst < 1 {
 		gst = 1
@@ -644,6 +631,9 @@ func (e *Engine) Run() (*Result, error) {
 	}()
 	if err := e.rep.Start(e); err != nil {
 		return nil, err
+	}
+	if e.held == nil {
+		return nil, errUnbound
 	}
 	if e.cfg.Deadline > 0 {
 		e.deadline = time.Now().Add(e.cfg.Deadline)
@@ -749,11 +739,6 @@ func (e *Engine) step(round int) error {
 	// back once Receive returns (processes must not retain them — see the
 	// Process contract).
 	e.rep.DeliverRound(round)
-	if f, ok := e.rep.(repFailer); ok {
-		if err := f.Err(); err != nil {
-			return err
-		}
-	}
 
 	if e.cfg.RecordTraffic {
 		e.res.Traffic = append(e.res.Traffic, e.router.deliveries...)
@@ -800,14 +785,14 @@ func (e *Engine) halted(slot, round int) bool {
 	return e.inj.Down(slot, round) || e.router.slotStalled(slot, round)
 }
 
-// Process returns the correct process at the slot (nil when corrupted);
-// under a representation that holds its own processes, the one standing
-// for the slot.
+// Process returns the process standing for the slot — its class's, shared
+// with every slot of the class — or nil when the slot is corrupted or Run
+// has not started.
 func (e *Engine) Process(slot int) Process {
-	if e.owner != nil {
-		return e.owner.processAt(slot)
+	if e.held == nil {
+		return nil
 	}
-	return e.procs[slot]
+	return e.held.processAt(slot)
 }
 
 // send registers a correct sender's sends for the current round during
@@ -829,17 +814,12 @@ func (e *Engine) send(slot int, copies int32, sends []msg.Send) {
 // draw inboxes from it during DeliverRound.
 func (e *Engine) Router() *Router { return e.router }
 
-// recordDecision notes a slot's decision poll after its Receive for the
-// round; only the first decided poll is recorded (irrevocability).
-func (e *Engine) recordDecision(slot int, v hom.Value, decided bool, round int) {
-	if decided && e.res.DecidedAt[slot] == 0 {
+// recordDecision records a correct slot's decision, reached in the given
+// round; a slot already recorded keeps its first (irrevocability).
+func (e *Engine) recordDecision(slot int, v hom.Value, round int) {
+	if e.res.DecidedAt[slot] == 0 {
 		e.res.Decisions[slot] = v
 		e.res.DecidedAt[slot] = round
-		if !e.isBad[slot] {
-			e.undecided--
-		}
+		e.undecided--
 	}
 }
-
-// decided reports whether the slot has already decided.
-func (e *Engine) decided(slot int) bool { return e.res.DecidedAt[slot] != 0 }

@@ -144,11 +144,11 @@ func (m SeededMask) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { ret
 func (m SeededMask) Sends(int, int, *View) []msg.TargetedSend              { return nil }
 func (m SeededMask) Drop(round, from, to int) bool                         { return m.Hit(round, from, to) }
 
-// SpareProbe is Concrete() keeping, for every round, how many correct
+// SpareProbe is Counting() keeping, for every round, how many correct
 // sends the representation registered and how many of them the router
 // spared (accounted without stamping).
 type SpareProbe struct {
-	concreteRep
+	countingRep
 	Sent, Spared []int
 }
 
@@ -159,5 +159,5 @@ func (p *SpareProbe) DeliverRound(round int) {
 	}
 	p.Sent = append(p.Sent, sent)
 	p.Spared = append(p.Spared, p.e.router.spared.Len())
-	p.concreteRep.DeliverRound(round)
+	p.countingRep.DeliverRound(round)
 }

@@ -88,7 +88,7 @@ func (s *settings) once(knob, value string) bool {
 }
 
 // New assembles and validates one execution. Defaults: the Lockstep
-// time model and the sequential Concrete state representation; no
+// time model and the Counting state representation; no
 // adversary, no faults, no budgets. Option-level errors (conflicts, nil
 // values, out-of-domain values) are joined and reported together; configuration-level
 // validation then runs in a fixed order: parameters, assignment, inputs,
@@ -109,7 +109,7 @@ func New(opts ...Option) (*Engine, error) {
 		s.tm = Lockstep{}
 	}
 	if s.rep == nil {
-		s.rep = Concrete()
+		s.rep = Counting()
 	}
 	cfg := s.cfg
 	if err := cfg.Params.Validate(); err != nil {
@@ -305,7 +305,7 @@ func WithTimeModel(tm TimeModel) Option {
 	}
 }
 
-// WithStateRep selects the state representation (default Concrete).
+// WithStateRep selects the state representation (default Counting).
 func WithStateRep(rep StateRep) Option {
 	return func(s *settings) {
 		if rep == nil {

@@ -70,7 +70,7 @@ func TestNewConflictingOptions(t *testing.T) {
 			engine.WithBudget(10, 0),
 			engine.WithBudget(20, 0),
 		}},
-		{"staterep", []engine.Option{
+		{"state-rep", []engine.Option{
 			engine.WithStateRep(engine.Concrete()),
 			engine.WithStateRep(engine.Counting()),
 		}},
@@ -212,7 +212,7 @@ func TestNewNilOptionValues(t *testing.T) {
 		{"adversary", engine.WithAdversary(nil)},
 		{"visibility", engine.WithVisibility(nil)},
 		{"timemodel", engine.WithTimeModel(nil)},
-		{"staterep", engine.WithStateRep(nil)},
+		{"state-rep", engine.WithStateRep(nil)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

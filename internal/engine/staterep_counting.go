@@ -2,33 +2,11 @@ package engine
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 )
-
-// DegeneracyError reports that the counting representation split into
-// more equivalence classes than its configured limit — the adversary or
-// fault schedule forced a (near-)concrete execution, defeating the
-// point of counting. Callers that opted into a class budget
-// (CountingLimited) receive it from Run and should fall back to a
-// concrete representation.
-type DegeneracyError struct {
-	// Round is the round the limit was exceeded in (0: at Start).
-	Round int
-	// Classes is the class count that exceeded the limit.
-	Classes int
-	// Limit is the configured class budget.
-	Limit int
-}
-
-// Error implements error.
-func (e *DegeneracyError) Error() string {
-	return fmt.Sprintf("engine: counting representation degenerated to %d classes (limit %d) at round %d",
-		e.Classes, e.Limit, e.Round)
-}
 
 // countClass is one (identifier, protocol-state) equivalence class: a
 // single protocol instance standing for size member slots. Membership
@@ -87,7 +65,8 @@ type partKey struct{ origin, key int32 }
 // Requirements: the process factory must be a pure function of the
 // slot's identifier and input (it is invoked once per class, for the
 // leader slot). Protocols implementing Cloner collapse into one class
-// per (identifier, input); others fall back to one class per slot.
+// per (identifier, input); others fall back to one class per slot, as
+// does every protocol under Concrete.
 //
 // Per slot the representation keeps one int32 — the table entry its
 // class resolves through — and nothing else: a merge adds sizes and
@@ -95,11 +74,10 @@ type partKey struct{ origin, key int32 }
 // per-slot work, where it has any, is one ascending pass over classOf
 // per phase.
 type countingRep struct {
-	e          *Engine
-	maxClasses int
-	collapse   bool // processes implement Cloner: classes can span slots
-	err        error
-	classes    []*countClass // live classes, ascending by leader
+	e        *Engine
+	concrete bool          // Concrete(): collapse off, every class one slot
+	collapse bool          // classes can span slots: processes implement Cloner, and not concrete
+	classes  []*countClass // live classes, ascending by leader
 	// table maps an entry to its live class: a live class sits at its own
 	// idx, and an entry merged away forwards to the survivor until a
 	// refine pass has re-pointed its slots and freed it. Nil when free.
@@ -107,36 +85,45 @@ type countingRep struct {
 	free    []int32                 // freed table entries, reused by the next split
 	classOf []int32                 // per slot: table entry of its class, -1 when corrupted
 	parts   map[partKey]*countClass // refine scratch, cleared after every pass
+
+	// Merge scratch, reused every round: live classes per identifier
+	// (zero between rounds) and the fingerprints of the round's mergeable
+	// classes (cleared after every pass).
+	perGroup []int32
+	seen     map[mergeKey]*countClass
 }
 
-// Counting returns the counting state representation with no class
-// budget: executions that force many classes degrade toward concrete
-// cost but never fail. See countingRep for the representation contract.
+// mergeKey is what two classes must share to merge: their identifier
+// and their protocol state's fingerprint.
+type mergeKey struct {
+	id hom.Identifier
+	fp msg.StateHash
+}
+
+// Counting returns the engine's state representation, its default:
+// correct processes held as equivalence classes of indistinguishable
+// slots. See countingRep for the representation contract.
 func Counting() StateRep { return &countingRep{} }
 
-// CountingLimited is Counting with a class budget: when an execution
-// splits into more than maxClasses equivalence classes, the run aborts
-// with a *DegeneracyError instead of silently degrading to concrete
-// cost. maxClasses <= 0 means unlimited.
-func CountingLimited(maxClasses int) StateRep { return &countingRep{maxClasses: maxClasses} }
+// Concrete returns Counting with collapse off: every class is one slot,
+// one process state machine per slot, stepped in slot order.
+func Concrete() StateRep { return &countingRep{concrete: true} }
 
 func (r *countingRep) Describe() string {
-	if r.maxClasses > 0 {
-		return fmt.Sprintf("counting(max=%d)", r.maxClasses)
+	if r.concrete {
+		return "concrete"
 	}
 	return "counting"
 }
 
-// processAt implements processOwner.
+// processAt returns the process standing for the slot (nil when
+// corrupted, or before Start).
 func (r *countingRep) processAt(slot int) Process {
 	if r.classOf == nil || r.classOf[slot] < 0 {
 		return nil
 	}
 	return r.table[r.classOf[slot]].proc
 }
-
-// Err implements repFailer.
-func (r *countingRep) Err() error { return r.err }
 
 // newClass registers a class in the table (reusing a freed entry) and
 // appends it to the live list; callers restore the leader order and
@@ -155,8 +142,10 @@ func (r *countingRep) newClass(c *countClass) *countClass {
 
 func (r *countingRep) Start(e *Engine) error {
 	// One value may serve several executions, one after the other:
-	// nothing of the previous one carries over.
-	*r = countingRep{e: e, maxClasses: r.maxClasses}
+	// nothing of the previous one carries over. The engine reads this
+	// execution's processes through the binding (Engine.Process).
+	*r = countingRep{e: e, concrete: r.concrete}
+	e.held = r
 	cfg := &e.cfg
 	n := e.n
 
@@ -174,14 +163,26 @@ func (r *countingRep) Start(e *Engine) error {
 	if p0 == nil {
 		return ErrNilProcessFactory
 	}
-	_, r.collapse = p0.(Cloner)
+	_, cloner := p0.(Cloner)
+	r.collapse = cloner && !r.concrete
+	// Size the class storage for the classes made here, in one block
+	// while they fit: one per correct slot without collapse, one per
+	// (identifier, binary input) with it.
+	k := n - len(e.corrupted)
+	var find func(hom.Identifier, hom.Value) *int32
+	if r.collapse {
+		k = min(k, 2*cfg.Params.L)
+		find = r.classFinder()
+	}
+	slab := make([]countClass, k)
+	r.table = make([]*countClass, 0, k)
+	r.classes = make([]*countClass, 0, k)
 
 	// One classification pass: every correct slot gets the table entry
 	// of its class — (identifier, input) under collapse, itself
 	// otherwise — in ascending slot order, so classes are created, and
 	// their processes built and initialised, in leader order.
 	r.classOf = make([]int32, n)
-	find := r.classFinder()
 	for s := 0; s < n; s++ {
 		if e.isBad[s] {
 			r.classOf[s] = -1
@@ -201,7 +202,14 @@ func (r *countingRep) Start(e *Engine) error {
 				}
 			}
 			p.Init(Context{ID: cfg.Assignment[s], Input: cfg.Inputs[s], Params: cfg.Params})
-			ci = r.newClass(&countClass{id: cfg.Assignment[s], proc: p, leader: int32(s)}).idx
+			var c *countClass
+			if len(slab) > 0 {
+				c, slab = &slab[0], slab[1:]
+			} else {
+				c = new(countClass)
+			}
+			*c = countClass{id: cfg.Assignment[s], proc: p, leader: int32(s)}
+			ci = r.newClass(c).idx
 			// A process that cannot clone (a factory mixing implementations
 			// across slots) keeps its class a singleton, so no split ever
 			// needs a missing clone.
@@ -211,9 +219,6 @@ func (r *countingRep) Start(e *Engine) error {
 		}
 		r.table[ci].size++
 		r.classOf[s] = ci
-	}
-	if r.maxClasses > 0 && len(r.classes) > r.maxClasses {
-		return &DegeneracyError{Round: 0, Classes: len(r.classes), Limit: r.maxClasses}
 	}
 	// The classes, in leader order, count each group's correct holders:
 	// hand the Router its group table instead of a pass over n slots.
@@ -267,9 +272,9 @@ func (r *countingRep) PrepareRound(round int) {
 	rt := e.router
 	// Only a crash or stall window halts anyone. Inside one, split the
 	// classes whose members diverge on halting before any Prepare: the
-	// halted part freezes at the pre-Prepare state, exactly as a concrete
-	// halted slot keeps its state while classmates advance.
-	halting := r.err == nil && (rt.lossRound || rt.stallRound)
+	// halted part freezes at the pre-Prepare state, exactly as a halted
+	// slot under Concrete keeps its state while the others advance.
+	halting := rt.lossRound || rt.stallRound
 	if halting {
 		parts := r.refine(func(s int, _ *countClass) int32 {
 			if e.halted(s, round) {
@@ -280,12 +285,11 @@ func (r *countingRep) PrepareRound(round int) {
 		if len(parts) > 0 {
 			r.sortClasses()
 		}
-		r.noteClassCount(round)
 	}
 	for _, c := range r.classes {
 		c.halted = halting && e.halted(int(c.leader), round)
 		c.sends = nil
-		if !c.halted && r.err == nil {
+		if !c.halted {
 			c.sends = c.proc.Prepare(round)
 		}
 	}
@@ -305,8 +309,8 @@ func (r *countingRep) PrepareRound(round int) {
 		return
 	}
 	// Every member sends its class's sends as its own, so stamp order,
-	// intern order and the send budget match the concrete
-	// representation's, and every link rule sees the member's slot.
+	// intern order and the send budget match Concrete's, and every link
+	// rule sees the member's slot.
 	for s, ci := range r.classOf {
 		if ci >= 0 {
 			e.send(s, 1, r.table[ci].sends)
@@ -388,12 +392,6 @@ func (r *countingRep) sortClasses() {
 	slices.SortFunc(r.classes, func(a, b *countClass) int { return cmp.Compare(a.leader, b.leader) })
 }
 
-func (r *countingRep) noteClassCount(round int) {
-	if r.err == nil && r.maxClasses > 0 && len(r.classes) > r.maxClasses {
-		r.err = &DegeneracyError{Round: round, Classes: len(r.classes), Limit: r.maxClasses}
-	}
-}
-
 func (r *countingRep) DeliverRound(round int) {
 	rt := r.e.router
 	// Split every stepping class along the router's reception partition
@@ -406,17 +404,13 @@ func (r *countingRep) DeliverRound(round int) {
 	// after its origin decided would inherit a decision its own members
 	// were never recorded with.
 	var parts []*countClass
-	if r.err == nil && !rt.uniform {
+	if !rt.uniform {
 		parts = r.refine(func(s int, c *countClass) int32 {
 			if c.halted {
 				return 0
 			}
 			return int32(rt.SharedWith(s))
 		})
-		r.noteClassCount(round)
-	}
-	if r.err != nil {
-		return
 	}
 	// Step in the order the classes stood before the split, each
 	// followed by the parts cut from it.
@@ -473,7 +467,7 @@ func (r *countingRep) recordDecisions(round int) {
 	for s, ci := range r.classOf {
 		if ci >= 0 {
 			if c := r.table[ci]; c.decidedAt == round {
-				r.e.recordDecision(s, c.decision, true, round)
+				r.e.recordDecision(s, c.decision, round)
 			}
 		}
 	}
@@ -481,33 +475,44 @@ func (r *countingRep) recordDecisions(round int) {
 
 // mergeClasses re-unifies classes of one identifier group whose states
 // re-converged, detected by the protocol's StateFingerprint (classes of
-// protocols without StateHasher never merge). The survivor is the class
-// with the smaller leader: it takes the merged class's size, and the
-// merged class's table entry forwards to it, so no slot is written. The
-// merged-in process is released.
+// protocols without StateHasher never merge). A class merges only inside
+// its own group, so only the classes of a group holding two or more are
+// fingerprinted: a settled round, one class per group, hashes and
+// allocates nothing. The survivor is the class with the smaller leader:
+// it takes the merged class's size, and the merged class's table entry
+// forwards to it, so no slot is written. The merged-in process is
+// released.
 func (r *countingRep) mergeClasses() {
 	if !r.collapse || len(r.classes) < 2 {
 		return
 	}
-	type mergeKey struct {
-		id hom.Identifier
-		fp msg.StateHash
+	if r.perGroup == nil {
+		r.perGroup = make([]int32, r.e.cfg.Params.L+1)
 	}
-	var seen map[mergeKey]*countClass
+	defer clear(r.perGroup)
+	mergeable := false
+	for _, c := range r.classes {
+		r.perGroup[c.id]++
+		mergeable = mergeable || r.perGroup[c.id] > 1
+	}
+	if !mergeable {
+		return
+	}
+	if r.seen == nil {
+		r.seen = make(map[mergeKey]*countClass)
+	}
+	defer clear(r.seen)
 	out := r.classes[:0]
 	for _, c := range r.classes {
 		h, ok := c.proc.(StateHasher)
-		if !ok {
+		if !ok || r.perGroup[c.id] < 2 {
 			out = append(out, c)
 			continue
 		}
-		if seen == nil {
-			seen = make(map[mergeKey]*countClass)
-		}
 		k := mergeKey{c.id, h.StateFingerprint()}
-		prev, dup := seen[k]
+		prev, dup := r.seen[k]
 		if !dup {
-			seen[k] = c
+			r.seen[k] = c
 			out = append(out, c)
 			continue
 		}
@@ -547,5 +552,5 @@ func (r *countingRep) Stop() {
 }
 
 // ClassCount reports the live equivalence-class count (tests and
-// diagnostics; concrete representations would report n).
+// diagnostics; under Concrete, the number of correct slots).
 func (r *countingRep) ClassCount() int { return len(r.classes) }

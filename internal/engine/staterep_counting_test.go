@@ -1,10 +1,11 @@
 package engine_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
+	"homonyms/internal/adversary"
+	"homonyms/internal/core"
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
@@ -119,7 +120,7 @@ func resultKey(res *engine.Result) string {
 // inspection.
 func runBoth(t *testing.T, opts []engine.Option) engine.StateRep {
 	t.Helper()
-	ref, err := engine.Run(opts...)
+	ref, err := engine.Run(append(opts, engine.WithStateRep(engine.Concrete()))...)
 	if err != nil {
 		t.Fatalf("concrete run: %v", err)
 	}
@@ -218,34 +219,10 @@ func TestCountingCrashStopStaysSplit(t *testing.T) {
 	}
 }
 
-// TestCountingDegeneracyError pins the class budget: an adversary that
-// splinters the two-member classes of groups 1 and 2 pushes the count
-// to 10, exceeding a budget of 9, and the run fails with a typed
-// *DegeneracyError instead of degrading silently.
-func TestCountingDegeneracyError(t *testing.T) {
-	plan := map[int][]msg.TargetedSend{2: {}}
-	for _, slot := range []int{0, 1, 8, 9} {
-		plan[2] = append(plan[2], msg.TargetedSend{
-			ToSlot: slot, Body: msg.Raw(fmt.Sprintf("poison-%d", slot)),
-		})
-	}
-	adv := targetRounds{bad: 3, plan: plan}
-	opts := append(countingOptions(true, 6),
-		engine.WithAdversary(adv), engine.WithStateRep(engine.CountingLimited(9)))
-	_, err := engine.Run(opts...)
-	var deg *engine.DegeneracyError
-	if !errors.As(err, &deg) {
-		t.Fatalf("want *DegeneracyError, got %v", err)
-	}
-	if deg.Limit != 9 || deg.Classes <= 9 {
-		t.Fatalf("degeneracy error fields off: %+v", deg)
-	}
-}
-
-// TestCountingSingletonFallback pins the no-Cloner fallback: a protocol
-// without CloneProcess runs under Counting as one class per slot with
-// results identical to Concrete, and a class budget below n fails
-// immediately with the typed error.
+// TestCountingSingletonFallback pins the two ways to one class per slot,
+// both with results identical to Concrete: a protocol without
+// CloneProcess runs so under Counting, and a protocol with it runs so
+// under Concrete.
 func TestCountingSingletonFallback(t *testing.T) {
 	opts := []engine.Option{
 		engine.WithParams(hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.Synchronous}),
@@ -258,10 +235,12 @@ func TestCountingSingletonFallback(t *testing.T) {
 	if got := rep.(classCounter).ClassCount(); got != 4 {
 		t.Fatalf("singleton fallback ended with %d classes, want one per slot", got)
 	}
-	_, err := engine.Run(append(opts, engine.WithStateRep(engine.CountingLimited(2)))...)
-	var deg *engine.DegeneracyError
-	if !errors.As(err, &deg) {
-		t.Fatalf("singleton fallback under budget 2: want *DegeneracyError, got %v", err)
+	concrete := engine.Concrete()
+	if _, err := engine.Run(append(countingOptions(true, 6), engine.WithStateRep(concrete))...); err != nil {
+		t.Fatal(err)
+	}
+	if got := concrete.(classCounter).ClassCount(); got != 12 {
+		t.Fatalf("Concrete ran a Cloner protocol as %d classes, want one per correct slot (12)", got)
 	}
 }
 
@@ -359,7 +338,7 @@ func TestFaultWindowCostsOnlyItsRounds(t *testing.T) {
 				n = 512 // a window round routes n² pairs, which the race detector slows tenfold
 			}
 			opts := refmodel.Options(flood(n), tc.tm)
-			want, err := engine.Run(opts...)
+			want, err := engine.Run(append(opts, engine.WithStateRep(engine.Concrete()))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,6 +368,115 @@ func TestFaultWindowCostsOnlyItsRounds(t *testing.T) {
 					t.Errorf("round %d: the arena holds %d entries for %d class sends (classes per round %v)",
 						r, probe.Arena[r-1], l, probe.Classes)
 				}
+			}
+		})
+	}
+}
+
+// fingerprintTally counts, per (round, identifier), the classes that
+// stepped and the fingerprints the representation took of them.
+type fingerprintTally struct {
+	round           int
+	stepped, hashed map[[2]int]int
+}
+
+// tallied wraps a protocol process for a fingerprintTally, keeping its
+// Cloner and StateHasher.
+type tallied struct {
+	engine.Process
+	id hom.Identifier
+	t  *fingerprintTally
+}
+
+func (p *tallied) Init(ctx engine.Context) {
+	p.id = ctx.ID
+	p.Process.Init(ctx)
+}
+
+func (p *tallied) Receive(round int, in *msg.Inbox) {
+	p.Process.Receive(round, in)
+	p.t.round = round
+	p.t.stepped[[2]int{round, int(p.id)}]++
+}
+
+func (p *tallied) CloneProcess() engine.Process {
+	return &tallied{p.Process.(engine.Cloner).CloneProcess(), p.id, p.t}
+}
+
+func (p *tallied) StateFingerprint() msg.StateHash {
+	p.t.hashed[[2]int{p.t.round, int(p.id)}]++
+	return p.Process.(engine.StateHasher).StateFingerprint()
+}
+
+func (p *tallied) Release() {
+	if r, ok := p.Process.(engine.Releaser); ok {
+		r.Release()
+	}
+}
+
+// TestCountingFingerprintsOnlyMergeableGroups pins that a merge pass
+// fingerprints a class only when its identifier group holds two or more
+// classes — the only groups a merge can happen in. In the Figure-5 run
+// one identifier above the psync bound (n=16, l=13, t=3, one
+// equivocating holder of each of identifiers 1-3, GST 9) every group
+// holds one correct slot, so no fingerprint is ever taken. In the
+// synchronous T(EIG) run at n=64, l=4 (each group starting as two
+// (identifier, input) classes, one equivocator) a fingerprint is taken
+// only of a group that stepped two or more classes that round. Both
+// runs end exactly as under Concrete.
+func TestCountingFingerprintsOnlyMergeableGroups(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    hom.Params
+		gst  int
+	}{
+		{"psync-n16", hom.Params{N: 16, L: 13, T: 3, Synchrony: hom.PartiallySynchronous}, 9},
+		{"sync-n64", hom.Params{N: 64, L: 4, T: 1, Synchrony: hom.Synchronous}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sel, err := core.Select(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := make([]hom.Value, tc.p.N)
+			for s := range inputs {
+				inputs[s] = hom.Value(s / tc.p.L % 2)
+			}
+			byz := make(adversary.OnePerIdentifier, tc.p.T)
+			for i := range byz {
+				byz[i] = hom.Identifier(i + 1)
+			}
+			run := func(rep engine.StateRep) (*engine.Result, *fingerprintTally) {
+				tally := &fingerprintTally{stepped: map[[2]int]int{}, hashed: map[[2]int]int{}}
+				res, err := engine.Run(
+					engine.WithParams(tc.p),
+					engine.WithAssignment(hom.RoundRobinAssignment(tc.p.N, tc.p.L)),
+					engine.WithInputs(inputs...),
+					engine.WithProcess(func(s int) engine.Process { return &tallied{Process: sel.NewProcess(s), t: tally} }),
+					engine.WithAdversary(&adversary.Composite{Selector: byz, Behavior: adversary.Equivocate{Seed: 1}}),
+					engine.WithGST(tc.gst),
+					engine.WithRounds(sel.SuggestedRounds(tc.gst)),
+					engine.WithStateRep(rep),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, tally
+			}
+			want, _ := run(engine.Concrete())
+			got, tally := run(engine.Counting())
+			if g, w := observable(got), observable(want); g != w || !got.AllDecided {
+				t.Fatalf("counting diverges from concrete, or did not decide:\n got:  %.2000s\n want: %.2000s", g, w)
+			}
+			calls := 0
+			for k, c := range tally.hashed {
+				calls += c
+				if tally.stepped[k] < 2 {
+					t.Errorf("round %d: identifier %d fingerprinted %d times with %d class(es) stepping", k[0], k[1], c, tally.stepped[k])
+				}
+			}
+			if single := tc.p.N-tc.p.T == tc.p.L; single != (calls == 0) {
+				t.Errorf("%d fingerprints taken; every group holding one correct slot: %v", calls, single)
 			}
 		})
 	}

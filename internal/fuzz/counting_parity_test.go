@@ -1,11 +1,10 @@
 package fuzz
 
 import (
-	"errors"
-	"strings"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
-
-	"homonyms/internal/engine"
 )
 
 // TestSeedCorpusCountingParity holds the counting state representation
@@ -42,34 +41,27 @@ func TestSeedCorpusCountingParityAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScenarioStateRepKnob pins the scenario-level state_rep knob: a
-// seed that names "counting" replays through Run with the digest it
-// would have produced under the default representation (the knob is
-// part of the scenario JSON, so the digest's scenario half shifts, but
-// class/properties/rounds must not), and an unknown name — the retired
-// "concurrent" included — degrades to a typed error outcome instead of a
-// panic.
+// TestScenarioStateRepKnob pins that the retired scenario knobs
+// state_rep and max_classes are ignored: a seed's JSON carrying them —
+// whatever representation it names, the never-valid "concurrent"
+// included — decodes and replays with the outcome and digest of the same
+// JSON without them.
 func TestScenarioStateRepKnob(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
 		base := Run(sc)
-		counted := sc
-		counted.StateRep = "counting"
-		got := Run(counted)
-		if got.Class != base.Class || got.Rounds != base.Rounds || got.Detail != base.Detail {
-			t.Errorf("%s: counting outcome diverges: class %s/%s rounds %d/%d detail %q/%q",
-				sc.Protocol, got.Class, base.Class, got.Rounds, base.Rounds, got.Detail, base.Detail)
+		plain, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, name := range []string{"holographic", "concurrent"} {
-		bogus := corpusScenarios(t)[0]
-		bogus.StateRep = name
-		out := Run(bogus)
-		if out.Class != ClassError || !strings.Contains(out.Detail, "unknown state representation") ||
-			!strings.Contains(out.Detail, "want concrete or counting") {
-			t.Fatalf("unknown state rep %q: class %s, detail %q", name, out.Class, out.Detail)
+		for _, name := range []string{"counting", "concrete", "concurrent"} {
+			knobbed := fmt.Sprintf(`{"state_rep":%q,"max_classes":2,%s`, name, plain[1:])
+			var back Scenario
+			if err := json.Unmarshal([]byte(knobbed), &back); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := Run(back); !reflect.DeepEqual(got, base) {
+				t.Errorf("%s with state_rep %q: outcome %+v, without the knob %+v", sc.Protocol, name, got, base)
+			}
 		}
-	}
-	if _, err := engine.StateRepByName("concurrent", 0); !errors.Is(err, engine.ErrUnknownStateRep) {
-		t.Fatalf(`StateRepByName("concurrent", 0) = %v, want ErrUnknownStateRep`, err)
 	}
 }

@@ -70,7 +70,6 @@ func TestEngineMatchesRefmodel(t *testing.T) {
 // history hashes on both sides and runs the engine's paranoid
 // self-checks.
 func holdToRefmodel(sc Scenario, observed bool) (string, error) {
-	sc.StateRep, sc.MaxClasses = "", 0
 	cfg, err := sc.Config()
 	if err != nil {
 		return "", err
@@ -159,8 +158,8 @@ func corpusScenarios(t *testing.T) (out []Scenario) {
 	return out
 }
 
-// corpusRun replays sc once on the engine: its own time model (and state
-// representation, if it names one), then the overrides.
+// corpusRun replays sc once on the engine: its own time model, then the
+// overrides.
 func corpusRun(sc Scenario, overrides ...engine.Option) (*engine.Result, error) {
 	opts, err := sc.Options()
 	if err != nil {

@@ -86,17 +86,6 @@ type Scenario struct {
 	// Result.Stopped = "message-budget" when it is reached. 0 =
 	// unlimited.
 	MaxSends int `json:"max_sends,omitempty"`
-	// StateRep selects the engine's state representation by name: "" or
-	// "concrete", or "counting" (equivalence classes with multiplicities).
-	// Both representations replay a seed byte-identically; the knob exists
-	// so a seed can pin the representation that first exposed a bug.
-	// Unknown names fail the scenario with a typed
-	// engine.ErrUnknownStateRep.
-	StateRep string `json:"state_rep,omitempty"`
-	// MaxClasses bounds the counting representation's class count
-	// (engine.CountingLimited); an execution whose adversary forces more
-	// classes fails with a typed *engine.DegeneracyError. 0 = unlimited.
-	MaxClasses int `json:"max_classes,omitempty"`
 }
 
 // SelectorSpec names the corruption selector: "none", "first", "random"
@@ -358,8 +347,8 @@ func (sc Scenario) timeModel() (engine.TimeModel, error) {
 }
 
 // Options assembles the scenario into engine options: the Config()
-// assembly, then the scenario's time model and state representation —
-// ready to compose with overrides (state representation, invariants).
+// assembly, then the scenario's time model — ready to compose with
+// overrides (state representation, invariants).
 func (sc Scenario) Options() ([]engine.Option, error) {
 	cfg, err := sc.Config()
 	if err != nil {
@@ -369,8 +358,7 @@ func (sc Scenario) Options() ([]engine.Option, error) {
 }
 
 // options turns an assembled (and possibly adjusted) cfg into engine
-// options and layers the scenario's time model and state representation
-// over them.
+// options and layers the scenario's time model over them.
 func (sc Scenario) options(cfg engine.Config) ([]engine.Option, error) {
 	opts := []engine.Option{
 		engine.WithParams(cfg.Params),
@@ -395,13 +383,6 @@ func (sc Scenario) options(cfg engine.Config) ([]engine.Option, error) {
 	}
 	if tm != nil {
 		opts = append(opts, engine.WithTimeModel(tm))
-	}
-	if sc.StateRep != "" || sc.MaxClasses > 0 {
-		rep, err := engine.StateRepByName(sc.StateRep, sc.MaxClasses)
-		if err != nil {
-			return nil, fmt.Errorf("fuzz: %w", err)
-		}
-		opts = append(opts, engine.WithStateRep(rep))
 	}
 	return opts, nil
 }
@@ -532,15 +513,6 @@ func run(sc Scenario, opts Options) (out *Outcome) {
 		return out
 	}
 
-	// Wrap the factory so the verdict checker can interrogate the final
-	// process states; everything else in the config is Config()'s.
-	procs := make([]engine.Process, sc.N)
-	factory := cfg.NewProcess
-	cfg.NewProcess = func(slot int) engine.Process {
-		pr := factory(slot)
-		procs[slot] = pr
-		return pr
-	}
 	eopts, err := sc.options(cfg)
 	if err != nil {
 		out.Detail = strings.TrimPrefix(err.Error(), "fuzz: ")
@@ -559,14 +531,11 @@ func run(sc Scenario, opts Options) (out *Outcome) {
 		out.Detail = "sim: " + err.Error()
 		return out
 	}
-	// Representations that own their processes (counting) never call the
-	// factory per slot, and splits/merges can retire the instance the
-	// factory returned; the engine's per-slot table always points at the
-	// live one, so prefer it wherever it is populated.
+	// The verdict checker interrogates the final process states: each
+	// slot's is its class's.
+	procs := make([]engine.Process, sc.N)
 	for s := range procs {
-		if p := eng.Process(s); p != nil {
-			procs[s] = p
-		}
+		procs[s] = eng.Process(s)
 	}
 	out.Rounds = res.Rounds
 	out.Stopped = string(res.Stopped)

@@ -67,7 +67,7 @@ func (e *echoProc) Decision() (hom.Value, bool) { return e.decision, e.decided }
 
 // run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(refmodel.Options(cfg, nil)...)
+	return engine.Run(append(refmodel.Options(cfg, nil), engine.WithStateRep(engine.Concrete()))...)
 }
 
 // runCounting is run on the counting representation.

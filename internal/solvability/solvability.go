@@ -94,19 +94,6 @@ type SuiteSize struct {
 	// violation in the band is a Mismatch like any other. 0 disables
 	// the band.
 	Crashes int
-	// StateRep selects the engine state representation for the positive
-	// suite's runs by name (see engine.StateRepByName): "" or "concrete",
-	// or "counting". Both representations are byte-identical on the same
-	// execution, so outcomes cannot depend on the choice — the knob trades
-	// memory for class bookkeeping on big-n grids. The lower-bound attacks
-	// of the negative cells always run on Concrete. Unknown names fail the cell with a typed
-	// engine.ErrUnknownStateRep (Matrix degrades it to a Failed cell).
-	StateRep string
-	// MaxClasses bounds the counting representation's class count; a
-	// suite run whose adversary forces more classes fails the cell with
-	// a typed *engine.DegeneracyError instead of silently degrading to
-	// concrete cost. 0 = unlimited.
-	MaxClasses int
 }
 
 // DefaultSuite is a balanced suite for grid sweeps.
@@ -174,8 +161,6 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 				Inputs:     inputs,
 				Adversary:  adv,
 				GST:        gst,
-				StateRep:   suite.StateRep,
-				MaxClasses: suite.MaxClasses,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("cell %v: %w", p, err)
@@ -221,13 +206,11 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 			crashes[i] = inject.Crash{Slot: p.N - 1 - i, Round: 2, Recover: 3}
 		}
 		res, err := core.Run(core.Config{
-			Params:     p,
-			Inputs:     inputs,
-			Adversary:  adv,
-			GST:        gst,
-			Faults:     &inject.Schedule{Crashes: crashes},
-			StateRep:   suite.StateRep,
-			MaxClasses: suite.MaxClasses,
+			Params:    p,
+			Inputs:    inputs,
+			Adversary: adv,
+			GST:       gst,
+			Faults:    &inject.Schedule{Crashes: crashes},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cell %v (crash band c=%d): %w", p, c, err)
