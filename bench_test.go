@@ -9,7 +9,9 @@ package homonyms_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+	"time"
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/attacks"
@@ -395,4 +397,62 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 			b.Fatal("innumerate ablation unexpectedly terminated")
 		}
 	}
+}
+
+// --- Per-slot cost at n = 10^6 ---------------------------------------------
+
+// BenchmarkMillionSlotPasses times the three O(n) stages of one counting
+// execution at n = 10^6, l = 8 — the benchmark's counting_n1e6_l8 shape:
+// round-robin identifiers, half the slots proposing 1 at seeded
+// positions, the synchronous T(EIG) protocol collapsed into classes — and
+// reports each stage's cost per slot: assembly (New), the execution
+// (Run, whose per-slot work is classification and decision recording)
+// and the property check (trace.Check).
+func BenchmarkMillionSlotPasses(b *testing.B) {
+	p := hom.Params{N: 1_000_000, L: 8, T: 1, Synchrony: hom.Synchronous}
+	sel, err := core.Select(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	assignment := hom.RoundRobinAssignment(p.N, p.L)
+	inputs := make([]hom.Value, p.N)
+	for i := range inputs {
+		inputs[i] = hom.Value(i % 2)
+	}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(inputs), func(i, j int) { inputs[i], inputs[j] = inputs[j], inputs[i] })
+	var newT, runT, checkT time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		e, err := engine.New(
+			engine.WithParams(p),
+			engine.WithAssignment(assignment),
+			engine.WithInputs(inputs...),
+			engine.WithProcess(sel.NewProcess),
+			engine.WithGST(1),
+			engine.WithRounds(sel.SuggestedRounds(1)),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		res, err := e.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		verdict := trace.Check(res)
+		t3 := time.Now()
+		if !verdict.OK() {
+			b.Fatal(verdict)
+		}
+		newT += t1.Sub(t0)
+		runT += t2.Sub(t1)
+		checkT += t3.Sub(t2)
+	}
+	perSlot := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) / float64(p.N) }
+	b.ReportMetric(perSlot(newT), "new-ns/slot")
+	b.ReportMetric(perSlot(runT), "run-ns/slot")
+	b.ReportMetric(perSlot(checkT), "check-ns/slot")
 }

@@ -527,10 +527,6 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		n:     n,
 		isBad: make([]bool, n),
 	}
-	decisions := make([]hom.Value, n)
-	for i := range decisions {
-		decisions[i] = hom.NoValue
-	}
 	if cfg.Adversary != nil {
 		bad := cfg.Adversary.Corrupt(cfg.Params, cfg.Assignment.Clone(), append([]hom.Value(nil), cfg.Inputs...))
 		if len(bad) > cfg.Params.T {
@@ -565,7 +561,7 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		Assignment: cfg.Assignment,
 		Inputs:     cfg.Inputs,
 		Corrupted:  e.corrupted,
-		Decisions:  decisions,
+		Decisions:  make([]hom.Value, n), // NoValue filled in by Run, where never recorded
 		DecidedAt:  make([]int, n),
 	}
 	// Faults scheduled against corrupted slots are moot (the adversary
@@ -654,6 +650,15 @@ func (e *Engine) Run() (*Result, error) {
 		}
 	}
 	e.res.AllDecided = e.undecided == 0
+	// A slot never recorded — undecided or corrupted — reports NoValue;
+	// when every slot decided there is nothing to fill.
+	if !e.res.AllDecided || len(e.corrupted) > 0 {
+		for s, at := range e.res.DecidedAt {
+			if at == 0 {
+				e.res.Decisions[s] = hom.NoValue
+			}
+		}
+	}
 	e.res.SlotHashes = e.slotHash
 	return e.res, nil
 }
@@ -813,13 +818,3 @@ func (e *Engine) send(slot int, copies int32, sends []msg.Send) {
 // Router returns the execution's delivery machinery; representations
 // draw inboxes from it during DeliverRound.
 func (e *Engine) Router() *Router { return e.router }
-
-// recordDecision records a correct slot's decision, reached in the given
-// round; a slot already recorded keeps its first (irrevocability).
-func (e *Engine) recordDecision(slot int, v hom.Value, round int) {
-	if e.res.DecidedAt[slot] == 0 {
-		e.res.Decisions[slot] = v
-		e.res.DecidedAt[slot] = round
-		e.undecided--
-	}
-}

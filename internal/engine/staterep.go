@@ -29,7 +29,7 @@ type StateRep interface {
 	// PrepareRound collects each live correct slot's sends (phase 1).
 	PrepareRound(round int)
 	// DeliverRound hands each live correct slot its inbox and records
-	// decisions via e.recordDecision (phase 4).
+	// decisions in the Result (phase 4).
 	DeliverRound(round int)
 	// Stop tears the representation down after the execution.
 	Stop()

@@ -91,6 +91,8 @@ type countingRep struct {
 	// classes (cleared after every pass).
 	perGroup []int32
 	seen     map[mergeKey]*countClass
+
+	decidedNow []decidedNow // recordDecisions scratch, one line per table entry
 }
 
 // mergeKey is what two classes must share to merge: their identifier
@@ -169,56 +171,98 @@ func (r *countingRep) Start(e *Engine) error {
 	// while they fit: one per correct slot without collapse, one per
 	// (identifier, binary input) with it.
 	k := n - len(e.corrupted)
-	var find func(hom.Identifier, hom.Value) *int32
 	if r.collapse {
 		k = min(k, 2*cfg.Params.L)
-		find = r.classFinder()
 	}
 	slab := make([]countClass, k)
 	r.table = make([]*countClass, 0, k)
 	r.classes = make([]*countClass, 0, k)
 
+	// lead creates the class slot s leads, its process built (the probe,
+	// for the first correct slot) and initialised, and registers it in
+	// the pair's cell, if any. A process that cannot clone (a factory
+	// mixing implementations across slots) keeps its class a singleton,
+	// so no split ever needs a missing clone.
+	lead := func(s int, at *int32) (int32, error) {
+		p := p0
+		if s != first {
+			if p = cfg.NewProcess(s); p == nil {
+				return 0, ErrNilProcessFactory
+			}
+		}
+		p.Init(Context{ID: cfg.Assignment[s], Input: cfg.Inputs[s], Params: cfg.Params})
+		var c *countClass
+		if len(slab) > 0 {
+			c, slab = &slab[0], slab[1:]
+		} else {
+			c = new(countClass)
+		}
+		*c = countClass{id: cfg.Assignment[s], proc: p, leader: int32(s), size: 1}
+		ci := r.newClass(c).idx
+		if _, ok := p.(Cloner); ok && at != nil {
+			*at = ci + 1
+		}
+		return ci, nil
+	}
+
 	// One classification pass: every correct slot gets the table entry
-	// of its class — (identifier, input) under collapse, itself
-	// otherwise — in ascending slot order, so classes are created, and
-	// their processes built and initialised, in leader order.
-	r.classOf = make([]int32, n)
-	for s := 0; s < n; s++ {
-		if e.isBad[s] {
-			r.classOf[s] = -1
-			continue
+	// of its class — itself without collapse, (identifier, input) with
+	// it — in ascending slot order, so classes are created, and their
+	// processes built and initialised, in leader order. Under collapse a
+	// slot costs one cell read and one count in the local histogram of
+	// class sizes, assigned after the pass.
+	isBad := e.isBad[:n]
+	classOf := make([]int32, n)
+	r.classOf = classOf
+	var err error
+	if !r.collapse {
+		for s := range classOf {
+			if isBad[s] {
+				classOf[s] = -1
+			} else if classOf[s], err = lead(s, nil); err != nil {
+				return err
+			}
 		}
-		ci := int32(-1)
-		var at *int32
-		if r.collapse {
-			at = find(cfg.Assignment[s], cfg.Inputs[s])
-			ci = *at - 1
+	} else {
+		// An (identifier, input) pair's cell holds its class's table entry
+		// + 1 (0 while it has none). Small inputs — the binary domain, in
+		// practice — index a dense per-identifier row, so the path a
+		// million slots take neither hashes nor calls; the rest go
+		// through a map.
+		const denseInputs = 4
+		type classKey struct {
+			id hom.Identifier
+			in hom.Value
 		}
-		if ci < 0 {
-			p := p0
-			if s != first {
-				if p = cfg.NewProcess(s); p == nil {
-					return ErrNilProcessFactory
+		dense := make([]int32, (cfg.Params.L+1)*denseInputs)
+		sparse := make(map[classKey]*int32)
+		ids, inputs := cfg.Assignment[:n], cfg.Inputs[:n]
+		sizes := make([]int32, 0, k) // members per table entry, leader included
+		for s := range classOf {
+			if isBad[s] {
+				classOf[s] = -1
+				continue
+			}
+			var at *int32
+			if id, in := ids[s], inputs[s]; uint(in) < denseInputs {
+				at = &dense[int(id)*denseInputs+int(in)]
+			} else if at = sparse[classKey{id, in}]; at == nil {
+				at = new(int32)
+				sparse[classKey{id, in}] = at
+			}
+			ci := *at - 1
+			if ci < 0 {
+				if ci, err = lead(s, at); err != nil {
+					return err
 				}
+				sizes = append(sizes, 0)
 			}
-			p.Init(Context{ID: cfg.Assignment[s], Input: cfg.Inputs[s], Params: cfg.Params})
-			var c *countClass
-			if len(slab) > 0 {
-				c, slab = &slab[0], slab[1:]
-			} else {
-				c = new(countClass)
-			}
-			*c = countClass{id: cfg.Assignment[s], proc: p, leader: int32(s)}
-			ci = r.newClass(c).idx
-			// A process that cannot clone (a factory mixing implementations
-			// across slots) keeps its class a singleton, so no split ever
-			// needs a missing clone.
-			if _, ok := p.(Cloner); ok && at != nil {
-				*at = ci + 1
-			}
+			sizes[ci]++
+			classOf[s] = ci
 		}
-		r.table[ci].size++
-		r.classOf[s] = ci
+		for ci, m := range sizes {
+			r.table[ci].size = m
+		}
 	}
 	// The classes, in leader order, count each group's correct holders:
 	// hand the Router its group table instead of a pass over n slots.
@@ -236,35 +280,6 @@ func (r *countingRep) Start(e *Engine) error {
 	}
 	e.router.holders = groups
 	return nil
-}
-
-// classFinder returns Start's (identifier, input) → class lookup: the
-// pair's cell, holding its class's table entry + 1 (0 while the pair has
-// no class). Small inputs — the binary domain, in practice — index a
-// dense per-identifier row, so the path a million slots take neither
-// hashes nor branches on the input; the rest go through a map.
-func (r *countingRep) classFinder() func(id hom.Identifier, in hom.Value) *int32 {
-	const denseInputs = 4
-	type classKey struct {
-		id hom.Identifier
-		in hom.Value
-	}
-	dense := make([]int32, (r.e.cfg.Params.L+1)*denseInputs)
-	var sparse map[classKey]*int32
-	return func(id hom.Identifier, in hom.Value) *int32 {
-		if uint(in) < denseInputs {
-			return &dense[int(id)*denseInputs+int(in)]
-		}
-		at := sparse[classKey{id, in}]
-		if at == nil {
-			if sparse == nil {
-				sparse = make(map[classKey]*int32)
-			}
-			at = new(int32)
-			sparse[classKey{id, in}] = at
-		}
-		return at
-	}
 }
 
 func (r *countingRep) PrepareRound(round int) {
@@ -461,16 +476,42 @@ func (r *countingRep) poll(c *countClass, round int) bool {
 }
 
 // recordDecisions records the decision of every slot whose class
-// decided this round, in one ascending pass over the slots — the Result
-// arrays are written in memory order.
+// decided this round. The round's verdicts are first laid out per table
+// entry, in scratch reused across rounds (O(classes)); then one
+// ascending pass over classOf writes the Result arrays in memory order,
+// skipping every slot already recorded — a slot keeps its first
+// decision (irrevocability), however its class merged since.
 func (r *countingRep) recordDecisions(round int) {
-	for s, ci := range r.classOf {
-		if ci >= 0 {
-			if c := r.table[ci]; c.decidedAt == round {
-				r.e.recordDecision(s, c.decision, round)
-			}
+	if cap(r.decidedNow) < len(r.table) {
+		r.decidedNow = make([]decidedNow, len(r.table), cap(r.table))
+	}
+	now := r.decidedNow[:len(r.table)]
+	for i, t := range r.table {
+		now[i] = decidedNow{}
+		if t != nil && t.decidedAt == round {
+			now[i] = decidedNow{t.decision, true}
 		}
 	}
+	res := r.e.res
+	decisions, decidedAt := res.Decisions[:len(r.classOf)], res.DecidedAt[:len(r.classOf)]
+	recorded := 0
+	for s, ci := range r.classOf {
+		if ci < 0 || decidedAt[s] != 0 {
+			continue
+		}
+		if d := now[ci]; d.ok {
+			decisions[s], decidedAt[s] = d.v, round
+			recorded++
+		}
+	}
+	r.e.undecided -= recorded
+}
+
+// decidedNow is one table entry's line in recordDecisions' lookup: the
+// value its class decided, when it decided this round.
+type decidedNow struct {
+	v  hom.Value
+	ok bool
 }
 
 // mergeClasses re-unifies classes of one identifier group whose states

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -239,5 +242,199 @@ func TestCountingSplitInDecidingRoundRecordsEveryPart(t *testing.T) {
 	}
 	if e.undecided != 0 {
 		t.Errorf("%d correct slots still undecided after round 2", e.undecided)
+	}
+}
+
+// startProc broadcasts its input, folds its latest inbox, and decides its
+// input once round 2 is received. plainProc is the same protocol
+// without CloneProcess.
+type startProc struct {
+	in   hom.Value
+	last string
+	done bool
+}
+
+func (p *startProc) Init(ctx Context) { p.in = ctx.Input }
+func (p *startProc) Prepare(int) []msg.Send {
+	return []msg.Send{msg.Broadcast(msg.Raw(itoaTest(int(p.in))))}
+}
+func (p *startProc) Receive(round int, in *msg.Inbox) {
+	p.last, p.done = inboxFingerprint(in), p.done || round >= 2
+}
+func (p *startProc) Decision() (hom.Value, bool) { return p.in, p.done }
+func (p *startProc) CloneProcess() Process       { cp := *p; return &cp }
+
+type plainProc struct{ Process }
+
+// silentCorrupt corrupts a fixed set of slots, which then stay silent.
+type silentCorrupt []int
+
+func (a silentCorrupt) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { return a }
+func (a silentCorrupt) Drop(int, int, int) bool                               { return false }
+func (a silentCorrupt) Sends(int, int, *View) []msg.TargetedSend              { return nil }
+
+// TestCountingStartMatchesNaiveGrouping holds Start's classification to
+// a naive map-based grouping on hostile shapes: inputs at and past the
+// dense range mixed with binary ones, corrupted slots interleaved with
+// correct ones, and a factory mixing Cloner and non-Cloner processes —
+// with the first correct slot's process a Cloner (collapse on) or not
+// (off). Under collapse a slot joins the class of its (identifier,
+// input) pair unless none is open, and a class opens only for a Cloner
+// leader; otherwise every correct slot leads its own. Leaders, sizes and
+// ClassCount must match, and the run's Result must equal Concrete's.
+func TestCountingStartMatchesNaiveGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	values := []hom.Value{0, 1, 0, 1, 2, 3, 4, 5, 9, 1000}
+	collapsed := 0
+	const cases = 150
+	for i := 0; i < cases; i++ {
+		n := 8 + rng.Intn(120)
+		l := 1 + rng.Intn(6)
+		assignment := hom.RandomAssignment(n, l, rng.Int63())
+		inputs := make([]hom.Value, n)
+		for s := range inputs {
+			inputs[s] = values[rng.Intn(len(values))]
+		}
+		var bad silentCorrupt
+		for s := range n {
+			if rng.Intn(5) == 0 && len(bad) < n/4 {
+				bad = append(bad, s)
+			}
+		}
+		isBad := make(map[int]bool)
+		for _, s := range bad {
+			isBad[s] = true
+		}
+		plainEvery, plainAt := 2+rng.Intn(3), rng.Intn(2)
+		factory := func(s int) Process {
+			if s%plainEvery == plainAt {
+				return plainProc{&startProc{}}
+			}
+			return &startProc{}
+		}
+		first := 0
+		for isBad[first] {
+			first++
+		}
+		_, collapse := factory(first).(Cloner)
+		if collapse {
+			collapsed++
+		}
+
+		type key struct {
+			id hom.Identifier
+			in hom.Value
+		}
+		open := make(map[key]int)
+		var leaders, sizes []int32
+		for s := range n {
+			if isBad[s] {
+				continue
+			}
+			k := key{assignment[s], inputs[s]}
+			if g, ok := open[k]; ok && collapse {
+				sizes[g]++
+				continue
+			}
+			leaders, sizes = append(leaders, int32(s)), append(sizes, 1)
+			if _, ok := factory(s).(Cloner); ok {
+				open[k] = len(leaders) - 1
+			}
+		}
+
+		opts := []Option{
+			WithParams(hom.Params{N: n, L: l, T: max(len(bad), 1), Synchrony: hom.Synchronous}),
+			WithAssignment(assignment),
+			WithInputs(inputs...),
+			WithProcess(factory),
+			WithRounds(4),
+		}
+		if len(bad) > 0 {
+			opts = append(opts, WithAdversary(bad))
+		}
+		e, err := New(append(opts, WithStateRep(Counting()))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := e.rep.(*countingRep)
+		if err := rep.Start(e); err != nil {
+			t.Fatal(err)
+		}
+		var gotLeaders, gotSizes []int32
+		for _, c := range rep.classes {
+			gotLeaders, gotSizes = append(gotLeaders, c.leader), append(gotSizes, c.size)
+		}
+		rep.Stop()
+		e.intern.Recycle()
+		if !reflect.DeepEqual(gotLeaders, leaders) || !reflect.DeepEqual(gotSizes, sizes) || rep.ClassCount() != len(leaders) {
+			t.Fatalf("case %d (n=%d, l=%d, collapse %v): Start made %d classes, leaders %v sizes %v; want %d, %v, %v",
+				i, n, l, collapse, rep.ClassCount(), gotLeaders, gotSizes, len(leaders), leaders, sizes)
+		}
+
+		counting, err := Run(append(opts, WithStateRep(Counting()))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		concrete, err := Run(append(opts, WithStateRep(Concrete()))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counting.Traffic, concrete.Traffic = nil, nil
+		if !reflect.DeepEqual(counting, concrete) {
+			t.Fatalf("case %d: counting result %+v, concrete %+v", i, counting, concrete)
+		}
+	}
+	if collapsed == 0 || collapsed == cases {
+		t.Fatalf("collapse on in %d of %d cases: both ways must be exercised", collapsed, cases)
+	}
+}
+
+// repollProc is lastFoldProc deciding from round 2 on, unless it was
+// ever poisoned — state its fingerprint leaves out, so a poisoned class
+// re-merges into a decided one once their latest inboxes agree again.
+type repollProc struct {
+	lastFoldProc
+	poisoned bool
+}
+
+func (p *repollProc) Receive(round int, in *msg.Inbox) {
+	p.lastFoldProc.Receive(round, in)
+	p.poisoned = p.poisoned || strings.Contains(p.last, "poison")
+}
+func (p *repollProc) Decision() (hom.Value, bool) { return 7, !p.poisoned && p.last != "" }
+func (p *repollProc) CloneProcess() Process       { cp := *p; return &cp }
+
+// TestCountingMergeThenRepollKeepsFirstDecidedAt merges an undecided
+// class into a decided one and pins the recording rule: identifier 1's
+// class {0, 2, 4, 6} decides in round 1 but for slot 4, poisoned then
+// and split off; round 2 is clean, so {4} re-merges into {0, 2, 6},
+// which is polled again and records slot 4 in round 3. Slots 0, 2 and 6
+// keep round 1.
+func TestCountingMergeThenRepollKeepsFirstDecidedAt(t *testing.T) {
+	const n, l, bad = 8, 2, 1
+	rep := Counting()
+	res, err := Run(
+		WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
+		WithAssignment(hom.RoundRobinAssignment(n, l)),
+		WithInputs(make([]hom.Value, n)...),
+		WithProcess(func(int) Process { return &repollProc{} }),
+		WithAdversary(poisonPlan{bad: bad, plan: map[int][]msg.TargetedSend{
+			1: {{ToSlot: 4, Body: msg.Raw("poison")}},
+		}}),
+		WithRounds(6),
+		WithStateRep(rep),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 0, 1, 1, 3, 1, 1, 1}
+	if !reflect.DeepEqual(res.DecidedAt, want) {
+		t.Fatalf("DecidedAt = %v, want %v", res.DecidedAt, want)
+	}
+	if got := rep.(*countingRep).ClassCount(); got != l {
+		t.Fatalf("%d classes at the end, want %d (slot 4 re-merged)", got, l)
+	}
+	if !res.AllDecided || res.Decisions[4] != 7 || res.Decisions[bad] != hom.NoValue {
+		t.Fatalf("AllDecided %v, decisions %v", res.AllDecided, res.Decisions)
 	}
 }

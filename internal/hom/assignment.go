@@ -18,14 +18,19 @@ func (a Assignment) Validate(p Params) error {
 	if len(a) != p.N {
 		return fmt.Errorf("%w (len=%d, N=%d)", ErrAssignmentLength, len(a), p.N)
 	}
-	seen := make([]bool, max(p.L, 0)+1) // an L below 1 fails IsValid at slot 0
-	distinct := 0
+	// One range check per slot: id-1 wraps past l for every id < 1, and
+	// an L below 1 makes l zero, failing slot 0.
+	l := uint(max(p.L, 0))
+	seen := make([]bool, l+1)
 	for slot, id := range a {
-		if !id.IsValid(p.L) {
+		if uint(id-1) >= l {
 			return fmt.Errorf("%w (slot %d has identifier %d, L=%d)", ErrBadAssignment, slot, id, p.L)
 		}
-		if !seen[id] {
-			seen[id] = true
+		seen[id] = true
+	}
+	distinct := 0
+	for _, ok := range seen {
+		if ok {
 			distinct++
 		}
 	}

@@ -1,6 +1,7 @@
 package hom
 
 import (
+	"errors"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,38 @@ func TestAssignmentValidateErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.a.Validate(p); err == nil {
 				t.Fatalf("Validate(%v) = nil, want error", tc.a)
+			}
+		})
+	}
+}
+
+// TestAssignmentValidateNamesFirstBadSlot pins Validate's report: the
+// first slot whose identifier lies outside 1..L — below 1, negative,
+// past L, or under an L below 1 — and, for a full-range assignment,
+// how many identifiers it covers.
+func TestAssignmentValidateNamesFirstBadSlot(t *testing.T) {
+	tests := []struct {
+		name string
+		l    int
+		a    Assignment
+		want string
+	}{
+		{"zero identifier", 3, Assignment{1, 2, 0, 3, 0, 9}, "slot 2 has identifier 0, L=3"},
+		{"negative identifier", 3, Assignment{2, -3, 1, 3, 4, 0}, "slot 1 has identifier -3, L=3"},
+		{"identifier L+1", 3, Assignment{1, 2, 3, 4, 1, -1}, "slot 3 has identifier 4, L=3"},
+		{"L zero", 0, Assignment{1, 1, 1, 1, 1, 1}, "slot 0 has identifier 1, L=0"},
+		{"L negative", -2, Assignment{2, 1, 1, 1, 1, 1}, "slot 0 has identifier 2, L=-2"},
+		{"missing identifier", 3, Assignment{1, 3, 3, 1, 1, 3}, "only 2 of 3 identifiers assigned"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Params{N: len(tc.a), L: tc.l, T: 1, Synchrony: Synchronous}
+			err := tc.a.Validate(p)
+			if !errors.Is(err, ErrBadAssignment) {
+				t.Fatalf("Validate(%v) = %v, want ErrBadAssignment", tc.a, err)
+			}
+			if want := ErrBadAssignment.Error() + " (" + tc.want + ")"; err.Error() != want {
+				t.Fatalf("Validate(%v) = %q, want %q", tc.a, err, want)
 			}
 		})
 	}

@@ -139,45 +139,51 @@ func (v Verdict) String() string {
 }
 
 // Check evaluates validity, agreement and termination over a finished
-// execution, in one walk over the correct slots. Violations are reported
-// in property order — every undecided slot, then the first disagreeing
-// pair, then the first decision that breaks unanimity.
+// execution. Violations are reported in property order — every undecided
+// slot, then the first disagreeing pair, then the first decision that
+// breaks unanimity.
 func Check(res *engine.Result) Verdict {
 	var verdict Verdict
 
-	// Agreement: the first decided slot fixes the value; the first slot
-	// deciding otherwise is the witness.
+	// Validity binds only when every correct slot proposed what the
+	// first did: an early-exit scan of the inputs settles that.
+	proposed, unanimous := hom.NoValue, true
+	lo, hi := res.CorrectRun(0)
+	if lo < hi {
+		proposed = res.Inputs[lo]
+	}
+	for ; unanimous && lo < hi; lo, hi = res.CorrectRun(hi) {
+		for _, in := range res.Inputs[lo:hi] {
+			if in != proposed {
+				unanimous = false
+				break
+			}
+		}
+	}
+
+	// One pass over the decisions: the first decided slot fixes the
+	// value, and a slot leaves the fast path only when it is undecided
+	// or decided otherwise — the first such is the agreement witness.
 	firstVal, firstSlot := hom.NoValue, -1
 	agreeSlot := -1
-	// Validity: the first correct slot fixes the proposal; it binds only
-	// if every other correct slot proposed the same.
-	proposed, haveProposal := hom.NoValue, false
-	unanimous := true
-	validSlot := -1
-
 	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi) {
-		if !haveProposal {
-			proposed, haveProposal = res.Inputs[lo], true
-		}
-		for s := lo; s < hi; s++ {
-			if unanimous && res.Inputs[s] != proposed {
-				unanimous = false
+		decidedAt := res.DecidedAt[lo:hi]
+		decisions := res.Decisions[lo:hi][:len(decidedAt)]
+		for i, at := range decidedAt {
+			if at != 0 && decisions[i] == firstVal && firstSlot >= 0 {
+				continue
 			}
-			if res.DecidedAt[s] == 0 {
+			switch s := lo + i; {
+			case at == 0:
 				verdict.Violations = append(verdict.Violations, Violation{
 					Property: Termination,
 					Detail: fmt.Sprintf("slot %d (identifier %d) undecided after %d rounds",
 						s, res.Assignment[s], res.Rounds),
 				})
-				continue
-			}
-			if firstSlot < 0 {
-				firstVal, firstSlot = res.Decisions[s], s
-			} else if agreeSlot < 0 && res.Decisions[s] != firstVal {
+			case firstSlot < 0:
+				firstVal, firstSlot = decisions[i], s
+			case agreeSlot < 0:
 				agreeSlot = s
-			}
-			if validSlot < 0 && res.Decisions[s] != proposed {
-				validSlot = s
 			}
 		}
 	}
@@ -188,6 +194,12 @@ func Check(res *engine.Result) Verdict {
 			Detail: fmt.Sprintf("slot %d decided %d but slot %d decided %d",
 				firstSlot, firstVal, agreeSlot, res.Decisions[agreeSlot]),
 		})
+	}
+	// The first decision other than the proposal is the first decided
+	// slot's, or else the first disagreeing one's.
+	validSlot := agreeSlot
+	if firstVal != proposed {
+		validSlot = firstSlot
 	}
 	if unanimous && validSlot >= 0 {
 		verdict.Violations = append(verdict.Violations, Violation{
@@ -216,15 +228,16 @@ func LatestDecisionRound(res *engine.Result) int {
 func DecidedValue(res *engine.Result) (v hom.Value, ok bool) {
 	v = hom.NoValue
 	for lo, hi := res.CorrectRun(0); lo < hi; lo, hi = res.CorrectRun(hi) {
-		for s := lo; s < hi; s++ {
-			if res.DecidedAt[s] == 0 {
+		decidedAt := res.DecidedAt[lo:hi]
+		decisions := res.Decisions[lo:hi][:len(decidedAt)]
+		for i, at := range decidedAt {
+			if at == 0 || decisions[i] == v {
 				continue
 			}
-			if v == hom.NoValue {
-				v = res.Decisions[s]
-			} else if v != res.Decisions[s] {
+			if v != hom.NoValue {
 				return hom.NoValue, false
 			}
+			v = decisions[i]
 		}
 	}
 	return v, v != hom.NoValue
