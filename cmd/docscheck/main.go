@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind CI's docs job. It
-// enforces three invariants the repository documents itself with:
+// enforces four invariants the repository documents itself with:
 //
 //  1. Every non-main package has a package comment (the same contract
 //     staticcheck's ST1000 checks, enforced here without a network
@@ -10,6 +10,8 @@
 //  3. So does every repository path those files name in back-ticks —
 //     `internal/…`, `cmd/…` and `*.json` at the root — so a deleted
 //     package or record cannot linger in prose.
+//  4. So does every `pkg.Name` or `pkg.Type.Member` they name, for pkg
+//     a directory under internal/: its non-test files declare it.
 //
 // Usage:
 //
@@ -22,8 +24,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -52,7 +56,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package docs, markdown links and named paths OK")
+	fmt.Println("docscheck: package docs, markdown links, named paths and names OK")
 }
 
 // checkPackageDocs walks every Go package directory under root and
@@ -128,7 +132,8 @@ func checkMarkdown(root, file string) []string {
 	if err != nil {
 		return []string{fmt.Sprintf("%s: %v", file, err)}
 	}
-	return append(brokenLinks(root, file, string(raw)), danglingPaths(root, file, string(raw))...)
+	findings := append(brokenLinks(root, file, string(raw)), danglingPaths(root, file, string(raw))...)
+	return append(findings, staleNames(root, file, string(raw))...)
 }
 
 // brokenLinks verifies that every relative link in the file's text
@@ -180,4 +185,59 @@ func danglingPaths(root, file, text string) []string {
 		}
 	}
 	return findings
+}
+
+// qualifiedName matches pkg.Name or pkg.Type.Member, both exported, not
+// itself the tail of a longer selector.
+var qualifiedName = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+
+// staleNames verifies that every qualified name the file's code spans use,
+// for a qualifier under internal/, is declared by that package.
+func staleNames(root, file, text string) []string {
+	var findings []string
+	for _, m := range qualifiedName.FindAllStringSubmatch(strings.Join(codeSpan.FindAllString(text, -1), " "), -1) {
+		pkg, name := m[1], strings.TrimSuffix(m[2]+"."+m[3], ".")
+		if names := declaredNames(filepath.Join(root, "internal", pkg)); names != nil && !names[name] {
+			findings = append(findings, fmt.Sprintf("%s: %q is not declared in internal/%s", file, pkg+"."+name, pkg))
+		}
+	}
+	return findings
+}
+
+// declaredNames lists every non-test top-level name, method name and
+// Type.Member of a package directory; nil when it holds no Go file.
+func declaredNames(dir string) map[string]bool {
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	if len(files) == 0 {
+		return nil
+	}
+	names, typ := map[string]bool{}, "" // typ: the type whose members are in view
+	for _, path := range files {
+		if f, _ := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution); f != nil && !strings.HasSuffix(path, "_test.go") {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl: // prose may name a method by its package alone
+					names[n.Name.Name] = true
+					if n.Recv != nil {
+						recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(n.Recv.List[0].Type), "*"), "[")
+						names[recv+"."+n.Name.Name] = true
+					}
+					return false
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						names[id.Name] = true
+					}
+				case *ast.TypeSpec:
+					typ = n.Name.Name
+					names[typ] = true
+				case *ast.Field:
+					for _, id := range n.Names {
+						names[typ+"."+id.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return names
 }

@@ -39,3 +39,28 @@ func TestDanglingPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleNames holds the name check to one live and one stale
+// reference against a fixture package: a method, a field and a function
+// named through their package resolve, with or without a call suffix,
+// and a field the package no longer declares is reported by name.
+func TestStaleNames(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "internal", "engine")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := "package engine\n\ntype Config struct{ MaxSends int }\n\nfunc (Config) Options() {}\n\nfunc Run() {}\n"
+	if err := os.WriteFile(filepath.Join(dir, "engine.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	live := "Set `engine.Config.MaxSends` and call `engine.Run(cfg.Options()...)` or `engine.Config.Options()`;\n" +
+		"`fuzz.Gone` names no directory under internal/.\n"
+	if got := staleNames(root, "live.md", live); len(got) != 0 {
+		t.Errorf("live fixture reported %q", got)
+	}
+	got := staleNames(root, "stale.md", "The wall clock was `engine.Config.Deadline`.\n")
+	if len(got) != 1 || !strings.Contains(got[0], `"engine.Config.Deadline"`) {
+		t.Errorf("stale fixture reported %q, want one finding naming engine.Config.Deadline", got)
+	}
+}

@@ -127,7 +127,7 @@ func writeSeeds(dir, prefix string, found []fuzz.Found) int {
 // execution ended on a budget stop surface their reason — a seed pinning
 // graceful degradation (Expect.Stopped) should say so in the output.
 func replayDir(dir string, opts fuzz.Options) int {
-	replayed, errs := fuzz.ReplayDirVisit(dir, opts, func(name string, o *fuzz.Outcome, err error) {
+	replayed, errs := fuzz.ReplayDir(dir, opts, func(name string, o *fuzz.Outcome, err error) {
 		if err == nil && o.Stopped != "" {
 			fmt.Printf("seed %s: stopped early (%s) after %d rounds\n", name, o.Stopped, o.Rounds)
 		}

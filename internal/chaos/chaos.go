@@ -4,7 +4,7 @@
 // GST, probabilistic delay windows, round-clock stalls, reorders,
 // retransmission under tight message budgets — and runs every
 // composition under the engines' paranoid invariant checks with panic
-// isolation (fuzz.RunOpts wraps each execution in exec.Protect).
+// isolation (fuzz.Run wraps each execution in exec.Protect).
 //
 // Like a fuzz campaign, a soak is a pure function of its seed: scenario
 // i derives from (seed, i), the fan-out runs on exec.MapN, and the
@@ -156,7 +156,7 @@ func Soak(cfg Config) (*Report, error) {
 	outs, err := exec.MapN(cfg.Count, cfg.Workers, func(i int) (*fuzz.Outcome, error) {
 		rng := rand.New(rand.NewSource(subSeed(cfg.Seed, i)))
 		sc := Chaosify(rng, fuzz.Generate(rng, cfg.Gen))
-		return fuzz.RunOpts(sc, opts), nil
+		return fuzz.Run(sc, opts), nil
 	})
 	if err != nil {
 		return nil, err

@@ -16,7 +16,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"homonyms/internal/classical"
@@ -163,16 +162,14 @@ type Result struct {
 }
 
 // Run selects the algorithm for cfg.Params and executes one instance
-// through the unified round-core (engine.Run with functional options).
+// through the unified round-core: one engine.Config, run through
+// Config.Options.
 func Run(cfg Config) (*Result, error) {
 	sel, err := Select(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	gst := cfg.GST
-	if gst < 1 {
-		gst = 1
-	}
+	gst := max(cfg.GST, 1)
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = sel.SuggestedRounds(gst)
@@ -181,27 +178,19 @@ func Run(cfg Config) (*Result, error) {
 	if assignment == nil {
 		assignment = hom.RoundRobinAssignment(cfg.Params.N, cfg.Params.L)
 	}
-	opts := []engine.Option{
-		engine.WithParams(cfg.Params),
-		engine.WithAssignment(assignment),
-		engine.WithInputs(cfg.Inputs...),
-		engine.WithProcess(sel.NewProcess),
-		engine.WithGST(gst),
-		engine.WithRounds(maxRounds),
+	ecfg := engine.Config{
+		Params:     cfg.Params,
+		Assignment: assignment,
+		Inputs:     cfg.Inputs,
+		NewProcess: sel.NewProcess,
+		Adversary:  cfg.Adversary,
+		GST:        gst,
+		MaxRounds:  maxRounds,
+		Faults:     cfg.Faults,
+		MaxSends:   cfg.MaxSends,
+		Invariants: cfg.Invariants,
 	}
-	if cfg.Adversary != nil {
-		opts = append(opts, engine.WithAdversary(cfg.Adversary))
-	}
-	if cfg.Faults != nil {
-		opts = append(opts, engine.WithFaults(cfg.Faults))
-	}
-	if cfg.Invariants {
-		opts = append(opts, engine.WithInvariants())
-	}
-	if cfg.MaxSends > 0 {
-		opts = append(opts, engine.WithBudget(cfg.MaxSends, 0))
-	}
-	res, err := engine.Run(opts...)
+	res, err := engine.Run(ecfg.Options()...)
 	if err != nil {
 		return nil, err
 	}
@@ -220,12 +209,13 @@ func Solvable(p hom.Params) bool { return p.Solvable() }
 // SolvabilityReason re-exports the Table-1 explanation.
 func SolvabilityReason(p hom.Params) string { return p.SolvabilityReason() }
 
-// ErrNoInputs is returned by RunUnanimous helpers on empty input sets.
-var ErrNoInputs = errors.New("core: need at least one input value")
-
 // RunUnanimous is a convenience wrapper running all processes with the
-// same input.
+// same input. Invalid parameters fail with p.Validate's error before
+// anything n-sized is built.
 func RunUnanimous(p hom.Params, input hom.Value, adv engine.Adversary, gst int) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	inputs := make([]hom.Value, p.N)
 	for i := range inputs {
 		inputs[i] = input

@@ -99,6 +99,16 @@ func TestRunUnanimousBothValues(t *testing.T) {
 	}
 }
 
+// TestRunUnanimousRejectsInvalidParams: invalid parameters fail with
+// Validate's typed error before the inputs are sized, instead of
+// panicking on a negative n.
+func TestRunUnanimousRejectsInvalidParams(t *testing.T) {
+	p := hom.Params{N: -3, L: 1}
+	if _, err := core.RunUnanimous(p, 0, nil, 1); !errors.Is(err, hom.ErrTooFewProcesses) {
+		t.Fatalf("RunUnanimous(n=-3) = %v, want %v", err, hom.ErrTooFewProcesses)
+	}
+}
+
 func TestSolvableReExports(t *testing.T) {
 	p := hom.Params{N: 4, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}
 	if !core.Solvable(p) {

@@ -63,7 +63,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
@@ -216,9 +215,10 @@ type Observer interface {
 	Observe(round int, deliveries []msg.Delivered)
 }
 
-// Config assembles one execution. It is the aggregate carrier behind the
-// options API: New(opts...) folds every option into a Config before
-// validating it.
+// Config is one execution, whole: the §2 tuple of parameters,
+// assignment, inputs, adversary and synchrony, plus the engine's own
+// knobs. New(opts...) folds every option into a Config before
+// validating it, and Options turns a Config back into options.
 type Config struct {
 	Params hom.Params
 	// Assignment maps each slot to its identifier.
@@ -258,14 +258,6 @@ type Config struct {
 	// RecordTraffic stores every delivery in the result (memory-heavy;
 	// for debugging and the attack experiments).
 	RecordTraffic bool
-	// Interner optionally supplies the execution's key intern table. It
-	// is engine scratch: the engine resets it before round 1 and interns
-	// every delivered message's canonical key into it, so KeyID
-	// assignment is a pure function of the execution (identical across
-	// state representations and worker counts). Nil means the engine
-	// acquires one from the shared pool and recycles it when the run
-	// ends; pass one explicitly only to inspect the table afterwards.
-	Interner *msg.Interner
 	// Faults optionally injects benign (non-Byzantine) faults into the
 	// execution: crash-stop and crash-recovery windows for correct
 	// processes, send/receive omission, message duplication and stale
@@ -281,13 +273,9 @@ type Config struct {
 	// after the current round with Result.Stopped = StopMessageBudget.
 	// Zero means unlimited.
 	MaxSends int
-	// Deadline bounds the execution's wall-clock time; when it expires
-	// the execution stops after the current round with Result.Stopped =
-	// StopDeadline. It is a safety net against runaway process or
-	// adversary implementations, and the one knob that is deliberately
-	// NOT deterministic — never set it in parity or digest experiments.
-	// Zero means unlimited.
-	Deadline time.Duration
+	// TimeModel decides how rounds relate to message delivery (see
+	// TimeModel); nil means Lockstep, the paper's round-by-round loop.
+	TimeModel TimeModel
 	// Invariants enables paranoid mode: after every round the engine
 	// validates the router's internal invariants (arena index bounds,
 	// inbox issuance, row order, stamp memos and an equivalence-class
@@ -383,9 +371,6 @@ type StopReason string
 const (
 	// StopMessageBudget: Config.MaxSends was reached.
 	StopMessageBudget StopReason = "message-budget"
-	// StopDeadline: Config.Deadline expired. Wall-clock, so inherently
-	// non-deterministic — see Config.Deadline.
-	StopDeadline StopReason = "deadline"
 )
 
 // Result reports one execution.
@@ -497,7 +482,6 @@ type Engine struct {
 	undecided int // correct slots without a recorded decision
 	res       *Result
 	observer  Observer
-	deadline  time.Time
 	ran       bool // Run was entered
 
 	// Per-round scratch, allocated once and reused across rounds so the
@@ -512,14 +496,14 @@ type Engine struct {
 	groups       [][]int32            // the View's per-identifier correct members, execution-fixed
 	view         View                 // handed to the adversary each round
 	router       *Router              // stamping, batching, delivery, stats
-	intern       *msg.Interner        // per-execution key symbolization table
-	ownIntern    bool                 // the engine pooled it and must recycle it
+	intern       *msg.Interner        // per-execution key symbolization table, pooled
 	inj          *inject.Injector     // compiled fault schedule, nil when fault-free
 	slotHash     []msg.StateHash      // per-slot observable-history hashes (FrontierHash)
 }
 
-// newEngine builds the execution state for a validated Config.
-func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
+// newEngine builds the execution state for a validated Config whose
+// TimeModel is set.
+func newEngine(cfg Config, rep StateRep) (*Engine, error) {
 	n := cfg.Params.N
 	e := &Engine{
 		cfg:   cfg,
@@ -577,20 +561,14 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		e.senders = make([]int32, 0, n)
 		e.groups = groupMembers(cfg.Params, e.res.Assignment, e.isBad)
 	}
-	if cfg.Interner != nil {
-		e.intern = cfg.Interner
-		e.intern.Reset()
-	} else {
-		e.intern = msg.NewPooledInterner()
-		e.ownIntern = true
-	}
-	policy := tm.Timing()
+	e.intern = msg.NewPooledInterner()
+	policy := cfg.TimeModel.Timing()
 	if policy.Enabled && (policy.Bound < 0 || policy.Timeout < 0 || policy.MaxAttempts < 0) {
 		return nil, fmt.Errorf("%w (bound=%d, timeout=%d, maxattempts=%d)",
 			ErrTimingPolicy, policy.Bound, policy.Timeout, policy.MaxAttempts)
 	}
 	if inj.HasTiming() && !policy.Enabled {
-		return nil, fmt.Errorf("%w (model %q)", ErrTimingFaults, tm.Describe())
+		return nil, fmt.Errorf("%w (model %q)", ErrTimingFaults, cfg.TimeModel.Describe())
 	}
 	if cfg.FrontierHash {
 		e.slotHash = make([]msg.StateHash, n)
@@ -620,10 +598,8 @@ func (e *Engine) Run() (*Result, error) {
 	defer func() {
 		e.rep.Stop()
 		e.router.releaseCores()
-		if e.ownIntern {
-			e.intern.Recycle()
-			e.intern = nil
-		}
+		e.intern.Recycle()
+		e.intern = nil
 	}()
 	if err := e.rep.Start(e); err != nil {
 		return nil, err
@@ -631,15 +607,13 @@ func (e *Engine) Run() (*Result, error) {
 	if e.held == nil {
 		return nil, errUnbound
 	}
-	if e.cfg.Deadline > 0 {
-		e.deadline = time.Now().Add(e.cfg.Deadline)
-	}
 	extra := e.cfg.ExtraRounds
 	for round := 1; round <= e.cfg.MaxRounds; round++ {
 		if err := e.step(round); err != nil {
 			return nil, err
 		}
-		if e.exhausted() {
+		if e.cfg.MaxSends > 0 && e.router.totalStamped >= e.cfg.MaxSends {
+			e.res.Stopped = StopMessageBudget
 			break
 		}
 		if e.undecided == 0 {
@@ -661,20 +635,6 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	e.res.SlotHashes = e.slotHash
 	return e.res, nil
-}
-
-// exhausted checks the execution budgets after a round; when one is
-// spent it records the stop reason on the Result and reports true.
-func (e *Engine) exhausted() bool {
-	if e.cfg.MaxSends > 0 && e.router.totalStamped >= e.cfg.MaxSends {
-		e.res.Stopped = StopMessageBudget
-		return true
-	}
-	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
-		e.res.Stopped = StopDeadline
-		return true
-	}
-	return false
 }
 
 // step executes one round: collect correct sends, ask the adversary for

@@ -61,6 +61,7 @@ func RowConfig(v RowVariant) Config {
 		GST:        3,
 		MaxRounds:  RowRounds,
 		Faults:     v.Sched,
+		TimeModel:  RowTime,
 	}
 	if v.Visibility {
 		cfg.Visibility = func(from, to int) bool { return !(SeededMask{Seed: 11, Modulus: 13}).Hit(0, from, to) }
@@ -125,6 +126,27 @@ func (p *ArenaProbe) DeliverRound(round int) {
 	p.countingRep.DeliverRound(round)
 	p.Arena = append(p.Arena, p.e.router.arena.Len())
 	p.Classes = append(p.Classes, p.ClassCount())
+}
+
+// InternProbe wraps a state representation and keeps the execution's
+// key intern table as Stop found it: Keys is its KeyID assignment order
+// (msg.Interner.Snapshot).
+type InternProbe struct {
+	StateRep
+	e    *Engine
+	Keys []string
+}
+
+func (p *InternProbe) Start(e *Engine) error {
+	p.e = e
+	return p.StateRep.Start(e)
+}
+
+func (p *InternProbe) Stop() {
+	if p.e != nil {
+		p.Keys = p.e.intern.Snapshot()
+	}
+	p.StateRep.Stop()
 }
 
 // SeededMask is a drop policy and a visibility restriction drawn from

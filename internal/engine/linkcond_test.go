@@ -8,7 +8,6 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
-	"homonyms/internal/refmodel"
 )
 
 // chatterProc puts several messages on every link in each of its first
@@ -121,11 +120,9 @@ func linkCondConfig(adv engine.Adversary) engine.Config {
 			Stalls: []inject.Stall{{Slot: 4, Round: 3, Rounds: 1}},
 		},
 		RecordTraffic: true,
+		TimeModel:     engine.EventuallySynchronous{Bound: 1, Timeout: 1, MaxAttempts: 3},
 	}
 }
-
-// lcTime is linkCondConfig's time model.
-var lcTime = engine.EventuallySynchronous{Bound: 1, Timeout: 1, MaxAttempts: 3}
 
 // TestLinkConditionsPerLinkMatchPerMessage holds the batched path —
 // which resolves every link condition once per (round, from, to) — to
@@ -135,7 +132,7 @@ var lcTime = engine.EventuallySynchronous{Bound: 1, Timeout: 1, MaxAttempts: 3}
 // paranoid re-masking.
 func TestLinkConditionsPerLinkMatchPerMessage(t *testing.T) {
 	for _, extra := range [][]engine.Option{nil, {engine.WithInvariants()}} {
-		ref := holdToRefmodel(t, linkCondConfig(&spyDropper{seed: 5, prob: 0.3}), lcTime, extra...)
+		ref := holdToRefmodel(t, linkCondConfig(&spyDropper{seed: 5, prob: 0.3}), extra...)
 		st := ref.Stats
 		if st.MessagesDropped == 0 || st.FaultOmissions == 0 || st.TimingHolds == 0 || st.Retransmits == 0 {
 			t.Fatalf("the schedule must exercise drops, omissions, holds and retransmission: %+v", st)
@@ -152,7 +149,7 @@ func TestLinkConditionsPerLinkMatchPerMessage(t *testing.T) {
 // per-message Drop, and nothing at or after GST.
 func TestBatchDropperSeesEachLinkOnce(t *testing.T) {
 	spy := &spyDropper{seed: 5, prob: 0.3}
-	if _, err := engine.Run(refmodel.Options(linkCondConfig(spy), lcTime)...); err != nil {
+	if _, err := engine.Run(linkCondConfig(spy).Options()...); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, r := range spy.repeats {

@@ -3,11 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
-	"homonyms/internal/msg"
 )
 
 // Option errors. New reports every option-level problem at once (the
@@ -17,7 +15,7 @@ var (
 	// values. Repeating an option with the same value is idempotent.
 	ErrConflictingOptions = errors.New("engine: conflicting options")
 	// ErrNilOption: a nil value was passed where a non-nil one is
-	// required (WithFaults, WithInterner, WithAdversary, WithTimeModel,
+	// required (WithFaults, WithAdversary, WithVisibility, WithTimeModel,
 	// WithStateRep, or a nil Option itself). Absence is expressed by not
 	// passing the option, never by passing nil through it.
 	ErrNilOption = errors.New("engine: nil value passed to option")
@@ -34,7 +32,6 @@ var (
 // more than assembling the engine.
 type settings struct {
 	cfg        Config
-	tm         TimeModel
 	rep        StateRep
 	seen       map[string]string
 	assignment sliceKnob[hom.Identifier]
@@ -105,13 +102,13 @@ func New(opts ...Option) (*Engine, error) {
 	if len(s.errs) > 0 {
 		return nil, errors.Join(s.errs...)
 	}
-	if s.tm == nil {
-		s.tm = Lockstep{}
-	}
 	if s.rep == nil {
 		s.rep = Counting()
 	}
 	cfg := s.cfg
+	if cfg.TimeModel == nil {
+		cfg.TimeModel = Lockstep{}
+	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,7 +124,7 @@ func New(opts ...Option) (*Engine, error) {
 	if cfg.MaxRounds <= 0 {
 		return nil, ErrNoRoundCap
 	}
-	return newEngine(cfg, s.tm, s.rep)
+	return newEngine(cfg, s.rep)
 }
 
 // Run assembles an execution from opts and runs it once.
@@ -137,6 +134,47 @@ func Run(opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	return e.Run()
+}
+
+// Options is cfg as options, every field carried: New(cfg.Options()...)
+// assembles the execution cfg describes. Fields at their zero values are
+// left out, so a caller may still append them; a non-positive MaxSends
+// is unlimited, as in the engine.
+func (cfg Config) Options() []Option {
+	// At most one option per Config field, so the slice never grows.
+	opts := append(make([]Option, 0, 15), WithParams(cfg.Params), WithAssignment(cfg.Assignment),
+		WithInputs(cfg.Inputs...), WithProcess(cfg.NewProcess), WithRounds(cfg.MaxRounds))
+	if cfg.Adversary != nil {
+		opts = append(opts, WithAdversary(cfg.Adversary))
+	}
+	if cfg.GST != 0 {
+		opts = append(opts, WithGST(cfg.GST))
+	}
+	if cfg.ExtraRounds != 0 {
+		opts = append(opts, WithExtraRounds(cfg.ExtraRounds))
+	}
+	if cfg.Visibility != nil {
+		opts = append(opts, WithVisibility(cfg.Visibility))
+	}
+	if cfg.RecordTraffic {
+		opts = append(opts, WithTrafficRecording())
+	}
+	if cfg.Faults != nil {
+		opts = append(opts, WithFaults(cfg.Faults))
+	}
+	if cfg.MaxSends > 0 {
+		opts = append(opts, WithBudget(cfg.MaxSends))
+	}
+	if cfg.TimeModel != nil {
+		opts = append(opts, WithTimeModel(cfg.TimeModel))
+	}
+	if cfg.Invariants {
+		opts = append(opts, WithInvariants())
+	}
+	if cfg.FrontierHash {
+		opts = append(opts, WithFrontierHash())
+	}
+	return opts
 }
 
 // WithParams fixes the model instance (n, l, t, synchrony, switches).
@@ -262,32 +300,16 @@ func WithInvariants() Option {
 	return func(s *settings) { s.cfg.Invariants = true }
 }
 
-// WithBudget bounds the execution: maxSends caps cumulative stamped
-// sends (0 = unlimited), deadline bounds wall-clock time (0 =
-// unlimited; inherently non-deterministic — see Config.Deadline).
-func WithBudget(maxSends int, deadline time.Duration) Option {
+// WithBudget caps the execution's cumulative stamped sends (see
+// Config.MaxSends; 0 = unlimited).
+func WithBudget(maxSends int) Option {
 	return func(s *settings) {
-		if maxSends < 0 || deadline < 0 {
-			s.fail(fmt.Errorf("%w: WithBudget(%d, %s)", ErrBadOption, maxSends, deadline))
+		if maxSends < 0 {
+			s.fail(fmt.Errorf("%w: WithBudget(%d)", ErrBadOption, maxSends))
 			return
 		}
-		if s.once("Budget", fmt.Sprintf("%d/%s", maxSends, deadline)) {
+		if s.once("Budget", fmt.Sprintf("%d", maxSends)) {
 			s.cfg.MaxSends = maxSends
-			s.cfg.Deadline = deadline
-		}
-	}
-}
-
-// WithInterner supplies the execution's key intern table (see
-// Config.Interner; the engine resets it before round 1).
-func WithInterner(table *msg.Interner) Option {
-	return func(s *settings) {
-		if table == nil {
-			s.fail(fmt.Errorf("%w: WithInterner(nil)", ErrNilOption))
-			return
-		}
-		if s.once("Interner", fmt.Sprintf("%p", table)) {
-			s.cfg.Interner = table
 		}
 	}
 }
@@ -300,7 +322,7 @@ func WithTimeModel(tm TimeModel) Option {
 			return
 		}
 		if s.once("TimeModel", tm.Describe()) {
-			s.tm = tm
+			s.cfg.TimeModel = tm
 		}
 	}
 }

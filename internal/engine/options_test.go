@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
@@ -67,8 +66,8 @@ func TestNewConflictingOptions(t *testing.T) {
 		{"rounds", []engine.Option{engine.WithRounds(7)}}, // base already sets 3
 		{"gst", []engine.Option{engine.WithGST(1), engine.WithGST(5)}},
 		{"budget", []engine.Option{
-			engine.WithBudget(10, 0),
-			engine.WithBudget(20, 0),
+			engine.WithBudget(10),
+			engine.WithBudget(20),
 		}},
 		{"state-rep", []engine.Option{
 			engine.WithStateRep(engine.Concrete()),
@@ -208,7 +207,6 @@ func TestNewNilOptionValues(t *testing.T) {
 	}{
 		{"nil-option", nil},
 		{"faults", engine.WithFaults(nil)},
-		{"interner", engine.WithInterner(nil)},
 		{"adversary", engine.WithAdversary(nil)},
 		{"visibility", engine.WithVisibility(nil)},
 		{"timemodel", engine.WithTimeModel(nil)},
@@ -229,8 +227,7 @@ func TestNewBadOptionValues(t *testing.T) {
 		name string
 		opt  engine.Option
 	}{
-		{"negative-sends", engine.WithBudget(-1, 0)},
-		{"negative-deadline", engine.WithBudget(0, -time.Second)},
+		{"negative-sends", engine.WithBudget(-1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,7 +243,7 @@ func TestNewBadOptionValues(t *testing.T) {
 // option-level problem surfaces in one error instead of first-wins.
 func TestNewReportsAllOptionErrors(t *testing.T) {
 	_, err := engine.New(append(baseOptions(),
-		engine.WithBudget(-1, 0),
+		engine.WithBudget(-1),
 		engine.WithFaults(nil),
 		engine.WithGST(1),
 		engine.WithGST(9),
@@ -298,7 +295,7 @@ func TestNewConfigValidationOrder(t *testing.T) {
 // an error.
 func TestBudgetInvariantInterplay(t *testing.T) {
 	res, err := engine.Run(append(baseOptions(),
-		engine.WithBudget(1, 0),
+		engine.WithBudget(1),
 		engine.WithInvariants(),
 	)...)
 	if err != nil {

@@ -22,18 +22,17 @@ func observable(r *engine.Result) string {
 	return b.String()
 }
 
-// holdToRefmodel runs cfg under tm in the reference interpreter and on
-// the engine under both state representations (plus extra options), and
-// fails on the first Result that differs. It returns the reference
-// Result.
-func holdToRefmodel(t *testing.T, cfg engine.Config, tm engine.TimeModel, extra ...engine.Option) *engine.Result {
+// holdToRefmodel runs cfg in the reference interpreter and on the engine
+// under both state representations (plus extra options), and fails on
+// the first Result that differs. It returns the reference Result.
+func holdToRefmodel(t *testing.T, cfg engine.Config, extra ...engine.Option) *engine.Result {
 	t.Helper()
-	want, err := refmodel.Run(cfg, tm)
+	want, err := refmodel.Run(cfg)
 	if err != nil {
 		t.Fatalf("refmodel: %v", err)
 	}
 	for _, rep := range []engine.StateRep{engine.Concrete(), engine.Counting()} {
-		got, err := engine.Run(append(refmodel.Options(cfg, tm), append(extra, engine.WithStateRep(rep))...)...)
+		got, err := engine.Run(append(cfg.Options(), append(extra, engine.WithStateRep(rep))...)...)
 		if err != nil {
 			t.Fatalf("%s: %v", rep.Describe(), err)
 		}
@@ -59,7 +58,7 @@ func TestClassifierPerRecipientModeDisablesSharing(t *testing.T) {
 			Inputs:     make([]hom.Value, n),
 			NewProcess: func(s int) engine.Process { return &rowSender{slot: s, l: l, decideAt: 3} },
 			MaxRounds:  3,
-		}, engine.Lockstep{})
+		})
 	}
 }
 
@@ -109,7 +108,7 @@ func TestRowRoutingMatchesPerPair(t *testing.T) {
 					return &rowSender{slot: s, l: cfg.Params.L, decideAt: engine.RowRounds}
 				}
 				cfg.RecordTraffic, cfg.FrontierHash, cfg.Invariants = record, record, true
-				ref := holdToRefmodel(t, cfg, engine.RowTime)
+				ref := holdToRefmodel(t, cfg)
 				if st := ref.Stats; st.MessagesDropped == 0 || v.DrainRound > 0 && st.TimingHolds == 0 {
 					t.Errorf("the drop mask or the delay never fired: %+v", st)
 				}

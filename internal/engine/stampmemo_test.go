@@ -59,7 +59,7 @@ func (p *memoTap) Prepare(round int) []msg.Send {
 // memoRun is everything the differential compares of one execution, plus
 // the tap's counts.
 type memoRun struct {
-	keys            []string // Interner.Snapshot: KeyID assignment order
+	keys            []string // InternProbe.Keys: KeyID assignment order
 	traffic         []string // every delivery, with its KeyID
 	res             *engine.Result
 	offered, clones int64
@@ -84,7 +84,7 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 		inputs[s] = hom.Value((int64(s%p.L) + seed) % 2)
 	}
 	const gst = 5
-	it := msg.NewInterner()
+	probe := &engine.InternProbe{StateRep: rep}
 	run.res, err = engine.Run(
 		engine.WithParams(p),
 		engine.WithAssignment(hom.RoundRobinAssignment(p.N, p.L)),
@@ -97,16 +97,15 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 		}),
 		engine.WithGST(gst),
 		engine.WithRounds(psynchom.SuggestedMaxRounds(p, gst)),
-		engine.WithInterner(it),
 		engine.WithTrafficRecording(),
 		engine.WithInvariants(),
-		engine.WithStateRep(rep),
+		engine.WithStateRep(probe),
 	)
 	if err != nil {
 		t.Error(err)
 		return nil
 	}
-	run.keys = it.Snapshot()
+	run.keys = probe.Keys
 	for _, d := range run.res.Traffic {
 		run.traffic = append(run.traffic, fmt.Sprintf("r%d %d->%d #%d %s", d.Round, d.FromSlot, d.ToSlot, d.Msg.KeyID(), d.Msg.Key()))
 	}

@@ -10,7 +10,6 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
-	"homonyms/internal/refmodel"
 )
 
 // classCounter is the diagnostic surface of the counting representation.
@@ -107,7 +106,7 @@ func countingConfig(persist bool, rounds int) engine.Config {
 
 // countingOptions is countingConfig as engine options.
 func countingOptions(persist bool, rounds int) []engine.Option {
-	return refmodel.Options(countingConfig(persist, rounds), engine.Lockstep{})
+	return countingConfig(persist, rounds).Options()
 }
 
 // resultKey reduces a Result to its comparable essence.
@@ -263,7 +262,7 @@ func TestCountingReceptionModes(t *testing.T) {
 					if faulty {
 						cfg.Adversary = adv
 					}
-					holdToRefmodel(t, cfg, engine.Lockstep{})
+					holdToRefmodel(t, cfg)
 				})
 			}
 		}
@@ -329,15 +328,16 @@ func TestFaultWindowCostsOnlyItsRounds(t *testing.T) {
 					MaxRounds:   rounds,
 					ExtraRounds: rounds,
 					Faults:      tc.sched,
+					TimeModel:   tc.tm,
 				}
 			}
-			holdToRefmodel(t, flood(256), tc.tm)
+			holdToRefmodel(t, flood(256))
 
 			n := 4096
 			if raceEnabled {
 				n = 512 // a window round routes n² pairs, which the race detector slows tenfold
 			}
-			opts := refmodel.Options(flood(n), tc.tm)
+			opts := flood(n).Options()
 			want, err := engine.Run(append(opts, engine.WithStateRep(engine.Concrete()))...)
 			if err != nil {
 				t.Fatal(err)

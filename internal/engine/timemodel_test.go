@@ -177,7 +177,7 @@ func TestRetransmitBudgetStop(t *testing.T) {
 		engine.WithFaults(&inject.Schedule{
 			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1}},
 		}),
-		engine.WithBudget(5, 0),
+		engine.WithBudget(5),
 		engine.WithInvariants(),
 	)...)
 	if err != nil {

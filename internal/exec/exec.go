@@ -80,42 +80,7 @@ func MapN[R any](n, workers int, fn func(i int) (R, error)) ([]R, error) {
 // Harnesses that must degrade gracefully — report failed cells, keep the
 // surviving ones — consume this form directly.
 func MapNCollect[R any](n, workers int, fn func(i int) (R, error)) (results []R, errs []error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	results = make([]R, n)
-	errs = make([]error, n)
-	if workers == 1 {
-		// Same contract as the pooled path: every item runs even after a
-		// failure.
-		for i := 0; i < n; i++ {
-			results[i], errs[i] = Protect(i, func() (R, error) { return fn(i) })
-		}
-		return results, errs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				results[i], errs[i] = Protect(i, func() (R, error) { return fn(i) })
-			}
-		}()
-	}
-	wg.Wait()
-	return results, errs
+	return MapNWeightedCollect(n, workers, nil, fn)
 }
 
 // firstError returns the lowest-index non-nil error.
@@ -126,14 +91,6 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// Map applies fn to every item on a bounded worker pool and returns the
-// results in input order. See MapN for the scheduling and error contract.
-func Map[T, R any](items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
-	return MapN(len(items), workers, func(i int) (R, error) {
-		return fn(i, items[i])
-	})
 }
 
 // MapNWeighted is MapN with cost-aware scheduling: instead of handing
@@ -156,7 +113,10 @@ func MapNWeighted[R any](n, workers int, cost func(i int) int64, fn func(i int) 
 }
 
 // MapNWeightedCollect is MapNWeighted with per-item error reporting; see
-// MapNCollect.
+// MapNCollect. It is the one pool loop: workers walk an order of the
+// indices — by descending cost when cost is given and more than one
+// worker runs, the identity otherwise — and write each result at its
+// index. One worker walks it on the calling goroutine.
 func MapNWeightedCollect[R any](n, workers int, cost func(i int) int64, fn func(i int) (R, error)) (results []R, errs []error) {
 	if n <= 0 {
 		return nil, nil
@@ -164,41 +124,49 @@ func MapNWeightedCollect[R any](n, workers int, cost func(i int) int64, fn func(
 	if workers <= 0 {
 		workers = Workers()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 || cost == nil {
-		return MapNCollect(n, workers, fn)
-	}
-	costs := make([]int64, n)
-	order := make([]int32, n)
-	for i := 0; i < n; i++ {
-		costs[i] = cost(i)
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := costs[order[a]], costs[order[b]]
-		if ca != cb {
-			return ca > cb
+	workers = min(workers, n)
+	var order []int32 // position -> index; nil is the identity
+	if workers > 1 && cost != nil {
+		costs := make([]int64, n)
+		order = make([]int32, n)
+		for i := range n {
+			costs[i] = cost(i)
+			order[i] = int32(i)
 		}
-		return order[a] < order[b] // total order: no stability needed
-	})
+		sort.Slice(order, func(a, b int) bool {
+			ca, cb := costs[order[a]], costs[order[b]]
+			if ca != cb {
+				return ca > cb
+			}
+			return order[a] < order[b] // total order: no stability needed
+		})
+	}
 	results = make([]R, n)
 	errs = make([]error, n)
 	var next atomic.Int64
+	walk := func() {
+		for {
+			pos := int(next.Add(1)) - 1
+			if pos >= n {
+				return
+			}
+			i := pos
+			if order != nil {
+				i = int(order[pos])
+			}
+			results[i], errs[i] = Protect(i, func() (R, error) { return fn(i) })
+		}
+	}
+	if workers == 1 {
+		walk()
+		return results, errs
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
-			for {
-				pos := int(next.Add(1)) - 1
-				if pos >= n {
-					return
-				}
-				i := int(order[pos])
-				results[i], errs[i] = Protect(i, func() (R, error) { return fn(i) })
-			}
+			walk()
 		}()
 	}
 	wg.Wait()
@@ -222,20 +190,4 @@ func MapWeightedCollect[T, R any](items []T, workers int, cost func(i int, item 
 	return MapNWeightedCollect(len(items), workers, costN, func(i int) (R, error) {
 		return fn(i, items[i])
 	})
-}
-
-// Grid runs fn over the row-major cross product
-// {0..rows-1} x {0..cols-1} and returns the results as a rows x cols
-// matrix. The cells are scheduled like MapN over rows*cols items, so grid
-// evaluation saturates the pool even when rows < workers. On error the
-// matrix still carries every successful cell.
-func Grid[R any](rows, cols, workers int, fn func(r, c int) (R, error)) ([][]R, error) {
-	flat, err := MapN(rows*cols, workers, func(i int) (R, error) {
-		return fn(i/cols, i%cols)
-	})
-	out := make([][]R, rows)
-	for r := 0; r < rows; r++ {
-		out[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]
-	}
-	return out, err
 }

@@ -12,8 +12,8 @@ func TestMapPreservesOrder(t *testing.T) {
 	for i := range items {
 		items[i] = i * 3
 	}
-	got, err := Map(items, 8, func(i, item int) (int, error) {
-		return item + i, nil
+	got, err := MapN(len(items), 8, func(i int) (int, error) {
+		return items[i] + i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,28 +113,6 @@ func TestMapNWorkerCountEdgeCases(t *testing.T) {
 		}
 		if len(got) != 3 || got[2] != 4 {
 			t.Fatalf("workers=%d: got %v", workers, got)
-		}
-	}
-}
-
-func TestGrid(t *testing.T) {
-	got, err := Grid(3, 4, 8, func(r, c int) (int, error) {
-		return r*10 + c, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d rows, want 3", len(got))
-	}
-	for r := 0; r < 3; r++ {
-		if len(got[r]) != 4 {
-			t.Fatalf("row %d has %d cells, want 4", r, len(got[r]))
-		}
-		for c := 0; c < 4; c++ {
-			if got[r][c] != r*10+c {
-				t.Fatalf("cell (%d,%d) = %d, want %d", r, c, got[r][c], r*10+c)
-			}
 		}
 	}
 }

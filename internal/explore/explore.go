@@ -298,7 +298,7 @@ func (s *searcher) searchRoot(rt root, rep *Report) (bool, error) {
 	}
 	tails := append(append([]node(nil), terminals...), frontier...)
 	outs, err := exec.MapN(len(tails), s.workers, func(i int) (*fuzz.Outcome, error) {
-		return fuzz.Run(s.scenario(menu, rt, tails[i].prefix, s.maxRounds, true)), nil
+		return fuzz.Run(s.scenario(menu, rt, tails[i].prefix, s.maxRounds, true), fuzz.Options{}), nil
 	})
 	if err != nil {
 		return false, err
@@ -323,11 +323,12 @@ func (s *searcher) searchRoot(rt root, rep *Report) (bool, error) {
 // than the protocol's budget — that is the tail runs' job.
 func (s *searcher) eval(menu []byzAction, rt root, prefix []roundChoice, depth int) (eval, error) {
 	sc := s.scenario(menu, rt, prefix, depth, false)
-	eopts, err := sc.Options()
+	cfg, err := sc.Config()
 	if err != nil {
 		return eval{}, fmt.Errorf("explore: %w", err)
 	}
-	res, err := engine.Run(append(eopts, engine.WithFrontierHash())...)
+	cfg.FrontierHash = true
+	res, err := engine.Run(cfg.Options()...)
 	if err != nil {
 		return eval{}, fmt.Errorf("explore: %w", err)
 	}
@@ -428,10 +429,10 @@ func tupleLess(a, b [4]uint64) bool {
 // outcome as a corpus-ready seed.
 func (s *searcher) harvest(menu []byzAction, rt root, prefix []roundChoice, rep *Report) error {
 	sc := s.scenario(menu, rt, collapse(prefix), s.maxRounds, true)
-	o := fuzz.Run(sc)
+	o := fuzz.Run(sc, fuzz.Options{})
 	if !violates(o) {
 		sc = s.scenario(menu, rt, prefix, s.maxRounds, true)
-		o = fuzz.Run(sc)
+		o = fuzz.Run(sc, fuzz.Options{})
 	}
 	rep.Executions++
 	if !violates(o) {

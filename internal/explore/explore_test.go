@@ -44,7 +44,7 @@ func TestCheckCellFindsPartitionCounterexample(t *testing.T) {
 	}
 	// The harvested seed must replay bit-for-bit through the corpus
 	// replay path — the same check CI runs on committed seeds.
-	if _, err := fuzz.Replay(*rep.Counterexample); err != nil {
+	if _, err := fuzz.Replay(*rep.Counterexample, fuzz.Options{}); err != nil {
 		t.Fatalf("harvested counterexample does not replay: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestCounterexampleScenarioRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &sc); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	o := fuzz.Run(sc)
+	o := fuzz.Run(sc, fuzz.Options{})
 	if o.Digest != rep.Outcome.Digest {
 		t.Fatalf("round-tripped digest %s != harvested %s", o.Digest, rep.Outcome.Digest)
 	}

@@ -97,7 +97,7 @@ func Campaign(cfg Config) (*Report, error) {
 	opts := Options{Invariants: cfg.Invariants, ForceTimeModel: cfg.ForceTimeModel}
 	outs, err := exec.MapN(cfg.Count, cfg.Workers, func(i int) (*Outcome, error) {
 		rng := rand.New(rand.NewSource(subSeed(cfg.Seed, i)))
-		return RunOpts(Generate(rng, cfg.Gen), opts), nil
+		return Run(Generate(rng, cfg.Gen), opts), nil
 	})
 	if err != nil {
 		return nil, err

@@ -48,7 +48,7 @@ func TestSeedCorpusCountingParityAcrossWorkers(t *testing.T) {
 // JSON without them.
 func TestScenarioStateRepKnob(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
-		base := Run(sc)
+		base := Run(sc, Options{})
 		plain, err := json.Marshal(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestScenarioStateRepKnob(t *testing.T) {
 			if err := json.Unmarshal([]byte(knobbed), &back); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if got := Run(back); !reflect.DeepEqual(got, base) {
+			if got := Run(back, Options{}); !reflect.DeepEqual(got, base) {
 				t.Errorf("%s with state_rep %q: outcome %+v, without the knob %+v", sc.Protocol, name, got, base)
 			}
 		}

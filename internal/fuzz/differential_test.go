@@ -75,11 +75,7 @@ func holdToRefmodel(sc Scenario, observed bool) (string, error) {
 		return "", err
 	}
 	cfg.RecordTraffic, cfg.FrontierHash = observed, observed
-	tm, _ := sc.timeModel()
-	if tm == nil {
-		tm = engine.Lockstep{}
-	}
-	want, err := refmodel.Run(cfg, tm)
+	want, err := refmodel.Run(cfg)
 	if err != nil {
 		return "", fmt.Errorf("refmodel: %w", err)
 	}
@@ -158,14 +154,14 @@ func corpusScenarios(t *testing.T) (out []Scenario) {
 	return out
 }
 
-// corpusRun replays sc once on the engine: its own time model, then the
+// corpusRun replays sc once on the engine: its own Config, then the
 // overrides.
 func corpusRun(sc Scenario, overrides ...engine.Option) (*engine.Result, error) {
-	opts, err := sc.Options()
+	cfg, err := sc.Config()
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(append(opts, overrides...)...)
+	return engine.Run(append(cfg.Options(), overrides...)...)
 }
 
 // TestSeedCorpusDeliveryParity holds every committed seed, traffic

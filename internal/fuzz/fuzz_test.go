@@ -59,7 +59,7 @@ func TestCampaignFindsOnlyExpectedViolations(t *testing.T) {
 // TestReplayTestdata replays every committed regression seed — the same
 // corpus the CI fuzz-smoke job replays.
 func TestReplayTestdata(t *testing.T) {
-	replayed, errs := ReplayDir("testdata")
+	replayed, errs := ReplayDir("testdata", Options{}, nil)
 	for _, err := range errs {
 		t.Error(err)
 	}
@@ -86,7 +86,7 @@ func TestClaimedRegionHolds(t *testing.T) {
 			Selector: SelectorSpec{Kind: "first"}, Behavior: BehaviorSpec{Kind: "valueflood"}, Drops: DropSpec{Kind: "none"}},
 	}
 	for _, sc := range cases {
-		o := Run(sc)
+		o := Run(sc, Options{})
 		if !o.Claims {
 			t.Errorf("%s: expected a claimed-region tuple, registry says: %s", describe(sc), o.ClaimsWhy)
 			continue
@@ -172,7 +172,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(enc, &back); err != nil {
 		t.Fatal(err)
 	}
-	o1, o2 := Run(sc), Run(back)
+	o1, o2 := Run(sc, Options{}), Run(back, Options{})
 	if o1.Digest != o2.Digest {
 		t.Fatalf("round-tripped scenario runs differently: %s vs %s", o1.Digest, o2.Digest)
 	}
@@ -181,7 +181,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 // TestRunRecoversFromUnknownProtocol: harness failures classify as
 // errors, they never panic a campaign.
 func TestRunRecoversFromUnknownProtocol(t *testing.T) {
-	o := Run(Scenario{Protocol: "nope", N: 4, L: 4, T: 0, Inputs: []int{0, 0, 0, 0}, GST: 1})
+	o := Run(Scenario{Protocol: "nope", N: 4, L: 4, T: 0, Inputs: []int{0, 0, 0, 0}, GST: 1}, Options{})
 	if o.Class != ClassError {
 		t.Fatalf("class = %s, want error", o.Class)
 	}
@@ -194,7 +194,7 @@ func TestRunRecoversFromUnknownProtocol(t *testing.T) {
 // recycling between executions must be invisible to outcomes.
 func TestReplayInternedPathStable(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
-		replayed, errs := ReplayDir("testdata")
+		replayed, errs := ReplayDir("testdata", Options{}, nil)
 		for _, err := range errs {
 			t.Errorf("pass %d: %v", pass, err)
 		}

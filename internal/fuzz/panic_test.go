@@ -61,14 +61,14 @@ func TestPanickerHidden(t *testing.T) {
 func TestRunClassifiesPanic(t *testing.T) {
 	sc := Scenario{Protocol: "panicker", N: 4, L: 4, T: 0, Assignment: "roundrobin",
 		Inputs: []int{0, 1, 0, 1}, GST: 1}
-	o := Run(sc)
+	o := Run(sc, Options{})
 	if o.Class != ClassPanic {
 		t.Fatalf("class = %s (%s), want %s", o.Class, o.Detail, ClassPanic)
 	}
 	if want := "panic: panicker: injected protocol bug"; o.Detail != want {
 		t.Fatalf("detail = %q, want %q", o.Detail, want)
 	}
-	if o2 := Run(sc); o2.Digest != o.Digest {
+	if o2 := Run(sc, Options{}); o2.Digest != o.Digest {
 		t.Fatalf("panic digest not deterministic: %s vs %s", o.Digest, o2.Digest)
 	}
 }
@@ -125,7 +125,7 @@ func TestShrinkPreservesPanic(t *testing.T) {
 	sc := Scenario{Protocol: "panicker", N: 6, L: 4, T: 1, Assignment: "random", AssignSeed: 5,
 		Inputs: []int{1, 0, 1, 0, 1, 1}, GST: 1, AdvSeed: 2,
 		Selector: SelectorSpec{Kind: "first"}, Behavior: BehaviorSpec{Kind: "noise"}}
-	o := Run(sc)
+	o := Run(sc, Options{})
 	if o.Class != ClassPanic {
 		t.Fatalf("class = %s, want panic", o.Class)
 	}

@@ -256,24 +256,20 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.A
 	return &adversary.Composite{Selector: sel, Behavior: beh, Drops: drops}, nil
 }
 
-// Config assembles the scenario into a runnable engine.Config: validated
-// parameters, assignment, inputs, a fresh process factory and a freshly
-// composed adversary (with its own RNG state). Every call returns an
+// Config compiles the scenario into the engine.Config it describes:
+// validated parameters, assignment, inputs, a fresh process factory, a
+// freshly composed adversary (with its own RNG state), the scenario's
+// GST (clamped to 1), round budget (the protocol's suggested budget when
+// unset), faults, message budget and time model. Every call returns an
 // independent config, so the same scenario can be executed repeatedly —
 // under every state representation, in the reference interpreter, or
 // inside a worker pool — and each execution sees the adversary exactly
-// as a first run would. The returned config uses the scenario's GST
-// (clamped to 1) and round budget (the protocol's suggested budget when
-// unset). The scenario's time model and state representation are not
-// Config fields: Options layers them on top.
+// as a first run would. Run executes it as
+// engine.New(cfg.Options()...), plus claim classification.
 //
 // Every O(1) check runs before anything n-sized is built, so a hostile
 // scenario (a huge n with a short input list) ends in a typed error
 // rather than an out-of-memory crash.
-//
-// Run performs the same assembly internally (plus claim classification);
-// Options exists for harnesses that need the raw execution, like the
-// differential tests replaying generated scenarios.
 func (sc Scenario) Config() (engine.Config, error) {
 	proto, ok := protoreg.Get(sc.Protocol)
 	if !ok {
@@ -289,8 +285,13 @@ func (sc Scenario) Config() (engine.Config, error) {
 	if len(sc.Inputs) != sc.N {
 		return engine.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d: %w", sc.N, len(sc.Inputs), hom.ErrInputLength)
 	}
-	if _, err := sc.timeModel(); err != nil {
-		return engine.Config{}, err
+	var tm engine.TimeModel // nil: lockstep
+	switch sc.TimeModel {
+	case "", "lockstep":
+	case "esync":
+		tm = engine.EventuallySynchronous{Bound: sc.Bound, Timeout: sc.Timeout, MaxAttempts: sc.MaxAttempts}
+	default:
+		return engine.Config{}, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
 	}
 	a, err := sc.assignment()
 	if err != nil {
@@ -326,65 +327,8 @@ func (sc Scenario) Config() (engine.Config, error) {
 		MaxRounds:  maxRounds,
 		Faults:     sc.Faults,
 		MaxSends:   sc.MaxSends,
+		TimeModel:  tm,
 	}, nil
-}
-
-// timeModel resolves the scenario's time model; nil means the engine's
-// default (Lockstep).
-func (sc Scenario) timeModel() (engine.TimeModel, error) {
-	switch sc.TimeModel {
-	case "", "lockstep":
-		return nil, nil
-	case "esync":
-		return engine.EventuallySynchronous{
-			Bound:       sc.Bound,
-			Timeout:     sc.Timeout,
-			MaxAttempts: sc.MaxAttempts,
-		}, nil
-	default:
-		return nil, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
-	}
-}
-
-// Options assembles the scenario into engine options: the Config()
-// assembly, then the scenario's time model — ready to compose with
-// overrides (state representation, invariants).
-func (sc Scenario) Options() ([]engine.Option, error) {
-	cfg, err := sc.Config()
-	if err != nil {
-		return nil, err
-	}
-	return sc.options(cfg)
-}
-
-// options turns an assembled (and possibly adjusted) cfg into engine
-// options and layers the scenario's time model over them.
-func (sc Scenario) options(cfg engine.Config) ([]engine.Option, error) {
-	opts := []engine.Option{
-		engine.WithParams(cfg.Params),
-		engine.WithAssignment(cfg.Assignment),
-		engine.WithInputs(cfg.Inputs...),
-		engine.WithProcess(cfg.NewProcess),
-		engine.WithGST(cfg.GST),
-		engine.WithRounds(cfg.MaxRounds),
-	}
-	if cfg.MaxSends > 0 {
-		opts = append(opts, engine.WithBudget(cfg.MaxSends, 0))
-	}
-	if cfg.Adversary != nil {
-		opts = append(opts, engine.WithAdversary(cfg.Adversary))
-	}
-	if cfg.Faults != nil {
-		opts = append(opts, engine.WithFaults(cfg.Faults))
-	}
-	tm, err := sc.timeModel()
-	if err != nil {
-		return nil, err
-	}
-	if tm != nil {
-		opts = append(opts, engine.WithTimeModel(tm))
-	}
-	return opts, nil
 }
 
 // Class is the fuzzer's classification of one execution.
@@ -426,10 +370,9 @@ type Outcome struct {
 	Detail string `json:"detail"`
 	// Rounds is the number of simulation rounds executed.
 	Rounds int `json:"rounds"`
-	// Stopped echoes engine.Result.Stopped: non-empty when an execution
-	// budget (message budget or deadline) ended the run early, in which
-	// case termination is not attributable to the protocol and the
-	// claim is narrowed.
+	// Stopped echoes engine.Result.Stopped: non-empty when the message
+	// budget ended the run early, in which case termination is not
+	// attributable to the protocol and the claim is narrowed.
 	Stopped string `json:"stopped,omitempty"`
 	// Digest is a stable hash of the scenario and everything observable
 	// about its execution; equal digests mean byte-identical runs.
@@ -453,18 +396,14 @@ type Options struct {
 	ForceTimeModel string
 }
 
-// Run executes one scenario and classifies the result with default
-// Options. It never panics — see RunOpts.
-func Run(sc Scenario) *Outcome { return RunOpts(sc, Options{}) }
-
-// RunOpts executes one scenario and classifies the result. It never
+// Run executes one scenario and classifies the result. It never
 // panics: process or engine panics unwind to an exec.Protect boundary,
 // which converts them into a typed exec.PanicError; the outcome is then
 // classified ClassPanic with the panic value as detail, so a campaign
 // survives (and records) degenerate corners of the parameter space. The
 // panic-value text is deterministic; the goroutine stack stays out of
 // the digest.
-func RunOpts(sc Scenario, opts Options) *Outcome {
+func Run(sc Scenario, opts Options) *Outcome {
 	if opts.ForceTimeModel != "" && (sc.TimeModel == "" || sc.TimeModel == "lockstep") {
 		sc.TimeModel = opts.ForceTimeModel
 	}
@@ -482,7 +421,7 @@ func RunOpts(sc Scenario, opts Options) *Outcome {
 	return out
 }
 
-// run is the unprotected scenario execution: RunOpts wraps it so panics
+// run is the unprotected scenario execution: Run wraps it so panics
 // become typed outcomes instead of tearing down the campaign.
 func run(sc Scenario, opts Options) (out *Outcome) {
 	out = &Outcome{Scenario: sc, Class: ClassError}
@@ -513,15 +452,8 @@ func run(sc Scenario, opts Options) (out *Outcome) {
 		return out
 	}
 
-	eopts, err := sc.options(cfg)
-	if err != nil {
-		out.Detail = strings.TrimPrefix(err.Error(), "fuzz: ")
-		return out
-	}
-	if opts.Invariants {
-		eopts = append(eopts, engine.WithInvariants())
-	}
-	eng, err := engine.New(eopts...)
+	cfg.Invariants = opts.Invariants
+	eng, err := engine.New(cfg.Options()...)
 	if err != nil {
 		out.Detail = "sim: " + err.Error()
 		return out

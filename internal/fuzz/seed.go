@@ -65,8 +65,8 @@ func WriteSeed(path string, sf SeedFile) error {
 	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }
 
-// LoadSeed reads one seed file.
-func LoadSeed(path string) (SeedFile, error) {
+// loadSeed reads one seed file.
+func loadSeed(path string) (SeedFile, error) {
 	var sf SeedFile
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -78,18 +78,12 @@ func LoadSeed(path string) (SeedFile, error) {
 	return sf, nil
 }
 
-// Replay reruns the seed's scenario and checks the pinned expectation.
-// The returned outcome is always non-nil; err describes the first
-// mismatch.
-func Replay(sf SeedFile) (*Outcome, error) {
-	return ReplayOpts(sf, Options{})
-}
-
-// ReplayOpts is Replay with execution options — the CI hardening job
-// replays the corpus with Invariants on, which must reproduce the same
-// pinned expectations as a plain replay.
-func ReplayOpts(sf SeedFile, opts Options) (*Outcome, error) {
-	o := RunOpts(sf.Scenario, opts)
+// Replay reruns the seed's scenario under opts and checks the pinned
+// expectation — which every Options value must reproduce: the CI
+// hardening job replays the corpus with Invariants on. The returned
+// outcome is always non-nil; err describes the first mismatch.
+func Replay(sf SeedFile, opts Options) (*Outcome, error) {
+	o := Run(sf.Scenario, opts)
 	if o.Class != sf.Expect.Class {
 		return o, fmt.Errorf("seed %s: class %s, want %s (%s)", sf.Name, o.Class, sf.Expect.Class, o.Detail)
 	}
@@ -111,24 +105,14 @@ func ReplayOpts(sf SeedFile, opts Options) (*Outcome, error) {
 	return o, nil
 }
 
-// ReplayDir replays every *.json seed under dir in sorted order and
-// returns the per-seed errors (nil entries omitted). A missing directory
-// is not an error: a repository starts with no regression seeds.
-func ReplayDir(dir string) (replayed int, errs []error) {
-	return ReplayDirOpts(dir, Options{})
-}
-
-// ReplayDirOpts is ReplayDir with execution options.
-func ReplayDirOpts(dir string, opts Options) (replayed int, errs []error) {
-	return ReplayDirVisit(dir, opts, nil)
-}
-
-// ReplayDirVisit is ReplayDirOpts with a per-seed observer: visit (when
-// non-nil) is called for every replayed seed with its outcome and replay
-// error, letting callers surface execution details — a budget stop, the
-// round count — that the aggregate error list does not carry. Seeds that
-// fail to load are reported only through errs.
-func ReplayDirVisit(dir string, opts Options, visit func(name string, o *Outcome, err error)) (replayed int, errs []error) {
+// ReplayDir replays every *.json seed under dir in sorted order under
+// opts and returns the per-seed errors (nil entries omitted). A missing
+// directory is not an error: a repository starts with no regression
+// seeds. visit (when non-nil) is called for every replayed seed with its
+// outcome and replay error, letting callers surface execution details —
+// a budget stop, the round count — that the aggregate error list does
+// not carry. Seeds that fail to load are reported only through errs.
+func ReplayDir(dir string, opts Options, visit func(name string, o *Outcome, err error)) (replayed int, errs []error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -144,13 +128,13 @@ func ReplayDirVisit(dir string, opts Options, visit func(name string, o *Outcome
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sf, err := LoadSeed(filepath.Join(dir, name))
+		sf, err := loadSeed(filepath.Join(dir, name))
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
 		replayed++
-		o, err := ReplayOpts(sf, opts)
+		o, err := Replay(sf, opts)
 		if err != nil {
 			errs = append(errs, err)
 		}

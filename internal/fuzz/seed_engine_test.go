@@ -101,7 +101,7 @@ func TestSeedEngineStats(t *testing.T) {
 	for _, want := range seedEngineExpects() {
 		t.Run(want.name, func(t *testing.T) {
 			sf := loadTestdataSeed(t, want.name)
-			if _, err := Replay(sf); err != nil {
+			if _, err := Replay(sf, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			res := runSeedEngine(t, sf)

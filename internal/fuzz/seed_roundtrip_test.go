@@ -38,7 +38,7 @@ func TestSeedScenarioJSONRoundTrip(t *testing.T) {
 	for _, name := range testdataSeedNames(t) {
 		t.Run(name, func(t *testing.T) {
 			sf := loadTestdataSeed(t, name)
-			want := Run(sf.Scenario)
+			want := Run(sf.Scenario, Options{})
 
 			raw, err := json.Marshal(sf.Scenario)
 			if err != nil {
@@ -48,7 +48,7 @@ func TestSeedScenarioJSONRoundTrip(t *testing.T) {
 			if err := json.Unmarshal(raw, &sc); err != nil {
 				t.Fatal(err)
 			}
-			got := Run(sc)
+			got := Run(sc, Options{})
 			if got.Digest != want.Digest {
 				t.Fatalf("digest drifted across JSON: %s vs %s", got.Digest, want.Digest)
 			}
@@ -70,8 +70,8 @@ func TestSeedScenarioJSONRoundTrip(t *testing.T) {
 }
 
 // TestSeedOptionsMatchesConfig: for every committed seed, the engine run
-// Scenario.Options assembles reports what the reference interpreter
-// reports for the engine.Config that Scenario.Config assembles — same
+// that Config.Options assembles from Scenario.Config reports what the
+// reference interpreter reports for the same engine.Config — same
 // rounds, decisions and stats, whichever state representation.
 func TestSeedOptionsMatchesConfig(t *testing.T) {
 	for _, name := range testdataSeedNames(t) {

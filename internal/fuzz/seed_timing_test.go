@@ -11,7 +11,7 @@ import (
 // on any problem.
 func loadTestdataSeed(t testing.TB, name string) SeedFile {
 	t.Helper()
-	sf, err := LoadSeed(filepath.Join("testdata", name+".json"))
+	sf, err := loadSeed(filepath.Join("testdata", name+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func runSeedEngine(t *testing.T, sf SeedFile) *engine.Result {
 // counterfactual.)
 func TestRecoverySeedRetransmits(t *testing.T) {
 	sf := loadTestdataSeed(t, "psynchom-esync-retransmit-recovery")
-	if _, err := Replay(sf); err != nil {
+	if _, err := Replay(sf, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	res := runSeedEngine(t, sf)
@@ -60,7 +60,7 @@ func TestRecoverySeedRetransmits(t *testing.T) {
 // a panic.
 func TestBudgetStopSeedDegradesGracefully(t *testing.T) {
 	sf := loadTestdataSeed(t, "psynchom-esync-budget-stop")
-	if _, err := Replay(sf); err != nil {
+	if _, err := Replay(sf, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	res := runSeedEngine(t, sf)

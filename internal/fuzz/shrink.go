@@ -30,7 +30,7 @@ func Shrink(orig *Outcome, budget int) (*Outcome, int) {
 		improved := false
 		for _, cand := range candidates(cur.Scenario) {
 			runs++
-			if o := Run(cand); accept(o) {
+			if o := Run(cand, Options{}); accept(o) {
 				cur = o
 				improved = true
 				break

@@ -47,7 +47,7 @@ func TestShrinkTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			orig := Run(tc.start)
+			orig := Run(tc.start, Options{})
 			if orig.Class != ClassExpected {
 				t.Fatalf("start scenario: class %s (%s), want expected-violation", orig.Class, orig.Detail)
 			}
@@ -64,14 +64,14 @@ func TestShrinkTable(t *testing.T) {
 				t.Errorf("shrunk behavior %q, want %q", sc.Behavior.Kind, tc.wantBehavior)
 			}
 			// The fixpoint must still violate: replay it from scratch.
-			re := Run(sc)
+			re := Run(sc, Options{})
 			if re.Class != ClassExpected || !re.ViolatesAtLeast(tc.wantProps) {
 				t.Errorf("shrunk scenario no longer violates %v: class=%s props=%v",
 					tc.wantProps, re.Class, re.Properties)
 			}
 			// And it must be minimal: no listed simplification applies.
 			for _, cand := range candidates(sc) {
-				o := Run(cand)
+				o := Run(cand, Options{})
 				if o.Class == orig.Class && o.ViolatesAtLeast(orig.Properties) {
 					t.Errorf("not a fixpoint: %s still violates", describe(cand))
 				}
@@ -87,7 +87,7 @@ func TestShrinkPreservesClassification(t *testing.T) {
 	start := Scenario{Protocol: "numbcast", N: 7, L: 1, T: 3, Numerate: true, Restricted: false,
 		Assignment: "roundrobin", Inputs: []int{0, 0, 0, 0, 0, 0, 0}, GST: 1, AdvSeed: 13,
 		Selector: SelectorSpec{Kind: "first"}, Behavior: BehaviorSpec{Kind: "valueflood"}, Drops: DropSpec{Kind: "none"}}
-	orig := Run(start)
+	orig := Run(start, Options{})
 	if orig.Class != ClassExpected {
 		t.Fatalf("start: class %s, want expected-violation", orig.Class)
 	}
@@ -104,7 +104,7 @@ func TestShrinkPreservesClassification(t *testing.T) {
 func TestShrinkRejectsNonViolations(t *testing.T) {
 	o := Run(Scenario{Protocol: "synchom", N: 4, L: 4, T: 1, Assignment: "roundrobin",
 		Inputs: []int{0, 0, 0, 0}, GST: 1,
-		Selector: SelectorSpec{Kind: "first"}, Behavior: BehaviorSpec{Kind: "silent"}, Drops: DropSpec{Kind: "none"}})
+		Selector: SelectorSpec{Kind: "first"}, Behavior: BehaviorSpec{Kind: "silent"}, Drops: DropSpec{Kind: "none"}}, Options{})
 	if o.Class != ClassOK {
 		t.Fatalf("class %s, want ok", o.Class)
 	}

@@ -5,9 +5,10 @@
 // what the adversary may drop before GST, and hands every process the
 // set (innumerate) or multiset (numerate) of what reached it.
 //
-// It executes one engine.Config the naive way — per slot, per message,
-// over plain slices — and reports an engine.Result, so the engine can be
-// held to it field for field. It shares the engine's Process, Adversary
+// It executes one engine.Config, time model included, the naive way —
+// per slot, per message, over plain slices — and reports an
+// engine.Result, so the engine running the same Config
+// (engine.Run(cfg.Options()...)) can be held to it field for field. It shares the engine's Process, Adversary
 // and Observer contracts, inject.Compile's fault verdicts and
 // msg.NewInbox, and nothing of its routing (no send arena, rows, tails,
 // reception classes, stamp memos or shared inboxes). Only tests import
@@ -59,14 +60,14 @@ type world struct {
 	log         []msg.Delivered // this round's deliveries, send-major
 }
 
-// Run executes cfg under the time model tm and reports what the engine
-// would report: decisions and their rounds, rounds run, the budget stop,
-// statistics, and — when cfg asks — traffic and per-slot history hashes.
-// cfg and tm must be ones engine.New accepts; Deadline is ignored. An
-// error reports an invalid corruption or fault schedule, or a broken
-// model property.
-func Run(cfg engine.Config, tm engine.TimeModel) (*engine.Result, error) {
-	w, err := start(cfg, tm)
+// Run executes cfg under its time model (Lockstep when nil) and reports
+// what the engine would report: decisions and their rounds, rounds run,
+// the budget stop, statistics, and — when cfg asks — traffic and
+// per-slot history hashes. cfg must be one engine.New accepts; the
+// engine runs it as engine.Run(cfg.Options()...). An error reports an
+// invalid corruption or fault schedule, or a broken model property.
+func Run(cfg engine.Config) (*engine.Result, error) {
+	w, err := start(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -91,36 +92,14 @@ func Run(cfg engine.Config, tm engine.TimeModel) (*engine.Result, error) {
 	return w.res, nil
 }
 
-// Options is cfg under tm as engine options, every field carried: the
-// execution Run(cfg, tm) interprets. Knobs at their zero values (and a
-// Lockstep tm) are left out, so a caller may still set them.
-func Options(cfg engine.Config, tm engine.TimeModel) []engine.Option {
-	opts := []engine.Option{engine.WithParams(cfg.Params), engine.WithAssignment(cfg.Assignment),
-		engine.WithInputs(cfg.Inputs...), engine.WithProcess(cfg.NewProcess), engine.WithRounds(cfg.MaxRounds)}
-	add := func(set bool, opt engine.Option) {
-		if set {
-			opts = append(opts, opt)
-		}
-	}
-	_, lockstep := tm.(engine.Lockstep)
-	add(tm != nil && !lockstep, engine.WithTimeModel(tm))
-	add(cfg.GST != 0, engine.WithGST(cfg.GST))
-	add(cfg.ExtraRounds != 0, engine.WithExtraRounds(cfg.ExtraRounds))
-	add(cfg.MaxSends != 0 || cfg.Deadline != 0, engine.WithBudget(cfg.MaxSends, cfg.Deadline))
-	add(cfg.Adversary != nil, engine.WithAdversary(cfg.Adversary))
-	add(cfg.Visibility != nil, engine.WithVisibility(cfg.Visibility))
-	add(cfg.Faults != nil, engine.WithFaults(cfg.Faults))
-	add(cfg.Interner != nil, engine.WithInterner(cfg.Interner))
-	add(cfg.RecordTraffic, engine.WithTrafficRecording())
-	add(cfg.FrontierHash, engine.WithFrontierHash())
-	add(cfg.Invariants, engine.WithInvariants())
-	return opts
-}
-
 // start builds the initial state: the adversary's corruption, one
 // initialised process per correct slot, the compiled fault schedule.
-func start(cfg engine.Config, tm engine.TimeModel) (*world, error) {
+func start(cfg engine.Config) (*world, error) {
 	n := cfg.Params.N
+	tm := cfg.TimeModel
+	if tm == nil {
+		tm = engine.Lockstep{}
+	}
 	w := &world{cfg: cfg, n: n, gst: max(cfg.GST, 1), timing: tm.Timing(),
 		isByzantine: make([]bool, n), names: msg.NewInterner(), states: make([]engine.Process, n)}
 	if cfg.Adversary != nil {

@@ -112,7 +112,7 @@ func TestRestrictedByzantineOverSends(t *testing.T) {
 		}},
 		MaxRounds:     1,
 		RecordTraffic: true,
-	}, engine.Lockstep{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPartialSynchronyDropAndDuplicate(t *testing.T) {
 		MaxRounds:     2,
 		Faults:        &inject.Schedule{Duplicates: []inject.Duplicate{{FromSlot: 3, ToSlot: 2, Round: 2}}},
 		RecordTraffic: true,
-	}, engine.Lockstep{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

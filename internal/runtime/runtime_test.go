@@ -1,6 +1,5 @@
 // The counting state representation held to the concrete one —
-// results, traffic and KeyID assignment — plus the core façade's
-// end-to-end checks. This directory holds tests only, like its sibling
+// results and traffic — plus the core façade's end-to-end checks. This directory holds tests only, like its sibling
 // "sim".
 package engine_test
 
@@ -22,12 +21,12 @@ import (
 
 // run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(append(refmodel.Options(cfg, nil), engine.WithStateRep(engine.Concrete()))...)
+	return engine.Run(append(cfg.Options(), engine.WithStateRep(engine.Concrete()))...)
 }
 
 // runCounting is run on the counting representation.
 func runCounting(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(append(refmodel.Options(cfg, nil), engine.WithStateRep(engine.Counting()))...)
+	return engine.Run(append(cfg.Options(), engine.WithStateRep(engine.Counting()))...)
 }
 
 // equivalentConfigs builds a set of representative configurations used to
@@ -96,7 +95,7 @@ func TestRuntimeMatchesSimExactly(t *testing.T) {
 	}
 	for name, cfg := range equivalentConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := refmodel.Run(cfg, engine.Lockstep{})
+			want, err := refmodel.Run(cfg)
 			if err != nil {
 				t.Fatalf("refmodel: %v", err)
 			}

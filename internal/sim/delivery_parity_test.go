@@ -160,7 +160,7 @@ func holdToRefmodel(t *testing.T, cfg engine.Config, run func(engine.Config) (*e
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	want, err := refmodel.Run(cfg, engine.Lockstep{})
+	want, err := refmodel.Run(cfg)
 	if err != nil {
 		t.Fatalf("refmodel: %v", err)
 	}

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"homonyms/internal/engine"
 	"homonyms/internal/inject"
@@ -116,25 +115,6 @@ func TestMessageBudgetStops(t *testing.T) {
 	}
 	if res.AllDecided {
 		t.Fatal("AllDecided despite stopping before the decision round")
-	}
-}
-
-// TestDeadlineStops: an already-expired wall-clock deadline stops the
-// run after the first round with the structured reason. (The deadline is
-// inherently non-deterministic; only the structured outcome is pinned.)
-func TestDeadlineStops(t *testing.T) {
-	cfg := baseConfig(4, 4, 0)
-	cfg.NewProcess = func(int) engine.Process { return &echoProc{decideAt: 9} }
-	cfg.Deadline = time.Nanosecond
-	res, err := run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stopped != engine.StopDeadline {
-		t.Fatalf("Stopped = %q, want %q", res.Stopped, engine.StopDeadline)
-	}
-	if res.Rounds != 1 {
-		t.Fatalf("expired deadline still ran %d rounds", res.Rounds)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-	"homonyms/internal/refmodel"
 )
 
 // echoProc broadcasts its input every round and decides, after a fixed
@@ -67,12 +66,12 @@ func (e *echoProc) Decision() (hom.Value, bool) { return e.decision, e.decided }
 
 // run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(append(refmodel.Options(cfg, nil), engine.WithStateRep(engine.Concrete()))...)
+	return engine.Run(append(cfg.Options(), engine.WithStateRep(engine.Concrete()))...)
 }
 
 // runCounting is run on the counting representation.
 func runCounting(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(append(refmodel.Options(cfg, nil), engine.WithStateRep(engine.Counting()))...)
+	return engine.Run(append(cfg.Options(), engine.WithStateRep(engine.Counting()))...)
 }
 
 func baseConfig(n, l, t int) engine.Config {

@@ -46,7 +46,7 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 }
 
 // TestRunParallelDeterminism drives full core.Run executions through
-// exec.Map and checks every field of the result — decisions, rounds and
+// exec.MapN and checks every field of the result — decisions, rounds and
 // message statistics — against the same execution run inline. A scheduler
 // that leaked state between workers, or an engine whose scratch reuse were
 // racy, would diverge here.
@@ -91,7 +91,7 @@ func TestRunParallelDeterminism(t *testing.T) {
 	}
 	for i := range sequential {
 		if parallel[i] != sequential[i] {
-			t.Fatalf("run %d diverged under exec.Map:\nsequential: %s\nparallel:   %s",
+			t.Fatalf("run %d diverged under exec.MapN:\nsequential: %s\nparallel:   %s",
 				i, sequential[i], parallel[i])
 		}
 	}
