@@ -9,8 +9,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,7 +30,19 @@ func main() {
 	}
 }
 
+// run writes through one buffer: at n = 10⁶ a write per slot line
+// dominated the command. What was printed before an error is still
+// flushed.
 func run() error {
+	out := bufio.NewWriter(os.Stdout)
+	err := simulate(out)
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+func simulate(out io.Writer) error {
 	var (
 		n          = flag.Int("n", 6, "number of processes")
 		l          = flag.Int("l", 5, "number of identifiers")
@@ -62,9 +76,9 @@ func run() error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	fmt.Printf("model: %s\ntable-1: %s\n", p, p.SolvabilityReason())
+	fmt.Fprintf(out, "model: %s\ntable-1: %s\n", p, p.SolvabilityReason())
 	if !p.Solvable() {
-		fmt.Println("parameters are unsolvable; see `attacks` for the matching lower-bound demonstration")
+		fmt.Fprintln(out, "parameters are unsolvable; see `attacks` for the matching lower-bound demonstration")
 		return nil
 	}
 
@@ -80,18 +94,9 @@ func run() error {
 		return fmt.Errorf("unknown assignment %q", *assign)
 	}
 
-	inputs := make([]hom.Value, p.N)
-	if *inputsFlag != "" {
-		if len(*inputsFlag) != p.N {
-			return fmt.Errorf("inputs string must have length n = %d", p.N)
-		}
-		for i, c := range *inputsFlag {
-			inputs[i] = hom.Value(c - '0')
-		}
-	} else {
-		for i := range inputs {
-			inputs[i] = hom.Value(i % 2)
-		}
+	inputs, err := parseInputs(*inputsFlag, p.N)
+	if err != nil {
+		return err
 	}
 
 	var adv engine.Adversary
@@ -128,29 +133,53 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("algorithm: %s\nassignment: %v\ninputs: %v\ncorrupted: %v\n",
+	fmt.Fprintf(out, "algorithm: %s\nassignment: %v\ninputs: %v\ncorrupted: %v\n",
 		res.Algorithm, a, inputs, res.Sim.Corrupted)
-	fmt.Println(strings.Repeat("-", 60))
+	fmt.Fprintln(out, strings.Repeat("-", 60))
 	for s := 0; s < p.N; s++ {
 		status := "correct"
 		if res.Sim.IsCorrupted(s) {
 			status = "byzantine"
 		}
 		if res.Sim.DecidedAt[s] > 0 {
-			fmt.Printf("slot %2d  id %2d  %-9s decided %d at round %d\n",
+			fmt.Fprintf(out, "slot %2d  id %2d  %-9s decided %d at round %d\n",
 				s, a[s], status, res.Sim.Decisions[s], res.Sim.DecidedAt[s])
 		} else {
-			fmt.Printf("slot %2d  id %2d  %-9s undecided\n", s, a[s], status)
+			fmt.Fprintf(out, "slot %2d  id %2d  %-9s undecided\n", s, a[s], status)
 		}
 	}
-	fmt.Println(strings.Repeat("-", 60))
-	fmt.Printf("rounds: %d   latest decision: %d\n", res.Sim.Rounds, trace.LatestDecisionRound(res.Sim))
+	fmt.Fprintln(out, strings.Repeat("-", 60))
+	fmt.Fprintf(out, "rounds: %d   latest decision: %d\n", res.Sim.Rounds, trace.LatestDecisionRound(res.Sim))
 	if res.Sim.Stopped != "" {
-		fmt.Printf("stopped early: %s (the execution budget ended the run before MaxRounds)\n", res.Sim.Stopped)
+		fmt.Fprintf(out, "stopped early: %s (the execution budget ended the run before MaxRounds)\n", res.Sim.Stopped)
 	}
-	fmt.Printf("messages: sent %d, delivered %d, dropped %d, payload %d bytes\n",
+	fmt.Fprintf(out, "messages: sent %d, delivered %d, dropped %d, payload %d bytes\n",
 		res.Sim.Stats.MessagesSent, res.Sim.Stats.MessagesDelivered,
 		res.Sim.Stats.MessagesDropped, res.Sim.Stats.PayloadBytes)
-	fmt.Printf("verdict: %s\n", res.Verdict)
+	fmt.Fprintf(out, "verdict: %s\n", res.Verdict)
 	return nil
+}
+
+// parseInputs reads -inputs: one binary digit per slot, or, when s is
+// empty, the alternating vector 0101….
+func parseInputs(s string, n int) ([]hom.Value, error) {
+	inputs := make([]hom.Value, n)
+	if s == "" {
+		for i := range inputs {
+			inputs[i] = hom.Value(i % 2)
+		}
+		return inputs, nil
+	}
+	for i, c := range []rune(s) {
+		if c != '0' && c != '1' {
+			return nil, fmt.Errorf("inputs string: position %d is %q, want 0 or 1", i, c)
+		}
+	}
+	if len(s) != n {
+		return nil, fmt.Errorf("inputs string must have length n = %d", n)
+	}
+	for i := range inputs {
+		inputs[i] = hom.Value(s[i] - '0')
+	}
+	return inputs, nil
 }

@@ -276,14 +276,21 @@ func (e Equivocate) Sends(round, slot int, view *engine.View) []msg.TargetedSend
 	out := make([]msg.TargetedSend, 0, view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		src := senders[rng.Intn(len(senders))]
-		for _, s := range view.SendsOf(int(src)) {
-			if s.Kind == msg.ToAll {
-				out = append(out, msg.TargetedSend{ToSlot: to, Body: s.Body})
-				break
-			}
+		if s := firstBroadcast(view.SendsOf(int(src))); s != nil {
+			out = append(out, msg.TargetedSend{ToSlot: to, Body: s.Body, Forwards: s})
 		}
 	}
 	return out
+}
+
+// firstBroadcast returns the first ToAll send of ss, or nil.
+func firstBroadcast(ss []msg.Send) *msg.Send {
+	for j := range ss {
+		if ss[j].Kind == msg.ToAll {
+			return &ss[j]
+		}
+	}
+	return nil
 }
 
 // MimicFlood copies every current-round broadcast body of every correct
@@ -295,12 +302,24 @@ type MimicFlood struct{}
 // Sends implements Behavior.
 func (MimicFlood) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	senders := view.Senders()
-	var out []msg.TargetedSend
+	perRecipient := 0
+	for _, src := range senders {
+		for _, s := range view.SendsOf(int(src)) {
+			if s.Kind == msg.ToAll {
+				perRecipient++
+			}
+		}
+	}
+	if perRecipient == 0 {
+		return nil
+	}
+	out := make([]msg.TargetedSend, 0, perRecipient*view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		for _, src := range senders {
-			for _, s := range view.SendsOf(int(src)) {
-				if s.Kind == msg.ToAll {
-					out = append(out, msg.TargetedSend{ToSlot: to, Body: s.Body})
+			ss := view.SendsOf(int(src))
+			for j := range ss {
+				if ss[j].Kind == msg.ToAll {
+					out = append(out, msg.TargetedSend{ToSlot: to, Body: ss[j].Body, Forwards: &ss[j]})
 				}
 			}
 		}
@@ -339,11 +358,8 @@ func (e KeyEquivocate) Sends(round, slot int, view *engine.View) []msg.TargetedS
 	out := make([]msg.TargetedSend, 0, view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		src := srcOf[view.Assignment[to]]
-		for _, s := range view.SendsOf(int(src)) {
-			if s.Kind == msg.ToAll {
-				out = append(out, msg.TargetedSend{ToSlot: to, Body: s.Body})
-				break
-			}
+		if s := firstBroadcast(view.SendsOf(int(src))); s != nil {
+			out = append(out, msg.TargetedSend{ToSlot: to, Body: s.Body, Forwards: s})
 		}
 	}
 	return out

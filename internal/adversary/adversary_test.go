@@ -292,3 +292,55 @@ func TestPerScenarioRandThreading(t *testing.T) {
 		t.Fatal("different seeds produced identical streams")
 	}
 }
+
+// TestForwardersNameTheSendTheyRepeat pins the Forwards contract of the
+// behaviours that copy correct broadcasts: every targeted send names,
+// by address, the ToAll send of the view it copies, and carries exactly
+// that send's Body. The engine keys each named send once per call.
+func TestForwardersNameTheSendTheyRepeat(t *testing.T) {
+	const n = 6
+	sends := make([][]msg.Send, n)
+	for s := 0; s < n-1; s++ {
+		sends[s] = []msg.Send{msg.SendTo(1, msg.Raw("targeted")), msg.Broadcast(msg.Raw("m" + string(rune('a'+s))))}
+	}
+	v := engine.NewView(params(n, 3, 1), hom.RoundRobinAssignment(n, 3), nil, 1, sends, []int{n - 1})
+	inView := func(f *msg.Send) bool {
+		for s := range sends {
+			for j := range sends[s] {
+				if f == &sends[s][j] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, tc := range []struct {
+		name string
+		beh  adversary.Behavior
+		want int
+	}{
+		{"Equivocate", adversary.Equivocate{Seed: 1}, n},
+		{"KeyEquivocate", adversary.KeyEquivocate{Seed: 1}, n},
+		{"MimicFlood", adversary.MimicFlood{}, n * (n - 1)},
+		{"Copy", &adversary.ScriptBehavior{Steps: []adversary.ScriptSend{{Round: 1, Slot: n - 1, Copy: true, Src: 2}}}, n},
+	} {
+		out := tc.beh.Sends(1, n-1, v)
+		if len(out) != tc.want {
+			t.Fatalf("%s sent %d, want %d", tc.name, len(out), tc.want)
+		}
+		for _, ts := range out {
+			if f := ts.Forwards; f == nil || !inView(f) || f.Kind != msg.ToAll || f.Body != ts.Body {
+				t.Fatalf("%s: a send of %v names %+v, want the view's broadcast carrying it", tc.name, ts.Body, f)
+			}
+		}
+	}
+	mimic := &adversary.ScriptBehavior{
+		Steps:   []adversary.ScriptSend{{Round: 1, Slot: n - 1, Mimic: true, Value: 1}},
+		Factory: func(int) engine.Process { return &scriptEcho{} },
+	}
+	for _, ts := range mimic.Sends(1, n-1, v) {
+		if f := ts.Forwards; f == nil || f.Body != ts.Body {
+			t.Fatalf("Mimic: a send of %v names %+v, want the shadow's send carrying it", ts.Body, f)
+		}
+	}
+}

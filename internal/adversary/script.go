@@ -120,21 +120,26 @@ func (sb *ScriptBehavior) Sends(round, slot int, view *engine.View) []msg.Target
 			out = append(out, sb.mimic(st, round, slot, view)...)
 			continue
 		}
-		var payloads []msg.Payload
+		// The step's sends, ToSlot left for emit to fill in.
+		var step []msg.TargetedSend
 		if st.Copy {
-			for _, s := range view.SendsOf(st.Src) {
-				if s.Kind == msg.ToAll {
-					payloads = append(payloads, s.Body)
+			ss := view.SendsOf(st.Src)
+			for j := range ss {
+				if ss[j].Kind == msg.ToAll && ss[j].Body != nil {
+					step = append(step, msg.TargetedSend{Body: ss[j].Body, Forwards: &ss[j]})
 				}
 			}
 		} else if sb.Make != nil {
-			payloads = sb.Make(round, hom.Value(st.Value))
+			for _, pl := range sb.Make(round, hom.Value(st.Value)) {
+				if pl != nil {
+					step = append(step, msg.TargetedSend{Body: pl})
+				}
+			}
 		}
 		emit := func(to int) {
-			for _, pl := range payloads {
-				if pl != nil {
-					out = append(out, msg.TargetedSend{ToSlot: to, Body: pl})
-				}
+			for _, ts := range step {
+				ts.ToSlot = to
+				out = append(out, ts)
 			}
 		}
 		if st.To == nil {
@@ -188,11 +193,11 @@ func (sb *ScriptBehavior) mimic(st ScriptSend, round, slot int, view *engine.Vie
 	sends := sh.proc.Prepare(round)
 	var out []msg.TargetedSend
 	emit := func(to int) {
-		for _, snd := range sends {
+		for j, snd := range sends {
 			if snd.Kind == msg.ToIdentifier && view.Assignment[to] != snd.To {
 				continue
 			}
-			out = append(out, msg.TargetedSend{ToSlot: to, Body: snd.Body})
+			out = append(out, msg.TargetedSend{ToSlot: to, Body: snd.Body, Forwards: &sends[j]})
 		}
 	}
 	if st.To == nil {

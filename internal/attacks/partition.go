@@ -219,7 +219,8 @@ func (a *partitionAdversary) Sends(round, slot int, _ *engine.View) []msg.Target
 	id := a.gammaIDs[slot]
 	var out []msg.TargetedSend
 	emit := func(trace [][][]msg.Send, campWant int) {
-		for _, snd := range trace[round-1][id-1] {
+		sends := trace[round-1][id-1]
+		for j, snd := range sends {
 			for to := range a.camp {
 				if a.camp[to] != campWant {
 					continue
@@ -227,7 +228,7 @@ func (a *partitionAdversary) Sends(round, slot int, _ *engine.View) []msg.Target
 				if snd.Kind == msg.ToIdentifier && a.gammaIDs[to] != snd.To {
 					continue
 				}
-				out = append(out, msg.TargetedSend{ToSlot: to, Body: snd.Body})
+				out = append(out, msg.TargetedSend{ToSlot: to, Body: snd.Body, Forwards: &sends[j]})
 			}
 		}
 	}

@@ -593,11 +593,13 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	e.ran = true
 	// Tear down the state representation (releasing processes), return
-	// the last round's shared inbox cores and recycle the pooled interner
-	// on every exit path, including an invariant abort mid-execution.
+	// the last round's shared inbox cores and the router's stamp store,
+	// and recycle the pooled interner on every exit path, including an
+	// invariant abort mid-execution.
 	defer func() {
 		e.rep.Stop()
 		e.router.releaseCores()
+		e.router.release()
 		e.intern.Recycle()
 		e.intern = nil
 	}()

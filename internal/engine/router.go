@@ -3,6 +3,7 @@ package engine
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
@@ -65,7 +66,8 @@ func (s dropShim) DropBatch(round, toSlot int, fromSlots []int32, drop []bool) {
 //
 // What every round needs — the arena, the stamp columns, the
 // identifier-group rows, the statistics, the link-condition windows —
-// lives on the Router itself, sized by the round's sends and by l.
+// lives on the Router itself, sized by the round's sends and by l; the
+// arena and the stamp columns in a stampStore reused across executions.
 // Everything indexed by slot lives in the slotStage, which a round uses
 // from the first pair routed on its own, or when a mask or a record
 // needs every recipient. A flat round uses neither: flush counts each
@@ -130,9 +132,7 @@ type Router struct {
 	prevWeighted     bool
 	marks, prevMarks []standingMark
 	cursor           int
-	spared           msg.SendArena
-	sparedKeyLen     []int32 // parallel to spared: body-key length
-	holding          int     // slots holding a valid identifier; 0 until counted
+	holding          int // slots holding a valid identifier; 0 until counted
 
 	// The identifier groups, indexed by identifier-1: this round's
 	// broadcast rows (arena indices, pre-mask, in stamp order), who holds
@@ -144,12 +144,10 @@ type Router struct {
 	flat      bool              // this round's batches are the rows, unmasked: flush touched no slot
 	uniform   bool              // every correct member of a group received its group's batch this round
 
-	arena      msg.SendArena
-	kb         msg.KeyBuilder // scratch for ScratchKeyer body keys
-	sendFrom   []int32        // arena column: sender slot per entry
-	sendKeyLen []int32        // arena column: body-key length (bandwidth proxy)
-	batch      []int32        // visibility-filtered batch scratch
-	cand       []int32        // candidate scratch: a group's row ++ a recipient's tail
+	*stampStore                // the round's stamped entries; pooled across executions
+	kb          msg.KeyBuilder // scratch for ScratchKeyer body keys
+	batch       []int32        // visibility-filtered batch scratch
+	cand        []int32        // candidate scratch: a group's row ++ a recipient's tail
 	// Link-verdict scratch for maskBatch: a recipient batch's distinct
 	// senders (froms, first-occurrence order), the drop mask DropBatch
 	// fills over them, and the resolved verdict per sender slot.
@@ -178,6 +176,71 @@ type Router struct {
 	// individually, so whatever lands in a recipient's tail was stamped
 	// after everything in its group's row.
 	rowsOpen bool
+}
+
+// stampStore is what a round stamps into: the arena and its routing
+// columns, the standing entries the round spared, and the memos of the
+// bodies a Byzantine slot forwards. Only its capacity outlives a round,
+// and it outlives the execution too: newRouter draws it from stampPool
+// and release returns it, emptied, once the execution ends.
+type stampStore struct {
+	arena        msg.SendArena
+	sendFrom     []int32 // arena column: sender slot per entry
+	sendKeyLen   []int32 // arena column: body-key length (bandwidth proxy)
+	spared       msg.SendArena
+	sparedKeyLen []int32 // parallel to spared: body-key length
+
+	// The forwarded bodies of one routeByzantine call: one memo per
+	// distinct msg.TargetedSend.Forwards, found through fwdOf.
+	fwdMemo []msg.StampMemo
+	fwdOf   map[*msg.Send]int32
+}
+
+var stampPool = sync.Pool{New: func() any { return new(stampStore) }}
+
+// reset empties the store, dropping every body, key, interner and send
+// reference it holds, and keeps its capacity.
+func (s *stampStore) reset() {
+	s.arena.Reset()
+	s.spared.Reset()
+	s.sendFrom, s.sendKeyLen, s.sparedKeyLen = s.sendFrom[:0], s.sendKeyLen[:0], s.sparedKeyLen[:0]
+	s.clearForwards()
+}
+
+// clearForwards forgets the forwarded bodies of the last routeByzantine
+// call.
+func (s *stampStore) clearForwards() {
+	if len(s.fwdMemo) > 0 {
+		clear(s.fwdMemo)
+		s.fwdMemo = s.fwdMemo[:0]
+		clear(s.fwdOf)
+	}
+}
+
+// forwardMemo returns the memo of the body f names, one per distinct f
+// since the last clearForwards; nil for nil.
+func (s *stampStore) forwardMemo(f *msg.Send) *msg.StampMemo {
+	if f == nil {
+		return nil
+	}
+	i, ok := s.fwdOf[f]
+	if !ok {
+		if s.fwdOf == nil {
+			s.fwdOf = make(map[*msg.Send]int32)
+		}
+		i = int32(len(s.fwdMemo))
+		s.fwdOf[f] = i
+		s.fwdMemo = append(s.fwdMemo, msg.StampMemo{})
+	}
+	return &s.fwdMemo[i]
+}
+
+// release resets the stamp store and returns it to stampPool, once, when
+// the execution is over; the Router must not stamp again.
+func (r *Router) release() {
+	r.stampStore.reset()
+	stampPool.Put(r.stampStore)
+	r.stampStore = nil
 }
 
 // standingMark is one standing broadcast as routed: its sender's memo,
@@ -318,6 +381,7 @@ func newRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 		recStride:  (n + 63) / 64,
 		rows:       make([][]int32, l),
 		groupCore:  make([]*msg.GroupInbox, l),
+		stampStore: stampPool.Get().(*stampStore),
 	}
 	if r.verify {
 		r.issued = make([]int8, n)
@@ -377,12 +441,8 @@ func (r *Router) beginRound(round int) {
 	r.prevWeighted = r.weighted
 	r.weighted = r.rowsOpen && r.trivialMask && !r.record
 	r.marks, r.prevMarks, r.cursor = r.prevMarks[:0], r.marks, 0
-	r.spared.Reset()
-	r.sparedKeyLen = r.sparedKeyLen[:0]
 	r.releaseCores()
-	r.arena.Reset()
-	r.sendFrom = r.sendFrom[:0]
-	r.sendKeyLen = r.sendKeyLen[:0]
+	r.stampStore.reset()
 	r.deliveries = r.deliveries[:0]
 	r.memoStamped = r.memoStamped[:0]
 	clear(r.issued)
@@ -711,15 +771,17 @@ func (r *Router) candidate(to int) []int32 {
 
 // routeByzantine stamps and routes one corrupted slot's targeted sends,
 // enforcing the restricted-Byzantine one-message-per-recipient budget.
-// Targeted routing is the one way members of an identifier group can be
-// handed diverging batches, so each touched recipient is marked dirty
-// for the reception classifier.
+// Sends naming the same Forwards stamp from one memo, so a body copied
+// to n recipients is keyed once. Targeted routing is the one way members
+// of an identifier group can be handed diverging batches, so each
+// touched recipient is marked dirty for the reception classifier.
 func (r *Router) routeByzantine(from int, sends []msg.TargetedSend) {
 	if len(sends) == 0 {
 		return
 	}
 	st := r.stage()
 	clear(st.perRecip)
+	r.clearForwards()
 	for _, ts := range sends {
 		if ts.ToSlot < 0 || ts.ToSlot >= r.n || ts.Body == nil {
 			continue
@@ -731,7 +793,7 @@ func (r *Router) routeByzantine(from int, sends []msg.TargetedSend) {
 			}
 			st.perRecip[ts.ToSlot]++
 		}
-		si := r.stamp(from, 1, ts.Body, nil)
+		si := r.stamp(from, 1, ts.Body, r.forwardMemo(ts.Forwards))
 		st.dirty[ts.ToSlot] = true
 		r.route(from, ts.ToSlot, si)
 	}

@@ -935,4 +935,126 @@ func TestVerifyRoundChecksStampMemos(t *testing.T) {
 	if err == nil || err.Check != "standing-memo" {
 		t.Fatalf("VerifyRound = %v, want a %q violation", err, "standing-memo")
 	}
+
+	// A Byzantine slot's sends naming one Forwards stamp from one memo.
+	// A send naming a Forwards whose Body it does not carry is caught.
+	const bad = 5
+	h = newRouterHarness(t, cfg, []int{bad})
+	sends = standingSends(2, &builds)
+	forward := func(r int, second msg.Payload) error {
+		h.r.beginRound(r)
+		h.r.routeByzantine(bad, []msg.TargetedSend{
+			{ToSlot: 0, Body: sends[0].Body, Forwards: &sends[0]},
+			{ToSlot: 1, Body: second, Forwards: &sends[0]},
+		})
+		h.r.flush()
+		h.drainInboxes()
+		return h.r.verifyRound()
+	}
+	if err := forward(1, sends[0].Body); err != nil {
+		t.Fatalf("a sound forwarded body fails verification: %v", err)
+	}
+	if len(h.r.memoStamped) != 1 {
+		t.Fatalf("two sends forwarding one body stamped %d entries from a memo, want 1", len(h.r.memoStamped))
+	}
+	err, _ = forward(2, sends[1].Body).(*InvariantError)
+	if err == nil || err.Check != "stamp-memo" {
+		t.Fatalf("VerifyRound = %v, want a %q violation", err, "stamp-memo")
+	}
+}
+
+// TestForwardedBodiesKeyOncePerCall pins the forward memos: one
+// Byzantine slot routing n targeted sends that name k distinct Forwards
+// builds k keys, not n, and stamps every entry with the KeyID and key
+// length the key path gives it. Each call keys its forwards afresh, and
+// a warm call allocates nothing.
+func TestForwardedBodiesKeyOncePerCall(t *testing.T) {
+	const n, l, k, bad = 12, 4, 3, 5
+	h := newRouterHarness(t, symmetricConfig(n, l), []int{bad})
+	builds := 0
+	src := standingSends(k, &builds)
+	plain := make([]msg.TargetedSend, n)
+	fwd := make([]msg.TargetedSend, n)
+	for to := range fwd {
+		plain[to] = msg.TargetedSend{ToSlot: to, Body: src[to%k].Body}
+		fwd[to] = msg.TargetedSend{ToSlot: to, Body: src[to%k].Body, Forwards: &src[to%k]}
+	}
+	type entry struct {
+		kid    msg.KeyID
+		keyLen int32
+	}
+	stamped := func(round int, sends []msg.TargetedSend) []entry {
+		builds = 0
+		h.r.beginRound(round)
+		h.r.routeByzantine(bad, sends)
+		out := make([]entry, h.r.arena.Len())
+		for si := range out {
+			out[si] = entry{h.r.arena.KID(int32(si)), h.r.sendKeyLen[si]}
+		}
+		return out
+	}
+	want := stamped(1, plain)
+	if builds != n {
+		t.Fatalf("%d sends naming no Forwards built %d keys, want %d", n, builds, n)
+	}
+	for r := 2; r <= 3; r++ {
+		if got := stamped(r, fwd); builds != k || !slices.Equal(got, want) {
+			t.Fatalf("round %d: %d sends forwarding %d bodies built %d keys (want %d), or stamped\n%v, want\n%v", r, n, k, builds, k, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		h.r.beginRound(4)
+		h.r.routeByzantine(bad, fwd)
+	})
+	if allocs != 0 {
+		t.Fatalf("a round forwarding %d bodies to %d recipients allocated %.0f times, want 0", k, n, allocs)
+	}
+}
+
+// TestRunReturnsStampStoreEmpty pins the teardown of the pooled stamp
+// store: once Run returns, the store the execution stamped into holds no
+// entry, no column and no forward memo, so the next execution drawing it
+// from the pool inherits nothing and no body, key, interner or send
+// stays reachable through the pool.
+func TestRunReturnsStampStoreEmpty(t *testing.T) {
+	const n, l, bad, rounds = 12, 4, 3, 3
+	forwarded := msg.Broadcast(msg.Raw("forwarded"))
+	plan := make(map[int][]msg.TargetedSend)
+	for r := 1; r <= rounds; r++ {
+		for to := 0; to < n; to++ {
+			plan[r] = append(plan[r], msg.TargetedSend{ToSlot: to, Body: forwarded.Body, Forwards: &forwarded})
+		}
+	}
+	e, err := New(
+		WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
+		WithAssignment(hom.RoundRobinAssignment(n, l)),
+		WithInputs(make([]hom.Value, n)...),
+		WithProcess(func(int) Process { return &lastFoldProc{} }),
+		WithAdversary(poisonPlan{bad: bad, plan: plan}),
+		WithRounds(rounds),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.router.stampStore
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.router.stampStore != nil {
+		t.Fatal("Run kept its stamp store")
+	}
+	if st.arena.Len() != 0 || st.spared.Len() != 0 || len(st.sendFrom) != 0 || len(st.sendKeyLen) != 0 || len(st.sparedKeyLen) != 0 {
+		t.Fatalf("the returned store still holds %d stamped and %d spared entries", st.arena.Len(), st.spared.Len())
+	}
+	if cap(st.fwdMemo) == 0 {
+		t.Fatal("the execution forwarded no body through a memo")
+	}
+	if len(st.fwdMemo) != 0 || len(st.fwdOf) != 0 {
+		t.Fatalf("the returned store still holds %d forward memos", len(st.fwdOf))
+	}
+	for i, m := range st.fwdMemo[:cap(st.fwdMemo)] {
+		if m != (msg.StampMemo{}) {
+			t.Fatalf("forward memo %d was returned filled", i)
+		}
+	}
 }

@@ -2,11 +2,13 @@ package engine_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"homonyms/internal/adversary"
+	"homonyms/internal/core"
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
@@ -17,8 +19,9 @@ import (
 // forwards everything (the counting representation's Cloner/StateHasher
 // extensions included) and counts the memos its process offers and the
 // times it is forked; with strip set, Prepare hands the engine copies of
-// the sends that carry no memo, so every stamp of the execution takes the
-// key path — by construction of this test type, not by a switch in the
+// the sends that carry no memo, and runFigure5's adversary names no
+// Forwards (forwardStrip), so every stamp of the execution takes the key
+// path — by construction of these test types, not by a switch in the
 // engine.
 type memoTap struct {
 	inner           engine.Process
@@ -56,6 +59,19 @@ func (p *memoTap) Prepare(round int) []msg.Send {
 	return plain
 }
 
+// forwardStrip is its Composite with every targeted send's Forwards
+// dropped.
+type forwardStrip struct{ *adversary.Composite }
+
+func (a forwardStrip) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
+	sends := a.Composite.Sends(round, slot, view)
+	plain := make([]msg.TargetedSend, len(sends))
+	for i, ts := range sends {
+		plain[i] = msg.TargetedSend{ToSlot: ts.ToSlot, Body: ts.Body}
+	}
+	return plain
+}
+
 // memoRun is everything the differential compares of one execution, plus
 // the tap's counts.
 type memoRun struct {
@@ -85,16 +101,20 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 	}
 	const gst = 5
 	probe := &engine.InternProbe{StateRep: rep}
+	var adv engine.Adversary = &adversary.Composite{
+		Selector: adversary.OnePerIdentifier{1},
+		Behavior: adversary.Equivocate{Seed: seed},
+		Drops:    adversary.RandomDrops{Seed: seed, Prob: 0.2},
+	}
+	if strip {
+		adv = forwardStrip{adv.(*adversary.Composite)}
+	}
 	run.res, err = engine.Run(
 		engine.WithParams(p),
 		engine.WithAssignment(hom.RoundRobinAssignment(p.N, p.L)),
 		engine.WithInputs(inputs...),
 		engine.WithProcess(func(slot int) engine.Process { return tap.wrap(factory(slot)) }),
-		engine.WithAdversary(&adversary.Composite{
-			Selector: adversary.OnePerIdentifier{1},
-			Behavior: adversary.Equivocate{Seed: seed},
-			Drops:    adversary.RandomDrops{Seed: seed, Prob: 0.2},
-		}),
+		engine.WithAdversary(adv),
 		engine.WithGST(gst),
 		engine.WithRounds(psynchom.SuggestedMaxRounds(p, gst)),
 		engine.WithTrafficRecording(),
@@ -114,11 +134,12 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 }
 
 // TestStampMemoMatchesKeyPath is the stamp-memo differential: the same
-// execution with and without the senders' memos interns the same keys in
-// the same order, delivers the same traffic under the same KeyIDs and
-// ends in the same Result. The executions are the ones where a memo
-// could go wrong: an equivocator inside a homonym group forwarding
-// correct slots' standing payloads under its own identifier, pre-GST
+// execution with and without the senders' memos and the equivocator's
+// Forwards interns the same keys in the same order, delivers the same
+// traffic under the same KeyIDs and ends in the same Result. The
+// executions are the ones where a memo could go wrong: an equivocator
+// inside a homonym group forwarding correct slots' standing payloads
+// under its own identifier, pre-GST
 // drops, back-to-back executions that hand the broadcast layer's pooled
 // tables (and the memos in them) from one run to the next, and a counting
 // run whose classes fork mid-execution (a clone re-sends its original's
@@ -238,5 +259,67 @@ func TestFigure5SparesStandingEchoes(t *testing.T) {
 	}
 	if counted := run(engine.Counting(), engine.WithInvariants()); !reflect.DeepEqual(counted, recorded) {
 		t.Errorf("results differ:\n counting  %+v\n recording %+v", counted, recorded)
+	}
+}
+
+// TestStampStoreCarriesNothingAcrossExecutions runs the counting_byz
+// benchmark's shape (n=1024, l=8, T(EIG), one equivocator forwarding a
+// correct broadcast to every slot, counting representation) for two
+// seeds: alone, back to back with the seeds alternating, and from four
+// goroutines at once. Every execution draws the Router's stamp store,
+// forward memos included, from the pool the previous or a concurrent one
+// returned it to; each must end exactly as its seed's first run.
+func TestStampStoreCarriesNothingAcrossExecutions(t *testing.T) {
+	p := hom.Params{N: 1024, L: 8, T: 1, Synchrony: hom.Synchronous}
+	sel, err := core.Select(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) *engine.Result {
+		inputs := make([]hom.Value, p.N)
+		for s := range inputs {
+			inputs[s] = hom.Value(s % 2)
+		}
+		rand.New(rand.NewSource(seed)).Shuffle(p.N, func(i, j int) { inputs[i], inputs[j] = inputs[j], inputs[i] })
+		res, err := engine.Run(
+			engine.WithParams(p),
+			engine.WithAssignment(hom.RoundRobinAssignment(p.N, p.L)),
+			engine.WithInputs(inputs...),
+			engine.WithProcess(sel.NewProcess),
+			engine.WithAdversary(&adversary.Composite{Selector: adversary.OnePerIdentifier{1}, Behavior: adversary.Equivocate{Seed: seed}}),
+			engine.WithRounds(sel.SuggestedRounds(1)),
+			engine.WithStateRep(engine.Counting()),
+		)
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	seeds := []int64{1, 2}
+	want := map[int64]*engine.Result{}
+	for _, seed := range seeds {
+		want[seed] = run(seed)
+		if want[seed] == nil || !want[seed].AllDecided {
+			t.Fatalf("seed %d: the run did not decide", seed)
+		}
+	}
+	check := func(how string, seed int64, got *engine.Result) {
+		if !reflect.DeepEqual(got, want[seed]) {
+			t.Errorf("seed %d, %s: results differ from the seed's first run:\n got  %+v\n want %+v", seed, how, got, want[seed])
+		}
+	}
+	for i := 0; i < 4; i++ {
+		seed := seeds[i%2]
+		check("back to back", seed, run(seed))
+	}
+	got := make([]*engine.Result, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i] = run(seeds[i%2]) }()
+	}
+	wg.Wait()
+	for i, res := range got {
+		check("concurrently", seeds[i%2], res)
 	}
 }

@@ -165,6 +165,11 @@ type TargetedSend struct {
 	// never see slots).
 	ToSlot int
 	Body   Payload
+	// Forwards is the send whose Body this one repeats, or nil. Within
+	// one Byzantine slot's sends for one round, sends naming the same
+	// Forwards carry that send's Body, so the engine keys it once: it
+	// changes what stamping a copy costs, never what is sent.
+	Forwards *Send
 }
 
 // Delivered records one delivered message for tracing and adversary
