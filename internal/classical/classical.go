@@ -90,6 +90,17 @@ func validateDomain(domain []hom.Value) error {
 	return nil
 }
 
+// valueIndex returns the index of v's first occurrence in domain, or 0 —
+// the default value's — when v is not in it.
+func valueIndex(domain []hom.Value, v hom.Value) int {
+	for i, d := range domain {
+		if d == v {
+			return i
+		}
+	}
+	return 0
+}
+
 // FilterEquivocators keeps at most one message per identifier: if an
 // identifier delivered two or more distinct payloads this round, all of
 // its messages are removed (the receiver knows the identifier misbehaved —

@@ -1,7 +1,9 @@
 package classical
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,12 +102,16 @@ func (e *EIG) Faults() int { return e.t }
 func (e *EIG) DecisionRound() int { return e.rounds }
 
 // eigState is the EIG process state: the information-gathering tree plus
-// the decision once resolved. The tree maps packed labels to values; the
-// root is never stored.
+// the decision once resolved. The tree holds one entry per stored label
+// in ascending Label order, which is level-major (a deeper label packs
+// more chunks, so it is numerically larger) and path order within a
+// level: the canonical key and each frontier message read it in place.
+// The root is never stored. States are shared between processes, so a
+// frozen state's tree is never written again.
 type eigState struct {
 	id      hom.Identifier
 	input   hom.Value
-	tree    map[Label]hom.Value
+	tree    []EIGEntry
 	decided hom.Value
 	key     string
 }
@@ -115,26 +121,36 @@ type eigState struct {
 func (s *eigState) Key() string { return s.key }
 
 func (e *EIG) freezeState(s *eigState) *eigState {
-	labels := make([]Label, 0, len(s.tree))
-	for lbl := range s.tree {
-		labels = append(labels, lbl)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	var b strings.Builder
-	b.WriteString("eigstate|")
-	b.WriteString(strconv.Itoa(int(s.id)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(s.input)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(s.decided)))
-	for _, lbl := range labels {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(uint64(lbl), 10))
-		b.WriteByte('=')
-		b.WriteString(strconv.Itoa(int(s.tree[lbl])))
-	}
-	s.key = b.String()
+	var buf [64]byte
+	head := append(buf[:0], "eigstate|"...)
+	head = strconv.AppendInt(head, int64(s.id), 10)
+	head = append(head, '|')
+	head = strconv.AppendInt(head, int64(s.input), 10)
+	head = append(head, '|')
+	head = strconv.AppendInt(head, int64(s.decided), 10)
+	s.key = entriesKey(head, s.tree)
 	return s
+}
+
+// entriesKey returns head followed by one "|label=value" field per entry.
+// The entries are in label order, so the last label is the widest and one
+// allocation holds the key unless values run past one digit.
+func entriesKey(head []byte, entries []EIGEntry) string {
+	var b strings.Builder
+	var num [20]byte
+	width := 0
+	if n := len(entries); n > 0 {
+		width = 3 + len(strconv.AppendUint(num[:0], uint64(entries[n-1].Label), 10))
+	}
+	b.Grow(len(head) + len(entries)*width)
+	b.Write(head)
+	for _, en := range entries {
+		b.WriteByte('|')
+		b.Write(strconv.AppendUint(num[:0], uint64(en.Label), 10))
+		b.WriteByte('=')
+		b.Write(strconv.AppendInt(num[:0], int64(en.Val), 10))
+	}
+	return b.String()
 }
 
 // Init implements Algorithm.
@@ -142,18 +158,12 @@ func (e *EIG) Init(id hom.Identifier, v hom.Value) State {
 	return e.freezeState(&eigState{
 		id:      id,
 		input:   e.clampValue(v),
-		tree:    map[Label]hom.Value{},
 		decided: hom.NoValue,
 	})
 }
 
 func (e *EIG) clampValue(v hom.Value) hom.Value {
-	for _, d := range e.domain {
-		if d == v {
-			return v
-		}
-	}
-	return e.defaultValue
+	return e.domain[valueIndex(e.domain, v)]
 }
 
 // EIGEntry is one (label, value) pair of an EIG message.
@@ -173,16 +183,14 @@ type EIGPayload struct {
 func NewEIGPayload(level int, entries []EIGEntry) *EIGPayload {
 	sorted := append([]EIGEntry(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Label < sorted[j].Label })
-	var b strings.Builder
-	b.WriteString("eigmsg|")
-	b.WriteString(strconv.Itoa(level))
-	for _, en := range sorted {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(uint64(en.Label), 10))
-		b.WriteByte('=')
-		b.WriteString(strconv.Itoa(int(en.Val)))
-	}
-	return &EIGPayload{Level: level, Entries: sorted, key: b.String()}
+	return sealEIGPayload(level, sorted)
+}
+
+// sealEIGPayload wraps entries already in label order, keying them.
+func sealEIGPayload(level int, sorted []EIGEntry) *EIGPayload {
+	var buf [32]byte
+	head := strconv.AppendInt(append(buf[:0], "eigmsg|"...), int64(level), 10)
+	return &EIGPayload{Level: level, Entries: sorted, key: entriesKey(head, sorted)}
 }
 
 // Key implements msg.Payload.
@@ -190,27 +198,42 @@ func (p *EIGPayload) Key() string { return p.key }
 
 // Message implements Algorithm. In round 1 a process broadcasts its input
 // (the root entry); in round r > 1 it relays every level-(r−1) tree entry
-// whose label does not contain its own identifier.
+// whose label does not contain its own identifier. Those entries are one
+// contiguous run of the label-sorted tree, already in payload order.
 func (e *EIG) Message(s State, round int) msg.Payload {
 	st, ok := s.(*eigState)
 	if !ok || round > e.rounds {
 		return nil
 	}
 	if round == 1 {
-		return NewEIGPayload(0, []EIGEntry{{Label: RootLabel, Val: st.input}})
+		return sealEIGPayload(0, []EIGEntry{{Label: RootLabel, Val: st.input}})
 	}
-	var entries []EIGEntry
-	for lbl, v := range st.tree {
-		if e.labelLevel(lbl) != round-1 {
-			continue
+	level := round - 1
+	run := e.levelRun(st.tree, level)
+	entries := make([]EIGEntry, 0, len(run))
+	for _, en := range run {
+		if !e.labelContains(en.Label, st.id) {
+			entries = append(entries, en)
 		}
-		if e.labelContains(lbl, st.id) {
-			continue
-		}
-		entries = append(entries, EIGEntry{Label: lbl, Val: v})
 	}
-	return NewEIGPayload(round-1, entries)
+	return sealEIGPayload(level, entries)
 }
+
+// levelRun returns the contiguous run of the label-sorted tree holding
+// the level-`level` labels: those in [2^(idBits·(level−1)), 2^(idBits·level)).
+func (e *EIG) levelRun(tree []EIGEntry, level int) []EIGEntry {
+	if level < 1 || uint(level-1)*e.idBits >= 64 {
+		return nil
+	}
+	lo, _ := slices.BinarySearchFunc(tree, Label(1)<<(uint(level-1)*e.idBits), entryCmp)
+	hi := len(tree)
+	if shift := uint(level) * e.idBits; shift < 64 {
+		hi, _ = slices.BinarySearchFunc(tree, Label(1)<<shift, entryCmp)
+	}
+	return tree[lo:hi]
+}
+
+func entryCmp(en EIGEntry, lbl Label) int { return cmp.Compare(en.Label, lbl) }
 
 // Transition implements Algorithm. Receiving entry (σ, v) from identifier
 // j stores v at label σ·j, provided σ is a well-formed level-(r−1) label
@@ -221,15 +244,13 @@ func (e *EIG) Transition(s State, round int, received []msg.Message) State {
 	if !ok || round > e.rounds {
 		return s
 	}
-	next := &eigState{
-		id:      st.id,
-		input:   st.input,
-		tree:    make(map[Label]hom.Value, len(st.tree)+len(received)*4),
-		decided: st.decided,
+	size := 0
+	for _, m := range received {
+		if p, ok := m.Body.(*EIGPayload); ok && p.Level == round-1 {
+			size += len(p.Entries)
+		}
 	}
-	for lbl, v := range st.tree {
-		next.tree[lbl] = v
-	}
+	kids := make([]EIGEntry, 0, size)
 	for _, m := range received {
 		p, ok := m.Body.(*EIGPayload)
 		if !ok || p.Level != round-1 {
@@ -239,14 +260,47 @@ func (e *EIG) Transition(s State, round int, received []msg.Message) State {
 			if !e.wellFormedLabel(en.Label, round-1, m.ID) {
 				continue
 			}
-			child := e.extendLabel(en.Label, m.ID)
-			next.tree[child] = e.clampValue(en.Val)
+			kids = append(kids, EIGEntry{Label: e.extendLabel(en.Label, m.ID), Val: e.clampValue(en.Val)})
 		}
 	}
+	next := &eigState{
+		id:      st.id,
+		input:   st.input,
+		tree:    mergeTree(st.tree, kids),
+		decided: st.decided,
+	}
 	if round == e.rounds && next.decided == hom.NoValue {
-		next.decided = e.resolve(next.tree, RootLabel, 0)
+		next.decided = e.resolve(next.tree)
 	}
 	return e.freezeState(next)
+}
+
+// mergeTree returns the tree that storing kids into tree one by one would
+// leave: a kid replaces the stored entry of its label, and among kids of
+// one label the last received wins (the stable sort keeps their arrival
+// order). The result is a fresh slice — tree belongs to a shared state
+// and is never written — or tree itself when there is nothing to store.
+func mergeTree(tree, kids []EIGEntry) []EIGEntry {
+	if len(kids) == 0 {
+		return tree
+	}
+	slices.SortStableFunc(kids, func(a, b EIGEntry) int { return cmp.Compare(a.Label, b.Label) })
+	out := make([]EIGEntry, 0, len(tree)+len(kids))
+	i := 0
+	for k, kid := range kids {
+		if k+1 < len(kids) && kids[k+1].Label == kid.Label {
+			continue
+		}
+		for i < len(tree) && tree[i].Label < kid.Label {
+			out = append(out, tree[i])
+			i++
+		}
+		if i < len(tree) && tree[i].Label == kid.Label {
+			i++
+		}
+		out = append(out, kid)
+	}
+	return append(out, tree[i:]...)
 }
 
 // Decide implements Algorithm.
@@ -258,19 +312,28 @@ func (e *EIG) Decide(s State) hom.Value {
 	return st.decided
 }
 
-// resolve computes the recursive strict-majority value of the subtree
-// rooted at the level-`level` label: a leaf (level t+1) resolves to its
-// stored value (default if missing); an inner node resolves to the strict
-// majority of its children's resolutions, or the default value when no
-// strict majority exists.
-func (e *EIG) resolve(tree map[Label]hom.Value, label Label, level int) hom.Value {
+// resolve computes the recursive strict-majority value of the tree: a
+// leaf (level t+1) resolves to its stored value (default if missing); an
+// inner node resolves to the strict majority of its children's
+// resolutions, or the default value when no strict majority exists.
+func (e *EIG) resolve(tree []EIGEntry) hom.Value {
+	counts := make([]int, e.rounds*len(e.domain))
+	return e.domain[e.resolveAt(tree, RootLabel, 0, counts)]
+}
+
+// resolveAt resolves the subtree at the level-`level` label to a domain
+// index (index 0 is the default value). Leaves are found by binary
+// search; children's resolutions are counted in the level's row of
+// counts, which deeper levels never touch.
+func (e *EIG) resolveAt(tree []EIGEntry, label Label, level int, counts []int) int {
 	if level == e.rounds {
-		if v, ok := tree[label]; ok {
-			return v
+		if i, ok := slices.BinarySearchFunc(tree, label, entryCmp); ok {
+			return valueIndex(e.domain, tree[i].Val)
 		}
-		return e.defaultValue
+		return 0
 	}
-	counts := make(map[hom.Value]int, len(e.domain))
+	row := counts[level*len(e.domain) : (level+1)*len(e.domain)]
+	clear(row)
 	children := 0
 	for j := 1; j <= e.l; j++ {
 		id := hom.Identifier(j)
@@ -278,23 +341,14 @@ func (e *EIG) resolve(tree map[Label]hom.Value, label Label, level int) hom.Valu
 			continue
 		}
 		children++
-		counts[e.resolve(tree, e.extendLabel(label, id), level+1)]++
+		row[e.resolveAt(tree, e.extendLabel(label, id), level+1, counts)]++
 	}
-	for _, v := range sortedValues(counts) {
-		if 2*counts[v] > children {
+	for v, c := range row {
+		if 2*c > children {
 			return v
 		}
 	}
-	return e.defaultValue
-}
-
-func sortedValues(counts map[hom.Value]int) []hom.Value {
-	out := make([]hom.Value, 0, len(counts))
-	for v := range counts {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return 0
 }
 
 // wellFormedLabel checks that lbl is a level-`level` packed label over

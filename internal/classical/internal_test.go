@@ -136,7 +136,7 @@ func TestEIGResolveMajority(t *testing.T) {
 		tree[e.extendLabel(four, id)] = 0
 	}
 	tree[four] = 0
-	if got := e.resolve(tree, RootLabel, 0); got != 1 {
+	if got := e.resolve(treeOf(tree)); got != 1 {
 		t.Fatalf("resolve(root) = %d, want 1", got)
 	}
 }
@@ -159,7 +159,7 @@ func TestEIGResolveDefaultOnTie(t *testing.T) {
 			tree[e.extendLabel(root, id)] = v
 		}
 	}
-	if got := e.resolve(tree, RootLabel, 0); got != 0 {
+	if got := e.resolve(treeOf(tree)); got != 0 {
 		t.Fatalf("resolve on tie = %d, want default 0", got)
 	}
 }
@@ -170,7 +170,7 @@ func TestEIGResolveMissingLeavesDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty tree: everything defaults.
-	if got := e.resolve(map[Label]hom.Value{}, RootLabel, 0); got != 0 {
+	if got := e.resolve(treeOf(map[Label]hom.Value{})); got != 0 {
 		t.Fatalf("resolve of empty tree = %d, want 0", got)
 	}
 }
@@ -257,20 +257,67 @@ func TestPhaseKingIgnoresNonKingSender(t *testing.T) {
 
 func TestStateImmutabilityUnderTransition(t *testing.T) {
 	// Property: Transition never mutates its input state (states are
-	// shared via selection rounds, so aliasing bugs would be corruption).
+	// shared via selection rounds and between the classes of a split,
+	// so aliasing bugs would be corruption). The parent's tree may hold
+	// spare capacity — its round-1 inbox repeated identifier 2 — so a
+	// successor that appended its one new entry into it would be
+	// overwritten by the next fork; every tree must still re-derive its
+	// frozen key.
 	e, err := NewEIG(4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	root := func(v hom.Value) *EIGPayload { return NewEIGPayload(0, []EIGEntry{{Label: RootLabel, Val: v}}) }
+	relay := func(v hom.Value) *EIGPayload {
+		return NewEIGPayload(1, []EIGEntry{{Label: e.LabelFromPath(2), Val: v}})
+	}
 	check := func(val uint8) bool {
-		s1 := e.Init(1, hom.Value(val%2))
+		a, b := hom.Value(val%2), hom.Value(val/2%2)
+		s1 := e.Init(1, a)
 		before := s1.Key()
-		payload := NewEIGPayload(0, []EIGEntry{{Label: RootLabel, Val: hom.Value(val % 2)}})
-		_ = e.Transition(s1, 1, []msg.Message{{ID: 2, Body: payload}})
-		return s1.Key() == before
+		parent := e.Transition(s1, 1, []msg.Message{
+			{ID: 1, Body: root(a)}, {ID: 2, Body: root(a)}, {ID: 2, Body: root(b)},
+			{ID: 2, Body: root(1 - a)}, {ID: 2, Body: root(b)}, {ID: 3, Body: root(b)},
+		})
+		left := e.Transition(parent, 2, []msg.Message{{ID: 1, Body: relay(a)}})
+		right := e.Transition(parent, 2, []msg.Message{{ID: 3, Body: relay(1 - a)}})
+		for _, s := range []State{parent, left, right} {
+			if rekey(e, s) != s.Key() {
+				return false
+			}
+		}
+		return s1.Key() == before && left.Key() != right.Key()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPhaseKingTieGoesToSmallestValue(t *testing.T) {
+	// The exchange tally breaks a tie toward the smallest value, even
+	// when the domain lists the larger value first (5 is the default).
+	pk, err := NewPhaseKing(5, 1, []hom.Value{5, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pk.Transition(pk.Init(1, 5), 1, []msg.Message{
+		{ID: 1, Body: PKPref{Phase: 1, Val: 5}},
+		{ID: 2, Body: PKPref{Phase: 1, Val: 2}},
+		{ID: 3, Body: PKPref{Phase: 1, Val: 5}},
+		{ID: 4, Body: PKPref{Phase: 1, Val: 2}},
+		{ID: 5, Body: PKPref{Phase: 1, Val: 9}}, // out of domain: counts as the default 5
+	})
+	if st := s.(*pkState); st.maj != 5 || st.mult != 3 {
+		t.Fatalf("maj, mult = %d, %d; want 5, 3", st.maj, st.mult)
+	}
+	s = pk.Transition(pk.Init(1, 5), 1, []msg.Message{
+		{ID: 1, Body: PKPref{Phase: 1, Val: 5}},
+		{ID: 2, Body: PKPref{Phase: 1, Val: 2}},
+		{ID: 3, Body: PKPref{Phase: 1, Val: 5}},
+		{ID: 4, Body: PKPref{Phase: 1, Val: 2}},
+	})
+	if st := s.(*pkState); st.maj != 2 || st.mult != 2 {
+		t.Fatalf("tie: maj, mult = %d, %d; want 2, 2", st.maj, st.mult)
 	}
 }
 

@@ -87,12 +87,7 @@ func (pk *PhaseKing) Init(id hom.Identifier, v hom.Value) State {
 }
 
 func (pk *PhaseKing) clampValue(v hom.Value) hom.Value {
-	for _, d := range pk.domain {
-		if d == v {
-			return v
-		}
-	}
-	return pk.defaultValue
+	return pk.domain[valueIndex(pk.domain, v)]
 }
 
 // PKPref is the exchange-round payload (round 2k−1 of phase k).
@@ -153,17 +148,20 @@ func (pk *PhaseKing) Transition(s State, round int, received []msg.Message) Stat
 	next := &pkState{id: st.id, pref: st.pref, maj: st.maj, mult: st.mult, decided: st.decided}
 	phase, king := phaseOf(round)
 	if !king {
-		// Exchange round: tally preferences, one per identifier.
-		counts := make(map[hom.Value]int, len(pk.domain))
+		// Exchange round: tally preferences, one per identifier, by
+		// domain index (an out-of-domain value counts as the default).
+		// The most frequent value wins; ties go to the smallest, wherever
+		// the domain lists it.
+		counts := make([]int, len(pk.domain))
 		for _, m := range received {
 			if p, ok := m.Body.(PKPref); ok && p.Phase == phase {
-				counts[pk.clampValue(p.Val)]++
+				counts[valueIndex(pk.domain, p.Val)]++
 			}
 		}
 		next.maj, next.mult = pk.defaultValue, 0
-		for _, v := range sortedValues(counts) {
-			if counts[v] > next.mult {
-				next.maj, next.mult = v, counts[v]
+		for i, c := range counts {
+			if c > next.mult || c > 0 && c == next.mult && pk.domain[i] < next.maj {
+				next.maj, next.mult = pk.domain[i], c
 			}
 		}
 		return freezePK(next)

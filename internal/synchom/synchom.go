@@ -102,6 +102,53 @@ type Process struct {
 	id       hom.Identifier
 	state    classical.State
 	decision hom.Value
+	// succ is shared by every process cloned from this one's Init.
+	succ *successors
+}
+
+// successors records one lineage's running-round transitions in the
+// current phase. The classes of a lineage split on raw inboxes, but the
+// equivocation filter maps many of them back onto one input of δ; each
+// distinct (state, filtered messages) pays δ once, and the classes that
+// meet it again adopt the recorded successor.
+type successors struct {
+	phase   int
+	entries []successor
+}
+
+type successor struct {
+	from, to classical.State
+	received []msg.Message
+}
+
+// next returns alg's successor of from after receiving received in
+// phase, computing it only when the lineage has not taken that
+// transition this phase. Inputs match when their keys are equal, which
+// is payload and state equality.
+func (r *successors) next(alg classical.Algorithm, phase int, from classical.State, received []msg.Message) classical.State {
+	if r.phase != phase {
+		r.phase, r.entries = phase, r.entries[:0]
+	}
+	for _, en := range r.entries {
+		if en.from.Key() == from.Key() && sameMessages(en.received, received) {
+			return en.to
+		}
+	}
+	to := alg.Transition(from, phase, received)
+	r.entries = append(r.entries, successor{from: from, to: to, received: received})
+	return to
+}
+
+func sameMessages(a, b []msg.Message) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Body.Key() != b[i].Body.Key() {
+			return false
+		}
+	}
+	return true
 }
 
 var _ engine.Process = (*Process)(nil)
@@ -125,6 +172,7 @@ func New(alg classical.Algorithm, p hom.Params) (func(slot int) engine.Process, 
 func (pr *Process) Init(ctx engine.Context) {
 	pr.id = ctx.ID
 	pr.state = pr.alg.Init(ctx.ID, ctx.Input)
+	pr.succ = &successors{}
 }
 
 // phasePos decomposes a simulation round into (phase, position) with
@@ -225,6 +273,7 @@ func (pr *Process) receiveDeciding(phase int, in *msg.Inbox) {
 // identifier groups (Figure 3, lines 12–15). One pass over the sorted
 // indexed view: messages arrive grouped by identifier, so a group that
 // contributed two or more valid run payloads is detected by adjacency.
+// A transition the lineage already took this phase is not recomputed.
 func (pr *Process) receiveRunning(phase int, in *msg.Inbox) {
 	var filtered []msg.Message
 	last := hom.Identifier(0) // identifier of the current group (0 = none)
@@ -249,7 +298,7 @@ func (pr *Process) receiveRunning(phase int, in *msg.Inbox) {
 		groupBody = rp.body
 	}
 	flush()
-	pr.state = pr.alg.Transition(pr.state, phase, filtered)
+	pr.state = pr.succ.next(pr.alg, phase, pr.state, filtered)
 }
 
 // Decision implements engine.Process.
@@ -259,7 +308,8 @@ func (pr *Process) Decision() (hom.Value, bool) {
 
 // CloneProcess implements engine.Cloner. The algorithm is shared and
 // stateless and states are immutable values, so a struct copy is an
-// independent fork.
+// independent fork; the copy keeps the lineage's successor record, whose
+// entries only depend on their inputs.
 func (pr *Process) CloneProcess() engine.Process {
 	cp := *pr
 	return &cp
