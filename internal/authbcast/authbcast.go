@@ -34,10 +34,11 @@
 // repeats change nothing here, since support counts distinct sender
 // identifiers. Hosts hand Ingest the inbox's Delta: what the round
 // stamped. There reception does not rebuild keys either: the broadcaster
-// memoises, per engine KeyID, which support bit a validated echo sets, so
-// a re-delivered echo costs one table load and one bit test, and a first
-// sight interns its tuple under the payload part of the delivered
-// message key. Release returns the whole table to a pool for the next.
+// memoises, per engine PayloadID, which tuple a validated echo supports,
+// so an echo of a known tuple, from any identifier, costs one table load
+// and one bit test, and a first sight interns its tuple under the payload
+// part of the delivered message key. Release returns the whole table to a
+// pool for the next.
 package authbcast
 
 import (
@@ -116,18 +117,19 @@ type table struct {
 	tuples  []tupleState
 	echoers []bool
 	kb      msg.KeyBuilder
-	// memo maps an inbox KeyID (msg.Inbox.KeyIDAt — the engine's, not
-	// keys') to one plus the echoers slot a validated echo with that
-	// KeyID sets; 0 means not seen valid yet. A message KeyID names one
-	// (sender identifier, echo payload) pair for the whole execution and
-	// an echo's validity only ever turns on (its superround stops being
-	// in the future), so an entry, once written, stays right. The slot
-	// also names the tuple: tuple i owns slots i·(ℓ+1) .. i·(ℓ+1)+ℓ.
-	// Entries beyond len are zero (reset clears what was used), so
-	// growing within capacity is free.
-	memo []int32
-	out  []msg.Send // Outgoing's result buffer
-	rest []int32    // Ingest's inbox positions not classified by KeyID; then Unclaimed
+	// memo maps an inbox PayloadID (msg.Inbox.PayloadIDAt — the engine's,
+	// not keys') to one plus the index of the tuple a validated echo with
+	// that payload supports; 0 means not seen valid yet. A PayloadID names
+	// one echo payload for the whole execution, whoever sends it, and an
+	// echo's validity only ever turns on (its superround stops being in
+	// the future), so an entry, once written, stays right; what is left
+	// to check per delivery is the sender identifier. Entries beyond len
+	// are zero (reset clears what was used), so growing within capacity
+	// is free.
+	memo    []int32
+	out     []msg.Send // Outgoing's result buffer
+	rest    []int32    // Ingest's inbox positions not classified by PayloadID; then Unclaimed
+	accepts []Accept   // Ingest's result buffer
 }
 
 // reset empties the table for a new broadcaster, keeping capacity.
@@ -141,24 +143,28 @@ func (t *table) reset() {
 	clear(t.out[:cap(t.out)]) // a later round may have sent fewer than an earlier one
 	t.out = t.out[:0]
 	t.rest = t.rest[:0]
+	clear(t.accepts[:cap(t.accepts)])
+	t.accepts = t.accepts[:0]
 }
 
-// echoSlot returns the echoers slot memoised for the inbox KeyID kid, or
-// -1 when there is none (always so for NoKey, which is never memoised).
-func (t *table) echoSlot(kid msg.KeyID) int {
-	if int(kid) < len(t.memo) {
-		return int(t.memo[kid]) - 1
+// echoSlot returns the echoers slot an echo with the inbox PayloadID pid
+// sets when sender sends it, or -1 when the memo does not answer: pid was
+// not seen valid (always so for NoPayload, which is never memoised) or
+// sender is no identifier.
+func (b *Broadcaster) echoSlot(pid msg.PayloadID, sender hom.Identifier) int {
+	if int(pid) >= len(b.tab.memo) || b.tab.memo[pid] == 0 || !sender.IsValid(b.l) {
+		return -1
 	}
-	return -1
+	return int(b.tab.tuples[b.tab.memo[pid]-1].echoOff) + int(sender)
 }
 
-// memoise records that the inbox KeyID kid is a validated echo setting
-// echoers[slot].
-func (t *table) memoise(kid msg.KeyID, slot int) {
-	if n := int(kid) + 1; n > len(t.memo) {
+// memoise records that the inbox PayloadID pid is a validated echo of
+// tuple idx.
+func (t *table) memoise(pid msg.PayloadID, idx int) {
+	if n := int(pid) + 1; n > len(t.memo) {
 		t.memo = slices.Grow(t.memo, n-len(t.memo))[:n]
 	}
-	t.memo[kid] = int32(slot) + 1
+	t.memo[pid] = int32(idx) + 1
 }
 
 var tablePool = sync.Pool{New: func() any { return &table{keys: msg.NewInterner()} }}
@@ -239,24 +245,27 @@ func (b *Broadcaster) Outgoing(round int) []msg.Send {
 }
 
 // Ingest processes the round's inbox and returns the Accept actions newly
-// performed this round, in deterministic (first-sight) order. Hosts pass
-// the inbox's Delta: a standing echo the engine spared was counted when
-// first delivered. It iterates through the indexed accessors, so the
-// engine's SoA inbox never materialises a []Message view for it.
+// performed this round, in deterministic (first-sight) order. The result
+// is the broadcaster's own, valid until the next Ingest: hosts copy what
+// they keep. Hosts pass the inbox's Delta: a standing echo the engine
+// spared was counted when first delivered. It iterates through the
+// indexed accessors, so the engine's SoA inbox never materialises a
+// []Message view for it.
 //
-// Almost every message of a round is an echo this broadcaster validated
-// in an earlier round; the one pass over the inbox recognises those by
-// their inbox KeyID alone (table.memo). Only the rest — a first sight, a
-// message of an uninterned inbox, an early echo, anything that is no echo
-// — reaches the payload and the tuple key, in walks over just those
-// positions: that path is the definition, the memo only remembers its
-// answer, and tuples are created on it alone, ⟨init⟩s first.
+// Almost every message of a round echoes a tuple this broadcaster
+// validated before; the one pass over the inbox recognises those by their
+// inbox PayloadID and sender alone (table.memo). Only the rest — a first
+// sight, a message of an uninterned inbox, an early echo, anything that is
+// no echo — reaches the payload, in walks over just those positions, and
+// the first valid echo of a tuple there reaches the tuple key for every
+// identifier echoing it: that path is the definition, the memo only
+// remembers its answer, and tuples are created on it alone, ⟨init⟩s first.
 func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 	sr := Superround(round)
 	tab := b.tab
 	fresh := tab.rest[:0]
 	for i, k := 0, in.Len(); i < k; i++ {
-		if slot := tab.echoSlot(in.KeyIDAt(i)); slot >= 0 {
+		if slot := b.echoSlot(in.PayloadIDAt(i), in.SenderAt(i)); slot >= 0 {
 			b.support(slot)
 		} else {
 			fresh = append(fresh, int32(i))
@@ -284,15 +293,20 @@ func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 			rest = append(rest, i)
 			continue
 		}
-		slot := int(tab.tuples[b.echoTuple(in, int(i), ep)].echoOff) + int(sender)
-		if kid := in.KeyIDAt(int(i)); kid != msg.NoKey {
-			tab.memoise(kid, slot)
+		pid := in.PayloadIDAt(int(i))
+		slot := b.echoSlot(pid, sender)
+		if slot < 0 {
+			idx := b.echoTuple(in, int(i), ep)
+			if pid != msg.NoPayload {
+				tab.memoise(pid, idx)
+			}
+			slot = int(tab.tuples[idx].echoOff) + int(sender)
 		}
 		b.support(slot)
 	}
 	tab.rest = rest
 	// Threshold checks (cumulative over all rounds), in arena order.
-	var accepts []Accept
+	accepts := tab.accepts[:0]
 	for i := range tab.tuples {
 		ts := &tab.tuples[i]
 		if ts.echoes >= b.l-2*b.t {
@@ -303,6 +317,7 @@ func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 			accepts = append(accepts, Accept{ID: ts.id, Body: ts.body, SR: ts.sr})
 		}
 	}
+	tab.accepts = accepts
 	return accepts
 }
 
@@ -362,8 +377,9 @@ func (b *Broadcaster) TupleCount() int { return len(b.tab.tuples) }
 // fresh pooled table. The original's tuples are replayed in arena
 // (first-sight) order, which reproduces the KeyID assignment and echo
 // bitmap layout exactly, so clone and original behave identically from
-// here on. The KeyID memo is not copied: the clone refills it through the
-// key path as its own inboxes arrive, exactly as a fresh broadcaster does.
+// here on. The PayloadID memo is not copied: the clone refills it through
+// the key path as its own inboxes arrive, exactly as a fresh broadcaster
+// does.
 func (b *Broadcaster) Clone() *Broadcaster {
 	nb := newBroadcaster(b.l, b.t)
 	nb.pending = append(nb.pending, b.pending...)

@@ -53,7 +53,9 @@ func newMemoSend(from hom.Identifier, body msg.Payload) memoSend {
 // and turn valid later; origin and sender identifiers from 0 to l+1, so
 // both run invalid at the edges; a nil body now and then — each re-sent
 // in every later round by a fresh random subset of senders, repeats
-// included, plus payloads that are not the broadcast layer's at all.
+// included, plus payloads that are not the broadcast layer's at all. Every
+// third round one echo nobody sent before arrives from every identifier,
+// the invalid ones included, at once.
 func genMemoTraffic(rng *rand.Rand, l, rounds int) [][]memoSend {
 	bodies := []msg.Payload{msg.Raw("a"), msg.Raw("b"), memoBody{1}, memoBody{2}, nil}
 	anyID := func() hom.Identifier { return hom.Identifier(rng.Intn(l + 2)) }
@@ -82,6 +84,12 @@ func genMemoTraffic(rng *rand.Rand, l, rounds int) [][]memoSend {
 				sends = append(sends, newMemoSend(anyID(), ep))
 			}
 		}
+		if r%3 == 0 {
+			burst := EchoPayload{Body: memoBody{100 + r}, SR: sr, ID: hom.Identifier(1 + rng.Intn(l))}
+			for id := 0; id <= l+1; id++ {
+				sends = append(sends, newMemoSend(hom.Identifier(id), burst))
+			}
+		}
 		sends = append(sends, newMemoSend(anyID(), msg.Raw("noise")), newMemoSend(anyID(), memoBody{r}))
 		rng.Shuffle(len(sends), func(i, j int) { sends[i], sends[j] = sends[j], sends[i] })
 		out[r] = sends
@@ -102,10 +110,10 @@ func observed(b *Broadcaster, round int, accepts []Accept) string {
 	return s + fmt.Sprintf(" unclaimed:%v tuples:%d fp:%x", b.Unclaimed(), b.TupleCount(), b.Fingerprint(msg.NewStateHash()))
 }
 
-// TestIngestKeyIDMemoMatchesKeyPath holds the KeyID memo to the path it
-// memoises. The same generated traffic reaches four broadcasters: one
-// through uninterned inboxes (NoKey everywhere, so every message takes
-// the payload-and-tuple-key path — the definition), one through the
+// TestIngestPayloadMemoMatchesKeyPath holds the PayloadID memo to the
+// path it memoises. The same generated traffic reaches four broadcasters:
+// one through uninterned inboxes (NoPayload everywhere, so every message
+// takes the payload-and-tuple-key path — the definition), one through the
 // engine's interned SoA inboxes, one through shared GroupInbox views, and
 // one that starts as a mid-run Clone of the second (its memo empty, its
 // tuples not). After every round all four must have performed the same
@@ -117,10 +125,14 @@ func observed(b *Broadcaster, round int, accepts []Accept) string {
 // order, so the test interns every message key up front, in key order:
 // the two orders then coincide and first-sight tuple order with them.
 //
+// A new echo arriving from every identifier in one round checks that its
+// first valid sight answers for the rest of the same pass, and that a hit
+// still needs its sender to be an identifier.
+//
 // An echo's first sight interns its tuple under the payload part of the
 // delivered message key; every tuple must be interned under the key the
 // KeyBuilder builds for it, which is what an ⟨init⟩ and Clone intern.
-func TestIngestKeyIDMemoMatchesKeyPath(t *testing.T) {
+func TestIngestPayloadMemoMatchesKeyPath(t *testing.T) {
 	const l, tByz, rounds, cloneAt = 7, 2, 18, 9
 	for seed := int64(1); seed <= 6; seed++ {
 		traffic := genMemoTraffic(rand.New(rand.NewSource(seed)), l, rounds)

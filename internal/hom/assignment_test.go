@@ -225,9 +225,8 @@ func TestValueSetQuick(t *testing.T) {
 
 func TestValueSetAppendTo(t *testing.T) {
 	// Property: AppendTo (and so String, and every canonical key that
-	// embeds a set) renders the members ascending inside braces, on both
-	// the stack-sorted small path and the Values() path past 8 members,
-	// and leaves what dst already held alone.
+	// embeds a set) renders the members ascending inside braces, past 8
+	// members as below, and leaves what dst already held alone.
 	check := func(raw []int8) bool {
 		var s ValueSet
 		for _, r := range raw {

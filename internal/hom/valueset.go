@@ -6,105 +6,82 @@ import (
 )
 
 // ValueSet is a set of values with deterministic (sorted) iteration order.
-// The zero value is the empty set, but most callers should use NewValueSet
-// so the map is allocated.
+// The zero value is the empty set.
+//
+// The members are a sorted, duplicate-free slice that is never written in
+// place: Add and AddAll install a new slice when they insert, so copying
+// a ValueSet (Clone) shares the slice for free and the copies stay
+// independent. A set held in a map or another value is updated by
+// writing the changed set back.
 type ValueSet struct {
-	members map[Value]bool
+	vals []Value
 }
 
 // NewValueSet returns a set containing the given values.
 func NewValueSet(vs ...Value) ValueSet {
-	s := ValueSet{members: make(map[Value]bool, len(vs))}
-	for _, v := range vs {
-		s.members[v] = true
-	}
-	return s
+	vals := slices.Clone(vs)
+	slices.Sort(vals)
+	return ValueSet{vals: slices.Compact(vals)}
 }
 
-// Add inserts v, allocating lazily so the zero ValueSet is usable.
+// Add inserts v.
 func (s *ValueSet) Add(v Value) {
-	if s.members == nil {
-		s.members = make(map[Value]bool, 2)
+	i, found := slices.BinarySearch(s.vals, v)
+	if found {
+		return
 	}
-	s.members[v] = true
+	vals := make([]Value, len(s.vals)+1)
+	copy(vals, s.vals[:i])
+	vals[i] = v
+	copy(vals[i+1:], s.vals[i:])
+	s.vals = vals
 }
 
-// AddAll inserts every value in vs.
+// AddAll inserts every value in vs, which may be unsorted and repeat
+// values, with at most one allocation.
 func (s *ValueSet) AddAll(vs []Value) {
 	for _, v := range vs {
-		s.Add(v)
+		if !s.Contains(v) {
+			vals := append(append(make([]Value, 0, len(s.vals)+len(vs)), s.vals...), vs...)
+			slices.Sort(vals)
+			s.vals = slices.Compact(vals)
+			return
+		}
 	}
 }
 
 // Contains reports membership.
-func (s ValueSet) Contains(v Value) bool { return s.members[v] }
+func (s ValueSet) Contains(v Value) bool {
+	_, found := slices.BinarySearch(s.vals, v)
+	return found
+}
 
 // Len returns the number of members.
-func (s ValueSet) Len() int { return len(s.members) }
+func (s ValueSet) Len() int { return len(s.vals) }
 
-// Values returns the members sorted ascending.
-func (s ValueSet) Values() []Value {
-	return s.AppendValues(make([]Value, 0, len(s.members)))
-}
+// Values returns the members sorted ascending, in a new slice.
+func (s ValueSet) Values() []Value { return slices.Clone(s.vals) }
 
 // AppendValues appends the members, sorted ascending, to dst and returns
 // the extended slice: Values for callers that bring their own buffer.
-func (s ValueSet) AppendValues(dst []Value) []Value {
-	n := len(dst)
-	for v := range s.members {
-		dst = append(dst, v)
-	}
-	slices.Sort(dst[n:])
-	return dst
-}
+func (s ValueSet) AppendValues(dst []Value) []Value { return append(dst, s.vals...) }
 
-// Clone returns an independent copy.
-func (s ValueSet) Clone() ValueSet {
-	out := ValueSet{members: make(map[Value]bool, len(s.members))}
-	for v := range s.members {
-		out.members[v] = true
-	}
-	return out
-}
+// Clone returns an independent copy. It costs nothing: no set is ever
+// written in place.
+func (s ValueSet) Clone() ValueSet { return s }
 
 // Equal reports whether two sets hold the same members.
-func (s ValueSet) Equal(o ValueSet) bool {
-	if len(s.members) != len(o.members) {
-		return false
-	}
-	for v := range s.members {
-		if !o.members[v] {
-			return false
-		}
-	}
-	return true
-}
+func (s ValueSet) Equal(o ValueSet) bool { return slices.Equal(s.vals, o.vals) }
 
 // String renders the set in sorted order, e.g. "{0,1}".
 func (s ValueSet) String() string { return string(s.AppendTo(nil)) }
 
 // AppendTo appends the String rendering to dst and returns the extended
 // slice, without allocating when dst has room: canonical message keys
-// render a value set per lookup, and the sets the protocols exchange
-// (proper and proposable values) hold a handful of members, which are
-// insertion-sorted in a stack array. Larger sets go through Values.
+// render a value set per lookup.
 func (s ValueSet) AppendTo(dst []byte) []byte {
-	var small [8]Value
-	sorted := small[:0]
-	if len(s.members) > len(small) {
-		sorted = s.Values()
-	} else {
-		for v := range s.members {
-			i := len(sorted)
-			sorted = append(sorted, v)
-			for ; i > 0 && sorted[i-1] > v; i-- {
-				sorted[i] = sorted[i-1]
-			}
-			sorted[i] = v
-		}
-	}
 	dst = append(dst, '{')
-	for i, v := range sorted {
+	for i, v := range s.vals {
 		if i > 0 {
 			dst = append(dst, ',')
 		}

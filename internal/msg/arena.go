@@ -16,6 +16,8 @@ import (
 //   - ids[i]    — the sender's authenticated identifier
 //   - kids[i]   — the dense KeyID of the canonical (identifier, payload)
 //     key, interned at stamp time; never NoKey
+//   - pids[i]   — the PayloadID of that key, shared by every identifier's
+//     copy of the payload; NoPayload in arenas stamped without one
 //   - bodies[i] — the payload itself, only dereferenced when a receiver
 //     materialises messages
 //   - keys[i]   — the canonical key string, aliasing the intern table's
@@ -41,6 +43,7 @@ import (
 type SendArena struct {
 	ids    []hom.Identifier
 	kids   []KeyID
+	pids   []PayloadID
 	bodies []Payload
 	keys   []string
 	copies []int32
@@ -68,6 +71,7 @@ func (a *SendArena) Reset() {
 	clear(a.keys)
 	a.ids = a.ids[:0]
 	a.kids = a.kids[:0]
+	a.pids = a.pids[:0]
 	a.bodies = a.bodies[:0]
 	a.keys = a.keys[:0]
 	a.copies = a.copies[:0]
@@ -89,12 +93,13 @@ func (a *SendArena) Append(it *Interner, id hom.Identifier, body Payload, bodyKe
 
 // AppendStamped is Append for a send whose message key the caller holds
 // as a KeyID of it (KeyBuilder.InternMessage, or a StampMemo's), standing
-// for copies >= 1 indistinguishable sends: five column appends, no key
+// for copies >= 1 indistinguishable sends: six column appends, no key
 // built and nothing hashed.
 func (a *SendArena) AppendStamped(it *Interner, id hom.Identifier, body Payload, kid KeyID, copies int32) int32 {
 	i := int32(len(a.ids))
 	a.ids = append(a.ids, id)
 	a.kids = append(a.kids, kid)
+	a.pids = append(a.pids, it.payload(kid))
 	a.bodies = append(a.bodies, body)
 	a.keys = append(a.keys, it.Key(kid))
 	a.copies = append(a.copies, copies)
@@ -127,6 +132,7 @@ func (a *SendArena) restamp(s *SendArena) []int32 {
 		a.spared, a.sparedAt = s, int32(len(a.ids))
 		a.ids = append(a.ids, s.ids...)
 		a.kids = append(a.kids, s.kids...)
+		a.pids = append(a.pids, s.pids...)
 		a.bodies = append(a.bodies, s.bodies...)
 		a.keys = append(a.keys, s.keys...)
 		a.copies = append(a.copies, s.copies...)
@@ -167,13 +173,13 @@ func (a *SendArena) keyID(i int32) KeyID {
 // stampBatch stamps raw into an empty arena, one entry of one copy per
 // message, and returns the whole arena as a delivery batch. Entries keep
 // their messages' KeyIDs when every message carries one (from one
-// interner). Otherwise the arena is ranked: each entry's KeyID column
-// holds its canonical key's 1-based rank among the batch's distinct keys,
-// so ordering by (identifier, rank) is ordering by (identifier, key), and
-// no interner is involved.
+// interner), but no PayloadID. Otherwise the arena is ranked: each
+// entry's KeyID column holds its canonical key's 1-based rank among the
+// batch's distinct keys, so ordering by (identifier, rank) is ordering by
+// (identifier, key), and no interner is involved.
 func (a *SendArena) stampBatch(raw []Message) []int32 {
 	n := len(raw)
-	a.ids, a.kids = make([]hom.Identifier, n), make([]KeyID, n)
+	a.ids, a.kids, a.pids = make([]hom.Identifier, n), make([]KeyID, n), make([]PayloadID, n)
 	a.bodies, a.keys = make([]Payload, n), make([]string, n)
 	a.copies, a.every = make([]int32, n), make([]int32, n)
 	for i, m := range raw {

@@ -43,20 +43,33 @@ const NoKey KeyID = 0
 //   - One process, one interner: whoever builds inboxes for a process
 //     stamps all of them through the same Interner for the process's
 //     whole life (or leaves all of them uninterned). That is what lets a
-//     receive path keep a table indexed by Inbox.KeyIDAt across rounds
-//     and look a re-delivered message up instead of rebuilding its key.
-//     The tables stay private: a KeyID is an index, never a name — it
+//     receive path keep a table indexed by Inbox.PayloadIDAt across
+//     rounds and look a re-delivered payload up instead of rebuilding its
+//     key. The tables stay private: an ID is an index, never a name — it
 //     must not be hashed, fingerprinted or compared across executions.
 type Interner struct {
-	ids     map[string]KeyID
-	keys    []string // KeyID -> canonical key; keys[0] is the NoKey slot
-	scratch []byte   // reused by InternMessageKey
-	epoch   uint32   // Resets so far: what a StampMemo's KeyID is valid against
+	ids      map[string]KeyID
+	keys     []string    // KeyID -> canonical key; keys[0] is the NoKey slot
+	payloads []PayloadID // KeyID -> the message key's payload ID; NoPayload for other keys
+	pids     map[string]PayloadID
+	scratch  []byte // reused by InternMessageKey
+	epoch    uint32 // Resets so far: what a StampMemo's KeyID is valid against
 }
+
+// PayloadID is a dense handle for the payload part of an interned message
+// key: the messages of every sender identifier that carry one payload
+// share it. IDs are assigned at 1, 2, ... in the order message keys first
+// bring their payloads to the interner, and are valid under the same rules
+// as KeyIDs. The zero value NoPayload means none.
+type PayloadID uint32
+
+// NoPayload is the PayloadID of a key that is no interned message key.
+const NoPayload PayloadID = 0
 
 // NewInterner returns an empty intern table.
 func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]KeyID), keys: make([]string, 1)}
+	return &Interner{ids: make(map[string]KeyID), keys: make([]string, 1),
+		payloads: make([]PayloadID, 1), pids: make(map[string]PayloadID)}
 }
 
 // internPool recycles interners across executions (the "engine scratch"
@@ -85,6 +98,8 @@ func (it *Interner) Reset() {
 	clear(it.ids)
 	clear(it.keys) // drop string references so recycled interners retain no garbage
 	it.keys = it.keys[:1]
+	clear(it.pids)
+	it.payloads = it.payloads[:1]
 	it.epoch++
 }
 
@@ -119,7 +134,17 @@ func (it *Interner) add(key string) KeyID {
 	id := KeyID(len(it.keys))
 	it.ids[key] = id
 	it.keys = append(it.keys, key)
+	it.payloads = append(it.payloads, NoPayload)
 	return id
+}
+
+// payload returns the PayloadID of the message key interned as kid, or
+// NoPayload when kid is no message key of this interner.
+func (it *Interner) payload(kid KeyID) PayloadID {
+	if int(kid) >= len(it.payloads) {
+		return NoPayload
+	}
+	return it.payloads[kid]
 }
 
 // Key returns the canonical key string behind a KeyID issued by this
@@ -148,12 +173,26 @@ func (it *Interner) InternMessageKey(id int64, bodyKey string) (KeyID, string) {
 }
 
 // internMessageKey is InternMessageKey over a body key held as a string
-// or as scratch bytes; the body key itself is never interned.
+// or as scratch bytes; the body key itself is never interned as a key.
+// The message key also names its payload, once: the part after
+// "id=<id>|" of the interned string, so the payload table allocates no
+// string.
 func internMessageKey[K string | []byte](it *Interner, id int64, bodyKey K) KeyID {
 	b := append(it.scratch[:0], "id="...)
 	b = strconv.AppendInt(b, id, 10)
 	b = append(b, '|')
+	at := len(b)
 	b = append(b, bodyKey...)
 	it.scratch = b[:0]
-	return it.InternBytes(b)
+	kid := it.InternBytes(b)
+	if it.payloads[kid] == NoPayload {
+		payload := it.keys[kid][at:]
+		pid, ok := it.pids[payload]
+		if !ok {
+			pid = PayloadID(len(it.pids) + 1)
+			it.pids[payload] = pid
+		}
+		it.payloads[kid] = pid
+	}
+	return kid
 }

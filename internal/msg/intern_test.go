@@ -268,3 +268,76 @@ func TestNestedScratchKeyedAllocationFree(t *testing.T) {
 		t.Fatalf("nested scratch-keyed intern allocated %.1f times, want 0", allocs)
 	}
 }
+
+// payloadKeyed is a payload whose key is the given string verbatim.
+type payloadKeyed string
+
+func (p payloadKeyed) Key() string { return string(p) }
+
+// TestPayloadIDsNamePayloads pins what a PayloadID names: the payload
+// part of an interned message key, whoever sent it. Every identifier's
+// copy of one payload reads back one ID, different payloads read back
+// different ones — dense, in first-stamp order, and apart from the
+// KeyIDs: a payload whose key spells another message's key is still its
+// own, and a message key interned as a plain key first still names its
+// payload — through the plain inbox, a delta inbox's union (whose standing
+// copies restamp carries) and its Delta. NewInbox's arena has none, keys
+// that are no message key have none, and Reset restarts the numbering.
+func TestPayloadIDsNamePayloads(t *testing.T) {
+	const l = 5
+	it := NewInterner()
+	plain := it.Intern("no message key")
+	it.Intern("id=4|raw|y") // a message key interned first as a plain key
+	bodies := []Payload{Raw("x"), Raw("y"), payloadKeyed("id=1|raw|x")}
+	arena, standing := &SendArena{}, &SendArena{}
+	var idx []int32
+	for _, body := range bodies {
+		for id := hom.Identifier(1); id <= l; id++ {
+			if id == l { // the last identifier's copy is a standing send
+				kid, _ := it.InternMessageKey(int64(id), body.Key())
+				standing.AppendStamped(it, id, body, kid, 1)
+				continue
+			}
+			idx = append(idx, arena.Append(it, id, body, body.Key()))
+		}
+	}
+	if it.payload(plain) != NoPayload || it.payload(NoKey) != NoPayload || it.payload(KeyID(it.Len()+1)) != NoPayload {
+		t.Fatal("a key that is no interned message key has a PayloadID")
+	}
+	want := map[string]PayloadID{"raw|x": 1, "raw|y": 2, "id=1|raw|x": 3}
+	check := func(label string, in *Inbox, n int) {
+		t.Helper()
+		if in.Len() != n {
+			t.Fatalf("%s: %d messages, want %d", label, in.Len(), n)
+		}
+		for i := 0; i < in.Len(); i++ {
+			if got, w := in.PayloadIDAt(i), want[in.BodyAt(i).Key()]; got != w {
+				t.Fatalf("%s: %s from %d has PayloadID %d, want %d", label, in.BodyAt(i).Key(), in.SenderAt(i), got, w)
+			}
+		}
+	}
+	core := NewPooledGroupInbox(false, arena, idx)
+	in := NewPooledInboxView(core, standing)
+	check("delta", in.Delta(), len(bodies)*(l-1))
+	check("union", in, len(bodies)*l)
+	in.Recycle()
+	core.Recycle()
+	soa := NewPooledInboxSoA(true, arena, idx)
+	check("soa", soa, len(bodies)*(l-1))
+	soa.Recycle()
+
+	loose := NewInbox(false, []Message{NewMessageInterned(it, 1, Raw("x")), NewMessageInterned(it, 2, Raw("x"))})
+	for i := 0; i < loose.Len(); i++ {
+		if loose.PayloadIDAt(i) != NoPayload {
+			t.Fatalf("NewInbox position %d has PayloadID %d, want none", i, loose.PayloadIDAt(i))
+		}
+	}
+
+	it.Reset()
+	arena.Reset()
+	arena.Append(it, 3, Raw("y"), Raw("y").Key())
+	arena.Append(it, 1, Raw("x"), Raw("x").Key())
+	if got := []PayloadID{arena.pids[0], arena.pids[1]}; got[0] != 1 || got[1] != 2 {
+		t.Fatalf("PayloadIDs after Reset = %v, want [1 2]", got)
+	}
+}

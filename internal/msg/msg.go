@@ -199,8 +199,7 @@ type Delivered struct {
 // inbox built by NewInbox from messages of which any lacks a KeyID is
 // ranked instead: each canonical key's rank among the batch's distinct
 // keys stands in for its KeyID, so the order is (identifier, key). A
-// ranked inbox reports NoKey from KeyIDAt and on every Message read back
-// from it.
+// ranked inbox reports NoKey on every Message read back from it.
 //
 // Receivers that iterate through the indexed accessors (SenderAt, BodyAt,
 // CountAt over 0..Len()) never force the []Message view into existence:
@@ -370,21 +369,21 @@ func (in *Inbox) BodyAt(i int) Payload { g := in.full(); return g.soa.bodies[g.a
 // order (always 1 on an innumerate inbox).
 func (in *Inbox) CountAt(i int) int { g := in.full(); return g.countOf(g.at(i)) }
 
-// KeyIDAt returns the dense KeyID of the i-th distinct message in sorted
-// order, or NoKey on a ranked inbox (then no position has a usable one).
-// It is the protocols' table-lookup handle: a receive path that memoised
-// what it derived from a message the first time it saw it can index that
-// memo by KeyID instead of rebuilding the message's key on every later
-// delivery.
+// PayloadIDAt returns the PayloadID of the i-th distinct message in
+// sorted order: one ID for every sender identifier's copy of a payload,
+// or NoPayload on an inbox built by NewInbox. It is the protocols'
+// table-lookup handle: a receive path that memoised what it derived from
+// a payload the first time it saw it can index that memo by PayloadID
+// instead of rebuilding the payload's key on every later delivery.
 //
 // The contract that makes this sound is the engines': every inbox one
-// process receives over its life carries KeyIDs issued by one Interner
-// (or NoKey), so within a process a KeyID names the same canonical
-// (identifier, payload) key for the whole execution. A KeyID is still
-// only an index — assignment order differs between executions that
-// behave identically, so it must never reach a hash, a fingerprint, a
-// sort that outlives the inbox, or anything else observable.
-func (in *Inbox) KeyIDAt(i int) KeyID { g := in.full(); return g.soa.keyID(g.at(i)) }
+// process receives over its life is stamped through one Interner (or
+// carries NoPayload), so within a process a PayloadID names the same
+// payload key for the whole execution. A PayloadID is still only an
+// index — assignment order differs between executions that behave
+// identically, so it must never reach a hash, a fingerprint, a sort that
+// outlives the inbox, or anything else observable.
+func (in *Inbox) PayloadIDAt(i int) PayloadID { g := in.full(); return g.soa.pids[g.at(i)] }
 
 // MessageAt materialises the i-th distinct message in sorted order.
 func (in *Inbox) MessageAt(i int) Message { g := in.full(); return g.soa.Message(g.at(i)) }

@@ -110,8 +110,8 @@ func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Messa
 		if c.interned {
 			wantKid = w.KeyID()
 		}
-		if got := in.KeyIDAt(i); got != wantKid {
-			t.Fatalf("%s/%s: KeyIDAt(%d) = %d, want %d", c.name, label, i, got, wantKid)
+		if got := in.MessageAt(i).KeyID(); got != wantKid {
+			t.Fatalf("%s/%s: MessageAt(%d).KeyID() = %d, want %d", c.name, label, i, got, wantKid)
 		}
 		if in.CountAt(i) != in.Count(w) {
 			t.Fatalf("%s/%s: CountAt(%d) = %d, Count = %d", c.name, label, i, in.CountAt(i), in.Count(w))
@@ -338,7 +338,7 @@ func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
 // TestWeightedFillMatchesExpandedFill pins what a multiplicity means: a
 // batch whose entries carry copies >= 1, filled once, is observationally
 // the batch with every entry repeated copies times — on Len, TotalCount,
-// the sorted order, CountAt, KeyIDAt and CountCopies, numerate and
+// the sorted order, CountAt, KeyIDs and CountCopies, numerate and
 // innumerate, through the per-recipient fill and the shared core alike.
 // Batches repeat and skip entries, as link duplication and masks do.
 //
@@ -409,10 +409,10 @@ func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 						trial, numerate, label, got.Len(), got.TotalCount(), want.Len(), want.TotalCount())
 				}
 				for i := 0; i < want.Len(); i++ {
-					if got.MessageAt(i).Key() != want.MessageAt(i).Key() || got.KeyIDAt(i) != want.KeyIDAt(i) || got.CountAt(i) != want.CountAt(i) {
+					if got.MessageAt(i).Key() != want.MessageAt(i).Key() || got.MessageAt(i).KeyID() != want.MessageAt(i).KeyID() || got.CountAt(i) != want.CountAt(i) {
 						t.Fatalf("trial %d numerate=%v %s: position %d holds %q (KeyID %d) x%d, expanded %q (KeyID %d) x%d",
-							trial, numerate, label, i, got.MessageAt(i).Key(), got.KeyIDAt(i), got.CountAt(i),
-							want.MessageAt(i).Key(), want.KeyIDAt(i), want.CountAt(i))
+							trial, numerate, label, i, got.MessageAt(i).Key(), got.MessageAt(i).KeyID(), got.CountAt(i),
+							want.MessageAt(i).Key(), want.MessageAt(i).KeyID(), want.CountAt(i))
 					}
 				}
 				if got.CountCopies(nil) != want.CountCopies(nil) || got.CountCopies(odd) != want.CountCopies(odd) {
@@ -450,7 +450,7 @@ func TestLegacyInboxQueries(t *testing.T) {
 		{ID: 3, Body: Raw("x")},
 	}
 	in := NewInbox(true, raw)
-	if in.KeyIDAt(0) != NoKey || in.MessageAt(0).KeyID() != NoKey {
+	if in.MessageAt(0).KeyID() != NoKey || in.PayloadIDAt(0) != NoPayload {
 		t.Fatal("ranked inbox exposed a KeyID")
 	}
 	if in.Len() != 3 || in.TotalCount() != 4 {

@@ -46,7 +46,8 @@ package psynchom
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"homonyms/internal/authbcast"
 	"homonyms/internal/engine"
@@ -420,12 +421,10 @@ func (pr *Process) Receive(round int, in *msg.Inbox) {
 				byID = make(map[hom.Identifier]hom.ValueSet)
 				pr.proposeAcc[body.Phase] = byID
 			}
-			set, ok := byID[acc.ID]
-			if !ok {
-				set = hom.NewValueSet()
-				byID[acc.ID] = set
-			}
-			set.AddAll(body.V.Values())
+			set := byID[acc.ID] // a value: the union goes back in
+			pr.valBuf = body.V.AppendValues(pr.valBuf[:0])
+			set.AddAll(pr.valBuf)
+			byID[acc.ID] = set
 		case VotePayload:
 			if body.Phase < 0 || body.Val == hom.NoValue {
 				continue
@@ -468,8 +467,8 @@ func (pr *Process) Receive(round int, in *msg.Inbox) {
 
 // scan is Receive's single pass over the directly sent (non-broadcast)
 // messages of the round's inbox: the positions at, those the broadcast
-// layer left unclaimed — the standing echoes it classified by KeyID never
-// reach a payload or this type switch. Every round it tallies the proper
+// layer left unclaimed — the echoes it counted never reach this type
+// switch. Every round it tallies the proper
 // sets (reporters, supported); in SR2 round 1 it records the leader
 // identifier's lock requests; when asked it tallies, into direct, the
 // ⟨ack⟩s for this process's own lock value or the ⟨decide⟩s.
@@ -563,8 +562,8 @@ func (pr *Process) Release() {
 }
 
 // CloneProcess implements engine.Cloner: a deep copy sharing no mutable
-// state — the accept tables, locks, proper set and the broadcast layer
-// are all forked.
+// state — the accept tables, locks and the broadcast layer are forked;
+// value sets are never written in place, so copies share them.
 func (pr *Process) CloneProcess() engine.Process {
 	cp := &Process{
 		opts:          pr.opts,
@@ -572,93 +571,57 @@ func (pr *Process) CloneProcess() engine.Process {
 		id:            pr.id,
 		bc:            pr.bc.Clone(),
 		proper:        pr.proper.Clone(),
-		locks:         make(map[hom.Value]int, len(pr.locks)),
+		locks:         maps.Clone(pr.locks),
 		decision:      pr.decision,
 		proposeAcc:    make(map[int]map[hom.Identifier]hom.ValueSet, len(pr.proposeAcc)),
 		voteAcc:       make(map[int]map[hom.Value]map[hom.Identifier]bool, len(pr.voteAcc)),
-		lockSeen:      make(map[hom.Value]bool, len(pr.lockSeen)),
+		lockSeen:      maps.Clone(pr.lockSeen),
 		leaderLockVal: pr.leaderLockVal,
 	}
-	for v, ph := range pr.locks {
-		cp.locks[v] = ph
-	}
 	for ph, byID := range pr.proposeAcc {
-		m := make(map[hom.Identifier]hom.ValueSet, len(byID))
-		for id, set := range byID {
-			m[id] = set.Clone()
-		}
-		cp.proposeAcc[ph] = m
+		cp.proposeAcc[ph] = maps.Clone(byID)
 	}
 	for ph, byVal := range pr.voteAcc {
 		m := make(map[hom.Value]map[hom.Identifier]bool, len(byVal))
 		for v, ids := range byVal {
-			im := make(map[hom.Identifier]bool, len(ids))
-			for id := range ids {
-				im[id] = true
-			}
-			m[v] = im
+			m[v] = maps.Clone(ids)
 		}
 		cp.voteAcc[ph] = m
-	}
-	for v := range pr.lockSeen {
-		cp.lockSeen[v] = true
 	}
 	return cp
 }
 
 // StateFingerprint implements engine.StateHasher: a deterministic fold of
 // the full observable state — maps iterated in sorted key order, value
-// sets through their sorted Values view, the broadcast layer through
-// its arena-order Fingerprint — using canonical keys only.
+// sets in their sorted order, the broadcast layer through its arena-order
+// Fingerprint — using canonical keys only.
 func (pr *Process) StateFingerprint() msg.StateHash {
 	h := msg.NewStateHash().Int(int(pr.decision)).Int(int(pr.leaderLockVal))
 	h = hashValueSet(h, pr.proper)
 	h = h.Int(len(pr.locks))
-	for _, v := range sortedValueKeys(len(pr.locks), func(f func(hom.Value)) {
-		for v := range pr.locks {
-			f(v)
-		}
-	}) {
+	for _, v := range slices.Sorted(maps.Keys(pr.locks)) {
 		h = h.Int(int(v)).Int(pr.locks[v])
 	}
 	h = h.Int(len(pr.lockSeen))
-	for _, v := range sortedValueKeys(len(pr.lockSeen), func(f func(hom.Value)) {
-		for v := range pr.lockSeen {
-			f(v)
-		}
-	}) {
+	for _, v := range slices.Sorted(maps.Keys(pr.lockSeen)) {
 		h = h.Int(int(v))
 	}
 	h = h.Int(len(pr.proposeAcc))
-	for _, ph := range sortedIntKeys(pr.proposeAcc) {
+	for _, ph := range slices.Sorted(maps.Keys(pr.proposeAcc)) {
 		byID := pr.proposeAcc[ph]
 		h = h.Int(ph).Int(len(byID))
-		ids := make([]hom.Identifier, 0, len(byID))
-		for id := range byID {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range slices.Sorted(maps.Keys(byID)) {
 			h = hashValueSet(h.Int(int(id)), byID[id])
 		}
 	}
 	h = h.Int(len(pr.voteAcc))
-	for _, ph := range sortedIntKeys(pr.voteAcc) {
+	for _, ph := range slices.Sorted(maps.Keys(pr.voteAcc)) {
 		byVal := pr.voteAcc[ph]
 		h = h.Int(ph).Int(len(byVal))
-		for _, v := range sortedValueKeys(len(byVal), func(f func(hom.Value)) {
-			for v := range byVal {
-				f(v)
-			}
-		}) {
+		for _, v := range slices.Sorted(maps.Keys(byVal)) {
 			ids := byVal[v]
 			h = h.Int(int(v)).Int(len(ids))
-			sorted := make([]hom.Identifier, 0, len(ids))
-			for id := range ids {
-				sorted = append(sorted, id)
-			}
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			for _, id := range sorted {
+			for _, id := range slices.Sorted(maps.Keys(ids)) {
 				h = h.Int(int(id))
 			}
 		}
@@ -666,31 +629,11 @@ func (pr *Process) StateFingerprint() msg.StateHash {
 	return pr.bc.Fingerprint(h)
 }
 
-// hashValueSet folds a value set through its sorted Values view.
+// hashValueSet folds a value set's length and members, ascending.
 func hashValueSet(h msg.StateHash, s hom.ValueSet) msg.StateHash {
-	vs := s.Values()
-	h = h.Int(len(vs))
-	for _, v := range vs {
+	h = h.Int(s.Len())
+	for _, v := range s.Values() {
 		h = h.Int(int(v))
 	}
 	return h
-}
-
-// sortedValueKeys collects hom.Value keys yielded by iterate and sorts
-// them ascending (map iteration order must never reach a fingerprint).
-func sortedValueKeys(n int, iterate func(func(hom.Value))) []hom.Value {
-	out := make([]hom.Value, 0, n)
-	iterate(func(v hom.Value) { out = append(out, v) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedIntKeys returns a map's int keys sorted ascending.
-func sortedIntKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
