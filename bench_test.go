@@ -172,7 +172,7 @@ func BenchmarkFig4Partition(b *testing.B) {
 	factory := psynchom.NewUnchecked(p, psynchom.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := attacks.Partition(p, factory, 12*psynchom.RoundsPerPhase)
+		rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func BenchmarkMirrorAttack(b *testing.B) {
 	baseInputs := []hom.Value{0, 0, 0, 0, 1, 1, 1, 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*psyncnum.RoundsPerPhase)
+		rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*hom.RoundsPerPhase)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func BenchmarkCrossover(b *testing.B) {
 		if !res.Decided {
 			b.Fatal("n=4 failed to decide")
 		}
-		rep, err := attacks.Partition(p5, factory5, 12*psynchom.RoundsPerPhase)
+		rep, err := attacks.Partition(p5, factory5, 12*hom.RoundsPerPhase)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func BenchmarkCrossover(b *testing.B) {
 
 func BenchmarkAblationNoVote(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := attacks.SplitLock(psynchom.Options{DisableVote: true}, 1, 14*psynchom.RoundsPerPhase)
+		rep, err := attacks.SplitLock(psynchom.Options{DisableVote: true}, 1, 14*hom.RoundsPerPhase)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func BenchmarkAblationNoVote(b *testing.B) {
 
 func BenchmarkAblationNoDecideRelay(b *testing.B) {
 	const l = 6
-	maxRounds := psynchom.RoundsPerPhase * (3*l + 6)
+	maxRounds := hom.RoundsPerPhase * (3*l + 6)
 	var with, without int
 	for i := 0; i < b.N; i++ {
 		a, err := attacks.RelayLatency(l, psynchom.Options{}, maxRounds)
@@ -388,7 +388,7 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 			engine.WithInputs(inputs...),
 			engine.WithProcess(factory),
 			engine.WithGST(1),
-			engine.WithRounds(psyncnum.SuggestedMaxRounds(p, 1)),
+			engine.WithRounds(hom.PhaseRounds(p, 1)),
 		)
 		if err != nil {
 			b.Fatal(err)

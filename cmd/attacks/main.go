@@ -104,7 +104,7 @@ func figure4(w io.Writer) error {
 	p := hom.Params{N: 5, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}
 	fmt.Fprintf(w, "partition attack at %s (2l = %d <= n+3t = %d)\n", p, 2*p.L, p.N+3*p.T)
 	factory := psynchom.NewUnchecked(p, psynchom.Options{})
-	rep, err := attacks.Partition(p, factory, 12*psynchom.RoundsPerPhase)
+	rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
 	if err != nil {
 		return err
 	}
@@ -180,7 +180,7 @@ func mirror(w io.Writer) error {
 	factory := psyncnum.NewUnchecked(p)
 	assignment := hom.RoundRobinAssignment(8, 2)
 	baseInputs := []hom.Value{0, 0, 0, 0, 1, 1, 1, 1}
-	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*psyncnum.RoundsPerPhase)
+	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*hom.RoundsPerPhase)
 	if err != nil {
 		return err
 	}
@@ -195,11 +195,11 @@ func mirror(w io.Writer) error {
 }
 
 func ablations(w io.Writer) error {
-	full, err := attacks.SplitLock(psynchom.Options{}, 1, 14*psynchom.RoundsPerPhase)
+	full, err := attacks.SplitLock(psynchom.Options{}, 1, 14*hom.RoundsPerPhase)
 	if err != nil {
 		return err
 	}
-	ablated, err := attacks.SplitLock(psynchom.Options{DisableVote: true}, 1, 14*psynchom.RoundsPerPhase)
+	ablated, err := attacks.SplitLock(psynchom.Options{DisableVote: true}, 1, 14*hom.RoundsPerPhase)
 	if err != nil {
 		return err
 	}
@@ -212,7 +212,7 @@ func ablations(w io.Writer) error {
 	fmt.Fprintln(w, "    conflicting values in the same phase (Lemma 8 breaks)")
 
 	const l = 6
-	maxRounds := psynchom.RoundsPerPhase * (3*l + 6)
+	maxRounds := hom.RoundsPerPhase * (3*l + 6)
 	withRelay, err := attacks.RelayLatency(l, psynchom.Options{}, maxRounds)
 	if err != nil {
 		return err

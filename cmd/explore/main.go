@@ -272,7 +272,7 @@ func mirrorWitness(p hom.Params) (bool, string) {
 		flipped = p.N - 1
 	}
 	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, flipped, 0, 1,
-		psyncnum.SuggestedMaxRounds(p, 1))
+		hom.PhaseRounds(p, 1))
 	if err != nil {
 		return false, err.Error()
 	}

@@ -60,7 +60,7 @@ func SplitLock(opts psynchom.Options, targetPhase, maxRounds int) (*SplitLockRep
 	// still carry singleton input sets below the quorum.
 	assignment := hom.Assignment{2, 1, 1, 3, 4, 5}
 	inputs := []hom.Value{0, 0, 1, 0, 1, 0}
-	if psynchom.LeaderID(targetPhase, p.L) != 2 {
+	if hom.LeaderID(targetPhase, p.L) != 2 {
 		return nil, fmt.Errorf("%w (target phase %d is not led by identifier 2)", ErrAblationSetup, targetPhase)
 	}
 	adv := &splitLockAdversary{byzSlot: 0, targetPhase: targetPhase, n: p.N}
@@ -128,7 +128,7 @@ func (a *splitLockAdversary) Corrupt(hom.Params, hom.Assignment, []hom.Value) []
 }
 
 func (a *splitLockAdversary) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
-	lockRound := a.targetPhase*psynchom.RoundsPerPhase + 3
+	lockRound := a.targetPhase*hom.RoundsPerPhase + 3
 	if round != lockRound {
 		return nil
 	}
@@ -220,7 +220,7 @@ func RelayLatency(l int, opts psynchom.Options, maxRounds int) (*RelayLatencyRep
 	}
 	report.FirstDecisionRound, report.LastDecisionRound = first, last
 	if first > 0 {
-		report.SpreadPhases = (last - first) / psynchom.RoundsPerPhase
+		report.SpreadPhases = (last - first) / hom.RoundsPerPhase
 	}
 	return report, nil
 }
@@ -239,9 +239,8 @@ func (a *adversaryEquivLocks) Corrupt(hom.Params, hom.Assignment, []hom.Value) [
 }
 
 func (a *adversaryEquivLocks) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
-	phase := (round - 1) / psynchom.RoundsPerPhase
-	pos := (round-1)%psynchom.RoundsPerPhase + 1
-	if pos != 3 || psynchom.LeaderID(phase, a.l) != 1 {
+	phase, pos := hom.PhasePos(round)
+	if pos != 3 || hom.LeaderID(phase, a.l) != 1 {
 		return nil
 	}
 	var out []msg.TargetedSend

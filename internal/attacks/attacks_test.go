@@ -24,7 +24,7 @@ func TestPartitionDefeatsFigure5AtTheBound(t *testing.T) {
 	// anomaly: this very algorithm works at n = 4.
 	p := partitionParams(5, 4, 1)
 	factory := psynchom.NewUnchecked(p, psynchom.Options{})
-	rep, err := attacks.Partition(p, factory, 12*psynchom.RoundsPerPhase)
+	rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestPartitionLargerInstance(t *testing.T) {
 	// n = 9, l = 7, t = 2: 2l = 14 <= 15 = n+3t, l = 7 > 6 = 3t.
 	p := partitionParams(9, 7, 2)
 	factory := psynchom.NewUnchecked(p, psynchom.Options{})
-	rep, err := attacks.Partition(p, factory, 16*psynchom.RoundsPerPhase)
+	rep, err := attacks.Partition(p, factory, 16*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestMirrorIndistinguishability(t *testing.T) {
 	factory := psyncnum.NewUnchecked(p)
 	assignment := hom.RoundRobinAssignment(8, 2)
 	baseInputs := []hom.Value{0, 0, 0, 0, 1, 1, 1, 1}
-	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*psyncnum.RoundsPerPhase)
+	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("Mirror: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestMirrorRejectsLargeL(t *testing.T) {
 // --- Ablation A1: the vote superround (Lemma 8) ---------------------------
 
 func TestSplitLockVoteRoundPreventsConflictingAcks(t *testing.T) {
-	rep, err := attacks.SplitLock(psynchom.Options{}, 1, 14*psynchom.RoundsPerPhase)
+	rep, err := attacks.SplitLock(psynchom.Options{}, 1, 14*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("SplitLock(full): %v", err)
 	}
@@ -232,7 +232,7 @@ func TestSplitLockVoteRoundPreventsConflictingAcks(t *testing.T) {
 }
 
 func TestSplitLockAblationExhibitsConflictingAcks(t *testing.T) {
-	rep, err := attacks.SplitLock(psynchom.Options{DisableVote: true}, 1, 14*psynchom.RoundsPerPhase)
+	rep, err := attacks.SplitLock(psynchom.Options{DisableVote: true}, 1, 14*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("SplitLock(no-vote): %v", err)
 	}
@@ -254,7 +254,7 @@ func TestSplitLockAblationExhibitsConflictingAcks(t *testing.T) {
 
 func TestRelayLatencyGap(t *testing.T) {
 	const l = 6
-	maxRounds := psynchom.RoundsPerPhase * (3*l + 6)
+	maxRounds := hom.RoundsPerPhase * (3*l + 6)
 	withRelay, err := attacks.RelayLatency(l, psynchom.Options{}, maxRounds)
 	if err != nil {
 		t.Fatalf("RelayLatency(full): %v", err)
@@ -292,7 +292,7 @@ func TestCrossoverAnomaly(t *testing.T) {
 		engine.WithInputs(inputs...),
 		engine.WithProcess(factory4),
 		engine.WithGST(1),
-		engine.WithRounds(psynchom.SuggestedMaxRounds(p4, 1)),
+		engine.WithRounds(hom.PhaseRounds(p4, 1)),
 	)
 	if err != nil {
 		t.Fatalf("engine.Run: %v", err)
@@ -303,7 +303,7 @@ func TestCrossoverAnomaly(t *testing.T) {
 
 	p5 := partitionParams(5, 4, 1)
 	factory5 := psynchom.NewUnchecked(p5, psynchom.Options{})
-	rep, err := attacks.Partition(p5, factory5, 12*psynchom.RoundsPerPhase)
+	rep, err := attacks.Partition(p5, factory5, 12*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("Partition(n=5): %v", err)
 	}

@@ -205,13 +205,6 @@ func (b *Broadcaster) Release() {
 	b.tab = nil
 }
 
-// Superround maps a 1-based round to its 1-based superround.
-func Superround(round int) int { return (round + 1) / 2 }
-
-// IsInitRound reports whether the round is the first round of its
-// superround (where ⟨init⟩ messages are sent and received).
-func IsInitRound(round int) bool { return round%2 == 1 }
-
 // Broadcast queues m to be initiated at the next init round. The paper's
 // Broadcast(m) is bound to a specific superround; hosts call this method
 // during their Prepare of an init round (or just before), and the init
@@ -228,7 +221,7 @@ func (b *Broadcaster) Broadcast(m msg.Payload) {
 // to) is the broadcaster's own, valid for the round: hosts copy the sends.
 func (b *Broadcaster) Outgoing(round int) []msg.Send {
 	out := b.tab.out[:0]
-	if IsInitRound(round) {
+	if hom.IsInitRound(round) {
 		for _, m := range b.pending {
 			out = append(out, msg.Broadcast(InitPayload{Body: m}))
 		}
@@ -261,7 +254,7 @@ func (b *Broadcaster) Outgoing(round int) []msg.Send {
 // identifier echoing it: that path is the definition, the memo only
 // remembers its answer, and tuples are created on it alone, ⟨init⟩s first.
 func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
-	sr := Superround(round)
+	sr := hom.Superround(round)
 	tab := b.tab
 	fresh := tab.rest[:0]
 	for i, k := 0, in.Len(); i < k; i++ {
@@ -274,7 +267,7 @@ func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 	// ⟨init⟩ messages are only meaningful in the first round of a
 	// superround; an init from identifier i starts the (m, sr, i) tuple.
 	// They go first: a tuple's arena position is its first sight.
-	if IsInitRound(round) {
+	if hom.IsInitRound(round) {
 		for _, i := range fresh {
 			ip, ok := in.BodyAt(int(i)).(InitPayload)
 			if !ok || ip.Body == nil {

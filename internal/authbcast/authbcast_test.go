@@ -18,23 +18,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSuperroundMapping(t *testing.T) {
-	tests := []struct {
-		round, sr int
-		init      bool
-	}{
-		{1, 1, true}, {2, 1, false}, {3, 2, true}, {4, 2, false}, {7, 4, true}, {8, 4, false},
-	}
-	for _, tc := range tests {
-		if got := Superround(tc.round); got != tc.sr {
-			t.Errorf("Superround(%d) = %d, want %d", tc.round, got, tc.sr)
-		}
-		if got := IsInitRound(tc.round); got != tc.init {
-			t.Errorf("IsInitRound(%d) = %v, want %v", tc.round, got, tc.init)
-		}
-	}
-}
-
 // deliver feeds a raw message list as an innumerate inbox.
 func deliver(t *testing.T, b *Broadcaster, round int, raw []msg.Message) []Accept {
 	t.Helper()

@@ -62,9 +62,9 @@ func genMemoTraffic(rng *rand.Rand, l, rounds int) [][]memoSend {
 	var echoes []EchoPayload
 	out := make([][]memoSend, rounds+1)
 	for r := 1; r <= rounds; r++ {
-		sr := Superround(r)
+		sr := hom.Superround(r)
 		var sends []memoSend
-		if IsInitRound(r) {
+		if hom.IsInitRound(r) {
 			for i := rng.Intn(4); i > 0; i-- {
 				sends = append(sends, newMemoSend(anyID(), InitPayload{Body: bodies[rng.Intn(len(bodies))]}))
 			}
@@ -164,7 +164,7 @@ func TestIngestPayloadMemoMatchesKeyPath(t *testing.T) {
 			for _, s := range traffic[r] {
 				plain = append(plain, msg.NewMessageKeyed(s.from, s.body, s.key))
 				idx = append(idx, arena.Append(it, s.from, s.body, s.key))
-				if ep, ok := s.body.(EchoPayload); ok && ep.SR > Superround(r) {
+				if ep, ok := s.body.(EchoPayload); ok && ep.SR > hom.Superround(r) {
 					futureFirst++
 				}
 			}
@@ -175,7 +175,7 @@ func TestIngestPayloadMemoMatchesKeyPath(t *testing.T) {
 			rest := keyPath.Unclaimed()
 			for i := 0; i < in.Len(); i++ {
 				ep, ok := in.BodyAt(i).(EchoPayload)
-				countable := ok && ep.Body != nil && ep.SR >= 1 && ep.SR <= Superround(r) && ep.ID.IsValid(l) && in.SenderAt(i).IsValid(l)
+				countable := ok && ep.Body != nil && ep.SR >= 1 && ep.SR <= hom.Superround(r) && ep.ID.IsValid(l) && in.SenderAt(i).IsValid(l)
 				if unclaimed := len(rest) > 0 && int(rest[0]) == i; unclaimed == countable {
 					t.Fatalf("seed %d round %d: position %d (countable echo: %v) is on the wrong side of Unclaimed %v", seed, r, i, countable, keyPath.Unclaimed())
 				} else if unclaimed {

@@ -8,7 +8,6 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/trace"
 )
 
 // runHosts executes the registered fuzz target under the engine and
@@ -82,8 +81,8 @@ func TestFuzzTargetHoldsProposition6(t *testing.T) {
 	}
 	accepts := 0
 	for _, s := range res.CorrectSlots() {
-		h := procs[s].(*fuzzHost)
-		accepts += len(h.log)
+		h := procs[s].(*protoreg.BroadcastHost)
+		accepts += len(h.Log)
 		if _, decided := h.Decision(); decided {
 			t.Fatal("a broadcast host decided")
 		}
@@ -98,92 +97,5 @@ func TestFuzzTargetHoldsProposition6(t *testing.T) {
 	}
 	if ok, _ := proto.Constructible(hom.Params{N: 4, L: 2, T: 1}); ok {
 		t.Fatal("l = 2t reported constructible")
-	}
-}
-
-// TestCheckReportsEachProperty feeds the checker hand-built accept logs
-// that break exactly one of Proposition 6's properties each. System:
-// four slots with identifiers 1, 2, 3, 3, inputs 0, 1, 0, 1, slot 3
-// Byzantine (so identifier 3 is untrusted), GST 1, six rounds.
-func TestCheckReportsEachProperty(t *testing.T) {
-	base := func() (*engine.Result, []*fuzzHost) {
-		res := &engine.Result{
-			Params:     hom.Params{N: 4, L: 3, T: 1, Synchrony: hom.PartiallySynchronous},
-			Assignment: hom.Assignment{1, 2, 3, 3},
-			Inputs:     []hom.Value{0, 1, 0, 1},
-			Corrupted:  []int{3},
-			Decisions:  make([]hom.Value, 4),
-			Rounds:     6,
-			GST:        1,
-		}
-		hosts := []*fuzzHost{{}, {}, {}}
-		// A clean history: every correct broadcast of every superround is
-		// accepted by every host within the superround.
-		for _, h := range hosts {
-			for sr := 1; sr <= 3; sr++ {
-				for s := 0; s < 3; s++ {
-					h.log = append(h.log, hostAccept{
-						Accept: Accept{ID: res.Assignment[s], Body: fuzzValue{V: res.Inputs[s]}, SR: sr},
-						Round:  2 * sr,
-					})
-				}
-			}
-		}
-		return res, hosts
-	}
-	verdictOf := func(res *engine.Result, hosts []*fuzzHost) trace.Verdict {
-		return check(res, []engine.Process{hosts[0], hosts[1], hosts[2], nil})
-	}
-
-	res, hosts := base()
-	if v := verdictOf(res, hosts); !v.OK() {
-		t.Fatalf("clean history: %s", v)
-	}
-
-	// Correctness: host 1 never accepts slot 0's superround-2 broadcast.
-	res, hosts = base()
-	kept := hosts[1].log[:0]
-	for _, a := range hosts[1].log {
-		if !(a.ID == 1 && a.SR == 2) {
-			kept = append(kept, a)
-		}
-	}
-	hosts[1].log = kept
-	if v := verdictOf(res, hosts); !v.Has(trace.BroadcastCorrectness) {
-		t.Fatalf("missing accept not reported as a correctness violation: %s", v)
-	}
-
-	// Unforgeability: a value identifier 1's only (correct) holder never
-	// broadcast is accepted under identifier 1 — everywhere, so relay holds.
-	res, hosts = base()
-	for _, h := range hosts {
-		h.log = append(h.log, hostAccept{Accept: Accept{ID: 1, Body: fuzzValue{V: 9}, SR: 1}, Round: 2})
-	}
-	if v := verdictOf(res, hosts); !v.Has(trace.BroadcastUnforgeability) || v.Has(trace.BroadcastRelay) {
-		t.Fatalf("forged accept under an all-correct identifier: %s", v)
-	}
-
-	// Relay: only host 0 accepts a message of the untrusted identifier 3
-	// (no forgery there), and nobody else has by the next superround. The
-	// same accept made in the last superround has no checkable deadline.
-	res, hosts = base()
-	hosts[0].log = append(hosts[0].log, hostAccept{Accept: Accept{ID: 3, Body: fuzzValue{V: 9}, SR: 1}, Round: 2})
-	if v := verdictOf(res, hosts); !v.Has(trace.BroadcastRelay) || v.Has(trace.BroadcastUnforgeability) {
-		t.Fatalf("unrelayed accept: %s", v)
-	}
-	res, hosts = base()
-	hosts[0].log = append(hosts[0].log, hostAccept{Accept: Accept{ID: 3, Body: fuzzValue{V: 9}, SR: 3}, Round: 6})
-	if v := verdictOf(res, hosts); !v.OK() {
-		t.Fatalf("accept past the last checkable deadline: %s", v)
-	}
-
-	// A faulted holder makes its identifier untrusted like a Byzantine one.
-	res, hosts = base()
-	res.Faulted = []int{0}
-	for _, h := range hosts {
-		h.log = append(h.log, hostAccept{Accept: Accept{ID: 1, Body: fuzzValue{V: 9}, SR: 1}, Round: 2})
-	}
-	if v := check(res, []engine.Process{nil, hosts[1], hosts[2], nil}); !v.OK() {
-		t.Fatalf("accept under a faulted holder's identifier: %s", v)
 	}
 }

@@ -75,7 +75,7 @@ func Select(p hom.Params) (*Selection, error) {
 			Algorithm:  AlgNumerate,
 			NewProcess: factory,
 			SuggestedRounds: func(gst int) int {
-				return psyncnum.SuggestedMaxRounds(p, gst)
+				return hom.PhaseRounds(p, gst)
 			},
 		}, nil
 	case p.Synchrony == hom.Synchronous:
@@ -104,7 +104,7 @@ func Select(p hom.Params) (*Selection, error) {
 			Algorithm:  AlgPsyncHomonym,
 			NewProcess: factory,
 			SuggestedRounds: func(gst int) int {
-				return psynchom.SuggestedMaxRounds(p, gst)
+				return hom.PhaseRounds(p, gst)
 			},
 		}, nil
 	}

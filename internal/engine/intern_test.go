@@ -50,7 +50,7 @@ func internConfigs(t *testing.T) map[string]engine.Config {
 			Adversary: &adversary.Composite{Selector: adversary.Slots{4}, Behavior: adversary.MimicFlood{},
 				Drops: adversary.RandomDrops{Seed: 5, Prob: 0.5}},
 			GST:           17,
-			MaxRounds:     psynchom.SuggestedMaxRounds(pPsync, 17),
+			MaxRounds:     hom.PhaseRounds(pPsync, 17),
 			RecordTraffic: true,
 		},
 	}

@@ -116,7 +116,7 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 		engine.WithProcess(func(slot int) engine.Process { return tap.wrap(factory(slot)) }),
 		engine.WithAdversary(adv),
 		engine.WithGST(gst),
-		engine.WithRounds(psynchom.SuggestedMaxRounds(p, gst)),
+		engine.WithRounds(hom.PhaseRounds(p, gst)),
 		engine.WithTrafficRecording(),
 		engine.WithInvariants(),
 		engine.WithStateRep(probe),
@@ -226,7 +226,7 @@ func TestFigure5SparesStandingEchoes(t *testing.T) {
 			engine.WithProcess(factory),
 			engine.WithAdversary(&adversary.Composite{Selector: adversary.Slots{0, 1, 2}, Behavior: adversary.Equivocate{Seed: 1}}),
 			engine.WithGST(gst),
-			engine.WithRounds(psynchom.SuggestedMaxRounds(p, gst)),
+			engine.WithRounds(hom.PhaseRounds(p, gst)),
 			engine.WithStateRep(rep),
 		}, opts...)...)
 		if err != nil {

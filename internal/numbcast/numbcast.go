@@ -51,14 +51,6 @@ var (
 	ErrResilience = errors.New("numbcast: multiplicity broadcast requires n > 3t")
 )
 
-// Superround maps a 1-based round to its 1-based superround (rounds 2r−1
-// and 2r form superround r).
-func Superround(round int) int { return (round + 1) / 2 }
-
-// IsInitRound reports whether the round is the first round of its
-// superround.
-func IsInitRound(round int) bool { return round%2 == 1 }
-
 // InitTuple is an (init, m) element of a bundle; the sender identifier and
 // superround are implicit (stamped identifier, current round).
 type InitTuple struct {
@@ -310,7 +302,7 @@ func (b *Broadcaster) Broadcast(m msg.Payload) {
 func (b *Broadcaster) Outgoing(round int) msg.Payload {
 	t := b.tab
 	var inits []InitTuple
-	if IsInitRound(round) {
+	if hom.IsInitRound(round) {
 		for _, m := range b.pending {
 			inits = append(inits, InitTuple{Body: m, seg: newSegment(&t.kb, m)})
 		}
@@ -343,10 +335,10 @@ func (b *Broadcaster) Outgoing(round int) msg.Payload {
 // every delivery; only the IDs are found by lookup. On a false return the
 // caller drops what was appended.
 func (b *Broadcaster) resolve(bundle *Bundle, round int) bool {
-	if len(bundle.Inits) > 0 && !IsInitRound(round) {
+	if len(bundle.Inits) > 0 && !hom.IsInitRound(round) {
 		return false
 	}
-	sr := Superround(round)
+	sr := hom.Superround(round)
 	t := b.tab
 	t.seenGen++
 	for _, it := range bundle.Inits {
@@ -429,7 +421,7 @@ func (t *ntable) echoGroup(ti int32, et EchoTuple) *echoAcc {
 // (first-sight over the deliveries) order, and valid until the next
 // Ingest.
 func (b *Broadcaster) Ingest(round int, in []Delivery) []Accept {
-	sr := Superround(round)
+	sr := hom.Superround(round)
 	t := b.tab
 	t.valid, t.ids = t.valid[:0], t.ids[:0]
 	for _, d := range in {
@@ -444,7 +436,7 @@ func (b *Broadcaster) Ingest(round int, in []Delivery) []Accept {
 	// total number of valid message copies from identifier h containing
 	// (init, h, m, sr). No echo of superround sr was valid before this
 	// round, and inits count first, so each cell counted is new.
-	if IsInitRound(round) {
+	if hom.IsInitRound(round) {
 		at := 0
 		for _, d := range t.valid {
 			for _, it := range d.Bundle.Inits {
@@ -480,7 +472,7 @@ func (b *Broadcaster) Ingest(round int, in []Delivery) []Accept {
 		}
 		// Lines 19–21: accept on n−t copies, in the second round of the
 		// superround only.
-		if !IsInitRound(round) {
+		if !hom.IsInitRound(round) {
 			if alpha2, ok := t.thresholdAlpha(g.support, b.n-b.t); ok {
 				accepts = append(accepts, Accept{ID: g.h, Alpha: alpha2, Body: g.body, SR: g.k})
 			}

@@ -77,7 +77,7 @@ func TestFuzzTargetHoldsAppendixA31(t *testing.T) {
 	}
 	accepts := 0
 	for _, s := range res.CorrectSlots() {
-		accepts += len(procs[s].(*fuzzHost).log)
+		accepts += len(procs[s].(*protoreg.BroadcastHost).Log)
 	}
 	if accepts == 0 {
 		t.Fatal("no host accepted anything")

@@ -40,12 +40,21 @@ func keyBuilderKey(inits []msg.Payload, echoes []EchoTuple) string {
 	return kb.String()
 }
 
+// valueBody is a scratch-keyed tuple body: a bare value.
+type valueBody struct{ V hom.Value }
+
+// Key implements msg.Payload.
+func (f valueBody) Key() string { return msg.ScratchKey(f) }
+
+// BuildKey implements msg.ScratchKeyer.
+func (f valueBody) BuildKey(kb *msg.KeyBuilder) { kb.Reset("nbfuzz").Value(f.V) }
+
 // testBodies are tuple bodies whose keys carry the separator and escape
 // bytes, and pairs that sort one way raw and the other way escaped ("x|"
 // against "xa"), next to a scratch-keyed body.
 var testBodies = []msg.Payload{
 	msg.Raw("x|"), msg.Raw("xa"), msg.Raw(`x\`), msg.Raw("x|y"), msg.Raw(""), msg.Raw(`a\|b`),
-	msg.Raw("x"), fuzzValue{V: 0}, fuzzValue{V: 1}, fuzzValue{V: hom.NoValue},
+	msg.Raw("x"), valueBody{V: 0}, valueBody{V: 1}, valueBody{V: hom.NoValue},
 }
 
 // tableTuples lists the echoes a table must send: its cells with α > 0.
@@ -135,7 +144,7 @@ func containsKey(ps []msg.Payload, p msg.Payload) bool {
 // from the table, whenever one of them did.
 func TestOutgoingStandsWhileUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	bodies := []msg.Payload{fuzzValue{V: 0}, fuzzValue{V: 1}, msg.Raw("m|1")}
+	bodies := []msg.Payload{valueBody{V: 0}, valueBody{V: 1}, msg.Raw("m|1")}
 	alphas := func(b *Broadcaster) string { return fmt.Sprint(tableTuples(b)) }
 	stood, rebuilt := 0, 0
 	for iter := 0; iter < 100; iter++ {
@@ -144,7 +153,7 @@ func TestOutgoingStandsWhileUnchanged(t *testing.T) {
 		prevInits, before := false, alphas(b)
 		for round := 1; round <= 16; round++ {
 			inits := false
-			if round%2 == 1 && rng.Intn(3) == 0 {
+			if hom.IsInitRound(round) && rng.Intn(3) == 0 {
 				b.Broadcast(bodies[rng.Intn(len(bodies))])
 				inits = true
 			}
@@ -179,7 +188,7 @@ func TestOutgoingStandsWhileUnchanged(t *testing.T) {
 				in = append(in, Delivery{ID: 1, Bundle: out.(*Bundle), Copies: 1 + rng.Intn(3)})
 			}
 			for d := rng.Intn(4); d > 0; d-- {
-				et := EchoTuple{H: hom.Identifier(1 + rng.Intn(3)), A: 1 + rng.Intn(4), Body: bodies[rng.Intn(len(bodies))], K: 1 + rng.Intn(Superround(round))}
+				et := EchoTuple{H: hom.Identifier(1 + rng.Intn(3)), A: 1 + rng.Intn(4), Body: bodies[rng.Intn(len(bodies))], K: 1 + rng.Intn(hom.Superround(round))}
 				in = append(in, Delivery{ID: hom.Identifier(1 + rng.Intn(3)), Bundle: NewBundle(nil, []EchoTuple{et}), Copies: 1 + rng.Intn(3)})
 			}
 			b.Ingest(round, in)
@@ -196,7 +205,7 @@ func TestOutgoingStandsWhileUnchanged(t *testing.T) {
 // outside an init round. Finding a tuple by lookup must skip no rule.
 func TestResolvedTupleStillValidated(t *testing.T) {
 	var kb msg.KeyBuilder
-	body := fuzzValue{V: 1}
+	body := valueBody{V: 1}
 	seg := newSegment(&kb, body)
 	echo := func(a, k int) EchoTuple { return EchoTuple{H: 2, A: a, Body: body, K: k, seg: seg} }
 	b, _ := New(4, 2, 1)

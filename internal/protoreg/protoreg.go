@@ -2,7 +2,9 @@
 // every runnable target (the three agreement algorithms and the two
 // authenticated-broadcast primitives) registers itself here from an init
 // hook in its own package, so the fuzzer enumerates targets without
-// hard-coding them.
+// hard-coding them. The two broadcast primitives register through
+// RegisterBroadcast, which gives both one fuzz host and one checker of
+// the broadcast properties.
 //
 // The registry separates three predicates that are usually conflated:
 //

@@ -182,9 +182,9 @@ func TestPhasePosMapping(t *testing.T) {
 		{1, 0, 1}, {8, 0, 8}, {9, 1, 1}, {16, 1, 8}, {17, 2, 1},
 	}
 	for _, tc := range tests {
-		phase, pos := phasePos(tc.round)
+		phase, pos := hom.PhasePos(tc.round)
 		if phase != tc.phase || pos != tc.pos {
-			t.Fatalf("phasePos(%d) = (%d,%d), want (%d,%d)", tc.round, phase, pos, tc.phase, tc.pos)
+			t.Fatalf("hom.PhasePos(%d) = (%d,%d), want (%d,%d)", tc.round, phase, pos, tc.phase, tc.pos)
 		}
 	}
 }

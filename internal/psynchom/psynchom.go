@@ -61,13 +61,6 @@ var (
 	ErrSynchrony = errors.New("psynchom: figure-5 algorithm targets the partially synchronous model")
 )
 
-// Layout constants of the phase structure.
-const (
-	RoundsPerSuperround = 2
-	SuperroundsPerPhase = 4
-	RoundsPerPhase      = RoundsPerSuperround * SuperroundsPerPhase
-)
-
 // Options toggle the homonym-specific mechanisms for ablation experiments.
 // The zero value is the full Figure-5 algorithm.
 type Options struct {
@@ -79,16 +72,6 @@ type Options struct {
 	// leaders decide. Breaks termination for correct processes sharing an
 	// identifier with a Byzantine process — ablation A2.
 	DisableDecideRelay bool
-}
-
-// LeaderID returns the leader identifier of a phase: (ph mod ℓ) + 1.
-func LeaderID(phase, l int) hom.Identifier { return hom.Identifier(phase%l + 1) }
-
-// SuggestedMaxRounds returns a round budget that lets the algorithm
-// stabilise and decide: the GST prefix, then enough phases for every
-// identifier to lead twice after stabilisation, plus slack.
-func SuggestedMaxRounds(p hom.Params, gst int) int {
-	return gst + RoundsPerPhase*(2*p.L+4)
 }
 
 // New returns a factory of Figure-5 processes after validating the
@@ -265,19 +248,13 @@ func (pr *Process) resetPhase() {
 	pr.leaderLockVal = hom.NoValue
 }
 
-// phasePos decomposes a 1-based global round into the 0-based phase and
-// the 1-based position within the phase (1..8).
-func phasePos(round int) (phase, pos int) {
-	return (round - 1) / RoundsPerPhase, (round-1)%RoundsPerPhase + 1
-}
-
 func (pr *Process) isLeader(phase int) bool {
-	return pr.id == LeaderID(phase, pr.params.L)
+	return pr.id == hom.LeaderID(phase, pr.params.L)
 }
 
 // Prepare implements engine.Process.
 func (pr *Process) Prepare(round int) []msg.Send {
-	phase, pos := phasePos(round)
+	phase, pos := hom.PhasePos(round)
 	if pos == 1 {
 		pr.resetPhase()
 	}
@@ -404,7 +381,7 @@ func (pr *Process) pickAckValue(phase int) (hom.Value, bool) {
 
 // Receive implements engine.Process.
 func (pr *Process) Receive(round int, in *msg.Inbox) {
-	phase, pos := phasePos(round)
+	phase, pos := hom.PhasePos(round)
 
 	// Broadcast layer: fold new accepts into the cumulative tables. Both
 	// passes read only the round's delta: the standing echoes the engine
@@ -477,7 +454,7 @@ func (pr *Process) scan(in *msg.Inbox, at []int32, phase, pos int, tallyAcks, ta
 	pr.reporters.reset(l)
 	pr.supported.reset(l)
 	pr.direct.reset(l)
-	leader := LeaderID(phase, l)
+	leader := hom.LeaderID(phase, l)
 	for _, i32 := range at {
 		i := int(i32)
 		switch body := in.BodyAt(i).(type) {

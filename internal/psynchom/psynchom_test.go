@@ -28,7 +28,7 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 		engine.WithInputs(inputs...),
 		engine.WithProcess(factory),
 		engine.WithGST(gst),
-		engine.WithRounds(psynchom.SuggestedMaxRounds(p, gst)),
+		engine.WithRounds(hom.PhaseRounds(p, gst)),
 	}
 	if adv != nil {
 		eopts = append(eopts, engine.WithAdversary(adv))
@@ -200,7 +200,7 @@ func TestDecisionWithinLeaderRotation(t *testing.T) {
 	if v := trace.Check(res); !v.OK() {
 		t.Fatalf("%s", v)
 	}
-	if got := trace.LatestDecisionRound(res); got > psynchom.SuggestedMaxRounds(p, 1) {
+	if got := trace.LatestDecisionRound(res); got > hom.PhaseRounds(p, 1) {
 		t.Fatalf("decision at round %d beyond budget", got)
 	}
 }
@@ -228,7 +228,7 @@ func TestLargerSystem(t *testing.T) {
 }
 
 func TestLeaderIDRotation(t *testing.T) {
-	if psynchom.LeaderID(0, 4) != 1 || psynchom.LeaderID(3, 4) != 4 || psynchom.LeaderID(4, 4) != 1 {
+	if hom.LeaderID(0, 4) != 1 || hom.LeaderID(3, 4) != 4 || hom.LeaderID(4, 4) != 1 {
 		t.Fatal("LeaderID rotation incorrect")
 	}
 }

@@ -38,7 +38,7 @@ func init() {
 		New: func(p hom.Params) (func(slot int) engine.Process, error) {
 			return NewUnchecked(p, Options{}), nil
 		},
-		Rounds: SuggestedMaxRounds,
+		Rounds: hom.PhaseRounds,
 		Forge:  forge,
 	})
 }
@@ -48,9 +48,9 @@ func init() {
 // layer's init/echo envelopes under the current phase's leader
 // identifier.
 func forge(p hom.Params, round int, v hom.Value) []msg.Payload {
-	phase, _ := phasePos(round)
-	sr := authbcast.Superround(round)
-	leader := LeaderID(phase, p.L)
+	phase, _ := hom.PhasePos(round)
+	sr := hom.Superround(round)
+	leader := hom.LeaderID(phase, p.L)
 	vote := VotePayload{Phase: phase, Val: v}
 	lock := LockPayload{Phase: phase, Val: v}
 	return []msg.Payload{

@@ -16,11 +16,11 @@ import (
 // smallest. It is kept as the oracle TestBitsetTalliesMatchMapTallies
 // holds the single-pass version to.
 func receiveDirectMaps(pr *Process, round int, in *msg.Inbox) {
-	phase, pos := phasePos(round)
+	phase, pos := hom.PhasePos(round)
 	updateProperMaps(pr, in)
 	switch pos {
 	case 3:
-		lo, hi := in.IdentifierRange(LeaderID(phase, pr.params.L))
+		lo, hi := in.IdentifierRange(hom.LeaderID(phase, pr.params.L))
 		for i := lo; i < hi; i++ {
 			if lp, ok := in.BodyAt(i).(LockPayload); ok && lp.Phase == phase && lp.Val != hom.NoValue {
 				pr.lockSeen[lp.Val] = true
@@ -108,9 +108,9 @@ func TestBitsetTalliesMatchMapTallies(t *testing.T) {
 	anyValue := func() hom.Value { return values[rng.Intn(len(values))] }
 	for _, p := range []hom.Params{psyncParams(10, 7, 2), psyncParams(80, 70, 3), psyncParams(5, 4, 0)} {
 		for iter := 0; iter < 400; iter++ {
-			round := 1 + rng.Intn(8*RoundsPerPhase)
-			phase, _ := phasePos(round)
-			leader := LeaderID(phase, p.L)
+			round := 1 + rng.Intn(8*hom.RoundsPerPhase)
+			phase, _ := hom.PhasePos(round)
+			leader := hom.LeaderID(phase, p.L)
 			id := hom.Identifier(1 + rng.Intn(p.L))
 			if rng.Intn(2) == 0 {
 				id = leader

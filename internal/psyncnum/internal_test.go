@@ -147,7 +147,7 @@ func TestSuperroundTags(t *testing.T) {
 }
 
 func TestLeaderRotation(t *testing.T) {
-	if LeaderID(0, 2) != 1 || LeaderID(1, 2) != 2 || LeaderID(2, 2) != 1 {
+	if hom.LeaderID(0, 2) != 1 || hom.LeaderID(1, 2) != 2 || hom.LeaderID(2, 2) != 1 {
 		t.Fatal("LeaderID rotation incorrect")
 	}
 }

@@ -53,11 +53,11 @@ func (b *keyedBroadcaster) valid(bundle *numbcast.Bundle, round int) bool {
 			return false
 		}
 	}
-	if len(bundle.Inits) > 0 && !numbcast.IsInitRound(round) {
+	if len(bundle.Inits) > 0 && !hom.IsInitRound(round) {
 		return false
 	}
 	for _, et := range bundle.Echoes {
-		if et.Body == nil || et.A < 0 || et.K < 1 || et.K > numbcast.Superround(round) || !et.H.IsValid(1<<20) ||
+		if et.Body == nil || et.A < 0 || et.K < 1 || et.K > hom.Superround(round) || !et.H.IsValid(1<<20) ||
 			!fresh(cellKey(et.H, et.Body, et.K)) {
 			return false
 		}
@@ -78,14 +78,14 @@ func threshold(support [][2]int, need int) (int, bool) {
 }
 
 func (b *keyedBroadcaster) ingest(round int, in *msg.Inbox) []numbcast.Accept {
-	sr := numbcast.Superround(round)
+	sr := hom.Superround(round)
 	var recv []numbcast.Delivery
 	for i := 0; i < in.Len(); i++ {
 		if bundle, ok := in.BodyAt(i).(*numbcast.Bundle); ok && b.valid(bundle, round) {
 			recv = append(recv, numbcast.Delivery{ID: in.SenderAt(i), Bundle: bundle, Copies: in.CountAt(i)})
 		}
 	}
-	if numbcast.IsInitRound(round) {
+	if hom.IsInitRound(round) {
 		counts := map[string]int{}
 		var first []numbcast.Delivery
 		for _, r := range recv {
@@ -121,7 +121,7 @@ func (b *keyedBroadcaster) ingest(round int, in *msg.Inbox) []numbcast.Accept {
 				c.alpha = a1
 			}
 		}
-		if a2, ok := threshold(s, b.n-b.t); ok && !numbcast.IsInitRound(round) {
+		if a2, ok := threshold(s, b.n-b.t); ok && !hom.IsInitRound(round) {
 			accepts = append(accepts, numbcast.Accept{ID: g.H, Alpha: a2, Body: g.Body, SR: g.K})
 		}
 	}
@@ -155,7 +155,7 @@ func unpack(keys *msg.Interner, in *msg.Inbox) *msg.Inbox {
 func receiveUnpacked(pr *Process, bc *keyedBroadcaster, round int, rawIn *msg.Inbox) []numbcast.Accept {
 	in := unpack(pr.keys, rawIn)
 	defer in.Recycle()
-	phase, pos := phasePos(round)
+	phase, pos := hom.PhasePos(round)
 	need := pr.params.N - pr.params.T
 	accepts := bc.ingest(round, in)
 	for _, acc := range accepts {
@@ -193,7 +193,7 @@ func receiveUnpacked(pr *Process, bc *keyedBroadcaster, round int, rawIn *msg.In
 	}
 	switch pos {
 	case 3:
-		lo, hi := in.IdentifierRange(LeaderID(phase, pr.params.L))
+		lo, hi := in.IdentifierRange(hom.LeaderID(phase, pr.params.L))
 		for i := lo; i < hi; i++ {
 			if lp, ok := in.BodyAt(i).(LockPayload); ok && lp.Phase == phase && lp.Val != hom.NoValue {
 				pr.lockSeen[lp.Val] = true
@@ -272,9 +272,9 @@ func TestReceiveMatchesUnpackedReceive(t *testing.T) {
 		it := msg.NewInterner()
 		interned := rng.Intn(2) == 0
 		var old []*numbcast.Bundle
-		for round := 1; round <= 4*RoundsPerPhase; round++ {
-			phase, _ := phasePos(round)
-			sr := numbcast.Superround(round)
+		for round := 1; round <= 4*hom.RoundsPerPhase; round++ {
+			phase, _ := hom.PhasePos(round)
+			sr := hom.Superround(round)
 			var srcRaw, raw []msg.Message
 			send := func(to *[]msg.Message, from hom.Identifier, body msg.Payload, copies int) {
 				for c := 0; c < copies; c++ {
@@ -335,7 +335,7 @@ func TestReceiveMatchesUnpackedReceive(t *testing.T) {
 				}[rng.Intn(4)]
 				from := anyID()
 				if rng.Intn(2) == 0 {
-					from = LeaderID(phase, p.L)
+					from = hom.LeaderID(phase, p.L)
 				}
 				send(&raw, from, body, 1+rng.Intn(3))
 			}
@@ -401,7 +401,7 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 		}
 		return msg.NewInbox(true, raw)
 	}
-	const settled = 3*RoundsPerPhase + 4 // SR2's second round, after deciding
+	const settled = 3*hom.RoundsPerPhase + 4 // SR2's second round, after deciding
 	for round := 1; round < settled; round++ {
 		in := inbox(round)
 		for _, pr := range procs {

@@ -42,22 +42,6 @@ var (
 	ErrModel      = errors.New("psyncnum: figure-7 algorithm requires numerate processes and restricted byzantine processes")
 )
 
-// Layout constants of the phase structure.
-const (
-	RoundsPerSuperround = 2
-	SuperroundsPerPhase = 4
-	RoundsPerPhase      = RoundsPerSuperround * SuperroundsPerPhase
-)
-
-// LeaderID returns the leader identifier of a phase: (ph mod ℓ) + 1.
-func LeaderID(phase, l int) hom.Identifier { return hom.Identifier(phase%l + 1) }
-
-// SuggestedMaxRounds returns a round budget covering the GST prefix plus
-// enough phases for every identifier to lead twice after stabilisation.
-func SuggestedMaxRounds(p hom.Params, gst int) int {
-	return gst + RoundsPerPhase*(2*p.L+4)
-}
-
 // New returns a factory of Figure-7 processes after validating n > 3t,
 // ℓ > t and the model switches the algorithm is designed for.
 func New(p hom.Params) (func(slot int) engine.Process, error) {
@@ -273,19 +257,13 @@ func (pr *Process) Release() {
 	}
 }
 
-// phasePos decomposes a 1-based round into the 0-based phase and 1-based
-// position in the phase (1..8).
-func phasePos(round int) (phase, pos int) {
-	return (round - 1) / RoundsPerPhase, (round-1)%RoundsPerPhase + 1
-}
-
 // proposeSR and voteSR return the global superround tags the phase's
 // broadcasts are bound to (SR1 and SR3 of the phase).
-func proposeSR(phase int) int { return SuperroundsPerPhase*phase + 1 }
-func voteSR(phase int) int    { return SuperroundsPerPhase*phase + 3 }
+func proposeSR(phase int) int { return hom.SuperroundsPerPhase*phase + 1 }
+func voteSR(phase int) int    { return hom.SuperroundsPerPhase*phase + 3 }
 
 func (pr *Process) isLeader(phase int) bool {
-	return pr.id == LeaderID(phase, pr.params.L)
+	return pr.id == hom.LeaderID(phase, pr.params.L)
 }
 
 // proposeKID and voteKID symbolize the body keys of the phase broadcasts
@@ -345,7 +323,7 @@ func (pr *Process) witnessCount(kid msg.KeyID) int {
 // single Envelope so that a correct process uses exactly the one-message-
 // per-recipient budget of the model (see Envelope).
 func (pr *Process) Prepare(round int) []msg.Send {
-	phase, pos := phasePos(round)
+	phase, pos := hom.PhasePos(round)
 	if pos == 1 {
 		clear(pr.lockSeen)
 	}
@@ -471,7 +449,7 @@ func (pr *Process) Receive(round int, in *msg.Inbox) { pr.receive(round, in) }
 // receive is Receive, returning the round's broadcast-layer accepts
 // (valid until the next round).
 func (pr *Process) receive(round int, in *msg.Inbox) []numbcast.Accept {
-	phase, pos := phasePos(round)
+	phase, pos := hom.PhasePos(round)
 	need := pr.params.N - pr.params.T
 	pr.scan(in, phase, pos)
 
@@ -532,7 +510,7 @@ func (pr *Process) receive(round int, in *msg.Inbox) []numbcast.Accept {
 // identifier, so a part is compared only with its identifier's others.
 func (pr *Process) scan(in *msg.Inbox, phase, pos int) {
 	numerate := in.Numerate()
-	leader := LeaderID(phase, pr.params.L)
+	leader := hom.LeaderID(phase, pr.params.L)
 	tallyAcks := pos == 7 && pr.decision == hom.NoValue
 	pr.bundles = pr.bundles[:0]
 	clear(pr.supported)

@@ -33,7 +33,7 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 		engine.WithInputs(inputs...),
 		engine.WithProcess(factory),
 		engine.WithGST(gst),
-		engine.WithRounds(psyncnum.SuggestedMaxRounds(p, gst)),
+		engine.WithRounds(hom.PhaseRounds(p, gst)),
 	}
 	if adv != nil {
 		opts = append(opts, engine.WithAdversary(adv))
@@ -208,7 +208,7 @@ func TestSuggestedBudgetSufficient(t *testing.T) {
 	if v := trace.Check(res); !v.OK() {
 		t.Fatalf("%s", v)
 	}
-	if got := trace.LatestDecisionRound(res); got > psyncnum.SuggestedMaxRounds(p, 9) {
+	if got := trace.LatestDecisionRound(res); got > hom.PhaseRounds(p, 9) {
 		t.Fatalf("decision at %d beyond budget", got)
 	}
 }

@@ -45,7 +45,7 @@ func init() {
 		New: func(p hom.Params) (func(slot int) engine.Process, error) {
 			return NewUnchecked(p), nil
 		},
-		Rounds: SuggestedMaxRounds,
+		Rounds: hom.PhaseRounds,
 		Forge:  forge,
 	})
 }
@@ -54,9 +54,9 @@ func init() {
 // propose init, a vote echo claiming n-t multiplicity under the current
 // leader identifier, and a proper-set report.
 func forge(p hom.Params, round int, v hom.Value) []msg.Payload {
-	phase, _ := phasePos(round)
-	sr := numbcast.Superround(round)
-	leader := LeaderID(phase, p.L)
+	phase, _ := hom.PhasePos(round)
+	sr := hom.Superround(round)
+	leader := hom.LeaderID(phase, p.L)
 	bundle := numbcast.NewBundle(
 		[]numbcast.InitTuple{{Body: ProposePayload{Phase: phase, Val: v}}},
 		[]numbcast.EchoTuple{{H: leader, A: p.N - p.T, Body: VotePayload{Phase: phase, Val: v}, K: sr}},

@@ -75,7 +75,7 @@ func equivalentConfigs(t *testing.T) map[string]engine.Config {
 			Drops:    adversary.RandomDrops{Seed: 5, Prob: 0.5},
 		},
 		GST:           17,
-		MaxRounds:     psynchom.SuggestedMaxRounds(pPsync, 17),
+		MaxRounds:     hom.PhaseRounds(pPsync, 17),
 		RecordTraffic: true,
 	}
 	return cfgs

@@ -248,7 +248,7 @@ func evaluateUnsolvable(cell *Cell, p hom.Params, seed int64) (*Cell, error) {
 			flipped = p.N - 1
 		}
 		rep, err := attacks.Mirror(p, factory, assignment, baseInputs, flipped, 0, 1,
-			psyncnum.SuggestedMaxRounds(p, 1))
+			hom.PhaseRounds(p, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +264,7 @@ func evaluateUnsolvable(cell *Cell, p hom.Params, seed int64) (*Cell, error) {
 	case p.Synchrony == hom.PartiallySynchronous && p.L > 3*p.T:
 		// 3t < l <= (n+3t)/2: the Figure-4 partition attack.
 		factory := psynchom.NewUnchecked(p, psynchom.Options{})
-		rep, err := attacks.Partition(p, factory, 12*psynchom.RoundsPerPhase)
+		rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
 		if err != nil {
 			return nil, err
 		}

@@ -59,7 +59,7 @@ func init() {
 			return Rounds(alg) + RoundsPerPhase
 		},
 		Forge: func(p hom.Params, round int, v hom.Value) []msg.Payload {
-			phase, _ := phasePos(round)
+			phase, _ := simPos(round)
 			// Decision reports are the transformation's forgeable surface:
 			// they are plain (phase, value) pairs counted by distinct
 			// identifiers in the deciding round.

@@ -175,15 +175,15 @@ func (pr *Process) Init(ctx engine.Context) {
 	pr.succ = &successors{}
 }
 
-// phasePos decomposes a simulation round into (phase, position) with
+// simPos decomposes a simulation round into (phase, position) with
 // position 0 = selection, 1 = deciding, 2 = running.
-func phasePos(round int) (phase, pos int) {
+func simPos(round int) (phase, pos int) {
 	return (round-1)/RoundsPerPhase + 1, (round - 1) % RoundsPerPhase
 }
 
 // Prepare implements engine.Process.
 func (pr *Process) Prepare(round int) []msg.Send {
-	phase, pos := phasePos(round)
+	phase, pos := simPos(round)
 	switch pos {
 	case 0: // selection: share current state with the group (sent to all;
 		// only own-identifier copies are considered on reception).
@@ -205,7 +205,7 @@ func (pr *Process) Prepare(round int) []msg.Send {
 
 // Receive implements engine.Process.
 func (pr *Process) Receive(round int, in *msg.Inbox) {
-	phase, pos := phasePos(round)
+	phase, pos := simPos(round)
 	switch pos {
 	case 0:
 		pr.receiveSelection(phase, in)
