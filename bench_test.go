@@ -169,7 +169,7 @@ func BenchmarkFig3TransformPhaseKing(b *testing.B) {
 
 func BenchmarkFig4Partition(b *testing.B) {
 	p := hom.Params{N: 5, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}
-	factory := psynchom.NewUnchecked(p, psynchom.Options{})
+	factory := psynchom.New(p, psynchom.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
@@ -264,7 +264,7 @@ func BenchmarkMirrorAttack(b *testing.B) {
 		Numerate:            true,
 		RestrictedByzantine: true,
 	}
-	factory := psyncnum.NewUnchecked(p)
+	factory := psyncnum.New(p)
 	assignment := hom.RoundRobinAssignment(8, 2)
 	baseInputs := []hom.Value{0, 0, 0, 0, 1, 1, 1, 1}
 	b.ResetTimer()
@@ -310,7 +310,7 @@ func BenchmarkCloneCollapse(b *testing.B) {
 func BenchmarkCrossover(b *testing.B) {
 	p4 := hom.Params{N: 4, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}
 	p5 := hom.Params{N: 5, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}
-	factory5 := psynchom.NewUnchecked(p5, psynchom.Options{})
+	factory5 := psynchom.New(p5, psynchom.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := runSolvable(b, p4, 1, int64(i))
@@ -375,7 +375,7 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 		Numerate:            false, // the ablation
 		RestrictedByzantine: true,
 	}
-	factory := psyncnum.NewUnchecked(p)
+	factory := psyncnum.New(p)
 	inputs := make([]hom.Value, p.N)
 	for i := range inputs {
 		inputs[i] = hom.Value(i % 2)

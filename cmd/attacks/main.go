@@ -103,7 +103,7 @@ func run() error {
 func figure4(w io.Writer) error {
 	p := hom.Params{N: 5, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}
 	fmt.Fprintf(w, "partition attack at %s (2l = %d <= n+3t = %d)\n", p, 2*p.L, p.N+3*p.T)
-	factory := psynchom.NewUnchecked(p, psynchom.Options{})
+	factory := psynchom.New(p, psynchom.Options{})
 	rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
 	if err != nil {
 		return err
@@ -177,7 +177,7 @@ func mirror(w io.Writer) error {
 	p := hom.Params{N: 8, L: 2, T: 2, Synchrony: hom.Synchronous,
 		Numerate: true, RestrictedByzantine: true}
 	fmt.Fprintf(w, "mirror experiment at %s (l = t)\n", p)
-	factory := psyncnum.NewUnchecked(p)
+	factory := psyncnum.New(p)
 	assignment := hom.RoundRobinAssignment(8, 2)
 	baseInputs := []hom.Value{0, 0, 0, 0, 1, 1, 1, 1}
 	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*hom.RoundsPerPhase)

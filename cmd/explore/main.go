@@ -261,7 +261,7 @@ func judge(c cell, rep *explore.Report) (status, extra string, problem bool) {
 // algorithm on the mirrored input, and the two input-adjacent runs must
 // be indistinguishable to every other correct process.
 func mirrorWitness(p hom.Params) (bool, string) {
-	factory := psyncnum.NewUnchecked(p)
+	factory := psyncnum.New(p)
 	assignment := hom.RoundRobinAssignment(p.N, p.L)
 	baseInputs := make([]hom.Value, p.N)
 	for i := p.N / 2; i < p.N; i++ {

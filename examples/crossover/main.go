@@ -47,7 +47,7 @@ func main() {
 	fmt.Println("=== part 2: n = 5, l = 4, t = 1 — one more CORRECT process ===")
 	p5 := hom.Params{N: 5, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}
 	fmt.Println("table 1:", core.SolvabilityReason(p5))
-	factory := psynchom.NewUnchecked(p5, psynchom.Options{})
+	factory := psynchom.New(p5, psynchom.Options{})
 	rep, err := attacks.Partition(p5, factory, 12*hom.RoundsPerPhase)
 	if err != nil {
 		log.Fatal(err)

@@ -72,7 +72,7 @@ func TestAnonymousModelUnsolvable(t *testing.T) {
 			t.Fatalf("Select accepted the anonymous model at n=%d", n)
 		}
 	}
-	// ... while with t = 0 even the anonymous model is trivially fine.
+	// ... while with t = 0 the synchronous anonymous model is solvable.
 	p := hom.Params{N: 4, L: 1, T: 0, Synchrony: hom.Synchronous}
 	if !p.Solvable() {
 		t.Fatal("fault-free anonymous agreement should be solvable")

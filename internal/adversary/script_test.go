@@ -117,7 +117,7 @@ func (e *scriptEcho) Init(ctx engine.Context) { e.input = ctx.Input }
 func (e *scriptEcho) Prepare(r int) []msg.Send {
 	return []msg.Send{msg.Broadcast(msg.Raw(fmt.Sprintf("echo-r%d-i%d-h%d", r, e.input, e.heard)))}
 }
-func (e *scriptEcho) Receive(r int, in *msg.Inbox) { e.heard += len(in.Messages()) }
+func (e *scriptEcho) Receive(r int, in *msg.Inbox) { e.heard += in.Len() }
 func (e *scriptEcho) Decision() (hom.Value, bool)  { return 0, false }
 
 // TestScriptBehaviorMimic drives a shadow twin across two rounds: round

@@ -64,7 +64,7 @@ func SplitLock(opts psynchom.Options, targetPhase, maxRounds int) (*SplitLockRep
 		return nil, fmt.Errorf("%w (target phase %d is not led by identifier 2)", ErrAblationSetup, targetPhase)
 	}
 	adv := &splitLockAdversary{byzSlot: 0, targetPhase: targetPhase, n: p.N}
-	factory := psynchom.NewUnchecked(p, opts)
+	factory := psynchom.New(p, opts)
 	res, err := engine.Run(
 		engine.WithParams(p),
 		engine.WithAssignment(assignment),
@@ -191,7 +191,7 @@ func RelayLatency(l int, opts psynchom.Options, maxRounds int) (*RelayLatencyRep
 	for s := range inputs {
 		inputs[s] = hom.Value(s % 2)
 	}
-	factory := psynchom.NewUnchecked(p, opts)
+	factory := psynchom.New(p, opts)
 	res, err := engine.Run(
 		engine.WithParams(p),
 		engine.WithAssignment(assignment),

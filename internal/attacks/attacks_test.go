@@ -23,7 +23,7 @@ func TestPartitionDefeatsFigure5AtTheBound(t *testing.T) {
 	// n = 5, l = 4, t = 1: 2l = 8 <= 9 = n+3t. The paper's crossover
 	// anomaly: this very algorithm works at n = 4.
 	p := partitionParams(5, 4, 1)
-	factory := psynchom.NewUnchecked(p, psynchom.Options{})
+	factory := psynchom.New(p, psynchom.Options{})
 	rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
@@ -54,7 +54,7 @@ func TestPartitionLargerInstance(t *testing.T) {
 	}
 	// n = 9, l = 7, t = 2: 2l = 14 <= 15 = n+3t, l = 7 > 6 = 3t.
 	p := partitionParams(9, 7, 2)
-	factory := psynchom.NewUnchecked(p, psynchom.Options{})
+	factory := psynchom.New(p, psynchom.Options{})
 	rep, err := attacks.Partition(p, factory, 16*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
@@ -68,7 +68,7 @@ func TestPartitionRejectsSolvableRegion(t *testing.T) {
 	// In the solvable region the construction does not exist (pad < 0);
 	// the attack must refuse to run rather than report garbage.
 	p := partitionParams(4, 4, 1) // 2l = 8 > 7 = n+3t
-	factory := psynchom.NewUnchecked(p, psynchom.Options{})
+	factory := psynchom.New(p, psynchom.Options{})
 	if _, err := attacks.Partition(p, factory, 32); err == nil {
 		t.Fatal("Partition accepted solvable parameters")
 	}
@@ -192,7 +192,7 @@ func TestMirrorIndistinguishability(t *testing.T) {
 		Numerate:            true,
 		RestrictedByzantine: true,
 	}
-	factory := psyncnum.NewUnchecked(p)
+	factory := psyncnum.New(p)
 	assignment := hom.RoundRobinAssignment(8, 2)
 	baseInputs := []hom.Value{0, 0, 0, 0, 1, 1, 1, 1}
 	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, 2, 0, 1, 12*hom.RoundsPerPhase)
@@ -281,10 +281,7 @@ func TestCrossoverAnomaly(t *testing.T) {
 	// t = 1, l = 4: solvable at n = 4, attackable at n = 5 — the paper's
 	// "more correct processes can hurt" headline.
 	p4 := partitionParams(4, 4, 1)
-	factory4, err := psynchom.New(p4, psynchom.Options{})
-	if err != nil {
-		t.Fatalf("psynchom.New(n=4): %v", err)
-	}
+	factory4 := psynchom.New(p4, psynchom.Options{})
 	inputs := []hom.Value{0, 1, 0, 1}
 	res, err := engine.Run(
 		engine.WithParams(p4),
@@ -302,7 +299,7 @@ func TestCrossoverAnomaly(t *testing.T) {
 	}
 
 	p5 := partitionParams(5, 4, 1)
-	factory5 := psynchom.NewUnchecked(p5, psynchom.Options{})
+	factory5 := psynchom.New(p5, psynchom.Options{})
 	rep, err := attacks.Partition(p5, factory5, 12*hom.RoundsPerPhase)
 	if err != nil {
 		t.Fatalf("Partition(n=5): %v", err)

@@ -1,9 +1,10 @@
 // Package attacks implements the paper's lower-bound constructions as
 // executable experiments. Each attack takes a concrete algorithm
 // (instantiated, when necessary, outside its guaranteed parameter region
-// via the algorithm packages' *Unchecked constructors) and produces the
-// exact execution from the corresponding proof, then reports the observed
-// violation of validity, agreement or termination:
+// by a constructor that checks no condition: psynchom.New, psyncnum.New,
+// classical.NewEIGUnchecked) and produces the exact execution from the
+// corresponding proof, then reports the observed violation of validity,
+// agreement or termination:
 //
 //   - Covering (Figure 1 / Proposition 1): a 2n-process synchronous
 //     covering system for ℓ = 3t whose three overlapping views cannot all

@@ -27,8 +27,8 @@ func (p *pingProc) Prepare(int) []msg.Send {
 }
 
 func (p *pingProc) Receive(_ int, in *msg.Inbox) {
-	for _, m := range in.Messages() {
-		p.heard[m.ID] = true
+	for i := 0; i < in.Len(); i++ {
+		p.heard[in.SenderAt(i)] = true
 	}
 	if len(p.heard) >= p.k {
 		p.decided = true
@@ -122,8 +122,8 @@ func (p *targetedProc) Prepare(int) []msg.Send {
 	return []msg.Send{msg.SendTo(2, msg.Raw("direct"))}
 }
 func (p *targetedProc) Receive(_ int, in *msg.Inbox) {
-	for _, m := range in.Messages() {
-		p.heard[m.ID] = true
+	for i := 0; i < in.Len(); i++ {
+		p.heard[in.SenderAt(i)] = true
 	}
 }
 func (p *targetedProc) Decision() (hom.Value, bool) { return hom.NoValue, false }
@@ -144,6 +144,11 @@ type copyCounter struct{ copies int }
 func (c *copyCounter) Init(engine.Context)    {}
 func (c *copyCounter) Prepare(int) []msg.Send { return nil }
 func (c *copyCounter) Receive(_ int, in *msg.Inbox) {
-	c.copies = in.Count(msg.Message{ID: 1, Body: msg.Raw("ping")})
+	lo, hi := in.IdentifierRange(1)
+	for i := lo; i < hi; i++ {
+		if in.BodyAt(i).Key() == msg.Raw("ping").Key() {
+			c.copies = in.CountAt(i)
+		}
+	}
 }
 func (c *copyCounter) Decision() (hom.Value, bool) { return hom.NoValue, false }

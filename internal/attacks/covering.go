@@ -36,8 +36,8 @@ func (r *CoveringReport) Succeeded() bool { return len(r.Violations) > 0 }
 
 // Covering runs the Proposition-1 scenario against a synchronous homonym
 // algorithm given by factory, built for parameters p with ℓ = 3t (the
-// boundary the paper proves unsolvable; use the algorithm packages'
-// *Unchecked constructors to instantiate one).
+// boundary the paper proves unsolvable; classical.NewEIGUnchecked builds
+// the EIG to transform there).
 //
 // The covering system (paper Figure 1) has 2n processes: a 0-input half
 // and a 1-input half, each holding all 3t identifiers, with two stacks of

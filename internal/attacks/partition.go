@@ -40,7 +40,7 @@ func (r *PartitionReport) Succeeded() bool { return r.Verdict.Has(trace.Agreemen
 // Partition runs the Proposition-4 construction against a partially
 // synchronous algorithm given by factory (built for parameters p, which
 // must satisfy 3t < ℓ ≤ (n+3t)/2 — the region the paper proves
-// unsolvable; use the algorithm package's NewUnchecked constructor).
+// unsolvable; psynchom.New builds there, since it checks no condition).
 //
 // The construction (paper Figure 4):
 //

@@ -40,7 +40,7 @@ func TestConstructionReportsPinned(t *testing.T) {
 	}
 	partition := func() (string, error) {
 		p := partitionParams(5, 4, 1)
-		rep, err := attacks.Partition(p, psynchom.NewUnchecked(p, psynchom.Options{}), 12*hom.RoundsPerPhase)
+		rep, err := attacks.Partition(p, psynchom.New(p, psynchom.Options{}), 12*hom.RoundsPerPhase)
 		if err != nil {
 			return "", err
 		}
@@ -68,7 +68,7 @@ func TestConstructionReportsPinned(t *testing.T) {
 	}
 	mirror := func() (string, error) {
 		p := hom.Params{N: 8, L: 2, T: 2, Synchrony: hom.Synchronous, Numerate: true, RestrictedByzantine: true}
-		rep, err := attacks.Mirror(p, psyncnum.NewUnchecked(p), hom.RoundRobinAssignment(8, 2),
+		rep, err := attacks.Mirror(p, psyncnum.New(p), hom.RoundRobinAssignment(8, 2),
 			[]hom.Value{0, 0, 0, 0, 1, 1, 1, 1}, 2, 0, 1, 12*hom.RoundsPerPhase)
 		if err != nil {
 			return "", err

@@ -57,15 +57,16 @@ func NewEIG(l, t int, domain []hom.Value) (*EIG, error) {
 }
 
 // NewEIGUnchecked builds an EIG instance without the l > 3t resilience
-// check. It exists solely for the impossibility experiments (package
-// attacks), which need a concrete algorithm that *claims* to solve
-// agreement with too few identifiers so the paper's lower-bound
-// constructions can exhibit how it fails. Never use it in real systems.
+// check; it still refuses a single identifier when t > 0. The synchom
+// registry entry builds through it, so core.Select checks the condition
+// first, while the impossibility experiments (package attacks) run it
+// with too few identifiers so the paper's lower-bound constructions can
+// exhibit how it fails.
 func NewEIGUnchecked(l, t int, domain []hom.Value) (*EIG, error) {
 	if t < 0 {
 		return nil, ErrBadFaults
 	}
-	if l < 2 {
+	if l < 2 && t > 0 {
 		return nil, ErrEIGResilience
 	}
 	return newEIG(l, t, domain)

@@ -4,28 +4,31 @@
 // interact with this package (plus hom for the model types); the
 // algorithm packages stay usable directly for fine-grained control.
 //
-// Selection rules (Table 1):
+// Selection rules (Table 1): hom.Params.Row names the row, and each
+// solvable row runs its protoreg entry.
 //
-//   - restricted Byzantine processes + numerate correct processes:
-//     Figure-7 algorithm (psyncnum) whenever ℓ > t, in either timing
-//     model;
+//   - restricted Byzantine processes + numerate correct processes, or
+//     numerate correct processes at t = 0: the Figure-7 algorithm
+//     (psyncnum) whenever ℓ > t, in either timing model;
 //   - synchronous, otherwise: the Figure-3 transformation over EIG
-//     (synchom ∘ classical.EIG) whenever ℓ > 3t;
+//     (synchom) whenever ℓ > 3t, so any ℓ at t = 0;
 //   - partially synchronous, otherwise: the Figure-5 algorithm (psynchom)
-//     whenever 2ℓ > n+3t.
+//     whenever 2ℓ > n+3t, so 2ℓ > n at t = 0.
 package core
 
 import (
 	"fmt"
 
-	"homonyms/internal/classical"
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
-	"homonyms/internal/psynchom"
-	"homonyms/internal/psyncnum"
-	"homonyms/internal/synchom"
+	"homonyms/internal/protoreg"
 	"homonyms/internal/trace"
+
+	// The algorithm packages register the protoreg entries Select runs.
+	_ "homonyms/internal/psynchom"
+	_ "homonyms/internal/psyncnum"
+	_ "homonyms/internal/synchom"
 )
 
 // AlgorithmID names the algorithm selected for a model instance.
@@ -37,6 +40,17 @@ const (
 	AlgPsyncHomonym     AlgorithmID = "psync-homonym"       // Figure 5
 	AlgNumerate         AlgorithmID = "numerate-restricted" // Figure 7
 )
+
+// rowAlgorithms names, per solvable Table-1 row, the protoreg entry that
+// solves it and the AlgorithmID the façade reports for it.
+var rowAlgorithms = [...]struct {
+	entry string
+	id    AlgorithmID
+}{
+	hom.RowNumerate: {"psyncnum", AlgNumerate},
+	hom.RowSync:     {"synchom", AlgSyncTransformEIG},
+	hom.RowPsync:    {"psynchom", AlgPsyncHomonym},
+}
 
 // Errors returned by the façade.
 var (
@@ -56,8 +70,10 @@ type Selection struct {
 	SuggestedRounds func(gst int) int
 }
 
-// Select picks the agreement algorithm for the parameters, or fails with
-// ErrUnsolvable (wrapping the Table-1 reason) when none exists.
+// Select picks the agreement algorithm for the parameters' Table-1 row
+// and builds it through the row's protoreg entry, or fails with
+// ErrUnsolvable (wrapping the Table-1 reason) when the row's condition
+// does not hold.
 func Select(p hom.Params) (*Selection, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -65,49 +81,18 @@ func Select(p hom.Params) (*Selection, error) {
 	if !p.Solvable() {
 		return nil, fmt.Errorf("%w: %s", ErrUnsolvable, p.SolvabilityReason())
 	}
-	switch {
-	case p.RestrictedByzantine && p.Numerate:
-		factory, err := psyncnum.New(p)
-		if err != nil {
-			return nil, err
-		}
-		return &Selection{
-			Algorithm:  AlgNumerate,
-			NewProcess: factory,
-			SuggestedRounds: func(gst int) int {
-				return hom.PhaseRounds(p, gst)
-			},
-		}, nil
-	case p.Synchrony == hom.Synchronous:
-		alg, err := classical.NewEIG(p.L, p.T, p.EffectiveDomain())
-		if err != nil {
-			return nil, err
-		}
-		factory, err := synchom.New(alg, p)
-		if err != nil {
-			return nil, err
-		}
-		return &Selection{
-			Algorithm:  AlgSyncTransformEIG,
-			NewProcess: factory,
-			SuggestedRounds: func(int) int {
-				return synchom.Rounds(alg) + synchom.RoundsPerPhase
-			},
-		}, nil
-	default:
-		psyncParams := p
-		factory, err := psynchom.New(psyncParams, psynchom.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &Selection{
-			Algorithm:  AlgPsyncHomonym,
-			NewProcess: factory,
-			SuggestedRounds: func(gst int) int {
-				return hom.PhaseRounds(p, gst)
-			},
-		}, nil
+	alg := rowAlgorithms[p.Row()]
+	proto, _ := protoreg.Get(alg.entry)
+	factory, err := proto.New(p)
+	if err != nil {
+		return nil, err
 	}
+	rounds := proto.Rounds
+	return &Selection{
+		Algorithm:       alg.id,
+		NewProcess:      factory,
+		SuggestedRounds: func(gst int) int { return rounds(p, gst) },
+	}, nil
 }
 
 // Config assembles one agreement execution through the façade.

@@ -118,3 +118,47 @@ func TestSolvableReExports(t *testing.T) {
 		t.Fatal("empty solvability reason")
 	}
 }
+
+// TestFacadeDecidesEveryTable1Cell is the façade's contract with Table 1:
+// over every switch combination, n <= 6, t in {0, 1} and every valid l,
+// a Solvable tuple decides through Run with an OK verdict under a
+// round-robin assignment, mixed inputs and random drops before GST 9,
+// and every other tuple fails with ErrUnsolvable.
+func TestFacadeDecidesEveryTable1Cell(t *testing.T) {
+	for variant := 0; variant < 8; variant++ {
+		for n := 2; n <= 6; n++ {
+			for f := 0; f <= 1; f++ {
+				for l := 1; l <= n; l++ {
+					p := hom.Params{N: n, L: l, T: f, Synchrony: hom.Synchronous,
+						Numerate: variant&2 != 0, RestrictedByzantine: variant&4 != 0}
+					if variant&1 != 0 {
+						p.Synchrony = hom.PartiallySynchronous
+					}
+					if p.Validate() != nil {
+						continue
+					}
+					inputs := make([]hom.Value, n)
+					for i := range inputs {
+						inputs[i] = hom.Value(i % 2)
+					}
+					res, err := core.Run(core.Config{
+						Params:    p,
+						Inputs:    inputs,
+						Adversary: &adversary.Composite{Drops: adversary.RandomDrops{Seed: int64(n*10 + l), Prob: 0.5}},
+						GST:       9,
+					})
+					switch {
+					case !p.Solvable():
+						if !errors.Is(err, core.ErrUnsolvable) {
+							t.Errorf("%v (%s): err = %v, want ErrUnsolvable", p, p.SolvabilityReason(), err)
+						}
+					case err != nil:
+						t.Errorf("%v (%s): %v", p, p.SolvabilityReason(), err)
+					case !res.Verdict.OK() || !res.Decided:
+						t.Errorf("%v via %s: %s, decided=%v", p, res.Algorithm, res.Verdict, res.Decided)
+					}
+				}
+			}
+		}
+	}
+}

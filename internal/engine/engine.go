@@ -94,8 +94,8 @@ type Process interface {
 	Prepare(round int) []msg.Send
 	// Receive delivers the round's inbox. The inbox is engine-owned
 	// scratch, recycled as soon as Receive returns: implementations must
-	// copy out anything they keep and must not retain the inbox or any
-	// slice it exposes (Messages, FromIdentifier) past the call.
+	// copy out anything they keep and must not retain the inbox past the
+	// call.
 	//
 	// Every inbox one process receives over its life carries KeyIDs and
 	// PayloadIDs (msg.Inbox.PayloadIDAt) issued by one msg.Interner, or

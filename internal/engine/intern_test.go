@@ -28,10 +28,7 @@ func internConfigs(t *testing.T) map[string]engine.Config {
 		t.Fatal(err)
 	}
 	pPsync := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
-	psyncFactory, err := psynchom.New(pPsync, psynchom.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	psyncFactory := psynchom.New(pPsync, psynchom.Options{})
 	return map[string]engine.Config{
 		"sync-transform": {
 			Params:        pSync,

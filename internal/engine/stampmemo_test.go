@@ -86,11 +86,7 @@ type memoRun struct {
 // n > l) and records the execution; nil after reporting a failure.
 func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, strip bool) *memoRun {
 	t.Helper()
-	factory, err := psynchom.New(p, psynchom.Options{})
-	if err != nil {
-		t.Error(err)
-		return nil
-	}
+	factory := psynchom.New(p, psynchom.Options{})
 	run := new(memoRun)
 	tap := &memoTap{strip: strip, offered: &run.offered, clones: &run.clones}
 	inputs := make([]hom.Value, p.N)
@@ -109,6 +105,7 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 	if strip {
 		adv = forwardStrip{adv.(*adversary.Composite)}
 	}
+	var err error
 	run.res, err = engine.Run(
 		engine.WithParams(p),
 		engine.WithAssignment(hom.RoundRobinAssignment(p.N, p.L)),
@@ -210,10 +207,7 @@ func TestStampMemoMatchesKeyPath(t *testing.T) {
 func TestFigure5SparesStandingEchoes(t *testing.T) {
 	const n, l, gst = 16, 13, 9
 	p := hom.Params{N: n, L: l, T: 3, Synchrony: hom.PartiallySynchronous}
-	factory, err := psynchom.New(p, psynchom.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := psynchom.New(p, psynchom.Options{})
 	inputs := make([]hom.Value, n)
 	for s := range inputs {
 		inputs[s] = hom.Value(s % 2)

@@ -101,8 +101,8 @@ func TestClaimedRegionHolds(t *testing.T) {
 // the Table-1 region package solvability reproduces, on the boundary
 // band t = floor(n/3) ± 1, l = threshold ± 1 where misclassification
 // would hide: an agreement protocol must claim exactly the solvable
-// cells of its own variant (for t >= 1), and no registered claim may
-// ever exceed Table 1.
+// cells of its own variant, and no registered claim may ever exceed
+// Table 1.
 func TestBoundaryClassification(t *testing.T) {
 	ns := []int{4, 6, 7, 9, 10, 12, 13}
 	protoOf := map[string]string{
@@ -126,7 +126,7 @@ func TestBoundaryClassification(t *testing.T) {
 			if claims && !p.Solvable() {
 				t.Errorf("%s claims %v (%s) but Table 1 says: %s", name, p, why, p.SolvabilityReason())
 			}
-			if p.T >= 1 && claims != p.Solvable() {
+			if claims != p.Solvable() {
 				t.Errorf("%s at boundary %v: claims=%v but solvable=%v (%s)",
 					name, p, claims, p.Solvable(), p.SolvabilityReason())
 			}

@@ -131,47 +131,64 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Solvable reports whether Byzantine agreement is solvable for these
-// parameters according to the paper's Table 1. With T == 0 agreement is
-// trivially solvable. Otherwise n > 3t is always required; on top of that:
-//
-//   - restricted Byzantine processes and numerate correct processes:
-//     ℓ > t (Theorems 14 and 15), in both timing models;
-//   - synchronous, all other variants: ℓ > 3t (Theorem 3, Theorem 19);
-//   - partially synchronous, all other variants: ℓ > (n+3t)/2
-//     (Theorem 13, Theorem 20), i.e. 2ℓ > n + 3t.
-func (p Params) Solvable() bool {
-	if p.T == 0 {
-		return true
+// Row names a row of the paper's Table 1: one solvability condition and
+// one algorithm.
+type Row int
+
+// The rows, in the order Params.Row tests them.
+const (
+	RowResilience Row = iota // n <= 3t: never solvable
+	RowNumerate              // numerate and restricted: ℓ > t (Theorems 14/15)
+	RowSync                  // synchronous otherwise: ℓ > 3t (Theorems 3/19)
+	RowPsync                 // partially synchronous otherwise: 2ℓ > n+3t (Theorems 13/20)
+)
+
+// Row returns the Table-1 row the parameters fall in. At t = 0 there is
+// no Byzantine process to restrict, so numerate processes always fall in
+// RowNumerate. RowPsync applies at t = 0 too: once every identifier has
+// two holders, a pre-GST partition needs no Byzantine process.
+func (p Params) Row() Row {
+	switch {
+	case p.N <= 3*p.T:
+		return RowResilience
+	case p.Numerate && (p.RestrictedByzantine || p.T == 0):
+		return RowNumerate
+	case p.Synchrony == Synchronous:
+		return RowSync
+	default:
+		return RowPsync
 	}
-	if p.N <= 3*p.T {
+}
+
+// Solvable reports whether Byzantine agreement is solvable for these
+// parameters according to the paper's Table 1: the condition of their
+// Row. At t = 0 that is always true, except in RowPsync, where it reads
+// 2ℓ > n.
+func (p Params) Solvable() bool {
+	switch p.Row() {
+	case RowNumerate:
+		return p.L > p.T
+	case RowSync:
+		return p.L > 3*p.T
+	case RowPsync:
+		return 2*p.L > p.N+3*p.T
+	default:
 		return false
 	}
-	if p.RestrictedByzantine && p.Numerate {
-		return p.L > p.T
-	}
-	if p.Synchrony == Synchronous {
-		return p.L > 3*p.T
-	}
-	return 2*p.L > p.N+3*p.T
 }
 
 // SolvabilityReason returns a human-readable explanation of Solvable's
-// verdict, citing the Table-1 condition that applies.
+// verdict, citing the Table-1 condition of the parameters' Row.
 func (p Params) SolvabilityReason() string {
-	if p.T == 0 {
-		return "t = 0: no faults, trivially solvable"
-	}
-	if p.N <= 3*p.T {
+	switch p.Row() {
+	case RowResilience:
 		return fmt.Sprintf("unsolvable: n = %d <= 3t = %d (classical resilience bound)", p.N, 3*p.T)
-	}
-	switch {
-	case p.RestrictedByzantine && p.Numerate:
+	case RowNumerate:
 		if p.L > p.T {
 			return fmt.Sprintf("solvable: restricted+numerate and l = %d > t = %d (Theorems 14/15)", p.L, p.T)
 		}
 		return fmt.Sprintf("unsolvable: restricted+numerate but l = %d <= t = %d (Proposition 16)", p.L, p.T)
-	case p.Synchrony == Synchronous:
+	case RowSync:
 		if p.L > 3*p.T {
 			return fmt.Sprintf("solvable: synchronous and l = %d > 3t = %d (Theorem 3)", p.L, 3*p.T)
 		}

@@ -1,6 +1,7 @@
 package hom
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -57,48 +58,77 @@ func errorIs(err, target error) bool {
 }
 
 func TestSolvableTable1(t *testing.T) {
-	// Each case cross-checks one cell of the paper's Table 1.
+	// Each case cross-checks one cell of the paper's Table 1 and the row
+	// that decides it.
+	const (
+		sync, psync = Synchronous, PartiallySynchronous
+	)
 	tests := []struct {
 		name string
 		p    Params
+		row  Row
 		want bool
 	}{
 		// Synchronous, unrestricted: l > 3t (Theorem 3).
-		{"sync l=3t+1", Params{N: 7, L: 4, T: 1, Synchrony: Synchronous}, true},
-		{"sync l=3t", Params{N: 7, L: 3, T: 1, Synchrony: Synchronous}, false},
-		{"sync numerate does not help", Params{N: 7, L: 3, T: 1, Synchrony: Synchronous, Numerate: true}, false},
-		{"sync classical l=n", Params{N: 4, L: 4, T: 1, Synchrony: Synchronous}, true},
+		{"sync l=3t+1", Params{N: 7, L: 4, T: 1, Synchrony: sync}, RowSync, true},
+		{"sync l=3t", Params{N: 7, L: 3, T: 1, Synchrony: sync}, RowSync, false},
+		{"sync numerate does not help", Params{N: 7, L: 3, T: 1, Synchrony: sync, Numerate: true}, RowSync, false},
+		{"sync classical l=n", Params{N: 4, L: 4, T: 1, Synchrony: sync}, RowSync, true},
 		// Partially synchronous, unrestricted: 2l > n+3t (Theorem 13).
-		{"psync 2l>n+3t", Params{N: 4, L: 4, T: 1, Synchrony: PartiallySynchronous}, true},
-		{"psync 2l=n+3t", Params{N: 5, L: 4, T: 1, Synchrony: PartiallySynchronous}, false},
-		{"psync homonym slack", Params{N: 6, L: 5, T: 1, Synchrony: PartiallySynchronous}, true},
-		{"psync numerate does not help", Params{N: 5, L: 4, T: 1, Synchrony: PartiallySynchronous, Numerate: true}, false},
+		{"psync 2l>n+3t", Params{N: 4, L: 4, T: 1, Synchrony: psync}, RowPsync, true},
+		{"psync 2l=n+3t", Params{N: 5, L: 4, T: 1, Synchrony: psync}, RowPsync, false},
+		{"psync homonym slack", Params{N: 6, L: 5, T: 1, Synchrony: psync}, RowPsync, true},
+		{"psync numerate does not help", Params{N: 5, L: 4, T: 1, Synchrony: psync, Numerate: true}, RowPsync, false},
 		// The paper's headline anomaly: t=1, l=4 works for n=4 but not n=5.
-		{"anomaly n=4", Params{N: 4, L: 4, T: 1, Synchrony: PartiallySynchronous}, true},
-		{"anomaly n=5", Params{N: 5, L: 4, T: 1, Synchrony: PartiallySynchronous}, false},
+		{"anomaly n=4", Params{N: 4, L: 4, T: 1, Synchrony: psync}, RowPsync, true},
+		{"anomaly n=5", Params{N: 5, L: 4, T: 1, Synchrony: psync}, RowPsync, false},
 		// Restricted + numerate: l > t (Theorems 14/15), both models.
-		{"restricted numerate sync l=t+1", Params{N: 7, L: 2, T: 1, Synchrony: Synchronous, Numerate: true, RestrictedByzantine: true}, true},
-		{"restricted numerate psync l=t+1", Params{N: 7, L: 2, T: 1, Synchrony: PartiallySynchronous, Numerate: true, RestrictedByzantine: true}, true},
-		{"restricted numerate l=t", Params{N: 7, L: 2, T: 2, Synchrony: Synchronous, Numerate: true, RestrictedByzantine: true}, false},
-		{"restricted numerate needs n>3t", Params{N: 6, L: 3, T: 2, Synchrony: Synchronous, Numerate: true, RestrictedByzantine: true}, false},
-		// Restricted + innumerate: restriction does not help (Theorems 19/20).
-		{"restricted innumerate sync l=3t", Params{N: 7, L: 3, T: 1, Synchrony: Synchronous, RestrictedByzantine: true}, false},
-		{"restricted innumerate sync l=3t+1", Params{N: 7, L: 4, T: 1, Synchrony: Synchronous, RestrictedByzantine: true}, true},
-		{"restricted innumerate psync 2l=n+3t", Params{N: 5, L: 4, T: 1, Synchrony: PartiallySynchronous, RestrictedByzantine: true}, false},
-		// t = 0 is always solvable.
-		{"no faults", Params{N: 3, L: 1, T: 0, Synchrony: PartiallySynchronous}, true},
+		{"restricted numerate sync l=t+1", Params{N: 7, L: 2, T: 1, Synchrony: sync, Numerate: true, RestrictedByzantine: true}, RowNumerate, true},
+		{"restricted numerate psync l=t+1", Params{N: 7, L: 2, T: 1, Synchrony: psync, Numerate: true, RestrictedByzantine: true}, RowNumerate, true},
+		{"restricted numerate psync l=t+1, t=2", Params{N: 7, L: 3, T: 2, Synchrony: psync, Numerate: true, RestrictedByzantine: true}, RowNumerate, true},
+		{"restricted numerate l=t", Params{N: 7, L: 2, T: 2, Synchrony: sync, Numerate: true, RestrictedByzantine: true}, RowNumerate, false},
+		{"restricted numerate psync l=t", Params{N: 7, L: 2, T: 2, Synchrony: psync, Numerate: true, RestrictedByzantine: true}, RowNumerate, false},
+		{"restricted numerate needs n>3t", Params{N: 6, L: 3, T: 2, Synchrony: sync, Numerate: true, RestrictedByzantine: true}, RowResilience, false},
+		{"restricted numerate psync needs n>3t", Params{N: 6, L: 2, T: 2, Synchrony: psync, Numerate: true, RestrictedByzantine: true}, RowResilience, false},
+		// Either switch alone leaves the numerate row (Theorems 19/20).
+		{"restricted innumerate sync l=3t", Params{N: 7, L: 3, T: 1, Synchrony: sync, RestrictedByzantine: true}, RowSync, false},
+		{"restricted innumerate sync l=3t+1", Params{N: 7, L: 4, T: 1, Synchrony: sync, RestrictedByzantine: true}, RowSync, true},
+		{"restricted innumerate psync 2l=n+3t", Params{N: 5, L: 4, T: 1, Synchrony: psync, RestrictedByzantine: true}, RowPsync, false},
+		{"restricted innumerate psync l=t+1", Params{N: 7, L: 3, T: 2, Synchrony: psync, RestrictedByzantine: true}, RowPsync, false},
+		{"unrestricted numerate psync l=t+1", Params{N: 7, L: 3, T: 2, Synchrony: psync, Numerate: true}, RowPsync, false},
+		// t = 0: no Byzantine process to restrict, so numerate processes
+		// take the numerate row, and the synchronous row holds at l = 1.
+		{"t=0 numerate unrestricted", Params{N: 4, L: 1, T: 0, Synchrony: psync, Numerate: true}, RowNumerate, true},
+		{"t=0 sync l=1", Params{N: 3, L: 1, T: 0, Synchrony: sync}, RowSync, true},
+		// t = 0 partially synchronous innumerate still needs 2l > n: a
+		// pre-GST partition of homonyms breaks agreement with no
+		// Byzantine process. Seed psynchom-agreement-partition-t0 is the
+		// committed witness of this row, at n = 2 and l = 1.
+		{"no faults", Params{N: 3, L: 1, T: 0, Synchrony: psync}, RowPsync, false},
+		{"t=0 psync 2l>n", Params{N: 3, L: 2, T: 0, Synchrony: psync}, RowPsync, true},
 		// n <= 3t is never solvable.
-		{"n=3t classical", Params{N: 3, L: 3, T: 1, Synchrony: Synchronous}, false},
+		{"n=3t classical", Params{N: 3, L: 3, T: 1, Synchrony: sync}, RowResilience, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.p.Row(); got != tc.row {
+				t.Fatalf("Row(%v) = %d, want %d", tc.p, got, tc.row)
+			}
 			if got := tc.p.Solvable(); got != tc.want {
 				t.Fatalf("Solvable(%v) = %v, want %v (%s)", tc.p, got, tc.want, tc.p.SolvabilityReason())
 			}
-			if reason := tc.p.SolvabilityReason(); reason == "" {
-				t.Fatal("SolvabilityReason() returned empty string")
+			verdict := "unsolvable: "
+			if tc.want {
+				verdict = "solvable: "
+			}
+			if reason := tc.p.SolvabilityReason(); !strings.HasPrefix(reason, verdict) {
+				t.Fatalf("SolvabilityReason() = %q, want the prefix %q", reason, verdict)
 			}
 		})
+	}
+	p := Params{N: 7, L: 3, T: 1, Synchrony: psync}
+	if allocs := testing.AllocsPerRun(100, func() { p.Solvable() }); allocs != 0 {
+		t.Fatalf("Solvable allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -40,69 +40,49 @@ func BenchmarkNewInbox(b *testing.B) {
 	}
 }
 
-func BenchmarkInboxCount(b *testing.B) {
-	raw := broadcastRound(64, 16)
-	in := NewInbox(true, raw)
-	ms := in.Messages()
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += in.Count(ms[i%len(ms)])
-	}
-	_ = total
-}
-
-func BenchmarkInboxCountCopies(b *testing.B) {
-	raw := broadcastRound(64, 16)
-	in := NewInbox(true, raw)
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += in.CountCopies(nil)
-	}
-	_ = total
-}
-
 func benchName(n, l int, kind string) string {
 	return "n" + strconv.Itoa(n) + "_l" + strconv.Itoa(l) + "/" + kind
 }
 
-// TestCountAllocationFree pins the Inbox.Count fix: counting a message
-// obtained from the inbox itself must not rebuild its key (the seed
-// implementation concatenated strings on every call).
+// TestCountAllocationFree pins the counting path of a receive loop:
+// finding a message by identifier range and reading its count must not
+// rebuild keys or build Message values.
 func TestCountAllocationFree(t *testing.T) {
 	in := NewInbox(true, broadcastRound(64, 16))
-	ms := in.Messages()
 	allocs := testing.AllocsPerRun(100, func() {
 		total := 0
-		for _, m := range ms {
-			total += in.Count(m)
+		for id := hom.Identifier(1); id <= 16; id++ {
+			lo, hi := in.IdentifierRange(id)
+			for i := lo; i < hi; i++ {
+				total += in.CountAt(i)
+			}
 		}
 		if total == 0 {
 			t.Fatal("empty count")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Inbox.Count allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("counting by identifier range allocated %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestCountCopiesAllocationFree covers the predicate-driven counting path
-// used by the numerate algorithms every round.
+// TestCountCopiesAllocationFree covers the predicate-driven counting the
+// numerate algorithms run every round: summing the copies of the
+// messages whose sender and body match.
 func TestCountCopiesAllocationFree(t *testing.T) {
 	in := NewInbox(true, broadcastRound(64, 16))
-	pred := func(m Message) bool { return m.ID%2 == 1 }
 	allocs := testing.AllocsPerRun(100, func() {
-		if in.CountCopies(pred) == 0 {
-			t.Fatal("empty count")
+		copies := 0
+		for i := 0; i < in.Len(); i++ {
+			if in.SenderAt(i)%2 == 1 && in.BodyAt(i) != nil {
+				copies += in.CountAt(i)
+			}
 		}
-		if in.CountCopies(nil) == 0 {
-			t.Fatal("empty total")
+		if copies == 0 || in.TotalCount() == 0 {
+			t.Fatal("empty count")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Inbox.CountCopies allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("counting copies allocated %.1f times per run, want 0", allocs)
 	}
 }

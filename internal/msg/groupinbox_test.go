@@ -1,7 +1,6 @@
 package msg
 
 import (
-	"reflect"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -43,17 +42,6 @@ func TestGroupInboxViewMatchesOwnFill(t *testing.T) {
 				if view.MessageAt(i) != m {
 					t.Fatalf("MessageAt(%d) diverges", i)
 				}
-				if view.Count(m) != own.Count(m) {
-					t.Fatalf("Count(%v): %d != %d", m.Key(), view.Count(m), own.Count(m))
-				}
-				// Foreign (uninterned) count queries resolve by key scan.
-				foreign := Message{ID: m.ID, Body: m.Body}
-				if view.Count(foreign) != own.Count(foreign) {
-					t.Fatalf("foreign Count(%v): %d != %d", m.Key(), view.Count(foreign), own.Count(foreign))
-				}
-			}
-			if !reflect.DeepEqual(view.Messages(), own.Messages()) {
-				t.Fatalf("numerate=%v: Messages diverges", numerate)
 			}
 			for id := hom.Identifier(1); id <= 5; id++ {
 				lo1, hi1 := view.IdentifierRange(id)
@@ -61,19 +49,6 @@ func TestGroupInboxViewMatchesOwnFill(t *testing.T) {
 				if lo1 != lo2 || hi1 != hi2 {
 					t.Fatalf("IdentifierRange(%d): [%d,%d) != [%d,%d)", id, lo1, hi1, lo2, hi2)
 				}
-				if !reflect.DeepEqual(view.FromIdentifier(id), own.FromIdentifier(id)) {
-					t.Fatalf("FromIdentifier(%d) diverges", id)
-				}
-			}
-			if !reflect.DeepEqual(view.DistinctIdentifiers(nil), own.DistinctIdentifiers(nil)) {
-				t.Fatal("DistinctIdentifiers diverges")
-			}
-			if view.CountCopies(nil) != own.CountCopies(nil) {
-				t.Fatal("CountCopies(nil) diverges")
-			}
-			pred := func(m Message) bool { return m.ID%2 == 1 }
-			if view.CountCopies(pred) != own.CountCopies(pred) {
-				t.Fatal("CountCopies(pred) diverges")
 			}
 		}
 

@@ -19,8 +19,8 @@
 // KeyID / payload / key columns. Every Inbox has one storage, a
 // GroupInbox core filled over such an arena: it references entries by
 // int32 index, dedups and counts through the KeyID column alone, and
-// exposes indexed accessors (SenderAt, BodyAt, CountAt, IdentifierRange)
-// so receive loops never materialise a []Message view. NewInbox stamps
+// is read only through indexed accessors (SenderAt, BodyAt, CountAt,
+// IdentifierRange), so receive loops build no Message. NewInbox stamps
 // loose messages into an arena of the inbox's own; when any of them lacks
 // a KeyID the inbox is ranked — key ranks stand in for KeyIDs, and it
 // reports NoKey. Inboxes and interners are pooled
@@ -29,7 +29,6 @@
 package msg
 
 import (
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -191,8 +190,7 @@ type Delivered struct {
 // which holds the distinct messages as int32 references into the arena,
 // their KeyID-dense counts and a lazy sort index. The core is the
 // Router's shared one for a view (NewPooledInboxView), or the shell's own
-// for NewPooledInboxSoA and NewInbox; the shell adds only the lazily
-// materialised []Message view.
+// for NewPooledInboxSoA and NewInbox.
 //
 // The distinct messages are kept in the deterministic (identifier, KeyID)
 // order, where the KeyID order is the execution's first-intern order. An
@@ -201,11 +199,10 @@ type Delivered struct {
 // keys stands in for its KeyID, so the order is (identifier, key). A
 // ranked inbox reports NoKey on every Message read back from it.
 //
-// Receivers that iterate through the indexed accessors (SenderAt, BodyAt,
-// CountAt over 0..Len()) never force the []Message view into existence:
-// only the int32 sort index and the two integer columns of the arena are
-// touched, and the payload column is read just for the entries the
-// receiver actually inspects.
+// Receivers iterate through the indexed accessors (SenderAt, BodyAt,
+// CountAt over 0..Len()): only the int32 sort index and the two integer
+// columns of the arena are touched, and the payload column is read just
+// for the entries the receiver actually inspects.
 //
 // A delta inbox (a view given standing entries) holds what the round
 // stamped for its recipient in one core and answers every accessor over
@@ -214,7 +211,6 @@ type Delivered struct {
 type Inbox struct {
 	core   *GroupInbox // the storage: own, shared, or a delta inbox's union once asked for
 	own    GroupInbox  // the core of NewPooledInboxSoA and NewInbox
-	order  []Message   // sorted []Message view, built on demand
 	pooled bool
 	delta  *GroupInbox // a delta inbox's stamped core; nil otherwise
 	dview  *Inbox      // Delta's view over delta, drawn on first call
@@ -252,8 +248,8 @@ func NewPooledInboxSoA(numerate bool, arena *SendArena, idx []int32) *Inbox {
 	return in
 }
 
-// inboxPool recycles inbox shells (the struct, its own core's buffers and
-// its sorted view) across rounds.
+// inboxPool recycles inbox shells (the struct and its own core's buffers)
+// across rounds.
 var inboxPool = sync.Pool{New: func() any { return new(Inbox) }}
 
 // Recycle resets the inbox and returns it to the pool. Only inboxes from
@@ -270,9 +266,6 @@ func (in *Inbox) Recycle() {
 		in.dview.Recycle()
 	}
 	in.core, in.delta, in.dview = nil, nil, nil
-	// Drop payload references so the pool retains no garbage.
-	clear(in.order)
-	in.order = in.order[:0]
 	in.pooled = false
 	inboxPool.Put(in)
 }
@@ -303,45 +296,8 @@ func (in *Inbox) Delta() *Inbox {
 	return in.dview
 }
 
-// materialize builds the sorted []Message view on first access.
-func (in *Inbox) materialize() []Message {
-	g := in.full()
-	if len(in.order) == len(g.ref) {
-		return in.order
-	}
-	idx := g.sortIndex()
-	in.order = slices.Grow(in.order[:0], len(idx))
-	for _, j := range idx {
-		in.order = append(in.order, g.soa.Message(g.ref[j]))
-	}
-	return in.order
-}
-
 // Numerate reports the reception semantics of the inbox.
 func (in *Inbox) Numerate() bool { return in.full().numerate }
-
-// Messages returns the distinct messages received this round, in the
-// inbox's sorted order. Callers must not mutate the slice and must not
-// retain it past Receive when the inbox is engine-owned.
-func (in *Inbox) Messages() []Message { return in.materialize() }
-
-// Count returns the multiplicity of the given message. Innumerate inboxes
-// report at most 1. A message never received reports 0. It matches m by
-// identifier and canonical key, never by m's KeyID, so a message built by
-// hand or interned elsewhere gets its true count; for one read back from
-// the inbox (Messages, FromIdentifier) it is a binary search with no key
-// rebuilding.
-func (in *Inbox) Count(m Message) int {
-	g := in.full()
-	lo, hi := in.IdentifierRange(m.ID)
-	key := m.Key()
-	for i := lo; i < hi; i++ {
-		if r := g.at(i); g.soa.keys[r] == key {
-			return g.countOf(r)
-		}
-	}
-	return 0
-}
 
 // TotalCount returns the total number of message copies received
 // (distinct messages for an innumerate inbox).
@@ -351,11 +307,10 @@ func (in *Inbox) TotalCount() int { return in.full().total }
 func (in *Inbox) Len() int { return len(in.full().ref) }
 
 // The indexed accessors below address the distinct messages by their
-// position 0..Len()-1 in the inbox's deterministic sorted order — the
-// same order Messages returns. They are the protocols' string-free
-// iteration path: a receive loop over SenderAt/BodyAt/CountAt touches the
-// int32 sort index and the arena columns it actually needs, and never
-// forces the []Message view (or any Message struct) into existence.
+// position 0..Len()-1 in the inbox's deterministic sorted order. They are
+// the protocols' string-free iteration path: a receive loop over
+// SenderAt/BodyAt/CountAt touches the int32 sort index and the arena
+// columns it actually needs, and builds no Message struct.
 
 // SenderAt returns the authenticated sender identifier of the i-th
 // distinct message in sorted order.
@@ -400,65 +355,4 @@ func (in *Inbox) IdentifierRange(id hom.Identifier) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// FromIdentifier returns the distinct messages carrying the given sender
-// identifier, in deterministic order. The result is a view into the
-// inbox's sorted buffer: callers must not mutate or retain it. Receivers
-// on the hot path prefer IdentifierRange plus the indexed accessors,
-// which skip the []Message view.
-func (in *Inbox) FromIdentifier(id hom.Identifier) []Message {
-	lo, hi := in.IdentifierRange(id)
-	if lo == hi {
-		return nil
-	}
-	return in.materialize()[lo:hi]
-}
-
-// DistinctIdentifiers returns the sorted identifiers from which the
-// receiver got at least one message satisfying pred. A nil pred matches
-// every message (and walks only the identifier column).
-func (in *Inbox) DistinctIdentifiers(pred func(Message) bool) []hom.Identifier {
-	var out []hom.Identifier
-	in.eachIdentifier(pred, func(id hom.Identifier) { out = append(out, id) })
-	return out
-}
-
-// CountDistinctIdentifiers returns the number of distinct identifiers with
-// at least one message satisfying pred.
-func (in *Inbox) CountDistinctIdentifiers(pred func(Message) bool) int {
-	count := 0
-	in.eachIdentifier(pred, func(hom.Identifier) { count++ })
-	return count
-}
-
-// eachIdentifier calls yield once per identifier, ascending, with at least
-// one message satisfying pred (every message when pred is nil).
-func (in *Inbox) eachIdentifier(pred func(Message) bool, yield func(hom.Identifier)) {
-	g := in.full()
-	seen, last := false, hom.Identifier(0)
-	for _, j := range g.sortIndex() {
-		r := g.ref[j]
-		if id := g.soa.ids[r]; (!seen || id != last) && (pred == nil || pred(g.soa.Message(r))) {
-			yield(id)
-			seen, last = true, id
-		}
-	}
-}
-
-// CountCopies returns the total number of copies, over all sender
-// identifiers, of messages satisfying pred. On an innumerate inbox this
-// degenerates to the number of distinct matching messages.
-func (in *Inbox) CountCopies(pred func(Message) bool) int {
-	g := in.full()
-	if pred == nil {
-		return g.total
-	}
-	total := 0
-	for _, j := range g.sortIndex() {
-		if r := g.ref[j]; pred(g.soa.Message(r)) {
-			total += g.countOf(r)
-		}
-	}
-	return total
 }

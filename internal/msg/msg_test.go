@@ -7,6 +7,27 @@ import (
 	"homonyms/internal/hom"
 )
 
+// messages reads the inbox's distinct messages in its sorted order.
+func messages(in *Inbox) []Message {
+	out := make([]Message, in.Len())
+	for i := range out {
+		out[i] = in.MessageAt(i)
+	}
+	return out
+}
+
+// countOf finds m in the inbox by identifier and canonical key and
+// returns its multiplicity: 0 when it was never received.
+func countOf(in *Inbox, m Message) int {
+	lo, hi := in.IdentifierRange(m.ID)
+	for i := lo; i < hi; i++ {
+		if in.MessageAt(i).Key() == m.Key() {
+			return in.CountAt(i)
+		}
+	}
+	return 0
+}
+
 func TestInboxInnumerateDeduplicates(t *testing.T) {
 	raw := []Message{
 		{ID: 2, Body: Raw("x")},
@@ -22,12 +43,12 @@ func TestInboxInnumerateDeduplicates(t *testing.T) {
 		t.Fatalf("Len = %d, want 3 distinct", in.Len())
 	}
 	// Sorted by (id, key): (1,x), (2,x), (2,y).
-	ms := in.Messages()
+	ms := messages(in)
 	if ms[0].ID != 1 || ms[1].ID != 2 || ms[2].ID != 2 {
 		t.Fatalf("unexpected order: %v", ms)
 	}
-	if got := in.Count(Message{ID: 2, Body: Raw("x")}); got != 1 {
-		t.Fatalf("innumerate Count = %d, want 1", got)
+	if got := countOf(in, Message{ID: 2, Body: Raw("x")}); got != 1 {
+		t.Fatalf("innumerate count = %d, want 1", got)
 	}
 	if got := in.TotalCount(); got != 3 {
 		t.Fatalf("TotalCount = %d, want 3", got)
@@ -48,14 +69,14 @@ func TestInboxNumerateCounts(t *testing.T) {
 	if in.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 distinct", in.Len())
 	}
-	if got := in.Count(Message{ID: 2, Body: Raw("x")}); got != 3 {
-		t.Fatalf("numerate Count = %d, want 3", got)
+	if got := countOf(in, Message{ID: 2, Body: Raw("x")}); got != 3 {
+		t.Fatalf("numerate count = %d, want 3", got)
 	}
-	if got := in.Count(Message{ID: 1, Body: Raw("x")}); got != 1 {
-		t.Fatalf("numerate Count = %d, want 1", got)
+	if got := countOf(in, Message{ID: 1, Body: Raw("x")}); got != 1 {
+		t.Fatalf("numerate count = %d, want 1", got)
 	}
-	if got := in.Count(Message{ID: 3, Body: Raw("x")}); got != 0 {
-		t.Fatalf("Count of absent message = %d, want 0", got)
+	if got := countOf(in, Message{ID: 3, Body: Raw("x")}); got != 0 {
+		t.Fatalf("count of absent message = %d, want 0", got)
 	}
 	if got := in.TotalCount(); got != 4 {
 		t.Fatalf("TotalCount = %d, want 4", got)
@@ -70,20 +91,13 @@ func TestInboxIdentifierHelpers(t *testing.T) {
 		{ID: 4, Body: Raw("b")},
 	}
 	in := NewInbox(false, raw)
-	ids := in.DistinctIdentifiers(nil)
-	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 4 {
-		t.Fatalf("DistinctIdentifiers = %v, want [1 2 4]", ids)
+	for id, want := range []struct{ lo, hi int }{{0, 0}, {0, 1}, {1, 3}, {3, 3}, {3, 4}, {4, 4}} {
+		if lo, hi := in.IdentifierRange(hom.Identifier(id)); lo != want.lo || hi != want.hi {
+			t.Fatalf("IdentifierRange(%d) = [%d,%d), want [%d,%d)", id, lo, hi, want.lo, want.hi)
+		}
 	}
-	onlyB := func(m Message) bool { return m.Body.Key() == Raw("b").Key() }
-	if got := in.CountDistinctIdentifiers(onlyB); got != 2 {
-		t.Fatalf("CountDistinctIdentifiers(b) = %d, want 2", got)
-	}
-	from2 := in.FromIdentifier(2)
-	if len(from2) != 2 {
-		t.Fatalf("FromIdentifier(2) returned %d messages, want 2", len(from2))
-	}
-	if got := in.CountCopies(onlyB); got != 2 {
-		t.Fatalf("CountCopies(b) = %d, want 2", got)
+	if lo, hi := in.IdentifierRange(2); in.BodyAt(lo) != Raw("a") || in.BodyAt(hi-1) != Raw("b") {
+		t.Fatal("IdentifierRange(2) does not hold identifier 2's messages in key order")
 	}
 }
 
@@ -120,8 +134,8 @@ func TestInboxDeterministicOrder(t *testing.T) {
 		if a.Len() != b.Len() {
 			return false
 		}
-		for i := range a.Messages() {
-			if a.Messages()[i].Key() != b.Messages()[i].Key() {
+		for i := 0; i < a.Len(); i++ {
+			if a.MessageAt(i).Key() != b.MessageAt(i).Key() {
 				return false
 			}
 		}
@@ -134,7 +148,7 @@ func TestInboxDeterministicOrder(t *testing.T) {
 
 func TestNumerateCountInvariant(t *testing.T) {
 	// Property: for a numerate inbox, TotalCount equals the raw message
-	// count, and each Count is at least 1 for present messages.
+	// count, and each CountAt is at least 1.
 	check := func(ids []uint8) bool {
 		raw := make([]Message, 0, len(ids))
 		for _, r := range ids {
@@ -145,8 +159,8 @@ func TestNumerateCountInvariant(t *testing.T) {
 			return false
 		}
 		sum := 0
-		for _, m := range in.Messages() {
-			c := in.Count(m)
+		for i := 0; i < in.Len(); i++ {
+			c := in.CountAt(i)
 			if c < 1 {
 				return false
 			}

@@ -87,17 +87,11 @@ func referenceOrder(c orderCase) []Message {
 }
 
 // checkOrder holds one inbox to the reference through every accessor
-// that exposes the order, including the KeyID column, and answers Count
-// for foreign copies of each message: a literal, and one interned in
-// another interner under a KeyID past every rank the batch can hold.
+// that exposes the order, including the KeyID column.
 func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Message) {
 	t.Helper()
 	if in.Len() != len(want) {
 		t.Fatalf("%s/%s: %d distinct messages, want %d", c.name, label, in.Len(), len(want))
-	}
-	other := NewInterner()
-	for j := 0; j <= len(c.raw); j++ {
-		other.Intern(strconv.Itoa(j))
 	}
 	for i, w := range want {
 		if got := in.MessageAt(i); got.Key() != w.Key() || got.ID != w.ID {
@@ -112,23 +106,6 @@ func checkOrder(t *testing.T, label string, in *Inbox, c orderCase, want []Messa
 		}
 		if got := in.MessageAt(i).KeyID(); got != wantKid {
 			t.Fatalf("%s/%s: MessageAt(%d).KeyID() = %d, want %d", c.name, label, i, got, wantKid)
-		}
-		if in.CountAt(i) != in.Count(w) {
-			t.Fatalf("%s/%s: CountAt(%d) = %d, Count = %d", c.name, label, i, in.CountAt(i), in.Count(w))
-		}
-		for _, q := range []Message{{ID: w.ID, Body: w.Body}, NewMessageInterned(other, w.ID, w.Body)} {
-			if got := in.Count(q); got != in.CountAt(i) {
-				t.Fatalf("%s/%s: Count of a foreign %q (KeyID %d) = %d, want %d", c.name, label, q.Key(), q.KeyID(), got, in.CountAt(i))
-			}
-		}
-	}
-	if got := in.Count(Message{ID: 1, Body: Raw("never sent")}); got != 0 {
-		t.Fatalf("%s/%s: Count of a message never received = %d", c.name, label, got)
-	}
-	view := in.Messages()
-	for i, w := range want {
-		if view[i].Key() != w.Key() {
-			t.Fatalf("%s/%s: Messages()[%d] out of reference order", c.name, label, i)
 		}
 	}
 }
@@ -338,7 +315,7 @@ func TestWeightedInboxFoldsMultiplicities(t *testing.T) {
 // TestWeightedFillMatchesExpandedFill pins what a multiplicity means: a
 // batch whose entries carry copies >= 1, filled once, is observationally
 // the batch with every entry repeated copies times — on Len, TotalCount,
-// the sorted order, CountAt, KeyIDs and CountCopies, numerate and
+// the sorted order, CountAt and KeyIDs, numerate and
 // innumerate, through the per-recipient fill and the shared core alike.
 // Batches repeat and skip entries, as link duplication and masks do.
 //
@@ -384,7 +361,6 @@ func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 			}
 			didx = append(didx, si)
 		}
-		odd := func(m Message) bool { return m.ID%2 == 1 }
 		for _, numerate := range []bool{false, true} {
 			want := NewPooledInboxSoA(numerate, expanded, xidx)
 			core := NewPooledGroupInbox(numerate, weighted, widx)
@@ -415,9 +391,6 @@ func TestWeightedFillMatchesExpandedFill(t *testing.T) {
 							want.MessageAt(i).Key(), want.MessageAt(i).KeyID(), want.CountAt(i))
 					}
 				}
-				if got.CountCopies(nil) != want.CountCopies(nil) || got.CountCopies(odd) != want.CountCopies(odd) {
-					t.Fatalf("trial %d numerate=%v %s: CountCopies diverges", trial, numerate, label)
-				}
 				got.Recycle()
 			}
 			core.Recycle()
@@ -440,8 +413,7 @@ func fillFingerprint(in *Inbox) string {
 }
 
 // TestLegacyInboxQueries covers a ranked inbox (NewInbox over messages
-// without KeyIDs) through the queries protocols outside the engines'
-// path still use.
+// without KeyIDs) through the indexed accessors.
 func TestLegacyInboxQueries(t *testing.T) {
 	raw := []Message{
 		NewMessageKeyed(2, Raw("x"), Raw("x").Key()),
@@ -459,18 +431,11 @@ func TestLegacyInboxQueries(t *testing.T) {
 	if got := []int{in.CountAt(0), in.CountAt(1), in.CountAt(2)}; got[0] != 1 || got[1] != 2 || got[2] != 1 {
 		t.Fatalf("CountAt by position = %v, want [1 2 1]", got)
 	}
-	isX := func(m Message) bool { return m.Body.Key() == Raw("x").Key() }
-	if got := in.DistinctIdentifiers(isX); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("DistinctIdentifiers(x) = %v, want [2 3]", got)
+	if got := []hom.Identifier{in.SenderAt(0), in.SenderAt(1), in.SenderAt(2)}; got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("SenderAt by position = %v, want [1 2 3]", got)
 	}
-	if got := in.CountDistinctIdentifiers(isX); got != 2 {
-		t.Fatalf("CountDistinctIdentifiers(x) = %d, want 2", got)
-	}
-	if got := in.CountCopies(isX); got != 3 {
-		t.Fatalf("CountCopies(x) = %d, want 3", got)
-	}
-	if got := in.Count(Message{ID: 9, Body: Raw("x")}); got != 0 {
-		t.Fatalf("Count of a message never received = %d", got)
+	if lo, hi := in.IdentifierRange(9); lo != hi {
+		t.Fatalf("IdentifierRange of an identifier never heard = [%d,%d)", lo, hi)
 	}
 	var kb KeyBuilder
 	if string(kb.Reset("t").Int(3).Bytes()) != kb.String() {

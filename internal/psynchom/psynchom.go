@@ -44,8 +44,6 @@
 package psynchom
 
 import (
-	"errors"
-	"fmt"
 	"maps"
 	"slices"
 
@@ -53,12 +51,6 @@ import (
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
-)
-
-// Validation errors.
-var (
-	ErrCondition = errors.New("psynchom: figure-5 algorithm requires 2l > n+3t")
-	ErrSynchrony = errors.New("psynchom: figure-5 algorithm targets the partially synchronous model")
 )
 
 // Options toggle the homonym-specific mechanisms for ablation experiments.
@@ -74,24 +66,11 @@ type Options struct {
 	DisableDecideRelay bool
 }
 
-// New returns a factory of Figure-5 processes after validating the
-// solvability condition 2ℓ > n + 3t.
-func New(p hom.Params, opts Options) (func(slot int) engine.Process, error) {
-	if p.Synchrony != hom.PartiallySynchronous {
-		return nil, ErrSynchrony
-	}
-	if 2*p.L <= p.N+3*p.T {
-		return nil, fmt.Errorf("%w (2l=%d, n+3t=%d)", ErrCondition, 2*p.L, p.N+3*p.T)
-	}
-	return NewUnchecked(p, opts), nil
-}
-
-// NewUnchecked returns a Figure-5 process factory without the
-// 2ℓ > n + 3t solvability check (the broadcast layer still requires
-// ℓ > 3t). It exists solely for the impossibility experiments, which run
-// the algorithm in the region where the paper's Figure-4 partition attack
-// (package attacks) defeats it. Never use it in real systems.
-func NewUnchecked(p hom.Params, opts Options) func(slot int) engine.Process {
+// New returns a Figure-5 process factory. It does not check the paper's
+// condition 2ℓ > n + 3t: core.Select and the registry entry's Claims do.
+// The impossibility experiments run it outside that region, where the
+// paper's Figure-4 partition attack (package attacks) defeats it.
+func New(p hom.Params, opts Options) func(slot int) engine.Process {
 	return func(int) engine.Process {
 		return &Process{opts: opts}
 	}

@@ -1,7 +1,6 @@
 package psynchom_test
 
 import (
-	"errors"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -18,10 +17,7 @@ func params(n, l, t int) hom.Params {
 func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 	adv engine.Adversary, gst int, opts psynchom.Options) *engine.Result {
 	t.Helper()
-	factory, err := psynchom.New(p, opts)
-	if err != nil {
-		t.Fatalf("psynchom.New: %v", err)
-	}
+	factory := psynchom.New(p, opts)
 	eopts := []engine.Option{
 		engine.WithParams(p),
 		engine.WithAssignment(a),
@@ -38,19 +34,6 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 		t.Fatalf("engine.Run: %v", err)
 	}
 	return res
-}
-
-func TestNewValidation(t *testing.T) {
-	// 2l <= n+3t must be rejected: the paper's Figure-4 bound.
-	if _, err := psynchom.New(params(5, 4, 1), psynchom.Options{}); !errors.Is(err, psynchom.ErrCondition) {
-		t.Fatalf("n=5 l=4 t=1 err = %v, want ErrCondition", err)
-	}
-	if _, err := psynchom.New(hom.Params{N: 4, L: 4, T: 1, Synchrony: hom.Synchronous}, psynchom.Options{}); !errors.Is(err, psynchom.ErrSynchrony) {
-		t.Fatalf("synchronous params err = %v, want ErrSynchrony", err)
-	}
-	if _, err := psynchom.New(params(4, 4, 1), psynchom.Options{}); err != nil {
-		t.Fatalf("n=4 l=4 t=1: %v", err)
-	}
 }
 
 func TestClassicalFaultFree(t *testing.T) {

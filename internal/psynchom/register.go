@@ -11,8 +11,8 @@ import (
 )
 
 // init registers the Figure-5 algorithm with the fuzzer's protocol
-// registry. The factory is the unchecked constructor: the fuzzer probes
-// the 3t < l, 2l <= n+3t gap where the paper's Figure-4 partition
+// registry. The factory, New, checks no condition: the fuzzer probes the
+// 3t < l, 2l <= n+3t gap where the paper's Figure-4 partition
 // argument predicts failures.
 func init() {
 	protoreg.Register(protoreg.Protocol{
@@ -36,7 +36,7 @@ func init() {
 			return true, "ok"
 		},
 		New: func(p hom.Params) (func(slot int) engine.Process, error) {
-			return NewUnchecked(p, Options{}), nil
+			return New(p, Options{}), nil
 		},
 		Rounds: hom.PhaseRounds,
 		Forge:  forge,

@@ -24,8 +24,6 @@
 package psyncnum
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -35,34 +33,12 @@ import (
 	"homonyms/internal/numbcast"
 )
 
-// Validation errors.
-var (
-	ErrResilience = errors.New("psyncnum: figure-7 algorithm requires n > 3t")
-	ErrIdentifier = errors.New("psyncnum: figure-7 algorithm requires l > t")
-	ErrModel      = errors.New("psyncnum: figure-7 algorithm requires numerate processes and restricted byzantine processes")
-)
-
-// New returns a factory of Figure-7 processes after validating n > 3t,
-// ℓ > t and the model switches the algorithm is designed for.
-func New(p hom.Params) (func(slot int) engine.Process, error) {
-	if p.N <= 3*p.T {
-		return nil, fmt.Errorf("%w (n=%d, t=%d)", ErrResilience, p.N, p.T)
-	}
-	if p.L <= p.T {
-		return nil, fmt.Errorf("%w (l=%d, t=%d)", ErrIdentifier, p.L, p.T)
-	}
-	if !p.Numerate || !p.RestrictedByzantine {
-		return nil, ErrModel
-	}
-	return NewUnchecked(p), nil
-}
-
-// NewUnchecked returns a Figure-7 process factory without the ℓ > t
-// liveness check (n > 3t is still required by the broadcast layer). It
-// exists solely for the impossibility experiments, which run the
-// algorithm at ℓ ≤ t where Proposition 16's mirror adversary (package
-// attacks) defeats it. Never use it in real systems.
-func NewUnchecked(p hom.Params) func(slot int) engine.Process {
+// New returns a Figure-7 process factory. It does not check the paper's
+// conditions n > 3t and ℓ > t, nor the model switches: core.Select and
+// the registry entry's Claims do. The impossibility experiments run it
+// at ℓ ≤ t, where Proposition 16's mirror adversary (package attacks)
+// defeats it.
+func New(p hom.Params) func(slot int) engine.Process {
 	return func(int) engine.Process {
 		return &Process{}
 	}

@@ -1,7 +1,6 @@
 package psyncnum_test
 
 import (
-	"errors"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -23,10 +22,7 @@ func params(n, l, t int, sync hom.Synchrony) hom.Params {
 func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 	adv engine.Adversary, gst int) *engine.Result {
 	t.Helper()
-	factory, err := psyncnum.New(p)
-	if err != nil {
-		t.Fatalf("psyncnum.New: %v", err)
-	}
+	factory := psyncnum.New(p)
 	opts := []engine.Option{
 		engine.WithParams(p),
 		engine.WithAssignment(a),
@@ -43,28 +39,6 @@ func run(t *testing.T, p hom.Params, a hom.Assignment, inputs []hom.Value,
 		t.Fatalf("engine.Run: %v", err)
 	}
 	return res
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := psyncnum.New(params(6, 2, 2, hom.PartiallySynchronous)); !errors.Is(err, psyncnum.ErrResilience) {
-		t.Fatalf("n=6 t=2 err = %v, want ErrResilience", err)
-	}
-	if _, err := psyncnum.New(params(7, 2, 2, hom.PartiallySynchronous)); !errors.Is(err, psyncnum.ErrIdentifier) {
-		t.Fatalf("l=t err = %v, want ErrIdentifier", err)
-	}
-	noNum := params(7, 3, 2, hom.PartiallySynchronous)
-	noNum.Numerate = false
-	if _, err := psyncnum.New(noNum); !errors.Is(err, psyncnum.ErrModel) {
-		t.Fatalf("innumerate err = %v, want ErrModel", err)
-	}
-	unrestricted := params(7, 3, 2, hom.PartiallySynchronous)
-	unrestricted.RestrictedByzantine = false
-	if _, err := psyncnum.New(unrestricted); !errors.Is(err, psyncnum.ErrModel) {
-		t.Fatalf("unrestricted err = %v, want ErrModel", err)
-	}
-	if _, err := psyncnum.New(params(7, 3, 2, hom.PartiallySynchronous)); err != nil {
-		t.Fatalf("n=7 l=3 t=2: %v", err)
-	}
 }
 
 func TestTinyIdentifierSpaceFaultFree(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 )
 
 // init registers the Figure-7 algorithm with the fuzzer's protocol
-// registry. The factory is the unchecked constructor: the fuzzer probes
+// registry. The factory, New, checks no condition: the fuzzer probes
 // l <= t (the Proposition-16 mirror region) and the wrong model switches
 // (innumerate reception, unrestricted Byzantine processes), all of which
 // the registry classifies as expected-failure territory.
@@ -43,7 +43,7 @@ func init() {
 			return true, "ok"
 		},
 		New: func(p hom.Params) (func(slot int) engine.Process, error) {
-			return NewUnchecked(p), nil
+			return New(p), nil
 		},
 		Rounds: hom.PhaseRounds,
 		Forge:  forge,

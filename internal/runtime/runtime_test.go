@@ -60,10 +60,7 @@ func equivalentConfigs(t *testing.T) map[string]engine.Config {
 
 	// Partially synchronous homonym agreement with drops.
 	pPsync := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
-	psyncFactory, err := psynchom.New(pPsync, psynchom.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	psyncFactory := psynchom.New(pPsync, psynchom.Options{})
 	cfgs["psync-drops"] = engine.Config{
 		Params:     pPsync,
 		Assignment: hom.RandomAssignment(6, 5, 9),

@@ -47,11 +47,11 @@ func (e *echoProc) Prepare(int) []msg.Send {
 
 func (e *echoProc) Receive(round int, in *msg.Inbox) {
 	e.inboxLens = append(e.inboxLens, in.Len())
-	for _, m := range in.Messages() {
-		if vp, ok := m.Body.(valPayload); ok {
+	for i := 0; i < in.Len(); i++ {
+		if vp, ok := in.BodyAt(i).(valPayload); ok {
 			e.seen.Add(vp.v)
-			e.seenIDs[m.ID] = true
-			e.counts[m.Key()] += in.Count(m)
+			e.seenIDs[in.SenderAt(i)] = true
+			e.counts[in.MessageAt(i).Key()] += in.CountAt(i)
 		}
 	}
 	if round >= e.decideAt && !e.decided {
@@ -203,7 +203,12 @@ func TestUnrestrictedMultiSendCounted(t *testing.T) {
 	cfg.NewProcess = func(slot int) engine.Process {
 		return &probeProc{onReceive: func(round int, in *msg.Inbox) {
 			if round == 1 && slot == 1 {
-				got = in.Count(msg.Message{ID: 1, Body: msg.Raw("x")})
+				lo, hi := in.IdentifierRange(1)
+				for i := lo; i < hi; i++ {
+					if in.BodyAt(i).Key() == msg.Raw("x").Key() {
+						got = in.CountAt(i)
+					}
+				}
 			}
 		}}
 	}
@@ -306,8 +311,8 @@ func (s *selfCheck) Prepare(int) []msg.Send {
 	return []msg.Send{msg.Broadcast(msg.Raw("self"))}
 }
 func (s *selfCheck) Receive(_ int, in *msg.Inbox) {
-	for _, m := range in.Messages() {
-		if m.Body.Key() == msg.Raw("self").Key() {
+	for i := 0; i < in.Len(); i++ {
+		if in.BodyAt(i).Key() == msg.Raw("self").Key() {
 			*s.saw = true
 		}
 	}
@@ -328,7 +333,7 @@ func TestVisibilityMask(t *testing.T) {
 			return &echoProc{}
 		}
 		return &probeProc{onReceive: func(_ int, in *msg.Inbox) {
-			if len(in.FromIdentifier(4)) > 0 {
+			if lo, hi := in.IdentifierRange(4); lo < hi {
 				sawID4 = true
 			}
 		}}
@@ -351,8 +356,8 @@ func TestSendToIdentifier(t *testing.T) {
 			return &targetedSender{}
 		}
 		return &probeProc{onReceive: func(_ int, in *msg.Inbox) {
-			for _, m := range in.Messages() {
-				if m.Body.Key() == msg.Raw("targeted").Key() {
+			for i := 0; i < in.Len(); i++ {
+				if in.BodyAt(i).Key() == msg.Raw("targeted").Key() {
 					reached[slot] = true
 				}
 			}

@@ -229,15 +229,15 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 }
 
 func evaluateUnsolvable(cell *Cell, p hom.Params, seed int64) (*Cell, error) {
-	switch {
-	case p.N <= 3*p.T:
+	switch row := p.Row(); {
+	case row == hom.RowResilience:
 		cell.Outcome = CoveredByBoundary
 		cell.Detail = "n <= 3t: classical resilience bound [Pease-Shostak-Lamport], below every homonym bound"
 		return cell, nil
 
-	case p.RestrictedByzantine && p.Numerate:
+	case row == hom.RowNumerate:
 		// l <= t: the mirror experiment (Proposition 16 / Lemma 17).
-		factory := psyncnum.NewUnchecked(p)
+		factory := psyncnum.New(p)
 		assignment := hom.RoundRobinAssignment(p.N, p.L)
 		baseInputs := make([]hom.Value, p.N)
 		for i := p.N / 2; i < p.N; i++ {
@@ -261,9 +261,9 @@ func evaluateUnsolvable(cell *Cell, p hom.Params, seed int64) (*Cell, error) {
 		}
 		return cell, nil
 
-	case p.Synchrony == hom.PartiallySynchronous && p.L > 3*p.T:
+	case row == hom.RowPsync && p.L > 3*p.T:
 		// 3t < l <= (n+3t)/2: the Figure-4 partition attack.
-		factory := psynchom.NewUnchecked(p, psynchom.Options{})
+		factory := psynchom.New(p, psynchom.Options{})
 		rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
 		if err != nil {
 			return nil, err
@@ -411,7 +411,7 @@ func BoundaryParams(ns []int, v Variant) []hom.Params {
 func CellCost(p hom.Params, suite SuiteSize) int64 {
 	nn := int64(p.N) * int64(p.N)
 	rounds := int64(4*p.L + 8*p.T + 16)
-	switch {
+	switch row := p.Row(); {
 	case p.Solvable():
 		runs := int64(suite.Assignments) * int64(suite.Behaviors)
 		if runs < 1 {
@@ -421,11 +421,9 @@ func CellCost(p hom.Params, suite SuiteSize) int64 {
 			runs += int64(band)
 		}
 		return nn * rounds * runs
-	case p.N <= 3*p.T:
+	case row == hom.RowResilience:
 		return 1 // covered by the classical bound, no execution
-	case p.RestrictedByzantine && p.Numerate,
-		p.Synchrony == hom.PartiallySynchronous && p.L > 3*p.T,
-		p.L == 3*p.T:
+	case row == hom.RowNumerate, row == hom.RowPsync && p.L > 3*p.T, p.L == 3*p.T:
 		return nn * rounds // one attack construction
 	default:
 		return 1 // covered by the l = 3t boundary, no execution

@@ -133,3 +133,14 @@ func TestBoundaryParamsStraddleThreshold(t *testing.T) {
 		}
 	}
 }
+
+// TestExactCellsAgreeWithTable1 holds Solvable to the bounded-exhaustive
+// evidence: a verified cell must be solvable, and a cell backed by a
+// counterexample or a mirror witness must not be.
+func TestExactCellsAgreeWithTable1(t *testing.T) {
+	for _, c := range solvability.ExactlyVerified() {
+		if want := c.Witness == "verified"; c.Params.Solvable() != want {
+			t.Errorf("%v: %s witness, but %s", c.Params, c.Witness, c.Params.SolvabilityReason())
+		}
+	}
+}

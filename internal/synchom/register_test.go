@@ -57,8 +57,8 @@ func TestRegistryEntry(t *testing.T) {
 	if got, want := proto.Rounds(params(2, 1, 2), 0), RoundsPerPhase*5; got != want {
 		t.Errorf("Rounds(l=1) = %d, want %d", got, want)
 	}
-	if _, err := proto.New(params(2, 1, 0)); err == nil {
-		t.Error("New built a factory for l = 1")
+	if _, err := proto.New(params(2, 1, 1)); err == nil {
+		t.Error("New built a factory for l = 1 and t = 1")
 	}
 
 	factory, err := proto.New(p)
