@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind CI's docs job. It
-// enforces four invariants the repository documents itself with:
+// enforces five invariants the repository documents itself with:
 //
 //  1. Every non-main package has a package comment (the same contract
 //     staticcheck's ST1000 checks, enforced here without a network
@@ -12,6 +12,9 @@
 //     package or record cannot linger in prose.
 //  4. So does every `pkg.Name` or `pkg.Type.Member` they name, for pkg
 //     a directory under internal/: its non-test files declare it.
+//  5. Every test name in a `-run` pattern of .github/workflows/ci.yml
+//     selects a declared func Test…, so a renamed test cannot silently
+//     drop out of a CI step.
 //
 // Usage:
 //
@@ -32,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -46,6 +50,7 @@ func main() {
 
 	var findings []string
 	findings = append(findings, checkPackageDocs(*root)...)
+	findings = append(findings, staleRunPatterns(*root, ".github/workflows/ci.yml")...)
 	for _, f := range files {
 		findings = append(findings, checkMarkdown(*root, f)...)
 	}
@@ -56,7 +61,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package docs, markdown links, named paths and names OK")
+	fmt.Println("docscheck: package docs, markdown links, named paths, names and CI test names OK")
 }
 
 // checkPackageDocs walks every Go package directory under root and
@@ -240,4 +245,63 @@ func declaredNames(dir string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// runFlag matches the pattern of a go test -run flag, quoted or bare.
+var runFlag = regexp.MustCompile(`-run[ =]('[^']*'|"[^"]*"|[^\s'"]+)`)
+
+// staleRunPatterns verifies that every alternative of every -run pattern
+// in the workflow selects at least one func Test… declared under root,
+// matched as go test matches a top-level name: unanchored, so a prefix
+// selects a family. '^$', which selects no test on purpose, is skipped.
+func staleRunPatterns(root, workflow string) []string {
+	raw, err := os.ReadFile(filepath.Join(root, workflow))
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", workflow, err)}
+	}
+	tests, err := declaredTests(root)
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", workflow, err)}
+	}
+	var findings []string
+	for _, m := range runFlag.FindAllStringSubmatch(string(raw), -1) {
+		for _, alt := range strings.Split(strings.Trim(m[1], `'"`), "|") {
+			alt, _, _ = strings.Cut(alt, "/")
+			if strings.Trim(alt, "^$") == "" {
+				continue
+			}
+			re, err := regexp.Compile(alt)
+			if err == nil && slices.ContainsFunc(tests, re.MatchString) {
+				continue
+			}
+			findings = append(findings, fmt.Sprintf("%s: -run pattern %q selects no declared test", workflow, alt))
+		}
+	}
+	return findings
+}
+
+// declaredTests lists the top-level func Test… of every test file under
+// root.
+func declaredTests(root string) ([]string, error) {
+	var tests []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		if f, _ := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution); f != nil {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+					tests = append(tests, fn.Name.Name)
+				}
+			}
+		}
+		return nil
+	})
+	return tests, err
 }

@@ -50,11 +50,11 @@ func TestStaleNames(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	src := "package engine\n\ntype Config struct{ MaxSends int }\n\nfunc (Config) Options() {}\n\nfunc Run() {}\n"
+	src := "package engine\n\ntype Config struct{ MaxSends int }\n\nfunc (Config) Validate() {}\n\nfunc Run() {}\n"
 	if err := os.WriteFile(filepath.Join(dir, "engine.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	live := "Set `engine.Config.MaxSends` and call `engine.Run(cfg.Options()...)` or `engine.Config.Options()`;\n" +
+	live := "Set `engine.Config.MaxSends` and call `engine.Run(cfg)` or `engine.Config.Validate()`;\n" +
 		"`fuzz.Gone` names no directory under internal/.\n"
 	if got := staleNames(root, "live.md", live); len(got) != 0 {
 		t.Errorf("live fixture reported %q", got)
@@ -62,5 +62,30 @@ func TestStaleNames(t *testing.T) {
 	got := staleNames(root, "stale.md", "The wall clock was `engine.Config.Deadline`.\n")
 	if len(got) != 1 || !strings.Contains(got[0], `"engine.Config.Deadline"`) {
 		t.Errorf("stale fixture reported %q, want one finding naming engine.Config.Deadline", got)
+	}
+}
+
+// TestStaleRunPatterns holds the CI -run check to a fixture workflow: an
+// anchored name, a family prefix, a bare name and the deliberate '^$'
+// pass, and the one alternative no declared test answers is reported by
+// name.
+func TestStaleRunPatterns(t *testing.T) {
+	root := t.TempDir()
+	for path, body := range map[string]string{
+		"internal/x/x_test.go": "package x\n\nimport \"testing\"\n\nfunc TestAlpha(*testing.T) {}\nfunc TestBetaOne(*testing.T) {}\n",
+		".github/workflows/ci.yml": "run: go test -run '^TestAlpha$|TestBeta|TestGone' ./...\n" +
+			"run: go test -run TestAlpha -v ./internal/x/\n" +
+			"run: go test -run '^$' -bench . ./...\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := staleRunPatterns(root, ".github/workflows/ci.yml")
+	if len(got) != 1 || !strings.Contains(got[0], `"TestGone"`) {
+		t.Errorf("fixture reported %q, want one finding naming TestGone", got)
 	}
 }

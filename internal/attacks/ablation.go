@@ -65,16 +65,16 @@ func SplitLock(opts psynchom.Options, targetPhase, maxRounds int) (*SplitLockRep
 	}
 	adv := &splitLockAdversary{byzSlot: 0, targetPhase: targetPhase, n: p.N}
 	factory := psynchom.New(p, opts)
-	res, err := engine.Run(
-		engine.WithParams(p),
-		engine.WithAssignment(assignment),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(factory),
-		engine.WithAdversary(adv),
-		engine.WithGST(1),
-		engine.WithRounds(maxRounds),
-		engine.WithTrafficRecording(),
-	)
+	res, err := engine.Run(engine.Config{
+		Params:        p,
+		Assignment:    assignment,
+		Inputs:        inputs,
+		NewProcess:    factory,
+		Adversary:     adv,
+		GST:           1,
+		MaxRounds:     maxRounds,
+		RecordTraffic: true,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -192,15 +192,15 @@ func RelayLatency(l int, opts psynchom.Options, maxRounds int) (*RelayLatencyRep
 		inputs[s] = hom.Value(s % 2)
 	}
 	factory := psynchom.New(p, opts)
-	res, err := engine.Run(
-		engine.WithParams(p),
-		engine.WithAssignment(assignment),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(factory),
-		engine.WithAdversary(&adversaryEquivLocks{byzSlot: 0, n: n, l: l}),
-		engine.WithGST(1),
-		engine.WithRounds(maxRounds),
-	)
+	res, err := engine.Run(engine.Config{
+		Params:     p,
+		Assignment: assignment,
+		Inputs:     inputs,
+		NewProcess: factory,
+		Adversary:  &adversaryEquivLocks{byzSlot: 0, n: n, l: l},
+		GST:        1,
+		MaxRounds:  maxRounds,
+	})
 	if err != nil {
 		return nil, err
 	}

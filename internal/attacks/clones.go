@@ -68,8 +68,8 @@ func CloneCollapse(p hom.Params, factory func(slot int) engine.Process,
 	}
 
 	watch := &cloneWatch{byzSlot: byzSlot, clones: clones}
-	res, err := construct(p, assignment, inputs, factory, engine.WithAdversary(watch),
-		engine.WithRounds(maxRounds), engine.WithExtraRounds(maxRounds))
+	res, err := construct(engine.Config{Params: p, Assignment: assignment, Inputs: inputs, NewProcess: factory,
+		Adversary: watch, MaxRounds: maxRounds, ExtraRounds: maxRounds})
 	if err != nil {
 		return nil, err
 	}

@@ -31,23 +31,16 @@ import (
 	"homonyms/internal/msg"
 )
 
-// construct runs one construction's execution on the engine: the
-// factory's processes on the given identifiers and inputs, under
-// algParams with N = len(ids), plus opts (an adversary, a visibility mask,
-// the round cap). Each process is initialised with algParams itself — the
-// parameters the algorithm believes in, which a covering system sets
-// apart from the execution's own: its 2n processes each believe they live
-// in an n-process system.
-func construct(algParams hom.Params, ids hom.Assignment, inputs []hom.Value,
-	factory func(slot int) engine.Process, opts ...engine.Option) (*engine.Result, error) {
-	p := algParams
-	p.N = len(ids)
-	return engine.Run(append([]engine.Option{
-		engine.WithParams(p),
-		engine.WithAssignment(ids),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(func(slot int) engine.Process { return believer{factory(slot), algParams} }),
-	}, opts...)...)
+// construct runs one construction's execution on the engine: cfg with
+// N = len(cfg.Assignment). Each of cfg.NewProcess's processes is
+// initialised with cfg.Params as given — the parameters the algorithm
+// believes in, which a covering system sets apart from the execution's
+// own: its 2n processes each believe they live in an n-process system.
+func construct(cfg engine.Config) (*engine.Result, error) {
+	algParams, factory := cfg.Params, cfg.NewProcess
+	cfg.Params.N = len(cfg.Assignment)
+	cfg.NewProcess = func(slot int) engine.Process { return believer{factory(slot), algParams} }
+	return engine.Run(cfg)
 }
 
 // believer initialises its process with the parameters it believes in.

@@ -37,12 +37,14 @@ func (p *pingProc) Receive(_ int, in *msg.Inbox) {
 
 func (p *pingProc) Decision() (hom.Value, bool) { return hom.Value(len(p.heard)), p.decided }
 
-// runProcs runs the given processes, one per slot, through construct for
-// the given rounds; a nil process marks a slot silenced by its adversary.
-func runProcs(t *testing.T, p hom.Params, ids hom.Assignment, procs []engine.Process, rounds int, opts ...engine.Option) *engine.Result {
+// runProcs runs cfg through construct with the given processes, one per
+// slot, and zero inputs; a nil process marks a slot silenced by its
+// adversary.
+func runProcs(t *testing.T, cfg engine.Config, procs []engine.Process) *engine.Result {
 	t.Helper()
-	res, err := construct(p, ids, make([]hom.Value, len(ids)),
-		func(slot int) engine.Process { return procs[slot] }, append(opts, engine.WithRounds(rounds))...)
+	cfg.Inputs = make([]hom.Value, len(cfg.Assignment))
+	cfg.NewProcess = func(slot int) engine.Process { return procs[slot] }
+	res, err := construct(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,8 @@ func runProcs(t *testing.T, p hom.Params, ids hom.Assignment, procs []engine.Pro
 
 func TestWorldCompleteRouting(t *testing.T) {
 	procs := []engine.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 3}}
-	res := runProcs(t, hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 3}, procs, 1)
+	res := runProcs(t, engine.Config{Params: hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous},
+		Assignment: hom.Assignment{1, 2, 3}, MaxRounds: 1}, procs)
 	if !res.AllDecided {
 		t.Fatal("complete routing failed to deliver everything")
 	}
@@ -64,8 +67,8 @@ func TestWorldRouteMask(t *testing.T) {
 	procs := []engine.Process{&pingProc{k: 3}, &pingProc{k: 3}, &pingProc{k: 2}}
 	// Slot 2 never hears slot 0.
 	route := func(from, to int) bool { return !(from == 0 && to == 2) }
-	res := runProcs(t, hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 3}, procs, 3,
-		engine.WithVisibility(route))
+	res := runProcs(t, engine.Config{Params: hom.Params{N: 3, L: 3, T: 0, Synchrony: hom.Synchronous},
+		Assignment: hom.Assignment{1, 2, 3}, MaxRounds: 3, Visibility: route}, procs)
 	dec := res.Decisions
 	if dec[2] != 2 {
 		t.Fatalf("masked slot heard %d identifiers, want 2", dec[2])
@@ -77,8 +80,8 @@ func TestWorldRouteMask(t *testing.T) {
 
 func TestWorldSilentSlots(t *testing.T) {
 	procs := []engine.Process{&pingProc{k: 2}, nil, &pingProc{k: 2}}
-	res := runProcs(t, hom.Params{N: 3, L: 3, T: 1, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 3}, procs, 1,
-		engine.WithAdversary(&silence{lo: 2, hi: 2}))
+	res := runProcs(t, engine.Config{Params: hom.Params{N: 3, L: 3, T: 1, Synchrony: hom.Synchronous},
+		Assignment: hom.Assignment{1, 2, 3}, MaxRounds: 1, Adversary: &silence{lo: 2, hi: 2}}, procs)
 	dec := res.Decisions
 	if dec[1] != hom.NoValue {
 		t.Fatal("silent slot reported a decision")
@@ -92,8 +95,8 @@ func TestWorldIdentifierTargetedSends(t *testing.T) {
 	sender := &targetedProc{}
 	rcv1 := &pingProc{k: 99}
 	rcv2 := &pingProc{k: 99}
-	res := runProcs(t, hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous}, hom.Assignment{1, 2, 2},
-		[]engine.Process{sender, rcv1, rcv2}, 1)
+	res := runProcs(t, engine.Config{Params: hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous},
+		Assignment: hom.Assignment{1, 2, 2}, MaxRounds: 1}, []engine.Process{sender, rcv1, rcv2})
 	// The ToIdentifier(2) send must reach both identifier-2 slots (which
 	// also hear each other's broadcasts, so they see identifiers 1 and 2)
 	// but must NOT loop back to the identifier-1 sender, which therefore
@@ -133,7 +136,8 @@ func TestWorldNumerateReception(t *testing.T) {
 	// receiver must count 2 copies.
 	counter := &copyCounter{}
 	procs := []engine.Process{&pingProc{k: 9}, &pingProc{k: 9}, counter}
-	runProcs(t, hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous, Numerate: true}, hom.Assignment{1, 1, 2}, procs, 1)
+	runProcs(t, engine.Config{Params: hom.Params{N: 3, L: 2, T: 0, Synchrony: hom.Synchronous, Numerate: true},
+		Assignment: hom.Assignment{1, 1, 2}, MaxRounds: 1}, procs)
 	if counter.copies != 2 {
 		t.Fatalf("numerate receiver counted %d copies, want 2", counter.copies)
 	}

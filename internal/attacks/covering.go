@@ -126,7 +126,8 @@ func Covering(p hom.Params, factory func(slot int) engine.Process, maxRounds int
 		return hears(half[to], int(ids[to]), half[from], int(ids[from]))
 	}
 
-	res, err := construct(p, ids, inputs, factory, engine.WithVisibility(route), engine.WithRounds(maxRounds))
+	res, err := construct(engine.Config{Params: p, Assignment: ids, Inputs: inputs, NewProcess: factory,
+		Visibility: route, MaxRounds: maxRounds})
 	if err != nil {
 		return nil, err
 	}

@@ -100,15 +100,15 @@ func Mirror(p hom.Params, factory func(slot int) engine.Process, assignment hom.
 				Factory: factory,
 			},
 		}
-		return engine.Run(
-			engine.WithParams(p),
-			engine.WithAssignment(assignment),
-			engine.WithInputs(inputs...),
-			engine.WithProcess(factory),
-			engine.WithAdversary(adv),
-			engine.WithGST(1), // fully synchronous delivery: the lemma needs no drops
-			engine.WithRounds(maxRounds),
-		)
+		return engine.Run(engine.Config{
+			Params:     p,
+			Assignment: assignment,
+			Inputs:     inputs,
+			NewProcess: factory,
+			Adversary:  adv,
+			GST:        1, // fully synchronous delivery: the lemma needs no drops
+			MaxRounds:  maxRounds,
+		})
 	}
 
 	resC, err := runOnce(inputC, inputCPrime)

@@ -84,8 +84,8 @@ func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds in
 			inputs[s] = input
 		}
 		rec := &silence{lo: hom.Identifier(lo), hi: hom.Identifier(hi), record: t}
-		res, err := construct(p, ids, inputs, factory, engine.WithAdversary(rec),
-			engine.WithRounds(maxRounds), engine.WithExtraRounds(maxRounds))
+		res, err := construct(engine.Config{Params: p, Assignment: ids, Inputs: inputs, NewProcess: factory,
+			Adversary: rec, MaxRounds: maxRounds, ExtraRounds: maxRounds})
 		if err != nil || !res.AllDecided {
 			return rec.trace, 0, err
 		}
@@ -171,9 +171,9 @@ func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds in
 		alphaTrace: alphaTrace,
 		betaTrace:  betaTrace,
 	}
-	res, err := construct(p, gammaIDs, inputs, factory, engine.WithAdversary(adv),
-		engine.WithGST(maxRounds+1), // drops allowed for the whole run
-		engine.WithRounds(maxRounds))
+	// GST past the last round: drops are allowed for the whole run.
+	res, err := construct(engine.Config{Params: p, Assignment: gammaIDs, Inputs: inputs, NewProcess: factory,
+		Adversary: adv, GST: maxRounds + 1, MaxRounds: maxRounds})
 	if err != nil {
 		return nil, err
 	}

@@ -22,12 +22,6 @@ func init() {
 			}
 			return false, fmt.Sprintf("l = %d <= 3t = %d: echo thresholds forgeable", p.L, 3*p.T)
 		},
-		ClaimsFaults: func(p hom.Params, byz, faulted int) (bool, string) {
-			// Proposition 6 counts Byzantine holders; a crashed or
-			// omitting holder withholds echoes, which the l > 3t echo
-			// threshold already absorbs for up to t arbitrary failures.
-			return protoreg.DefaultClaimsFaults(p, byz, faulted)
-		},
 		Constructible: func(p hom.Params) (bool, string) {
 			if p.L <= 2*p.T {
 				return false, "echo threshold l-2t must be positive"

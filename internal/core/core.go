@@ -147,8 +147,7 @@ type Result struct {
 }
 
 // Run selects the algorithm for cfg.Params and executes one instance
-// through the unified round-core: one engine.Config, run through
-// Config.Options.
+// through the unified round-core: one engine.Config, run by engine.Run.
 func Run(cfg Config) (*Result, error) {
 	sel, err := Select(cfg.Params)
 	if err != nil {
@@ -175,7 +174,7 @@ func Run(cfg Config) (*Result, error) {
 		MaxSends:   cfg.MaxSends,
 		Invariants: cfg.Invariants,
 	}
-	res, err := engine.Run(ecfg.Options()...)
+	res, err := engine.Run(ecfg)
 	if err != nil {
 		return nil, err
 	}

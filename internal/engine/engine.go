@@ -31,9 +31,10 @@
 //     and counted, so lower-bound experiments in the restricted model are
 //     honest.
 //
-// An execution is assembled with New(opts ...Option) — functional options
-// over a validated configuration — and executed once with (*Engine).Run,
-// which owns the one round loop. Two seams parameterize the kernel:
+// An execution is one Config, the §2 tuple. New(cfg) validates it and
+// (*Engine).Run executes it once, in the one round loop; With* options
+// after the Config override single fields. Two seams parameterize the
+// kernel:
 //
 //   - TimeModel grants the timing policy. Lockstep (the paper's
 //     round-by-round model) is the default; EventuallySynchronous adds
@@ -217,8 +218,9 @@ type Observer interface {
 
 // Config is one execution, whole: the §2 tuple of parameters,
 // assignment, inputs, adversary and synchrony, plus the engine's own
-// knobs. New(opts...) folds every option into a Config before
-// validating it, and Options turns a Config back into options.
+// knobs. It is the only description of an execution: New(cfg) runs it,
+// and each With* option sets one of its fields. A zero or nil field
+// means what its comment says.
 type Config struct {
 	Params hom.Params
 	// Assignment maps each slot to its identifier.
@@ -271,7 +273,7 @@ type Config struct {
 	// execution (which bounds arena growth, since every arena entry is
 	// one stamped send). When the cap is reached the execution stops
 	// after the current round with Result.Stopped = StopMessageBudget.
-	// Zero means unlimited.
+	// Zero or less means unlimited.
 	MaxSends int
 	// TimeModel decides how rounds relate to message delivery (see
 	// TimeModel); nil means Lockstep, the paper's round-by-round loop.
@@ -294,6 +296,8 @@ type Config struct {
 	// Forces delivery recording (like an Observer); hashes surface in
 	// Result.SlotHashes. Hashes of corrupted slots stay at the basis.
 	FrontierHash bool
+
+	rep StateRep // set by WithStateRep; nil means Counting
 }
 
 // Releaser is an optional Process extension: after an execution finishes,
@@ -473,8 +477,7 @@ func (r *Result) CorrectRun(from int) (lo, hi int) {
 // representation, and the per-round scratch the kernel reuses across
 // rounds. Build one with New; it executes exactly once via Run.
 type Engine struct {
-	cfg       Config
-	rep       StateRep
+	cfg       Config // its rep holds and steps the processes
 	n         int
 	held      *countingRep // the representation holding the processes, bound in its Start
 	corrupted []int
@@ -502,12 +505,11 @@ type Engine struct {
 }
 
 // newEngine builds the execution state for a validated Config whose
-// TimeModel is set.
-func newEngine(cfg Config, rep StateRep) (*Engine, error) {
+// TimeModel and state representation are set.
+func newEngine(cfg Config) (*Engine, error) {
 	n := cfg.Params.N
 	e := &Engine{
 		cfg:   cfg,
-		rep:   rep,
 		n:     n,
 		isBad: make([]bool, n),
 	}
@@ -597,13 +599,13 @@ func (e *Engine) Run() (*Result, error) {
 	// and recycle the pooled interner on every exit path, including an
 	// invariant abort mid-execution.
 	defer func() {
-		e.rep.Stop()
+		e.cfg.rep.Stop()
 		e.router.releaseCores()
 		e.router.release()
 		e.intern.Recycle()
 		e.intern = nil
 	}()
-	if err := e.rep.Start(e); err != nil {
+	if err := e.cfg.rep.Start(e); err != nil {
 		return nil, err
 	}
 	if e.held == nil {
@@ -659,7 +661,7 @@ func (e *Engine) step(round int) error {
 	// Phase 1: correct sends, collected by the state representation.
 	e.outgoing = e.outgoing[:0]
 	clear(e.correctSends)
-	e.rep.PrepareRound(round)
+	e.cfg.rep.PrepareRound(round)
 
 	// Phase 2: Byzantine sends (rushing: the adversary sees phase 1).
 	if e.byzSends != nil {
@@ -705,7 +707,7 @@ func (e *Engine) step(round int) error {
 	// representation. Inboxes come from the shared pool and go straight
 	// back once Receive returns (processes must not retain them — see the
 	// Process contract).
-	e.rep.DeliverRound(round)
+	e.cfg.rep.DeliverRound(round)
 
 	if e.cfg.RecordTraffic {
 		e.res.Traffic = append(e.res.Traffic, e.router.deliveries...)

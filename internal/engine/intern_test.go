@@ -57,7 +57,7 @@ func internConfigs(t *testing.T) map[string]engine.Config {
 // in KeyID order.
 func internKeys(cfg engine.Config, rep engine.StateRep) ([]string, error) {
 	probe := &engine.InternProbe{StateRep: rep}
-	_, err := engine.Run(append(cfg.Options(), engine.WithStateRep(probe))...)
+	_, err := engine.Run(cfg, engine.WithStateRep(probe))
 	return probe.Keys, err
 }
 
@@ -122,7 +122,7 @@ func TestInternTableWorkerCountDeterminism(t *testing.T) {
 func TestPooledInternerRecyclingInvisible(t *testing.T) {
 	cfgs := internConfigs(t)
 	run := func(cfg engine.Config) *engine.Result {
-		res, err := engine.Run(append(cfg.Options(), engine.WithStateRep(engine.Concrete()))...)
+		res, err := engine.Run(cfg, engine.WithStateRep(engine.Concrete()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,7 +149,7 @@ func TestLinkConditionsPerLinkMatchPerMessage(t *testing.T) {
 // per-message Drop, and nothing at or after GST.
 func TestBatchDropperSeesEachLinkOnce(t *testing.T) {
 	spy := &spyDropper{seed: 5, prob: 0.3}
-	if _, err := engine.Run(linkCondConfig(spy).Options()...); err != nil {
+	if _, err := engine.Run(linkCondConfig(spy)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, r := range spy.repeats {

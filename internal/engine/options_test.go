@@ -2,12 +2,13 @@ package engine_test
 
 import (
 	"errors"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
+	"homonyms/internal/inject"
 	"homonyms/internal/msg"
 )
 
@@ -58,30 +59,73 @@ func TestNewValidExecution(t *testing.T) {
 	}
 }
 
+// baseConfig is baseOptions as one Config.
+func baseConfig() engine.Config {
+	return engine.Config{
+		Params:     hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.Synchronous},
+		Assignment: hom.RoundRobinAssignment(4, 4),
+		Inputs:     []hom.Value{0, 1, 0, 1},
+		NewProcess: func(int) engine.Process { return &echoProc{} },
+		MaxRounds:  3,
+	}
+}
+
+// mustRun runs opts and fails the test on an error.
+func mustRun(t *testing.T, opts ...engine.Option) *engine.Result {
+	t.Helper()
+	res, err := engine.Run(opts...)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
+// TestConfigIsAnOption pins the one execution record: New(cfg) runs
+// exactly what the matching With* list runs, an option after the Config
+// overrides its field, and a Config after an option replaces the whole
+// record, the state representation included.
+func TestConfigIsAnOption(t *testing.T) {
+	if got, want := mustRun(t, baseConfig()), mustRun(t, baseOptions()...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("New(cfg) and New(With*...) differ:\n cfg:  %+v\n opts: %+v", got, want)
+	}
+	if res := mustRun(t, baseConfig(), engine.WithGST(5)); res.GST != 5 {
+		t.Errorf("WithGST(5) after the Config: GST %d, want 5", res.GST)
+	}
+	probe := &engine.InternProbe{StateRep: engine.Concrete()}
+	if res := mustRun(t, engine.WithGST(5), engine.WithStateRep(probe), baseConfig()); res.GST != 1 || probe.Keys != nil {
+		t.Errorf("a Config after WithGST and WithStateRep kept them: GST %d, probe ran %v", res.GST, probe.Keys != nil)
+	}
+}
+
+// TestNewConflictingOptions pins that options never conflict: New
+// applies them in order, so of two values for one field the later wins.
 func TestNewConflictingOptions(t *testing.T) {
-	cases := []struct {
-		name  string
-		extra []engine.Option
-	}{
-		{"rounds", []engine.Option{engine.WithRounds(7)}}, // base already sets 3
-		{"gst", []engine.Option{engine.WithGST(1), engine.WithGST(5)}},
-		{"budget", []engine.Option{
-			engine.WithBudget(10),
-			engine.WithBudget(20),
-		}},
-		{"state-rep", []engine.Option{
-			engine.WithStateRep(engine.Concrete()),
-			engine.WithStateRep(engine.Counting()),
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := engine.New(append(baseOptions(), tc.extra...)...)
-			if !errors.Is(err, engine.ErrConflictingOptions) {
-				t.Fatalf("want ErrConflictingOptions, got %v", err)
-			}
-		})
-	}
+	t.Run("rounds", func(t *testing.T) { // base already sets 3
+		if res := mustRun(t, append(baseOptions(), engine.WithRounds(7), engine.WithExtraRounds(10))...); res.Rounds != 7 {
+			t.Fatalf("ran %d rounds, want the later cap of 7", res.Rounds)
+		}
+	})
+	t.Run("gst", func(t *testing.T) {
+		if res := mustRun(t, append(baseOptions(), engine.WithGST(1), engine.WithGST(5))...); res.GST != 5 {
+			t.Fatalf("GST %d, want the later 5", res.GST)
+		}
+	})
+	t.Run("budget", func(t *testing.T) {
+		if res := mustRun(t, append(baseOptions(), engine.WithBudget(0), engine.WithBudget(1))...); res.Stopped != engine.StopMessageBudget {
+			t.Fatalf("stopped %q, want the later budget of 1 to stop the run", res.Stopped)
+		}
+		if res := mustRun(t, append(baseOptions(), engine.WithBudget(1), engine.WithBudget(0))...); res.Stopped != "" {
+			t.Fatalf("stopped %q, want the later unlimited budget", res.Stopped)
+		}
+	})
+	t.Run("state-rep", func(t *testing.T) {
+		earlier := &engine.InternProbe{StateRep: engine.Concrete()}
+		later := &engine.InternProbe{StateRep: engine.Counting()}
+		mustRun(t, append(baseOptions(), engine.WithStateRep(earlier), engine.WithStateRep(later))...)
+		if earlier.Keys != nil || later.Keys == nil {
+			t.Fatalf("earlier rep ran %v, later rep ran %v: want only the later", earlier.Keys != nil, later.Keys != nil)
+		}
+	})
 }
 
 func TestNewRepeatedOptionSameValueIsIdempotent(t *testing.T) {
@@ -93,47 +137,6 @@ func TestNewRepeatedOptionSameValueIsIdempotent(t *testing.T) {
 	)
 	if _, err := engine.New(opts...); err != nil {
 		t.Fatalf("repeating an option with the same value must not conflict: %v", err)
-	}
-}
-
-// TestNewPerSlotOptionsCompareByValue pins the two n-sized knobs:
-// repeating WithAssignment or WithInputs with an equal slice (the same
-// one or a copy) is idempotent, a different one is a conflict that
-// names the lengths and the first differing slot — and nothing else of
-// the slice.
-func TestNewPerSlotOptionsCompareByValue(t *testing.T) {
-	a := hom.Assignment{1, 2, 3, 4} // what baseOptions already set
-	in := []hom.Value{0, 1, 0, 1}
-	same := append(baseOptions(),
-		engine.WithAssignment(a), engine.WithAssignment(a.Clone()),
-		engine.WithInputs(in...), engine.WithInputs(append([]hom.Value(nil), in...)...),
-	)
-	if _, err := engine.New(same...); err != nil {
-		t.Fatalf("repeating a per-slot option with an equal slice must not conflict: %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		opt  engine.Option
-		want []string
-	}{
-		{"assignment", engine.WithAssignment(hom.Assignment{1, 2, 4, 3}),
-			[]string{"Assignment", "lengths 4 and 4", "slot 2 set to both 3 and 4"}},
-		{"inputs", engine.WithInputs(0, 1, 0, 0),
-			[]string{"Inputs", "lengths 4 and 4", "slot 3 set to both 1 and 0"}},
-		{"shorter", engine.WithInputs(0, 1, 0),
-			[]string{"Inputs", "lengths 4 and 3", "ends at slot 3"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := engine.New(append(baseOptions(), tc.opt)...)
-			if !errors.Is(err, engine.ErrConflictingOptions) {
-				t.Fatalf("want ErrConflictingOptions, got %v", err)
-			}
-			for _, want := range tc.want {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("conflict message %q does not mention %q", err, want)
-				}
-			}
-		})
 	}
 }
 
@@ -174,10 +177,64 @@ func TestResultSharesConfiguredVectors(t *testing.T) {
 	}
 }
 
-// TestNewOptionsLayerDoesNotScaleWithN: folding and validating the
+// corruptSlots corrupts a fixed set of slots and stays silent.
+type corruptSlots []int
+
+func (c corruptSlots) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { return c }
+func (corruptSlots) Sends(int, int, *engine.View) []msg.TargetedSend         { return nil }
+func (corruptSlots) Drop(int, int, int) bool                                 { return false }
+
+// TestResultCorrectSlotsMatchNaiveScan holds IsCorrupted, IsFaulted,
+// CorrectSlots and CorrectRun to a per-slot scan of what the execution
+// was given: corrupted slots, and fault culprits that were not also
+// corrupted (slot 4 is both, and counts as corrupted only).
+func TestResultCorrectSlotsMatchNaiveScan(t *testing.T) {
+	const n = 10
+	bad := map[int]bool{1: true, 4: true, 9: true}
+	faulted := map[int]bool{2: true, 3: true, 6: true}
+	res := mustRun(t,
+		engine.WithParams(hom.Params{N: n, L: 5, T: 3, Synchrony: hom.Synchronous}),
+		engine.WithAssignment(hom.RoundRobinAssignment(n, 5)),
+		engine.WithInputs(make([]hom.Value, n)...),
+		engine.WithProcess(func(int) engine.Process { return &echoProc{} }),
+		engine.WithAdversary(corruptSlots{9, 4, 1}),
+		engine.WithFaults(&inject.Schedule{
+			Crashes:   []inject.Crash{{Slot: 3, Round: 1}, {Slot: 4, Round: 1}},
+			Omissions: []inject.Omission{{Slot: 2, From: 1, Until: 2, Send: true}, {Slot: 6, From: 1, Until: 1, Receive: true}},
+		}),
+		engine.WithRounds(3),
+	)
+	var correct []int
+	for s := range n {
+		if res.IsCorrupted(s) != bad[s] || res.IsFaulted(s) != faulted[s] {
+			t.Errorf("slot %d: IsCorrupted %v, IsFaulted %v; want %v, %v", s, res.IsCorrupted(s), res.IsFaulted(s), bad[s], faulted[s])
+		}
+		if !bad[s] && !faulted[s] {
+			correct = append(correct, s)
+		}
+	}
+	if got := res.CorrectSlots(); !reflect.DeepEqual(got, correct) {
+		t.Errorf("CorrectSlots = %v, want %v", got, correct)
+	}
+	isCorrect := func(s int) bool { return s >= 0 && s < n && !bad[s] && !faulted[s] }
+	for from := -1; from <= n+1; from++ {
+		lo := min(max(from, 0), n)
+		for lo < n && !isCorrect(lo) {
+			lo++
+		}
+		hi := lo
+		for isCorrect(hi) {
+			hi++
+		}
+		if gotLo, gotHi := res.CorrectRun(from); gotLo != lo || gotHi != hi {
+			t.Errorf("CorrectRun(%d) = [%d, %d), want [%d, %d)", from, gotLo, gotHi, lo, hi)
+		}
+	}
+}
+
+// TestNewOptionsLayerDoesNotScaleWithN: applying and validating the
 // options of an n=1e5 execution takes a handful of allocations — the
-// options closures, the settings and the identifier-coverage bitset —
-// not one per slot. The round cap is left out so New stops after the
+// option setters and the identifier-coverage bitset — not one per slot. The round cap is left out so New stops after the
 // options layer and configuration validation, before the engine is
 // assembled.
 func TestNewOptionsLayerDoesNotScaleWithN(t *testing.T) {
@@ -200,28 +257,34 @@ func TestNewOptionsLayerDoesNotScaleWithN(t *testing.T) {
 	}
 }
 
+// TestNewNilOptionValues pins that a nil value means what the Config
+// field's zero value means: set after a non-nil one, it gives the run
+// that never set the field.
 func TestNewNilOptionValues(t *testing.T) {
+	sched := &inject.Schedule{Crashes: []inject.Crash{{Slot: 1, Round: 1}}}
 	cases := []struct {
 		name string
-		opt  engine.Option
+		opts []engine.Option
 	}{
-		{"nil-option", nil},
-		{"faults", engine.WithFaults(nil)},
-		{"adversary", engine.WithAdversary(nil)},
-		{"visibility", engine.WithVisibility(nil)},
-		{"timemodel", engine.WithTimeModel(nil)},
-		{"state-rep", engine.WithStateRep(nil)},
+		{"nil-option", []engine.Option{nil}},
+		{"faults", []engine.Option{engine.WithFaults(sched), engine.WithFaults(nil)}},
+		{"adversary", []engine.Option{engine.WithAdversary(scribbler{}), engine.WithAdversary(nil)}},
+		{"visibility", []engine.Option{engine.WithVisibility(func(int, int) bool { return false }), engine.WithVisibility(nil)}},
+		{"timemodel", []engine.Option{engine.WithTimeModel(engine.EventuallySynchronous{Bound: 2}), engine.WithTimeModel(nil)}},
+		{"state-rep", []engine.Option{engine.WithStateRep(engine.Concrete()), engine.WithStateRep(nil)}},
 	}
+	want := mustRun(t, baseOptions()...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := engine.New(append(baseOptions(), tc.opt)...)
-			if !errors.Is(err, engine.ErrNilOption) {
-				t.Fatalf("want ErrNilOption, got %v", err)
+			if got := mustRun(t, append(baseOptions(), tc.opts...)...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("nil value differs from the zero Config:\n got:  %+v\n want: %+v", got, want)
 			}
 		})
 	}
 }
 
+// TestNewBadOptionValues pins that a negative value means what the
+// Config field's zero value means: a negative budget is unlimited.
 func TestNewBadOptionValues(t *testing.T) {
 	cases := []struct {
 		name string
@@ -229,35 +292,18 @@ func TestNewBadOptionValues(t *testing.T) {
 	}{
 		{"negative-sends", engine.WithBudget(-1)},
 	}
+	want := mustRun(t, baseOptions()...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := engine.New(append(baseOptions(), tc.opt)...)
-			if !errors.Is(err, engine.ErrBadOption) {
-				t.Fatalf("want ErrBadOption, got %v", err)
+			if got := mustRun(t, append(baseOptions(), engine.WithBudget(1), tc.opt)...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("negative value differs from the zero Config:\n got:  %+v\n want: %+v", got, want)
 			}
 		})
 	}
 }
 
-// TestNewReportsAllOptionErrors pins the errors.Join behaviour: every
-// option-level problem surfaces in one error instead of first-wins.
-func TestNewReportsAllOptionErrors(t *testing.T) {
-	_, err := engine.New(append(baseOptions(),
-		engine.WithBudget(-1),
-		engine.WithFaults(nil),
-		engine.WithGST(1),
-		engine.WithGST(9),
-	)...)
-	for _, want := range []error{engine.ErrBadOption, engine.ErrNilOption, engine.ErrConflictingOptions} {
-		if !errors.Is(err, want) {
-			t.Errorf("joined error missing %v (got %v)", want, err)
-		}
-	}
-}
-
-// TestNewConfigValidationOrder pins that configuration-level validation
-// runs after option-level checks, in New's documented order, with the
-// exported sentinels.
+// TestNewConfigValidationOrder pins that validation runs in New's
+// documented order, with the exported sentinels.
 func TestNewConfigValidationOrder(t *testing.T) {
 	t.Run("params-first", func(t *testing.T) {
 		_, err := engine.New(engine.WithParams(hom.Params{N: 0, L: 0, T: 0}))

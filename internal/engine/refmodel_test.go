@@ -32,7 +32,7 @@ func holdToRefmodel(t *testing.T, cfg engine.Config, extra ...engine.Option) *en
 		t.Fatalf("refmodel: %v", err)
 	}
 	for _, rep := range []engine.StateRep{engine.Concrete(), engine.Counting()} {
-		got, err := engine.Run(append(cfg.Options(), append(extra, engine.WithStateRep(rep))...)...)
+		got, err := engine.Run(append(append([]engine.Option{cfg}, extra...), engine.WithStateRep(rep))...)
 		if err != nil {
 			t.Fatalf("%s: %v", rep.Describe(), err)
 		}

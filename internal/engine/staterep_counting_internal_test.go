@@ -101,7 +101,7 @@ func TestCountingClassIndexThroughSplitMergeSplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := e.rep.(*countingRep)
+			rep := e.cfg.rep.(*countingRep)
 			defer func() {
 				rep.Stop()
 				e.intern.Recycle()
@@ -213,7 +213,7 @@ func TestCountingSplitInDecidingRoundRecordsEveryPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.rep.(*countingRep)
+	rep := e.cfg.rep.(*countingRep)
 	defer func() {
 		rep.Stop()
 		e.intern.Recycle()
@@ -356,7 +356,7 @@ func TestCountingStartMatchesNaiveGrouping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := e.rep.(*countingRep)
+		rep := e.cfg.rep.(*countingRep)
 		if err := rep.Start(e); err != nil {
 			t.Fatal(err)
 		}

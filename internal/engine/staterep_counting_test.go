@@ -104,20 +104,15 @@ func countingConfig(persist bool, rounds int) engine.Config {
 	}
 }
 
-// countingOptions is countingConfig as engine options.
-func countingOptions(persist bool, rounds int) []engine.Option {
-	return countingConfig(persist, rounds).Options()
-}
-
 // resultKey reduces a Result to its comparable essence.
 func resultKey(res *engine.Result) string {
 	return fmt.Sprintf("%v|%v|%v|%d|%+v", res.Decisions, res.DecidedAt, res.AllDecided, res.Rounds, res.Stats)
 }
 
-// runBoth runs the same option set under Concrete and Counting and
+// runBoth runs the same options under Concrete and Counting and
 // requires identical results; it returns the counting rep for class
 // inspection.
-func runBoth(t *testing.T, opts []engine.Option) engine.StateRep {
+func runBoth(t *testing.T, opts ...engine.Option) engine.StateRep {
 	t.Helper()
 	ref, err := engine.Run(append(opts, engine.WithStateRep(engine.Concrete()))...)
 	if err != nil {
@@ -139,7 +134,7 @@ func runBoth(t *testing.T, opts []engine.Option) engine.StateRep {
 // adversary and no faults keep the initial (identifier, input) classes
 // for the whole run, with results identical to Concrete.
 func TestCountingFastPathCollapse(t *testing.T) {
-	rep := runBoth(t, countingOptions(true, 6))
+	rep := runBoth(t, countingConfig(true, 6))
 	if got := rep.(classCounter).ClassCount(); got != 8 {
 		t.Fatalf("fault-free run ended with %d classes, want the 8 initial (id, input) classes", got)
 	}
@@ -153,8 +148,7 @@ func TestCountingTargetedDivergenceSplits(t *testing.T) {
 	adv := targetRounds{bad: 3, plan: map[int][]msg.TargetedSend{
 		2: {{ToSlot: 8, Body: msg.Raw("poison")}},
 	}}
-	opts := append(countingOptions(true, 6), engine.WithAdversary(adv))
-	rep := runBoth(t, opts)
+	rep := runBoth(t, countingConfig(true, 6), engine.WithAdversary(adv))
 	if got := rep.(classCounter).ClassCount(); got != 9 {
 		t.Fatalf("persistent targeted divergence ended with %d classes, want 9", got)
 	}
@@ -167,8 +161,7 @@ func TestCountingTargetedDivergenceReunifies(t *testing.T) {
 	adv := targetRounds{bad: 3, plan: map[int][]msg.TargetedSend{
 		2: {{ToSlot: 8, Body: msg.Raw("poison")}},
 	}}
-	opts := append(countingOptions(false, 6), engine.WithAdversary(adv))
-	rep := runBoth(t, opts)
+	rep := runBoth(t, countingConfig(false, 6), engine.WithAdversary(adv))
 	if got := rep.(classCounter).ClassCount(); got != 8 {
 		t.Fatalf("transient targeted divergence ended with %d classes, want the 8 re-unified", got)
 	}
@@ -184,10 +177,10 @@ func TestCountingByzantineNeighbourDrop(t *testing.T) {
 	adv := targetRounds{bad: 3, drops: map[[3]int]bool{
 		{2, 4, 8}: true, // round 2: drop the slot 4 -> slot 8 link
 	}}
-	opts := countingOptions(true, 6)
-	opts[0] = engine.WithParams(hom.Params{N: 12, L: 4, T: 1, Synchrony: hom.PartiallySynchronous})
-	opts = append(opts, engine.WithAdversary(adv), engine.WithGST(4))
-	rep := runBoth(t, opts)
+	cfg := countingConfig(true, 6)
+	cfg.Params.Synchrony = hom.PartiallySynchronous
+	cfg.Adversary, cfg.GST = adv, 4
+	rep := runBoth(t, cfg)
 	if got := rep.(classCounter).ClassCount(); got != 9 {
 		t.Fatalf("dropped-link divergence ended with %d classes, want 9", got)
 	}
@@ -199,8 +192,7 @@ func TestCountingByzantineNeighbourDrop(t *testing.T) {
 // merges back.
 func TestCountingCrashRecoveryRejoin(t *testing.T) {
 	sched := &inject.Schedule{Crashes: []inject.Crash{{Slot: 8, Round: 2, Recover: 2}}}
-	opts := append(countingOptions(false, 8), engine.WithFaults(sched))
-	rep := runBoth(t, opts)
+	rep := runBoth(t, countingConfig(false, 8), engine.WithFaults(sched))
 	if got := rep.(classCounter).ClassCount(); got != 8 {
 		t.Fatalf("crash-recovery run ended with %d classes, want the 8 re-unified", got)
 	}
@@ -211,8 +203,7 @@ func TestCountingCrashRecoveryRejoin(t *testing.T) {
 // its old classmate's persistent state keeps advancing.
 func TestCountingCrashStopStaysSplit(t *testing.T) {
 	sched := &inject.Schedule{Crashes: []inject.Crash{{Slot: 8, Round: 2}}}
-	opts := append(countingOptions(true, 6), engine.WithFaults(sched))
-	rep := runBoth(t, opts)
+	rep := runBoth(t, countingConfig(true, 6), engine.WithFaults(sched))
 	if got := rep.(classCounter).ClassCount(); got != 9 {
 		t.Fatalf("crash-stop run ended with %d classes, want 9", got)
 	}
@@ -223,19 +214,18 @@ func TestCountingCrashStopStaysSplit(t *testing.T) {
 // CloneProcess runs so under Counting, and a protocol with it runs so
 // under Concrete.
 func TestCountingSingletonFallback(t *testing.T) {
-	opts := []engine.Option{
+	rep := runBoth(t,
 		engine.WithParams(hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.Synchronous}),
 		engine.WithAssignment(hom.RoundRobinAssignment(4, 4)),
 		engine.WithInputs(0, 1, 0, 1),
 		engine.WithProcess(func(int) engine.Process { return &echoProc{} }),
 		engine.WithRounds(3),
-	}
-	rep := runBoth(t, opts)
+	)
 	if got := rep.(classCounter).ClassCount(); got != 4 {
 		t.Fatalf("singleton fallback ended with %d classes, want one per slot", got)
 	}
 	concrete := engine.Concrete()
-	if _, err := engine.Run(append(countingOptions(true, 6), engine.WithStateRep(concrete))...); err != nil {
+	if _, err := engine.Run(countingConfig(true, 6), engine.WithStateRep(concrete)); err != nil {
 		t.Fatal(err)
 	}
 	if got := concrete.(classCounter).ClassCount(); got != 12 {
@@ -337,13 +327,13 @@ func TestFaultWindowCostsOnlyItsRounds(t *testing.T) {
 			if raceEnabled {
 				n = 512 // a window round routes n² pairs, which the race detector slows tenfold
 			}
-			opts := flood(n).Options()
-			want, err := engine.Run(append(opts, engine.WithStateRep(engine.Concrete()))...)
+			cfg := flood(n)
+			want, err := engine.Run(cfg, engine.WithStateRep(engine.Concrete()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			probe := &engine.ArenaProbe{}
-			got, err := engine.Run(append(opts, engine.WithStateRep(probe))...)
+			got, err := engine.Run(cfg, engine.WithStateRep(probe))
 			if err != nil {
 				t.Fatal(err)
 			}

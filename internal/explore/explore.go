@@ -328,7 +328,7 @@ func (s *searcher) eval(menu []byzAction, rt root, prefix []roundChoice, depth i
 		return eval{}, fmt.Errorf("explore: %w", err)
 	}
 	cfg.FrontierHash = true
-	res, err := engine.Run(cfg.Options()...)
+	res, err := engine.Run(cfg)
 	if err != nil {
 		return eval{}, fmt.Errorf("explore: %w", err)
 	}

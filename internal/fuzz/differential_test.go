@@ -161,7 +161,7 @@ func corpusRun(sc Scenario, overrides ...engine.Option) (*engine.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(append(cfg.Options(), overrides...)...)
+	return engine.Run(append([]engine.Option{cfg}, overrides...)...)
 }
 
 // TestSeedCorpusDeliveryParity holds every committed seed, traffic

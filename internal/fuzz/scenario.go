@@ -265,7 +265,7 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.A
 // under every state representation, in the reference interpreter, or
 // inside a worker pool — and each execution sees the adversary exactly
 // as a first run would. Run executes it as
-// engine.New(cfg.Options()...), plus claim classification.
+// engine.New(cfg), plus claim classification.
 //
 // Every O(1) check runs before anything n-sized is built, so a hostile
 // scenario (a huge n with a short input list) ends in a typed error
@@ -453,7 +453,7 @@ func run(sc Scenario, opts Options) (out *Outcome) {
 	}
 
 	cfg.Invariants = opts.Invariants
-	eng, err := engine.New(cfg.Options()...)
+	eng, err := engine.New(cfg)
 	if err != nil {
 		out.Detail = "sim: " + err.Error()
 		return out

@@ -70,8 +70,8 @@ func TestSeedScenarioJSONRoundTrip(t *testing.T) {
 }
 
 // TestSeedOptionsMatchesConfig: for every committed seed, the engine run
-// that Config.Options assembles from Scenario.Config reports what the
-// reference interpreter reports for the same engine.Config — same
+// of Scenario.Config reports what the reference interpreter reports for
+// the same engine.Config — same
 // rounds, decisions and stats, whichever state representation.
 func TestSeedOptionsMatchesConfig(t *testing.T) {
 	for _, name := range testdataSeedNames(t) {

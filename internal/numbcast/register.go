@@ -30,12 +30,6 @@ func init() {
 			}
 			return true, fmt.Sprintf("n = %d > 3t = %d (Appendix A.3.1)", p.N, 3*p.T)
 		},
-		ClaimsFaults: func(p hom.Params, byz, faulted int) (bool, string) {
-			// The multiplicity bound alpha+f_i counts untrusted holders;
-			// crashed/omitting holders join f_i, so the n > 3t condition
-			// absorbs them while byz+faulted fits t.
-			return protoreg.DefaultClaimsFaults(p, byz, faulted)
-		},
 		Constructible: func(p hom.Params) (bool, string) {
 			if p.N <= 2*p.T {
 				return false, "echo threshold n-2t must be positive"

@@ -19,12 +19,11 @@ import (
 // Unforgeability (α′ ≤ α + f_i) and Relay; Proposition 6's are the same
 // with every multiplicity α = 1, except for Relay's deadline.
 
-// Broadcast is one broadcast primitive's registration. Name, Claims,
-// ClaimsFaults and Constructible are as in Protocol.
+// Broadcast is one broadcast primitive's registration. Name, Claims and
+// Constructible are as in Protocol.
 type Broadcast struct {
 	Name          string
 	Claims        func(p hom.Params) (bool, string)
-	ClaimsFaults  func(p hom.Params, byz, faulted int) (bool, string)
 	Constructible func(p hom.Params) (bool, string)
 	// Tag is the key tag of the host's broadcast body, a bare value.
 	Tag string
@@ -133,7 +132,6 @@ func RegisterBroadcast(b Broadcast) {
 	Register(Protocol{
 		Name:          b.Name,
 		Claims:        b.Claims,
-		ClaimsFaults:  b.ClaimsFaults,
 		Constructible: b.Constructible,
 		New: func(hom.Params) (func(slot int) engine.Process, error) {
 			return func(int) engine.Process { return &BroadcastHost{spec: &b} }, nil

@@ -57,17 +57,6 @@ type Protocol struct {
 	// at the given round, for value-flooding adversaries. Nil when the
 	// target has no forgeable wire format.
 	Forge func(p hom.Params, round int, v hom.Value) []msg.Payload
-	// ClaimsFaults reports whether the claim stretches to an execution
-	// where, besides byz corrupted slots, faulted more correct slots
-	// suffered benign injected faults (crash/recovery, omission). Nil
-	// selects the default: a crashed or omitting process is at most as
-	// harmful as a Byzantine one, so the claim survives exactly when
-	// byz+faulted fits the corruption budget t. Protocols whose condition
-	// counts something other than t (or that tolerate crashes more
-	// cheaply) override it. Duplication/replay simulability is NOT this
-	// hook's concern — the fuzzer voids claims separately when the
-	// schedule is not simulable in the model (inject.Schedule.Simulable).
-	ClaimsFaults func(p hom.Params, byz, faulted int) (bool, string)
 	// Hidden excludes the target from Names — the enumeration the fuzz
 	// generator draws from — while keeping it Get-table. Test-only
 	// targets (the deliberately panicking host) register hidden so
@@ -75,21 +64,22 @@ type Protocol struct {
 	Hidden bool
 }
 
-// VerdictFaults applies the target's fault-tolerance claim hook
-// (ClaimsFaults, or the Byzantine-simulation default when nil).
+// VerdictFaults reports whether the target's claim stretches to an
+// execution where, besides byz corrupted slots, faulted more correct
+// slots suffered benign injected faults (crash/recovery, omission). One
+// rule serves every target: a benign-faulted process is dominated by a
+// Byzantine one — a crash is a Byzantine process that goes silent, an
+// omission fault one that withholds a subset of its messages, which even
+// a restricted Byzantine process may do — so the claim holds exactly
+// while byz+faulted fits the corruption budget t. Every condition the
+// registry states budgets t arbitrary failures: Theorem 3 (synchom),
+// Theorem 13 (psynchom), Theorems 14/15 (psyncnum), Proposition 6's
+// l > 3t echo threshold (authbcast) and Appendix A.3.1's multiplicity
+// bound α+f_i, whose untrusted holders f_i the faulted ones join
+// (numbcast). Duplication/replay simulability is not this rule's
+// concern: the fuzzer voids claims separately when the schedule is not
+// simulable in the model (inject.Schedule.Simulable).
 func (pr Protocol) VerdictFaults(p hom.Params, byz, faulted int) (bool, string) {
-	if pr.ClaimsFaults != nil {
-		return pr.ClaimsFaults(p, byz, faulted)
-	}
-	return DefaultClaimsFaults(p, byz, faulted)
-}
-
-// DefaultClaimsFaults is the registry-wide default fault-claim rule: a
-// benign-faulted correct process is dominated by a Byzantine one (a
-// crash is a Byzantine process that goes silent; an omission fault is
-// one that selectively withholds messages), so the claim holds iff the
-// combined count fits the model's corruption budget.
-func DefaultClaimsFaults(p hom.Params, byz, faulted int) (bool, string) {
 	if byz+faulted <= p.T {
 		return true, fmt.Sprintf("byz %d + faulted %d within t=%d (faults Byzantine-simulable)", byz, faulted, p.T)
 	}

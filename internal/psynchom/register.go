@@ -23,12 +23,6 @@ func init() {
 			}
 			return false, fmt.Sprintf("2l = %d <= n+3t = %d (Proposition 4 region)", 2*p.L, p.N+3*p.T)
 		},
-		ClaimsFaults: func(p hom.Params, byz, faulted int) (bool, string) {
-			// Theorem 13's condition counts the Byzantine budget t; a
-			// crash/omission-faulted process is Byzantine-simulable, so
-			// the claim holds exactly while byz+faulted fits t.
-			return protoreg.DefaultClaimsFaults(p, byz, faulted)
-		},
 		Constructible: func(p hom.Params) (bool, string) {
 			if p.L <= 3*p.T {
 				return false, "the authenticated-broadcast layer needs l > 3t"

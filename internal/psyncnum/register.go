@@ -30,12 +30,6 @@ func init() {
 			}
 			return true, fmt.Sprintf("l = %d > t = %d (Theorems 14/15)", p.L, p.T)
 		},
-		ClaimsFaults: func(p hom.Params, byz, faulted int) (bool, string) {
-			// A crashed process sends nothing and an omitting one a
-			// subset — both within a restricted Byzantine process's
-			// power — so Theorems 14/15 absorb them into the t budget.
-			return protoreg.DefaultClaimsFaults(p, byz, faulted)
-		},
 		Constructible: func(p hom.Params) (bool, string) {
 			if p.N <= 3*p.T {
 				return false, "the multiplicity-broadcast layer needs n > 3t"

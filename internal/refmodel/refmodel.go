@@ -7,9 +7,9 @@
 //
 // It executes one engine.Config, time model included, the naive way —
 // per slot, per message, over plain slices — and reports an
-// engine.Result, so the engine running the same Config
-// (engine.Run(cfg.Options()...)) can be held to it field for field. It shares the engine's Process, Adversary
-// and Observer contracts, inject.Compile's fault verdicts and
+// engine.Result, so the engine running the same Config (engine.Run(cfg))
+// can be held to it field for field. It shares the engine's Process,
+// Adversary and Observer contracts, inject.Compile's fault verdicts and
 // msg.NewInbox, and nothing of its routing (no send arena, rows, tails,
 // reception classes, stamp memos or shared inboxes). Only tests import
 // it. An inbox orders messages by identifier, then by first send in the
@@ -64,7 +64,7 @@ type world struct {
 // what the engine would report: decisions and their rounds, rounds run,
 // the budget stop, statistics, and — when cfg asks — traffic and
 // per-slot history hashes. cfg must be one engine.New accepts; the
-// engine runs it as engine.Run(cfg.Options()...). An error reports an
+// engine runs it as engine.Run(cfg). An error reports an
 // invalid corruption or fault schedule, or a broken model property.
 func Run(cfg engine.Config) (*engine.Result, error) {
 	w, err := start(cfg)

@@ -66,12 +66,12 @@ func (e *echoProc) Decision() (hom.Value, bool) { return e.decision, e.decided }
 
 // run executes a hand-built Config on the concrete representation.
 func run(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(append(cfg.Options(), engine.WithStateRep(engine.Concrete()))...)
+	return engine.Run(cfg, engine.WithStateRep(engine.Concrete()))
 }
 
 // runCounting is run on the counting representation.
 func runCounting(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(append(cfg.Options(), engine.WithStateRep(engine.Counting()))...)
+	return engine.Run(cfg, engine.WithStateRep(engine.Counting()))
 }
 
 func baseConfig(n, l, t int) engine.Config {

@@ -29,12 +29,6 @@ func init() {
 			}
 			return false, fmt.Sprintf("l = %d <= 3t = %d (Proposition 1 region)", p.L, 3*p.T)
 		},
-		ClaimsFaults: func(p hom.Params, byz, faulted int) (bool, string) {
-			// Theorem 3 budgets t arbitrary failures; a crashed or
-			// omitting process is a degenerate Byzantine one, so the
-			// claim stretches exactly while byz+faulted fits t.
-			return protoreg.DefaultClaimsFaults(p, byz, faulted)
-		},
 		Constructible: func(p hom.Params) (bool, string) {
 			if p.Synchrony != hom.Synchronous {
 				return false, "T(EIG) runs in the synchronous model only"
