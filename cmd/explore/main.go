@@ -1,5 +1,5 @@
 // Command explore runs the bounded-exhaustive model checker
-// (internal/explore) over a curated table of Table-1 boundary cells:
+// (internal/explore) over its curated table of Table-1 boundary cells:
 // for each frontier of the paper — n = 3t+1 vs n = 3t, l = 3t+1 vs
 // l = 3t, 2l > n+3t vs 2l = n+3t, l = t+1 vs l = t — one cell on the
 // solvable side (expected: Verified over the whole declared choice
@@ -46,84 +46,6 @@ import (
 	"homonyms/internal/psyncnum"
 )
 
-// cell is one curated boundary cell.
-type cell struct {
-	name     string
-	frontier string // which Table-1 boundary the cell witnesses
-	protocol string
-	p        hom.Params
-	opts     explore.Options
-	// expect names the verdict the cell must produce: "verified" (a
-	// solvable side must survive the whole declared universe),
-	// "counterex" (an unsolvable side must yield a violating execution),
-	// or "mirror" (an unsolvable side whose bound is a valency argument
-	// — Proposition 16 — that no single bounded execution can witness:
-	// the search must find nothing AND the Lemma-17 mirror experiment
-	// must establish indistinguishability).
-	expect string
-	// quick: part of the -quick CI subset.
-	quick bool
-}
-
-// cells is the curated boundary table. Windows and GST lists are tuned
-// per cell to keep the full run in CPU-minutes; -w overrides for deeper
-// local searches.
-func cells() []cell {
-	return []cell{
-		{
-			name: "A", frontier: "sync solvable: n=3t+1, l=3t+1",
-			protocol: "synchom",
-			p:        hom.Params{N: 4, L: 4, T: 1, Synchrony: hom.Synchronous},
-			opts:     explore.Options{ChoiceRounds: 2},
-			expect:   "verified", quick: true,
-		},
-		{
-			name: "B", frontier: "sync unsolvable: l=3t",
-			protocol: "synchom",
-			p:        hom.Params{N: 4, L: 3, T: 1, Synchrony: hom.Synchronous},
-			opts:     explore.Options{ChoiceRounds: 2},
-			expect:   "counterex", quick: true,
-		},
-		{
-			name: "C", frontier: "sync unsolvable: n=3t",
-			protocol: "synchom",
-			p:        hom.Params{N: 3, L: 3, T: 1, Synchrony: hom.Synchronous},
-			opts:     explore.Options{ChoiceRounds: 2},
-			expect:   "counterex", quick: true,
-		},
-		{
-			name: "D", frontier: "psync solvable: 2l>n+3t",
-			protocol: "psynchom",
-			p:        hom.Params{N: 2, L: 2, T: 0, Synchrony: hom.PartiallySynchronous},
-			opts:     explore.Options{ChoiceRounds: 2, GSTs: []int{1, 2, 3}},
-			expect:   "verified", quick: true,
-		},
-		{
-			name: "E", frontier: "psync unsolvable: 2l=n+3t",
-			protocol: "psynchom",
-			p:        hom.Params{N: 2, L: 1, T: 0, Synchrony: hom.PartiallySynchronous},
-			opts:     explore.Options{ChoiceRounds: 2, GSTs: []int{3, 5, 7}},
-			expect:   "counterex", quick: true,
-		},
-		{
-			name: "F", frontier: "psync numerate solvable: l=t+1",
-			protocol: "psyncnum",
-			p: hom.Params{N: 4, L: 2, T: 1, Synchrony: hom.PartiallySynchronous,
-				Numerate: true, RestrictedByzantine: true},
-			opts:   explore.Options{ChoiceRounds: 1, GSTs: []int{1}},
-			expect: "verified", quick: true,
-		},
-		{
-			name: "G", frontier: "psync numerate unsolvable: l=t",
-			protocol: "psyncnum",
-			p: hom.Params{N: 5, L: 1, T: 1, Synchrony: hom.PartiallySynchronous,
-				Numerate: true, RestrictedByzantine: true},
-			opts:   explore.Options{ChoiceRounds: 1, GSTs: []int{5, 7}},
-			expect: "mirror", quick: true,
-		},
-	}
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "explore:", err)
@@ -142,10 +64,10 @@ func run() error {
 	)
 	flag.Parse()
 
-	selected := cells()
+	selected := explore.Cells()
 	if *list {
 		for _, c := range selected {
-			fmt.Printf("%-2s %-38s %-9s %s\n", c.name, c.frontier, c.protocol, c.p)
+			fmt.Printf("%-2s %-38s %-9s %s\n", c.Name, c.Frontier, c.Protocol, c.Params)
 		}
 		return nil
 	}
@@ -154,11 +76,11 @@ func run() error {
 		for _, nm := range strings.Split(*names, ",") {
 			want[strings.TrimSpace(nm)] = true
 		}
-		var keep []cell
+		var keep []explore.Cell
 		for _, c := range selected {
-			if want[c.name] {
+			if want[c.Name] {
 				keep = append(keep, c)
-				delete(want, c.name)
+				delete(want, c.Name)
 			}
 		}
 		if len(want) > 0 {
@@ -167,9 +89,9 @@ func run() error {
 		selected = keep
 	}
 	if *quick {
-		var keep []cell
+		var keep []explore.Cell
 		for _, c := range selected {
-			if c.quick {
+			if c.Quick {
 				keep = append(keep, c)
 			}
 		}
@@ -178,28 +100,28 @@ func run() error {
 
 	bad := 0
 	for _, c := range selected {
-		opts := c.opts
+		opts := c.Options
 		opts.Workers = *workers
 		if *wOver > 0 {
 			opts.ChoiceRounds = *wOver
 		}
-		rep, err := explore.CheckCell(c.protocol, c.p, opts)
+		rep, err := explore.CheckCell(c.Protocol, c.Params, opts)
 		if err != nil {
-			return fmt.Errorf("cell %s: %w", c.name, err)
+			return fmt.Errorf("cell %s: %w", c.Name, err)
 		}
 		status, extra, problem := judge(c, rep)
 		if problem {
 			bad++
 		}
 		fmt.Printf("%-2s %-38s %-9s %-12s digest=%s\n     %s\n",
-			c.name, c.frontier, c.protocol, status, rep.Digest, rep.Detail)
+			c.Name, c.Frontier, c.Protocol, status, rep.Digest, rep.Detail)
 		if extra != "" {
 			fmt.Printf("     %s\n", extra)
 		}
 		if rep.Counterexample != nil && *harvest != "" {
 			path := filepath.Join(*harvest, rep.Counterexample.Name+".json")
 			if err := fuzz.WriteSeed(path, *rep.Counterexample); err != nil {
-				return fmt.Errorf("cell %s: %w", c.name, err)
+				return fmt.Errorf("cell %s: %w", c.Name, err)
 			}
 			fmt.Printf("     harvested %s\n", path)
 		}
@@ -215,11 +137,11 @@ func run() error {
 // its claimed region); everything else is judged against the expected
 // side of the frontier. The returned extra line, when non-empty, is
 // printed under the cell's detail.
-func judge(c cell, rep *explore.Report) (status, extra string, problem bool) {
+func judge(c explore.Cell, rep *explore.Report) (status, extra string, problem bool) {
 	if rep.Outcome != nil && rep.Outcome.Class == fuzz.ClassViolation {
 		return "VIOLATION", "", true
 	}
-	switch c.expect {
+	switch c.Expect {
 	case "verified":
 		switch {
 		case rep.Verified:
@@ -246,7 +168,7 @@ func judge(c cell, rep *explore.Report) (status, extra string, problem bool) {
 		if rep.Truncated {
 			return "TRUNCATED", "", true
 		}
-		ok, detail := mirrorWitness(c.p)
+		ok, detail := mirrorWitness(c.Params)
 		if ok {
 			return "mirror", detail, false
 		}

@@ -131,8 +131,10 @@ func linkCondConfig(adv engine.Adversary) engine.Config {
 // statistics) on both state representations, with and without the
 // paranoid re-masking.
 func TestLinkConditionsPerLinkMatchPerMessage(t *testing.T) {
-	for _, extra := range [][]engine.Option{nil, {engine.WithInvariants()}} {
-		ref := holdToRefmodel(t, linkCondConfig(&spyDropper{seed: 5, prob: 0.3}), extra...)
+	for _, invariants := range []bool{false, true} {
+		cfg := linkCondConfig(&spyDropper{seed: 5, prob: 0.3})
+		cfg.Invariants = invariants
+		ref := holdToRefmodel(t, cfg)
 		st := ref.Stats
 		if st.MessagesDropped == 0 || st.FaultOmissions == 0 || st.TimingHolds == 0 || st.Retransmits == 0 {
 			t.Fatalf("the schedule must exercise drops, omissions, holds and retransmission: %+v", st)

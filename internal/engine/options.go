@@ -90,30 +90,13 @@ func WithGST(round int) Option { return setter(func(c *Config) { c.GST = round }
 // WithRounds sets Config.MaxRounds.
 func WithRounds(maxRounds int) Option { return setter(func(c *Config) { c.MaxRounds = maxRounds }) }
 
-// WithExtraRounds sets Config.ExtraRounds.
-func WithExtraRounds(extra int) Option { return setter(func(c *Config) { c.ExtraRounds = extra }) }
-
-// WithVisibility sets Config.Visibility; nil is complete connectivity.
-func WithVisibility(visible func(fromSlot, toSlot int) bool) Option {
-	return setter(func(c *Config) { c.Visibility = visible })
-}
-
 // WithTrafficRecording sets Config.RecordTraffic.
 func WithTrafficRecording() Option { return setter(func(c *Config) { c.RecordTraffic = true }) }
-
-// WithFrontierHash sets Config.FrontierHash.
-func WithFrontierHash() Option { return setter(func(c *Config) { c.FrontierHash = true }) }
 
 // WithFaults sets Config.Faults; nil injects no faults.
 func WithFaults(schedule *inject.Schedule) Option {
 	return setter(func(c *Config) { c.Faults = schedule })
 }
-
-// WithInvariants sets Config.Invariants.
-func WithInvariants() Option { return setter(func(c *Config) { c.Invariants = true }) }
-
-// WithBudget sets Config.MaxSends; a non-positive cap is unlimited.
-func WithBudget(maxSends int) Option { return setter(func(c *Config) { c.MaxSends = maxSends }) }
 
 // WithTimeModel sets Config.TimeModel; nil is Lockstep.
 func WithTimeModel(tm TimeModel) Option { return setter(func(c *Config) { c.TimeModel = tm }) }

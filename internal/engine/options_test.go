@@ -101,7 +101,9 @@ func TestConfigIsAnOption(t *testing.T) {
 // applies them in order, so of two values for one field the later wins.
 func TestNewConflictingOptions(t *testing.T) {
 	t.Run("rounds", func(t *testing.T) { // base already sets 3
-		if res := mustRun(t, append(baseOptions(), engine.WithRounds(7), engine.WithExtraRounds(10))...); res.Rounds != 7 {
+		cfg := baseConfig()
+		cfg.ExtraRounds = 10
+		if res := mustRun(t, cfg, engine.WithRounds(7)); res.Rounds != 7 {
 			t.Fatalf("ran %d rounds, want the later cap of 7", res.Rounds)
 		}
 	})
@@ -111,10 +113,15 @@ func TestNewConflictingOptions(t *testing.T) {
 		}
 	})
 	t.Run("budget", func(t *testing.T) {
-		if res := mustRun(t, append(baseOptions(), engine.WithBudget(0), engine.WithBudget(1))...); res.Stopped != engine.StopMessageBudget {
+		budget := func(maxSends int) engine.Config {
+			cfg := baseConfig()
+			cfg.MaxSends = maxSends
+			return cfg
+		}
+		if res := mustRun(t, budget(0), budget(1)); res.Stopped != engine.StopMessageBudget {
 			t.Fatalf("stopped %q, want the later budget of 1 to stop the run", res.Stopped)
 		}
-		if res := mustRun(t, append(baseOptions(), engine.WithBudget(1), engine.WithBudget(0))...); res.Stopped != "" {
+		if res := mustRun(t, budget(1), budget(0)); res.Stopped != "" {
 			t.Fatalf("stopped %q, want the later unlimited budget", res.Stopped)
 		}
 	})
@@ -259,9 +266,11 @@ func TestNewOptionsLayerDoesNotScaleWithN(t *testing.T) {
 
 // TestNewNilOptionValues pins that a nil value means what the Config
 // field's zero value means: set after a non-nil one, it gives the run
-// that never set the field.
+// that never set the field. A nil Visibility is complete connectivity.
 func TestNewNilOptionValues(t *testing.T) {
 	sched := &inject.Schedule{Crashes: []inject.Crash{{Slot: 1, Round: 1}}}
+	connected := baseConfig()
+	connected.Visibility = func(int, int) bool { return true }
 	cases := []struct {
 		name string
 		opts []engine.Option
@@ -269,7 +278,7 @@ func TestNewNilOptionValues(t *testing.T) {
 		{"nil-option", []engine.Option{nil}},
 		{"faults", []engine.Option{engine.WithFaults(sched), engine.WithFaults(nil)}},
 		{"adversary", []engine.Option{engine.WithAdversary(scribbler{}), engine.WithAdversary(nil)}},
-		{"visibility", []engine.Option{engine.WithVisibility(func(int, int) bool { return false }), engine.WithVisibility(nil)}},
+		{"visibility", []engine.Option{connected}},
 		{"timemodel", []engine.Option{engine.WithTimeModel(engine.EventuallySynchronous{Bound: 2}), engine.WithTimeModel(nil)}},
 		{"state-rep", []engine.Option{engine.WithStateRep(engine.Concrete()), engine.WithStateRep(nil)}},
 	}
@@ -286,20 +295,13 @@ func TestNewNilOptionValues(t *testing.T) {
 // TestNewBadOptionValues pins that a negative value means what the
 // Config field's zero value means: a negative budget is unlimited.
 func TestNewBadOptionValues(t *testing.T) {
-	cases := []struct {
-		name string
-		opt  engine.Option
-	}{
-		{"negative-sends", engine.WithBudget(-1)},
-	}
-	want := mustRun(t, baseOptions()...)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := mustRun(t, append(baseOptions(), engine.WithBudget(1), tc.opt)...); !reflect.DeepEqual(got, want) {
-				t.Fatalf("negative value differs from the zero Config:\n got:  %+v\n want: %+v", got, want)
-			}
-		})
-	}
+	t.Run("negative-sends", func(t *testing.T) {
+		negative := baseConfig()
+		negative.MaxSends = -1
+		if got, want := mustRun(t, negative), mustRun(t, baseConfig()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("negative value differs from the zero Config:\n got:  %+v\n want: %+v", got, want)
+		}
+	})
 }
 
 // TestNewConfigValidationOrder pins that validation runs in New's
@@ -340,10 +342,9 @@ func TestNewConfigValidationOrder(t *testing.T) {
 // with invariants enabled, rather than tripping an invariant failure or
 // an error.
 func TestBudgetInvariantInterplay(t *testing.T) {
-	res, err := engine.Run(append(baseOptions(),
-		engine.WithBudget(1),
-		engine.WithInvariants(),
-	)...)
+	cfg := baseConfig()
+	cfg.MaxSends, cfg.Invariants = 1, true
+	res, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -1,8 +1,7 @@
 package engine_test
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
 	"homonyms/internal/engine"
@@ -11,36 +10,19 @@ import (
 	"homonyms/internal/refmodel"
 )
 
-// observable renders everything a Result reports, traffic by content.
-func observable(r *engine.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v|%v|%v|%v|%d|%d|%v|%q|%+v|%v", r.Corrupted, r.Faulted, r.Decisions, r.DecidedAt,
-		r.Rounds, r.GST, r.AllDecided, r.Stopped, r.Stats, r.SlotHashes)
-	for _, d := range r.Traffic {
-		fmt.Fprintf(&b, "|%d:%d>%d:%s", d.Round, d.FromSlot, d.ToSlot, d.Msg.Key())
-	}
-	return b.String()
-}
-
-// holdToRefmodel runs cfg in the reference interpreter and on the engine
-// under both state representations (plus extra options), and fails on
-// the first Result that differs. It returns the reference Result.
-func holdToRefmodel(t *testing.T, cfg engine.Config, extra ...engine.Option) *engine.Result {
+// holdToRefmodel fails the test unless cfg runs alike in the reference
+// interpreter and on the engine under both state representations, and
+// returns the Result.
+func holdToRefmodel(t *testing.T, cfg engine.Config) *engine.Result {
 	t.Helper()
-	want, err := refmodel.Run(cfg)
+	res, diff, err := refmodel.Hold(func() (engine.Config, error) { return cfg, nil })
 	if err != nil {
-		t.Fatalf("refmodel: %v", err)
+		t.Fatal(err)
 	}
-	for _, rep := range []engine.StateRep{engine.Concrete(), engine.Counting()} {
-		got, err := engine.Run(append(append([]engine.Option{cfg}, extra...), engine.WithStateRep(rep))...)
-		if err != nil {
-			t.Fatalf("%s: %v", rep.Describe(), err)
-		}
-		if g, w := observable(got), observable(want); g != w {
-			t.Fatalf("%s diverges from refmodel:\n got:  %.2000s\n want: %.2000s", rep.Describe(), g, w)
-		}
+	if diff != "" {
+		t.Fatal(diff)
 	}
-	return want
+	return res
 }
 
 // TestClassifierPerRecipientModeDisablesSharing holds group-shared
@@ -112,7 +94,10 @@ func TestRowRoutingMatchesPerPair(t *testing.T) {
 				if st := ref.Stats; st.MessagesDropped == 0 || v.DrainRound > 0 && st.TimingHolds == 0 {
 					t.Errorf("the drop mask or the delay never fired: %+v", st)
 				}
-				if record && v.Name == "replay" && !strings.Contains(observable(ref), "|2:6>10:id=2|raw|b|6|1") {
+				replayed := func(d msg.Delivered) bool {
+					return d.Round == 2 && d.FromSlot == 6 && d.ToSlot == 10 && d.Msg.Key() == "id=2|raw|b|6|1"
+				}
+				if record && v.Name == "replay" && !slices.ContainsFunc(ref.Traffic, replayed) {
 					t.Error("slot 10 was not replayed slot 6's round-1 broadcast in round 2")
 				}
 			})

@@ -106,18 +106,17 @@ func runFigure5(t *testing.T, p hom.Params, seed int64, rep engine.StateRep, str
 		adv = forwardStrip{adv.(*adversary.Composite)}
 	}
 	var err error
-	run.res, err = engine.Run(
-		engine.WithParams(p),
-		engine.WithAssignment(hom.RoundRobinAssignment(p.N, p.L)),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(func(slot int) engine.Process { return tap.wrap(factory(slot)) }),
-		engine.WithAdversary(adv),
-		engine.WithGST(gst),
-		engine.WithRounds(hom.PhaseRounds(p, gst)),
-		engine.WithTrafficRecording(),
-		engine.WithInvariants(),
-		engine.WithStateRep(probe),
-	)
+	run.res, err = engine.Run(engine.Config{
+		Params:        p,
+		Assignment:    hom.RoundRobinAssignment(p.N, p.L),
+		Inputs:        inputs,
+		NewProcess:    func(slot int) engine.Process { return tap.wrap(factory(slot)) },
+		Adversary:     adv,
+		GST:           gst,
+		MaxRounds:     hom.PhaseRounds(p, gst),
+		RecordTraffic: true,
+		Invariants:    true,
+	}, engine.WithStateRep(probe))
 	if err != nil {
 		t.Error(err)
 		return nil
@@ -212,25 +211,26 @@ func TestFigure5SparesStandingEchoes(t *testing.T) {
 	for s := range inputs {
 		inputs[s] = hom.Value(s % 2)
 	}
-	run := func(rep engine.StateRep, opts ...engine.Option) *engine.Result {
-		res, err := engine.Run(append([]engine.Option{
-			engine.WithParams(p),
-			engine.WithAssignment(hom.RoundRobinAssignment(n, l)),
-			engine.WithInputs(inputs...),
-			engine.WithProcess(factory),
-			engine.WithAdversary(&adversary.Composite{Selector: adversary.Slots{0, 1, 2}, Behavior: adversary.Equivocate{Seed: 1}}),
-			engine.WithGST(gst),
-			engine.WithRounds(hom.PhaseRounds(p, gst)),
-			engine.WithStateRep(rep),
-		}, opts...)...)
+	run := func(rep engine.StateRep, record bool) *engine.Result {
+		res, err := engine.Run(engine.Config{
+			Params:        p,
+			Assignment:    hom.RoundRobinAssignment(n, l),
+			Inputs:        inputs,
+			NewProcess:    factory,
+			Adversary:     &adversary.Composite{Selector: adversary.Slots{0, 1, 2}, Behavior: adversary.Equivocate{Seed: 1}},
+			GST:           gst,
+			MaxRounds:     hom.PhaseRounds(p, gst),
+			RecordTraffic: record,
+			Invariants:    !record,
+		}, engine.WithStateRep(rep))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	probe := &engine.SpareProbe{}
-	spared := run(probe, engine.WithInvariants())
-	recorded := run(engine.Concrete(), engine.WithTrafficRecording())
+	spared := run(probe, false)
+	recorded := run(engine.Concrete(), true)
 	if !spared.AllDecided {
 		t.Fatal("the run did not decide")
 	}
@@ -251,7 +251,7 @@ func TestFigure5SparesStandingEchoes(t *testing.T) {
 	if !reflect.DeepEqual(spared, recorded) {
 		t.Errorf("results differ:\n sparing   %+v\n recording %+v", spared, recorded)
 	}
-	if counted := run(engine.Counting(), engine.WithInvariants()); !reflect.DeepEqual(counted, recorded) {
+	if counted := run(engine.Counting(), false); !reflect.DeepEqual(counted, recorded) {
 		t.Errorf("results differ:\n counting  %+v\n recording %+v", counted, recorded)
 	}
 }

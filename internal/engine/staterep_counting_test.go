@@ -10,6 +10,7 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
+	"homonyms/internal/refmodel"
 )
 
 // classCounter is the diagnostic surface of the counting representation.
@@ -337,8 +338,8 @@ func TestFaultWindowCostsOnlyItsRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g, w := observable(got), observable(want); g != w {
-				t.Fatalf("counting diverges from concrete:\n got:  %.2000s\n want: %.2000s", g, w)
+			if d := refmodel.Diff(got, want); d != "" {
+				t.Fatalf("counting diverges from concrete: %s", d)
 			}
 			if got.Rounds != rounds || probe.Arena[1] < n-1 {
 				t.Fatalf("ran %d rounds, round 2 stamped %d entries: want %d rounds, and a window round sent by every live member",
@@ -455,8 +456,8 @@ func TestCountingFingerprintsOnlyMergeableGroups(t *testing.T) {
 			}
 			want, _ := run(engine.Concrete())
 			got, tally := run(engine.Counting())
-			if g, w := observable(got), observable(want); g != w || !got.AllDecided {
-				t.Fatalf("counting diverges from concrete, or did not decide:\n got:  %.2000s\n want: %.2000s", g, w)
+			if d := refmodel.Diff(got, want); d != "" || !got.AllDecided {
+				t.Fatalf("counting diverges from concrete (%s), or did not decide", d)
 			}
 			calls := 0
 			for k, c := range tally.hashed {

@@ -17,7 +17,7 @@ import (
 // broadcaster with the Cloner/StateHasher extensions, so each of the l
 // identifier groups collapses into a single class. It decides after
 // round 3, exercising decision recording across a million slots;
-// WithExtraRounds keeps the engine broadcasting through the full round
+// Config.ExtraRounds keeps the engine broadcasting through the full round
 // budget afterwards (a run otherwise stops once all correct slots
 // decided).
 type scaleFlooder struct {
@@ -88,15 +88,14 @@ func runScaleFlood(t *testing.T, n int, merging bool) (mallocs, bytes uint64) {
 	rep := engine.Counting()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := engine.Run(
-		engine.WithParams(hom.Params{N: n, L: l, T: 0, Synchrony: hom.Synchronous}),
-		engine.WithAssignment(assignment),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(factory),
-		engine.WithRounds(rounds),
-		engine.WithExtraRounds(rounds-3),
-		engine.WithStateRep(rep),
-	)
+	res, err := engine.Run(engine.Config{
+		Params:      hom.Params{N: n, L: l, T: 0, Synchrony: hom.Synchronous},
+		Assignment:  assignment,
+		Inputs:      inputs,
+		NewProcess:  factory,
+		MaxRounds:   rounds,
+		ExtraRounds: rounds - 3,
+	}, engine.WithStateRep(rep))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -185,16 +184,15 @@ func runByzantineFlood(t *testing.T, n int, rep engine.StateRep) uint64 {
 	adv := &adversary.Composite{Selector: adversary.OnePerIdentifier{1}, Behavior: adversary.Equivocate{Seed: 1}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := engine.Run(
-		engine.WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
-		engine.WithAssignment(assignment),
-		engine.WithInputs(inputs...),
-		engine.WithProcess(func(int) engine.Process { return &scaleFlooder{} }),
-		engine.WithAdversary(adv),
-		engine.WithRounds(rounds),
-		engine.WithExtraRounds(rounds-3),
-		engine.WithStateRep(rep),
-	)
+	res, err := engine.Run(engine.Config{
+		Params:      hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous},
+		Assignment:  assignment,
+		Inputs:      inputs,
+		NewProcess:  func(int) engine.Process { return &scaleFlooder{} },
+		Adversary:   adv,
+		MaxRounds:   rounds,
+		ExtraRounds: rounds - 3,
+	}, engine.WithStateRep(rep))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

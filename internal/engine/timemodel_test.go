@@ -39,16 +39,18 @@ func (p *gatherProc) Receive(round int, in *msg.Inbox) {
 
 func (p *gatherProc) Decision() (hom.Value, bool) { return p.input, p.decided }
 
-// gatherOptions is a fault-free partially-synchronous base execution:
-// four processes, one broadcast each, everyone decides in round 1.
-func gatherOptions(gst, maxRounds int) []engine.Option {
-	return []engine.Option{
-		engine.WithParams(hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.PartiallySynchronous}),
-		engine.WithAssignment(hom.RoundRobinAssignment(4, 4)),
-		engine.WithInputs(0, 1, 0, 1),
-		engine.WithProcess(func(int) engine.Process { return &gatherProc{n: 4} }),
-		engine.WithGST(gst),
-		engine.WithRounds(maxRounds),
+// gather is a fault-free partially-synchronous base execution, with the
+// engine's paranoid self-checks on: four processes, one broadcast each,
+// everyone decides in round 1.
+func gather(gst, maxRounds int) engine.Config {
+	return engine.Config{
+		Params:     hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.PartiallySynchronous},
+		Assignment: hom.RoundRobinAssignment(4, 4),
+		Inputs:     []hom.Value{0, 1, 0, 1},
+		NewProcess: func(int) engine.Process { return &gatherProc{n: 4} },
+		GST:        gst,
+		MaxRounds:  maxRounds,
+		Invariants: true,
 	}
 }
 
@@ -56,16 +58,16 @@ func TestTimingFaultsRequireTimingModel(t *testing.T) {
 	sched := &inject.Schedule{
 		Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1, Until: 1, By: 1}},
 	}
-	_, err := engine.New(append(gatherOptions(1, 5),
+	_, err := engine.New(gather(1, 5),
 		engine.WithFaults(sched),
-	)...)
+	)
 	if !errors.Is(err, engine.ErrTimingFaults) {
 		t.Fatalf("delay fault under Lockstep: want ErrTimingFaults, got %v", err)
 	}
-	_, err = engine.New(append(gatherOptions(1, 5),
+	_, err = engine.New(gather(1, 5),
 		engine.WithFaults(sched),
 		engine.WithTimeModel(engine.EventuallySynchronous{}),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("delay fault under EventuallySynchronous must be accepted, got %v", err)
 	}
@@ -78,7 +80,7 @@ func TestTimingPolicyValidation(t *testing.T) {
 		"maxattempts": engine.EventuallySynchronous{MaxAttempts: -1},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, err := engine.New(append(gatherOptions(1, 5), engine.WithTimeModel(tm))...)
+			_, err := engine.New(gather(1, 5), engine.WithTimeModel(tm))
 			if !errors.Is(err, engine.ErrTimingPolicy) {
 				t.Fatalf("want ErrTimingPolicy, got %v", err)
 			}
@@ -92,13 +94,12 @@ func TestTimingPolicyValidation(t *testing.T) {
 // recipient's decision to the drain round. With no timeout configured,
 // retransmission never fires.
 func TestDelayHeldUntilStabilization(t *testing.T) {
-	res, err := engine.Run(append(gatherOptions(5, 10),
+	res, err := engine.Run(gather(5, 10),
 		engine.WithTimeModel(engine.EventuallySynchronous{}),
 		engine.WithFaults(&inject.Schedule{
 			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1, Until: 1}},
 		}),
-		engine.WithInvariants(),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -123,13 +124,12 @@ func TestDelayHeldUntilStabilization(t *testing.T) {
 // the round-2 retransmission is not held, so slot 3 decides at round 2
 // instead of waiting for stabilization at round 5.
 func TestRetransmitRecovery(t *testing.T) {
-	res, err := engine.Run(append(gatherOptions(5, 10),
+	res, err := engine.Run(gather(5, 10),
 		engine.WithTimeModel(engine.EventuallySynchronous{Timeout: 1}),
 		engine.WithFaults(&inject.Schedule{
 			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1, Until: 1}},
 		}),
-		engine.WithInvariants(),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -148,13 +148,12 @@ func TestRetransmitRecovery(t *testing.T) {
 // outlasts every retry, the timer disarms after the configured number of
 // attempts instead of retransmitting forever.
 func TestRetransmitBackoffCap(t *testing.T) {
-	res, err := engine.Run(append(gatherOptions(20, 12),
+	res, err := engine.Run(gather(20, 12),
 		engine.WithTimeModel(engine.EventuallySynchronous{Timeout: 1, MaxAttempts: 2}),
 		engine.WithFaults(&inject.Schedule{
 			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1}}, // open window, held to GST past the horizon
 		}),
-		engine.WithInvariants(),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -172,14 +171,14 @@ func TestRetransmitBackoffCap(t *testing.T) {
 // livelock. Round 1 stamps four sends (one arena entry per broadcast),
 // so a budget of 5 is exhausted by the first retransmission.
 func TestRetransmitBudgetStop(t *testing.T) {
-	res, err := engine.Run(append(gatherOptions(20, 12),
+	cfg := gather(20, 12)
+	cfg.MaxSends = 5
+	res, err := engine.Run(cfg,
 		engine.WithTimeModel(engine.EventuallySynchronous{Timeout: 1}),
 		engine.WithFaults(&inject.Schedule{
 			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1}},
 		}),
-		engine.WithBudget(5),
-		engine.WithInvariants(),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -195,7 +194,7 @@ func TestRetransmitBudgetStop(t *testing.T) {
 // no protocol steps during its window (its round clock is frozen), so a
 // delivery due inside the window is pushed to the first round after it.
 func TestStallFreezesRoundClock(t *testing.T) {
-	res, err := engine.Run(append(gatherOptions(12, 10),
+	res, err := engine.Run(gather(12, 10),
 		engine.WithTimeModel(engine.EventuallySynchronous{}),
 		engine.WithFaults(&inject.Schedule{
 			// Slot 3's missing round-1 message is delayed By=3 (due round
@@ -204,8 +203,7 @@ func TestStallFreezesRoundClock(t *testing.T) {
 			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1, Until: 1, By: 3}},
 			Stalls: []inject.Stall{{Slot: 3, Round: 4, Rounds: 2}},
 		}),
-		engine.WithInvariants(),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -217,13 +215,12 @@ func TestStallFreezesRoundClock(t *testing.T) {
 // TestReorderOvertake pins the reorder fault: a reordered delivery
 // arrives one round late, after the next round's fresh traffic.
 func TestReorderOvertake(t *testing.T) {
-	res, err := engine.Run(append(gatherOptions(1, 6),
+	res, err := engine.Run(gather(1, 6),
 		engine.WithTimeModel(engine.EventuallySynchronous{Bound: 1}),
 		engine.WithFaults(&inject.Schedule{
 			Reorders: []inject.Reorder{{FromSlot: 0, ToSlot: 3, Round: 1}},
 		}),
-		engine.WithInvariants(),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -239,13 +236,12 @@ func TestReorderOvertake(t *testing.T) {
 // GST with Bound == 0 every timing fault is inert — the schedule may not
 // delay anything, so the execution equals the fault-free one.
 func TestPostGSTBoundZeroIsInert(t *testing.T) {
-	res, err := engine.Run(append(gatherOptions(1, 6),
+	res, err := engine.Run(gather(1, 6),
 		engine.WithTimeModel(engine.EventuallySynchronous{Timeout: 2}),
 		engine.WithFaults(&inject.Schedule{
 			Delays: []inject.Delay{{FromSlot: 0, ToSlot: 3, From: 1}},
 		}),
-		engine.WithInvariants(),
-	)...)
+	)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -71,16 +71,8 @@ func Protect[R any](index int, fn func() (R, error)) (result R, err error) {
 // indices hold the zero value, all other entries are exactly what a
 // failure-free run would have produced.
 func MapN[R any](n, workers int, fn func(i int) (R, error)) ([]R, error) {
-	results, errs := MapNCollect(n, workers, fn)
+	results, errs := MapNWeightedCollect(n, workers, nil, fn)
 	return results, firstError(errs)
-}
-
-// MapNCollect is MapN with per-item error reporting: errs[i] is the
-// error (possibly a recovered *PanicError) of item i, nil on success.
-// Harnesses that must degrade gracefully — report failed cells, keep the
-// surviving ones — consume this form directly.
-func MapNCollect[R any](n, workers int, fn func(i int) (R, error)) (results []R, errs []error) {
-	return MapNWeightedCollect(n, workers, nil, fn)
 }
 
 // firstError returns the lowest-index non-nil error.
@@ -112,11 +104,14 @@ func MapNWeighted[R any](n, workers int, cost func(i int) int64, fn func(i int) 
 	return results, firstError(errs)
 }
 
-// MapNWeightedCollect is MapNWeighted with per-item error reporting; see
-// MapNCollect. It is the one pool loop: workers walk an order of the
-// indices — by descending cost when cost is given and more than one
-// worker runs, the identity otherwise — and write each result at its
-// index. One worker walks it on the calling goroutine.
+// MapNWeightedCollect is MapNWeighted with per-item error reporting:
+// errs[i] is the error (possibly a recovered *PanicError) of item i, nil
+// on success. Harnesses that must degrade gracefully — report failed
+// cells, keep the surviving ones — consume this form directly. It is the
+// one pool loop: workers walk an order of the indices — by descending
+// cost when cost is given and more than one worker runs, the identity
+// otherwise — and write each result at its index. One worker walks it
+// on the calling goroutine.
 func MapNWeightedCollect[R any](n, workers int, cost func(i int) int64, fn func(i int) (R, error)) (results []R, errs []error) {
 	if n <= 0 {
 		return nil, nil
@@ -181,7 +176,7 @@ func MapWeighted[T, R any](items []T, workers int, cost func(i int, item T) int6
 }
 
 // MapWeightedCollect applies fn to every item with cost-aware scheduling
-// and per-item error reporting; see MapNCollect.
+// and per-item error reporting; see MapNWeightedCollect.
 func MapWeightedCollect[T, R any](items []T, workers int, cost func(i int, item T) int64, fn func(i int, item T) (R, error)) ([]R, []error) {
 	var costN func(int) int64
 	if cost != nil {

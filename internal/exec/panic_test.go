@@ -68,7 +68,7 @@ func TestMapNPanicIsolation(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		want := clean(workers)
-		got, errs := MapNCollect(n, workers, func(i int) (string, error) {
+		got, errs := MapNWeightedCollect(n, workers, nil, func(i int) (string, error) {
 			if i == bad {
 				panic(fmt.Sprintf("injected panic at %d", i))
 			}

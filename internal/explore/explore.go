@@ -35,6 +35,7 @@ import (
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
+	"homonyms/internal/trace"
 )
 
 // Defaults for Options fields left zero.
@@ -322,56 +323,33 @@ func (s *searcher) searchRoot(rt root, rep *Report) (bool, error) {
 // Termination is deliberately not judged here — the window is shorter
 // than the protocol's budget — that is the tail runs' job.
 func (s *searcher) eval(menu []byzAction, rt root, prefix []roundChoice, depth int) (eval, error) {
-	sc := s.scenario(menu, rt, prefix, depth, false)
-	cfg, err := sc.Config()
+	res, err := runScenario(s.scenario(menu, rt, prefix, depth, false))
 	if err != nil {
 		return eval{}, fmt.Errorf("explore: %w", err)
 	}
-	cfg.FrontierHash = true
-	res, err := engine.Run(cfg)
-	if err != nil {
-		return eval{}, fmt.Errorf("explore: %w", err)
-	}
-	return eval{
-		hash:     s.frontierHash(res),
-		terminal: res.AllDecided,
-		safety:   safetyViolation(res),
-	}, nil
-}
-
-// safetyViolation scans a (possibly unfinished) execution for an
-// already-irrevocable violation: two correct slots decided differently
-// (agreement), or a correct slot decided off the unanimous correct
-// input (validity). Decisions cannot be revised, so a hit at any depth
-// extends to a full violating execution.
-func safetyViolation(res *engine.Result) string {
-	correct := res.CorrectSlots()
-	first := hom.NoValue
-	for _, sl := range correct {
-		if res.DecidedAt[sl] == 0 {
-			continue
-		}
-		if first == hom.NoValue {
-			first = res.Decisions[sl]
-		} else if res.Decisions[sl] != first {
-			return "agreement"
-		}
-	}
-	unanimous := len(correct) > 0
-	for _, sl := range correct[1:] {
-		if res.Inputs[sl] != res.Inputs[correct[0]] {
-			unanimous = false
+	ev := eval{hash: s.frontierHash(res), terminal: res.AllDecided}
+	// Decisions cannot be revised, so an agreement or validity violation
+	// at any depth extends to a full violating execution.
+	verdict := trace.Check(res)
+	for _, p := range []trace.Property{trace.Agreement, trace.Validity} {
+		if verdict.Has(p) {
+			ev.safety = p.String()
 			break
 		}
 	}
-	if unanimous {
-		for _, sl := range correct {
-			if res.DecidedAt[sl] != 0 && res.Decisions[sl] != res.Inputs[correct[0]] {
-				return "validity"
-			}
-		}
+	return ev, nil
+}
+
+// runScenario executes one window scenario with per-slot history hashes
+// on. A test substitutes it to hold every evaluated execution to the
+// reference interpreter.
+var runScenario = func(sc fuzz.Scenario) (*engine.Result, error) {
+	cfg, err := sc.Config()
+	if err != nil {
+		return nil, err
 	}
-	return ""
+	cfg.FrontierHash = true
+	return engine.Run(cfg)
 }
 
 // frontierHash canonicalizes the reached state under within-group slot

@@ -22,25 +22,6 @@ func TestSeedCorpusCountingParity(t *testing.T) {
 	}
 }
 
-// TestSeedCorpusCountingParityAcrossWorkers replays the corpus through
-// the worker pool at several worker counts under both time models
-// (lockstep, and the zero-knob eventually-synchronous override that is
-// defined to be byte-identical to it), held to the reference
-// interpreter: the counting representation's cross-round fill caches may
-// not leak between concurrent executions.
-func TestSeedCorpusCountingParityAcrossWorkers(t *testing.T) {
-	for _, tm := range []string{"", "esync"} {
-		var scenarios []Scenario
-		for _, sc := range corpusScenarios(t) {
-			if tm != "" && (sc.TimeModel == "" || sc.TimeModel == "lockstep") {
-				sc.TimeModel = tm
-			}
-			scenarios = append(scenarios, sc)
-		}
-		holdCorpus(t, scenarios, false, 1, 4)
-	}
-}
-
 // TestScenarioStateRepKnob pins that the retired scenario knobs
 // state_rep and max_classes are ignored: a seed's JSON carrying them —
 // whatever representation it names, the never-valid "concurrent"

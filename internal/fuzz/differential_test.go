@@ -3,10 +3,8 @@ package fuzz
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math/rand"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -67,62 +65,14 @@ func TestEngineMatchesRefmodel(t *testing.T) {
 // holdToRefmodel runs sc in the reference interpreter and on the engine
 // under both state representations, and describes the first difference
 // ("" when there is none). observed also records traffic and per-slot
-// history hashes on both sides and runs the engine's paranoid
-// self-checks.
+// history hashes and runs the engine's paranoid self-checks.
 func holdToRefmodel(sc Scenario, observed bool) (string, error) {
-	cfg, err := sc.Config()
-	if err != nil {
-		return "", err
-	}
-	cfg.RecordTraffic, cfg.FrontierHash = observed, observed
-	want, err := refmodel.Run(cfg)
-	if err != nil {
-		return "", fmt.Errorf("refmodel: %w", err)
-	}
-	for _, rep := range []engine.StateRep{engine.Concrete(), engine.Counting()} {
-		opts := []engine.Option{engine.WithStateRep(rep)}
-		if observed {
-			opts = append(opts, engine.WithTrafficRecording(), engine.WithFrontierHash(), engine.WithInvariants())
-		}
-		got, err := corpusRun(sc, opts...)
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", rep.Describe(), err)
-		}
-		if d := resultDiff(got, want); d != "" {
-			return rep.Describe() + " diverges from refmodel: " + d, nil
-		}
-	}
-	return "", nil
-}
-
-// observable lists everything a Result reports, one line per field and
-// per recorded delivery.
-func observable(r *engine.Result) []string {
-	out := []string{
-		fmt.Sprintf("Corrupted %v, Faulted %v", r.Corrupted, r.Faulted),
-		fmt.Sprintf("Decisions %v", r.Decisions),
-		fmt.Sprintf("DecidedAt %v", r.DecidedAt),
-		fmt.Sprintf("Rounds %d, GST %d, AllDecided %v, Stopped %q", r.Rounds, r.GST, r.AllDecided, r.Stopped),
-		fmt.Sprintf("Stats %+v", r.Stats),
-		fmt.Sprintf("SlotHashes %v", r.SlotHashes),
-	}
-	for _, d := range r.Traffic {
-		out = append(out, "Traffic r"+strconv.Itoa(d.Round)+" "+strconv.Itoa(d.FromSlot)+">"+strconv.Itoa(d.ToSlot)+" "+d.Msg.Key())
-	}
-	return out
-}
-
-// resultDiff shows the first line of observable on which got and want
-// differ; "" when they agree on everything an execution reports.
-func resultDiff(got, want *engine.Result) string {
-	g, w := observable(got), observable(want)
-	for i := 0; i < max(len(g), len(w)); i++ {
-		if i >= len(g) || i >= len(w) || g[i] != w[i] {
-			g, w = append(g, "(end)"), append(w, "(end)")
-			return fmt.Sprintf("line %d\n got:  %s\n want: %s", i, g[min(i, len(g)-1)], w[min(i, len(w)-1)])
-		}
-	}
-	return ""
+	_, diff, err := refmodel.Hold(func() (engine.Config, error) {
+		cfg, err := sc.Config()
+		cfg.RecordTraffic, cfg.FrontierHash, cfg.Invariants = observed, observed, observed
+		return cfg, err
+	})
+	return diff, err
 }
 
 // holdCorpus holds the engine to the reference interpreter on every
@@ -154,14 +104,55 @@ func corpusScenarios(t *testing.T) (out []Scenario) {
 	return out
 }
 
-// corpusRun replays sc once on the engine: its own Config, then the
-// overrides.
-func corpusRun(sc Scenario, overrides ...engine.Option) (*engine.Result, error) {
+// corpusRun replays sc once on the engine.
+func corpusRun(sc Scenario) (*engine.Result, error) {
 	cfg, err := sc.Config()
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(append([]engine.Option{cfg}, overrides...)...)
+	return engine.Run(cfg)
+}
+
+// holdCorpusLeg holds the whole committed corpus to the reference
+// interpreter through the worker pool at workers 1 and 4 (pooled
+// interners, arenas, inbox shells and fill caches may not leak between
+// concurrent executions), with traffic and per-slot histories observed
+// or not, under each seed's own time model ("own") or with the zero-knob
+// eventually-synchronous model forced onto its lockstep seeds ("esync").
+func holdCorpusLeg(t *testing.T, timeModel string, observed bool) {
+	t.Helper()
+	var scenarios []Scenario
+	for _, sc := range corpusScenarios(t) {
+		if timeModel == "esync" && (sc.TimeModel == "" || sc.TimeModel == "lockstep") {
+			sc.TimeModel = timeModel
+		}
+		scenarios = append(scenarios, sc)
+	}
+	holdCorpus(t, scenarios, observed, 1, 4)
+}
+
+// TestSeedCorpusParityAcrossWorkers holds the corpus, traffic and
+// per-slot histories observed, to the reference interpreter under each
+// seed's own time model and under forced esync.
+func TestSeedCorpusParityAcrossWorkers(t *testing.T) {
+	holdCorpusLeg(t, "own", true)
+	holdCorpusLeg(t, "esync", true)
+}
+
+// TestSeedCorpusGroupReceptionParity holds the corpus to the reference
+// interpreter, which fills every inbox on its own, with nothing
+// recorded — so group-shared inbox fills carry every round.
+func TestSeedCorpusGroupReceptionParity(t *testing.T) {
+	holdCorpusLeg(t, "own", false)
+}
+
+// TestSeedCorpusCountingParityAcrossWorkers holds the corpus, nothing
+// recorded, to the reference interpreter with esync forced onto its
+// lockstep seeds (defined to be byte-identical to lockstep): the counting
+// representation's cross-round fill caches may not leak between
+// concurrent executions under either time model.
+func TestSeedCorpusCountingParityAcrossWorkers(t *testing.T) {
+	holdCorpusLeg(t, "esync", false)
 }
 
 // TestSeedCorpusDeliveryParity holds every committed seed, traffic
@@ -174,20 +165,6 @@ func TestSeedCorpusDeliveryParity(t *testing.T) {
 			holdCorpus(t, []Scenario{sc}, true, 1)
 		})
 	}
-}
-
-// TestSeedCorpusParityAcrossWorkers replays the whole corpus, traffic
-// recorded, through the worker pool at workers 1 and 4.
-func TestSeedCorpusParityAcrossWorkers(t *testing.T) {
-	holdCorpus(t, corpusScenarios(t), true, 1, 4)
-}
-
-// TestSeedCorpusGroupReceptionParity holds the corpus to the reference
-// interpreter, which fills every inbox on its own, with nothing
-// recorded — so group-shared inbox fills carry every round — at
-// workers 1 and 4.
-func TestSeedCorpusGroupReceptionParity(t *testing.T) {
-	holdCorpus(t, corpusScenarios(t), false, 1, 4)
 }
 
 // TestSeedCorpusEngineAdapterParity holds each committed seed to the

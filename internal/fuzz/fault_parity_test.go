@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"homonyms/internal/inject"
+	"homonyms/internal/refmodel"
 )
 
 // faultSchedules derives deterministic fault schedules for an n-slot
@@ -73,7 +74,7 @@ func TestFaultSchedulesChangeOutcomes(t *testing.T) {
 			if len(res.Faulted) > 0 {
 				faulted = true
 			}
-			if resultDiff(res, base) != "" {
+			if refmodel.Diff(res, base) != "" {
 				changed = true
 			}
 		}

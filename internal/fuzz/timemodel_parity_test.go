@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"homonyms/internal/inject"
+	"homonyms/internal/refmodel"
 )
 
 // stripTiming returns the scenario with its timing dimension removed:
@@ -44,7 +45,7 @@ func TestSeedCorpusTimeModelParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := resultDiff(got, want); d != "" {
+			if d := refmodel.Diff(got, want); d != "" {
 				t.Errorf("esync(zero-knob) diverges from lockstep: %s", d)
 			}
 		})

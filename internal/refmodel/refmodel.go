@@ -8,15 +8,16 @@
 // It executes one engine.Config, time model included, the naive way —
 // per slot, per message, over plain slices — and reports an
 // engine.Result, so the engine running the same Config (engine.Run(cfg))
-// can be held to it field for field. It shares the engine's Process,
-// Adversary and Observer contracts, inject.Compile's fault verdicts and
-// msg.NewInbox, and nothing of its routing (no send arena, rows, tails,
-// reception classes, stamp memos or shared inboxes). Only tests import
-// it. An inbox orders messages by identifier, then by first send in the
-// execution, so the interpreter names messages in a msg.Interner of its
-// own. The state is spelled out as in a TLA+ specification — proposals,
-// decisions, process states, is_byzantine and the network — and the
-// model's round predicate is checked over it after every round.
+// can be held to it field for field (Diff, Hold). It shares the engine's
+// Process, Adversary and Observer contracts, inject.Compile's fault
+// verdicts and msg.NewInbox, and nothing of its routing (no send arena,
+// rows, tails, reception classes, stamp memos or shared inboxes). Only
+// tests import it. An inbox orders messages by identifier, then by first
+// send in the execution, so the interpreter names messages in a
+// msg.Interner of its own. The state is spelled out as in a TLA+
+// specification — proposals, decisions, process states, is_byzantine and
+// the network — and the model's round predicate is checked over it after
+// every round.
 package refmodel
 
 import (
@@ -376,4 +377,66 @@ func (w *world) check() error {
 		}
 	}
 	return nil
+}
+
+// Hold runs the execution config describes in the interpreter, then on
+// the engine under Concrete and under Counting, and describes the first
+// difference ("" when the three Results agree); res is the Counting
+// run's. Each run gets a fresh Config from config: an adversary may keep
+// state across the rounds of one execution.
+func Hold(config func() (engine.Config, error)) (res *engine.Result, diff string, err error) {
+	cfg, err := config()
+	if err != nil {
+		return nil, "", err
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		return nil, "", fmt.Errorf("refmodel: %w", err)
+	}
+	for _, rep := range []engine.StateRep{engine.Concrete(), engine.Counting()} {
+		if cfg, err = config(); err == nil {
+			res, err = engine.Run(cfg, engine.WithStateRep(rep))
+		}
+		if err != nil {
+			return nil, "", fmt.Errorf("%s: %w", rep.Describe(), err)
+		}
+		if d := Diff(res, want); d != "" {
+			return res, rep.Describe() + " diverges from refmodel: " + d, nil
+		}
+	}
+	return res, "", nil
+}
+
+// Diff shows the first line of what two Results report on which got and
+// want differ, and is "" when they agree on everything: the configured
+// parameters, assignment and inputs, corruption and fault culprits,
+// decisions and their rounds, rounds run, GST, the budget stop,
+// statistics, per-slot history hashes and the traffic record, delivery
+// for delivery in order.
+func Diff(got, want *engine.Result) string {
+	g, w := lines(got), lines(want)
+	for i := range max(len(g), len(w)) {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			g, w = append(g, "(end)"), append(w, "(end)")
+			return fmt.Sprintf("line %d\n got:  %s\n want: %s", i, g[min(i, len(g)-1)], w[min(i, len(w)-1)])
+		}
+	}
+	return ""
+}
+
+// lines renders a Result one line per field and per recorded delivery.
+func lines(r *engine.Result) []string {
+	out := []string{
+		fmt.Sprintf("Params %+v, Assignment %v, Inputs %v", r.Params, r.Assignment, r.Inputs),
+		fmt.Sprintf("Corrupted %v, Faulted %v", r.Corrupted, r.Faulted),
+		fmt.Sprintf("Decisions %v", r.Decisions),
+		fmt.Sprintf("DecidedAt %v", r.DecidedAt),
+		fmt.Sprintf("Rounds %d, GST %d, AllDecided %v, Stopped %q", r.Rounds, r.GST, r.AllDecided, r.Stopped),
+		fmt.Sprintf("Stats %+v", r.Stats),
+		fmt.Sprintf("SlotHashes %v", r.SlotHashes),
+	}
+	for _, d := range r.Traffic {
+		out = append(out, fmt.Sprintf("Traffic r%d %d>%d %s", d.Round, d.FromSlot, d.ToSlot, d.Msg.Key()))
+	}
+	return out
 }

@@ -1,11 +1,10 @@
-// The counting state representation held to the concrete one —
-// results and traffic — plus the core façade's end-to-end checks. This directory holds tests only, like its sibling
-// "sim".
+// Both state representations held to the reference interpreter on two
+// protocol executions, plus the core façade's end-to-end checks. This
+// directory holds tests only, like its sibling "sim", so that the
+// suite's test IDs (import path and name) stay stable.
 package engine_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -18,11 +17,6 @@ import (
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
-
-// run executes a hand-built Config on the concrete representation.
-func run(cfg engine.Config) (*engine.Result, error) {
-	return engine.Run(cfg, engine.WithStateRep(engine.Concrete()))
-}
 
 // runCounting is run on the counting representation.
 func runCounting(cfg engine.Config) (*engine.Result, error) {
@@ -79,31 +73,14 @@ func equivalentConfigs(t *testing.T) map[string]engine.Config {
 }
 
 // TestRuntimeMatchesSimExactly holds both representations to the
-// reference interpreter: rounds, recorded GST, statistics, every slot's
-// decision and round, and the traffic record entry for entry.
+// reference interpreter: every field of the Result, the traffic record
+// entry for entry.
 func TestRuntimeMatchesSimExactly(t *testing.T) {
-	observe := func(r *engine.Result) string {
-		var b strings.Builder
-		fmt.Fprint(&b, r.Rounds, r.GST, r.Stats, r.Decisions, r.DecidedAt)
-		for _, d := range r.Traffic {
-			fmt.Fprint(&b, "|", d.Round, d.FromSlot, d.ToSlot, d.Msg.Key())
-		}
-		return b.String()
-	}
 	for name, cfg := range equivalentConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := refmodel.Run(cfg)
-			if err != nil {
-				t.Fatalf("refmodel: %v", err)
-			}
-			for rep, run := range map[string]func(engine.Config) (*engine.Result, error){"concrete": run, "counting": runCounting} {
-				got, err := run(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", rep, err)
-				}
-				if observe(got) != observe(want) {
-					t.Fatalf("%s diverges from refmodel:\n got:  %.1500s\n want: %.1500s", rep, observe(got), observe(want))
-				}
+			_, diff, err := refmodel.Hold(func() (engine.Config, error) { return cfg, nil })
+			if err != nil || diff != "" {
+				t.Fatal(err, diff)
 			}
 		})
 	}

@@ -2,8 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -164,17 +162,8 @@ func holdToRefmodel(t *testing.T, cfg engine.Config, run func(engine.Config) (*e
 	if err != nil {
 		t.Fatalf("refmodel: %v", err)
 	}
-	render := func(r *engine.Result) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%+v|%v|%v|%v|%v|%v|%v|%d|%d|%v|%q|%+v|%v", r.Params, r.Assignment, r.Inputs, r.Corrupted, r.Faulted,
-			r.Decisions, r.DecidedAt, r.Rounds, r.GST, r.AllDecided, r.Stopped, r.Stats, r.SlotHashes)
-		for _, d := range r.Traffic {
-			fmt.Fprintf(&b, "|%d:%d>%d:%s", d.Round, d.FromSlot, d.ToSlot, d.Msg.Key())
-		}
-		return b.String()
-	}
-	if g, w := render(got), render(want); g != w {
-		t.Errorf("engine result diverges from refmodel:\nengine:   %.2000s\nrefmodel: %.2000s", g, w)
+	if d := refmodel.Diff(got, want); d != "" {
+		t.Errorf("engine result diverges from refmodel: %s", d)
 	}
 }
 
@@ -189,32 +178,18 @@ func TestBatchedPerMessageParity(t *testing.T) {
 }
 
 // TestBatchDropperMatchesShim pins the adversary-side half of the parity
-// contract: the vectorised DropBatch implementations on the concrete
-// drop policies produce exactly the verdicts of their per-message Drop.
-// The same configuration runs once with the Composite (which implements
-// engine.BatchDropper) and once wrapped so only per-message Drop is visible,
-// forcing the engine's fallback shim; the Results must match.
+// contract on the engine's per-message fallback: each configuration's
+// adversary, wrapped so that only its per-message Drop is visible, must
+// still produce the reference interpreter's Result — as the vectorised
+// DropBatch of the unwrapped Composite does in TestBatchedPerMessageParity.
 func TestBatchDropperMatchesShim(t *testing.T) {
 	for name, cfg := range parityConfigs() {
 		if cfg.Adversary == nil {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			direct := cfg
-			shimmed := cfg
-			shimmed.Adversary = perMessageOnly{inner: cfg.Adversary}
-
-			got, err := run(direct)
-			if err != nil {
-				t.Fatalf("vectorised: %v", err)
-			}
-			want, err := run(shimmed)
-			if err != nil {
-				t.Fatalf("shimmed: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("vectorised drop mask diverges from per-message shim:\nvectorised: %+v\nshimmed:    %+v", got, want)
-			}
+			cfg.Adversary = perMessageOnly{inner: cfg.Adversary}
+			holdToRefmodel(t, cfg, run)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"homonyms/internal/engine"
@@ -162,17 +163,8 @@ func TestInvariantErrorType(t *testing.T) {
 	}
 	msg := ie.Error()
 	for _, want := range []string{"3", "arena-bounds", "raw index out of range"} {
-		if !containsStr(msg, want) {
+		if !strings.Contains(msg, want) {
 			t.Fatalf("engine.InvariantError text %q missing %q", msg, want)
 		}
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -1,7 +1,8 @@
 // The round kernel's black-box suite, driven through hand-built Configs:
 // model semantics, injected faults and budgets, and parity with the
 // reference interpreter. This directory holds tests only, like its
-// sibling "runtime".
+// sibling "runtime", so that the suite's test IDs (import path and
+// name) stay stable.
 package engine_test
 
 import (
@@ -220,14 +221,21 @@ func TestUnrestrictedMultiSendCounted(t *testing.T) {
 	}
 }
 
-// probeProc lets tests observe inboxes without implementing a protocol.
+// probeProc lets tests send and observe inboxes without implementing a
+// protocol; it decides 0 once it has received.
 type probeProc struct {
+	onPrepare func(round int) []msg.Send
 	onReceive func(round int, in *msg.Inbox)
 	decided   bool
 }
 
-func (p *probeProc) Init(engine.Context)    {}
-func (p *probeProc) Prepare(int) []msg.Send { return nil }
+func (p *probeProc) Init(engine.Context) {}
+func (p *probeProc) Prepare(r int) []msg.Send {
+	if p.onPrepare != nil {
+		return p.onPrepare(r)
+	}
+	return nil
+}
 func (p *probeProc) Receive(r int, in *msg.Inbox) {
 	if p.onReceive != nil {
 		p.onReceive(r, in)
@@ -289,7 +297,14 @@ func TestSelfDeliveryIsReliable(t *testing.T) {
 		if slot != 2 {
 			return &echoProc{}
 		}
-		return &selfCheck{slot: slot, saw: &sawSelf}
+		return &probeProc{
+			onPrepare: func(int) []msg.Send { return []msg.Send{msg.Broadcast(msg.Raw("self"))} },
+			onReceive: func(_ int, in *msg.Inbox) {
+				for i := 0; i < in.Len(); i++ {
+					sawSelf = sawSelf || in.BodyAt(i).Key() == msg.Raw("self").Key()
+				}
+			},
+		}
 	}
 	cfg.MaxRounds = 3
 	if _, err := run(cfg); err != nil {
@@ -299,26 +314,6 @@ func TestSelfDeliveryIsReliable(t *testing.T) {
 		t.Fatal("self-delivery was dropped")
 	}
 }
-
-type selfCheck struct {
-	slot    int
-	saw     *bool
-	decided bool
-}
-
-func (s *selfCheck) Init(engine.Context) {}
-func (s *selfCheck) Prepare(int) []msg.Send {
-	return []msg.Send{msg.Broadcast(msg.Raw("self"))}
-}
-func (s *selfCheck) Receive(_ int, in *msg.Inbox) {
-	for i := 0; i < in.Len(); i++ {
-		if in.BodyAt(i).Key() == msg.Raw("self").Key() {
-			*s.saw = true
-		}
-	}
-	s.decided = true
-}
-func (s *selfCheck) Decision() (hom.Value, bool) { return 0, s.decided }
 
 func TestVisibilityMask(t *testing.T) {
 	// Slot 3 is invisible to slot 0: slot 0's inbox must never contain a
@@ -353,7 +348,12 @@ func TestSendToIdentifier(t *testing.T) {
 	reached := make(map[int]bool)
 	cfg.NewProcess = func(slot int) engine.Process {
 		if slot == 0 {
-			return &targetedSender{}
+			return &probeProc{onPrepare: func(round int) []msg.Send {
+				if round == 1 {
+					return []msg.Send{msg.SendTo(2, msg.Raw("targeted"))}
+				}
+				return nil
+			}}
 		}
 		return &probeProc{onReceive: func(_ int, in *msg.Inbox) {
 			for i := 0; i < in.Len(); i++ {
@@ -374,18 +374,6 @@ func TestSendToIdentifier(t *testing.T) {
 		t.Fatal("identifier-1 slot received a message targeted at identifier 2")
 	}
 }
-
-type targetedSender struct{ decided bool }
-
-func (ts *targetedSender) Init(engine.Context) {}
-func (ts *targetedSender) Prepare(round int) []msg.Send {
-	if round == 1 {
-		return []msg.Send{msg.SendTo(2, msg.Raw("targeted"))}
-	}
-	return nil
-}
-func (ts *targetedSender) Receive(int, *msg.Inbox)     { ts.decided = true }
-func (ts *targetedSender) Decision() (hom.Value, bool) { return 0, ts.decided }
 
 func TestConfigValidation(t *testing.T) {
 	good := baseConfig(4, 4, 1)
