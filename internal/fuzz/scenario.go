@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"sort"
 	"strings"
 
@@ -156,10 +157,17 @@ func (sc Scenario) assignment() (hom.Assignment, error) {
 }
 
 // adversaryFor composes the scenario's adversary. The same per-scenario
-// RNG is threaded through the selector and behavior; drop policies stay
-// hash-pure (see the adversary package comment).
+// RNG is threaded through the selector and behavior; it is built only
+// when one of them draws from it, since most scenarios never do. Drop
+// policies stay hash-pure (see the adversary package comment).
 func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.Adversary, error) {
-	rng := adversary.NewRand(sc.AdvSeed)
+	var shared *rand.Rand
+	rng := func() *rand.Rand {
+		if shared == nil {
+			shared = adversary.NewRand(sc.AdvSeed)
+		}
+		return shared
+	}
 
 	var sel adversary.Selector
 	switch sc.Selector.Kind {
@@ -167,7 +175,7 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.A
 	case "first":
 		sel = adversary.FirstT{}
 	case "random":
-		sel = adversary.RandomT{Rand: rng}
+		sel = adversary.RandomT{Rand: rng()}
 	case "slots":
 		sel = adversary.Slots(sc.Selector.Slots)
 	default:
@@ -181,11 +189,11 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.A
 	case "crash":
 		beh = adversary.Crash{}
 	case "noise":
-		beh = adversary.Noise{Rand: rng}
+		beh = adversary.Noise{Rand: rng()}
 	case "equivocate":
-		beh = adversary.Equivocate{Rand: rng}
+		beh = adversary.Equivocate{Rand: rng()}
 	case "keyequivocate":
-		beh = adversary.KeyEquivocate{Rand: rng}
+		beh = adversary.KeyEquivocate{Rand: rng()}
 	case "mimicflood":
 		beh = adversary.MimicFlood{}
 	case "valueflood":

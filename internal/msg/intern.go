@@ -2,6 +2,7 @@ package msg
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -36,8 +37,11 @@ const NoKey KeyID = 0
 //   - Reset (and Recycle, which Resets) invalidates every previously
 //     issued KeyID; nothing that outlives the execution may hold one.
 //   - KeyIDs are only comparable within the interner that issued them.
-//   - Strings returned by Key/InternMessageKey alias the intern table
-//     and die with the next Reset.
+//   - A key first seen as bytes is copied into an append-only chunk the
+//     interner owns, and the strings Key/InternMessageKey return alias
+//     it. A chunk is never rewritten, and Reset drops it rather than
+//     reuse it, so a key string stays valid and immutable after the
+//     execution that interned it.
 //   - An Interner is not safe for concurrent use; each execution (or
 //     each process, for process-local tables) owns its own.
 //   - One process, one interner: whoever builds inboxes for a process
@@ -54,7 +58,20 @@ type Interner struct {
 	pids     map[string]PayloadID
 	scratch  []byte // reused by InternMessageKey
 	epoch    uint32 // Resets so far: what a StampMemo's KeyID is valid against
+	// chunk holds the bytes of the keys interned from bytes since the
+	// last Reset, written only into spare capacity; next is the size of
+	// the chunk after it, doubling from firstChunk.
+	chunk strings.Builder
+	next  int
 }
+
+// firstChunk and maxChunk bound the key chunks' sizes: an execution that
+// interns a few short keys pays one small chunk, and one that interns
+// many pays one allocation per maxChunk bytes of keys.
+const (
+	firstChunk = 64
+	maxChunk   = 4 << 10
+)
 
 // PayloadID is a dense handle for the payload part of an interned message
 // key: the messages of every sender identifier that carry one payload
@@ -69,7 +86,7 @@ const NoPayload PayloadID = 0
 // NewInterner returns an empty intern table.
 func NewInterner() *Interner {
 	return &Interner{ids: make(map[string]KeyID), keys: make([]string, 1),
-		payloads: make([]PayloadID, 1), pids: make(map[string]PayloadID)}
+		payloads: make([]PayloadID, 1), pids: make(map[string]PayloadID), next: firstChunk}
 }
 
 // internPool recycles interners across executions (the "engine scratch"
@@ -100,6 +117,8 @@ func (it *Interner) Reset() {
 	it.keys = it.keys[:1]
 	clear(it.pids)
 	it.payloads = it.payloads[:1]
+	it.chunk.Reset()
+	it.next = firstChunk
 	it.epoch++
 }
 
@@ -117,13 +136,27 @@ func (it *Interner) Intern(key string) KeyID {
 
 // InternBytes is Intern for a scratch-built key. When the key is already
 // known the lookup allocates nothing (the compiler elides the string
-// conversion in the map read); only a first sight materialises the
-// string.
+// conversion in the map read); a first sight copies the key into the
+// interner's chunk, which allocates only when the chunk is full.
 func (it *Interner) InternBytes(key []byte) KeyID {
 	if id, ok := it.ids[string(key)]; ok {
 		return id
 	}
-	return it.add(string(key))
+	return it.add(it.copyKey(key))
+}
+
+// copyKey appends key to the current chunk and returns the chunk's
+// substring holding it. A key that does not fit starts a new chunk; the
+// full one stays with the strings already cut from it.
+func (it *Interner) copyKey(key []byte) string {
+	if it.chunk.Cap()-it.chunk.Len() < len(key) {
+		it.chunk.Reset()
+		it.chunk.Grow(max(it.next, len(key)))
+		it.next = min(2*it.next, maxChunk)
+	}
+	at := it.chunk.Len()
+	it.chunk.Write(key)
+	return it.chunk.String()[at:]
 }
 
 // Lookup returns the KeyID of key without interning it; NoKey if unseen.

@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"math/bits"
 	"strconv"
+	"strings"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -210,6 +212,71 @@ func TestInternerSnapshot(t *testing.T) {
 	snap := it.Snapshot()
 	if len(snap) != 2 || snap[0] != "one" || snap[1] != "two" {
 		t.Fatalf("Snapshot = %v", snap)
+	}
+}
+
+// TestInternedKeysOutliveRecycle pins the key chunks' contract: the
+// strings Key and InternMessageKey return stay byte-identical after the
+// interner that issued them is recycled and reused for other keys, and
+// after the scratch the keys were built in is overwritten. The long key
+// takes the path of a key that outgrows every chunk size.
+func TestInternedKeysOutliveRecycle(t *testing.T) {
+	it := NewPooledInterner()
+	long := strings.Repeat("x", 2*maxChunk)
+	var kept, want []string
+	var scratch []byte
+	for i := 0; i < 500; i++ {
+		body := "body" + strconv.Itoa(i)
+		if i == 250 {
+			body = long
+		}
+		_, key := it.InternMessageKey(int64(i%7), body)
+		kept, want = append(kept, key), append(want, "id="+strconv.Itoa(i%7)+"|"+body)
+		scratch = append(scratch[:0], "bytes"...)
+		scratch = strconv.AppendInt(scratch, int64(i), 10)
+		kept, want = append(kept, it.Key(it.InternBytes(scratch))), append(want, string(scratch))
+	}
+	it.Recycle()
+	it = NewPooledInterner()
+	for i := 0; i < 500; i++ {
+		scratch = append(scratch[:0], "other"...)
+		it.InternBytes(strconv.AppendInt(scratch, int64(i), 10))
+		it.InternMessageKey(int64(i), "again"+strconv.Itoa(i))
+	}
+	it.Recycle()
+	for i := range kept {
+		if kept[i] != want[i] {
+			t.Fatalf("key %d is %.40q after recycling its interner, want %.40q", i, kept[i], want[i])
+		}
+	}
+}
+
+// TestInternBytesAllocatesPerChunk pins the cost of a first sight: K
+// fresh keys cost the chunks their bytes fill, not one string each,
+// while a known key costs nothing.
+func TestInternBytesAllocatesPerChunk(t *testing.T) {
+	const k = 2000
+	keys := make([][]byte, k)
+	total := 0
+	for i := range keys {
+		keys[i] = []byte("abecho|3|" + strconv.Itoa(i) + "|vote|2|1")
+		total += len(keys[i])
+	}
+	it := NewInterner()
+	fresh := func() {
+		it.Reset() // keeps the map and the key table's capacity
+		for _, key := range keys {
+			it.InternBytes(key)
+		}
+	}
+	fresh()
+	// The chunks double from firstChunk to maxChunk, then stay there.
+	ceiling := float64(total/maxChunk + 1 + bits.Len(maxChunk/firstChunk))
+	if allocs := testing.AllocsPerRun(10, fresh); allocs > ceiling {
+		t.Fatalf("interning %d fresh keys (%d bytes) allocated %.0f times, want at most %.0f", k, total, allocs, ceiling)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { it.InternBytes(keys[k/2]) }); allocs != 0 {
+		t.Fatalf("interning a known key allocated %.0f times, want 0", allocs)
 	}
 }
 

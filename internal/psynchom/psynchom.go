@@ -44,7 +44,7 @@
 package psynchom
 
 import (
-	"maps"
+	"cmp"
 	"slices"
 
 	"homonyms/internal/authbcast"
@@ -176,7 +176,7 @@ type Process struct {
 	bc     *authbcast.Broadcaster
 
 	proper   hom.ValueSet
-	locks    map[hom.Value]int // value -> phase of the latest lock on it
+	locks    []lock // ascending by value
 	decision hom.Value
 	// properSend is the standing ⟨proper V⟩ send, a boxed snapshot of
 	// proper re-sent until proper grows past its properSent values.
@@ -185,13 +185,15 @@ type Process struct {
 	properSent int
 	sends      []msg.Send // Prepare's result buffer, valid for its round
 
-	// Cumulative accept bookkeeping.
-	proposeAcc map[int]map[hom.Identifier]hom.ValueSet       // phase -> id -> union of accepted V
-	voteAcc    map[int]map[hom.Value]map[hom.Identifier]bool // phase -> val -> supporting ids
+	// Cumulative accept bookkeeping: row (ph, v) of proposeAcc holds the
+	// identifiers j with an accepted ⟨propose Vj, ph⟩ and v ∈ Vj, row
+	// (ph, ⊥) of proposers every j with one (Vj may be empty), and row
+	// (ph, v) of voteAcc every j with an accepted ⟨vote v, ph⟩.
+	proposeAcc, proposers, voteAcc idTally
 
 	// Per-phase transient state.
-	lockSeen      map[hom.Value]bool // lock values received from the leader identifier this phase
-	leaderLockVal hom.Value          // the value this process sent in its own lock message (if leader)
+	lockSeen      []hom.Value // lock values received from the leader identifier this phase, ascending
+	leaderLockVal hom.Value   // the value this process sent in its own lock message (if leader)
 
 	// Round scratch of Receive's one pass over the inbox (scan), owned by
 	// the process and reused every round; no state survives a round in it.
@@ -202,6 +204,12 @@ type Process struct {
 }
 
 var _ engine.Process = (*Process)(nil)
+
+// lock is a held lock (val, phase): the phase of the latest lock on val.
+type lock struct {
+	val   hom.Value
+	phase int
+}
 
 // Init implements engine.Process.
 func (pr *Process) Init(ctx engine.Context) {
@@ -215,16 +223,26 @@ func (pr *Process) Init(ctx engine.Context) {
 	}
 	pr.bc = bc
 	pr.proper = hom.NewValueSet(ctx.Input)
-	pr.locks = make(map[hom.Value]int)
 	pr.decision = hom.NoValue
-	pr.proposeAcc = make(map[int]map[hom.Identifier]hom.ValueSet)
-	pr.voteAcc = make(map[int]map[hom.Value]map[hom.Identifier]bool)
+	pr.proposeAcc.reset(ctx.Params.L)
+	pr.proposers.reset(ctx.Params.L)
+	pr.voteAcc.reset(ctx.Params.L)
 	pr.resetPhase()
 }
 
 func (pr *Process) resetPhase() {
-	pr.lockSeen = make(map[hom.Value]bool)
+	pr.lockSeen = pr.lockSeen[:0]
 	pr.leaderLockVal = hom.NoValue
+}
+
+// setLock records the lock (v, phase), replacing any earlier lock on v.
+func (pr *Process) setLock(v hom.Value, phase int) {
+	i, found := slices.BinarySearchFunc(pr.locks, v, func(lk lock, v hom.Value) int { return cmp.Compare(lk.val, v) })
+	if found {
+		pr.locks[i].phase = phase
+		return
+	}
+	pr.locks = slices.Insert(pr.locks, i, lock{v, phase})
 }
 
 func (pr *Process) isLeader(phase int) bool {
@@ -256,7 +274,7 @@ func (pr *Process) Prepare(round int) []msg.Send {
 		}
 	case 7: // SR4 round 1: lock and acknowledge.
 		if v, ok := pr.pickAckValue(phase); ok {
-			pr.locks[v] = phase
+			pr.setLock(v, phase)
 			direct = AckPayload{Phase: phase, Val: v}
 		}
 	case 8: // SR4 round 2: relay decisions.
@@ -288,57 +306,29 @@ func (pr *Process) Prepare(round int) []msg.Send {
 func (pr *Process) proposableValues() hom.ValueSet {
 	out := hom.NewValueSet()
 	for _, v := range pr.proper.Values() {
-		excluded := false
-		for w := range pr.locks {
-			if w != v {
-				excluded = true
-				break
-			}
-		}
-		if !excluded {
+		if !slices.ContainsFunc(pr.locks, func(lk lock) bool { return lk.val != v }) {
 			out.Add(v)
 		}
 	}
 	return out
 }
 
-// proposeSupport counts the distinct identifiers j with an accepted
-// ⟨propose Vj, phase⟩ such that v ∈ Vj.
-func (pr *Process) proposeSupport(phase int, v hom.Value) int {
-	n := 0
-	for _, set := range pr.proposeAcc[phase] {
-		if set.Contains(v) {
-			n++
-		}
-	}
-	return n
-}
-
 // pickLockValue returns the smallest value with ℓ−t propose support
 // (Figure 5, lines 10–12).
 func (pr *Process) pickLockValue(phase int) (hom.Value, bool) {
-	best, ok := hom.NoValue, false
-	for _, set := range pr.proposeAcc[phase] {
-		for _, v := range set.Values() {
-			if (!ok || v < best) && pr.proposeSupport(phase, v) >= pr.params.L-pr.params.T {
-				best, ok = v, true
-			}
-		}
-	}
-	return best, ok
+	return pr.proposeAcc.minSupported(phase, pr.params.L-pr.params.T)
 }
 
 // pickVoteValue returns the smallest value v with both a ⟨lock v, phase⟩
 // received from the leader identifier and ℓ−t propose support (Figure 5,
 // lines 14–16).
 func (pr *Process) pickVoteValue(phase int) (hom.Value, bool) {
-	best, ok := hom.NoValue, false
-	for v := range pr.lockSeen {
-		if (!ok || v < best) && pr.proposeSupport(phase, v) >= pr.params.L-pr.params.T {
-			best, ok = v, true
+	for _, v := range pr.lockSeen {
+		if pr.proposeAcc.supportOf(phase, v) >= pr.params.L-pr.params.T {
+			return v, true
 		}
 	}
-	return best, ok
+	return hom.NoValue, false
 }
 
 // pickAckValue returns the value to lock and acknowledge in SR4. With the
@@ -349,13 +339,7 @@ func (pr *Process) pickAckValue(phase int) (hom.Value, bool) {
 	if pr.opts.DisableVote {
 		return pr.pickVoteValue(phase)
 	}
-	best, ok := hom.NoValue, false
-	for v, ids := range pr.voteAcc[phase] {
-		if (!ok || v < best) && len(ids) >= pr.params.L-pr.params.T {
-			best, ok = v, true
-		}
-	}
-	return best, ok
+	return pr.voteAcc.minSupported(phase, pr.params.L-pr.params.T)
 }
 
 // Receive implements engine.Process.
@@ -367,34 +351,7 @@ func (pr *Process) Receive(round int, in *msg.Inbox) {
 	// spared were counted when first delivered, and scan never reads one.
 	in = in.Delta()
 	for _, acc := range pr.bc.Ingest(round, in) {
-		switch body := acc.Body.(type) {
-		case ProposePayload:
-			if body.Phase < 0 {
-				continue
-			}
-			byID := pr.proposeAcc[body.Phase]
-			if byID == nil {
-				byID = make(map[hom.Identifier]hom.ValueSet)
-				pr.proposeAcc[body.Phase] = byID
-			}
-			set := byID[acc.ID] // a value: the union goes back in
-			pr.valBuf = body.V.AppendValues(pr.valBuf[:0])
-			set.AddAll(pr.valBuf)
-			byID[acc.ID] = set
-		case VotePayload:
-			if body.Phase < 0 || body.Val == hom.NoValue {
-				continue
-			}
-			byVal := pr.voteAcc[body.Phase]
-			if byVal == nil {
-				byVal = make(map[hom.Value]map[hom.Identifier]bool)
-				pr.voteAcc[body.Phase] = byVal
-			}
-			if byVal[body.Val] == nil {
-				byVal[body.Val] = make(map[hom.Identifier]bool)
-			}
-			byVal[body.Val][acc.ID] = true
-		}
+		pr.accept(acc)
 	}
 
 	// Everything else arrives directly: one pass sorts it into the
@@ -408,16 +365,35 @@ func (pr *Process) Receive(round int, in *msg.Inbox) {
 
 	switch {
 	case tallyAcks: // SR4 round 1: a leader with ℓ−t acks for its lock value decides it.
-		if v, ok := pr.direct.minSupported(pr.params.L - pr.params.T); ok {
+		if v, ok := pr.direct.minSupported(0, pr.params.L-pr.params.T); ok {
 			pr.decision = v
 		}
 	case tallyDecides: // SR4 round 2: t+1 ⟨decide v⟩ let anyone decide v.
-		if v, ok := pr.direct.minSupported(pr.params.T + 1); ok {
+		if v, ok := pr.direct.minSupported(0, pr.params.T+1); ok {
 			pr.decision = v
 		}
 	}
 	if pos == 8 {
 		pr.releaseLocks()
+	}
+}
+
+// accept folds one Accept of the broadcast layer into the cumulative
+// tables.
+func (pr *Process) accept(acc authbcast.Accept) {
+	switch body := acc.Body.(type) {
+	case ProposePayload:
+		if body.Phase >= 0 {
+			pr.proposers.add(body.Phase, hom.NoValue, acc.ID)
+			pr.valBuf = body.V.AppendValues(pr.valBuf[:0])
+			for _, v := range pr.valBuf {
+				pr.proposeAcc.add(body.Phase, v, acc.ID)
+			}
+		}
+	case VotePayload:
+		if body.Phase >= 0 && body.Val != hom.NoValue {
+			pr.voteAcc.add(body.Phase, body.Val, acc.ID)
+		}
 	}
 }
 
@@ -439,22 +415,24 @@ func (pr *Process) scan(in *msg.Inbox, at []int32, phase, pos int, tallyAcks, ta
 		switch body := in.BodyAt(i).(type) {
 		case ProperPayload:
 			id := in.SenderAt(i)
-			pr.reporters.add(0, id)
+			pr.reporters.add(0, 0, id)
 			pr.valBuf = body.V.AppendValues(pr.valBuf[:0])
 			for _, v := range pr.valBuf {
-				pr.supported.add(v, id)
+				pr.supported.add(0, v, id)
 			}
 		case LockPayload:
 			if pos == 3 && body.Phase == phase && body.Val != hom.NoValue && in.SenderAt(i) == leader {
-				pr.lockSeen[body.Val] = true
+				if at, seen := slices.BinarySearch(pr.lockSeen, body.Val); !seen {
+					pr.lockSeen = slices.Insert(pr.lockSeen, at, body.Val)
+				}
 			}
 		case AckPayload:
 			if tallyAcks && body.Phase == phase && body.Val == pr.leaderLockVal {
-				pr.direct.add(body.Val, in.SenderAt(i))
+				pr.direct.add(0, body.Val, in.SenderAt(i))
 			}
 		case DecidePayload:
 			if tallyDecides && body.Val != hom.NoValue {
-				pr.direct.add(body.Val, in.SenderAt(i))
+				pr.direct.add(0, body.Val, in.SenderAt(i))
 			}
 		}
 	}
@@ -464,26 +442,20 @@ func (pr *Process) scan(in *msg.Inbox, at []int32, phase, pos int, tallyAcks, ta
 // once ℓ−t identifiers' votes are accepted for another value in a later
 // phase.
 func (pr *Process) releaseLocks() {
-	for v1, ph1 := range pr.locks {
+	held := pr.locks[:0]
+	for _, lk := range pr.locks {
 		released := false
-		for ph2, byVal := range pr.voteAcc {
-			if ph2 <= ph1 {
-				continue
-			}
-			for v2, ids := range byVal {
-				if v2 != v1 && len(ids) >= pr.params.L-pr.params.T {
-					released = true
-					break
-				}
-			}
-			if released {
+		for row, k := range pr.voteAcc.rows {
+			if k.phase > lk.phase && k.val != lk.val && pr.voteAcc.support(row) >= pr.params.L-pr.params.T {
+				released = true
 				break
 			}
 		}
-		if released {
-			delete(pr.locks, v1)
+		if !released {
+			held = append(held, lk)
 		}
 	}
+	pr.locks = held
 }
 
 // updateProper applies the proper-set rules to the round's tallies (scan):
@@ -492,13 +464,13 @@ func (pr *Process) releaseLocks() {
 // proper.
 func (pr *Process) updateProper() {
 	anySupported := false
-	for row, v := range pr.supported.vals {
+	for row, k := range pr.supported.rows {
 		if pr.supported.support(row) >= pr.params.T+1 {
-			pr.proper.Add(v)
+			pr.proper.Add(k.val)
 			anySupported = true
 		}
 	}
-	if !anySupported && len(pr.reporters.vals) > 0 && pr.reporters.support(0) >= 2*pr.params.T+1 {
+	if !anySupported && len(pr.reporters.rows) > 0 && pr.reporters.support(0) >= 2*pr.params.T+1 {
 		pr.proper.AddAll(pr.params.EffectiveDomain())
 	}
 }
@@ -519,69 +491,41 @@ func (pr *Process) Release() {
 
 // CloneProcess implements engine.Cloner: a deep copy sharing no mutable
 // state — the accept tables, locks and the broadcast layer are forked;
-// value sets are never written in place, so copies share them.
+// value sets are never written in place, so copies share them. The round
+// scratch tallies hold nothing between rounds and are not copied.
 func (pr *Process) CloneProcess() engine.Process {
-	cp := &Process{
+	return &Process{
 		opts:          pr.opts,
 		params:        pr.params,
 		id:            pr.id,
 		bc:            pr.bc.Clone(),
 		proper:        pr.proper.Clone(),
-		locks:         maps.Clone(pr.locks),
+		locks:         slices.Clone(pr.locks),
 		decision:      pr.decision,
-		proposeAcc:    make(map[int]map[hom.Identifier]hom.ValueSet, len(pr.proposeAcc)),
-		voteAcc:       make(map[int]map[hom.Value]map[hom.Identifier]bool, len(pr.voteAcc)),
-		lockSeen:      maps.Clone(pr.lockSeen),
+		proposeAcc:    pr.proposeAcc.clone(),
+		proposers:     pr.proposers.clone(),
+		voteAcc:       pr.voteAcc.clone(),
+		lockSeen:      slices.Clone(pr.lockSeen),
 		leaderLockVal: pr.leaderLockVal,
 	}
-	for ph, byID := range pr.proposeAcc {
-		cp.proposeAcc[ph] = maps.Clone(byID)
-	}
-	for ph, byVal := range pr.voteAcc {
-		m := make(map[hom.Value]map[hom.Identifier]bool, len(byVal))
-		for v, ids := range byVal {
-			m[v] = maps.Clone(ids)
-		}
-		cp.voteAcc[ph] = m
-	}
-	return cp
 }
 
 // StateFingerprint implements engine.StateHasher: a deterministic fold of
-// the full observable state — maps iterated in sorted key order, value
-// sets in their sorted order, the broadcast layer through its arena-order
-// Fingerprint — using canonical keys only.
+// the full observable state — locks, lock requests, value sets and tally
+// rows in their ascending order, the broadcast layer through its
+// arena-order Fingerprint — using canonical keys only.
 func (pr *Process) StateFingerprint() msg.StateHash {
 	h := msg.NewStateHash().Int(int(pr.decision)).Int(int(pr.leaderLockVal))
 	h = hashValueSet(h, pr.proper)
 	h = h.Int(len(pr.locks))
-	for _, v := range slices.Sorted(maps.Keys(pr.locks)) {
-		h = h.Int(int(v)).Int(pr.locks[v])
+	for _, lk := range pr.locks {
+		h = h.Int(int(lk.val)).Int(lk.phase)
 	}
 	h = h.Int(len(pr.lockSeen))
-	for _, v := range slices.Sorted(maps.Keys(pr.lockSeen)) {
+	for _, v := range pr.lockSeen {
 		h = h.Int(int(v))
 	}
-	h = h.Int(len(pr.proposeAcc))
-	for _, ph := range slices.Sorted(maps.Keys(pr.proposeAcc)) {
-		byID := pr.proposeAcc[ph]
-		h = h.Int(ph).Int(len(byID))
-		for _, id := range slices.Sorted(maps.Keys(byID)) {
-			h = hashValueSet(h.Int(int(id)), byID[id])
-		}
-	}
-	h = h.Int(len(pr.voteAcc))
-	for _, ph := range slices.Sorted(maps.Keys(pr.voteAcc)) {
-		byVal := pr.voteAcc[ph]
-		h = h.Int(ph).Int(len(byVal))
-		for _, v := range slices.Sorted(maps.Keys(byVal)) {
-			ids := byVal[v]
-			h = h.Int(int(v)).Int(len(ids))
-			for _, id := range slices.Sorted(maps.Keys(ids)) {
-				h = h.Int(int(id))
-			}
-		}
-	}
+	h = pr.voteAcc.hash(pr.proposers.hash(pr.proposeAcc.hash(h)))
 	return pr.bc.Fingerprint(h)
 }
 

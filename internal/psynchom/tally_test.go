@@ -3,6 +3,7 @@ package psynchom
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -22,8 +23,8 @@ func receiveDirectMaps(pr *Process, round int, in *msg.Inbox) {
 	case 3:
 		lo, hi := in.IdentifierRange(hom.LeaderID(phase, pr.params.L))
 		for i := lo; i < hi; i++ {
-			if lp, ok := in.BodyAt(i).(LockPayload); ok && lp.Phase == phase && lp.Val != hom.NoValue {
-				pr.lockSeen[lp.Val] = true
+			if lp, ok := in.BodyAt(i).(LockPayload); ok && lp.Phase == phase && lp.Val != hom.NoValue && !slices.Contains(pr.lockSeen, lp.Val) {
+				pr.lockSeen = append(pr.lockSeen, lp.Val)
 			}
 		}
 	case 7:
@@ -62,6 +63,7 @@ func receiveDirectMaps(pr *Process, round int, in *msg.Inbox) {
 		}
 		pr.releaseLocks()
 	}
+	slices.Sort(pr.lockSeen)
 }
 
 // updateProperMaps is the map-tallied proper-set rule (see
@@ -124,7 +126,7 @@ func TestBitsetTalliesMatchMapTallies(t *testing.T) {
 				pr.decision = hom.Value(rng.Intn(2))
 			}
 			if rng.Intn(2) == 0 {
-				pr.locks[hom.Value(rng.Intn(2))] = phase - 1
+				pr.setLock(hom.Value(rng.Intn(2)), phase-1)
 			}
 
 			// A few identifiers carry the round, so thresholds are met
@@ -207,25 +209,28 @@ func TestIDTallyIgnoresInvalidIdentifiers(t *testing.T) {
 	var tally idTally
 	tally.reset(64)
 	for _, id := range []hom.Identifier{-1, 0, 65, 1 << 40} {
-		tally.add(3, id)
+		tally.add(0, 3, id)
 	}
-	if len(tally.vals) != 0 {
-		t.Fatalf("invalid identifiers opened rows: %v", tally.vals)
+	if len(tally.rows) != 0 {
+		t.Fatalf("invalid identifiers opened rows: %v", tally.rows)
 	}
-	tally.add(3, 1)
-	tally.add(3, 64)
-	tally.add(3, 64)
-	tally.add(2, 63)
-	if got := tally.support(0); got != 2 {
+	tally.add(0, 3, 1)
+	tally.add(0, 3, 64)
+	tally.add(0, 3, 64)
+	tally.add(0, 2, 63)
+	if got := tally.supportOf(0, 3); got != 2 {
 		t.Fatalf("support of value 3 = %d, want 2", got)
 	}
-	if v, ok := tally.minSupported(1); !ok || v != 2 {
+	if got := tally.supportOf(1, 3); got != 0 {
+		t.Fatalf("support of value 3 in phase 1 = %d, want 0", got)
+	}
+	if v, ok := tally.minSupported(0, 1); !ok || v != 2 {
 		t.Fatalf("minSupported(1) = %d, %v; want 2", v, ok)
 	}
-	if v, ok := tally.minSupported(2); !ok || v != 3 {
+	if v, ok := tally.minSupported(0, 2); !ok || v != 3 {
 		t.Fatalf("minSupported(2) = %d, %v; want 3", v, ok)
 	}
-	if _, ok := tally.minSupported(3); ok {
+	if _, ok := tally.minSupported(0, 3); ok {
 		t.Fatal("minSupported(3) found a value with only 2 supporters")
 	}
 }
