@@ -102,6 +102,17 @@ func (c *Composite) Drop(round, fromSlot, toSlot int) bool {
 	return c.Drops.Drop(round, fromSlot, toSlot)
 }
 
+// StateFingerprint implements engine.StateHasher: the behaviour's
+// fingerprint when it has one (ScriptBehavior's shadows), else the hash
+// basis. Selectors and drop policies are pure; a behaviour drawing from
+// a shared random stream is not fingerprinted, and the explorer uses none.
+func (c *Composite) StateFingerprint() msg.StateHash {
+	if h, ok := c.Behavior.(engine.StateHasher); ok {
+		return h.StateFingerprint()
+	}
+	return msg.NewStateHash()
+}
+
 var _ engine.BatchDropper = (*Composite)(nil)
 
 // DropBatch implements engine.BatchDropper: the batched engines mask one
@@ -401,6 +412,14 @@ func (vf ValueFlood) Sends(round, slot int, view *engine.View) []msg.TargetedSen
 type Until struct {
 	Round int
 	Inner Behavior
+}
+
+// StateFingerprint implements engine.StateHasher through Inner.
+func (u Until) StateFingerprint() msg.StateHash {
+	if h, ok := u.Inner.(engine.StateHasher); ok {
+		return h.StateFingerprint()
+	}
+	return msg.NewStateHash()
 }
 
 // Sends implements Behavior.

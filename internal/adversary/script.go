@@ -2,6 +2,8 @@ package adversary
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
@@ -13,9 +15,10 @@ import (
 // explorer's counterexample format — a violating execution found by
 // package explore exports its adversary as a script, which the fuzzer's
 // Scenario JSON carries (behavior/drop kind "script") and the seed
-// corpus replays byte-for-byte. Both pieces are stateless and pure in
-// their inputs, so they compose with shrinking and with the batched
-// delivery path exactly like the hand-written policies above.
+// corpus replays byte-for-byte. ScriptDrops is pure in its inputs and
+// ScriptBehavior keeps no state but its mimic shadows (StateFingerprint),
+// so they compose with shrinking and with the batched delivery path
+// exactly like the hand-written policies above.
 
 // ScriptSend is one scripted Byzantine action of slot Slot in round
 // Round. The default action forges the protocol's payloads for Value
@@ -240,6 +243,34 @@ func (sb *ScriptBehavior) mimic(st ScriptSend, round, slot int, view *engine.Vie
 		sh.pending = append(sh.pending, msg.Message{ID: myID, Body: snd.Body})
 	}
 	return out
+}
+
+// StateFingerprint implements engine.StateHasher over the live shadows,
+// in key order: each one's key, last round, process fingerprint and
+// pending inbox as sorted message keys (msg.NewInbox ignores their
+// order, which follows slot numbers). Two executions whose correct
+// classes agree can still differ here — a mimic step whose sends a drop
+// suppressed advanced its shadow, silence did not — and so do their
+// futures.
+func (sb *ScriptBehavior) StateFingerprint() msg.StateHash {
+	h := msg.NewStateHash()
+	for _, key := range slices.Sorted(maps.Keys(sb.shadows)) {
+		sh := sb.shadows[key]
+		h = h.String(key).Int(sh.lastRound)
+		if p, ok := sh.proc.(engine.StateHasher); ok {
+			h = h.Uint64(uint64(p.StateFingerprint()))
+		}
+		pending := make([]string, len(sh.pending))
+		for i, m := range sh.pending {
+			pending[i] = m.Key()
+		}
+		slices.Sort(pending)
+		h = h.Int(len(pending))
+		for _, k := range pending {
+			h = h.String(k)
+		}
+	}
+	return h
 }
 
 // DropEdge is one scripted suppression: the message from From to To in

@@ -119,6 +119,57 @@ func (e *scriptEcho) Prepare(r int) []msg.Send {
 }
 func (e *scriptEcho) Receive(r int, in *msg.Inbox) { e.heard += in.Len() }
 func (e *scriptEcho) Decision() (hom.Value, bool)  { return 0, false }
+func (e *scriptEcho) StateFingerprint() msg.StateHash {
+	return msg.NewStateHash().Int(int(e.input)).Int(e.heard)
+}
+
+// TestScriptFingerprintFollowsShadows: a script's fingerprint is its live
+// shadows' state. Forge steps leave it where it started, a mimic step
+// moves it, scripts stepped alike agree, a shadow fed other messages differs,
+// and the order of one identifier's messages does not matter; Composite
+// and Until report their behaviour's fingerprint.
+func TestScriptFingerprintFollowsShadows(t *testing.T) {
+	basis := msg.NewStateHash()
+	script := func(mimic bool) *adversary.ScriptBehavior {
+		return &adversary.ScriptBehavior{
+			Steps:   []adversary.ScriptSend{{Round: 1, Slot: 3, Mimic: mimic, Value: 1}},
+			Make:    func(int, hom.Value) []msg.Payload { return []msg.Payload{msg.Raw("forged")} },
+			Factory: func(int) engine.Process { return &scriptEcho{} },
+		}
+	}
+	// Slots 0 and 2 share identifier 1; slot 3 is the Byzantine one.
+	p, a := params(4, 2, 1), hom.RoundRobinAssignment(4, 2)
+	round1 := func(first, second string) *engine.View {
+		return engine.NewView(p, a, nil, 1, [][]msg.Send{{msg.Broadcast(msg.Raw(first))}, nil,
+			{msg.Broadcast(msg.Raw(second))}, nil}, []int{3})
+	}
+	start := script(true).StateFingerprint()
+	forge := script(false)
+	forge.Sends(1, 3, round1("x", "y"))
+	if forge.StateFingerprint() != start {
+		t.Fatal("a forge step changed the fingerprint")
+	}
+	xy, yx, xx := script(true), script(true), script(true)
+	xy.Sends(1, 3, round1("x", "y"))
+	yx.Sends(1, 3, round1("y", "x"))
+	xx.Sends(1, 3, round1("x", "x"))
+	if xy.StateFingerprint() == start {
+		t.Fatal("a mimic step left the fingerprint where it started")
+	}
+	if xy.StateFingerprint() != yx.StateFingerprint() {
+		t.Fatal("the order of one identifier's messages changed the fingerprint")
+	}
+	if xy.StateFingerprint() == xx.StateFingerprint() {
+		t.Fatal("shadows fed different messages share a fingerprint")
+	}
+	if got := (&adversary.Composite{Behavior: adversary.Until{Round: 5, Inner: xy}}).StateFingerprint(); got != xy.StateFingerprint() {
+		t.Fatal("Composite and Until do not report the script's fingerprint")
+	}
+	if (&adversary.Composite{Behavior: adversary.Silent{}}).StateFingerprint() != basis ||
+		(adversary.Until{Round: 5}).StateFingerprint() != basis {
+		t.Fatal("a stateless behaviour does not report the basis")
+	}
+}
 
 // TestScriptBehaviorMimic drives a shadow twin across two rounds: round
 // 1 forwards the shadow's first Prepare; round 2 first replays the

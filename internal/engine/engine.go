@@ -285,17 +285,10 @@ type Config struct {
 	// *InvariantError on the first violation. Cheap enough for fuzz
 	// campaigns; off by default.
 	Invariants bool
-	// FrontierHash maintains, for every correct slot, an incremental
-	// msg.StateHash over the slot's observable history: each delivery it
-	// receives is folded, in the router's deterministic delivery order,
-	// as (round, canonical message key). Correct processes are
-	// deterministic functions of their Context and inbox sequence, so
-	// two executions whose per-slot hashes agree after round r are in
-	// the same correct-process frontier state — the soundness basis of
-	// the exhaustive explorer's state deduplication (package explore).
-	// Forces delivery recording (like an Observer); hashes surface in
-	// Result.SlotHashes. Hashes of corrupted slots stay at the basis.
-	FrontierHash bool
+	// RecordClasses reports the execution's final state in
+	// Result.Classes, taken before the processes are released. It costs
+	// O(classes) once, at the end of the run, and changes no routing.
+	RecordClasses bool
 
 	rep StateRep // set by WithStateRep; nil means Counting
 }
@@ -416,10 +409,20 @@ type Result struct {
 	Stats   Stats
 	// Traffic holds every delivery when Config.RecordTraffic was set.
 	Traffic []msg.Delivered
-	// SlotHashes holds, when Config.FrontierHash was set, each slot's
-	// observable-history hash at the end of the execution (corrupted
-	// slots keep the hash basis). Nil otherwise.
-	SlotHashes []msg.StateHash
+	// Classes holds, when Config.RecordClasses was set, the final state:
+	// the live correct classes by (identifier, StateFingerprint), sizes
+	// summed, sorted; then the adversary's fingerprint under identifier
+	// 0, when it is a StateHasher. It names no slot, so every state
+	// representation, and every within-group slot permutation, reads alike.
+	Classes []ClassState
+}
+
+// ClassState is one entry of Result.Classes. A process without
+// StateHasher reports fingerprint 0.
+type ClassState struct {
+	ID   hom.Identifier
+	FP   msg.StateHash
+	Size int
 }
 
 // IsCorrupted reports whether the slot was Byzantine in this execution.
@@ -501,7 +504,6 @@ type Engine struct {
 	router       *Router              // stamping, batching, delivery, stats
 	intern       *msg.Interner        // per-execution key symbolization table, pooled
 	inj          *inject.Injector     // compiled fault schedule, nil when fault-free
-	slotHash     []msg.StateHash      // per-slot observable-history hashes (FrontierHash)
 }
 
 // newEngine builds the execution state for a validated Config whose
@@ -572,13 +574,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if inj.HasTiming() && !policy.Enabled {
 		return nil, fmt.Errorf("%w (model %q)", ErrTimingFaults, cfg.TimeModel.Describe())
 	}
-	if cfg.FrontierHash {
-		e.slotHash = make([]msg.StateHash, n)
-		for s := range e.slotHash {
-			e.slotHash[s] = msg.NewStateHash()
-		}
-	}
-	record := cfg.RecordTraffic || e.observer != nil || cfg.FrontierHash
+	record := cfg.RecordTraffic || e.observer != nil
 	e.router = newRouter(&e.cfg, e.isBad, &e.res.Stats, e.intern, record, e.inj)
 	if policy.Enabled {
 		e.router.enableTiming(policy)
@@ -637,7 +633,12 @@ func (e *Engine) Run() (*Result, error) {
 			}
 		}
 	}
-	e.res.SlotHashes = e.slotHash
+	if e.cfg.RecordClasses {
+		e.res.Classes = e.held.classStates()
+		if h, ok := e.cfg.Adversary.(StateHasher); ok {
+			e.res.Classes = append(e.res.Classes, ClassState{FP: h.StateFingerprint()})
+		}
+	}
 	return e.res, nil
 }
 
@@ -711,16 +712,6 @@ func (e *Engine) step(round int) error {
 
 	if e.cfg.RecordTraffic {
 		e.res.Traffic = append(e.res.Traffic, e.router.deliveries...)
-	}
-	if e.slotHash != nil {
-		// Fold the round's deliveries in the router's deterministic
-		// (send-major) order. Only correct recipients accumulate: a
-		// corrupted slot has no process state to fingerprint.
-		for _, d := range e.router.deliveries {
-			if !e.isBad[d.ToSlot] {
-				e.slotHash[d.ToSlot] = e.slotHash[d.ToSlot].Delivery(d.Round, d.Msg)
-			}
-		}
 	}
 	if e.observer != nil {
 		e.observer.Observe(round, e.router.deliveries)

@@ -89,7 +89,7 @@ func TestRowRoutingMatchesPerPair(t *testing.T) {
 				cfg.NewProcess = func(s int) engine.Process {
 					return &rowSender{slot: s, l: cfg.Params.L, decideAt: engine.RowRounds}
 				}
-				cfg.RecordTraffic, cfg.FrontierHash, cfg.Invariants = record, record, true
+				cfg.RecordTraffic, cfg.RecordClasses, cfg.Invariants = record, record, true
 				ref := holdToRefmodel(t, cfg)
 				if st := ref.Stats; st.MessagesDropped == 0 || v.DrainRound > 0 && st.TimingHolds == 0 {
 					t.Errorf("the drop mask or the delay never fired: %+v", st)

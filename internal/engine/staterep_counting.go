@@ -581,6 +581,30 @@ func (r *countingRep) mergeClasses() {
 	}
 }
 
+// classStates returns the live classes as Result.Classes entries,
+// sorted, equal entries folded: classes that have not merged yet, or
+// never can (Concrete), read as one merged class.
+func (r *countingRep) classStates() []ClassState {
+	out := make([]ClassState, 0, len(r.classes))
+	for _, c := range r.classes {
+		cs := ClassState{ID: c.id, Size: int(c.size)}
+		if h, ok := c.proc.(StateHasher); ok {
+			cs.FP = h.StateFingerprint()
+		}
+		out = append(out, cs)
+	}
+	slices.SortFunc(out, func(a, b ClassState) int { return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.FP, b.FP)) })
+	folded := out[:0]
+	for _, cs := range out {
+		if k := len(folded) - 1; k >= 0 && folded[k].ID == cs.ID && folded[k].FP == cs.FP {
+			folded[k].Size += cs.Size
+		} else {
+			folded = append(folded, cs)
+		}
+	}
+	return folded
+}
+
 func (r *countingRep) Stop() {
 	if r.e == nil {
 		return

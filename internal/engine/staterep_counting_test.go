@@ -249,7 +249,7 @@ func TestCountingReceptionModes(t *testing.T) {
 			for _, faulty := range []bool{false, true} {
 				t.Run(fmt.Sprintf("d%d-r%d-faulty%t", d, r, faulty), func(t *testing.T) {
 					cfg := countingConfig(false, 6)
-					cfg.RecordTraffic, cfg.FrontierHash, cfg.Params.Numerate = d == 1, d == 1, r == 1
+					cfg.RecordTraffic, cfg.RecordClasses, cfg.Params.Numerate = d == 1, d == 1, r == 1
 					if faulty {
 						cfg.Adversary = adv
 					}

@@ -35,10 +35,10 @@ func Cells() []Cell {
 		{"A", "sync solvable: n=3t+1, l=3t+1", "synchom", sync(4, 4), Options{ChoiceRounds: 2}, "verified", true},
 		{"B", "sync unsolvable: l=3t", "synchom", sync(4, 3), Options{ChoiceRounds: 2}, "counterex", true},
 		{"C", "sync unsolvable: n=3t", "synchom", sync(3, 3), Options{ChoiceRounds: 2}, "counterex", true},
-		{"D", "psync solvable: 2l>n+3t", "psynchom", psync(2, 2, 0, false),
-			Options{ChoiceRounds: 2, GSTs: []int{1, 2, 3}}, "verified", true},
+		{"D", "psync solvable: 2l>n+3t", "psynchom", psync(3, 2, 0, false),
+			Options{ChoiceRounds: 3, GSTs: []int{1, 2, 3}}, "verified", true},
 		{"E", "psync unsolvable: 2l=n+3t", "psynchom", psync(2, 1, 0, false),
-			Options{ChoiceRounds: 2, GSTs: []int{3, 5, 7}}, "counterex", true},
+			Options{ChoiceRounds: 3, GSTs: []int{3, 5, 7}}, "counterex", true},
 		{"F", "psync numerate solvable: l=t+1", "psyncnum", psync(4, 2, 1, true),
 			Options{ChoiceRounds: 1, GSTs: []int{1}}, "verified", true},
 		{"G", "psync numerate unsolvable: l=t", "psyncnum", psync(5, 1, 1, true),

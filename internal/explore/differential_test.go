@@ -25,7 +25,7 @@ func TestQuickCellsMatchRefmodel(t *testing.T) {
 	runScenario = func(sc fuzz.Scenario) (*engine.Result, error) {
 		res, diff, err := refmodel.Hold(func() (engine.Config, error) {
 			cfg, err := sc.Config()
-			cfg.FrontierHash = true
+			cfg.RecordClasses = true
 			return cfg, err
 		})
 		mu.Lock()

@@ -6,19 +6,22 @@
 // splits over the value domain, equivocating copies of correct slots,
 // silence) and — before GST in partially synchronous cells — every
 // drop shape from a declared partition/isolation menu. The search is a
-// level-synchronized BFS over choice prefixes, deduplicated by a
-// canonical frontier hash that quotients out within-identifier-group
-// slot permutations (sound because correct processes are deterministic
-// in their delivered history and every checked predicate is invariant
-// under such permutations). A verified cell therefore holds over the
+// level-synchronized BFS over choice prefixes, deduplicated on one state
+// key: the engine's Result.Classes, each live correct class as
+// (identifier, StateFingerprint, size) plus the adversary's own
+// fingerprint (its mimic shadows), recorded before teardown. The record
+// names no slot, so it quotients out within-identifier-group slot
+// permutations, under which every checked predicate is invariant. A
+// process's fingerprint must fold everything its future depends on, so
+// equal keys mean equal futures. A verified cell therefore holds over the
 // group-symmetric closure of the declared menus up to the choice
 // window; an unsolvable cell yields a concrete minimal counterexample
 // exported in the fuzzer's Scenario JSON, replayable byte-for-byte by
 // cmd/fuzz -replay and harvestable into the regression corpus.
 //
 // The checker is stateless-search shaped: a node is named by its
-// choice prefix and re-executed from round 1 through the engine's
-// options API, so no engine snapshotting is needed and every
+// choice prefix and re-executed from round 1 from its engine.Config,
+// so no engine snapshotting is needed and every
 // evaluation is independently parallelizable. Results — including the
 // exploration digest — are byte-identical across worker counts because
 // candidate expansion order is deterministic and merges are sequential
@@ -103,7 +106,6 @@ type searcher struct {
 	proto     protoreg.Protocol
 	p         hom.Params
 	assign    hom.Assignment
-	groups    [][]int // slots per identifier, index 1..L
 	drops     []dropShape
 	gsts      []int
 	w         int
@@ -132,6 +134,36 @@ type node struct {
 // parameters) or an engine-level failure; a property violation is a
 // result, not an error.
 func CheckCell(protocol string, p hom.Params, opts Options) (*Report, error) {
+	s, err := newSearcher(protocol, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	claims, _ := s.proto.Claims(p)
+	rep := &Report{
+		Protocol: protocol,
+		Params:   p,
+		Solvable: p.Solvable(),
+		Claims:   claims,
+	}
+	roots := s.enumRoots()
+	rep.Roots = len(roots)
+	for _, rt := range roots {
+		found, err := s.searchRoot(rt, rep)
+		if err != nil {
+			return nil, err
+		}
+		if found {
+			break
+		}
+	}
+	rep.Verified = rep.Counterexample == nil && !rep.Truncated
+	rep.Digest = fmt.Sprintf("%016x", uint64(s.digest))
+	rep.Detail = s.detail(rep)
+	return rep, nil
+}
+
+// newSearcher validates one cell and fills in the Options defaults.
+func newSearcher(protocol string, p hom.Params, opts Options) (*searcher, error) {
 	proto, ok := protoreg.Get(protocol)
 	if !ok {
 		return nil, fmt.Errorf("explore: unknown protocol %q", protocol)
@@ -166,11 +198,6 @@ func CheckCell(protocol string, p hom.Params, opts Options) (*Report, error) {
 	if p.Synchrony == hom.PartiallySynchronous && len(opts.GSTs) > 0 {
 		s.gsts = append([]int(nil), opts.GSTs...)
 	}
-	s.groups = make([][]int, p.L+1)
-	for slot := 0; slot < p.N; slot++ {
-		id := int(s.assign[slot])
-		s.groups[id] = append(s.groups[id], slot)
-	}
 	// The digest covers everything that shapes the search — but not
 	// Workers, which must not matter.
 	s.digest = msg.NewStateHash().String(protocol).String(p.String()).
@@ -178,29 +205,7 @@ func CheckCell(protocol string, p hom.Params, opts Options) (*Report, error) {
 	for _, g := range s.gsts {
 		s.digest = s.digest.Int(g)
 	}
-
-	claims, _ := proto.Claims(p)
-	rep := &Report{
-		Protocol: protocol,
-		Params:   p,
-		Solvable: p.Solvable(),
-		Claims:   claims,
-	}
-	roots := s.enumRoots()
-	rep.Roots = len(roots)
-	for _, rt := range roots {
-		found, err := s.searchRoot(rt, rep)
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			break
-		}
-	}
-	rep.Verified = rep.Counterexample == nil && !rep.Truncated
-	rep.Digest = fmt.Sprintf("%016x", uint64(s.digest))
-	rep.Detail = s.detail(rep)
-	return rep, nil
+	return s, nil
 }
 
 func (s *searcher) detail(rep *Report) string {
@@ -318,7 +323,7 @@ func (s *searcher) searchRoot(rt root, rep *Report) (bool, error) {
 }
 
 // eval executes one choice prefix for exactly its own length and
-// summarizes the reached state: the canonical frontier hash, whether
+// summarizes the reached state: its state key, whether
 // every correct slot decided, and any safety violation visible so far.
 // Termination is deliberately not judged here — the window is shorter
 // than the protocol's budget — that is the tail runs' job.
@@ -327,7 +332,7 @@ func (s *searcher) eval(menu []byzAction, rt root, prefix []roundChoice, depth i
 	if err != nil {
 		return eval{}, fmt.Errorf("explore: %w", err)
 	}
-	ev := eval{hash: s.frontierHash(res), terminal: res.AllDecided}
+	ev := eval{hash: stateKey(res), terminal: res.AllDecided}
 	// Decisions cannot be revised, so an agreement or validity violation
 	// at any depth extends to a full violating execution.
 	verdict := trace.Check(res)
@@ -340,64 +345,28 @@ func (s *searcher) eval(menu []byzAction, rt root, prefix []roundChoice, depth i
 	return ev, nil
 }
 
-// runScenario executes one window scenario with per-slot history hashes
-// on. A test substitutes it to hold every evaluated execution to the
-// reference interpreter.
+// runScenario executes one window scenario with its final state
+// recorded (Config.RecordClasses). A test substitutes it to hold every
+// evaluated execution to the reference interpreter.
 var runScenario = func(sc fuzz.Scenario) (*engine.Result, error) {
 	cfg, err := sc.Config()
 	if err != nil {
 		return nil, err
 	}
-	cfg.FrontierHash = true
+	cfg.RecordClasses = true
 	return engine.Run(cfg)
 }
 
-// frontierHash canonicalizes the reached state under within-group slot
-// permutations: per identifier group, the lexicographically sorted
-// member tuples (corrupted?, input, delivered-history hash, decided?,
-// decision), folded in group order. Correct processes are deterministic
-// functions of (context, delivered history), so equal hashes mean
-// equal-modulo-symmetry continuations.
-func (s *searcher) frontierHash(res *engine.Result) uint64 {
+// stateKey names the reached state: Result.Classes, the correct
+// classes by (identifier, fingerprint, size) plus the adversary's
+// fingerprint. The record names no slot, so states equal up to
+// within-group slot permutations share a key.
+func stateKey(res *engine.Result) uint64 {
 	h := msg.NewStateHash()
-	for id := 1; id <= s.p.L; id++ {
-		members := s.groups[id]
-		tuples := make([][4]uint64, 0, len(members))
-		for _, sl := range members {
-			var tp [4]uint64
-			if res.IsCorrupted(sl) {
-				tp[0] = 1
-			} else {
-				tp[1] = uint64(res.Inputs[sl]) + 1
-				tp[2] = uint64(res.SlotHashes[sl])
-				if res.DecidedAt[sl] != 0 {
-					tp[3] = uint64(res.Decisions[sl]) + 1
-				}
-			}
-			tuples = append(tuples, tp)
-		}
-		for i := 1; i < len(tuples); i++ {
-			for j := i; j > 0 && tupleLess(tuples[j], tuples[j-1]); j-- {
-				tuples[j], tuples[j-1] = tuples[j-1], tuples[j]
-			}
-		}
-		h = h.Int(id)
-		for _, tp := range tuples {
-			for _, x := range tp {
-				h = h.Uint64(x)
-			}
-		}
+	for _, c := range res.Classes {
+		h = h.Int(int(c.ID)).Uint64(uint64(c.FP)).Int(c.Size)
 	}
 	return uint64(h)
-}
-
-func tupleLess(a, b [4]uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // harvest turns a violating prefix into the report's counterexample: it

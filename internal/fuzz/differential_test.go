@@ -69,7 +69,7 @@ func TestEngineMatchesRefmodel(t *testing.T) {
 func holdToRefmodel(sc Scenario, observed bool) (string, error) {
 	_, diff, err := refmodel.Hold(func() (engine.Config, error) {
 		cfg, err := sc.Config()
-		cfg.RecordTraffic, cfg.FrontierHash, cfg.Invariants = observed, observed, observed
+		cfg.RecordTraffic, cfg.RecordClasses, cfg.Invariants = observed, observed, observed
 		return cfg, err
 	})
 	return diff, err

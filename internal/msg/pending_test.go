@@ -96,20 +96,22 @@ func TestPendingQueueReset(t *testing.T) {
 	}
 }
 
-// TestStateHashDeliveryStable: the delivery fold depends only on the
-// round and the message's canonical key — never on interner KeyIDs —
-// and length-prefixed strings cannot alias across boundaries.
+// TestStateHashDeliveryStable: a message folds by its canonical key,
+// never by its interner KeyID — the same message interned after a
+// different prefix hashes the same — and length-prefixed strings cannot
+// alias across boundaries.
 func TestStateHashDeliveryStable(t *testing.T) {
-	m := Message{ID: 2, Body: Raw("x")}
-	a := NewStateHash().Delivery(3, m)
-	b := NewStateHash().Delivery(3, Message{ID: 2, Body: Raw("x")})
-	if a != b {
-		t.Fatal("identical deliveries hashed differently")
+	early, late := NewInterner(), NewInterner()
+	late.Intern("something else first")
+	a := NewMessageInterned(early, 2, Raw("x"))
+	b := NewMessageInterned(late, 2, Raw("x"))
+	if a.KeyID() == b.KeyID() {
+		t.Fatal("fixture: the two interners should issue different KeyIDs")
 	}
-	if NewStateHash().Delivery(4, m) == a {
-		t.Fatal("round not folded")
+	if NewStateHash().String(a.Key()) != NewStateHash().String(b.Key()) {
+		t.Fatal("identical messages hashed differently")
 	}
-	if NewStateHash().Delivery(3, Message{ID: 1, Body: Raw("x")}) == a {
+	if NewStateHash().String(Message{ID: 1, Body: Raw("x")}.Key()) == NewStateHash().String(a.Key()) {
 		t.Fatal("identifier not folded")
 	}
 	if NewStateHash().String("ab").String("c") == NewStateHash().String("a").String("bc") {

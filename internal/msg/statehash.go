@@ -1,19 +1,11 @@
 package msg
 
-// Stable state hashing for the exhaustive explorer (package explore):
-// a StateHash folds a correct process's observable history — the
-// sequence of deliveries it received, round by round — into one 64-bit
-// fingerprint that is identical across executions, state
-// representations and worker counts.
-//
-// The fold deliberately hashes each message's canonical key string
-// (Message.Key: authenticated identifier plus payload key) and NOT its
-// KeyID. KeyIDs are execution-relative: the interner assigns them in
-// first-sight order, so the same message can carry different KeyIDs in
-// two executions that deliver it after different prefixes. The canonical
-// key is the stable name the interner itself dedups on, which makes it
-// the only safe thing to hash when fingerprints from different
-// executions are compared (exactly what state-hash deduplication does).
+// A StateHash fingerprints a process's or an adversary's state: the
+// counting engine merges classes on it and the explorer keys its search
+// on it (engine.Result.Classes), so it must be identical across
+// executions. Fold canonical keys (Payload.Key, Message.Key), never
+// KeyIDs: an interner issues those in first-sight order, so one message
+// has different KeyIDs after different prefixes.
 
 // StateHash is an incremental, order-sensitive FNV-1a (64-bit) fold.
 // The zero value is NOT a valid hash; start from NewStateHash.
@@ -59,11 +51,4 @@ func (h StateHash) String(s string) StateHash {
 		h = h.Byte(s[i])
 	}
 	return h
-}
-
-// Delivery folds one observed delivery: the round it surfaced in and
-// the message's canonical key (identifier + payload key — see the file
-// comment for why the KeyID is excluded).
-func (h StateHash) Delivery(round int, m Message) StateHash {
-	return h.Int(round).String(m.Key())
 }

@@ -514,6 +514,31 @@ func (t *ntable) thresholdAlpha(support []alphaCopy, need int) (int, bool) {
 	return 0, false
 }
 
+// Fingerprint folds the broadcaster's state into h in canonical order:
+// the pending inits' body keys, sorted, then every cell with α > 0 as
+// (h, k, body key, α) in tuple order. Nothing else decides what Outgoing
+// and Ingest do next — the standing bundle caches the table, and body IDs
+// are table-local — so two broadcasters that saw the same tuples in
+// another order fingerprint the same.
+func (b *Broadcaster) Fingerprint(h msg.StateHash) msg.StateHash {
+	pending := make([]string, len(b.pending))
+	for i, m := range b.pending {
+		pending[i] = m.Key()
+	}
+	slices.Sort(pending)
+	h = h.Int(len(pending))
+	for _, k := range pending {
+		h = h.String(k)
+	}
+	t := b.tab
+	for _, ci := range t.order {
+		if c := &t.cells[ci]; c.alpha > 0 {
+			h = h.Int(int(c.h)).Int(c.k).String(c.seg.key).Int(c.alpha)
+		}
+	}
+	return h
+}
+
 // TableSize reports the number of tracked cells (tests and memory
 // accounting).
 func (b *Broadcaster) TableSize() int { return len(b.tab.cells) }

@@ -24,8 +24,10 @@
 package psyncnum
 
 import (
+	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
@@ -575,4 +577,28 @@ func (pr *Process) releaseLocks(need int) {
 // Decision implements engine.Process.
 func (pr *Process) Decision() (hom.Value, bool) {
 	return pr.decision, pr.decision != hom.NoValue
+}
+
+// StateFingerprint implements engine.StateHasher: the decision, the
+// largest accepted phase, the proper set, locks, this phase's lock
+// requests and the nonzero witness counts by canonical body key (fmt
+// prints maps in key order), then the broadcast layer's Fingerprint.
+// Body KeyIDs are process-local — probing a threshold interns a key —
+// and never hashed; the envelope fields and the round scratch are caches
+// of this state or rebuilt each round.
+func (pr *Process) StateFingerprint() msg.StateHash {
+	rows := map[string]string{}
+	for kid, row := range pr.witnesses {
+		var b strings.Builder
+		for id, a := range row.byID {
+			if a > 0 {
+				fmt.Fprintf(&b, "%d:%d ", id, a)
+			}
+		}
+		if b.Len() > 0 || len(row.overflow) > 0 {
+			rows[pr.keys.Key(msg.KeyID(kid))] = fmt.Sprint(b.String(), row.overflow)
+		}
+	}
+	state := fmt.Sprint(pr.decision, pr.maxAcceptPhase, pr.proper.Values(), pr.locks, pr.lockSeen, rows)
+	return pr.bc.Fingerprint(msg.NewStateHash().String(state))
 }

@@ -21,6 +21,7 @@
 package refmodel
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -63,8 +64,8 @@ type world struct {
 
 // Run executes cfg under its time model (Lockstep when nil) and reports
 // what the engine would report: decisions and their rounds, rounds run,
-// the budget stop, statistics, and — when cfg asks — traffic and
-// per-slot history hashes. cfg must be one engine.New accepts; the
+// the budget stop, statistics, and — when cfg asks — traffic and the
+// final class states. cfg must be one engine.New accepts; the
 // engine runs it as engine.Run(cfg). An error reports an
 // invalid corruption or fault schedule, or a broken model property.
 func Run(cfg engine.Config) (*engine.Result, error) {
@@ -90,7 +91,35 @@ func Run(cfg engine.Config) (*engine.Result, error) {
 		}
 	}
 	w.res.AllDecided = w.undecided() == 0
+	if cfg.RecordClasses {
+		w.res.Classes = w.classes()
+	}
 	return w.res, nil
+}
+
+// classes reports the final state as engine.Result.Classes does: the
+// correct slots counted by (identifier, fingerprint), then the
+// adversary's fingerprint under identifier 0.
+func (w *world) classes() (out []engine.ClassState) {
+	for s, p := range w.states {
+		if p == nil {
+			continue
+		}
+		cs := engine.ClassState{ID: w.cfg.Assignment[s], Size: 1}
+		if h, ok := p.(engine.StateHasher); ok {
+			cs.FP = h.StateFingerprint()
+		}
+		if i := slices.IndexFunc(out, func(o engine.ClassState) bool { return o.ID == cs.ID && o.FP == cs.FP }); i >= 0 {
+			out[i].Size++
+		} else {
+			out = append(out, cs)
+		}
+	}
+	slices.SortFunc(out, func(a, b engine.ClassState) int { return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.FP, b.FP)) })
+	if h, ok := w.cfg.Adversary.(engine.StateHasher); ok {
+		out = append(out, engine.ClassState{FP: h.StateFingerprint()})
+	}
+	return out
 }
 
 // start builds the initial state: the adversary's corruption, one
@@ -140,9 +169,6 @@ func start(cfg engine.Config) (*world, error) {
 		if !w.isByzantine[s] {
 			w.res.Faulted = append(w.res.Faulted, s)
 		}
-	}
-	if cfg.FrontierHash {
-		w.res.SlotHashes = slices.Repeat([]msg.StateHash{msg.NewStateHash()}, n)
 	}
 	return w, nil
 }
@@ -219,11 +245,6 @@ func (w *world) step(round int) {
 
 	if w.cfg.RecordTraffic {
 		w.res.Traffic = append(w.res.Traffic, w.log...)
-	}
-	for _, d := range w.log {
-		if h := w.res.SlotHashes; h != nil && !w.isByzantine[d.ToSlot] {
-			h[d.ToSlot] = h[d.ToSlot].Delivery(d.Round, d.Msg)
-		}
 	}
 	if obs, ok := w.cfg.Adversary.(engine.Observer); ok {
 		obs.Observe(round, w.log)
@@ -411,7 +432,7 @@ func Hold(config func() (engine.Config, error)) (res *engine.Result, diff string
 // want differ, and is "" when they agree on everything: the configured
 // parameters, assignment and inputs, corruption and fault culprits,
 // decisions and their rounds, rounds run, GST, the budget stop,
-// statistics, per-slot history hashes and the traffic record, delivery
+// statistics, the final class states and the traffic record, delivery
 // for delivery in order.
 func Diff(got, want *engine.Result) string {
 	g, w := lines(got), lines(want)
@@ -433,7 +454,7 @@ func lines(r *engine.Result) []string {
 		fmt.Sprintf("DecidedAt %v", r.DecidedAt),
 		fmt.Sprintf("Rounds %d, GST %d, AllDecided %v, Stopped %q", r.Rounds, r.GST, r.AllDecided, r.Stopped),
 		fmt.Sprintf("Stats %+v", r.Stats),
-		fmt.Sprintf("SlotHashes %v", r.SlotHashes),
+		fmt.Sprintf("Classes %v", r.Classes),
 	}
 	for _, d := range r.Traffic {
 		out = append(out, fmt.Sprintf("Traffic r%d %d>%d %s", d.Round, d.FromSlot, d.ToSlot, d.Msg.Key()))
