@@ -7,9 +7,11 @@
 //  2. Every relative link in the given markdown files resolves to a file
 //     or directory that actually exists, so README.md and ARCHITECTURE.md
 //     cannot silently rot as the tree moves underneath them.
-//  3. So does every repository path those files name in back-ticks —
-//     `internal/…`, `cmd/…` and `*.json` at the root — so a deleted
-//     package or record cannot linger in prose.
+//  3. So does every repository path those files name in code — a
+//     back-ticked `internal/…`, `cmd/…` or root `*.json` word, and any
+//     `./internal/…` or `./cmd/…` inside a code span or a fenced block —
+//     so a deleted package, command or record cannot linger in prose or
+//     in an example command.
 //  4. So does every `pkg.Name` or `pkg.Type.Member` they name, for pkg
 //     a directory under internal/: its non-test files declare it.
 //  5. Every test name in a `-run` pattern of .github/workflows/ci.yml
@@ -20,8 +22,8 @@
 //
 //	docscheck [-root DIR] [markdown files...]
 //
-// With no files, README.md and ARCHITECTURE.md under the root are
-// checked. Exit status 1 on any violation, with one line per finding.
+// With no files, README.md, ARCHITECTURE.md and the verify skill's
+// SKILL.md under the root are checked. Exit status 1 on any violation, with one line per finding.
 package main
 
 import (
@@ -45,7 +47,7 @@ func main() {
 	flag.Parse()
 	files := flag.Args()
 	if len(files) == 0 {
-		files = []string{"README.md", "ARCHITECTURE.md"}
+		files = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
 	}
 
 	var findings []string
@@ -166,30 +168,53 @@ func brokenLinks(root, file, text string) []string {
 	return findings
 }
 
-// codeSpan matches an inline back-ticked span; repoPath matches a word
-// of one that names a repository path: anything under internal/ or cmd/,
-// or a JSON file at the root.
+// codeSpan matches an inline back-ticked span, which may wrap onto the
+// next line but not across a blank one; fencedBlock matches a fenced
+// code block. repoPath matches a span word that names a repository path:
+// anything under internal/ or cmd/, or a JSON file at the root. dotPath
+// finds a ./internal/ or ./cmd/ path anywhere in code.
 var (
-	codeSpan = regexp.MustCompile("`[^`\n]+`")
-	repoPath = regexp.MustCompile(`^(\./)?(internal|cmd)/|^[^/]+\.json$`)
+	codeSpan    = regexp.MustCompile("`(?:[^`\n]|\n[^`\n])+`")
+	fencedBlock = regexp.MustCompile("(?ms)^ *```.*?^ *```")
+	repoPath    = regexp.MustCompile(`^(\./)?(internal|cmd)/|^[^/]+\.json$`)
+	dotPath     = regexp.MustCompile(`\./(?:internal|cmd)/[\w./*-]*`)
 )
 
-// danglingPaths verifies that every repository path the file's text
-// names inside back-ticks exists under root. A word with a <placeholder>
-// is skipped; one with a * must match at least one file.
+// danglingPaths verifies that every repository path the file's code
+// names exists under root. A word with a <placeholder> is skipped; one
+// with a * must match at least one file; a trailing /... (a go package
+// pattern) names its directory.
 func danglingPaths(root, file, text string) []string {
-	var findings []string
-	for _, span := range codeSpan.FindAllString(text, -1) {
+	var words []string
+	for _, block := range fencedBlock.FindAllString(text, -1) {
+		words = append(words, dotPath.FindAllString(block, -1)...)
+	}
+	for _, span := range codeSpans(text) {
 		for _, word := range strings.Fields(strings.Trim(span, "`")) {
-			if !repoPath.MatchString(word) || strings.Contains(word, "<") {
-				continue
-			}
-			if hits, _ := filepath.Glob(filepath.Join(root, word)); len(hits) == 0 {
-				findings = append(findings, fmt.Sprintf("%s: named path %q does not exist", file, word))
+			if repoPath.MatchString(word) {
+				words = append(words, word)
+			} else {
+				words = append(words, dotPath.FindAllString(word, -1)...)
 			}
 		}
 	}
+	var findings []string
+	for _, word := range words {
+		if strings.Contains(word, "<") {
+			continue
+		}
+		path := strings.TrimSuffix(strings.TrimSuffix(word, "..."), "/")
+		if hits, _ := filepath.Glob(filepath.Join(root, path)); len(hits) == 0 {
+			findings = append(findings, fmt.Sprintf("%s: named path %q does not exist", file, word))
+		}
+	}
 	return findings
+}
+
+// codeSpans lists the inline code spans of text outside its fenced
+// blocks.
+func codeSpans(text string) []string {
+	return codeSpan.FindAllString(fencedBlock.ReplaceAllString(text, ""), -1)
 }
 
 // qualifiedName matches pkg.Name or pkg.Type.Member, both exported, not
@@ -200,7 +225,7 @@ var qualifiedName = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.(
 // for a qualifier under internal/, is declared by that package.
 func staleNames(root, file, text string) []string {
 	var findings []string
-	for _, m := range qualifiedName.FindAllStringSubmatch(strings.Join(codeSpan.FindAllString(text, -1), " "), -1) {
+	for _, m := range qualifiedName.FindAllStringSubmatch(strings.Join(codeSpans(text), " "), -1) {
 		pkg, name := m[1], strings.TrimSuffix(m[2]+"."+m[3], ".")
 		if names := declaredNames(filepath.Join(root, "internal", pkg)); names != nil && !names[name] {
 			findings = append(findings, fmt.Sprintf("%s: %q is not declared in internal/%s", file, pkg+"."+name, pkg))

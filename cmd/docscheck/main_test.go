@@ -9,7 +9,9 @@ import (
 
 // TestDanglingPaths holds the named-path check to one resolving and one
 // dangling fixture: every way the docs name a path that exists passes,
-// and a package or record that left the tree is reported by name.
+// and a package, command or record that left the tree is reported by
+// name — in a code span, a span wrapped onto the next line, or a fenced
+// block.
 func TestDanglingPaths(t *testing.T) {
 	root := t.TempDir()
 	for _, dir := range []string{"internal/engine", "cmd/fuzz"} {
@@ -22,14 +24,19 @@ func TestDanglingPaths(t *testing.T) {
 	}
 	resolving := "The kernel is **`internal/engine`**; replay with `go run ./cmd/fuzz -replay dir`\n" +
 		"against `BENCHMARK.json` (or any `BENCH*.json`), writing `OUT_<n>.json`.\n" +
-		"Not paths: `engine.Run`, `a/b.json`, `-tolerance 0.25`.\n"
-	dangling := "See `internal/gone`, `go run ./cmd/gone -compare .` and `GONE_PR*.json`.\n"
+		"Not paths: `engine.Run`, `a/b.json`, `-tolerance 0.25`, `dir=./cmd/fuzz`.\n" +
+		"```sh\ngo run ./cmd/fuzz -q   # internal/gone is only a comment here\ngo test ./internal/...\n```\n" +
+		"A span may wrap: `GOMAXPROCS=1 go run\n./cmd/fuzz -q`.\n"
+	dangling := "See `internal/gone`, `go run ./cmd/gone -compare .` and `GONE_PR*.json`.\n" +
+		"```\ngo run ./cmd/fenced -seed 1\n```\n" +
+		"A wrapped span: `go run -race\n./internal/wrapped -q`, and `dir=./cmd/embedded`.\n"
 
 	if got := danglingPaths(root, "resolving.md", resolving); len(got) != 0 {
 		t.Errorf("resolving fixture reported %q", got)
 	}
 	got := danglingPaths(root, "dangling.md", dangling)
-	want := []string{`"internal/gone"`, `"./cmd/gone"`, `"GONE_PR*.json"`}
+	want := []string{`"./cmd/fenced"`, `"internal/gone"`, `"./cmd/gone"`, `"GONE_PR*.json"`,
+		`"./internal/wrapped"`, `"./cmd/embedded"`}
 	if len(got) != len(want) {
 		t.Fatalf("dangling fixture reported %q, want one finding each for %v", got, want)
 	}

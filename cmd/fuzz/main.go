@@ -9,16 +9,24 @@
 // claimed region are the expected lower-bound demonstrations of the
 // paper and can be harvested into replayable JSON seeds.
 //
+// With -chaos every scenario also carries a dense eventually-synchronous
+// timing overlay — link delays held across GST, reorders, round-clock
+// stalls, retransmission and, one scenario in four, a squeezed message
+// budget — on the same base scenarios the plain campaign draws: the soak
+// of the timing machinery, run with -invariants.
+//
 // Usage:
 //
 //	fuzz -seed 1 -count 500                  # campaign
+//	fuzz -chaos -invariants -seed 1 -count 300
+//	                                         # timing soak
 //	fuzz -replay internal/fuzz/testdata      # replay committed seeds
 //	fuzz -seed 1 -count 500 -harvest DIR -harvest-max 3
 //	                                         # write shrunk expected
 //	                                         # violations as seed files
 //
-// Exit status: 0 clean, 1 real violation or replay mismatch, 2 usage or
-// harness error.
+// Exit status: 0 clean, 1 real violation, panic, harness error or replay
+// mismatch, 2 usage error.
 package main
 
 import (
@@ -45,6 +53,7 @@ func main() {
 		replay     = flag.String("replay", "", "replay every *.json seed in this directory instead of fuzzing")
 		invariants = flag.Bool("invariants", false, "run every scenario with the engines' per-round internal checks (paranoid mode)")
 		timemodel  = flag.String("timemodel", "", "force a time model onto lockstep scenarios (e.g. esync; scenarios naming their own model keep it)")
+		chaos      = flag.Bool("chaos", false, "overlay a dense eventually-synchronous timing schedule on every scenario")
 		quiet      = flag.Bool("q", false, "print only the digest line and failures")
 	)
 	flag.Parse()
@@ -57,7 +66,7 @@ func main() {
 		Seed:           *seed,
 		Count:          *count,
 		Workers:        *workers,
-		Gen:            fuzz.GenOptions{MaxN: *maxN},
+		Gen:            fuzz.GenOptions{MaxN: *maxN, Chaos: *chaos},
 		Shrink:         *shrink,
 		KeepExpected:   *harvestMax,
 		Invariants:     *invariants,
@@ -68,12 +77,13 @@ func main() {
 	}
 	rep, err := fuzz.Campaign(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fuzz:", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *quiet {
-		fmt.Printf("fuzz campaign seed=%d count=%d digest=%s real=%d panics=%d errors=%d\n",
-			rep.Seed, rep.Count, rep.Digest, len(rep.Real), len(rep.Panics), len(rep.Errors))
+		fmt.Printf("fuzz campaign seed=%d count=%d timed=%d digest=%s real=%d panics=%d errors=%d\n",
+			rep.Seed, rep.Count, rep.Timed, rep.Digest, len(rep.Real), len(rep.Panics), len(rep.Errors))
+		fmt.Fprint(os.Stderr, rep.Failures())
 	} else {
 		fmt.Print(rep.Format())
 	}
@@ -127,11 +137,15 @@ func writeSeeds(dir, prefix string, found []fuzz.Found) int {
 // execution ended on a budget stop surface their reason — a seed pinning
 // graceful degradation (Expect.Stopped) should say so in the output.
 func replayDir(dir string, opts fuzz.Options) int {
-	replayed, errs := fuzz.ReplayDir(dir, opts, func(name string, o *fuzz.Outcome, err error) {
+	replayed, errs, err := fuzz.ReplayDir(dir, opts, func(name string, o *fuzz.Outcome, err error) {
 		if err == nil && o.Stopped != "" {
 			fmt.Printf("seed %s: stopped early (%s) after %d rounds\n", name, o.Stopped, o.Rounds)
 		}
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	for _, err := range errs {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 	}

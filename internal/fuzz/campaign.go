@@ -3,8 +3,9 @@ package fuzz
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"homonyms/internal/exec"
@@ -54,6 +55,12 @@ type Report struct {
 	// ByClass counts outcomes per class; ByProtocol per target.
 	ByClass    map[Class]int  `json:"by_class"`
 	ByProtocol map[string]int `json:"by_protocol"`
+	// Timed counts scenarios carrying at least one timing fault.
+	Timed int `json:"timed"`
+	// Stops counts budget stops per reason: a chaos campaign squeezes
+	// message budgets, so a healthy one shows "message-budget" entries
+	// (graceful degradation, not livelock).
+	Stops map[string]int `json:"stops,omitempty"`
 	// Real holds every real violation (claimed region broken) — any
 	// entry here must fail CI.
 	Real []Found `json:"real,omitempty"`
@@ -95,6 +102,9 @@ func Campaign(cfg Config) (*Report, error) {
 		cfg.ShrinkBudget = 200
 	}
 	opts := Options{Invariants: cfg.Invariants, ForceTimeModel: cfg.ForceTimeModel}
+	if err := opts.check(cfg.Gen.Protocols...); err != nil {
+		return nil, err
+	}
 	outs, err := exec.MapN(cfg.Count, cfg.Workers, func(i int) (*Outcome, error) {
 		rng := rand.New(rand.NewSource(subSeed(cfg.Seed, i)))
 		return Run(Generate(rng, cfg.Gen), opts), nil
@@ -109,12 +119,19 @@ func Campaign(cfg Config) (*Report, error) {
 		Workers:    cfg.Workers,
 		ByClass:    map[Class]int{},
 		ByProtocol: map[string]int{},
+		Stops:      map[string]int{},
 	}
 	h := fnv.New64a()
 	for i, o := range outs {
 		rep.ByClass[o.Class]++
 		rep.ByProtocol[o.Scenario.Protocol]++
 		fmt.Fprintf(h, "%d:%s;", i, o.Digest)
+		if o.Scenario.Faults.HasTiming() {
+			rep.Timed++
+		}
+		if o.Stopped != "" {
+			rep.Stops[o.Stopped]++
+		}
 		switch o.Class {
 		case ClassViolation:
 			rep.Real = append(rep.Real, found(cfg, i, o))
@@ -148,47 +165,53 @@ func found(cfg Config, i int, o *Outcome) Found {
 // output": two runs agree exactly on this string).
 func (r *Report) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fuzz campaign seed=%d count=%d digest=%s\n", r.Seed, r.Count, r.Digest)
-	classes := make([]string, 0, len(r.ByClass))
-	for c := range r.ByClass {
-		classes = append(classes, string(c))
+	fmt.Fprintf(&b, "fuzz campaign seed=%d count=%d timed=%d digest=%s\n", r.Seed, r.Count, r.Timed, r.Digest)
+	for _, c := range sortedKeys(r.ByClass) {
+		fmt.Fprintf(&b, "  %-20s %d\n", c, r.ByClass[c])
 	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		fmt.Fprintf(&b, "  %-20s %d\n", c, r.ByClass[Class(c)])
-	}
-	protos := make([]string, 0, len(r.ByProtocol))
-	for p := range r.ByProtocol {
-		protos = append(protos, p)
-	}
-	sort.Strings(protos)
-	for _, p := range protos {
+	for _, p := range sortedKeys(r.ByProtocol) {
 		fmt.Fprintf(&b, "  protocol %-12s %d\n", p, r.ByProtocol[p])
 	}
+	for _, s := range sortedKeys(r.Stops) {
+		fmt.Fprintf(&b, "  stopped %-12s %d\n", s, r.Stops[s])
+	}
+	b.WriteString(r.Failures())
+	for _, f := range r.Expected {
+		fmt.Fprintf(&b, "  expected violation at scenario %d (%s): %s\n",
+			f.Index, f.Outcome.ClaimsWhy, strings.Join(f.Outcome.Properties, ","))
+		writeShrunk(&b, f)
+	}
+	return b.String()
+}
+
+// Failures renders the findings that fail a campaign, one per line:
+// harness errors, real violations and panics, each followed by its
+// shrunk form when shrinking ran. Empty for a clean campaign.
+func (r *Report) Failures() string {
+	var b strings.Builder
 	for _, e := range r.Errors {
 		fmt.Fprintf(&b, "  error: %s\n", e)
 	}
 	for _, f := range r.Real {
 		fmt.Fprintf(&b, "  REAL VIOLATION at scenario %d: %s [%s]\n",
 			f.Index, f.Outcome.Detail, strings.Join(f.Outcome.Properties, ","))
-		if f.Shrunk != nil {
-			fmt.Fprintf(&b, "    shrunk: %s\n", describe(f.Shrunk.Scenario))
-		}
+		writeShrunk(&b, f)
 	}
 	for _, f := range r.Panics {
 		fmt.Fprintf(&b, "  PANIC at scenario %d: %s\n", f.Index, f.Outcome.Detail)
-		if f.Shrunk != nil {
-			fmt.Fprintf(&b, "    shrunk: %s\n", describe(f.Shrunk.Scenario))
-		}
-	}
-	for _, f := range r.Expected {
-		fmt.Fprintf(&b, "  expected violation at scenario %d (%s): %s\n",
-			f.Index, f.Outcome.ClaimsWhy, strings.Join(f.Outcome.Properties, ","))
-		if f.Shrunk != nil {
-			fmt.Fprintf(&b, "    shrunk: %s\n", describe(f.Shrunk.Scenario))
-		}
+		writeShrunk(&b, f)
 	}
 	return b.String()
+}
+
+func writeShrunk(b *strings.Builder, f Found) {
+	if f.Shrunk != nil {
+		fmt.Fprintf(b, "    shrunk: %s\n", describe(f.Shrunk.Scenario))
+	}
+}
+
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	return slices.Sorted(maps.Keys(m))
 }
 
 // describe renders a scenario one-line.

@@ -13,6 +13,9 @@ type GenOptions struct {
 	MaxN int
 	// Protocols restricts the targets; empty means every registered one.
 	Protocols []string
+	// Chaos takes the eventually-synchronous timing branch on every
+	// scenario, drawing from a dense row: the timing-machinery soak.
+	Chaos bool
 }
 
 func (g GenOptions) maxN() int {
@@ -140,25 +143,29 @@ func Generate(rng *rand.Rand, opts GenOptions) Scenario {
 	}
 
 	// Eventually-synchronous timing dimension on about a fifth of
-	// scenarios: the esync time model, its policy knobs, delay/reorder/
-	// stall faults and (rarely) a message budget. These draws come after
-	// every older field — including the fault draw above — so the
-	// rng-stream prefix, and with it every lockstep scenario, is
+	// scenarios (every one under Chaos): the esync time model, its policy
+	// knobs, delay/reorder/stall faults and a message budget. These draws
+	// come after every older field — including the fault draw above — so
+	// the rng-stream prefix, and with it every lockstep scenario, is
 	// unchanged.
-	if rng.Intn(5) == 0 {
+	if t := timingRows[opts.Chaos]; t.branch.hit(rng) {
 		sc.TimeModel = "esync"
-		sc.Bound = rng.Intn(3)
-		if rng.Intn(2) == 0 {
+		sc.Bound = rng.Intn(t.bound)
+		if t.timeout.hit(rng) {
 			sc.Timeout = 1 + rng.Intn(3)
-			if rng.Intn(2) == 0 {
-				sc.MaxAttempts = 1 + rng.Intn(3)
+			if t.retries.hit(rng) {
+				sc.MaxAttempts = 1 + rng.Intn(t.attempts)
 			}
 		}
-		if rng.Intn(3) > 0 {
-			sc.Faults = sampleTimingFaults(rng, sc.N, sc.Faults)
+		if !t.untimed.hit(rng) {
+			sc.Faults = sampleTimingFaults(rng, sc.N, sc.Faults, t)
 		}
-		if rng.Intn(6) == 0 {
-			sc.MaxSends = 64 * (1 + rng.Intn(32))
+		if t.squeeze.hit(rng) {
+			unit := t.sendUnit
+			if unit == 0 {
+				unit = sc.N
+			}
+			sc.MaxSends = unit * (t.sendsMin + rng.Intn(t.sendsSpan))
 		}
 	}
 	return sc
@@ -221,43 +228,85 @@ func sampleFaults(rng *rand.Rand, n int) *inject.Schedule {
 	return &f
 }
 
-// sampleTimingFaults adds delay/reorder/stall timing faults to the
-// scenario's schedule (allocating one when it had none; the input
-// schedule is not mutated). Windows stay in the opening rounds where
-// they interleave with GST, the adversary and retransmission; a delay
-// with By == 0 holds its link until stabilisation — the sharpest
+// odds is a k-in-n chance, drawn as rng.Intn(n) < k: one draw even when
+// the outcome is certain (k = 0 or k = n).
+type odds struct{ k, n int }
+
+func (o odds) hit(rng *rand.Rand) bool { return rng.Intn(o.n) < o.k }
+
+// timingRow is one density of the timing dimension: the odds and spans
+// Generate's esync branch and sampleTimingFaults draw from. A span s
+// draws 1+rng.Intn(s) unless its comment says otherwise.
+type timingRow struct {
+	branch             odds // the esync branch is taken
+	bound              int  // Bound is rng.Intn(bound)
+	timeout, retries   odds // a retransmit timeout; then an attempt cap
+	attempts           int  // span of MaxAttempts
+	untimed, undelayed odds // no timing faults at all; no delay windows
+	delays             int  // span of the number of delay windows
+	hold               int  // span of a delay's By
+	window             int  // a delay's Until-From is rng.Intn(window)
+	probMin, probSpan  float64
+	reorder, stall     odds
+	stallFor           int // span of a stall's Rounds
+	squeeze            odds
+	// A squeezed budget is sendUnit·(sendsMin+rng.Intn(sendsSpan))
+	// sends; sendUnit 0 means n.
+	sendUnit, sendsMin, sendsSpan int
+}
+
+// timingRows holds the plain row (GenOptions.Chaos false), whose draws are
+// the campaign's rng stream and must not move, and the chaos row: every
+// scenario timed, more and longer delay windows, reorders and stalls at
+// even odds, retransmission on three scenarios in four and, one in four,
+// a budget of a few rounds' sends, so sustained delay plus retransmission
+// degrades into a structured stop.
+var timingRows = map[bool]timingRow{
+	false: {branch: odds{1, 5}, bound: 3, timeout: odds{1, 2}, retries: odds{1, 2}, attempts: 3,
+		untimed: odds{1, 3}, undelayed: odds{1, 3}, delays: 2, hold: 4, window: 6, probMin: 0.3, probSpan: 0.6,
+		reorder: odds{1, 3}, stall: odds{1, 3}, stallFor: 3, squeeze: odds{1, 6}, sendUnit: 64, sendsMin: 1, sendsSpan: 32},
+	true: {branch: odds{1, 1}, bound: 4, timeout: odds{3, 4}, retries: odds{1, 3}, attempts: 4,
+		untimed: odds{0, 1}, undelayed: odds{0, 1}, delays: 3, hold: 5, window: 8, probMin: 0.2, probSpan: 0.7,
+		reorder: odds{1, 2}, stall: odds{1, 2}, stallFor: 4, squeeze: odds{1, 4}, sendsMin: 2, sendsSpan: 6},
+}
+
+// sampleTimingFaults adds delay/reorder/stall timing faults drawn from
+// row t to the scenario's schedule (allocating one when it had none; the
+// input schedule is not mutated). Windows stay in the opening rounds
+// where they interleave with GST, the adversary and retransmission; a
+// delay with By == 0 holds its link until stabilisation — the sharpest
 // pre-GST schedule the model allows.
-func sampleTimingFaults(rng *rand.Rand, n int, base *inject.Schedule) *inject.Schedule {
+func sampleTimingFaults(rng *rand.Rand, n int, base *inject.Schedule, t timingRow) *inject.Schedule {
 	f := &inject.Schedule{}
 	if base != nil {
 		g := *base
 		f = &g
 	}
-	if rng.Intn(3) > 0 {
-		k := 1 + rng.Intn(2)
+	if !t.undelayed.hit(rng) {
+		k := 1 + rng.Intn(t.delays)
 		for i := 0; i < k; i++ {
 			d := inject.Delay{FromSlot: rng.Intn(n), ToSlot: rng.Intn(n), From: 1 + rng.Intn(6)}
 			if rng.Intn(3) > 0 {
-				d.By = 1 + rng.Intn(4)
+				d.By = 1 + rng.Intn(t.hold)
 			}
 			if rng.Intn(2) == 0 {
-				d.Until = d.From + rng.Intn(6)
+				d.Until = d.From + rng.Intn(t.window)
 			}
 			if rng.Intn(3) == 0 {
-				d.Prob = 0.3 + 0.6*rng.Float64()
+				d.Prob = t.probMin + t.probSpan*rng.Float64()
 				d.Seed = rng.Int63()
 			}
 			f.Delays = append(f.Delays, d)
 		}
 	}
-	if rng.Intn(3) == 0 {
+	if t.reorder.hit(rng) {
 		f.Reorders = append(f.Reorders, inject.Reorder{
 			FromSlot: rng.Intn(n), ToSlot: rng.Intn(n), Round: 1 + rng.Intn(8),
 		})
 	}
-	if rng.Intn(3) == 0 {
+	if t.stall.hit(rng) {
 		f.Stalls = append(f.Stalls, inject.Stall{
-			Slot: rng.Intn(n), Round: 1 + rng.Intn(6), Rounds: 1 + rng.Intn(3),
+			Slot: rng.Intn(n), Round: 1 + rng.Intn(6), Rounds: 1 + rng.Intn(t.stallFor),
 		})
 	}
 	if !f.HasTiming() {

@@ -107,8 +107,9 @@ func TestCampaignSurvivesPanic(t *testing.T) {
 		if len(rep.Errors) > 0 {
 			t.Fatalf("panics leaked into harness errors: %v", rep.Errors)
 		}
-		if !strings.Contains(rep.Format(), "PANIC at scenario") {
-			t.Fatal("report text does not surface the panics")
+		if got := strings.Count(rep.Failures(), "PANIC at scenario"); got != len(rep.Panics) ||
+			!strings.Contains(rep.Format(), rep.Failures()) {
+			t.Fatalf("failure lines name %d of %d panics, or the report text omits them", got, len(rep.Panics))
 		}
 		digests = append(digests, rep.Digest)
 		formats = append(formats, rep.Format())

@@ -293,13 +293,9 @@ func (sc Scenario) Config() (engine.Config, error) {
 	if len(sc.Inputs) != sc.N {
 		return engine.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d: %w", sc.N, len(sc.Inputs), hom.ErrInputLength)
 	}
-	var tm engine.TimeModel // nil: lockstep
-	switch sc.TimeModel {
-	case "", "lockstep":
-	case "esync":
-		tm = engine.EventuallySynchronous{Bound: sc.Bound, Timeout: sc.Timeout, MaxAttempts: sc.MaxAttempts}
-	default:
-		return engine.Config{}, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
+	tm, err := sc.timeModel()
+	if err != nil {
+		return engine.Config{}, err
 	}
 	a, err := sc.assignment()
 	if err != nil {
@@ -337,6 +333,18 @@ func (sc Scenario) Config() (engine.Config, error) {
 		MaxSends:   sc.MaxSends,
 		TimeModel:  tm,
 	}, nil
+}
+
+// timeModel resolves the scenario's time model with its knobs; nil is
+// lockstep.
+func (sc Scenario) timeModel() (engine.TimeModel, error) {
+	switch sc.TimeModel {
+	case "", "lockstep":
+		return nil, nil
+	case "esync":
+		return engine.EventuallySynchronous{Bound: sc.Bound, Timeout: sc.Timeout, MaxAttempts: sc.MaxAttempts}, nil
+	}
+	return nil, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
 }
 
 // Class is the fuzzer's classification of one execution.
@@ -402,6 +410,19 @@ type Options struct {
 	// anchor) — which is what lets CI replay the whole corpus under the
 	// new time model.
 	ForceTimeModel string
+}
+
+// check rejects a forced time model or a protocol name no scenario can
+// run with, before any scenario runs: a campaign or replay would
+// otherwise report the same error once per scenario.
+func (o Options) check(protocols ...string) error {
+	for _, name := range protocols {
+		if _, ok := protoreg.Get(name); !ok {
+			return fmt.Errorf("fuzz: unknown protocol %q (registered: %v)", name, protoreg.Names())
+		}
+	}
+	_, err := Scenario{TimeModel: o.ForceTimeModel}.timeModel()
+	return err
 }
 
 // Run executes one scenario and classifies the result. It never

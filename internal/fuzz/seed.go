@@ -106,19 +106,24 @@ func Replay(sf SeedFile, opts Options) (*Outcome, error) {
 }
 
 // ReplayDir replays every *.json seed under dir in sorted order under
-// opts and returns the per-seed errors (nil entries omitted). A missing
-// directory is not an error: a repository starts with no regression
-// seeds. visit (when non-nil) is called for every replayed seed with its
-// outcome and replay error, letting callers surface execution details —
-// a budget stop, the round count — that the aggregate error list does
-// not carry. Seeds that fail to load are reported only through errs.
-func ReplayDir(dir string, opts Options, visit func(name string, o *Outcome, err error)) (replayed int, errs []error) {
+// opts and returns the per-seed errors (nil entries omitted). err reports
+// a replay that could not start: an unknown forced time model or an
+// unreadable directory. A missing directory is not an error: a
+// repository starts with no regression seeds. visit (when non-nil) is
+// called for every replayed seed with its outcome and replay error,
+// letting callers surface execution details — a budget stop, the round
+// count — that the aggregate error list does not carry. Seeds that fail
+// to load are reported only through errs.
+func ReplayDir(dir string, opts Options, visit func(name string, o *Outcome, err error)) (replayed int, errs []error, err error) {
+	if err := opts.check(); err != nil {
+		return 0, nil, err
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return 0, nil, nil
 		}
-		return 0, []error{err}
+		return 0, nil, err
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -142,5 +147,5 @@ func ReplayDir(dir string, opts Options, visit func(name string, o *Outcome, err
 			visit(sf.Name, o, err)
 		}
 	}
-	return replayed, errs
+	return replayed, errs, nil
 }

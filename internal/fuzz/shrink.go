@@ -98,63 +98,27 @@ func candidates(sc Scenario) []Scenario {
 		add(c)
 	}
 
-	// Injected faults: remove the schedule entirely, then clear one fault
-	// list at a time, then drop the last entry of each list (repeated
-	// application empties any list, so the fixpoint keeps only the
-	// entries the failure needs).
+	// Injected faults: remove the schedule entirely, then drop the last
+	// entry of each list (repeated application empties any list, so the
+	// fixpoint keeps only the entries the failure needs).
 	if !sc.Faults.Empty() {
 		c := sc
 		c.Faults = nil
 		add(c)
-		f := *sc.Faults
-		if len(f.Crashes) > 0 {
-			g := f
-			g.Crashes = g.Crashes[:len(g.Crashes)-1]
-			c = sc
-			c.Faults = schedOrNil(g)
-			add(c)
-		}
-		if len(f.Omissions) > 0 {
-			g := f
-			g.Omissions = g.Omissions[:len(g.Omissions)-1]
-			c = sc
-			c.Faults = schedOrNil(g)
-			add(c)
-		}
-		if len(f.Duplicates) > 0 {
-			g := f
-			g.Duplicates = g.Duplicates[:len(g.Duplicates)-1]
-			c = sc
-			c.Faults = schedOrNil(g)
-			add(c)
-		}
-		if len(f.Replays) > 0 {
-			g := f
-			g.Replays = g.Replays[:len(g.Replays)-1]
-			c = sc
-			c.Faults = schedOrNil(g)
-			add(c)
-		}
-		if len(f.Delays) > 0 {
-			g := f
-			g.Delays = g.Delays[:len(g.Delays)-1]
-			c = sc
-			c.Faults = schedOrNil(g)
-			add(c)
-		}
-		if len(f.Reorders) > 0 {
-			g := f
-			g.Reorders = g.Reorders[:len(g.Reorders)-1]
-			c = sc
-			c.Faults = schedOrNil(g)
-			add(c)
-		}
-		if len(f.Stalls) > 0 {
-			g := f
-			g.Stalls = g.Stalls[:len(g.Stalls)-1]
-			c = sc
-			c.Faults = schedOrNil(g)
-			add(c)
+		for _, pop := range []func(*inject.Schedule) bool{
+			func(g *inject.Schedule) bool { return popLast(&g.Crashes) },
+			func(g *inject.Schedule) bool { return popLast(&g.Omissions) },
+			func(g *inject.Schedule) bool { return popLast(&g.Duplicates) },
+			func(g *inject.Schedule) bool { return popLast(&g.Replays) },
+			func(g *inject.Schedule) bool { return popLast(&g.Delays) },
+			func(g *inject.Schedule) bool { return popLast(&g.Reorders) },
+			func(g *inject.Schedule) bool { return popLast(&g.Stalls) },
+		} {
+			if g := *sc.Faults; pop(&g) {
+				c = sc
+				c.Faults = schedOrNil(g)
+				add(c)
+			}
 		}
 	}
 
@@ -218,11 +182,11 @@ func candidates(sc Scenario) []Scenario {
 		c := sc
 		c.N--
 		c.Inputs = append([]int(nil), sc.Inputs[:c.N]...)
-		c.Selector.Slots = filterBelow(sc.Selector.Slots, c.N)
+		c.Selector.Slots = keep(sc.Selector.Slots, func(x int) bool { return x < c.N })
 		if c.Selector.Kind == "slots" && len(c.Selector.Slots) == 0 {
 			c.Selector = SelectorSpec{Kind: "first"}
 		}
-		c.Drops.Targets = filterBelow(sc.Drops.Targets, c.N)
+		c.Drops.Targets = keep(sc.Drops.Targets, func(x int) bool { return x < c.N })
 		if c.Drops.Kind == "targeted" && len(c.Drops.Targets) == 0 {
 			c.Drops = DropSpec{Kind: "none"}
 		}
@@ -298,53 +262,37 @@ func trimFaults(s *inject.Schedule, n int) *inject.Schedule {
 	if s.Empty() {
 		return nil
 	}
-	var g inject.Schedule
-	for _, x := range s.Crashes {
-		if x.Slot < n {
-			g.Crashes = append(g.Crashes, x)
-		}
-	}
-	for _, x := range s.Omissions {
-		if x.Slot < n {
-			g.Omissions = append(g.Omissions, x)
-		}
-	}
-	for _, x := range s.Duplicates {
-		if x.FromSlot < n && x.ToSlot < n {
-			g.Duplicates = append(g.Duplicates, x)
-		}
-	}
-	for _, x := range s.Replays {
-		if x.FromSlot < n && x.ToSlot < n {
-			g.Replays = append(g.Replays, x)
-		}
-	}
-	for _, x := range s.Delays {
-		if x.FromSlot < n && x.ToSlot < n {
-			g.Delays = append(g.Delays, x)
-		}
-	}
-	for _, x := range s.Reorders {
-		if x.FromSlot < n && x.ToSlot < n {
-			g.Reorders = append(g.Reorders, x)
-		}
-	}
-	for _, x := range s.Stalls {
-		if x.Slot < n {
-			g.Stalls = append(g.Stalls, x)
-		}
-	}
-	return schedOrNil(g)
+	slot := func(x int) bool { return x < n }
+	link := func(from, to int) bool { return from < n && to < n }
+	return schedOrNil(inject.Schedule{
+		Crashes:    keep(s.Crashes, func(x inject.Crash) bool { return slot(x.Slot) }),
+		Omissions:  keep(s.Omissions, func(x inject.Omission) bool { return slot(x.Slot) }),
+		Duplicates: keep(s.Duplicates, func(x inject.Duplicate) bool { return link(x.FromSlot, x.ToSlot) }),
+		Replays:    keep(s.Replays, func(x inject.Replay) bool { return link(x.FromSlot, x.ToSlot) }),
+		Delays:     keep(s.Delays, func(x inject.Delay) bool { return link(x.FromSlot, x.ToSlot) }),
+		Reorders:   keep(s.Reorders, func(x inject.Reorder) bool { return link(x.FromSlot, x.ToSlot) }),
+		Stalls:     keep(s.Stalls, func(x inject.Stall) bool { return slot(x.Slot) }),
+	})
 }
 
-func filterBelow(xs []int, n int) []int {
-	var out []int
+// keep returns the elements of xs that ok accepts, nil when none is.
+func keep[T any](xs []T, ok func(T) bool) []T {
+	var out []T
 	for _, x := range xs {
-		if x < n {
+		if ok(x) {
 			out = append(out, x)
 		}
 	}
 	return out
+}
+
+// popLast drops the last element of *xs, reporting whether there was one.
+func popLast[T any](xs *[]T) bool {
+	if len(*xs) == 0 {
+		return false
+	}
+	*xs = (*xs)[:len(*xs)-1]
+	return true
 }
 
 func allZero(xs []int) bool {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/inject"
 	"homonyms/internal/refmodel"
 )
@@ -93,37 +94,91 @@ func TestRetransmitDeterminism(t *testing.T) {
 }
 
 // TestCampaignWorkerParityWithTiming reruns the campaign-determinism
-// check on a seed chosen so the generator's esync branch is exercised:
-// the report digest — which folds every outcome digest in index order —
-// must be byte-identical across worker counts even when scenarios carry
-// delay schedules and retransmission.
+// check where the timing machinery is exercised: the report digest —
+// which folds every outcome digest in index order — must be
+// byte-identical across worker counts even when scenarios carry delay
+// schedules and retransmission. The plain leg picks a seed whose
+// generator takes its esync branch; the chaos leg is the timing soak,
+// run under the engines' invariants: every scenario timed, some squeezed
+// into a message-budget stop, and no violation, panic or harness error.
 func TestCampaignWorkerParityWithTiming(t *testing.T) {
-	cfg := Config{Seed: 20260807, Count: 48, Gen: GenOptions{MaxN: 6}}
-	cfg.Workers = 1
-	r1, err := Campaign(cfg)
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{Seed: 20260807, Count: 48, Gen: GenOptions{MaxN: 6}}},
+		{"chaos", Config{Seed: 20260807, Count: 40, Gen: GenOptions{MaxN: 6, Chaos: true}, Invariants: true}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := leg.cfg
+			cfg.Workers = 1
+			r1, err := Campaign(cfg)
+			if err != nil {
+				t.Fatalf("campaign w1: %v", err)
+			}
+			cfg.Workers = 3
+			r3, err := Campaign(cfg)
+			if err != nil {
+				t.Fatalf("campaign w3: %v", err)
+			}
+			if r1.Digest != r3.Digest {
+				t.Fatalf("campaign digest differs across worker counts: w1=%s w3=%s", r1.Digest, r3.Digest)
+			}
+			if r1.Format() != r3.Format() {
+				t.Fatalf("campaign report differs across worker counts:\n--- w1 ---\n%s--- w3 ---\n%s", r1.Format(), r3.Format())
+			}
+			if r1.Timed == 0 {
+				t.Fatal("campaign seed produced no timed scenarios; pick a seed that exercises the timing branch")
+			}
+			t.Logf("campaign covered %d/%d timed scenarios", r1.Timed, cfg.Count)
+			if !cfg.Gen.Chaos {
+				return
+			}
+			if f := r1.Failures(); f != "" {
+				t.Fatalf("chaos campaign not clean:\n%s", f)
+			}
+			if r1.Timed != cfg.Count {
+				t.Errorf("every chaos scenario must carry timing faults, got %d/%d", r1.Timed, cfg.Count)
+			}
+			if r1.Stops[string(engine.StopMessageBudget)] == 0 {
+				t.Errorf("no chaos scenario ended in a message-budget stop: %v", r1.Stops)
+			}
+		})
+	}
+}
+
+// TestChaosSoakCleanUnderInvariants is the smoke soak on a second seed
+// and a larger n than the parity leg: a chaos campaign under the
+// engines' invariants finishes with no real violation, panic or harness
+// error, and every scenario carries a timing fault.
+func TestChaosSoakCleanUnderInvariants(t *testing.T) {
+	rep, err := Campaign(Config{Seed: 7, Count: 60, Gen: GenOptions{MaxN: 7, Chaos: true}, Invariants: true})
 	if err != nil {
-		t.Fatalf("campaign w1: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
-	cfg.Workers = 3
-	r3, err := Campaign(cfg)
-	if err != nil {
-		t.Fatalf("campaign w3: %v", err)
+	if f := rep.Failures(); f != "" {
+		t.Fatalf("chaos campaign not clean:\n%s", f)
 	}
-	if r1.Digest != r3.Digest {
-		t.Fatalf("campaign digest differs across worker counts: w1=%s w3=%s", r1.Digest, r3.Digest)
+	if rep.Timed != rep.Count {
+		t.Errorf("every chaos scenario must carry timing faults, got %d/%d", rep.Timed, rep.Count)
 	}
-	if r1.Format() != r3.Format() {
-		t.Fatalf("campaign report differs across worker counts:\n--- w1 ---\n%s--- w3 ---\n%s", r1.Format(), r3.Format())
-	}
-	timed := 0
-	for i := 0; i < cfg.Count; i++ {
-		rng := rand.New(rand.NewSource(subSeed(cfg.Seed, i)))
-		if sc := Generate(rng, cfg.Gen); sc.TimeModel == "esync" {
-			timed++
+}
+
+// TestGenerateChaosAlwaysTimes pins the chaos row's scenario shape: the
+// esync time model, a schedule with at least one timing fault, and
+// policy knobs and budget in range.
+func TestGenerateChaosAlwaysTimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		sc := Generate(rng, GenOptions{MaxN: 8, Chaos: true})
+		if sc.TimeModel != "esync" {
+			t.Fatalf("scenario %d: time model %q", i, sc.TimeModel)
+		}
+		if !sc.Faults.HasTiming() {
+			t.Fatalf("scenario %d: no timing faults", i)
+		}
+		if sc.Bound < 0 || sc.Timeout < 0 || sc.MaxAttempts < 0 || sc.MaxSends < 0 {
+			t.Fatalf("scenario %d: knob out of range: %+v", i, sc)
 		}
 	}
-	if timed == 0 {
-		t.Fatal("campaign seed produced no esync scenarios; pick a seed that exercises the timing branch")
-	}
-	t.Logf("campaign covered %d/%d esync scenarios", timed, cfg.Count)
 }

@@ -271,9 +271,10 @@ func TestHeldUntilStabilisationClosesItsWindow(t *testing.T) {
 }
 
 // TestLinkCoinGolden pins the one coin adversary.RandomDrops, Omission
-// and Delay all flip. Committed fuzz seeds, the chaos-soak digest and the
-// benchmark's op digests depend on these exact draws: a change here is a
-// change to every recorded execution with a probabilistic link fault.
+// and Delay all flip. Committed fuzz seeds, the campaign digests (the
+// `cmd/fuzz -chaos` soak's included) and the benchmark's op digests
+// depend on these exact draws: a change here is a change to every
+// recorded execution with a probabilistic link fault.
 func TestLinkCoinGolden(t *testing.T) {
 	for _, tc := range []struct {
 		seed            int64
