@@ -12,8 +12,9 @@
 //     `./internal/…` or `./cmd/…` inside a code span or a fenced block —
 //     so a deleted package, command or record cannot linger in prose or
 //     in an example command.
-//  4. So does every `pkg.Name` or `pkg.Type.Member` they name, for pkg
-//     a directory under internal/: its non-test files declare it.
+//  4. So does every `pkg.Name` or `pkg.Type.Member` they name in a code
+//     span or a fenced go block, for pkg a directory under internal/:
+//     its non-test files declare it.
 //  5. Every test name in a `-run` pattern of .github/workflows/ci.yml
 //     selects a declared func Test…, so a renamed test cannot silently
 //     drop out of a CI step.
@@ -170,12 +171,13 @@ func brokenLinks(root, file, text string) []string {
 
 // codeSpan matches an inline back-ticked span, which may wrap onto the
 // next line but not across a blank one; fencedBlock matches a fenced
-// code block. repoPath matches a span word that names a repository path:
+// code block, and goBlock one whose info string is go. repoPath matches a span word that names a repository path:
 // anything under internal/ or cmd/, or a JSON file at the root. dotPath
 // finds a ./internal/ or ./cmd/ path anywhere in code.
 var (
 	codeSpan    = regexp.MustCompile("`(?:[^`\n]|\n[^`\n])+`")
 	fencedBlock = regexp.MustCompile("(?ms)^ *```.*?^ *```")
+	goBlock     = regexp.MustCompile("(?ms)^ *```go *$.*?^ *```")
 	repoPath    = regexp.MustCompile(`^(\./)?(internal|cmd)/|^[^/]+\.json$`)
 	dotPath     = regexp.MustCompile(`\./(?:internal|cmd)/[\w./*-]*`)
 )
@@ -221,11 +223,13 @@ func codeSpans(text string) []string {
 // itself the tail of a longer selector.
 var qualifiedName = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 
-// staleNames verifies that every qualified name the file's code spans use,
-// for a qualifier under internal/, is declared by that package.
+// staleNames verifies that every qualified name the file's code spans
+// and fenced go blocks use, for a qualifier under internal/, is declared
+// by that package.
 func staleNames(root, file, text string) []string {
+	code := append(codeSpans(text), goBlock.FindAllString(text, -1)...)
 	var findings []string
-	for _, m := range qualifiedName.FindAllStringSubmatch(strings.Join(codeSpans(text), " "), -1) {
+	for _, m := range qualifiedName.FindAllStringSubmatch(strings.Join(code, " "), -1) {
 		pkg, name := m[1], strings.TrimSuffix(m[2]+"."+m[3], ".")
 		if names := declaredNames(filepath.Join(root, "internal", pkg)); names != nil && !names[name] {
 			findings = append(findings, fmt.Sprintf("%s: %q is not declared in internal/%s", file, pkg+"."+name, pkg))

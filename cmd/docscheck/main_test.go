@@ -49,8 +49,10 @@ func TestDanglingPaths(t *testing.T) {
 
 // TestStaleNames holds the name check to one live and one stale
 // reference against a fixture package: a method, a field and a function
-// named through their package resolve, with or without a call suffix,
-// and a field the package no longer declares is reported by name.
+// named through their package resolve, with or without a call suffix, in
+// a code span or an indented fenced go block, and a field or function
+// the package no longer declares is reported by name — from a span or a
+// go block, never from a fenced block in another language.
 func TestStaleNames(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "internal", "engine")
@@ -62,13 +64,23 @@ func TestStaleNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := "Set `engine.Config.MaxSends` and call `engine.Run(cfg)` or `engine.Config.Validate()`;\n" +
-		"`fuzz.Gone` names no directory under internal/.\n"
+		"`fuzz.Gone` names no directory under internal/.\n" +
+		"  ```go\n  res := engine.Run(engine.Config{MaxSends: 3})\n  ```\n"
 	if got := staleNames(root, "live.md", live); len(got) != 0 {
 		t.Errorf("live fixture reported %q", got)
 	}
-	got := staleNames(root, "stale.md", "The wall clock was `engine.Config.Deadline`.\n")
-	if len(got) != 1 || !strings.Contains(got[0], `"engine.Config.Deadline"`) {
-		t.Errorf("stale fixture reported %q, want one finding naming engine.Config.Deadline", got)
+	stale := "The wall clock was `engine.Config.Deadline`.\n" +
+		"```go\ncfg := engine.Config{}\nengine.Gone(cfg)\n```\n" +
+		"```sh\necho engine.Shell\n```\n"
+	got := staleNames(root, "stale.md", stale)
+	want := []string{`"engine.Config.Deadline"`, `"engine.Gone"`}
+	if len(got) != len(want) {
+		t.Fatalf("stale fixture reported %q, want one finding each for %v", got, want)
+	}
+	for i, w := range want {
+		if !strings.Contains(got[i], w) {
+			t.Errorf("finding %d = %q, want it to name %s", i, got[i], w)
+		}
 	}
 }
 

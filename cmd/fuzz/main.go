@@ -62,13 +62,19 @@ func main() {
 		os.Exit(replayDir(*replay, fuzz.Options{Invariants: *invariants, ForceTimeModel: *timemodel}))
 	}
 
+	// Under -q without -harvest nothing prints or writes the expected
+	// violations, so the campaign keeps (and shrinks) none.
+	keep := *harvestMax
+	if *quiet && *harvest == "" {
+		keep = 0
+	}
 	cfg := fuzz.Config{
 		Seed:           *seed,
 		Count:          *count,
 		Workers:        *workers,
 		Gen:            fuzz.GenOptions{MaxN: *maxN, Chaos: *chaos},
 		Shrink:         *shrink,
-		KeepExpected:   *harvestMax,
+		KeepExpected:   keep,
 		Invariants:     *invariants,
 		ForceTimeModel: *timemodel,
 	}

@@ -201,8 +201,8 @@ func (ids OnePerIdentifier) Select(_ hom.Params, a hom.Assignment, _ []hom.Value
 }
 
 // RandomT corrupts T uniformly random slots. It draws from the
-// per-scenario Rand stream when one is threaded in, and falls back to a
-// throwaway source derived from Seed otherwise.
+// per-scenario Rand stream when one is threaded in, and otherwise from
+// the stream rand.New(rand.NewSource(Seed)) would produce.
 type RandomT struct {
 	Seed int64
 	Rand *rand.Rand
@@ -212,7 +212,8 @@ type RandomT struct {
 func (r RandomT) Select(p hom.Params, _ hom.Assignment, _ []hom.Value) []int {
 	rng := r.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(r.Seed))
+		rng = seeded(r.Seed)
+		defer rngPool.Put(rng)
 	}
 	perm := rng.Perm(p.N)
 	out := append([]int(nil), perm[:p.T]...)
@@ -253,7 +254,7 @@ func (nz Noise) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 		rng = seeded(nz.Seed ^ int64(round)<<20 ^ int64(slot))
 		defer rngPool.Put(rng)
 	}
-	out := make([]msg.TargetedSend, 0, view.Params.N)
+	out := view.SendBuffer(view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		out = append(out, msg.TargetedSend{
 			ToSlot: to,
@@ -284,7 +285,7 @@ func (e Equivocate) Sends(round, slot int, view *engine.View) []msg.TargetedSend
 		rng = seeded(e.Seed ^ int64(round)<<18 ^ int64(slot))
 		defer rngPool.Put(rng)
 	}
-	out := make([]msg.TargetedSend, 0, view.Params.N)
+	out := view.SendBuffer(view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		src := senders[rng.Intn(len(senders))]
 		if s := firstBroadcast(view.SendsOf(int(src))); s != nil {
@@ -324,7 +325,7 @@ func (MimicFlood) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	if perRecipient == 0 {
 		return nil
 	}
-	out := make([]msg.TargetedSend, 0, perRecipient*view.Params.N)
+	out := view.SendBuffer(perRecipient * view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		for _, src := range senders {
 			ss := view.SendsOf(int(src))
@@ -366,7 +367,7 @@ func (e KeyEquivocate) Sends(round, slot int, view *engine.View) []msg.TargetedS
 	for id := 1; id <= view.Params.L; id++ {
 		srcOf[id] = senders[rng.Intn(len(senders))]
 	}
-	out := make([]msg.TargetedSend, 0, view.Params.N)
+	out := view.SendBuffer(view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		src := srcOf[view.Assignment[to]]
 		if s := firstBroadcast(view.SendsOf(int(src))); s != nil {
@@ -392,9 +393,21 @@ func (vf ValueFlood) Sends(round, slot int, view *engine.View) []msg.TargetedSen
 	if vf.Make == nil {
 		return nil
 	}
-	var out []msg.TargetedSend
+	// Make every value's payloads first, so the buffer is asked for at
+	// the round's full size and never grows out of the engine's storage.
+	var small [4][]msg.Payload
+	made, total := small[:0], 0
 	for _, v := range vf.Domain {
 		payloads := vf.Make(round, v)
+		made = append(made, payloads)
+		for _, pl := range payloads {
+			if pl != nil {
+				total++
+			}
+		}
+	}
+	out := view.SendBuffer(total * view.Params.N)
+	for _, payloads := range made {
 		for to := 0; to < view.Params.N; to++ {
 			for _, pl := range payloads {
 				if pl == nil {

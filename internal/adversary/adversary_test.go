@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"slices"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -61,8 +62,9 @@ func TestSilentAndCrash(t *testing.T) {
 func TestNoiseDeterministicAndTotal(t *testing.T) {
 	nz := adversary.Noise{Seed: 4}
 	v := view(4, nil)
-	a := nz.Sends(3, 1, v)
-	b := nz.Sends(3, 1, v)
+	// A View reuses one send buffer across calls: keep copies.
+	a := slices.Clone(nz.Sends(3, 1, v))
+	b := slices.Clone(nz.Sends(3, 1, v))
 	if len(a) != 4 {
 		t.Fatalf("Noise sent %d messages, want one per recipient", len(a))
 	}

@@ -2,7 +2,11 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+
+	"homonyms/internal/hom"
 )
 
 // TestSeededMatchesFreshSource pins the property the pooled generator
@@ -37,5 +41,24 @@ func TestSeededMatchesFreshSource(t *testing.T) {
 			}
 		}
 		rngPool.Put(got)
+	}
+}
+
+// TestRandomTMatchesFreshSource holds RandomT's pooled stream to the
+// selection a fresh rand.New(rand.NewSource(seed)) makes, over many
+// seeds and over n past 273, where Perm's draws leave the lazy source
+// for its real-source tail.
+func TestRandomTMatchesFreshSource(t *testing.T) {
+	for _, n := range []int{4, 7, 100, 273, 274, 300, 1000} {
+		p := hom.Params{N: n, L: n, T: (n - 1) / 3}
+		for i := int64(0); i < 300; i++ {
+			seed := i*0x5851f42d4c957f2d - 150
+			perm := rand.New(rand.NewSource(seed)).Perm(n)
+			want := append([]int(nil), perm[:p.T]...)
+			sort.Ints(want)
+			if got := (RandomT{Seed: seed}).Select(p, nil, nil); !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed %d: RandomT selected %v, a fresh source %v", n, seed, got, want)
+			}
+		}
 	}
 }

@@ -127,12 +127,12 @@ func (a *splitLockAdversary) Corrupt(hom.Params, hom.Assignment, []hom.Value) []
 	return []int{a.byzSlot}
 }
 
-func (a *splitLockAdversary) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
+func (a *splitLockAdversary) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	lockRound := a.targetPhase*hom.RoundsPerPhase + 3
 	if round != lockRound {
 		return nil
 	}
-	var out []msg.TargetedSend
+	out := view.SendBuffer(a.n)
 	for to := 0; to < a.n; to++ {
 		val := hom.Value(0)
 		if to >= a.n/2 {
@@ -238,12 +238,12 @@ func (a *adversaryEquivLocks) Corrupt(hom.Params, hom.Assignment, []hom.Value) [
 	return []int{a.byzSlot}
 }
 
-func (a *adversaryEquivLocks) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
+func (a *adversaryEquivLocks) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	phase, pos := hom.PhasePos(round)
 	if pos != 3 || hom.LeaderID(phase, a.l) != 1 {
 		return nil
 	}
-	var out []msg.TargetedSend
+	out := view.SendBuffer(a.n)
 	for to := 0; to < a.n; to++ {
 		out = append(out, msg.TargetedSend{
 			ToSlot: to,

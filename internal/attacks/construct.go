@@ -84,15 +84,24 @@ func (a *silence) Corrupt(_ hom.Params, ids hom.Assignment, _ []hom.Value) []int
 	return out
 }
 
-// Sends implements engine.Adversary: it records the round once and sends
-// nothing.
+// Sends implements engine.Adversary: it records the round once, into
+// one slice of exactly the round's recorded sends, and sends nothing.
 func (a *silence) Sends(round, _ int, view *engine.View) []msg.TargetedSend {
 	if len(a.trace) < round {
+		total := 0
+		for id := 1; id <= a.record; id++ {
+			for _, s := range view.GroupMembers(hom.Identifier(id)) {
+				total += len(view.SendsOf(int(s)))
+			}
+		}
+		all := make([]msg.Send, 0, total)
 		perID := make([][]msg.Send, a.record)
 		for id := range perID {
+			at := len(all)
 			for _, s := range view.GroupMembers(hom.Identifier(id + 1)) {
-				perID[id] = append(perID[id], view.SendsOf(int(s))...)
+				all = append(all, view.SendsOf(int(s))...)
 			}
+			perID[id] = all[at:len(all):len(all)]
 		}
 		a.trace = append(a.trace, perID)
 	}

@@ -215,25 +215,28 @@ func (a *partitionAdversary) Corrupt(hom.Params, hom.Assignment, []hom.Value) []
 // yields several messages to the same recipient in one round, which only
 // an unrestricted Byzantine process can do (paper's Proposition 4; by
 // Theorem 20 innumerate receivers collapse the copies anyway).
-func (a *partitionAdversary) Sends(round, slot int, _ *engine.View) []msg.TargetedSend {
+func (a *partitionAdversary) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	id := a.gammaIDs[slot]
-	var out []msg.TargetedSend
-	emit := func(trace [][][]msg.Send, campWant int) {
-		sends := trace[round-1][id-1]
-		for j, snd := range sends {
-			for to := range a.camp {
-				if a.camp[to] != campWant {
-					continue
-				}
-				if snd.Kind == msg.ToIdentifier && a.gammaIDs[to] != snd.To {
-					continue
-				}
-				out = append(out, msg.TargetedSend{ToSlot: to, Body: snd.Body, Forwards: &sends[j]})
+	alpha, beta := a.alphaTrace[round-1][id-1], a.betaTrace[round-1][id-1]
+	out := view.SendBuffer((len(alpha) + len(beta)) * len(a.camp))
+	out = a.emit(out, alpha, 1)
+	return a.emit(out, beta, 2)
+}
+
+// emit appends to out one copy of each recorded send for every slot of
+// camp campWant it reaches.
+func (a *partitionAdversary) emit(out []msg.TargetedSend, sends []msg.Send, campWant int) []msg.TargetedSend {
+	for j, snd := range sends {
+		for to := range a.camp {
+			if a.camp[to] != campWant {
+				continue
 			}
+			if snd.Kind == msg.ToIdentifier && a.gammaIDs[to] != snd.To {
+				continue
+			}
+			out = append(out, msg.TargetedSend{ToSlot: to, Body: snd.Body, Forwards: &sends[j]})
 		}
 	}
-	emit(a.alphaTrace, 1)
-	emit(a.betaTrace, 2)
 	return out
 }
 

@@ -123,9 +123,10 @@ type View struct {
 	Assignment hom.Assignment
 	Inputs     []hom.Value
 	Round      int
-	sends      [][]msg.Send // per sender slot; nil/empty when silent
-	senders    []int32      // ascending slots with at least one send
-	groups     [][]int32    // per identifier: ascending correct member slots
+	sends      [][]msg.Send       // per sender slot; nil/empty when silent
+	senders    []int32            // ascending slots with at least one send
+	groups     [][]int32          // per identifier: ascending correct member slots
+	buf        []msg.TargetedSend // SendBuffer's storage for the slot being asked
 }
 
 // Senders returns the correct slots sending at least one message this
@@ -149,6 +150,21 @@ func (v *View) GroupMembers(id hom.Identifier) []int32 {
 		return nil
 	}
 	return v.groups[id]
+}
+
+// SendBuffer returns an empty send list with room for at least capacity
+// sends, for the corrupted slot whose Sends call is running. Its storage
+// is engine-owned and reused: the engine hands each corrupted slot its
+// own buffer, which stays valid until the slot is asked again next
+// round. An adversary may return it, appended to, but must not keep it.
+// A stand-alone View (NewView) holds one buffer for every call made on
+// it, so its caller must be done with one slot's sends before asking the
+// next.
+func (v *View) SendBuffer(capacity int) []msg.TargetedSend {
+	if cap(v.buf) < capacity {
+		v.buf = make([]msg.TargetedSend, 0, capacity)
+	}
+	return v.buf[:0]
 }
 
 // NewView assembles a stand-alone View, primarily for adversary unit
@@ -200,6 +216,9 @@ type Adversary interface {
 	Corrupt(p hom.Params, a hom.Assignment, inputs []hom.Value) []int
 	// Sends returns the messages the given corrupted slot emits this
 	// round. The engine stamps them with the slot's true identifier.
+	// A list built in view.SendBuffer is the slot's engine-owned buffer,
+	// reused from the slot's next Sends call on; any other list is only
+	// read, never kept or written.
 	Sends(round, slot int, view *View) []msg.TargetedSend
 	// Drop reports whether the message from fromSlot to toSlot should be
 	// suppressed this round. It is only honoured in the partially
@@ -681,8 +700,11 @@ func (e *Engine) step(round int) error {
 			senders:    e.senders,
 			groups:     e.groups,
 		}
+		bufs := e.router.sendBuffers(len(e.corrupted))
 		for i, s := range e.corrupted {
+			e.view.buf = bufs[i]
 			e.byzSends[i] = e.cfg.Adversary.Sends(round, s, &e.view)
+			bufs[i] = e.view.buf
 		}
 	}
 

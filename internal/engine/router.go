@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
@@ -144,10 +145,9 @@ type Router struct {
 	flat      bool              // this round's batches are the rows, unmasked: flush touched no slot
 	uniform   bool              // every correct member of a group received its group's batch this round
 
-	*stampStore                // the round's stamped entries; pooled across executions
-	kb          msg.KeyBuilder // scratch for ScratchKeyer body keys
-	batch       []int32        // visibility-filtered batch scratch
-	cand        []int32        // candidate scratch: a group's row ++ a recipient's tail
+	*stampStore         // the round's stamped entries; pooled across executions
+	batch       []int32 // visibility-filtered batch scratch
+	cand        []int32 // candidate scratch: a group's row ++ a recipient's tail
 	// Link-verdict scratch for maskBatch: a recipient batch's distinct
 	// senders (froms, first-occurrence order), the drop mask DropBatch
 	// fills over them, and the resolved verdict per sender slot.
@@ -179,10 +179,12 @@ type Router struct {
 }
 
 // stampStore is what a round stamps into: the arena and its routing
-// columns, the standing entries the round spared, and the memos of the
-// bodies a Byzantine slot forwards. Only its capacity outlives a round,
-// and it outlives the execution too: newRouter draws it from stampPool
-// and release returns it, emptied, once the execution ends.
+// columns, the standing entries the round spared, the memos of the
+// bodies a Byzantine slot forwards, the scratch keys are built in, and
+// the buffers the corrupted slots build their sends in. Only its
+// capacity outlives a round, and it outlives the execution too:
+// newRouter draws it with getStampStore and release returns it, emptied,
+// once the execution ends.
 type stampStore struct {
 	arena        msg.SendArena
 	sendFrom     []int32 // arena column: sender slot per entry
@@ -194,9 +196,38 @@ type stampStore struct {
 	// distinct msg.TargetedSend.Forwards, found through fwdOf.
 	fwdMemo []msg.StampMemo
 	fwdOf   map[*msg.Send]int32
+
+	kb msg.KeyBuilder // scratch for ScratchKeyer body keys
+
+	// The View.SendBuffer storage of each corrupted slot, by its index in
+	// the engine's corrupted list; routeByzantine consumes a round's
+	// sends before the next round asks for them again.
+	byzBuf [][]msg.TargetedSend
 }
 
-var stampPool = sync.Pool{New: func() any { return new(stampStore) }}
+var stampPool sync.Pool // of *stampStore; no New, so a miss shows
+
+// spareStore holds one released stamp store beside stampPool, for when
+// the pool misses. A garbage collection moves the pool's items to its
+// victim cache, where one left in another P's private slot is out of
+// reach, so a caller running one execution at a time would grow a store
+// from empty after about half its collections. The spare survives
+// collections and serves every P; only this one store is kept beyond
+// the pool's reach. It is drawn after the pool, so concurrent callers
+// still find their own P's store first.
+var spareStore atomic.Pointer[stampStore]
+
+// getStampStore returns an empty stamp store: one from stampPool, else
+// the spare, else a new one.
+func getStampStore() *stampStore {
+	if s, ok := stampPool.Get().(*stampStore); ok {
+		return s
+	}
+	if s := spareStore.Swap(nil); s != nil {
+		return s
+	}
+	return new(stampStore)
+}
 
 // reset empties the store, dropping every body, key, interner and send
 // reference it holds, and keeps its capacity.
@@ -235,11 +266,25 @@ func (s *stampStore) forwardMemo(f *msg.Send) *msg.StampMemo {
 	return &s.fwdMemo[i]
 }
 
-// release resets the stamp store and returns it to stampPool, once, when
-// the execution is over; the Router must not stamp again.
+// sendBuffers returns the first k corrupted slots' send buffers.
+func (s *stampStore) sendBuffers(k int) [][]msg.TargetedSend {
+	for len(s.byzBuf) < k {
+		s.byzBuf = append(s.byzBuf, nil)
+	}
+	return s.byzBuf[:k]
+}
+
+// release resets the stamp store, dropping every body the send buffers
+// still hold, and returns it to the spare or stampPool, once, when the
+// execution is over; the Router must not stamp again.
 func (r *Router) release() {
 	r.stampStore.reset()
-	stampPool.Put(r.stampStore)
+	for _, b := range r.byzBuf {
+		clear(b[:cap(b)])
+	}
+	if !spareStore.CompareAndSwap(nil, r.stampStore) {
+		stampPool.Put(r.stampStore)
+	}
 	r.stampStore = nil
 }
 
@@ -381,7 +426,7 @@ func newRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 		recStride:  (n + 63) / 64,
 		rows:       make([][]int32, l),
 		groupCore:  make([]*msg.GroupInbox, l),
-		stampStore: stampPool.Get().(*stampStore),
+		stampStore: getStampStore(),
 	}
 	if r.verify {
 		r.issued = make([]int8, n)

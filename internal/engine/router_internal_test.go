@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -1057,4 +1058,28 @@ func TestRunReturnsStampStoreEmpty(t *testing.T) {
 			t.Fatalf("forward memo %d was returned filled", i)
 		}
 	}
+}
+
+// TestStampStoreSurvivesCollection releases a router's grown stamp store
+// and collects twice, which empties stampPool and its victim cache: the
+// next router still draws that store, so a caller running one execution
+// at a time never grows one from empty, whatever the collector did.
+func TestStampStoreSurvivesCollection(t *testing.T) {
+	h := newRouterHarness(t, symmetricConfig(12, 4), nil)
+	h.broadcastRound(1, nil)
+	s := h.r.stampStore
+	if cap(s.sendFrom) == 0 {
+		t.Fatal("a routed round left the stamp store empty")
+	}
+	h.r.release()
+	runtime.GC()
+	runtime.GC()
+	next := newRouterHarness(t, symmetricConfig(12, 4), nil)
+	if next.r.stampStore != s {
+		t.Fatal("the router after two collections drew a new stamp store")
+	}
+	if len(s.sendFrom) != 0 || s.arena.Len() != 0 {
+		t.Fatal("a released stamp store came back holding entries")
+	}
+	next.r.release()
 }

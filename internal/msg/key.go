@@ -144,8 +144,8 @@ func (kb *KeyBuilder) InternMessage(it *Interner, id hom.Identifier) KeyID {
 // BuildKey must Reset the builder and produce exactly the bytes of
 // Key(): the two are interchangeable by contract (pinned by the
 // protocols' key tests). Payloads that cache their canonical key at
-// construction (numbcast bundles, classical EIG states) gain nothing
-// from implementing it and stay on the plain Key path.
+// construction (classical EIG states) gain nothing from implementing it
+// and stay on the plain Key path.
 type ScratchKeyer interface {
 	Payload
 	BuildKey(kb *KeyBuilder)

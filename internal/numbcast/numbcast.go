@@ -27,7 +27,8 @@
 //
 // A round costs what changed. A tuple body's key is built once, into a
 // segment shared by every tuple and cell made from it: bundle keys are
-// written from segments, and an unchanged table re-sends the same *Bundle.
+// written from segments, into the stamping engine's scratch, and an
+// unchanged table re-sends the same *Bundle.
 // A receiver hashes a segment's key on first sight and finds it by pointer
 // after; cells are found by (body ID, h, k), and per-round counts, support
 // groups and validity dedup index arrays by those IDs. Release returns the
@@ -38,7 +39,6 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -68,9 +68,10 @@ type EchoTuple struct {
 }
 
 // segment is a tuple body's share of a bundle key, built once from the
-// body by numbcast: its canonical key, which orders tuples, and the bytes
-// KeyBuilder.Nested writes for it ("|" and the escaped key). Tuples built
-// outside numbcast carry none; NewBundle gives them one.
+// body by numbcast: its canonical key, which orders tuples and which a
+// bundle key embeds, and the bytes KeyBuilder.Nested writes for it ("|"
+// and the escaped key), which name the body in a receiver's table.
+// Tuples built outside numbcast carry none; NewBundle gives them one.
 type segment struct {
 	key, nested string
 }
@@ -86,17 +87,21 @@ func tupleCmp(ah hom.Identifier, ak int, as *segment, bh hom.Identifier, bk int,
 	return cmp.Or(cmp.Compare(ah, bh), cmp.Compare(ak, bk), strings.Compare(as.key, bs.key))
 }
 
-// Bundle is the single per-round message of the Figure-6 protocol. A
-// bundle is immutable once built: receivers trust its key and segments.
+// Bundle is the single per-round message of the Figure-6 protocol. Its
+// tuples are immutable once built: receivers trust its segments. Its key
+// is written from the segments — by BuildKey into the stamping engine's
+// scratch — and kept in the bundle once Key is called, as an innumerate
+// receiver does to dedup; so, like the execution that sends it, a bundle
+// belongs to one goroutine.
 type Bundle struct {
 	Inits  []InitTuple
 	Echoes []EchoTuple
-	key    string
+	key    string // Key's string, from its first call; never empty after it
 }
 
-// NewBundle builds a bundle in canonical order with a cached key. The key
-// embeds tuple bodies through the escaping KeyBuilder path, so bodies
-// containing separator bytes cannot make two distinct bundles collide.
+// NewBundle builds a bundle in canonical order. The key embeds tuple
+// bodies through the escaping KeyBuilder path, so bodies containing
+// separator bytes cannot make two distinct bundles collide.
 func NewBundle(inits []InitTuple, echoes []EchoTuple) *Bundle {
 	var kb msg.KeyBuilder
 	is := make([]InitTuple, len(inits))
@@ -112,29 +117,29 @@ func NewBundle(inits []InitTuple, echoes []EchoTuple) *Bundle {
 	slices.SortFunc(es, func(a, b EchoTuple) int {
 		return cmp.Or(tupleCmp(a.H, a.K, a.seg, b.H, b.K, b.seg), cmp.Compare(a.A, b.A))
 	})
-	return &Bundle{Inits: is, Echoes: es, key: string(appendKey(nil, is, es))}
+	return &Bundle{Inits: is, Echoes: es}
 }
 
-// appendKey writes the canonical key of a bundle whose tuples are in
-// canonical order — the bytes of KeyBuilder's Reset("numbundle").Int(#inits),
-// then Nested(m) per init and Identifier(h).Int(α).Int(k).Nested(m) per
-// echo — from the tuples' segments.
-func appendKey(buf []byte, inits []InitTuple, echoes []EchoTuple) []byte {
-	buf = strconv.AppendInt(append(buf, "numbundle|"...), int64(len(inits)), 10)
-	for _, it := range inits {
-		buf = append(buf, it.seg.nested...)
+// BuildKey implements msg.ScratchKeyer: the canonical key of the tuples,
+// in canonical order, written from their segments — Str(key) writes the
+// bytes Nested(m) would.
+func (b *Bundle) BuildKey(kb *msg.KeyBuilder) {
+	kb.Reset("numbundle").Int(len(b.Inits))
+	for _, it := range b.Inits {
+		kb.Str(it.seg.key)
 	}
-	for _, et := range echoes {
-		buf = strconv.AppendInt(append(buf, '|'), int64(et.H), 10)
-		buf = strconv.AppendInt(append(buf, '|'), int64(et.A), 10)
-		buf = strconv.AppendInt(append(buf, '|'), int64(et.K), 10)
-		buf = append(buf, et.seg.nested...)
+	for _, et := range b.Echoes {
+		kb.Identifier(et.H).Int(et.A).Int(et.K).Str(et.seg.key)
 	}
-	return buf
 }
 
 // Key implements msg.Payload.
-func (b *Bundle) Key() string { return b.key }
+func (b *Bundle) Key() string {
+	if b.key == "" {
+		b.key = msg.ScratchKey(b)
+	}
+	return b.key
+}
 
 // Delivery is one bundle of a round's inbox: its authenticated sender
 // identifier and the number of copies received.
@@ -195,7 +200,6 @@ type slot struct {
 // table, the tuple index, the cell arena, and the per-round scratch.
 type ntable struct {
 	kb      msg.KeyBuilder
-	keyBuf  []byte                 // the bundle key writer's buffer
 	bodies  *msg.Interner          // body segment bytes -> body ID
 	bodyOf  map[*segment]msg.KeyID // a segment's body ID, after its first sight
 	tupleAt map[tupleID]int32      // tuple -> index into slots, first sights numbered
@@ -298,28 +302,38 @@ func (b *Broadcaster) Broadcast(m msg.Payload) {
 // there is nothing to send (empty table and no pending init). While no
 // init is pending and no α has changed, that is the previous round's
 // *Bundle itself; otherwise the echoes are the cells with α > 0 in
-// canonical order, and the key is written from their segments.
+// canonical order, in a slice of exactly their number.
 func (b *Broadcaster) Outgoing(round int) msg.Payload {
 	t := b.tab
 	var inits []InitTuple
-	if hom.IsInitRound(round) {
-		for _, m := range b.pending {
-			inits = append(inits, InitTuple{Body: m, seg: newSegment(&t.kb, m)})
+	if hom.IsInitRound(round) && len(b.pending) > 0 {
+		inits = make([]InitTuple, len(b.pending))
+		for i, m := range b.pending {
+			inits[i] = InitTuple{Body: m, seg: newSegment(&t.kb, m)}
 		}
-		b.pending = nil
+		clear(b.pending)
+		b.pending = b.pending[:0]
 	}
 	if len(inits) > 0 || t.dirty || t.lastInits {
 		t.dirty, t.lastInits, t.last = false, len(inits) > 0, nil
-		var echoes []EchoTuple
+		live := 0
 		for _, ci := range t.order {
-			if c := &t.cells[ci]; c.alpha > 0 {
-				echoes = append(echoes, EchoTuple{H: c.h, A: c.alpha, Body: c.body, K: c.k, seg: c.seg})
+			if t.cells[ci].alpha > 0 {
+				live++
 			}
 		}
-		if len(inits) > 0 || len(echoes) > 0 {
+		if len(inits) > 0 || live > 0 {
+			var echoes []EchoTuple
+			if live > 0 {
+				echoes = make([]EchoTuple, 0, live)
+			}
+			for _, ci := range t.order {
+				if c := &t.cells[ci]; c.alpha > 0 {
+					echoes = append(echoes, EchoTuple{H: c.h, A: c.alpha, Body: c.body, K: c.k, seg: c.seg})
+				}
+			}
 			slices.SortFunc(inits, func(a, b InitTuple) int { return strings.Compare(a.seg.key, b.seg.key) })
-			t.keyBuf = appendKey(t.keyBuf[:0], inits, echoes)
-			t.last = &Bundle{Inits: inits, Echoes: echoes, key: string(t.keyBuf)}
+			t.last = &Bundle{Inits: inits, Echoes: echoes}
 		}
 	}
 	if t.last == nil {

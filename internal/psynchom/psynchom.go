@@ -224,9 +224,11 @@ func (pr *Process) Init(ctx engine.Context) {
 	pr.bc = bc
 	pr.proper = hom.NewValueSet(ctx.Input)
 	pr.decision = hom.NoValue
-	pr.proposeAcc.reset(ctx.Params.L)
-	pr.proposers.reset(ctx.Params.L)
-	pr.voteAcc.reset(ctx.Params.L)
+	// A phase adds a row per value to proposeAcc and voteAcc and one to
+	// proposers; a round's scratch tallies hold a row per value, or one.
+	d := len(ctx.Params.EffectiveDomain())
+	reserve(ctx.Params.L, []int{d * tallyPhases, tallyPhases, d * tallyPhases, 1, d, d},
+		&pr.proposeAcc, &pr.proposers, &pr.voteAcc, &pr.reporters, &pr.supported, &pr.direct)
 	pr.resetPhase()
 }
 

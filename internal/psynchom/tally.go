@@ -55,6 +55,39 @@ func (t *idTally) reset(l int) {
 	t.ids = t.ids[:0]
 }
 
+// tallyPhases is the number of phases a process's cumulative tallies
+// have room for from Init on. Once the system is synchronous, a phase
+// whose leader identifier has no Byzantine member comes within t+1
+// phases and decides, so a run with an early GST needs about t+2; six
+// hold every process of the repository's psync and esync benchmark
+// workloads, 85 % of a full Table-1 sweep's and 95 % of a default fuzz
+// campaign's. A tally that outgrows its room grows by doubling, alone. A
+// process that decides sooner leaves the rest unused: all six tallies
+// of a process take 35 rows of 24 bytes with the binary domain and
+// ℓ < 64.
+const tallyPhases = 6
+
+// reserve empties the tallies for a system with l identifiers and gives
+// tallies[i] room for rows[i] rows, all cut from one row backing and one
+// bitset backing: a process's tallies cost two allocations until one of
+// them outgrows its room. Each region is capacity-limited, so a tally
+// that does grows into storage of its own, never into its neighbour's.
+func reserve(l int, rows []int, tallies ...*idTally) {
+	words, total := l/64+1, 0
+	for _, k := range rows {
+		total += k
+	}
+	rowBuf, idBuf := make([]tallyRow, total), make([]uint64, total*words)
+	at := 0
+	for i, t := range tallies {
+		end := at + rows[i]
+		t.l, t.words = l, words
+		t.rows = rowBuf[at:at:end]
+		t.ids = idBuf[at*words : at*words : end*words]
+		at = end
+	}
+}
+
 // add records that identifier id sent value v in phase.
 func (t *idTally) add(phase int, v hom.Value, id hom.Identifier) {
 	if !id.IsValid(t.l) {

@@ -234,3 +234,30 @@ func TestIDTallyIgnoresInvalidIdentifiers(t *testing.T) {
 		t.Fatal("minSupported(3) found a value with only 2 supporters")
 	}
 }
+
+// TestReservedTalliesGrowApart fills three tallies reserved side by side
+// with rooms of one, two and three rows well past their rooms, in an
+// interleaved random order, and holds each to a tally grown on its own
+// from nothing: a tally outgrowing its region never writes into its
+// neighbour's, and ℓ = 70 puts identifiers in both bitset words.
+func TestReservedTalliesGrowApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const l = 70
+	var a, b, c idTally
+	reserve(l, []int{1, 2, 3}, &a, &b, &c)
+	var want [3]idTally
+	for i := range want {
+		want[i].reset(l)
+	}
+	for range 400 {
+		i := rng.Intn(3)
+		phase, v, id := rng.Intn(5), hom.Value(rng.Intn(3)), hom.Identifier(1+rng.Intn(l))
+		[]*idTally{&a, &b, &c}[i].add(phase, v, id)
+		want[i].add(phase, v, id)
+	}
+	for i, got := range []*idTally{&a, &b, &c} {
+		if !slices.Equal(got.rows, want[i].rows) || !slices.Equal(got.ids, want[i].ids) {
+			t.Errorf("tally %d: rows %v ids %v, grown alone: rows %v ids %v", i, got.rows, got.ids, want[i].rows, want[i].ids)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package psyncnum
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"homonyms/internal/hom"
@@ -102,4 +104,62 @@ func TestStateFingerprintIsCanonicalState(t *testing.T) {
 		t.Fatalf("fixture: %d equal and %d unequal pairs; want both", equal, unequal)
 	}
 	t.Logf("%d snapshots; last: %s", len(snaps), snaps[len(snaps)-1].dump)
+}
+
+// fmtFingerprint is StateFingerprint as it was first written, rendering
+// the state with fmt: the oracle TestStateFingerprintMatchesFmtRendering
+// holds the strconv rendering to.
+func fmtFingerprint(pr *Process) msg.StateHash {
+	rows := map[string]string{}
+	for kid, row := range pr.witnesses {
+		var b strings.Builder
+		for id, a := range row.byID {
+			if a > 0 {
+				fmt.Fprintf(&b, "%d:%d ", id, a)
+			}
+		}
+		if b.Len() > 0 || len(row.overflow) > 0 {
+			rows[pr.keys.Key(msg.KeyID(kid))] = fmt.Sprint(b.String(), row.overflow)
+		}
+	}
+	state := fmt.Sprint(pr.decision, pr.maxAcceptPhase, pr.proper.Values(), pr.locks, pr.lockSeen, rows)
+	return pr.bc.Fingerprint(msg.NewStateHash().String(state))
+}
+
+// TestStateFingerprintMatchesFmtRendering fingerprints generated states —
+// decisions and values including ⊥ and negatives, empty and nil maps,
+// witness rows that are all zero, in range, or only in the overflow map
+// (identifiers beyond ℓ, and negative ones), keys that sort apart from
+// their KeyIDs — and requires the fmt oracle's hash every time.
+func TestStateFingerprintMatchesFmtRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	values := []hom.Value{hom.NoValue, -3, 0, 1, 2, 17}
+	anyValue := func() hom.Value { return values[rng.Intn(len(values))] }
+	for iter := 0; iter < 500; iter++ {
+		p := numParams(4+rng.Intn(6), 1+rng.Intn(3), 1)
+		pr := newProc(p, hom.Identifier(1+rng.Intn(p.L)), anyValue())
+		pr.decision = anyValue()
+		pr.maxAcceptPhase = rng.Intn(5) - 1
+		for range rng.Intn(4) {
+			pr.proper.Add(anyValue())
+		}
+		if rng.Intn(4) == 0 {
+			pr.locks = nil
+		} else {
+			for range rng.Intn(4) {
+				pr.locks[anyValue()] = rng.Intn(6) - 1
+			}
+		}
+		for range rng.Intn(4) {
+			pr.lockSeen[anyValue()] = rng.Intn(2) == 0
+		}
+		for range rng.Intn(6) {
+			kid := pr.keys.Intern(fmt.Sprintf("k%c|%d", 'z'-rune(rng.Intn(26)), rng.Intn(3)))
+			id := hom.Identifier(rng.Intn(p.L+4) - 1)
+			pr.addWitness(kid, id, rng.Intn(4))
+		}
+		if got, want := pr.StateFingerprint(), fmtFingerprint(pr); got != want {
+			t.Fatalf("iter %d: fingerprint %x, fmt rendering %x", iter, got, want)
+		}
+	}
 }

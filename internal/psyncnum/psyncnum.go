@@ -24,9 +24,10 @@
 package psyncnum
 
 import (
-	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"homonyms/internal/engine"
@@ -581,24 +582,60 @@ func (pr *Process) Decision() (hom.Value, bool) {
 
 // StateFingerprint implements engine.StateHasher: the decision, the
 // largest accepted phase, the proper set, locks, this phase's lock
-// requests and the nonzero witness counts by canonical body key (fmt
-// prints maps in key order), then the broadcast layer's Fingerprint.
+// requests and the nonzero witness counts by canonical body key, then
+// the broadcast layer's Fingerprint. The state is rendered as fmt.Sprint
+// would print those fields (maps in key order), written with strconv.
 // Body KeyIDs are process-local — probing a threshold interns a key —
 // and never hashed; the envelope fields and the round scratch are caches
 // of this state or rebuilt each round.
 func (pr *Process) StateFingerprint() msg.StateHash {
-	rows := map[string]string{}
-	for kid, row := range pr.witnesses {
-		var b strings.Builder
-		for id, a := range row.byID {
-			if a > 0 {
-				fmt.Fprintf(&b, "%d:%d ", id, a)
-			}
+	appendInt := func(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+	b := appendInt(nil, int(pr.decision))
+	b = appendInt(append(b, ' '), pr.maxAcceptPhase)
+	b = append(b, " ["...)
+	for i, v := range pr.proper.AppendValues(nil) {
+		if i > 0 {
+			b = append(b, ' ')
 		}
-		if b.Len() > 0 || len(row.overflow) > 0 {
-			rows[pr.keys.Key(msg.KeyID(kid))] = fmt.Sprint(b.String(), row.overflow)
+		b = appendInt(b, int(v))
+	}
+	b = appendMap(append(b, "] "...), pr.locks, appendInt)
+	b = appendMap(append(b, ' '), pr.lockSeen, strconv.AppendBool)
+	var kids []int
+	for kid, row := range pr.witnesses {
+		if len(row.overflow) > 0 || slices.ContainsFunc(row.byID, func(a int32) bool { return a > 0 }) {
+			kids = append(kids, kid)
 		}
 	}
-	state := fmt.Sprint(pr.decision, pr.maxAcceptPhase, pr.proper.Values(), pr.locks, pr.lockSeen, rows)
-	return pr.bc.Fingerprint(msg.NewStateHash().String(state))
+	slices.SortFunc(kids, func(x, y int) int {
+		return strings.Compare(pr.keys.Key(msg.KeyID(x)), pr.keys.Key(msg.KeyID(y)))
+	})
+	b = append(b, " map["...)
+	for i, kid := range kids {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(append(b, pr.keys.Key(msg.KeyID(kid))...), ':')
+		row := &pr.witnesses[kid]
+		for id, a := range row.byID {
+			if a > 0 {
+				b = append(appendInt(append(appendInt(b, id), ':'), int(a)), ' ')
+			}
+		}
+		b = appendMap(b, row.overflow, appendInt)
+	}
+	b = append(b, ']')
+	return pr.bc.Fingerprint(msg.NewStateHash().String(string(b)))
+}
+
+// appendMap appends m as fmt prints it: "map[k:v ...]", keys ascending.
+func appendMap[K ~int, V any](b []byte, m map[K]V, value func([]byte, V) []byte) []byte {
+	b = append(b, "map["...)
+	for i, k := range slices.Sorted(maps.Keys(m)) {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = value(append(strconv.AppendInt(b, int64(k), 10), ':'), m[k])
+	}
+	return append(b, ']')
 }

@@ -190,7 +190,8 @@ func (w *world) step(round int) {
 	if w.cfg.Adversary != nil && len(w.corrupted) > 0 {
 		view := engine.NewView(w.cfg.Params, w.cfg.Assignment, w.cfg.Inputs, round, sends, w.corrupted)
 		for _, s := range w.corrupted {
-			byz = append(byz, w.cfg.Adversary.Sends(round, s, view))
+			// A View's send buffer is reused by its next Sends call.
+			byz = append(byz, slices.Clone(w.cfg.Adversary.Sends(round, s, view)))
 		}
 	}
 
