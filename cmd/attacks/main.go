@@ -43,24 +43,27 @@ type demo struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, allDemos); err != nil {
 		fmt.Fprintln(os.Stderr, "attacks:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	only := flag.String("only", "", "run a single demonstration: figure4 | figure1 | clones | mirror | ablations")
-	workers := flag.Int("workers", exec.Workers(), "demonstrations to run in parallel")
-	flag.Parse()
+// allDemos is every demonstration, in print order.
+var allDemos = []demo{
+	{"figure4", 36 * 25, figure4},      // 12 phases × 3 rounds, n=5
+	{"figure1", 24 * 16, figure1},      // ~24 rounds of the covering system, n=4
+	{"clones", 42 * 49, clones},        // 3×Rounds(EIG-4) ≈ 42 rounds, n=7
+	{"mirror", 36 * 64, mirror},        // 12 phases × 3 rounds, n=8, run twice
+	{"ablations", 162 * 36, ablations}, // four runs up to 3·(3l+6) phases at l=6
+}
 
-	all := []demo{
-		{"figure4", 36 * 25, figure4},      // 12 phases × 3 rounds, n=5
-		{"figure1", 24 * 16, figure1},      // ~24 rounds of the covering system, n=4
-		{"clones", 42 * 49, clones},        // 3×Rounds(EIG-4) ≈ 42 rounds, n=7
-		{"mirror", 36 * 64, mirror},        // 12 phases × 3 rounds, n=8, run twice
-		{"ablations", 162 * 36, ablations}, // four runs up to 3·(3l+6) phases at l=6
-	}
+func run(args []string, stdout io.Writer, all []demo) error {
+	flags := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	only := flags.String("only", "", "run a single demonstration: figure4 | figure1 | clones | mirror | ablations")
+	workers := flags.Int("workers", exec.Workers(), "demonstrations to run in parallel")
+	flags.Parse(args)
+
 	demos := all[:0:0]
 	for _, d := range all {
 		if *only == "" || d.name == *only {
@@ -72,28 +75,24 @@ func run() error {
 	}
 	// The demonstrations are independent deterministic executions: run them
 	// across the worker pool with cost-weighted dispatch (heaviest first),
-	// buffer each one's narration, and print in the fixed order above.
-	// Failures travel inside the result so a failing demo's partial
-	// narration — and every other demo's output — still prints before the
-	// error is reported.
-	type demoResult struct {
-		out string
-		err error
-	}
-	results, _ := exec.MapWeighted(demos, *workers,
+	// buffer each one's narration, and print in the fixed order above. A
+	// failing demo keeps the narration it wrote before failing (none after
+	// a panic), so it and every other demo's output print before the
+	// first error is reported.
+	outs, errs := exec.MapWeightedCollect(demos, *workers,
 		func(_ int, d demo) int64 { return d.cost },
-		func(_ int, d demo) (demoResult, error) {
+		func(_ int, d demo) (string, error) {
 			var buf bytes.Buffer
 			err := d.fn(&buf)
-			return demoResult{out: buf.String(), err: err}, nil
+			return buf.String(), err
 		})
 	var firstErr error
-	for i, r := range results {
-		fmt.Printf("\n=== %s ===\n%s", demos[i].name, r.out)
-		if r.err != nil {
-			fmt.Printf("!! %s failed: %v\n", demos[i].name, r.err)
+	for i, out := range outs {
+		fmt.Fprintf(stdout, "\n=== %s ===\n%s", demos[i].name, out)
+		if err := errs[i]; err != nil {
+			fmt.Fprintf(stdout, "!! %s failed: %v\n", demos[i].name, err)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", demos[i].name, r.err)
+				firstErr = fmt.Errorf("%s: %w", demos[i].name, err)
 			}
 		}
 	}

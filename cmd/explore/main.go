@@ -14,8 +14,9 @@
 // from n > 3t alone, so its l <= t failure is liveness-only and rests
 // on a valency argument (Proposition 16) that no single bounded
 // execution exhibits. For that cell the search must come back
-// empty-handed and the Lemma-17 mirror experiment (attacks.Mirror) must
-// establish the twin indistinguishability the argument iterates.
+// empty-handed and the Lemma-17 mirror experiment, which
+// solvability.EvaluateCell runs for every l <= t cell, must establish
+// the twin indistinguishability the argument iterates.
 //
 // Usage:
 //
@@ -39,11 +40,9 @@ import (
 	"path/filepath"
 	"strings"
 
-	"homonyms/internal/attacks"
 	"homonyms/internal/explore"
 	"homonyms/internal/fuzz"
-	"homonyms/internal/hom"
-	"homonyms/internal/psyncnum"
+	"homonyms/internal/solvability"
 )
 
 func main() {
@@ -160,46 +159,22 @@ func judge(c explore.Cell, rep *explore.Report) (status, extra string, problem b
 		// The l <= t bound is Proposition 16's valency argument: the
 		// algorithm stays safe (n > 3t), so no bounded execution can
 		// exhibit a violation — the witness is the Lemma-17
-		// indistinguishability experiment, run on top of the (expected
-		// empty-handed) bounded search.
+		// indistinguishability experiment that cmd/solvability runs for
+		// the row, on top of the (expected empty-handed) bounded search.
 		if rep.Counterexample != nil {
 			return "counterex", "stronger than the valency witness: a direct violating execution", false
 		}
 		if rep.Truncated {
 			return "TRUNCATED", "", true
 		}
-		ok, detail := mirrorWitness(c.Params)
-		if ok {
-			return "mirror", detail, false
+		cell, err := solvability.EvaluateCell(c.Params, solvability.SuiteSize{}, 0)
+		switch {
+		case err != nil:
+			return "NO-MIRROR", err.Error(), true
+		case cell.Outcome != solvability.Violated:
+			return "NO-MIRROR", cell.Detail, true
 		}
-		return "NO-MIRROR", detail, true
+		return "mirror", cell.Detail, false
 	}
 	return "BAD-EXPECT", "", true
-}
-
-// mirrorWitness runs the Lemma-17 experiment for an l <= t cell, the
-// same construction cmd/solvability uses for this region: a Byzantine
-// twin holding the flipped slot's identifier replays the correct
-// algorithm on the mirrored input, and the two input-adjacent runs must
-// be indistinguishable to every other correct process.
-func mirrorWitness(p hom.Params) (bool, string) {
-	factory := psyncnum.New(p)
-	assignment := hom.RoundRobinAssignment(p.N, p.L)
-	baseInputs := make([]hom.Value, p.N)
-	for i := p.N / 2; i < p.N; i++ {
-		baseInputs[i] = 1
-	}
-	flipped := p.L // first slot of the second rotation holds identifier 1 again
-	if flipped >= p.N {
-		flipped = p.N - 1
-	}
-	rep, err := attacks.Mirror(p, factory, assignment, baseInputs, flipped, 0, 1,
-		hom.PhaseRounds(p, 1))
-	if err != nil {
-		return false, err.Error()
-	}
-	if rep.Indistinguishable {
-		return true, fmt.Sprintf("mirror: twin slot %d made input-adjacent configurations indistinguishable (Lemma 17); Proposition 16's valency argument applies", rep.TwinSlot)
-	}
-	return false, "mirror experiment failed to establish indistinguishability: " + rep.Detail
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 	"strings"
 
+	"homonyms/internal/explore"
 	"homonyms/internal/solvability"
 )
 
@@ -50,6 +51,12 @@ func run() error {
 	}
 	suite.Crashes = *crashes
 
+	// '*' marks cells with bounded-exhaustive evidence from cmd/explore
+	// on top of this sampled run.
+	exact := map[string]bool{}
+	for _, c := range explore.Cells() {
+		exact[c.Params.String()] = true
+	}
 	mismatch := false
 	for _, v := range solvability.Variants() {
 		fmt.Printf("\n=== %s ===\n", v.Name)
@@ -69,9 +76,7 @@ func run() error {
 				detail = detail[:53] + "..."
 			}
 			params := fmt.Sprintf("n=%d l=%d t=%d", c.Params.N, c.Params.L, c.Params.T)
-			// '*' marks cells with bounded-exhaustive evidence from
-			// cmd/explore on top of this sampled run.
-			if _, ok := solvability.IsExactlyVerified(c.Params); ok {
+			if exact[c.Params.String()] {
 				params += " *"
 			}
 			fmt.Printf("%-28s %-10s %-22s %s\n", params, expect, c.Outcome, detail)
@@ -83,7 +88,7 @@ func run() error {
 			fmt.Printf("!! MISMATCH at %v: %s\n", bad.Params, bad.Detail)
 		}
 	}
-	fmt.Println("\n* = bounded-exhaustive evidence (cmd/explore; see solvability.ExactlyVerified)")
+	fmt.Println("\n* = bounded-exhaustive evidence (cmd/explore; see explore.Cells)")
 	if mismatch {
 		return fmt.Errorf("empirical matrix contradicts Table 1 (or a cell failed to evaluate)")
 	}

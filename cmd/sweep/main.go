@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"homonyms/internal/adversary"
@@ -25,39 +26,75 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, allSeries); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	series := flag.String("series", "all",
+func run(args []string, stdout io.Writer, table func(seed int64) []series) error {
+	flags := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	name := flags.String("series", "all",
 		"series to print: latency-vs-n | messages-vs-l | latency-vs-gst | numerate-vs-l | all")
-	seed := flag.Int64("seed", 1, "determinism seed")
-	workers := flag.Int("workers", exec.Workers(), "parallel executions per series")
-	flag.Parse()
+	seed := flags.Int64("seed", 1, "determinism seed")
+	workers := flags.Int("workers", exec.Workers(), "parallel executions per series")
+	flags.Parse(args)
 
-	runs := map[string]func(int64, int) error{
-		"latency-vs-n":   latencyVsN,
-		"messages-vs-l":  messagesVsL,
-		"latency-vs-gst": latencyVsGST,
-		"numerate-vs-l":  numerateVsL,
-	}
-	if *series != "all" {
-		fn, ok := runs[*series]
-		if !ok {
-			return fmt.Errorf("unknown series %q", *series)
+	all := table(*seed)
+	if *name != "all" {
+		for _, s := range all {
+			if s.name == *name {
+				return s.print(stdout, *workers)
+			}
 		}
-		return fn(*seed, *workers)
+		return fmt.Errorf("unknown series %q", *name)
 	}
-	for _, name := range []string{"latency-vs-n", "messages-vs-l", "latency-vs-gst", "numerate-vs-l"} {
-		fmt.Printf("\n=== %s ===\n", name)
-		if err := runs[name](*seed, *workers); err != nil {
+	for _, s := range all {
+		fmt.Fprintf(stdout, "\n=== %s ===\n", s.name)
+		if err := s.print(stdout, *workers); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// series is one figure-style table.
+type series struct {
+	name, title, header string
+	points              []point
+}
+
+// point is one row of a series: cost is its relative work estimate, a
+// dispatch hint only, and measure runs its execution and renders the row.
+type point struct {
+	cost    int64
+	measure func() (string, error)
+}
+
+func allSeries(seed int64) []series {
+	return []series{latencyVsN(seed), messagesVsL(seed), latencyVsGST(seed), numerateVsL(seed)}
+}
+
+// print prints the series' title, header and measured rows in order. A
+// failed point prints no row; the lowest-index failure is returned after
+// every other row has printed.
+func (s series) print(w io.Writer, workers int) error {
+	fmt.Fprintln(w, s.title)
+	fmt.Fprintln(w, s.header)
+	rows, errs := exec.MapNWeightedCollect(len(s.points), workers,
+		func(i int) int64 { return s.points[i].cost },
+		func(i int) (string, error) { return s.points[i].measure() })
+	var firstErr error
+	for i, row := range rows {
+		if errs[i] != nil {
+			if firstErr == nil {
+				firstErr = errs[i]
+			}
+			continue
+		}
+		fmt.Fprintln(w, row)
+	}
+	return firstErr
 }
 
 func measure(p hom.Params, gst int, seed int64) (latency, messages int, err error) {
@@ -90,85 +127,47 @@ func pointCost(p hom.Params, gst int) int64 {
 	return nn * int64(4*p.L+8*p.T+16+gst)
 }
 
-// point is one measured series entry, carried through the worker pool so
-// rows print in input order regardless of completion order. A failed
-// measurement travels in err so the successfully measured rows of a
-// series still print before the failure is reported.
-type point struct {
-	x, y, latency, messages int
-	err                     error
+// measured is the point that measures p at GST 1 and prints the leading
+// columns cols followed by its decision round and message count.
+func measured(p hom.Params, seed int64, cols string) point {
+	return point{pointCost(p, 1), func() (string, error) {
+		lat, msgs, err := measure(p, 1, seed)
+		return fmt.Sprintf("%s %10d %12d", cols, lat, msgs), err
+	}}
 }
 
-// printPoints prints the successfully measured rows in order and returns
-// the lowest-index measurement error, if any.
-func printPoints(points []point, print func(point)) error {
-	var firstErr error
-	for _, pt := range points {
-		if pt.err != nil {
-			if firstErr == nil {
-				firstErr = pt.err
-			}
-			continue
-		}
-		print(pt)
-	}
-	return firstErr
-}
-
-func latencyVsN(seed int64, workers int) error {
-	fmt.Println("Figure-5 algorithm (psync, t=1, l chosen minimal solvable): latency vs n")
-	fmt.Printf("%6s %6s %10s %12s\n", "n", "l", "rounds", "messages")
-	var params []hom.Params
+func latencyVsN(seed int64) series {
+	s := series{name: "latency-vs-n",
+		title:  "Figure-5 algorithm (psync, t=1, l chosen minimal solvable): latency vs n",
+		header: fmt.Sprintf("%6s %6s %10s %12s", "n", "l", "rounds", "messages")}
 	for n := 4; n <= 12; n++ {
-		l := (n+3)/2 + 1 // smallest l with 2l > n+3t for t=1
-		if l > n {
-			l = n
-		}
+		l := min((n+3)/2+1, n) // smallest l with 2l > n+3t for t=1
 		p := hom.Params{N: n, L: l, T: 1, Synchrony: hom.PartiallySynchronous}
-		if !p.Solvable() {
-			continue
+		if p.Solvable() {
+			s.points = append(s.points, measured(p, seed, fmt.Sprintf("%6d %6d", n, l)))
 		}
-		params = append(params, p)
 	}
-	points, _ := exec.MapWeighted(params, workers,
-		func(_ int, p hom.Params) int64 { return pointCost(p, 1) },
-		func(_ int, p hom.Params) (point, error) {
-			lat, msgs, err := measure(p, 1, seed)
-			return point{x: p.N, y: p.L, latency: lat, messages: msgs, err: err}, nil
-		})
-	return printPoints(points, func(pt point) {
-		fmt.Printf("%6d %6d %10d %12d\n", pt.x, pt.y, pt.latency, pt.messages)
-	})
+	return s
 }
 
-func messagesVsL(seed int64, workers int) error {
-	fmt.Println("T(EIG) (sync, n=9, t=1): cost vs identifier count l")
-	fmt.Printf("%6s %10s %12s\n", "l", "rounds", "messages")
-	points, _ := exec.MapNWeighted(6, workers,
-		func(i int) int64 {
-			return pointCost(hom.Params{N: 9, L: 4 + i, T: 1, Synchrony: hom.Synchronous}, 1)
-		},
-		func(i int) (point, error) {
-			l := 4 + i
-			p := hom.Params{N: 9, L: l, T: 1, Synchrony: hom.Synchronous}
-			lat, msgs, err := measure(p, 1, seed)
-			return point{x: l, latency: lat, messages: msgs, err: err}, nil
-		})
-	return printPoints(points, func(pt point) {
-		fmt.Printf("%6d %10d %12d\n", pt.x, pt.latency, pt.messages)
-	})
+func messagesVsL(seed int64) series {
+	s := series{name: "messages-vs-l",
+		title:  "T(EIG) (sync, n=9, t=1): cost vs identifier count l",
+		header: fmt.Sprintf("%6s %10s %12s", "l", "rounds", "messages")}
+	for l := 4; l <= 9; l++ {
+		p := hom.Params{N: 9, L: l, T: 1, Synchrony: hom.Synchronous}
+		s.points = append(s.points, measured(p, seed, fmt.Sprintf("%6d", l)))
+	}
+	return s
 }
 
-func latencyVsGST(seed int64, workers int) error {
-	fmt.Println("Figure-5 algorithm (psync, n=6, l=5, t=1): decision latency vs GST")
-	fmt.Printf("%6s %10s\n", "gst", "rounds")
-	gsts := []int{1, 9, 17, 33, 49}
-	points, _ := exec.MapWeighted(gsts, workers,
-		func(_ int, gst int) int64 {
-			return pointCost(hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}, gst)
-		},
-		func(_ int, gst int) (point, error) {
-			p := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
+func latencyVsGST(seed int64) series {
+	s := series{name: "latency-vs-gst",
+		title:  "Figure-5 algorithm (psync, n=6, l=5, t=1): decision latency vs GST",
+		header: fmt.Sprintf("%6s %10s", "gst", "rounds")}
+	p := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
+	for _, gst := range []int{1, 9, 17, 33, 49} {
+		s.points = append(s.points, point{pointCost(p, gst), func() (string, error) {
 			inputs := make([]hom.Value, p.N)
 			for i := range inputs {
 				inputs[i] = hom.Value(i % 2)
@@ -180,29 +179,25 @@ func latencyVsGST(seed int64, workers int) error {
 			}
 			res, err := core.Run(core.Config{Params: p, Inputs: inputs, Adversary: adv, GST: gst})
 			if err != nil {
-				return point{err: err}, nil
+				return "", err
 			}
 			if !res.Verdict.OK() {
-				return point{err: fmt.Errorf("gst=%d: %s", gst, res.Verdict)}, nil
+				return "", fmt.Errorf("gst=%d: %s", gst, res.Verdict)
 			}
-			return point{x: gst, latency: trace.LatestDecisionRound(res.Sim)}, nil
-		})
-	return printPoints(points, func(pt point) {
-		fmt.Printf("%6d %10d\n", pt.x, pt.latency)
-	})
+			return fmt.Sprintf("%6d %10d", gst, trace.LatestDecisionRound(res.Sim)), nil
+		}})
+	}
+	return s
 }
 
-func numerateVsL(seed int64, workers int) error {
-	fmt.Println("Figure-7 algorithm (numerate, restricted, n=7, t=2): works down to l = t+1")
-	fmt.Printf("%6s %10s %12s\n", "l", "rounds", "messages")
-	points, _ := exec.MapN(5, workers, func(i int) (point, error) {
-		l := 3 + i
+func numerateVsL(seed int64) series {
+	s := series{name: "numerate-vs-l",
+		title:  "Figure-7 algorithm (numerate, restricted, n=7, t=2): works down to l = t+1",
+		header: fmt.Sprintf("%6s %10s %12s", "l", "rounds", "messages")}
+	for l := 3; l <= 7; l++ {
 		p := hom.Params{N: 7, L: l, T: 2, Synchrony: hom.PartiallySynchronous,
 			Numerate: true, RestrictedByzantine: true}
-		lat, msgs, err := measure(p, 1, seed)
-		return point{x: l, latency: lat, messages: msgs, err: err}, nil
-	})
-	return printPoints(points, func(pt point) {
-		fmt.Printf("%6d %10d %12d\n", pt.x, pt.latency, pt.messages)
-	})
+		s.points = append(s.points, measured(p, seed, fmt.Sprintf("%6d", l)))
+	}
+	return s
 }

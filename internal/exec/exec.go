@@ -67,51 +67,35 @@ func Protect[R any](index int, fn func() (R, error)) (result R, err error) {
 // MapN runs fn(i) for every i in [0, n) on at most `workers` goroutines
 // (0 or negative selects Workers()) and returns the results indexed by i.
 // Panics in fn are recovered into *PanicError. If any invocation fails,
-// the lowest-index error is returned alongside the results: failed
-// indices hold the zero value, all other entries are exactly what a
-// failure-free run would have produced.
+// the lowest-index error is returned alongside the results: an index
+// whose fn panicked holds the zero value, an index whose fn returned an
+// error holds what fn returned with it, and all other entries are
+// exactly what a failure-free run would have produced.
 func MapN[R any](n, workers int, fn func(i int) (R, error)) ([]R, error) {
 	results, errs := MapNWeightedCollect(n, workers, nil, fn)
-	return results, firstError(errs)
-}
-
-// firstError returns the lowest-index non-nil error.
-func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return results, err
 		}
 	}
-	return nil
+	return results, nil
 }
 
-// MapNWeighted is MapN with cost-aware scheduling: instead of handing
-// out indices in input order, workers steal them in descending
-// cost(i) order (ties broken by ascending index), so the most expensive
-// items start first and cannot land on an almost-drained pool. This
-// closes the tail-latency gap of heterogeneous grids — a solvability
-// matrix whose large-n cells sit at the end of the input order would
-// otherwise serialise them behind the cheap cells.
+// MapNWeightedCollect is MapN with cost-aware scheduling and per-item
+// error reporting: results[i] is what fn(i) returned (the zero value
+// after a recovered panic) and errs[i] its error, possibly a
+// *PanicError, nil on success. Harnesses that must degrade gracefully —
+// report failed cells, keep the surviving ones — consume this form.
 //
-// Everything observable is identical to MapN: fn must be a pure
-// function of its index, every item runs exactly once even after a
-// failure, results are indexed by input position, and the error
-// returned is the lowest-index one. cost is only a scheduling hint —
-// results are byte-identical to MapN for any cost function — and is
-// called once per index up front.
-func MapNWeighted[R any](n, workers int, cost func(i int) int64, fn func(i int) (R, error)) ([]R, error) {
-	results, errs := MapNWeightedCollect(n, workers, cost, fn)
-	return results, firstError(errs)
-}
-
-// MapNWeightedCollect is MapNWeighted with per-item error reporting:
-// errs[i] is the error (possibly a recovered *PanicError) of item i, nil
-// on success. Harnesses that must degrade gracefully — report failed
-// cells, keep the surviving ones — consume this form directly. It is the
-// one pool loop: workers walk an order of the indices — by descending
-// cost when cost is given and more than one worker runs, the identity
-// otherwise — and write each result at its index. One worker walks it
-// on the calling goroutine.
+// Instead of handing out indices in input order, workers steal them in
+// descending cost(i) order (ties broken by ascending index), so the most
+// expensive items start first and cannot land on an almost-drained pool:
+// a solvability matrix whose large-n cells sit at the end of the input
+// order would otherwise serialise them behind the cheap cells. cost is
+// only a scheduling hint — results are byte-identical for any cost
+// function, nil included (input order) — and is called once per index
+// up front. It is the one pool loop; one worker walks it on the calling
+// goroutine.
 func MapNWeightedCollect[R any](n, workers int, cost func(i int) int64, fn func(i int) (R, error)) (results []R, errs []error) {
 	if n <= 0 {
 		return nil, nil
@@ -166,13 +150,6 @@ func MapNWeightedCollect[R any](n, workers int, cost func(i int) int64, fn func(
 	}
 	wg.Wait()
 	return results, errs
-}
-
-// MapWeighted applies fn to every item with cost-aware scheduling. See
-// MapNWeighted for the contract.
-func MapWeighted[T, R any](items []T, workers int, cost func(i int, item T) int64, fn func(i int, item T) (R, error)) ([]R, error) {
-	results, errs := MapWeightedCollect(items, workers, cost, fn)
-	return results, firstError(errs)
 }
 
 // MapWeightedCollect applies fn to every item with cost-aware scheduling

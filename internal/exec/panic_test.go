@@ -93,7 +93,7 @@ func TestMapNPanicIsolation(t *testing.T) {
 			}
 		}
 
-		// MapN's firstError view of the same shape: the panic surfaces as
+		// MapN's lowest-index-error view of the same shape: the panic surfaces as
 		// the returned error, partial results intact.
 		res, err := MapN(n, workers, func(i int) (string, error) {
 			if i == bad {

@@ -10,7 +10,8 @@ import (
 	"homonyms/internal/exec"
 )
 
-// TestMapNWeightedMatchesMapN pins the scheduling-only contract: for any
+// TestMapNWeightedMatchesMapN pins the scheduling-only contract of
+// MapNWeightedCollect: for any
 // cost function — including adversarially inverted and constant ones —
 // the results are byte-identical to MapN's, in input order.
 func TestMapNWeightedMatchesMapN(t *testing.T) {
@@ -28,11 +29,11 @@ func TestMapNWeightedMatchesMapN(t *testing.T) {
 	}
 	for name, cost := range costs {
 		for _, workers := range []int{1, 3, 8} {
-			got, err := exec.MapNWeighted(n, workers, cost, fn)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, workers, err)
-			}
+			got, errs := exec.MapNWeightedCollect(n, workers, cost, fn)
 			for i := range want {
+				if errs[i] != nil {
+					t.Fatalf("%s/%d: item %d: %v", name, workers, i, errs[i])
+				}
 				if got[i] != want[i] {
 					t.Fatalf("%s/%d: result[%d] = %q, want %q", name, workers, i, got[i], want[i])
 				}
@@ -49,15 +50,12 @@ func TestMapNWeightedSchedulesExpensiveFirst(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	// Two workers; serialise the recording, not the scheduling.
-	_, err := exec.MapNWeighted(n, 2, func(i int) int64 { return int64(i) }, func(i int) (int, error) {
+	exec.MapNWeightedCollect(n, 2, func(i int) int64 { return int64(i) }, func(i int) (int, error) {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
 		return i, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(order) != n {
 		t.Fatalf("ran %d items, want %d", len(order), n)
 	}
@@ -69,42 +67,49 @@ func TestMapNWeightedSchedulesExpensiveFirst(t *testing.T) {
 	}
 }
 
-// TestMapNWeightedErrorContract pins MapN's error semantics on the
-// weighted path: every item runs exactly once even after failures, and
-// the lowest-index error wins regardless of completion order.
+// TestMapNWeightedErrorContract pins the per-item error semantics on the
+// weighted path: every item runs exactly once even after failures, each
+// error lands at its own index regardless of completion order, and a
+// failed index keeps what fn returned alongside its error.
 func TestMapNWeightedErrorContract(t *testing.T) {
 	const n = 40
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	var ran atomic.Int64
-	_, err := exec.MapNWeighted(n, 4, func(i int) int64 { return int64(i) }, func(i int) (int, error) {
+	got, errs := exec.MapNWeightedCollect(n, 4, func(i int) int64 { return int64(i) }, func(i int) (int, error) {
 		ran.Add(1)
 		switch i {
 		case 3:
-			return 0, errLow
+			return -i, errLow
 		case 30:
-			return 0, errHigh
+			return -i, errHigh
 		}
 		return i, nil
 	})
-	if !errors.Is(err, errLow) {
-		t.Fatalf("error = %v, want lowest-index %v", err, errLow)
+	wantErr := map[int]error{3: errLow, 30: errHigh}
+	for i, err := range errs {
+		if err != wantErr[i] {
+			t.Fatalf("errs[%d] = %v, want %v", i, err, wantErr[i])
+		}
+		if err != nil && got[i] != -i {
+			t.Fatalf("result[%d] = %d, want %d returned with its error", i, got[i], -i)
+		}
 	}
 	if got := ran.Load(); got != n {
 		t.Fatalf("ran %d items, want %d (every item must run despite errors)", got, n)
 	}
 }
 
-// TestMapWeightedPassesItems pins the slice wrapper.
+// TestMapWeightedPassesItems pins the slice wrapper MapWeightedCollect.
 func TestMapWeightedPassesItems(t *testing.T) {
 	items := []string{"a", "bb", "ccc", "dddd"}
-	got, err := exec.MapWeighted(items, 2,
+	got, errs := exec.MapWeightedCollect(items, 2,
 		func(_ int, s string) int64 { return int64(len(s)) },
 		func(i int, s string) (string, error) { return fmt.Sprintf("%d:%s", i, s), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []string{"0:a", "1:bb", "2:ccc", "3:dddd"}
 	for i := range want {
+		if errs[i] != nil {
+			t.Fatalf("item %d: %v", i, errs[i])
+		}
 		if got[i] != want[i] {
 			t.Fatalf("result[%d] = %q, want %q", i, got[i], want[i])
 		}

@@ -95,17 +95,16 @@ func (p Params) EffectiveDomain() []Value {
 
 // Validation errors returned by Params.Validate.
 var (
-	ErrTooFewProcesses   = errors.New("hom: need at least 2 processes")
-	ErrBadIdentifierCnt  = errors.New("hom: need 1 <= L <= N identifiers")
-	ErrBadFaultBound     = errors.New("hom: need 0 <= T < N")
-	ErrResilience        = errors.New("hom: byzantine agreement requires n > 3t")
-	ErrBadSynchrony      = errors.New("hom: synchrony must be Synchronous or PartiallySynchronous")
-	ErrEmptyDomain       = errors.New("hom: value domain must not contain NoValue or negatives")
-	ErrUnsolvable        = errors.New("hom: parameters outside the solvable region of Table 1")
-	ErrBadAssignment     = errors.New("hom: assignment must give every identifier in 1..L to at least one process")
-	ErrAssignmentLength  = errors.New("hom: assignment length must equal N")
-	ErrInputLength       = errors.New("hom: need one input value per process")
-	ErrInputOutsideRange = errors.New("hom: input value outside declared domain")
+	ErrTooFewProcesses  = errors.New("hom: need at least 2 processes")
+	ErrBadIdentifierCnt = errors.New("hom: need 1 <= L <= N identifiers")
+	ErrBadFaultBound    = errors.New("hom: need 0 <= T < N")
+	ErrResilience       = errors.New("hom: byzantine agreement requires n > 3t")
+	ErrBadSynchrony     = errors.New("hom: synchrony must be Synchronous or PartiallySynchronous")
+	ErrEmptyDomain      = errors.New("hom: value domain must not contain NoValue or negatives")
+	ErrUnsolvable       = errors.New("hom: parameters outside the solvable region of Table 1")
+	ErrBadAssignment    = errors.New("hom: assignment must give every identifier in 1..L to at least one process")
+	ErrAssignmentLength = errors.New("hom: assignment length must equal N")
+	ErrInputLength      = errors.New("hom: need one input value per process")
 )
 
 // Validate checks internal consistency of the parameters. It does not

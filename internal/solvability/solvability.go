@@ -85,8 +85,10 @@ type Cell struct {
 // SuiteSize configures how many assignment/adversary combinations the
 // positive suite runs per cell.
 type SuiteSize struct {
+	// Assignments is 1 (round-robin) or 2 (round-robin, then stacked).
 	Assignments int
-	Behaviors   int
+	// Behaviors is 1 to 3: the first k of Equivocate, Silent, MimicFlood.
+	Behaviors int
 	// Crashes adds a crash-vs-Byzantine band to each solvable cell: for
 	// every c in 1..min(Crashes, t), one extra run replaces c of the t
 	// Byzantine slots with injected crash-recovery faults. The claim
@@ -105,7 +107,7 @@ func EvaluateCell(p hom.Params, suite SuiteSize, seed int64) (*Cell, error) {
 	if cell.Expect {
 		return evaluateSolvable(cell, p, suite, seed)
 	}
-	return evaluateUnsolvable(cell, p, seed)
+	return evaluateUnsolvable(cell, p)
 }
 
 func behaviors(seed int64, k int) []adversary.Behavior {
@@ -113,7 +115,6 @@ func behaviors(seed int64, k int) []adversary.Behavior {
 		adversary.Equivocate{Seed: seed},
 		adversary.Silent{},
 		adversary.MimicFlood{},
-		adversary.Noise{Seed: seed},
 	}
 	if k > len(all) {
 		k = len(all)
@@ -125,9 +126,6 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 	assignments := []hom.Assignment{hom.RoundRobinAssignment(p.N, p.L)}
 	if suite.Assignments > 1 {
 		assignments = append(assignments, hom.StackedAssignment(p.N, p.L))
-	}
-	for i := 2; i < suite.Assignments; i++ {
-		assignments = append(assignments, hom.RandomAssignment(p.N, p.L, seed+int64(i)))
 	}
 	behs := behaviors(seed, suite.Behaviors)
 	if p.T == 0 {
@@ -228,87 +226,107 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 	return cell, nil
 }
 
-func evaluateUnsolvable(cell *Cell, p hom.Params, seed int64) (*Cell, error) {
+// A construction is one of the paper's lower-bound experiments: it runs
+// on an unsolvable cell and reports whether it exhibited the violation,
+// with the detail the cell carries either way.
+type construction func(p hom.Params) (violated bool, detail string, err error)
+
+// lowerBound names the construction that witnesses an unsolvable cell,
+// or nil when the cell is covered by a bound without an execution of its
+// own. It is the one dispatch on Table-1 rows that EvaluateCell runs and
+// CellCost charges for.
+func lowerBound(p hom.Params) construction {
 	switch row := p.Row(); {
 	case row == hom.RowResilience:
-		cell.Outcome = CoveredByBoundary
-		cell.Detail = "n <= 3t: classical resilience bound [Pease-Shostak-Lamport], below every homonym bound"
-		return cell, nil
-
+		return nil // the classical n <= 3t bound
 	case row == hom.RowNumerate:
-		// l <= t: the mirror experiment (Proposition 16 / Lemma 17).
-		factory := psyncnum.New(p)
-		assignment := hom.RoundRobinAssignment(p.N, p.L)
-		baseInputs := make([]hom.Value, p.N)
-		for i := p.N / 2; i < p.N; i++ {
-			baseInputs[i] = 1
-		}
-		flipped := p.L // first slot of the second rotation holds identifier 1 again
-		if flipped >= p.N {
-			flipped = p.N - 1
-		}
-		rep, err := attacks.Mirror(p, factory, assignment, baseInputs, flipped, 0, 1,
-			hom.PhaseRounds(p, 1))
-		if err != nil {
-			return nil, err
-		}
-		if rep.Indistinguishable {
-			cell.Outcome = Violated
-			cell.Detail = "mirror twins made input-adjacent configurations indistinguishable (Lemma 17); the valency argument of Proposition 16 applies"
-		} else {
-			cell.Outcome = Mismatch
-			cell.Detail = "mirror experiment failed to establish indistinguishability: " + rep.Detail
-		}
-		return cell, nil
-
+		return mirror // l <= t
 	case row == hom.RowPsync && p.L > 3*p.T:
-		// 3t < l <= (n+3t)/2: the Figure-4 partition attack.
-		factory := psynchom.New(p, psynchom.Options{})
-		rep, err := attacks.Partition(p, factory, 12*hom.RoundsPerPhase)
-		if err != nil {
-			return nil, err
-		}
-		if rep.Succeeded() {
-			cell.Outcome = Violated
-			cell.Detail = "partition attack (Figure 4): " + rep.Verdict.String()
-		} else {
-			cell.Outcome = Mismatch
-			cell.Detail = "partition attack did not violate agreement: " + rep.Verdict.String()
-		}
-		return cell, nil
-
+		return partition // 3t < l <= (n+3t)/2
 	case p.L == 3*p.T:
-		// The synchronous boundary: the Figure-1 covering scenario.
-		alg, err := classical.NewEIGUnchecked(p.L, p.T, p.EffectiveDomain())
-		if err != nil {
-			return nil, err
-		}
-		syncP := p
-		syncP.Synchrony = hom.Synchronous
-		factory, err := synchom.New(alg, syncP)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := attacks.Covering(syncP, factory, synchom.Rounds(alg)+6)
-		if err != nil {
-			return nil, err
-		}
-		if rep.Succeeded() {
-			cell.Outcome = Violated
-			cell.Detail = fmt.Sprintf("covering scenario (Figure 1): %v", rep.Violations[0])
-		} else {
-			cell.Outcome = Mismatch
-			cell.Detail = "covering scenario found no violation"
-		}
-		return cell, nil
-
+		return covering // the synchronous boundary
 	default:
-		// l < 3t: covered by the l = 3t boundary via identifier
-		// monotonicity.
+		return nil // l < 3t: covered by the l = 3t boundary
+	}
+}
+
+func evaluateUnsolvable(cell *Cell, p hom.Params) (*Cell, error) {
+	build := lowerBound(p)
+	if build == nil {
 		cell.Outcome = CoveredByBoundary
-		cell.Detail = fmt.Sprintf("covered by the l = 3t = %d covering-scenario boundary (fewer identifiers are strictly weaker)", 3*p.T)
+		if p.Row() == hom.RowResilience {
+			cell.Detail = "n <= 3t: classical resilience bound [Pease-Shostak-Lamport], below every homonym bound"
+		} else {
+			// Identifier monotonicity: fewer identifiers are never easier.
+			cell.Detail = fmt.Sprintf("covered by the l = 3t = %d covering-scenario boundary (fewer identifiers are strictly weaker)", 3*p.T)
+		}
 		return cell, nil
 	}
+	violated, detail, err := build(p)
+	if err != nil {
+		return nil, err
+	}
+	cell.Outcome = Mismatch
+	if violated {
+		cell.Outcome = Violated
+	}
+	cell.Detail = detail
+	return cell, nil
+}
+
+// mirror is the l <= t experiment (Proposition 16 / Lemma 17): a
+// Byzantine twin holding the flipped slot's identifier replays the
+// correct algorithm on the mirrored input, and the two input-adjacent
+// runs must be indistinguishable to every other correct process.
+func mirror(p hom.Params) (bool, string, error) {
+	baseInputs := make([]hom.Value, p.N)
+	for i := p.N / 2; i < p.N; i++ {
+		baseInputs[i] = 1
+	}
+	flipped := min(p.L, p.N-1) // first slot of the second rotation holds identifier 1 again
+	rep, err := attacks.Mirror(p, psyncnum.New(p), hom.RoundRobinAssignment(p.N, p.L),
+		baseInputs, flipped, 0, 1, hom.PhaseRounds(p, 1))
+	if err != nil {
+		return false, "", err
+	}
+	if !rep.Indistinguishable {
+		return false, "mirror experiment failed to establish indistinguishability: " + rep.Detail, nil
+	}
+	return true, "mirror twins made input-adjacent configurations indistinguishable (Lemma 17); the valency argument of Proposition 16 applies", nil
+}
+
+// partition is the Figure-4 partition attack (Proposition 4).
+func partition(p hom.Params) (bool, string, error) {
+	rep, err := attacks.Partition(p, psynchom.New(p, psynchom.Options{}), 12*hom.RoundsPerPhase)
+	if err != nil {
+		return false, "", err
+	}
+	if !rep.Succeeded() {
+		return false, "partition attack did not violate agreement: " + rep.Verdict.String(), nil
+	}
+	return true, "partition attack (Figure 4): " + rep.Verdict.String(), nil
+}
+
+// covering is the Figure-1 covering scenario (Proposition 1), run in
+// the synchronous model whatever the cell's own.
+func covering(p hom.Params) (bool, string, error) {
+	alg, err := classical.NewEIGUnchecked(p.L, p.T, p.EffectiveDomain())
+	if err != nil {
+		return false, "", err
+	}
+	p.Synchrony = hom.Synchronous
+	factory, err := synchom.New(alg, p)
+	if err != nil {
+		return false, "", err
+	}
+	rep, err := attacks.Covering(p, factory, synchom.Rounds(alg)+6)
+	if err != nil {
+		return false, "", err
+	}
+	if !rep.Succeeded() {
+		return false, "covering scenario found no violation", nil
+	}
+	return true, fmt.Sprintf("covering scenario (Figure 1): %v", rep.Violations[0]), nil
 }
 
 // Variant selects the model flags for a grid sweep.
@@ -411,8 +429,7 @@ func BoundaryParams(ns []int, v Variant) []hom.Params {
 func CellCost(p hom.Params, suite SuiteSize) int64 {
 	nn := int64(p.N) * int64(p.N)
 	rounds := int64(4*p.L + 8*p.T + 16)
-	switch row := p.Row(); {
-	case p.Solvable():
+	if p.Solvable() {
 		runs := int64(suite.Assignments) * int64(suite.Behaviors)
 		if runs < 1 {
 			runs = 1
@@ -421,13 +438,11 @@ func CellCost(p hom.Params, suite SuiteSize) int64 {
 			runs += int64(band)
 		}
 		return nn * rounds * runs
-	case row == hom.RowResilience:
-		return 1 // covered by the classical bound, no execution
-	case row == hom.RowNumerate, row == hom.RowPsync && p.L > 3*p.T, p.L == 3*p.T:
-		return nn * rounds // one attack construction
-	default:
-		return 1 // covered by the l = 3t boundary, no execution
 	}
+	if lowerBound(p) != nil {
+		return nn * rounds // one attack construction
+	}
+	return 1 // covered by a bound, no execution
 }
 
 // Matrix evaluates a full (n, t, l) grid for one variant. The cells are

@@ -3,6 +3,7 @@ package solvability_test
 import (
 	"testing"
 
+	"homonyms/internal/explore"
 	"homonyms/internal/hom"
 	"homonyms/internal/solvability"
 )
@@ -138,9 +139,9 @@ func TestBoundaryParamsStraddleThreshold(t *testing.T) {
 // evidence: a verified cell must be solvable, and a cell backed by a
 // counterexample or a mirror witness must not be.
 func TestExactCellsAgreeWithTable1(t *testing.T) {
-	for _, c := range solvability.ExactlyVerified() {
-		if want := c.Witness == "verified"; c.Params.Solvable() != want {
-			t.Errorf("%v: %s witness, but %s", c.Params, c.Witness, c.Params.SolvabilityReason())
+	for _, c := range explore.Cells() {
+		if want := c.Expect == "verified"; c.Params.Solvable() != want {
+			t.Errorf("cell %s %v: %s expected, but %s", c.Name, c.Params, c.Expect, c.Params.SolvabilityReason())
 		}
 	}
 }
