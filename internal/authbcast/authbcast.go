@@ -27,18 +27,22 @@
 // Its per-round bookkeeping is string-free: every (m, r, i) tuple key is
 // symbolized once in a broadcaster-local intern table whose dense KeyIDs
 // index a flat tuple arena, and distinct-identifier support lives in a
-// shared bitmap arena. Sending pays for an echo once: a standing echo
-// goes out Standing with its tuple's stamp memo, so the engine builds its
-// key once per execution and, in a round right after a weighted round
-// that carried it, accounts the repeat without delivering it again —
-// repeats change nothing here, since support counts distinct sender
-// identifiers. Hosts hand Ingest the inbox's Delta: what the round
-// stamped. There reception does not rebuild keys either: the broadcaster
-// memoises, per engine PayloadID, which tuple a validated echo supports,
-// so an echo of a known tuple, from any identifier, costs one table load
-// and one bit test, and a first sight interns its tuple under the payload
-// part of the delivered message key. Release returns the whole table to a
-// pool for the next.
+// shared bitmap arena. Sending pays for an echo once: the broadcaster
+// boxes the ⟨echo m, r, i⟩ its ⟨init m⟩ starts and sends it inside the
+// init, so every receiver that takes the init as sent — in its own
+// superround, from the identifier that stamped it — re-sends that one
+// box instead of boxing its own; a tuple first seen as an echo keeps the
+// delivered box. A standing echo goes out Standing with its tuple's stamp
+// memo, so the engine builds its key once per execution and, in a round
+// right after a weighted round that carried it, accounts the repeat
+// without delivering it again — repeats change nothing here, since
+// support counts distinct sender identifiers. Hosts hand Ingest the
+// inbox's Delta: what the round stamped. There reception does not rebuild
+// keys either: the broadcaster memoises, per engine PayloadID, which
+// tuple a validated echo supports, so an echo of a known tuple, from any
+// identifier, costs one table load and one bit test, and a first sight
+// interns its tuple under the payload part of the delivered message key.
+// Release returns the whole table to a pool for the next.
 package authbcast
 
 import (
@@ -54,9 +58,25 @@ import (
 // ErrResilience is returned when ℓ ≤ 3t.
 var ErrResilience = errors.New("authbcast: authenticated broadcast requires l > 3t")
 
-// InitPayload is the ⟨init m⟩ message starting a broadcast.
+// InitPayload is the ⟨init m⟩ message starting a broadcast. An init
+// made by Outgoing also carries the ⟨echo m, r, i⟩ it starts, boxed once
+// for all its receivers; the echo is no part of the key, and a receiver
+// uses it only when its superround and identifier are the ones the init
+// arrives with. Build a copy with another Body afresh: a copy keeps the
+// echo of the Body it was made with.
 type InitPayload struct {
 	Body msg.Payload
+	echo msg.Payload
+}
+
+// carried returns the init's boxed echo when it is the ⟨echo Body, sr,
+// id⟩ an init from identifier id in superround sr starts, and nil
+// otherwise.
+func (p InitPayload) carried(sr int, id hom.Identifier) msg.Payload {
+	if ep, ok := p.echo.(EchoPayload); ok && ep.SR == sr && ep.ID == id {
+		return p.echo
+	}
+	return nil
 }
 
 // BuildKey implements msg.ScratchKeyer (the engines' scratch-interned
@@ -99,8 +119,10 @@ type tupleState struct {
 	body msg.Payload
 	sr   int
 	id   hom.Identifier
-	// echo is the tuple's ⟨echo m, r, i⟩, boxed once at creation because
-	// Outgoing re-sends it in every later round, with stamp, its memo.
+	// echo is the tuple's ⟨echo m, r, i⟩, which Outgoing re-sends in
+	// every later round with stamp, its memo. It is the box the
+	// broadcaster sent inside its init, or the first delivered echo, when
+	// the tuple was first seen through one of those; else boxed here.
 	echo     msg.Payload
 	stamp    msg.StampMemo
 	echoOff  int32
@@ -173,25 +195,26 @@ var tablePool = sync.Pool{New: func() any { return &table{keys: msg.NewInterner(
 // not usable; construct with New.
 type Broadcaster struct {
 	l, t    int
-	pending []msg.Payload // Broadcast bodies queued for the next odd round
+	id      hom.Identifier // the host's identifier, stamped on the echo an init carries
+	pending []msg.Payload  // Broadcast bodies queued for the next odd round
 	tab     *table
 }
 
-// New returns a broadcaster for a system with l identifiers and at most t
-// Byzantine processes.
-func New(l, t int) (*Broadcaster, error) {
+// New returns a broadcaster for a host with identifier id in a system
+// with l identifiers and at most t Byzantine processes.
+func New(l, t int, id hom.Identifier) (*Broadcaster, error) {
 	if l <= 3*t {
 		return nil, ErrResilience
 	}
-	return newBroadcaster(l, t), nil
+	return newBroadcaster(l, t, id), nil
 }
 
 // newBroadcaster builds a broadcaster without the resilience check (the
 // fuzz host probes below the bound on purpose).
-func newBroadcaster(l, t int) *Broadcaster {
+func newBroadcaster(l, t int, id hom.Identifier) *Broadcaster {
 	tab := tablePool.Get().(*table)
 	tab.reset()
-	return &Broadcaster{l: l, t: t, tab: tab}
+	return &Broadcaster{l: l, t: t, id: id, tab: tab}
 }
 
 // Release returns the broadcaster's arena-backed table to the shared pool.
@@ -214,18 +237,20 @@ func (b *Broadcaster) Broadcast(m msg.Payload) {
 }
 
 // Outgoing returns the broadcast-layer sends of the given round: pending
-// ⟨init⟩ messages if this is an init round, plus every echo obligation
-// accumulated so far ("in all subsequent rounds"), each with its tuple's
-// stamp memo. Tuples are scanned in arena order, which is first-sight
+// ⟨init⟩ messages, each carrying the echo it starts, if this is an init
+// round, plus every echo obligation accumulated so far ("in all
+// subsequent rounds"), each with its tuple's stamp memo. Tuples are scanned in arena order, which is first-sight
 // order and therefore deterministic. The result (and the memos it points
 // to) is the broadcaster's own, valid for the round: hosts copy the sends.
 func (b *Broadcaster) Outgoing(round int) []msg.Send {
 	out := b.tab.out[:0]
 	if hom.IsInitRound(round) {
+		sr := hom.Superround(round)
 		for _, m := range b.pending {
-			out = append(out, msg.Broadcast(InitPayload{Body: m}))
+			out = append(out, msg.Broadcast(InitPayload{Body: m, echo: EchoPayload{Body: m, SR: sr, ID: b.id}}))
 		}
-		b.pending = nil
+		clear(b.pending)
+		b.pending = b.pending[:0]
 	}
 	for i := range b.tab.tuples {
 		ts := &b.tab.tuples[i]
@@ -273,7 +298,8 @@ func (b *Broadcaster) Ingest(round int, in *msg.Inbox) []Accept {
 			if !ok || ip.Body == nil {
 				continue
 			}
-			tab.tuples[b.tuple(ip.Body, sr, in.SenderAt(int(i)))].echoing = true
+			sender := in.SenderAt(int(i))
+			tab.tuples[b.tuple(ip.Body, sr, sender, ip.carried(sr, sender))].echoing = true
 		}
 	}
 	// ⟨echo⟩ messages accumulate per-tuple distinct-identifier support in
@@ -328,25 +354,27 @@ func (b *Broadcaster) support(slot int) {
 func (b *Broadcaster) Unclaimed() []int32 { return b.tab.rest }
 
 // tuple returns the arena index of the (m, sr, i) tuple, creating it on
-// first sight. The tuple key — the ⟨echo m, sr, i⟩ payload key — is built
-// in the broadcaster's scratch buffer and interned, so a known tuple costs
-// one hash lookup and no allocation; because this interner sees only
-// tuple keys, the dense KeyID minus one is exactly the arena index.
-func (b *Broadcaster) tuple(body msg.Payload, sr int, id hom.Identifier) int {
-	return b.tupleAt(b.tab.kb.Reset("abecho").Int(sr).Identifier(id).Nested(body).Intern(b.tab.keys), body, sr, id)
+// first sight with echo as its ⟨echo m, sr, i⟩ box (nil: box one). The
+// tuple key — that echo's payload key — is built in the broadcaster's
+// scratch buffer and interned, so a known tuple costs one hash lookup and
+// no allocation; because this interner sees only tuple keys, the dense
+// KeyID minus one is exactly the arena index.
+func (b *Broadcaster) tuple(body msg.Payload, sr int, id hom.Identifier, echo msg.Payload) int {
+	return b.tupleAt(b.tab.kb.Reset("abecho").Int(sr).Identifier(id).Nested(body).Intern(b.tab.keys), body, sr, id, echo)
 }
 
 // echoTuple is tuple for the echo ep at position i of the inbox, whose
 // delivered message key already holds the tuple key: it is the key's
-// payload part, everything after the identifier field's '|'.
+// payload part, everything after the identifier field's '|'. The
+// delivered box is the tuple's echo.
 func (b *Broadcaster) echoTuple(in *msg.Inbox, i int, ep EchoPayload) int {
 	key := in.MessageAt(i).Key()
-	return b.tupleAt(b.tab.keys.Intern(key[strings.IndexByte(key, '|')+1:]), ep.Body, ep.SR, ep.ID)
+	return b.tupleAt(b.tab.keys.Intern(key[strings.IndexByte(key, '|')+1:]), ep.Body, ep.SR, ep.ID, in.BodyAt(i))
 }
 
 // tupleAt returns the arena index of the tuple interned as kid, creating
 // it when kid is new.
-func (b *Broadcaster) tupleAt(kid msg.KeyID, body msg.Payload, sr int, id hom.Identifier) int {
+func (b *Broadcaster) tupleAt(kid msg.KeyID, body msg.Payload, sr int, id hom.Identifier, echo msg.Payload) int {
 	idx := int(kid) - 1
 	if idx < len(b.tab.tuples) {
 		return idx
@@ -355,10 +383,10 @@ func (b *Broadcaster) tupleAt(kid msg.KeyID, body msg.Payload, sr int, id hom.Id
 	for i := 0; i <= b.l; i++ {
 		b.tab.echoers = append(b.tab.echoers, false)
 	}
-	b.tab.tuples = append(b.tab.tuples, tupleState{
-		body: body, sr: sr, id: id, echoOff: off,
-		echo: EchoPayload{Body: body, SR: sr, ID: id},
-	})
+	if echo == nil {
+		echo = EchoPayload{Body: body, SR: sr, ID: id}
+	}
+	b.tab.tuples = append(b.tab.tuples, tupleState{body: body, sr: sr, id: id, echo: echo, echoOff: off})
 	return idx
 }
 
@@ -370,15 +398,15 @@ func (b *Broadcaster) TupleCount() int { return len(b.tab.tuples) }
 // fresh pooled table. The original's tuples are replayed in arena
 // (first-sight) order, which reproduces the KeyID assignment and echo
 // bitmap layout exactly, so clone and original behave identically from
-// here on. The PayloadID memo is not copied: the clone refills it through
+// here on; they share the immutable echo boxes. The PayloadID memo is not copied: the clone refills it through
 // the key path as its own inboxes arrive, exactly as a fresh broadcaster
 // does.
 func (b *Broadcaster) Clone() *Broadcaster {
-	nb := newBroadcaster(b.l, b.t)
+	nb := newBroadcaster(b.l, b.t, b.id)
 	nb.pending = append(nb.pending, b.pending...)
 	for i := range b.tab.tuples {
 		ts := &b.tab.tuples[i]
-		nt := &nb.tab.tuples[nb.tuple(ts.body, ts.sr, ts.id)]
+		nt := &nb.tab.tuples[nb.tuple(ts.body, ts.sr, ts.id, ts.echo)]
 		nt.echoes = ts.echoes
 		nt.echoing = ts.echoing
 		nt.accepted = ts.accepted

@@ -10,11 +10,11 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(3, 1); !errors.Is(err, ErrResilience) {
-		t.Fatalf("New(3,1) err = %v, want ErrResilience", err)
+	if _, err := New(3, 1, 1); !errors.Is(err, ErrResilience) {
+		t.Fatalf("New(3,1,1) err = %v, want ErrResilience", err)
 	}
-	if _, err := New(4, 1); err != nil {
-		t.Fatalf("New(4,1): %v", err)
+	if _, err := New(4, 1, 1); err != nil {
+		t.Fatalf("New(4,1,1): %v", err)
 	}
 }
 
@@ -30,7 +30,7 @@ func echoFrom(from hom.Identifier, body msg.Payload, sr int, origin hom.Identifi
 
 func TestAcceptAfterQuorumEchoes(t *testing.T) {
 	// l = 4, t = 1: accept threshold l-t = 3 distinct identifiers.
-	b, err := New(4, 1)
+	b, err := New(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestAcceptAfterQuorumEchoes(t *testing.T) {
 func TestEchoAmplification(t *testing.T) {
 	// After l-2t = 2 identifiers echo, the broadcaster itself starts
 	// echoing (the relay mechanism).
-	b, err := New(4, 1)
+	b, err := New(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEchoAmplification(t *testing.T) {
 }
 
 func TestInitTriggersEcho(t *testing.T) {
-	b, err := New(4, 1)
+	b, err := New(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestInitTriggersEcho(t *testing.T) {
 }
 
 func TestInitIgnoredInSecondRound(t *testing.T) {
-	b, err := New(4, 1)
+	b, err := New(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestInitIgnoredInSecondRound(t *testing.T) {
 }
 
 func TestBroadcastEmitsInitOnInitRound(t *testing.T) {
-	b, err := New(4, 1)
+	b, err := New(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestUnforgeabilityNeedsQuorum(t *testing.T) {
 	// Fewer than l-t identifiers echoing never produces an accept, no
 	// matter how many rounds pass (t identifiers are Byzantine and echo
 	// forever).
-	b, err := New(7, 2) // accept threshold 5
+	b, err := New(7, 2, 1) // accept threshold 5
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestUnforgeabilityNeedsQuorum(t *testing.T) {
 }
 
 func TestEchoValidation(t *testing.T) {
-	b, err := New(4, 1)
+	b, err := New(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestEchoValidation(t *testing.T) {
 func TestAcceptDeterministicOrder(t *testing.T) {
 	// Multiple accepts in the same round come out sorted by tuple key.
 	check := func(seed uint8) bool {
-		b, err := New(4, 1)
+		b, err := New(4, 1, 1)
 		if err != nil {
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
@@ -150,7 +151,7 @@ func TestIngestPayloadMemoMatchesKeyPath(t *testing.T) {
 			it.InternMessageKey(int64(s.from), s.key)
 		}
 
-		keyPath, memo, shared := newBroadcaster(l, tByz), newBroadcaster(l, tByz), newBroadcaster(l, tByz)
+		keyPath, memo, shared := newBroadcaster(l, tByz, 1), newBroadcaster(l, tByz, 1), newBroadcaster(l, tByz, 1)
 		var cloned *Broadcaster
 		arena := &msg.SendArena{}
 		accepted, futureFirst := 0, 0
@@ -227,7 +228,7 @@ func TestIngestPayloadMemoMatchesKeyPath(t *testing.T) {
 // TestOutgoingBoxesEachEchoOnce pins the allocation the boxed echoes
 // removed: a round's standing echoes are re-sent without allocating.
 func TestOutgoingBoxesEachEchoOnce(t *testing.T) {
-	b := newBroadcaster(4, 1)
+	b := newBroadcaster(4, 1, 1)
 	defer b.Release()
 	var raw []msg.Message
 	for v := 0; v < 50; v++ {
@@ -239,6 +240,99 @@ func TestOutgoingBoxesEachEchoOnce(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { b.Outgoing(2) }); allocs != 0 {
 		t.Fatalf("re-sending 50 standing echoes allocated %.1f times, want 0", allocs)
+	}
+}
+
+// boxAddr returns the address of the value p boxes: two payloads share
+// one box exactly when their addresses are equal.
+func boxAddr(p msg.Payload) unsafe.Pointer { return (*[2]unsafe.Pointer)(unsafe.Pointer(&p))[1] }
+
+// TestInitCarriedEchoShared pins who boxes a tuple's echo. Every receiver
+// of an init, its sender included, holds and re-sends the one box the
+// sender made; an init that carries no echo, or one for another
+// superround or identifier than it arrives in and from, gets a box of its
+// own under the tuple key it always had; a clone shares its original's
+// boxes; and a tuple first seen as an echo keeps the delivered box.
+func TestInitCarriedEchoShared(t *testing.T) {
+	const l, tByz = 4, 1
+	body := memoBody{7}
+	// echoOf returns the box b holds for its one tuple, after checking
+	// the tuple's key and echo against want and that Outgoing re-sends
+	// that box in the given round.
+	echoOf := func(b *Broadcaster, round int, want EchoPayload) unsafe.Pointer {
+		t.Helper()
+		if b.TupleCount() != 1 {
+			t.Fatalf("%d tuples, want 1", b.TupleCount())
+		}
+		if got := b.tab.keys.Key(1); got != want.Key() {
+			t.Fatalf("tuple key %q, want %q", got, want.Key())
+		}
+		echo := b.tab.tuples[0].echo
+		if got, ok := echo.(EchoPayload); !ok || got.Key() != want.Key() {
+			t.Fatalf("tuple echo %v, want %v", echo, want)
+		}
+		if out := b.Outgoing(round); len(out) != 1 || boxAddr(out[0].Body) != boxAddr(echo) {
+			t.Fatalf("Outgoing(%d) = %v, want the tuple's echo box alone", round, out)
+		}
+		return boxAddr(echo)
+	}
+
+	sender := newBroadcaster(l, tByz, 2)
+	defer sender.Release()
+	sender.Broadcast(body)
+	sends := sender.Outgoing(1)
+	if len(sends) != 1 {
+		t.Fatalf("Outgoing(1) = %v, want one init", sends)
+	}
+	init := sends[0].Body.(InitPayload)
+	if init.echo == nil {
+		t.Fatal("an init from Outgoing carries no echo")
+	}
+	box := boxAddr(init.echo)
+	want := EchoPayload{Body: body, SR: 1, ID: 2}
+	receivers := []*Broadcaster{sender}
+	for id := 1; id <= l; id++ {
+		r := newBroadcaster(l, tByz, hom.Identifier(id))
+		defer r.Release()
+		receivers = append(receivers, r)
+	}
+	for i, r := range receivers {
+		deliver(t, r, 1, []msg.Message{{ID: 2, Body: init}})
+		if echoOf(r, 2, want) != box {
+			t.Errorf("receiver %d boxed its own echo of an init that carried one", i)
+		}
+	}
+	cl := receivers[1].Clone()
+	defer cl.Release()
+	if echoOf(cl, 2, want) != box {
+		t.Error("a clone boxed its own echo")
+	}
+
+	for _, tc := range []struct {
+		name  string
+		round int
+		from  hom.Identifier
+		init  InitPayload
+		want  EchoPayload
+	}{
+		{"forwarded under another identifier", 1, 3, init, EchoPayload{Body: body, SR: 1, ID: 3}},
+		{"replayed in a later superround", 3, 2, init, EchoPayload{Body: body, SR: 2, ID: 2}},
+		{"built outside the package", 1, 2, InitPayload{Body: body}, want},
+	} {
+		r := newBroadcaster(l, tByz, 1)
+		deliver(t, r, tc.round, []msg.Message{{ID: tc.from, Body: tc.init}})
+		if echoOf(r, tc.round+1, tc.want) == box {
+			t.Errorf("%s: the receiver re-sends the echo the init carried for (superround 1, identifier 2)", tc.name)
+		}
+		r.Release()
+	}
+
+	first := newBroadcaster(l, tByz, 1)
+	defer first.Release()
+	echo := msg.Payload(want) // l−2t = 2 identifiers echoing make first echo too
+	deliver(t, first, 2, []msg.Message{{ID: 3, Body: echo}, {ID: 4, Body: echo}})
+	if echoOf(first, 3, want) != boxAddr(echo) {
+		t.Error("a tuple first seen as an echo boxed its own")
 	}
 }
 
@@ -258,7 +352,7 @@ func TestStampMemosAreNeitherInheritedNorShared(t *testing.T) {
 		}
 		return out[0].Memo
 	}
-	b := newBroadcaster(4, 1)
+	b := newBroadcaster(4, 1, 1)
 	memo := start(b)
 	memo.Fill(it, 1, it.Intern("what the engine's first stamp interned"), 3)
 	if _, _, ok := memo.Lookup(it, 1); !ok {
@@ -278,7 +372,7 @@ func TestStampMemosAreNeitherInheritedNorShared(t *testing.T) {
 
 	tab := b.tab
 	b.Release()
-	nb := newBroadcaster(4, 1)
+	nb := newBroadcaster(4, 1, 1)
 	defer nb.Release()
 	if nb.tab != tab {
 		t.Skip("the pool handed out another table (it drops items under the race detector)")

@@ -29,7 +29,7 @@ func init() {
 			return true, "ok"
 		},
 		Tag:   "abfuzz",
-		Layer: func(p hom.Params) protoreg.BroadcastLayer { return fuzzLayer{newBroadcaster(p.L, p.T)} },
+		Layer: func(p hom.Params) protoreg.BroadcastLayer { return fuzzLayer{newBroadcaster(p.L, p.T, 0)} },
 		Forge: func(p hom.Params, round int, body msg.Payload) []msg.Payload {
 			sr := hom.Superround(round)
 			out := []msg.Payload{InitPayload{Body: body}}
@@ -42,7 +42,9 @@ func init() {
 }
 
 // fuzzLayer adapts a Broadcaster to the shared fuzz host. Every accept
-// has multiplicity 1.
+// has multiplicity 1. The host names no identifier to its layer, so its
+// inits carry their echo for identifier 0, which no sender has: every
+// receiver boxes its own.
 type fuzzLayer struct{ *Broadcaster }
 
 // Outgoing copies the broadcaster's sends out of its reused buffer.

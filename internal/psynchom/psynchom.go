@@ -216,7 +216,7 @@ func (pr *Process) Init(ctx engine.Context) {
 	pr.params = ctx.Params
 	pr.id = ctx.ID
 	// New's validation guarantees l > 3t here (2l > n+3t and n >= l).
-	bc, err := authbcast.New(ctx.Params.L, ctx.Params.T)
+	bc, err := authbcast.New(ctx.Params.L, ctx.Params.T, ctx.ID)
 	if err != nil {
 		// Unreachable after New's validation; fail loudly in tests.
 		panic("psynchom: " + err.Error())

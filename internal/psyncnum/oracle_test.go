@@ -213,8 +213,8 @@ func receiveUnpacked(pr *Process, bc *keyedBroadcaster, round int, rawIn *msg.In
 					candidates = append(candidates, v)
 				}
 			}
-			if v, ok := smallest(candidates); ok {
-				pr.decision = v
+			if len(candidates) > 0 {
+				pr.decision = slices.Min(candidates)
 			}
 		}
 	case 8:

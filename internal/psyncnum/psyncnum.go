@@ -26,7 +26,6 @@ package psyncnum
 import (
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -179,6 +178,10 @@ type Process struct {
 	// maxAcceptPhase is the largest phase tag seen on any accepted
 	// propose/vote payload; it bounds the lock-release scan.
 	maxAcceptPhase int
+	// known is knownValues' answer while the proper set has knownFor
+	// members: the set only grows, so a new length means new members.
+	known    []hom.Value
+	knownFor int
 
 	// Per-phase transient state.
 	lockSeen map[hom.Value]bool
@@ -199,7 +202,7 @@ type Process struct {
 	acks        map[hom.Value]int // value -> copies of this phase's acks
 	properTotal int               // copies of proper sets
 	runKeys     []string          // keys of the parts the current identifier delivered
-	valBuf      []hom.Value
+	valBuf      []hom.Value       // a proper set's members; in Prepare, the proposable values
 }
 
 var _ engine.Process = (*Process)(nil)
@@ -219,6 +222,7 @@ func (pr *Process) Init(ctx engine.Context) {
 	pr.decision = hom.NoValue
 	pr.keys = msg.NewPooledInterner()
 	pr.witnesses = nil
+	pr.knownFor = -1
 	pr.lockSeen = make(map[hom.Value]bool)
 	pr.supported = make(map[hom.Value]int)
 	pr.acks = make(map[hom.Value]int)
@@ -310,7 +314,7 @@ func (pr *Process) Prepare(round int) []msg.Send {
 	need := pr.params.N - pr.params.T
 	switch pos {
 	case 1: // SR1: one broadcast per proposable value.
-		for _, v := range pr.proposableValues().Values() {
+		for _, v := range pr.proposableValues() {
 			pr.bc.Broadcast(ProposePayload{Phase: phase, Val: v})
 		}
 	case 3: // SR2: leaders request a lock on a witnessed value.
@@ -351,10 +355,12 @@ func (pr *Process) Prepare(round int) []msg.Send {
 }
 
 // proposableValues returns the proper values not excluded by a lock on a
-// different value (Figure 7, line 6).
-func (pr *Process) proposableValues() hom.ValueSet {
-	out := hom.NewValueSet()
-	for _, v := range pr.proper.Values() {
+// different value (Figure 7, line 6), ascending, in the process's value
+// scratch.
+func (pr *Process) proposableValues() []hom.Value {
+	pr.valBuf = pr.proper.AppendValues(pr.valBuf[:0])
+	out := pr.valBuf[:0]
+	for _, v := range pr.valBuf {
 		excluded := false
 		for w := range pr.locks {
 			if w != v {
@@ -363,7 +369,7 @@ func (pr *Process) proposableValues() hom.ValueSet {
 			}
 		}
 		if !excluded {
-			out.Add(v)
+			out = append(out, v)
 		}
 	}
 	return out
@@ -372,54 +378,48 @@ func (pr *Process) proposableValues() hom.ValueSet {
 // pickWitnessed returns the smallest value with at least `need` witnesses
 // for (propose v, phase).
 func (pr *Process) pickWitnessed(phase, need int) (hom.Value, bool) {
-	var candidates []hom.Value
 	for _, v := range pr.knownValues() {
 		if pr.witnessCount(pr.proposeKID(phase, v)) >= need {
-			candidates = append(candidates, v)
+			return v, true
 		}
 	}
-	return smallest(candidates)
+	return hom.NoValue, false
 }
 
 // pickVoteValue returns the smallest value with both a leader lock request
 // seen this phase and `need` propose witnesses (Figure 7, lines 12–14).
 func (pr *Process) pickVoteValue(phase, need int) (hom.Value, bool) {
-	var candidates []hom.Value
+	best, ok := hom.NoValue, false
 	for v := range pr.lockSeen {
-		if pr.witnessCount(pr.proposeKID(phase, v)) >= need {
-			candidates = append(candidates, v)
+		if (!ok || v < best) && pr.witnessCount(pr.proposeKID(phase, v)) >= need {
+			best, ok = v, true
 		}
 	}
-	return smallest(candidates)
+	return best, ok
 }
 
 // pickAckValue returns the smallest value with `need` witnesses for
 // (vote v, phase) (Figure 7, lines 16–19).
 func (pr *Process) pickAckValue(phase, need int) (hom.Value, bool) {
-	var candidates []hom.Value
 	for _, v := range pr.knownValues() {
 		if pr.witnessCount(pr.voteKID(phase, v)) >= need {
-			candidates = append(candidates, v)
+			return v, true
 		}
 	}
-	return smallest(candidates)
+	return hom.NoValue, false
 }
 
 // knownValues returns the domain extended with any proper values (the
 // domain normally covers everything; proper values outside the domain can
-// only appear if inputs were outside it).
+// only appear if inputs were outside it), ascending. The slice is the
+// process's own, rebuilt when the proper set grows.
 func (pr *Process) knownValues() []hom.Value {
-	set := hom.NewValueSet(pr.params.EffectiveDomain()...)
-	set.AddAll(pr.proper.Values())
-	return set.Values()
-}
-
-func smallest(candidates []hom.Value) (hom.Value, bool) {
-	if len(candidates) == 0 {
-		return hom.NoValue, false
+	if n := pr.proper.Len(); n != pr.knownFor {
+		pr.known = pr.proper.AppendValues(append(pr.known[:0], pr.params.EffectiveDomain()...))
+		slices.Sort(pr.known)
+		pr.known, pr.knownFor = slices.Compact(pr.known), n
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	return candidates[0], true
+	return pr.known
 }
 
 // Receive implements engine.Process.
