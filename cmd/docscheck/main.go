@@ -18,6 +18,9 @@
 //  5. Every test name in a `-run` pattern of .github/workflows/ci.yml
 //     selects a declared func Test…, so a renamed test cannot silently
 //     drop out of a CI step.
+//  6. Outside benchmark/, only scenario generation imports math/rand (or
+//     math/rand/v2) in non-test Go: the files randAllowed lists. Inside
+//     an execution every random choice is an inject.Draw.
 //
 // Usage:
 //
@@ -64,12 +67,13 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package docs, markdown links, named paths, names and CI test names OK")
+	fmt.Println("docscheck: package docs, markdown links, named paths, names, CI test names and math/rand imports OK")
 }
 
 // checkPackageDocs walks every Go package directory under root and
 // requires a package comment on at least one non-test file of each
-// non-main package.
+// non-main package; on the way it holds each non-test file to the
+// math/rand rule (randImports).
 func checkPackageDocs(root string) []string {
 	var findings []string
 	pkgDirs := map[string]bool{}
@@ -86,6 +90,8 @@ func checkPackageDocs(root string) []string {
 		}
 		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
 			pkgDirs[filepath.Dir(path)] = true
+			rel, _ := filepath.Rel(root, path)
+			findings = append(findings, randImports(path, filepath.ToSlash(rel))...)
 		}
 		return nil
 	})
@@ -333,4 +339,25 @@ func declaredTests(root string) ([]string, error) {
 		return nil
 	})
 	return tests, err
+}
+
+// randAllowed lists the non-test files outside benchmark/ that may import
+// math/rand: scenario generation, which runs once per scenario.
+var randAllowed = []string{"internal/fuzz/campaign.go", "internal/fuzz/generate.go", "internal/hom/assignment.go"}
+
+// randImports reports the non-test file rel if it imports math/rand or
+// math/rand/v2 and lies outside benchmark/ and randAllowed.
+func randImports(path, rel string) []string {
+	if strings.HasPrefix(rel, "benchmark/") || slices.Contains(randAllowed, rel) {
+		return nil
+	}
+	var findings []string
+	if f, _ := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly); f != nil {
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p == "math/rand" || p == "math/rand/v2" {
+				findings = append(findings, fmt.Sprintf("%s imports %s: draw with inject.Draw, or generate scenarios in one of %v", rel, p, randAllowed))
+			}
+		}
+	}
+	return findings
 }

@@ -108,3 +108,39 @@ func TestStaleRunPatterns(t *testing.T) {
 		t.Errorf("fixture reported %q, want one finding naming TestGone", got)
 	}
 }
+
+// TestRandImports holds the math/rand rule to a fixture tree: the three
+// scenario generators, test files and benchmark/ may import it, in either
+// version, and any other non-test file is reported by path.
+func TestRandImports(t *testing.T) {
+	root := t.TempDir()
+	rand := "// Package x is a fixture.\npackage x\n\nimport \"math/rand\"\n\nvar _ = rand.Int\n"
+	randV2 := "// Package x is a fixture.\npackage x\n\nimport r \"math/rand/v2\"\n\nvar _ = r.Int\n"
+	for path, body := range map[string]string{
+		"internal/fuzz/generate.go":    rand,
+		"internal/fuzz/campaign.go":    randV2,
+		"internal/hom/assignment.go":   rand,
+		"internal/hom/x_test.go":       rand,
+		"benchmark/workloads.go":       rand,
+		"internal/adversary/pieces.go": randV2,
+		"cmd/tool/main.go":             rand,
+		"internal/inject/coin.go":      "// Package inject is a fixture.\npackage inject\n\nimport \"math/bits\"\n\nvar _ = bits.Mul64\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := checkPackageDocs(root)
+	want := []string{"cmd/tool/main.go imports math/rand:", "internal/adversary/pieces.go imports math/rand/v2:"}
+	if len(got) != len(want) {
+		t.Fatalf("fixture reported %q, want one finding each for %q", got, want)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(got[i], w) {
+			t.Errorf("finding %d = %q, want it to start %q", i, got[i], w)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 // Command solvability regenerates the paper's Table 1 empirically
-// (experiment E1): for a grid of (n, t, ℓ) and all four model variants it
-// runs the matching algorithm (solvable cells) or the matching lower-bound
-// construction (unsolvable cells) and prints the resulting matrix. A cell
-// printed as "MISMATCH" would mean the experiments contradict the paper —
-// the process exits non-zero in that case.
+// (experiment E1): for a grid of (n, t, ℓ), t from 0 to -tmax, and all
+// four model variants it runs the matching algorithm (solvable cells) or
+// the matching lower-bound construction (unsolvable cells) and prints the
+// resulting matrix. A cell printed as "MISMATCH" would mean the
+// experiments contradict the paper — the process exits non-zero in that
+// case.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ func run() error {
 	for n := *nMin; n <= *nMax; n++ {
 		ns = append(ns, n)
 	}
-	for t := 1; t <= *tMax; t++ {
+	for t := 0; t <= *tMax; t++ {
 		ts = append(ts, t)
 	}
 	suite := solvability.DefaultSuite()

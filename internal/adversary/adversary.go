@@ -4,29 +4,20 @@
 // corrupted slots send (Behavior), and which messages to suppress before
 // GST (DropPolicy). All pieces are deterministic in their seeds.
 //
-// Randomized pieces draw from math/rand in one of two ways:
-//
-//   - Per-scenario stream: the harness builds one *rand.Rand per scenario
-//     with NewRand and threads it through the scenario's pieces via their
-//     Rand field. The simulation engine is strictly sequential, so draws
-//     happen in a deterministic order; no stream is ever shared across
-//     scenarios, which keeps concurrent fuzz workers deterministic under
-//     the race detector. This is the mode the fuzzer uses.
-//   - Per-call derivation from Seed: the piece hashes (Seed, round, slot)
-//     into a seed and re-seeds a pooled generator with it on every call
-//     (seeded). Stateless and call-order independent; kept for
-//     hand-written experiments and as the fallback when Rand is nil.
-//
-// DropPolicies deliberately never use a sequential stream: a drop decision
-// must be a pure function of (round, from, to) so that shrinking a
-// scenario's round budget or GST cannot retroactively change which early
-// messages were suppressed.
+// Randomized pieces keep no random state: every choice is one
+// inject.Draw, a pure function of (Seed, round, slot, k) — k the position
+// RandomT fills, Noise's and Equivocate's recipient, KeyEquivocate's
+// identifier. So a piece answers the same whatever the order in which
+// the engine asks it, and however often; pieces sharing one seed draw
+// from separate inject streams. A drop decision in particular is a pure
+// function of (round, from, to), so shrinking a scenario's round budget
+// or GST cannot retroactively change which early messages were
+// suppressed.
 package adversary
 
 import (
-	"math/rand"
 	"sort"
-	"sync"
+	"strconv"
 
 	"homonyms/internal/engine"
 	"homonyms/internal/hom"
@@ -104,8 +95,8 @@ func (c *Composite) Drop(round, fromSlot, toSlot int) bool {
 
 // StateFingerprint implements engine.StateHasher: the behaviour's
 // fingerprint when it has one (ScriptBehavior's shadows), else the hash
-// basis. Selectors and drop policies are pure; a behaviour drawing from
-// a shared random stream is not fingerprinted, and the explorer uses none.
+// basis. Selectors, drop policies and the randomized behaviours are pure
+// in their seeds, so they have no state to fingerprint.
 func (c *Composite) StateFingerprint() msg.StateHash {
 	if h, ok := c.Behavior.(engine.StateHasher); ok {
 		return h.StateFingerprint()
@@ -131,27 +122,6 @@ func (c *Composite) DropBatch(round, toSlot int, fromSlots []int32, drop []bool)
 			drop[i] = d.Drop(round, int(from), toSlot)
 		}
 	}
-}
-
-// NewRand returns the deterministic per-scenario stream shared by one
-// scenario's randomized pieces. Build one per scenario and never share it
-// across scenarios (or across goroutines).
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// rngPool recycles the generators behind the per-call derivation mode, one
-// per (round, slot): each draws from an inject.Source, math/rand's stream
-// computed lazily, so a reseed costs only the draws then made.
-var rngPool = sync.Pool{New: func() any { return rand.New(new(inject.Source)) }}
-
-// seeded returns a pooled generator positioned at the start of the
-// stream rand.New(rand.NewSource(seed)) would produce — (*rand.Rand).Seed
-// re-initialises the source and drops any buffered state, so the draws
-// are the same, value for value. Hand it back with rngPool.Put once the
-// call is done drawing.
-func seeded(seed int64) *rand.Rand {
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng
 }
 
 // ---------------------------------------------------------------------------
@@ -200,22 +170,22 @@ func (ids OnePerIdentifier) Select(_ hom.Params, a hom.Assignment, _ []hom.Value
 	return out
 }
 
-// RandomT corrupts T uniformly random slots. It draws from the
-// per-scenario Rand stream when one is threaded in, and otherwise from
-// the stream rand.New(rand.NewSource(Seed)) would produce.
+// RandomT corrupts T uniformly random slots, deterministically in Seed:
+// a partial Fisher–Yates shuffle whose k-th swap draws with k = position.
 type RandomT struct {
 	Seed int64
-	Rand *rand.Rand
 }
 
 // Select implements Selector.
 func (r RandomT) Select(p hom.Params, _ hom.Assignment, _ []hom.Value) []int {
-	rng := r.Rand
-	if rng == nil {
-		rng = seeded(r.Seed)
-		defer rngPool.Put(rng)
+	perm := make([]int, p.N)
+	for i := range perm {
+		perm[i] = i
 	}
-	perm := rng.Perm(p.N)
+	for i := 0; i < p.T; i++ {
+		j := i + inject.Intn(inject.Draw(r.Seed, inject.StreamSelect, 0, 0, i), p.N-i)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
 	out := append([]int(nil), perm[:p.T]...)
 	sort.Ints(out)
 	return out
@@ -239,26 +209,19 @@ type Crash struct{}
 // Sends implements Behavior.
 func (Crash) Sends(int, int, *engine.View) []msg.TargetedSend { return nil }
 
-// Noise sends one random Raw payload to every recipient each round.
-// Draws from the per-scenario Rand stream when set; otherwise
-// deterministic in Seed, round and slot.
+// Noise sends one random Raw payload to every recipient each round,
+// deterministically in Seed: one draw per recipient, spelt in base 36.
 type Noise struct {
 	Seed int64
-	Rand *rand.Rand
 }
 
 // Sends implements Behavior.
 func (nz Noise) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
-	rng := nz.Rand
-	if rng == nil {
-		rng = seeded(nz.Seed ^ int64(round)<<20 ^ int64(slot))
-		defer rngPool.Put(rng)
-	}
 	out := view.SendBuffer(view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
 		out = append(out, msg.TargetedSend{
 			ToSlot: to,
-			Body:   msg.Raw(randomToken(rng)),
+			Body:   msg.Raw(strconv.FormatUint(inject.Draw(nz.Seed, inject.StreamNoise, round, slot, to), 36)),
 		})
 	}
 	return out
@@ -268,26 +231,31 @@ func (nz Noise) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 // some correct slot — a different one per recipient — so recipients see
 // well-formed but mutually inconsistent protocol messages under the
 // Byzantine slot's identifier. This is the strongest generic behaviour
-// against threshold protocols because every injected payload parses.
+// against threshold protocols because every injected payload parses. The
+// copied slot is drawn per recipient, deterministically in Seed.
 type Equivocate struct {
 	Seed int64
-	Rand *rand.Rand
 }
 
 // Sends implements Behavior.
 func (e Equivocate) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
+	return equivocate(e.Seed, round, slot, view, false)
+}
+
+// equivocate sends each recipient the first broadcast of a correct slot
+// drawn with k = the recipient, or its identifier when byIdentifier.
+func equivocate(seed int64, round, slot int, view *engine.View, byIdentifier bool) []msg.TargetedSend {
 	senders := view.Senders()
 	if len(senders) == 0 {
 		return nil
 	}
-	rng := e.Rand
-	if rng == nil {
-		rng = seeded(e.Seed ^ int64(round)<<18 ^ int64(slot))
-		defer rngPool.Put(rng)
-	}
 	out := view.SendBuffer(view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
-		src := senders[rng.Intn(len(senders))]
+		k := to
+		if byIdentifier {
+			k = int(view.Assignment[to])
+		}
+		src := senders[inject.Intn(inject.Draw(seed, inject.StreamEquivocate, round, slot, k), len(senders))]
 		if s := firstBroadcast(view.SendsOf(int(src))); s != nil {
 			out = append(out, msg.TargetedSend{ToSlot: to, Body: s.Body, Forwards: s})
 		}
@@ -344,37 +312,15 @@ func (MimicFlood) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 // broadcast, but different groups receive broadcasts of different correct
 // slots. Where Equivocate mixes per recipient slot, KeyEquivocate keeps
 // each group internally consistent — which defeats protocols that treat
-// within-group consistency as evidence of an honest sender.
+// within-group consistency as evidence of an honest sender. The copied
+// slot is drawn per identifier, deterministically in Seed.
 type KeyEquivocate struct {
 	Seed int64
-	Rand *rand.Rand
 }
 
 // Sends implements Behavior.
 func (e KeyEquivocate) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
-	senders := view.Senders()
-	if len(senders) == 0 {
-		return nil
-	}
-	rng := e.Rand
-	if rng == nil {
-		rng = seeded(e.Seed ^ int64(round)<<18 ^ int64(slot))
-		defer rngPool.Put(rng)
-	}
-	// One source per identifier, drawn in identifier order so the stream
-	// consumption is deterministic.
-	srcOf := make([]int32, view.Params.L+1)
-	for id := 1; id <= view.Params.L; id++ {
-		srcOf[id] = senders[rng.Intn(len(senders))]
-	}
-	out := view.SendBuffer(view.Params.N)
-	for to := 0; to < view.Params.N; to++ {
-		src := srcOf[view.Assignment[to]]
-		if s := firstBroadcast(view.SendsOf(int(src))); s != nil {
-			out = append(out, msg.TargetedSend{ToSlot: to, Body: s.Body, Forwards: s})
-		}
-	}
-	return out
+	return equivocate(e.Seed, round, slot, view, true)
 }
 
 // ValueFlood floods every recipient, every round, with well-formed forged
@@ -564,18 +510,4 @@ func (p PartitionDrops) DropBatch(_, toSlot int, fromSlots []int32, drop []bool)
 			drop[i] = true
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// helpers
-// ---------------------------------------------------------------------------
-
-const tokenAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
-
-func randomToken(rng *rand.Rand) string {
-	b := make([]byte, 8)
-	for i := range b {
-		b[i] = tokenAlphabet[rng.Intn(len(tokenAlphabet))]
-	}
-	return string(b)
 }

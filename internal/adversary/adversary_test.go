@@ -155,7 +155,26 @@ func TestDropPolicies(t *testing.T) {
 	if pd.Drop(1, 0, 4) || pd.Drop(1, 4, 3) {
 		t.Fatal("PartitionDrops cut an ungrouped slot")
 	}
+	// Through Composite, every policy's batched mask is its per-message
+	// verdict; a nil or Drop-only policy takes the fallback.
+	from := []int32{0, 1, 2, 3, 4, 5}
+	for _, d := range []adversary.DropPolicy{nil, adversary.NoDrops{}, adversary.RandomDrops{Seed: 3, Prob: 0.5}, pd, dropOnly{pd},
+		adversary.TargetedDrops{Targets: []int{2}, Inbound: true}, adversary.TargetedDrops{Targets: []int{1}, Outbound: true}} {
+		c := &adversary.Composite{Drops: d}
+		for to := 0; to < len(from); to++ {
+			mask := make([]bool, len(from))
+			c.DropBatch(2, to, from, mask)
+			for i, f := range from {
+				if mask[i] != c.Drop(2, int(f), to) {
+					t.Fatalf("%T: batched verdict %v for %d -> %d, Drop says otherwise", d, mask[i], f, to)
+				}
+			}
+		}
+	}
 }
+
+// dropOnly hides a policy's DropBatch.
+type dropOnly struct{ adversary.DropPolicy }
 
 func TestCompositeNilPieces(t *testing.T) {
 	c := &adversary.Composite{}
@@ -191,7 +210,7 @@ func TestKeyEquivocateGroupConsistency(t *testing.T) {
 		sends[s] = []msg.Send{msg.Broadcast(msg.Raw("m" + string(rune('a'+s))))}
 	}
 	v := engine.NewView(params(6, 3, 1), hom.RoundRobinAssignment(6, 3), nil, 1, sends, []int{5})
-	out := adversary.KeyEquivocate{Rand: adversary.NewRand(3)}.Sends(1, 5, v)
+	out := adversary.KeyEquivocate{Seed: 3}.Sends(1, 5, v)
 	if len(out) != 6 {
 		t.Fatalf("KeyEquivocate sent %d messages, want one per recipient", len(out))
 	}
@@ -247,51 +266,64 @@ func TestTargetedDrops(t *testing.T) {
 	}
 }
 
-// TestPerScenarioRandThreading: two pieces sharing one per-scenario
-// stream replay identically when the stream is rebuilt from the same
-// seed — the contract the fuzzer's scenario replay depends on.
-func TestPerScenarioRandThreading(t *testing.T) {
-	p := params(6, 3, 2)
-	a := hom.RoundRobinAssignment(6, 3)
-	run := func(seed int64) []string {
-		rng := adversary.NewRand(seed)
-		sel := adversary.RandomT{Rand: rng}
-		nz := adversary.Noise{Rand: rng}
-		var out []string
-		for _, s := range sel.Select(p, a, nil) {
-			out = append(out, string(rune('0'+s)))
+// TestDrawsIgnoreCallOrder: every randomized piece is a pure function of
+// what it is asked, so asking in reverse round order, asking twice, or
+// asking a selector that shares the behaviour's seed first changes no
+// send and no selection — the contract that lets an execution be replayed
+// from any prefix.
+func TestDrawsIgnoreCallOrder(t *testing.T) {
+	const n, seed = 9, 17
+	p, a := params(n, 3, 2), hom.RoundRobinAssignment(n, 3)
+	sends := make([][]msg.Send, n)
+	for s := 2; s < n; s++ {
+		sends[s] = []msg.Send{msg.Broadcast(msg.Raw(string(rune('a' + s))))}
+	}
+	v := engine.NewView(p, a, nil, 1, sends, []int{0, 1})
+	sel := adversary.RandomT{Seed: seed}
+	want := sel.Select(p, a, nil)
+	rounds := []int{1, 2, 3, 4}
+	ask := func(b adversary.Behavior, order []int) map[int][]string {
+		got := map[int][]string{}
+		for _, r := range order {
+			var keys []string
+			for _, ts := range b.Sends(r, 0, v) {
+				keys = append(keys, string(rune('0'+ts.ToSlot))+ts.Body.Key())
+			}
+			if prev, ok := got[r]; ok && !slices.Equal(prev, keys) {
+				t.Fatalf("%T: round %d asked twice sent %q, then %q", b, r, prev, keys)
+			}
+			got[r] = keys
 		}
-		for round := 1; round <= 3; round++ {
-			for _, ts := range nz.Sends(round, 0, view(6, nil)) {
-				out = append(out, ts.Body.Key())
+		return got
+	}
+	for _, b := range []adversary.Behavior{
+		adversary.Noise{Seed: seed},
+		adversary.Equivocate{Seed: seed},
+		adversary.KeyEquivocate{Seed: seed},
+	} {
+		forward := ask(b, rounds)
+		if len(forward[1]) != n {
+			t.Fatalf("%T sent %d messages in round 1, want one per recipient", b, len(forward[1]))
+		}
+		sel.Select(p, a, nil)
+		backward := ask(b, []int{4, 3, 3, 2, 1, 1})
+		for _, r := range rounds {
+			if !slices.Equal(forward[r], backward[r]) {
+				t.Fatalf("%T: round %d sent %q forward, %q backward", b, r, forward[r], backward[r])
 			}
 		}
-		return out
-	}
-	x, y := run(17), run(17)
-	if len(x) == 0 || len(x) != len(y) {
-		t.Fatalf("stream lengths differ: %d vs %d", len(x), len(y))
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatalf("per-scenario stream not reproducible at %d: %q vs %q", i, x[i], y[i])
+		if got := sel.Select(p, a, nil); !slices.Equal(got, want) {
+			t.Fatalf("RandomT selected %v after %T drew, %v before", got, b, want)
 		}
 	}
-	// A different seed must give a different stream (sanity).
-	z := run(18)
-	same := len(z) == len(x)
-	if same {
-		diff := false
-		for i := range x {
-			if x[i] != z[i] {
-				diff = true
-				break
-			}
+	// A different seed selects differently somewhere (sanity).
+	for s := int64(0); ; s++ {
+		if !slices.Equal((adversary.RandomT{Seed: s}).Select(p, a, nil), want) {
+			break
 		}
-		same = !diff
-	}
-	if same {
-		t.Fatal("different seeds produced identical streams")
+		if s == 100 {
+			t.Fatal("RandomT ignores its seed")
+		}
 	}
 }
 

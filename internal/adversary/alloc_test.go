@@ -1,9 +1,6 @@
-//go:build !race
-
 package adversary_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"homonyms/internal/adversary"
@@ -14,11 +11,9 @@ import (
 
 // TestBehavioursSteadyStateAllocFree holds the flooding behaviours to
 // building a round's sends in the View's buffer: once a first round has
-// sized it, a round allocates nothing — with the pooled per-call
-// generator and with a threaded-in stream alike. Each behaviour gets a
-// fresh View, so none runs in a buffer an earlier one sized. The race
-// detector makes sync.Pool drop items, so the count only holds without
-// it.
+// sized it, a round allocates nothing, the equivocators' draws included.
+// Each behaviour gets a fresh View, so none runs in a buffer an earlier
+// one sized.
 func TestBehavioursSteadyStateAllocFree(t *testing.T) {
 	const n = 64
 	bySlot := make([][]msg.Send, n)
@@ -37,8 +32,8 @@ func TestBehavioursSteadyStateAllocFree(t *testing.T) {
 		b    adversary.Behavior
 		want int // sends per round
 	}{
-		{"equivocate/seeded", adversary.Equivocate{Seed: 3}, n},
-		{"equivocate/stream", adversary.Equivocate{Rand: rand.New(rand.NewSource(3))}, n},
+		{"equivocate", adversary.Equivocate{Seed: 3}, n},
+		{"keyequivocate", adversary.KeyEquivocate{Seed: 3}, n},
 		{"mimicflood", adversary.MimicFlood{}, n * n / 2},
 		{"valueflood/multi-payload", flood, 3 * 2 * n},
 	} {

@@ -14,7 +14,7 @@ import (
 
 // Partition-attack errors.
 var (
-	ErrPartitionRegion = errors.New("attacks: partition attack requires 3t < l <= (n+3t)/2 and t >= 1")
+	ErrPartitionRegion = errors.New("attacks: partition attack requires 3t < l <= (n+3t)/2")
 )
 
 // PartitionReport summarises one run of the Figure-4 attack.
@@ -61,11 +61,15 @@ func (r *PartitionReport) Succeeded() bool { return r.Verdict.Has(trace.Agreemen
 //     β symmetrically. X cannot distinguish γ from α and decides 0; Y
 //     cannot distinguish γ from β and decides 1.
 //
+// At t = 0 the construction degenerates but still applies: n ≥ 2ℓ, so
+// each camp holds every identifier, α and β record no Byzantine traffic
+// to replay, and the dropped X↔Y messages alone split the decisions.
+//
 // maxRounds bounds the run; horizon rounds are simulated internally for α
 // and β (it must exceed their decision time).
 func Partition(p hom.Params, factory func(slot int) engine.Process, maxRounds int) (*PartitionReport, error) {
 	n, l, t := p.N, p.L, p.T
-	if t < 1 || l <= 3*t || 2*l > n+3*t || l > n {
+	if t < 0 || l <= 3*t || 2*l > n+3*t || l > n {
 		return nil, fmt.Errorf("%w (n=%d l=%d t=%d)", ErrPartitionRegion, n, l, t)
 	}
 	if p.Synchrony != hom.PartiallySynchronous {

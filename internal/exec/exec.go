@@ -7,8 +7,8 @@
 // parallel run is byte-identical to a sequential one.
 //
 // Determinism contract: fn must be a pure function of its index/item (all
-// drivers here derive their RNGs from explicit seeds, so this holds by
-// construction). Every item runs exactly once, even after another item has
+// drivers here draw their randomness from explicit seeds, so this holds
+// by construction). Every item runs exactly once, even after another item has
 // failed — cancellation would make the set of executed items timing
 // dependent — and the error returned is always the lowest-index one.
 //

@@ -9,8 +9,8 @@
 //
 // Everything is deterministic in the campaign seed: scenario i of a
 // campaign is a pure function of (seed, i), every scenario carries its
-// own sub-seeds, and the per-scenario adversary RNG is threaded through
-// the composed pieces (see package adversary), so campaigns are
+// own sub-seeds, and every random choice of the composed adversary is a
+// pure draw from them (see package adversary), so campaigns are
 // byte-identical across runs and across worker counts. Failing scenarios
 // serialise to JSON seeds (testdata/) that replay exactly and shrink to
 // minimal counterexamples.
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -57,8 +56,8 @@ type Scenario struct {
 	// MaxRounds caps the execution; 0 selects the protocol's suggested
 	// budget for the GST.
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// AdvSeed seeds the per-scenario RNG threaded through the randomized
-	// selector/behavior pieces.
+	// AdvSeed is the seed the randomized selector and behavior pieces
+	// draw from.
 	AdvSeed  int64        `json:"adv_seed,omitempty"`
 	Selector SelectorSpec `json:"selector"`
 	Behavior BehaviorSpec `json:"behavior"`
@@ -156,26 +155,18 @@ func (sc Scenario) assignment() (hom.Assignment, error) {
 	}
 }
 
-// adversaryFor composes the scenario's adversary. The same per-scenario
-// RNG is threaded through the selector and behavior; it is built only
-// when one of them draws from it, since most scenarios never do. Drop
-// policies stay hash-pure (see the adversary package comment).
+// adversaryFor composes the scenario's adversary. The selector and the
+// behavior both draw from AdvSeed, each in its own stream, and the drop
+// policy from its own seed; every draw is pure (see the adversary package
+// comment).
 func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.Adversary, error) {
-	var shared *rand.Rand
-	rng := func() *rand.Rand {
-		if shared == nil {
-			shared = adversary.NewRand(sc.AdvSeed)
-		}
-		return shared
-	}
-
 	var sel adversary.Selector
 	switch sc.Selector.Kind {
 	case "none", "":
 	case "first":
 		sel = adversary.FirstT{}
 	case "random":
-		sel = adversary.RandomT{Rand: rng()}
+		sel = adversary.RandomT{Seed: sc.AdvSeed}
 	case "slots":
 		sel = adversary.Slots(sc.Selector.Slots)
 	default:
@@ -189,11 +180,11 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.A
 	case "crash":
 		beh = adversary.Crash{}
 	case "noise":
-		beh = adversary.Noise{Rand: rng()}
+		beh = adversary.Noise{Seed: sc.AdvSeed}
 	case "equivocate":
-		beh = adversary.Equivocate{Rand: rng()}
+		beh = adversary.Equivocate{Seed: sc.AdvSeed}
 	case "keyequivocate":
-		beh = adversary.KeyEquivocate{Rand: rng()}
+		beh = adversary.KeyEquivocate{Seed: sc.AdvSeed}
 	case "mimicflood":
 		beh = adversary.MimicFlood{}
 	case "valueflood":
@@ -266,7 +257,7 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.A
 
 // Config compiles the scenario into the engine.Config it describes:
 // validated parameters, assignment, inputs, a fresh process factory, a
-// freshly composed adversary (with its own RNG state), the scenario's
+// freshly composed adversary (with its own script state), the scenario's
 // GST (clamped to 1), round budget (the protocol's suggested budget when
 // unset), faults, message budget and time model. Every call returns an
 // independent config, so the same scenario can be executed repeatedly —

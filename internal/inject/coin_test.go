@@ -1,54 +1,54 @@
 package inject
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// TestSourceMatchesMathRand holds the lazy Source to the source it
-// computes: draws 0–299, across the hand-over to the real source at draw
-// 273, are math/rand's — Int63, Uint64 and Intn by turns, with every draw
-// index read through each of them over three consecutive seeds — for the
-// seed shapes the normalisation treats specially and 10⁵ generated
-// seeds. A reused Source is reseeded, so the hand-over's reseed path runs
-// too.
-func TestSourceMatchesMathRand(t *testing.T) {
-	var lazy Source
-	got := rand.New(&lazy)
-	check := func(seed int64, turn int) {
-		t.Helper()
-		got.Seed(seed)
-		want := rand.New(rand.NewSource(seed))
-		for d := 0; d < 300; d++ {
-			switch (d + turn) % 3 {
-			case 0:
-				if g, w := got.Int63(), want.Int63(); g != w {
-					t.Fatalf("seed %d draw %d: Int63 %d, math/rand %d", seed, d, g, w)
-				}
-			case 1:
-				if g, w := got.Uint64(), want.Uint64(); g != w {
-					t.Fatalf("seed %d draw %d: Uint64 %d, math/rand %d", seed, d, g, w)
-				}
-			default:
-				if g, w := got.Intn(1000), want.Intn(1000); g != w {
-					t.Fatalf("seed %d draw %d: Intn %d, math/rand %d", seed, d, g, w)
-				}
+// TestLinkCoinSeparatesLinks holds the coin to separate links at the
+// scale the counting engine runs: at n > 10 007 the links (f, t + 10 007)
+// and (f + 1, t) of one round are different links and must flip
+// different coins, as must a slot past 2¹⁸ drawn one round later — two
+// shapes a linear mix of the arguments folds onto one value.
+func TestLinkCoinSeparatesLinks(t *testing.T) {
+	const n = 20_000
+	for i := 0; i < 10_000; i++ {
+		seed, round := int64(i%7)-3, 1+i%40
+		from, to := (i*7919)%(n-1), (i*104_729)%(n-10_007)
+		if LinkCoin(seed, round, from, to+10_007) == LinkCoin(seed, round, from+1, to) {
+			t.Fatalf("seed %d round %d: links (%d, %d) and (%d, %d) flip the same coin",
+				seed, round, from, to+10_007, from+1, to)
+		}
+		if Draw(seed, StreamEquivocate, round, from, to) == Draw(seed, StreamEquivocate, round+1, from^1<<18, to) {
+			t.Fatalf("seed %d: slot %d in round %d draws what slot %d draws in round %d",
+				seed, from, round, from^1<<18, round+1)
+		}
+	}
+}
+
+// TestDrawArgumentsAndMaps holds each argument of Draw to moving the
+// draw, and Float and Intn to their ranges over the extremes of a word.
+func TestDrawArgumentsAndMaps(t *testing.T) {
+	base := Draw(1, StreamLink, 2, 3, 4)
+	for name, d := range map[string]uint64{
+		"seed":   Draw(2, StreamLink, 2, 3, 4),
+		"stream": Draw(1, StreamSelect, 2, 3, 4),
+		"round":  Draw(1, StreamLink, 3, 3, 4),
+		"slot":   Draw(1, StreamLink, 2, 4, 4),
+		"k":      Draw(1, StreamLink, 2, 3, 5),
+	} {
+		if d == base {
+			t.Errorf("changing %s left the draw at %#x", name, d)
+		}
+	}
+	for _, u := range []uint64{0, 1, 1<<63 - 1, 1 << 63, 1<<64 - 1, base} {
+		if f := Float(u); f < 0 || f >= 1 {
+			t.Errorf("Float(%#x) = %v, outside [0, 1)", u, f)
+		}
+		for _, n := range []int{1, 2, 36, 1 << 40} {
+			if k := Intn(u, n); k < 0 || k >= n {
+				t.Errorf("Intn(%#x, %d) = %d, outside [0, %d)", u, n, k, n)
 			}
 		}
 	}
-	const m = lehmerM
-	special := []int64{
-		0, 1, -1, m - 1, m, m + 1, -m, -m - 1, 2 * m, -2 * m, 89482311,
-		math.MaxInt64, math.MinInt64, math.MaxInt64 / m * m, -(math.MaxInt64 / m * m),
-	}
-	for i, seed := range special {
-		for turn := 0; turn < 3; turn++ {
-			check(seed, turn+i)
-		}
-	}
-	rng := rand.New(rand.NewSource(273))
-	for i := 0; i < 100_000; i++ {
-		check(rng.Int63()-rng.Int63(), i)
+	if Intn(1<<64-1, 36) != 35 || Intn(0, 36) != 0 {
+		t.Error("Intn does not map the extreme words to the extreme values")
 	}
 }

@@ -73,12 +73,12 @@ type Omission struct {
 }
 
 // active reports whether the omission window covers the round.
-func (o Omission) active(round int) bool {
-	from := o.From
-	if from < 1 {
-		from = 1
-	}
-	return round >= from && (o.Until == 0 || round <= o.Until)
+func (o Omission) active(round int) bool { return inWindow(round, o.From, o.Until) }
+
+// inWindow reports whether round lies in [from, until], from counted from
+// round 1 and until == 0 meaning forever: an Omission's or a Delay's window.
+func inWindow(round, from, until int) bool {
+	return round >= max(from, 1) && (until == 0 || round <= until)
 }
 
 // loses reports whether this omission loses the (round, from, to)
@@ -144,13 +144,7 @@ type Delay struct {
 }
 
 // active reports whether the delay window covers the send round.
-func (d Delay) active(round int) bool {
-	from := d.From
-	if from < 1 {
-		from = 1
-	}
-	return round >= from && (d.Until == 0 || round <= d.Until)
-}
+func (d Delay) active(round int) bool { return inWindow(round, d.From, d.Until) }
 
 // holds reports whether this delay holds the (round, from, to)
 // delivery. Pure in its arguments, same LinkCoin as Omission.

@@ -14,7 +14,7 @@ import (
 // figure5AllocCeiling is the allocations of one warm Figure-5 execution
 // in the shape below, plus 10 %. The race detector makes sync.Pool drop
 // items, so the count only repeats without it.
-const figure5AllocCeiling = 1436
+const figure5AllocCeiling = 1310
 
 // TestFigure5AllocationCeiling runs the benchmark's psync_boundary_n16
 // shape — n = 16, ℓ = 13, t = 3, GST 9, one equivocator on each of

@@ -304,15 +304,18 @@ func (pr *Process) Prepare(round int) []msg.Send {
 }
 
 // proposableValues returns the paper's V: proper values v such that no
-// lock (w, ∗) with w ≠ v is held.
+// lock (w, ∗) with w ≠ v is held. locks holds one entry per value, so
+// without locks V is the proper set itself (shared: no ValueSet is
+// written in place), with locks on one value w it is {w} when w is
+// proper, and with locks on two values it is empty.
 func (pr *Process) proposableValues() hom.ValueSet {
-	out := hom.NewValueSet()
-	for _, v := range pr.proper.Values() {
-		if !slices.ContainsFunc(pr.locks, func(lk lock) bool { return lk.val != v }) {
-			out.Add(v)
-		}
+	switch {
+	case len(pr.locks) == 0:
+		return pr.proper
+	case len(pr.locks) == 1 && pr.proper.Contains(pr.locks[0].val):
+		return hom.NewValueSet(pr.locks[0].val)
 	}
-	return out
+	return hom.ValueSet{}
 }
 
 // pickLockValue returns the smallest value with ℓ−t propose support

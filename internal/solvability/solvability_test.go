@@ -56,6 +56,36 @@ func TestCellUnsolvablePsyncPartition(t *testing.T) {
 	}
 }
 
+// TestTZeroRowMatchesTable1 sweeps t = 0 over every variant: each cell
+// agrees with hom.Params.Solvable, and each psync innumerate cell with
+// 2l <= n is violated by the degenerate Figure-4 partition — each camp
+// holds every identifier — which CellCost charges as an execution.
+func TestTZeroRowMatchesTable1(t *testing.T) {
+	quick := solvability.SuiteSize{Assignments: 1, Behaviors: 1}
+	partitions := 0
+	for _, v := range solvability.Variants() {
+		cells, err := solvability.Matrix([]int{2, 3, 4, 5, 6}, []int{0}, v, quick, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", v.Name, err)
+		}
+		if ok, bad := solvability.Consistent(cells); !ok {
+			t.Fatalf("%s: %v is %s: %s", v.Name, bad.Params, bad.Outcome, bad.Detail)
+		}
+		for _, c := range cells {
+			if c.Expect {
+				continue
+			}
+			if c.Outcome != solvability.Violated || solvability.CellCost(c.Params, quick) <= 1 {
+				t.Fatalf("%v: %s (%s), cost %d; want violated by an execution", c.Params, c.Outcome, c.Detail, solvability.CellCost(c.Params, quick))
+			}
+			partitions++
+		}
+	}
+	if partitions != 9 {
+		t.Fatalf("%d unsolvable t = 0 cells at n <= 6, want the 9 psync innumerate cells with 2l <= n", partitions)
+	}
+}
+
 func TestCellUnsolvableSyncCovering(t *testing.T) {
 	p := hom.Params{N: 5, L: 3, T: 1, Synchrony: hom.Synchronous}
 	cell, err := solvability.EvaluateCell(p, solvability.DefaultSuite(), 5)
