@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind CI's docs job. It
-// enforces five invariants the repository documents itself with:
+// enforces seven invariants the repository documents itself with:
 //
 //  1. Every non-main package has a package comment (the same contract
 //     staticcheck's ST1000 checks, enforced here without a network
@@ -21,6 +21,9 @@
 //  6. Outside benchmark/, only scenario generation imports math/rand (or
 //     math/rand/v2) in non-test Go: the files randAllowed lists. Inside
 //     an execution every random choice is an inject.Draw.
+//  7. Under cmd/ and internal/, non-test Go writes an adversary.Composite
+//     literal only where compositeAllowed says: everything else
+//     describes its executions as fuzz.Scenario values.
 //
 // Usage:
 //
@@ -67,13 +70,14 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package docs, markdown links, named paths, names, CI test names and math/rand imports OK")
+	fmt.Println("docscheck: package docs, markdown links, named paths, names, CI test names, math/rand imports and Composite literals OK")
 }
 
 // checkPackageDocs walks every Go package directory under root and
 // requires a package comment on at least one non-test file of each
 // non-main package; on the way it holds each non-test file to the
-// math/rand rule (randImports).
+// math/rand rule (randImports) and the Composite rule
+// (compositeLiterals).
 func checkPackageDocs(root string) []string {
 	var findings []string
 	pkgDirs := map[string]bool{}
@@ -92,6 +96,7 @@ func checkPackageDocs(root string) []string {
 			pkgDirs[filepath.Dir(path)] = true
 			rel, _ := filepath.Rel(root, path)
 			findings = append(findings, randImports(path, filepath.ToSlash(rel))...)
+			findings = append(findings, compositeLiterals(path, filepath.ToSlash(rel))...)
 		}
 		return nil
 	})
@@ -359,5 +364,34 @@ func randImports(path, rel string) []string {
 			}
 		}
 	}
+	return findings
+}
+
+// compositeAllowed lists where a non-test file under cmd/ or internal/
+// may write an adversary.Composite literal: the scenario compiler, and
+// the attack constructions, which script adversaries no scenario names.
+var compositeAllowed = []string{"internal/fuzz/scenario.go", "internal/attacks/"}
+
+// compositeLiterals reports every adversary.Composite literal in the
+// non-test file rel when it lies under cmd/ or internal/ and outside
+// compositeAllowed.
+func compositeLiterals(path, rel string) []string {
+	if !strings.HasPrefix(rel, "cmd/") && !strings.HasPrefix(rel, "internal/") ||
+		slices.ContainsFunc(compositeAllowed, func(dir string) bool { return strings.HasPrefix(rel, dir) }) {
+		return nil
+	}
+	fset := token.NewFileSet()
+	f, _ := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	if f == nil {
+		return nil
+	}
+	var findings []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok && types.ExprString(lit.Type) == "adversary.Composite" {
+			findings = append(findings, fmt.Sprintf("%s:%d writes an adversary.Composite literal: describe the execution as a fuzz.Scenario, or build it in one of %v",
+				rel, fset.Position(lit.Pos()).Line, compositeAllowed))
+		}
+		return true
+	})
 	return findings
 }

@@ -144,3 +144,42 @@ func TestRandImports(t *testing.T) {
 		}
 	}
 }
+
+// TestCompositeLiterals holds the Composite rule to a fixture tree: the
+// scenario compiler, the attack constructions, test files and anything
+// outside cmd/ and internal/ may write an adversary.Composite literal,
+// and a literal anywhere else is reported by file and line, whether
+// taken by address or not; naming the type without a literal is fine.
+func TestCompositeLiterals(t *testing.T) {
+	root := t.TempDir()
+	lit := func(pkg, expr string) string {
+		return "// Package " + pkg + " is a fixture.\npackage " + pkg + "\n\nimport \"homonyms/internal/adversary\"\n\nvar _ = " + expr + "\n"
+	}
+	for path, body := range map[string]string{
+		"internal/fuzz/scenario.go":       lit("fuzz", "&adversary.Composite{}"),
+		"internal/attacks/mirror.go":      lit("attacks", "&adversary.Composite{}"),
+		"internal/solvability/x_test.go":  lit("solvability", "adversary.Composite{}"),
+		"examples/quickstart/main.go":     lit("main", "&adversary.Composite{}"),
+		"internal/core/core.go":           lit("core", "(*adversary.Composite)(nil)"),
+		"internal/solvability/suite.go":   lit("solvability", "\n\t&adversary.Composite{}"),
+		"cmd/tool/main.go":                lit("main", "adversary.Composite{Selector: nil}"),
+		"internal/fuzz/scenario_extra.go": lit("fuzz", "&adversary.Composite{}"),
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := checkPackageDocs(root)
+	want := []string{"cmd/tool/main.go:6 writes", "internal/fuzz/scenario_extra.go:6 writes", "internal/solvability/suite.go:7 writes"}
+	if len(got) != len(want) {
+		t.Fatalf("fixture reported %q, want one finding each for %q", got, want)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(got[i], w) {
+			t.Errorf("finding %d = %q, want it to start %q", i, got[i], w)
+		}
+	}
+}

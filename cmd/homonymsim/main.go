@@ -16,10 +16,9 @@ import (
 	"os"
 	"strings"
 
-	"homonyms/internal/adversary"
 	"homonyms/internal/core"
 	"homonyms/internal/engine"
-	"homonyms/internal/hom"
+	"homonyms/internal/fuzz"
 	"homonyms/internal/trace"
 )
 
@@ -50,7 +49,7 @@ func simulate(out io.Writer) error {
 		model      = flag.String("model", "psync", "timing model: sync | psync")
 		numerate   = flag.Bool("numerate", false, "processes can count message copies")
 		restricted = flag.Bool("restricted", false, "byzantine processes limited to one message per recipient per round")
-		byz        = flag.String("byz", "equivocate", "byzantine behavior: none | silent | noise | equivocate | mimicflood")
+		byz        = flag.String("byz", "equivocate", "byzantine behavior: none | silent | crash | noise | equivocate | keyequivocate | mimicflood | valueflood")
 		assign     = flag.String("assign", "roundrobin", "identifier assignment: roundrobin | stacked | random")
 		inputsFlag = flag.String("inputs", "", "comma-free input string, e.g. 010101 (defaults to alternating)")
 		gst        = flag.Int("gst", 1, "first round with guaranteed delivery (psync)")
@@ -60,19 +59,21 @@ func simulate(out io.Writer) error {
 	)
 	flag.Parse()
 
-	p := hom.Params{
+	sc := fuzz.Scenario{
 		N: *n, L: *l, T: *t,
-		Numerate:            *numerate,
-		RestrictedByzantine: *restricted,
+		Psync:      *model == "psync",
+		Numerate:   *numerate,
+		Restricted: *restricted,
+		Assignment: *assign,
+		AssignSeed: *seed,
+		GST:        *gst,
+		AdvSeed:    *seed,
+		MaxSends:   *maxSends,
 	}
-	switch *model {
-	case "sync":
-		p.Synchrony = hom.Synchronous
-	case "psync":
-		p.Synchrony = hom.PartiallySynchronous
-	default:
+	if *model != "sync" && !sc.Psync {
 		return fmt.Errorf("unknown model %q", *model)
 	}
+	p := sc.Params()
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -82,91 +83,64 @@ func simulate(out io.Writer) error {
 		return nil
 	}
 
-	var a hom.Assignment
-	switch *assign {
-	case "roundrobin":
-		a = hom.RoundRobinAssignment(p.N, p.L)
-	case "stacked":
-		a = hom.StackedAssignment(p.N, p.L)
-	case "random":
-		a = hom.RandomAssignment(p.N, p.L, *seed)
-	default:
-		return fmt.Errorf("unknown assignment %q", *assign)
-	}
-
-	inputs, err := parseInputs(*inputsFlag, p.N)
+	sel, err := core.Select(p)
 	if err != nil {
 		return err
 	}
-
-	var adv engine.Adversary
+	sc.Protocol = core.Protocol(p.Row())
+	if sc.Inputs, err = parseInputs(*inputsFlag, p.N); err != nil {
+		return err
+	}
 	if *byz != "none" && p.T > 0 {
-		var beh adversary.Behavior
-		switch *byz {
-		case "silent":
-			beh = adversary.Silent{}
-		case "noise":
-			beh = adversary.Noise{Seed: *seed}
-		case "equivocate":
-			beh = adversary.Equivocate{Seed: *seed}
-		case "mimicflood":
-			beh = adversary.MimicFlood{}
-		default:
-			return fmt.Errorf("unknown byzantine behavior %q", *byz)
+		sc.Selector.Kind, sc.Behavior.Kind = "random", *byz
+		if sc.Psync {
+			sc.Drops = fuzz.DropSpec{Kind: "random", Seed: *seed, Prob: *dropProb}
 		}
-		comp := &adversary.Composite{Selector: adversary.RandomT{Seed: *seed}, Behavior: beh}
-		if p.Synchrony == hom.PartiallySynchronous {
-			comp.Drops = adversary.RandomDrops{Seed: *seed, Prob: *dropProb}
-		}
-		adv = comp
 	}
-
-	res, err := core.Run(core.Config{
-		Params:     p,
-		Assignment: a,
-		Inputs:     inputs,
-		Adversary:  adv,
-		GST:        *gst,
-		MaxSends:   *maxSends,
-	})
+	cfg, err := sc.Config()
+	if err != nil {
+		return err
+	}
+	res, err := engine.Run(cfg)
 	if err != nil {
 		return err
 	}
 
+	a := cfg.Assignment
 	fmt.Fprintf(out, "algorithm: %s\nassignment: %v\ninputs: %v\ncorrupted: %v\n",
-		res.Algorithm, a, inputs, res.Sim.Corrupted)
+		sel.Algorithm, a, cfg.Inputs, res.Corrupted)
 	fmt.Fprintln(out, strings.Repeat("-", 60))
 	for s := 0; s < p.N; s++ {
 		status := "correct"
-		if res.Sim.IsCorrupted(s) {
+		if res.IsCorrupted(s) {
 			status = "byzantine"
 		}
-		if res.Sim.DecidedAt[s] > 0 {
+		if res.DecidedAt[s] > 0 {
 			fmt.Fprintf(out, "slot %2d  id %2d  %-9s decided %d at round %d\n",
-				s, a[s], status, res.Sim.Decisions[s], res.Sim.DecidedAt[s])
+				s, a[s], status, res.Decisions[s], res.DecidedAt[s])
 		} else {
 			fmt.Fprintf(out, "slot %2d  id %2d  %-9s undecided\n", s, a[s], status)
 		}
 	}
 	fmt.Fprintln(out, strings.Repeat("-", 60))
-	fmt.Fprintf(out, "rounds: %d   latest decision: %d\n", res.Sim.Rounds, trace.LatestDecisionRound(res.Sim))
-	if res.Sim.Stopped != "" {
-		fmt.Fprintf(out, "stopped early: %s (the execution budget ended the run before MaxRounds)\n", res.Sim.Stopped)
+	fmt.Fprintf(out, "rounds: %d   latest decision: %d\n", res.Rounds, trace.LatestDecisionRound(res))
+	if res.Stopped != "" {
+		fmt.Fprintf(out, "stopped early: %s (the execution budget ended the run before MaxRounds)\n", res.Stopped)
 	}
 	fmt.Fprintf(out, "messages: sent %d, delivered %d, dropped %d, payload %d bytes\n",
-		res.Sim.Stats.MessagesSent, res.Sim.Stats.MessagesDelivered,
-		res.Sim.Stats.MessagesDropped, res.Sim.Stats.PayloadBytes)
-	fmt.Fprintf(out, "verdict: %s\n", res.Verdict)
+		res.Stats.MessagesSent, res.Stats.MessagesDelivered,
+		res.Stats.MessagesDropped, res.Stats.PayloadBytes)
+	fmt.Fprintf(out, "verdict: %s\n", trace.Check(res))
 	return nil
 }
 
 // parseInputs reads -inputs: one binary digit per slot, or, when s is
 // empty, the alternating vector 0101….
-func parseInputs(s string, n int) ([]hom.Value, error) {
-	inputs := make([]hom.Value, n)
+func parseInputs(s string, n int) ([]int, error) {
+	inputs := make([]int, n)
 	if s == "" {
 		for i := range inputs {
-			inputs[i] = hom.Value(i % 2)
+			inputs[i] = i % 2
 		}
 		return inputs, nil
 	}
@@ -179,7 +153,7 @@ func parseInputs(s string, n int) ([]hom.Value, error) {
 		return nil, fmt.Errorf("inputs string must have length n = %d", n)
 	}
 	for i := range inputs {
-		inputs[i] = hom.Value(s[i] - '0')
+		inputs[i] = int(s[i] - '0')
 	}
 	return inputs, nil
 }

@@ -4,8 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"homonyms/internal/hom"
 )
 
 // TestParseInputs pins -inputs: one binary digit per slot, the
@@ -15,11 +13,11 @@ func TestParseInputs(t *testing.T) {
 	for _, tc := range []struct {
 		in      string
 		n       int
-		want    []hom.Value
+		want    []int
 		wantErr string
 	}{
-		{"", 4, []hom.Value{0, 1, 0, 1}, ""},
-		{"0110", 4, []hom.Value{0, 1, 1, 0}, ""},
+		{"", 4, []int{0, 1, 0, 1}, ""},
+		{"0110", 4, []int{0, 1, 1, 0}, ""},
 		{"0x1z", 4, nil, `position 1 is 'x'`},
 		{"01é1", 4, nil, `position 2 is 'é'`},
 		{"1é", 3, nil, `position 1 is 'é'`},

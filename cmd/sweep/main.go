@@ -1,7 +1,8 @@
 // Command sweep runs the performance parameter sweeps behind the
 // benchmark harness and prints figure-style series: decision latency and
-// message cost of each algorithm as n, ℓ, t and GST vary. The points of a
-// series are independent executions, so each series fans out across
+// message cost of each algorithm as n, ℓ, t and GST vary. A point is the
+// worst of eight fuzz scenarios, one per adversary seed, and the points
+// of a series are independent, so each series fans out across
 // exec.Workers() workers with cost-weighted scheduling (big-n and
 // late-GST points dispatch first, so they never queue behind a pool
 // drained by cheap points) and prints in deterministic order.
@@ -18,9 +19,10 @@ import (
 	"io"
 	"os"
 
-	"homonyms/internal/adversary"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/exec"
+	"homonyms/internal/fuzz"
 	"homonyms/internal/hom"
 	"homonyms/internal/trace"
 )
@@ -65,9 +67,11 @@ type series struct {
 }
 
 // point is one row of a series: cost is its relative work estimate, a
-// dispatch hint only, and measure runs its execution and renders the row.
+// dispatch hint only, runs are the executions it measures, and measure
+// runs them and renders the row.
 type point struct {
 	cost    int64
+	runs    []fuzz.Scenario
 	measure func() (string, error)
 }
 
@@ -97,42 +101,64 @@ func (s series) print(w io.Writer, workers int) error {
 	return firstErr
 }
 
-func measure(p hom.Params, gst int, seed int64) (latency, messages int, err error) {
-	inputs := make([]hom.Value, p.N)
-	for i := range inputs {
-		inputs[i] = hom.Value(i % 2)
+// advSeeds is how many adversary seeds a point runs: seed, seed+1, ….
+// One seed alone would report whichever slots it happened to corrupt.
+const advSeeds = 8
+
+// scenarios lists the executions of one point: p at the given GST
+// under each adversary seed, t random slots playing behavior beh and
+// pre-GST messages dropped with probability drop.
+func scenarios(p hom.Params, gst int, seed int64, beh string, drop float64) []fuzz.Scenario {
+	runs := make([]fuzz.Scenario, advSeeds)
+	for k := range runs {
+		sc := fuzz.NewScenario(core.Protocol(p.Row()), p)
+		sc.GST, sc.AdvSeed = gst, seed+int64(k)
+		sc.Selector.Kind, sc.Behavior.Kind = "random", beh
+		if drop > 0 {
+			sc.Drops = fuzz.DropSpec{Kind: "random", Seed: sc.AdvSeed, Prob: drop}
+		}
+		runs[k] = sc
 	}
-	adv := &adversary.Composite{
-		Selector: adversary.RandomT{Seed: seed},
-		Behavior: adversary.Equivocate{Seed: seed},
-	}
-	res, err := core.Run(core.Config{Params: p, Inputs: inputs, Adversary: adv, GST: gst})
-	if err != nil {
-		return 0, 0, err
-	}
-	if !res.Verdict.OK() {
-		return 0, 0, fmt.Errorf("run failed at %s: %s", p, res.Verdict)
-	}
-	return trace.LatestDecisionRound(res.Sim), res.Sim.Stats.MessagesDelivered, nil
+	return runs
 }
 
-// pointCost estimates the relative cost of measuring one series point,
-// mirroring solvability.CellCost's single-execution shape: per-round
-// delivery work is O(n²) and the round budget grows with ℓ (partially
-// synchronous phase cycles), t (EIG depth) and the GST delay. Only the
-// ordering matters — the scheduler uses costs as dispatch hints, never
-// in results.
-func pointCost(p hom.Params, gst int) int64 {
-	nn := int64(p.N) * int64(p.N)
-	return nn * int64(4*p.L+8*p.T+16+gst)
+// worst runs every scenario and returns the latest decision round over
+// them, with the delivered-message count of the first run that decided
+// that late.
+func worst(runs []fuzz.Scenario) (latency, messages int, err error) {
+	for _, sc := range runs {
+		cfg, err := sc.Config()
+		if err != nil {
+			return 0, 0, err
+		}
+		res, err := engine.Run(cfg)
+		if err != nil {
+			return 0, 0, err
+		}
+		if v := trace.Check(res); !v.OK() {
+			return 0, 0, fmt.Errorf("run failed at %s, gst %d, adversary seed %d: %s", cfg.Params, sc.GST, sc.AdvSeed, v)
+		}
+		if r := trace.LatestDecisionRound(res); r > latency {
+			latency, messages = r, res.Stats.MessagesDelivered
+		}
+	}
+	return latency, messages, nil
 }
 
-// measured is the point that measures p at GST 1 and prints the leading
-// columns cols followed by its decision round and message count.
-func measured(p hom.Params, seed int64, cols string) point {
-	return point{pointCost(p, 1), func() (string, error) {
-		lat, msgs, err := measure(p, 1, seed)
-		return fmt.Sprintf("%s %10d %12d", cols, lat, msgs), err
+// measured is the point that measures runs and prints the leading
+// columns cols followed by the worst decision round and, when msgs is
+// set, that run's message count. Its cost mirrors
+// solvability.CellCost: O(n²) delivery work per round, over a budget
+// growing with ℓ (phase cycles), t (EIG depth) and the GST delay.
+func measured(runs []fuzz.Scenario, cols string, msgs bool) point {
+	p := runs[0].Params()
+	cost := int64(p.N) * int64(p.N) * int64(4*p.L+8*p.T+16+runs[0].GST) * int64(len(runs))
+	return point{cost, runs, func() (string, error) {
+		lat, n, err := worst(runs)
+		if !msgs {
+			return fmt.Sprintf("%s %10d", cols, lat), err
+		}
+		return fmt.Sprintf("%s %10d %12d", cols, lat, n), err
 	}}
 }
 
@@ -144,7 +170,7 @@ func latencyVsN(seed int64) series {
 		l := min((n+3)/2+1, n) // smallest l with 2l > n+3t for t=1
 		p := hom.Params{N: n, L: l, T: 1, Synchrony: hom.PartiallySynchronous}
 		if p.Solvable() {
-			s.points = append(s.points, measured(p, seed, fmt.Sprintf("%6d %6d", n, l)))
+			s.points = append(s.points, measured(scenarios(p, 1, seed, "equivocate", 0), fmt.Sprintf("%6d %6d", n, l), true))
 		}
 	}
 	return s
@@ -156,7 +182,7 @@ func messagesVsL(seed int64) series {
 		header: fmt.Sprintf("%6s %10s %12s", "l", "rounds", "messages")}
 	for l := 4; l <= 9; l++ {
 		p := hom.Params{N: 9, L: l, T: 1, Synchrony: hom.Synchronous}
-		s.points = append(s.points, measured(p, seed, fmt.Sprintf("%6d", l)))
+		s.points = append(s.points, measured(scenarios(p, 1, seed, "equivocate", 0), fmt.Sprintf("%6d", l), true))
 	}
 	return s
 }
@@ -167,25 +193,7 @@ func latencyVsGST(seed int64) series {
 		header: fmt.Sprintf("%6s %10s", "gst", "rounds")}
 	p := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
 	for _, gst := range []int{1, 9, 17, 33, 49} {
-		s.points = append(s.points, point{pointCost(p, gst), func() (string, error) {
-			inputs := make([]hom.Value, p.N)
-			for i := range inputs {
-				inputs[i] = hom.Value(i % 2)
-			}
-			adv := &adversary.Composite{
-				Selector: adversary.RandomT{Seed: seed},
-				Behavior: adversary.Silent{},
-				Drops:    adversary.RandomDrops{Seed: seed, Prob: 0.8},
-			}
-			res, err := core.Run(core.Config{Params: p, Inputs: inputs, Adversary: adv, GST: gst})
-			if err != nil {
-				return "", err
-			}
-			if !res.Verdict.OK() {
-				return "", fmt.Errorf("gst=%d: %s", gst, res.Verdict)
-			}
-			return fmt.Sprintf("%6d %10d", gst, trace.LatestDecisionRound(res.Sim)), nil
-		}})
+		s.points = append(s.points, measured(scenarios(p, gst, seed, "silent", 0.8), fmt.Sprintf("%6d", gst), false))
 	}
 	return s
 }
@@ -197,7 +205,7 @@ func numerateVsL(seed int64) series {
 	for l := 3; l <= 7; l++ {
 		p := hom.Params{N: 7, L: l, T: 2, Synchrony: hom.PartiallySynchronous,
 			Numerate: true, RestrictedByzantine: true}
-		s.points = append(s.points, measured(p, seed, fmt.Sprintf("%6d", l)))
+		s.points = append(s.points, measured(scenarios(p, 1, seed, "equivocate", 0), fmt.Sprintf("%6d", l), true))
 	}
 	return s
 }

@@ -52,6 +52,10 @@ var rowAlgorithms = [...]struct {
 	hom.RowPsync:    {"psynchom", AlgPsyncHomonym},
 }
 
+// Protocol names the protoreg entry that solves the given Table-1 row,
+// or "" for hom.RowResilience, which no algorithm solves.
+func Protocol(row hom.Row) string { return rowAlgorithms[row].entry }
+
 // Errors returned by the façade.
 var (
 	// ErrUnsolvable reports parameters outside Table 1's solvable region;

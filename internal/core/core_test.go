@@ -7,6 +7,7 @@ import (
 	"homonyms/internal/adversary"
 	"homonyms/internal/core"
 	"homonyms/internal/hom"
+	"homonyms/internal/protoreg"
 )
 
 func TestSelectRejectsInvalidParams(t *testing.T) {
@@ -160,5 +161,37 @@ func TestFacadeDecidesEveryTable1Cell(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSolvableRowsConstructible: wherever Table 1 says solvable, the
+// protoreg entry core.Protocol names for the row can build the run, in
+// all four variants. A scenario names its protocol by that entry, so a
+// solvable cell its entry refuses would be a cell no scenario can run.
+func TestSolvableRowsConstructible(t *testing.T) {
+	for _, syn := range []hom.Synchrony{hom.Synchronous, hom.PartiallySynchronous} {
+		for _, numerate := range []bool{false, true} {
+			for n := 1; n <= 8; n++ {
+				for f := 0; f <= 2; f++ {
+					for l := 1; l <= n; l++ {
+						p := hom.Params{N: n, L: l, T: f, Synchrony: syn, Numerate: numerate, RestrictedByzantine: numerate}
+						if p.Validate() != nil || !p.Solvable() {
+							continue
+						}
+						name := core.Protocol(p.Row())
+						proto, ok := protoreg.Get(name)
+						if !ok {
+							t.Fatalf("%v: row entry %q is not registered", p, name)
+						}
+						if ok, why := proto.Constructible(p); !ok {
+							t.Errorf("%v is solvable but %s refuses it: %s", p, name, why)
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := core.Protocol(hom.RowResilience); got != "" {
+		t.Errorf("Protocol(RowResilience) = %q, want none", got)
 	}
 }

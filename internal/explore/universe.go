@@ -396,22 +396,11 @@ func (s *searcher) roundChoices(menu []byzAction, rt root, round int) []roundCho
 // (Span), which is how a finite prefix names an infinite-suffix
 // adversary; maxRounds 0 selects the protocol's suggested budget.
 func (s *searcher) scenario(menu []byzAction, rt root, prefix []roundChoice, maxRounds int, repeat bool) fuzz.Scenario {
-	sc := fuzz.Scenario{
-		Protocol:   s.protoName,
-		N:          s.p.N,
-		L:          s.p.L,
-		T:          s.p.T,
-		Psync:      s.p.Synchrony == hom.PartiallySynchronous,
-		Numerate:   s.p.Numerate,
-		Restricted: s.p.RestrictedByzantine,
-		Assignment: "roundrobin",
-		GST:        rt.gst,
-		MaxRounds:  maxRounds,
-		Selector:   fuzz.SelectorSpec{Kind: "none"},
-		Behavior:   fuzz.BehaviorSpec{Kind: "silent"},
-		Drops:      fuzz.DropSpec{Kind: "none"},
-	}
-	sc.Inputs = make([]int, s.p.N)
+	sc := fuzz.NewScenario(s.protoName, s.p)
+	sc.GST, sc.MaxRounds = rt.gst, maxRounds
+	sc.Selector = fuzz.SelectorSpec{Kind: "none"}
+	sc.Behavior = fuzz.BehaviorSpec{Kind: "silent"}
+	sc.Drops = fuzz.DropSpec{Kind: "none"}
 	for i, v := range rt.inputs {
 		sc.Inputs[i] = int(v)
 	}

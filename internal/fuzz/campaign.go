@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"homonyms/internal/exec"
+	"homonyms/internal/inject"
 )
 
 // Config parameterises one fuzz campaign.
@@ -77,16 +78,11 @@ type Report struct {
 	Digest string `json:"digest"`
 }
 
-// subSeed derives the i-th scenario seed from the campaign seed with a
-// splitmix64 step, so neighbouring indices get uncorrelated streams.
+// subSeed derives the i-th scenario seed from the campaign seed, one
+// inject.Draw on the scenario stream, so neighbouring indices get
+// uncorrelated streams.
 func subSeed(seed int64, i int) int64 {
-	x := uint64(seed) + 0x9e3779b97f4a7c15*uint64(i+1)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
+	return int64(inject.Draw(seed, inject.StreamScenario, 0, 0, i))
 }
 
 // Campaign runs cfg.Count generated scenarios across the worker pool and

@@ -141,6 +141,26 @@ func (sc Scenario) Params() hom.Params {
 	}
 }
 
+// NewScenario returns the fault-free scenario of protocol on p: the
+// round-robin assignment, alternating inputs 0101…, GST 1 and no
+// adversary. Callers set the fields they vary.
+func NewScenario(protocol string, p hom.Params) Scenario {
+	inputs := make([]int, p.N)
+	for i := range inputs {
+		inputs[i] = i % 2
+	}
+	return Scenario{
+		Protocol: protocol,
+		N:        p.N, L: p.L, T: p.T,
+		Psync:      p.Synchrony == hom.PartiallySynchronous,
+		Numerate:   p.Numerate,
+		Restricted: p.RestrictedByzantine,
+		Assignment: "roundrobin",
+		Inputs:     inputs,
+		GST:        1,
+	}
+}
+
 // assignment builds the scenario's identifier assignment.
 func (sc Scenario) assignment() (hom.Assignment, error) {
 	switch sc.Assignment {

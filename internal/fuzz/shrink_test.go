@@ -1,6 +1,11 @@
 package fuzz
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"homonyms/internal/inject"
+)
 
 // TestShrinkTable drives the shrinker over known violating scenarios and
 // pins the minimal counterexamples it must reach. The shrinker is
@@ -110,5 +115,49 @@ func TestShrinkRejectsNonViolations(t *testing.T) {
 	}
 	if shrunk, runs := Shrink(o, 100); shrunk != nil || runs != 0 {
 		t.Fatalf("Shrink on an OK outcome ran %d times", runs)
+	}
+}
+
+// TestCandidatesSimplifyTimingAndFaults pins two shrink dimensions that
+// campaigns reach only by chance. An esync scenario with every timing
+// knob set and no timing fault is offered lockstep, and each knob
+// zeroed on its own. When n shrinks, a fault schedule keeps exactly the
+// entries that name no removed slot, and an emptied schedule is nil.
+func TestCandidatesSimplifyTimingAndFaults(t *testing.T) {
+	sc := Scenario{Protocol: "psynchom", N: 5, L: 5, T: 1, Psync: true, Assignment: "roundrobin",
+		Inputs: []int{0, 1, 0, 1, 0}, GST: 3, TimeModel: "esync", Bound: 2, Timeout: 3, MaxAttempts: 4,
+		Selector: SelectorSpec{Kind: "none"}}
+	offered := map[[4]int]bool{}
+	for _, c := range candidates(sc) {
+		if c.N == sc.N && c.GST == sc.GST {
+			lockstep := 0
+			if c.TimeModel == "" {
+				lockstep = 1
+			}
+			offered[[4]int{lockstep, c.Bound, c.Timeout, c.MaxAttempts}] = true
+		}
+	}
+	for _, want := range [][4]int{{1, 0, 0, 0}, {0, 2, 0, 0}, {0, 2, 3, 0}, {0, 0, 3, 4}} {
+		if !offered[want] {
+			t.Errorf("no candidate with (lockstep, bound, timeout, attempts) = %v; offered %v", want, offered)
+		}
+	}
+
+	faults := &inject.Schedule{
+		Crashes:    []inject.Crash{{Slot: 1, Round: 2}, {Slot: 4, Round: 2}},
+		Duplicates: []inject.Duplicate{{FromSlot: 0, ToSlot: 4, Round: 1}, {FromSlot: 1, ToSlot: 2, Round: 1}},
+		Replays:    []inject.Replay{{FromSlot: 4, ToSlot: 0, SourceRound: 1, Round: 2}},
+		Delays:     []inject.Delay{{FromSlot: 2, ToSlot: 3, Until: 3, By: 1}, {FromSlot: 3, ToSlot: 4, Until: 3, By: 1}},
+	}
+	want := inject.Schedule{
+		Crashes:    []inject.Crash{{Slot: 1, Round: 2}},
+		Duplicates: []inject.Duplicate{{FromSlot: 1, ToSlot: 2, Round: 1}},
+		Delays:     []inject.Delay{{FromSlot: 2, ToSlot: 3, Until: 3, By: 1}},
+	}
+	if got := trimFaults(faults, 4); got == nil || !reflect.DeepEqual(*got, want) {
+		t.Errorf("trimFaults(n = 4) = %+v, want %+v", got, want)
+	}
+	if got := trimFaults(&inject.Schedule{Replays: faults.Replays}, 4); got != nil {
+		t.Errorf("trimFaults of a schedule naming only slot 4 = %+v, want nil", got)
 	}
 }

@@ -9,6 +9,7 @@ const (
 	StreamSelect                // adversary.RandomT
 	StreamNoise                 // adversary.Noise
 	StreamEquivocate            // adversary.Equivocate and KeyEquivocate
+	StreamScenario              // fuzz: a campaign's per-scenario seeds
 )
 
 // Draw is the one source of randomness inside an execution: a uniform

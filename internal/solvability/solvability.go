@@ -1,15 +1,18 @@
 // Package solvability regenerates the paper's Table 1 empirically
 // (experiment E1). For every cell of a parameter grid it either runs the
-// matching agreement algorithm under an adversary suite and checks all
-// three correctness properties ("solvable" cells), or runs the matching
-// lower-bound construction and checks that a violation is exhibited
-// ("unsolvable" cells). Unsolvable cells that are not directly at an
-// attack boundary are covered by identifier monotonicity: removing
-// identifiers never makes agreement easier, so a violation at the
-// boundary ℓ′ ≥ ℓ covers the cell (the reports say so explicitly).
+// matching agreement algorithm over a suite of adversarial fuzz
+// scenarios and checks all three correctness properties ("solvable"
+// cells; a failing scenario is reported as a seed cmd/fuzz -replay
+// runs), or runs the matching lower-bound construction and checks that
+// a violation is exhibited ("unsolvable" cells). Unsolvable cells that
+// are not directly at an attack boundary are covered by identifier
+// monotonicity: removing identifiers never makes agreement easier, so a
+// violation at the boundary ℓ′ ≥ ℓ covers the cell (the reports say so
+// explicitly).
 package solvability
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"homonyms/internal/adversary"
@@ -18,6 +21,7 @@ import (
 	"homonyms/internal/core"
 	"homonyms/internal/engine"
 	"homonyms/internal/exec"
+	"homonyms/internal/fuzz"
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/psynchom"
@@ -102,77 +106,50 @@ type SuiteSize struct {
 func DefaultSuite() SuiteSize { return SuiteSize{Assignments: 2, Behaviors: 3} }
 
 // EvaluateCell runs one cell of the matrix.
-func EvaluateCell(p hom.Params, suite SuiteSize, seed int64) (*Cell, error) {
+func EvaluateCell(p hom.Params, size SuiteSize, seed int64) (*Cell, error) {
 	cell := &Cell{Params: p, Expect: p.Solvable()}
 	if cell.Expect {
-		return evaluateSolvable(cell, p, suite, seed)
+		return evaluateSolvable(cell, suite(p, size, seed))
 	}
 	return evaluateUnsolvable(cell, p)
 }
 
-func behaviors(seed int64, k int) []adversary.Behavior {
-	all := []adversary.Behavior{
-		adversary.Equivocate{Seed: seed},
-		adversary.Silent{},
-		adversary.MimicFlood{},
-	}
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
-}
-
-func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*Cell, error) {
-	assignments := []hom.Assignment{hom.RoundRobinAssignment(p.N, p.L)}
-	if suite.Assignments > 1 {
-		assignments = append(assignments, hom.StackedAssignment(p.N, p.L))
-	}
-	behs := behaviors(seed, suite.Behaviors)
-	if p.T == 0 {
-		behs = []adversary.Behavior{nil}
-	}
+// suite lists the executions a solvable cell runs, as replayable
+// scenarios of the row's protoreg entry: every assignment × behavior
+// pair (one fault-free run per assignment at t = 0), then the crash
+// band. Each pair corrupts the slots RandomT draws from its own seed.
+func suite(p hom.Params, size SuiteSize, seed int64) []fuzz.Scenario {
 	gst := 1
 	if p.Synchrony == hom.PartiallySynchronous {
 		gst = 2 * p.L * 2 // a pre-GST window with drops, then stabilisation
 	}
-	runs := 0
+	scenario := func(inputShift int, advSeed int64) fuzz.Scenario {
+		sc := fuzz.NewScenario(core.Protocol(p.Row()), p)
+		for j := range sc.Inputs {
+			sc.Inputs[j] = (j + inputShift) % 2
+		}
+		sc.GST, sc.AdvSeed = gst, advSeed
+		return sc
+	}
+	assignments := []string{"roundrobin", "stacked"}[:min(max(size.Assignments, 1), 2)]
+	behaviors := []string{"equivocate", "silent", "mimicflood"}[:min(size.Behaviors, 3)]
+	if p.T == 0 {
+		behaviors = []string{""}
+	}
+	out := make([]fuzz.Scenario, 0, len(assignments)*len(behaviors)+max(min(size.Crashes, p.T), 0))
 	for ai, a := range assignments {
-		for bi, beh := range behs {
-			inputs := make([]hom.Value, p.N)
-			for j := range inputs {
-				inputs[j] = hom.Value((j + ai + bi) % 2)
-			}
-			var adv engine.Adversary
-			if beh != nil {
-				comp := &adversary.Composite{
-					Selector: adversary.RandomT{Seed: seed + int64(ai*7+bi)},
-					Behavior: beh,
+		for bi, b := range behaviors {
+			sc := scenario(ai+bi, seed)
+			sc.Assignment = a
+			if b != "" {
+				slots := adversary.RandomT{Seed: seed + int64(ai*7+bi)}.Select(p, nil, nil)
+				sc.Selector = fuzz.SelectorSpec{Kind: "slots", Slots: slots}
+				sc.Behavior.Kind = b
+				if sc.Psync && !p.RestrictedByzantine {
+					sc.Drops = fuzz.DropSpec{Kind: "random", Seed: seed + int64(bi), Prob: 0.5}
 				}
-				if p.Synchrony == hom.PartiallySynchronous && !p.RestrictedByzantine {
-					comp.Drops = adversary.RandomDrops{Seed: seed + int64(bi), Prob: 0.5}
-				}
-				adv = comp
 			}
-			res, err := core.Run(core.Config{
-				Params:     p,
-				Assignment: a,
-				Inputs:     inputs,
-				Adversary:  adv,
-				GST:        gst,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("cell %v: %w", p, err)
-			}
-			runs++
-			if !res.Verdict.OK() {
-				cell.Outcome = Mismatch
-				cell.Detail = fmt.Sprintf("expected solvable but run %d failed: %s", runs, res.Verdict)
-				return cell, nil
-			}
-			if r := trace.LatestDecisionRound(res.Sim); r > cell.WorstDecisionRound {
-				cell.WorstDecisionRound = r
-			}
-			cell.MessagesDelivered += res.Sim.Stats.MessagesDelivered
+			out = append(out, sc)
 		}
 	}
 	// Crash-vs-Byzantine band: trade c of the t Byzantine slots for c
@@ -180,49 +157,55 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 	// so Table 1 still predicts solvable — the band checks that the
 	// implementations really do treat a crash as a cheaper-than-Byzantine
 	// failure, at every exchange rate the suite asks for.
-	for c := 1; c <= suite.Crashes && c <= p.T; c++ {
-		byz := p.T - c
-		inputs := make([]hom.Value, p.N)
-		for j := range inputs {
-			inputs[j] = hom.Value(j % 2)
-		}
-		var adv engine.Adversary
-		if byz > 0 {
-			slots := make(adversary.Slots, byz)
-			for i := range slots {
-				slots[i] = i
+	for c := 1; c <= size.Crashes && c <= p.T; c++ {
+		sc := scenario(0, seed+int64(c))
+		if byz := p.T - c; byz > 0 {
+			sc.Selector = fuzz.SelectorSpec{Kind: "slots", Slots: make([]int, byz)}
+			for i := range sc.Selector.Slots {
+				sc.Selector.Slots[i] = i
 			}
-			adv = &adversary.Composite{
-				Selector: slots,
-				Behavior: adversary.Equivocate{Seed: seed + int64(c)},
-			}
+			sc.Behavior.Kind = "equivocate"
 		}
-		crashes := make([]inject.Crash, c)
-		for i := range crashes {
+		sc.Faults = &inject.Schedule{Crashes: make([]inject.Crash, c)}
+		for i := range sc.Faults.Crashes {
 			// Crash from the top of the slot range (disjoint from the
 			// Byzantine slots at the bottom), spanning rounds 2..4.
-			crashes[i] = inject.Crash{Slot: p.N - 1 - i, Round: 2, Recover: 3}
+			sc.Faults.Crashes[i] = inject.Crash{Slot: p.N - 1 - i, Round: 2, Recover: 3}
 		}
-		res, err := core.Run(core.Config{
-			Params:    p,
-			Inputs:    inputs,
-			Adversary: adv,
-			GST:       gst,
-			Faults:    &inject.Schedule{Crashes: crashes},
-		})
+		out = append(out, sc)
+	}
+	return out
+}
+
+// evaluateSolvable runs a solvable cell's suite in order. The first
+// failing run makes the cell a Mismatch whose Detail ends with that run
+// as a one-line seed file.
+func evaluateSolvable(cell *Cell, runs []fuzz.Scenario) (*Cell, error) {
+	p := cell.Params
+	for i, sc := range runs {
+		cfg, err := sc.Config()
 		if err != nil {
-			return nil, fmt.Errorf("cell %v (crash band c=%d): %w", p, c, err)
+			return nil, fmt.Errorf("cell %v: %w", p, err)
 		}
-		runs++
-		if !res.Verdict.OK() {
+		res, err := engine.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("cell %v: %w", p, err)
+		}
+		if v := trace.Check(res); !v.OK() {
+			name := fmt.Sprintf("solvability-%s-n%d-l%d-t%d-run%d", sc.Protocol, p.N, p.L, p.T, i+1)
+			// The suite's scenarios hold no value json.Marshal rejects.
+			seed, _ := json.Marshal(fuzz.NewSeed(name, p.SolvabilityReason(), fuzz.Run(sc, fuzz.Options{})))
 			cell.Outcome = Mismatch
-			cell.Detail = fmt.Sprintf("crash band failed at %d byz + %d crashed (t=%d): %s", byz, c, p.T, res.Verdict)
+			cell.Detail = fmt.Sprintf("expected solvable but run %d failed: %s; replay: %s", i+1, v, seed)
 			return cell, nil
 		}
-		cell.MessagesDelivered += res.Sim.Stats.MessagesDelivered
+		if sc.Faults == nil {
+			cell.WorstDecisionRound = max(cell.WorstDecisionRound, trace.LatestDecisionRound(res))
+		}
+		cell.MessagesDelivered += res.Stats.MessagesDelivered
 	}
 	cell.Outcome = Solved
-	cell.Detail = fmt.Sprintf("suite of %d adversarial runs all satisfied the specification", runs)
+	cell.Detail = fmt.Sprintf("suite of %d adversarial runs all satisfied the specification", len(runs))
 	return cell, nil
 }
 
@@ -419,25 +402,18 @@ func BoundaryParams(ns []int, v Variant) []hom.Params {
 
 // CellCost estimates the relative evaluation cost of one grid cell, for
 // cost-weighted scheduling. The estimate mirrors EvaluateCell's shape:
-// a solvable cell runs the whole positive suite (assignments ×
-// behaviors) of executions whose per-round delivery work is O(n²) and
+// a solvable cell runs every scenario of its suite, executions whose
+// per-round delivery work is O(n²) and
 // whose round budgets grow with ℓ (partially synchronous phase cycles)
 // and t (EIG depth); an unsolvable cell runs one attack construction,
 // unless it is covered by a boundary, in which case it is practically
 // free. Only the ordering of costs matters — the scheduler uses them as
 // hints, never in results.
-func CellCost(p hom.Params, suite SuiteSize) int64 {
+func CellCost(p hom.Params, size SuiteSize) int64 {
 	nn := int64(p.N) * int64(p.N)
 	rounds := int64(4*p.L + 8*p.T + 16)
 	if p.Solvable() {
-		runs := int64(suite.Assignments) * int64(suite.Behaviors)
-		if runs < 1 {
-			runs = 1
-		}
-		if band := min(suite.Crashes, p.T); band > 0 {
-			runs += int64(band)
-		}
-		return nn * rounds * runs
+		return nn * rounds * int64(max(len(suite(p, size, 0)), 1))
 	}
 	if lowerBound(p) != nil {
 		return nn * rounds // one attack construction
@@ -451,12 +427,12 @@ func CellCost(p hom.Params, suite SuiteSize) int64 {
 // CellCost first — the big-n solvable cells no longer queue behind a
 // pool drained by cheap boundary cells); the result order (and every
 // cell's content) is identical to a sequential evaluation.
-func Matrix(ns, ts []int, v Variant, suite SuiteSize, seed int64) ([]*Cell, error) {
+func Matrix(ns, ts []int, v Variant, size SuiteSize, seed int64) ([]*Cell, error) {
 	params := GridParams(ns, ts, v)
 	cells, errs := exec.MapWeightedCollect(params, exec.Workers(),
-		func(_ int, p hom.Params) int64 { return CellCost(p, suite) },
+		func(_ int, p hom.Params) int64 { return CellCost(p, size) },
 		func(_ int, p hom.Params) (*Cell, error) {
-			return EvaluateCell(p, suite, seed)
+			return EvaluateCell(p, size, seed)
 		})
 	// A cell whose evaluation errored or panicked (recovered into an
 	// exec.PanicError by the pool) degrades to a Failed cell instead of

@@ -33,8 +33,8 @@ func init() {
 			if p.Synchrony != hom.Synchronous {
 				return false, "T(EIG) runs in the synchronous model only"
 			}
-			if p.L < 2 {
-				return false, "EIG needs at least 2 identifiers"
+			if p.L < 2 && p.T > 0 {
+				return false, "EIG needs at least 2 identifiers once t > 0"
 			}
 			return true, "ok"
 		},

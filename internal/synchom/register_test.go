@@ -31,7 +31,8 @@ func TestRegistryEntry(t *testing.T) {
 		{params(3, 3, 0), true, true},
 		{params(5, 4, 1), true, true},
 		{params(4, 3, 1), false, true},
-		{params(2, 1, 0), true, false},
+		{params(2, 1, 0), true, true},
+		{params(4, 1, 1), false, false},
 	} {
 		if got, why := proto.Claims(tc.p); got != tc.claims {
 			t.Errorf("Claims(%v) = %v (%s), want %v", tc.p, got, why, tc.claims)
