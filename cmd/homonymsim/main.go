@@ -83,11 +83,8 @@ func simulate(out io.Writer) error {
 		return nil
 	}
 
-	sel, err := core.Select(p)
-	if err != nil {
-		return err
-	}
 	sc.Protocol = core.Protocol(p.Row())
+	var err error
 	if sc.Inputs, err = parseInputs(*inputsFlag, p.N); err != nil {
 		return err
 	}
@@ -108,7 +105,7 @@ func simulate(out io.Writer) error {
 
 	a := cfg.Assignment
 	fmt.Fprintf(out, "algorithm: %s\nassignment: %v\ninputs: %v\ncorrupted: %v\n",
-		sel.Algorithm, a, cfg.Inputs, res.Corrupted)
+		core.Algorithm(p.Row()), a, cfg.Inputs, res.Corrupted)
 	fmt.Fprintln(out, strings.Repeat("-", 60))
 	for s := 0; s < p.N; s++ {
 		status := "correct"

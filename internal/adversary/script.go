@@ -36,14 +36,14 @@ import (
 // two sides of a partitioned system. To lists the recipient slots
 // (nil = every slot).
 type ScriptSend struct {
-	Round int   `json:"round"`
-	Slot  int   `json:"slot"`
-	Value int   `json:"value,omitempty"`
-	Copy  bool  `json:"copy,omitempty"`
-	Src   int   `json:"src,omitempty"`
-	Mimic bool  `json:"mimic,omitempty"`
-	Feed  []int `json:"feed,omitempty"`
-	To    []int `json:"to,omitempty"`
+	Round int       `json:"round"`
+	Slot  int       `json:"slot"`
+	Value hom.Value `json:"value,omitempty"`
+	Copy  bool      `json:"copy,omitempty"`
+	Src   int       `json:"src,omitempty"`
+	Mimic bool      `json:"mimic,omitempty"`
+	Feed  []int     `json:"feed,omitempty"`
+	To    []int     `json:"to,omitempty"`
 }
 
 // ScriptBehavior replays ScriptSend steps. Rounds with no matching step
@@ -133,7 +133,7 @@ func (sb *ScriptBehavior) Sends(round, slot int, view *engine.View) []msg.Target
 				}
 			}
 		} else if sb.Make != nil {
-			for _, pl := range sb.Make(round, hom.Value(st.Value)) {
+			for _, pl := range sb.Make(round, st.Value) {
 				if pl != nil {
 					step = append(step, msg.TargetedSend{Body: pl})
 				}
@@ -178,7 +178,7 @@ func (sb *ScriptBehavior) mimic(st ScriptSend, round, slot int, view *engine.Vie
 	sh := sb.shadows[key]
 	if sh == nil {
 		proc := sb.Factory(slot)
-		proc.Init(engine.Context{ID: myID, Input: hom.Value(st.Value), Params: view.Params})
+		proc.Init(engine.Context{ID: myID, Input: st.Value, Params: view.Params})
 		sh = &mimicShadow{proc: proc}
 		if sb.shadows == nil {
 			sb.shadows = make(map[string]*mimicShadow)

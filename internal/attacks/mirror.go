@@ -94,7 +94,7 @@ func Mirror(p hom.Params, factory func(slot int) engine.Process, assignment hom.
 		adv := &adversary.Composite{
 			Selector: adversary.Slots(twins),
 			Behavior: &adversary.ScriptBehavior{
-				Steps:   []adversary.ScriptSend{{Round: 1, Slot: twin, Mimic: true, Value: int(twinInput)}},
+				Steps:   []adversary.ScriptSend{{Round: 1, Slot: twin, Mimic: true, Value: twinInput}},
 				Repeat:  true,
 				Span:    1,
 				Factory: factory,

@@ -56,6 +56,10 @@ var rowAlgorithms = [...]struct {
 // or "" for hom.RowResilience, which no algorithm solves.
 func Protocol(row hom.Row) string { return rowAlgorithms[row].entry }
 
+// Algorithm names the AlgorithmID Select reports for the given Table-1
+// row, or "" for hom.RowResilience.
+func Algorithm(row hom.Row) AlgorithmID { return rowAlgorithms[row].id }
+
 // Errors returned by the façade.
 var (
 	// ErrUnsolvable reports parameters outside Table 1's solvable region;

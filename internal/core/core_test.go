@@ -168,6 +168,8 @@ func TestFacadeDecidesEveryTable1Cell(t *testing.T) {
 // protoreg entry core.Protocol names for the row can build the run, in
 // all four variants. A scenario names its protocol by that entry, so a
 // solvable cell its entry refuses would be a cell no scenario can run.
+// core.Algorithm names the algorithm Select reports there, without
+// building it.
 func TestSolvableRowsConstructible(t *testing.T) {
 	for _, syn := range []hom.Synchrony{hom.Synchronous, hom.PartiallySynchronous} {
 		for _, numerate := range []bool{false, true} {
@@ -186,6 +188,9 @@ func TestSolvableRowsConstructible(t *testing.T) {
 						if ok, why := proto.Constructible(p); !ok {
 							t.Errorf("%v is solvable but %s refuses it: %s", p, name, why)
 						}
+						if sel, err := core.Select(p); err == nil && sel.Algorithm != core.Algorithm(p.Row()) {
+							t.Errorf("%v: Algorithm = %s, Select chose %s", p, core.Algorithm(p.Row()), sel.Algorithm)
+						}
 					}
 				}
 			}
@@ -193,5 +198,8 @@ func TestSolvableRowsConstructible(t *testing.T) {
 	}
 	if got := core.Protocol(hom.RowResilience); got != "" {
 		t.Errorf("Protocol(RowResilience) = %q, want none", got)
+	}
+	if got := core.Algorithm(hom.RowResilience); got != "" {
+		t.Errorf("Algorithm(RowResilience) = %q, want none", got)
 	}
 }

@@ -127,9 +127,9 @@ func runScaleFlood(t *testing.T, n int, merging bool) (mallocs, bytes uint64) {
 // into l: the
 // number of allocations is a function of the classes and the rounds, not
 // of n (ten times the slots, the same count to within slice growth), and
-// the bytes stay under 24 per slot — the Result's decisions and decision
-// rounds (16 B), the class index (4 B) and the corrupted-slot mask
-// (1 B), with room for nothing n-sized beside them. A per-slot table
+// the bytes stay under 18 per slot — the Result's decisions (4 B) and
+// decision rounds (8 B), the class index (4 B) and the corrupted-slot
+// mask (1 B), with room for nothing n-sized beside them. A per-slot table
 // creeping back into the engine or the Router, a merge writing slots,
 // the Result copying the configured vectors, or an option rendering its
 // slice, fails here in the ordinary tier. (The count comparison is
@@ -164,8 +164,8 @@ func TestCountingFastPathCostIsPerClass(t *testing.T) {
 			// The budget holds for the marginal slot, and for the whole run at
 			// n=1e5, where the fixed cost — with the pools the race detector
 			// empties at random, some 50 kB — is half a byte per slot.
-			if marginal := float64(largeBytes-smallBytes) / 90_000; marginal > 24 || largeBytes > 24*100_000 {
-				t.Errorf("New+Run allocated %d bytes at n=1e4, %d at n=1e5: %.1f per marginal slot, %d per slot at n=1e5 (budget 24)",
+			if marginal := float64(largeBytes-smallBytes) / 90_000; marginal > 18 || largeBytes > 18*100_000 {
+				t.Errorf("New+Run allocated %d bytes at n=1e4, %d at n=1e5: %.1f per marginal slot, %d per slot at n=1e5 (budget 18)",
 					smallBytes, largeBytes, marginal, largeBytes/100_000)
 			}
 		})
@@ -233,13 +233,13 @@ func TestByzantineRoundCostIsPerGroup(t *testing.T) {
 	}
 }
 
-// TestCountingMillionScaleSmoke is the PR-10 headline smoke: one million
+// TestCountingMillionScaleSmoke is the headline scale smoke: one million
 // homonymous processes under eight identifiers run eight broadcast
 // rounds through engine.Counting at the cost of eight equivalence
 // classes (sixteen merging into eight, for the merging twin) plus the
-// per-slot decisions, decision rounds and class index — some 21 MB
+// per-slot decisions, decision rounds and class index — some 17 MB
 // allocated and a few tens of milliseconds. It asserts that budget
-// (TotalAlloc <= 24 MB, Mallocs <= 20 k), so the CI scale job fails on
+// (TotalAlloc <= 18 MB, Mallocs <= 20 k), so the CI scale job fails on
 // a regression instead of merely finishing. Gated behind HOMONYMS_SCALE
 // only because the concrete-cost engines could never run this cell and
 // the race detector multiplies even this footprint;
@@ -253,8 +253,8 @@ func TestCountingMillionScaleSmoke(t *testing.T) {
 		merging := name == "merging"
 		t.Run(name, func(t *testing.T) {
 			mallocs, bytes := runScaleFlood(t, 1_000_000, merging)
-			if bytes > 24<<20 {
-				t.Errorf("n=1e6 run allocated %d MB, budget 24 MB", bytes>>20)
+			if bytes > 18<<20 {
+				t.Errorf("n=1e6 run allocated %d MB, budget 18 MB", bytes>>20)
 			}
 			if mallocs > 20_000 {
 				t.Errorf("n=1e6 run made %d allocations, budget 20 000", mallocs)

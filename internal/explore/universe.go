@@ -51,11 +51,11 @@ func slotRange(lo, hi int) []int {
 func (a byzAction) steps(round, slot, n int) []adversary.ScriptSend {
 	switch a.kind {
 	case aBcast:
-		return []adversary.ScriptSend{{Round: round, Slot: slot, Value: int(a.v1)}}
+		return []adversary.ScriptSend{{Round: round, Slot: slot, Value: a.v1}}
 	case aSplit:
 		return []adversary.ScriptSend{
-			{Round: round, Slot: slot, Value: int(a.v1), To: slotRange(0, a.cut)},
-			{Round: round, Slot: slot, Value: int(a.v2), To: slotRange(a.cut, n)},
+			{Round: round, Slot: slot, Value: a.v1, To: slotRange(0, a.cut)},
+			{Round: round, Slot: slot, Value: a.v2, To: slotRange(a.cut, n)},
 		}
 	case aCopy:
 		return []adversary.ScriptSend{{Round: round, Slot: slot, Copy: true, Src: a.s1}}
@@ -65,11 +65,11 @@ func (a byzAction) steps(round, slot, n int) []adversary.ScriptSend {
 			{Round: round, Slot: slot, Copy: true, Src: a.s2, To: slotRange(a.cut, n)},
 		}
 	case aMimic:
-		return []adversary.ScriptSend{{Round: round, Slot: slot, Mimic: true, Value: int(a.v1)}}
+		return []adversary.ScriptSend{{Round: round, Slot: slot, Mimic: true, Value: a.v1}}
 	case aMimicSplit:
 		return []adversary.ScriptSend{
-			{Round: round, Slot: slot, Mimic: true, Value: int(a.v1), Feed: slotRange(0, a.cut), To: slotRange(0, a.cut)},
-			{Round: round, Slot: slot, Mimic: true, Value: int(a.v2), Feed: slotRange(a.cut, n), To: slotRange(a.cut, n)},
+			{Round: round, Slot: slot, Mimic: true, Value: a.v1, Feed: slotRange(0, a.cut), To: slotRange(0, a.cut)},
+			{Round: round, Slot: slot, Mimic: true, Value: a.v2, Feed: slotRange(a.cut, n), To: slotRange(a.cut, n)},
 		}
 	}
 	return nil // aSilent

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 
@@ -314,6 +315,9 @@ func (sc Scenario) Config() (engine.Config, error) {
 	}
 	inputs := make([]hom.Value, sc.N)
 	for i, v := range sc.Inputs {
+		if v < 0 || v > math.MaxInt32 {
+			return engine.Config{}, fmt.Errorf("fuzz: input %d of slot %d: %w", v, i, hom.ErrRange)
+		}
 		inputs[i] = hom.Value(v)
 	}
 	adv, err := sc.adversaryFor(proto, p)

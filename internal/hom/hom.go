@@ -9,22 +9,24 @@ package hom
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Identifier is an authenticated identifier in {1, ..., L}. Several
 // processes may hold the same identifier (homonyms); a receiver can verify
 // the identifier attached to a message but cannot tell which holder sent
 // it. Identifier 0 is never valid: identifiers start at 1 so that the zero
-// value is recognisably unset.
-type Identifier int
+// value is recognisably unset. Identifiers are 32 bits wide, so L is at
+// most math.MaxInt32.
+type Identifier int32
 
 // IsValid reports whether the identifier lies in {1, ..., l}.
 func (id Identifier) IsValid(l int) bool { return id >= 1 && int(id) <= l }
 
 // Value is a proposal/decision value. The paper treats binary agreement
 // (values 0 and 1) but nothing in the algorithms depends on that, so any
-// non-negative int is a legal value.
-type Value int
+// non-negative int32 is a legal value.
+type Value int32
 
 // NoValue is the "⊥" placeholder used where an algorithm has not decided
 // or has no value to report.
@@ -105,6 +107,7 @@ var (
 	ErrBadAssignment    = errors.New("hom: assignment must give every identifier in 1..L to at least one process")
 	ErrAssignmentLength = errors.New("hom: assignment length must equal N")
 	ErrInputLength      = errors.New("hom: need one input value per process")
+	ErrRange            = errors.New("hom: identifiers and values must fit in 0..math.MaxInt32")
 )
 
 // Validate checks internal consistency of the parameters. It does not
@@ -115,6 +118,9 @@ func (p Params) Validate() error {
 	}
 	if p.L < 1 || p.L > p.N {
 		return fmt.Errorf("%w (L=%d, N=%d)", ErrBadIdentifierCnt, p.L, p.N)
+	}
+	if p.L > math.MaxInt32 {
+		return fmt.Errorf("%w (L=%d)", ErrRange, p.L)
 	}
 	if p.T < 0 || p.T >= p.N {
 		return fmt.Errorf("%w (T=%d, N=%d)", ErrBadFaultBound, p.T, p.N)

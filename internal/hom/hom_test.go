@@ -1,6 +1,7 @@
 package hom
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,6 +23,8 @@ func TestParamsValidate(t *testing.T) {
 		{"t = n", Params{N: 4, L: 4, T: 4, Synchrony: Synchronous}, ErrBadFaultBound},
 		{"bad synchrony", Params{N: 4, L: 4, T: 1}, ErrBadSynchrony},
 		{"negative domain value", Params{N: 4, L: 4, T: 1, Synchrony: Synchronous, Domain: []Value{-2}}, ErrEmptyDomain},
+		{"widest identifiers", Params{N: math.MaxInt32, L: math.MaxInt32, T: 0, Synchrony: Synchronous}, nil},
+		{"identifiers past int32", Params{N: math.MaxInt32 + 1, L: math.MaxInt32 + 1, T: 0, Synchrony: Synchronous}, ErrRange},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -122,7 +122,7 @@ func TestSortIndexMatchesReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	small := []hom.Identifier{1, 2, 3, 4, 5}
 	signed := []hom.Identifier{-7, -1, 0, 3, 1 << 20}
-	wide := []hom.Identifier{math.MinInt64, -1, 0, 7, math.MaxInt64}
+	wide := []hom.Identifier{math.MinInt32, -1, 0, 7, math.MaxInt32}
 	var cases []orderCase
 	for round := 0; round < 40; round++ {
 		k := []int{0, 1, 2, 7, orderStack, orderStack + 1, 100, 700}[round%8]
@@ -205,7 +205,7 @@ func TestRoundOrderWalkMatchesOrderRefs(t *testing.T) {
 		bodies := 1 + rng.Intn(6)
 		idOf := func(slot int) hom.Identifier {
 			if trial%10 == 9 { // too wide for the packed sort
-				return []hom.Identifier{math.MinInt64, 0, math.MaxInt64}[slot%l%3]
+				return []hom.Identifier{math.MinInt32, 0, math.MaxInt32}[slot%l%3]
 			}
 			return hom.Identifier(slot%l + 1)
 		}

@@ -1,6 +1,7 @@
 package psynchom
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -208,7 +209,7 @@ func TestBitsetTalliesMatchMapTallies(t *testing.T) {
 func TestIDTallyIgnoresInvalidIdentifiers(t *testing.T) {
 	var tally idTally
 	tally.reset(64)
-	for _, id := range []hom.Identifier{-1, 0, 65, 1 << 40} {
+	for _, id := range []hom.Identifier{-1, 0, 65, math.MaxInt32} {
 		tally.add(0, 3, id)
 	}
 	if len(tally.rows) != 0 {

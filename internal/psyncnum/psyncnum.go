@@ -629,7 +629,7 @@ func (pr *Process) StateFingerprint() msg.StateHash {
 }
 
 // appendMap appends m as fmt prints it: "map[k:v ...]", keys ascending.
-func appendMap[K ~int, V any](b []byte, m map[K]V, value func([]byte, V) []byte) []byte {
+func appendMap[K ~int32, V any](b []byte, m map[K]V, value func([]byte, V) []byte) []byte {
 	b = append(b, "map["...)
 	for i, k := range slices.Sorted(maps.Keys(m)) {
 		if i > 0 {

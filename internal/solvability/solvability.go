@@ -136,7 +136,7 @@ func suite(p hom.Params, size SuiteSize, seed int64) []fuzz.Scenario {
 	if p.T == 0 {
 		behaviors = []string{""}
 	}
-	out := make([]fuzz.Scenario, 0, len(assignments)*len(behaviors)+max(min(size.Crashes, p.T), 0))
+	out := make([]fuzz.Scenario, 0, suiteLen(p, size))
 	for ai, a := range assignments {
 		for bi, b := range behaviors {
 			sc := scenario(ai+bi, seed)
@@ -175,6 +175,16 @@ func suite(p hom.Params, size SuiteSize, seed int64) []fuzz.Scenario {
 		out = append(out, sc)
 	}
 	return out
+}
+
+// suiteLen is len(suite(p, size, seed)) in closed form: assignments ×
+// behaviors, then the crash band.
+func suiteLen(p hom.Params, size SuiteSize) int {
+	behaviors := min(size.Behaviors, 3)
+	if p.T == 0 {
+		behaviors = 1
+	}
+	return min(max(size.Assignments, 1), 2)*behaviors + max(min(size.Crashes, p.T), 0)
 }
 
 // evaluateSolvable runs a solvable cell's suite in order. The first
@@ -413,7 +423,7 @@ func CellCost(p hom.Params, size SuiteSize) int64 {
 	nn := int64(p.N) * int64(p.N)
 	rounds := int64(4*p.L + 8*p.T + 16)
 	if p.Solvable() {
-		return nn * rounds * int64(max(len(suite(p, size, 0)), 1))
+		return nn * rounds * int64(max(suiteLen(p, size), 1))
 	}
 	if lowerBound(p) != nil {
 		return nn * rounds // one attack construction

@@ -40,6 +40,39 @@ func TestSuiteShape(t *testing.T) {
 	}
 }
 
+// TestCellCostCountsTheSuite: CellCost charges a solvable cell one run's
+// cost per scenario its suite lists, counted without building the suite,
+// over n = 2..30, t = 0..9, every variant and four suite sizes.
+func TestCellCostCountsTheSuite(t *testing.T) {
+	sizes := []SuiteSize{
+		{Assignments: 1, Behaviors: 1},
+		{Assignments: 2, Behaviors: 2, Crashes: 1},
+		DefaultSuite(),
+		{Assignments: 2, Behaviors: 3, Crashes: 5},
+	}
+	var ns, ts []int
+	for n := 2; n <= 30; n++ {
+		ns = append(ns, n)
+	}
+	for tt := 0; tt <= 9; tt++ {
+		ts = append(ts, tt)
+	}
+	for _, v := range Variants() {
+		for _, p := range GridParams(ns, ts, v) {
+			if !p.Solvable() {
+				continue
+			}
+			oneRun := CellCost(p, sizes[0])
+			for _, size := range sizes {
+				runs := len(suite(p, size, 1))
+				if got, want := CellCost(p, size), oneRun*int64(max(runs, 1)); got != want {
+					t.Fatalf("%v %+v: CellCost = %d, want %d (%d runs)", p, size, got, want, runs)
+				}
+			}
+		}
+	}
+}
+
 // TestMismatchDetailReplays: a failing suite run makes the cell a
 // Mismatch whose Detail ends with that run as a one-line seed file, and
 // the seed replays from a directory exactly as cmd/fuzz -replay runs it.
